@@ -85,6 +85,9 @@ fn measure_flow(name: &str, mut sim: FlowSim, horizon: SimTime, flows_total: usi
         ),
         _ => (None, None),
     };
+    // Whole-run counts per scheduled flow: machine-independent, so CI
+    // gates on these and not on a rate.
+    let per_flow = |n: u64| n as f64 / flows_total.max(1) as f64;
     let fct = fct_of(&sim);
     println!(
         "{:<18} {:>10} events {:>7.2}s wall {:>12.0} ev/s  {:>9.0} flows/s  allocs/ev {}",
@@ -116,6 +119,9 @@ fn measure_flow(name: &str, mut sim: FlowSim, horizon: SimTime, flows_total: usi
         "flows_completed": stats.flows_completed,
         "flows_per_sec": flows_per_sec,
         "fast_path_flows": stats.fast_path_flows,
+        "events_per_flow": per_flow(stats.events_processed),
+        "rate_updates_per_flow": per_flow(stats.rate_updates),
+        "rebalance_scans_per_flow": per_flow(stats.rebalance_scans),
         "fct_p50_us": fct.p50_us,
         "fct_p99_us": fct.p99_us,
     })

@@ -1,16 +1,18 @@
 //! The flow-level discrete-event engine: slab-allocated flow states,
-//! per-link intrusive active lists, and epoch-invalidated completion timers
-//! on the packet engine's timing wheel.
+//! per-link intrusive active lists, and one re-keyable completion timer
+//! per active flow.
 //!
-//! Event cost is O(path length + affected flows) per flow arrival or
-//! departure, independent of flow size — a 10 MB elephant costs the same
-//! two events as a 1 KB mouse unless sharers force reschedules. Steady
-//! state allocates nothing: the flow slab, free list, scratch buffers and
-//! completion log are reserved up front from the scheduled arrival count,
-//! and the wheel is pre-sized the same way.
+//! Three event sources merge by `(time, seq)`, `seq` being one counter
+//! bumped at every schedule, arm and re-key: a cursor over the arrivals
+//! sorted at [`FlowSim::schedule_flows`], the armed control tick, and the
+//! completion-timer heap (`timers.rs`). A flow costs two events — arrival
+//! and completion — whatever its size and however often sharers move its
+//! timer; what sharers cost is the rebalance, O(path + flows on it) per
+//! arrival or departure. Steady state allocates nothing: everything is
+//! reserved up front from the scheduled arrival count.
 
 use super::bottleneck::LinkModel;
-use crate::event::{Event, EventQueue};
+use super::timers::FlowTimers;
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::queues::EcnConfig;
 use crate::routing::RouteTable;
@@ -23,9 +25,6 @@ pub const NIL: u32 = u32::MAX;
 /// Maximum hops (directed links) a path may traverse. The 3-tier Clos
 /// presets need 6 (host→ToR→agg→core→agg→ToR→host).
 pub const MAX_HOPS: usize = 8;
-
-/// Token bit marking a wheel timer as a flow arrival (vs. a completion).
-const ARRIVAL_BIT: u64 = 1 << 63;
 
 /// Simulation fidelity selected on the `acc-bench` command line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,9 +145,10 @@ pub trait EcnTuner {
 /// Counters describing one finished run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowSimStats {
-    /// Wheel events popped (arrivals + completions + stale + ticks).
+    /// Events fired (arrivals + completions + control ticks).
     pub events_processed: u64,
-    /// Completion timers that popped with a stale epoch and were ignored.
+    /// Events that fired as no-ops. Always 0 — a rate change moves the
+    /// flow's one timer, leaving none to pop stale; kept for its readers.
     pub stale_events: u64,
     /// Flows priced entirely on the ideal-FCT fast path (never rescheduled).
     pub fast_path_flows: u64,
@@ -160,8 +160,14 @@ pub struct FlowSimStats {
     pub unrouted_flows: u64,
     /// High-water mark of concurrently active flows.
     pub peak_active_flows: u64,
-    /// High-water mark of the event queue.
+    /// High-water mark of all pending entries: unfired arrivals + the
+    /// armed control tick + live completion timers.
     pub peak_event_queue: usize,
+    /// Rate changes rebalances granted; each re-keys the flow's timer unless
+    /// the flow has drained and only its delivery tail is in flight.
+    pub rate_updates: u64,
+    /// Flows visited by rebalances (each recomputes one min-share).
+    pub rebalance_scans: u64,
 }
 
 /// Per-flow simulation state in the slab.
@@ -183,12 +189,9 @@ struct FlowState {
     /// Fixed last-packet pipeline latency beyond the source drain:
     /// store-and-forward at every hop after the first plus propagation.
     tail: SimTime,
-    /// Bumped on every reschedule; stale completion timers carry old epochs.
-    epoch: u32,
     /// Dedup stamp for rebalance scans.
     visit: u32,
     n_hops: u8,
-    active: bool,
     /// Still on the ideal-FCT fast path (never shared a link).
     uncontended: bool,
     /// Directed-link indices along the path.
@@ -234,11 +237,17 @@ pub struct FlowSim {
     flows: Vec<FlowState>,
     free: Vec<u32>,
     specs: Vec<FlowSpec>,
-    queue: EventQueue,
+    /// `(start, seq, spec index)` sorted; fired up to `next_arrival`.
+    arrivals: Vec<(SimTime, u64, usize)>,
+    next_arrival: usize,
+    /// The armed control tick, `(time, seq)`.
+    next_tick: Option<(SimTime, u64)>,
+    timers: FlowTimers,
+    /// Shared schedule counter: equal-time events fire in schedule order.
+    seq: u64,
     now: SimTime,
     completions: Vec<FlowDone>,
     tuner: Option<Box<dyn EcnTuner>>,
-    tick_scheduled: bool,
     visit_gen: u32,
     /// Scratch: deduped flow indices touched by a rebalance.
     scratch: Vec<u32>,
@@ -276,7 +285,6 @@ impl FlowSim {
                 ));
             }
         }
-        let n_nodes = topo.nodes.len();
         FlowSim {
             topo,
             routes,
@@ -286,11 +294,14 @@ impl FlowSim {
             flows: Vec::new(),
             free: Vec::new(),
             specs: Vec::new(),
-            queue: EventQueue::sized_for(n_nodes),
+            arrivals: Vec::new(),
+            next_arrival: 0,
+            next_tick: None,
+            timers: FlowTimers::default(),
+            seq: 0,
             now: SimTime::ZERO,
             completions: Vec::new(),
             tuner: None,
-            tick_scheduled: false,
             visit_gen: 0,
             scratch: Vec::new(),
             active_flows: 0,
@@ -305,74 +316,72 @@ impl FlowSim {
         }
     }
 
-    /// Pre-size the slab, free list, scratch and completion log for `n`
-    /// additional flows, and (before any event is scheduled) the wheel too —
-    /// the zero-alloc steady-state contract.
+    /// Pre-size the slab, free list, scratch, arrival list, timer heap and
+    /// completion log for `n` additional flows — the zero-alloc
+    /// steady-state contract.
     pub fn reserve_flows(&mut self, n: usize) {
         let total = self.specs.len() + n;
         self.specs.reserve(n);
+        self.arrivals.reserve(n);
+        self.timers.reserve(total);
         self.flows.reserve(total.saturating_sub(self.flows.len()));
         self.free.reserve(total.saturating_sub(self.free.len()));
         self.completions
             .reserve(total.saturating_sub(self.completions.len()));
         self.scratch
             .reserve(1024usize.saturating_sub(self.scratch.capacity()));
-        if self.queue.is_empty() && self.queue.peak_len() == 0 {
-            // Arrivals all sit in the wheel up front plus reschedules in
-            // flight; size once, before the first push.
-            self.queue = EventQueue::sized_for(self.topo.nodes.len().max(4 * total));
-        }
     }
 
     /// Schedule a batch of flows. Flow ids are assigned in order; calls
     /// compose (ids keep counting).
     pub fn schedule_flows(&mut self, specs: &[FlowSpec]) {
         self.reserve_flows(specs.len());
+        self.arrivals.drain(..self.next_arrival);
+        self.next_arrival = 0;
         for s in specs {
-            let idx = self.specs.len() as u64;
-            self.queue.push(
-                s.start,
-                Event::HostTimer {
-                    host: s.src,
-                    token: ARRIVAL_BIT | idx,
-                },
-            );
+            let seq = self.next_seq();
+            self.arrivals.push((s.start, seq, self.specs.len()));
             self.specs.push(*s);
         }
+        // `seq` is unique, so this is `(start, seq)` order.
+        self.arrivals.sort_unstable();
+        self.note_pending();
     }
 
-    /// Run until the wheel is exhausted or simulated time would pass
-    /// `horizon` (events at exactly `horizon` still run).
+    /// Fire every event at or before `horizon`, then set the clock to
+    /// `horizon`. With a tuner installed the control tick re-arms itself
+    /// forever, so the horizon is what ends the run; without one the run
+    /// also ends early once every scheduled flow has arrived and completed.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if !self.tick_scheduled {
-            self.tick_scheduled = true;
+        if self.next_tick.is_none() && self.tuner.is_some() {
             if let Some(dt) = self.cfg.control_interval {
-                if self.tuner.is_some() {
-                    self.queue.push(dt, Event::ControlTick);
-                }
+                self.next_tick = Some((self.now + dt, self.next_seq()));
+                self.note_pending();
             }
         }
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
+        loop {
+            let arrival = self.arrivals.get(self.next_arrival);
+            let arrival_key = arrival.map(|&(t, seq, _)| (t, seq));
+            let completion_key = self.timers.peek();
+            let sources = [arrival_key, self.next_tick, completion_key];
+            let first = sources.into_iter().flatten().min();
+            let Some(key) = first.filter(|&(t, _)| t <= horizon) else {
                 break;
-            }
-            let s = self.queue.pop().expect("peeked event vanished");
-            self.now = s.time;
+            };
+            self.now = key.0;
             self.stats.events_processed += 1;
-            match s.event {
-                Event::HostTimer { token, .. } => {
-                    if token & ARRIVAL_BIT != 0 {
-                        self.start_flow((token & !ARRIVAL_BIT) as usize);
-                    } else {
-                        self.on_completion(token);
-                    }
-                }
-                Event::ControlTick => self.on_control_tick(),
-                _ => {}
+            if arrival_key == first {
+                let spec_idx = arrival.expect("arrival key without arrival").2;
+                self.next_arrival += 1;
+                self.start_flow(spec_idx);
+            } else if completion_key == first {
+                let (_, _, slot) = self.timers.pop_min().expect("peeked timer vanished");
+                self.on_completion(slot as usize);
+            } else {
+                self.on_control_tick();
             }
         }
         self.now = horizon;
-        self.stats.peak_event_queue = self.queue.peak_len();
     }
 
     /// Completed flows so far, in completion order.
@@ -380,11 +389,9 @@ impl FlowSim {
         &self.completions
     }
 
-    /// Run counters (also freshens the peak-queue column).
+    /// Run counters.
     pub fn stats(&self) -> FlowSimStats {
-        let mut s = self.stats;
-        s.peak_event_queue = self.queue.peak_len();
-        s
+        self.stats
     }
 
     /// Current simulated time.
@@ -479,25 +486,36 @@ impl FlowSim {
             self.links[li as usize].advance(self.now);
         }
 
-        let fi = self.alloc_slot();
-        {
-            let f = &mut self.flows[fi];
-            f.flow = flow_id;
-            f.src = spec.src;
-            f.dst = spec.dst;
-            f.bytes = spec.bytes;
-            f.prio = spec.prio;
-            f.tag = spec.tag;
-            f.start = self.now;
-            f.last_update = self.now;
-            f.remaining_wire = total_wire as f64;
-            f.rate_bps = 0.0;
-            f.tail = tail;
-            f.n_hops = n_hops as u8;
-            f.active = true;
-            f.uncontended = uncontended;
-            f.path = path;
-        }
+        // No field outlives a slot's occupant, so a reused slot is overwritten.
+        let state = FlowState {
+            flow: flow_id,
+            src: spec.src,
+            dst: spec.dst,
+            bytes: spec.bytes,
+            prio: spec.prio,
+            tag: spec.tag,
+            start: self.now,
+            last_update: self.now,
+            remaining_wire: total_wire as f64,
+            rate_bps: 0.0,
+            tail,
+            visit: 0,
+            n_hops: n_hops as u8,
+            uncontended,
+            path,
+            next: [NIL; MAX_HOPS],
+            prev: [NIL; MAX_HOPS],
+        };
+        let fi = match self.free.pop() {
+            Some(fi) => {
+                self.flows[fi as usize] = state;
+                fi as usize
+            }
+            None => {
+                self.flows.push(state);
+                self.flows.len() - 1
+            }
+        };
         for (hop, &li) in path.iter().enumerate().take(n_hops) {
             self.list_push(li as usize, fi, hop);
         }
@@ -523,13 +541,7 @@ impl FlowSim {
         }
     }
 
-    fn on_completion(&mut self, token: u64) {
-        let fi = (token >> 32) as usize;
-        let epoch = token as u32;
-        if fi >= self.flows.len() || !self.flows[fi].active || self.flows[fi].epoch != epoch {
-            self.stats.stale_events += 1;
-            return;
-        }
+    fn on_completion(&mut self, fi: usize) {
         let (path, n_hops, rate, done) = {
             let f = &self.flows[fi];
             (
@@ -556,7 +568,6 @@ impl FlowSim {
             let l = &mut self.links[li as usize];
             l.sum_rate_bps = (l.sum_rate_bps - rate).max(0.0);
         }
-        self.flows[fi].active = false;
         self.free.push(fi as u32);
         self.active_flows -= 1;
         self.stats.flows_completed += 1;
@@ -573,9 +584,8 @@ impl FlowSim {
             t.on_tick(now, &mut self.links);
             self.tuner = Some(t);
         }
-        if let Some(dt) = self.cfg.control_interval {
-            self.queue.push(now + dt, Event::ControlTick);
-        }
+        let seq = self.next_seq();
+        self.next_tick = self.cfg.control_interval.map(|dt| (now + dt, seq));
     }
 
     // ------------------------------------------------------------------
@@ -602,6 +612,7 @@ impl FlowSim {
                 r = self.flows[fi].next[hop];
             }
         }
+        self.stats.rebalance_scans += self.scratch.len() as u64;
         for i in 0..self.scratch.len() {
             let fi = self.scratch[i] as usize;
             let (fpath, fhops, old) = {
@@ -619,10 +630,10 @@ impl FlowSim {
     }
 
     /// Advance a flow's drained bytes to `now`, grant it a new rate, fix
-    /// the per-link rate sums, and reschedule its completion under a fresh
-    /// epoch.
+    /// the per-link rate sums, and re-key its completion timer.
     fn update_flow_rate(&mut self, fi: usize, new_rate: f64) {
         let now = self.now;
+        self.stats.rate_updates += 1;
         let (path, n_hops, old_rate) = {
             let f = &mut self.flows[fi];
             let dt = now.saturating_sub(f.last_update).as_secs_f64();
@@ -639,7 +650,6 @@ impl FlowSim {
             let old = f.rate_bps;
             f.rate_bps = new_rate;
             f.uncontended = false;
-            f.epoch = f.epoch.wrapping_add(1);
             (f.path, f.n_hops as usize, old)
         };
         let delta = new_rate - old_rate;
@@ -653,41 +663,28 @@ impl FlowSim {
     }
 
     // ------------------------------------------------------------------
-    // Slab + intrusive lists
+    // Timers + intrusive lists
     // ------------------------------------------------------------------
 
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(fi) = self.free.pop() {
-            return fi as usize;
-        }
-        self.flows.push(FlowState {
-            flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(0),
-            bytes: 0,
-            prio: 0,
-            tag: 0,
-            start: SimTime::ZERO,
-            last_update: SimTime::ZERO,
-            remaining_wire: 0.0,
-            rate_bps: 0.0,
-            tail: SimTime::ZERO,
-            epoch: 0,
-            visit: 0,
-            n_hops: 0,
-            active: false,
-            uncontended: false,
-            path: [0; MAX_HOPS],
-            next: [NIL; MAX_HOPS],
-            prev: [NIL; MAX_HOPS],
-        });
-        self.flows.len() - 1
+    /// Arm (or move) flow slot `fi`'s completion timer.
+    fn push_completion(&mut self, fi: usize, at: SimTime) {
+        let seq = self.next_seq();
+        self.timers.set(fi as u32, at, seq);
+        self.note_pending();
     }
 
-    fn push_completion(&mut self, fi: usize, at: SimTime) {
-        let f = &self.flows[fi];
-        let token = ((fi as u64) << 32) | f.epoch as u64;
-        self.queue.push(at, Event::HostTimer { host: f.src, token });
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Fold the current pending-entry count into the peak; called wherever
+    /// an entry is added.
+    fn note_pending(&mut self) {
+        let pending = self.arrivals.len() - self.next_arrival
+            + self.next_tick.is_some() as usize
+            + self.timers.len();
+        self.stats.peak_event_queue = self.stats.peak_event_queue.max(pending);
     }
 
     fn list_push(&mut self, li: usize, fi: usize, hop: usize) {
@@ -828,9 +825,13 @@ mod tests {
             (1.3..=1.7).contains(&ratio),
             "promoted flow ~1.5x lone, got {ratio}"
         );
-        // The stale original completion timer must have been ignored.
-        assert!(sim.stats().stale_events >= 1);
-        assert_eq!(sim.stats().flows_completed, 2);
+        // The first flow's timer was re-keyed, not superseded: no tuner, so
+        // the only events are two arrivals and two completions.
+        let stats = sim.stats();
+        assert_eq!(stats.stale_events, 0);
+        assert_eq!(stats.events_processed, 2 + 2);
+        assert!(stats.rate_updates >= 2, "both flows changed rate");
+        assert_eq!(stats.flows_completed, 2);
     }
 
     #[test]
@@ -852,6 +853,11 @@ mod tests {
         sim.schedule_flows(&specs);
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(sim.completions().len(), 64);
+        // Two events per flow (no tuner, so no ticks) and never more pending
+        // entries than flows: each is an unfired arrival or one live timer.
+        let stats = sim.stats();
+        assert!(stats.events_processed <= 2 * 64);
+        assert!(stats.peak_event_queue <= 64 + 1);
         // Every link list must be empty again.
         for li in 0..sim.links().len() {
             assert_eq!(sim.links()[li].n_active, 0);

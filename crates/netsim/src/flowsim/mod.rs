@@ -7,9 +7,11 @@
 //! path (`capacity / n_active`, a conservative max-min approximation that is
 //! exact whenever a flow has a single bottleneck), and progress is advanced
 //! lazily — only when a flow arrives, departs, or a control tick fires. The
-//! engine schedules those moments on the same timing wheel
-//! ([`crate::event::EventQueue`]) the packet engine uses, with stale
-//! completion timers invalidated by epoch instead of removed.
+//! engine keeps its own three event sources — a cursor over the sorted
+//! arrivals, the armed control tick, and one re-keyable completion timer per
+//! active flow in an indexed min-heap (`timers.rs`) — so a rate change moves a
+//! flow's timer instead of queueing a second one, and it shares nothing with
+//! the packet engine's event queue.
 //!
 //! Three properties tie it back to the ACC reproduction:
 //!
@@ -20,13 +22,14 @@
 //!   unshared queue never reaches `Kmin`, so no marks, no rate cuts).
 //! * **Analytic ECN feedback** — in [`Fidelity::Hybrid`] mode each
 //!   contended switch-egress link carries an equilibrium queue model
-//!   ([`bottleneck::qstar`]) from which ECN mark probability and queue depth
+//!   ([`bottleneck::qstar_bytes`]) from which ECN mark probability and queue depth
 //!   are derived and fed to the controller through the same
 //!   [`crate::queues::QueueTelemetry`] counters the packet engine exposes,
 //!   so DDQN / guarded ACC tick unchanged (see the [`EcnTuner`] trait).
 //! * **Determinism** — no randomness at all: rates, queues and marks are
-//!   pure functions of flow membership, and event order is the wheel's
-//!   `(time, seq)` order. Identical inputs give identical runs.
+//!   pure functions of flow membership, and event order is `(time, seq)`
+//!   with `seq` the order events were scheduled in. Identical inputs give
+//!   identical runs.
 //!
 //! Known divergences from the packet engine (documented in EXPERIMENTS.md):
 //! convergence transients of DCQCN/DCTCP are collapsed to instantaneous
@@ -35,6 +38,7 @@
 
 pub mod bottleneck;
 pub mod engine;
+mod timers;
 
 pub use bottleneck::{eff_capacity_bps, qstar_bytes, share_bps, LinkModel};
 pub use engine::{EcnTuner, Fidelity, FlowDone, FlowSim, FlowSimConfig, FlowSimStats, FlowSpec};
