@@ -89,15 +89,6 @@ impl Policy {
             Policy::AccMonitored => "ACC-monitored",
         }
     }
-
-    /// Whether the policy's installer is partition-invariant — i.e. each
-    /// switch's behaviour depends on that switch alone, never on which
-    /// other switches share its process — and so may run sharded (see
-    /// [`install_policy_sharded`]). The guarded arms share a global replay
-    /// buffer and are the only exceptions.
-    pub fn partition_invariant(self) -> bool {
-        !matches!(self, Policy::AccGuarded | Policy::AccMonitored)
-    }
 }
 
 /// The base ACC configuration used throughout the harness.
@@ -110,8 +101,13 @@ pub fn acc_config(seed: u64) -> AccConfig {
     cfg
 }
 
-/// Install `policy` on all switches of `sim`.
-pub fn install_policy(sim: &mut Simulator, policy: Policy, scale: Scale) {
+/// Install `policy` on all switches of `sim` — the one policy table, for
+/// either engine and any shard count. The ACC arms' replay scope follows
+/// the host (shared in one process, private per switch on a shard; see
+/// [`controller::install_acc`]), so a sharded experiment is compared
+/// across shard counts — `--shards 1` included — never against the
+/// unsharded run.
+pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Scale) {
     let space = ActionSpace::templates();
     match policy {
         Policy::Secn0 => install_static(sim, StaticEcnPolicy::Secn0),
@@ -151,58 +147,6 @@ pub fn install_policy(sim: &mut Simulator, policy: Policy, scale: Scale) {
                 ..GuardConfig::default()
             };
             install_guarded_acc(sim, &cfg, &space, &guard);
-        }
-    }
-}
-
-/// Install `policy` on all switches of a **sharded** `sim`, restricted to
-/// installers whose behaviour is partition-invariant (a function of the
-/// switch alone, never of which other switches share its process):
-///
-/// * static policies — per-switch, stateless: invariant as-is;
-/// * ACC variants — routed through
-///   [`controller::install_acc_independent`], which gives every switch a
-///   private replay buffer seeded by its global index. This differs from
-///   the unsharded [`install_policy`] (whose `install_acc` shares one
-///   replay across switches, making trajectories depend on process
-///   grouping), so sharded experiments use this installer at **every**
-///   shard count, including one — that is what the byte-identity contract
-///   compares.
-///
-/// The guarded arms share a global replay *and* fold guard statistics
-/// across switches mid-run; they are not partition-invariant and are
-/// rejected here.
-pub fn install_policy_sharded(sim: &mut Simulator, policy: Policy, scale: Scale) {
-    let space = ActionSpace::templates();
-    match policy {
-        Policy::Secn0 => install_static(sim, StaticEcnPolicy::Secn0),
-        Policy::Secn1 => install_static(sim, StaticEcnPolicy::Secn1),
-        Policy::Secn2 => install_static(sim, StaticEcnPolicy::Secn2),
-        Policy::Vendor => install_static(sim, StaticEcnPolicy::Vendor),
-        Policy::Acc => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::online_config(&acc_config(11), 0.08, 500.0);
-            controller::install_acc_independent(sim, &cfg, &space, Some(&model));
-        }
-        Policy::AccFresh => {
-            controller::install_acc_independent(sim, &acc_config(13), &space, None);
-        }
-        Policy::AccFreshScalar => {
-            let mut cfg = acc_config(13);
-            cfg.scalar_inference = true;
-            controller::install_acc_independent(sim, &cfg, &space, None);
-        }
-        Policy::AccFrozen => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::frozen_config(&acc_config(17));
-            controller::install_acc_independent(sim, &cfg, &space, Some(&model));
-        }
-        Policy::AccGuarded | Policy::AccMonitored => {
-            panic!(
-                "policy {} is not partition-invariant (guarded ACC shares a \
-                 global replay buffer) and cannot run sharded",
-                policy.name()
-            );
         }
     }
 }
@@ -478,31 +422,20 @@ pub fn write_profile() -> bool {
     }
 }
 
-/// Sum guard counters across every switch running a [`GuardedController`].
-/// All-zero (and `guarded: false` in the SLO block) for unguarded policies.
-pub fn sum_guard_stats(sim: &mut Simulator) -> (GuardStats, bool) {
-    let mut total = GuardStats::default();
-    let mut found = false;
-    for sw in sim.core().topo.switches().to_vec() {
-        if !sim.has_controller(sw) {
-            continue;
+/// Sum guard counters across every switch of `sim` running a
+/// [`GuardedController`] (on a shard: the switches it owns). `None` for
+/// unguarded policies.
+pub fn sum_guard_stats<H: ControllerHost>(sim: &mut H) -> Option<GuardStats> {
+    let mut total = None;
+    for sw in sim.topo().switches().to_vec() {
+        let guarded = sim
+            .controller_mut(sw)
+            .and_then(|c| c.as_any_mut().downcast_mut::<GuardedController>());
+        if let Some(g) = guarded {
+            *total.get_or_insert_with(GuardStats::default) += g.stats;
         }
-        sim.with_controller(sw, |c, _| {
-            if let Some(g) = c.as_any_mut().downcast_mut::<GuardedController>() {
-                found = true;
-                let s = g.stats;
-                total.ticks += s.ticks;
-                total.violations_detected += s.violations_detected;
-                total.violations_applied += s.violations_applied;
-                total.clamps += s.clamps;
-                total.trips += s.trips;
-                total.recoveries += s.recoveries;
-                total.fallback_ticks += s.fallback_ticks;
-                total.agent_anomalies += s.agent_anomalies;
-            }
-        });
     }
-    (total, found)
+    total
 }
 
 /// Identity of the matrix cell executing on this thread, if any. Scenarios
@@ -672,12 +605,8 @@ pub fn run_matrix_with_jobs<T: Send>(cells: Vec<MatrixCell<T>>, jobs: usize) -> 
 /// the scenario is dropped.
 struct RunTelemetry {
     rec: SharedRecorder,
-    dir: PathBuf,
-    experiment: String,
-    run: String,
-    policy: String,
-    seed: u64,
-    scale: String,
+    claim: ClaimedRun,
+    scale: Scale,
     started: std::time::Instant,
 }
 
@@ -715,7 +644,7 @@ impl Scenario {
 
     /// The directory this scenario records into, if metrics are armed.
     pub fn metrics_dir(&self) -> Option<&std::path::Path> {
-        self.telem.as_ref().map(|t| t.dir.as_path())
+        self.telem.as_ref().map(|t| t.claim.dir.as_path())
     }
 }
 
@@ -767,7 +696,9 @@ impl Scenario {
         };
         let overall = self.fct.borrow().stats(|_| true);
         let summary = self.fct.borrow().summary();
-        let (guard, guarded) = sum_guard_stats(&mut self.sim);
+        let guard = sum_guard_stats(&mut self.sim);
+        let guarded = guard.is_some();
+        let guard = guard.unwrap_or_default();
         let slo = json!({
             "fct_count": overall.count,
             "fct_p50_us": overall.p50_us,
@@ -799,57 +730,114 @@ impl Drop for Scenario {
         let Some(t) = self.telem.take() else { return };
         // Faults executed after the last sampling tick are still owed to
         // the event timeline.
-        let tail = self.sim.core_mut().drain_fault_log();
-        {
-            let mut rec = t.rec.borrow_mut();
-            for f in tail {
-                rec.record_event(&telemetry::EventSample {
-                    t_ps: f.at.as_ps(),
-                    node: f.node.0,
-                    port: f.port.0,
-                    prio: u8::MAX,
-                    kind: f.kind.to_string(),
-                    detail: f.detail.to_string(),
-                });
-            }
-        }
+        telemetry::drain_fault_log(self.sim.core_mut(), &mut t.rec.borrow_mut());
         if let Err(e) = t.rec.borrow_mut().flush() {
-            note_metrics_failure(&t.dir, &e);
+            note_metrics_failure(&t.claim.dir, &e);
         }
-        let wall = t.started.elapsed().as_secs_f64();
         let core = self.sim.core();
-        let summary = self.fct.borrow().summary();
         let rec = t.rec.borrow();
-        let manifest = RunManifest {
-            experiment: t.experiment.clone(),
-            run: t.run.clone(),
-            policy: t.policy.clone(),
-            seed: t.seed,
-            scale: t.scale.clone(),
-            hosts: core.topo.host_count(),
-            switches: core.topo.switches().len(),
-            sim_time_us: self.sim.now().as_us_f64(),
-            wall_time_s: wall,
+        save_manifest(
+            &t.claim,
+            t.scale,
+            None,
+            &core.topo,
+            &core.cfg,
+            core.now(),
+            t.started.elapsed().as_secs_f64(),
+            EngineTotals::of(core),
+            (rec.queue_samples, rec.agent_samples, rec.event_samples),
+            &self.fct.borrow(),
+        );
+    }
+}
+
+/// The engine counters a run manifest reports. Over shards they sum, except
+/// the event-queue peak, which is the deepest any one shard saw.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct EngineTotals {
+    pub events_processed: u64,
+    pub peak_event_queue: u64,
+    pub fault_log_dropped: u64,
+    pub trace_evicted: u64,
+}
+
+impl EngineTotals {
+    pub fn of(core: &netsim::sim::SimCore) -> Self {
+        EngineTotals {
             events_processed: core.events_processed,
-            events_per_sec: if wall > 0.0 {
-                core.events_processed as f64 / wall
-            } else {
-                0.0
-            },
             peak_event_queue: core.event_queue_peak(),
-            queue_samples: rec.queue_samples,
-            agent_samples: rec.agent_samples,
-            event_samples: rec.event_samples,
             fault_log_dropped: core.fault_log_dropped,
             trace_evicted: core.tracer.as_ref().map(|t| t.evicted).unwrap_or(0),
-            flows_total: summary.total,
-            flows_completed: summary.completed,
-            fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
-            config: serde_json::to_value(&core.cfg).unwrap_or(Value::Null),
-        };
-        match manifest.save(&t.dir) {
-            Ok(()) => eprintln!("[metrics] recorded {}", t.dir.display()),
-            Err(e) => note_metrics_failure(&t.dir.join("manifest.json"), &e),
+        }
+    }
+
+    pub fn merge(&mut self, o: &EngineTotals) {
+        self.events_processed += o.events_processed;
+        self.peak_event_queue = self.peak_event_queue.max(o.peak_event_queue);
+        self.fault_log_dropped += o.fault_log_dropped;
+        self.trace_evicted += o.trace_evicted;
+    }
+}
+
+/// Write the `manifest.json` of a finished recorded run — unsharded
+/// scenarios and the sharded runner (`shards: Some(n)`) both end here.
+/// Returns whether it reached the disk; a failure has already been reported
+/// through [`note_metrics_failure`].
+pub(crate) fn save_manifest(
+    claim: &ClaimedRun,
+    scale: Scale,
+    shards: Option<u32>,
+    topo: &Topology,
+    cfg: &SimConfig,
+    sim_time: SimTime,
+    wall_s: f64,
+    engine: EngineTotals,
+    (queue_samples, agent_samples, event_samples): (u64, u64, u64),
+    fct: &FctCollector,
+) -> bool {
+    let summary = fct.summary();
+    let scale = if scale.quick { "quick" } else { "full" };
+    let manifest = RunManifest {
+        experiment: claim.experiment.clone(),
+        run: claim.run.clone(),
+        policy: claim.policy.name().to_string(),
+        seed: claim.seed,
+        scale: match shards {
+            Some(n) => format!("{scale}+shards{n}"),
+            None => scale.to_string(),
+        },
+        hosts: topo.host_count(),
+        switches: topo.switches().len(),
+        sim_time_us: sim_time.as_us_f64(),
+        wall_time_s: wall_s,
+        events_processed: engine.events_processed,
+        events_per_sec: if wall_s > 0.0 {
+            engine.events_processed as f64 / wall_s
+        } else {
+            0.0
+        },
+        peak_event_queue: engine.peak_event_queue,
+        queue_samples,
+        agent_samples,
+        event_samples,
+        fault_log_dropped: engine.fault_log_dropped,
+        trace_evicted: engine.trace_evicted,
+        flows_total: summary.total,
+        flows_completed: summary.completed,
+        fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
+        config: serde_json::to_value(cfg).unwrap_or(Value::Null),
+    };
+    match manifest.save(&claim.dir) {
+        Ok(()) => {
+            let sharded = shards
+                .map(|n| format!(" ({n} shard(s))"))
+                .unwrap_or_default();
+            eprintln!("[metrics] recorded {}{sharded}", claim.dir.display());
+            true
+        }
+        Err(e) => {
+            note_metrics_failure(&claim.dir.join("manifest.json"), &e);
+            false
         }
     }
 }
@@ -922,7 +910,7 @@ fn arm_profiling(
     sim.enable_profiling();
     let ctx = book.context();
     let label = match telem {
-        Some(t) => t.run.clone(),
+        Some(t) => t.claim.run.clone(),
         None if ctx.is_empty() => format!("{}_seed{seed}", policy.name()),
         None => format!("{ctx}_{}_seed{seed}", policy.name()),
     };
@@ -940,6 +928,9 @@ fn arm_profiling(
 /// runner in [`crate::shard_run`], so both name and claim directories
 /// identically.
 pub(crate) struct ClaimedRun {
+    /// The policy and seed the run was claimed for.
+    pub policy: Policy,
+    pub seed: u64,
     /// Experiment id the registry was labelled with (`"run"` if none).
     pub experiment: String,
     /// Run name (also the directory's basename).
@@ -1025,6 +1016,8 @@ pub(crate) fn claim_run(policy: Policy, seed: u64) -> Option<ClaimedRun> {
         },
     };
     Some(ClaimedRun {
+        policy,
+        seed,
         experiment: exp,
         run,
         dir,
@@ -1040,30 +1033,21 @@ fn arm_recording(
     scale: Scale,
     seed: u64,
 ) -> Option<RunTelemetry> {
-    let ClaimedRun {
-        experiment: exp,
-        run,
-        dir,
-        interval,
-    } = claim_run(policy, seed)?;
-    let sink = match JsonlSink::create_new(&dir) {
+    let claim = claim_run(policy, seed)?;
+    let sink = match JsonlSink::create_new(&claim.dir) {
         Ok(s) => s,
         Err(e) => {
-            note_metrics_failure(&dir, &e);
+            note_metrics_failure(&claim.dir, &e);
             return None;
         }
     };
     let rec = RunRecorder::new().with_sink(Box::new(sink)).into_shared();
-    telemetry::install_queue_sampler(sim, interval, rec.clone());
+    telemetry::install_queue_sampler(sim, claim.interval, rec.clone());
     controller::attach_recorder(sim, &rec);
     Some(RunTelemetry {
         rec,
-        dir,
-        experiment: exp,
-        run,
-        policy: policy.name().to_string(),
-        seed,
-        scale: if scale.quick { "quick" } else { "full" }.to_string(),
+        claim,
+        scale,
         started: std::time::Instant::now(),
     })
 }

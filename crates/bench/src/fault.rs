@@ -26,7 +26,7 @@
 //! `fault_smoke` integration test and the CI fault-smoke job).
 
 use crate::common::{self, scenario, MatrixCell, Policy, Scale};
-use acc_core::guard::{GuardStats, GuardedController};
+use acc_core::guard::GuardStats;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -96,30 +96,6 @@ impl FaultOutcome {
     }
 }
 
-fn sum_guard_stats(sim: &mut Simulator) -> Option<GuardStats> {
-    let mut total = GuardStats::default();
-    let mut found = false;
-    for sw in sim.core().topo.switches().to_vec() {
-        if !sim.has_controller(sw) {
-            continue;
-        }
-        sim.with_controller(sw, |c, _| {
-            if let Some(g) = c.as_any_mut().downcast_mut::<GuardedController>() {
-                found = true;
-                let s = g.stats;
-                total.ticks += s.ticks;
-                total.violations_detected += s.violations_detected;
-                total.violations_applied += s.violations_applied;
-                total.clamps += s.clamps;
-                total.trips += s.trips;
-                total.recoveries += s.recoveries;
-                total.fallback_ticks += s.fallback_ticks;
-            }
-        });
-    }
-    found.then_some(total)
-}
-
 /// Count tuned queues whose final ECN config violates the basic safety
 /// invariants (`0 < Kmin <= Kmax`, `0 < Pmax <= 1`, finite). Shared with
 /// the soak harness, whose SLO report gates on this being zero. In a
@@ -161,10 +137,8 @@ pub fn run_policy(policy: Policy, scale: Scale, seed: u64) -> FaultOutcome {
     let horizon = scale.pick(SimTime::from_ms(60), SimTime::from_ms(20));
     let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 300);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
-    // `--shards N` routes partition-invariant arms through the sharded
-    // engine; the guarded arms share a global replay buffer and fall
-    // through to the unsharded path below even when sharding is requested.
-    if let Some(n) = common::shards().filter(|_| policy.partition_invariant()) {
+    // `--shards N` routes every arm through the sharded engine.
+    if let Some(n) = common::shards() {
         let plan = fault_plan(&topo, horizon, seed);
         let report = crate::shard_run::run_scenario_sharded(
             &spec,
@@ -180,7 +154,7 @@ pub fn run_policy(policy: Policy, scale: Scale, seed: u64) -> FaultOutcome {
         let overall = report.fct.stats(|_| true);
         return FaultOutcome {
             policy: policy.name(),
-            guard: None,
+            guard: report.guard,
             invalid_final_configs: report.invalid_final_configs,
             fault_drops: report.fault_drops,
             faults_injected: plan.len(),
@@ -197,7 +171,7 @@ pub fn run_policy(policy: Policy, scale: Scale, seed: u64) -> FaultOutcome {
     sc.sim
         .run_until(horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)));
 
-    let guard = sum_guard_stats(&mut sc.sim);
+    let guard = common::sum_guard_stats(&mut sc.sim);
     let invalid = invalid_final_configs(&sc.sim);
     let fault_drops = sc.sim.core().fault_drops;
     let summary = sc.fct.borrow().summary();

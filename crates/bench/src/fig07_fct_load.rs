@@ -73,16 +73,6 @@ pub fn run(scale: Scale) -> Value {
         "fig7",
         "FCT by size class at 20%/60% load + queue statistics",
     );
-    // Auto-fallback (the rule the guarded arms use on fig12/fault): the
-    // queue-statistics columns come from in-core probes the sharded engine
-    // has no cross-worker equivalent for, so `--shards` degrades to the
-    // unsharded path with a note instead of dropping columns silently.
-    if let Some(n) = common::shards() {
-        eprintln!(
-            "[shards] fig7 samples in-core queue depth; no sharded probe exists — \
-             running unsharded (requested {n} shard(s))"
-        );
-    }
     let loads = [0.2, 0.6];
     let policies = [Policy::Acc, Policy::Secn1, Policy::Secn2];
     let mut cells = Vec::new();

@@ -51,16 +51,6 @@ pub fn run(scale: Scale) -> Value {
         "fig9",
         "storage IOPS per Table-1 profile (ACC vs vendor static)",
     );
-    // Auto-fallback (the rule the guarded arms use on fig12/fault): the
-    // closed-loop storage cluster chains messages through per-host app
-    // hooks, which the sharded engine does not support, so `--shards`
-    // degrades to the unsharded path with a note.
-    if let Some(n) = common::shards() {
-        eprintln!(
-            "[shards] fig9 drives closed-loop app hooks; unsupported sharded — \
-             running unsharded (requested {n} shard(s))"
-        );
-    }
     let depths: Vec<usize> = scale.pick(vec![8, 32, 128], vec![8, 32]);
     println!("Table 1 profiles: read:write ratio and block sizes");
     for p in StorageProfile::all() {

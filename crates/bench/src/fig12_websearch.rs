@@ -24,8 +24,8 @@ fn run_one(policy: Policy, load: f64, scale: Scale) -> FctBuckets {
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let horizon = dur + scale.pick(SimTime::from_ms(20), SimTime::from_ms(12));
     // With `--shards N` the run goes through the sharded engine — including
-    // N = 1, so shard-count comparisons diff the same code path (the
-    // partition-invariant installer differs from the unsharded ACC one).
+    // N = 1, so shard-count comparisons diff the same code path (on a shard
+    // ACC keeps each switch's replay private; unsharded it is shared).
     if let Some(n) = common::shards() {
         let report = crate::shard_run::run_scenario_sharded(
             &spec, policy, scale, 9, &arrivals, None, n, horizon,

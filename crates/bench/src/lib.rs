@@ -45,6 +45,11 @@ pub mod trends;
 
 pub use common::Scale;
 
+/// The experiment ids that honour `--shards N`: their runs go through
+/// [`shard_run`] at every shard count. The CLI rejects the flag for any
+/// other id instead of running it unsharded without a word.
+pub const SHARDED: [&str; 3] = ["fig12", "fig13", "fault"];
+
 /// All experiments in paper order: (id, description, runner).
 pub fn experiments() -> Vec<(&'static str, &'static str, fn(Scale) -> serde_json::Value)> {
     vec![

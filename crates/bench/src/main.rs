@@ -13,18 +13,19 @@
 //!   scenario and write one Chrome-trace-compatible profile artifact
 //!   (`acc-profile/v1`) at exit; inspect it with `acc-bench report <file>`
 //!   or load it in `about://tracing` / Perfetto;
-//! * `--shards <n>` — run partition-invariant experiments through the
-//!   sharded conservative-lookahead engine on `n` shards (including
-//!   `--shards 1`, so shard-count comparisons diff the same code path);
+//! * `--shards <n>` — run the experiments that have a sharded path
+//!   ([`acc_bench::SHARDED`]) through the conservative-lookahead engine on
+//!   `n` shards (including `--shards 1`, so shard-count comparisons diff the
+//!   same code path); any other experiment id is rejected;
 //! * `--fidelity <mode>` — `perf --scenario xl-flows` only: pick the
 //!   flow-level backend (`hybrid`, the default, feeds analytic ECN
 //!   telemetry to the tuner; `flow` runs pure max-min rates);
 //! * `--soak-plan <file>` / `--fault-plan <file>` — `soak` only: replace
 //!   the built-in datacenter-day schedule / fault script with JSON plans.
 //!
-//! Unknown flags, unreadable or invalid plan files, and duplicate
-//! experiment ids are rejected with exit code 2 rather than silently
-//! ignored.
+//! Value flags are accepted as `--flag value` or `--flag=value`. Unknown
+//! flags, unreadable or invalid plan files, and duplicate experiment ids are
+//! rejected with exit code 2 rather than silently ignored.
 
 use acc_bench::{experiments, Scale};
 use netsim::prelude::SimTime;
@@ -140,8 +141,11 @@ fn usage(all: &[(&str, &str, fn(Scale) -> serde_json::Value)]) {
     println!("                                  default) or 'flow' (pure max-min rates)");
     println!("       --jobs|-j <n>              run-matrix worker threads (default: all cores;");
     println!("                                  1 = serial, output is identical either way)");
-    println!("       --shards <n>               run experiments on <n> simulation shards under");
-    println!("                                  the conservative-lookahead engine (recorded");
+    println!(
+        "       --shards <n>               {} only: run on <n> simulation shards",
+        acc_bench::SHARDED.join("/")
+    );
+    println!("                                  under the conservative-lookahead engine (recorded");
     println!("                                  output is identical for any shard count)");
     println!("       --soak-plan <file>         soak only: JSON day schedule replacing the");
     println!("                                  built-in datacenter-day rotation");
@@ -164,8 +168,31 @@ fn bad_flag(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The flags that take a value.
+const VALUE_FLAGS: [&str; 9] = [
+    "--scenario",
+    "--fidelity",
+    "--jobs",
+    "--metrics-dir",
+    "--metrics-interval-us",
+    "--profile",
+    "--shards",
+    "--soak-plan",
+    "--fault-plan",
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--flag=value` becomes the two tokens `--flag value`, so the match
+    // below parses (and validates) every value flag in one place.
+    let mut args: Vec<String> = Vec::new();
+    for a in std::env::args().skip(1) {
+        match a.split_once('=') {
+            Some((flag, value)) if VALUE_FLAGS.contains(&flag) => {
+                args.extend([flag.to_string(), value.to_string()]);
+            }
+            _ => args.push(a),
+        }
+    }
 
     // Strict flag parsing: every `-`-prefixed argument must be recognised.
     let mut quick = false;
@@ -219,38 +246,7 @@ fn main() {
                 Some(p) => fault_plan_path = Some(p.clone()),
                 None => bad_flag("flag '--fault-plan' needs a file argument"),
             },
-            flag if flag.starts_with('-') => {
-                if let Some(s) = flag.strip_prefix("--scenario=") {
-                    scenario = Some(s.to_string());
-                } else if let Some(f) = flag.strip_prefix("--fidelity=") {
-                    fidelity_arg = Some(f.to_string());
-                } else if let Some(d) = flag.strip_prefix("--metrics-dir=") {
-                    metrics_dir = Some(d.to_string());
-                } else if let Some(n) = flag.strip_prefix("--metrics-interval-us=") {
-                    match n.parse::<u64>() {
-                        Ok(n) if n > 0 => interval_us = n,
-                        _ => bad_flag("flag '--metrics-interval-us' needs a positive integer"),
-                    }
-                } else if let Some(p) = flag.strip_prefix("--profile=") {
-                    profile = Some(p.to_string());
-                } else if let Some(n) = flag.strip_prefix("--jobs=") {
-                    match n.parse::<usize>() {
-                        Ok(n) if n > 0 => jobs = Some(n),
-                        _ => bad_flag("flag '--jobs' needs a positive integer"),
-                    }
-                } else if let Some(n) = flag.strip_prefix("--shards=") {
-                    match n.parse::<u32>() {
-                        Ok(n) if n > 0 => shards = Some(n),
-                        _ => bad_flag("flag '--shards' needs a positive integer"),
-                    }
-                } else if let Some(p) = flag.strip_prefix("--soak-plan=") {
-                    soak_plan_path = Some(p.to_string());
-                } else if let Some(p) = flag.strip_prefix("--fault-plan=") {
-                    fault_plan_path = Some(p.to_string());
-                } else {
-                    bad_flag(&format!("unknown flag '{flag}'"));
-                }
-            }
+            flag if flag.starts_with('-') => bad_flag(&format!("unknown flag '{flag}'")),
             _ => which.push(a.clone()),
         }
     }
@@ -287,6 +283,15 @@ fn main() {
         }
         if profile.is_some() {
             bad_flag("flag '--profile' is not supported with '--shards'");
+        }
+        if let Some(w) = which
+            .iter()
+            .find(|w| !acc_bench::SHARDED.contains(&w.as_str()))
+        {
+            bad_flag(&format!(
+                "flag '--shards' is not supported by '{w}' (experiments with a sharded path: {})",
+                acc_bench::SHARDED.join(", ")
+            ));
         }
     }
     if (soak_plan_path.is_some() || fault_plan_path.is_some())

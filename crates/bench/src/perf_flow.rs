@@ -23,7 +23,6 @@
 
 use crate::common::{self, Policy, Scale};
 use crate::perf::{alloc_counts, host_cores, queue_microbench, SCHEMA, WARMUP_DENOM};
-use acc_core::{FluidStaticEcn, StaticEcnPolicy};
 use netsim::flowsim::{Fidelity, FlowSim, FlowSimConfig};
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -37,19 +36,18 @@ use workloads::{to_flow_specs, SizeDist, XlFlowsSpec};
 /// Seed shared by the XL workload and the accuracy scenarios.
 const SEED: u64 = 7;
 
-/// Build a [`FlowSim`] over `spec`'s fabric at `fidelity`, with the SECN1
-/// static tuner installed (hybrid only — flow fidelity runs the pure
-/// analytic model, and SECN1 *is* the DCQCN-paper config the flow backend
-/// defaults to, so the two fidelities start from the same thresholds).
-fn flow_sim(spec: &TopologySpec, fidelity: Fidelity) -> FlowSim {
+/// Build a [`FlowSim`] over `spec`'s fabric at `fidelity` under SECN1,
+/// installed through the same policy table as the packet side of the
+/// accuracy block. (Flow fidelity runs no control plane and drops the
+/// install; SECN1 *is* the DCQCN-paper config the flow backend defaults to,
+/// so the two fidelities start from the same thresholds.)
+fn flow_sim(spec: &TopologySpec, fidelity: Fidelity, scale: Scale) -> FlowSim {
     let cfg = FlowSimConfig {
         fidelity,
         ..Default::default()
     };
     let mut sim = FlowSim::new(spec.build(), cfg);
-    if fidelity == Fidelity::Hybrid {
-        sim.set_tuner(Box::new(FluidStaticEcn::new(StaticEcnPolicy::Secn1)));
-    }
+    common::install_policy(&mut sim, Policy::Secn1, scale);
     sim
 }
 
@@ -149,7 +147,7 @@ fn xl_row(scale: Scale, fidelity: Fidelity) -> Value {
     let arrivals = spec.generate(&hosts, host_bps);
     let flows_total = arrivals.len();
     let flow_specs = to_flow_specs(&arrivals);
-    let mut sim = flow_sim(&topo_spec, fidelity);
+    let mut sim = flow_sim(&topo_spec, fidelity, scale);
     sim.schedule_flows(&flow_specs);
     // Generous drain so the elephant tail completes inside the horizon.
     let horizon = spec.duration + scale.pick(SimTime::from_ms(300), SimTime::from_ms(100));
@@ -231,8 +229,8 @@ fn packet_side(sc: &AccuracyScenario, scale: Scale) -> (FctStats, u64, f64) {
 }
 
 /// Run `sc` through the flow backend at `fidelity`, same return shape.
-fn flow_side(sc: &AccuracyScenario, fidelity: Fidelity) -> (FctStats, u64, f64) {
-    let mut sim = flow_sim(&sc.spec, fidelity);
+fn flow_side(sc: &AccuracyScenario, fidelity: Fidelity, scale: Scale) -> (FctStats, u64, f64) {
+    let mut sim = flow_sim(&sc.spec, fidelity, scale);
     sim.schedule_flows(&to_flow_specs(&sc.arrivals));
     sim.run_until(sc.horizon);
     let stats = fct_of(&sim);
@@ -254,7 +252,7 @@ pub fn accuracy_report(scale: Scale, fidelity: Fidelity) -> Value {
     let mut min_avoidance = f64::INFINITY;
     for sc in accuracy_scenarios(scale) {
         let (p, p_events, p_sim_s) = packet_side(&sc, scale);
-        let (h, h_events, h_sim_s) = flow_side(&sc, fidelity);
+        let (h, h_events, h_sim_s) = flow_side(&sc, fidelity, scale);
         assert_eq!(
             p.count, h.count,
             "{}: both backends must complete every flow inside the horizon",
@@ -364,7 +362,7 @@ mod tests {
         };
         let arrivals = spec.generate(&hosts, host_bps);
         assert!(!arrivals.is_empty());
-        let mut sim = flow_sim(&topo_spec, Fidelity::Hybrid);
+        let mut sim = flow_sim(&topo_spec, Fidelity::Hybrid, Scale::QUICK);
         sim.schedule_flows(&to_flow_specs(&arrivals));
         let row = measure_flow("xl-flows/hybrid", sim, SimTime::from_ms(60), arrivals.len());
         assert_eq!(row["fidelity"].as_str(), Some("hybrid"));

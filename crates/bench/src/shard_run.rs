@@ -18,21 +18,19 @@
 //!   1/2/4/8` is the observable determinism contract (`manifest.json`
 //!   carries wall-clock fields and is excluded from diffs).
 //!
-//! Policies must be partition-invariant; see
-//! [`common::install_policy_sharded`]. Closed-loop app hooks and `--profile`
-//! are not supported here (the profiler and its book assume one simulator
-//! per run).
+//! Every policy of [`common::install_policy`] runs here: on a sharded
+//! simulator the ACC installers keep each switch's replay private, which
+//! makes its behaviour a function of the switch alone. Closed-loop app hooks
+//! and `--profile` are not supported (the profiler and its book assume one
+//! simulator per run).
 
-use crate::common::{self, Policy, Scale};
+use crate::common::{self, EngineTotals, Policy, Scale};
+use acc_core::guard::GuardStats;
 use netsim::prelude::*;
-use serde_json::Value;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
-use telemetry::{
-    merge_shards, EventSample, JsonlSink, RunManifest, RunRecorder, SharedRecorder, TelemetrySink,
-    VecSink,
-};
+use telemetry::{merge_shards, JsonlSink, RunRecorder, SharedRecorder, TelemetrySink, VecSink};
 use transport::{merge_shard_fct, FctCollector, FlowRecord, SharedFct, StackConfig};
 use workloads::gen::{self, Arrival};
 
@@ -64,10 +62,10 @@ struct ShardLocal {
 struct ShardOut {
     records: Vec<FlowRecord>,
     sink: Option<VecSink>,
-    fault_log_dropped: u64,
-    peak_event_queue: u64,
+    engine: EngineTotals,
     fault_drops: u64,
     invalid_final_configs: usize,
+    guard: Option<GuardStats>,
 }
 
 /// The merged outcome of one sharded run.
@@ -94,6 +92,10 @@ pub struct ShardedReport {
     pub invalid_final_configs: usize,
     /// Deepest future-event queue over all shards.
     pub peak_event_queue: u64,
+    /// Guard counters summed over every switch of every shard (each switch
+    /// is guarded in the one shard that owns it); `None` for unguarded
+    /// policies.
+    pub guard: Option<GuardStats>,
 }
 
 impl ShardedReport {
@@ -165,6 +167,10 @@ pub fn run_scenario_sharded_phased(
     let interval = claimed.as_ref().map(|c| c.interval);
     let horizon = *phase_ends.last().expect("need at least one phase");
 
+    let simcfg = SimConfig::default()
+        .with_seed(seed)
+        .with_control_interval(SimTime::from_us(50));
+
     let started = std::time::Instant::now();
     let topo_ref = &topo;
     let plan_ref = &plan;
@@ -172,13 +178,10 @@ pub fn run_scenario_sharded_phased(
         plan_ref,
         phase_ends,
         |shard| {
-            let simcfg = SimConfig::default()
-                .with_seed(seed)
-                .with_control_interval(SimTime::from_us(50));
-            let mut sim = Simulator::new_sharded(topo_ref.clone(), simcfg, plan_ref, shard);
+            let mut sim = Simulator::new_sharded(topo_ref.clone(), simcfg.clone(), plan_ref, shard);
             let fct = FctCollector::new_shared();
             transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-            common::install_policy_sharded(&mut sim, policy, scale);
+            common::install_policy(&mut sim, policy, scale);
             fct.borrow_mut().reserve(arrivals.len());
             gen::apply_arrivals(&mut sim, arrivals);
             if let Some(fp) = fault_plan {
@@ -202,29 +205,18 @@ pub fn run_scenario_sharded_phased(
         |_shard, mut sim, local| {
             let sink = local.telem.map(|(rec, vec)| {
                 // Faults executed after the last sampling tick are still
-                // owed to the event timeline (mirrors `Scenario::drop`).
-                let tail = sim.core_mut().drain_fault_log();
-                let mut r = rec.borrow_mut();
-                for f in tail {
-                    r.record_event(&EventSample {
-                        t_ps: f.at.as_ps(),
-                        node: f.node.0,
-                        port: f.port.0,
-                        prio: u8::MAX,
-                        kind: f.kind.to_string(),
-                        detail: f.detail.to_string(),
-                    });
-                }
+                // owed to the event timeline.
+                telemetry::drain_fault_log(sim.core_mut(), &mut rec.borrow_mut());
                 // In-memory sinks cannot fail to flush; take the samples.
                 std::mem::take(&mut *vec.borrow_mut())
             });
             ShardOut {
                 records: local.fct.borrow().records().copied().collect(),
                 sink,
-                fault_log_dropped: sim.core().fault_log_dropped,
-                peak_event_queue: sim.core().event_queue_peak(),
+                engine: EngineTotals::of(sim.core()),
                 fault_drops: sim.core().fault_drops,
                 invalid_final_configs: crate::fault::invalid_final_configs(&sim),
+                guard: common::sum_guard_stats(&mut sim),
             }
         },
     );
@@ -233,21 +225,23 @@ pub fn run_scenario_sharded_phased(
     let mut shard_stats = Vec::with_capacity(results.len());
     let mut records = Vec::with_capacity(results.len());
     let mut sinks = Vec::with_capacity(results.len());
-    let (mut fault_log_dropped, mut peak_event_queue) = (0u64, 0u64);
+    let mut engine = EngineTotals::default();
     let (mut fault_drops, mut invalid_final_configs) = (0u64, 0usize);
+    let mut guard: Option<GuardStats> = None;
     for (stats, out) in results {
         shard_stats.push(stats);
         records.push(out.records);
         if let Some(s) = out.sink {
             sinks.push(s);
         }
-        fault_log_dropped += out.fault_log_dropped;
-        peak_event_queue = peak_event_queue.max(out.peak_event_queue);
+        engine.merge(&out.engine);
         fault_drops += out.fault_drops;
         invalid_final_configs += out.invalid_final_configs;
+        if let Some(g) = out.guard {
+            *guard.get_or_insert_with(GuardStats::default) += g;
+        }
     }
     let fct = merge_shard_fct(records);
-    let events_processed: u64 = shard_stats.iter().map(|s| s.events_processed).sum();
 
     let metrics_dir = claimed.and_then(|c| {
         let mut jsonl = match JsonlSink::create_new(&c.dir) {
@@ -257,68 +251,35 @@ pub fn run_scenario_sharded_phased(
                 return None;
             }
         };
-        let (queue_samples, agent_samples, event_samples) = merge_shards(sinks, &mut jsonl);
+        let samples = merge_shards(sinks, &mut jsonl);
         if let Err(e) = jsonl.flush() {
             common::note_metrics_failure(&c.dir, &e);
             return None;
         }
-        let summary = fct.summary();
-        let simcfg = SimConfig::default()
-            .with_seed(seed)
-            .with_control_interval(SimTime::from_us(50));
-        let manifest = RunManifest {
-            experiment: c.experiment.clone(),
-            run: c.run.clone(),
-            policy: policy.name().to_string(),
-            seed,
-            scale: format!(
-                "{}+shards{n_shards}",
-                if scale.quick { "quick" } else { "full" }
-            ),
-            hosts: topo.host_count(),
-            switches: topo.switches().len(),
-            sim_time_us: horizon.as_us_f64(),
-            wall_time_s: wall_s,
-            events_processed,
-            events_per_sec: if wall_s > 0.0 {
-                events_processed as f64 / wall_s
-            } else {
-                0.0
-            },
-            peak_event_queue,
-            queue_samples,
-            agent_samples,
-            event_samples,
-            fault_log_dropped,
-            trace_evicted: 0,
-            flows_total: summary.total,
-            flows_completed: summary.completed,
-            fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
-            config: serde_json::to_value(&simcfg).unwrap_or(Value::Null),
-        };
-        match manifest.save(&c.dir) {
-            Ok(()) => {
-                eprintln!(
-                    "[metrics] recorded {} ({n_shards} shard(s))",
-                    c.dir.display()
-                );
-                Some(c.dir)
-            }
-            Err(e) => {
-                common::note_metrics_failure(&c.dir.join("manifest.json"), &e);
-                None
-            }
-        }
+        common::save_manifest(
+            &c,
+            scale,
+            Some(n_shards),
+            &topo,
+            &simcfg,
+            horizon,
+            wall_s,
+            engine,
+            samples,
+            &fct,
+        )
+        .then_some(c.dir)
     });
 
     ShardedReport {
         fct,
         shard_stats,
-        events_processed,
+        events_processed: engine.events_processed,
         wall_s,
         metrics_dir,
         fault_drops,
         invalid_final_configs,
-        peak_event_queue,
+        peak_event_queue: engine.peak_event_queue,
+        guard,
     }
 }

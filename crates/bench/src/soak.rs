@@ -380,7 +380,7 @@ pub fn run_soak_with(
     }
 
     let overall = sc.fct.borrow().stats(|_| true);
-    let (guard, _found) = common::sum_guard_stats(&mut sc.sim);
+    let guard = common::sum_guard_stats(&mut sc.sim).unwrap_or_default();
     let train_steps = total_train_steps(&mut sc.sim);
     let invalid = invalid_final_configs(&sc.sim) as u64;
     let fs = fleet.stats;

@@ -1,0 +1,84 @@
+//! The `acc-bench` binary's flag handling, driven as a subprocess: both
+//! spellings of a value flag parse alike, bad values and `--shards` on an
+//! experiment without a sharded path exit 2, and a sharded experiment runs.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Run `acc-bench <args>` in a scratch directory under `target/` (quick
+/// results land relative to the working directory).
+fn acc_bench(args: &[&str]) -> Output {
+    let cwd = PathBuf::from("target").join("cli-smoke");
+    std::fs::create_dir_all(&cwd).expect("scratch dir under target/");
+    Command::new(env!("CARGO_BIN_EXE_acc-bench"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("acc-bench starts")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn value_flags_take_either_spelling() {
+    for args in [["list", "--jobs", "2"].as_slice(), &["list", "--jobs=2"]] {
+        let out = acc_bench(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    }
+    for args in [["list", "--jobs", "0"].as_slice(), &["list", "--jobs=zero"]] {
+        let out = acc_bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("flag '--jobs' needs a positive integer"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    // Only value flags split at `=`: anything else stays one unknown flag.
+    let out = acc_bench(&["list", "--quick=1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag '--quick=1'"));
+}
+
+#[test]
+fn shards_is_rejected_without_a_sharded_path() {
+    let out = acc_bench(&["fig2", "--quick", "--shards", "4"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("'--shards' is not supported by 'fig2'"),
+        "{err}"
+    );
+    assert!(
+        err.contains("fig12, fig13, fault"),
+        "names the ones that do"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn fault_runs_every_arm_sharded() {
+    let out = acc_bench(&["fault", "--quick", "--shards=2"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("unsharded"), "an arm fell back: {err}");
+    // Guard columns come back from the shards: both guarded arms detected
+    // violations, and only the monitor-only arm left any applied.
+    let table = String::from_utf8_lossy(&out.stdout).into_owned();
+    let row = |policy: &str| -> Vec<u64> {
+        let line = table
+            .lines()
+            .find(|l| l.starts_with(policy))
+            .unwrap_or_else(|| panic!("no {policy} row in:\n{table}"));
+        line.split_whitespace()
+            .skip(1)
+            .take(2)
+            .map(|n| n.parse().expect("count column"))
+            .collect()
+    };
+    let (monitored, guarded) = (row("ACC-monitored"), row("ACC-guarded"));
+    assert!(monitored[0] > 0 && monitored[1] > 0, "{monitored:?}");
+    assert!(guarded[0] > 0 && guarded[1] == 0, "{guarded:?}");
+}

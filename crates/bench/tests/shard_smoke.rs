@@ -84,7 +84,7 @@ fn assert_dirs_identical(a: &Path, b: &Path) {
         }
         let x = std::fs::read(a.join(f)).unwrap();
         let y = std::fs::read(b.join(f)).unwrap();
-        assert_eq!(x, y, "{f} differs between --shards 1 and --shards 4");
+        assert_eq!(x, y, "{f} differs between shard counts");
     }
 }
 
@@ -102,7 +102,7 @@ fn assert_fct_identical(a: &ShardedReport, b: &ShardedReport) {
 }
 
 /// The fig12 determinism scenario: WebSearch on the 96-host quick fabric
-/// under online-tuning ACC (the partition-invariant installer), a shorter
+/// under online-tuning ACC (per-switch replay, as on every shard), a shorter
 /// slice of the real `fig12 --quick` cell so the debug-build test stays
 /// fast. Telemetry, agent samples and FCT must not depend on the shard
 /// count.
@@ -152,13 +152,13 @@ fn fig12_scenario_identical_across_shard_counts() {
 }
 
 /// The fault-plan determinism scenario: the testbed fabric under the
-/// seeded fault schedule (link flaps, telemetry faults, a reboot) with a
-/// fresh online-tuning agent per switch. Fault logs are owner-emitted and
-/// merge into an identical event stream at any shard count.
-#[test]
-fn fault_scenario_identical_across_shard_counts() {
-    let _g = lock();
-    let root = fresh_dir("shard-smoke-fault");
+/// seeded fault schedule (link flaps, telemetry faults, a reboot) with
+/// `policy` on every switch, recorded at each of `shard_counts` and compared
+/// against the first. Fault logs and guard events are owner-emitted and
+/// merge into an identical event stream at any shard count; guard counters
+/// sum over shards to the same totals.
+fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (ShardedReport, PathBuf) {
+    let root = fresh_dir(&format!("shard-smoke-fault-{}", policy.name()));
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
     let hosts: Vec<NodeId> = topo.hosts().to_vec();
@@ -167,32 +167,40 @@ fn fault_scenario_identical_across_shard_counts() {
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let plan = acc_bench::fault::fault_plan(&topo, dur, acc_bench::fault::FAULT_SEED);
     let horizon = dur + SimTime::from_ms(3);
+    let run = |n: u32| {
+        recorded_sharded(
+            &root.join(format!("s{n}")),
+            &spec,
+            policy,
+            acc_bench::fault::FAULT_SEED,
+            &arrivals,
+            Some(&plan),
+            n,
+            horizon,
+        )
+    };
+    let (r1, d1) = run(shard_counts[0]);
+    for &n in &shard_counts[1..] {
+        let (rn, dn) = run(n);
+        assert_eq!(rn.shard_stats.len(), n as usize);
+        assert_fct_identical(&r1, &rn);
+        assert_eq!(r1.fault_drops, rn.fault_drops);
+        assert_eq!(r1.invalid_final_configs, rn.invalid_final_configs);
+        assert_eq!(r1.guard, rn.guard, "guard counters at {n} shards");
+        assert_dirs_identical(&d1, &dn);
+    }
+    (r1, d1)
+}
 
-    let (r1, d1) = recorded_sharded(
-        &root.join("s1"),
-        &spec,
-        Policy::AccFresh,
-        acc_bench::fault::FAULT_SEED,
-        &arrivals,
-        Some(&plan),
-        1,
-        horizon,
+/// A fresh online-tuning agent per switch under the fault plan.
+#[test]
+fn fault_scenario_identical_across_shard_counts() {
+    let _g = lock();
+    let (r1, d1) = fault_scenario_identical(Policy::AccFresh, &[1, 4]);
+    assert!(
+        r1.guard.is_none(),
+        "unguarded arm reports no guard counters"
     );
-    let (r4, d4) = recorded_sharded(
-        &root.join("s4"),
-        &spec,
-        Policy::AccFresh,
-        acc_bench::fault::FAULT_SEED,
-        &arrivals,
-        Some(&plan),
-        4,
-        horizon,
-    );
-
-    assert_fct_identical(&r1, &r4);
-    assert_eq!(r1.fault_drops, r4.fault_drops);
-    assert_eq!(r1.invalid_final_configs, r4.invalid_final_configs);
-    assert_dirs_identical(&d1, &d4);
 
     // Every injected fault reached the merged event stream exactly once.
     let events = std::fs::read_to_string(d1.join("events.jsonl")).unwrap();
@@ -203,6 +211,31 @@ fn fault_scenario_identical_across_shard_counts() {
         r1.fault_drops > 0,
         "the fault schedule dropped no packets — it lost its teeth"
     );
+}
+
+/// The guarded arms under the fault plan: on a shard every switch keeps its
+/// replay private, so guard verdicts — and the `guard_*` events they put
+/// on the timeline — cannot depend on which switches share a process.
+#[test]
+fn guarded_fault_scenario_identical_across_shard_counts() {
+    let _g = lock();
+    for policy in [Policy::AccGuarded, Policy::AccMonitored] {
+        let (r1, d1) = fault_scenario_identical(policy, &[1, 2, 4]);
+        let guard = r1.guard.expect("guarded arm sums its guard counters");
+        // 220 control ticks on each of the six switches.
+        assert_eq!(guard.ticks, 6 * 220, "{}", policy.name());
+        assert!(guard.violations_detected > 0, "{}", policy.name());
+        let events = std::fs::read_to_string(d1.join("events.jsonl")).unwrap();
+        assert!(
+            events.contains("guard_violation"),
+            "{}: guard events missing from the merged timeline",
+            policy.name()
+        );
+        if policy == Policy::AccGuarded {
+            assert_eq!(guard.violations_applied, 0, "enforcing guard");
+            assert_eq!(r1.invalid_final_configs, 0);
+        }
+    }
 }
 
 /// The fig13 heterogeneous-traffic scenario (per-segment loads drawn from
@@ -251,24 +284,4 @@ fn fig13_scenario_identical_across_shard_counts() {
     assert_fct_identical(&r1, &r2);
     assert_eq!(r2.shard_stats.len(), 2);
     assert!(r1.fct.summary().completed > 0, "no flows completed");
-}
-
-/// Guarded arms are not partition-invariant; the sharded installer must
-/// refuse them loudly instead of silently diverging from the unsharded
-/// trajectory.
-#[test]
-fn guarded_policies_are_rejected_sharded() {
-    let result = std::panic::catch_unwind(|| {
-        let spec = TopologySpec::paper_testbed();
-        let topo = spec.build();
-        let plan = ShardPlan::build(&topo, 2);
-        let mut sim = Simulator::new_sharded(topo, SimConfig::default(), &plan, 0);
-        common::install_policy_sharded(&mut sim, Policy::AccGuarded, Scale::QUICK);
-    });
-    let err = result.expect_err("guarded install must panic in a sharded sim");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("not partition-invariant"),
-        "panic names the contract: {msg}"
-    );
 }

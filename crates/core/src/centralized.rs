@@ -20,7 +20,7 @@
 
 use crate::action::ActionSpace;
 use crate::reward::RewardConfig;
-use crate::state::{QueueObs, StateWindow};
+use crate::state::{QueueObs, QueueObserver, StateWindow};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use rl::{DdqnAgent, DdqnConfig, Transition};
@@ -199,8 +199,9 @@ impl CentralBrain {
 pub struct CentralizedAcc {
     brain: Rc<RefCell<CentralBrain>>,
     layer: Option<Layer>,
-    prev_telem: HashMap<u16, netsim::queues::QueueTelemetry>,
-    last_tick: SimTime,
+    /// Per-port observers, all anchored at an all-zero reading at t = 0 so
+    /// the first report covers everything since the start of the run.
+    observers: HashMap<u16, QueueObserver>,
     /// Switch index within the tick round-robin (last one triggers the
     /// decision).
     is_last: bool,
@@ -213,8 +214,7 @@ impl CentralizedAcc {
         CentralizedAcc {
             brain,
             layer: None,
-            prev_telem: HashMap::new(),
-            last_tick: SimTime::ZERO,
+            observers: HashMap::new(),
             is_last,
         }
     }
@@ -232,29 +232,19 @@ impl QueueController for CentralizedAcc {
             }
         });
         let now = view.now();
-        let dt = now.saturating_sub(self.last_tick);
-        self.last_tick = now;
+        let mut dt = SimTime::ZERO;
         // Report every RDMA queue to the brain; apply the mandated config.
         let cfg = self.brain.borrow().config_for(layer);
         for p in 0..view.num_ports() {
             let port = PortId(p as u16);
             let snap = view.snapshot(port, PRIO_RDMA);
-            let prev = self.prev_telem.insert(port.0, snap.telem);
-            if dt > SimTime::ZERO {
-                let prev = prev.unwrap_or_default();
-                let obs = QueueObs {
-                    qlen_bytes: snap.qlen_bytes,
-                    // Saturating: telemetry faults can regress the counters.
-                    tx_bytes: snap.telem.tx_bytes.saturating_sub(prev.tx_bytes),
-                    tx_marked_bytes: snap
-                        .telem
-                        .tx_marked_bytes
-                        .saturating_sub(prev.tx_marked_bytes),
-                    dt,
-                    link_bps: snap.link_bps,
-                    ecn_encoded: 0.0,
-                };
-                self.brain.borrow_mut().report(layer, &obs);
+            let observer = self
+                .observers
+                .entry(port.0)
+                .or_insert_with(|| QueueObserver::new(1, Default::default(), SimTime::ZERO));
+            if let Some(iv) = observer.observe(&snap, now, 0.0) {
+                dt = iv.obs.dt;
+                self.brain.borrow_mut().report(layer, &iv.obs);
             }
             view.set_ecn(port, PRIO_RDMA, Some(cfg));
         }

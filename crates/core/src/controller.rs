@@ -25,11 +25,11 @@
 //! (§3.4).
 
 use crate::action::ActionSpace;
+use crate::guard::{GuardConfig, GuardedController};
 use crate::reward::RewardConfig;
-use crate::state::{QueueObs, StateWindow};
+use crate::state::QueueObserver;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
-use netsim::queues::QueueTelemetry;
 use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Transition};
 use std::any::Any;
 use std::cell::RefCell;
@@ -105,10 +105,8 @@ struct PendingDecision {
 
 /// Per-queue bookkeeping.
 struct QueueCtx {
-    window: StateWindow,
+    observer: QueueObserver,
     prev: Option<(Vec<f32>, usize)>,
-    prev_telem: QueueTelemetry,
-    last_tick: SimTime,
     action_idx: usize,
     /// §4.2 busy/idle machinery.
     idle: bool,
@@ -127,6 +125,60 @@ pub struct AccStats {
     pub skipped_idle: u64,
     /// Training minibatches run.
     pub train_steps: u64,
+}
+
+/// Scratch for the once-per-tick action selection over every pending queue
+/// of a switch: one batched forward pass instead of one per queue.
+/// Persistent across ticks so the steady-state control loop does not grow
+/// the heap.
+#[derive(Default)]
+pub(crate) struct BatchSelect {
+    states: Vec<f32>,
+    decisions: Vec<(usize, f64)>,
+    greedy: Vec<usize>,
+}
+
+impl BatchSelect {
+    /// Choose an action for each of `states` (ε-greedy when `explore`, else
+    /// greedy) and return `(action, ε)` per state, in order. With `scalar`
+    /// the choice runs through the per-state reference kernels instead;
+    /// both paths consume the RNG identically and are bit-identical by
+    /// contract.
+    pub(crate) fn select<'a>(
+        &mut self,
+        agent: &mut DdqnAgent,
+        states: impl Iterator<Item = &'a [f32]>,
+        explore: bool,
+        scalar: bool,
+    ) -> &[(usize, f64)] {
+        if scalar {
+            self.decisions.clear();
+            for s in states {
+                let a = if explore {
+                    agent.select_action(s)
+                } else {
+                    agent.best_action(s)
+                };
+                self.decisions.push((a, agent.epsilon()));
+            }
+            return &self.decisions;
+        }
+        self.states.clear();
+        let mut n = 0;
+        for s in states {
+            self.states.extend_from_slice(s);
+            n += 1;
+        }
+        if explore {
+            agent.select_actions_batch(&self.states, n, &mut self.decisions);
+        } else {
+            agent.best_actions_batch(&self.states, n, &mut self.greedy);
+            let eps = agent.epsilon();
+            self.decisions.clear();
+            self.decisions.extend(self.greedy.iter().map(|&a| (a, eps)));
+        }
+        &self.decisions
+    }
 }
 
 /// The per-switch ACC module.
@@ -148,12 +200,9 @@ pub struct AccController {
     recorder: Option<telemetry::SharedRecorder>,
     /// TD loss of the most recent training minibatch.
     last_td_loss: Option<f32>,
-    /// Per-tick batched-inference scratch, persistent across ticks so the
-    /// steady-state control loop does not grow the heap.
+    /// Queues awaiting this tick's batched selection pass.
     pending: Vec<PendingDecision>,
-    tick_states: Vec<f32>,
-    decisions: Vec<(usize, f64)>,
-    greedy: Vec<usize>,
+    select: BatchSelect,
 }
 
 impl AccController {
@@ -186,9 +235,7 @@ impl AccController {
             recorder: None,
             last_td_loss: None,
             pending: Vec::new(),
-            tick_states: Vec::new(),
-            decisions: Vec::new(),
-            greedy: Vec::new(),
+            select: BatchSelect::default(),
         }
     }
 
@@ -255,10 +302,8 @@ impl AccController {
                 .map(|e| self.space.nearest(&e))
                 .unwrap_or(space_len / 2);
             QueueCtx {
-                window: StateWindow::new(k),
+                observer: QueueObserver::new(k, snap.telem, now),
                 prev: None,
-                prev_telem: snap.telem,
-                last_tick: now,
                 action_idx,
                 idle: false,
                 last_reward: f64::NAN,
@@ -266,43 +311,13 @@ impl AccController {
             }
         });
 
-        let dt = now.saturating_sub(q.last_tick);
-        if dt == SimTime::ZERO {
+        let encoded = self.space.encode(q.action_idx);
+        let Some(iv) = q.observer.observe(&snap, now, encoded) else {
             return;
-        }
-        // Saturating deltas: a faulted/rebooted switch can hand the agent
-        // counters *below* the previous reading (see netsim's telemetry
-        // faults); treat a regression as "no progress", not as wraparound.
-        let tx_bytes = snap.telem.tx_bytes.saturating_sub(q.prev_telem.tx_bytes);
-        let tx_marked = snap
-            .telem
-            .tx_marked_bytes
-            .saturating_sub(q.prev_telem.tx_marked_bytes);
-        let qlen_integral = snap
-            .telem
-            .qlen_integral_byte_ps
-            .saturating_sub(q.prev_telem.qlen_integral_byte_ps);
-        let avg_qlen = (qlen_integral / dt.as_ps() as u128) as u64;
-        let utilization = if snap.link_bps > 0 {
-            (tx_bytes as f64 * 8.0) / (snap.link_bps as f64 * dt.as_secs_f64())
-        } else {
-            0.0
         };
-        let reward = self.cfg.reward.reward(utilization, avg_qlen);
+        let reward = self.cfg.reward.reward(iv.utilization, iv.avg_qlen_bytes);
         self.last_rewards.insert(key, reward);
-
-        let obs = QueueObs {
-            qlen_bytes: snap.qlen_bytes,
-            tx_bytes,
-            tx_marked_bytes: tx_marked,
-            dt,
-            link_bps: snap.link_bps,
-            ecn_encoded: self.space.encode(q.action_idx),
-        };
-        q.window.push(&obs);
-        q.prev_telem = snap.telem;
-        q.last_tick = now;
-        let state = q.window.state();
+        let state = q.observer.state();
 
         // §4.2 busy/idle: skip inference for quiet queues. A queue becomes
         // idle after three slots below Kmin with an unchanged reward; it
@@ -364,50 +379,28 @@ impl AccController {
         });
     }
 
-    /// Phases B and C of a control tick: one batched forward pass selects
-    /// an action for every pending queue, then records and applies them in
-    /// the original queue order. With `cfg.scalar_inference` the selection
-    /// runs through the per-queue scalar reference instead; both paths
-    /// consume the RNG identically and are bit-identical by contract.
+    /// Phases B and C of a control tick: one [`BatchSelect`] pass selects an
+    /// action for every pending queue, then records and applies them in
+    /// the original queue order.
     fn decide_pending(&mut self, view: &mut SwitchView<'_>) {
         let n = self.pending.len();
         if n == 0 {
             return;
         }
         let mut agent = self.agent.borrow_mut();
-        if self.cfg.scalar_inference {
-            self.decisions.clear();
-            for d in &self.pending {
-                let a = if self.cfg.explore {
-                    agent.select_action(&d.state)
-                } else {
-                    agent.best_action(&d.state)
-                };
-                self.decisions.push((a, agent.epsilon()));
-            }
-        } else {
-            self.tick_states.clear();
-            for d in &self.pending {
-                self.tick_states.extend_from_slice(&d.state);
-            }
-            if self.cfg.explore {
-                agent.select_actions_batch(&self.tick_states, n, &mut self.decisions);
-            } else {
-                agent.best_actions_batch(&self.tick_states, n, &mut self.greedy);
-                let eps = agent.epsilon();
-                self.decisions.clear();
-                self.decisions.extend(self.greedy.iter().map(|&a| (a, eps)));
-            }
-        }
+        let decisions = self.select.select(
+            &mut agent,
+            self.pending.iter().map(|d| d.state.as_slice()),
+            self.cfg.explore,
+            self.cfg.scalar_inference,
+        );
         let train_steps = agent.train_steps();
         drop(agent);
         self.stats.inferences += n as u64;
 
         let now = view.now();
         let node = view.node().0;
-        for i in 0..n {
-            let (action, epsilon) = self.decisions[i];
-            let d = &mut self.pending[i];
+        for (d, &(action, epsilon)) in self.pending.iter_mut().zip(decisions) {
             let ecn = self.space.get(action);
             if let Some(rec) = &self.recorder {
                 rec.borrow_mut().record_agent(&telemetry::AgentSample {
@@ -512,103 +505,98 @@ impl QueueController for AccController {
     }
 }
 
-/// Install ACC controllers on every switch. Each switch gets its own agent
-/// (cloned exploration schedules differ by `seed + switch index`) and all of
-/// them share one global replay memory, as in the paper's multi-agent design.
+/// The one per-switch installer loop: switch `i` (in `topo.switches()`
+/// order) gets `make(cfg_i)`, where `cfg_i` is `cfg` seeded `cfg.seed + i`
+/// — the *global* index, so a shard that owns only some switches still
+/// seeds each exactly as a whole-fabric run would.
+pub(crate) fn install_per_switch<H: ControllerHost>(
+    host: &mut H,
+    cfg: &AccConfig,
+    mut make: impl FnMut(AccConfig) -> Box<dyn QueueController>,
+) {
+    for (i, sw) in host.topo().switches().to_vec().into_iter().enumerate() {
+        let mut c = cfg.clone();
+        c.seed = cfg.seed.wrapping_add(i as u64);
+        host.set_controller(sw, make(c));
+    }
+}
+
+/// D-ACC on every switch: each gets its own agent, starting from `model`
+/// when given, wrapped in a [`GuardedController`] when `guard` is given.
 ///
-/// Returns the shared global replay handle.
-pub fn install_acc(
-    sim: &mut Simulator,
+/// Replay scope follows the host: in one process every switch exchanges
+/// experience with one shared global replay memory, the paper's §3.4
+/// multi-agent design (which makes a switch's trajectory depend on its
+/// peers); on a sharded host ([`ControllerHost::is_sharded`]) each switch
+/// keeps its replay private, so its behaviour is a function of the switch
+/// alone and merged telemetry is byte-identical at any shard count.
+///
+/// Returns the global replay handle (unused on a sharded host).
+pub(crate) fn install_dacc<H: ControllerHost>(
+    host: &mut H,
     cfg: &AccConfig,
     space: &ActionSpace,
+    model: Option<&rl::Mlp>,
+    guard: Option<&GuardConfig>,
 ) -> Rc<RefCell<ReplayBuffer>> {
     let global = Rc::new(RefCell::new(ReplayBuffer::new(
         cfg.ddqn.replay_capacity * 4,
     )));
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let mut ctl = AccController::new(c, space.clone());
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(sw, Box::new(ctl));
-    }
-    global
-}
-
-/// Attach a flight recorder to every [`AccController`] or
-/// [`crate::guard::GuardedController`] installed in `sim`. Switches without
-/// a controller, or with a non-ACC controller (static baselines, C-ACC),
-/// are left untouched.
-pub fn attach_recorder(sim: &mut Simulator, rec: &telemetry::SharedRecorder) {
-    for sw in sim.core().topo.switches().to_vec() {
-        if !sim.has_controller(sw) {
-            continue;
-        }
-        sim.with_controller(sw, |c, _| {
-            if let Some(acc) = c.as_any_mut().downcast_mut::<AccController>() {
-                acc.set_recorder(rec.clone());
-            } else if let Some(g) = c
-                .as_any_mut()
-                .downcast_mut::<crate::guard::GuardedController>()
-            {
-                g.set_recorder(rec.clone());
-            }
-        });
-    }
-}
-
-/// Install fully independent ACC controllers — no shared replay memory.
-///
-/// Each switch gets its own agent with its own private replay buffer,
-/// seeded by the switch's *global* index in `topo.switches()` order. That
-/// makes per-switch behaviour a function of the switch alone, not of which
-/// other switches happen to share its process — exactly the property a
-/// sharded run needs: shard `k` installs controllers only on the switches
-/// it owns, yet every switch computes the same decisions it would in a
-/// single-shard run, so merged telemetry is byte-identical across shard
-/// counts. (The paper's shared-replay multi-agent design is inherently
-/// order-dependent across switches; use [`install_acc`] for faithful
-/// single-process training runs.)
-pub fn install_acc_independent(
-    sim: &mut Simulator,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    model: Option<&rl::Mlp>,
-) {
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let ctl = match model {
+    let share_replay = !host.is_sharded();
+    install_per_switch(host, cfg, |c| {
+        let prios = c.target_prios.clone();
+        let mut ctl = match model {
             Some(m) => AccController::from_model(c, space.clone(), m),
             None => AccController::new(c, space.clone()),
         };
-        // `set_controller` drops the install on foreign switches in sharded
-        // mode; the seed above stays the *global* index either way.
-        sim.set_controller(sw, Box::new(ctl));
-    }
+        if share_replay {
+            ctl.set_global_replay(global.clone());
+        }
+        match guard {
+            Some(g) => Box::new(GuardedController::new(Box::new(ctl), g.clone(), prios)),
+            None => Box::new(ctl),
+        }
+    });
+    global
+}
+
+/// Install fresh ACC controllers on every switch (see
+/// [`install_acc_with_model`] to start from a trained model,
+/// [`crate::guard::install_guarded_acc`] to wrap them in guardrails).
+/// Returns the shared global replay handle.
+pub fn install_acc<H: ControllerHost>(
+    sim: &mut H,
+    cfg: &AccConfig,
+    space: &ActionSpace,
+) -> Rc<RefCell<ReplayBuffer>> {
+    install_dacc(sim, cfg, space, None, None)
 }
 
 /// Install ACC controllers that all start from `model`.
-pub fn install_acc_with_model(
-    sim: &mut Simulator,
+pub fn install_acc_with_model<H: ControllerHost>(
+    sim: &mut H,
     cfg: &AccConfig,
     space: &ActionSpace,
     model: &rl::Mlp,
 ) -> Rc<RefCell<ReplayBuffer>> {
-    let global = Rc::new(RefCell::new(ReplayBuffer::new(
-        cfg.ddqn.replay_capacity * 4,
-    )));
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let mut ctl = AccController::from_model(c, space.clone(), model);
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(sw, Box::new(ctl));
+    install_dacc(sim, cfg, space, Some(model), None)
+}
+
+/// Attach a flight recorder to every [`AccController`] or
+/// [`GuardedController`] installed in `sim`. Switches without a controller,
+/// or with a non-ACC controller (static baselines, C-ACC), are left
+/// untouched.
+pub fn attach_recorder<H: ControllerHost>(sim: &mut H, rec: &telemetry::SharedRecorder) {
+    for sw in sim.topo().switches().to_vec() {
+        let Some(c) = sim.controller_mut(sw) else {
+            continue;
+        };
+        if let Some(acc) = c.as_any_mut().downcast_mut::<AccController>() {
+            acc.set_recorder(rec.clone());
+        } else if let Some(g) = c.as_any_mut().downcast_mut::<GuardedController>() {
+            g.set_recorder(rec.clone());
+        }
     }
-    global
 }
 
 #[cfg(test)]

@@ -426,7 +426,7 @@ impl QueueGuard {
 }
 
 /// Counters over every queue of one [`GuardedController`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Control ticks handled.
     pub ticks: u64,
@@ -448,6 +448,20 @@ pub struct GuardStats {
     /// Training anomalies (NaN Q-values / non-finite TD targets) the inner
     /// agent signalled. Agent-level: also counted in `violations_detected`.
     pub agent_anomalies: u64,
+}
+
+impl std::ops::AddAssign for GuardStats {
+    /// Fold another controller's (or another shard's) counters in.
+    fn add_assign(&mut self, o: GuardStats) {
+        self.ticks += o.ticks;
+        self.violations_detected += o.violations_detected;
+        self.violations_applied += o.violations_applied;
+        self.clamps += o.clamps;
+        self.trips += o.trips;
+        self.recoveries += o.recoveries;
+        self.fallback_ticks += o.fallback_ticks;
+        self.agent_anomalies += o.agent_anomalies;
+    }
 }
 
 /// A [`QueueController`] that wraps an inner controller with per-queue
@@ -604,35 +618,16 @@ impl QueueController for GuardedController {
 }
 
 /// Install guarded ACC controllers on every switch: same layout as
-/// [`crate::controller::install_acc`] (per-switch agents, shared global
-/// replay), with each [`AccController`] wrapped in a [`GuardedController`]
-/// using `guard_cfg`. Returns the shared global replay handle.
-pub fn install_guarded_acc(
-    sim: &mut Simulator,
+/// [`crate::controller::install_acc`], with each [`AccController`] wrapped
+/// in a [`GuardedController`] using `guard_cfg`. Returns the shared global
+/// replay handle.
+pub fn install_guarded_acc<H: ControllerHost>(
+    sim: &mut H,
     cfg: &crate::controller::AccConfig,
     space: &crate::action::ActionSpace,
     guard_cfg: &GuardConfig,
 ) -> Rc<RefCell<rl::ReplayBuffer>> {
-    let global = Rc::new(RefCell::new(rl::ReplayBuffer::new(
-        cfg.ddqn.replay_capacity * 4,
-    )));
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let prios = c.target_prios.clone();
-        let mut ctl = AccController::new(c, space.clone());
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(
-            sw,
-            Box::new(GuardedController::new(
-                Box::new(ctl),
-                guard_cfg.clone(),
-                prios,
-            )),
-        );
-    }
-    global
+    crate::controller::install_dacc(sim, cfg, space, None, Some(guard_cfg))
 }
 
 #[cfg(test)]

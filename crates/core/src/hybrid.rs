@@ -13,11 +13,10 @@
 //! compared to C-ACC, actions stay per-queue and per-switch.
 
 use crate::action::ActionSpace;
-use crate::controller::AccConfig;
+use crate::controller::{install_per_switch, AccConfig, BatchSelect};
 use crate::reward::RewardConfig;
-use crate::state::{QueueObs, StateWindow};
+use crate::state::QueueObserver;
 use netsim::prelude::*;
-use netsim::queues::QueueTelemetry;
 use rl::{DdqnAgent, Transition};
 use std::any::Any;
 use std::cell::RefCell;
@@ -84,10 +83,8 @@ impl CentralTrainer {
 pub type SharedTrainer = Rc<RefCell<CentralTrainer>>;
 
 struct QueueCtx {
-    window: StateWindow,
+    observer: QueueObserver,
     prev: Option<(Vec<f32>, usize)>,
-    prev_telem: QueueTelemetry,
-    last_tick: SimTime,
     action_idx: usize,
 }
 
@@ -106,13 +103,11 @@ pub struct HybridAcc {
     pub sync_ticks: u64,
     /// Model syncs performed.
     pub syncs: u64,
-    /// Per-tick batched-inference scratch (see [`crate::controller`]): the
-    /// telemetry pass collects `(queue, state)` pairs, one batched forward
-    /// selects all actions, and the results are applied in queue order.
+    /// The telemetry pass collects `(queue, state)` pairs, one batched
+    /// forward selects all actions (see [`crate::controller`]), and the
+    /// results are applied in queue order.
     pending: Vec<((u16, Prio), PortId, Prio, Vec<f32>)>,
-    tick_states: Vec<f32>,
-    decisions: Vec<(usize, f64)>,
-    greedy: Vec<usize>,
+    select: BatchSelect,
 }
 
 impl HybridAcc {
@@ -139,9 +134,7 @@ impl HybridAcc {
             sync_ticks: sync_ticks.max(1),
             syncs: 0,
             pending: Vec::new(),
-            tick_states: Vec::new(),
-            decisions: Vec::new(),
-            greedy: Vec::new(),
+            select: BatchSelect::default(),
         }
     }
 
@@ -152,46 +145,16 @@ impl HybridAcc {
         let k = self.cfg.history_k;
         let space_len = self.space.len();
         let q = self.queues.entry(key).or_insert_with(|| QueueCtx {
-            window: StateWindow::new(k),
+            observer: QueueObserver::new(k, snap.telem, now),
             prev: None,
-            prev_telem: snap.telem,
-            last_tick: now,
             action_idx: space_len / 2,
         });
-        let dt = now.saturating_sub(q.last_tick);
-        if dt == SimTime::ZERO {
+        let encoded = self.space.encode(q.action_idx);
+        let Some(iv) = q.observer.observe(&snap, now, encoded) else {
             return;
-        }
-        // Saturating: telemetry faults can hand back readings below the
-        // previous snapshot; a regression means "no progress".
-        let tx = snap.telem.tx_bytes.saturating_sub(q.prev_telem.tx_bytes);
-        let txm = snap
-            .telem
-            .tx_marked_bytes
-            .saturating_sub(q.prev_telem.tx_marked_bytes);
-        let integral = snap
-            .telem
-            .qlen_integral_byte_ps
-            .saturating_sub(q.prev_telem.qlen_integral_byte_ps);
-        let avg_qlen = (integral / dt.as_ps() as u128) as u64;
-        let util = if snap.link_bps > 0 {
-            (tx as f64 * 8.0) / (snap.link_bps as f64 * dt.as_secs_f64())
-        } else {
-            0.0
         };
-        let reward = self.reward.reward(util, avg_qlen);
-        let obs = QueueObs {
-            qlen_bytes: snap.qlen_bytes,
-            tx_bytes: tx,
-            tx_marked_bytes: txm,
-            dt,
-            link_bps: snap.link_bps,
-            ecn_encoded: self.space.encode(q.action_idx),
-        };
-        q.window.push(&obs);
-        q.prev_telem = snap.telem;
-        q.last_tick = now;
-        let state = q.window.state();
+        let reward = self.reward.reward(iv.utilization, iv.avg_qlen_bytes);
+        let state = q.observer.state();
         if let Some((ps, pa)) = q.prev.take() {
             self.outbox.push(Transition {
                 state: ps,
@@ -208,27 +171,16 @@ impl HybridAcc {
     /// One batched forward pass decides every pending queue, then the
     /// actions are applied in the original queue order.
     fn decide_pending(&mut self, view: &mut SwitchView<'_>) {
-        let n = self.pending.len();
-        if n == 0 {
+        if self.pending.is_empty() {
             return;
         }
-        self.tick_states.clear();
-        for (_, _, _, state) in &self.pending {
-            self.tick_states.extend_from_slice(state);
-        }
-        if self.cfg.explore {
-            self.local
-                .select_actions_batch(&self.tick_states, n, &mut self.decisions);
-        } else {
-            self.local
-                .best_actions_batch(&self.tick_states, n, &mut self.greedy);
-            let eps = self.local.epsilon();
-            self.decisions.clear();
-            self.decisions.extend(self.greedy.iter().map(|&a| (a, eps)));
-        }
-        for i in 0..n {
-            let (action, _eps) = self.decisions[i];
-            let (key, port, prio, state) = &mut self.pending[i];
+        let decisions = self.select.select(
+            &mut self.local,
+            self.pending.iter().map(|(_, _, _, state)| state.as_slice()),
+            self.cfg.explore,
+            false,
+        );
+        for ((key, port, prio, state), &(action, _eps)) in self.pending.iter_mut().zip(decisions) {
             let q = self.queues.get_mut(key).expect("pending queue exists");
             q.prev = Some((std::mem::take(state), action));
             q.action_idx = action;
@@ -266,26 +218,21 @@ impl QueueController for HybridAcc {
 }
 
 /// Install H-ACC on every switch; returns the shared trainer.
-pub fn install_hybrid(
-    sim: &mut Simulator,
+pub fn install_hybrid<H: ControllerHost>(
+    sim: &mut H,
     cfg: &AccConfig,
     space: &ActionSpace,
     sync_ticks: u64,
 ) -> SharedTrainer {
     let trainer = Rc::new(RefCell::new(CentralTrainer::new(cfg, space, 50)));
-    for (i, sw) in sim.core().topo.switches().to_vec().into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        sim.set_controller(
-            sw,
-            Box::new(HybridAcc::new(
-                c,
-                space.clone(),
-                trainer.clone(),
-                sync_ticks,
-            )),
-        );
-    }
+    install_per_switch(sim, cfg, |c| {
+        Box::new(HybridAcc::new(
+            c,
+            space.clone(),
+            trainer.clone(),
+            sync_ticks,
+        ))
+    });
     trainer
 }
 

@@ -39,7 +39,6 @@ pub mod action;
 pub mod centralized;
 pub mod controller;
 pub mod deploy;
-pub mod fluid;
 pub mod guard;
 pub mod hybrid;
 pub mod reward;
@@ -54,15 +53,14 @@ pub use controller::{AccConfig, AccController};
 pub use deploy::{
     DeployBundle, DeployError, FleetConfig, FleetManager, FleetStats, ProbationOutcome, SwapOutcome,
 };
-pub use fluid::{FluidAcc, FluidStaticEcn};
 pub use guard::{
     GuardConfig, GuardDecision, GuardObs, GuardStats, GuardViolation, GuardedController, QueueGuard,
 };
 pub use hybrid::{CentralTrainer, HybridAcc};
 pub use reward::{e_n, ladder_index, QueuePenalty, RewardConfig};
 pub use soak::{PhaseKind, SoakPhase, SoakPlan};
-pub use state::{QueueObs, StateWindow, FEATURES_PER_OBS};
-pub use static_ecn::StaticEcnPolicy;
+pub use state::{QueueObs, QueueObserver, StateWindow, FEATURES_PER_OBS};
+pub use static_ecn::{FluidStaticEcn, StaticEcnPolicy};
 
 // Send/Sync audit for the parallel run-matrix executor in `acc-bench`:
 // controllers themselves are installed and driven on one thread, but the

@@ -17,6 +17,7 @@
 
 use crate::reward::{ladder_index, LADDER_LEVELS};
 use netsim::prelude::*;
+use netsim::queues::QueueTelemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -112,6 +113,94 @@ impl StateWindow {
     }
 }
 
+/// One control interval on one queue, as [`QueueObserver::observe`] saw it.
+#[derive(Clone, Copy, Debug)]
+pub struct Interval {
+    /// The raw measurements (already pushed into the observer's window).
+    pub obs: QueueObs,
+    /// Time-average queue depth over the interval, bytes — the reward's `L`.
+    pub avg_qlen_bytes: u64,
+    /// Fraction of the link's capacity transmitted — the reward's `R`.
+    pub utilization: f64,
+}
+
+/// The observe step every ACC variant runs per queue per tick: difference
+/// the cumulative telemetry registers against the previous reading, turn
+/// the interval into a [`QueueObs`] and slide it into the [`StateWindow`].
+#[derive(Clone, Debug)]
+pub struct QueueObserver {
+    window: StateWindow,
+    prev: QueueTelemetry,
+    last_tick: SimTime,
+}
+
+impl QueueObserver {
+    /// Observe from `baseline`, a reading of the registers taken at `at`,
+    /// keeping `k` intervals of history.
+    pub fn new(k: usize, baseline: QueueTelemetry, at: SimTime) -> Self {
+        QueueObserver {
+            window: StateWindow::new(k),
+            prev: baseline,
+            last_tick: at,
+        }
+    }
+
+    /// Fold in the reading `snap` taken at `now`; `ecn_encoded` is the
+    /// applied action's index normalised to `[0, 1]`. `None`, with nothing
+    /// recorded, when no time has passed since the previous reading.
+    pub fn observe(
+        &mut self,
+        snap: &QueueSnapshot,
+        now: SimTime,
+        ecn_encoded: f32,
+    ) -> Option<Interval> {
+        let dt = now.saturating_sub(self.last_tick);
+        if dt == SimTime::ZERO {
+            return None;
+        }
+        // Saturating deltas: a faulted/rebooted switch can hand the agent
+        // counters *below* the previous reading (see netsim's telemetry
+        // faults); treat a regression as "no progress", not as wraparound.
+        let tx_bytes = snap.telem.tx_bytes.saturating_sub(self.prev.tx_bytes);
+        let tx_marked_bytes = snap
+            .telem
+            .tx_marked_bytes
+            .saturating_sub(self.prev.tx_marked_bytes);
+        let qlen_integral = snap
+            .telem
+            .qlen_integral_byte_ps
+            .saturating_sub(self.prev.qlen_integral_byte_ps);
+        let avg_qlen_bytes = (qlen_integral / dt.as_ps() as u128) as u64;
+        let utilization = if snap.link_bps > 0 {
+            (tx_bytes as f64 * 8.0) / (snap.link_bps as f64 * dt.as_secs_f64())
+        } else {
+            0.0
+        };
+        let obs = QueueObs {
+            qlen_bytes: snap.qlen_bytes,
+            tx_bytes,
+            tx_marked_bytes,
+            dt,
+            link_bps: snap.link_bps,
+            ecn_encoded,
+        };
+        self.window.push(&obs);
+        self.prev = snap.telem;
+        self.last_tick = now;
+        Some(Interval {
+            obs,
+            avg_qlen_bytes,
+            utilization,
+        })
+    }
+
+    /// The agent's state after the latest observation (see
+    /// [`StateWindow::state`]).
+    pub fn state(&self) -> Vec<f32> {
+        self.window.state()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +267,44 @@ mod tests {
         assert_eq!(w.len(), 3);
         // The 30KB observation has slid out.
         assert_eq!(w.state()[0], 0.0);
+    }
+
+    #[test]
+    fn observer_differences_and_saturates() {
+        let snap = |tx: u64, txm: u64, integral: u128| QueueSnapshot {
+            port: PortId(0),
+            prio: 3,
+            qlen_bytes: 30 * 1024,
+            telem: QueueTelemetry {
+                tx_bytes: tx,
+                tx_marked_bytes: txm,
+                qlen_integral_byte_ps: integral,
+                ..Default::default()
+            },
+            ecn: None,
+            link_bps: 25_000_000_000,
+        };
+        let dt = SimTime::from_us(50);
+        let mut o = QueueObserver::new(3, snap(1000, 10, 0).telem, dt);
+        assert!(o.observe(&snap(2000, 20, 0), dt, 0.5).is_none(), "dt = 0");
+        let full = 156_250; // 25G for 50us
+        let iv = o
+            .observe(
+                &snap(1000 + full, 110, 2000 * dt.as_ps() as u128),
+                dt.mul(2),
+                0.5,
+            )
+            .unwrap();
+        assert_eq!(iv.obs.tx_bytes, full);
+        assert_eq!(iv.obs.tx_marked_bytes, 100);
+        assert_eq!(iv.avg_qlen_bytes, 2000);
+        assert!((iv.utilization - 1.0).abs() < 1e-9);
+        assert!((o.state()[8] - 0.1).abs() < 1e-6, "obs reached the window");
+        // Counters below the previous reading (reboot, blanked telemetry)
+        // read as no progress.
+        let iv = o.observe(&snap(0, 0, 0), dt.mul(3), 0.5).unwrap();
+        assert_eq!((iv.obs.tx_bytes, iv.obs.tx_marked_bytes), (0, 0));
+        assert_eq!(iv.avg_qlen_bytes, 0);
     }
 
     #[test]

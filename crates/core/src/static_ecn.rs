@@ -103,9 +103,26 @@ impl QueueController for StaticEcnController {
 }
 
 /// Install `policy` on every switch of `sim` (RDMA class).
-pub fn install_static(sim: &mut Simulator, policy: StaticEcnPolicy) {
-    for sw in sim.core().topo.switches().to_vec() {
+pub fn install_static<H: ControllerHost>(sim: &mut H, policy: StaticEcnPolicy) {
+    for sw in sim.topo().switches().to_vec() {
         sim.set_controller(sw, Box::new(StaticEcnController::new(policy)));
+    }
+}
+
+/// [`install_static`] in the shape [`FlowSim::set_tuner`] takes: one
+/// [`StaticEcnController`] per switch. Kept for callers written against it.
+pub struct FluidStaticEcn(StaticEcnPolicy);
+
+impl FluidStaticEcn {
+    /// A tuner that installs `policy` on every switch.
+    pub fn new(policy: StaticEcnPolicy) -> Self {
+        FluidStaticEcn(policy)
+    }
+}
+
+impl netsim::flowsim::EcnTuner for FluidStaticEcn {
+    fn controller(&self) -> Box<dyn QueueController> {
+        Box::new(StaticEcnController::new(self.0))
     }
 }
 

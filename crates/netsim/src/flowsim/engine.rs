@@ -13,6 +13,7 @@
 
 use super::bottleneck::LinkModel;
 use super::timers::FlowTimers;
+use crate::control::{ControllerHost, QueueController, SwitchView, ViewBackend};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::queues::EcnConfig;
 use crate::routing::RouteTable;
@@ -106,8 +107,8 @@ pub struct FlowSimConfig {
     /// Maximum payload bytes per data packet; segmentation must match the
     /// packet engine's for the fast path to be exact.
     pub mtu_payload: u32,
-    /// Control-plane tick interval (telemetry windows / tuner cadence);
-    /// `None` disables ticks entirely.
+    /// Control-plane tick interval (telemetry windows / controller
+    /// cadence); `None` disables ticks entirely.
     pub control_interval: Option<SimTime>,
     /// ECN config installed on every switch-egress link at build time
     /// (ignored in [`Fidelity::Flow`] mode).
@@ -128,18 +129,12 @@ impl Default for FlowSimConfig {
     }
 }
 
-/// A tuner invoked on every control tick with the full directed-link table,
-/// telemetry already advanced to `now`.
-///
-/// This is the flow-level counterpart of the packet engine's
-/// [`crate::control::QueueController`]: implementations difference the
-/// monotone [`LinkModel::telem`] counters between ticks, build the same
-/// observations ACC's DDQN consumes, and write configs back through
-/// [`LinkModel::ecn`]. Host-egress links have `ecn == None` and should be
-/// skipped.
+/// A recipe for one [`QueueController`] per switch — the argument of
+/// [`FlowSim::set_tuner`], kept for callers written against it. Nothing of
+/// it runs after the install: the control tick sees only the controllers.
 pub trait EcnTuner {
-    /// Observe-and-act callback; runs every `control_interval`.
-    fn on_tick(&mut self, now: SimTime, links: &mut [LinkModel]);
+    /// The controller to put on one switch.
+    fn controller(&self) -> Box<dyn QueueController>;
 }
 
 /// Counters describing one finished run.
@@ -225,8 +220,9 @@ fn drain_time(wire_bytes: f64, rate_bps: f64) -> SimTime {
 /// The flow-level simulator.
 ///
 /// Build with [`FlowSim::new`], load work with [`FlowSim::schedule_flows`],
-/// optionally install an [`EcnTuner`], then [`FlowSim::run_until`]. Finished
-/// flows accumulate in [`FlowSim::completions`].
+/// optionally install [`QueueController`]s (the ordinary installers take any
+/// [`ControllerHost`]), then [`FlowSim::run_until`]. Finished flows
+/// accumulate in [`FlowSim::completions`].
 pub struct FlowSim {
     topo: Topology,
     routes: RouteTable,
@@ -247,7 +243,9 @@ pub struct FlowSim {
     seq: u64,
     now: SimTime,
     completions: Vec<FlowDone>,
-    tuner: Option<Box<dyn EcnTuner>>,
+    /// Per-switch control plane, indexed by node; ticked in
+    /// `topo.switches()` order. The first one installed arms the tick.
+    controllers: Vec<Option<Box<dyn QueueController>>>,
     visit_gen: u32,
     /// Scratch: deduped flow indices touched by a rebalance.
     scratch: Vec<u32>,
@@ -286,6 +284,7 @@ impl FlowSim {
             }
         }
         FlowSim {
+            controllers: topo.nodes.iter().map(|_| None).collect(),
             topo,
             routes,
             cfg,
@@ -301,7 +300,6 @@ impl FlowSim {
             seq: 0,
             now: SimTime::ZERO,
             completions: Vec::new(),
-            tuner: None,
             visit_gen: 0,
             scratch: Vec::new(),
             active_flows: 0,
@@ -309,10 +307,10 @@ impl FlowSim {
         }
     }
 
-    /// Install the control-plane tuner (ignored in [`Fidelity::Flow`] mode).
+    /// Install `tuner`'s controller on every switch.
     pub fn set_tuner(&mut self, tuner: Box<dyn EcnTuner>) {
-        if self.cfg.fidelity == Fidelity::Hybrid {
-            self.tuner = Some(tuner);
+        for i in 0..self.topo.switches().len() {
+            self.set_controller(self.topo.switches()[i], tuner.controller());
         }
     }
 
@@ -349,11 +347,12 @@ impl FlowSim {
     }
 
     /// Fire every event at or before `horizon`, then set the clock to
-    /// `horizon`. With a tuner installed the control tick re-arms itself
-    /// forever, so the horizon is what ends the run; without one the run
-    /// also ends early once every scheduled flow has arrived and completed.
+    /// `horizon`. With a controller installed the control tick re-arms
+    /// itself forever, so the horizon is what ends the run; without one the
+    /// run also ends early once every scheduled flow has arrived and
+    /// completed.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if self.next_tick.is_none() && self.tuner.is_some() {
+        if self.next_tick.is_none() && self.controllers.iter().any(Option::is_some) {
             if let Some(dt) = self.cfg.control_interval {
                 self.next_tick = Some((self.now + dt, self.next_seq()));
                 self.note_pending();
@@ -580,9 +579,20 @@ impl FlowSim {
         for l in &mut self.links {
             l.advance(now);
         }
-        if let Some(mut t) = self.tuner.take() {
-            t.on_tick(now, &mut self.links);
-            self.tuner = Some(t);
+        for &sw in self.topo.switches() {
+            if let Some(c) = self.controllers[sw.idx()].as_mut() {
+                let base = self.link_base[sw.idx()] as usize;
+                let end = self.link_base[sw.idx() + 1] as usize;
+                let mut view = SwitchView {
+                    backend: ViewBackend::Flow {
+                        now,
+                        topo: &self.topo,
+                        links: &mut self.links[base..end],
+                    },
+                    node: sw,
+                };
+                c.on_tick(&mut view);
+            }
         }
         let seq = self.next_seq();
         self.next_tick = self.cfg.control_interval.map(|dt| (now + dt, seq));
@@ -716,6 +726,31 @@ impl FlowSim {
         self.flows[fi].next[hop] = NIL;
         self.flows[fi].prev[hop] = NIL;
         self.links[li].n_active -= 1;
+    }
+}
+
+impl ControllerHost for FlowSim {
+    fn topo(&self) -> &Topology {
+        &self.topo
+    }
+
+    fn is_sharded(&self) -> bool {
+        false
+    }
+
+    /// The controller ticks every `control_interval` against the switch's
+    /// egress [`LinkModel`]s, exactly as on the packet engine. Dropped in
+    /// [`Fidelity::Flow`] mode, which models no ECN and runs no control
+    /// plane.
+    fn set_controller(&mut self, switch: NodeId, ctl: Box<dyn QueueController>) {
+        assert!(!self.topo.is_host(switch), "controllers attach to switches");
+        if self.cfg.fidelity == Fidelity::Hybrid {
+            self.controllers[switch.idx()] = Some(ctl);
+        }
+    }
+
+    fn controller_mut(&mut self, switch: NodeId) -> Option<&mut dyn QueueController> {
+        self.controllers[switch.idx()].as_deref_mut()
     }
 }
 
@@ -866,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_telemetry_reaches_tuner() {
+    fn hybrid_telemetry_reaches_controller() {
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -877,16 +912,19 @@ mod tests {
             queue: bool,
         }
         struct Probe(Rc<RefCell<Seen>>);
-        impl EcnTuner for Probe {
-            fn on_tick(&mut self, _now: SimTime, links: &mut [LinkModel]) {
+        impl QueueController for Probe {
+            fn on_tick(&mut self, view: &mut SwitchView<'_>) {
                 let mut s = self.0.borrow_mut();
                 s.ticks += 1;
-                for l in links.iter() {
-                    if l.ecn.is_some() {
-                        s.marks |= l.telem.tx_marked_bytes > 0;
-                        s.queue |= l.telem.qlen_integral_byte_ps > 0;
-                    }
+                for p in 0..view.num_ports() {
+                    let snap = view.snapshot(PortId(p as u16), 1);
+                    assert!(snap.ecn.is_some(), "switch egress carries ECN");
+                    s.marks |= snap.telem.tx_marked_bytes > 0;
+                    s.queue |= snap.telem.qlen_integral_byte_ps > 0;
                 }
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
             }
         }
 
@@ -900,7 +938,8 @@ mod tests {
             .collect();
         sim.schedule_flows(&specs);
         let seen = Rc::new(RefCell::new(Seen::default()));
-        sim.set_tuner(Box::new(Probe(seen.clone())));
+        let sw = sim.topo().switches()[0];
+        sim.set_controller(sw, Box::new(Probe(seen.clone())));
         sim.run_until(SimTime::from_ms(50));
         assert_eq!(sim.completions().len(), 4);
         let s = *seen.borrow();

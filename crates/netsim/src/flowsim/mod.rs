@@ -23,9 +23,11 @@
 //! * **Analytic ECN feedback** — in [`Fidelity::Hybrid`] mode each
 //!   contended switch-egress link carries an equilibrium queue model
 //!   ([`bottleneck::qstar_bytes`]) from which ECN mark probability and queue depth
-//!   are derived and fed to the controller through the same
-//!   [`crate::queues::QueueTelemetry`] counters the packet engine exposes,
-//!   so DDQN / guarded ACC tick unchanged (see the [`EcnTuner`] trait).
+//!   are derived and fed to the control plane through the same
+//!   [`crate::queues::QueueTelemetry`] counters the packet engine exposes:
+//!   [`FlowSim`] ticks one [`crate::control::QueueController`] per switch
+//!   through a [`crate::control::SwitchView`] over that switch's egress
+//!   [`LinkModel`]s, so DDQN / guarded ACC / static ECN run unmodified.
 //! * **Determinism** — no randomness at all: rates, queues and marks are
 //!   pure functions of flow membership, and event order is `(time, seq)`
 //!   with `seq` the order events were scheduled in. Identical inputs give

@@ -66,7 +66,7 @@ pub mod util;
 pub mod prelude {
     pub use crate::buffer::SharedBuffer;
     pub use crate::config::{PortConfig, SimConfig};
-    pub use crate::control::{QueueController, QueueSnapshot, SwitchView};
+    pub use crate::control::{ControllerHost, QueueController, QueueSnapshot, SwitchView};
     pub use crate::driver::{HostCtx, NicDriver};
     pub use crate::fault::{FaultEvent, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError};
     pub use crate::flowsim::{Fidelity, FlowSim, FlowSimConfig, FlowSpec};

@@ -3,7 +3,7 @@
 
 use crate::buffer::SharedBuffer;
 use crate::config::SimConfig;
-use crate::control::{QueueController, SwitchView};
+use crate::control::{ControllerHost, QueueController, SwitchView, ViewBackend};
 use crate::driver::{HostCtx, NicDriver};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
@@ -1441,7 +1441,7 @@ impl Simulator {
             .take()
             .expect("switch has no controller installed");
         let mut view = SwitchView {
-            core: &mut self.core,
+            backend: ViewBackend::Packet(&mut self.core),
             node: switch,
         };
         let r = f(c.as_mut(), &mut view);
@@ -1522,7 +1522,7 @@ impl Simulator {
                     let sw = self.switch_cache[i];
                     if let Some(mut c) = self.controllers[sw.idx()].take() {
                         let mut view = SwitchView {
-                            core: &mut self.core,
+                            backend: ViewBackend::Packet(&mut self.core),
                             node: sw,
                         };
                         c.on_tick(&mut view);
@@ -1614,6 +1614,24 @@ impl Simulator {
         if self.core.now < t {
             self.core.now = t;
         }
+    }
+}
+
+impl ControllerHost for Simulator {
+    fn topo(&self) -> &Topology {
+        &self.core.topo
+    }
+
+    fn is_sharded(&self) -> bool {
+        self.core.shard.is_some()
+    }
+
+    fn set_controller(&mut self, switch: NodeId, ctl: Box<dyn QueueController>) {
+        Simulator::set_controller(self, switch, ctl);
+    }
+
+    fn controller_mut(&mut self, switch: NodeId) -> Option<&mut dyn QueueController> {
+        self.controllers[switch.idx()].as_deref_mut()
     }
 }
 

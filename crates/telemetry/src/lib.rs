@@ -47,7 +47,7 @@ pub mod slo;
 pub use manifest::RunManifest;
 pub use merge::merge_shards;
 pub use recorder::{RunRecorder, SharedRecorder};
-pub use sampler::install_queue_sampler;
+pub use sampler::{drain_fault_log, install_queue_sampler};
 pub use samples::{AgentSample, EventSample, QueueSample};
 pub use sink::{JsonlSink, MemorySink, TelemetrySink, VecSink};
 pub use slo::{SoakSloReport, SOAK_SLO_SCHEMA};

@@ -84,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_partition_invariant() {
+    fn merge_is_independent_of_the_partition() {
         // The same four records, partitioned two different ways (node 0+1
         // vs node 0 / node 1), merge to identical output.
         let all = vec![

@@ -1,9 +1,9 @@
 //! The periodic queue sampler: a read-only hook inside the event loop.
 
-use crate::recorder::SharedRecorder;
-use crate::samples::{EventSample, QueueSample};
+use crate::recorder::{RunRecorder, SharedRecorder};
+use crate::samples::QueueSample;
 use netsim::ids::{NodeId, PortId};
-use netsim::sim::Simulator;
+use netsim::sim::{SimCore, Simulator};
 use netsim::time::SimTime;
 use std::collections::HashMap;
 
@@ -18,6 +18,16 @@ struct PrevCounters {
     enq_pkts: u64,
     pfc_pauses: u64,
     pause_ps: u64,
+}
+
+/// Move every fault `core` executed since the previous drain onto `rec`'s
+/// event timeline (in execution order, so byte-identical across identical
+/// runs). The sampler does this each interval; a harness calls it once more
+/// at the end of a run, for faults that fired after the last sampling tick.
+pub fn drain_fault_log(core: &mut SimCore, rec: &mut RunRecorder) {
+    for f in core.drain_fault_log() {
+        rec.record_event(&(&f).into());
+    }
 }
 
 /// Install a sampler that records a [`QueueSample`] for every egress queue
@@ -96,19 +106,7 @@ pub fn install_queue_sampler(sim: &mut Simulator, interval: SimTime, recorder: S
                     }
                 }
             }
-            // Injected faults executed since the previous sample join the
-            // run's event timeline (in execution order, so byte-identical
-            // across identical runs).
-            for f in core.drain_fault_log() {
-                rec.record_event(&EventSample {
-                    t_ps: f.at.as_ps(),
-                    node: f.node.0,
-                    port: f.port.0,
-                    prio: u8::MAX,
-                    kind: f.kind.to_string(),
-                    detail: f.detail.to_string(),
-                });
-            }
+            drain_fault_log(core, &mut rec);
         }),
     );
 }

@@ -100,6 +100,20 @@ pub struct EventSample {
     pub detail: String,
 }
 
+impl From<&netsim::fault::FaultLogEntry> for EventSample {
+    /// An executed fault as it appears on the run's event timeline.
+    fn from(f: &netsim::fault::FaultLogEntry) -> Self {
+        EventSample {
+            t_ps: f.at.as_ps(),
+            node: f.node.0,
+            port: f.port.0,
+            prio: u8::MAX,
+            kind: f.kind.to_string(),
+            detail: f.detail.to_string(),
+        }
+    }
+}
+
 impl Default for EventSample {
     fn default() -> Self {
         EventSample {
