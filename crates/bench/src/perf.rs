@@ -156,40 +156,83 @@ fn hold_throughput<Q>(
     ops as f64 / wall.max(1e-9)
 }
 
-/// Wheel-vs-heap push/pop throughput on the incast hold workload. Returns
-/// the JSON block recorded under `queue_microbench`. Best of three rounds
-/// per queue so a scheduler hiccup does not misreport the ratio. Shared
-/// with [`crate::perf_flow`] so its document validates under the same
-/// schema.
+/// Pairs every wall-clock ratio is measured over.
+pub const RATIO_ROUNDS: usize = 5;
+
+/// A ratio of two throughputs from `RATIO_ROUNDS` back-to-back pairs.
+#[derive(Clone, Copy, Debug)]
+pub struct PairedRatio {
+    /// Median throughput of the first side.
+    pub a: f64,
+    /// Median throughput of the second side.
+    pub b: f64,
+    /// Median over the pairs of `a_i / b_i`.
+    pub ratio: f64,
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Measure `a` against `b` (each returns one throughput sample) as
+/// [`RATIO_ROUNDS`] pairs, the side that goes first alternating, and take
+/// the median of the per-pair ratios. A shared host runs the same code
+/// several times slower for seconds at a stretch; the two halves of a pair
+/// run within one such stretch, so its ratio holds where a best-of-N of each
+/// side taken separately compares a fast stretch with a slow one.
+pub fn paired_ratio(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> PairedRatio {
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for round in 0..RATIO_ROUNDS {
+        let (x, y) = if round % 2 == 0 {
+            let x = a();
+            (x, b())
+        } else {
+            let y = b();
+            (a(), y)
+        };
+        xs.push(x);
+        ys.push(y);
+    }
+    let ratios = xs.iter().zip(&ys).map(|(x, y)| x / y.max(1e-9)).collect();
+    PairedRatio {
+        a: median(xs),
+        b: median(ys),
+        ratio: median(ratios),
+    }
+}
+
+/// Wheel-vs-heap push/pop throughput on the incast hold workload
+/// ([`paired_ratio`]). Returns the JSON block recorded under
+/// `queue_microbench`. Shared with [`crate::perf_flow`] so its document
+/// validates under the same schema.
 pub(crate) fn queue_microbench(scale: Scale) -> Value {
     let ops: u64 = if scale.quick { 200_000 } else { 2_000_000 };
-    let mut wheel_best = 0f64;
-    let mut heap_best = 0f64;
-    for _ in 0..3 {
-        wheel_best = wheel_best.max(hold_throughput(
-            EventQueue::new(),
-            EventQueue::push,
-            EventQueue::pop,
-            ops,
-        ));
-        heap_best = heap_best.max(hold_throughput(
-            HeapEventQueue::new(),
-            HeapEventQueue::push,
-            HeapEventQueue::pop,
-            ops,
-        ));
-    }
-    let speedup = wheel_best / heap_best.max(1e-9);
+    let PairedRatio {
+        a: wheel,
+        b: heap,
+        ratio: speedup,
+    } = paired_ratio(
+        || hold_throughput(EventQueue::new(), EventQueue::push, EventQueue::pop, ops),
+        || {
+            hold_throughput(
+                HeapEventQueue::new(),
+                HeapEventQueue::push,
+                HeapEventQueue::pop,
+                ops,
+            )
+        },
+    );
     println!(
         "{:<18} {:>14.0} ops/s (wheel) {:>14.0} ops/s (heap)  speedup {speedup:.2}x",
-        "queue_hold_incast", wheel_best, heap_best
+        "queue_hold_incast", wheel, heap
     );
     json!({
         "workload": "incast_hold",
         "depth": HOLD_DEPTH,
         "ops": ops,
-        "wheel_ops_per_sec": wheel_best,
-        "heap_ops_per_sec": heap_best,
+        "wheel_ops_per_sec": wheel,
+        "heap_ops_per_sec": heap,
         "speedup": speedup,
     })
 }

@@ -19,6 +19,7 @@
 //! CI runs the quick scale, validates the schema and archives the file.
 
 use crate::common::Scale;
+use crate::perf::{paired_ratio, PairedRatio, RATIO_ROUNDS};
 use rl::{DdqnAgent, DdqnConfig, Transition};
 use serde_json::{json, Value};
 use std::io;
@@ -56,35 +57,34 @@ fn warm_agent(seed: u64) -> DdqnAgent {
     agent
 }
 
-/// Time `rounds x steps` train steps through `step`, returning
-/// (best-round steps/sec, total loss, allocations across all rounds).
+/// Time `steps` train steps through `step`, returning steps/sec and adding
+/// the losses to `loss_acc`.
 fn time_training(
     agent: &mut DdqnAgent,
-    rounds: usize,
     steps: usize,
     step: fn(&mut DdqnAgent) -> Option<f32>,
-) -> (f64, f64, Option<u64>) {
-    let mut best = 0f64;
-    let mut loss_acc = 0f64;
-    let a0 = crate::perf::alloc_counts();
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..steps {
-            loss_acc += step(agent).expect("replay stays warm") as f64;
-        }
-        let wall = start.elapsed().as_secs_f64();
-        best = best.max(steps as f64 / wall.max(1e-9));
+    loss_acc: &mut f64,
+) -> f64 {
+    let start = Instant::now();
+    for _ in 0..steps {
+        *loss_acc += step(agent).expect("replay stays warm") as f64;
     }
-    let allocs = match (a0, crate::perf::alloc_counts()) {
-        (Some((a0, _)), Some((a1, _))) => Some(a1 - a0),
-        _ => None,
+    steps as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Allocations the registered probe counts while `f` runs; 0 without one.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = crate::perf::alloc_counts();
+    let out = f();
+    let allocs = match (before, crate::perf::alloc_counts()) {
+        (Some((a0, _)), Some((a1, _))) => a1 - a0,
+        _ => 0,
     };
-    (best, loss_acc, allocs)
+    (out, allocs)
 }
 
 /// Steady-state training throughput, batched vs scalar reference.
 fn train_throughput(scale: Scale) -> Value {
-    let rounds = 3;
     let steps = scale.pick(2000, 400);
 
     let mut batched = warm_agent(7);
@@ -95,19 +95,38 @@ fn train_throughput(scale: Scale) -> Value {
         batched.train_step();
         scalar.train_step_scalar();
     }
-    let (batched_sps, bl, batched_allocs) =
-        time_training(&mut batched, rounds, steps, DdqnAgent::train_step);
-    let (scalar_sps, sl, scalar_allocs) =
-        time_training(&mut scalar, rounds, steps, DdqnAgent::train_step_scalar);
+    let (mut bl, mut sl) = (0f64, 0f64);
+    let (mut batched_allocs, mut scalar_allocs) = (0u64, 0u64);
+    let PairedRatio {
+        a: batched_sps,
+        b: scalar_sps,
+        ratio: speedup,
+    } = paired_ratio(
+        || {
+            let (sps, allocs) = allocs_during(|| {
+                time_training(&mut batched, steps, DdqnAgent::train_step, &mut bl)
+            });
+            batched_allocs += allocs;
+            sps
+        },
+        || {
+            let (sps, allocs) = allocs_during(|| {
+                time_training(&mut scalar, steps, DdqnAgent::train_step_scalar, &mut sl)
+            });
+            scalar_allocs += allocs;
+            sps
+        },
+    );
 
     // Both agents consumed identical RNG/replay streams: the contract says
     // the resulting models (and every loss along the way) are bit-equal.
     let bit_identical = bl == sl
         && serde_json::to_string(&batched.export_model()).unwrap()
             == serde_json::to_string(&scalar.export_model()).unwrap();
-    let speedup = batched_sps / scalar_sps.max(1e-9);
-    let total_steps = (rounds * steps) as u64;
-    let allocs_per_step = batched_allocs.map(|a| a as f64 / total_steps as f64);
+    let total_steps = (RATIO_ROUNDS * steps) as u64;
+    let probed = crate::perf::alloc_counts().is_some();
+    let per_step = |allocs: u64| probed.then(|| allocs as f64 / total_steps as f64);
+    let allocs_per_step = per_step(batched_allocs);
     println!(
         "{:<18} {:>12.0} steps/s (batched) {:>12.0} steps/s (scalar)  speedup {:.2}x  allocs/step {}",
         "train-throughput",
@@ -126,7 +145,7 @@ fn train_throughput(scale: Scale) -> Value {
         "scalar_steps_per_sec": scalar_sps,
         "speedup": speedup,
         "allocs_per_step": allocs_per_step,
-        "scalar_allocs_per_step": scalar_allocs.map(|a| a as f64 / total_steps as f64),
+        "scalar_allocs_per_step": per_step(scalar_allocs),
         "bit_identical": bit_identical,
     })
 }
@@ -134,7 +153,6 @@ fn train_throughput(scale: Scale) -> Value {
 /// Per-tick decision throughput: 64 queue states per tick, batched single
 /// forward pass vs a scalar `select_action` per queue.
 fn inference_tick(scale: Scale) -> Value {
-    let rounds = 3;
     let ticks = scale.pick(2000, 400);
     let mut batched = warm_agent(11);
     let mut scalar = warm_agent(11);
@@ -160,40 +178,43 @@ fn inference_tick(scale: Scale) -> Value {
 
     let mut decisions: Vec<(usize, f64)> = Vec::new();
     batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions); // shape once
-    let mut best_batched = 0f64;
-    let mut best_scalar = 0f64;
-    let mut sink = 0usize;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..ticks {
-            batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
-            sink ^= decisions[0].0;
-        }
-        let wall = start.elapsed().as_secs_f64();
-        best_batched = best_batched.max((ticks * QUEUES_PER_TICK) as f64 / wall.max(1e-9));
-
-        let start = Instant::now();
-        for _ in 0..ticks {
-            for q in 0..QUEUES_PER_TICK {
-                sink ^= scalar.select_action(&states[q * STATE_DIM..(q + 1) * STATE_DIM]);
+    let sink = std::cell::Cell::new(0usize);
+    let PairedRatio {
+        a: batched_dps,
+        b: scalar_dps,
+        ratio: speedup,
+    } = paired_ratio(
+        || {
+            let start = Instant::now();
+            for _ in 0..ticks {
+                batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
+                sink.set(sink.get() ^ decisions[0].0);
             }
-        }
-        let wall = start.elapsed().as_secs_f64();
-        best_scalar = best_scalar.max((ticks * QUEUES_PER_TICK) as f64 / wall.max(1e-9));
-    }
+            (ticks * QUEUES_PER_TICK) as f64 / start.elapsed().as_secs_f64().max(1e-9)
+        },
+        || {
+            let start = Instant::now();
+            for _ in 0..ticks {
+                for q in 0..QUEUES_PER_TICK {
+                    let a = scalar.select_action(&states[q * STATE_DIM..(q + 1) * STATE_DIM]);
+                    sink.set(sink.get() ^ a);
+                }
+            }
+            (ticks * QUEUES_PER_TICK) as f64 / start.elapsed().as_secs_f64().max(1e-9)
+        },
+    );
     // Defeat dead-code elimination without perturbing timing.
-    assert!(sink < usize::MAX);
-    let speedup = best_batched / best_scalar.max(1e-9);
+    assert!(sink.get() < usize::MAX);
     println!(
         "{:<18} {:>12.0} dec/s   (batched) {:>12.0} dec/s   (scalar)  speedup {speedup:.2}x",
-        "inference-tick", best_batched, best_scalar,
+        "inference-tick", batched_dps, scalar_dps,
     );
     json!({
         "name": "inference-tick",
         "queues_per_tick": QUEUES_PER_TICK,
-        "ticks": (rounds * ticks) as u64,
-        "batched_decisions_per_sec": best_batched,
-        "scalar_decisions_per_sec": best_scalar,
+        "ticks": (RATIO_ROUNDS * ticks) as u64,
+        "batched_decisions_per_sec": batched_dps,
+        "scalar_decisions_per_sec": scalar_dps,
         "speedup": speedup,
         "bit_identical": bit_identical,
     })

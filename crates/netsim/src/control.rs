@@ -190,7 +190,7 @@ impl SwitchView<'_> {
     pub fn set_ecn(&mut self, port: PortId, prio: Prio, cfg: Option<EcnConfig>) {
         match &mut self.backend {
             ViewBackend::Packet(core) => core.queue_mut(self.node, port, prio).ecn = cfg,
-            ViewBackend::Flow { links, .. } => links[port.idx()].ecn = cfg,
+            ViewBackend::Flow { links, .. } => links[port.idx()].set_ecn(cfg),
         }
     }
 

@@ -10,6 +10,19 @@
 //! there, this equals max-min fairness; when some flows are throttled
 //! elsewhere the link under-uses its capacity rather than redistributing the
 //! slack, which is the conservative direction for queue modeling.
+//!
+//! # What is cached
+//!
+//! A link's offer, its effective capacity, its equilibrium queue and that
+//! queue's mark probability are pure in [`LinkInputs`] — `(capacity_bps,
+//! ecn, n_active)` — and a rebalance reads the offer once per flow scan per
+//! hop, millions of times between changes of those inputs. So [`LinkModel`]
+//! stores the four values and recomputes them, through the pure functions
+//! below, at the three places an input changes: `LinkModel::join` (the
+//! engine's `list_push`), `LinkModel::leave` (`list_remove`) and
+//! `LinkModel::set_ecn` (`SwitchView::set_ecn` on the flow backend). The
+//! inputs are private to this module and read through `Deref`, so no other
+//! writer can exist; `share()` re-derives its value under `debug_assert`.
 
 use crate::ids::{NodeId, PortId};
 use crate::queues::{EcnConfig, QueueTelemetry};
@@ -73,6 +86,47 @@ pub fn share_bps(capacity_bps: u64, ecn: Option<&EcnConfig>, n_active: u32) -> f
     eff_capacity_bps(capacity_bps, ecn, n_active) / n
 }
 
+/// What a link's offer is a pure function of. [`LinkModel`] dereferences to
+/// it, so these read as the link's own fields; only `LinkModel::join`,
+/// `LinkModel::leave` and `LinkModel::set_ecn` write them.
+#[derive(Debug, Clone)]
+pub struct LinkInputs {
+    /// Raw serialization capacity, bits per second.
+    pub capacity_bps: u64,
+    /// RED/ECN marking config; `None` on host-egress links (hosts pace,
+    /// they don't mark) and in [`super::Fidelity::Flow`] mode.
+    pub ecn: Option<EcnConfig>,
+    /// Number of flows currently active on the link.
+    pub n_active: u32,
+}
+
+/// The values cached per link, each equal to its pure function of the
+/// link's [`LinkInputs`].
+#[derive(Debug, Clone, Copy)]
+struct Offer {
+    /// [`share_bps`].
+    share_bps: f64,
+    /// [`eff_capacity_bps`].
+    eff_bps: f64,
+    /// [`qstar_bytes`]; 0 without an ECN config.
+    qstar_bytes: u64,
+    /// The ECN config's mark probability at `qstar_bytes`; 0 without one.
+    p_star: f64,
+}
+
+impl Offer {
+    fn of(inputs: &LinkInputs) -> Offer {
+        let (cap, ecn, n) = (inputs.capacity_bps, inputs.ecn.as_ref(), inputs.n_active);
+        let qstar = ecn.map_or(0, |cfg| qstar_bytes(cfg, n));
+        Offer {
+            share_bps: share_bps(cap, ecn, n),
+            eff_bps: eff_capacity_bps(cap, ecn, n),
+            qstar_bytes: qstar,
+            p_star: ecn.map_or(0.0, |cfg| cfg.mark_probability(qstar)),
+        }
+    }
+}
+
 /// One directed link's analytic state: capacity, ECN config, the intrusive
 /// active-flow list head, and lazily-advanced telemetry.
 ///
@@ -83,13 +137,11 @@ pub fn share_bps(capacity_bps: u64, ecn: Option<&EcnConfig>, n_active: u32) -> f
 /// the current aggregate rate and modeled queue depth.
 #[derive(Debug, Clone)]
 pub struct LinkModel {
-    /// Raw serialization capacity, bits per second.
-    pub capacity_bps: u64,
+    inputs: LinkInputs,
+    /// Always `Offer::of(&inputs)`.
+    offer: Offer,
     /// Propagation delay of the link.
     pub delay: SimTime,
-    /// RED/ECN marking config; `None` on host-egress links (hosts pace,
-    /// they don't mark) and in [`super::Fidelity::Flow`] mode.
-    pub ecn: Option<EcnConfig>,
     /// Node the link leaves from.
     pub from_node: NodeId,
     /// Egress port on `from_node`.
@@ -97,8 +149,6 @@ pub struct LinkModel {
     /// Head of the intrusive active-flow list (packed flow/hop ref), or
     /// [`super::engine::NIL`].
     pub(crate) head: u32,
-    /// Number of flows currently active on the link.
-    pub n_active: u32,
     /// Sum of the rates currently granted to flows on this link, bps.
     /// Maintained incrementally; drives throughput telemetry.
     pub sum_rate_bps: f64,
@@ -116,6 +166,14 @@ pub struct LinkModel {
     tx_marked_pkts_frac: f64,
 }
 
+impl std::ops::Deref for LinkModel {
+    type Target = LinkInputs;
+
+    fn deref(&self) -> &LinkInputs {
+        &self.inputs
+    }
+}
+
 impl LinkModel {
     /// A fresh link model with idle telemetry.
     pub fn new(
@@ -125,14 +183,18 @@ impl LinkModel {
         from_node: NodeId,
         from_port: PortId,
     ) -> Self {
-        LinkModel {
+        let inputs = LinkInputs {
             capacity_bps,
-            delay,
             ecn,
+            n_active: 0,
+        };
+        LinkModel {
+            offer: Offer::of(&inputs),
+            inputs,
+            delay,
             from_node,
             from_port,
             head: u32::MAX,
-            n_active: 0,
             sum_rate_bps: 0.0,
             telem: QueueTelemetry::default(),
             last_advance: SimTime::ZERO,
@@ -143,28 +205,47 @@ impl LinkModel {
         }
     }
 
-    /// The rate this link would offer one more flow, bps.
-    pub fn share_for_new_flow(&self) -> f64 {
-        share_bps(self.capacity_bps, self.ecn.as_ref(), self.n_active + 1)
+    /// One more flow is active on the link.
+    pub(crate) fn join(&mut self) {
+        self.inputs.n_active += 1;
+        self.offer = Offer::of(&self.inputs);
+    }
+
+    /// One active flow left the link.
+    pub(crate) fn leave(&mut self) {
+        self.inputs.n_active -= 1;
+        self.offer = Offer::of(&self.inputs);
+    }
+
+    /// Replace the marking config.
+    pub(crate) fn set_ecn(&mut self, ecn: Option<EcnConfig>) {
+        self.inputs.ecn = ecn;
+        self.offer = Offer::of(&self.inputs);
     }
 
     /// The rate this link offers each current flow, bps.
+    #[inline]
     pub fn share(&self) -> f64 {
-        share_bps(self.capacity_bps, self.ecn.as_ref(), self.n_active)
+        debug_assert_eq!(
+            self.offer.share_bps.to_bits(),
+            share_bps(self.capacity_bps, self.ecn.as_ref(), self.n_active).to_bits(),
+            "cached share is stale"
+        );
+        self.offer.share_bps
     }
 
-    /// Modeled instantaneous queue depth in bytes: the equilibrium queue
-    /// when the link is both shared (`n >= 2`) and actually saturated
-    /// (granted rates within 5% of effective capacity — flows all
-    /// bottlenecked elsewhere leave the queue empty), else zero.
+    /// Granted rates within 5% of effective capacity. Flows all
+    /// bottlenecked elsewhere leave the queue empty.
+    fn saturated(&self) -> bool {
+        self.sum_rate_bps >= 0.95 * self.offer.eff_bps
+    }
+
+    /// Modeled instantaneous queue depth in bytes: the equilibrium queue —
+    /// itself zero unless the link marks and is shared (`n >= 2`) — when
+    /// the link is saturated, else zero.
     pub fn qlen_bytes(&self) -> u64 {
-        let Some(cfg) = &self.ecn else { return 0 };
-        if self.n_active < 2 {
-            return 0;
-        }
-        let eff = eff_capacity_bps(self.capacity_bps, self.ecn.as_ref(), self.n_active);
-        if self.sum_rate_bps >= 0.95 * eff {
-            qstar_bytes(cfg, self.n_active)
+        if self.saturated() {
+            self.offer.qstar_bytes
         } else {
             0
         }
@@ -173,9 +254,10 @@ impl LinkModel {
     /// Current equilibrium mark probability (0 when the queue model is
     /// empty or the link has no ECN config).
     pub fn mark_probability(&self) -> f64 {
-        match &self.ecn {
-            Some(cfg) => cfg.mark_probability(self.qlen_bytes()),
-            None => 0.0,
+        if self.saturated() {
+            self.offer.p_star
+        } else {
+            self.ecn.map_or(0.0, |cfg| cfg.mark_probability(0))
         }
     }
 
@@ -262,7 +344,8 @@ mod tests {
             NodeId(0),
             PortId(0),
         );
-        l.n_active = 2;
+        l.join();
+        l.join();
         l.sum_rate_bps = 25_000_000_000.0;
         l.advance(SimTime::from_us(100));
         // 25 Gbps for 100 us = 312_500 bytes.
@@ -284,7 +367,7 @@ mod tests {
             NodeId(0),
             PortId(0),
         );
-        l.n_active = 1;
+        l.join();
         l.sum_rate_bps = 25_000_000_000.0;
         l.advance(SimTime::from_ms(1));
         assert_eq!(l.telem.tx_marked_bytes, 0);
@@ -296,6 +379,45 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            /// After any sequence of joins, leaves and ECN rewrites the
+            /// cached offer equals the pure functions of the link's inputs
+            /// bit for bit, and so do the queue depth and mark probability
+            /// read through it, saturated or not.
+            #[test]
+            fn cached_offer_equals_pure_functions(
+                cap in 1_000_000u64..400_000_000_000,
+                marks_at_start in any::<bool>(),
+                // (op, kmin, span, pmax, granted fraction of capacity)
+                ops in prop::collection::vec(
+                    (0u8..4, 0u64..100_000, 0u64..500_000, 0.0f64..=1.0, 0.0f64..1.2),
+                    1..64,
+                ),
+            ) {
+                let start = marks_at_start.then(EcnConfig::dcqcn_paper);
+                let mut l = LinkModel::new(cap, SimTime::from_ns(500), start, NodeId(0), PortId(0));
+                for (op, kmin, span, pmax, granted) in ops {
+                    match op {
+                        0 | 1 => l.join(),
+                        2 if l.n_active > 0 => l.leave(),
+                        2 => l.set_ecn(None),
+                        _ => l.set_ecn(Some(EcnConfig::new(kmin, kmin + span, pmax))),
+                    }
+                    l.sum_rate_bps = granted * cap as f64;
+
+                    let (ecn, n) = (l.ecn, l.n_active);
+                    let eff = eff_capacity_bps(cap, ecn.as_ref(), n);
+                    let qlen = match &ecn {
+                        Some(cfg) if n >= 2 && l.sum_rate_bps >= 0.95 * eff => qstar_bytes(cfg, n),
+                        _ => 0,
+                    };
+                    let p_mark = ecn.map_or(0.0, |cfg| cfg.mark_probability(qlen));
+                    prop_assert_eq!(l.share().to_bits(), share_bps(cap, ecn.as_ref(), n).to_bits());
+                    prop_assert_eq!(l.offer.eff_bps.to_bits(), eff.to_bits());
+                    prop_assert_eq!(l.qlen_bytes(), qlen);
+                    prop_assert_eq!(l.mark_probability().to_bits(), p_mark.to_bits());
+                }
+            }
+
             /// Shares are non-negative and per link the sum of granted
             /// min-share rates never exceeds raw capacity: each of the
             /// `n` flows is granted at most this link's offer

@@ -707,7 +707,7 @@ impl FlowSim {
             self.flows[hfi].prev[hhop] = r;
         }
         self.links[li].head = r;
-        self.links[li].n_active += 1;
+        self.links[li].join();
     }
 
     fn list_remove(&mut self, li: usize, fi: usize, hop: usize) {
@@ -725,7 +725,7 @@ impl FlowSim {
         }
         self.flows[fi].next[hop] = NIL;
         self.flows[fi].prev[hop] = NIL;
-        self.links[li].n_active -= 1;
+        self.links[li].leave();
     }
 }
 
@@ -898,6 +898,21 @@ mod tests {
             assert_eq!(sim.links()[li].n_active, 0);
             assert!(sim.flow_rates_on_link(li).is_empty());
         }
+    }
+
+    #[test]
+    fn flow_addressed_to_a_switch_is_unrouted() {
+        let topo = single_switch(4);
+        let (hosts, sw) = (topo.hosts().to_vec(), topo.switches()[0]);
+        let mut sim = FlowSim::new(topo, FlowSimConfig::default());
+        sim.schedule_flows(&[
+            spec(hosts[0].0, sw.0, 1_000, SimTime::ZERO),
+            spec(hosts[0].0, hosts[1].0, 1_000, SimTime::ZERO),
+        ]);
+        sim.run_until(SimTime::from_ms(1));
+        let stats = sim.stats();
+        assert_eq!(stats.unrouted_flows, 1);
+        assert_eq!((stats.flows_started, stats.flows_completed), (1, 1));
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub mod bottleneck;
 pub mod engine;
 mod timers;
 
-pub use bottleneck::{eff_capacity_bps, qstar_bytes, share_bps, LinkModel};
+pub use bottleneck::{eff_capacity_bps, qstar_bytes, share_bps, LinkInputs, LinkModel};
 pub use engine::{EcnTuner, Fidelity, FlowDone, FlowSim, FlowSimConfig, FlowSimStats, FlowSpec};

@@ -238,3 +238,20 @@ fn total_partition_counts_unroutable_and_recovers_on_restore() {
         "delivery must resume after restoration"
     );
 }
+
+/// A packet addressed to a switch has no route: the first switch counts it
+/// as unroutable instead of panicking in the route lookup.
+#[test]
+fn packet_addressed_to_a_switch_is_an_unroutable_drop() {
+    let topo = TopologySpec::paper_testbed().build();
+    let mut cfg = SimConfig::default();
+    cfg.control_interval = None;
+    let mut sim = Simulator::new(topo, cfg);
+    let src = sim.core().topo.hosts()[0];
+    let spine = sim.core().topo.switches()[4];
+    sim.set_driver(src, Box::new(Blaster { dst: spine, n: 3 }));
+    sim.with_driver(src, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
+    sim.run_until(SimTime::from_ms(1));
+    assert_eq!(sim.core().unroutable_drops, 3);
+    assert_eq!(sim.core().total_drops, 3);
+}

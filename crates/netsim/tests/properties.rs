@@ -2,12 +2,203 @@
 
 use netsim::buffer::SharedBuffer;
 use netsim::event::{Event, EventQueue, HeapEventQueue};
-use netsim::ids::{FlowId, NodeId};
+use netsim::ids::{FlowId, NodeId, PortId};
 use netsim::queues::{Dwrr, EcnConfig};
 use netsim::routing::RouteTable;
 use netsim::time::{tx_time, SimTime};
-use netsim::topology::TopologySpec;
+use netsim::topology::{PortInfo, Topology, TopologyBuilder, TopologySpec};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::VecDeque;
+
+/// Counts this thread's heap allocations, so a test can assert that a call
+/// made none while the other tests of this binary run on their own threads.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also serves threads that are shutting down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; the counter is a plain
+// thread-local `Cell` with no destructor and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The reference the route table is checked against: one BFS per
+/// destination host, one candidate list per (node, host rank).
+fn all_pairs_candidates(
+    topo: &Topology,
+    is_up: impl Fn(NodeId, PortId) -> bool,
+) -> Vec<Vec<Vec<PortId>>> {
+    let n = topo.nodes.len();
+    let hosts = topo.hosts();
+    let mut next_hops = vec![vec![Vec::new(); hosts.len()]; n];
+    for (rank, &dst) in hosts.iter().enumerate() {
+        let mut dist = vec![u32::MAX; n];
+        dist[dst.idx()] = 0;
+        let mut bfs = VecDeque::from([dst]);
+        while let Some(u) = bfs.pop_front() {
+            for p in topo.node(u).ports.iter() {
+                // Towards the destination the usable direction is peer -> u.
+                if is_up(p.peer_node, p.peer_port) && dist[p.peer_node.idx()] == u32::MAX {
+                    dist[p.peer_node.idx()] = dist[u.idx()] + 1;
+                    bfs.push_back(p.peer_node);
+                }
+            }
+        }
+        for node in 0..n {
+            if node == dst.idx() || dist[node] == u32::MAX {
+                continue;
+            }
+            for (i, p) in topo.nodes[node].ports.iter().enumerate() {
+                if dist[p.peer_node.idx()] == dist[node] - 1
+                    && is_up(NodeId(node as u32), PortId(i as u16))
+                {
+                    next_hops[node][rank].push(PortId(i as u16));
+                }
+            }
+        }
+    }
+    next_hops
+}
+
+/// `TopologyBuilder::link` on a finished topology, for the shapes
+/// `TopologyBuilder::build` refuses.
+fn add_link(topo: &mut Topology, a: NodeId, b: NodeId) {
+    let pa = PortId(topo.nodes[a.idx()].ports.len() as u16);
+    let pb = PortId(topo.nodes[b.idx()].ports.len() as u16);
+    for (from, to, to_port) in [(a, b, pb), (b, a, pa)] {
+        topo.nodes[from.idx()].ports.push(PortInfo {
+            peer_node: to,
+            peer_port: to_port,
+            rate_bps: 25_000_000_000,
+            delay: SimTime::from_ns(500),
+        });
+    }
+}
+
+/// A triangle of switches carrying what the presets never have: a
+/// dual-homed host (a transit node when the switch link beside it fails), a
+/// pair of hosts cabled to each other and to nothing else, and a host with
+/// no port at all.
+fn irregular_topology() -> Topology {
+    let (bps, delay) = (25_000_000_000, SimTime::from_ns(500));
+    let mut b = TopologyBuilder::new();
+    let sw: Vec<NodeId> = (0..3).map(|i| b.add_switch(format!("s{i}"))).collect();
+    for (i, &s) in sw.iter().enumerate() {
+        b.link(s, sw[(i + 1) % 3], bps, delay);
+        for h in 0..2 {
+            let host = b.add_host(format!("h{i}{h}"));
+            b.link(host, s, bps, delay);
+        }
+    }
+    let dual = b.add_host("dual");
+    b.link(dual, sw[0], bps, delay);
+    let (p, q) = (b.add_host("p"), b.add_host("q"));
+    b.link(p, q, bps, delay);
+    let isolated = b.add_host("isolated");
+    b.link(isolated, sw[2], bps, delay);
+    let mut topo = b.build();
+    add_link(&mut topo, dual, sw[1]);
+    // The isolated host's cable was the last one plugged into s2, so
+    // unplugging it renumbers nothing.
+    topo.nodes[isolated.idx()].ports.clear();
+    topo.nodes[sw[2].idx()].ports.pop();
+    topo
+}
+
+fn small_topology() -> impl Strategy<Value = Topology> {
+    let (host_bps, fabric_bps) = (25_000_000_000, 100_000_000_000);
+    let (host_delay, fabric_delay) = (SimTime::from_ns(500), SimTime::from_ns(500));
+    prop_oneof![
+        (1usize..6).prop_map(move |n| TopologySpec::single_switch(n, host_bps, host_delay).build()),
+        (1usize..5, 1usize..4, 1usize..4).prop_map(move |(n_leaf, n_spine, hosts_per_leaf)| {
+            TopologySpec::LeafSpine {
+                n_leaf,
+                n_spine,
+                hosts_per_leaf,
+                host_bps,
+                fabric_bps,
+                host_delay,
+                fabric_delay,
+            }
+            .build()
+        }),
+        (1usize..4, 1usize..3, 1usize..3, 1usize..3, 1usize..3).prop_map(
+            move |(n_pods, tors_per_pod, aggs_per_pod, n_cores, hosts_per_tor)| {
+                TopologySpec::ThreeTierClos {
+                    n_pods,
+                    tors_per_pod,
+                    aggs_per_pod,
+                    n_cores,
+                    hosts_per_tor,
+                    host_bps,
+                    fabric_bps,
+                    host_delay,
+                    fabric_delay,
+                }
+                .build()
+            }
+        ),
+        Just(()).prop_map(|_| irregular_topology()),
+    ]
+}
+
+/// `is_up[node][port]` with the picked port directions down; `picks` index
+/// the flattened port list modulo its length.
+fn link_state(topo: &Topology, picks: &[usize]) -> Vec<Vec<bool>> {
+    let mut up: Vec<Vec<bool>> = topo
+        .nodes
+        .iter()
+        .map(|n| vec![true; n.ports.len()])
+        .collect();
+    let flat: Vec<(usize, usize)> = (0..up.len())
+        .flat_map(|n| (0..up[n].len()).map(move |p| (n, p)))
+        .collect();
+    for &k in picks {
+        let (n, p) = flat[k % flat.len()];
+        up[n][p] = false;
+    }
+    up
+}
+
+fn assert_matches_reference(table: &RouteTable, topo: &Topology, up: &[Vec<bool>]) {
+    let reference = all_pairs_candidates(topo, |n, p| up[n.idx()][p.idx()]);
+    for (node, per_host) in reference.iter().enumerate() {
+        for (want, &dst) in per_host.iter().zip(topo.hosts()) {
+            assert_eq!(
+                table.candidates(NodeId(node as u32), dst),
+                &want[..],
+                "node {node} -> host {dst}"
+            );
+        }
+    }
+}
 
 proptest! {
     /// The event queue pops events in nondecreasing time order, and events
@@ -283,6 +474,33 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The route table stores one column per attachment node; one BFS per
+    /// host is what it must still answer like. Every (node, host) pair gets
+    /// the same candidate ports in the same order under any set of downed
+    /// port directions, from a fresh build and from a rebuild of the same
+    /// table under another set — and that rebuild allocates nothing.
+    #[test]
+    fn route_table_matches_all_pairs_reference(
+        topo in small_topology(),
+        down_a in prop::collection::vec(any::<usize>(), 0..12),
+        down_b in prop::collection::vec(any::<usize>(), 0..12),
+    ) {
+        let up_a = link_state(&topo, &down_a);
+        let mut table = RouteTable::build_filtered(&topo, |n, p| up_a[n.idx()][p.idx()]);
+        assert_matches_reference(&table, &topo, &up_a);
+
+        let up_b = link_state(&topo, &down_b);
+        let before = ALLOCS.with(Cell::get);
+        table.rebuild_filtered(&topo, |n, p| up_b[n.idx()][p.idx()]);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        prop_assert_eq!(allocs, 0, "rebuild_filtered allocated");
+        assert_matches_reference(&table, &topo, &up_b);
     }
 }
 
