@@ -43,7 +43,9 @@ use workloads::SizeDist;
 /// hardware, not the engine), and the `xl-flows` family
 /// ([`crate::perf_flow`]) writes flow-level rows (`flows_total`,
 /// `flows_per_sec`, `fast_path_flows`) plus a packet-vs-hybrid `accuracy`
-/// block under this same schema tag.
+/// block under this same schema tag. Sharded rows also carry `wait_share`,
+/// `worst_neighbour`, `shard_wait_s` and `shard_slices` beside `stalls`
+/// (wait rounds); additive, so the tag stays.
 pub const SCHEMA: &str = "acc-bench-perf/v4";
 
 /// Fraction of the horizon burned as warmup before measurement starts (the
@@ -371,8 +373,9 @@ fn xl_clos_sharded(scale: Scale, n_shards: u32) -> Value {
         eprintln!("[perf] note: {n}");
         n
     });
+    let worst = report.worst_neighbour();
     println!(
-        "{:<18} {:>10} events {:>7.2}s wall {:>12.0} ev/s  peak q {:>7}  allocs/ev {}  stalls {}",
+        "{:<18} {:>10} events {:>7.2}s wall {:>12.0} ev/s  peak q {:>7}  allocs/ev {}  stalls {}  wait {:.0}%{}",
         name,
         steady_events,
         steady_wall,
@@ -382,6 +385,10 @@ fn xl_clos_sharded(scale: Scale, n_shards: u32) -> Value {
             .map(|a| format!("{a:.3}"))
             .unwrap_or_else(|| "n/a".into()),
         report.stalls(),
+        100.0 * report.wait_share(),
+        worst
+            .map(|(p, share)| format!(" ({:.0}% on shard {p})", 100.0 * share))
+            .unwrap_or_default(),
     );
     json!({
         "name": name,
@@ -400,9 +407,13 @@ fn xl_clos_sharded(scale: Scale, n_shards: u32) -> Value {
         "allocations_per_event": allocs_per_event,
         "alloc_bytes_per_event": bytes_per_event,
         "stalls": report.stalls(),
+        "wait_share": report.wait_share(),
+        "worst_neighbour": worst.map(|(p, _)| p),
         "remote_events": report.remote_events(),
         "shard_events": report.shard_stats.iter().map(|s| s.events_processed).collect::<Vec<_>>(),
         "shard_wall_s": report.shard_stats.iter().map(|s| s.wall_s).collect::<Vec<_>>(),
+        "shard_wait_s": report.shard_stats.iter().map(|s| s.wait_s).collect::<Vec<_>>(),
+        "shard_slices": report.shard_stats.iter().map(|s| s.slices).collect::<Vec<_>>(),
     })
 }
 

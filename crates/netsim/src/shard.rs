@@ -13,10 +13,12 @@
 //! ever send cross-shard from now on carries a timestamp `>= clock +
 //! lookahead`, where the lookahead `L` is the minimum propagation delay over
 //! all cross-shard links (packets cannot cross a link faster than the link's
-//! delay). A worker iteration is:
+//! delay). A worker iteration — one **slice** — is:
 //!
 //! 1. snapshot every peer's published clock (`Acquire`),
-//! 2. compute `bound = min(min_peer_clock + L, end + 1)`,
+//! 2. compute `bound = min(min_peer_clock + L, own_clock + L, end + 1)`
+//!    (`slice_bound`); if that is the clock already published, wait (below)
+//!    and snapshot again,
 //! 3. drain the inbound mailboxes into the local event queue,
 //! 4. process every local event with `time < bound`,
 //! 5. flush outbound mailboxes, **then** publish `clock = bound` (`Release`).
@@ -26,7 +28,50 @@
 //! `C`, every message that peer sent with a timestamp below `C + L` is
 //! already visible in the mailbox, so processing strictly below `bound` can
 //! never violate causality. Published clocks double as the termination
-//! signal: a shard exits its run loop once its bound reaches `end + 1`.
+//! signal: a shard leaves a phase once its clock reaches `end + 1`.
+//!
+//! ### Why a slice is capped at one lookahead
+//!
+//! `min_peer_clock + L` alone is safe, and it serialises the shards. A clock
+//! moves only at the end of a slice, so once shard A is one window ahead the
+//! pair leapfrogs. Say A has published `L` and B `2L`:
+//!
+//! * A's bound is `2L + L = 3L`. It runs `[L, 3L)`, and all that time its
+//!   published clock still reads `L`.
+//! * B's bound is `L + L = 2L`, which B has already published: B waits.
+//! * A publishes `3L`. Now B runs `[2L, 4L)` with its clock at `2L`, so A's
+//!   bound is `3L`, already published: A waits.
+//!
+//! Every slice is `2L` long and exactly one shard runs at a time; the wall
+//! time is the *sum* of the shards' work. With the `own_clock + L` term A
+//! stops at `2L` and publishes it, and then both shards hold `2L` and both
+//! run `[2L, 3L)`. In general a shard that is ahead never computes further
+//! than one lookahead past what its peers have been told, equal clocks give
+//! every shard a non-empty window, no clock is ever more than `L` behind
+//! another, and what is left of the waiting is the difference in load between
+//! the shards inside one window. [`ShardStats::max_slice`] records the
+//! longest slice, and the tests pin it to `L`.
+//!
+//! ### Waiting
+//!
+//! A shard whose bound equals its own clock has processed everything below
+//! it, and since peers flush before they publish, nothing new can become
+//! processable until a peer's clock moves. So it waits on the clocks alone —
+//! no mailbox is touched — with `SPIN_ROUNDS` `spin_loop` hints and then
+//! `yield_now`, which lets more shards than cores make progress. Each round
+//! is one [`ShardStats::stalls`] and is charged to the peer holding the
+//! minimum clock ([`ShardStats::blocked_on`]); the time goes to
+//! [`ShardStats::wait_s`]. Outside the wait path an empty mailbox costs one
+//! atomic load (`Mailbox::pending`), not a lock.
+//!
+//! ### Poisoning
+//!
+//! A worker that panics (in `build`, in a driver, in `assert_shard`) would
+//! never advance its clock nor reach the phase barrier, and its peers would
+//! wait for both forever. Every thread of a run therefore executes inside
+//! `Gate::guard`: the first panic's payload is kept and a poison flag
+//! raised; the wait path and the barrier check the flag and return, and
+//! [`run_sharded_phased`] re-raises the payload once all threads are joined.
 //!
 //! ## Determinism contract
 //!
@@ -57,8 +102,11 @@ use crate::ids::NodeId;
 use crate::sim::Simulator;
 use crate::time::SimTime;
 use crate::topology::Topology;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 /// Event classes occupying the top two bits of a canonical event key.
 /// Faults sort before packet events at equal timestamps (they reconfigure
@@ -233,9 +281,10 @@ pub struct ShardStats {
     pub shard: u32,
     /// Events processed by this shard's event loop.
     pub events_processed: u64,
-    /// Iterations of the synchronization loop that made no progress
-    /// (no events processed, no messages received, bound unchanged) —
-    /// the lookahead stall counter.
+    /// Wait rounds: how often this shard, with nothing processable below
+    /// its bound, re-read the peer clocks and found them unmoved. Most
+    /// rounds are a `spin_loop` hint, the rest a `yield_now`; the sum of
+    /// [`ShardStats::blocked_on`].
     pub stalls: u64,
     /// Cross-shard events this shard sent.
     pub remote_sent: u64,
@@ -247,6 +296,173 @@ pub struct ShardStats {
     /// `phase_events[i]` is the cumulative count when phase `i` ended. One
     /// entry per phase; a plain [`run_sharded`] call has exactly one.
     pub phase_events: Vec<u64>,
+    /// Slices (loop iterations) that processed at least one event.
+    pub slices: u64,
+    /// The longest such slice in simulated time, `bound - clock` when it
+    /// started. Never above the plan's lookahead: that cap is what lets
+    /// the shards overlap (see the module docs).
+    pub max_slice: SimTime,
+    /// Wall-clock seconds of [`ShardStats::wall_s`] spent in the wait path.
+    pub wait_s: f64,
+    /// Wait rounds charged to the peer that held the minimum clock, indexed
+    /// by shard (this shard's own entry stays 0).
+    pub blocked_on: Vec<u64>,
+}
+
+/// Wait rounds a stalled worker spends on `spin_loop` hints (about 2 us in
+/// all) before it starts yielding its core: long enough to catch a peer that
+/// is about to publish without a syscall, short enough to cost nothing when
+/// more shards than cores time-slice and the peer cannot be running. Chosen
+/// by measurement on a 2-core host among 0 / 32 / 256 / 4096: two shards do
+/// not tell them apart, four shards lose 8 % at 256 and half at 4096
+/// (EXPERIMENTS.md, "Sharded execution").
+const SPIN_ROUNDS: u32 = 32;
+
+/// The slice policy: how far a shard whose published clock is `published`
+/// may run when the slowest peer has published `min_peer`.
+///
+/// `min_peer + lookahead` is the conservative limit (nothing below it can
+/// still arrive); `published + lookahead` keeps a slice from extending more
+/// than one lookahead past what the peers have been told, so a shard that is
+/// ahead publishes in time for them to follow; `bound_max` is the phase end.
+/// The final `max` keeps the bound monotone under a lagging snapshot. A
+/// result equal to `published` means a peer has to move first.
+#[inline]
+fn slice_bound(min_peer: u64, published: u64, lookahead: u64, bound_max: u64) -> u64 {
+    min_peer
+        .min(published)
+        .saturating_add(lookahead)
+        .min(bound_max)
+        .max(published)
+}
+
+/// The lowest clock among `me`'s peers and the shard holding it;
+/// `(u64::MAX, me)` when there are none.
+#[inline]
+fn min_peer_clock(clocks: &[AtomicU64], me: usize) -> (u64, usize) {
+    let mut min = (u64::MAX, me);
+    for (s, c) in clocks.iter().enumerate() {
+        if s != me {
+            let c = c.load(Ordering::Acquire);
+            if c < min.0 {
+                min = (c, s);
+            }
+        }
+    }
+    min
+}
+
+/// One direction of one shard pair: events from a fixed source awaiting a
+/// fixed destination.
+struct Mailbox {
+    /// Set (under the lock) by `post`, cleared (under the lock) by `drain`,
+    /// so the destination checks an empty mailbox with one load. `post`
+    /// happens before the source's clock store (`Release`) and the drain
+    /// after the destination's load of that clock (`Acquire`), so a flag
+    /// read as clear means no event below the snapshot's bound is inside.
+    pending: AtomicBool,
+    events: Mutex<Vec<RemoteEvent>>,
+}
+
+impl Mailbox {
+    fn with_capacity(cap: usize) -> Self {
+        Mailbox {
+            pending: AtomicBool::new(false),
+            events: Mutex::new(Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Append `batch` (left empty, capacity kept). No-op when it is empty.
+    fn post(&self, batch: &mut Vec<RemoteEvent>) {
+        if batch.is_empty() {
+            return;
+        }
+        let mut events = self.events.lock().expect("a peer shard panicked");
+        events.append(batch);
+        self.pending.store(true, Ordering::Release);
+    }
+
+    /// Hand every waiting event to `sink`.
+    fn drain(&self, sink: impl FnMut(RemoteEvent)) {
+        if !self.pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut events = self.events.lock().expect("a peer shard panicked");
+        self.pending.store(false, Ordering::Release);
+        events.drain(..).for_each(sink);
+    }
+}
+
+/// The phase barrier, plus the poison flag that opens it: `std`'s `Barrier`
+/// would hold every other thread forever once one party has panicked.
+struct Gate {
+    parties: usize,
+    /// (threads arrived in this generation, generation).
+    state: Mutex<(usize, u64)>,
+    cv: Condvar,
+    /// Raised once, by the first thread that unwinds. Publishes no data
+    /// (the payload travels through `first_panic`'s mutex).
+    poisoned: AtomicBool,
+    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Gate {
+    fn new(parties: usize) -> Self {
+        Gate {
+            parties,
+            state: Mutex::new((0, 0)),
+            cv: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            first_panic: Mutex::new(None),
+        }
+    }
+
+    #[inline]
+    fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Relaxed)
+    }
+
+    /// Block until all parties have arrived; `false` if the run was
+    /// poisoned instead, in which case the caller must leave.
+    #[must_use]
+    fn wait(&self) -> bool {
+        let mut st = self.state.lock().expect("gate holds plain counters");
+        if self.is_poisoned() {
+            return false;
+        }
+        st.0 += 1;
+        if st.0 == self.parties {
+            *st = (0, st.1 + 1);
+            self.cv.notify_all();
+            return true;
+        }
+        let generation = st.1;
+        while st.1 == generation {
+            if self.is_poisoned() {
+                return false;
+            }
+            st = self.cv.wait(st).expect("gate holds plain counters");
+        }
+        true
+    }
+
+    /// Run `f`; if it unwinds, keep the first payload, raise the flag and
+    /// wake the barrier, so that every other thread leaves too.
+    fn guard<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(v) => Some(v),
+            Err(payload) => {
+                if !self.poisoned.swap(true, Ordering::SeqCst) {
+                    *self.first_panic.lock().expect("only payloads move here") = Some(payload);
+                }
+                // Taking the lock orders this wake-up after any waiter's
+                // check of the flag, so none sleeps through it.
+                let _st = self.state.lock();
+                self.cv.notify_all();
+                None
+            }
+        }
+    }
 }
 
 /// Run one sharded simulation to `end` (inclusive, like
@@ -261,7 +477,8 @@ pub struct ShardStats {
 /// `(Simulator, S)` into a `Send` result; the simulator and `S` themselves
 /// never cross threads (they may hold `Rc`s).
 ///
-/// Results are returned in shard order.
+/// Results are returned in shard order. A panic on any worker (or in
+/// `between`) stops the others and is re-raised here.
 pub fn run_sharded<S, R, B, F>(
     plan: &ShardPlan,
     end: SimTime,
@@ -304,122 +521,134 @@ where
     // Published clocks: clock[s] is shard s's promise that all its future
     // cross-shard sends have timestamps >= clock[s] + lookahead.
     let clocks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    // Mailboxes: inbox[dst][src] holds events from src awaiting dst.
+    // Mailboxes: inboxes[dst][src] holds events from src awaiting dst.
     let remote_cap = remote_buf_capacity(plan.owner_of.len());
-    let inboxes: Vec<Vec<Mutex<Vec<RemoteEvent>>>> = (0..n)
-        .map(|_| {
-            (0..n)
-                .map(|_| Mutex::new(Vec::with_capacity(remote_cap)))
-                .collect()
-        })
+    let inboxes: Vec<Vec<Mailbox>> = (0..n)
+        .map(|_| (0..n).map(|_| Mailbox::with_capacity(remote_cap)).collect())
         .collect();
     // Workers + the coordinating thread meet here between phases.
-    let barrier = Barrier::new(n + 1);
-    let results: Vec<Mutex<Option<(ShardStats, R)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let gate = Gate::new(n + 1);
+    let (clocks, inboxes, gate) = (&clocks, &inboxes, &gate);
+    let (build, finish) = (&build, &finish);
 
-    std::thread::scope(|scope| {
-        for me in 0..n {
-            let clocks = &clocks;
-            let inboxes = &inboxes;
-            let barrier = &barrier;
-            let results = &results;
-            let build = &build;
-            let finish = &finish;
-            scope.spawn(move || {
-                let t0 = std::time::Instant::now();
+    let results: Vec<Option<(ShardStats, R)>> = std::thread::scope(|scope| {
+        let spawn = |me: usize| {
+            let worker = move || -> Option<(ShardStats, R)> {
+                let t0 = Instant::now();
                 let (mut sim, state) = build(me as u32);
                 sim.assert_shard(plan.n_shards, me as u32);
                 let mut stats = ShardStats {
                     shard: me as u32,
+                    blocked_on: vec![0; n],
                     ..ShardStats::default()
                 };
                 // Outbox flushes stage through this scratch vector so the
                 // mailbox lock is held only for the append.
                 let mut scratch: Vec<RemoteEvent> = Vec::with_capacity(remote_cap);
                 let mut published: u64 = 0;
-                for (pi, &end) in phase_ends.iter().enumerate() {
+                for &end in phase_ends {
                     let bound_max = end.as_ps() + 1;
-                    loop {
+                    // Steps (1) and (2): the slice end the peers' clocks
+                    // allow right now, and the peer holding the minimum.
+                    let slice_end = |published: u64| {
+                        let (min_peer, holder) = min_peer_clock(clocks, me);
+                        let bound = slice_bound(min_peer, published, la_ps, bound_max);
+                        (bound, holder)
+                    };
+                    while published < bound_max {
                         // (1) Snapshot peer clocks *before* draining: any
                         // message flushed before a peer published clock C is
                         // then guaranteed visible in the drain below.
-                        let mut min_peer = u64::MAX;
-                        for (s, c) in clocks.iter().enumerate() {
-                            if s != me {
-                                min_peer = min_peer.min(c.load(Ordering::Acquire));
+                        let (mut bound, mut holder) = slice_end(published);
+                        // (2) An empty slice: wait on the clocks alone. Peers
+                        // flush before they publish, so nothing new is
+                        // processable until one of them moves.
+                        if bound == published {
+                            let waiting = Instant::now();
+                            let mut rounds = 0u32;
+                            while bound == published {
+                                if gate.is_poisoned() {
+                                    return None;
+                                }
+                                stats.stalls += 1;
+                                stats.blocked_on[holder] += 1;
+                                if rounds < SPIN_ROUNDS {
+                                    rounds += 1;
+                                    std::hint::spin_loop();
+                                } else {
+                                    std::thread::yield_now();
+                                }
+                                (bound, holder) = slice_end(published);
                             }
+                            stats.wait_s += waiting.elapsed().as_secs_f64();
                         }
-                        // (2) Conservative bound: nothing below it can still
-                        // arrive. Monotone so a lagging snapshot never
-                        // retracts a published promise.
-                        let bound = min_peer.saturating_add(la_ps).min(bound_max).max(published);
                         // (3) Drain inbound mailboxes.
-                        let mut received = 0u64;
-                        for (s, boxes) in inboxes[me].iter().enumerate() {
-                            if s == me {
-                                continue;
-                            }
-                            let mut inb = boxes.lock().unwrap();
-                            received += inb.len() as u64;
-                            for ev in inb.drain(..) {
-                                sim.core_mut().inject_remote(ev);
+                        for (s, inbox) in inboxes[me].iter().enumerate() {
+                            if s != me {
+                                inbox.drain(|ev| sim.core_mut().inject_remote(ev));
                             }
                         }
-                        stats.remote_received += received;
                         // (4) Process everything strictly below the bound.
-                        let processed = sim.run_events_before(SimTime::from_ps(bound));
+                        if sim.run_events_before(SimTime::from_ps(bound)) > 0 {
+                            stats.slices += 1;
+                            stats.max_slice =
+                                stats.max_slice.max(SimTime::from_ps(bound - published));
+                        }
                         // (5) Flush outboxes, then publish the new clock.
                         for (s, boxes) in inboxes.iter().enumerate() {
-                            if s == me {
-                                continue;
-                            }
-                            sim.core_mut().drain_outbox_into(s as u32, &mut scratch);
-                            if !scratch.is_empty() {
-                                stats.remote_sent += scratch.len() as u64;
-                                boxes[me].lock().unwrap().append(&mut scratch);
+                            if s != me {
+                                sim.core_mut().drain_outbox_into(s as u32, &mut scratch);
+                                boxes[me].post(&mut scratch);
                             }
                         }
-                        if bound > published {
-                            clocks[me].store(bound, Ordering::Release);
-                            published = bound;
-                        } else if processed == 0 && received == 0 {
-                            stats.stalls += 1;
-                            std::thread::yield_now();
-                        }
-                        if published >= bound_max {
-                            break;
-                        }
+                        clocks[me].store(bound, Ordering::Release);
+                        published = bound;
                     }
                     sim.advance_now_to(end);
                     stats.phase_events.push(sim.core().events_processed);
                     // Phase done: wait for every shard, let the coordinator
                     // run `between`, then resume together.
-                    barrier.wait();
-                    barrier.wait();
-                    let _ = pi;
+                    if !(gate.wait() && gate.wait()) {
+                        return None;
+                    }
                 }
                 stats.events_processed = sim.core().events_processed;
-                let (sent, recv) = sim.core().shard_comm_counters();
-                // Interception counts sends at the scheduling point; the
-                // mailbox count above tallies flushes. They agree unless the
-                // run ended with unflushed events past the horizon.
-                stats.remote_sent = sent;
-                stats.remote_received = recv;
+                (stats.remote_sent, stats.remote_received) = sim.core().shard_comm_counters();
                 stats.wall_s = t0.elapsed().as_secs_f64();
                 let r = finish(me as u32, sim, state);
-                *results[me].lock().unwrap() = Some((stats, r));
-            });
-        }
-        for pi in 0..phase_ends.len() {
-            barrier.wait();
-            between(pi);
-            barrier.wait();
-        }
+                Some((stats, r))
+            };
+            scope.spawn(move || gate.guard(worker).flatten())
+        };
+        let workers: Vec<_> = (0..n).map(spawn).collect();
+        gate.guard(|| {
+            for pi in 0..phase_ends.len() {
+                if !gate.wait() {
+                    return;
+                }
+                between(pi);
+                if !gate.wait() {
+                    return;
+                }
+            }
+        });
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("the gate catches a worker's panic"))
+            .collect()
     });
 
+    let first_panic = gate
+        .first_panic
+        .lock()
+        .expect("only payloads move here")
+        .take();
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
+    }
     results
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("shard worker panicked"))
+        .map(|r| r.expect("no panic, so every shard reported"))
         .collect()
 }
 
@@ -433,8 +662,8 @@ mod tests {
     use crate::packet::{Ecn, Packet};
     use crate::topology::TopologySpec;
     use crate::trace::{TraceFilter, Tracer};
+    use proptest::prelude::*;
     use rand::Rng;
-    use std::any::Any;
 
     fn assert_send<T: Send>() {}
 
@@ -529,13 +758,16 @@ mod tests {
         )
     }
 
+    /// Horizon of [`run_scenario`].
+    const SCENARIO_END: SimTime = SimTime::from_ms(2);
+
     /// Run the cross-rack traffic scenario on `n_shards` shards and return
     /// (merged sorted traces, per-queue telemetry of every switch queue,
-    /// global drop/pfc counters).
-    fn run_scenario(n_shards: u32) -> (Vec<String>, Vec<String>, (u64, u64, u64)) {
+    /// global drop/pfc counters, per-shard execution counters).
+    fn run_scenario(n_shards: u32) -> (Vec<String>, Vec<String>, (u64, u64, u64), Vec<ShardStats>) {
         let topo = leaf_spine().build();
         let plan = ShardPlan::build(&topo, n_shards);
-        let end = SimTime::from_ms(2);
+        let end = SCENARIO_END;
         let hosts = topo.hosts().to_vec();
         let nh = hosts.len();
         let plan_ref = &plan;
@@ -625,7 +857,9 @@ mod tests {
         let mut traces = Vec::new();
         let mut telem = Vec::new();
         let (mut drops, mut pauses, mut faults) = (0, 0, 0);
-        for (_stats, (tr, te, d, p, f)) in results {
+        let mut stats = Vec::new();
+        for (st, (tr, te, d, p, f)) in results {
+            stats.push(st);
             traces.extend(tr);
             telem.extend(te);
             drops += d;
@@ -649,25 +883,181 @@ mod tests {
             })
             .collect::<Vec<_>>();
         telem.sort();
-        (traces, telem, (drops, pauses, faults))
+        (traces, telem, (drops, pauses, faults), stats)
     }
 
     #[test]
     fn shard_counts_agree_bit_for_bit() {
-        let (t1, q1, c1) = run_scenario(1);
+        let (t1, q1, c1, s1) = run_scenario(1);
         assert!(!t1.is_empty(), "scenario produced no traces");
         assert!(
             t1.iter().any(|l| l.contains("LinkDown")),
             "fault plan did not fire"
         );
-        for n in [2u32, 4] {
-            let (tn, qn, cn) = run_scenario(n);
+        let events = |stats: &[ShardStats]| stats.iter().map(|s| s.events_processed).sum::<u64>();
+        // What every shard runs for itself: its own control tick (the key is
+        // shard-local) and its replica of the two-event fault plan.
+        let dt = SimConfig::default().control_interval.unwrap();
+        let per_shard = SCENARIO_END.as_ps() / dt.as_ps() + 2;
+        // 3 deals the four racks unevenly; at 8 three shards own no node.
+        for n in [2u32, 3, 4, 8] {
+            let (tn, qn, cn, sn) = run_scenario(n);
             assert_eq!(c1, cn, "global counters differ at {n} shards");
             assert_eq!(q1, qn, "queue telemetry differs at {n} shards");
             assert_eq!(t1.len(), tn.len(), "trace count differs at {n} shards");
             for (a, b) in t1.iter().zip(tn.iter()) {
                 assert_eq!(a, b, "trace record differs at {n} shards");
             }
+            assert_eq!(
+                events(&sn) - events(&s1),
+                (n as u64 - 1) * per_shard,
+                "{n} shards: events beyond the replicated ticks and faults"
+            );
+        }
+    }
+
+    /// The overlap gate, as a count: no slice is longer than one lookahead
+    /// (the uncapped policy produces `2L` here), and the wait accounting adds
+    /// up.
+    #[test]
+    fn slices_never_exceed_one_lookahead() {
+        for n in [2u32, 4] {
+            let lookahead = ShardPlan::build(&leaf_spine().build(), n).lookahead;
+            let (.., stats) = run_scenario(n);
+            for s in &stats {
+                assert!(s.slices > 0, "shard {} of {n} ran nothing", s.shard);
+                assert!(
+                    s.max_slice <= lookahead,
+                    "shard {} of {n}: slice of {} ps, lookahead {} ps",
+                    s.shard,
+                    s.max_slice.as_ps(),
+                    lookahead.as_ps()
+                );
+                assert_eq!(s.blocked_on.len(), n as usize);
+                assert_eq!(s.blocked_on.iter().sum::<u64>(), s.stalls);
+                assert_eq!(s.blocked_on[s.shard as usize], 0);
+                assert!(s.wait_s <= s.wall_s);
+            }
+        }
+    }
+
+    /// Panics on its first timer.
+    struct Bomb;
+
+    impl NicDriver for Bomb {
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut HostCtx<'_>) {}
+        fn on_timer(&mut self, _token: u64, _ctx: &mut HostCtx<'_>) {
+            panic!("boom in driver");
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A panic anywhere in a run must come back out of `run_sharded_phased`.
+    /// Shard 0 has nothing to do but follow shard 1's clock, so without
+    /// poisoning it waits for that clock (or at the barrier) forever and
+    /// these cases hang instead of failing.
+    #[test]
+    fn a_panic_stops_every_shard_and_is_re_raised() {
+        let topo = leaf_spine().build();
+        let plan = ShardPlan::build(&topo, 2);
+        let victim = *topo
+            .hosts()
+            .iter()
+            .find(|&&h| plan.owner(h) == 1)
+            .expect("shard 1 owns a rack");
+        for site in ["build", "driver", "between"] {
+            let run = || {
+                run_sharded_phased(
+                    &plan,
+                    &[SimTime::from_us(500), SimTime::from_ms(1)],
+                    |shard| {
+                        if site == "build" && shard == 1 {
+                            panic!("boom in build");
+                        }
+                        let cfg = SimConfig::default();
+                        let mut sim = Simulator::new_sharded(topo.clone(), cfg, &plan, shard);
+                        if site == "driver" && shard == 1 {
+                            sim.set_driver(victim, Box::new(Bomb));
+                            sim.with_driver(victim, |_, ctx| {
+                                ctx.set_timer_at(SimTime::from_us(100), 0)
+                            });
+                        }
+                        (sim, ())
+                    },
+                    |_| {
+                        if site == "between" {
+                            panic!("boom in between");
+                        }
+                    },
+                    |_, _, ()| (),
+                )
+            };
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("the panic is re-raised");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some(format!("boom in {site}").as_str()),
+            );
+        }
+    }
+
+    proptest! {
+        /// The slice policy on arbitrary inputs: never retracts the published
+        /// clock, never passes the conservative limit or the phase end, never
+        /// spans more than one lookahead, and is non-empty whenever no peer
+        /// is behind (equal clocks included).
+        #[test]
+        fn slice_bound_is_monotone_safe_and_capped(
+            min_peer in 0u64..10_000,
+            published in 0u64..10_000,
+            la in 1u64..3_000,
+            // The run loop only asks while `published < bound_max`.
+            remaining in 1u64..10_000,
+        ) {
+            let bound_max = published + remaining;
+            let b = slice_bound(min_peer, published, la, bound_max);
+            prop_assert!(b >= published);
+            prop_assert!(b <= (min_peer + la).max(published));
+            prop_assert!(b <= bound_max);
+            prop_assert!(b - published <= la);
+            if min_peer >= published {
+                prop_assert!(b > published);
+            }
+            // One shard: no peer, no cross-shard link.
+            prop_assert_eq!(slice_bound(u64::MAX, published, u64::MAX, bound_max), bound_max);
+        }
+
+        /// N model shards stepped in an arbitrary order, then fairly: every
+        /// step is safe, no clock is ever more than one lookahead behind
+        /// another, and all of them reach `end + 1`.
+        #[test]
+        fn any_interleaving_of_model_shards_reaches_the_end(
+            n in 2usize..6,
+            la in 1u64..50,
+            end in 0u64..2_000,
+            schedule in prop::collection::vec(0usize..6, 0..400),
+        ) {
+            let bound_max = end + 1;
+            let mut clocks = vec![0u64; n];
+            let mut step = |s: usize| {
+                let min_peer = (0..n).filter(|&p| p != s).map(|p| clocks[p]).min().unwrap();
+                if clocks[s] < bound_max {
+                    let b = slice_bound(min_peer, clocks[s], la, bound_max);
+                    assert!(clocks[s] <= b && b <= min_peer + la);
+                    clocks[s] = b;
+                }
+                let (lo, hi) = (clocks.iter().min().unwrap(), clocks.iter().max().unwrap());
+                assert!(hi - lo <= la, "a laggard fell more than L behind: {clocks:?}");
+            };
+            for &s in &schedule {
+                step(s % n);
+            }
+            // Each fair sweep lifts the minimum clock by a full lookahead.
+            for _ in 0..end / la + 2 {
+                (0..n).for_each(&mut step);
+            }
+            prop_assert!(clocks.iter().all(|&c| c == bound_max), "stuck at {:?}", clocks);
         }
     }
 
