@@ -1,7 +1,7 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
 //! cache, FCT scenario runner, queue sampling, and result output.
 
-use acc_core::controller::{self, AccConfig};
+use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
 use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use acc_core::trainer;
@@ -45,6 +45,9 @@ impl Scale {
 }
 
 /// The control policies the experiments compare.
+// One variant is hidden from the docs because only a differential test
+// uses it, not to keep the enum open: it is matched exhaustively.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// DCTCP-style single threshold.
@@ -61,7 +64,9 @@ pub enum Policy {
     AccFresh,
     /// [`Policy::AccFresh`] routed through the retained scalar RL kernels
     /// (same seed): recorded runs must be byte-identical to `AccFresh`,
-    /// which pins the batched kernels at whole-simulation scope.
+    /// which pins the batched kernels at whole-simulation scope. The
+    /// differential test is its only caller, so no experiment offers it.
+    #[doc(hidden)]
     AccFreshScalar,
     /// ACC with the pretrained model frozen (inference only).
     AccFrozen,
@@ -716,10 +721,60 @@ impl Scenario {
             "guard_violations_detected": guard.violations_detected,
             "invalid_configs_applied": guard.violations_applied,
         });
+        let (control, helper_spans) = control_plane(&mut self.sim);
         if let Some(book) = profile_registry().as_mut() {
-            book.add_run(&run.label, &prof, queue, info, slo, alloc);
+            book.add_run(
+                &run.label,
+                &prof,
+                queue,
+                info,
+                slo,
+                alloc,
+                control,
+                &helper_spans,
+            );
         }
     }
+}
+
+/// What the ACC controllers of `sim` (bare or guarded) did and where their
+/// DDQN updates ran, summed over switches, plus the updates that ran on
+/// trainer helper threads. `Null` when no switch runs ACC. The trainer's
+/// counters depend on host timing: they go into profiles, never into
+/// recorded JSONL or manifests.
+fn control_plane(sim: &mut Simulator) -> (Value, Vec<HelperSpan>) {
+    let mut switches = 0u64;
+    let mut stats = AccStats::default();
+    let mut trainer = rl::TrainerStats::default();
+    let mut spans = Vec::new();
+    for sw in sim.topo().switches().to_vec() {
+        let Some(acc) = sim.controller_mut(sw).and_then(trainer::acc_of) else {
+            continue;
+        };
+        switches += 1;
+        stats.ticks += acc.stats.ticks;
+        stats.inferences += acc.stats.inferences;
+        stats.skipped_idle += acc.stats.skipped_idle;
+        stats.train_steps += acc.stats.train_steps;
+        trainer += acc.trainer;
+        spans.append(&mut acc.take_helper_spans());
+    }
+    if switches == 0 {
+        return (Value::Null, spans);
+    }
+    let control = json!({
+        "acc_switches": switches,
+        "ticks": stats.ticks,
+        "inferences": stats.inferences,
+        "skipped_idle": stats.skipped_idle,
+        "train_steps": stats.train_steps,
+        "updates_submitted": trainer.submitted,
+        "ran_on_helper": trainer.ran_on_helper,
+        "ran_on_engine": trainer.ran_on_engine,
+        "blocked_joins": trainer.blocked_joins,
+        "blocked_ms": trainer.blocked_ns as f64 / 1e6,
+    });
+    (control, spans)
 }
 
 impl Drop for Scenario {

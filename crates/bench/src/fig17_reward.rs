@@ -76,8 +76,9 @@ fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>
     // landscape each design exposes to the learner).
     let mean_rewards = sim.with_controller(sw, |c, _| {
         let acc = c.as_any_mut().downcast_mut::<AccController>().unwrap();
-        let agent = acc.agent();
-        let agent = agent.borrow();
+        let seat = acc.agent();
+        let mut seat = seat.borrow_mut();
+        let agent = seat.get();
         let mut sum = [0.0f64; 10];
         let mut cnt = [0usize; 10];
         for t in agent.replay.iter() {

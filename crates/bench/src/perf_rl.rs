@@ -1,26 +1,38 @@
 //! `acc-bench perf --scenario rl` — RL-kernel throughput trajectory.
 //!
 //! Measures the batched, allocation-free DDQN kernels against the retained
-//! scalar reference on the two hot paths of a control tick:
+//! scalar reference on the two hot paths of a control tick, and the
+//! asynchronous update path around them:
 //!
 //! * **train-throughput** — steady-state `train_step` (minibatch forward,
 //!   batched Double-DQN targets, batched backward, Adam) in steps/sec, plus
-//!   allocations per step from the counting global allocator;
+//!   allocations per step from the counting global allocator and the
+//!   step's machine-independent cost ([`rl::StepCost`]);
 //! * **inference-tick** — one control tick's worth of per-queue decisions
 //!   (64 queues per tick), batched `select_actions_batch` vs per-queue
-//!   `select_action`, in decisions/sec.
+//!   `select_action`, in decisions/sec;
+//! * **async-update** — six agents updated through [`rl::Seat`]
+//!   submit/join while the submitting thread does a tick's worth of other
+//!   work, against the same rounds with the updates inline: rounds/sec of
+//!   both, where the updates ran ([`rl::TrainerStats`]) and allocations per
+//!   round.
 //!
-//! Both scenarios run the batched and scalar paths on identically-seeded
-//! agents and record `bit_identical`: the exported models (training) and
-//! the chosen action streams (inference) must match exactly — the numbers
-//! are only comparable because the outputs are interchangeable.
+//! Every scenario runs both of its paths on identically-seeded agents and
+//! records `bit_identical`: the exported models (training), the chosen
+//! action streams (inference) and the whole agents (async) must match
+//! exactly — the numbers are only comparable because the outputs are
+//! interchangeable. What is *gated* (by [`validate`], the smoke test and
+//! CI) are those identities and counts — allocations per step and per
+//! round, operations and replay samples per step. Every ratio of two
+//! wall-clock rates is a recorded column: on a shared two-core host the
+//! train-step ratio alone read 1.86–1.99 against a gate of 2.
 //!
 //! Results go to `BENCH_rl.json` under the `acc-bench-perf-rl/v1` schema;
 //! CI runs the quick scale, validates the schema and archives the file.
 
 use crate::common::Scale;
 use crate::perf::{paired_ratio, PairedRatio, RATIO_ROUNDS};
-use rl::{DdqnAgent, DdqnConfig, Transition};
+use rl::{DdqnAgent, DdqnConfig, Seat, TrainerStats, Transition};
 use serde_json::{json, Value};
 use std::io;
 use std::path::Path;
@@ -127,27 +139,37 @@ fn train_throughput(scale: Scale) -> Value {
     let probed = crate::perf::alloc_counts().is_some();
     let per_step = |allocs: u64| probed.then(|| allocs as f64 / total_steps as f64);
     let allocs_per_step = per_step(batched_allocs);
+    let cost = batched.step_cost();
     println!(
-        "{:<18} {:>12.0} steps/s (batched) {:>12.0} steps/s (scalar)  speedup {:.2}x  allocs/step {}",
+        "{:<18} {:>12.0} steps/s (batched) {:>12.0} steps/s (scalar)  speedup {:.2}x  allocs/step {}  \
+         <= {:.2} MFLOP/step ({:.1} GFLOP/s), {} samples/step",
         "train-throughput",
         batched_sps,
         scalar_sps,
         speedup,
-        allocs_per_step
-            .map(|a| format!("{a:.3}"))
-            .unwrap_or_else(|| "n/a".into()),
+        fmt_opt(allocs_per_step),
+        cost.flop_bound as f64 / 1e6,
+        cost.flop_bound as f64 * batched_sps / 1e9,
+        cost.replay_samples,
     );
     json!({
         "name": "train-throughput",
         "steps": total_steps,
-        "minibatch": 32,
+        "minibatch": cost.replay_samples,
         "batched_steps_per_sec": batched_sps,
         "scalar_steps_per_sec": scalar_sps,
         "speedup": speedup,
         "allocs_per_step": allocs_per_step,
         "scalar_allocs_per_step": per_step(scalar_allocs),
+        "flop_bound_per_step": cost.flop_bound,
+        "replay_samples_per_step": cost.replay_samples,
+        "params": cost.params,
         "bit_identical": bit_identical,
     })
+}
+
+fn fmt_opt(v: Option<f64>) -> String {
+    v.map(|a| format!("{a:.3}")).unwrap_or_else(|| "n/a".into())
 }
 
 /// Per-tick decision throughput: 64 queue states per tick, batched single
@@ -220,11 +242,134 @@ fn inference_tick(scale: Scale) -> Value {
     })
 }
 
+/// Agents per round of the async scenario: the switches of the testbed Clos.
+const SEATS: usize = 6;
+
+/// 64-queue select batches the submitting thread runs between two rounds of
+/// the async scenario (about 1 ms). They stand in for the packet events
+/// between two control ticks, which cost about 1.6 times what six updates
+/// cost.
+const FOREGROUND_SELECTS: usize = 24;
+
+/// The update path the controllers use: per round every agent is joined,
+/// selects and is submitted again, then the submitting thread does its
+/// other work — against the same rounds with `train_step` inline. Nothing
+/// in a round allocates, so the allocation column is the path's own.
+fn async_update(scale: Scale) -> Value {
+    let rounds = scale.pick(2000, 200);
+    let states: Vec<f32> = (0..QUEUES_PER_TICK * STATE_DIM)
+        .map(|i| ((i * 31) % 101) as f32 * 0.01)
+        .collect();
+    let mut foreground_agent = warm_agent(3);
+    let mut decisions: Vec<(usize, f64)> = Vec::new();
+    let mut foreground = |sink: &mut usize| {
+        for _ in 0..FOREGROUND_SELECTS {
+            foreground_agent.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
+            *sink ^= decisions[0].0;
+        }
+    };
+    let mut sink = 0usize;
+    let mut picked: Vec<(usize, f64)> = Vec::new();
+
+    let mut inline: Vec<DdqnAgent> = (0..SEATS).map(|i| warm_agent(31 + i as u64)).collect();
+    let start = Instant::now();
+    for _ in 0..rounds {
+        for agent in &mut inline {
+            agent.select_actions_batch(&states[..8 * STATE_DIM], 8, &mut picked);
+            agent.train_step();
+        }
+        foreground(&mut sink);
+    }
+    let inline_rps = rounds as f64 / start.elapsed().as_secs_f64().max(1e-9);
+
+    let mut seats: Vec<Seat> = (0..SEATS)
+        .map(|i| Seat::new(warm_agent(31 + i as u64)))
+        .collect();
+    let mut stats = TrainerStats::default();
+    let mut round_of = |seats: &mut [Seat], stats: &mut TrainerStats| {
+        for seat in seats.iter_mut() {
+            if let Some(done) = seat.join() {
+                stats.record(&done);
+            }
+            seat.get()
+                .select_actions_batch(&states[..8 * STATE_DIM], 8, &mut picked);
+            stats.submitted += 1;
+            seat.submit(DdqnAgent::train_step, 1, true, false);
+        }
+        foreground(&mut sink);
+    };
+    // Four rounds outside the windows: helper spawned, queue and slots sized.
+    let warmup = 4;
+    for _ in 0..warmup {
+        round_of(&mut seats, &mut stats);
+    }
+    let start = Instant::now();
+    let ((), allocs) = allocs_during(|| {
+        for _ in warmup..rounds {
+            round_of(&mut seats, &mut stats);
+        }
+    });
+    let async_rps = (rounds - warmup) as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    for seat in &mut seats {
+        if let Some(done) = seat.join() {
+            stats.record(&done);
+        }
+    }
+    assert!(sink < usize::MAX);
+
+    // `Debug` shows every field of an agent: weights, moments, replay, RNG.
+    let bit_identical = seats
+        .iter_mut()
+        .zip(&inline)
+        .all(|(seat, agent)| format!("{:?}", seat.get()) == format!("{agent:?}"));
+    let probed = crate::perf::alloc_counts().is_some();
+    let allocs_per_round = probed.then(|| allocs as f64 / (rounds - warmup) as f64);
+    println!(
+        "{:<18} {:>12.0} rounds/s (async)  {:>12.0} rounds/s (inline)  ratio {:.2}x  allocs/round {}",
+        "async-update",
+        async_rps,
+        inline_rps,
+        async_rps / inline_rps,
+        fmt_opt(allocs_per_round),
+    );
+    println!(
+        "{:<18} {} submitted: {} on a helper, {} on the engine; {} blocked join(s), {:.2} ms \
+         ({} helper thread(s))",
+        "",
+        stats.submitted,
+        stats.ran_on_helper,
+        stats.ran_on_engine,
+        stats.blocked_joins,
+        stats.blocked_ns as f64 / 1e6,
+        rl::Trainer::global().helpers(),
+    );
+    json!({
+        "name": "async-update",
+        "seats": SEATS as u64,
+        "rounds": rounds as u64,
+        "async_rounds_per_sec": async_rps,
+        "inline_rounds_per_sec": inline_rps,
+        "speedup": async_rps / inline_rps,
+        "helpers": rl::Trainer::global().helpers() as u64,
+        "submitted": stats.submitted,
+        "ran_on_helper": stats.ran_on_helper,
+        "ran_on_engine": stats.ran_on_engine,
+        "blocked_joins": stats.blocked_joins,
+        "blocked_ns": stats.blocked_ns,
+        "allocs_per_round": allocs_per_round,
+        "bit_identical": bit_identical,
+    })
+}
+
 /// Run the RL scenario family and write `BENCH_rl.json` to `out`. Returns
 /// the JSON document (also used by the smoke test).
 pub fn run(scale: Scale, out: &Path) -> io::Result<Value> {
     crate::common::banner("perf-rl", "batched RL kernel throughput");
-    let scenarios = vec![train_throughput(scale), inference_tick(scale)];
+    let scenarios = vec![
+        train_throughput(scale),
+        inference_tick(scale),
+        async_update(scale),
+    ];
     let doc = json!({
         "schema": SCHEMA,
         "scale": if scale.quick { "quick" } else { "full" },
@@ -246,7 +391,9 @@ pub fn run(scale: Scale, out: &Path) -> io::Result<Value> {
 /// Validate a `BENCH_rl.json` document against the v1 schema. Returns the
 /// list of problems (empty = valid). Bit-identity is a schema-level
 /// requirement: a speedup bought by diverging from the reference is not a
-/// result.
+/// result. So are the counts: a train step or an update round that touches
+/// the heap, or a step whose work is not the 32-sample {12, 40, 40, 20}
+/// minibatch the rates are quoted for. No wall-clock ratio is.
 pub fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     let mut need = |ok: bool, what: &str| {
@@ -270,7 +417,7 @@ pub fn validate(doc: &Value) -> Vec<String> {
         .and_then(Value::as_array)
         .cloned()
         .unwrap_or_default();
-    for expected in ["train-throughput", "inference-tick"] {
+    for expected in ["train-throughput", "inference-tick", "async-update"] {
         let Some(row) = rows
             .iter()
             .find(|r| r.get("name").and_then(Value::as_str) == Some(expected))
@@ -278,14 +425,14 @@ pub fn validate(doc: &Value) -> Vec<String> {
             need(false, &format!("scenario {expected} missing"));
             continue;
         };
-        let rate_keys: &[&str] = if expected == "train-throughput" {
-            &["batched_steps_per_sec", "scalar_steps_per_sec", "speedup"]
-        } else {
-            &[
+        let rate_keys: &[&str] = match expected {
+            "train-throughput" => &["batched_steps_per_sec", "scalar_steps_per_sec", "speedup"],
+            "inference-tick" => &[
                 "batched_decisions_per_sec",
                 "scalar_decisions_per_sec",
                 "speedup",
-            ]
+            ],
+            _ => &["async_rounds_per_sec", "inline_rounds_per_sec", "speedup"],
         };
         for k in rate_keys {
             need(
@@ -297,8 +444,42 @@ pub fn validate(doc: &Value) -> Vec<String> {
         }
         need(
             row.get("bit_identical").and_then(Value::as_bool) == Some(true),
-            &format!("scenario {expected}: batched path diverged from the scalar reference"),
+            &format!("scenario {expected}: diverged from its reference path"),
         );
+        // Counts. An allocation column is null without a probe; when it is
+        // a number it must be zero.
+        let count = |k: &str| row.get(k).and_then(Value::as_f64);
+        let alloc_key = match expected {
+            "train-throughput" => Some("allocs_per_step"),
+            "async-update" => Some("allocs_per_round"),
+            _ => None,
+        };
+        if let Some(k) = alloc_key {
+            need(
+                count(k).is_none_or(|a| a == 0.0),
+                &format!("scenario {expected}: {k} is not zero"),
+            );
+        }
+        if expected == "train-throughput" {
+            need(
+                count("replay_samples_per_step") == Some(32.0),
+                "scenario train-throughput: a step does not sample 32 transitions",
+            );
+            need(
+                count("flop_bound_per_step").is_some_and(|f| f > 0.0 && f <= 1.0e6),
+                "scenario train-throughput: a step is bounded by more than 1 MFLOP",
+            );
+        }
+        if expected == "async-update" {
+            need(
+                count("submitted").is_some_and(|n| n > 0.0)
+                    && count("submitted")
+                        == count("ran_on_helper")
+                            .zip(count("ran_on_engine"))
+                            .map(|(h, e)| h + e),
+                "scenario async-update: updates submitted != updates run",
+            );
+        }
     }
     errs
 }
@@ -308,6 +489,10 @@ mod tests {
     use super::*;
 
     fn doc(schema: &str, bit_identical: bool, speedup: f64) -> Value {
+        doc_with_allocs(schema, bit_identical, speedup, Value::Null)
+    }
+
+    fn doc_with_allocs(schema: &str, bit_identical: bool, speedup: f64, allocs: Value) -> Value {
         json!({
             "schema": schema,
             "scale": "quick",
@@ -318,8 +503,10 @@ mod tests {
                     "name": "train-throughput",
                     "steps": 1200u64, "minibatch": 32,
                     "batched_steps_per_sec": 5000.0, "scalar_steps_per_sec": 2000.0,
-                    "speedup": speedup, "allocs_per_step": Value::Null,
+                    "speedup": speedup, "allocs_per_step": allocs.clone(),
                     "scalar_allocs_per_step": Value::Null,
+                    "flop_bound_per_step": 963_320u64, "replay_samples_per_step": 32u64,
+                    "params": 2980u64,
                     "bit_identical": bit_identical,
                 },
                 {
@@ -328,6 +515,15 @@ mod tests {
                     "batched_decisions_per_sec": 4.0e6,
                     "scalar_decisions_per_sec": 2.0e6,
                     "speedup": 2.0, "bit_identical": true,
+                },
+                {
+                    "name": "async-update",
+                    "seats": 6u64, "rounds": 200u64,
+                    "async_rounds_per_sec": 1200.0, "inline_rounds_per_sec": 800.0,
+                    "speedup": 1.5, "helpers": 1u64,
+                    "submitted": 1200u64, "ran_on_helper": 1000u64,
+                    "ran_on_engine": 200u64, "blocked_joins": 3u64, "blocked_ns": 90000u64,
+                    "allocs_per_round": allocs, "bit_identical": true,
                 },
             ],
         })
@@ -341,6 +537,10 @@ mod tests {
         assert!(!validate(&doc(SCHEMA, false, 2.5)).is_empty());
         assert!(!validate(&doc(SCHEMA, true, 0.0)).is_empty());
         assert!(!validate(&json!({"schema": SCHEMA})).is_empty());
+        // A slow host is not a failure; a heap allocation per step is.
+        assert!(validate(&doc(SCHEMA, true, 1.3)).is_empty());
+        assert!(validate(&doc_with_allocs(SCHEMA, true, 2.5, json!(0.0))).is_empty());
+        assert!(!validate(&doc_with_allocs(SCHEMA, true, 2.5, json!(0.25))).is_empty());
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! different runs have different wall-clock origins, so their events are
 //! re-based onto the book's origin before emission. Runs executed
 //! concurrently by the matrix pool therefore appear as overlapping tracks,
-//! exactly as they executed.
+//! exactly as they executed. DDQN updates that a trainer helper thread ran
+//! beside a run's engine (`rl::trainer`) go on a track of their own under
+//! the run's, one per helper, as `acc_update` spans: the engine track's
+//! `acc_submit` / `acc_join` spans bracket them.
 
+use acc_core::controller::HelperSpan;
 use netsim::event::QueueStats;
 use netsim::profile::SimProfiler;
 use serde_json::{json, Value};
@@ -72,7 +76,10 @@ impl ProfileBook {
     ///
     /// `info` carries run-shape facts (policy, seed, events processed, wall
     /// time), `slo` the FCT/guard service-level block, `alloc` the
-    /// allocator-probe counters — all rendered verbatim into the run record.
+    /// allocator-probe counters, `control` the control plane's counters
+    /// (`Null` when no ACC controller ran) — all rendered verbatim into the
+    /// run record, `control` with the per-phase span totals added.
+    /// `helper_spans` are the updates that ran on trainer helper threads.
     pub fn add_run(
         &mut self,
         label: &str,
@@ -81,6 +88,8 @@ impl ProfileBook {
         info: Value,
         slo: Value,
         alloc: Value,
+        mut control: Value,
+        helper_spans: &[HelperSpan],
     ) {
         let tid = self.next_tid;
         self.next_tid += 1;
@@ -110,6 +119,10 @@ impl ProfileBook {
             "args": {"info": label},
         }));
         self.trace.extend(prof.trace_events(offset_us, 1, tid));
+        self.add_helper_tracks(label, helper_spans);
+        if let Value::Object(block) = &mut control {
+            block.insert("phases".into(), control_phases(prof));
+        }
         self.runs.push(json!({
             "label": label,
             "tid": tid,
@@ -117,7 +130,41 @@ impl ProfileBook {
             "summary": prof.summary_json(queue),
             "slo": slo,
             "alloc": alloc,
+            "control": control,
         }));
+    }
+
+    /// One track per helper thread that ran updates for this run.
+    fn add_helper_tracks(&mut self, label: &str, spans: &[HelperSpan]) {
+        let mut tids: Vec<(usize, u64)> = Vec::new();
+        for s in spans {
+            let tid = match tids.iter().find(|t| t.0 == s.helper) {
+                Some(t) => t.1,
+                None => {
+                    let tid = self.next_tid;
+                    self.next_tid += 1;
+                    tids.push((s.helper, tid));
+                    self.trace.push(json!({
+                        "name": "thread_name",
+                        "ph": "M",
+                        "pid": 1,
+                        "tid": tid,
+                        "args": {"name": format!("{label} · trainer helper {}", s.helper)},
+                    }));
+                    tid
+                }
+            };
+            self.trace.push(json!({
+                "name": "acc_update",
+                "cat": "control",
+                "ph": "X",
+                "ts": s.start.saturating_duration_since(self.origin).as_secs_f64() * 1e6,
+                "dur": s.end.saturating_duration_since(s.start).as_secs_f64() * 1e6,
+                "pid": 1,
+                "tid": tid,
+                "args": {"info": format!("helper={}", s.helper)},
+            }));
+        }
     }
 
     /// The complete artifact as a JSON value.
@@ -141,6 +188,27 @@ impl ProfileBook {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
         std::fs::write(&self.path, text)
     }
+}
+
+/// Count and total duration of every `control` span name, in first-seen
+/// order: the controller's tick phases and the guard's vet pass.
+fn control_phases(prof: &SimProfiler) -> Value {
+    let mut phases: Vec<(&'static str, u64, f64)> = Vec::new();
+    for s in prof.spans().iter().filter(|s| s.cat == "control") {
+        match phases.iter_mut().find(|p| p.0 == s.name) {
+            Some(p) => {
+                p.1 += 1;
+                p.2 += s.dur_us;
+            }
+            None => phases.push((s.name, 1, s.dur_us)),
+        }
+    }
+    Value::Array(
+        phases
+            .into_iter()
+            .map(|(name, count, total_us)| json!({"name": name, "count": count, "total_us": total_us}))
+            .collect(),
+    )
 }
 
 fn is_num(v: Option<&Value>) -> bool {
@@ -281,6 +349,12 @@ mod tests {
                 "guard_trips": 0u64, "invalid_configs_applied": 0u64,
             }),
             json!({"allocations_per_event": Value::Null, "alloc_bytes_per_event": Value::Null}),
+            json!({"acc_switches": 1u64, "ticks": 1u64}),
+            &[HelperSpan {
+                start: t,
+                end: Instant::now(),
+                helper: 0,
+            }],
         );
         book
     }
@@ -303,6 +377,17 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.get("name").and_then(Value::as_str) == Some("control_tick")));
+        // The helper's update sits on a track of its own, after the run's.
+        let update = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("acc_update"))
+            .expect("helper span emitted");
+        assert_eq!(update["tid"].as_u64(), Some(2));
+        let phases = parsed["profile"]["runs"][0]["control"]["phases"]
+            .as_array()
+            .unwrap();
+        assert_eq!(phases[0]["name"].as_str(), Some("control_tick"));
+        assert_eq!(phases[0]["count"].as_u64(), Some(1));
     }
 
     #[test]
@@ -329,6 +414,8 @@ mod tests {
                 "guard_trips": 0u64, "invalid_configs_applied": 0u64,
             }),
             json!({"allocations_per_event": Value::Null}),
+            Value::Null,
+            &[],
         );
         let doc = book.to_json();
         let runs = doc["profile"]["runs"].as_array().unwrap();

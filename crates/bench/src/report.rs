@@ -467,6 +467,8 @@ fn print_profile_run(run: &Value) {
         }
     }
 
+    print_control_plane(run.get("control"));
+
     println!(
         "  trace: {:.0} span(s), {:.0} instant(s), {:.0} dropped at cap",
         num(summary, "spans"),
@@ -474,6 +476,49 @@ fn print_profile_run(run: &Value) {
         num(summary, "spans_dropped"),
     );
     println!();
+}
+
+/// The control-plane table of a profiled run: what the ACC controllers
+/// did, where their DDQN updates ran, and the wall time of each tick phase.
+/// The trainer's columns depend on host timing; they exist only here.
+fn print_control_plane(control: Option<&Value>) {
+    let Some(c) = control.filter(|c| c.as_object().is_some()) else {
+        return;
+    };
+    let submitted = num(c, "updates_submitted");
+    println!(
+        "  control plane: {:.0} ACC switch(es), {:.0} ticks, {:.0} inferences \
+         ({:.0} skipped idle), {:.0} train steps",
+        num(c, "acc_switches"),
+        num(c, "ticks"),
+        num(c, "inferences"),
+        num(c, "skipped_idle"),
+        num(c, "train_steps"),
+    );
+    println!(
+        "       updates: {submitted:.0} submitted, {:.0} ran on a helper thread, {:.0} on the \
+         engine ({:.1}%); {:.0} blocked join(s), {:.2} ms asleep",
+        num(c, "ran_on_helper"),
+        num(c, "ran_on_engine"),
+        100.0 * num(c, "ran_on_engine") / submitted.max(1.0),
+        num(c, "blocked_joins"),
+        num(c, "blocked_ms"),
+    );
+    for p in c
+        .get("phases")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+    {
+        let count = num(p, "count");
+        println!(
+            "       {:<18} {:>8.0} span(s) {:>10.2} ms total {:>8.1} us mean",
+            p.get("name").and_then(Value::as_str).unwrap_or("?"),
+            count,
+            num(p, "total_us") / 1e3,
+            num(p, "total_us") / count.max(1.0),
+        );
+    }
 }
 
 /// Render a `--profile` artifact: per-run hot event kinds, allocation
@@ -629,6 +674,13 @@ mod tests {
                 "invalid_configs_applied": 0u64,
             }),
             serde_json::json!({"allocations_per_event": Value::Null}),
+            serde_json::json!({
+                "acc_switches": 6u64, "ticks": 600u64, "inferences": 900u64,
+                "skipped_idle": 10u64, "train_steps": 500u64,
+                "updates_submitted": 500u64, "ran_on_helper": 400u64,
+                "ran_on_engine": 100u64, "blocked_joins": 2u64, "blocked_ms": 0.1,
+            }),
+            &[],
         );
         book.write().unwrap();
         print_profile_report(path).unwrap();

@@ -27,8 +27,7 @@
 
 use crate::common::{self, Policy, Scale};
 use crate::fault::invalid_final_configs;
-use acc_core::controller::AccController;
-use acc_core::guard::{install_guarded_acc, GuardConfig, GuardedController};
+use acc_core::guard::{install_guarded_acc, GuardConfig};
 use acc_core::{
     trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, PhaseKind, ProbationOutcome,
     RewardConfig, SoakPlan, SwapOutcome,
@@ -125,19 +124,7 @@ fn total_train_steps(sim: &mut Simulator) -> u64 {
             continue;
         }
         steps += sim.with_controller(sw, |c, _| {
-            if c.as_any_mut().is::<GuardedController>() {
-                let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();
-                return g
-                    .inner_mut()
-                    .as_any_mut()
-                    .downcast_mut::<AccController>()
-                    .map(|a| a.stats.train_steps)
-                    .unwrap_or(0);
-            }
-            c.as_any_mut()
-                .downcast_mut::<AccController>()
-                .map(|a| a.stats.train_steps)
-                .unwrap_or(0)
+            trainer::acc_of(c).map_or(0, |a| a.stats.train_steps)
         });
     }
     steps

@@ -9,10 +9,17 @@
 //! 2. computes the reward of the *previous* action from the interval's link
 //!    utilisation and time-average queue length;
 //! 3. stores the transition `{S_t, a_t, r_t, S_{t+1}}` into the replay
-//!    memory and (when online training is enabled) runs DDQN minibatch
-//!    updates (Algorithm 1);
+//!    memory;
 //! 4. selects the next action ε-greedily and writes the chosen
-//!    `{Kmin, Kmax, Pmax}` template into the forwarding chip.
+//!    `{Kmin, Kmax, Pmax}` template into the forwarding chip;
+//! 5. (when online training is enabled) hands the agent to
+//!    [`rl::trainer`] for its DDQN minibatch updates (Algorithm 1) and
+//!    returns to the engine. The agent comes back at the first point
+//!    anything reads it — the top of this switch's next tick, an
+//!    experience exchange, an accessor — so the update overlaps the packet
+//!    events in between, the way the switch CPU trains while the chip
+//!    forwards. Which thread ran it changes no recorded byte (the argument
+//!    is in the [`rl::trainer`] module docs).
 //!
 //! The busy/idle optimisation of §4.2 suspends inference for queues that
 //! stay below `Kmin` with an unchanged reward for three consecutive slots,
@@ -30,11 +37,13 @@ use crate::reward::RewardConfig;
 use crate::state::QueueObserver;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
-use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Transition};
+use rl::trainer::{StepFn, Worker};
+use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Seat, TrainerStats, Transition};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// Configuration of an [`AccController`].
 #[derive(Clone, Debug)]
@@ -65,7 +74,9 @@ pub struct AccConfig {
     /// Route inference and training through the retained scalar reference
     /// kernels instead of the batched ones. The two paths are bit-identical
     /// by contract; this flag exists so differential runs (and the perf
-    /// suite) can pin that contract at the whole-simulation level.
+    /// suite) can pin that contract at the whole-simulation level. They are
+    /// its only users.
+    #[doc(hidden)]
     pub scalar_inference: bool,
 }
 
@@ -123,9 +134,27 @@ pub struct AccStats {
     pub inferences: u64,
     /// Inferences skipped because the queue was idle.
     pub skipped_idle: u64,
-    /// Training minibatches run.
+    /// Training minibatches run. Counted when the update is submitted
+    /// (whether it trains is known then), so the number is the same
+    /// whether or not the update has finished.
     pub train_steps: u64,
 }
+
+/// One update that ran on a helper thread while the engine's profiler was
+/// on: the Chrome trace draws these on a track of their own.
+#[derive(Clone, Copy, Debug)]
+pub struct HelperSpan {
+    /// Wall-clock start of the update.
+    pub start: Instant,
+    /// Wall-clock end of the update.
+    pub end: Instant,
+    /// Which helper thread ran it.
+    pub helper: usize,
+}
+
+/// Helper spans a controller keeps per profiled run, the same order of
+/// magnitude as the profiler's own span cap.
+const HELPER_SPAN_CAP: usize = 65_536;
 
 /// Scratch for the once-per-tick action selection over every pending queue
 /// of a switch: one batched forward pass instead of one per queue.
@@ -185,9 +214,10 @@ impl BatchSelect {
 pub struct AccController {
     cfg: AccConfig,
     space: ActionSpace,
-    /// The DDQN; `Rc` so offline training can share one model across
+    /// The DDQN's seat: home between join and submit, away in an update
+    /// otherwise. `Rc` so offline training can share one model across
     /// switches (a unique `Rc` is simply a private agent).
-    agent: Rc<RefCell<DdqnAgent>>,
+    agent: Rc<RefCell<Seat>>,
     /// Optional global replay memory shared across switches.
     global_replay: Option<Rc<RefCell<ReplayBuffer>>>,
     queues: HashMap<(u16, Prio), QueueCtx>,
@@ -198,8 +228,16 @@ pub struct AccController {
     /// Optional flight recorder: when attached, every decision emits an
     /// [`telemetry::AgentSample`]. Disabled is one `Option` check.
     recorder: Option<telemetry::SharedRecorder>,
-    /// TD loss of the most recent training minibatch.
+    /// TD loss of the most recent training minibatch this controller has
+    /// joined.
     last_td_loss: Option<f32>,
+    /// The agent's anomaly count when this tick's update was submitted:
+    /// every finished update plus this tick's selection.
+    anomalies: u64,
+    /// Where this controller's updates ran. Host timing, not simulation
+    /// state: for profiles and perf output only.
+    pub trainer: TrainerStats,
+    helper_spans: Vec<HelperSpan>,
     /// Queues awaiting this tick's batched selection pass.
     pending: Vec<PendingDecision>,
     select: BatchSelect,
@@ -210,13 +248,14 @@ impl AccController {
     pub fn new(cfg: AccConfig, space: ActionSpace) -> Self {
         let state_dim = cfg.history_k * crate::state::FEATURES_PER_OBS;
         let agent = DdqnAgent::new(state_dim, space.len(), cfg.ddqn.clone(), cfg.seed);
-        Self::with_agent(cfg, space, Rc::new(RefCell::new(agent)))
+        Self::with_agent(cfg, space, Rc::new(RefCell::new(Seat::new(agent))))
     }
 
     /// Create a controller around an existing (possibly shared) agent.
-    pub fn with_agent(cfg: AccConfig, space: ActionSpace, agent: Rc<RefCell<DdqnAgent>>) -> Self {
+    pub fn with_agent(cfg: AccConfig, space: ActionSpace, agent: Rc<RefCell<Seat>>) -> Self {
         {
-            let a = agent.borrow();
+            let mut seat = agent.borrow_mut();
+            let a = seat.get();
             assert_eq!(
                 a.state_dim(),
                 cfg.history_k * crate::state::FEATURES_PER_OBS,
@@ -234,6 +273,9 @@ impl AccController {
             last_rewards: HashMap::new(),
             recorder: None,
             last_td_loss: None,
+            anomalies: 0,
+            trainer: TrainerStats::default(),
+            helper_spans: Vec::new(),
             pending: Vec::new(),
             select: BatchSelect::default(),
         }
@@ -243,7 +285,7 @@ impl AccController {
     /// online hand-off), with a fresh fast-decaying exploration budget.
     pub fn from_model(cfg: AccConfig, space: ActionSpace, model: &rl::Mlp) -> Self {
         let ctl = Self::new(cfg, space);
-        ctl.agent.borrow_mut().load_model(model);
+        ctl.agent.borrow_mut().get().load_model(model);
         ctl
     }
 
@@ -263,14 +305,20 @@ impl AccController {
         &self.space
     }
 
-    /// Snapshot the current model.
+    /// Snapshot the current model (after any update in flight).
     pub fn export_model(&self) -> rl::Mlp {
-        self.agent.borrow().export_model()
+        self.agent.borrow_mut().get().export_model()
     }
 
-    /// Handle to the (possibly shared) agent.
-    pub fn agent(&self) -> Rc<RefCell<DdqnAgent>> {
+    /// Handle to the (possibly shared) agent's seat; [`Seat::get`] reaches
+    /// the agent, waiting for an update in flight.
+    pub fn agent(&self) -> Rc<RefCell<Seat>> {
         self.agent.clone()
+    }
+
+    /// Drain the helper-thread update spans kept while profiling.
+    pub fn take_helper_spans(&mut self) -> Vec<HelperSpan> {
+        std::mem::take(&mut self.helper_spans)
     }
 
     /// The currently applied action index for a queue, if any.
@@ -278,11 +326,15 @@ impl AccController {
         self.queues.get(&(port.0, prio)).map(|q| q.action_idx)
     }
 
-    /// Total training-anomaly signals (NaN Q-values/targets) raised by this
-    /// controller's agent. [`crate::guard`] polls this to surface numeric
-    /// trouble as guard events.
+    /// Training-anomaly signals (NaN Q-values/targets) raised by this
+    /// controller's agent, as of the last *finished* update plus the
+    /// current tick's action selection. [`crate::guard`] polls this right
+    /// after the tick, one line after the update was submitted; asking the
+    /// agent itself would wait for that update and undo the overlap. So a
+    /// NaN TD target from tick `t`'s update shows here in tick `t+1`, a NaN
+    /// Q-vector at selection in the same tick.
     pub fn agent_anomalies(&self) -> u64 {
-        self.agent.borrow().anomalies()
+        self.anomalies
     }
 
     /// Phase A of a control tick: read telemetry, compute the reward, store
@@ -353,7 +405,8 @@ impl AccController {
         }
 
         // Learn from the previous action.
-        let mut agent = self.agent.borrow_mut();
+        let mut seat = self.agent.borrow_mut();
+        let agent = seat.get();
         if let Some((ps, pa)) = q.prev.take() {
             if self.cfg.online_training {
                 agent.observe(Transition {
@@ -366,7 +419,7 @@ impl AccController {
             }
         }
         let replay_len = agent.replay.len();
-        drop(agent);
+        drop(seat);
 
         // Defer the ε-greedy selection to the end-of-tick batched pass.
         self.pending.push(PendingDecision {
@@ -387,15 +440,16 @@ impl AccController {
         if n == 0 {
             return;
         }
-        let mut agent = self.agent.borrow_mut();
+        let mut seat = self.agent.borrow_mut();
+        let agent = seat.get();
         let decisions = self.select.select(
-            &mut agent,
+            agent,
             self.pending.iter().map(|d| d.state.as_slice()),
             self.cfg.explore,
             self.cfg.scalar_inference,
         );
         let train_steps = agent.train_steps();
-        drop(agent);
+        drop(seat);
         self.stats.inferences += n as u64;
 
         let now = view.now();
@@ -428,19 +482,61 @@ impl AccController {
         self.pending.clear();
     }
 
-    fn maybe_exchange(&mut self) {
-        let Some(global) = &self.global_replay else {
+    /// Phase D: hand the agent to the trainer for this tick's updates.
+    /// `overlap` offers the job to the helper threads; without it the job
+    /// waits for the join that follows.
+    fn submit(&mut self, overlap: bool, timed: bool) {
+        let mut seat = self.agent.borrow_mut();
+        let agent = seat.get();
+        self.anomalies = agent.anomalies();
+        let steps = self.cfg.trains_per_tick;
+        if !self.cfg.online_training || steps == 0 || !agent.ready_to_train() {
             return;
+        }
+        self.stats.train_steps += steps as u64;
+        self.trainer.submitted += 1;
+        let step: StepFn = if self.cfg.scalar_inference {
+            DdqnAgent::train_step_scalar
+        } else {
+            DdqnAgent::train_step
         };
-        if self.cfg.exchange_every_ticks == 0
-            || !self
+        seat.submit(step, steps, overlap, timed);
+    }
+
+    /// Take the agent back and book what its update reports.
+    fn join(&mut self, view: &mut SwitchView<'_>, profiling: bool) {
+        let t0 = profiling.then(Instant::now);
+        if let Some(done) = self.agent.borrow_mut().join() {
+            self.trainer.record(&done);
+            if let Some(loss) = done.loss {
+                self.last_td_loss = Some(loss);
+            }
+            if let (Worker::Helper(helper), Some((start, end))) = (done.by, done.span) {
+                if self.helper_spans.len() < HELPER_SPAN_CAP {
+                    self.helper_spans.push(HelperSpan { start, end, helper });
+                }
+            }
+        }
+        if let Some(t0) = t0 {
+            view.profile_span("acc_join", t0);
+        }
+    }
+
+    fn exchange_due(&self) -> bool {
+        self.global_replay.is_some()
+            && self.cfg.exchange_every_ticks != 0
+            && self
                 .stats
                 .ticks
                 .is_multiple_of(self.cfg.exchange_every_ticks)
-        {
+    }
+
+    fn exchange(&mut self) {
+        let Some(global) = &self.global_replay else {
             return;
-        }
-        let mut agent = self.agent.borrow_mut();
+        };
+        let mut seat = self.agent.borrow_mut();
+        let agent = seat.get();
         let mut g = global.borrow_mut();
         // Push local experience up, pull shared experience down. We reuse a
         // cheap deterministic RNG derived from the tick counter.
@@ -457,46 +553,49 @@ impl AccController {
 
 impl QueueController for AccController {
     fn on_tick(&mut self, view: &mut SwitchView<'_>) {
-        // The paper's three phases — observe, select+apply, train — each get
-        // a wall-clock span when the engine's self-profiler is on. One
-        // branch per tick when it is off.
+        // Each phase — join, observe, select+apply, submit — gets a
+        // wall-clock span when the engine's self-profiler is on, so a slow
+        // tick (`acc_observe`, `acc_select_apply`, `acc_submit`) can be told
+        // from a slow update (`acc_join`). One branch per tick when it is off.
         let profiling = view.profiling_enabled();
         self.stats.ticks += 1;
-        let t0 = profiling.then(std::time::Instant::now);
+        // The previous tick's update ends here at the latest.
+        self.join(view, profiling);
+        let t0 = profiling.then(Instant::now);
         let n_ports = view.num_ports();
-        let prios = self.cfg.target_prios.clone();
         for p in 0..n_ports {
-            for &prio in &prios {
+            for i in 0..self.cfg.target_prios.len() {
+                let prio = self.cfg.target_prios[i];
                 self.prepare_queue(view, PortId(p as u16), prio);
             }
         }
         if let Some(t0) = t0 {
             view.profile_span("acc_observe", t0);
         }
-        let t0 = profiling.then(std::time::Instant::now);
+        let t0 = profiling.then(Instant::now);
         self.decide_pending(view);
         if let Some(t0) = t0 {
             view.profile_span("acc_select_apply", t0);
         }
-        let t0 = profiling.then(std::time::Instant::now);
-        if self.cfg.online_training {
-            let scalar = self.cfg.scalar_inference;
-            let mut agent = self.agent.borrow_mut();
-            for _ in 0..self.cfg.trains_per_tick {
-                let loss = if scalar {
-                    agent.train_step_scalar()
-                } else {
-                    agent.train_step()
-                };
-                if let Some(loss) = loss {
-                    self.stats.train_steps += 1;
-                    self.last_td_loss = Some(loss);
-                }
-            }
-        }
-        self.maybe_exchange();
+        // Nothing reads a private agent before this switch's next tick,
+        // except the experience exchange. An agent shared with other
+        // switches is read by the next one of this same tick.
+        let exchange = self.exchange_due();
+        let overlap = !exchange && Rc::strong_count(&self.agent) == 1;
+        let t0 = profiling.then(Instant::now);
+        self.submit(overlap, profiling);
         if let Some(t0) = t0 {
-            view.profile_span("acc_train", t0);
+            view.profile_span("acc_submit", t0);
+        }
+        if !overlap {
+            self.join(view, profiling);
+        }
+        if exchange {
+            let t0 = profiling.then(Instant::now);
+            self.exchange();
+            if let Some(t0) = t0 {
+                view.profile_span("acc_exchange", t0);
+            }
         }
     }
 
@@ -719,8 +818,8 @@ mod tests {
         let b = AccController::from_model(cfg, space, &m);
         let s = vec![0.25f32; 12];
         assert_eq!(
-            a.agent().borrow().q_values(&s),
-            b.agent().borrow().q_values(&s)
+            a.agent().borrow_mut().get().q_values(&s),
+            b.agent().borrow_mut().get().q_values(&s)
         );
     }
 

@@ -582,7 +582,10 @@ mod tests {
         let ctl = loaded.instantiate(cfg).unwrap();
         // The instantiated controller answers with the bundled model.
         let s = vec![0.25f32; 12];
-        assert_eq!(ctl.agent().borrow().q_values(&s), b.model.forward(&s));
+        assert_eq!(
+            ctl.agent().borrow_mut().get().q_values(&s),
+            b.model.forward(&s)
+        );
     }
 
     #[test]

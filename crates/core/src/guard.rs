@@ -112,7 +112,10 @@ pub enum GuardViolation {
     /// The agent's numeric kernels signalled trouble (NaN Q-values or
     /// non-finite TD targets during training/inference). Agent-level, not
     /// per-queue: reported by [`AccController::agent_anomalies`] rather
-    /// than by [`QueueGuard::vet`].
+    /// than by [`QueueGuard::vet`]. The agent's update runs beside the
+    /// engine and is not waited for here, so a NaN Q-vector at action
+    /// selection is reported in the tick it happened, a non-finite TD
+    /// target in the update of tick `t` one interval later, in tick `t+1`.
     TrainingAnomaly,
 }
 
@@ -531,11 +534,12 @@ impl QueueController for GuardedController {
         let vet_t0 = view.profiling_enabled().then(std::time::Instant::now);
         self.stats.ticks += 1;
         let n_ports = view.num_ports();
-        let prios = self.target_prios.clone();
         // Poll the inner agent's numeric-anomaly counter: NaN Q-values or
         // non-finite TD targets surface here as an agent-level violation
         // (emitted against port 0 / the first guarded class, since the
-        // signal is not attributable to a single queue).
+        // signal is not attributable to a single queue). The count is as
+        // of the agent's last finished update — this tick's is still
+        // running — plus this tick's selection.
         let agent_anoms = self
             .inner
             .as_any_mut()
@@ -547,7 +551,7 @@ impl QueueController for GuardedController {
             if delta > 0 {
                 self.stats.agent_anomalies += delta;
                 self.stats.violations_detected += delta;
-                if let Some(&prio) = prios.first() {
+                if let Some(&prio) = self.target_prios.first() {
                     self.emit(
                         view,
                         PortId(0),
@@ -560,7 +564,8 @@ impl QueueController for GuardedController {
         }
         for p in 0..n_ports {
             let port = PortId(p as u16);
-            for &prio in &prios {
+            for i in 0..self.target_prios.len() {
+                let prio = self.target_prios[i];
                 let snap = view.snapshot(port, prio);
                 let reward = self
                     .inner
@@ -813,6 +818,88 @@ mod tests {
             );
         });
         let _ = ActionSpace::templates(); // keep the import honest
+    }
+
+    /// One guarded ACC switch, ticked one interval at a time; after each
+    /// tick `probe` sees the guard's anomaly count and the inner controller.
+    fn tick_guarded_acc(
+        acc: AccController,
+        ticks: u64,
+        mut probe: impl FnMut(u64, u64, &mut AccController),
+    ) {
+        use netsim::ids::PRIO_RDMA;
+        let topo = TopologySpec::single_switch(2, 25_000_000_000, SimTime::from_ns(500)).build();
+        let simcfg = SimConfig::default().with_control_interval(SimTime::from_us(50));
+        let mut sim = Simulator::new(topo, simcfg);
+        let sw = sim.core().topo.switches()[0];
+        let guarded =
+            GuardedController::new(Box::new(acc), GuardConfig::default(), vec![PRIO_RDMA]);
+        sim.set_controller(sw, Box::new(guarded));
+        for tick in 1..=ticks {
+            sim.run_until(SimTime::from_us(50 * tick));
+            sim.with_controller(sw, |c, _| {
+                let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();
+                let seen = g.stats.agent_anomalies;
+                let acc = g
+                    .inner
+                    .as_any_mut()
+                    .downcast_mut::<AccController>()
+                    .unwrap();
+                probe(tick, seen, acc);
+            });
+        }
+    }
+
+    fn small_acc_cfg() -> crate::controller::AccConfig {
+        let mut cfg = crate::controller::AccConfig::default();
+        cfg.ddqn.min_replay = 8;
+        cfg.ddqn.batch_size = 8;
+        cfg.idle_optimization = false;
+        cfg
+    }
+
+    /// The update of tick `t` is still running when the guard vets tick
+    /// `t`, so its non-finite TD targets are a `training_anomaly` of tick
+    /// `t + 1`.
+    #[test]
+    fn nan_td_target_is_reported_one_tick_after_its_update() {
+        let mut cfg = small_acc_cfg();
+        cfg.reward.w_throughput = f64::NAN; // every stored reward is NaN
+        let acc = AccController::new(cfg, crate::action::ActionSpace::templates());
+        let mut first_update = None;
+        tick_guarded_acc(acc, 12, |tick, seen, acc| match first_update {
+            None if acc.stats.train_steps > 0 => {
+                first_update = Some(tick);
+                assert_eq!(seen, 0, "tick {tick}: its update is not waited for");
+                // The anomaly is real and already there for who asks the agent.
+                assert!(acc.agent().borrow_mut().get().anomalies() > 0);
+            }
+            None => assert_eq!(seen, 0),
+            Some(t) if tick == t + 1 => assert!(seen > 0, "tick {tick}: reported"),
+            Some(_) => {}
+        });
+        assert!(first_update.is_some_and(|t| t < 12), "training started");
+    }
+
+    /// A NaN Q-vector at action selection needs no update to finish: it is
+    /// reported by the vet of the same tick.
+    #[test]
+    fn nan_q_values_are_reported_in_the_tick_they_are_selected_from() {
+        let mut cfg = small_acc_cfg();
+        cfg.explore = false; // every decision reads the Q-values
+        cfg.online_training = false;
+        let space = crate::action::ActionSpace::templates();
+        let mut model = AccController::new(cfg.clone(), space.clone()).export_model();
+        model.set_weight(0, 0, f32::NAN);
+        let acc = AccController::from_model(cfg, space, &model);
+        let mut first_selection = None;
+        tick_guarded_acc(acc, 4, |tick, seen, acc| {
+            if first_selection.is_none() && acc.stats.inferences > 0 {
+                first_selection = Some(tick);
+                assert!(seen > 0, "tick {tick}: same-tick report");
+            }
+        });
+        assert!(first_selection.is_some());
     }
 
     #[test]

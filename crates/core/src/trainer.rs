@@ -19,7 +19,7 @@
 use crate::action::ActionSpace;
 use crate::controller::{AccConfig, AccController};
 use netsim::prelude::*;
-use rl::{DdqnAgent, Mlp};
+use rl::{DdqnAgent, Mlp, Seat};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -30,19 +30,22 @@ use std::rc::Rc;
 /// per-tick decisions run as a single batched forward pass over the shared
 /// model, and the agent's persistent training workspace serves every
 /// switch's minibatch updates — pre-training throughput scales with the
-/// batched kernels, not with per-queue scalar inference.
+/// batched kernels, not with per-queue scalar inference. The next reader
+/// of a shared agent is the next switch of the same tick, so each
+/// controller joins its update right after submitting it: there is
+/// nothing for a helper thread to overlap with.
 pub fn install_shared_training(
     sim: &mut Simulator,
     cfg: &AccConfig,
     space: &ActionSpace,
-) -> Rc<RefCell<DdqnAgent>> {
+) -> Rc<RefCell<Seat>> {
     let state_dim = cfg.history_k * crate::state::FEATURES_PER_OBS;
-    let agent = Rc::new(RefCell::new(DdqnAgent::new(
+    let agent = Rc::new(RefCell::new(Seat::new(DdqnAgent::new(
         state_dim,
         space.len(),
         cfg.ddqn.clone(),
         cfg.seed,
-    )));
+    ))));
     for sw in sim.core().topo.switches().to_vec() {
         let ctl = AccController::with_agent(cfg.clone(), space.clone(), agent.clone());
         sim.set_controller(sw, Box::new(ctl));
@@ -59,27 +62,30 @@ pub fn install_shared_training_recorded(
     cfg: &AccConfig,
     space: &ActionSpace,
     rec: &telemetry::SharedRecorder,
-) -> Rc<RefCell<DdqnAgent>> {
+) -> Rc<RefCell<Seat>> {
     let agent = install_shared_training(sim, cfg, space);
     crate::controller::attach_recorder(sim, rec);
     agent
 }
 
-/// Resolve the [`AccController`] behind a switch controller, looking
-/// through a [`crate::guard::GuardedController`] wrapper if present.
-fn acc_mut(c: &mut dyn QueueController) -> &mut AccController {
+/// The [`AccController`] behind a switch controller, looking through a
+/// [`crate::guard::GuardedController`] wrapper if present; `None` for any
+/// other controller.
+pub fn acc_of(c: &mut dyn QueueController) -> Option<&mut AccController> {
     // Two-step probe rather than if-let chains: the borrow of `c` must end
     // before the second downcast attempt.
     if c.as_any_mut().is::<AccController>() {
-        return c.as_any_mut().downcast_mut::<AccController>().unwrap();
+        return c.as_any_mut().downcast_mut::<AccController>();
     }
     c.as_any_mut()
-        .downcast_mut::<crate::guard::GuardedController>()
-        .expect("switch runs neither AccController nor GuardedController")
+        .downcast_mut::<crate::guard::GuardedController>()?
         .inner_mut()
         .as_any_mut()
         .downcast_mut::<AccController>()
-        .expect("guarded switch does not wrap an AccController")
+}
+
+fn acc_mut(c: &mut dyn QueueController) -> &mut AccController {
+    acc_of(c).expect("switch runs neither an AccController nor a guarded one")
 }
 
 /// Extract the trained model from any switch of a simulation that runs
@@ -96,7 +102,7 @@ pub fn extract_model(sim: &mut Simulator, switch: NodeId) -> Mlp {
 /// rollback both route through it.
 pub fn load_model_into(sim: &mut Simulator, switch: NodeId, model: &Mlp) {
     sim.with_controller(switch, |c, _| {
-        acc_mut(c).agent().borrow_mut().load_model(model);
+        acc_mut(c).agent().borrow_mut().get().load_model(model);
     });
 }
 
@@ -164,7 +170,10 @@ mod tests {
         let frozen = frozen_config(&small_acc());
         let ctl = AccController::from_model(frozen, space, &model);
         let s = vec![0.5f32; 12];
-        assert_eq!(ctl.agent().borrow().q_values(&s), model.forward(&s));
+        assert_eq!(
+            ctl.agent().borrow_mut().get().q_values(&s),
+            model.forward(&s)
+        );
     }
 
     #[test]

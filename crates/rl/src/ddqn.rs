@@ -88,6 +88,18 @@ struct TrainWorkspace {
     grads: Option<Gradients>,
 }
 
+/// Machine-independent cost of one [`DdqnAgent::train_step`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepCost {
+    /// Upper bound on floating-point operations (the backward pass skips
+    /// zero deltas, so the real count is data-dependent and lower).
+    pub flop_bound: u64,
+    /// Transitions sampled from the replay memory.
+    pub replay_samples: u64,
+    /// Parameters Adam updates.
+    pub params: u64,
+}
+
 /// A Double-DQN agent over a discrete action space.
 #[derive(Clone, Debug)]
 pub struct DdqnAgent {
@@ -274,6 +286,31 @@ impl DdqnAgent {
         self.replay.push(t);
     }
 
+    /// True once the replay memory holds enough transitions for a train
+    /// step to train. Training never changes the replay length, so a caller
+    /// that is about to hand the agent to [`crate::trainer`] can count the
+    /// steps that will train before they have run.
+    pub fn ready_to_train(&self) -> bool {
+        self.replay.len() >= self.cfg.min_replay.max(self.cfg.batch_size)
+    }
+
+    /// What one train step costs, as counts that are the same on every
+    /// machine: the yardstick a steps-per-second figure is read against.
+    pub fn step_cost(&self) -> StepCost {
+        let n = self.cfg.batch_size as u64;
+        let forward = self.eval.flops_per_inference() as u64;
+        let params = self.eval.param_count() as u64;
+        StepCost {
+            // Three batched forwards (eval and target on S', eval on S), a
+            // backward of at most two forwards' worth (weight and input
+            // gradients; zero deltas are skipped, so usually less), and
+            // Adam's ~14 operations per parameter.
+            flop_bound: 5 * n * forward + 14 * params,
+            replay_samples: n,
+            params,
+        }
+    }
+
     /// One minibatch training step (no-op until `min_replay` transitions are
     /// stored). Returns the minibatch loss if training happened.
     ///
@@ -288,7 +325,7 @@ impl DdqnAgent {
     /// differential tests.
     pub fn train_step(&mut self) -> Option<f32> {
         let n = self.cfg.batch_size;
-        if self.replay.len() < self.cfg.min_replay.max(n) {
+        if !self.ready_to_train() {
             return None;
         }
         let state_dim = self.eval.input_dim();
@@ -380,9 +417,12 @@ impl DdqnAgent {
     /// `Vec<&Transition>` that `replay.sample` returns. It consumes the RNG
     /// stream identically and produces bit-identical weights and loss — the
     /// ground truth the batched kernels are differentially tested against
-    /// (the same role `HeapEventQueue` plays for the timing wheel).
+    /// (the same role `HeapEventQueue` plays for the timing wheel). Those
+    /// tests, the kernel benches and the scalar differential policy are its
+    /// only callers, so it stays out of the documented API.
+    #[doc(hidden)]
     pub fn train_step_scalar(&mut self) -> Option<f32> {
-        if self.replay.len() < self.cfg.min_replay.max(self.cfg.batch_size) {
+        if !self.ready_to_train() {
             return None;
         }
         let batch = self.replay.sample(&mut self.rng, self.cfg.batch_size);
@@ -459,6 +499,15 @@ impl DdqnAgent {
         self.target.copy_from(model);
     }
 }
+
+/// An agent crosses threads inside a [`crate::trainer`] job, so it and its
+/// replay memory must stay `Send`: an `Rc` slipped into either fails here,
+/// not in a helper thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<DdqnAgent>();
+    assert_send::<Memory>();
+};
 
 /// NaN-safe argmax over Q-values using `f32::total_cmp` ordering, except
 /// that NaN never wins (a poisoned Q-value must not steer the policy).

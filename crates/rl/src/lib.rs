@@ -18,7 +18,11 @@
 //! * [`ddqn`] — the Double-DQN agent: ε-greedy action selection with fast
 //!   exponential ε decay, uniform minibatch sampling, the decoupled
 //!   action-selection / action-evaluation target of eq. (3), and periodic
-//!   target-network synchronisation.
+//!   target-network synchronisation;
+//! * [`trainer`] — the asynchronous half of "asynchronous multi-agent DQN":
+//!   an agent's update is submitted as a job and joined where its result
+//!   is next read, so it runs on an idle core while the caller carries on,
+//!   with results that cannot depend on the schedule.
 //!
 //! Everything is `f32`, seedable, and serializable with `serde` so trained
 //! models can be saved offline and loaded onto "switches" (§4.3).
@@ -31,9 +35,11 @@ pub mod memory;
 pub mod mlp;
 pub mod prioritized;
 pub mod replay;
+pub mod trainer;
 
-pub use ddqn::{DdqnAgent, DdqnConfig};
+pub use ddqn::{DdqnAgent, DdqnConfig, StepCost};
 pub use memory::Memory;
 pub use mlp::{Adam, BackwardScratch, BatchActivations, Mlp};
 pub use prioritized::PrioritizedReplay;
 pub use replay::{ReplayBuffer, Transition};
+pub use trainer::{Seat, Trainer, TrainerStats};

@@ -43,7 +43,7 @@ fn offline_training_produces_redeployable_model() {
     let agent = trainer::install_shared_training(&mut sim, &acc_cfg(), &space);
     drive_random_incast(&mut sim, &hosts, 10, 1);
     assert!(
-        agent.borrow().train_steps() > 0,
+        agent.borrow_mut().get().train_steps() > 0,
         "training must have happened"
     );
 
