@@ -34,14 +34,11 @@ pub mod fig15_deepdive;
 pub mod fig16_unseen;
 pub mod fig17_reward;
 pub mod perf;
-pub mod perf_flow;
-pub mod perf_rl;
 pub mod profile;
 pub mod report;
 pub mod resources;
 pub mod shard_run;
 pub mod soak;
-pub mod trends;
 
 pub use common::Scale;
 

@@ -17,15 +17,13 @@
 //!   ([`acc_bench::SHARDED`]) through the conservative-lookahead engine on
 //!   `n` shards (including `--shards 1`, so shard-count comparisons diff the
 //!   same code path); any other experiment id is rejected;
-//! * `--fidelity <mode>` — `perf --scenario xl-flows` only: pick the
-//!   flow-level backend (`hybrid`, the default, feeds analytic ECN
-//!   telemetry to the tuner; `flow` runs pure max-min rates);
 //! * `--soak-plan <file>` / `--fault-plan <file>` — `soak` only: replace
 //!   the built-in datacenter-day schedule / fault script with JSON plans.
 //!
 //! Value flags are accepted as `--flag value` or `--flag=value`. Unknown
-//! flags, unreadable or invalid plan files, and duplicate experiment ids are
-//! rejected with exit code 2 rather than silently ignored.
+//! flags, unreadable or invalid plan files, duplicate experiment ids and
+//! positional arguments a subcommand has no use for are rejected with exit
+//! code 2 rather than silently ignored.
 
 use acc_bench::{experiments, Scale};
 use netsim::prelude::SimTime;
@@ -112,16 +110,8 @@ fn usage(all: &[(&str, &str, fn(Scale) -> serde_json::Value)]) {
     println!("       acc-bench train [out.json] [--quick]   # save a deployable model bundle");
     println!("       acc-bench report <dir>                 # summarise recorded telemetry");
     println!("       acc-bench report <profile.json>        # summarise a --profile artifact");
-    println!(
-        "       acc-bench perf [out.json] [--quick]    # event-loop benchmark -> BENCH_netsim.json"
-    );
-    println!(
-        "       acc-bench perf --scenario rl [out.json] # RL kernel benchmark -> BENCH_rl.json"
-    );
-    println!("       acc-bench perf --scenario xl-flows [--fidelity hybrid|flow] [out.json]");
-    println!(
-        "                                              # flow-level backend -> BENCH_flows.json"
-    );
+    println!("       acc-bench perf [out.json] [--quick]    # count gates -> BENCH_gates.json,");
+    println!("                                              # exit 1 naming any gate that failed");
     println!(
         "       acc-bench soak [out.json] [--quick] [--soak-plan <file>] [--fault-plan <file>]"
     );
@@ -129,16 +119,6 @@ fn usage(all: &[(&str, &str, fn(Scale) -> serde_json::Value)]) {
         "                                              # fleet soak 'datacenter day' -> SOAK_SLO.json\n"
     );
     println!("flags: --quick|-q                 smoke scale");
-    println!("       --scenario <family>        perf only: 'netsim' (default), 'rl',");
-    println!(
-        "                                  'train-throughput'/'inference-tick' (aliases of 'rl'),"
-    );
-    println!(
-        "                                  'xl-flows' (flow-level backend at 100-1000x scale)"
-    );
-    println!("       --fidelity <mode>          perf only: simulation backend for 'xl-flows' —");
-    println!("                                  'hybrid' (analytic ECN feedback to the tuner,");
-    println!("                                  default) or 'flow' (pure max-min rates)");
     println!("       --jobs|-j <n>              run-matrix worker threads (default: all cores;");
     println!("                                  1 = serial, output is identical either way)");
     println!(
@@ -169,9 +149,7 @@ fn bad_flag(msg: &str) -> ! {
 }
 
 /// The flags that take a value.
-const VALUE_FLAGS: [&str; 9] = [
-    "--scenario",
-    "--fidelity",
+const VALUE_FLAGS: [&str; 7] = [
     "--jobs",
     "--metrics-dir",
     "--metrics-interval-us",
@@ -199,8 +177,6 @@ fn main() {
     let mut metrics_dir: Option<String> = None;
     let mut interval_us: u64 = 100;
     let mut jobs: Option<usize> = None;
-    let mut scenario: Option<String> = None;
-    let mut fidelity_arg: Option<String> = None;
     let mut profile: Option<String> = None;
     let mut shards: Option<u32> = None;
     let mut soak_plan_path: Option<String> = None;
@@ -210,14 +186,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" | "-q" => quick = true,
-            "--scenario" => match it.next() {
-                Some(s) => scenario = Some(s.clone()),
-                None => bad_flag("flag '--scenario' needs a family argument"),
-            },
-            "--fidelity" => match it.next() {
-                Some(f) => fidelity_arg = Some(f.clone()),
-                None => bad_flag("flag '--fidelity' needs a mode (packet|hybrid|flow)"),
-            },
             "--jobs" | "-j" => match it.next().map(|n| n.parse::<usize>()) {
                 Some(Ok(n)) if n > 0 => jobs = Some(n),
                 _ => bad_flag("flag '--jobs' needs a positive integer"),
@@ -254,18 +222,6 @@ fn main() {
     if let Some(n) = jobs {
         acc_bench::common::set_jobs(n);
     }
-    if scenario.is_some() && which.first().map(String::as_str) != Some("perf") {
-        bad_flag("flag '--scenario' only applies to the 'perf' subcommand");
-    }
-    // `--fidelity` selects the simulation backend of the xl-flows perf
-    // family; the value is vetted here so a typo fails before any work.
-    let fidelity = fidelity_arg.as_deref().map(|f| {
-        netsim::flowsim::Fidelity::parse(f)
-            .unwrap_or_else(|| bad_flag(&format!("unknown fidelity '{f}' (packet|hybrid|flow)")))
-    });
-    if fidelity.is_some() && which.first().map(String::as_str) != Some("perf") {
-        bad_flag("flag '--fidelity' only applies to the 'perf' subcommand");
-    }
     if profile.is_some() {
         match which.first().map(String::as_str) {
             None | Some("list") | Some("train") | Some("report") => {
@@ -299,6 +255,15 @@ fn main() {
     {
         bad_flag("flags '--soak-plan'/'--fault-plan' only apply to the 'soak' subcommand");
     }
+    // These subcommands take one optional positional argument; a second one
+    // used to be dropped without a word.
+    if let (Some(cmd @ ("train" | "perf" | "soak" | "report")), Some(surplus)) =
+        (which.first().map(String::as_str), which.get(2))
+    {
+        bad_flag(&format!(
+            "'{cmd}' takes at most one argument; unexpected '{surplus}'"
+        ));
+    }
     if let Some(n) = shards {
         acc_bench::common::set_shards(n);
         eprintln!("[shards] running sharded experiments on {n} shard(s)");
@@ -324,57 +289,29 @@ fn main() {
                 ALLOC_BYTES.load(Ordering::Relaxed),
             )
         });
-        let family = scenario.as_deref().unwrap_or("netsim");
-        if profile.is_some() && family != "netsim" {
-            bad_flag("flag '--profile' only applies to the 'netsim' perf family");
-        }
         if let Some(p) = &profile {
             acc_bench::common::enable_profile(p);
         }
-        if fidelity.is_some_and(|f| f != netsim::flowsim::Fidelity::Packet) && family != "xl-flows"
-        {
-            bad_flag("non-packet '--fidelity' only applies to the 'xl-flows' perf family");
-        }
-        if fidelity == Some(netsim::flowsim::Fidelity::Packet) && family == "xl-flows" {
-            bad_flag(
-                "the 'xl-flows' family runs the flow-level backend; use --fidelity hybrid|flow \
-                 (its accuracy block already contains the packet reference runs)",
-            );
-        }
-        let result = match family {
-            "netsim" => {
-                let out = which
-                    .get(1)
-                    .map(|s| s.as_str())
-                    .unwrap_or("BENCH_netsim.json");
-                acc_bench::perf::run(scale, std::path::Path::new(out))
+        let out = which.get(1).map_or("BENCH_gates.json", String::as_str);
+        let doc = match acc_bench::perf::run(scale, std::path::Path::new(out)) {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("perf run failed: {e}");
+                std::process::exit(1);
             }
-            // The flow-level backend family; `--fidelity` picks the backend
-            // (hybrid = analytic ECN feedback to the tuner, the default;
-            // flow = pure max-min rates; packet = the reference engine run
-            // over the same arrivals, for accuracy ground truth).
-            "xl-flows" => {
-                let out = which
-                    .get(1)
-                    .map(|s| s.as_str())
-                    .unwrap_or("BENCH_flows.json");
-                let fid = fidelity.unwrap_or(netsim::flowsim::Fidelity::Hybrid);
-                acc_bench::perf_flow::run(scale, fid, std::path::Path::new(out))
-            }
-            // The RL family always runs both kernels; the stage aliases
-            // exist so docs can name the scenario being read about.
-            "rl" | "train-throughput" | "inference-tick" => {
-                let out = which.get(1).map(|s| s.as_str()).unwrap_or("BENCH_rl.json");
-                acc_bench::perf_rl::run(scale, std::path::Path::new(out))
-            }
-            other => bad_flag(&format!("unknown perf scenario family '{other}'")),
         };
-        if let Err(e) = result {
-            eprintln!("perf run failed: {e}");
-            std::process::exit(1);
+        let failed = acc_bench::perf::check(&doc);
+        for gate in &failed {
+            eprintln!("gate failed — {gate}");
         }
-        if !acc_bench::common::write_profile() {
-            std::process::exit(1);
+        if !failed.is_empty() {
+            // A profiled run is not a gate run: the profiler's span buffers
+            // grow inside the steady window, so the zero-allocation gates on
+            // the rows it covers cannot hold.
+            if profile.is_none() {
+                std::process::exit(1);
+            }
+            eprintln!("[profile] gates do not set the exit status of a profiled run");
         }
         return;
     }

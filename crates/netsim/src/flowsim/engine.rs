@@ -27,7 +27,7 @@ pub const NIL: u32 = u32::MAX;
 /// presets need 6 (host→ToR→agg→core→agg→ToR→host).
 pub const MAX_HOPS: usize = 8;
 
-/// Simulation fidelity selected on the `acc-bench` command line.
+/// Simulation fidelity: which model of the fabric a run uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Fidelity {
     /// Full packet-level simulation (the existing engine).
@@ -40,17 +40,7 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Parse a `--fidelity` argument.
-    pub fn parse(s: &str) -> Option<Fidelity> {
-        match s {
-            "packet" => Some(Fidelity::Packet),
-            "hybrid" => Some(Fidelity::Hybrid),
-            "flow" => Some(Fidelity::Flow),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
+    /// Lower-case name.
     pub fn name(self) -> &'static str {
         match self {
             Fidelity::Packet => "packet",
@@ -982,13 +972,5 @@ mod tests {
             assert!(l.ecn.is_none(), "flow fidelity carries no ECN model");
             assert_eq!(l.telem.tx_marked_bytes, 0);
         }
-    }
-
-    #[test]
-    fn fidelity_parse_roundtrip() {
-        for f in [Fidelity::Packet, Fidelity::Hybrid, Fidelity::Flow] {
-            assert_eq!(Fidelity::parse(f.name()), Some(f));
-        }
-        assert_eq!(Fidelity::parse("bogus"), None);
     }
 }

@@ -495,9 +495,9 @@ where
 
 /// [`run_sharded`] with barrier-separated phases: after all shards reach
 /// `phase_ends[i]`, every worker parks on a barrier and `between(i)` runs on
-/// the calling thread before the next phase starts. `acc-bench perf` uses
-/// this to read the global allocation counter at the warmup/steady boundary
-/// while no shard is mid-flight.
+/// the calling thread before the next phase starts. The `xl-clos-1024` rows
+/// of `acc-bench perf` read the global allocation counter there, at the
+/// warmup/steady boundary, while no shard is mid-flight.
 pub fn run_sharded_phased<S, R, B, P, F>(
     plan: &ShardPlan,
     phase_ends: &[SimTime],

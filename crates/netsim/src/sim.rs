@@ -466,7 +466,7 @@ impl SimCore {
 
     /// Highest number of simultaneously pending events observed so far —
     /// the event queue's high-water mark, exported into run manifests and
-    /// the `acc-bench perf` report.
+    /// the `peak_event_queue` column of `acc-bench perf`'s gate document.
     pub fn event_queue_peak(&self) -> u64 {
         self.events.peak_len() as u64
     }

@@ -1,7 +1,7 @@
 //! Microbenchmarks of the batched RL kernels against the retained scalar
-//! reference: full DDQN train steps (the `acc-bench perf --scenario
-//! train-throughput` workload, for interactive profiling) and raw minibatch
-//! forward passes.
+//! reference: full DDQN train steps (the workload of `acc-bench perf`'s
+//! `train-step` row, which gates its counts and its identity with the
+//! reference; the rates are read here) and raw minibatch forward passes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rl::{BatchActivations, DdqnAgent, DdqnConfig, Mlp, Transition};
