@@ -10,14 +10,14 @@
 //! Each cell trains a fresh ACC online on the same sustained-incast scenario
 //! and reports the converged goodput / queue tradeoff.
 
-use crate::common::{self, Scale};
+use crate::common::{self, Harness};
 use acc_core::controller::{AccConfig, AccController};
 use acc_core::reward::RewardConfig;
 use acc_core::ActionSpace;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
-use transport::{CcKind, FctCollector, StackConfig};
+use transport::CcKind;
 use workloads::gen;
 
 struct Cell {
@@ -26,12 +26,11 @@ struct Cell {
     reward: f64,
 }
 
-fn run_cell(k: usize, dt: SimTime, w1: f64, scale: Scale) -> Cell {
-    let topo = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500)).build();
+fn run_cell(h: &Harness, k: usize, dt: SimTime, w1: f64) -> Cell {
+    let scale = h.scale;
+    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
     let simcfg = SimConfig::default().with_seed(23).with_control_interval(dt);
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
+    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[15];
 
     let mut cfg = AccConfig::default();
@@ -44,11 +43,6 @@ fn run_cell(k: usize, dt: SimTime, w1: f64, scale: Scale) -> Cell {
     cfg.ddqn.min_replay = 64;
     cfg.ddqn.eps_decay_steps = scale.pick(2_000.0, 600.0);
     cfg.seed = 29;
-    let sw = sim.core().topo.switches()[0];
-    sim.set_controller(
-        sw,
-        Box::new(AccController::new(cfg.clone(), ActionSpace::templates())),
-    );
 
     // Sustained 6x4 incast of long flows.
     let arr = gen::incast_wave(
@@ -59,7 +53,14 @@ fn run_cell(k: usize, dt: SimTime, w1: f64, scale: Scale) -> Cell {
         CcKind::Dcqcn,
         SimTime::ZERO,
     );
-    gen::apply_arrivals(&mut sim, &arr);
+    let label = format!("k{k}_dt{}us_w{w1:.1}", dt.as_ps() / 1_000_000);
+    let mut sc = h.scenario_installed(&spec, simcfg, &label, &arr, |sim| {
+        let sw = sim.core().topo.switches()[0];
+        let acc = AccController::new(cfg.clone(), ActionSpace::templates());
+        sim.set_controller(sw, Box::new(acc));
+    });
+    let sim = &mut sc.sim;
+    let sw = sim.core().topo.switches()[0];
 
     let total = scale.pick(SimTime::from_ms(120), SimTime::from_ms(40));
     let measure_from = SimTime::from_ps(total.as_ps() * 3 / 4);
@@ -85,7 +86,7 @@ fn run_cell(k: usize, dt: SimTime, w1: f64, scale: Scale) -> Cell {
 }
 
 /// Run the ablations.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
     common::banner(
         "ablations",
         "design-choice sweeps: history k, control interval, reward weights",
@@ -99,7 +100,7 @@ pub fn run(scale: Scale) -> Value {
     );
     let mut rows = Vec::new();
     for k in [1usize, 3, 5] {
-        let c = run_cell(k, SimTime::from_us(50), 0.7, scale);
+        let c = run_cell(h, k, SimTime::from_us(50), 0.7);
         println!(
             "{k:<6} {:>14.2} {:>16.1} {:>10.3}",
             c.goodput_gbps, c.avg_queue_kb, c.reward
@@ -116,7 +117,7 @@ pub fn run(scale: Scale) -> Value {
     );
     let mut rows = Vec::new();
     for dt_us in [10u64, 50, 200, 1000] {
-        let c = run_cell(3, SimTime::from_us(dt_us), 0.7, scale);
+        let c = run_cell(h, 3, SimTime::from_us(dt_us), 0.7);
         println!(
             "{:<8} {:>14.2} {:>16.1} {:>10.3}",
             format!("{dt_us}us"),
@@ -136,7 +137,7 @@ pub fn run(scale: Scale) -> Value {
     );
     let mut rows = Vec::new();
     for w1 in [0.5f64, 0.7, 0.9] {
-        let c = run_cell(3, SimTime::from_us(50), w1, scale);
+        let c = run_cell(h, 3, SimTime::from_us(50), w1);
         println!(
             "{:<10} {:>14.2} {:>16.1}",
             format!("{w1:.1}/{:.1}", 1.0 - w1),
@@ -149,6 +150,6 @@ pub fn run(scale: Scale) -> Value {
     out.insert("reward_weights".into(), Value::Array(rows));
 
     let v = Value::Object(out);
-    common::save_results_scaled("ablations", &v, scale);
+    common::save_results_scaled("ablations", &v, h.scale);
     v
 }

@@ -1,6 +1,8 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
-//! cache, FCT scenario runner, queue sampling, and result output.
+//! cache, the [`Harness`] run context with the one scenario builder, queue
+//! sampling, and result output.
 
+use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
 use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
@@ -11,11 +13,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rl::Mlp;
 use serde_json::{json, Value};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use telemetry::{JsonlSink, RunManifest, RunRecorder, SharedRecorder};
 use transport::{FctCollector, FctStats, SharedFct, StackConfig};
 use workloads::gen::{self, Arrival, PoissonGen};
@@ -303,127 +305,213 @@ pub fn buckets_of(f: &FctCollector, from: SimTime) -> FctBuckets {
     }
 }
 
-/// Process-wide flight-recorder context, armed by `--metrics-dir` (or
-/// [`enable_metrics`] from tests). While armed, every scenario built by
-/// [`scenario`] records queue/agent JSONL plus a `manifest.json` into a
-/// fresh numbered subdirectory.
+/// Where an armed harness records, and how often it samples queues.
 struct MetricsCtx {
     dir: PathBuf,
     interval: SimTime,
+    /// Run directories claimed outside matrix cells. Held across the
+    /// exclusive create, so two threads never probe the same name.
+    runs: Mutex<u64>,
+}
+
+/// What every harness derived from one [`Harness::new`] shares: matrix
+/// cells finish (and record, and fold their profiles in) on pool workers.
+struct Shared {
+    metrics: Option<MetricsCtx>,
+    /// Set when any armed recording could not be written in full (sink
+    /// creation, flush, or manifest save failed). The CLI checks this at
+    /// exit so a run with lost telemetry finishes non-zero instead of
+    /// silently reporting success.
+    metrics_failed: AtomicBool,
+    /// The profile book of `--profile <path>`, until it is written.
+    profile: Mutex<Option<ProfileBook>>,
+    /// Process-wide `(allocation count, allocated bytes)`. The counting
+    /// `#[global_allocator]` lives in the binary crate (this library forbids
+    /// `unsafe`); without a probe (e.g. library tests) allocation columns
+    /// are `null`.
+    alloc_probe: Option<fn() -> (u64, u64)>,
+    /// High-water mark of live heap bytes — the soak run's peak-RSS proxy.
+    peak_probe: Option<fn() -> u64>,
+}
+
+/// The matrix cell a harness was handed to. Scenarios built through it
+/// derive their run-directory names from the cell index rather than from
+/// the shared arrival-order counter, so recorded paths (and therefore
+/// recorded bytes) are identical no matter how many workers the matrix ran
+/// on or which one picked the cell up.
+struct CellCtx {
+    index: usize,
+    runs: AtomicU64,
+}
+
+/// The run context of one `acc-bench` invocation (or one test): scale,
+/// worker and shard counts, the flight recorder with its run counter and
+/// failure flag, the profile book and the allocator probes. `main` builds
+/// one from the parsed flags; every experiment, and through
+/// [`Harness::run_matrix`] every matrix cell, receives it as an argument.
+/// It is the only thing that builds a simulator, so `--metrics-dir` and
+/// `--profile` cover every experiment that has one.
+pub struct Harness {
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Matrix workers; 0 = one per available core.
+    jobs: usize,
+    /// The `--shards` request: `Some(n)` routes [`Harness::run_to`] through
+    /// the sharded runner (even at `n == 1`, so shard-count diffs compare
+    /// the same code path), `None` means the flag was absent.
+    shards: Option<u32>,
+    /// Labels recorded and profiled runs.
     experiment: String,
-    runs: u64,
+    cell: Option<CellCtx>,
+    shared: Arc<Shared>,
 }
 
-/// The shared recording registry. A `Mutex` (not a `thread_local!`) because
-/// matrix cells run on pool workers: every worker must see the armed
-/// context, and run-directory allocation must be serialised so names are
-/// collision-free across threads.
-static METRICS: Mutex<Option<MetricsCtx>> = Mutex::new(None);
-
-fn metrics_registry() -> std::sync::MutexGuard<'static, Option<MetricsCtx>> {
-    // A worker that panicked mid-cell poisons the lock; the registry itself
-    // is still consistent (allocation is atomic under the guard), so keep
-    // going rather than cascading panics across unrelated cells.
-    METRICS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Set when any armed recording could not be written in full (sink
-/// creation, flush, or manifest save failed). The CLI checks this at exit
-/// so a run with lost telemetry finishes non-zero instead of silently
-/// reporting success.
-static METRICS_FAILED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-pub(crate) fn note_metrics_failure(what: &std::path::Path, e: &dyn std::fmt::Display) {
-    eprintln!("[metrics] ERROR: {}: {e}", what.display());
-    METRICS_FAILED.store(true, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// True if any armed recording failed to persist during this process.
-pub fn metrics_failed() -> bool {
-    METRICS_FAILED.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Arm the flight recorder: subsequent [`scenario`] runs record telemetry
-/// under `dir`, sampling queues every `interval`.
-pub fn enable_metrics(dir: impl Into<PathBuf>, interval: SimTime) {
-    assert!(
-        interval > SimTime::ZERO,
-        "sampling interval must be positive"
-    );
-    *metrics_registry() = Some(MetricsCtx {
-        dir: dir.into(),
-        interval,
-        experiment: String::new(),
-        runs: 0,
-    });
-}
-
-/// Disarm the flight recorder.
-pub fn disable_metrics() {
-    *metrics_registry() = None;
-}
-
-/// Label subsequent recorded runs with the experiment id (the CLI sets this
-/// before dispatching each experiment).
-pub fn set_metrics_experiment(id: &str) {
-    if let Some(ctx) = metrics_registry().as_mut() {
-        ctx.experiment = id.to_string();
-    }
-}
-
-/// The shared profile book, armed by `--profile <path>`. A `Mutex` for the
-/// same reason as [`METRICS`]: matrix cells finish (and fold their profiles
-/// in) on pool workers, and run/tid allocation must be serialised.
-static PROFILE: Mutex<Option<crate::profile::ProfileBook>> = Mutex::new(None);
-
-fn profile_registry() -> std::sync::MutexGuard<'static, Option<crate::profile::ProfileBook>> {
-    PROFILE.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Arm self-profiling: every subsequent [`scenario`] enables the engine's
-/// profiler and folds its results into one artifact, written to `path` by
-/// [`write_profile`] at the end of the invocation.
-pub fn enable_profile(path: impl Into<PathBuf>) {
-    *profile_registry() = Some(crate::profile::ProfileBook::new(path));
-}
-
-/// Disarm self-profiling, discarding anything collected (tests use this).
-pub fn disable_profile() {
-    *profile_registry() = None;
-}
-
-/// True while `--profile` is armed.
-pub fn profile_armed() -> bool {
-    profile_registry().is_some()
-}
-
-/// Label subsequent profiled runs (experiment id / perf scenario name).
-pub fn set_profile_context(ctx: &str) {
-    if let Some(book) = profile_registry().as_mut() {
-        book.set_context(ctx);
-    }
-}
-
-/// Write the armed profile artifact and disarm. Returns `false` when a book
-/// was armed but could not be written (the CLI exits non-zero on that);
-/// `true` when nothing was armed or the write succeeded.
-pub fn write_profile() -> bool {
-    let Some(book) = profile_registry().take() else {
-        return true;
-    };
-    match book.write() {
-        Ok(()) => {
-            eprintln!(
-                "[profile] wrote {} ({} run(s))",
-                book.path().display(),
-                book.run_count()
-            );
-            true
+impl Harness {
+    /// A harness with nothing armed: all cores, unsharded, no recording, no
+    /// profile, no probes.
+    pub fn new(scale: Scale) -> Self {
+        Harness {
+            scale,
+            jobs: 0,
+            shards: None,
+            experiment: "run".into(),
+            cell: None,
+            shared: Arc::new(Shared {
+                metrics: None,
+                metrics_failed: AtomicBool::new(false),
+                profile: Mutex::new(None),
+                alloc_probe: None,
+                peak_probe: None,
+            }),
         }
-        Err(e) => {
-            eprintln!("[profile] ERROR: {}: {e}", book.path().display());
-            false
+    }
+
+    fn shared_mut(&mut self) -> &mut Shared {
+        Arc::get_mut(&mut self.shared).expect("a harness is configured before it is shared")
+    }
+
+    /// Run matrices on `n` workers (`--jobs N`); 1 runs them on the caller's
+    /// thread.
+    pub fn with_jobs(mut self, n: usize) -> Self {
+        self.jobs = n;
+        self
+    }
+
+    /// Route [`Harness::run_to`] through `n` shards (`--shards N`).
+    pub fn with_shards(mut self, n: u32) -> Self {
+        self.shards = Some(n);
+        self
+    }
+
+    /// Arm the flight recorder (`--metrics-dir`): every scenario records
+    /// queue/agent/event JSONL plus a `manifest.json` into a fresh numbered
+    /// subdirectory of `dir`, sampling queues every `interval`.
+    pub fn with_metrics(mut self, dir: impl Into<PathBuf>, interval: SimTime) -> Self {
+        assert!(
+            interval > SimTime::ZERO,
+            "sampling interval must be positive"
+        );
+        self.shared_mut().metrics = Some(MetricsCtx {
+            dir: dir.into(),
+            interval,
+            runs: Mutex::new(0),
+        });
+        self
+    }
+
+    /// Arm self-profiling (`--profile`): every scenario enables the engine's
+    /// profiler and folds its results into one artifact, written to `path`
+    /// by [`Harness::write_profile`].
+    pub fn with_profile(mut self, path: impl Into<PathBuf>) -> Self {
+        self.shared_mut().profile = Mutex::new(Some(ProfileBook::new(path)));
+        self
+    }
+
+    /// Register the global allocator's `(allocations, bytes)` counters.
+    pub fn with_alloc_probe(mut self, probe: fn() -> (u64, u64)) -> Self {
+        self.shared_mut().alloc_probe = Some(probe);
+        self
+    }
+
+    /// Register the live-heap high-water-mark counter.
+    pub fn with_peak_probe(mut self, probe: fn() -> u64) -> Self {
+        self.shared_mut().peak_probe = Some(probe);
+        self
+    }
+
+    /// This harness with recorded and profiled runs labelled `id`.
+    pub fn experiment(&self, id: &str) -> Harness {
+        Harness {
+            experiment: id.into(),
+            ..self.derive(None)
         }
+    }
+
+    fn derive(&self, cell: Option<usize>) -> Harness {
+        Harness {
+            scale: self.scale,
+            jobs: self.jobs,
+            shards: self.shards,
+            experiment: self.experiment.clone(),
+            cell: cell.map(|index| CellCtx {
+                index,
+                runs: AtomicU64::new(0),
+            }),
+            shared: self.shared.clone(),
+        }
+    }
+
+    pub(crate) fn note_metrics_failure(&self, what: &Path, e: &dyn std::fmt::Display) {
+        eprintln!("[metrics] ERROR: {}: {e}", what.display());
+        self.shared.metrics_failed.store(true, Ordering::Relaxed);
+    }
+
+    /// True if any armed recording failed to persist.
+    pub fn metrics_failed(&self) -> bool {
+        self.shared.metrics_failed.load(Ordering::Relaxed)
+    }
+
+    fn profile_book(&self) -> std::sync::MutexGuard<'_, Option<ProfileBook>> {
+        // A worker that panicked mid-cell poisons the lock; the book itself
+        // is still consistent (a run is added in one push), so keep going
+        // rather than cascading panics across unrelated cells.
+        self.shared
+            .profile
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Write the armed profile artifact and disarm. Returns `false` when a
+    /// book was armed but could not be written (the CLI exits non-zero on
+    /// that); `true` when nothing was armed or the write succeeded.
+    pub fn write_profile(&self) -> bool {
+        let Some(book) = self.profile_book().take() else {
+            return true;
+        };
+        match book.write() {
+            Ok(()) => {
+                eprintln!(
+                    "[profile] wrote {} ({} run(s))",
+                    book.path().display(),
+                    book.run_count()
+                );
+                true
+            }
+            Err(e) => {
+                eprintln!("[profile] ERROR: {}: {e}", book.path().display());
+                false
+            }
+        }
+    }
+
+    /// The allocator probe's `(allocations, bytes)`, if one is registered.
+    pub(crate) fn alloc_counts(&self) -> Option<(u64, u64)> {
+        self.shared.alloc_probe.map(|f| f())
+    }
+
+    /// The peak-live-bytes probe, if one is registered.
+    pub(crate) fn peak_live_bytes(&self) -> Option<u64> {
+        self.shared.peak_probe.map(|f| f())
     }
 }
 
@@ -443,69 +531,6 @@ pub fn sum_guard_stats<H: ControllerHost>(sim: &mut H) -> Option<GuardStats> {
     total
 }
 
-/// Identity of the matrix cell executing on this thread, if any. Scenarios
-/// built inside a cell derive their run-directory names from the cell index
-/// rather than from a shared arrival-order counter, so recorded paths (and
-/// therefore recorded bytes) are identical no matter how many workers the
-/// matrix ran on or which one picked the cell up.
-struct CellCtx {
-    index: usize,
-    runs: u64,
-}
-
-thread_local! {
-    static CURRENT_CELL: RefCell<Option<CellCtx>> = const { RefCell::new(None) };
-}
-
-/// Clears the executing-cell marker even when the cell's job panics, so a
-/// worker (or the caller's thread in serial mode) never leaks one cell's
-/// identity into the next scenario built on that thread.
-struct CellGuard;
-
-impl Drop for CellGuard {
-    fn drop(&mut self) {
-        CURRENT_CELL.with(|c| *c.borrow_mut() = None);
-    }
-}
-
-/// Worker count for [`run_matrix`]: 0 = auto (one per available core).
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the [`run_matrix`] worker count (the CLI's `--jobs N`); 0 restores
-/// the default of one worker per available core.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
-}
-
-/// Shard count requested with `--shards N`; 0 = flag absent (unsharded
-/// execution through the classic [`scenario`] path).
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the requested shard count (the CLI's `--shards N`).
-pub fn set_shards(n: u32) {
-    SHARDS.store(n as usize, Ordering::Relaxed);
-}
-
-/// The `--shards` request: `Some(n)` routes supporting experiments through
-/// the sharded runner (even at `n == 1`, so shard-count diffs compare the
-/// same code path), `None` means the flag was absent.
-pub fn shards() -> Option<u32> {
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n as u32),
-    }
-}
-
-/// The effective [`run_matrix`] worker count.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
 /// One cell of an experiment's policy × seed × scenario matrix: a label for
 /// progress lines plus an independently runnable job.
 ///
@@ -513,14 +538,14 @@ pub fn jobs() -> usize {
 /// collector — inside the thread that executes it, so the simulator's
 /// `Rc`/`RefCell` graph never crosses threads; only the captured inputs and
 /// the returned result must be `Send`.
-pub struct MatrixCell<T> {
+pub struct MatrixCell<'a, T> {
     label: String,
-    job: Box<dyn FnOnce() -> T + Send>,
+    job: Box<dyn FnOnce(&Harness) -> T + Send + 'a>,
 }
 
-impl<T> MatrixCell<T> {
-    /// A labelled cell.
-    pub fn new(label: impl Into<String>, job: impl FnOnce() -> T + Send + 'static) -> Self {
+impl<'a, T> MatrixCell<'a, T> {
+    /// A labelled cell. The job receives the cell's own harness.
+    pub fn new(label: impl Into<String>, job: impl FnOnce(&Harness) -> T + Send + 'a) -> Self {
         MatrixCell {
             label: label.into(),
             job: Box::new(job),
@@ -528,82 +553,73 @@ impl<T> MatrixCell<T> {
     }
 }
 
-fn run_cell<T>(index: usize, job: Box<dyn FnOnce() -> T + Send>) -> T {
-    CURRENT_CELL.with(|c| *c.borrow_mut() = Some(CellCtx { index, runs: 0 }));
-    let _guard = CellGuard;
-    job()
-}
-
-/// Execute `cells` concurrently and return their results in cell order.
-///
-/// Cells run on up to [`jobs`] scoped workers; `--jobs 1` runs them on the
-/// caller's thread exactly as the pre-pool harness did. The determinism
-/// contract: every cell derives its RNG seeds from its own inputs and its
-/// recorded run directory from its cell index — never from execution order —
-/// so result JSON and recorded JSONL are byte-identical at any worker count.
-pub fn run_matrix<T: Send>(cells: Vec<MatrixCell<T>>) -> Vec<T> {
-    run_matrix_with_jobs(cells, jobs())
-}
-
-/// [`run_matrix`] with an explicit worker count (tests pin this).
-pub fn run_matrix_with_jobs<T: Send>(cells: Vec<MatrixCell<T>>, jobs: usize) -> Vec<T> {
-    let n = cells.len();
-    let workers = jobs.max(1).min(n.max(1));
-    let t0 = std::time::Instant::now();
-    let out: Vec<T> = if workers <= 1 {
-        cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, MatrixCell { label, job })| {
-                let t = std::time::Instant::now();
-                let r = run_cell(i, job);
-                eprintln!(
-                    "[matrix] {}/{n} {label} ({:.1}s)",
-                    i + 1,
-                    t.elapsed().as_secs_f64()
-                );
-                r
-            })
-            .collect()
-    } else {
-        let queue: Mutex<VecDeque<(usize, MatrixCell<T>)>> =
-            Mutex::new(cells.into_iter().enumerate().collect());
+impl Harness {
+    /// Execute `cells` concurrently and return their results in cell order.
+    ///
+    /// Cells run on up to `--jobs` scoped workers (default: one per
+    /// available core); `--jobs 1` runs them on the caller's thread. The
+    /// determinism contract: every cell derives its RNG seeds from its own
+    /// inputs and its recorded run directory from its cell index — never
+    /// from execution order — so result JSON and recorded JSONL are
+    /// byte-identical at any worker count.
+    pub fn run_matrix<T: Send>(&self, cells: Vec<MatrixCell<'_, T>>) -> Vec<T> {
+        let n = cells.len();
+        let jobs = match self.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let workers = jobs.min(n.max(1));
+        let t0 = std::time::Instant::now();
         let done = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let next = queue.lock().unwrap_or_else(|p| p.into_inner()).pop_front();
-                    let Some((i, MatrixCell { label, job })) = next else {
-                        break;
-                    };
-                    let t = std::time::Instant::now();
-                    let r = run_cell(i, job);
-                    *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                    eprintln!(
-                        "[matrix] {}/{n} {label} ({:.1}s)",
-                        done.fetch_add(1, Ordering::Relaxed) + 1,
-                        t.elapsed().as_secs_f64()
-                    );
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .expect("worker pool completed every cell")
-            })
-            .collect()
-    };
-    if n > 1 {
-        eprintln!(
-            "[matrix] {n} cells on {workers} worker(s) in {:.1}s",
-            t0.elapsed().as_secs_f64()
-        );
+        let run_cell = |i: usize, MatrixCell { label, job }: MatrixCell<'_, T>| {
+            let t = std::time::Instant::now();
+            let r = job(&self.derive(Some(i)));
+            eprintln!(
+                "[matrix] {}/{n} {label} ({:.1}s)",
+                done.fetch_add(1, Ordering::Relaxed) + 1,
+                t.elapsed().as_secs_f64()
+            );
+            r
+        };
+        let out: Vec<T> = if workers <= 1 {
+            cells
+                .into_iter()
+                .enumerate()
+                .map(|(i, cell)| run_cell(i, cell))
+                .collect()
+        } else {
+            let queue: Mutex<VecDeque<(usize, MatrixCell<'_, T>)>> =
+                Mutex::new(cells.into_iter().enumerate().collect());
+            let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
+                        let next = queue.lock().unwrap_or_else(|p| p.into_inner()).pop_front();
+                        let Some((i, cell)) = next else {
+                            break;
+                        };
+                        let r = run_cell(i, cell);
+                        *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
+                    });
+                }
+            });
+            results
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .expect("worker pool completed every cell")
+                })
+                .collect()
+        };
+        if n > 1 {
+            eprintln!(
+                "[matrix] {n} cells on {workers} worker(s) in {:.1}s",
+                t0.elapsed().as_secs_f64()
+            );
+        }
+        out
     }
-    out
 }
 
 /// Live telemetry of one recorded scenario; finalised into a manifest when
@@ -611,7 +627,6 @@ pub fn run_matrix_with_jobs<T: Send>(cells: Vec<MatrixCell<T>>, jobs: usize) -> 
 struct RunTelemetry {
     rec: SharedRecorder,
     claim: ClaimedRun,
-    scale: Scale,
     started: std::time::Instant,
 }
 
@@ -623,7 +638,7 @@ struct ProfRun {
     policy: String,
     seed: u64,
     started: std::time::Instant,
-    /// `(allocations, bytes)` of the process allocator probe at build time.
+    /// `(allocations, bytes)` of the allocator probe at build time.
     alloc0: Option<(u64, u64)>,
 }
 
@@ -635,6 +650,8 @@ pub struct Scenario {
     pub hosts: Vec<NodeId>,
     /// The FCT collector.
     pub fct: SharedFct,
+    /// The harness that built it.
+    harness: Harness,
     /// Flight recorder state when metrics are armed.
     telem: Option<RunTelemetry>,
     /// Profiling bookkeeping when `--profile` is armed.
@@ -648,22 +665,18 @@ impl Scenario {
     }
 
     /// The directory this scenario records into, if metrics are armed.
-    pub fn metrics_dir(&self) -> Option<&std::path::Path> {
+    pub fn metrics_dir(&self) -> Option<&Path> {
         self.telem.as_ref().map(|t| t.claim.dir.as_path())
     }
-}
 
-impl Scenario {
     /// Fold this run's profiler into the armed [`ProfileBook`]: per-kind
     /// dispatch timing, timing-wheel counters, allocation rates and the SLO
     /// block. No-op when the scenario was built with profiling off.
-    ///
-    /// [`ProfileBook`]: crate::profile::ProfileBook
     fn finish_profile(&mut self) {
         let Some(run) = self.prof.take() else { return };
         // Read the allocator probe before doing anything that allocates so
         // the delta covers only the scenario's own lifetime.
-        let alloc_now = crate::perf::alloc_counts();
+        let alloc_now = self.harness.alloc_counts();
         let Some(prof) = self.sim.take_profiler() else {
             return;
         };
@@ -722,7 +735,7 @@ impl Scenario {
             "invalid_configs_applied": guard.violations_applied,
         });
         let (control, helper_spans) = control_plane(&mut self.sim);
-        if let Some(book) = profile_registry().as_mut() {
+        if let Some(book) = self.harness.profile_book().as_mut() {
             book.add_run(
                 &run.label,
                 &prof,
@@ -787,13 +800,12 @@ impl Drop for Scenario {
         // the event timeline.
         telemetry::drain_fault_log(self.sim.core_mut(), &mut t.rec.borrow_mut());
         if let Err(e) = t.rec.borrow_mut().flush() {
-            note_metrics_failure(&t.claim.dir, &e);
+            self.harness.note_metrics_failure(&t.claim.dir, &e);
         }
         let core = self.sim.core();
         let rec = t.rec.borrow();
-        save_manifest(
+        self.harness.save_manifest(
             &t.claim,
-            t.scale,
             None,
             &core.topo,
             &core.cfg,
@@ -834,159 +846,15 @@ impl EngineTotals {
     }
 }
 
-/// Write the `manifest.json` of a finished recorded run — unsharded
-/// scenarios and the sharded runner (`shards: Some(n)`) both end here.
-/// Returns whether it reached the disk; a failure has already been reported
-/// through [`note_metrics_failure`].
-pub(crate) fn save_manifest(
-    claim: &ClaimedRun,
-    scale: Scale,
-    shards: Option<u32>,
-    topo: &Topology,
-    cfg: &SimConfig,
-    sim_time: SimTime,
-    wall_s: f64,
-    engine: EngineTotals,
-    (queue_samples, agent_samples, event_samples): (u64, u64, u64),
-    fct: &FctCollector,
-) -> bool {
-    let summary = fct.summary();
-    let scale = if scale.quick { "quick" } else { "full" };
-    let manifest = RunManifest {
-        experiment: claim.experiment.clone(),
-        run: claim.run.clone(),
-        policy: claim.policy.name().to_string(),
-        seed: claim.seed,
-        scale: match shards {
-            Some(n) => format!("{scale}+shards{n}"),
-            None => scale.to_string(),
-        },
-        hosts: topo.host_count(),
-        switches: topo.switches().len(),
-        sim_time_us: sim_time.as_us_f64(),
-        wall_time_s: wall_s,
-        events_processed: engine.events_processed,
-        events_per_sec: if wall_s > 0.0 {
-            engine.events_processed as f64 / wall_s
-        } else {
-            0.0
-        },
-        peak_event_queue: engine.peak_event_queue,
-        queue_samples,
-        agent_samples,
-        event_samples,
-        fault_log_dropped: engine.fault_log_dropped,
-        trace_evicted: engine.trace_evicted,
-        flows_total: summary.total,
-        flows_completed: summary.completed,
-        fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
-        config: serde_json::to_value(cfg).unwrap_or(Value::Null),
-    };
-    match manifest.save(&claim.dir) {
-        Ok(()) => {
-            let sharded = shards
-                .map(|n| format!(" ({n} shard(s))"))
-                .unwrap_or_default();
-            eprintln!("[metrics] recorded {}{sharded}", claim.dir.display());
-            true
-        }
-        Err(e) => {
-            note_metrics_failure(&claim.dir.join("manifest.json"), &e);
-            false
-        }
-    }
-}
-
-/// Build a simulator over `spec` with host stacks, `policy`, and `arrivals`.
-pub fn scenario(
-    spec: &TopologySpec,
-    policy: Policy,
-    scale: Scale,
-    seed: u64,
-    arrivals: &[Arrival],
-) -> Scenario {
-    scenario_installed(spec, policy, scale, seed, arrivals, |sim| {
-        install_policy(sim, policy, scale)
-    })
-}
-
-/// [`scenario`] with a caller-supplied controller installer in place of
-/// [`install_policy`] — the recording/profiling machinery (and therefore
-/// the byte-identity contract) is shared. `policy` only labels the run.
-/// The soak harness uses this to install guarded ACC with a custom online
-/// configuration and seed.
-pub fn scenario_installed(
-    spec: &TopologySpec,
-    policy: Policy,
-    scale: Scale,
-    seed: u64,
-    arrivals: &[Arrival],
-    install: impl FnOnce(&mut Simulator),
-) -> Scenario {
-    let topo = spec.build();
-    let simcfg = SimConfig::default()
-        .with_seed(seed)
-        .with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    install(&mut sim);
-    // The arrival list is final: pre-size the FCT collector so flow
-    // registration mid-run never reallocates (apply_arrivals does the same
-    // for the per-host stacks).
-    fct.borrow_mut().reserve(arrivals.len());
-    gen::apply_arrivals(&mut sim, arrivals);
-
-    // Arm the flight recorder for this run when metrics are enabled.
-    let telem = arm_recording(&mut sim, policy, scale, seed);
-    // And the self-profiler when `--profile` is armed.
-    let prof = arm_profiling(&mut sim, policy, seed, telem.as_ref());
-    Scenario {
-        sim,
-        hosts,
-        fct,
-        telem,
-        prof,
-    }
-}
-
-/// Switch the engine's self-profiler on when a profile book is armed, and
-/// snapshot the allocator probe so the drop path can report per-event
-/// allocation rates. The run label reuses the recorded run name when
-/// metrics are armed too, so profile tracks and run directories correlate.
-fn arm_profiling(
-    sim: &mut Simulator,
-    policy: Policy,
-    seed: u64,
-    telem: Option<&RunTelemetry>,
-) -> Option<ProfRun> {
-    let mut reg = profile_registry();
-    let book = reg.as_mut()?;
-    sim.enable_profiling();
-    let ctx = book.context();
-    let label = match telem {
-        Some(t) => t.claim.run.clone(),
-        None if ctx.is_empty() => format!("{}_seed{seed}", policy.name()),
-        None => format!("{ctx}_{}_seed{seed}", policy.name()),
-    };
-    Some(ProfRun {
-        label,
-        policy: policy.name().to_string(),
-        seed,
-        started: std::time::Instant::now(),
-        alloc0: crate::perf::alloc_counts(),
-    })
-}
-
 /// An exclusively-claimed run directory plus the labels recorded runs carry.
-/// Shared between [`arm_recording`] (unsharded scenarios) and the sharded
-/// runner in [`crate::shard_run`], so both name and claim directories
-/// identically.
+/// Unsharded scenarios and the sharded runner in [`crate::shard_run`] both
+/// claim through [`Harness::claim_run`], so both name directories alike.
 pub(crate) struct ClaimedRun {
-    /// The policy and seed the run was claimed for.
-    pub policy: Policy,
+    /// The run label (a policy name, for most runs) and engine seed the run
+    /// was claimed for.
+    pub policy: String,
     pub seed: u64,
-    /// Experiment id the registry was labelled with (`"run"` if none).
+    /// Experiment id of the claiming harness.
     pub experiment: String,
     /// Run name (also the directory's basename).
     pub run: String,
@@ -996,115 +864,317 @@ pub(crate) struct ClaimedRun {
     pub interval: SimTime,
 }
 
-/// Claim a fresh run directory under the armed metrics registry. `None`
-/// when metrics are off or the claim failed (failure is reported through
-/// [`note_metrics_failure`]).
-///
-/// Directory names: inside a matrix cell the name is derived from the cell
-/// index (`<exp>_<cell>_<policy>_seed<seed>`, with an `rN` suffix for a
-/// cell's second and later scenarios), which keeps recorded paths identical
-/// across worker counts. Outside a cell the shared counter probes forward
-/// past directories earlier processes left behind. Either way the directory
-/// is claimed with an exclusive create while the registry lock is held: an
-/// existing recording is never truncated — a deterministic-name collision
-/// (re-running into a used `--metrics-dir`) is reported through
-/// [`note_metrics_failure`] so the process exits non-zero.
-pub(crate) fn claim_run(policy: Policy, seed: u64) -> Option<ClaimedRun> {
-    let cell = CURRENT_CELL.with(|c| {
-        c.borrow_mut().as_mut().map(|ctx| {
-            ctx.runs += 1;
-            (ctx.index, ctx.runs)
-        })
-    });
-    let mut reg = metrics_registry();
-    let ctx = reg.as_mut()?;
-    let exp = if ctx.experiment.is_empty() {
-        "run".to_string()
-    } else {
-        ctx.experiment.clone()
-    };
-    if let Err(e) = std::fs::create_dir_all(&ctx.dir) {
-        note_metrics_failure(&ctx.dir, &e);
-        return None;
-    }
-    let (run, dir) = match cell {
-        Some((index, nth)) => {
-            let sub = if nth > 1 {
-                format!("r{nth}")
-            } else {
-                String::new()
-            };
-            let run = format!("{exp}_{:04}{sub}_{}_seed{seed}", index + 1, policy.name());
-            let dir = ctx.dir.join(&run);
-            match std::fs::create_dir(&dir) {
-                Ok(()) => (run, dir),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    note_metrics_failure(
-                        &dir,
-                        &"run directory already exists — refusing to overwrite an \
-                          earlier recording (point --metrics-dir somewhere fresh)",
-                    );
-                    return None;
-                }
-                Err(e) => {
-                    note_metrics_failure(&dir, &e);
-                    return None;
-                }
-            }
-        }
-        None => loop {
-            ctx.runs += 1;
-            if ctx.runs > 9999 {
-                note_metrics_failure(&ctx.dir, &"no free run directory below 10000");
-                return None;
-            }
-            let run = format!("{exp}_{:04}_{}_seed{seed}", ctx.runs, policy.name());
-            let dir = ctx.dir.join(&run);
-            match std::fs::create_dir(&dir) {
-                Ok(()) => break (run, dir),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => {
-                    note_metrics_failure(&dir, &e);
-                    return None;
-                }
-            }
-        },
-    };
-    Some(ClaimedRun {
-        policy,
-        seed,
-        experiment: exp,
-        run,
-        dir,
-        interval: ctx.interval,
-    })
+/// The engine configuration every policy experiment runs: `seed`, one
+/// control tick per 50 µs.
+pub fn sim_config(seed: u64) -> SimConfig {
+    SimConfig::default()
+        .with_seed(seed)
+        .with_control_interval(SimTime::from_us(50))
 }
 
-/// Claim a fresh run directory ([`claim_run`]) and attach a recording sink
-/// to `sim`, when the registry is armed.
-fn arm_recording(
-    sim: &mut Simulator,
-    policy: Policy,
-    scale: Scale,
-    seed: u64,
-) -> Option<RunTelemetry> {
-    let claim = claim_run(policy, seed)?;
-    let sink = match JsonlSink::create_new(&claim.dir) {
-        Ok(s) => s,
-        Err(e) => {
-            note_metrics_failure(&claim.dir, &e);
+/// What one run to a horizon leaves behind, at any shard count.
+pub struct RunOutcome {
+    /// Every flow's record (merged over shards).
+    pub fct: FctCollector,
+    /// Packets lost to injected faults.
+    pub fault_drops: u64,
+    /// Tuned queues ending the run with an invalid ECN config (see
+    /// `fault::invalid_final_configs`).
+    pub invalid_final_configs: usize,
+    /// Guard counters summed over every switch; `None` for unguarded
+    /// policies.
+    pub guard: Option<GuardStats>,
+    /// The recorded run directory, when metrics were armed and claimed.
+    pub metrics_dir: Option<PathBuf>,
+}
+
+impl Harness {
+    /// Write the `manifest.json` of a finished recorded run — unsharded
+    /// scenarios and the sharded runner (`shards: Some(n)`) both end here.
+    /// Returns whether it reached the disk; a failure has already been
+    /// reported through [`Harness::note_metrics_failure`].
+    pub(crate) fn save_manifest(
+        &self,
+        claim: &ClaimedRun,
+        shards: Option<u32>,
+        topo: &Topology,
+        cfg: &SimConfig,
+        sim_time: SimTime,
+        wall_s: f64,
+        engine: EngineTotals,
+        (queue_samples, agent_samples, event_samples): (u64, u64, u64),
+        fct: &FctCollector,
+    ) -> bool {
+        let summary = fct.summary();
+        let scale = if self.scale.quick { "quick" } else { "full" };
+        let manifest = RunManifest {
+            experiment: claim.experiment.clone(),
+            run: claim.run.clone(),
+            policy: claim.policy.clone(),
+            seed: claim.seed,
+            scale: match shards {
+                Some(n) => format!("{scale}+shards{n}"),
+                None => scale.to_string(),
+            },
+            hosts: topo.host_count(),
+            switches: topo.switches().len(),
+            sim_time_us: sim_time.as_us_f64(),
+            wall_time_s: wall_s,
+            events_processed: engine.events_processed,
+            events_per_sec: if wall_s > 0.0 {
+                engine.events_processed as f64 / wall_s
+            } else {
+                0.0
+            },
+            peak_event_queue: engine.peak_event_queue,
+            queue_samples,
+            agent_samples,
+            event_samples,
+            fault_log_dropped: engine.fault_log_dropped,
+            trace_evicted: engine.trace_evicted,
+            flows_total: summary.total,
+            flows_completed: summary.completed,
+            fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
+            config: serde_json::to_value(cfg).unwrap_or(Value::Null),
+        };
+        match manifest.save(&claim.dir) {
+            Ok(()) => {
+                let sharded = shards
+                    .map(|n| format!(" ({n} shard(s))"))
+                    .unwrap_or_default();
+                eprintln!("[metrics] recorded {}{sharded}", claim.dir.display());
+                true
+            }
+            Err(e) => {
+                self.note_metrics_failure(&claim.dir.join("manifest.json"), &e);
+                false
+            }
+        }
+    }
+
+    /// Build a simulator over `spec` with host stacks, `policy`, and
+    /// `arrivals`, under [`sim_config`]`(seed)`.
+    pub fn scenario(
+        &self,
+        spec: &TopologySpec,
+        policy: Policy,
+        seed: u64,
+        arrivals: &[Arrival],
+    ) -> Scenario {
+        self.scenario_installed(spec, sim_config(seed), policy.name(), arrivals, |sim| {
+            install_policy(sim, policy, self.scale)
+        })
+    }
+
+    /// The one scenario builder: a simulator over `spec` under `cfg` with
+    /// host stacks, whatever `install` puts on the switches, and `arrivals`
+    /// queued; recording and profiling armed as the harness is. `label`
+    /// names the run (directory, manifest `policy` field, profile track).
+    /// Closed-loop application hooks and further traffic go onto
+    /// [`Scenario::sim`] after the build.
+    pub fn scenario_installed(
+        &self,
+        spec: &TopologySpec,
+        cfg: SimConfig,
+        label: &str,
+        arrivals: &[Arrival],
+        install: impl FnOnce(&mut Simulator),
+    ) -> Scenario {
+        let seed = cfg.seed;
+        let mut sim = Simulator::new(spec.build(), cfg);
+        let fct = FctCollector::new_shared();
+        let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
+        install(&mut sim);
+        // The arrival list is final: pre-size the FCT collector so flow
+        // registration mid-run never reallocates (apply_arrivals does the
+        // same for the per-host stacks).
+        fct.borrow_mut().reserve(arrivals.len());
+        gen::apply_arrivals(&mut sim, arrivals);
+
+        let telem = self.arm_recording(&mut sim, label, seed);
+        let prof = self.arm_profiling(&mut sim, label, seed, telem.as_ref());
+        Scenario {
+            sim,
+            hosts,
+            fct,
+            harness: self.derive(None),
+            telem,
+            prof,
+        }
+    }
+
+    /// Run `spec` + `policy` + `arrivals` (+ optional fault plan) until
+    /// `horizon` — on the sharded engine when `--shards` was given, on one
+    /// simulator otherwise; the one place that decision is taken.
+    pub fn run_to(
+        &self,
+        spec: &TopologySpec,
+        policy: Policy,
+        seed: u64,
+        arrivals: &[Arrival],
+        fault_plan: Option<&FaultPlan>,
+        horizon: SimTime,
+    ) -> RunOutcome {
+        if let Some(n) = self.shards {
+            let r = crate::shard_run::run_scenario_sharded(
+                self, spec, policy, seed, arrivals, fault_plan, n, horizon,
+            );
+            return RunOutcome {
+                fct: r.fct,
+                fault_drops: r.fault_drops,
+                invalid_final_configs: r.invalid_final_configs,
+                guard: r.guard,
+                metrics_dir: r.metrics_dir,
+            };
+        }
+        let mut sc = self.scenario(spec, policy, seed, arrivals);
+        if let Some(plan) = fault_plan {
+            sc.sim
+                .install_fault_plan(plan)
+                .expect("fault plan rejected by simulator");
+        }
+        sc.sim.run_until(horizon);
+        let guard = sum_guard_stats(&mut sc.sim);
+        let invalid_final_configs = crate::fault::invalid_final_configs(&sc.sim);
+        let fault_drops = sc.sim.core().fault_drops;
+        let metrics_dir = sc.metrics_dir().map(Path::to_path_buf);
+        let fct = sc.fct.clone();
+        drop(sc); // writes the manifest; the stacks' handles go with it
+        RunOutcome {
+            fct: Rc::try_unwrap(fct)
+                .expect("the simulator held the other handles")
+                .into_inner(),
+            fault_drops,
+            invalid_final_configs,
+            guard,
+            metrics_dir,
+        }
+    }
+
+    /// Switch the engine's self-profiler on when a profile book is armed,
+    /// and snapshot the allocator probe so the drop path can report
+    /// per-event allocation rates. The run label reuses the recorded run
+    /// name when metrics are armed too, so profile tracks and run
+    /// directories correlate.
+    fn arm_profiling(
+        &self,
+        sim: &mut Simulator,
+        label: &str,
+        seed: u64,
+        telem: Option<&RunTelemetry>,
+    ) -> Option<ProfRun> {
+        self.profile_book().as_ref()?;
+        sim.enable_profiling();
+        Some(ProfRun {
+            label: match telem {
+                Some(t) => t.claim.run.clone(),
+                None => format!("{}_{label}_seed{seed}", self.experiment),
+            },
+            policy: label.to_string(),
+            seed,
+            started: std::time::Instant::now(),
+            alloc0: self.alloc_counts(),
+        })
+    }
+
+    /// Claim a fresh run directory when metrics are armed. `None` when they
+    /// are off or the claim failed (failure is reported through
+    /// [`Harness::note_metrics_failure`]).
+    ///
+    /// Directory names: in a matrix cell's harness the name is derived from
+    /// the cell index (`<exp>_<cell>_<label>_seed<seed>`, with an `rN`
+    /// suffix for a cell's second and later scenarios), which keeps recorded
+    /// paths identical across worker counts. Outside a cell the shared
+    /// counter probes forward past directories earlier processes left
+    /// behind. Either way the directory is claimed with an exclusive create:
+    /// an existing recording is never truncated — a deterministic-name
+    /// collision (re-running into a used `--metrics-dir`) is reported as a
+    /// metrics failure so the process exits non-zero.
+    pub(crate) fn claim_run(&self, label: &str, seed: u64) -> Option<ClaimedRun> {
+        let ctx = self.shared.metrics.as_ref()?;
+        let exp = &self.experiment;
+        if let Err(e) = std::fs::create_dir_all(&ctx.dir) {
+            self.note_metrics_failure(&ctx.dir, &e);
             return None;
         }
-    };
-    let rec = RunRecorder::new().with_sink(Box::new(sink)).into_shared();
-    telemetry::install_queue_sampler(sim, claim.interval, rec.clone());
-    controller::attach_recorder(sim, &rec);
-    Some(RunTelemetry {
-        rec,
-        claim,
-        scale,
-        started: std::time::Instant::now(),
-    })
+        let (run, dir) = match &self.cell {
+            Some(cell) => {
+                let nth = cell.runs.fetch_add(1, Ordering::Relaxed) + 1;
+                let sub = if nth > 1 {
+                    format!("r{nth}")
+                } else {
+                    String::new()
+                };
+                let run = format!("{exp}_{:04}{sub}_{label}_seed{seed}", cell.index + 1);
+                let dir = ctx.dir.join(&run);
+                match std::fs::create_dir(&dir) {
+                    Ok(()) => (run, dir),
+                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                        self.note_metrics_failure(
+                            &dir,
+                            &"run directory already exists — refusing to overwrite an \
+                              earlier recording (point --metrics-dir somewhere fresh)",
+                        );
+                        return None;
+                    }
+                    Err(e) => {
+                        self.note_metrics_failure(&dir, &e);
+                        return None;
+                    }
+                }
+            }
+            None => {
+                // A panicked holder leaves the counter valid: keep claiming.
+                let mut runs = ctx.runs.lock().unwrap_or_else(|p| p.into_inner());
+                loop {
+                    *runs += 1;
+                    if *runs > 9999 {
+                        self.note_metrics_failure(&ctx.dir, &"no free run directory below 10000");
+                        return None;
+                    }
+                    let run = format!("{exp}_{:04}_{label}_seed{seed}", *runs);
+                    let dir = ctx.dir.join(&run);
+                    match std::fs::create_dir(&dir) {
+                        Ok(()) => break (run, dir),
+                        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                        Err(e) => {
+                            self.note_metrics_failure(&dir, &e);
+                            return None;
+                        }
+                    }
+                }
+            }
+        };
+        Some(ClaimedRun {
+            policy: label.to_string(),
+            seed,
+            experiment: exp.clone(),
+            run,
+            dir,
+            interval: ctx.interval,
+        })
+    }
+
+    /// Claim a fresh run directory ([`Harness::claim_run`]) and attach a
+    /// recording sink to `sim`, when metrics are armed.
+    fn arm_recording(&self, sim: &mut Simulator, label: &str, seed: u64) -> Option<RunTelemetry> {
+        let claim = self.claim_run(label, seed)?;
+        let sink = match JsonlSink::create_new(&claim.dir) {
+            Ok(s) => s,
+            Err(e) => {
+                self.note_metrics_failure(&claim.dir, &e);
+                return None;
+            }
+        };
+        let rec = RunRecorder::new().with_sink(Box::new(sink)).into_shared();
+        telemetry::install_queue_sampler(sim, claim.interval, rec.clone());
+        controller::attach_recorder(sim, &rec);
+        Some(RunTelemetry {
+            rec,
+            claim,
+            started: std::time::Instant::now(),
+        })
+    }
 }
 
 /// Periodically sampled statistics of one egress queue.
@@ -1192,11 +1262,6 @@ pub fn save_results_scaled(name: &str, value: &Value, scale: Scale) {
         Ok(()) => eprintln!("[results] wrote {path}"),
         Err(e) => eprintln!("[results] could not write {path}: {e}"),
     }
-}
-
-/// Back-compat shim: full-scale record.
-pub fn save_results(name: &str, value: &Value) {
-    save_results_scaled(name, value, Scale::FULL);
 }
 
 /// Pretty-print a header for an experiment.

@@ -25,7 +25,7 @@
 //! identical plans produce byte-identical JSONL (checked by the
 //! `fault_smoke` integration test and the CI fault-smoke job).
 
-use crate::common::{self, scenario, MatrixCell, Policy, Scale};
+use crate::common::{self, Harness, MatrixCell, Policy};
 use acc_core::guard::GuardStats;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
@@ -130,59 +130,31 @@ pub(crate) fn invalid_final_configs(sim: &Simulator) -> usize {
 /// Run one policy arm under the seeded fault schedule. Public so the
 /// `fault_smoke` integration test can drive individual arms with the flight
 /// recorder armed.
-pub fn run_policy(policy: Policy, scale: Scale, seed: u64) -> FaultOutcome {
+pub fn run_policy(h: &Harness, policy: Policy, seed: u64) -> FaultOutcome {
+    let scale = h.scale;
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
     let hosts: Vec<NodeId> = topo.hosts().to_vec();
     let horizon = scale.pick(SimTime::from_ms(60), SimTime::from_ms(20));
     let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 300);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
-    // `--shards N` routes every arm through the sharded engine.
-    if let Some(n) = common::shards() {
-        let plan = fault_plan(&topo, horizon, seed);
-        let report = crate::shard_run::run_scenario_sharded(
-            &spec,
-            policy,
-            scale,
-            seed,
-            &arrivals,
-            Some(&plan),
-            n,
-            horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)),
-        );
-        let summary = report.fct.summary();
-        let overall = report.fct.stats(|_| true);
-        return FaultOutcome {
-            policy: policy.name(),
-            guard: report.guard,
-            invalid_final_configs: report.invalid_final_configs,
-            fault_drops: report.fault_drops,
-            faults_injected: plan.len(),
-            avg_fct_us: overall.avg_us,
-            completed: summary.completed,
-            total: summary.total,
-        };
-    }
-    let mut sc = scenario(&spec, policy, scale, seed, &arrivals);
     let plan = fault_plan(&topo, horizon, seed);
-    sc.sim
-        .install_fault_plan(&plan)
-        .expect("fault plan validates");
-    sc.sim
-        .run_until(horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)));
-
-    let guard = common::sum_guard_stats(&mut sc.sim);
-    let invalid = invalid_final_configs(&sc.sim);
-    let fault_drops = sc.sim.core().fault_drops;
-    let summary = sc.fct.borrow().summary();
-    let overall = sc.fct.borrow().stats(|_| true);
+    let out = h.run_to(
+        &spec,
+        policy,
+        seed,
+        &arrivals,
+        Some(&plan),
+        horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)),
+    );
+    let summary = out.fct.summary();
     FaultOutcome {
         policy: policy.name(),
-        guard,
-        invalid_final_configs: invalid,
-        fault_drops,
+        guard: out.guard,
+        invalid_final_configs: out.invalid_final_configs,
+        fault_drops: out.fault_drops,
         faults_injected: plan.len(),
-        avg_fct_us: overall.avg_us,
+        avg_fct_us: out.fct.stats(|_| true).avg_us,
         completed: summary.completed,
         total: summary.total,
     }
@@ -195,20 +167,20 @@ pub const ARMS: [Policy; 3] = [Policy::AccMonitored, Policy::AccGuarded, Policy:
 /// an independent simulation over the identical seeded plan), returning the
 /// outcomes in [`ARMS`] order. Public so the `fault_smoke` integration test
 /// can compare serial and parallel executions of the same matrix.
-pub fn run_arms(scale: Scale) -> Vec<FaultOutcome> {
+pub fn run_arms(h: &Harness) -> Vec<FaultOutcome> {
     let cells = ARMS
         .iter()
         .map(|&policy| {
-            MatrixCell::new(format!("fault {}", policy.name()), move || {
-                run_policy(policy, scale, FAULT_SEED)
+            MatrixCell::new(format!("fault {}", policy.name()), move |h| {
+                run_policy(h, policy, FAULT_SEED)
             })
         })
         .collect();
-    common::run_matrix(cells)
+    h.run_matrix(cells)
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
     common::banner(
         "fault",
         "link flaps + telemetry faults + reboot: raw ACC vs guarded ACC vs SECN1",
@@ -218,7 +190,7 @@ pub fn run(scale: Scale) -> Value {
          spine loss 2% @50-70%, leaf1 uplink 10G @55-75%, leaf1 telemetry blank @70-85%,\n\
          spine reboot @80% of horizon\n"
     );
-    let outcomes = run_arms(scale);
+    let outcomes = run_arms(h);
     println!(
         "{:<14} {:>9} {:>9} {:>7} {:>6} {:>6} {:>10} {:>7} {:>10} {:>11}",
         "policy",
@@ -284,6 +256,6 @@ pub fn run(scale: Scale) -> Value {
     }
 
     let v = json!({ "seed": FAULT_SEED, "rows": rows });
-    common::save_results_scaled("fault", &v, scale);
+    common::save_results_scaled("fault", &v, h.scale);
     v
 }

@@ -8,14 +8,14 @@
 //! low differs between the two shapes — the paper finds ~500 KB for (a) and
 //! ~50 KB for (b).
 
-use crate::common::{self, Scale};
+use crate::common::{self, Harness, Policy};
 use acc_core::reward::e_n;
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use netsim::queues::EcnConfig;
 use serde_json::{json, Value};
-use transport::{CcKind, FctCollector, StackConfig};
+use transport::CcKind;
 use workloads::gen;
 
 struct Outcome {
@@ -25,17 +25,10 @@ struct Outcome {
 
 /// Sustained incast under one fixed single-threshold setting (or ACC when
 /// `k == 0`): long-running flows, measure over a post-warmup window.
-fn run_case(senders: usize, flows: usize, k: u64, scale: Scale) -> Outcome {
-    let topo = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500)).build();
-    let simcfg = SimConfig::default().with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    if k == 0 {
-        common::install_policy(&mut sim, common::Policy::Acc, scale);
-    } else {
-        install_static(&mut sim, StaticEcnPolicy::Fixed(EcnConfig::new(k, k, 1.0)));
-    }
+fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> Outcome {
+    let scale = h.scale;
+    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
+    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[15];
     // Long-running flows: big enough to outlast the horizon.
     let arr = gen::incast_wave(
@@ -46,7 +39,16 @@ fn run_case(senders: usize, flows: usize, k: u64, scale: Scale) -> Outcome {
         CcKind::Dcqcn,
         SimTime::ZERO,
     );
-    gen::apply_arrivals(&mut sim, &arr);
+    let seed = SimConfig::default().seed;
+    let mut sc = if k == 0 {
+        h.scenario(&spec, Policy::Acc, seed, &arr)
+    } else {
+        let label = format!("K{}KB", k / 1024);
+        h.scenario_installed(&spec, common::sim_config(seed), &label, &arr, |sim| {
+            install_static(sim, StaticEcnPolicy::Fixed(EcnConfig::new(k, k, 1.0)))
+        })
+    };
+    let sim = &mut sc.sim;
 
     let warmup = scale.pick(SimTime::from_ms(8), SimTime::from_ms(3));
     let horizon = scale.pick(SimTime::from_ms(24), SimTime::from_ms(9));
@@ -71,7 +73,8 @@ fn run_case(senders: usize, flows: usize, k: u64, scale: Scale) -> Outcome {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner("fig1", "optimal static ECN threshold per incast workload");
     let cases = [
         ("8:1 x 32 flows", 8usize, 32usize),
@@ -88,7 +91,7 @@ pub fn run(scale: Scale) -> Value {
         let mut best: Option<(u64, f64)> = None;
         for n in 0..10 {
             let k = e_n(n);
-            let o = run_case(senders, flows, k, scale);
+            let o = run_case(h, senders, flows, k);
             println!(
                 "{:<10} {:>16.2} {:>16.1}",
                 format!("{}KB", k / 1024),
@@ -108,7 +111,7 @@ pub fn run(scale: Scale) -> Value {
                 "avg_queue_kb": o.avg_queue_kb,
             }));
         }
-        let acc = run_case(senders, flows, 0, scale);
+        let acc = run_case(h, senders, flows, 0);
         println!(
             "{:<10} {:>16.2} {:>16.1}   (learned)",
             "ACC", acc.goodput_gbps, acc.avg_queue_kb

@@ -3,26 +3,28 @@
 //! workloads on the small Clos. FCTs are normalised by SECN0, as in the
 //! paper.
 
-use crate::common::{self, buckets, scenario, Policy, Scale};
+use crate::common::{self, buckets, Harness, Policy};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use transport::CcKind;
 use workloads::gen::PoissonGen;
 use workloads::SizeDist;
 
-fn avg_fct(policy: Policy, dist: &SizeDist, load: f64, scale: Scale) -> f64 {
+fn avg_fct(h: &Harness, policy: Policy, dist: &SizeDist, load: f64) -> f64 {
+    let scale = h.scale;
     let spec = TopologySpec::paper_testbed();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let dur = scale.pick(SimTime::from_ms(60), SimTime::from_ms(15));
     let g = PoissonGen::new(dist.clone(), load, CcKind::Dcqcn, 21);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
-    let mut sc = scenario(&spec, policy, scale, 3, &arrivals);
+    let mut sc = h.scenario(&spec, policy, 3, &arrivals);
     sc.sim.run_until(dur + SimTime::from_ms(15));
     buckets(&sc.fct, SimTime::ZERO).overall.avg_us
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig2",
         "FCT under static DCQCN parameter sets (normalised by SECN0)",
@@ -33,9 +35,9 @@ pub fn run(scale: Scale) -> Value {
         ("Scenario-1 (DataMining)", SizeDist::data_mining()),
         ("Scenario-2 (WebSearch)", SizeDist::web_search()),
     ] {
-        let s0 = avg_fct(Policy::Secn0, &dist, load, scale);
-        let s1 = avg_fct(Policy::Secn1, &dist, load, scale);
-        let s2 = avg_fct(Policy::Secn2, &dist, load, scale);
+        let s0 = avg_fct(h, Policy::Secn0, &dist, load);
+        let s1 = avg_fct(h, Policy::Secn1, &dist, load);
+        let s2 = avg_fct(h, Policy::Secn2, &dist, load);
         println!("\n-- {name}, load {:.0}% --", load * 100.0);
         println!("{:<8} {:>14} {:>12}", "setting", "avg FCT(us)", "norm.");
         for (n, v) in [("SECN0", s0), ("SECN1", s1), ("SECN2", s2)] {

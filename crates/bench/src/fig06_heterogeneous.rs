@@ -3,7 +3,7 @@
 //! of them (the paper reports an order-of-magnitude queue reduction and
 //! +26% throughput over the mismatched static settings).
 
-use crate::common::{self, scenario, Policy, Scale};
+use crate::common::{self, Harness, Policy};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -15,7 +15,8 @@ struct PhaseResult {
     goodput_gbps: f64,
 }
 
-fn run_policy(policy: Policy, scale: Scale) -> Vec<PhaseResult> {
+fn run_policy(h: &Harness, policy: Policy) -> Vec<PhaseResult> {
+    let scale = h.scale;
     // Phases with very different incast shapes (senders, flows, bytes).
     let phases: [(usize, usize, u64); 3] = [(4, 2, 2_000_000), (14, 16, 60_000), (8, 6, 500_000)];
     let phase_len = scale.pick(SimTime::from_ms(30), SimTime::from_ms(10));
@@ -39,7 +40,7 @@ fn run_policy(policy: Policy, scale: Scale) -> Vec<PhaseResult> {
             ));
         }
     }
-    let mut sc = scenario(&spec, policy, scale, 5, &arrivals);
+    let mut sc = h.scenario(&spec, policy, 5, &arrivals);
     let sw = sc.sim.core().topo.switches()[0];
     let port = PortId(15);
 
@@ -65,7 +66,8 @@ fn run_policy(policy: Policy, scale: Scale) -> Vec<PhaseResult> {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig6",
         "queue length and utilisation across phase-changing traffic",
@@ -78,7 +80,7 @@ pub fn run(scale: Scale) -> Value {
     );
     let mut summary = Vec::new();
     for p in policies {
-        let phases = run_policy(p, scale);
+        let phases = run_policy(h, p);
         let mean_q: f64 = phases.iter().map(|r| r.avg_queue_kb).sum::<f64>() / phases.len() as f64;
         let mean_g: f64 = phases.iter().map(|r| r.goodput_gbps).sum::<f64>() / phases.len() as f64;
         for (i, r) in phases.iter().enumerate() {

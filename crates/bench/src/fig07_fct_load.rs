@@ -5,7 +5,7 @@
 //! size class (normalised by ACC, as the paper does), and the sampled
 //! average/std-dev of the receiver-port queue plus ToR throughput.
 
-use crate::common::{self, scenario, MatrixCell, Policy, Scale};
+use crate::common::{self, Harness, MatrixCell, Policy};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -21,7 +21,8 @@ struct Row {
     tor_gbps: f64,
 }
 
-fn run_one(policy: Policy, load: f64, scale: Scale) -> Row {
+fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
+    let scale = h.scale;
     let spec = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[7];
@@ -42,7 +43,7 @@ fn run_one(policy: Policy, load: f64, scale: Scale) -> Row {
         }
         a.msg.dst = receiver;
     }
-    let mut sc = scenario(&spec, policy, scale, 7, &arrivals);
+    let mut sc = h.scenario(&spec, policy, 7, &arrivals);
     let (sw, port) = common::access_port(&sc.sim, receiver);
     let samples = common::run_sampling_queue(
         &mut sc.sim,
@@ -68,7 +69,8 @@ fn run_one(policy: Policy, load: f64, scale: Scale) -> Row {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig7",
         "FCT by size class at 20%/60% load + queue statistics",
@@ -80,11 +82,11 @@ pub fn run(scale: Scale) -> Value {
         for policy in policies {
             cells.push(MatrixCell::new(
                 format!("fig7 load={:.0}% {}", load * 100.0, policy.name()),
-                move || run_one(policy, load, scale),
+                move |h| run_one(h, policy, load),
             ));
         }
     }
-    let mut results = common::run_matrix(cells).into_iter();
+    let mut results = h.run_matrix(cells).into_iter();
     let mut out = Vec::new();
     for load in loads {
         println!("\n-- load {:.0}% --", load * 100.0);

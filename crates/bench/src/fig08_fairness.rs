@@ -6,14 +6,11 @@
 //! cuts the RDMA message latency (the paper reports up to −65% average and
 //! −25% p99 RTT).
 
-use crate::common::{self, Policy, Scale};
-use acc_core::controller;
-use acc_core::static_ecn::{install_static, StaticEcnPolicy};
-use acc_core::ActionSpace;
+use crate::common::{self, Harness, Policy};
 use netsim::ids::{PRIO_RDMA, PRIO_TCP};
 use netsim::prelude::*;
 use serde_json::{json, Value};
-use transport::{self, CcKind, FctCollector, Message, StackConfig};
+use transport::{self, CcKind, Message};
 
 const PROBE_TAG: u64 = 0xDEAD_BEEF;
 
@@ -24,36 +21,29 @@ struct Outcome {
     probe_p99_us: f64,
 }
 
-fn run_one(n_senders: usize, policy: Policy, scale: Scale) -> Outcome {
+fn run_one(h: &Harness, n_senders: usize, policy: Policy) -> Outcome {
+    let scale = h.scale;
     let mut cfg = SimConfig::default();
     cfg.port = PortConfig::default().with_tcp_rdma_split(30, 70);
     cfg.control_interval = Some(SimTime::from_us(50));
-    let topo = TopologySpec::single_switch(9, 100_000_000_000, SimTime::from_ns(500)).build();
-    let mut sim = Simulator::new(topo, cfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    match policy {
-        Policy::Acc => {
-            let model = common::pretrained_model(scale);
-            let acc = acc_core::trainer::online_config(&common::acc_config(11), 0.08, 500.0);
-            controller::install_acc_with_model(&mut sim, &acc, &ActionSpace::templates(), &model);
-        }
-        Policy::Secn1 => install_static(&mut sim, StaticEcnPolicy::Secn1),
-        other => panic!("unused policy {other:?}"),
-    }
+    let spec = TopologySpec::single_switch(9, 100_000_000_000, SimTime::from_ns(500));
+    let mut sc = h.scenario_installed(&spec, cfg, policy.name(), &[], |sim| {
+        common::install_policy(sim, policy, scale)
+    });
+    let (sim, hosts, fct) = (&mut sc.sim, &sc.hosts, &sc.fct);
 
     let receiver = hosts[8];
     let elephant = scale.pick(400_000_000u64, 80_000_000);
-    for &h in hosts.iter().take(n_senders) {
+    for &src in hosts.iter().take(n_senders) {
         transport::schedule_message(
-            &mut sim,
-            h,
+            sim,
+            src,
             SimTime::ZERO,
             Message::new(receiver, elephant, CcKind::Dcqcn),
         );
         transport::schedule_message(
-            &mut sim,
-            h,
+            sim,
+            src,
             SimTime::ZERO,
             Message::new(receiver, elephant, CcKind::Reno),
         );
@@ -64,7 +54,7 @@ fn run_one(n_senders: usize, policy: Policy, scale: Scale) -> Outcome {
     let mut t = SimTime::from_ms(1);
     while t < horizon {
         transport::schedule_message(
-            &mut sim,
+            sim,
             hosts[7],
             t,
             Message::new(receiver, 1_000, CcKind::Dcqcn).with_tag(PROBE_TAG),
@@ -88,7 +78,8 @@ fn run_one(n_senders: usize, policy: Policy, scale: Scale) -> Outcome {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig8",
         "RDMA/TCP bandwidth shares (target 70/30) and RDMA latency",
@@ -100,7 +91,7 @@ pub fn run(scale: Scale) -> Value {
     let mut out = Vec::new();
     for (n, label) in [(2usize, "2:1"), (7usize, "7:1")] {
         for policy in [Policy::Secn1, Policy::Acc] {
-            let o = run_one(n, policy, scale);
+            let o = run_one(h, n, policy);
             println!(
                 "{:<8} {:<8} {:>10.1}% {:>10.1}% {:>13.1} {:>13.1}",
                 label,

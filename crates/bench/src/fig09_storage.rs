@@ -2,30 +2,24 @@
 //! profiles, ACC vs the vendor-default static ECN, for several IO depths.
 //! The paper finds gains up to ~30% (FileBackup) that grow with IO depth.
 
-use crate::common::{self, MatrixCell, Policy, Scale};
+use crate::common::{self, Harness, MatrixCell, Policy};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
-use transport::{FctCollector, StackConfig};
 use workloads::gen::apply_arrivals;
 use workloads::{StorageCluster, StorageConfig, StorageProfile};
 
 fn run_one(
+    h: &Harness,
     profile: StorageProfile,
     io_depth: usize,
     policy: Policy,
     seed: u64,
-    scale: Scale,
 ) -> f64 {
-    let topo = TopologySpec::paper_testbed().build();
-    let cfg = SimConfig::default()
-        .with_seed(seed)
-        .with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, cfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    common::install_policy(&mut sim, policy, scale);
+    let scale = h.scale;
+    let mut sc = h.scenario(&TopologySpec::paper_testbed(), policy, seed, &[]);
+    let sim = &mut sc.sim;
 
     let storage_cfg = StorageConfig {
         profile,
@@ -33,10 +27,10 @@ fn run_one(
         seed,
         ..Default::default()
     };
-    let cluster = Rc::new(RefCell::new(StorageCluster::new(&hosts, storage_cfg)));
-    transport::set_app_hook(&mut sim, cluster.clone());
+    let cluster = Rc::new(RefCell::new(StorageCluster::new(&sc.hosts, storage_cfg)));
+    transport::set_app_hook(sim, cluster.clone());
     let init = cluster.borrow_mut().initial_arrivals(SimTime::ZERO);
-    apply_arrivals(&mut sim, &init);
+    apply_arrivals(sim, &init);
 
     let warmup = scale.pick(SimTime::from_ms(20), SimTime::from_ms(5));
     let horizon = scale.pick(SimTime::from_ms(80), SimTime::from_ms(20));
@@ -46,7 +40,8 @@ fn run_one(
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig9",
         "storage IOPS per Table-1 profile (ACC vs vendor static)",
@@ -80,13 +75,13 @@ pub fn run(scale: Scale) -> Value {
                             profile.name,
                             policy.name()
                         ),
-                        move || run_one(profile, depth, policy, seed, scale),
+                        move |h| run_one(h, profile, depth, policy, seed),
                     ));
                 }
             }
         }
     }
-    let mut results = common::run_matrix(cells).into_iter();
+    let mut results = h.run_matrix(cells).into_iter();
     println!(
         "\n{:<16} {:>8} {:>6} {:>14} {:>14} {:>9}",
         "profile", "iodepth", "seeds", "Vendor IOPS", "ACC IOPS", "gain"

@@ -4,12 +4,12 @@
 //! under the ResNet-50 run. The paper reports +7..12% training speed for
 //! ACC over the static settings.
 
-use crate::common::{self, Policy, Scale};
+use crate::common::{self, Harness, Policy};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
-use transport::{CcKind, FctCollector, Message, StackConfig};
+use transport::{CcKind, Message};
 use workloads::gen::apply_arrivals;
 use workloads::{TrainingCluster, TrainingConfig};
 
@@ -22,21 +22,19 @@ struct Outcome {
     probe_p99_us: f64,
 }
 
-fn run_one(cfg: TrainingConfig, policy: Policy, scale: Scale) -> Outcome {
+fn run_one(h: &Harness, cfg: TrainingConfig, policy: Policy) -> Outcome {
+    let scale = h.scale;
     // 8 hosts spread over the testbed Clos: 7 workers + 1 PS, cross-rack.
-    let topo = TopologySpec::paper_testbed().build();
-    let simcfg = SimConfig::default().with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    common::install_policy(&mut sim, policy, scale);
+    let seed = SimConfig::default().seed;
+    let mut sc = h.scenario(&TopologySpec::paper_testbed(), policy, seed, &[]);
+    let (sim, hosts, fct) = (&mut sc.sim, &sc.hosts, &sc.fct);
 
     // Pick 8 hosts across racks: every third host.
     let members: Vec<NodeId> = hosts.iter().copied().step_by(3).take(8).collect();
     let cluster = Rc::new(RefCell::new(TrainingCluster::new(&members, cfg)));
-    transport::set_app_hook(&mut sim, cluster.clone());
+    transport::set_app_hook(sim, cluster.clone());
     let init = cluster.borrow().initial_arrivals(SimTime::ZERO);
-    apply_arrivals(&mut sim, &init);
+    apply_arrivals(sim, &init);
 
     // RDMA latency probes from an idle host towards the PS's rack.
     let horizon = scale.pick(SimTime::from_ms(120), SimTime::from_ms(40));
@@ -45,7 +43,7 @@ fn run_one(cfg: TrainingConfig, policy: Policy, scale: Scale) -> Outcome {
     let mut t = SimTime::from_ms(1);
     while t < horizon {
         transport::schedule_message(
-            &mut sim,
+            sim,
             probe_src,
             t,
             Message::new(ps, 1_000, CcKind::Dcqcn).with_tag(PROBE_TAG),
@@ -64,7 +62,8 @@ fn run_one(cfg: TrainingConfig, policy: Policy, scale: Scale) -> Outcome {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig10",
         "distributed training speed, PFC pauses, RTT probes",
@@ -97,7 +96,7 @@ pub fn run(scale: Scale) -> Value {
     for (model, cfg) in jobs {
         let mut speeds = std::collections::HashMap::new();
         for policy in [Policy::Secn1, Policy::Secn2, Policy::Acc] {
-            let o = run_one(cfg.clone(), policy, scale);
+            let o = run_one(h, cfg.clone(), policy);
             println!(
                 "{:<10} {:<8} {:>10.1} {:>12} {:>12.1} {:>12.1}",
                 model,

@@ -2,12 +2,12 @@
 //! simulations. Prints the CDF series (and summary moments) for the
 //! WebSearch-style and DataMining-style workloads.
 
-use crate::common::{self, Scale};
+use crate::common::{self, Harness};
 use serde_json::{json, Value};
 use workloads::SizeDist;
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
     common::banner("fig11", "traffic flow-size distributions");
     let mut out = Vec::new();
     for dist in [SizeDist::web_search(), SizeDist::data_mining()] {
@@ -29,6 +29,6 @@ pub fn run(scale: Scale) -> Value {
         }));
     }
     let v = json!({ "distributions": out });
-    common::save_results_scaled("fig11", &v, scale);
+    common::save_results_scaled("fig11", &v, h.scale);
     v
 }

@@ -4,14 +4,15 @@
 //! than SECN1 and 16.6% better than SECN2 overall at 90% load, with the
 //! biggest wins on mice tails.
 
-use crate::common::{self, buckets, scenario, FctBuckets, MatrixCell, Policy, Scale};
+use crate::common::{self, FctBuckets, Harness, MatrixCell, Policy};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use transport::CcKind;
 use workloads::gen::PoissonGen;
 use workloads::SizeDist;
 
-fn run_one(policy: Policy, load: f64, scale: Scale) -> FctBuckets {
+fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
+    let scale = h.scale;
     // Quick mode uses the 96-host fabric, full the 288-host one.
     let spec = if scale.quick {
         TopologySpec::paper_cacc_sim()
@@ -23,23 +24,15 @@ fn run_one(policy: Policy, load: f64, scale: Scale) -> FctBuckets {
     let g = PoissonGen::new(SizeDist::web_search(), load, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let horizon = dur + scale.pick(SimTime::from_ms(20), SimTime::from_ms(12));
-    // With `--shards N` the run goes through the sharded engine — including
-    // N = 1, so shard-count comparisons diff the same code path (on a shard
-    // ACC keeps each switch's replay private; unsharded it is shared).
-    if let Some(n) = common::shards() {
-        let report = crate::shard_run::run_scenario_sharded(
-            &spec, policy, scale, 9, &arrivals, None, n, horizon,
-        );
-        return common::buckets_of(&report.fct, SimTime::ZERO);
-    }
-    let mut sc = scenario(&spec, policy, scale, 9, &arrivals);
-    // Generous drain margin so elephants can finish.
-    sc.sim.run_until(horizon);
-    buckets(&sc.fct, SimTime::ZERO)
+    // Generous drain margin so elephants can finish. (With `--shards N` the
+    // ACC arm keeps each switch's replay private; unsharded it is shared.)
+    let out = h.run_to(&spec, policy, 9, &arrivals, None, horizon);
+    common::buckets_of(&out.fct, SimTime::ZERO)
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner("fig12", "WebSearch at scale: FCT vs load");
     let loads = scale.pick(vec![0.6, 0.8, 0.9], vec![0.6, 0.9]);
     let policies = [Policy::Acc, Policy::Secn1, Policy::Secn2];
@@ -50,11 +43,11 @@ pub fn run(scale: Scale) -> Value {
         for policy in policies {
             cells.push(MatrixCell::new(
                 format!("fig12 load={:.0}% {}", load * 100.0, policy.name()),
-                move || run_one(policy, load, scale),
+                move |h| run_one(h, policy, load),
             ));
         }
     }
-    let mut results = common::run_matrix(cells).into_iter();
+    let mut results = h.run_matrix(cells).into_iter();
     println!(
         "{:<6} {:<8} {:>12} {:>12} {:>12} {:>13} {:>11}",
         "load", "policy", "overall avg", "mice avg", "mice p99", "elephant avg", "unfinished"

@@ -3,7 +3,7 @@
 //! averaged over several runs. The paper reports ACC beating SECN1 by up to
 //! 8.7%/24.3% (mice avg/p99) and SECN2 by 28.6%/58.3%.
 
-use crate::common::{self, buckets, scenario, FctBuckets, MatrixCell, Policy, Scale};
+use crate::common::{self, FctBuckets, Harness, MatrixCell, Policy};
 use netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +30,8 @@ fn heterogeneous_arrivals(
     out
 }
 
-fn run_one(policy: Policy, dist: &SizeDist, seed: u64, scale: Scale) -> FctBuckets {
+fn run_one(h: &Harness, policy: Policy, dist: &SizeDist, seed: u64) -> FctBuckets {
+    let scale = h.scale;
     let spec = TopologySpec::paper_cacc_sim(); // 96 hosts
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let segments = scale.pick(4, 2);
@@ -38,22 +39,13 @@ fn run_one(policy: Policy, dist: &SizeDist, seed: u64, scale: Scale) -> FctBucke
     let arrivals = heterogeneous_arrivals(&hosts, dist, segments, seg_len, seed);
     let total = seg_len.mul(segments as u64);
     let horizon = total + scale.pick(SimTime::from_ms(15), SimTime::from_ms(10));
-    // With `--shards N` the run goes through the sharded engine (the fig12
-    // pattern — including N = 1, so shard-count comparisons diff the same
-    // code path).
-    if let Some(n) = common::shards() {
-        let report = crate::shard_run::run_scenario_sharded(
-            &spec, policy, scale, seed, &arrivals, None, n, horizon,
-        );
-        return common::buckets_of(&report.fct, SimTime::ZERO);
-    }
-    let mut sc = scenario(&spec, policy, scale, seed, &arrivals);
-    sc.sim.run_until(horizon);
-    buckets(&sc.fct, SimTime::ZERO)
+    let out = h.run_to(&spec, policy, seed, &arrivals, None, horizon);
+    common::buckets_of(&out.fct, SimTime::ZERO)
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig13",
         "heterogeneous traffic across workloads (multi-run average)",
@@ -74,12 +66,12 @@ pub fn run(scale: Scale) -> Value {
                 let dist = dist.clone();
                 cells.push(MatrixCell::new(
                     format!("fig13 {wname} {} run{r}", policy.name()),
-                    move || run_one(policy, &dist, 100 + r, scale),
+                    move |h| run_one(h, policy, &dist, 100 + r),
                 ));
             }
         }
     }
-    let mut results = common::run_matrix(cells).into_iter();
+    let mut results = h.run_matrix(cells).into_iter();
     let mut rows = Vec::new();
     for (wname, _) in &workloads {
         println!("\n-- {wname} --");

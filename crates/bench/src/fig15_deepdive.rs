@@ -3,7 +3,7 @@
 //! drops the threshold to mark harder; as the queue drains it raises the
 //! threshold again to protect throughput.
 
-use crate::common::{self, Policy, Scale};
+use crate::common::{self, Harness, Policy};
 use acc_core::controller::AccController;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
@@ -12,7 +12,8 @@ use transport::CcKind;
 use workloads::gen;
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner("fig15", "runtime queue occupancy vs chosen ECN threshold");
     let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
@@ -43,7 +44,7 @@ pub fn run(scale: Scale) -> Value {
         CcKind::Dcqcn,
         SimTime::from_ms(16),
     ));
-    let mut sc = common::scenario(&spec, Policy::Acc, scale, 15, &arrivals);
+    let mut sc = h.scenario(&spec, Policy::Acc, 15, &arrivals);
     let sw = sc.sim.core().topo.switches()[0];
     let port = PortId(15);
 

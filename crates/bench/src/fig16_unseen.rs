@@ -8,7 +8,7 @@
 //! still ends up well ahead of the static settings (paper: −31%/−56% avg
 //! FCT vs SECN1/SECN2).
 
-use crate::common::{self, scenario, Policy, Scale};
+use crate::common::{self, Harness, Policy, Scale};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use transport::CcKind;
@@ -34,11 +34,11 @@ fn pattern_arrivals(hosts: &[NodeId], scale: Scale) -> (Vec<Arrival>, SimTime, S
     (arrivals, seg, total)
 }
 
-fn run_one(policy: Policy, scale: Scale) -> (Vec<f64>, f64) {
+fn run_one(h: &Harness, policy: Policy) -> (Vec<f64>, f64) {
     let spec = TopologySpec::paper_testbed();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
-    let (arrivals, seg, total) = pattern_arrivals(&hosts, scale);
-    let mut sc = scenario(&spec, policy, scale, 16, &arrivals);
+    let (arrivals, seg, total) = pattern_arrivals(&hosts, h.scale);
+    let mut sc = h.scenario(&spec, policy, 16, &arrivals);
     sc.sim.run_until(total + SimTime::from_ms(10));
     // Per-segment average FCT of flows that *started* in that segment.
     let f = sc.fct.borrow();
@@ -55,7 +55,8 @@ fn run_one(policy: Policy, scale: Scale) -> (Vec<f64>, f64) {
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig16",
         "online training across unseen workload switches (P1=WebSearch, P2=DataMining)",
@@ -68,7 +69,7 @@ pub fn run(scale: Scale) -> Value {
         "policy", "seg1", "seg2", "seg3", "seg4", "seg5", "seg6", "overall avg"
     );
     for policy in [Policy::AccFresh, Policy::Secn1, Policy::Secn2] {
-        let (segs, all) = run_one(policy, scale);
+        let (segs, all) = run_one(h, policy);
         print!("{:<10}", policy.name());
         for s in &segs {
             print!(" {s:>9.1}");

@@ -7,24 +7,24 @@
 //! thresholds (the expected action); the linear reward makes the actions
 //! nearly indistinguishable and the policy stays scattered / high.
 
-use crate::common::{self, Scale};
+use crate::common::{self, Harness};
 use acc_core::controller::{AccConfig, AccController};
 use acc_core::reward::{QueuePenalty, RewardConfig};
 use acc_core::ActionSpace;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
-use transport::{CcKind, FctCollector, StackConfig};
+use transport::CcKind;
 use workloads::gen;
 
-fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>) {
-    let topo = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500)).build();
-    let simcfg = SimConfig::default()
-        .with_seed(17)
-        .with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
+fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>) {
+    let scale = h.scale;
+    let label = match penalty {
+        QueuePenalty::Step => "step",
+        QueuePenalty::Linear { .. } => "linear",
+    };
+    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
+    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[15];
 
     let mut cfg = AccConfig::default();
@@ -37,8 +37,6 @@ fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>
     };
     cfg.seed = 3;
     let space = ActionSpace::single_threshold_ladder();
-    let sw = sim.core().topo.switches()[0];
-    sim.set_controller(sw, Box::new(AccController::new(cfg, space)));
 
     // Sustained incast congestion: long-running flows so each control
     // interval's reward directly reflects the applied threshold (the queue
@@ -51,7 +49,12 @@ fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>
         CcKind::Dcqcn,
         SimTime::ZERO,
     );
-    gen::apply_arrivals(&mut sim, &arr);
+    let mut sc = h.scenario_installed(&spec, common::sim_config(17), label, &arr, |sim| {
+        let sw = sim.core().topo.switches()[0];
+        sim.set_controller(sw, Box::new(AccController::new(cfg, space)));
+    });
+    let sim = &mut sc.sim;
+    let sw = sim.core().topo.switches()[0];
     // Converged-behaviour window: the last 25% of the run.
     let total_ms = scale.pick(200u64, 60);
     let horizon = SimTime::from_ms(total_ms);
@@ -95,7 +98,6 @@ fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>
             })
             .collect::<Vec<f64>>()
     });
-    let _ = &fct;
     let tx1 = sim
         .core_mut()
         .synced_queue_telem(sw, PortId(15), PRIO_RDMA)
@@ -103,16 +105,13 @@ fn run_one(penalty: QueuePenalty, scale: Scale) -> (Vec<u64>, f64, f64, Vec<f64>
     let window = horizon - converge_from;
     let goodput_gbps = (tx1 - tx0) as f64 * 8.0 / window.as_secs_f64() / 1e9;
     // Time-average queue over the converged window only.
-    let avg_q = {
-        let q = sim.core().queue(sw, port, PRIO_RDMA);
-        let _ = q;
-        common::queue_time_avg(&mut sim, sw, port, PRIO_RDMA)
-    };
+    let avg_q = common::queue_time_avg(sim, sw, port, PRIO_RDMA);
     (histogram, avg_q / 1024.0, goodput_gbps, mean_rewards)
 }
 
 /// Run the experiment.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
+    let scale = h.scale;
     common::banner(
         "fig17",
         "reward ablation: converged action choice, step vs linear D(L)",
@@ -127,7 +126,7 @@ pub fn run(scale: Scale) -> Value {
             },
         ),
     ] {
-        let (hist, avg_q_kb, goodput, rewards) = run_one(penalty, scale);
+        let (hist, avg_q_kb, goodput, rewards) = run_one(h, penalty);
         let total: u64 = hist.iter().sum::<u64>().max(1);
         println!("\n-- D(L) = {name} --");
         println!("{:>10} {:>10} {:>14}", "K", "chosen", "mean reward");

@@ -1,7 +1,7 @@
 //! # acc-bench — the paper-reproduction harness
 //!
 //! One module per table/figure of the ACC paper's evaluation. Each module
-//! exposes `run(scale) -> serde_json::Value`: it prints the same rows/series
+//! exposes `run(&Harness) -> serde_json::Value`: it prints the same rows/series
 //! the paper reports and returns the data (also written to `results/`).
 //!
 //! ```sh
@@ -40,15 +40,28 @@ pub mod resources;
 pub mod shard_run;
 pub mod soak;
 
-pub use common::Scale;
+pub use common::{Harness, Scale};
 
-/// The experiment ids that honour `--shards N`: their runs go through
-/// [`shard_run`] at every shard count. The CLI rejects the flag for any
-/// other id instead of running it unsharded without a word.
+/// The experiment ids that honour `--shards N`: they run through
+/// [`Harness::run_to`], which takes them to [`shard_run`] at every shard
+/// count. The CLI rejects the flag for any other id instead of running it
+/// unsharded without a word.
 pub const SHARDED: [&str; 3] = ["fig12", "fig13", "fault"];
 
-/// All experiments in paper order: (id, description, runner).
-pub fn experiments() -> Vec<(&'static str, &'static str, fn(Scale) -> serde_json::Value)> {
+/// The experiment ids that build no simulator, so have nothing to record
+/// or profile. The CLI rejects `--profile` for them instead of writing an
+/// artifact with no runs, which [`profile::validate`] rejects.
+pub const NO_SIMULATOR: [&str; 2] = ["fig11", "resources"];
+
+/// One experiment: (id, description, runner).
+pub type Experiment = (
+    &'static str,
+    &'static str,
+    fn(&Harness) -> serde_json::Value,
+);
+
+/// All experiments in paper order.
+pub fn experiments() -> Vec<Experiment> {
     vec![
         (
             "fig1",

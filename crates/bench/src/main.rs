@@ -12,7 +12,8 @@
 //! * `--profile <file>` — switch on the engine's self-profiler for every
 //!   scenario and write one Chrome-trace-compatible profile artifact
 //!   (`acc-profile/v1`) at exit; inspect it with `acc-bench report <file>`
-//!   or load it in `about://tracing` / Perfetto;
+//!   or load it in `about://tracing` / Perfetto; an experiment that builds
+//!   no simulator ([`acc_bench::NO_SIMULATOR`]) is rejected;
 //! * `--shards <n>` — run the experiments that have a sharded path
 //!   ([`acc_bench::SHARDED`]) through the conservative-lookahead engine on
 //!   `n` shards (including `--shards 1`, so shard-count comparisons diff the
@@ -25,7 +26,7 @@
 //! positional arguments a subcommand has no use for are rejected with exit
 //! code 2 rather than silently ignored.
 
-use acc_bench::{experiments, Scale};
+use acc_bench::{experiments, Experiment, Harness, Scale};
 use netsim::prelude::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,14 +34,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Counts every heap allocation so `acc-bench perf` can report an
 /// allocations-per-event estimate. Lives here because the library forbids
 /// `unsafe`; the library reads the counters through
-/// [`acc_bench::perf::set_alloc_probe`]. Two relaxed atomic increments per
+/// [`Harness::with_alloc_probe`]. Two relaxed atomic increments per
 /// allocation are noise next to the allocation itself.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Live heap bytes and their high-water mark — `acc-bench soak`'s peak-RSS
-/// proxy (read through [`acc_bench::perf::set_peak_probe`]).
+/// proxy (read through [`Harness::with_peak_probe`]).
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -101,7 +102,7 @@ fn train(scale: Scale, out: &str) {
     println!("wrote deployable bundle to {out}");
 }
 
-fn usage(all: &[(&str, &str, fn(Scale) -> serde_json::Value)]) {
+fn usage(all: &[Experiment]) {
     println!(
         "usage: acc-bench <id>... [--quick] [--jobs <n>] [--shards <n>] [--metrics-dir <dir>] \
          [--metrics-interval-us <n>] [--profile <file>]"
@@ -219,15 +220,20 @@ fn main() {
         }
     }
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
-    if let Some(n) = jobs {
-        acc_bench::common::set_jobs(n);
-    }
     if profile.is_some() {
         match which.first().map(String::as_str) {
             None | Some("list") | Some("train") | Some("report") => {
                 bad_flag("flag '--profile' only applies to experiments and 'perf'")
             }
             _ => {}
+        }
+        if let Some(w) = which
+            .iter()
+            .find(|w| acc_bench::NO_SIMULATOR.contains(&w.as_str()))
+        {
+            bad_flag(&format!(
+                "flag '--profile' is not supported by '{w}' (it builds no simulator to profile)"
+            ));
         }
     }
     if shards.is_some() {
@@ -264,10 +270,6 @@ fn main() {
             "'{cmd}' takes at most one argument; unexpected '{surplus}'"
         ));
     }
-    if let Some(n) = shards {
-        acc_bench::common::set_shards(n);
-        eprintln!("[shards] running sharded experiments on {n} shard(s)");
-    }
 
     let all = experiments();
     if which.is_empty() || which[0] == "list" {
@@ -282,18 +284,75 @@ fn main() {
         train(scale, out);
         return;
     }
-    if which[0] == "perf" {
-        acc_bench::perf::set_alloc_probe(|| {
+    if which[0] == "report" {
+        let Some(target) = which.get(1) else {
+            eprintln!("usage: acc-bench report <metrics-dir | profile.json>");
+            std::process::exit(2);
+        };
+        let path = std::path::Path::new(target);
+        // A profile artifact is a file; a telemetry recording is a
+        // directory of runs.
+        let result = if path.is_file() {
+            acc_bench::report::print_profile_report(path)
+        } else {
+            acc_bench::report::print_report(path)
+        };
+        if let Err(e) = result {
+            eprintln!("report failed for {target}: {e}");
+            std::process::exit(1);
+        }
+        return;
+    }
+    // Reject duplicate experiment ids: the second execution used to shadow
+    // the first's recordings (and silently double the wall time).
+    if !matches!(which[0].as_str(), "perf" | "soak") {
+        let mut seen = std::collections::HashSet::new();
+        for w in &which {
+            if !seen.insert(w.as_str()) {
+                bad_flag(&format!("experiment '{w}' given more than once"));
+            }
+        }
+    }
+
+    // The one run context: everything the flags configure, built once. The
+    // probes let profiled runs, `perf` and `soak` report real allocation
+    // numbers.
+    let mut harness = Harness::new(scale)
+        .with_alloc_probe(|| {
             (
                 ALLOCS.load(Ordering::Relaxed),
                 ALLOC_BYTES.load(Ordering::Relaxed),
             )
-        });
-        if let Some(p) = &profile {
-            acc_bench::common::enable_profile(p);
+        })
+        .with_peak_probe(|| PEAK_BYTES.load(Ordering::Relaxed));
+    if let Some(n) = jobs {
+        harness = harness.with_jobs(n);
+    }
+    if let Some(n) = shards {
+        harness = harness.with_shards(n);
+        eprintln!("[shards] running sharded experiments on {n} shard(s)");
+    }
+    // `perf` has never recorded: a recorder inside its steady windows would
+    // fail the zero-allocation gates.
+    if let Some(dir) = metrics_dir.as_ref().filter(|_| which[0] != "perf") {
+        // Fail fast on an unwritable destination instead of discovering it
+        // after the experiments already ran.
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create metrics dir {dir}: {e}");
+            std::process::exit(1);
         }
+        harness = harness.with_metrics(dir, SimTime::from_us(interval_us));
+        eprintln!("[metrics] recording runs under {dir} (queue sample every {interval_us} us)");
+    }
+    if let Some(p) = &profile {
+        harness = harness.with_profile(p);
+        eprintln!("[profile] self-profiling every run into {p}");
+    }
+
+    if which[0] == "perf" {
         let out = which.get(1).map_or("BENCH_gates.json", String::as_str);
-        let doc = match acc_bench::perf::run(scale, std::path::Path::new(out)) {
+        let doc = match acc_bench::perf::run(&harness.experiment("perf"), std::path::Path::new(out))
+        {
             Ok(doc) => doc,
             Err(e) => {
                 eprintln!("perf run failed: {e}");
@@ -316,28 +375,10 @@ fn main() {
         return;
     }
     if which[0] == "soak" {
-        acc_bench::perf::set_alloc_probe(|| {
-            (
-                ALLOCS.load(Ordering::Relaxed),
-                ALLOC_BYTES.load(Ordering::Relaxed),
-            )
-        });
-        acc_bench::perf::set_peak_probe(|| PEAK_BYTES.load(Ordering::Relaxed));
-        if let Some(p) = &profile {
-            acc_bench::common::enable_profile(p);
-        }
         // Checkpoints land next to the recorded telemetry when armed.
-        let mut ckpt_dir = None;
-        if let Some(dir) = &metrics_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create metrics dir {dir}: {e}");
-                std::process::exit(1);
-            }
-            acc_bench::common::enable_metrics(dir, SimTime::from_us(interval_us));
-            acc_bench::common::set_metrics_experiment("soak");
-            eprintln!("[metrics] recording runs under {dir} (queue sample every {interval_us} us)");
-            ckpt_dir = Some(std::path::Path::new(dir).join("soak_checkpoints"));
-        }
+        let ckpt_dir = metrics_dir
+            .as_ref()
+            .map(|dir| std::path::Path::new(dir).join("soak_checkpoints"));
         // User-supplied plans are fully vetted here — unreadable files,
         // malformed JSON, structural violations and unknown workload names
         // all exit 2 before any simulation work starts.
@@ -373,7 +414,7 @@ fn main() {
         });
         let out = which.get(1).map(|s| s.as_str()).unwrap_or("SOAK_SLO.json");
         if let Err(e) = acc_bench::soak::run(
-            scale,
+            &harness.experiment("soak"),
             acc_bench::soak::SOAK_SEED,
             std::path::Path::new(out),
             ckpt_dir.as_deref(),
@@ -383,94 +424,30 @@ fn main() {
             eprintln!("soak run failed: {e}");
             std::process::exit(1);
         }
-        if !acc_bench::common::write_profile() {
-            std::process::exit(1);
-        }
-        if acc_bench::common::metrics_failed() {
-            eprintln!("ERROR: some recorded telemetry could not be written (see [metrics] lines)");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if which[0] == "report" {
-        let Some(target) = which.get(1) else {
-            eprintln!("usage: acc-bench report <metrics-dir | profile.json>");
-            std::process::exit(2);
-        };
-        let path = std::path::Path::new(target);
-        // A profile artifact is a file; a telemetry recording is a
-        // directory of runs.
-        let result = if path.is_file() {
-            acc_bench::report::print_profile_report(path)
-        } else {
-            acc_bench::report::print_report(path)
-        };
-        if let Err(e) = result {
-            eprintln!("report failed for {target}: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // Reject duplicate experiment ids: the second execution used to shadow
-    // the first's recordings (and silently double the wall time).
-    {
-        let mut seen = std::collections::HashSet::new();
-        for w in &which {
-            if !seen.insert(w.as_str()) {
-                bad_flag(&format!("experiment '{w}' given more than once"));
-            }
-        }
-    }
-
-    if let Some(dir) = &metrics_dir {
-        // Fail fast on an unwritable destination instead of discovering it
-        // after the experiments already ran.
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create metrics dir {dir}: {e}");
-            std::process::exit(1);
-        }
-        acc_bench::common::enable_metrics(dir, SimTime::from_us(interval_us));
-        eprintln!("[metrics] recording runs under {dir} (queue sample every {interval_us} us)");
-    }
-    if let Some(p) = &profile {
-        // The probe lets profiled runs report real allocs-per-event rates.
-        acc_bench::perf::set_alloc_probe(|| {
-            (
-                ALLOCS.load(Ordering::Relaxed),
-                ALLOC_BYTES.load(Ordering::Relaxed),
-            )
-        });
-        acc_bench::common::enable_profile(p);
-        eprintln!("[profile] self-profiling every run into {p}");
-    }
-
-    let start = std::time::Instant::now();
-    let run_one = |id: &str, f: fn(Scale) -> serde_json::Value| {
-        acc_bench::common::set_metrics_experiment(id);
-        acc_bench::common::set_profile_context(id);
-        let t = std::time::Instant::now();
-        f(scale);
-        eprintln!("[{id}] finished in {:.1}s", t.elapsed().as_secs_f64());
-    };
-    if which.iter().any(|w| w == "all") {
-        for (id, _, f) in &all {
-            run_one(id, *f);
-        }
     } else {
-        for w in &which {
-            match all.iter().find(|(id, _, _)| id == w) {
-                Some((id, _, f)) => run_one(id, *f),
-                None => {
-                    eprintln!("unknown experiment '{w}' — try `acc-bench list`");
-                    std::process::exit(2);
+        let start = std::time::Instant::now();
+        let run_one = |(id, _, f): &Experiment| {
+            let t = std::time::Instant::now();
+            f(&harness.experiment(id));
+            eprintln!("[{id}] finished in {:.1}s", t.elapsed().as_secs_f64());
+        };
+        if which.iter().any(|w| w == "all") {
+            all.iter().for_each(run_one);
+        } else {
+            for w in &which {
+                match all.iter().find(|(id, _, _)| id == w) {
+                    Some(exp) => run_one(exp),
+                    None => {
+                        eprintln!("unknown experiment '{w}' — try `acc-bench list`");
+                        std::process::exit(2);
+                    }
                 }
             }
         }
+        eprintln!("total: {:.1}s", start.elapsed().as_secs_f64());
     }
-    eprintln!("total: {:.1}s", start.elapsed().as_secs_f64());
-    let profile_ok = acc_bench::common::write_profile();
-    if acc_bench::common::metrics_failed() {
+    let profile_ok = harness.write_profile();
+    if harness.metrics_failed() {
         eprintln!("ERROR: some recorded telemetry could not be written (see [metrics] lines)");
         std::process::exit(1);
     }

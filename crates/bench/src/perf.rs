@@ -18,7 +18,7 @@
 //! The engine rows run the static SECN1 policy: a gate must not depend on a
 //! cached RL model.
 
-use crate::common::{self, scenario, Policy, Scale, Scenario};
+use crate::common::{self, Harness, Policy, Scale, Scenario};
 use netsim::flowsim::{FlowSim, FlowSimConfig};
 use netsim::ids::NodeId;
 use netsim::prelude::*;
@@ -27,45 +27,12 @@ use serde_json::{json, Value};
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::OnceLock;
 use transport::{CcKind, FctCollector, FctStats};
 use workloads::gen::{incast_wave, Arrival, PoissonGen};
 use workloads::{to_flow_specs, SizeDist, XlFlowsSpec};
 
 /// Schema tag of the gate document.
 pub const SCHEMA: &str = "acc-bench-gates/v1";
-
-/// Probe returning process-wide `(allocation count, allocated bytes)`.
-///
-/// The counting `#[global_allocator]` lives in the binary crate (this
-/// library forbids `unsafe`); `main` registers its counters here. When no
-/// probe is installed (e.g. library tests), allocation columns are `null`.
-static ALLOC_PROBE: OnceLock<fn() -> (u64, u64)> = OnceLock::new();
-
-/// Register the global allocator's counters. First caller wins.
-pub fn set_alloc_probe(probe: fn() -> (u64, u64)) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Read the registered probe, if any (shared with the profile book and
-/// [`crate::soak`]).
-pub(crate) fn alloc_counts() -> Option<(u64, u64)> {
-    ALLOC_PROBE.get().map(|f| f())
-}
-
-/// Probe returning the high-water mark of live heap bytes — the soak run's
-/// peak-RSS proxy. Registered by the binary alongside [`set_alloc_probe`].
-static PEAK_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Register the live-heap high-water-mark counter. First caller wins.
-pub fn set_peak_probe(probe: fn() -> u64) {
-    let _ = PEAK_PROBE.set(probe);
-}
-
-/// Read the peak-live-bytes probe, if any (shared with [`crate::soak`]).
-pub(crate) fn peak_live_bytes() -> Option<u64> {
-    PEAK_PROBE.get().map(|f| f())
-}
 
 // ---------------------------------------------------------------------------
 // Paired wall-clock ratios (tests only: no ratio enters the document).
@@ -132,33 +99,38 @@ pub fn paired_ratio(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> P
 /// [`Window::drive`] for an engine this thread steps, [`Window::edge`] from
 /// the sharded engine's phase callback, where every worker is parked on the
 /// barrier and the process-wide counter is exact.
-struct Window {
+struct Window<'h> {
+    h: &'h Harness,
     edges: Vec<Option<(u64, u64)>>,
 }
 
-impl Window {
+impl<'h> Window<'h> {
     /// Where warmup ends on a run to `horizon`.
     fn warmup_end(horizon: SimTime) -> SimTime {
         SimTime::from_ps(horizon.as_ps() / 5)
     }
 
-    fn open() -> Window {
+    fn open(h: &'h Harness) -> Self {
         // Pre-sized: a push that grew the vector would charge the harness's
         // own allocation to the steady window.
         let mut edges = Vec::with_capacity(3);
-        edges.push(alloc_counts());
-        Window { edges }
+        edges.push(h.alloc_counts());
+        Window { h, edges }
     }
 
     fn edge(&mut self) {
-        self.edges.push(alloc_counts());
+        self.edges.push(self.h.alloc_counts());
     }
 
     /// Step an engine through both phases. `run_to(t)` advances it to `t`
     /// and returns its events processed so far; the result is
     /// `(warmup events, steady events)` beside the closed window.
-    fn drive(horizon: SimTime, mut run_to: impl FnMut(SimTime) -> u64) -> (Window, u64, u64) {
-        let mut w = Window::open();
+    fn drive(
+        h: &'h Harness,
+        horizon: SimTime,
+        mut run_to: impl FnMut(SimTime) -> u64,
+    ) -> (Self, u64, u64) {
+        let mut w = Window::open(h);
         let warmup = run_to(Window::warmup_end(horizon));
         w.edge();
         let total = run_to(horizon);
@@ -209,8 +181,8 @@ fn with(mut row: Value, extra: Value) -> Value {
 // ---------------------------------------------------------------------------
 
 /// Run a built packet scenario to `horizon` through the window.
-fn packet_row(name: &str, mut sc: Scenario, horizon: SimTime) -> Value {
-    let (w, warmup, events) = Window::drive(horizon, |t| {
+fn packet_row(h: &Harness, name: &str, mut sc: Scenario, horizon: SimTime) -> Value {
+    let (w, warmup, events) = Window::drive(h, horizon, |t| {
         sc.sim.run_until(t);
         sc.sim.core().events_processed
     });
@@ -219,7 +191,8 @@ fn packet_row(name: &str, mut sc: Scenario, horizon: SimTime) -> Value {
 
 /// Incast-heavy: repeated N-to-1 waves through one switch — the queue-depth
 /// worst case (bursts of simultaneous arrivals, deep PFC/ECN interaction).
-fn incast_heavy(scale: Scale) -> Value {
+fn incast_heavy(h: &Harness) -> Value {
+    let scale = h.scale;
     let fanin = scale.pick(64, 16);
     let spec = TopologySpec::single_switch(fanin + 1, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
@@ -238,15 +211,16 @@ fn incast_heavy(scale: Scale) -> Value {
             wave_gap.mul(w as u64),
         ));
     }
-    let sc = scenario(&spec, Policy::Secn1, scale, 7, &arrivals);
+    let sc = h.scenario(&spec, Policy::Secn1, 7, &arrivals);
     let horizon = wave_gap.mul(waves as u64) + scale.pick(SimTime::from_ms(8), SimTime::from_ms(3));
-    packet_row("incast-heavy", sc, horizon)
+    packet_row(h, "incast-heavy", sc, horizon)
 }
 
 /// Build the websearch-load scenario (WebSearch at load 0.8 on the fig12
 /// fabric) and its run horizon. Shared with the observability smoke tests,
 /// which re-run it with profiling on and off to bound profiler overhead.
-pub fn websearch_scenario(scale: Scale) -> (Scenario, SimTime) {
+pub fn websearch_scenario(h: &Harness) -> (Scenario, SimTime) {
+    let scale = h.scale;
     let spec = if scale.quick {
         TopologySpec::paper_cacc_sim()
     } else {
@@ -256,41 +230,49 @@ pub fn websearch_scenario(scale: Scale) -> (Scenario, SimTime) {
     let dur = scale.pick(SimTime::from_ms(10), SimTime::from_ms(3));
     let g = PoissonGen::new(SizeDist::web_search(), 0.8, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
-    let sc = scenario(&spec, Policy::Secn1, scale, 9, &arrivals);
+    let sc = h.scenario(&spec, Policy::Secn1, 9, &arrivals);
     let horizon = dur + scale.pick(SimTime::from_ms(8), SimTime::from_ms(3));
     (sc, horizon)
 }
 
+/// The three packet-engine rows — the ones `--profile` covers. Public so the
+/// observability smoke test can pin that.
+pub fn packet_rows(h: &Harness) -> Vec<Value> {
+    vec![incast_heavy(h), websearch_load(h), fault_plan_load(h)]
+}
+
 /// WebSearch at load 0.8 on the fig12 fabric: the bread-and-butter mix the
 /// figure sweeps run all day.
-fn websearch_load(scale: Scale) -> Value {
-    let (sc, horizon) = websearch_scenario(scale);
-    packet_row("websearch-load", sc, horizon)
+fn websearch_load(h: &Harness) -> Value {
+    let (sc, horizon) = websearch_scenario(h);
+    packet_row(h, "websearch-load", sc, horizon)
 }
 
 /// The seeded fault schedule over moderate load: reroutes, reboots and
 /// loss windows exercise the slow paths the other scenarios never touch.
-fn fault_plan_load(scale: Scale) -> Value {
+fn fault_plan_load(h: &Harness) -> Value {
+    let scale = h.scale;
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
     let hosts: Vec<NodeId> = topo.hosts().to_vec();
     let horizon = scale.pick(SimTime::from_ms(30), SimTime::from_ms(10));
     let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 300);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
-    let mut sc = scenario(&spec, Policy::Secn1, scale, 21, &arrivals);
+    let mut sc = h.scenario(&spec, Policy::Secn1, 21, &arrivals);
     let plan = crate::fault::fault_plan(&topo, horizon, 21);
     sc.sim
         .install_fault_plan(&plan)
         .expect("fault plan validates");
     let end = horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(4));
-    packet_row("fault-plan", sc, end)
+    packet_row(h, "fault-plan", sc, end)
 }
 
 /// WebSearch load on the 1024-host three-tier Clos (`paper_xl_clos`), run
 /// through the conservative-lookahead engine. The run is split into two
 /// phases at the warmup boundary; steady-state events come from each shard's
 /// `phase_events` deltas.
-fn xl_clos_sharded(scale: Scale, n_shards: u32) -> Value {
+fn xl_clos_sharded(h: &Harness, n_shards: u32) -> Value {
+    let scale = h.scale;
     let spec = TopologySpec::paper_xl_clos();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let horizon = scale.pick(SimTime::from_ms(3), SimTime::from_us(600));
@@ -298,11 +280,11 @@ fn xl_clos_sharded(scale: Scale, n_shards: u32) -> Value {
     let g = PoissonGen::new(SizeDist::web_search(), load, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
 
-    let mut w = Window::open();
+    let mut w = Window::open(h);
     let report = crate::shard_run::run_scenario_sharded_phased(
+        h,
         &spec,
         Policy::Secn1,
-        scale,
         7,
         &arrivals,
         None,
@@ -358,8 +340,14 @@ fn fct_of(sim: &FlowSim) -> FctStats {
 
 /// Run `sim` to `horizon` through the window. The per-flow columns are
 /// whole-run counts over the flows scheduled.
-fn flow_row(name: &str, mut sim: FlowSim, horizon: SimTime, flows_total: usize) -> Value {
-    let (w, warmup, events) = Window::drive(horizon, |t| {
+fn flow_row(
+    h: &Harness,
+    name: &str,
+    mut sim: FlowSim,
+    horizon: SimTime,
+    flows_total: usize,
+) -> Value {
+    let (w, warmup, events) = Window::drive(h, horizon, |t| {
         sim.run_until(t);
         sim.stats().events_processed
     });
@@ -387,7 +375,8 @@ fn flow_row(name: &str, mut sim: FlowSim, horizon: SimTime, flows_total: usize) 
 
 /// `paper_xl_flows` (WebSearch + storage message mix, ≥100× the packet rows'
 /// flow count) over the 1024-host Clos on the hybrid backend.
-fn xl_flows(scale: Scale) -> Value {
+fn xl_flows(h: &Harness) -> Value {
+    let scale = h.scale;
     let topo_spec = TopologySpec::paper_xl_clos();
     let topo = topo_spec.build();
     let hosts = topo.hosts().to_vec();
@@ -401,7 +390,7 @@ fn xl_flows(scale: Scale) -> Value {
     sim.schedule_flows(&to_flow_specs(&arrivals));
     // Generous drain so the elephant tail completes inside the horizon.
     let horizon = spec.duration + scale.pick(SimTime::from_ms(300), SimTime::from_ms(100));
-    flow_row("xl-flows", sim, horizon, arrivals.len())
+    flow_row(h, "xl-flows", sim, horizon, arrivals.len())
 }
 
 /// One packet-vs-hybrid accuracy scenario: an arrival list plus the horizon
@@ -471,12 +460,13 @@ fn rel_err(measured: f64, truth: f64) -> f64 {
 /// and the packet engine's events per simulated second over the hybrid
 /// backend's) and the `accuracy` row holding the worst of each. Public so
 /// the differential accuracy test gates the rows the CLI writes.
-pub fn accuracy_rows(scale: Scale) -> Vec<Value> {
+pub fn accuracy_rows(h: &Harness) -> Vec<Value> {
+    let scale = h.scale;
     let mut rows = Vec::new();
     let (mut max_p50, mut max_p99) = (0f64, 0f64);
     let mut min_avoidance = f64::INFINITY;
     for sc in accuracy_scenarios(scale) {
-        let mut packet = scenario(&sc.spec, Policy::Secn1, scale, SEED, &sc.arrivals);
+        let mut packet = h.scenario(&sc.spec, Policy::Secn1, SEED, &sc.arrivals);
         packet.sim.run_until(sc.horizon);
         let p = packet.fct.borrow().stats(|_| true);
         let p_events = packet.sim.core().events_processed;
@@ -570,12 +560,12 @@ fn tick_states() -> Vec<f32> {
 }
 
 /// Allocations per call of `f` over `n` calls; `None` without a probe.
-fn allocs_per_call(n: usize, mut f: impl FnMut()) -> Option<f64> {
-    let before = alloc_counts();
+fn allocs_per_call(h: &Harness, n: usize, mut f: impl FnMut()) -> Option<f64> {
+    let before = h.alloc_counts();
     for _ in 0..n {
         f();
     }
-    match (before, alloc_counts()) {
+    match (before, h.alloc_counts()) {
         (Some((a0, _)), Some((a1, _))) => Some((a1 - a0) as f64 / n as f64),
         _ => None,
     }
@@ -586,8 +576,8 @@ fn allocs_per_call(n: usize, mut f: impl FnMut()) -> Option<f64> {
 /// ([`rl::StepCost`]) and its identity with the scalar reference — both
 /// agents consume identical RNG/replay streams, so every loss and the
 /// resulting models must be bit-equal.
-fn train_step(scale: Scale) -> Value {
-    let steps = scale.pick(2000, 400);
+fn train_step(h: &Harness) -> Value {
+    let steps = h.scale.pick(2000, 400);
     let mut batched = warm_agent(7);
     let mut scalar = warm_agent(7);
     // Outside the window: shapes the persistent workspace and lazily builds
@@ -597,7 +587,7 @@ fn train_step(scale: Scale) -> Value {
         scalar.train_step_scalar();
     }
     let (mut bl, mut sl) = (0f64, 0f64);
-    let allocs_per_step = allocs_per_call(steps, || {
+    let allocs_per_step = allocs_per_call(h, steps, || {
         bl += batched.train_step().expect("replay stays warm") as f64;
     });
     for _ in 0..steps {
@@ -639,8 +629,8 @@ const FOREGROUND_SELECTS: usize = 24;
 /// submitting thread does its other work — against the same rounds with
 /// `train_step` inline. Nothing in a round allocates, every update runs
 /// exactly once, and the agents end bit-identical.
-fn update_round(scale: Scale) -> Value {
-    let rounds = scale.pick(2000, 200);
+fn update_round(h: &Harness) -> Value {
+    let rounds = h.scale.pick(2000, 200);
     let states = tick_states();
     let mut picked: Vec<(usize, f64)> = Vec::new();
 
@@ -677,7 +667,7 @@ fn update_round(scale: Scale) -> Value {
     for _ in 0..warmup {
         round();
     }
-    let allocs_per_round = allocs_per_call(rounds - warmup, &mut round);
+    let allocs_per_round = allocs_per_call(h, rounds - warmup, &mut round);
     for seat in &mut seats {
         if let Some(done) = seat.join() {
             stats.record(&done);
@@ -955,31 +945,22 @@ pub fn check(doc: &Value) -> Vec<String> {
 
 /// Run every row, write the document to `out` and print the gate table.
 /// Returns the document; [`check`] says whether it passes.
-pub fn run(scale: Scale, out: &Path) -> io::Result<Value> {
+pub fn run(h: &Harness, out: &Path) -> io::Result<Value> {
     common::banner("perf", "count gates");
-    common::set_profile_context("perf");
-    let mut rows = vec![
-        incast_heavy(scale),
-        websearch_load(scale),
-        fault_plan_load(scale),
-    ];
+    let mut rows = packet_rows(h);
     // `--profile` covers the three packet rows. The artifact is written here
     // because the accuracy rows build packet scenarios too, and those would
     // join a book still armed.
-    if !common::write_profile() {
+    if !h.write_profile() {
         return Err(io::Error::other("profile artifact not written"));
     }
-    rows.extend([
-        xl_clos_sharded(scale, 1),
-        xl_clos_sharded(scale, 2),
-        xl_flows(scale),
-    ]);
-    rows.extend(accuracy_rows(scale));
-    rows.extend([train_step(scale), update_round(scale), inference()]);
-    let probe = alloc_counts().is_some();
+    rows.extend([xl_clos_sharded(h, 1), xl_clos_sharded(h, 2), xl_flows(h)]);
+    rows.extend(accuracy_rows(h));
+    rows.extend([train_step(h), update_round(h), inference()]);
+    let probe = h.alloc_counts().is_some();
     let doc = json!({
         "schema": SCHEMA,
-        "scale": if scale.quick { "quick" } else { "full" },
+        "scale": if h.scale.quick { "quick" } else { "full" },
         "alloc_probe": probe,
         "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "rows": rows,

@@ -31,7 +31,6 @@ pub const SCHEMA: &str = "acc-profile/v1";
 pub struct ProfileBook {
     path: PathBuf,
     origin: Instant,
-    context: String,
     runs: Vec<Value>,
     trace: Vec<Value>,
     next_tid: u64,
@@ -44,7 +43,6 @@ impl ProfileBook {
         ProfileBook {
             path: path.into(),
             origin: Instant::now(),
-            context: String::new(),
             runs: Vec::new(),
             trace: Vec::new(),
             next_tid: 1,
@@ -54,17 +52,6 @@ impl ProfileBook {
     /// Where [`ProfileBook::write`] will put the artifact.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Label prepended to subsequent run labels (the CLI sets the experiment
-    /// id / perf scenario name here before building scenarios).
-    pub fn set_context(&mut self, ctx: &str) {
-        self.context = ctx.to_string();
-    }
-
-    /// The current context label.
-    pub fn context(&self) -> &str {
-        &self.context
     }
 
     /// Number of runs recorded so far.
@@ -220,7 +207,8 @@ fn is_num(v: Option<&Value>) -> bool {
 
 /// Structural check of a profile artifact. Returns a list of problems;
 /// empty means the document is a well-formed `acc-profile/v1` file. Used by
-/// the obs smoke tests and mirrored by the CI schema check.
+/// the obs smoke tests and by `acc-bench report <file>`, whose exit status
+/// is CI's schema check.
 pub fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {

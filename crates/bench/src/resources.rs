@@ -2,13 +2,13 @@
 //! per-switch compute load and telemetry bandwidth for a 48-port switch with
 //! a 500 µs sampling interval, as the paper tallies them.
 
-use crate::common::{self, Scale};
+use crate::common::{self, Harness};
 use acc_core::ActionSpace;
 use rl::Mlp;
 use serde_json::{json, Value};
 
 /// Run the estimate.
-pub fn run(scale: Scale) -> Value {
+pub fn run(h: &Harness) -> Value {
     common::banner("resources", "per-switch cost of running ACC (§6)");
     // The paper's network: ~4 layers around {20,40,40,20}. Ours: 12 inputs,
     // two hidden layers of 40, |templates| = 20 outputs.
@@ -59,6 +59,6 @@ pub fn run(scale: Scale) -> Value {
         "telemetry_mbps": telemetry_bps / 1e6,
         "centralized_collection_gbps": central_bps / 1e9,
     });
-    common::save_results_scaled("resources", &v, scale);
+    common::save_results_scaled("resources", &v, h.scale);
     v
 }

@@ -13,7 +13,7 @@
 //! * **Telemetry** via [`telemetry::merge_shards`] — per-shard in-memory
 //!   sinks are replayed in canonical order into the same JSONL layout the
 //!   unsharded recorder writes, under a run directory claimed through the
-//!   same registry ([`common::claim_run`]). Byte-identity of the merged
+//!   same harness ([`Harness::claim_run`]). Byte-identity of the merged
 //!   `queues.jsonl` / `agents.jsonl` / `events.jsonl` across `--shards
 //!   1/2/4/8` is the observable determinism contract (`manifest.json`
 //!   carries wall-clock fields and is excluded from diffs).
@@ -24,7 +24,7 @@
 //! and `--profile` are not supported (the profiler and its book assume one
 //! simulator per run).
 
-use crate::common::{self, EngineTotals, Policy, Scale};
+use crate::common::{self, EngineTotals, Harness, Policy};
 use acc_core::guard::GuardStats;
 use netsim::prelude::*;
 use std::cell::RefCell;
@@ -109,9 +109,9 @@ impl ShardedReport {
 /// shards until `horizon`. See [`run_scenario_sharded_phased`] for the
 /// phased variant the perf gates use.
 pub fn run_scenario_sharded(
+    h: &Harness,
     spec: &TopologySpec,
     policy: Policy,
-    scale: Scale,
     seed: u64,
     arrivals: &[Arrival],
     fault_plan: Option<&FaultPlan>,
@@ -119,9 +119,9 @@ pub fn run_scenario_sharded(
     horizon: SimTime,
 ) -> ShardedReport {
     run_scenario_sharded_phased(
+        h,
         spec,
         policy,
-        scale,
         seed,
         arrivals,
         fault_plan,
@@ -137,9 +137,9 @@ pub fn run_scenario_sharded(
 /// counter there, while no shard is mid-flight.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_sharded_phased(
+    h: &Harness,
     spec: &TopologySpec,
     policy: Policy,
-    scale: Scale,
     seed: u64,
     arrivals: &[Arrival],
     fault_plan: Option<&FaultPlan>,
@@ -149,13 +149,12 @@ pub fn run_scenario_sharded_phased(
 ) -> ShardedReport {
     let topo = spec.build();
     let plan = ShardPlan::build(&topo, n_shards);
-    let claimed = common::claim_run(policy, seed);
+    let claimed = h.claim_run(policy.name(), seed);
     let interval = claimed.as_ref().map(|c| c.interval);
     let horizon = *phase_ends.last().expect("need at least one phase");
 
-    let simcfg = SimConfig::default()
-        .with_seed(seed)
-        .with_control_interval(SimTime::from_us(50));
+    let simcfg = common::sim_config(seed);
+    let scale = h.scale;
 
     let started = std::time::Instant::now();
     let topo_ref = &topo;
@@ -233,18 +232,17 @@ pub fn run_scenario_sharded_phased(
         let mut jsonl = match JsonlSink::create_new(&c.dir) {
             Ok(s) => s,
             Err(e) => {
-                common::note_metrics_failure(&c.dir, &e);
+                h.note_metrics_failure(&c.dir, &e);
                 return None;
             }
         };
         let samples = merge_shards(sinks, &mut jsonl);
         if let Err(e) = jsonl.flush() {
-            common::note_metrics_failure(&c.dir, &e);
+            h.note_metrics_failure(&c.dir, &e);
             return None;
         }
-        common::save_manifest(
+        h.save_manifest(
             &c,
-            scale,
             Some(n_shards),
             &topo,
             &simcfg,

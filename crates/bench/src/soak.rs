@@ -25,7 +25,7 @@
 //! faults.json`); see [`run_soak_with`]. Bad plans are rejected before any
 //! simulation work starts.
 
-use crate::common::{self, Policy, Scale};
+use crate::common::{self, Harness, Policy, Scale};
 use crate::fault::invalid_final_configs;
 use acc_core::guard::{install_guarded_acc, GuardConfig};
 use acc_core::{
@@ -154,11 +154,11 @@ pub fn resolve_generators(plan: &SoakPlan, scale: Scale, seed: u64) -> Result<()
 /// Run the full soak and build the SLO report. `checkpoint_dir`, when set,
 /// receives the crash-safe `ckpt_NNNN.json` bundles.
 pub fn run_soak(
-    scale: Scale,
+    h: &Harness,
     seed: u64,
     checkpoint_dir: Option<&Path>,
 ) -> Result<SoakSloReport, String> {
-    run_soak_with(scale, seed, checkpoint_dir, None, None)
+    run_soak_with(h, seed, checkpoint_dir, None, None)
 }
 
 /// [`run_soak`] with user-supplied overrides: `plan_override` replaces the
@@ -167,12 +167,13 @@ pub fn run_soak(
 /// `--fault-plan` JSON). Overrides are validated the same way the defaults
 /// are — structural checks here, topology checks when the plan installs.
 pub fn run_soak_with(
-    scale: Scale,
+    h: &Harness,
     seed: u64,
     checkpoint_dir: Option<&Path>,
     plan_override: Option<SoakPlan>,
     fault_override: Option<FaultPlan>,
 ) -> Result<SoakSloReport, String> {
+    let scale = h.scale;
     let phase_dur = scale.pick(SimTime::from_ms(10), SimTime::from_ms(2));
     let plan = match plan_override {
         Some(p) => p,
@@ -197,7 +198,8 @@ pub fn run_soak_with(
     let space = ActionSpace::templates();
 
     // Guarded fleet, online fine-tuning from the offline pretrained model.
-    let mut sc = common::scenario_installed(&spec, Policy::AccGuarded, scale, seed, &[], |sim| {
+    let label = Policy::AccGuarded.name();
+    let mut sc = h.scenario_installed(&spec, common::sim_config(seed), label, &[], |sim| {
         let cfg = trainer::online_config(&common::acc_config(seed), 0.05, 2_000.0);
         let _ = install_guarded_acc(
             sim,
@@ -415,8 +417,8 @@ pub fn run_soak_with(
             trace_evicted: core.tracer.as_ref().map(|tr| tr.evicted).unwrap_or(0),
             fault_drops: core.fault_drops,
         },
-        alloc: crate::perf::peak_live_bytes().map(|peak| {
-            let (allocations, alloc_bytes) = crate::perf::alloc_counts().unwrap_or((0, 0));
+        alloc: h.peak_live_bytes().map(|peak| {
+            let (allocations, alloc_bytes) = h.alloc_counts().unwrap_or((0, 0));
             AllocSlo {
                 peak_live_bytes: peak,
                 allocations,
@@ -442,7 +444,7 @@ pub fn run_soak_with(
 /// CLI entry: run the soak, print the headline table, write and validate
 /// `SOAK_SLO.json`.
 pub fn run(
-    scale: Scale,
+    h: &Harness,
     seed: u64,
     out: &Path,
     checkpoint_dir: Option<&Path>,
@@ -463,7 +465,7 @@ pub fn run(
     if let Some(f) = &faults {
         println!("custom fault plan: {} events, seed {}", f.len(), f.seed);
     }
-    let report = run_soak_with(scale, seed, checkpoint_dir, plan, faults)?;
+    let report = run_soak_with(h, seed, checkpoint_dir, plan, faults)?;
     println!(
         "\n{:<22} {:<10} {:>12} {:>12} app metric",
         "phase", "kind", "start_us", "end_us"

@@ -3,6 +3,8 @@
 //! positional arguments and `--shards` on an experiment without a sharded
 //! path exit 2, and a sharded experiment runs.
 
+mod support;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -121,4 +123,46 @@ fn fault_runs_every_arm_sharded() {
     let (monitored, guarded) = (row("ACC-monitored"), row("ACC-guarded"));
     assert!(monitored[0] > 0 && monitored[1] > 0, "{monitored:?}");
     assert!(guarded[0] > 0 && guarded[1] == 0, "{guarded:?}");
+}
+
+#[test]
+fn profile_is_rejected_where_there_is_nothing_to_profile() {
+    // fig11 and resources build no simulator: a profile of them has no
+    // runs, which the artifact's own validator rejects.
+    for id in ["fig11", "resources"] {
+        let out = acc_bench(&[id, "--quick", "--profile", "empty-profile.json"]);
+        assert_eq!(out.status.code(), Some(2), "{id}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("'--profile' is not supported by '{id}'")),
+            "{id}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{id}: nothing ran");
+    }
+    assert!(!PathBuf::from("target/cli-smoke/empty-profile.json").exists());
+}
+
+/// An experiment with a bespoke controller and no `Policy` still builds its
+/// simulators through the harness, so both flags cover it.
+#[test]
+fn metrics_dir_and_profile_cover_fig17() {
+    let cwd = PathBuf::from("target").join("cli-smoke");
+    let _ = std::fs::remove_dir_all(cwd.join("fig17-metrics"));
+    let _ = std::fs::remove_file(cwd.join("fig17-profile.json"));
+    let out = acc_bench(&[
+        "fig17",
+        "--quick",
+        "--metrics-dir",
+        "fig17-metrics",
+        "--profile",
+        "fig17-profile.json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let manifests = support::run_dirs(&cwd.join("fig17-metrics")).len();
+    assert!(manifests >= 1, "no run recorded: {}", stderr(&out));
+    let text = std::fs::read_to_string(cwd.join("fig17-profile.json")).expect("profile written");
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("profile is JSON");
+    assert_eq!(acc_bench::profile::validate(&doc), Vec::<String>::new());
+    let runs = doc["profile"]["runs"].as_array().expect("runs");
+    assert_eq!(runs.len(), manifests, "one profiled run per recorded run");
 }

@@ -7,48 +7,33 @@
 //! CI runs this as the `fault-smoke` job alongside the CLI-level
 //! `acc-bench fault --quick --metrics-dir` determinism check.
 
-use acc_bench::common::{self, Policy, Scale};
+mod support;
+
+use acc_bench::common::{Harness, Policy, Scale};
 use acc_bench::fault::{run_arms, run_policy, FaultOutcome, FAULT_SEED};
 use netsim::prelude::SimTime;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use support::{assert_recorded, assert_same_tree, fresh_dir, only_run_dir, run_dirs};
 
-/// The recording registry is process-wide (matrix workers must all see it),
-/// so tests that arm it — or build scenarios that would record if another
-/// test armed it — serialise on this lock.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = Path::new("target").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A quick-scale harness recording under `root` as experiment `id`.
+fn recording(root: &Path, id: &str) -> Harness {
+    Harness::new(Scale::QUICK)
+        .with_metrics(root, SimTime::from_us(100))
+        .experiment(id)
 }
 
 /// Run one fault arm with the flight recorder armed, returning the outcome
 /// and the numbered run directory the scenario recorded into.
 fn recorded_arm(policy: Policy, root: &Path) -> (FaultOutcome, PathBuf) {
-    common::enable_metrics(root, SimTime::from_us(100));
-    common::set_metrics_experiment("fault-smoke");
-    let outcome = run_policy(policy, Scale::QUICK, FAULT_SEED);
-    common::disable_metrics();
-    let mut runs: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("metrics root exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.join("manifest.json").is_file())
-        .collect();
-    assert_eq!(runs.len(), 1, "one arm records exactly one run dir");
-    (outcome, runs.pop().unwrap())
+    let outcome = run_policy(&recording(root, "fault-smoke"), policy, FAULT_SEED);
+    (outcome, only_run_dir(root))
 }
 
 #[test]
 fn guardrails_hold_under_fault_schedule() {
-    let _g = lock();
-    let raw = run_policy(Policy::AccMonitored, Scale::QUICK, FAULT_SEED);
-    let guarded = run_policy(Policy::AccGuarded, Scale::QUICK, FAULT_SEED);
+    let h = Harness::new(Scale::QUICK);
+    let raw = run_policy(&h, Policy::AccMonitored, FAULT_SEED);
+    let guarded = run_policy(&h, Policy::AccGuarded, FAULT_SEED);
 
     // The schedule actually bites: the unguarded agent leaves invalid
     // configs live in the fabric and the guard sees enough telemetry abuse
@@ -85,19 +70,14 @@ fn guardrails_hold_under_fault_schedule() {
 
 #[test]
 fn recorded_fault_runs_are_byte_identical() {
-    let _g = lock();
     let root = fresh_dir("fault-smoke-determinism");
     let (o1, d1) = recorded_arm(Policy::AccGuarded, &root.join("a"));
     let (o2, d2) = recorded_arm(Policy::AccGuarded, &root.join("b"));
     assert_eq!(o1.completed, o2.completed);
     assert_eq!(o1.fault_drops, o2.fault_drops);
 
-    for f in ["queues.jsonl", "agents.jsonl", "events.jsonl"] {
-        let a = std::fs::read(d1.join(f)).unwrap();
-        let b = std::fs::read(d2.join(f)).unwrap();
-        assert!(!a.is_empty(), "{f} recorded nothing");
-        assert_eq!(a, b, "{f} differs between identical seeded fault runs");
-    }
+    assert_recorded(&d1, &["queues.jsonl", "agents.jsonl", "events.jsonl"]);
+    assert_same_tree(&d1, &d2, "identical seeded fault runs");
 
     // The event log carries the injected faults and the guard's reactions.
     let events = std::fs::read_to_string(d1.join("events.jsonl")).unwrap();
@@ -113,32 +93,17 @@ fn recorded_fault_runs_are_byte_identical() {
     assert!(m.event_samples > 0, "manifest counted no event samples");
 }
 
-/// Sorted run directories (those holding a manifest) under `root`.
-fn run_dirs(root: &Path) -> Vec<PathBuf> {
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("metrics root exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.join("manifest.json").is_file())
-        .collect();
-    dirs.sort();
-    dirs
-}
-
 /// The determinism contract of the worker pool: the same recorded matrix
 /// executed with `--jobs 1` and `--jobs 4` produces byte-identical
 /// queues/agents/events JSONL at identical paths and identical results —
 /// and re-running into the used metrics dir refuses to overwrite anything.
 #[test]
 fn parallel_matrix_is_byte_identical_to_serial() {
-    let _g = lock();
     let root = fresh_dir("fault-smoke-parallel");
     let run_with = |jobs: usize, sub: &str| -> Vec<FaultOutcome> {
-        common::set_jobs(jobs);
-        common::enable_metrics(root.join(sub), SimTime::from_us(100));
-        common::set_metrics_experiment("fault-par");
-        let outcomes = run_arms(Scale::QUICK);
-        common::disable_metrics();
-        common::set_jobs(0);
+        let h = recording(&root.join(sub), "fault-par").with_jobs(jobs);
+        let outcomes = run_arms(&h);
+        assert!(!h.metrics_failed(), "clean runs flagged a failure");
         outcomes
     };
     let serial = run_with(1, "j1");
@@ -155,38 +120,18 @@ fn parallel_matrix_is_byte_identical_to_serial() {
     // Identical run-directory names (cell-derived, not scheduling-derived)
     // and byte-identical recorded time-series.
     let d1 = run_dirs(&root.join("j1"));
-    let d4 = run_dirs(&root.join("j4"));
     assert_eq!(d1.len(), 3, "three arms record three runs");
-    let names = |ds: &[PathBuf]| -> Vec<String> {
-        ds.iter()
-            .map(|d| d.file_name().unwrap().to_string_lossy().into_owned())
-            .collect()
-    };
-    assert_eq!(
-        names(&d1),
-        names(&d4),
-        "run names must not depend on --jobs"
-    );
-    for (a, b) in d1.iter().zip(&d4) {
-        for f in ["queues.jsonl", "agents.jsonl", "events.jsonl"] {
-            let x = std::fs::read(a.join(f)).unwrap();
-            let y = std::fs::read(b.join(f)).unwrap();
-            assert_eq!(x, y, "{f} differs between --jobs 1 and --jobs 4");
-        }
-    }
-    assert!(!common::metrics_failed(), "clean runs flagged a failure");
+    assert_same_tree(&root.join("j1"), &root.join("j4"), "--jobs 1 and --jobs 4");
 
     // Re-running the same matrix into the already-used directory must
     // refuse to record (deterministic names would collide) and must leave
     // the first recording untouched.
     let before = std::fs::read(d1[0].join("queues.jsonl")).unwrap();
-    common::enable_metrics(root.join("j1"), SimTime::from_us(100));
-    common::set_metrics_experiment("fault-par");
-    let rerun = run_arms(Scale::QUICK);
-    common::disable_metrics();
+    let h = recording(&root.join("j1"), "fault-par");
+    let rerun = run_arms(&h);
     assert_eq!(rerun.len(), 3, "unrecorded arms still simulate");
     assert!(
-        common::metrics_failed(),
+        h.metrics_failed(),
         "colliding run directories must be reported as a metrics failure"
     );
     let after = std::fs::read(d1[0].join("queues.jsonl")).unwrap();

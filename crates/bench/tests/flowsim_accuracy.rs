@@ -6,12 +6,12 @@
 //! `acc-bench perf`; the test runs them alone so a fidelity regression
 //! fails `cargo test` in seconds.
 
-use acc_bench::{perf, Scale};
+use acc_bench::{perf, Harness, Scale};
 use serde_json::json;
 
 #[test]
 fn hybrid_tracks_packet_fct_within_5_percent() {
-    let rows = perf::accuracy_rows(Scale::QUICK);
+    let rows = perf::accuracy_rows(&Harness::new(Scale::QUICK));
     assert_eq!(rows.len(), 3, "websearch-0.3, incast-8to1 and their worst");
     let doc = json!({ "rows": rows });
     assert_eq!(perf::check_rows(&doc, "accuracy"), Vec::<String>::new());

@@ -1,5 +1,5 @@
 //! Golden FCTs for the flow-level backend: a 64-bit digest over
-//! `FlowSim::completions()` in order (`flow`, `start`, `end`) for four
+//! `FlowSim::completions()` in order (`flow`, `start`, `end`) for three
 //! scenarios, captured on the engine as of PR 11 (epoch-invalidated timers on
 //! the packet timing wheel). Any change to the engine's event order — which
 //! source fires first at equal times, which flow a rebalance re-keys first —
@@ -7,13 +7,12 @@
 //! *meant* to move FCTs re-capture the constants and say so.
 
 use acc_core::{FluidStaticEcn, StaticEcnPolicy};
-use netsim::flowsim::{Fidelity, FlowDone, FlowSim, FlowSimConfig, FlowSpec};
+use netsim::flowsim::{FlowDone, FlowSim, FlowSimConfig, FlowSpec};
 use netsim::prelude::*;
 use workloads::{to_flow_specs, XlFlowsSpec};
 
 const INCAST_TIES: u64 = 0x97e9_9d4d_b1d3_2685;
 const CACC_HYBRID: u64 = 0x3e78_92e2_4449_1320;
-const CACC_FLOW: u64 = 0xea27_2127_cd4d_e4d4;
 
 /// FNV-1a over each completion's `(flow, start, end)`, in completion order.
 fn digest(done: &[FlowDone]) -> u64 {
@@ -28,13 +27,9 @@ fn digest(done: &[FlowDone]) -> u64 {
     h
 }
 
-fn sim(spec: &TopologySpec, fidelity: Fidelity) -> FlowSim {
-    let cfg = FlowSimConfig {
-        fidelity,
-        ..Default::default()
-    };
-    let mut sim = FlowSim::new(spec.build(), cfg);
-    // Ignored at flow fidelity; at hybrid it arms the control tick.
+fn sim(spec: &TopologySpec) -> FlowSim {
+    let mut sim = FlowSim::new(spec.build(), FlowSimConfig::default());
+    // Arms the control tick.
     sim.set_tuner(Box::new(FluidStaticEcn::new(StaticEcnPolicy::Secn1)));
     sim
 }
@@ -56,9 +51,9 @@ fn cacc_specs() -> (TopologySpec, Vec<FlowSpec>) {
 
 const CACC_HORIZON: SimTime = SimTime::from_ms(60);
 
-fn run_cacc(fidelity: Fidelity) -> u64 {
+fn run_cacc() -> u64 {
     let (spec, specs) = cacc_specs();
-    let mut sim = sim(&spec, fidelity);
+    let mut sim = sim(&spec);
     sim.schedule_flows(&specs);
     sim.run_until(CACC_HORIZON);
     assert_eq!(sim.completions().len(), specs.len(), "every flow finishes");
@@ -82,7 +77,7 @@ fn incast_ties() {
             start: SimTime::from_us(1),
         })
         .collect();
-    let mut sim = sim(&spec, Fidelity::Hybrid);
+    let mut sim = sim(&spec);
     sim.schedule_flows(&specs);
     sim.run_until(SimTime::from_ms(10));
     assert_eq!(sim.completions().len(), 16);
@@ -92,14 +87,8 @@ fn incast_ties() {
 
 #[test]
 fn cacc_hybrid() {
-    let got = run_cacc(Fidelity::Hybrid);
+    let got = run_cacc();
     assert_eq!(got, CACC_HYBRID, "{got:#018x}");
-}
-
-#[test]
-fn cacc_flow() {
-    let got = run_cacc(Fidelity::Flow);
-    assert_eq!(got, CACC_FLOW, "{got:#018x}");
 }
 
 /// The hybrid scenario fed in two halves: the second `schedule_flows` lands
@@ -111,7 +100,7 @@ fn cacc_hybrid_split() {
     let mid = SimTime::from_us(2500);
     let cut = specs.partition_point(|s| s.start < mid);
     assert!(cut > 0 && cut < specs.len());
-    let mut sim = sim(&spec, Fidelity::Hybrid);
+    let mut sim = sim(&spec);
     sim.schedule_flows(&specs[..cut]);
     sim.run_until(mid);
     assert!(

@@ -2,8 +2,9 @@
 //!
 //! Pins the three contracts of `--profile`:
 //! 1. a profiled run produces a schema-valid `acc-profile/v1` artifact with
-//!    *real* allocation numbers (this binary registers the counting
-//!    allocator probe, like the `acc-bench` binary does);
+//!    *real* allocation numbers (the harnesses here register the counting
+//!    allocator probe, like the `acc-bench` binary does), and a profiled
+//!    `perf` run covers exactly its three packet rows;
 //! 2. recorded telemetry JSONL is byte-identical whether profiling is on or
 //!    off — the profiler only reads the wall clock, never sim state;
 //! 3. profiling reads the wall clock at most `2 / SAMPLE_EVERY` times per
@@ -13,84 +14,77 @@
 //!
 //! CI runs this as the `obs-smoke` job with `--release`.
 
-use acc_bench::common::{self, scenario, Policy, Scale};
+mod support;
+
+use acc_bench::common::{Harness, Policy, Scale};
 use acc_bench::perf;
 use netsim::prelude::*;
 use serde_json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
+use support::{assert_recorded, assert_same_tree, fresh_dir, only_run_dir};
 use transport::CcKind;
 use workloads::gen::PoissonGen;
 use workloads::SizeDist;
 
-/// Counting allocator, mirroring the probe the `acc-bench` binary installs.
-struct CountingAlloc;
+/// A quick-scale harness profiling into `out`, the allocation probe on.
+fn profiling(out: &Path) -> Harness {
+    let _ = std::fs::remove_file(out);
+    Harness::new(Scale::QUICK)
+        .with_alloc_probe(support::alloc_probe)
+        .with_profile(out)
+        .experiment("obs-smoke")
+}
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates to `System`; the counters do not affect layout.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
+/// Load the artifact at `out` and check what every profiled run owes:
+/// schema-valid, a sane trace, real allocation numbers (the probe is
+/// registered, so they must be measurements, not null), exact event-kind
+/// counts and an SLO block over real traffic. Returns the document.
+fn checked_profile(out: &Path) -> Value {
+    let text = std::fs::read_to_string(out).unwrap();
+    let doc: Value = serde_json::from_str(&text).unwrap();
+    let errs = acc_bench::profile::validate(&doc);
+    assert!(errs.is_empty(), "invalid artifact: {errs:?}");
+    for e in doc["traceEvents"].as_array().unwrap() {
+        if e["ph"].as_str() == Some("X") {
+            let (ts, dur) = (e["ts"].as_f64().unwrap(), e["dur"].as_f64().unwrap());
+            assert!(ts >= 0.0 && dur >= 0.0, "span before the origin: {e}");
+        }
     }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+    for run in doc["profile"]["runs"].as_array().unwrap() {
+        let label = &run["label"];
+        let ape = run["alloc"]["allocations_per_event"]
+            .as_f64()
+            .expect("allocations_per_event must be a number with the probe on");
+        assert!(
+            ape.is_finite() && ape >= 0.0,
+            "{label}: bogus alloc rate {ape}"
+        );
+        assert!(
+            run["alloc"]["alloc_bytes_per_event"].as_f64().is_some(),
+            "{label}: alloc_bytes_per_event must be a number with the probe on"
+        );
+        let kinds = run["summary"]["event_kinds"].as_array().unwrap();
+        assert!(!kinds.is_empty(), "{label}: no event kinds profiled");
+        assert!(
+            kinds.iter().all(|k| k["count"].as_u64().unwrap_or(0) > 0),
+            "{label}: an event kind with no events in {kinds:?}"
+        );
+        assert!(run["slo"]["fct_count"].as_u64().unwrap() > 0, "{label}");
     }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn register_probe() {
-    perf::set_alloc_probe(|| {
-        (
-            ALLOCS.load(Ordering::Relaxed),
-            ALLOC_BYTES.load(Ordering::Relaxed),
-        )
-    });
-}
-
-/// The profile/metrics registries are process-wide, so every test here
-/// serialises on this lock.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = Path::new("target").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    doc
 }
 
 #[test]
 fn profiled_run_writes_valid_artifact_with_real_numbers() {
-    let _g = lock();
-    register_probe();
-    common::disable_metrics();
     let out = Path::new("target").join("obs-smoke-profile.json");
-    let _ = std::fs::remove_file(&out);
-    common::enable_profile(&out);
-    common::set_profile_context("obs-smoke");
-
-    let (mut sc, horizon) = perf::websearch_scenario(Scale::QUICK);
+    let h = profiling(&out);
+    let (mut sc, horizon) = perf::websearch_scenario(&h);
     sc.sim.run_until(horizon);
     drop(sc);
-    assert!(common::write_profile(), "artifact write failed");
+    assert!(h.write_profile(), "artifact write failed");
 
-    let text = std::fs::read_to_string(&out).unwrap();
-    let doc: Value = serde_json::from_str(&text).unwrap();
-    let errs = acc_bench::profile::validate(&doc);
-    assert!(errs.is_empty(), "invalid artifact: {errs:?}");
-
+    let doc = checked_profile(&out);
     let runs = doc["profile"]["runs"].as_array().unwrap();
     assert_eq!(runs.len(), 1);
     let run = &runs[0];
@@ -99,25 +93,13 @@ fn profiled_run_writes_valid_artifact_with_real_numbers() {
             .as_str()
             .unwrap()
             .starts_with("obs-smoke_SECN1"),
-        "label carries the profile context: {:?}",
+        "label carries the experiment id: {:?}",
         run["label"]
-    );
-
-    // The probe is registered in this binary, so the allocation columns
-    // must be real measurements, not null.
-    let ape = run["alloc"]["allocations_per_event"]
-        .as_f64()
-        .expect("allocations_per_event must be a number with the probe on");
-    assert!(ape.is_finite() && ape >= 0.0, "bogus alloc rate {ape}");
-    assert!(
-        run["alloc"]["alloc_bytes_per_event"].as_f64().is_some(),
-        "alloc_bytes_per_event must be a number with the probe on"
     );
 
     // Hot event kinds: a websearch run dispatches arrivals and tx
     // completions, and counts are exact (only timing is sampled).
     let kinds = run["summary"]["event_kinds"].as_array().unwrap();
-    assert!(!kinds.is_empty(), "no event kinds profiled");
     for expected in ["arrive", "tx_done", "control_tick"] {
         assert!(
             kinds
@@ -130,7 +112,6 @@ fn profiled_run_writes_valid_artifact_with_real_numbers() {
 
     // The SLO block summarises real traffic.
     let slo = &run["slo"];
-    assert!(slo["fct_count"].as_u64().unwrap() > 0, "no FCTs in SLO");
     assert!(slo["fct_p99_us"].as_f64().unwrap() > 0.0);
     assert_eq!(slo["dropped_non_finite"].as_u64(), Some(0));
     assert_eq!(slo["guarded"].as_bool(), Some(false));
@@ -144,65 +125,68 @@ fn profiled_run_writes_valid_artifact_with_real_numbers() {
     );
 }
 
+/// The part of `acc-bench perf` that `--profile` covers — its packet rows —
+/// folds one run per row into the book.
+#[test]
+fn profiled_perf_rows_are_the_three_packet_rows() {
+    let out = Path::new("target").join("obs-smoke-perf-profile.json");
+    let h = profiling(&out);
+    let rows = perf::packet_rows(&h);
+    assert!(h.write_profile(), "artifact write failed");
+    let doc = checked_profile(&out);
+    let labels: Vec<&str> = doc["profile"]["runs"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| r["label"].as_str().unwrap())
+        .collect();
+    assert_eq!(rows.len(), 3);
+    assert_eq!(labels.len(), 3, "{labels:?}");
+}
+
 /// Record one websearch-under-faults run and return its run directory.
 /// With `profiled` the engine's self-profiler is on for the whole run.
 fn recorded_run(root: &Path, profiled: bool) -> PathBuf {
-    common::enable_metrics(root, SimTime::from_us(100));
-    common::set_metrics_experiment("obs-smoke");
+    let mut h = Harness::new(Scale::QUICK).with_metrics(root, SimTime::from_us(100));
     if profiled {
-        common::enable_profile(root.join("profile.json"));
-    } else {
-        common::disable_profile();
+        h = h.with_profile(root.join("profile.json"));
     }
+    let h = h.experiment("obs-smoke");
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
     let hosts: Vec<NodeId> = topo.hosts().to_vec();
     let horizon = SimTime::from_ms(3);
     let g = PoissonGen::new(SizeDist::web_search(), 0.6, CcKind::Dcqcn, 77);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
-    let mut sc = scenario(&spec, Policy::AccFresh, Scale::QUICK, 5, &arrivals);
+    let mut sc = h.scenario(&spec, Policy::AccFresh, 5, &arrivals);
     let plan = acc_bench::fault::fault_plan(&topo, horizon, 5);
     sc.sim
         .install_fault_plan(&plan)
         .expect("fault plan validates");
     sc.sim.run_until(horizon + SimTime::from_ms(1));
     drop(sc);
-    common::disable_metrics();
-    common::disable_profile();
-    let mut runs: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("metrics root exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.join("manifest.json").is_file())
-        .collect();
-    assert_eq!(runs.len(), 1, "one scenario records exactly one run dir");
-    runs.pop().unwrap()
+    assert!(!h.metrics_failed(), "clean run flagged a failure");
+    only_run_dir(root)
 }
 
 #[test]
 fn recorded_jsonl_is_byte_identical_with_profiling_on() {
-    let _g = lock();
     let root = fresh_dir("obs-smoke-determinism");
     let off = recorded_run(&root.join("off"), false);
     let on = recorded_run(&root.join("on"), true);
-
-    for f in ["queues.jsonl", "agents.jsonl", "events.jsonl"] {
-        let a = std::fs::read(off.join(f)).unwrap();
-        let b = std::fs::read(on.join(f)).unwrap();
-        assert!(!a.is_empty(), "{f} recorded nothing");
-        assert_eq!(a, b, "{f} differs when profiling is switched on");
-    }
-    assert!(!common::metrics_failed(), "clean runs flagged a failure");
+    assert_recorded(&off, &["queues.jsonl", "agents.jsonl", "events.jsonl"]);
+    assert_same_tree(&off, &on, "profiling off and on");
 }
 
 /// One run of the quick websearch-load perf scenario: events/sec and, when
 /// profiled, the wall-clock reads the profiler made per dispatched event.
 fn websearch_run(profiled: bool) -> (f64, f64) {
+    // The book is never written — only throughput matters.
+    let mut h = Harness::new(Scale::QUICK);
     if profiled {
-        common::enable_profile("target/obs-smoke-overhead-profile.json");
-    } else {
-        common::disable_profile();
+        h = h.with_profile("target/obs-smoke-overhead-profile.json");
     }
-    let (mut sc, horizon) = perf::websearch_scenario(Scale::QUICK);
+    let (mut sc, horizon) = perf::websearch_scenario(&h);
     let t0 = Instant::now();
     sc.sim.run_until(horizon);
     let wall = t0.elapsed().as_secs_f64();
@@ -213,7 +197,6 @@ fn websearch_run(profiled: bool) -> (f64, f64) {
         2 * timed + 2 * p.spans().len() as u64 + p.instants().len() as u64
     });
     drop(sc);
-    common::disable_profile(); // discard the book — only throughput matters
     (
         events as f64 / wall.max(1e-9),
         clock_reads as f64 / events as f64,
@@ -222,8 +205,6 @@ fn websearch_run(profiled: bool) -> (f64, f64) {
 
 #[test]
 fn profiling_overhead_within_budget_on_websearch() {
-    let _g = lock();
-    common::disable_metrics();
     // The <=5% events/sec budget rests on the profiler reading the clock for
     // 1 dispatch in SAMPLE_EVERY and on spans being rare next to events, so
     // that is the gate: clock reads per event, a count that is the same on

@@ -9,28 +9,16 @@
 //! CI runs this as part of the test suite alongside the CLI-level
 //! `acc-bench fig12 --quick --shards 1/4 --metrics-dir` diff.
 
-use acc_bench::common::{self, Policy, Scale};
+mod support;
+
+use acc_bench::common::{Harness, Policy, Scale};
 use acc_bench::shard_run::{run_scenario_sharded, ShardedReport};
 use netsim::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use support::{assert_same_tree, fresh_dir};
 use transport::CcKind;
 use workloads::gen::{Arrival, PoissonGen};
 use workloads::SizeDist;
-
-/// The recording registry is process-wide; runs that arm it serialise on
-/// this lock (same contract as the fault smoke tests).
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = Path::new("target").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Run one recorded sharded scenario, returning the report and the
 /// numbered run directory the merge wrote.
@@ -45,47 +33,17 @@ fn recorded_sharded(
     n_shards: u32,
     horizon: SimTime,
 ) -> (ShardedReport, PathBuf) {
-    common::enable_metrics(root, SimTime::from_us(100));
-    common::set_metrics_experiment("shard-smoke");
+    let h = Harness::new(Scale::QUICK)
+        .with_metrics(root, SimTime::from_us(100))
+        .experiment("shard-smoke");
     let report = run_scenario_sharded(
-        spec,
-        policy,
-        Scale::QUICK,
-        seed,
-        arrivals,
-        fault_plan,
-        n_shards,
-        horizon,
+        &h, spec, policy, seed, arrivals, fault_plan, n_shards, horizon,
     );
-    common::disable_metrics();
     let dir = report
         .metrics_dir
         .clone()
         .expect("armed sharded run records a run dir");
     (report, dir)
-}
-
-/// `diff -r a b` with `manifest.json` excluded: the same file names on both
-/// sides, every shared file byte-identical.
-fn assert_dirs_identical(a: &Path, b: &Path) {
-    let names = |d: &Path| -> Vec<String> {
-        let mut v: Vec<String> = std::fs::read_dir(d)
-            .expect("run dir exists")
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        v.sort();
-        v
-    };
-    let (na, nb) = (names(a), names(b));
-    assert_eq!(na, nb, "shard counts recorded different file sets");
-    for f in &na {
-        if f == "manifest.json" {
-            continue; // wall-clock fields live here by design
-        }
-        let x = std::fs::read(a.join(f)).unwrap();
-        let y = std::fs::read(b.join(f)).unwrap();
-        assert_eq!(x, y, "{f} differs between shard counts");
-    }
 }
 
 /// FCT statistics that must match exactly across shard counts (merged
@@ -108,7 +66,6 @@ fn assert_fct_identical(a: &ShardedReport, b: &ShardedReport) {
 /// count.
 #[test]
 fn fig12_scenario_identical_across_shard_counts() {
-    let _g = lock();
     let root = fresh_dir("shard-smoke-fig12");
     let spec = TopologySpec::paper_cacc_sim();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
@@ -139,7 +96,7 @@ fn fig12_scenario_identical_across_shard_counts() {
     );
 
     assert_fct_identical(&r1, &r4);
-    assert_dirs_identical(&d1, &d4);
+    assert_same_tree(&d1, &d4, "1 and 4 shards");
     assert_eq!(r4.shard_stats.len(), 4);
     assert!(
         r4.remote_events() > 0,
@@ -187,7 +144,7 @@ fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (ShardedRep
         assert_eq!(r1.fault_drops, rn.fault_drops);
         assert_eq!(r1.invalid_final_configs, rn.invalid_final_configs);
         assert_eq!(r1.guard, rn.guard, "guard counters at {n} shards");
-        assert_dirs_identical(&d1, &dn);
+        assert_same_tree(&d1, &dn, "shard counts");
     }
     (r1, d1)
 }
@@ -195,7 +152,6 @@ fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (ShardedRep
 /// A fresh online-tuning agent per switch under the fault plan.
 #[test]
 fn fault_scenario_identical_across_shard_counts() {
-    let _g = lock();
     let (r1, d1) = fault_scenario_identical(Policy::AccFresh, &[1, 4]);
     assert!(
         r1.guard.is_none(),
@@ -218,7 +174,6 @@ fn fault_scenario_identical_across_shard_counts() {
 /// on the timeline — cannot depend on which switches share a process.
 #[test]
 fn guarded_fault_scenario_identical_across_shard_counts() {
-    let _g = lock();
     for policy in [Policy::AccGuarded, Policy::AccMonitored] {
         let (r1, d1) = fault_scenario_identical(policy, &[1, 2, 4]);
         let guard = r1.guard.expect("guarded arm sums its guard counters");
@@ -244,7 +199,6 @@ fn guarded_fault_scenario_identical_across_shard_counts() {
 /// shards.
 #[test]
 fn fig13_scenario_identical_across_shard_counts() {
-    let _g = lock();
     let spec = TopologySpec::paper_cacc_sim();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     // Two 1 ms segments at different loads — a short slice of the real
@@ -261,26 +215,9 @@ fn fig13_scenario_identical_across_shard_counts() {
         arrivals.extend(g.generate(&hosts, 25_000_000_000, seg.mul(i as u64), seg));
     }
     let horizon = seg.mul(2) + SimTime::from_ms(4);
-    let r1 = run_scenario_sharded(
-        &spec,
-        Policy::Secn1,
-        Scale::QUICK,
-        100,
-        &arrivals,
-        None,
-        1,
-        horizon,
-    );
-    let r2 = run_scenario_sharded(
-        &spec,
-        Policy::Secn1,
-        Scale::QUICK,
-        100,
-        &arrivals,
-        None,
-        2,
-        horizon,
-    );
+    let h = Harness::new(Scale::QUICK);
+    let run = |n| run_scenario_sharded(&h, &spec, Policy::Secn1, 100, &arrivals, None, n, horizon);
+    let (r1, r2) = (run(1), run(2));
     assert_fct_identical(&r1, &r2);
     assert_eq!(r2.shard_stats.len(), 2);
     assert!(r1.fct.summary().completed > 0, "no flows completed");

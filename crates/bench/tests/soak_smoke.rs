@@ -6,51 +6,35 @@
 //! CI runs this as the `soak-smoke` job alongside the CLI-level
 //! `acc-bench soak --quick --metrics-dir` determinism check.
 
-use acc_bench::common::{self, Scale};
+mod support;
+
+use acc_bench::common::{Harness, Scale};
 use acc_bench::soak::{run_soak, SOAK_SEED};
 use netsim::prelude::SimTime;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use support::{assert_recorded, assert_same_tree, fresh_dir, only_run_dir};
 use telemetry::SoakSloReport;
-
-/// The recording registry is process-wide; soak runs that arm it serialise
-/// on this lock (same contract as the fault smoke tests).
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = Path::new("target").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Run one recorded quick soak, returning the report, the numbered run
 /// directory, and the checkpoint directory.
 fn recorded_soak(root: &Path) -> (SoakSloReport, PathBuf, PathBuf) {
-    common::enable_metrics(root, SimTime::from_us(100));
-    common::set_metrics_experiment("soak-smoke");
+    let h = Harness::new(Scale::QUICK)
+        .with_metrics(root, SimTime::from_us(100))
+        .experiment("soak-smoke");
     let ckpt = root.join("soak_checkpoints");
-    let report = run_soak(Scale::QUICK, SOAK_SEED, Some(&ckpt)).expect("quick soak completes");
-    common::disable_metrics();
-    let mut runs: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("metrics root exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.join("manifest.json").is_file())
-        .collect();
-    assert_eq!(runs.len(), 1, "one soak records exactly one run dir");
-    (report, runs.pop().unwrap(), ckpt)
+    let report = run_soak(&h, SOAK_SEED, Some(&ckpt)).expect("quick soak completes");
+    (report, only_run_dir(root), ckpt)
 }
 
 #[test]
 fn quick_soak_meets_the_slo_contract() {
-    let _g = lock();
-    let report = run_soak(Scale::QUICK, SOAK_SEED, None).expect("quick soak completes");
+    let report =
+        run_soak(&Harness::new(Scale::QUICK), SOAK_SEED, None).expect("quick soak completes");
 
     report.validate().expect("SLO invariants hold");
+    assert_eq!(report.scale, "quick");
     assert_eq!(report.invalid_final_configs, 0);
+    assert!(report.fct.p999_us > 0.0);
 
     // The production loop actually cycled: at least one candidate promoted,
     // and the planted telemetry-freeze forced at least one rollback, after
@@ -90,7 +74,6 @@ fn quick_soak_meets_the_slo_contract() {
 
 #[test]
 fn recorded_soak_runs_are_byte_identical() {
-    let _g = lock();
     let root = fresh_dir("soak-smoke-determinism");
     let (r1, d1, c1) = recorded_soak(&root.join("a"));
     let (r2, d2, c2) = recorded_soak(&root.join("b"));
@@ -102,12 +85,8 @@ fn recorded_soak_runs_are_byte_identical() {
     assert_eq!(r1.guard.trips, r2.guard.trips);
     assert_eq!(r1.rl.train_steps, r2.rl.train_steps);
 
-    for f in ["queues.jsonl", "agents.jsonl", "events.jsonl"] {
-        let a = std::fs::read(d1.join(f)).unwrap();
-        let b = std::fs::read(d2.join(f)).unwrap();
-        assert!(!a.is_empty(), "{f} recorded nothing");
-        assert_eq!(a, b, "{f} differs between identical seeded soak runs");
-    }
+    assert_recorded(&d1, &["queues.jsonl", "agents.jsonl", "events.jsonl"]);
+    assert_same_tree(&d1, &d2, "identical seeded soak runs");
 
     // Checkpoint bundles are part of the deterministic artifact set.
     let mut ckpts: Vec<String> = std::fs::read_dir(&c1)

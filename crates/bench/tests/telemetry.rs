@@ -1,30 +1,23 @@
 //! End-to-end flight-recorder tests over the bench harness: recording is
-//! deterministic (byte-identical JSONL across identical seeded runs), the
-//! manifest lands next to the time-series, and the disabled path neither
-//! records nor perturbs a run.
+//! deterministic (byte-identical JSONL across identical seeded runs, one
+//! after the other or side by side), the manifest lands next to the
+//! time-series, and the disabled path neither records nor perturbs a run.
 
-use acc_bench::common::{self, Policy, Scale};
+mod support;
+
+use acc_bench::common::{Harness, Policy, Scale};
 use netsim::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use support::{assert_recorded, assert_same_tree, fresh_dir};
 use transport::CcKind;
 use workloads::gen;
 
-/// The recording registry is process-wide; tests that arm/disarm it
-/// serialise here so one test's armed window never captures another's
-/// scenarios.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// A small deterministic scenario: 8-host single switch, two incast waves.
-fn run_once(metrics: Option<&Path>) -> (transport::FctSummary, Option<PathBuf>) {
+/// A small deterministic scenario: 8-host single switch, `waves` incast
+/// waves, under a fresh harness recording into `metrics` (if any).
+fn run_waves(metrics: Option<&Path>, waves: u64) -> (transport::FctSummary, Option<PathBuf>) {
+    let mut h = Harness::new(Scale::QUICK);
     if let Some(dir) = metrics {
-        common::enable_metrics(dir, SimTime::from_us(100));
-    } else {
-        common::disable_metrics();
+        h = h.with_metrics(dir, SimTime::from_us(100));
     }
     let spec = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
@@ -36,45 +29,40 @@ fn run_once(metrics: Option<&Path>) -> (transport::FctSummary, Option<PathBuf>) 
         CcKind::Dcqcn,
         SimTime::from_us(100),
     );
-    arrivals.extend(gen::incast_wave(
-        &hosts[..6],
-        hosts[7],
-        2,
-        100_000,
-        CcKind::Dcqcn,
-        SimTime::from_ms(1),
-    ));
-    let mut sc = common::scenario(&spec, Policy::AccFresh, Scale::QUICK, 5, &arrivals);
+    for w in 1..waves {
+        arrivals.extend(gen::incast_wave(
+            &hosts[..6],
+            hosts[7],
+            2,
+            100_000,
+            CcKind::Dcqcn,
+            SimTime::from_ms(w),
+        ));
+    }
+    let mut sc = h.scenario(&spec, Policy::AccFresh, 5, &arrivals);
     let run_dir = sc.metrics_dir().map(Path::to_path_buf);
     assert_eq!(run_dir.is_some(), metrics.is_some());
-    sc.sim.run_until(SimTime::from_ms(4));
+    sc.sim.run_until(SimTime::from_ms(2 + waves));
     let summary = sc.fct.borrow().summary();
     drop(sc); // finalises the manifest
-    common::disable_metrics();
+    assert!(!h.metrics_failed(), "clean run flagged a failure");
     (summary, run_dir)
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = Path::new("target").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn run_once(metrics: Option<&Path>) -> (transport::FctSummary, Option<PathBuf>) {
+    run_waves(metrics, 2)
 }
 
 #[test]
 fn recorded_runs_are_byte_identical() {
-    let _g = lock();
     let root = fresh_dir("telemetry-test-determinism");
     let (s1, d1) = run_once(Some(&root.join("a")));
     let (s2, d2) = run_once(Some(&root.join("b")));
     let (d1, d2) = (d1.unwrap(), d2.unwrap());
     assert_ne!(d1, d2, "each run gets its own directory");
 
-    for f in ["queues.jsonl", "agents.jsonl"] {
-        let a = std::fs::read(d1.join(f)).unwrap();
-        let b = std::fs::read(d2.join(f)).unwrap();
-        assert!(!a.is_empty(), "{f} recorded nothing");
-        assert_eq!(a, b, "{f} differs between identical seeded runs");
-    }
+    assert_recorded(&d1, &["queues.jsonl", "agents.jsonl"]);
+    assert_same_tree(&d1, &d2, "identical seeded runs");
     assert_eq!(s1.completed, s2.completed);
 
     // The manifest is parseable and consistent with the run.
@@ -89,9 +77,48 @@ fn recorded_runs_are_byte_identical() {
     assert!(m.events_processed > 0);
 }
 
+/// Recording is a property of a harness, not of the process: two harnesses
+/// recording different runs into two directories from two threads at once
+/// write what the same two runs write one after the other.
+#[test]
+fn concurrent_harnesses_record_what_sequential_ones_do() {
+    let root = fresh_dir("telemetry-test-concurrent");
+    for waves in [2, 3] {
+        run_waves(Some(&root.join(format!("seq{waves}"))), waves);
+    }
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for waves in [2, 3] {
+            let (root, barrier) = (&root, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                run_waves(Some(&root.join(format!("par{waves}"))), waves);
+            });
+        }
+    });
+    for waves in [2, 3] {
+        let seq = root.join(format!("seq{waves}"));
+        assert_recorded(
+            &support::only_run_dir(&seq),
+            &["queues.jsonl", "agents.jsonl"],
+        );
+        assert_same_tree(
+            &seq,
+            &root.join(format!("par{waves}")),
+            "sequential and concurrent harnesses",
+        );
+    }
+    let queues = |sub: &str| {
+        std::fs::read(support::only_run_dir(&root.join(sub)).join("queues.jsonl")).unwrap()
+    };
+    assert!(
+        queues("seq2") != queues("seq3"),
+        "the two runs must not be the same run"
+    );
+}
+
 #[test]
 fn disabled_path_records_nothing_and_matches_recorded_results() {
-    let _g = lock();
     let root = fresh_dir("telemetry-test-disabled");
     let (plain, no_dir) = run_once(None);
     assert!(no_dir.is_none());
@@ -106,13 +133,11 @@ fn disabled_path_records_nothing_and_matches_recorded_results() {
     assert_eq!(plain.overall.max_us, recorded.overall.max_us);
 }
 
-/// Re-arming the same `--metrics-dir` in a fresh "process" (a fresh
-/// registry context, counter back at zero) must not clobber the runs an
-/// earlier invocation recorded: counter-derived names probe forward past
-/// existing directories.
+/// A second invocation into the same `--metrics-dir` (a fresh harness, its
+/// counter back at zero) must not clobber the runs an earlier one recorded:
+/// counter-derived names probe forward past existing directories.
 #[test]
 fn rearming_used_metrics_dir_probes_past_existing_runs() {
-    let _g = lock();
     let root = fresh_dir("telemetry-test-rearm");
     let (_, d1) = run_once(Some(&root));
     let d1 = d1.unwrap();
@@ -123,8 +148,6 @@ fn rearming_used_metrics_dir_probes_past_existing_runs() {
     q1.extend_from_slice(&marker);
     std::fs::write(d1.join("queues.jsonl"), &q1).unwrap();
 
-    // Second invocation, same dir: enable_metrics resets the run counter
-    // exactly like a new process would.
     let (_, d2) = run_once(Some(&root));
     let d2 = d2.unwrap();
     assert_ne!(d1, d2, "second run must get a fresh directory");

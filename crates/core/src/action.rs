@@ -31,12 +31,6 @@ const MB: u64 = 1024 * 1024;
 pub const KMAX_CHOICES_BYTES: [u64; 4] = [MB, 2 * MB, 5 * MB, 10 * MB];
 
 impl ActionSpace {
-    /// Build from an explicit list.
-    pub fn from_actions(actions: Vec<EcnConfig>) -> Self {
-        assert!(actions.len() >= 2, "action space needs >= 2 actions");
-        ActionSpace { actions }
-    }
-
     /// The default 20-entry template table (see module docs).
     pub fn templates() -> Self {
         let mut actions = Vec::with_capacity(2 * LADDER_LEVELS);

@@ -300,11 +300,6 @@ impl AccController {
         self.recorder = Some(rec);
     }
 
-    /// The action space in use.
-    pub fn action_space(&self) -> &ActionSpace {
-        &self.space
-    }
-
     /// Snapshot the current model (after any update in flight).
     pub fn export_model(&self) -> rl::Mlp {
         self.agent.borrow_mut().get().export_model()

@@ -385,11 +385,6 @@ impl FleetManager {
         &self.last_good
     }
 
-    /// Is a candidate currently under probation?
-    pub fn in_probation(&self) -> bool {
-        self.probation.is_some()
-    }
-
     /// Push the last-known-good model into every ACC switch (initial
     /// deployment, or re-seeding a fresh simulation).
     pub fn deploy(&self, sim: &mut Simulator) {

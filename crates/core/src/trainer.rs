@@ -53,21 +53,6 @@ pub fn install_shared_training(
     agent
 }
 
-/// [`install_shared_training`] plus a flight recorder on every controller:
-/// offline-training runs then leave the same agent time-series
-/// (ε/reward/TD-loss curves) as online runs, so training convergence can be
-/// audited with `acc-bench report`.
-pub fn install_shared_training_recorded(
-    sim: &mut Simulator,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    rec: &telemetry::SharedRecorder,
-) -> Rc<RefCell<Seat>> {
-    let agent = install_shared_training(sim, cfg, space);
-    crate::controller::attach_recorder(sim, rec);
-    agent
-}
-
 /// The [`AccController`] behind a switch controller, looking through a
 /// [`crate::guard::GuardedController`] wrapper if present; `None` for any
 /// other controller.

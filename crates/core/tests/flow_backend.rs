@@ -8,7 +8,7 @@ use acc_core::guard::{install_guarded_acc, GuardConfig, GuardedController};
 use acc_core::static_ecn::install_static;
 use acc_core::trainer::frozen_config;
 use acc_core::{AccConfig, AccController, ActionSpace, StaticEcnPolicy};
-use netsim::flowsim::{Fidelity, FlowSim, FlowSimConfig, FlowSpec};
+use netsim::flowsim::{FlowSim, FlowSimConfig, FlowSpec};
 use netsim::prelude::*;
 use std::any::Any;
 use std::cell::RefCell;
@@ -20,14 +20,10 @@ const LINK_BPS: u64 = 25_000_000_000;
 /// `n_senders`-to-1 incast of 20 MB flows through one switch: the
 /// receiver's switch-egress link saturates, so the analytic queue model
 /// produces depth and marks for the controller to read.
-fn incast_sim(n_senders: usize, fidelity: Fidelity) -> FlowSim {
+fn incast_sim(n_senders: usize) -> FlowSim {
     let topo = TopologySpec::single_switch(8, LINK_BPS, SimTime::from_ns(500)).build();
     let hosts = topo.hosts().to_vec();
-    let cfg = FlowSimConfig {
-        fidelity,
-        ..Default::default()
-    };
-    let mut sim = FlowSim::new(topo, cfg);
+    let mut sim = FlowSim::new(topo, FlowSimConfig::default());
     let specs: Vec<FlowSpec> = (0..n_senders)
         .map(|i| FlowSpec {
             src: hosts[i + 1],
@@ -48,7 +44,7 @@ fn marked_bytes(sim: &FlowSim) -> u64 {
 
 #[test]
 fn static_installer_rewrites_switch_links() {
-    let mut sim = incast_sim(4, Fidelity::Hybrid);
+    let mut sim = incast_sim(4);
     install_static(&mut sim, StaticEcnPolicy::Vendor);
     sim.run_until(SimTime::from_ms(60));
     assert_eq!(sim.completions().len(), 4);
@@ -62,7 +58,7 @@ fn static_installer_rewrites_switch_links() {
 
 #[test]
 fn frozen_acc_observes_acts_and_records() {
-    let mut sim = incast_sim(6, Fidelity::Hybrid);
+    let mut sim = incast_sim(6);
     let cfg = frozen_config(&AccConfig::default());
     let space = ActionSpace::templates();
     install_acc(&mut sim, &cfg, &space);
@@ -92,7 +88,7 @@ fn frozen_acc_observes_acts_and_records() {
 
 #[test]
 fn guarded_acc_vets_the_analytic_queues() {
-    let mut sim = incast_sim(6, Fidelity::Hybrid);
+    let mut sim = incast_sim(6);
     install_guarded_acc(
         &mut sim,
         &AccConfig::default(),
@@ -106,19 +102,6 @@ fn guarded_acc_vets_the_analytic_queues() {
     let g = g.as_any_mut().downcast_mut::<GuardedController>().unwrap();
     assert_eq!(g.stats.ticks, 2000);
     assert_eq!(g.stats.violations_applied, 0, "enforcing guard");
-}
-
-#[test]
-fn flow_fidelity_runs_no_controller() {
-    let mut sim = incast_sim(2, Fidelity::Flow);
-    install_static(&mut sim, StaticEcnPolicy::Vendor);
-    let sw = sim.topo().switches()[0];
-    assert!(sim.controller_mut(sw).is_none(), "install was dropped");
-    sim.run_until(SimTime::from_ms(60));
-    assert_eq!(sim.completions().len(), 2);
-    assert!(sim.links().iter().all(|l| l.ecn.is_none()));
-    // Two arrivals, two completions, not one control tick.
-    assert_eq!(sim.stats().events_processed, 4);
 }
 
 /// Records when it was ticked.
@@ -135,7 +118,7 @@ impl QueueController for TickLog {
 
 #[test]
 fn late_install_arms_the_tick_one_interval_from_now() {
-    let mut sim = incast_sim(2, Fidelity::Hybrid);
+    let mut sim = incast_sim(2);
     let t0 = SimTime::from_us(130);
     sim.run_until(t0);
     assert_eq!(sim.stats().events_processed, 2, "no controller, no ticks");

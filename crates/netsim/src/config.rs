@@ -79,12 +79,6 @@ impl PortConfig {
         self
     }
 
-    /// Replace the initial ECN config of the TCP class (used by DCTCP runs).
-    pub fn with_tcp_ecn(mut self, ecn: Option<EcnConfig>) -> Self {
-        self.ecn[0] = ecn;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.num_prios > 0, "at least one traffic class required");
         assert_eq!(self.weights.len(), self.num_prios);

@@ -194,14 +194,6 @@ impl SwitchView<'_> {
         }
     }
 
-    /// Cumulative count of PFC PAUSE events this switch has sent upstream.
-    pub fn pfc_pauses_sent(&self) -> u64 {
-        match &self.backend {
-            ViewBackend::Packet(core) => core.pfc_pauses_of(self.node),
-            ViewBackend::Flow { .. } => 0,
-        }
-    }
-
     /// True when the engine's self-profiler is on. Controllers that want
     /// per-phase spans check this once per tick, so the disabled path costs
     /// a single branch and no clock reads.

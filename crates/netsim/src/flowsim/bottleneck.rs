@@ -94,7 +94,7 @@ pub struct LinkInputs {
     /// Raw serialization capacity, bits per second.
     pub capacity_bps: u64,
     /// RED/ECN marking config; `None` on host-egress links (hosts pace,
-    /// they don't mark) and in [`super::Fidelity::Flow`] mode.
+    /// they don't mark).
     pub ecn: Option<EcnConfig>,
     /// Number of flows currently active on the link.
     pub n_active: u32,

@@ -27,29 +27,6 @@ pub const NIL: u32 = u32::MAX;
 /// presets need 6 (host→ToR→agg→core→agg→ToR→host).
 pub const MAX_HOPS: usize = 8;
 
-/// Simulation fidelity: which model of the fabric a run uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Fidelity {
-    /// Full packet-level simulation (the existing engine).
-    Packet,
-    /// Flow-level rates with the analytic ECN/queue model feeding the
-    /// controller — the mode the accuracy report validates.
-    Hybrid,
-    /// Pure flow-level: no ECN model, no controller; ideal fair-share FCTs.
-    Flow,
-}
-
-impl Fidelity {
-    /// Lower-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Fidelity::Packet => "packet",
-            Fidelity::Hybrid => "hybrid",
-            Fidelity::Flow => "flow",
-        }
-    }
-}
-
 /// One flow to simulate: the flow-level analogue of a scheduled
 /// `workloads` arrival.
 #[derive(Clone, Copy, Debug)]
@@ -100,12 +77,8 @@ pub struct FlowSimConfig {
     /// Control-plane tick interval (telemetry windows / controller
     /// cadence); `None` disables ticks entirely.
     pub control_interval: Option<SimTime>,
-    /// ECN config installed on every switch-egress link at build time
-    /// (ignored in [`Fidelity::Flow`] mode).
+    /// ECN config installed on every switch-egress link at build time.
     pub switch_ecn: EcnConfig,
-    /// Hybrid (analytic ECN feedback) or pure flow fidelity.
-    /// [`Fidelity::Packet`] is rejected — that is the other engine.
-    pub fidelity: Fidelity,
 }
 
 impl Default for FlowSimConfig {
@@ -114,7 +87,6 @@ impl Default for FlowSimConfig {
             mtu_payload: 1000,
             control_interval: Some(SimTime::from_us(50)),
             switch_ecn: EcnConfig::dcqcn_paper(),
-            fidelity: Fidelity::Hybrid,
         }
     }
 }
@@ -246,10 +218,6 @@ pub struct FlowSim {
 impl FlowSim {
     /// Build an engine over `topo` (ECMP routes are derived internally).
     pub fn new(topo: Topology, cfg: FlowSimConfig) -> FlowSim {
-        assert!(
-            cfg.fidelity != Fidelity::Packet,
-            "Fidelity::Packet is served by netsim::sim::Simulator, not FlowSim"
-        );
         let routes = RouteTable::build(&topo);
         let mut link_base = Vec::with_capacity(topo.nodes.len() + 1);
         let mut n_links = 0u32;
@@ -261,7 +229,7 @@ impl FlowSim {
         let mut links = Vec::with_capacity(n_links as usize);
         for (ni, node) in topo.nodes.iter().enumerate() {
             let from = NodeId(ni as u32);
-            let marks = cfg.fidelity == Fidelity::Hybrid && !topo.is_host(from);
+            let marks = !topo.is_host(from);
             for (pi, port) in node.ports.iter().enumerate() {
                 let ecn = marks.then_some(cfg.switch_ecn);
                 links.push(LinkModel::new(
@@ -388,11 +356,6 @@ impl FlowSim {
         self.now
     }
 
-    /// The fidelity this engine was built with (never [`Fidelity::Packet`]).
-    pub fn fidelity(&self) -> Fidelity {
-        self.cfg.fidelity
-    }
-
     /// The topology the engine runs over.
     pub fn topo(&self) -> &Topology {
         &self.topo
@@ -402,11 +365,6 @@ impl FlowSim {
     /// advance it).
     pub fn links(&self) -> &[LinkModel] {
         &self.links
-    }
-
-    /// Index into [`FlowSim::links`] for `node`'s egress `port`.
-    pub fn link_index(&self, node: NodeId, port: PortId) -> usize {
-        (self.link_base[node.idx()] + port.0 as u32) as usize
     }
 
     /// Granted rates of the flows active on link `li` (test/debug helper;
@@ -729,14 +687,10 @@ impl ControllerHost for FlowSim {
     }
 
     /// The controller ticks every `control_interval` against the switch's
-    /// egress [`LinkModel`]s, exactly as on the packet engine. Dropped in
-    /// [`Fidelity::Flow`] mode, which models no ECN and runs no control
-    /// plane.
+    /// egress [`LinkModel`]s, exactly as on the packet engine.
     fn set_controller(&mut self, switch: NodeId, ctl: Box<dyn QueueController>) {
         assert!(!self.topo.is_host(switch), "controllers attach to switches");
-        if self.cfg.fidelity == Fidelity::Hybrid {
-            self.controllers[switch.idx()] = Some(ctl);
-        }
+        self.controllers[switch.idx()] = Some(ctl);
     }
 
     fn controller_mut(&mut self, switch: NodeId) -> Option<&mut dyn QueueController> {
@@ -951,26 +905,5 @@ mod tests {
         assert!(s.ticks > 10, "control ticks must fire");
         assert!(s.queue, "saturated link must report queue depth");
         assert!(s.marks, "saturated link must report ECN marks");
-    }
-
-    #[test]
-    fn flow_fidelity_disables_ecn_model() {
-        let topo = single_switch(8);
-        let hosts = topo.hosts().to_vec();
-        let cfg = FlowSimConfig {
-            fidelity: Fidelity::Flow,
-            ..Default::default()
-        };
-        let mut sim = FlowSim::new(topo, cfg);
-        let specs: Vec<FlowSpec> = (0..4)
-            .map(|i| spec(hosts[i + 1].0, hosts[0].0, 5_000_000, SimTime::ZERO))
-            .collect();
-        sim.schedule_flows(&specs);
-        sim.run_until(SimTime::from_ms(50));
-        assert_eq!(sim.completions().len(), 4);
-        for l in sim.links() {
-            assert!(l.ecn.is_none(), "flow fidelity carries no ECN model");
-            assert_eq!(l.telem.tx_marked_bytes, 0);
-        }
     }
 }

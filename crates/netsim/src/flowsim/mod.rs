@@ -20,7 +20,7 @@
 //!   store-and-forward of the last packet plus propagation, matching the
 //!   packet engine's uncontended timing (DCQCN starts at line rate and an
 //!   unshared queue never reaches `Kmin`, so no marks, no rate cuts).
-//! * **Analytic ECN feedback** — in [`Fidelity::Hybrid`] mode each
+//! * **Analytic ECN feedback** — each
 //!   contended switch-egress link carries an equilibrium queue model
 //!   ([`bottleneck::qstar_bytes`]) from which ECN mark probability and queue depth
 //!   are derived and fed to the control plane through the same
@@ -43,4 +43,4 @@ pub mod engine;
 mod timers;
 
 pub use bottleneck::{eff_capacity_bps, qstar_bytes, share_bps, LinkInputs, LinkModel};
-pub use engine::{EcnTuner, Fidelity, FlowDone, FlowSim, FlowSimConfig, FlowSimStats, FlowSpec};
+pub use engine::{EcnTuner, FlowDone, FlowSim, FlowSimConfig, FlowSimStats, FlowSpec};

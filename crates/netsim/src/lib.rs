@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::control::{ControllerHost, QueueController, QueueSnapshot, SwitchView};
     pub use crate::driver::{HostCtx, NicDriver};
     pub use crate::fault::{FaultEvent, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError};
-    pub use crate::flowsim::{Fidelity, FlowSim, FlowSimConfig, FlowSpec};
+    pub use crate::flowsim::{FlowSim, FlowSimConfig, FlowSpec};
     pub use crate::ids::{FlowId, NodeId, PortId, Prio};
     pub use crate::packet::{Ecn, Packet, PacketKind};
     pub use crate::queues::EcnConfig;

@@ -325,17 +325,16 @@ impl SimCore {
         flow: crate::ids::FlowId,
         qlen: u64,
     ) {
+        // Sharded runs replicate fault events into every shard; only the
+        // owner of the node involved records the trace, so the merged
+        // per-shard streams are disjoint and partition-invariant.
+        if self.tracer.is_none() || !self.owns_node(node) {
+            return;
+        }
+        let at = self.now;
         if let Some(t) = self.tracer.as_mut() {
-            // Sharded runs replicate fault events into every shard; only the
-            // owner of the node involved records the trace, so the merged
-            // per-shard streams are disjoint and partition-invariant.
-            if let Some(sc) = self.shard.as_ref() {
-                if !sc.owns(node) {
-                    return;
-                }
-            }
             t.record(TraceEvent {
-                at: self.now,
+                at,
                 kind,
                 node,
                 port,
@@ -450,12 +449,22 @@ impl SimCore {
         self.shard.as_ref().map(|sc| sc.owns(node)).unwrap_or(true)
     }
 
-    /// The RNG a node's driver draws from: the node's own stream in sharded
-    /// mode (placement-independent), the shared engine RNG otherwise.
+    /// The RNG a node's driver and its ECN marking draw from: the node's own
+    /// stream in sharded mode (placement-independent), the shared engine RNG
+    /// otherwise.
     pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut SmallRng {
         match self.shard.as_mut() {
             Some(sc) => &mut sc.node_rngs[node.idx()],
             None => &mut self.rng,
+        }
+    }
+
+    /// The RNG a node's probabilistic packet loss draws from; split like
+    /// [`Self::node_rng`].
+    fn node_fault_rng(&mut self, node: NodeId) -> &mut SmallRng {
+        match self.shard.as_mut() {
+            Some(sc) => &mut sc.node_fault_rngs[node.idx()],
+            None => &mut self.fault_rng,
         }
     }
 
@@ -502,11 +511,6 @@ impl SimCore {
         &self.nodes[node.idx()].ports[port.idx()].queues[prio as usize]
     }
 
-    /// The SoA telemetry block of one port (see [`PortTelemetry`]).
-    pub fn port_telemetry(&self, node: NodeId, port: PortId) -> &PortTelemetry {
-        &self.nodes[node.idx()].ports[port.idx()].telem
-    }
-
     /// Assembled per-queue telemetry view of (`node`, `port`, `prio`).
     /// The queue-length time integral is only current up to the queue's
     /// last push/pop; use [`Self::synced_queue_telem`] when reading it.
@@ -523,14 +527,6 @@ impl SimCore {
         let ps = &mut self.nodes[node.idx()].ports[port.idx()];
         ps.queues[prio as usize].sync_clock(&mut ps.telem, now);
         ps.telem.queue(prio as usize)
-    }
-
-    pub(crate) fn pfc_pauses_of(&self, node: NodeId) -> u64 {
-        self.nodes[node.idx()]
-            .ports
-            .iter()
-            .map(|p| p.pfc_pause_events)
-            .sum()
     }
 
     /// PFC PAUSE events sent upstream from the ingress side of one port.
@@ -756,14 +752,7 @@ impl SimCore {
             let ecn_at = q.ecn.map(|cfg| (cfg, q.marking_qlen()));
             if let Some((cfg, qlen)) = ecn_at {
                 let p = cfg.mark_probability(qlen);
-                // Sharded runs draw from the switch's own RNG stream so the
-                // marking trajectory is independent of thread placement.
-                let marked = p >= 1.0
-                    || (p > 0.0
-                        && match self.shard.as_mut() {
-                            Some(sc) => sc.node_rngs[node.idx()].gen::<f64>() < p,
-                            None => self.rng.gen::<f64>() < p,
-                        });
+                let marked = p >= 1.0 || (p > 0.0 && self.node_rng(node).gen::<f64>() < p);
                 if marked {
                     pkt.ecn = crate::packet::Ecn::Ce;
                     self.trace(TraceKind::CeMark, node, out_port, pkt.prio, pkt.flow, qlen);
@@ -919,10 +908,8 @@ impl SimCore {
         // Faults replicate into every shard (link state and routing must stay
         // globally consistent) but only the owner logs and counts them, so
         // merged fault streams carry each fault exactly once.
-        if let Some(sc) = self.shard.as_ref() {
-            if !sc.owns(node) {
-                return;
-            }
+        if !self.owns_node(node) {
+            return;
         }
         self.faults_executed += 1;
         if self.fault_log.len() >= FAULT_LOG_CAP {
@@ -954,14 +941,7 @@ impl SimCore {
             true
         } else {
             let frac = ps.loss_frac;
-            frac > 0.0
-                && (frac >= 1.0 || {
-                    let r: f64 = match self.shard.as_mut() {
-                        Some(sc) => sc.node_fault_rngs[node.idx()].gen(),
-                        None => self.fault_rng.gen(),
-                    };
-                    r < frac
-                })
+            frac > 0.0 && (frac >= 1.0 || self.node_fault_rng(node).gen::<f64>() < frac)
         };
         if lost {
             self.total_drops += 1;

@@ -165,15 +165,6 @@ impl DdqnAgent {
                 * (-(self.select_steps as f64) / self.cfg.eps_decay_steps).exp()
     }
 
-    /// Reset the exploration schedule (e.g. when reusing an offline-trained
-    /// model online with a small fresh exploration budget).
-    pub fn set_exploration(&mut self, eps_start: f64, eps_end: f64, decay_steps: f64) {
-        self.cfg.eps_start = eps_start;
-        self.cfg.eps_end = eps_end;
-        self.cfg.eps_decay_steps = decay_steps;
-        self.select_steps = 0;
-    }
-
     /// ε-greedy action selection; advances the decay schedule.
     pub fn select_action(&mut self, state: &[f32]) -> usize {
         let eps = self.epsilon();
@@ -475,11 +466,6 @@ impl DdqnAgent {
     /// instead of letting a poisoned model silently pick action 0.
     pub fn anomalies(&self) -> u64 {
         self.anomalies.get()
-    }
-
-    /// Force a target-network sync.
-    pub fn sync_target(&mut self) {
-        self.target.copy_from(&self.eval);
     }
 
     /// Training steps taken so far.

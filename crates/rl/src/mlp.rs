@@ -546,18 +546,6 @@ impl Mlp {
         }
     }
 
-    /// Apply a raw SGD step (used by tests; training uses [`Adam`]).
-    pub fn sgd_step(&mut self, grads: &Gradients, lr: f32) {
-        for (l, (dw, db)) in self.layers.iter_mut().zip(grads.dw.iter().zip(&grads.db)) {
-            for (w, g) in l.w.iter_mut().zip(dw) {
-                *w -= lr * g;
-            }
-            for (b, g) in l.b.iter_mut().zip(db) {
-                *b -= lr * g;
-            }
-        }
-    }
-
     /// Read one flat-indexed weight of `layer` (tests/diagnostics).
     pub fn weight(&self, layer: usize, idx: usize) -> f32 {
         self.layers[layer].w[idx]

@@ -35,11 +35,6 @@ impl RunRecorder {
         self
     }
 
-    /// Attach a sink.
-    pub fn add_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sinks.push(sink);
-    }
-
     /// Number of attached sinks.
     pub fn sink_count(&self) -> usize {
         self.sinks.len()

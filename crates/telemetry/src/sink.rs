@@ -74,16 +74,6 @@ impl MemorySink {
     pub fn queue_len(&self) -> usize {
         self.queues.len()
     }
-
-    /// Number of retained agent samples.
-    pub fn agent_len(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// Number of retained event samples.
-    pub fn event_len(&self) -> usize {
-        self.events.len()
-    }
 }
 
 impl TelemetrySink for MemorySink {

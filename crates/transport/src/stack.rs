@@ -169,18 +169,6 @@ impl HostStack {
         self.fct.clone()
     }
 
-    /// Current DCQCN rates (bits/s) of this stack's active RDMA flows —
-    /// diagnostic/telemetry use.
-    pub fn dcqcn_rates(&self) -> Vec<f64> {
-        self.flows
-            .values()
-            .filter_map(|f| match &f.cc {
-                CcState::Dcqcn(st) => Some(st.rate_c),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Queue `msg` to start at absolute time `at`.
     pub fn schedule_message(&mut self, ctx: &mut HostCtx<'_>, at: SimTime, msg: Message) {
         let at = at.max(ctx.now());
