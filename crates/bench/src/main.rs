@@ -404,12 +404,17 @@ fn main() {
                 Ok(t) => t,
                 Err(e) => bad_flag(&format!("cannot read fault plan {p}: {e}")),
             };
-            // `FaultPlan`'s deserializer validates structurally; topology
-            // checks happen when the simulator installs the plan.
+            // `FaultPlan`'s deserializer validates structurally; its
+            // endpoints are checked against the soak's fabric here, with the
+            // check the simulator repeats when it installs the plan.
             let parsed: netsim::prelude::FaultPlan = match serde_json::from_str(&text) {
                 Ok(v) => v,
                 Err(e) => bad_flag(&format!("invalid fault plan {p}: {e}")),
             };
+            let topo = acc_bench::soak::topology_spec(scale).build();
+            if let Err(e) = parsed.check_topology(&topo) {
+                bad_flag(&format!("invalid fault plan {p}: {e}"));
+            }
             parsed
         });
         let out = which.get(1).map(|s| s.as_str()).unwrap_or("SOAK_SLO.json");

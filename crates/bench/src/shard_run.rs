@@ -13,7 +13,7 @@
 //! * **Telemetry** via [`telemetry::merge_shards`] — per-shard in-memory
 //!   sinks are replayed in canonical order into the same JSONL layout the
 //!   unsharded recorder writes, under a run directory claimed through the
-//!   same harness ([`Harness::claim_run`]). Byte-identity of the merged
+//!   same harness (`Harness::claim_run`). Byte-identity of the merged
 //!   `queues.jsonl` / `agents.jsonl` / `events.jsonl` across `--shards
 //!   1/2/4/8` is the observable determinism contract (`manifest.json`
 //!   carries wall-clock fields and is excluded from diffs).

@@ -161,11 +161,22 @@ pub fn run_soak(
     run_soak_with(h, seed, checkpoint_dir, None, None)
 }
 
+/// The fabric the soak runs on at `scale` — what a `--fault-plan`'s
+/// endpoints are checked against.
+pub fn topology_spec(scale: Scale) -> TopologySpec {
+    scale.pick(
+        TopologySpec::paper_large_sim(),
+        TopologySpec::paper_testbed(),
+    )
+}
+
 /// [`run_soak`] with user-supplied overrides: `plan_override` replaces the
 /// canonical datacenter-day schedule and `fault_override` replaces the
 /// built-in fault script (the CLI loads both from `--soak-plan` /
 /// `--fault-plan` JSON). Overrides are validated the same way the defaults
-/// are — structural checks here, topology checks when the plan installs.
+/// are — structural checks here, a fault plan's endpoints against the
+/// topology when the simulator installs it (the CLI runs the same check
+/// against [`topology_spec`] first, so it can refuse before any work).
 pub fn run_soak_with(
     h: &Harness,
     seed: u64,
@@ -189,10 +200,7 @@ pub fn run_soak_with(
         std::fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir: {e}"))?;
     }
 
-    let spec = scale.pick(
-        TopologySpec::paper_large_sim(),
-        TopologySpec::paper_testbed(),
-    );
+    let spec = topology_spec(scale);
     let topo = spec.build();
     let day = plan.total();
     let space = ActionSpace::templates();

@@ -1,7 +1,8 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
 //! spellings of a value flag parse alike, bad values, retired flags, surplus
-//! positional arguments and `--shards` on an experiment without a sharded
-//! path exit 2, and a sharded experiment runs.
+//! positional arguments, `--shards` on an experiment without a sharded
+//! path and a `--fault-plan` naming nodes or ports the fabric lacks exit 2,
+//! and a sharded experiment runs.
 
 mod support;
 
@@ -140,6 +141,39 @@ fn profile_is_rejected_where_there_is_nothing_to_profile() {
         assert!(out.stdout.is_empty(), "{id}: nothing ran");
     }
     assert!(!PathBuf::from("target/cli-smoke/empty-profile.json").exists());
+}
+
+/// A `--fault-plan` whose endpoints do not exist on the soak's fabric is
+/// refused like a malformed `--soak-plan`: exit 2 naming the event, before
+/// any simulation work (it used to panic mid-run on an index).
+#[test]
+fn soak_refuses_a_fault_plan_that_does_not_fit_the_topology() {
+    let cwd = PathBuf::from("target").join("cli-smoke");
+    std::fs::create_dir_all(&cwd).expect("scratch dir under target/");
+    for (file, kind, says) in [
+        (
+            "bad-node.json",
+            r#"{"LinkDown":{"node":5000,"port":0}}"#,
+            "event 0 (link_down): node 5000 does not exist",
+        ),
+        (
+            "bad-port.json",
+            r#"{"LinkDown":{"node":0,"port":99}}"#,
+            "event 0 (link_down): node 0 has no port 99",
+        ),
+    ] {
+        let plan = format!(r#"{{"seed":1,"events":[{{"at":1000000,"kind":{kind}}}]}}"#);
+        std::fs::write(cwd.join(file), plan).expect("plan written");
+        let out = acc_bench(&["soak", "unwritten.json", "--quick", "--fault-plan", file]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
+        assert!(
+            err.contains("invalid fault plan") && err.contains(says),
+            "{file}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{file}: nothing ran");
+    }
+    assert!(!cwd.join("unwritten.json").exists());
 }
 
 /// An experiment with a bespoke controller and no `Policy` still builds its

@@ -55,8 +55,6 @@ pub struct CentralBrain {
     space: ActionSpace,
     reward: RewardConfig,
     window: StateWindow,
-    #[allow(dead_code)]
-    n_switches: usize,
     /// Current tick accumulation.
     agg: HashMap<Layer, LayerAgg>,
     reports_this_tick: usize,
@@ -81,12 +79,11 @@ impl CentralBrain {
         space.len() * space.len()
     }
 
-    /// Build the brain for a fabric with `n_switches` switches.
+    /// Build the brain.
     pub fn new(
         ddqn: DdqnConfig,
         reward: RewardConfig,
         space: ActionSpace,
-        #[allow(dead_code)] n_switches: usize,
         history_k: usize,
         online_training: bool,
         seed: u64,
@@ -100,7 +97,6 @@ impl CentralBrain {
             space: space.clone(),
             reward,
             window: StateWindow::new(history_k * 2), // 2 pseudo-obs per tick
-            n_switches,
             agg: HashMap::new(),
             reports_this_tick: 0,
             applied: (mid, mid),
@@ -273,7 +269,6 @@ pub fn install_centralized(
         ddqn,
         reward,
         space,
-        switches.len(),
         history_k,
         online_training,
         seed,
@@ -359,7 +354,7 @@ mod tests {
         let mut ddqn = DdqnConfig::default();
         ddqn.min_replay = 1000000; // never train; only schedule mechanics
         let mut brain =
-            CentralBrain::new(ddqn, RewardConfig::default(), space.clone(), 2, 3, false, 1);
+            CentralBrain::new(ddqn, RewardConfig::default(), space.clone(), 3, false, 1);
         let before = brain.applied;
         brain.finish_tick(SimTime::from_us(50));
         // First decision is still pending, applied unchanged.

@@ -1,8 +1,7 @@
 //! # acc-metrics — the hot-path observability substrate
 //!
 //! The smallest useful metrics kit for a discrete-event simulator that is
-//! itself under the microscope: lock-free [`Counter`]s and [`Gauge`]s for
-//! cross-thread tallies, and a log-linear HDR-style [`Histogram`] for
+//! itself under the microscope: a log-linear HDR-style [`Histogram`] for
 //! latency/size distributions on the hot path.
 //!
 //! Design constraints (these are the contract, not aspirations):
@@ -24,67 +23,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing event tally. Lock-free; relaxed ordering —
-/// readers see a consistent total, not a synchronization point.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-writer-wins level (queue depth, in-flight count). Lock-free.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Overwrite the level.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the level to `v` if it is higher (a high-water mark).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// log2 of [`SUB_BUCKETS`].
 pub const SUB_BUCKET_BITS: u32 = 5;
@@ -269,20 +207,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        g.set(7);
-        g.set_max(5);
-        assert_eq!(g.get(), 7);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
-    }
 
     #[test]
     fn small_values_are_exact() {

@@ -8,7 +8,7 @@
 //! test is its own crate. The file holds exactly one `#[test]` so no
 //! concurrent test thread can pollute the counter.
 
-use acc_metrics::{Counter, Gauge, Histogram};
+use acc_metrics::Histogram;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,8 +45,6 @@ fn recording_is_allocation_free() {
     for v in 0..64u64 {
         other.record(v * 977);
     }
-    let c = Counter::new();
-    let g = Gauge::new();
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..100_000u64 {
@@ -54,8 +52,6 @@ fn recording_is_allocation_free() {
         h.record(i % 32);
         h.record(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         h.record_n(i, 3);
-        c.inc();
-        g.set_max(i);
     }
     let p99 = h.value_at_percentile(99.0);
     h.merge_from(&other);
@@ -65,5 +61,4 @@ fn recording_is_allocation_free() {
         "hot-path metrics performed {delta} heap allocations"
     );
     assert!(p99 > 0);
-    assert_eq!(c.get(), 100_000);
 }

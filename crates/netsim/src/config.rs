@@ -23,8 +23,7 @@ pub struct PortConfig {
     /// all of the port's egress queues). The arena grows on demand, but any
     /// growth is a heap allocation on the packet hot path — size this above
     /// the deepest per-port backlog the workload reaches to keep the
-    /// steady state allocation-free (`SimCore::max_arena_slots` reports the
-    /// high-water mark actually seen).
+    /// steady state allocation-free.
     #[serde(default = "default_arena_slots")]
     pub arena_slots: usize,
 }

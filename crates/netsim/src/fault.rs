@@ -37,19 +37,28 @@
 //!   flight-recorder sampler keeps seeing ground truth so the divergence is
 //!   observable.
 //!
-//! Every executed fault is appended to an in-core fault log
-//! ([`crate::sim::SimCore::drain_fault_log`]) and mirrored into the trace
-//! ring when a tracer is installed.
+//! A plan is checked twice before anything is scheduled: structurally
+//! ([`FaultPlan::validate`], also run by the deserializer) and against the
+//! fabric it is installed on ([`FaultPlan::check_topology`]: every node and
+//! port exists, switch-only faults name switches).
+//!
+//! Every executed fault is reported once, by the engine's `report_fault`:
+//! appended to the in-core fault log
+//! ([`crate::sim::SimCore::drain_fault_log`]), recorded in the trace ring —
+//! one record per endpoint the fault names — when a tracer is installed, and
+//! marked in the profiler when profiling is on.
 
 use crate::ids::{NodeId, PortId};
 use crate::queues::QueueTelemetry;
 use crate::time::SimTime;
+use crate::topology::{NodeKind, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Why a [`FaultPlan`] (or one of its [`FaultKind`]s) was rejected. Typed so
 /// tooling that loads hand-edited plans can distinguish a bad parameter from
-/// a structurally impossible schedule — and so the rejection happens at
-/// deserialization time, not mid-run.
+/// a structurally impossible schedule or an endpoint the fabric does not
+/// have — and so the rejection happens at deserialization or installation
+/// time, not mid-run.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultPlanError {
     /// `DegradeLink` with a zero line rate (a degraded link still serializes).
@@ -87,6 +96,27 @@ pub enum FaultPlanError {
         /// Conflicting second reboot.
         second: SimTime,
     },
+    /// An event names a node the topology does not have.
+    UnknownNode {
+        /// Position of the event in [`FaultPlan::events`].
+        event: usize,
+        /// The fault it schedules.
+        kind: FaultKind,
+    },
+    /// An event names a port its node does not have.
+    UnknownPort {
+        /// Position of the event in [`FaultPlan::events`].
+        event: usize,
+        /// The fault it schedules.
+        kind: FaultKind,
+    },
+    /// A switch-only fault (`SwitchReboot`, `Telemetry*`) names a host.
+    SwitchOnlyFault {
+        /// Position of the event in [`FaultPlan::events`].
+        event: usize,
+        /// The fault it schedules.
+        kind: FaultKind,
+    },
 }
 
 impl std::fmt::Display for FaultPlanError {
@@ -116,6 +146,17 @@ impl std::fmt::Display for FaultPlanError {
                      must be at least {} apart",
                     node.0, REBOOT_SETTLE
                 )
+            }
+            FaultPlanError::UnknownNode { event, kind }
+            | FaultPlanError::UnknownPort { event, kind }
+            | FaultPlanError::SwitchOnlyFault { event, kind } => {
+                let (node, port) = kind.target();
+                write!(f, "event {event} ({}): node {} ", kind.name(), node.0)?;
+                match (self, port) {
+                    (FaultPlanError::UnknownNode { .. }, _) => write!(f, "does not exist"),
+                    (_, Some(port)) => write!(f, "has no port {}", port.0),
+                    (_, None) => write!(f, "is a host; this fault applies to switches only"),
+                }
             }
         }
     }
@@ -214,6 +255,22 @@ impl FaultKind {
             FaultKind::TelemetryFreeze { .. } => "telem_freeze",
             FaultKind::TelemetryBlank { .. } => "telem_blank",
             FaultKind::TelemetryRestore { .. } => "telem_restore",
+        }
+    }
+
+    /// The node this fault names, and the port on it — `None` for the
+    /// node-wide faults, which apply to switches only.
+    pub(crate) fn target(&self) -> (NodeId, Option<PortId>) {
+        match *self {
+            FaultKind::LinkDown { node, port }
+            | FaultKind::LinkUp { node, port }
+            | FaultKind::DegradeLink { node, port, .. }
+            | FaultKind::RestoreLinkRate { node, port }
+            | FaultKind::PacketLoss { node, port, .. } => (node, Some(port)),
+            FaultKind::SwitchReboot { node }
+            | FaultKind::TelemetryFreeze { node }
+            | FaultKind::TelemetryBlank { node }
+            | FaultKind::TelemetryRestore { node } => (node, None),
         }
     }
 
@@ -388,6 +445,31 @@ impl FaultPlan {
                     first: t1,
                     second: t2,
                 });
+            }
+        }
+        Ok(())
+    }
+
+    /// Check every event's endpoint against `topo`: the node exists, the
+    /// port exists on it, and a node-wide (switch-only) fault does not name
+    /// a host. [`crate::sim::Simulator::install_fault_plan`] runs this
+    /// before it schedules anything; tools that know the topology up front
+    /// can reject a hand-edited plan before building a simulator.
+    pub fn check_topology(&self, topo: &Topology) -> Result<(), FaultPlanError> {
+        for (event, ev) in self.events.iter().enumerate() {
+            let kind = ev.kind.clone();
+            let (node, port) = kind.target();
+            let Some(info) = topo.nodes.get(node.idx()) else {
+                return Err(FaultPlanError::UnknownNode { event, kind });
+            };
+            match port {
+                Some(port) if port.idx() >= info.ports.len() => {
+                    return Err(FaultPlanError::UnknownPort { event, kind });
+                }
+                None if info.kind == NodeKind::Host => {
+                    return Err(FaultPlanError::SwitchOnlyFault { event, kind });
+                }
+                _ => {}
             }
         }
         Ok(())

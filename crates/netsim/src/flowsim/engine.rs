@@ -367,10 +367,9 @@ impl FlowSim {
         &self.links
     }
 
-    /// Granted rates of the flows active on link `li` (test/debug helper;
-    /// allocates).
-    #[doc(hidden)]
-    pub fn flow_rates_on_link(&self, li: usize) -> Vec<f64> {
+    /// Granted rates of the flows active on link `li`.
+    #[cfg(test)]
+    fn flow_rates_on_link(&self, li: usize) -> Vec<f64> {
         let mut out = Vec::new();
         let mut r = self.links[li].head;
         while r != NIL {

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::ids::{FlowId, NodeId, PortId, Prio};
     pub use crate::packet::{Ecn, Packet, PacketKind};
     pub use crate::queues::EcnConfig;
-    pub use crate::shard::{run_sharded, run_sharded_phased, RemoteEvent, ShardPlan, ShardStats};
+    pub use crate::shard::{run_sharded_phased, RemoteEvent, ShardPlan, ShardStats};
     pub use crate::sim::Simulator;
     pub use crate::time::{tx_time, SimTime};
     pub use crate::topology::{NodeKind, Topology, TopologySpec};

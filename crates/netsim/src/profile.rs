@@ -66,22 +66,6 @@ pub fn event_kind(ev: &crate::event::Event) -> usize {
     }
 }
 
-/// Stable display name for a fault kind (Chrome-trace instant markers).
-pub fn fault_name(kind: &crate::fault::FaultKind) -> &'static str {
-    use crate::fault::FaultKind::*;
-    match kind {
-        LinkDown { .. } => "fault:link_down",
-        LinkUp { .. } => "fault:link_up",
-        DegradeLink { .. } => "fault:degrade_link",
-        RestoreLinkRate { .. } => "fault:restore_link_rate",
-        PacketLoss { .. } => "fault:packet_loss",
-        SwitchReboot { .. } => "fault:switch_reboot",
-        TelemetryFreeze { .. } => "fault:telem_freeze",
-        TelemetryBlank { .. } => "fault:telem_blank",
-        TelemetryRestore { .. } => "fault:telem_restore",
-    }
-}
-
 /// Exact count + sampled self-time for one event kind.
 #[derive(Debug)]
 pub struct KindStats {
@@ -316,7 +300,7 @@ impl SimProfiler {
         }
     }
 
-    /// Spans dropped at the [`SPAN_CAP`] ceiling.
+    /// Spans dropped at the `SPAN_CAP` ceiling.
     pub fn spans_dropped(&self) -> u64 {
         self.spans_dropped
     }

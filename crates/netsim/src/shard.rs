@@ -82,15 +82,17 @@
 //!   inserted with a canonical 64-bit key derived from its content (node,
 //!   port, class, …) instead of an arrival-order sequence number, so
 //!   simultaneous events pop in the same relative order no matter which
-//!   shard's queue they sit in (see [`event_key`]'s encoding notes).
+//!   shard's queue they sit in (see `node_event_key`'s encoding notes).
 //! * **Per-node RNG streams.** ECN marking draws, host driver randomness and
 //!   probabilistic fault draws come from per-node `SmallRng`s seeded from
 //!   `(seed, node)`, so a node's stream does not depend on which other nodes
 //!   share its thread.
 //! * **Owner gating.** Faults replicate into every shard (so routing tables
-//!   and link state stay globally consistent) but traces, fault logs and
-//!   telemetry are emitted only by the shard that owns the node involved;
-//!   the per-shard streams are disjoint and merge deterministically.
+//!   and link state stay globally consistent) but an executed fault is
+//!   reported — fault log, trace records, profiler marker — only by the
+//!   shard that owns the node it names, and telemetry is emitted only by
+//!   the owner of the node sampled; the per-shard streams are disjoint and
+//!   merge deterministically.
 //!
 //! Shard boundaries follow the racks: each host-facing switch forms a group
 //! with its attached hosts (so host↔ToR links never cross shards), groups
@@ -181,7 +183,8 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 pub struct RemoteEvent {
     /// Activation time at the destination.
     pub at: SimTime,
-    /// Canonical partition-invariant key (see [`node_event_key`]).
+    /// Canonical partition-invariant key (see the module's determinism
+    /// contract).
     pub key: u64,
     /// The event payload (only `Arrive` and `PfcUpdate` cross shards).
     pub event: Event,
@@ -269,12 +272,13 @@ impl ShardPlan {
     }
 
     /// Number of nodes owned by `shard`.
-    pub fn nodes_of(&self, shard: u32) -> usize {
+    #[cfg(test)]
+    fn nodes_of(&self, shard: u32) -> usize {
         self.owner_of.iter().filter(|&&o| o == shard).count()
     }
 }
 
-/// Per-shard execution counters reported by [`run_sharded`].
+/// Per-shard execution counters reported by [`run_sharded_phased`].
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -294,7 +298,7 @@ pub struct ShardStats {
     pub wall_s: f64,
     /// Events processed as of each phase boundary ([`run_sharded_phased`]):
     /// `phase_events[i]` is the cumulative count when phase `i` ended. One
-    /// entry per phase; a plain [`run_sharded`] call has exactly one.
+    /// entry per phase.
     pub phase_events: Vec<u64>,
     /// Slices (loop iterations) that processed at least one event.
     pub slices: u64,
@@ -465,7 +469,7 @@ impl Gate {
     }
 }
 
-/// Run one sharded simulation to `end` (inclusive, like
+/// Run one sharded simulation through `phase_ends` (each inclusive, like
 /// [`Simulator::run_until`]).
 ///
 /// `build` is called on each worker thread with the shard index and must
@@ -477,27 +481,14 @@ impl Gate {
 /// `(Simulator, S)` into a `Send` result; the simulator and `S` themselves
 /// never cross threads (they may hold `Rc`s).
 ///
+/// Phases are barrier-separated: after all shards reach `phase_ends[i]`,
+/// every worker parks on a barrier and `between(i)` runs on the calling
+/// thread before the next phase starts. The `xl-clos-1024` rows of
+/// `acc-bench perf` read the global allocation counter there, at the
+/// warmup/steady boundary, while no shard is mid-flight.
+///
 /// Results are returned in shard order. A panic on any worker (or in
 /// `between`) stops the others and is re-raised here.
-pub fn run_sharded<S, R, B, F>(
-    plan: &ShardPlan,
-    end: SimTime,
-    build: B,
-    finish: F,
-) -> Vec<(ShardStats, R)>
-where
-    B: Fn(u32) -> (Simulator, S) + Sync,
-    F: Fn(u32, Simulator, S) -> R + Sync,
-    R: Send,
-{
-    run_sharded_phased(plan, &[end], build, |_| {}, finish)
-}
-
-/// [`run_sharded`] with barrier-separated phases: after all shards reach
-/// `phase_ends[i]`, every worker parks on a barrier and `between(i)` runs on
-/// the calling thread before the next phase starts. The `xl-clos-1024` rows
-/// of `acc-bench perf` read the global allocation counter there, at the
-/// warmup/steady boundary, while no shard is mid-flight.
 pub fn run_sharded_phased<S, R, B, P, F>(
     plan: &ShardPlan,
     phase_ends: &[SimTime],
@@ -667,6 +658,16 @@ mod tests {
 
     fn assert_send<T: Send>() {}
 
+    /// One phase, nothing between.
+    fn run_sharded<S, R: Send>(
+        plan: &ShardPlan,
+        end: SimTime,
+        build: impl Fn(u32) -> (Simulator, S) + Sync,
+        finish: impl Fn(u32, Simulator, S) -> R + Sync,
+    ) -> Vec<(ShardStats, R)> {
+        run_sharded_phased(plan, &[end], build, |_| {}, finish)
+    }
+
     #[test]
     fn remote_events_cross_threads() {
         assert_send::<RemoteEvent>();
@@ -737,12 +738,27 @@ mod tests {
             ctx.set_timer_after(SimTime::from_ns(1_000 + jitter), 0);
         }
         fn as_any_mut(&mut self) -> &mut dyn Any {
-            self.as_any_mut_impl()
+            self
         }
     }
-    impl JitterSender {
-        fn as_any_mut_impl(&mut self) -> &mut dyn Any {
-            self
+
+    /// Give every host `shard` owns a [`JitterSender`] of `count` packets to
+    /// a fixed cross-rack peer, started at t=0.
+    fn install_senders(sim: &mut Simulator, plan: &ShardPlan, shard: u32, count: u32) {
+        let hosts = sim.core().topo.hosts().to_vec();
+        let nh = hosts.len();
+        for (i, &h) in hosts.iter().enumerate() {
+            if plan.owner(h) != shard {
+                continue;
+            }
+            let sender = JitterSender {
+                dst: hosts[(i + nh / 2) % nh],
+                count,
+                sent: 0,
+                flow: FlowId((h.0 as u64) << 32),
+            };
+            sim.set_driver(h, Box::new(sender));
+            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
         }
     }
 
@@ -768,11 +784,8 @@ mod tests {
         let topo = leaf_spine().build();
         let plan = ShardPlan::build(&topo, n_shards);
         let end = SCENARIO_END;
-        let hosts = topo.hosts().to_vec();
-        let nh = hosts.len();
         let plan_ref = &plan;
         let topo_ref = &topo;
-        let hosts_ref = &hosts;
         let results = run_sharded(
             plan_ref,
             end,
@@ -803,24 +816,7 @@ mod tests {
                     ],
                 };
                 sim.install_fault_plan(&fp).unwrap();
-                // Every host blasts a fixed cross-rack peer; drivers only on
-                // owned hosts.
-                for (i, &h) in hosts_ref.iter().enumerate() {
-                    if plan_ref.owner(h) != shard {
-                        continue;
-                    }
-                    let dst = hosts_ref[(i + nh / 2) % nh];
-                    sim.set_driver(
-                        h,
-                        Box::new(JitterSender {
-                            dst,
-                            count: 60,
-                            sent: 0,
-                            flow: FlowId((h.0 as u64) << 32),
-                        }),
-                    );
-                    sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-                }
+                install_senders(&mut sim, plan_ref, shard, 60);
                 (sim, ())
             },
             |shard, mut sim, ()| {
@@ -1065,11 +1061,8 @@ mod tests {
     fn sharded_run_reports_comm_stats() {
         let topo = leaf_spine().build();
         let plan = ShardPlan::build(&topo, 2);
-        let hosts = topo.hosts().to_vec();
-        let nh = hosts.len();
         let plan_ref = &plan;
         let topo_ref = &topo;
-        let hosts_ref = &hosts;
         let results = run_sharded(
             plan_ref,
             SimTime::from_us(200),
@@ -1077,22 +1070,7 @@ mod tests {
                 let mut cfg = SimConfig::default();
                 cfg.seed = 11;
                 let mut sim = Simulator::new_sharded(topo_ref.clone(), cfg, plan_ref, shard);
-                for (i, &h) in hosts_ref.iter().enumerate() {
-                    if plan_ref.owner(h) != shard {
-                        continue;
-                    }
-                    let dst = hosts_ref[(i + nh / 2) % nh];
-                    sim.set_driver(
-                        h,
-                        Box::new(JitterSender {
-                            dst,
-                            count: 10,
-                            sent: 0,
-                            flow: FlowId((h.0 as u64) << 32),
-                        }),
-                    );
-                    sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-                }
+                install_senders(&mut sim, plan_ref, shard, 10);
                 (sim, ())
             },
             |_, sim, ()| sim.core().events_processed,

@@ -1,36 +1,47 @@
-//! The simulation engine: node state, the packet forwarding path (with
-//! ECN marking, shared-buffer accounting and PFC), and the event loop.
+//! The simulation engine, one layer per file:
+//!
+//! * `mod.rs` (this file) — the state structs ([`SimCore`], its ports and
+//!   nodes), the **datapath** every packet event runs (`host_enqueue`,
+//!   `try_send`, `on_tx_done`, `send_pfc`, `on_pfc_update`, `switch_rx`:
+//!   RED/ECN marking, shared-buffer accounting, dynamic-threshold PFC, DWRR)
+//!   and the **event loop** ([`Simulator::step`] and the `run_*` drivers).
+//!   They stay in one module so the hot path compiles as one unit.
+//! * `faults.rs` — **fault execution**: link state, rate and loss faults,
+//!   switch reboot, telemetry freeze/blank, fault-plan installation, and
+//!   the single function that reports an executed fault to the fault log,
+//!   the tracer and the profiler.
+//! * `sharding.rs` — **shard plumbing**: canonical event keys, outboxes
+//!   and remote injection, node ownership and the per-node RNG streams of
+//!   a sharded run (the protocol itself is [`crate::shard`]).
+//!
+//! The children are ordinary child modules: they reach the private fields
+//! of the state structs, and nothing is more visible than it was when this
+//! was one file.
+
+mod faults;
+mod sharding;
 
 use crate::buffer::SharedBuffer;
 use crate::config::SimConfig;
 use crate::control::{ControllerHost, QueueController, SwitchView, ViewBackend};
 use crate::driver::{HostCtx, NicDriver};
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
-use crate::ids::{NodeId, PortId, Prio};
+use crate::fault::{FaultLogEntry, TelemFault};
+use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::profile::{event_kind, SimProfiler};
 use crate::queues::{Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry};
 use crate::routing::RouteTable;
-use crate::shard::{
-    control_tick_key, fault_event_key, mix64, node_event_key, telemetry_sample_key, RemoteEvent,
-    ShardPlan, RANK_ARRIVE, RANK_PFC, RANK_TIMER, RANK_TXDONE,
-};
+use crate::shard::RemoteEvent;
 use crate::time::{tx_time, SimTime};
-use crate::topology::Topology;
+use crate::topology::{NodeKind, Topology};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// On-wire size of a PFC pause frame (only used for its serialization delay).
 const PFC_FRAME_BYTES: u64 = 64;
-
-/// Salt XORed into the fault-plan seed so the fault RNG stream never aliases
-/// the engine RNG even when both are seeded with the same number.
-const FAULT_SEED_SALT: u64 = 0xFA17_0B5E_55ED_0001;
-
-/// Defensive cap on buffered fault-log entries between drains.
-const FAULT_LOG_CAP: usize = 1 << 16;
 
 /// The packet currently being serialized by a port's transmitter.
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +117,15 @@ impl PortState {
             loss_frac: 0.0,
         }
     }
+
+    /// Close the running PFC pause of class `prio`, if any, folding it into
+    /// `pause_ps`; returns its length in picoseconds.
+    #[inline]
+    fn end_pause(&mut self, prio: usize, now: SimTime) -> Option<u64> {
+        let dur = (now - self.pause_since[prio].take()?).as_ps();
+        self.pause_ps[prio] += dur;
+        Some(dur)
+    }
 }
 
 /// Mutable state of one node.
@@ -139,13 +159,6 @@ pub(crate) struct ShardCtx {
     next_fault_key: u64,
     sent: u64,
     received: u64,
-}
-
-impl ShardCtx {
-    #[inline]
-    fn owns(&self, node: NodeId) -> bool {
-        self.owner_of[node.idx()] == self.my_shard
-    }
 }
 
 /// Everything the engine owns except the pluggable drivers/controllers.
@@ -185,7 +198,7 @@ pub struct SimCore {
     pub(crate) fault_rng: SmallRng,
     /// Executed faults awaiting collection by [`SimCore::drain_fault_log`].
     fault_log: Vec<FaultLogEntry>,
-    /// Entries discarded because the log hit [`FAULT_LOG_CAP`] between
+    /// Entries discarded because the log hit its cap (`FAULT_LOG_CAP`) between
     /// drains. Surfaced in run manifests so a soak run that outpaces its
     /// sampler is visible rather than silently lossy.
     pub fault_log_dropped: u64,
@@ -211,39 +224,14 @@ pub struct SimCore {
 }
 
 impl SimCore {
-    fn new(topo: Topology, cfg: SimConfig) -> Self {
-        Self::new_inner(topo, cfg, None)
-    }
-
-    fn new_inner(topo: Topology, cfg: SimConfig, shard_init: Option<(&ShardPlan, u32)>) -> Self {
+    /// `shard` is `None` for the classic single-threaded engine, this
+    /// shard's context for one shard of a sharded run.
+    fn new(topo: Topology, cfg: SimConfig, shard: Option<Box<ShardCtx>>) -> Self {
         cfg.validate();
         assert!(
             cfg.port.num_prios <= 8,
             "at most 8 traffic classes (PFC bitmask)"
         );
-        let shard = shard_init.map(|(plan, me)| {
-            let n_nodes = topo.nodes.len();
-            Box::new(ShardCtx {
-                my_shard: me,
-                n_shards: plan.n_shards,
-                owner_of: plan.owner_of.clone(),
-                outboxes: (0..plan.n_shards)
-                    .map(|_| Vec::with_capacity(crate::shard::remote_buf_capacity(n_nodes)))
-                    .collect(),
-                timer_seq: vec![0; n_nodes],
-                node_rngs: (0..n_nodes)
-                    .map(|i| SmallRng::seed_from_u64(mix64(cfg.seed) ^ mix64(i as u64)))
-                    .collect(),
-                node_fault_rngs: (0..n_nodes)
-                    .map(|i| {
-                        SmallRng::seed_from_u64(mix64(cfg.seed ^ FAULT_SEED_SALT) ^ mix64(i as u64))
-                    })
-                    .collect(),
-                next_fault_key: 0,
-                sent: 0,
-                received: 0,
-            })
-        });
         let nodes = topo
             .nodes
             .iter()
@@ -263,12 +251,12 @@ impl SimCore {
                     .map(|_| PortState::new(&cfg, arena_slots))
                     .collect();
                 let buffer = match n.kind {
-                    crate::topology::NodeKind::Switch => Some(SharedBuffer::new(
+                    NodeKind::Switch => Some(SharedBuffer::new(
                         cfg.buffer_bytes,
                         cfg.pfc_alpha,
                         cfg.pfc_xon_frac,
                     )),
-                    crate::topology::NodeKind::Host => None,
+                    NodeKind::Host => None,
                 };
                 NodeState {
                     ports,
@@ -279,7 +267,7 @@ impl SimCore {
             .collect();
         let routes = RouteTable::build(&topo);
         let rng = SmallRng::seed_from_u64(cfg.seed);
-        let fault_rng = SmallRng::seed_from_u64(cfg.seed ^ FAULT_SEED_SALT);
+        let fault_rng = faults::fault_stream(cfg.seed);
         // Fault-path scratch buffers are sized from the topology up front so
         // the *first* reboot or telemetry freeze after warmup doesn't grow
         // them (growth on first use would show up as a steady-state alloc).
@@ -315,6 +303,12 @@ impl SimCore {
         }
     }
 
+    /// Record one trace event, if a tracer is installed. No owner gate is
+    /// needed here: the datapath only ever runs for nodes this core owns
+    /// (events for foreign nodes divert to their owner, and a foreign
+    /// node's queues stay empty), and replicated faults are gated once, in
+    /// `report_fault` — whose record for a link's far end is the one record
+    /// that may name a foreign node.
     #[inline]
     fn trace(
         &mut self,
@@ -322,19 +316,16 @@ impl SimCore {
         node: NodeId,
         port: PortId,
         prio: Prio,
-        flow: crate::ids::FlowId,
+        flow: FlowId,
         qlen: u64,
     ) {
-        // Sharded runs replicate fault events into every shard; only the
-        // owner of the node involved records the trace, so the merged
-        // per-shard streams are disjoint and partition-invariant.
-        if self.tracer.is_none() || !self.owns_node(node) {
-            return;
-        }
-        let at = self.now;
+        debug_assert!(
+            self.owns_node(node) || matches!(kind, TraceKind::LinkDown | TraceKind::LinkUp),
+            "{kind:?} traced for foreign node {node:?}"
+        );
         if let Some(t) = self.tracer.as_mut() {
             t.record(TraceEvent {
-                at,
+                at: self.now,
                 kind,
                 node,
                 port,
@@ -353,118 +344,11 @@ impl SimCore {
 
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Event) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        let Some(sc) = self.shard.as_mut() else {
-            self.events.push(at, ev);
-            return;
-        };
-        // Sharded mode: every event gets a canonical content-derived key so
-        // simultaneous events pop in a partition-invariant order, and events
-        // addressed to foreign nodes divert to the owner's mailbox. Only
-        // `Arrive` and `PfcUpdate` can target foreign nodes — `TxDone` is
-        // scheduled by the owner of the transmitting port and `HostTimer`
-        // by the owner of the host.
-        let (key, target) = match &ev {
-            Event::Arrive { node, port, .. } => (
-                node_event_key(*node, RANK_ARRIVE, port.0 as u64),
-                Some(*node),
-            ),
-            Event::PfcUpdate {
-                node,
-                port,
-                prio,
-                pause,
-            } => (
-                node_event_key(
-                    *node,
-                    RANK_PFC,
-                    ((port.0 as u64) << 9) | ((*prio as u64) << 1) | *pause as u64,
-                ),
-                Some(*node),
-            ),
-            Event::TxDone { node, port } => {
-                debug_assert!(sc.owns(*node), "TxDone scheduled for a foreign node");
-                (node_event_key(*node, RANK_TXDONE, port.0 as u64), None)
-            }
-            Event::HostTimer { host, .. } => {
-                debug_assert!(sc.owns(*host), "HostTimer scheduled for a foreign host");
-                let seq = sc.timer_seq[host.idx()];
-                sc.timer_seq[host.idx()] = seq.wrapping_add(1);
-                (node_event_key(*host, RANK_TIMER, seq), None)
-            }
-            Event::ControlTick => (control_tick_key(), None),
-            Event::TelemetrySample => (telemetry_sample_key(), None),
-            Event::Fault(_) => {
-                let k = fault_event_key(sc.next_fault_key);
-                sc.next_fault_key += 1;
-                (k, None)
-            }
-        };
-        if let Some(node) = target {
-            let owner = sc.owner_of[node.idx()];
-            if owner != sc.my_shard {
-                sc.sent += 1;
-                sc.outboxes[owner as usize].push(RemoteEvent { at, key, event: ev });
-                return;
-            }
-        }
-        self.events.push_keyed(at, key, ev);
-    }
-
-    /// Insert a cross-shard event received from a peer shard (the conservative
-    /// bound in [`crate::shard::run_sharded`] guarantees it is not in this
-    /// shard's past).
-    pub fn inject_remote(&mut self, ev: RemoteEvent) {
-        debug_assert!(
-            ev.at >= self.now,
-            "remote event arrived in this shard's past"
-        );
-        if let Some(sc) = self.shard.as_mut() {
-            sc.received += 1;
-        }
-        self.events.push_keyed(ev.at, ev.key, ev.event);
-    }
-
-    /// Move every staged outbound event for `shard` into `out` (appends;
-    /// both vectors keep their capacity, so a steady-state exchange does not
-    /// allocate). No-op on an unsharded core.
-    pub fn drain_outbox_into(&mut self, shard: u32, out: &mut Vec<RemoteEvent>) {
-        if let Some(sc) = self.shard.as_mut() {
-            out.append(&mut sc.outboxes[shard as usize]);
-        }
-    }
-
-    /// Cross-shard (sent, received) event counts of this shard; (0, 0) on an
-    /// unsharded core.
-    pub fn shard_comm_counters(&self) -> (u64, u64) {
-        self.shard
-            .as_ref()
-            .map(|sc| (sc.sent, sc.received))
-            .unwrap_or((0, 0))
-    }
-
-    /// Whether this core owns `node` (always true on an unsharded core).
-    /// Telemetry samplers and harness readbacks use this to emit each node's
-    /// data from exactly one shard.
-    pub fn owns_node(&self, node: NodeId) -> bool {
-        self.shard.as_ref().map(|sc| sc.owns(node)).unwrap_or(true)
-    }
-
-    /// The RNG a node's driver and its ECN marking draw from: the node's own
-    /// stream in sharded mode (placement-independent), the shared engine RNG
-    /// otherwise.
-    pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut SmallRng {
+        // A sharded core keys the event canonically and may divert it to
+        // another shard (see `sharding.rs`).
         match self.shard.as_mut() {
-            Some(sc) => &mut sc.node_rngs[node.idx()],
-            None => &mut self.rng,
-        }
-    }
-
-    /// The RNG a node's probabilistic packet loss draws from; split like
-    /// [`Self::node_rng`].
-    fn node_fault_rng(&mut self, node: NodeId) -> &mut SmallRng {
-        match self.shard.as_mut() {
-            Some(sc) => &mut sc.node_fault_rngs[node.idx()],
-            None => &mut self.fault_rng,
+            Some(sc) => sc.schedule(&mut self.events, at, ev),
+            None => self.events.push(at, ev),
         }
     }
 
@@ -485,19 +369,6 @@ impl SimCore {
     /// artifacts.
     pub fn event_queue_stats(&self) -> crate::event::QueueStats {
         self.events.stats()
-    }
-
-    /// Largest per-port packet-arena ever grown in this run, in slots — the
-    /// packet path's high-water mark (arenas never shrink, so the current
-    /// maximum is the historical one). Diagnostic for sizing
-    /// [`crate::config::PortConfig::arena_slots`].
-    pub fn max_arena_slots(&self) -> usize {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.ports.iter())
-            .map(|p| p.arena.slot_count())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Mutable access to an egress queue (telemetry sync / reconfiguration
@@ -678,7 +549,7 @@ impl SimCore {
             TraceKind::PfcResume
         };
         let qlen = self.nodes[node.idx()].ports[ingress.idx()].ingress_bytes[prio as usize];
-        self.trace(kind, node, ingress, prio, crate::ids::FlowId(0), qlen);
+        self.trace(kind, node, ingress, prio, FlowId(0), qlen);
     }
 
     fn on_pfc_update(&mut self, node: NodeId, port: PortId, prio: Prio, pause: bool) {
@@ -697,9 +568,7 @@ impl SimCore {
             }
             ps.paused |= bit;
         } else {
-            if let Some(since) = ps.pause_since[prio as usize].take() {
-                let dur = (now - since).as_ps();
-                ps.pause_ps[prio as usize] += dur;
+            if let Some(dur) = ps.end_pause(prio as usize, now) {
                 if let Some(p) = self.prof.as_mut() {
                     p.pause(dur / 1000);
                 }
@@ -800,100 +669,6 @@ impl SimCore {
         self.try_send(node, out_port);
     }
 
-    /// Finalize pause accounting and clear all PFC state on one port
-    /// (link failure / reboot). Clearing `pfc_sent` matters: after the
-    /// peer's pause state is gone, a resume would never be sent, so leaving
-    /// the bit set would wedge the handshake after restoration.
-    fn clear_pfc_state(&mut self, node: NodeId, port: PortId) {
-        let now = self.now;
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
-        for prio in 0..ps.pause_since.len() {
-            if let Some(since) = ps.pause_since[prio].take() {
-                let dur = (now - since).as_ps();
-                ps.pause_ps[prio] += dur;
-                if let Some(p) = self.prof.as_mut() {
-                    p.pause(dur / 1000);
-                }
-            }
-        }
-        ps.paused = 0;
-        ps.pfc_sent = 0;
-    }
-
-    /// Administratively fail or restore the link attached to
-    /// (`node`, `port`). Both directions go down (the peer port too); the
-    /// route table is rebuilt to steer around the failure. Packets already
-    /// queued behind a downed transmitter wait for restoration; packets
-    /// already propagating toward a downed link are lost on arrival (see
-    /// `fault_drops`); packets with no remaining route are dropped (see
-    /// `unroutable_drops`). PFC pause state on both endpoints is cleared so
-    /// a flap can never leave a port permanently paused.
-    pub fn set_link_state(&mut self, node: NodeId, port: PortId, up: bool) {
-        let peer = *self.topo.port(node, port);
-        self.nodes[node.idx()].ports[port.idx()].link_up = up;
-        self.nodes[peer.peer_node.idx()].ports[peer.peer_port.idx()].link_up = up;
-        if !up {
-            self.clear_pfc_state(node, port);
-            self.clear_pfc_state(peer.peer_node, peer.peer_port);
-        }
-        if let Some(p) = self.prof.as_mut() {
-            // One window per administrative endpoint; the trace span covers
-            // down → restore.
-            let key = (node.0 as u64) << 32 | port.0 as u64;
-            if up {
-                p.close_window(key);
-            } else {
-                let sim_us = self.now.as_us_f64();
-                p.open_window(key, format!("sw{}:{} sim_us={sim_us:.1}", node.0, port.0));
-            }
-        }
-        self.log_fault(
-            if up { "link_up" } else { "link_down" },
-            node,
-            port,
-            FaultDetail::Peer {
-                node: peer.peer_node,
-                port: peer.peer_port,
-            },
-        );
-        let kind = if up {
-            TraceKind::LinkUp
-        } else {
-            TraceKind::LinkDown
-        };
-        // One record per endpoint, so per-node trace filters see the change.
-        self.trace(kind, node, port, 0, crate::ids::FlowId(0), 0);
-        self.trace(
-            kind,
-            peer.peer_node,
-            peer.peer_port,
-            0,
-            crate::ids::FlowId(0),
-            0,
-        );
-        // Rebuild routing honouring every port's current state, reusing the
-        // existing table's storage (no fresh table allocation per flap).
-        {
-            let SimCore {
-                ref mut routes,
-                ref nodes,
-                ref topo,
-                ..
-            } = *self;
-            routes.rebuild_filtered(topo, |n, p| nodes[n.idx()].ports[p.idx()].link_up);
-        }
-        if up {
-            // Restart the transmitters on both ends.
-            self.try_send(node, port);
-            self.try_send(peer.peer_node, peer.peer_port);
-        }
-    }
-
-    /// Whether the link attached to (`node`, `port`) is up.
-    pub fn link_is_up(&self, node: NodeId, port: PortId) -> bool {
-        self.nodes[node.idx()].ports[port.idx()].link_up
-    }
-
     /// Total bytes currently buffered in a switch.
     pub fn buffer_used(&self, node: NodeId) -> u64 {
         self.nodes[node.idx()]
@@ -901,292 +676,6 @@ impl SimCore {
             .as_ref()
             .map(|b| b.used)
             .unwrap_or(0)
-    }
-
-    /// Append one executed fault to the in-core fault log.
-    fn log_fault(&mut self, kind: &'static str, node: NodeId, port: PortId, detail: FaultDetail) {
-        // Faults replicate into every shard (link state and routing must stay
-        // globally consistent) but only the owner logs and counts them, so
-        // merged fault streams carry each fault exactly once.
-        if !self.owns_node(node) {
-            return;
-        }
-        self.faults_executed += 1;
-        if self.fault_log.len() >= FAULT_LOG_CAP {
-            self.fault_log_dropped += 1;
-        } else {
-            self.fault_log.push(FaultLogEntry {
-                at: self.now,
-                kind,
-                node,
-                port,
-                detail,
-            });
-        }
-    }
-
-    /// Take every fault executed since the previous drain (telemetry
-    /// samplers call this each interval; harnesses may drain at the end).
-    pub fn drain_fault_log(&mut self) -> Vec<FaultLogEntry> {
-        std::mem::take(&mut self.fault_log)
-    }
-
-    /// Should this arrival be lost to fault injection? Downed ingress links
-    /// lose every packet still propagating toward them; ports with injected
-    /// loss black-hole a seeded-random fraction. The fault RNG is only
-    /// consulted for partial loss, so loss-free runs never touch it.
-    pub(crate) fn rx_fault_drop(&mut self, node: NodeId, port: PortId, pkt: &Packet) -> bool {
-        let ps = &self.nodes[node.idx()].ports[port.idx()];
-        let lost = if !ps.link_up {
-            true
-        } else {
-            let frac = ps.loss_frac;
-            frac > 0.0 && (frac >= 1.0 || self.node_fault_rng(node).gen::<f64>() < frac)
-        };
-        if lost {
-            self.total_drops += 1;
-            self.fault_drops += 1;
-            self.trace(TraceKind::FaultDrop, node, port, pkt.prio, pkt.flow, 0);
-        }
-        lost
-    }
-
-    /// Execute one fault right now. Normally driven by scheduled
-    /// [`Event::Fault`]s from an installed [`FaultPlan`]; harnesses may also
-    /// call it directly.
-    pub fn apply_fault(&mut self, kind: FaultKind) {
-        if let Some(p) = self.prof.as_mut() {
-            let sim_us = self.now.as_us_f64();
-            p.instant(crate::profile::fault_name(&kind), "fault", {
-                format!("sim_us={sim_us:.1}")
-            });
-        }
-        match kind {
-            FaultKind::LinkDown { node, port } => self.set_link_state(node, port, false),
-            FaultKind::LinkUp { node, port } => self.set_link_state(node, port, true),
-            FaultKind::DegradeLink {
-                node,
-                port,
-                rate_bps,
-            } => {
-                let rate = rate_bps.max(1);
-                let peer = *self.topo.port(node, port);
-                self.nodes[node.idx()].ports[port.idx()].rate_override = Some(rate);
-                self.nodes[peer.peer_node.idx()].ports[peer.peer_port.idx()].rate_override =
-                    Some(rate);
-                self.trace(
-                    TraceKind::LinkDegraded,
-                    node,
-                    port,
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("link_degrade", node, port, FaultDetail::RateBps(rate));
-            }
-            FaultKind::RestoreLinkRate { node, port } => {
-                let peer = *self.topo.port(node, port);
-                self.nodes[node.idx()].ports[port.idx()].rate_override = None;
-                self.nodes[peer.peer_node.idx()].ports[peer.peer_port.idx()].rate_override = None;
-                self.trace(
-                    TraceKind::LinkDegraded,
-                    node,
-                    port,
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("link_rate_restore", node, port, FaultDetail::None);
-            }
-            FaultKind::PacketLoss { node, port, frac } => {
-                let frac = frac.clamp(0.0, 1.0);
-                self.nodes[node.idx()].ports[port.idx()].loss_frac = frac;
-                self.trace(
-                    TraceKind::FaultDrop,
-                    node,
-                    port,
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("packet_loss", node, port, FaultDetail::LossFrac(frac));
-            }
-            FaultKind::SwitchReboot { node } => self.reboot_switch(node),
-            FaultKind::TelemetryFreeze { node } => {
-                let now = self.now;
-                // Reuse the pooled snapshot vector (recycled on restore) so a
-                // freeze/restore cycle settles into zero allocations.
-                let mut snap = std::mem::take(&mut self.telem_snap_pool);
-                snap.clear();
-                let st = &mut self.nodes[node.idx()];
-                for p in st.ports.iter_mut() {
-                    for (prio, q) in p.queues.iter_mut().enumerate() {
-                        q.sync_clock(&mut p.telem, now);
-                        snap.push((q.bytes(), p.telem.queue(prio)));
-                    }
-                }
-                self.recycle_telem_fault(node);
-                self.nodes[node.idx()].telem_fault = Some(TelemFault::Frozen(snap));
-                self.trace(
-                    TraceKind::TelemetryFault,
-                    node,
-                    PortId(0),
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("telem_freeze", node, PortId(u16::MAX), FaultDetail::None);
-            }
-            FaultKind::TelemetryBlank { node } => {
-                self.recycle_telem_fault(node);
-                self.nodes[node.idx()].telem_fault = Some(TelemFault::Blank);
-                self.trace(
-                    TraceKind::TelemetryFault,
-                    node,
-                    PortId(0),
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("telem_blank", node, PortId(u16::MAX), FaultDetail::None);
-            }
-            FaultKind::TelemetryRestore { node } => {
-                self.recycle_telem_fault(node);
-                self.trace(
-                    TraceKind::TelemetryFault,
-                    node,
-                    PortId(0),
-                    0,
-                    crate::ids::FlowId(0),
-                    0,
-                );
-                self.log_fault("telem_restore", node, PortId(u16::MAX), FaultDetail::None);
-            }
-        }
-    }
-
-    /// Reboot a switch: every queued packet is flushed (and counted as a
-    /// fault drop), shared-buffer and ingress accounting is released per
-    /// packet, every queue's ECN config reverts to the configured static
-    /// default, the schedulers reset, and PFC state clears with resumes
-    /// sent upstream so paused peers un-stick. The packet currently being
-    /// serialized (if any) survives — its bytes are on the wire — and its
-    /// accounting is released normally by its pending `TxDone`. Telemetry
-    /// counters are *not* reset: they model the collector's view, which
-    /// outlives the device (and samplers difference them as monotone).
-    fn reboot_switch(&mut self, node: NodeId) {
-        let now = self.now;
-        let num_ports = self.nodes[node.idx()].ports.len();
-        let mut flushed: u64 = 0;
-        // Reuse the core-owned scratch buffers across reboots (Vec::new()
-        // placeholders left behind by `take` never allocate).
-        let mut items = std::mem::take(&mut self.flush_scratch);
-        let mut resumes = std::mem::take(&mut self.resume_scratch);
-        resumes.clear();
-        for pi in 0..num_ports {
-            let port = PortId(pi as u16);
-            self.clear_pfc_state_keep_sent(node, port);
-            let nq = self.nodes[node.idx()].ports[pi].queues.len();
-            for prio in 0..nq {
-                let st = &mut self.nodes[node.idx()];
-                let ps = &mut st.ports[pi];
-                ps.queues[prio].flush_into(&mut ps.arena, &mut ps.telem, now, &mut items);
-                flushed += items.len() as u64;
-                for item in &items {
-                    if let Some(buf) = st.buffer.as_mut() {
-                        buf.release(item.pkt.size);
-                    }
-                    if let Some(ingress) = item.ingress {
-                        let ib = &mut st.ports[ingress.idx()].ingress_bytes[item.pkt.prio as usize];
-                        *ib = ib.saturating_sub(item.pkt.size as u64);
-                    }
-                }
-                st.ports[pi].queues[prio].ecn = self.cfg.port.ecn[prio];
-            }
-            let ps = &mut self.nodes[node.idx()].ports[pi];
-            ps.dwrr.reset();
-            let sent = ps.pfc_sent;
-            ps.pfc_sent = 0;
-            for prio in 0..nq {
-                if sent & (1u8 << prio) != 0 {
-                    resumes.push((port, prio as Prio));
-                }
-            }
-        }
-        self.total_drops += flushed;
-        self.fault_drops += flushed;
-        for &(port, prio) in &resumes {
-            if self.nodes[node.idx()].ports[port.idx()].link_up {
-                self.send_pfc(node, port, prio, false);
-            }
-        }
-        items.clear();
-        self.flush_scratch = items;
-        self.resume_scratch = resumes;
-        self.recycle_telem_fault(node);
-        self.trace(
-            TraceKind::SwitchReboot,
-            node,
-            PortId(0),
-            0,
-            crate::ids::FlowId(0),
-            flushed,
-        );
-        self.log_fault(
-            "switch_reboot",
-            node,
-            PortId(u16::MAX),
-            FaultDetail::Flushed(flushed),
-        );
-    }
-
-    /// Clear a node's telemetry fault, recycling a frozen snapshot's storage
-    /// into the shared pool so the next freeze reuses it.
-    fn recycle_telem_fault(&mut self, node: NodeId) {
-        if let Some(TelemFault::Frozen(mut v)) = self.nodes[node.idx()].telem_fault.take() {
-            if v.capacity() > self.telem_snap_pool.capacity() {
-                v.clear();
-                self.telem_snap_pool = v;
-            }
-        }
-    }
-
-    /// [`Self::clear_pfc_state`] minus the `pfc_sent` clear (the reboot path
-    /// collects those bits first so it can send explicit resumes).
-    fn clear_pfc_state_keep_sent(&mut self, node: NodeId, port: PortId) {
-        let now = self.now;
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
-        for prio in 0..ps.pause_since.len() {
-            if let Some(since) = ps.pause_since[prio].take() {
-                let dur = (now - since).as_ps();
-                ps.pause_ps[prio] += dur;
-                if let Some(p) = self.prof.as_mut() {
-                    p.pause(dur / 1000);
-                }
-            }
-        }
-        ps.paused = 0;
-    }
-
-    /// The (qlen, telemetry) a controller *reads* for this queue right now,
-    /// when distorted by an active telemetry fault; `None` means reads are
-    /// healthy and the live queue state applies. Only control-plane
-    /// snapshots route through this — the flight-recorder sampler keeps
-    /// reading ground truth, which is exactly what makes the distortion
-    /// observable in recorded runs.
-    pub(crate) fn faulted_reading(
-        &self,
-        node: NodeId,
-        port: PortId,
-        prio: Prio,
-    ) -> Option<(u64, QueueTelemetry)> {
-        match self.nodes[node.idx()].telem_fault.as_ref()? {
-            TelemFault::Blank => Some((0, QueueTelemetry::default())),
-            TelemFault::Frozen(snap) => {
-                let num_prios = self.cfg.port.num_prios;
-                snap.get(port.idx() * num_prios + prio as usize).copied()
-            }
-        }
     }
 }
 
@@ -1216,21 +705,7 @@ impl Simulator {
     /// are counted and discarded); switches start without controllers (the
     /// initial ECN configuration stays in force — i.e. a static-ECN network).
     pub fn new(topo: Topology, cfg: SimConfig) -> Self {
-        Self::from_core(SimCore::new(topo, cfg))
-    }
-
-    /// Build one shard's simulator for a sharded run (see [`crate::shard`]):
-    /// the full topology with this shard's nodes live and foreign nodes as
-    /// zero-capacity stand-ins, canonical event keys, per-node RNG streams,
-    /// and cross-shard mailboxes for `plan.n_shards` peers.
-    pub fn new_sharded(topo: Topology, cfg: SimConfig, plan: &ShardPlan, shard: u32) -> Self {
-        assert!(shard < plan.n_shards, "shard index out of range");
-        assert_eq!(
-            plan.owner_of.len(),
-            topo.nodes.len(),
-            "shard plan was built for a different topology"
-        );
-        Self::from_core(SimCore::new_inner(topo, cfg, Some((plan, shard))))
+        Self::from_core(SimCore::new(topo, cfg, None))
     }
 
     fn from_core(mut core: SimCore) -> Self {
@@ -1246,19 +721,6 @@ impl Simulator {
             sampler: None,
             switch_cache,
         }
-    }
-
-    /// Panic unless this simulator was built with [`Simulator::new_sharded`]
-    /// for exactly (`n_shards`, `shard`) — the sharded runner's guard against
-    /// a builder closure wiring up the wrong shard.
-    pub(crate) fn assert_shard(&self, n_shards: u32, shard: u32) {
-        let sc = self
-            .core
-            .shard
-            .as_ref()
-            .expect("sharded run requires Simulator::new_sharded");
-        assert_eq!(sc.n_shards, n_shards, "simulator built for another plan");
-        assert_eq!(sc.my_shard, shard, "simulator built for another shard");
     }
 
     /// Install a periodic telemetry sampler: `hook` runs against the core
@@ -1282,33 +744,6 @@ impl Simulator {
     /// Read-only access to the core (telemetry, topology, counters).
     pub fn core(&self) -> &SimCore {
         &self.core
-    }
-
-    /// Validate `plan` and schedule every fault it contains into the event
-    /// loop (faults dated in the past fire immediately). The dedicated
-    /// fault RNG is reseeded from [`FaultPlan::seed`], so identical plans
-    /// on identical simulations reproduce identical runs; a plan with no
-    /// probabilistic faults leaves the packet trajectory of the fault-free
-    /// portions untouched.
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultPlanError> {
-        plan.validate()?;
-        self.core.fault_rng = SmallRng::seed_from_u64(plan.seed ^ FAULT_SEED_SALT);
-        if let Some(sc) = self.core.shard.as_mut() {
-            for (i, r) in sc.node_fault_rngs.iter_mut().enumerate() {
-                *r = SmallRng::seed_from_u64(mix64(plan.seed ^ FAULT_SEED_SALT) ^ mix64(i as u64));
-            }
-        }
-        // Every scheduled fault appends at most one log entry; reserving up
-        // front keeps the steady-state loop free of fault-log growth.
-        self.core
-            .fault_log
-            .reserve(plan.events.len().min(FAULT_LOG_CAP));
-        let now = self.core.now;
-        for ev in &plan.events {
-            let at = ev.at.max(now);
-            self.core.schedule(at, Event::Fault(ev.kind.clone()));
-        }
-        Ok(())
     }
 
     /// Switch on self-profiling (see [`crate::profile`]). Idempotent; the
@@ -1392,22 +827,64 @@ impl Simulator {
         self.controllers[switch.idx()] = Some(ctl);
     }
 
-    /// Run driver code for `host` outside of an event (e.g. to start flows).
-    pub fn with_driver<R>(
+    /// Run `f` on `host`'s driver with the core borrowed beside it: the
+    /// driver leaves its slot for the call, so [`HostCtx`] can hold the core
+    /// mutably. `None` (and `f` not run) when the host has no driver — a
+    /// driverless host discards what reaches it, and so does a host this
+    /// shard does not own.
+    #[inline]
+    fn dispatch_driver<R>(
         &mut self,
         host: NodeId,
         f: impl FnOnce(&mut dyn NicDriver, &mut HostCtx<'_>) -> R,
-    ) -> R {
-        let mut d = self.drivers[host.idx()]
-            .take()
-            .expect("host has no driver installed");
+    ) -> Option<R> {
+        let mut d = self.drivers[host.idx()].take()?;
         let mut ctx = HostCtx {
             core: &mut self.core,
             host,
         };
         let r = f(d.as_mut(), &mut ctx);
         self.drivers[host.idx()] = Some(d);
-        r
+        Some(r)
+    }
+
+    /// [`Self::dispatch_driver`] for `switch`'s controller and a
+    /// [`SwitchView`].
+    #[inline]
+    fn dispatch_controller<R>(
+        &mut self,
+        switch: NodeId,
+        f: impl FnOnce(&mut dyn QueueController, &mut SwitchView<'_>) -> R,
+    ) -> Option<R> {
+        let mut c = self.controllers[switch.idx()].take()?;
+        let mut view = SwitchView {
+            backend: ViewBackend::Packet(&mut self.core),
+            node: switch,
+        };
+        let r = f(c.as_mut(), &mut view);
+        self.controllers[switch.idx()] = Some(c);
+        Some(r)
+    }
+
+    /// Run `f`; with profiling on, record its wall-clock span. Wall-clock
+    /// only — the simulated trajectory is untouched either way.
+    fn spanned(&mut self, name: &'static str, cat: &'static str, f: impl FnOnce(&mut Self)) {
+        let t0 = self.core.prof.as_ref().map(|_| Instant::now());
+        f(self);
+        if let (Some(t0), Some(p)) = (t0, self.core.prof.as_mut()) {
+            let sim_us = self.core.now.as_us_f64();
+            p.span(name, cat, t0, format!("sim_us={sim_us:.1}"));
+        }
+    }
+
+    /// Run driver code for `host` outside of an event (e.g. to start flows).
+    pub fn with_driver<R>(
+        &mut self,
+        host: NodeId,
+        f: impl FnOnce(&mut dyn NicDriver, &mut HostCtx<'_>) -> R,
+    ) -> R {
+        self.dispatch_driver(host, f)
+            .expect("host has no driver installed")
     }
 
     /// Run controller code for `switch` outside of a tick (e.g. to extract a
@@ -1417,16 +894,8 @@ impl Simulator {
         switch: NodeId,
         f: impl FnOnce(&mut dyn QueueController, &mut SwitchView<'_>) -> R,
     ) -> R {
-        let mut c = self.controllers[switch.idx()]
-            .take()
-            .expect("switch has no controller installed");
-        let mut view = SwitchView {
-            backend: ViewBackend::Packet(&mut self.core),
-            node: switch,
-        };
-        let r = f(c.as_mut(), &mut view);
-        self.controllers[switch.idx()] = Some(c);
-        r
+        self.dispatch_controller(switch, f)
+            .expect("switch has no controller installed")
     }
 
     /// Process a single event. Returns `false` when the event queue is empty.
@@ -1451,14 +920,7 @@ impl Simulator {
                     // Lost to a downed link or injected loss: counted and
                     // traced, never delivered.
                 } else if self.core.topo.is_host(node) {
-                    if let Some(mut d) = self.drivers[node.idx()].take() {
-                        let mut ctx = HostCtx {
-                            core: &mut self.core,
-                            host: node,
-                        };
-                        d.on_packet(&pkt, &mut ctx);
-                        self.drivers[node.idx()] = Some(d);
-                    }
+                    self.dispatch_driver(node, |d, ctx| d.on_packet(&pkt, ctx));
                 } else {
                     self.core.switch_rx(node, port, pkt);
                 }
@@ -1467,14 +929,7 @@ impl Simulator {
                 self.core.on_tx_done(node, port);
                 // Hosts get the completion signal so deferred sends resume.
                 if self.core.topo.is_host(node) {
-                    if let Some(mut d) = self.drivers[node.idx()].take() {
-                        let mut ctx = HostCtx {
-                            core: &mut self.core,
-                            host: node,
-                        };
-                        d.on_tx_ready(&mut ctx);
-                        self.drivers[node.idx()] = Some(d);
-                    }
+                    self.dispatch_driver(node, |d, ctx| d.on_tx_ready(ctx));
                 }
             }
             Event::PfcUpdate {
@@ -1484,37 +939,18 @@ impl Simulator {
                 pause,
             } => self.core.on_pfc_update(node, port, prio, pause),
             Event::HostTimer { host, token } => {
-                if let Some(mut d) = self.drivers[host.idx()].take() {
-                    let mut ctx = HostCtx {
-                        core: &mut self.core,
-                        host,
-                    };
-                    d.on_timer(token, &mut ctx);
-                    self.drivers[host.idx()] = Some(d);
-                }
+                self.dispatch_driver(host, |d, ctx| d.on_timer(token, ctx));
             }
             Event::ControlTick => {
-                let span_t0 = self.core.prof.as_ref().map(|_| std::time::Instant::now());
-                // Indexed loop over the cached list: `sw` is Copy, so no
-                // borrow of `self` outlives the controller call and no Vec
-                // is rebuilt per tick.
-                for i in 0..self.switch_cache.len() {
-                    let sw = self.switch_cache[i];
-                    if let Some(mut c) = self.controllers[sw.idx()].take() {
-                        let mut view = SwitchView {
-                            backend: ViewBackend::Packet(&mut self.core),
-                            node: sw,
-                        };
-                        c.on_tick(&mut view);
-                        self.controllers[sw.idx()] = Some(c);
+                self.spanned("control_tick", "control", |sim| {
+                    // Indexed loop over the cached list: `sw` is Copy, so no
+                    // borrow of `sim` outlives the controller call and no
+                    // Vec is rebuilt per tick.
+                    for i in 0..sim.switch_cache.len() {
+                        let sw = sim.switch_cache[i];
+                        sim.dispatch_controller(sw, |c, view| c.on_tick(view));
                     }
-                }
-                if let Some(t0) = span_t0 {
-                    let sim_us = self.core.now.as_us_f64();
-                    if let Some(p) = self.core.prof.as_mut() {
-                        p.span("control_tick", "control", t0, format!("sim_us={sim_us:.1}"));
-                    }
-                }
+                });
                 if let Some(dt) = self.core.cfg.control_interval {
                     let at = self.core.now + dt;
                     self.core.schedule(at, Event::ControlTick);
@@ -1522,19 +958,9 @@ impl Simulator {
             }
             Event::TelemetrySample => {
                 if let Some(mut s) = self.sampler.take() {
-                    let span_t0 = self.core.prof.as_ref().map(|_| std::time::Instant::now());
-                    (s.hook)(&mut self.core);
-                    if let Some(t0) = span_t0 {
-                        let sim_us = self.core.now.as_us_f64();
-                        if let Some(p) = self.core.prof.as_mut() {
-                            p.span(
-                                "telemetry_sample",
-                                "telemetry",
-                                t0,
-                                format!("sim_us={sim_us:.1}"),
-                            );
-                        }
-                    }
+                    self.spanned("telemetry_sample", "telemetry", |sim| {
+                        (s.hook)(&mut sim.core)
+                    });
                     let at = self.core.now + s.interval;
                     self.core.schedule(at, Event::TelemetrySample);
                     self.sampler = Some(s);
@@ -1560,9 +986,7 @@ impl Simulator {
             }
             self.step();
         }
-        if self.core.now < t {
-            self.core.now = t;
-        }
+        self.advance_now_to(t);
     }
 
     /// Run for `d` more simulated time.
@@ -1639,11 +1063,12 @@ mod tests {
         }
     }
 
-    /// Driver that blasts `n` packets at t=0.
+    /// Driver that blasts `n` packets of class `prio` at t=0.
     struct Blaster {
         dst: NodeId,
         n: u32,
         flow: u64,
+        prio: Prio,
         ecn: Ecn,
     }
     impl NicDriver for Blaster {
@@ -1655,7 +1080,7 @@ mod tests {
                     FlowId(self.flow),
                     src,
                     self.dst,
-                    PRIO_RDMA,
+                    self.prio,
                     i as u64 * 1000,
                     1000,
                     i == self.n - 1,
@@ -1669,22 +1094,45 @@ mod tests {
         }
     }
 
-    fn two_host_sim(rate: u64) -> (Simulator, Rc<RefCell<Vec<(SimTime, u32)>>>) {
-        let topo = TopologySpec::single_switch(2, rate, SimTime::from_ns(500)).build();
-        let mut sim = Simulator::new(topo, SimConfig::default());
-        let got = Rc::new(RefCell::new(Vec::new()));
+    /// What a [`Sink`] received: arrival time and size of every packet.
+    pub(super) type Got = Rc<RefCell<Vec<(SimTime, u32)>>>;
+
+    /// `senders` hosts on one switch, each blasting `n` packets of class
+    /// `prio` at t=0 into one more host. Returns the simulator, the hosts
+    /// (the receiver last) and what the receiver got.
+    pub(super) fn blast_sim(
+        senders: usize,
+        n: u32,
+        (prio, ecn): (Prio, Ecn),
+        rate: u64,
+        cfg: SimConfig,
+    ) -> (Simulator, Vec<NodeId>, Got) {
+        let topo = TopologySpec::single_switch(senders + 1, rate, SimTime::from_ns(500)).build();
+        let mut sim = Simulator::new(topo, cfg);
+        let got = Got::default();
         let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        sim.set_driver(hosts[1], Box::new(Sink { got: got.clone() }));
-        sim.set_driver(
-            hosts[0],
-            Box::new(Blaster {
-                dst: hosts[1],
-                n: 100,
-                flow: 1,
-                ecn: Ecn::Ect,
-            }),
-        );
-        sim.with_driver(hosts[0], |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
+        let dst = hosts[senders];
+        sim.set_driver(dst, Box::new(Sink { got: got.clone() }));
+        for (i, &h) in hosts[..senders].iter().enumerate() {
+            let flow = i as u64 + 1;
+            let blaster = Blaster {
+                dst,
+                n,
+                flow,
+                prio,
+                ecn,
+            };
+            sim.set_driver(h, Box::new(blaster));
+            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
+        }
+        (sim, hosts, got)
+    }
+
+    /// The RDMA class, ECN-capable: what most scenarios here send.
+    pub(super) const RDMA_ECT: (Prio, Ecn) = (PRIO_RDMA, Ecn::Ect);
+
+    pub(super) fn two_host_sim(rate: u64) -> (Simulator, Got) {
+        let (sim, _, got) = blast_sim(1, 100, RDMA_ECT, rate, SimConfig::default());
         (sim, got)
     }
 
@@ -1721,25 +1169,9 @@ mod tests {
         // Two senders at 25G into one 25G receiver -> queue builds at the
         // switch; with a tiny Kmin every ECT packet beyond the threshold is
         // marked.
-        let topo = TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut cfg = SimConfig::default();
         cfg.port.ecn[PRIO_RDMA as usize] = Some(crate::queues::EcnConfig::new(2_000, 2_000, 1.0));
-        let mut sim = Simulator::new(topo, cfg);
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[2], Box::new(Sink { got: got.clone() }));
-        for (i, &h) in hosts[..2].iter().enumerate() {
-            sim.set_driver(
-                h,
-                Box::new(Blaster {
-                    dst: hosts[2],
-                    n: 200,
-                    flow: i as u64 + 1,
-                    ecn: Ecn::Ect,
-                }),
-            );
-            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-        }
+        let (mut sim, ..) = blast_sim(2, 200, RDMA_ECT, 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(5));
         let sw = sim.core().topo.switches()[0];
         // The egress queue towards host 2 is port index 2.
@@ -1755,26 +1187,13 @@ mod tests {
 
     #[test]
     fn non_ect_never_marked() {
-        let topo = TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut cfg = SimConfig::default();
         cfg.port.ecn[PRIO_RDMA as usize] = Some(crate::queues::EcnConfig::new(0, 0, 1.0));
-        let mut sim = Simulator::new(topo, cfg);
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[2], Box::new(Sink { got: got.clone() }));
-        sim.set_driver(
-            hosts[0],
-            Box::new(Blaster {
-                dst: hosts[2],
-                n: 50,
-                flow: 1,
-                ecn: Ecn::NotEct,
-            }),
-        );
-        sim.with_driver(hosts[0], |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
+        let (mut sim, ..) = blast_sim(1, 50, (PRIO_RDMA, Ecn::NotEct), 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(5));
         let sw = sim.core().topo.switches()[0];
-        let t = sim.core().queue_telem(sw, PortId(2), PRIO_RDMA);
+        let t = sim.core().queue_telem(sw, PortId(1), PRIO_RDMA);
+        assert_eq!(t.tx_pkts, 50);
         assert_eq!(t.tx_marked_pkts, 0);
     }
 
@@ -1782,25 +1201,9 @@ mod tests {
     fn pfc_prevents_loss_on_lossless_class() {
         // 8 senders blast a single receiver with far more data than the
         // switch buffer; with PFC on the RDMA class nothing may be dropped.
-        let topo = TopologySpec::single_switch(9, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut cfg = SimConfig::default();
-        cfg.buffer_bytes = 512 * 1024; // small buffer to force PFC
-        let mut sim = Simulator::new(topo, cfg);
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[8], Box::new(Sink { got: got.clone() }));
-        for (i, &h) in hosts[..8].iter().enumerate() {
-            sim.set_driver(
-                h,
-                Box::new(Blaster {
-                    dst: hosts[8],
-                    n: 1000, // 8 MB total >> 512 KB buffer
-                    flow: i as u64 + 1,
-                    ecn: Ecn::Ect,
-                }),
-            );
-            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-        }
+        cfg.buffer_bytes = 512 * 1024; // small buffer to force PFC; 8 MB arrive
+        let (mut sim, _, got) = blast_sim(8, 1000, RDMA_ECT, 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(50));
         assert_eq!(sim.core().total_drops, 0, "PFC must keep RDMA lossless");
         assert!(sim.core().total_pfc_pauses > 0, "PFC must have triggered");
@@ -1811,42 +1214,10 @@ mod tests {
     fn droptail_drops_without_pfc() {
         // Same overload on the TCP class (not lossless, NotEct) with a small
         // per-queue bound: drops must occur.
-        let topo = TopologySpec::single_switch(9, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut cfg = SimConfig::default();
         cfg.port.max_queue_bytes[0] = 64 * 1024;
-        let mut sim = Simulator::new(topo, cfg);
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[8], Box::new(Sink { got: got.clone() }));
-        struct TcpBlaster {
-            dst: NodeId,
-        }
-        impl NicDriver for TcpBlaster {
-            fn on_packet(&mut self, _p: &Packet, _c: &mut HostCtx<'_>) {}
-            fn on_timer(&mut self, _t: u64, ctx: &mut HostCtx<'_>) {
-                let src = ctx.host();
-                for i in 0..500u32 {
-                    let pkt = Packet::data(
-                        FlowId(src.0 as u64),
-                        src,
-                        self.dst,
-                        crate::ids::PRIO_TCP,
-                        i as u64 * 1000,
-                        1000,
-                        false,
-                        Ecn::NotEct,
-                    );
-                    ctx.send(pkt);
-                }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        for &h in &hosts[..8] {
-            sim.set_driver(h, Box::new(TcpBlaster { dst: hosts[8] }));
-            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-        }
+        let tcp = (crate::ids::PRIO_TCP, Ecn::NotEct);
+        let (mut sim, ..) = blast_sim(8, 500, tcp, 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(20));
         assert!(sim.core().total_drops > 0, "drop-tail class must drop");
     }
@@ -1984,25 +1355,9 @@ mod tests {
     fn pfc_pause_time_accumulates() {
         // Same overload as pfc_prevents_loss: the switch pauses the sending
         // hosts, so their NIC ports accumulate pause time on the RDMA class.
-        let topo = TopologySpec::single_switch(9, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut cfg = SimConfig::default();
         cfg.buffer_bytes = 512 * 1024;
-        let mut sim = Simulator::new(topo, cfg);
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[8], Box::new(Sink { got: got.clone() }));
-        for (i, &h) in hosts[..8].iter().enumerate() {
-            sim.set_driver(
-                h,
-                Box::new(Blaster {
-                    dst: hosts[8],
-                    n: 1000,
-                    flow: i as u64 + 1,
-                    ecn: Ecn::Ect,
-                }),
-            );
-            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-        }
+        let (mut sim, hosts, _) = blast_sim(8, 1000, RDMA_ECT, 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(50));
         assert!(sim.core().total_pfc_pauses > 0);
         let paused_total: u64 = hosts[..8]
@@ -2014,219 +1369,5 @@ mod tests {
         for &h in &hosts[..8] {
             assert!(sim.core().pfc_pause_time(h, PortId(0), PRIO_RDMA) <= SimTime::from_ms(50));
         }
-    }
-
-    #[test]
-    fn link_state_changes_are_traced() {
-        let topo = TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
-        let mut sim = Simulator::new(topo, SimConfig::default());
-        sim.set_tracer(Tracer::new(crate::trace::TraceFilter::default(), 64));
-        let sw = sim.core().topo.switches()[0];
-        sim.core_mut().set_link_state(sw, PortId(0), false);
-        sim.core_mut().set_link_state(sw, PortId(0), true);
-        let events = sim.tracer_mut().unwrap().take();
-        let downs = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::LinkDown)
-            .count();
-        let ups = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::LinkUp)
-            .count();
-        assert_eq!(downs, 2, "one LinkDown per endpoint");
-        assert_eq!(ups, 2, "one LinkUp per endpoint");
-        assert!(events.iter().any(|e| e.node == sw && e.port == PortId(0)));
-    }
-
-    #[test]
-    fn loss_free_fault_plan_does_not_perturb() {
-        use crate::fault::{FaultKind, FaultPlan};
-        // A plan whose faults never fire within the horizon and draw no
-        // randomness must leave the run bit-identical to a plan-free run.
-        let (mut s1, g1) = two_host_sim(25_000_000_000);
-        let (mut s2, g2) = two_host_sim(25_000_000_000);
-        let sw = s2.core().topo.switches()[0];
-        let plan =
-            FaultPlan::new(99).at(SimTime::from_ms(500), FaultKind::SwitchReboot { node: sw });
-        s2.install_fault_plan(&plan).unwrap();
-        s1.run_until(SimTime::from_ms(1));
-        s2.run_until(SimTime::from_ms(1));
-        assert_eq!(*g1.borrow(), *g2.borrow());
-        assert_eq!(s1.core().total_drops, s2.core().total_drops);
-    }
-
-    #[test]
-    fn blackhole_drops_everything_and_partial_loss_some() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let (mut sim, got) = two_host_sim(10_000_000_000);
-        let sw = sim.core().topo.switches()[0];
-        // Blackhole the switch's ingress from host 0 from t=0.
-        let plan = FaultPlan::new(7).at(
-            SimTime::ZERO,
-            FaultKind::PacketLoss {
-                node: sw,
-                port: PortId(0),
-                frac: 1.0,
-            },
-        );
-        sim.install_fault_plan(&plan).unwrap();
-        sim.run_until(SimTime::from_ms(10));
-        assert_eq!(got.borrow().len(), 0, "blackhole delivers nothing");
-        assert_eq!(sim.core().fault_drops, 100);
-        assert_eq!(sim.core().total_drops, 100);
-
-        let (mut sim, got) = two_host_sim(10_000_000_000);
-        let sw = sim.core().topo.switches()[0];
-        let plan = FaultPlan::new(7).at(
-            SimTime::ZERO,
-            FaultKind::PacketLoss {
-                node: sw,
-                port: PortId(0),
-                frac: 0.3,
-            },
-        );
-        sim.install_fault_plan(&plan).unwrap();
-        sim.run_until(SimTime::from_ms(10));
-        let delivered = got.borrow().len();
-        assert!(
-            delivered > 0 && delivered < 100,
-            "partial loss: {delivered}"
-        );
-        assert_eq!(sim.core().fault_drops as usize, 100 - delivered);
-    }
-
-    #[test]
-    fn degraded_link_slows_delivery_and_restores() {
-        use crate::fault::FaultPlan;
-        // 10G link degraded to 1G for the whole run: 100 packets take ~10x
-        // longer than at full rate.
-        let (mut fast, got_fast) = two_host_sim(10_000_000_000);
-        fast.run_until(SimTime::from_ms(10));
-        let fast_last = got_fast.borrow().last().unwrap().0;
-
-        let (mut slow, got_slow) = two_host_sim(10_000_000_000);
-        let hosts: Vec<NodeId> = slow.core().topo.hosts().to_vec();
-        let plan = FaultPlan::new(0).degrade_window(
-            hosts[0],
-            PortId(0),
-            1_000_000_000,
-            SimTime::ZERO,
-            SimTime::from_ms(5),
-        );
-        slow.install_fault_plan(&plan).unwrap();
-        slow.run_until(SimTime::from_ms(10));
-        assert_eq!(got_slow.borrow().len(), 100, "all delivered eventually");
-        let slow_last = got_slow.borrow().last().unwrap().0;
-        assert!(
-            slow_last > fast_last.mul(4),
-            "degraded run must be much slower: {slow_last:?} vs {fast_last:?}"
-        );
-    }
-
-    #[test]
-    fn switch_reboot_flushes_queues_and_resets_ecn() {
-        use crate::fault::FaultKind;
-        // Two 25G senders into one 25G sink builds a standing queue; a
-        // reboot mid-run must empty it, release the buffer, and restore the
-        // default ECN config over a controller-modified one.
-        let topo = TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
-        let mut sim = Simulator::new(topo, SimConfig::default());
-        let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.set_driver(hosts[2], Box::new(Sink { got: got.clone() }));
-        for (i, &h) in hosts[..2].iter().enumerate() {
-            sim.set_driver(
-                h,
-                Box::new(Blaster {
-                    dst: hosts[2],
-                    n: 400,
-                    flow: i as u64 + 1,
-                    ecn: Ecn::Ect,
-                }),
-            );
-            sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
-        }
-        let sw = sim.core().topo.switches()[0];
-        // Let the queue build, then tamper with the config and reboot.
-        sim.run_until(SimTime::from_us(60));
-        assert!(sim.core().buffer_used(sw) > 0, "queue must have built");
-        let default_ecn = sim.core().cfg.port.ecn[PRIO_RDMA as usize];
-        sim.core_mut().queue_mut(sw, PortId(2), PRIO_RDMA).ecn =
-            Some(crate::queues::EcnConfig::new(1, 2, 1.0));
-        sim.core_mut()
-            .apply_fault(FaultKind::SwitchReboot { node: sw });
-        assert!(sim.core().fault_drops > 0, "flushed packets counted");
-        let buffered = sim.core().buffer_used(sw);
-        // At most the one in-flight packet can still be charged.
-        assert!(buffered <= 2000, "buffer released on reboot: {buffered}");
-        assert_eq!(
-            sim.core().queue(sw, PortId(2), PRIO_RDMA).ecn,
-            default_ecn,
-            "ECN reverts to the static default"
-        );
-        // The run continues and the remaining traffic drains cleanly.
-        sim.run_until(SimTime::from_ms(20));
-        assert!(!got.borrow().is_empty());
-    }
-
-    #[test]
-    fn telemetry_freeze_and_blank_distort_reads_not_ground_truth() {
-        use crate::fault::FaultKind;
-        let (mut sim, _got) = two_host_sim(10_000_000_000);
-        let sw = sim.core().topo.switches()[0];
-        sim.run_until(SimTime::from_us(50));
-        let live = sim.core().queue_telem(sw, PortId(1), PRIO_RDMA);
-        assert!(live.enq_pkts > 0, "traffic flowed");
-        assert!(
-            sim.core()
-                .faulted_reading(sw, PortId(1), PRIO_RDMA)
-                .is_none(),
-            "healthy reads are undistorted"
-        );
-        sim.core_mut()
-            .apply_fault(FaultKind::TelemetryFreeze { node: sw });
-        let (q0, t0) = sim
-            .core()
-            .faulted_reading(sw, PortId(1), PRIO_RDMA)
-            .unwrap();
-        sim.run_until(SimTime::from_ms(10));
-        let (q1, t1) = sim
-            .core()
-            .faulted_reading(sw, PortId(1), PRIO_RDMA)
-            .unwrap();
-        assert_eq!((q0, t0), (q1, t1), "frozen reads never move");
-        let truth = sim.core().queue_telem(sw, PortId(1), PRIO_RDMA);
-        assert!(truth.enq_pkts > t1.enq_pkts, "ground truth kept advancing");
-        sim.core_mut()
-            .apply_fault(FaultKind::TelemetryBlank { node: sw });
-        let (qb, tb) = sim
-            .core()
-            .faulted_reading(sw, PortId(1), PRIO_RDMA)
-            .unwrap();
-        assert_eq!(qb, 0);
-        assert_eq!(tb, QueueTelemetry::default());
-        sim.core_mut()
-            .apply_fault(FaultKind::TelemetryRestore { node: sw });
-        assert!(sim
-            .core()
-            .faulted_reading(sw, PortId(1), PRIO_RDMA)
-            .is_none());
-    }
-
-    #[test]
-    fn fault_log_records_and_drains() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let (mut sim, _got) = two_host_sim(10_000_000_000);
-        let sw = sim.core().topo.switches()[0];
-        let plan = FaultPlan::new(1)
-            .link_flap(sw, PortId(0), SimTime::from_us(10), SimTime::from_us(20))
-            .at(SimTime::from_us(30), FaultKind::SwitchReboot { node: sw });
-        sim.install_fault_plan(&plan).unwrap();
-        sim.run_until(SimTime::from_ms(1));
-        let log = sim.core_mut().drain_fault_log();
-        let kinds: Vec<&str> = log.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["link_down", "link_up", "switch_reboot"]);
-        assert_eq!(log[0].at, SimTime::from_us(10));
-        assert!(sim.core_mut().drain_fault_log().is_empty(), "drained");
     }
 }

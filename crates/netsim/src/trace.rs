@@ -44,6 +44,10 @@ pub enum TraceKind {
     TelemetryFault,
     /// Packet lost to injected loss or to arriving at a downed link.
     FaultDrop,
+    /// The injected loss fraction of (node, port) was set — or cleared, with
+    /// a fraction of zero (fault injection). No packet is involved: count
+    /// [`TraceKind::FaultDrop`] records to count lost packets.
+    LossConfig,
 }
 
 /// One trace record.
@@ -99,16 +103,6 @@ impl TraceFilter {
             port: Some(port),
             prio: Some(prio),
             data_path: true,
-        }
-    }
-
-    /// Only exceptional events (marks, drops, PFC) anywhere.
-    pub fn exceptional() -> Self {
-        TraceFilter {
-            node: None,
-            port: None,
-            prio: None,
-            data_path: false,
         }
     }
 
@@ -247,7 +241,11 @@ mod tests {
 
     #[test]
     fn exceptional_filter_drops_data_path() {
-        let mut t = Tracer::new(TraceFilter::exceptional(), 16);
+        let exceptional = TraceFilter {
+            data_path: false,
+            ..TraceFilter::default()
+        };
+        let mut t = Tracer::new(exceptional, 16);
         t.record(ev(TraceKind::Enqueue, 0, 0, 0));
         t.record(ev(TraceKind::Dequeue, 0, 0, 0));
         t.record(ev(TraceKind::CeMark, 0, 0, 0));

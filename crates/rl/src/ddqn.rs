@@ -258,18 +258,6 @@ impl DdqnAgent {
         self.eval.forward(state)
     }
 
-    /// Batched Q-values: one forward pass over `batch` states packed
-    /// row-major into `states`; `out` receives the flat
-    /// `[batch × n_actions]` result (cleared first).
-    pub fn q_values_batch(&mut self, states: &[f32], batch: usize, out: &mut Vec<f32>) {
-        out.clear();
-        if batch == 0 {
-            return;
-        }
-        self.eval.forward_batch(states, batch, &mut self.infer);
-        out.extend_from_slice(self.infer.output());
-    }
-
     /// Store one experience tuple.
     pub fn observe(&mut self, t: Transition) {
         debug_assert_eq!(t.state.len(), self.state_dim());
@@ -310,7 +298,7 @@ impl DdqnAgent {
     /// Double-DQN target runs as one batched eval-net pass for `a*` plus one
     /// batched target-net pass for `Q_next`, and a single batched backward
     /// accumulates the minibatch gradients in fixed sample order. Every
-    /// buffer lives in the persistent [`TrainWorkspace`], so a steady-state
+    /// buffer lives in the persistent `TrainWorkspace`, so a steady-state
     /// step allocates nothing. Results — weights, RNG stream, returned loss
     /// — are bit-identical to [`DdqnAgent::train_step_scalar`], pinned by
     /// differential tests.
@@ -760,11 +748,6 @@ mod tests {
         a.best_actions_batch(&states, 2, &mut greedy);
         assert_eq!(greedy[0], b.best_action(&states[0..2]));
         assert_eq!(greedy[1], b.best_action(&states[2..4]));
-        // And batched Q-values match scalar Q-values.
-        let mut q = Vec::new();
-        a.q_values_batch(&states, 2, &mut q);
-        assert_eq!(&q[0..3], b.q_values(&states[0..2]).as_slice());
-        assert_eq!(&q[3..6], b.q_values(&states[2..4]).as_slice());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic merge of per-shard telemetry buffers.
 //!
 //! A sharded run records each shard's telemetry into its own
-//! [`VecSink`](crate::sink::VecSink); replaying those buffers through this
+//! [`VecSink`]; replaying those buffers through this
 //! merge produces one stream whose bytes are independent of the shard
 //! count. The merge relies on two properties the engine guarantees:
 //!

@@ -148,11 +148,6 @@ impl FctCollector {
         FctStats::from_us(fcts)
     }
 
-    /// Summarise completed flows whose size is in `[lo, hi)` bytes.
-    pub fn stats_by_size(&self, lo: u64, hi: u64) -> FctStats {
-        self.stats(|r| r.bytes >= lo && r.bytes < hi)
-    }
-
     /// Export a whole-run summary — the hook run manifests use.
     pub fn summary(&self) -> FctSummary {
         FctSummary {
@@ -320,8 +315,8 @@ mod tests {
             c.register(r);
         }
         assert_eq!(c.completed_count(), 10, "pre-completed records count");
-        let mice = c.stats_by_size(0, 100_000);
-        let elephants = c.stats_by_size(10_000_000, u64::MAX);
+        let mice = c.stats(|r| r.bytes < 100_000);
+        let elephants = c.stats(|r| r.bytes >= 10_000_000);
         assert_eq!(mice.count, 5);
         assert_eq!(elephants.count, 5);
         assert!((mice.avg_us - 30.0).abs() < 1e-9); // (10+20+30+40+50)/5

@@ -23,14 +23,12 @@
 pub mod apptag;
 pub mod dists;
 pub mod gen;
-pub mod replay;
 pub mod storage;
 pub mod training;
 pub mod xl;
 
 pub use dists::SizeDist;
 pub use gen::{apply_arrivals, incast_wave, Arrival, PoissonGen};
-pub use replay::WorkloadTrace;
 pub use storage::{StorageCluster, StorageConfig, StorageProfile};
 pub use training::{TrainingCluster, TrainingConfig};
 pub use xl::{to_flow_specs, XlFlowsSpec};
