@@ -435,6 +435,15 @@ fn print_profile_run(run: &Value) {
             num(q, "overflow_migrations"),
             num(q, "advances"),
         );
+        let h = q.get("ns");
+        println!(
+            "  event queue (peek + pop): est self {:>8.2} ms, {:.1} % of engine time  \
+             per-event p50 {:.0} ns, p99 {:.0} ns",
+            num(q, "est_total_ns") / 1e6,
+            100.0 * num(q, "est_share"),
+            h.map(|h| num(h, "p50")).unwrap_or(0.0),
+            h.map(|h| num(h, "p99")).unwrap_or(0.0),
+        );
     }
 
     print_hist("pending events at dispatch", summary.get("queue_depth"));

@@ -1,23 +1,24 @@
 //! Microbenchmarks of the future-event queue: the timing-wheel
-//! [`EventQueue`] against the reference [`HeapEventQueue`] on an
-//! incast-heavy hold pattern, plus end-to-end `Simulator::step` throughput.
+//! [`EventQueue`] against the reference [`HeapEventQueue`] on two hold
+//! patterns, plus end-to-end `Simulator::step` throughput.
 //!
 //! The hold pattern is the classic priority-queue benchmark that matches
 //! the engine's steady state: a queue preloaded to its working depth, then
-//! pop-one/push-one at serialization-delay offsets. The one gate on the
-//! wheel/heap ratio (>= 1.3x, median of alternating pairs) is the
-//! `wheel_beats_reference_heap` test of `acc-bench`'s `perf` module, which
-//! runs the same workload; this harness is for interactive profiling
-//! (`cargo bench -p netsim --bench event_queue`).
+//! pop-one/push-one at serialization-delay offsets. `hold_incast` is the
+//! sparse one (4096 pending over ~0.6 ms); `dense` is shaped like the
+//! 288-host WebSearch run that was profiled (see EXPERIMENTS.md, "The event
+//! queue was 46 % of `websearch-packet`"): ~1,900 pending, ~180 events per
+//! 262 ns, one push in twenty landing in the bucket being drained. The one
+//! gate on the wheel/heap ratio (>= 1.3x, median of alternating pairs) is
+//! the `wheel_beats_reference_heap` test of `acc-bench`'s `perf` module,
+//! which runs the incast workload; this harness is for interactive
+//! profiling (`cargo bench -p netsim --bench event_queue`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use netsim::event::{Event, EventQueue, HeapEventQueue};
+use netsim::event::{Event, EventQueue, HeapEventQueue, Scheduled};
 use netsim::ids::{FlowId, NodeId, PRIO_RDMA};
 use netsim::prelude::*;
 
-/// Working depth of the queue during the hold benchmark. An incast run on
-/// the quick fabric keeps a few thousand events in flight.
-const DEPTH: usize = 4096;
 /// Hold operations per measured batch.
 const OPS: u64 = 20_000;
 
@@ -44,88 +45,103 @@ fn incast_offset(rng: &mut Lcg) -> u64 {
     }
 }
 
-fn preloaded_wheel(seed: u64) -> (EventQueue, Lcg, SimTime) {
-    let mut rng = Lcg(seed);
-    let mut q = EventQueue::new();
-    let mut t = SimTime::ZERO;
-    for i in 0..DEPTH {
-        t = SimTime::from_ps(t.as_ps() + incast_offset(&mut rng) / 16);
-        q.push(
-            t,
-            Event::HostTimer {
-                host: NodeId(0),
-                token: i as u64,
-            },
-        );
+/// Offsets of a loaded 288-host fabric. The mean, 2.8 µs, over 1,900
+/// pending events gives the measured 0.69 events per nanosecond.
+fn dense_offset(rng: &mut Lcg) -> u64 {
+    match rng.next() % 20 {
+        0..=7 => rng.next() % 700_000,              // serialization
+        8..=16 => 500_000 + rng.next() % 1_000_000, // propagation + serialization
+        17..=18 => rng.next() % 44_000_000,         // pace timers of throttled flows
+        _ => rng.next() % 50_000,                   // the bucket being drained
     }
-    (q, rng, t)
 }
 
-fn preloaded_heap(seed: u64) -> (HeapEventQueue, Lcg, SimTime) {
-    let mut rng = Lcg(seed);
-    let mut q = HeapEventQueue::new();
-    let mut t = SimTime::ZERO;
-    for i in 0..DEPTH {
-        t = SimTime::from_ps(t.as_ps() + incast_offset(&mut rng) / 16);
-        q.push(
-            t,
-            Event::HostTimer {
-                host: NodeId(0),
-                token: i as u64,
-            },
-        );
+/// One hold workload: working depth and offset distribution.
+struct Hold {
+    name: &'static str,
+    depth: usize,
+    offset: fn(&mut Lcg) -> u64,
+}
+
+const HOLDS: [Hold; 2] = [
+    // An incast run on the quick fabric keeps a few thousand events in flight.
+    Hold {
+        name: "hold_incast",
+        depth: 4096,
+        offset: incast_offset,
+    },
+    Hold {
+        name: "dense",
+        depth: 1900,
+        offset: dense_offset,
+    },
+];
+
+fn timer(token: u64) -> Event {
+    Event::HostTimer {
+        host: NodeId(0),
+        token,
     }
-    (q, rng, t)
+}
+
+/// Bench `OPS` pop-one/push-one steps on a queue preloaded to `hold.depth`.
+fn bench_hold<Q>(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    queue: &str,
+    hold: &Hold,
+    new: fn() -> Q,
+    push: fn(&mut Q, SimTime, Event),
+    pop: fn(&mut Q) -> Option<Scheduled>,
+) {
+    g.bench_function(&format!("{queue}_{}", hold.name), |b| {
+        b.iter_batched(
+            || {
+                let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+                let mut q = new();
+                let mut t = 0;
+                for i in 0..hold.depth {
+                    t += (hold.offset)(&mut rng) / 16;
+                    push(&mut q, SimTime::from_ps(t), timer(i as u64));
+                }
+                (q, rng)
+            },
+            |(mut q, mut rng)| {
+                let mut acc = 0u64;
+                for i in 0..OPS {
+                    let s = pop(&mut q).expect("queue stays at depth");
+                    acc ^= s.seq;
+                    let t = SimTime::from_ps(s.time.as_ps() + (hold.offset)(&mut rng));
+                    push(&mut q, t, timer(i));
+                }
+                acc
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_queue_hold(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(OPS));
     g.sample_size(20);
-    g.bench_function("wheel_hold_incast", |b| {
-        b.iter_batched(
-            || preloaded_wheel(0x9E37_79B9_7F4A_7C15),
-            |(mut q, mut rng, _)| {
-                let mut acc = 0u64;
-                for i in 0..OPS {
-                    let s = q.pop().expect("queue stays at DEPTH");
-                    acc ^= s.seq;
-                    let t = SimTime::from_ps(s.time.as_ps() + incast_offset(&mut rng));
-                    q.push(
-                        t,
-                        Event::HostTimer {
-                            host: NodeId(0),
-                            token: i,
-                        },
-                    );
-                }
-                acc
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("heap_hold_incast", |b| {
-        b.iter_batched(
-            || preloaded_heap(0x9E37_79B9_7F4A_7C15),
-            |(mut q, mut rng, _)| {
-                let mut acc = 0u64;
-                for i in 0..OPS {
-                    let s = q.pop().expect("queue stays at DEPTH");
-                    acc ^= s.seq;
-                    let t = SimTime::from_ps(s.time.as_ps() + incast_offset(&mut rng));
-                    q.push(
-                        t,
-                        Event::HostTimer {
-                            host: NodeId(0),
-                            token: i,
-                        },
-                    );
-                }
-                acc
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    for hold in &HOLDS {
+        bench_hold(
+            &mut g,
+            "wheel",
+            hold,
+            EventQueue::new,
+            EventQueue::push,
+            EventQueue::pop,
+        );
+        bench_hold(
+            &mut g,
+            "heap",
+            hold,
+            HeapEventQueue::new,
+            HeapEventQueue::push,
+            HeapEventQueue::pop,
+        );
+    }
     g.finish();
 }
 

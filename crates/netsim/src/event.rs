@@ -1,19 +1,25 @@
 //! The discrete-event core: event kinds and the future-event queue.
 //!
-//! The future-event list is a **timing wheel** ([`EventQueue`]): near-horizon
-//! events land in O(1) time buckets sized around serialization/propagation
-//! delays, while far-future timers (control ticks, telemetry sampling,
-//! retransmit timeouts, scheduled faults) wait in an overflow heap until the
-//! wheel rotates toward them. The previous `BinaryHeap`-based queue is kept
-//! as [`HeapEventQueue`], a reference implementation for differential tests
+//! The future-event list is a **timing wheel** ([`EventQueue`]) whose rule
+//! is *order keys, not events*. A push appends the 64-byte event to the
+//! unsorted bucket its time falls in, and that is the only time the event
+//! is written. When the wheel reaches the bucket, one small `(time, seq,
+//! index)` key per event is sorted, once, and pops walk the keys and read
+//! each event where the push left it. Far-future timers (control ticks,
+//! telemetry sampling, retransmit timeouts, scheduled faults) wait in an
+//! overflow heap until the wheel rotates toward them, and the few pushes
+//! that arrive for a bucket already sorted go to a small side heap that
+//! `pop` merges in. The previous `BinaryHeap`-based queue is kept as
+//! [`HeapEventQueue`], a reference implementation for differential tests
 //! and benchmarks.
 //!
 //! ## Determinism contract
 //!
 //! Both queues pop events in identical `(time, seq)` order: earliest
-//! activation time first, ties broken FIFO by insertion sequence. The wheel
-//! is therefore a drop-in replacement — a recorded run's JSONL is
-//! byte-identical to one produced with the heap queue.
+//! activation time first, ties broken FIFO by insertion sequence (or by the
+//! caller's key, [`EventQueue::push_keyed`]). The wheel is therefore a
+//! drop-in replacement — a recorded run's JSONL is byte-identical to one
+//! produced with the heap queue.
 
 use crate::fault::FaultKind;
 use crate::ids::{NodeId, PortId, Prio};
@@ -23,7 +29,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Everything that can happen in the simulated world.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// A packet finished propagating and arrives at `node` via `port`.
     Arrive {
@@ -77,7 +83,7 @@ pub enum Event {
 
 /// An event with its activation time and a monotone sequence number used to
 /// break ties deterministically (FIFO among simultaneous events).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Scheduled {
     /// Activation time.
     pub time: SimTime,
@@ -110,48 +116,88 @@ impl Ord for Scheduled {
     }
 }
 
-/// Picoseconds per wheel bucket, as a shift: 2^18 ps = 262.144 ns.
+/// Picoseconds per wheel bucket, as a shift: 2^16 ps = 65.536 ns.
 ///
-/// Sized around the delays that dominate the data path — one 1048-byte
-/// serialization at 25 Gbps is ~335 ns and link propagation is 500-1000 ns —
-/// so a packet's `TxDone`/`Arrive` lands a handful of buckets ahead and a
-/// bucket rarely holds more than a few dozen events (the per-bucket heap
-/// stays tiny, which is where the win over one big heap comes from).
-const BUCKET_PS_SHIFT: u32 = 18;
+/// The near tier sorts a bucket once when the wheel reaches it, so the
+/// width trades two costs: a wider bucket sorts more keys per rotation and
+/// sends more pushes to the late heap (a push into the bucket being drained
+/// cannot join a sort that already happened — 12 % of pushes at 2^18 ps,
+/// 0.1 % at 2^16, on the quick WebSearch fabric), a narrower one rotates
+/// more often over emptier slots. On the 288-host WebSearch run (≈45 events
+/// per bucket at 2^16) 2^16 measured fastest, 2^15 1–2 % and 2^17 3–6 %
+/// behind it; see EXPERIMENTS.md, "The event queue was 46 % of
+/// `websearch-packet`".
+const BUCKET_PS_SHIFT: u32 = 16;
 
 /// Buckets on the wheel. Fixed at 64 so slot occupancy fits one `u64`
 /// bitmask and "find the next non-empty bucket" is a single
-/// `trailing_zeros`. Horizon = 64 × 262 ns ≈ 16.8 µs: every
-/// serialization/propagation event is in-wheel, while control ticks
-/// (50 µs), telemetry samples (≥100 µs), host retransmit timers and
-/// scheduled faults overflow to the far heap.
+/// `trailing_zeros`. Horizon = 64 × 65.5 ns ≈ 4.2 µs: serialization and
+/// propagation events (≤ 1 µs each) are in-wheel, while pace timers of slow
+/// flows, control ticks (50 µs), telemetry samples (≥100 µs), retransmit
+/// timers and scheduled faults overflow to the far heap — about one event
+/// in 200 on the WebSearch run, which is what the overflow heap is for.
 const WHEEL_SLOTS: u64 = 64;
+
+/// Per-slot pre-sizing is stated for a 2^18-ps bucket — the width the
+/// perf scenarios' high-water marks were taken at — and shifted down by
+/// this for the actual width: a bucket a quarter as wide holds a quarter of
+/// the events, and slots × capacity × 64 B does not grow when the wheel is
+/// re-tuned.
+const SLOT_CAPACITY_SHIFT: u32 = 18 - BUCKET_PS_SHIFT;
 
 #[inline]
 const fn bucket_of(time: SimTime) -> u64 {
     time.as_ps() >> BUCKET_PS_SHIFT
 }
 
+/// Where one event of the current bucket sits, and when it fires. Derived
+/// `Ord` compares `(time, seq)` first — unique per event for [`EventQueue::push`],
+/// and for [`EventQueue::push_keyed`] by its contract — so `idx` never
+/// decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+    /// Index into `EventQueue::cur`.
+    idx: u32,
+}
+
 /// The future-event list: a single-level timing wheel over an overflow heap.
 ///
 /// Three tiers, ordered by activation time:
 ///
-/// * **near** — events in (or before) the bucket currently being drained,
-///   held in a small binary heap ordered by `(time, seq)`;
-/// * **wheel** — 64 unsorted buckets covering the next ~16.8 µs; a push is
+/// * **near** — the bucket currently being drained. Its events stay where
+///   they were pushed (`cur`, the slot's own vector, swapped in whole when
+///   the wheel reaches it); one 24-byte `Key` per event is sorted once
+///   per rotation (`order`) and `pop` walks that order with a cursor,
+///   copying each 64-byte event out exactly once. Pushes that arrive for
+///   the current bucket after its sort, or for the past, go to the small
+///   `late` heap, which `pop` merges with the sorted run by `(time, seq)`;
+/// * **wheel** — 64 unsorted buckets covering the next ~4.2 µs; a push is
 ///   O(1) (shift, mask, `Vec::push` into a recycled buffer);
 /// * **overflow** — a binary heap for everything beyond the horizon.
 ///
 /// Invariants: every wheel bucket holds exactly one absolute bucket index's
 /// events and that index is within `(cur_bucket, cur_bucket + 64)`; the
 /// overflow heap only holds events at or beyond `cur_bucket + 64` (restored
-/// lazily as the wheel advances). Together these guarantee the near heap's
-/// minimum is the global minimum, so pops are exact `(time, seq)` order —
-/// the same order [`HeapEventQueue`] produces.
+/// on every rotation, and an overflow event whose bucket *is* the new
+/// current one joins `cur` before the sort); `order[pos..]` is sorted and
+/// indexes exactly the unpopped events of `cur`, all of bucket
+/// `cur_bucket`; `late` holds only events of bucket `cur_bucket` or
+/// earlier. So every event outside `order[pos..]` ∪ `late` fires strictly
+/// after everything inside it, the smaller of the two heads is the global
+/// minimum, and pops are exact `(time, seq)` order — the same order
+/// [`HeapEventQueue`] produces. The wheel rotates only when both are empty.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Events at or before the current bucket, ordered by `(time, seq)`.
-    near: BinaryHeap<Scheduled>,
+    /// The current bucket's events, in push order; read in place by `pop`.
+    cur: Vec<Scheduled>,
+    /// One key per event of `cur`, sorted ascending at rotation.
+    order: Vec<Key>,
+    /// Cursor into `order`: keys before it have been popped.
+    pos: usize,
+    /// Events at or before the current bucket pushed after its sort.
+    late: BinaryHeap<Scheduled>,
     /// Unsorted near-horizon buckets; bucket `b` lives in slot `b % 64`.
     wheel: Vec<Vec<Scheduled>>,
     /// Bit `i` set ⇔ wheel slot `i` is non-empty.
@@ -172,7 +218,8 @@ pub struct EventQueue {
 /// already takes; they never influence pop order.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueStats {
-    /// Pushes that landed in the near heap (current bucket or the past).
+    /// Pushes that landed in the near tier's late heap (current bucket or
+    /// the past).
     pub pushes_near: u64,
     /// Pushes that landed in a wheel bucket (O(1) fast path).
     pub pushes_wheel: u64,
@@ -185,21 +232,9 @@ pub struct QueueStats {
 }
 
 impl Default for EventQueue {
+    /// The floor capacities: [`EventQueue::sized_for`] the smallest fabric.
     fn default() -> Self {
-        EventQueue {
-            // Pre-sized so steady-state scheduling never grows the heaps or
-            // slot vectors (capacity is kept when slots drain); the netsim
-            // perf scenarios peak well under these bounds.
-            near: BinaryHeap::with_capacity(1024),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(512)).collect(),
-            occupied: 0,
-            overflow: BinaryHeap::with_capacity(1024),
-            cur_bucket: 0,
-            next_seq: 0,
-            len: 0,
-            peak_len: 0,
-            stats: QueueStats::default(),
-        }
+        Self::sized_for(0)
     }
 }
 
@@ -214,12 +249,21 @@ impl EventQueue {
     /// burst on a large topology (same-bucket packet events scale with
     /// ports, i.e. with nodes) doesn't double a slot vector mid-run —
     /// growth after warmup would break the zero-alloc steady-state gate.
-    /// The [`Default`] capacities remain the floor for small fabrics.
+    /// Small fabrics get a floor the netsim perf scenarios peak well under.
+    ///
+    /// The current bucket and its key vector are sized like a slot (they
+    /// trade places with the slots). The late heap is sized like the
+    /// overflow heap: it holds a handful of events while a run is in
+    /// progress, but a batch scheduled between runs, after a `peek_time`
+    /// rotated the wheel ahead of it, lands there whole.
     pub fn sized_for(n_nodes: usize) -> Self {
-        let slot = 512usize.max(n_nodes.next_power_of_two());
+        let slot = 512usize.max(n_nodes.next_power_of_two()) >> SLOT_CAPACITY_SHIFT;
         let heap = 1024usize.max((2 * n_nodes).next_power_of_two());
         EventQueue {
-            near: BinaryHeap::with_capacity(heap),
+            cur: Vec::with_capacity(slot),
+            order: Vec::with_capacity(slot),
+            pos: 0,
+            late: BinaryHeap::with_capacity(heap),
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(slot)).collect(),
             occupied: 0,
             overflow: BinaryHeap::with_capacity(heap),
@@ -245,7 +289,7 @@ impl EventQueue {
     /// timestamps is identical no matter which shard inserted the event or
     /// in what order — the property that makes recorded output byte-stable
     /// across `--shards 1/2/4/8`. Keys must be unique per timestamp;
-    /// duplicate `(time, key)` pairs fall back to unspecified heap order.
+    /// duplicate `(time, key)` pairs pop in unspecified order.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: Event) {
         self.push_with_seq(time, key, event);
     }
@@ -259,10 +303,11 @@ impl EventQueue {
         let s = Scheduled { time, seq, event };
         let b = bucket_of(time);
         if b <= self.cur_bucket {
-            // Current bucket (or, for a standalone queue driven with
-            // non-monotone times, the past): the near heap orders it.
+            // Current bucket, already sorted (or, for a standalone queue
+            // driven with non-monotone times, the past): the late heap
+            // orders it and `pop` merges.
             self.stats.pushes_near += 1;
-            self.near.push(s);
+            self.late.push(s);
         } else if b - self.cur_bucket < WHEEL_SLOTS {
             self.stats.pushes_wheel += 1;
             let slot = (b % WHEEL_SLOTS) as usize;
@@ -274,10 +319,16 @@ impl EventQueue {
         }
     }
 
-    /// Rotate the wheel to the next non-empty bucket and refill the near
-    /// heap. Caller guarantees the near heap is empty and `len > 0`.
+    /// True when the near tier has nothing left to pop.
+    #[inline]
+    fn near_is_empty(&self) -> bool {
+        self.pos == self.order.len() && self.late.is_empty()
+    }
+
+    /// Rotate the wheel to the next non-empty bucket and sort its keys.
+    /// Caller guarantees the near tier is empty and `len > 0`.
     fn advance(&mut self) {
-        debug_assert!(self.near.is_empty());
+        debug_assert!(self.near_is_empty());
         // Next occupied wheel bucket after the current one: rotate the
         // occupancy mask so bit j corresponds to bucket cur_bucket + j + 1.
         let base = (self.cur_bucket % WHEEL_SLOTS) as u32;
@@ -297,28 +348,39 @@ impl EventQueue {
         self.cur_bucket = target;
         self.stats.advances += 1;
         let slot = (target % WHEEL_SLOTS) as usize;
-        // Drain the new current bucket (keeps the Vec's capacity, so steady
-        // state allocates nothing).
-        self.near.extend(self.wheel[slot].drain(..));
+        // The spent bucket's vector becomes the slot's empty one and the
+        // slot's vector becomes the current bucket: no event is copied and
+        // both keep their capacity, so steady state allocates nothing.
+        self.cur.clear();
+        std::mem::swap(&mut self.cur, &mut self.wheel[slot]);
         self.occupied &= !(1u64 << slot);
         // Restore the overflow invariant: events now within the horizon
-        // migrate to their buckets, events in the current bucket go near.
+        // migrate to their buckets. Nothing in the overflow heap is earlier
+        // than `target`, so the rest join the current bucket.
         while let Some(s) = self.overflow.peek() {
             let b = bucket_of(s.time);
-            if b <= self.cur_bucket {
-                let s = self.overflow.pop().expect("peeked");
-                self.stats.overflow_migrations += 1;
-                self.near.push(s);
-            } else if b - self.cur_bucket < WHEEL_SLOTS {
-                let s = self.overflow.pop().expect("peeked");
-                self.stats.overflow_migrations += 1;
+            if b - self.cur_bucket >= WHEEL_SLOTS {
+                break;
+            }
+            let s = self.overflow.pop().expect("peeked");
+            self.stats.overflow_migrations += 1;
+            if b == self.cur_bucket {
+                self.cur.push(s);
+            } else {
                 let slot = (b % WHEEL_SLOTS) as usize;
                 self.wheel[slot].push(s);
                 self.occupied |= 1u64 << slot;
-            } else {
-                break;
             }
         }
+        self.order.clear();
+        self.order
+            .extend(self.cur.iter().enumerate().map(|(idx, s)| Key {
+                time: s.time,
+                seq: s.seq,
+                idx: idx as u32,
+            }));
+        self.order.sort_unstable();
+        self.pos = 0;
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
@@ -326,10 +388,18 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        if self.near.is_empty() {
+        if self.near_is_empty() {
             self.advance();
         }
-        let s = self.near.pop();
+        // The earlier head of the sorted run and the late heap.
+        let s = match (self.order.get(self.pos), self.late.peek()) {
+            (Some(k), Some(l)) if (l.time, l.seq) < (k.time, k.seq) => self.late.pop(),
+            (Some(k), _) => {
+                self.pos += 1;
+                Some(self.cur[k.idx as usize])
+            }
+            (None, _) => self.late.pop(),
+        };
         debug_assert!(s.is_some(), "len tracked a phantom event");
         self.len -= s.is_some() as usize;
         s
@@ -343,10 +413,15 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        if self.near.is_empty() {
+        if self.near_is_empty() {
             self.advance();
         }
-        self.near.peek().map(|s| s.time)
+        let sorted = self.order.get(self.pos).map(|k| k.time);
+        let late = self.late.peek().map(|l| l.time);
+        match (sorted, late) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Number of pending events.
@@ -428,6 +503,14 @@ mod tests {
         Event::ControlTick
     }
 
+    /// A deterministic xorshift standing in for an RNG.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -496,7 +579,7 @@ mod tests {
     #[test]
     fn overflow_events_pop_in_order() {
         let mut q = EventQueue::new();
-        // Far beyond the ~16.8 µs horizon.
+        // Far beyond the ~4.2 µs horizon.
         q.push(SimTime::from_ms(5), tick());
         q.push(
             SimTime::from_ms(5),
@@ -522,7 +605,7 @@ mod tests {
     #[test]
     fn stats_track_tiers_and_migrations() {
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, tick()); // current bucket → near
+        q.push(SimTime::ZERO, tick()); // current bucket → late heap
         q.push(SimTime::from_us(1), tick()); // within horizon → wheel
         q.push(SimTime::from_ms(1), tick()); // beyond horizon → overflow
         let s = q.stats();
@@ -535,6 +618,76 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.overflow_migrations, 1);
         assert!(s.advances >= 2);
+    }
+
+    /// Every push is counted in exactly one tier, and once the queue has
+    /// drained every overflow push has migrated exactly once — the two
+    /// identities `event.wheel_push_frac` and
+    /// `event.overflow_migrations_per_event` are computed from.
+    #[test]
+    fn tier_counters_partition_the_pushes() {
+        let mut q = EventQueue::new();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut clock = SimTime::ZERO;
+        let mut pushed = 0u64;
+        for round in 0..5_000u64 {
+            let dt = match xorshift(&mut x) % 8 {
+                0 => 0,                                         // tie with the last pop
+                1..=3 => xorshift(&mut x) % 100_000,            // current bucket or next
+                4..=5 => xorshift(&mut x) % 4_000_000,          // across the wheel
+                _ => 5_000_000 + xorshift(&mut x) % 90_000_000, // beyond the horizon
+            };
+            q.push(clock + SimTime::from_ps(dt), tick());
+            pushed += 1;
+            if round % 3 != 0 {
+                clock = q.pop().expect("just pushed").time;
+            }
+        }
+        let s = q.stats();
+        assert_eq!(s.pushes_near + s.pushes_wheel + s.pushes_overflow, pushed);
+        assert!(s.pushes_near > 0 && s.pushes_wheel > 0 && s.pushes_overflow > 0);
+        assert!(s.overflow_migrations <= s.pushes_overflow);
+        while q.pop().is_some() {}
+        let s = q.stats();
+        assert_eq!(s.pushes_near + s.pushes_wheel + s.pushes_overflow, pushed);
+        assert_eq!(s.overflow_migrations, s.pushes_overflow);
+    }
+
+    /// Far events that share a bucket and reach it straight from the
+    /// overflow heap (nothing nearer is pending, so their bucket becomes
+    /// the current one) are sorted with it, and a push into that bucket
+    /// after the rotation still pops in its place.
+    #[test]
+    fn overflow_events_join_the_bucket_that_becomes_current() {
+        let mut q = EventQueue::new();
+        // 67 µs out and bucket-aligned; every offset below stays in its bucket.
+        let base = SimTime::from_ps(1 << 26);
+        for (key, off_ps) in [(7u64, 30_000u64), (3, 10_000), (9, 10_000), (1, 20_000)] {
+            q.push_keyed(base + SimTime::from_ps(off_ps), key, tick());
+        }
+        assert_eq!(q.peek_time(), Some(base + SimTime::from_ps(10_000)));
+        assert_eq!(q.stats().overflow_migrations, 4);
+        // After the sort: before the head, between two sorted events, and
+        // tied with one on time but ahead of it on key.
+        q.push_keyed(base + SimTime::from_ps(5_000), 8, tick());
+        q.push_keyed(base + SimTime::from_ps(15_000), 2, tick());
+        q.push_keyed(base + SimTime::from_ps(30_000), 4, tick());
+        assert_eq!(q.stats().pushes_near, 3);
+        let got: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|s| ((s.time - base).as_ps(), s.seq))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (5_000, 8),
+                (10_000, 3),
+                (10_000, 9),
+                (15_000, 2),
+                (20_000, 1),
+                (30_000, 4),
+                (30_000, 7)
+            ]
+        );
     }
 
     /// Keyed pushes pop in `(time, key)` order regardless of insertion
@@ -584,19 +737,14 @@ mod tests {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rng = move || xorshift(&mut x);
         let mut clock = SimTime::ZERO;
         for round in 0..2_000u64 {
             // Mostly near-future pushes, occasionally far-future, clustered
             // so ties happen.
             let dt = match rng() % 10 {
-                0..=5 => rng() % 600_000,                // within a couple of buckets
-                6..=7 => rng() % (16 << 20),             // across the wheel
+                0..=5 => rng() % 150_000,                // within a couple of buckets
+                6..=7 => rng() % (4 << 20),              // across the wheel
                 8 => 50_000_000 + rng() % 1_000_000_000, // overflow tier
                 _ => 0,                                  // exact tie with `clock`
             };
@@ -605,7 +753,7 @@ mod tests {
                 host: NodeId(0),
                 token: round,
             };
-            wheel.push(t, ev.clone());
+            wheel.push(t, ev);
             heap.push(t, ev);
             if rng() % 3 == 0 {
                 let a = wheel.pop();

@@ -171,7 +171,7 @@ impl std::error::Error for FaultPlanError {}
 pub const REBOOT_SETTLE: SimTime = SimTime::from_us(100);
 
 /// One injectable fault.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Fail the link attached to (`node`, `port`) — both directions.
     LinkDown {
@@ -457,7 +457,7 @@ impl FaultPlan {
     /// can reject a hand-edited plan before building a simulator.
     pub fn check_topology(&self, topo: &Topology) -> Result<(), FaultPlanError> {
         for (event, ev) in self.events.iter().enumerate() {
-            let kind = ev.kind.clone();
+            let kind = ev.kind;
             let (node, port) = kind.target();
             let Some(info) = topo.nodes.get(node.idx()) else {
                 return Err(FaultPlanError::UnknownNode { event, kind });

@@ -11,11 +11,16 @@
 //!
 //! * **Per-event-type dispatch timing** — exact dispatch *counts* per
 //!   [`crate::event::Event`] kind, with wall-clock self-time histograms
-//!   sampled 1-in-[`SAMPLE_EVERY`] (two `Instant::now()` calls per *sampled*
-//!   event keeps overhead within the ≤5% events/sec budget; total self time
-//!   is estimated by scaling the sampled sum).
-//! * **Queue shape** — a histogram of pending-event counts at sampled
-//!   dispatches, plus the timing wheel's tier/rotation counters
+//!   sampled 1-in-[`SAMPLE_EVERY`] (three `Instant::now()` calls per
+//!   *sampled* event — before the queue, between queue and handler, after
+//!   the handler — keep overhead within the ≤5% events/sec budget; total
+//!   self time is estimated by scaling the sampled sum).
+//! * **The event queue** — on the same sampled dispatches, the wall-clock
+//!   time of finding and removing the event (`peek_time` + `pop`, wheel
+//!   rotation and bucket sort included), reported as the queue's estimated
+//!   share of engine time beside the per-kind self times; pushes are O(1)
+//!   appends and stay inside the kind that made them. Plus a histogram of
+//!   pending-event counts and the timing wheel's tier/rotation counters
 //!   ([`crate::event::QueueStats`]).
 //! * **Per-queue pathologies** — histograms of the egress queue depth at
 //!   every ECN CE-mark and every drop, and of PFC pause durations.
@@ -131,6 +136,9 @@ pub struct SimProfiler {
     origin: Instant,
     countdown: u32,
     kinds: [KindStats; N_EVENT_KINDS],
+    /// Wall-clock time of `peek_time` + `pop` at sampled dispatches,
+    /// nanoseconds.
+    pub queue_ns: Histogram,
     /// Pending-event count at sampled dispatches.
     pub queue_depth: Histogram,
     /// Egress queue depth (bytes) at each ECN CE mark.
@@ -159,6 +167,7 @@ impl SimProfiler {
             origin: Instant::now(),
             countdown: SAMPLE_EVERY,
             kinds: std::array::from_fn(|_| KindStats::new()),
+            queue_ns: Histogram::new(),
             queue_depth: Histogram::new(),
             ecn_mark_qlen: Histogram::new(),
             drop_qlen: Histogram::new(),
@@ -187,6 +196,30 @@ impl SimProfiler {
         } else {
             None
         }
+    }
+
+    /// Call before asking the event queue for the next event: a start
+    /// instant if the next dispatch is a sampled one. Consumes nothing —
+    /// the queue may turn out to hold nothing due.
+    #[inline]
+    pub(crate) fn queue_begin(&self) -> Option<Instant> {
+        (self.countdown == 1).then(Instant::now)
+    }
+
+    /// [`SimProfiler::dispatch_begin`] for a dispatch whose event was
+    /// looked up since `queue_t0` (what [`SimProfiler::queue_begin`]
+    /// returned): on sampled dispatches the time in between is the queue's.
+    #[inline]
+    pub(crate) fn dispatch_begin_after_queue(
+        &mut self,
+        queue_t0: Option<Instant>,
+    ) -> Option<Instant> {
+        let t0 = self.dispatch_begin();
+        if let (Some(q0), Some(t0)) = (queue_t0, t0) {
+            self.queue_ns
+                .record(t0.duration_since(q0).as_nanos() as u64);
+        }
+        t0
     }
 
     /// Call after dispatching an event of `kind`. `t0` is whatever
@@ -319,6 +352,9 @@ impl SimProfiler {
     /// percentiles, queue-shape histograms and the timing-wheel counters.
     /// Schema documented in EXPERIMENTS.md ("Observability & profiling").
     pub fn summary_json(&self, queue: QueueStats) -> Value {
+        let queue_est_ns = self.queue_ns.sum() as f64 * SAMPLE_EVERY as f64;
+        let kinds_est_ns: f64 = self.kinds.iter().map(KindStats::est_total_self_ns).sum();
+        let engine_est_ns = queue_est_ns + kinds_est_ns;
         let kinds: Vec<Value> = self
             .kinds
             .iter()
@@ -347,6 +383,11 @@ impl SimProfiler {
                 "pushes_overflow": queue.pushes_overflow,
                 "advances": queue.advances,
                 "overflow_migrations": queue.overflow_migrations,
+                "timed": self.queue_ns.count(),
+                "sampling": SAMPLE_EVERY,
+                "est_total_ns": queue_est_ns,
+                "est_share": if engine_est_ns > 0.0 { queue_est_ns / engine_est_ns } else { 0.0 },
+                "ns": hist_json(&self.queue_ns),
             },
             "spans": self.spans.len(),
             "instants": self.instants.len(),
@@ -418,6 +459,30 @@ mod tests {
         assert_eq!(k.count, 160);
         assert_eq!(k.timed, 160 / SAMPLE_EVERY as u64);
         assert_eq!(p.queue_depth.count(), k.timed);
+        assert_eq!(p.queue_ns.count(), 0, "nobody timed the queue");
+    }
+
+    /// The engine's calling sequence: the queue is timed on exactly the
+    /// dispatches whose handler is, and a look-up that finds nothing due
+    /// consumes no sample.
+    #[test]
+    fn queue_is_timed_on_the_sampled_dispatches() {
+        let mut p = SimProfiler::new();
+        for i in 0..160 {
+            if i % 5 == 0 {
+                let _nothing_due = p.queue_begin();
+            }
+            let q0 = p.queue_begin();
+            let t0 = p.dispatch_begin_after_queue(q0);
+            assert_eq!(q0.is_some(), t0.is_some());
+            p.dispatch_end(1, t0, 5);
+        }
+        assert_eq!(p.kind_stats()[1].timed, 160 / SAMPLE_EVERY as u64);
+        assert_eq!(p.queue_ns.count(), 160 / SAMPLE_EVERY as u64);
+        let q = &p.summary_json(QueueStats::default())["event_queue"];
+        assert_eq!(q["timed"].as_u64(), Some(10));
+        let share = q["est_share"].as_f64().unwrap();
+        assert!((0.0..=1.0).contains(&share), "share {share}");
     }
 
     #[test]

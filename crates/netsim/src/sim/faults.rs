@@ -384,7 +384,7 @@ impl Simulator {
         let now = self.core.now;
         for ev in &plan.events {
             let at = ev.at.max(now);
-            self.core.schedule(at, Event::Fault(ev.kind.clone()));
+            self.core.schedule(at, Event::Fault(ev.kind));
         }
         Ok(())
     }
@@ -662,13 +662,13 @@ mod tests {
         for (i, ev) in plan.events.iter().enumerate() {
             let (kind, executed) = (&ev.kind, i as u64 + 1);
             names.insert(kind.name());
-            whole.core_mut().apply_fault(kind.clone());
+            whole.core_mut().apply_fault(*kind);
             let want = (vec![kind.name()], expected(kind), executed, executed);
             assert_eq!(reported(&mut whole), want, "{kind:?}");
 
             let mut sum = (Vec::new(), Vec::new(), 0, 0);
             for shard in shards.iter_mut() {
-                shard.core_mut().apply_fault(kind.clone());
+                shard.core_mut().apply_fault(*kind);
                 let (log, traced, instants, count) = reported(shard);
                 sum.0.extend(log);
                 sum.1.extend(traced);
@@ -712,7 +712,7 @@ mod tests {
         for (kind, refusal, says) in cases {
             let plan = FaultPlan::new(1)
                 .at(SimTime::from_us(1), FaultKind::TelemetryBlank { node: sw })
-                .at(SimTime::from_us(2), kind.clone());
+                .at(SimTime::from_us(2), kind);
             let err = sim.install_fault_plan(&plan).unwrap_err();
             assert_eq!(err, refusal(1, kind));
             assert_eq!(err.to_string(), says);

@@ -900,20 +900,29 @@ impl Simulator {
 
     /// Process a single event. Returns `false` when the event queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(s) = self.core.events.pop() else {
+        self.step_through(SimTime::MAX)
+    }
+
+    /// Process the earliest event if it fires at or before `limit`.
+    /// Returns `false` when nothing is due.
+    fn step_through(&mut self, limit: SimTime) -> bool {
+        // Self-profiling: disabled this is one pointer check; enabled it
+        // reads the wall clock around the queue and the handler on
+        // 1-in-SAMPLE_EVERY dispatches and tallies the kind on all of
+        // them. Wall-clock only — the simulated trajectory is untouched
+        // either way.
+        let queue_t0 = self.core.prof.as_ref().map(|p| p.queue_begin());
+        if self.core.events.peek_time().is_none_or(|t| t > limit) {
             return false;
-        };
+        }
+        let s = self.core.events.pop().expect("peeked an event");
         debug_assert!(s.time >= self.core.now, "time went backwards");
         self.core.now = s.time;
         self.core.events_processed += 1;
-        // Self-profiling: disabled this is one pointer check; enabled it
-        // reads the wall clock on 1-in-SAMPLE_EVERY dispatches and tallies
-        // the kind on all of them. Wall-clock only — the simulated
-        // trajectory is untouched either way.
-        let prof_t0 = match self.core.prof.as_mut() {
-            Some(p) => Some((event_kind(&s.event), p.dispatch_begin())),
-            None => None,
-        };
+        let prof_t0 = queue_t0.and_then(|q0| {
+            let p = self.core.prof.as_mut()?;
+            Some((event_kind(&s.event), p.dispatch_begin_after_queue(q0)))
+        });
         match s.event {
             Event::Arrive { node, port, pkt } => {
                 if self.core.rx_fault_drop(node, port, &pkt) {
@@ -980,12 +989,7 @@ impl Simulator {
     /// Run until simulated time reaches `t` (events at exactly `t` are
     /// processed). Afterwards `now() == t` even if the queue drained early.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(next) = self.core.events.peek_time() {
-            if next > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_through(t) {}
         self.advance_now_to(t);
     }
 
@@ -1000,12 +1004,12 @@ impl Simulator {
     /// [`Simulator::run_until`] this never advances `now` past the last
     /// processed event — the sharded run loop owns time advancement.
     pub fn run_events_before(&mut self, bound: SimTime) -> u64 {
+        // Strictly below `bound` is at or before the picosecond before it.
+        let Some(limit) = bound.as_ps().checked_sub(1) else {
+            return 0;
+        };
         let mut n = 0;
-        while let Some(next) = self.core.events.peek_time() {
-            if next >= bound {
-                break;
-            }
-            self.step();
+        while self.step_through(SimTime::from_ps(limit)) {
             n += 1;
         }
         n

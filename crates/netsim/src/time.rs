@@ -145,7 +145,10 @@ impl fmt::Display for SimTime {
 
 /// Time needed to serialize `bytes` onto a link running at `rate_bps`.
 ///
-/// Exact in picoseconds up to rounding of the final division.
+/// Exact in picoseconds up to rounding of the final division. Every packet
+/// the engine serialises fits the `u64` arm (up to 2.3 MB); the `u128` arm
+/// exists for the flow backend's whole-message sizes, and keeps the 128-bit
+/// division routine off the per-packet path.
 ///
 /// ```
 /// use netsim::time::{tx_time, SimTime};
@@ -155,8 +158,19 @@ impl fmt::Display for SimTime {
 #[inline]
 pub fn tx_time(bytes: u64, rate_bps: u64) -> SimTime {
     debug_assert!(rate_bps > 0, "link rate must be positive");
-    let ps = (bytes as u128 * 8 * 1_000_000_000_000u128) / rate_bps as u128;
-    SimTime(ps as u64)
+    match bytes.checked_mul(PS_PER_BYTE_BPS) {
+        Some(bit_ps) => SimTime(bit_ps / rate_bps),
+        None => SimTime(tx_time_wide(bytes, rate_bps)),
+    }
+}
+
+/// Picoseconds a byte takes at 1 bit/s: 8 bits × 10^12 ps/s.
+const PS_PER_BYTE_BPS: u64 = 8_000_000_000_000;
+
+/// [`tx_time`] in 128-bit arithmetic, for byte counts whose bit-picosecond
+/// product overflows a `u64`.
+fn tx_time_wide(bytes: u64, rate_bps: u64) -> u64 {
+    (bytes as u128 * PS_PER_BYTE_BPS as u128 / rate_bps as u128) as u64
 }
 
 /// Convert a byte count and a time span into an achieved rate in bits/s.
@@ -200,6 +214,45 @@ mod tests {
         // 1048B @ 25G = 335.36 ns.
         assert_eq!(tx_time(1048, 25_000_000_000), SimTime::from_ps(335_360));
         assert_eq!(tx_time(0, 25_000_000_000), SimTime::ZERO);
+    }
+
+    /// The `u64` arm and the `u128` arm are the same function, on both sides
+    /// of the overflow boundary (`u64::MAX / 8e12` = 2 305 843 bytes).
+    #[test]
+    fn tx_time_narrow_arm_equals_wide_formula() {
+        let boundary = u64::MAX / PS_PER_BYTE_BPS;
+        let sizes = [
+            1,
+            64,
+            1048,
+            9048,
+            1 << 21,
+            boundary,
+            boundary + 1,
+            1 << 22,
+            u64::MAX / 8,
+        ];
+        let rates = [
+            1_000_000_000,
+            10_000_000_000,
+            25_000_000_000,
+            40_000_000_000,
+            100_000_000_000,
+            400_000_000_000,
+            24_999_999_977, // a prime: the division never comes out even
+        ];
+        assert!(boundary.checked_mul(PS_PER_BYTE_BPS).is_some());
+        assert!((boundary + 1).checked_mul(PS_PER_BYTE_BPS).is_none());
+        for bytes in sizes {
+            for rate in rates {
+                let wide = tx_time_wide(bytes, rate);
+                assert_eq!(
+                    tx_time(bytes, rate),
+                    SimTime(wide),
+                    "{bytes} B at {rate} bps"
+                );
+            }
+        }
     }
 
     #[test]

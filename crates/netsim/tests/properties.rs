@@ -10,7 +10,7 @@ use netsim::topology::{PortInfo, Topology, TopologyBuilder, TopologySpec};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Counts this thread's heap allocations, so a test can assert that a call
 /// made none while the other tests of this binary run on their own threads.
@@ -200,6 +200,86 @@ fn assert_matches_reference(table: &RouteTable, topo: &Topology, up: &[Vec<bool>
     }
 }
 
+/// Offsets from an anchor time that land a push in every tier of the wheel
+/// (65.5-ns buckets, 4.2-µs horizon).
+fn queue_offset_ps() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),                // exactly the anchor
+        0u64..70_000,              // the anchor's bucket or its neighbour
+        0u64..4_000_000,           // across the wheel
+        4_000_000u64..60_000_000,  // beyond the horizon
+        50_000_000u64..50_060_000, // beyond the horizon, many to one bucket
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The wheel against a sorted `(time, key)` set, with the pushes the
+    /// near tier has to get right: at exactly the time of the last pop and
+    /// elsewhere in the bucket being drained (the late heap, merged with
+    /// the sorted run), around the earliest pending event right after a
+    /// `peek_time` rotated the wheel to it (the current bucket, or before
+    /// it), and clustered beyond the horizon so that far events reach one
+    /// bucket together — as migrations into a slot or straight into the
+    /// bucket that becomes current. `keyed` cases use `push_keyed` with
+    /// unique, non-monotone, full-range keys; the others `push`, whose key
+    /// is the push count. Every pop is checked for `(time, seq)`, every
+    /// step for `len()`/`peak_len()`, every peek for the head time.
+    #[test]
+    fn wheel_near_tier_matches_sorted_model(
+        keyed in any::<bool>(),
+        ops in prop::collection::vec(
+            (0u8..8, any::<bool>(), queue_offset_ps(), any::<u64>()),
+            1..600,
+        ),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut last_pop = SimTime::ZERO;
+        let mut pushes = 0u64;
+        let mut peak = 0usize;
+        for &(action, from_head, off, key) in &ops {
+            match action {
+                0..=4 => {
+                    let head = model.first().map_or(last_pop, |&(t, _)| t);
+                    let anchor = if from_head { head } else { last_pop };
+                    let t = anchor + SimTime::from_ps(off);
+                    let ev = Event::HostTimer { host: NodeId(0), token: pushes };
+                    if keyed {
+                        // Keys must be unique per timestamp.
+                        if !model.insert((t, key)) {
+                            continue;
+                        }
+                        q.push_keyed(t, key, ev);
+                    } else {
+                        model.insert((t, pushes));
+                        q.push(t, ev);
+                    }
+                    pushes += 1;
+                    peak = peak.max(model.len());
+                }
+                5..=6 => {
+                    let want = model.pop_first();
+                    prop_assert_eq!(q.pop().map(|s| (s.time, s.seq)), want);
+                    if let Some((t, _)) = want {
+                        last_pop = t;
+                    }
+                }
+                _ => prop_assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t)),
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peak_len(), peak);
+        }
+        while let Some(want) = model.pop_first() {
+            prop_assert_eq!(q.pop().map(|s| (s.time, s.seq)), Some(want));
+            prop_assert_eq!(q.len(), model.len());
+        }
+        prop_assert!(q.pop().is_none() && q.is_empty());
+        prop_assert_eq!(q.peak_len(), peak);
+    }
+}
+
 proptest! {
     /// The event queue pops events in nondecreasing time order, and events
     /// with identical times pop in insertion order.
@@ -257,7 +337,7 @@ proptest! {
             }
             let t = SimTime::from_ps(t_ps);
             let ev = Event::HostTimer { host: NodeId(0), token: i as u64 };
-            wheel.push(t, ev.clone());
+            wheel.push(t, ev);
             heap.push(t, ev);
             prop_assert_eq!(wheel.len(), heap.len());
             if do_pop {

@@ -14,6 +14,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Timer-token kinds (low 3 bits of the token).
@@ -99,14 +100,48 @@ impl Ord for PendingMsg {
     }
 }
 
+/// Hasher for the flow tables: one multiply and one fold per `u64` key in
+/// place of SipHash, which was 4–7 % of a packet run (both tables are probed
+/// on every pace timer and every data packet). Flow ids are
+/// `host << 32 | seq`, so the fold brings the host bits down to where the
+/// table takes its bucket index from. Keys come from this program, never
+/// from outside it, so there is no collision attack to resist; and
+/// iteration order is never observed — nothing iterates either table
+/// outside a one-entry test, and the default `RandomState` made the order
+/// unobservable already — so results cannot depend on the hash.
+#[derive(Default)]
+struct FlowKeyHasher(u64);
+
+impl Hasher for FlowKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type FlowMap<V> = HashMap<u64, V, BuildHasherDefault<FlowKeyHasher>>;
+
 /// The [`NicDriver`] implementing all host-side protocol behaviour.
 pub struct HostStack {
     host: NodeId,
     cfg: StackConfig,
     fct: SharedFct,
     app: Option<Rc<RefCell<dyn AppHook>>>,
-    flows: HashMap<u64, SendFlow>,
-    recv: HashMap<u64, RecvFlow>,
+    flows: FlowMap<SendFlow>,
+    recv: FlowMap<RecvFlow>,
     pending: BinaryHeap<Reverse<PendingMsg>>,
     /// Flows whose pacer/window allows sending but that found the NIC
     /// backlog full; drained round-robin on TX completions (the way real
@@ -130,8 +165,8 @@ impl HostStack {
             cfg,
             fct,
             app: None,
-            flows: HashMap::new(),
-            recv: HashMap::new(),
+            flows: FlowMap::default(),
+            recv: FlowMap::default(),
             pending: BinaryHeap::new(),
             ready: std::collections::VecDeque::new(),
             next_seq: 1,
