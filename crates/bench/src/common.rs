@@ -818,23 +818,30 @@ impl Drop for Scenario {
     }
 }
 
-/// The engine counters a run manifest reports. Over shards they sum, except
-/// the event-queue peak, which is the deepest any one shard saw.
+/// The engine counters run manifests and gate rows report. Over shards
+/// they sum, except the event-queue peak, which is the deepest any one
+/// shard saw.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct EngineTotals {
     pub events_processed: u64,
     pub peak_event_queue: u64,
     pub fault_log_dropped: u64,
     pub trace_evicted: u64,
+    /// Packet-slab slots reserved at build, and the most queued at once.
+    pub arena_slots_reserved: u64,
+    pub arena_slots_peak: u64,
 }
 
 impl EngineTotals {
     pub fn of(core: &netsim::sim::SimCore) -> Self {
+        let (arena_slots_reserved, arena_slots_peak) = core.arena_slots();
         EngineTotals {
             events_processed: core.events_processed,
             peak_event_queue: core.event_queue_peak(),
             fault_log_dropped: core.fault_log_dropped,
             trace_evicted: core.tracer.as_ref().map(|t| t.evicted).unwrap_or(0),
+            arena_slots_reserved: arena_slots_reserved as u64,
+            arena_slots_peak: arena_slots_peak as u64,
         }
     }
 
@@ -843,6 +850,8 @@ impl EngineTotals {
         self.peak_event_queue = self.peak_event_queue.max(o.peak_event_queue);
         self.fault_log_dropped += o.fault_log_dropped;
         self.trace_evicted += o.trace_evicted;
+        self.arena_slots_reserved += o.arena_slots_reserved;
+        self.arena_slots_peak += o.arena_slots_peak;
     }
 }
 

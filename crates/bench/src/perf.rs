@@ -91,7 +91,7 @@ pub fn paired_ratio(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> P
 /// The warmup/steady allocation window every engine row is measured through.
 ///
 /// The first fifth of a row's horizon is warmup: one-time capacity growth
-/// (per-port queue arenas, event-queue slots, flow tables and slabs filling
+/// (the packet slab, event-queue slots, flow tables and slabs filling
 /// to their high-water marks) happens there and is reported apart. The
 /// allocation columns cover the steady remainder, which the zero-allocation
 /// gates hold to exactly 0. The probe is read at the window's three edges;
@@ -180,13 +180,20 @@ fn with(mut row: Value, extra: Value) -> Value {
 // Packet and sharded rows.
 // ---------------------------------------------------------------------------
 
-/// Run a built packet scenario to `horizon` through the window.
+/// Run a built packet scenario to `horizon` through the window. The
+/// `arena_slots_*` columns (here and on the sharded rows) are the packet
+/// slab's slots reserved at build and the most queued at once; `peak <=
+/// reserved` is what the packet path's zero-allocation gates rest on.
 fn packet_row(h: &Harness, name: &str, mut sc: Scenario, horizon: SimTime) -> Value {
     let (w, warmup, events) = Window::drive(h, horizon, |t| {
         sc.sim.run_until(t);
         sc.sim.core().events_processed
     });
-    w.row(name, warmup, events, sc.sim.core().event_queue_peak())
+    let (reserved, peak) = sc.sim.core().arena_slots();
+    with(
+        w.row(name, warmup, events, sc.sim.core().event_queue_peak()),
+        json!({"arena_slots_reserved": reserved, "arena_slots_peak": peak}),
+    )
 }
 
 /// Incast-heavy: repeated N-to-1 waves through one switch — the queue-depth
@@ -307,6 +314,8 @@ fn xl_clos_sharded(h: &Harness, n_shards: u32) -> Value {
     with(
         row,
         json!({
+            "arena_slots_reserved": report.arena_slots_reserved,
+            "arena_slots_peak": report.arena_slots_peak,
             "shards": n_shards,
             "remote_events": report.remote_events(),
             "shard_events": shard_events,
@@ -816,15 +825,33 @@ pub const GATES: &[Gate] = {
         gate("websearch-load", "warmup_events", Gt, Num(0.0)),
         gate("websearch-load", "peak_event_queue", Gt, Num(0.0)),
         gate("websearch-load", "allocations_per_event", Eq, Num(0.0)),
+        gate(
+            "websearch-load",
+            "arena_slots_peak",
+            Le,
+            Col("arena_slots_reserved", 0.0),
+        ),
         gate("fault-plan", "events_processed", Gt, Num(0.0)),
         gate("fault-plan", "warmup_events", Gt, Num(0.0)),
         gate("fault-plan", "peak_event_queue", Gt, Num(0.0)),
         gate("fault-plan", "allocations_per_event", Eq, Num(0.0)),
+        gate(
+            "fault-plan",
+            "arena_slots_peak",
+            Le,
+            Col("arena_slots_reserved", 0.0),
+        ),
         // Sharded engine: the same bar per shard, and the shards did talk.
         gate("xl-clos-1024/1shard", "events_processed", Gt, Num(0.0)),
         gate("xl-clos-1024/1shard", "warmup_events", Gt, Num(0.0)),
         gate("xl-clos-1024/1shard", "peak_event_queue", Gt, Num(0.0)),
         gate("xl-clos-1024/1shard", "allocations_per_event", Eq, Num(0.0)),
+        gate(
+            "xl-clos-1024/1shard",
+            "arena_slots_peak",
+            Le,
+            Col("arena_slots_reserved", 0.0),
+        ),
         gate(
             "xl-clos-1024/1shard",
             "shard_events",
@@ -835,6 +862,20 @@ pub const GATES: &[Gate] = {
         gate("xl-clos-1024/2shard", "warmup_events", Gt, Num(0.0)),
         gate("xl-clos-1024/2shard", "peak_event_queue", Gt, Num(0.0)),
         gate("xl-clos-1024/2shard", "allocations_per_event", Eq, Num(0.0)),
+        gate(
+            "xl-clos-1024/2shard",
+            "arena_slots_peak",
+            Le,
+            Col("arena_slots_reserved", 0.0),
+        ),
+        // Sharding must not multiply the slab: the 1-shard row reserves
+        // 270,336 slots (132 switches x 2,048), and every switch has one owner.
+        gate(
+            "xl-clos-1024/2shard",
+            "arena_slots_reserved",
+            Le,
+            Num(540_672.0),
+        ),
         gate(
             "xl-clos-1024/2shard",
             "shard_events",
@@ -1090,11 +1131,19 @@ mod tests {
         })
     }
 
+    /// A packet-engine row that passes every gate on it.
+    fn packet_fixture(name: &str, allocs: Value) -> Value {
+        with(
+            engine_row(name, allocs),
+            json!({"arena_slots_reserved": 270_336u64, "arena_slots_peak": 1_500u64}),
+        )
+    }
+
     /// A document that passes every gate, its allocation columns `allocs`.
     fn clean(probe: bool, allocs: Value) -> Value {
         let sharded = |name: &str, shards: u64| {
             with(
-                engine_row(name, allocs.clone()),
+                packet_fixture(name, allocs.clone()),
                 json!({
                     "shards": shards, "remote_events": 900 * (shards - 1),
                     "shard_events": vec![5u64; shards as usize],
@@ -1107,9 +1156,9 @@ mod tests {
             "alloc_probe": probe,
             "host_cores": 2u64,
             "rows": [
-                engine_row("incast-heavy", allocs.clone()),
-                engine_row("websearch-load", allocs.clone()),
-                engine_row("fault-plan", allocs.clone()),
+                packet_fixture("incast-heavy", allocs.clone()),
+                packet_fixture("websearch-load", allocs.clone()),
+                packet_fixture("fault-plan", allocs.clone()),
                 sharded("xl-clos-1024/1shard", 1),
                 sharded("xl-clos-1024/2shard", 2),
                 with(engine_row("xl-flows", allocs.clone()), json!({

@@ -646,18 +646,27 @@ fn print_soak_report(path: &Path, text: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// A file of this test's own in the system temp directory: a fresh
+    /// checkout has no `target/` under the crate for a relative path to
+    /// land in. The caller removes it.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("acc-bench-report-{}-{name}", std::process::id()))
+    }
 
     #[test]
     fn missing_dir_is_an_error() {
-        let err = print_report(Path::new("target/definitely-missing-metrics")).unwrap_err();
+        let err = print_report(&scratch("definitely-missing-metrics")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
     fn profile_report_rejects_non_artifacts() {
-        let path = Path::new("target/test_profile_report_bogus.json");
-        std::fs::write(path, "{\"schema\": \"nope\"}").unwrap();
-        let err = print_profile_report(path).unwrap_err();
+        let path = scratch("bogus.json");
+        std::fs::write(&path, "{\"schema\": \"nope\"}").unwrap();
+        let err = print_profile_report(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -665,8 +674,8 @@ mod tests {
     fn profile_report_renders_book_artifact() {
         use netsim::event::QueueStats;
         use netsim::profile::SimProfiler;
-        let path = Path::new("target/test_profile_report_ok.json");
-        let mut book = crate::profile::ProfileBook::new(path);
+        let path = scratch("ok.json");
+        let mut book = crate::profile::ProfileBook::new(&path);
         let mut prof = SimProfiler::new();
         for _ in 0..32 {
             let t0 = prof.dispatch_begin();
@@ -692,7 +701,9 @@ mod tests {
             &[],
         );
         book.write().unwrap();
-        print_profile_report(path).unwrap();
+        let printed = print_profile_report(&path);
+        std::fs::remove_file(&path).unwrap();
+        printed.unwrap();
     }
 
     #[test]

@@ -92,6 +92,10 @@ pub struct ShardedReport {
     pub invalid_final_configs: usize,
     /// Deepest future-event queue over all shards.
     pub peak_event_queue: u64,
+    /// Packet-slab slots the shards reserved at build, and the most each
+    /// held queued at once, both summed over shards.
+    pub arena_slots_reserved: u64,
+    pub arena_slots_peak: u64,
     /// Guard counters summed over every switch of every shard (each switch
     /// is guarded in the one shard that owns it); `None` for unguarded
     /// policies.
@@ -264,6 +268,8 @@ pub fn run_scenario_sharded_phased(
         fault_drops,
         invalid_final_configs,
         peak_event_queue: engine.peak_event_queue,
+        arena_slots_reserved: engine.arena_slots_reserved,
+        arena_slots_peak: engine.arena_slots_peak,
         guard,
     }
 }

@@ -19,11 +19,14 @@ pub struct PortConfig {
     /// Per-class maximum queue depth in bytes (drop-tail bound). PFC should
     /// keep lossless classes well below this.
     pub max_queue_bytes: Vec<u64>,
-    /// Initial capacity, in packets, of each port's arena (the slab backing
-    /// all of the port's egress queues). The arena grows on demand, but any
-    /// growth is a heap allocation on the packet hot path — size this above
-    /// the deepest per-port backlog the workload reaches to keep the
-    /// steady state allocation-free.
+    /// Packets of slab capacity reserved per switch. A simulation core keeps
+    /// one slab behind every egress queue of every port it simulates and
+    /// creates it with room for `arena_slots` packets for each switch it
+    /// owns (all of them, unsharded; at least one switch's worth). The slab
+    /// grows on demand, but any growth is a heap allocation on the packet
+    /// hot path — size this above the deepest backlog per switch the
+    /// workload reaches, host NIC queues included, to keep the steady
+    /// state allocation-free (`acc-bench perf` prints both numbers).
     #[serde(default = "default_arena_slots")]
     pub arena_slots: usize,
 }

@@ -3,9 +3,9 @@
 //! The future-event list is a **timing wheel** ([`EventQueue`]) whose rule
 //! is *order keys, not events*. A push appends the 64-byte event to the
 //! unsorted bucket its time falls in, and that is the only time the event
-//! is written. When the wheel reaches the bucket, one small `(time, seq,
-//! index)` key per event is sorted, once, and pops walk the keys and read
-//! each event where the push left it. Far-future timers (control ticks,
+//! is written. When the wheel reaches the bucket, one 8-byte `(offset in
+//! the bucket, index)` key per event is sorted, once, and pops walk the keys
+//! and read each event where the push left it. Far-future timers (control ticks,
 //! telemetry sampling, retransmit timeouts, scheduled faults) wait in an
 //! overflow heap until the wheel rotates toward them, and the few pushes
 //! that arrive for a bucket already sorted go to a small side heap that
@@ -150,16 +150,16 @@ const fn bucket_of(time: SimTime) -> u64 {
     time.as_ps() >> BUCKET_PS_SHIFT
 }
 
-/// Where one event of the current bucket sits, and when it fires. Derived
-/// `Ord` compares `(time, seq)` first — unique per event for [`EventQueue::push`],
-/// and for [`EventQueue::push_keyed`] by its contract — so `idx` never
-/// decides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    time: SimTime,
-    seq: u64,
-    /// Index into `EventQueue::cur`.
-    idx: u32,
+/// The sort key of event `idx` of the current bucket: its offset into the
+/// bucket (all of `cur` is one bucket, so `BUCKET_PS_SHIFT` bits of its time
+/// order it) above its index into `EventQueue::cur`.
+fn sort_key(idx: usize, time: SimTime) -> u64 {
+    (time.as_ps() & ((1 << BUCKET_PS_SHIFT) - 1)) << 32 | idx as u64
+}
+
+/// The index into `EventQueue::cur` a sort key carries.
+fn key_index(key: u64) -> usize {
+    key as u32 as usize
 }
 
 /// The future-event list: a single-level timing wheel over an overflow heap.
@@ -168,7 +168,7 @@ struct Key {
 ///
 /// * **near** — the bucket currently being drained. Its events stay where
 ///   they were pushed (`cur`, the slot's own vector, swapped in whole when
-///   the wheel reaches it); one 24-byte `Key` per event is sorted once
+///   the wheel reaches it); one 8-byte key per event is sorted once
 ///   per rotation (`order`) and `pop` walks that order with a cursor,
 ///   copying each 64-byte event out exactly once. Pushes that arrive for
 ///   the current bucket after its sort, or for the past, go to the small
@@ -192,8 +192,9 @@ struct Key {
 pub struct EventQueue {
     /// The current bucket's events, in push order; read in place by `pop`.
     cur: Vec<Scheduled>,
-    /// One key per event of `cur`, sorted ascending at rotation.
-    order: Vec<Key>,
+    /// One key per event of `cur` (see `sort_key`), in `(time, seq)` order
+    /// of the events after a rotation.
+    order: Vec<u64>,
     /// Cursor into `order`: keys before it have been popped.
     pos: usize,
     /// Events at or before the current bucket pushed after its sort.
@@ -372,14 +373,27 @@ impl EventQueue {
                 self.occupied |= 1u64 << slot;
             }
         }
+        let cur = &self.cur;
         self.order.clear();
         self.order
-            .extend(self.cur.iter().enumerate().map(|(idx, s)| Key {
-                time: s.time,
-                seq: s.seq,
-                idx: idx as u32,
-            }));
+            .extend(cur.iter().enumerate().map(|(idx, s)| sort_key(idx, s.time)));
         self.order.sort_unstable();
+        // Events of equal time now stand in index order: `seq` order for
+        // `push`, but keyed pushes (and keyed migrants from the overflow
+        // heap) arrive in any order. Settle each run of equal times by `seq`.
+        let order = &mut self.order[..];
+        let mut i = 0;
+        while i + 1 < order.len() {
+            let offset = order[i] >> 32;
+            let mut end = i + 1;
+            while end < order.len() && order[end] >> 32 == offset {
+                end += 1;
+            }
+            if end - i > 1 {
+                order[i..end].sort_unstable_by_key(|&k| cur[key_index(k)].seq);
+            }
+            i = end;
+        }
         self.pos = 0;
     }
 
@@ -392,11 +406,12 @@ impl EventQueue {
             self.advance();
         }
         // The earlier head of the sorted run and the late heap.
-        let s = match (self.order.get(self.pos), self.late.peek()) {
-            (Some(k), Some(l)) if (l.time, l.seq) < (k.time, k.seq) => self.late.pop(),
-            (Some(k), _) => {
+        let sorted = self.order.get(self.pos).map(|&k| &self.cur[key_index(k)]);
+        let s = match (sorted, self.late.peek()) {
+            (Some(s), Some(l)) if (l.time, l.seq) < (s.time, s.seq) => self.late.pop(),
+            (Some(s), _) => {
                 self.pos += 1;
-                Some(self.cur[k.idx as usize])
+                Some(*s)
             }
             (None, _) => self.late.pop(),
         };
@@ -416,7 +431,10 @@ impl EventQueue {
         if self.near_is_empty() {
             self.advance();
         }
-        let sorted = self.order.get(self.pos).map(|k| k.time);
+        let sorted = self
+            .order
+            .get(self.pos)
+            .map(|&k| self.cur[key_index(k)].time);
         let late = self.late.peek().map(|l| l.time);
         match (sorted, late) {
             (Some(a), Some(b)) => Some(a.min(b)),

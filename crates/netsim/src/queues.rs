@@ -128,57 +128,23 @@ pub struct QueueTelemetry {
 /// throughout the engine).
 pub const MAX_PRIOS: usize = 8;
 
-/// Cache-line-aligned structure-of-arrays telemetry block for all traffic
-/// classes of one port.
-///
-/// Counters that used to live inline in each [`EgressQueue`]
-/// (array-of-structs) are packed here as one array per counter, indexed by
-/// class. Two wins for the sharded engine:
+/// Cache-line-aligned telemetry block for all traffic classes of one port:
+/// one [`QueueTelemetry`] per class, side by side.
 ///
 /// * **No false sharing between shard threads.** Each port belongs to
-///   exactly one shard; `#[repr(align(64))]` keeps every port's hot
-///   counters on cache lines no other port (hence no other thread) writes.
-/// * **Dense control-plane reads.** A controller or sampler sweeping one
-///   counter across classes walks one 64-byte line instead of striding
-///   through whole queue structs.
+///   exactly one shard; `#[repr(align(64))]` keeps every port's counters on
+///   cache lines no other port (hence no other thread) writes.
+/// * **One class, two lines.** Everything an enqueue and a dequeue bump for
+///   a class sits in that class's 80 bytes, so a packet hop dirties at most
+///   two lines of the block — with one array per counter it was one line
+///   per counter touched.
 ///
-/// [`PortTelemetry::queue`] assembles the classic per-queue
-/// [`QueueTelemetry`] view, which stays the interchange type everywhere
-/// outside the packet path.
+/// [`PortTelemetry::queue`] returns the per-queue [`QueueTelemetry`] view,
+/// which is the interchange type everywhere outside the packet path.
 #[repr(align(64))]
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PortTelemetry {
-    /// Time integral of queue length in byte-picoseconds, per class.
-    pub qlen_integral_byte_ps: [u128; MAX_PRIOS],
-    /// Bytes handed to the serializer, per class.
-    pub tx_bytes: [u64; MAX_PRIOS],
-    /// Packets handed to the serializer, per class.
-    pub tx_pkts: [u64; MAX_PRIOS],
-    /// Transmitted packets carrying CE, per class.
-    pub tx_marked_pkts: [u64; MAX_PRIOS],
-    /// Transmitted bytes carrying CE, per class.
-    pub tx_marked_bytes: [u64; MAX_PRIOS],
-    /// Packets dropped, per class.
-    pub drops: [u64; MAX_PRIOS],
-    /// Packets enqueued, per class.
-    pub enq_pkts: [u64; MAX_PRIOS],
-    /// Largest instantaneous queue length observed in bytes, per class.
-    pub max_qlen_bytes: [u64; MAX_PRIOS],
-}
-
-impl Default for PortTelemetry {
-    fn default() -> Self {
-        PortTelemetry {
-            qlen_integral_byte_ps: [0; MAX_PRIOS],
-            tx_bytes: [0; MAX_PRIOS],
-            tx_pkts: [0; MAX_PRIOS],
-            tx_marked_pkts: [0; MAX_PRIOS],
-            tx_marked_bytes: [0; MAX_PRIOS],
-            drops: [0; MAX_PRIOS],
-            enq_pkts: [0; MAX_PRIOS],
-            max_qlen_bytes: [0; MAX_PRIOS],
-        }
-    }
+    classes: [QueueTelemetry; MAX_PRIOS],
 }
 
 impl PortTelemetry {
@@ -187,18 +153,9 @@ impl PortTelemetry {
         Self::default()
     }
 
-    /// Assemble the per-queue view of class `prio`.
+    /// The per-queue view of class `prio`.
     pub fn queue(&self, prio: usize) -> QueueTelemetry {
-        QueueTelemetry {
-            tx_bytes: self.tx_bytes[prio],
-            tx_pkts: self.tx_pkts[prio],
-            tx_marked_pkts: self.tx_marked_pkts[prio],
-            tx_marked_bytes: self.tx_marked_bytes[prio],
-            drops: self.drops[prio],
-            enq_pkts: self.enq_pkts[prio],
-            qlen_integral_byte_ps: self.qlen_integral_byte_ps[prio],
-            max_qlen_bytes: self.max_qlen_bytes[prio],
-        }
+        self.classes[prio]
     }
 }
 
@@ -223,32 +180,36 @@ struct ArenaSlot {
     next: u32,
 }
 
-/// Slab backing every egress FIFO of one port.
+/// Slab backing every egress FIFO of one simulation core.
 ///
-/// Queued packets live in one contiguous `Vec` shared by all traffic
-/// classes of the port; each [`EgressQueue`] keeps head/tail slot indices
-/// and slots are chained with intrusive `next` links. Freed slots go on an
-/// intrusive freelist and are reused, so steady-state enqueue/dequeue never
-/// touches the allocator — the arena only grows while the port's aggregate
-/// backlog sets a new high-water mark.
-#[derive(Debug, Default)]
+/// Queued packets live in one contiguous `Vec` shared by every queue of
+/// every port the core simulates; each [`EgressQueue`] keeps head/tail slot
+/// indices and slots are chained with intrusive `next` links. Freed slots
+/// go on an intrusive LIFO freelist and are reused, so the live slots stay
+/// the recently touched ones and steady-state enqueue/dequeue never touches
+/// the allocator — the arena only grows while the core's aggregate backlog
+/// sets a new high-water mark.
+#[derive(Debug)]
 pub struct QueueArena {
     slots: Vec<ArenaSlot>,
     free_head: u32,
 }
 
+impl Default for QueueArena {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
 impl QueueArena {
     /// New empty arena.
     pub fn new() -> Self {
-        QueueArena {
-            slots: Vec::new(),
-            free_head: NIL,
-        }
+        Self::default()
     }
 
     /// New empty arena with room for `slots` packets before any growth —
-    /// ports pre-size from [`crate::config::PortConfig::arena_slots`] so the
-    /// packet path starts at its expected high-water capacity.
+    /// a core pre-sizes from [`crate::config::PortConfig::arena_slots`] so
+    /// the packet path starts at its expected high-water capacity.
     pub fn with_capacity(slots: usize) -> Self {
         QueueArena {
             slots: Vec::with_capacity(slots),
@@ -256,7 +217,8 @@ impl QueueArena {
         }
     }
 
-    /// Slots currently backing this arena (capacity high-water mark).
+    /// Slots currently backing this arena: the high-water mark of packets
+    /// queued at once.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
@@ -285,9 +247,9 @@ impl QueueArena {
 
 /// A single egress FIFO for one traffic class of one port.
 ///
-/// Packet storage lives in the port's shared [`QueueArena`] and cumulative
-/// counters live in the port's shared [`PortTelemetry`] SoA block; the queue
-/// only holds the intrusive list's head/tail indices and its class index, so
+/// Packet storage lives in the core's shared [`QueueArena`] and cumulative
+/// counters live in the port's [`PortTelemetry`] block; the queue only
+/// holds the intrusive list's head/tail indices and its class index, so
 /// every mutating method takes the arena and telemetry block explicitly.
 #[derive(Debug)]
 pub struct EgressQueue {
@@ -295,10 +257,10 @@ pub struct EgressQueue {
     head: u32,
     /// Arena index of the tail item (`NIL` = empty).
     tail: u32,
-    /// This queue's class index into the port's [`PortTelemetry`] arrays.
-    prio: usize,
     /// Number of queued packets.
-    count: usize,
+    count: u32,
+    /// This queue's class index into the port's [`PortTelemetry`].
+    prio: u8,
     /// Current depth in bytes.
     bytes: u64,
     /// EWMA of the depth (only meaningful when the config averages).
@@ -318,8 +280,8 @@ impl EgressQueue {
         EgressQueue {
             head: NIL,
             tail: NIL,
-            prio,
             count: 0,
+            prio: prio as u8,
             bytes: 0,
             avg_bytes: 0.0,
             max_bytes,
@@ -337,7 +299,7 @@ impl EgressQueue {
     /// Number of queued packets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.count
+        self.count as usize
     }
 
     /// True if no packets are queued.
@@ -358,7 +320,8 @@ impl EgressQueue {
 
     fn advance_clock(&mut self, telem: &mut PortTelemetry, now: SimTime) {
         let dt = now.saturating_sub(self.last_update);
-        telem.qlen_integral_byte_ps[self.prio] += self.bytes as u128 * dt.as_ps() as u128;
+        telem.classes[self.prio as usize].qlen_integral_byte_ps +=
+            self.bytes as u128 * dt.as_ps() as u128;
         self.last_update = now;
     }
 
@@ -391,10 +354,9 @@ impl EgressQueue {
             self.avg_bytes = (1.0 - w) * self.avg_bytes + w * self.bytes as f64;
         }
         self.bytes += item.pkt.size as u64;
-        telem.enq_pkts[self.prio] += 1;
-        if self.bytes > telem.max_qlen_bytes[self.prio] {
-            telem.max_qlen_bytes[self.prio] = self.bytes;
-        }
+        let t = &mut telem.classes[self.prio as usize];
+        t.enq_pkts += 1;
+        t.max_qlen_bytes = t.max_qlen_bytes.max(self.bytes);
         let idx = arena.alloc(item);
         if self.tail == NIL {
             self.head = idx;
@@ -407,7 +369,7 @@ impl EgressQueue {
 
     /// Record a drop at this queue.
     pub fn record_drop(&self, telem: &mut PortTelemetry) {
-        telem.drops[self.prio] += 1;
+        telem.classes[self.prio as usize].drops += 1;
     }
 
     /// Dequeue the head packet into the serializer, updating tx counters.
@@ -432,11 +394,12 @@ impl EgressQueue {
         let item = slot.item;
         let sz = item.pkt.size as u64;
         self.bytes -= sz;
-        telem.tx_bytes[self.prio] += sz;
-        telem.tx_pkts[self.prio] += 1;
+        let t = &mut telem.classes[self.prio as usize];
+        t.tx_bytes += sz;
+        t.tx_pkts += 1;
         if item.pkt.ecn == crate::packet::Ecn::Ce {
-            telem.tx_marked_pkts[self.prio] += 1;
-            telem.tx_marked_bytes[self.prio] += sz;
+            t.tx_marked_pkts += 1;
+            t.tx_marked_bytes += sz;
         }
         Some(item)
     }
@@ -472,7 +435,7 @@ impl EgressQueue {
         self.count = 0;
         self.bytes = 0;
         self.avg_bytes = 0.0;
-        telem.drops[self.prio] += out.len() as u64;
+        telem.classes[self.prio as usize].drops += out.len() as u64;
     }
 }
 
@@ -482,12 +445,26 @@ impl EgressQueue {
 /// (highest class index wins among them). Weighted classes share the residual
 /// bandwidth in proportion to their weights using the classic DRR algorithm
 /// with a per-visit quantum of `weight * QUANTUM_UNIT` bytes.
+///
+/// The per-class state is inline (no heap), one 16-byte record per class, so
+/// a port's scheduler lives inside the port's own block and the classes in
+/// use share a cache line.
 #[derive(Debug, Clone)]
 pub struct Dwrr {
-    weights: Vec<u32>,
-    deficit: Vec<u64>,
-    granted: Vec<bool>,
-    ptr: usize,
+    /// Classes in use (`<= MAX_PRIOS`).
+    n: u8,
+    /// The class the round-robin pointer rests on.
+    ptr: u8,
+    classes: [DwrrClass; MAX_PRIOS],
+}
+
+/// Scheduling state of one class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DwrrClass {
+    deficit: u64,
+    weight: u32,
+    /// Whether this visit's quantum has been added already.
+    granted: bool,
 }
 
 /// Bytes of quantum granted per unit of weight per DRR round.
@@ -503,27 +480,32 @@ impl Dwrr {
         let n = weights.len();
         assert!(n > 0);
         assert!(
-            n <= 8,
+            n <= MAX_PRIOS,
             "at most 8 traffic classes (PFC pause bitmask is u8), got {n}"
         );
+        let mut classes = [DwrrClass::default(); MAX_PRIOS];
+        for (c, weight) in classes.iter_mut().zip(weights) {
+            c.weight = weight;
+        }
         Dwrr {
-            weights,
-            deficit: vec![0; n],
-            granted: vec![false; n],
+            n: n as u8,
             ptr: 0,
+            classes,
         }
     }
 
     /// Current deficit counter of `class`, in bytes (diagnostics/tests).
     pub fn deficit(&self, class: usize) -> u64 {
-        self.deficit[class]
+        self.classes[class].deficit
     }
 
     /// Reset all scheduling state (deficits, grants, round pointer) to the
     /// just-constructed state — what a switch reboot does to its scheduler.
     pub fn reset(&mut self) {
-        self.deficit.iter_mut().for_each(|d| *d = 0);
-        self.granted.iter_mut().for_each(|g| *g = false);
+        for c in &mut self.classes {
+            c.deficit = 0;
+            c.granted = false;
+        }
         self.ptr = 0;
     }
 
@@ -534,14 +516,15 @@ impl Dwrr {
     /// and updates internal deficit state assuming the head packet of that
     /// class is then transmitted.
     pub fn pick(&mut self, heads: &[Option<u32>], paused: u8) -> Option<usize> {
-        let n = self.weights.len();
+        let n = self.n as usize;
         debug_assert_eq!(heads.len(), n);
+        let classes = &mut self.classes[..n];
         // `new` rejects >8 classes, so `1u8 << i` cannot overflow or alias.
         let avail = |i: usize| heads[i].is_some() && (paused & (1u8 << i)) == 0;
 
         // Strict-priority classes first, highest index wins.
         for i in (0..n).rev() {
-            if self.weights[i] == 0 && avail(i) {
+            if classes[i].weight == 0 && avail(i) {
                 return Some(i);
             }
         }
@@ -553,47 +536,44 @@ impl Dwrr {
         // state effect is exactly: drained classes lose their deficit,
         // every grant clears, and `ptr` ends where it started. Apply that
         // directly in O(n).
-        if !(0..n).any(|i| self.weights[i] != 0 && avail(i)) {
-            for (i, head) in heads.iter().enumerate() {
+        if !(0..n).any(|i| classes[i].weight != 0 && avail(i)) {
+            for (c, head) in classes.iter_mut().zip(heads) {
                 if head.is_none() {
-                    self.deficit[i] = 0;
+                    c.deficit = 0;
                 }
-                self.granted[i] = false;
+                c.granted = false;
             }
             return None;
         }
 
         // DRR over weighted classes. Scan at most enough rounds for the
         // deficit of some available class to reach its head-packet size.
-        let mut scanned = 0usize;
-        let max_scan = n * 64; // generous bound; quantum>=1600 vs pkt<=~9KB
-        while scanned < max_scan {
-            let i = self.ptr;
-            if self.weights[i] == 0 || !avail(i) {
-                if heads[i].is_none() {
-                    // Queue drained: per DRR, its deficit resets.
-                    self.deficit[i] = 0;
+        let mut ptr = self.ptr as usize;
+        let mut picked = None;
+        // Generous bound; quantum>=1600 vs pkt<=~9KB.
+        for _ in 0..n * 64 {
+            let c = &mut classes[ptr];
+            if c.weight != 0 && avail(ptr) {
+                let sz = heads[ptr].unwrap() as u64;
+                if !c.granted {
+                    c.deficit += c.weight as u64 * QUANTUM_UNIT;
+                    c.granted = true;
                 }
-                self.granted[i] = false;
-                self.ptr = (self.ptr + 1) % n;
-                scanned += 1;
-                continue;
+                if c.deficit >= sz {
+                    c.deficit -= sz;
+                    picked = Some(ptr);
+                    break;
+                }
+                // Not enough deficit: move on, keep the accumulated deficit.
+            } else if heads[ptr].is_none() {
+                // Queue drained: per DRR, its deficit resets.
+                c.deficit = 0;
             }
-            let sz = heads[i].unwrap() as u64;
-            if !self.granted[i] {
-                self.deficit[i] += self.weights[i] as u64 * QUANTUM_UNIT;
-                self.granted[i] = true;
-            }
-            if self.deficit[i] >= sz {
-                self.deficit[i] -= sz;
-                return Some(i);
-            }
-            // Not enough deficit: move on, keep the accumulated deficit.
-            self.granted[i] = false;
-            self.ptr = (self.ptr + 1) % n;
-            scanned += 1;
+            c.granted = false;
+            ptr = (ptr + 1) % n;
         }
-        None
+        self.ptr = ptr as u8;
+        picked
     }
 }
 
@@ -700,11 +680,27 @@ mod tests {
         assert_eq!(pt.queue(0).tx_marked_bytes, 1000);
     }
 
-    /// The SoA block is cache-line-aligned and classes never alias: counters
-    /// bumped through one queue land only in that class's lanes.
+    /// The layout claims of "one contiguous block per port", pinned so a
+    /// later field does not silently undo them: the telemetry block starts
+    /// on a cache line and one class's counters span 80 bytes — at most two
+    /// lines, whichever class — the scheduler holds no pointer and its
+    /// first three classes (the default configuration) share a line with
+    /// the round pointer, and a queue is under a line and a half.
     #[test]
-    fn port_telemetry_soa_layout_and_isolation() {
-        assert_eq!(std::mem::align_of::<PortTelemetry>(), 64);
+    fn per_port_blocks_keep_their_layout() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(align_of::<PortTelemetry>(), 64);
+        assert_eq!(size_of::<QueueTelemetry>(), 80);
+        assert_eq!(size_of::<PortTelemetry>(), MAX_PRIOS * 80);
+        assert_eq!(size_of::<DwrrClass>(), 16);
+        assert_eq!(size_of::<Dwrr>(), 8 + MAX_PRIOS * 16);
+        assert_eq!(size_of::<EgressQueue>(), 88);
+    }
+
+    /// Classes never alias: counters bumped through one queue land only in
+    /// that class's record.
+    #[test]
+    fn port_telemetry_classes_are_isolated() {
         let mut a = QueueArena::new();
         let mut pt = PortTelemetry::new();
         let mut q2 = EgressQueue::new(2, 1 << 20, None);
@@ -1053,9 +1049,11 @@ mod tests {
                 slow.pick(&heads, paused),
                 "step {step}"
             );
-            assert_eq!(fast.deficit, slow.deficit, "deficit diverged at {step}");
-            assert_eq!(fast.granted, slow.granted, "granted diverged at {step}");
-            assert_eq!(fast.ptr, slow.ptr, "ptr diverged at {step}");
+            for (i, c) in fast.classes[..3].iter().enumerate() {
+                let reference = (slow.deficit[i], slow.granted[i]);
+                assert_eq!((c.deficit, c.granted), reference, "class {i} at {step}");
+            }
+            assert_eq!(fast.ptr as usize, slow.ptr, "ptr diverged at {step}");
         }
     }
 

@@ -5,12 +5,12 @@
 //! injects a fault, except [`SimCore::rx_fault_drop`], the per-arrival check
 //! the event loop inlines.
 
-use super::{SimCore, Simulator};
+use super::{PortState, SimCore, Simulator};
 use crate::event::Event;
 use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
-use crate::queues::QueueTelemetry;
+use crate::queues::{QueueTelemetry, MAX_PRIOS};
 use crate::trace::TraceKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,15 +42,15 @@ impl SimCore {
     /// for the returned bits.
     fn clear_pfc_state(&mut self, node: NodeId, port: PortId) -> u8 {
         let now = self.now;
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
-        for prio in 0..ps.pause_since.len() {
+        let i = self.port_index(node, port);
+        let ps = &mut self.ports[i];
+        for prio in 0..MAX_PRIOS {
             if let Some(dur) = ps.end_pause(prio, now) {
                 if let Some(p) = self.prof.as_mut() {
                     p.pause(dur / 1000);
                 }
             }
         }
-        ps.paused = 0;
         std::mem::take(&mut ps.pfc_sent)
     }
 
@@ -64,8 +64,9 @@ impl SimCore {
     /// a flap can never leave a port permanently paused.
     pub fn set_link_state(&mut self, node: NodeId, port: PortId, up: bool) {
         let peer = *self.topo.port(node, port);
-        self.nodes[node.idx()].ports[port.idx()].link_up = up;
-        self.nodes[peer.peer_node.idx()].ports[peer.peer_port.idx()].link_up = up;
+        self.port_mut(node, port).link_up = up;
+        self.port_mut(peer.peer_node, peer.peer_port).link_up = up;
+        self.recount_impaired();
         if !up {
             self.clear_pfc_state(node, port);
             self.clear_pfc_state(peer.peer_node, peer.peer_port);
@@ -84,15 +85,10 @@ impl SimCore {
         );
         // Rebuild routing honouring every port's current state, reusing the
         // existing table's storage (no fresh table allocation per flap).
-        {
-            let SimCore {
-                ref mut routes,
-                ref nodes,
-                ref topo,
-                ..
-            } = *self;
-            routes.rebuild_filtered(topo, |n, p| nodes[n.idx()].ports[p.idx()].link_up);
-        }
+        let (ports, base) = (&self.ports, &self.port_base);
+        self.routes.rebuild_filtered(&self.topo, |n, p| {
+            ports[base[n.idx()] as usize + p.idx()].link_up
+        });
         if up {
             // Restart the transmitters on both ends.
             self.try_send(node, port);
@@ -102,7 +98,14 @@ impl SimCore {
 
     /// Whether the link attached to (`node`, `port`) is up.
     pub fn link_is_up(&self, node: NodeId, port: PortId) -> bool {
-        self.nodes[node.idx()].ports[port.idx()].link_up
+        self.port(node, port).link_up
+    }
+
+    /// Recount the ports that lose arrivals. Every write to `link_up` or
+    /// `loss_frac` is followed by this (faults are rare; arrivals are not).
+    fn recount_impaired(&mut self) {
+        let lossy = |p: &&PortState| !p.link_up || p.loss_frac > 0.0;
+        self.impaired_ports = self.ports.iter().filter(lossy).count();
     }
 
     /// The one place an executed fault becomes observable: one fault-log
@@ -183,7 +186,10 @@ impl SimCore {
     /// consulted for partial loss, so loss-free runs never touch it.
     #[inline]
     pub(crate) fn rx_fault_drop(&mut self, node: NodeId, port: PortId, pkt: &Packet) -> bool {
-        let ps = &self.nodes[node.idx()].ports[port.idx()];
+        if self.impaired_ports == 0 {
+            return false;
+        }
+        let ps = self.port(node, port);
         let lost = if !ps.link_up {
             true
         } else {
@@ -220,7 +226,8 @@ impl SimCore {
             }
             FaultKind::PacketLoss { node, port, frac } => {
                 let frac = frac.clamp(0.0, 1.0);
-                self.nodes[node.idx()].ports[port.idx()].loss_frac = frac;
+                self.port_mut(node, port).loss_frac = frac;
+                self.recount_impaired();
                 self.report_fault(&kind, FaultDetail::LossFrac(frac));
             }
             FaultKind::SwitchReboot { node } => {
@@ -249,8 +256,9 @@ impl SimCore {
         // freeze/restore cycle settles into zero allocations.
         let mut snap = std::mem::take(&mut self.telem_snap_pool);
         snap.clear();
-        for p in self.nodes[node.idx()].ports.iter_mut() {
-            for (prio, q) in p.queues.iter_mut().enumerate() {
+        let (range, num_prios) = (self.ports_of(node), self.cfg.port.num_prios);
+        for p in &mut self.ports[range] {
+            for (prio, q) in p.queues[..num_prios].iter_mut().enumerate() {
                 q.sync_clock(&mut p.telem, now);
                 snap.push((q.bytes(), p.telem.queue(prio)));
             }
@@ -262,8 +270,10 @@ impl SimCore {
     /// link attached to (`node`, `port`), both directions.
     fn set_rate_override(&mut self, node: NodeId, port: PortId, rate: Option<u64>) {
         let peer = *self.topo.port(node, port);
-        self.nodes[node.idx()].ports[port.idx()].rate_override = rate;
-        self.nodes[peer.peer_node.idx()].ports[peer.peer_port.idx()].rate_override = rate;
+        for (node, port) in [(node, port), (peer.peer_node, peer.peer_port)] {
+            let configured = self.topo.port(node, port).rate_bps;
+            self.port_mut(node, port).rate_bps = rate.unwrap_or(configured);
+        }
     }
 
     /// Reboot a switch: every queued packet is flushed (and counted as a
@@ -278,7 +288,7 @@ impl SimCore {
     /// Returns the number of packets flushed.
     fn reboot_switch(&mut self, node: NodeId) -> u64 {
         let now = self.now;
-        let num_ports = self.nodes[node.idx()].ports.len();
+        let num_ports = self.ports_of(node).len();
         let mut flushed: u64 = 0;
         // Reuse the core-owned scratch buffers across reboots (Vec::new()
         // placeholders left behind by `take` never allocate).
@@ -288,32 +298,32 @@ impl SimCore {
         for pi in 0..num_ports {
             let port = PortId(pi as u16);
             let sent = self.clear_pfc_state(node, port);
-            let nq = self.nodes[node.idx()].ports[pi].queues.len();
-            for prio in 0..nq {
-                let st = &mut self.nodes[node.idx()];
-                let ps = &mut st.ports[pi];
-                ps.queues[prio].flush_into(&mut ps.arena, &mut ps.telem, now, &mut items);
+            let i = self.port_index(node, port);
+            for prio in 0..self.cfg.port.num_prios {
+                let ps = &mut self.ports[i];
+                ps.queues[prio].flush_into(&mut self.arena, &mut ps.telem, now, &mut items);
+                ps.queues[prio].ecn = self.cfg.port.ecn[prio];
                 flushed += items.len() as u64;
                 for item in &items {
-                    if let Some(buf) = st.buffer.as_mut() {
+                    if let Some(buf) = self.nodes[node.idx()].buffer.as_mut() {
                         buf.release(item.pkt.size);
                     }
                     if let Some(ingress) = item.ingress {
-                        let ib = &mut st.ports[ingress.idx()].ingress_bytes[item.pkt.prio as usize];
+                        let ib =
+                            &mut self.port_mut(node, ingress).ingress_bytes[item.pkt.prio as usize];
                         *ib = ib.saturating_sub(item.pkt.size as u64);
                     }
                 }
-                st.ports[pi].queues[prio].ecn = self.cfg.port.ecn[prio];
                 if sent & (1u8 << prio) != 0 {
                     resumes.push((port, prio as Prio));
                 }
             }
-            self.nodes[node.idx()].ports[pi].dwrr.reset();
+            self.ports[i].dwrr.reset();
         }
         self.total_drops += flushed;
         self.fault_drops += flushed;
         for &(port, prio) in &resumes {
-            if self.nodes[node.idx()].ports[port.idx()].link_up {
+            if self.port(node, port).link_up {
                 self.send_pfc(node, port, prio, false);
             }
         }

@@ -30,11 +30,13 @@ use crate::fault::{FaultLogEntry, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::profile::{event_kind, SimProfiler};
-use crate::queues::{Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry};
+use crate::queues::{
+    Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry, MAX_PRIOS,
+};
 use crate::routing::RouteTable;
 use crate::shard::RemoteEvent;
 use crate::time::{tx_time, SimTime};
-use crate::topology::{NodeKind, Topology};
+use crate::topology::{NodeKind, PortInfo, Topology};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,85 +54,103 @@ struct InFlight {
     prio: Prio,
 }
 
-/// Mutable state of one port.
+/// One port — its mutable state and the constants of the link it drives —
+/// as one contiguous, pointer-free block of the core's flat port table.
+///
+/// `repr(C)`: declaration order is memory order. The block is cache-line
+/// aligned (through [`PortTelemetry`]) and its first line holds what every
+/// packet event on the port touches — link constants, transmitter and PFC
+/// state, the ingress counters of the first three classes. Scheduler,
+/// queues and counters follow; pause and fault accounting comes last.
+#[repr(C)]
 pub(crate) struct PortState {
-    /// Transmitter busy serializing.
-    tx_busy: bool,
+    /// Propagation delay of the attached link.
+    delay: SimTime,
+    /// Serialization rate in force, bits/s: the topology's, or the degraded
+    /// rate a fault injected.
+    rate_bps: u64,
+    /// The node and port at the far end of the link.
+    peer_node: NodeId,
+    peer_port: PortId,
+    /// Whether this port's node is a host: the event loop asks the port
+    /// it is about to touch anyway, not the topology.
+    is_host: bool,
+    /// Administrative/physical link state (fault injection).
+    link_up: bool,
     /// Bitmask of classes paused by PFC frames we *received*.
     paused: u8,
     /// Bitmask of classes for which we have *sent* PAUSE upstream (ingress
     /// side of this port) and not yet resumed.
     pfc_sent: u8,
+    /// The packet the transmitter is serializing; `None` = idle.
+    in_flight: Option<InFlight>,
     /// Ingress byte counters per class: bytes buffered in this switch that
     /// arrived through this port.
-    ingress_bytes: Vec<u64>,
-    /// Egress FIFOs, one per class.
-    queues: Vec<EgressQueue>,
-    /// Cache-line-aligned SoA telemetry counters for every class of this
-    /// port (see [`PortTelemetry`]): one block per port means shard threads
-    /// never write counters on a cache line another shard reads.
-    telem: PortTelemetry,
-    /// Slab backing every class's FIFO on this port (intrusive links; see
-    /// [`QueueArena`]) — enqueue/dequeue never allocates at steady state.
-    arena: QueueArena,
+    ingress_bytes: [u64; MAX_PRIOS],
     /// Egress scheduler.
     dwrr: Dwrr,
-    in_flight: Option<InFlight>,
+    /// Egress FIFOs, one per class; only the first `num_prios` are in use.
+    queues: [EgressQueue; MAX_PRIOS],
+    /// Telemetry counters for every class of this port.
+    telem: PortTelemetry,
+    /// Fraction of arrivals on this port black-holed (fault injection).
+    loss_frac: f64,
     /// PAUSE events sent from the ingress side of this port.
     pfc_pause_events: u64,
     /// Cumulative time each class of this port's transmitter has spent
     /// paused by received PFC frames, in picoseconds.
-    pause_ps: Vec<u64>,
-    /// When the currently active pause of each class began (None = not
-    /// paused); lets `pause_ps` include the in-progress pause on read.
-    pause_since: Vec<Option<SimTime>>,
-    /// Administrative/physical link state (fault injection).
-    link_up: bool,
-    /// Degraded serialization rate in bits/s (fault injection); `None`
-    /// means the topology-configured rate applies.
-    rate_override: Option<u64>,
-    /// Fraction of arrivals on this port black-holed (fault injection).
-    loss_frac: f64,
+    pause_ps: [u64; MAX_PRIOS],
+    /// When the running pause of each class began; meaningful only while
+    /// the class's bit is set in `paused`.
+    pause_since: [SimTime; MAX_PRIOS],
 }
 
 impl PortState {
-    fn new(cfg: &SimConfig, arena_slots: usize) -> Self {
+    fn new(cfg: &SimConfig, link: &PortInfo, is_host: bool) -> Self {
         let pc = &cfg.port;
-        let queues = (0..pc.num_prios)
-            .map(|p| EgressQueue::new(p, pc.max_queue_bytes[p], pc.ecn[p]))
-            .collect();
         PortState {
-            tx_busy: false,
+            delay: link.delay,
+            rate_bps: link.rate_bps,
+            peer_node: link.peer_node,
+            peer_port: link.peer_port,
+            is_host,
+            link_up: true,
             paused: 0,
             pfc_sent: 0,
-            ingress_bytes: vec![0; pc.num_prios],
-            queues,
-            telem: PortTelemetry::new(),
-            arena: QueueArena::with_capacity(arena_slots),
-            dwrr: Dwrr::new(pc.weights.clone()),
             in_flight: None,
-            pfc_pause_events: 0,
-            pause_ps: vec![0; pc.num_prios],
-            pause_since: vec![None; pc.num_prios],
-            link_up: true,
-            rate_override: None,
+            ingress_bytes: [0; MAX_PRIOS],
+            dwrr: Dwrr::new(pc.weights.clone()),
+            // Classes beyond `num_prios` admit nothing.
+            queues: std::array::from_fn(|p| {
+                let bound = pc.max_queue_bytes.get(p).copied().unwrap_or(0);
+                EgressQueue::new(p, bound, pc.ecn.get(p).copied().flatten())
+            }),
+            telem: PortTelemetry::new(),
             loss_frac: 0.0,
+            pfc_pause_events: 0,
+            pause_ps: [0; MAX_PRIOS],
+            pause_since: [SimTime::ZERO; MAX_PRIOS],
         }
     }
 
-    /// Close the running PFC pause of class `prio`, if any, folding it into
-    /// `pause_ps`; returns its length in picoseconds.
+    /// Close the running PFC pause of class `prio`, if any: clear its bit in
+    /// `paused` and fold it into `pause_ps`; returns its length in
+    /// picoseconds.
     #[inline]
     fn end_pause(&mut self, prio: usize, now: SimTime) -> Option<u64> {
-        let dur = (now - self.pause_since[prio].take()?).as_ps();
+        let bit = 1u8 << prio;
+        if self.paused & bit == 0 {
+            return None;
+        }
+        self.paused &= !bit;
+        let dur = (now - self.pause_since[prio]).as_ps();
         self.pause_ps[prio] += dur;
         Some(dur)
     }
 }
 
-/// Mutable state of one node.
+/// Per-node state that is not per-port.
 pub(crate) struct NodeState {
-    ports: Vec<PortState>,
     /// Shared packet buffer — switches only.
     buffer: Option<SharedBuffer>,
     /// Active telemetry-read distortion (fault injection).
@@ -172,7 +192,21 @@ pub struct SimCore {
     pub(crate) events: EventQueue,
     /// The immutable network.
     pub topo: Topology,
+    /// Every port of every node, node after node: (`node`, `port`) lives at
+    /// `ports[port_base[node] + port]`.
+    ports: Vec<PortState>,
+    /// Where each node's ports start in `ports`; one extra entry closes the
+    /// last node's range.
+    port_base: Vec<u32>,
     pub(crate) nodes: Vec<NodeState>,
+    /// The slab behind every egress FIFO of this core (see [`QueueArena`]):
+    /// enqueue/dequeue never allocates at steady state.
+    arena: QueueArena,
+    /// Slots `arena` was created with.
+    arena_reserved: usize,
+    /// Ports that are down or lossy; while 0, the per-arrival fault check
+    /// does not look at the ingress port.
+    impaired_ports: usize,
     pub(crate) routes: RouteTable,
     pub(crate) rng: SmallRng,
     /// Total packets dropped anywhere in the fabric.
@@ -229,42 +263,33 @@ impl SimCore {
     fn new(topo: Topology, cfg: SimConfig, shard: Option<Box<ShardCtx>>) -> Self {
         cfg.validate();
         assert!(
-            cfg.port.num_prios <= 8,
+            cfg.port.num_prios <= MAX_PRIOS,
             "at most 8 traffic classes (PFC bitmask)"
         );
-        let nodes = topo
-            .nodes
+        let mut ports = Vec::with_capacity(topo.nodes.iter().map(|n| n.ports.len()).sum());
+        let mut port_base = Vec::with_capacity(topo.nodes.len() + 1);
+        let mut nodes = Vec::with_capacity(topo.nodes.len());
+        for n in &topo.nodes {
+            let is_host = n.kind == NodeKind::Host;
+            port_base.push(ports.len() as u32);
+            ports.extend(n.ports.iter().map(|l| PortState::new(&cfg, l, is_host)));
+            nodes.push(NodeState {
+                buffer: (!is_host)
+                    .then(|| SharedBuffer::new(cfg.buffer_bytes, cfg.pfc_alpha, cfg.pfc_xon_frac)),
+                telem_fault: None,
+            });
+        }
+        port_base.push(ports.len() as u32);
+        // The one packet slab is sized from the switches this core owns —
+        // their shared buffers are where a fabric's backlog stands. Foreign
+        // nodes never enqueue here (their events route to their owner).
+        let owned_switches = topo
+            .switches()
             .iter()
-            .enumerate()
-            .map(|(ni, n)| {
-                // Foreign nodes never enqueue packets in this shard (their
-                // events route to their owner), so their packet arenas get
-                // zero capacity — at 1024 hosts the replicated topology
-                // would otherwise cost hundreds of MB per shard.
-                let arena_slots = match shard.as_ref() {
-                    Some(sc) if !sc.owns(NodeId(ni as u32)) => 0,
-                    _ => cfg.port.arena_slots,
-                };
-                let ports = n
-                    .ports
-                    .iter()
-                    .map(|_| PortState::new(&cfg, arena_slots))
-                    .collect();
-                let buffer = match n.kind {
-                    NodeKind::Switch => Some(SharedBuffer::new(
-                        cfg.buffer_bytes,
-                        cfg.pfc_alpha,
-                        cfg.pfc_xon_frac,
-                    )),
-                    NodeKind::Host => None,
-                };
-                NodeState {
-                    ports,
-                    buffer,
-                    telem_fault: None,
-                }
-            })
-            .collect();
+            .filter(|&&sw| shard.as_ref().is_none_or(|sc| sc.owns(sw)))
+            .count();
+        let per_switch = cfg.port.arena_slots;
+        let arena_reserved = per_switch * owned_switches.max(1);
         let routes = RouteTable::build(&topo);
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let fault_rng = faults::fault_stream(cfg.seed);
@@ -273,7 +298,6 @@ impl SimCore {
         // them (growth on first use would show up as a steady-state alloc).
         let max_ports = topo.nodes.iter().map(|n| n.ports.len()).max().unwrap_or(0);
         let snap_cap = max_ports * cfg.port.num_prios;
-        let flush_cap = cfg.port.arena_slots;
         SimCore {
             cfg,
             now: SimTime::ZERO,
@@ -281,7 +305,12 @@ impl SimCore {
             // from the topology: per-bucket burst size scales with ports.
             events: EventQueue::sized_for(topo.nodes.len()),
             topo,
+            ports,
+            port_base,
             nodes,
+            arena: QueueArena::with_capacity(arena_reserved),
+            arena_reserved,
+            impaired_ports: 0,
             routes,
             rng,
             total_drops: 0,
@@ -296,11 +325,36 @@ impl SimCore {
             fault_log_dropped: 0,
             faults_executed: 0,
             prof: None,
-            flush_scratch: Vec::with_capacity(flush_cap),
+            flush_scratch: Vec::with_capacity(per_switch),
             resume_scratch: Vec::with_capacity(snap_cap),
             telem_snap_pool: Vec::with_capacity(snap_cap),
             shard,
         }
+    }
+
+    /// Index of (`node`, `port`) in the flat port table.
+    #[inline]
+    fn port_index(&self, node: NodeId, port: PortId) -> usize {
+        let ports = self.ports_of(node);
+        assert!(port.idx() < ports.len(), "{node:?} has no {port:?}");
+        ports.start + port.idx()
+    }
+
+    #[inline]
+    fn port(&self, node: NodeId, port: PortId) -> &PortState {
+        &self.ports[self.port_index(node, port)]
+    }
+
+    #[inline]
+    fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortState {
+        let i = self.port_index(node, port);
+        &mut self.ports[i]
+    }
+
+    /// Every port of `node`, in port order.
+    #[inline]
+    fn ports_of(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.port_base[node.idx()] as usize..self.port_base[node.idx() + 1] as usize
     }
 
     /// Record one trace event, if a tracer is installed. No owner gate is
@@ -371,54 +425,61 @@ impl SimCore {
         self.events.stats()
     }
 
+    /// Packets the core's slab was sized for at construction
+    /// ([`crate::config::PortConfig::arena_slots`] per owned switch), and
+    /// the most it has held queued at once: while the second is at or below
+    /// the first, the packet path has never grown the slab.
+    pub fn arena_slots(&self) -> (usize, usize) {
+        (self.arena_reserved, self.arena.slot_count())
+    }
+
     /// Mutable access to an egress queue (telemetry sync / reconfiguration
     /// from harness code).
     pub fn queue_mut(&mut self, node: NodeId, port: PortId, prio: Prio) -> &mut EgressQueue {
-        &mut self.nodes[node.idx()].ports[port.idx()].queues[prio as usize]
+        let n = self.cfg.port.num_prios;
+        &mut self.port_mut(node, port).queues[..n][prio as usize]
     }
 
     /// Read-only access to an egress queue (harness/telemetry use).
     pub fn queue(&self, node: NodeId, port: PortId, prio: Prio) -> &EgressQueue {
-        &self.nodes[node.idx()].ports[port.idx()].queues[prio as usize]
+        &self.port(node, port).queues[..self.cfg.port.num_prios][prio as usize]
     }
 
     /// Assembled per-queue telemetry view of (`node`, `port`, `prio`).
     /// The queue-length time integral is only current up to the queue's
     /// last push/pop; use [`Self::synced_queue_telem`] when reading it.
     pub fn queue_telem(&self, node: NodeId, port: PortId, prio: Prio) -> QueueTelemetry {
-        self.nodes[node.idx()].ports[port.idx()]
-            .telem
-            .queue(prio as usize)
+        self.port(node, port).telem.queue(prio as usize)
     }
 
     /// Bring one queue's time-integral up to the current simulated time and
     /// return the assembled telemetry view.
     pub fn synced_queue_telem(&mut self, node: NodeId, port: PortId, prio: Prio) -> QueueTelemetry {
         let now = self.now;
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
+        let ps = self.port_mut(node, port);
         ps.queues[prio as usize].sync_clock(&mut ps.telem, now);
         ps.telem.queue(prio as usize)
     }
 
     /// PFC PAUSE events sent upstream from the ingress side of one port.
     pub fn pfc_pauses_of_port(&self, node: NodeId, port: PortId) -> u64 {
-        self.nodes[node.idx()].ports[port.idx()].pfc_pause_events
+        self.port(node, port).pfc_pause_events
     }
 
     /// Cumulative time class `prio` of (`node`, `port`)'s transmitter has
     /// spent paused by received PFC frames, including any pause still in
     /// progress at the current simulated time.
     pub fn pfc_pause_time(&self, node: NodeId, port: PortId, prio: Prio) -> SimTime {
-        let ps = &self.nodes[node.idx()].ports[port.idx()];
+        let ps = self.port(node, port);
         let mut total = ps.pause_ps[prio as usize];
-        if let Some(since) = ps.pause_since[prio as usize] {
-            total += (self.now - since).as_ps();
+        if ps.paused & (1u8 << prio) != 0 {
+            total += (self.now - ps.pause_since[prio as usize]).as_ps();
         }
         SimTime::from_ps(total)
     }
 
     pub(crate) fn host_backlog(&self, host: NodeId, prio: Prio) -> u64 {
-        self.nodes[host.idx()].ports[0].queues[prio as usize].bytes()
+        self.port(host, PortId(0)).queues[prio as usize].bytes()
     }
 
     /// Enqueue a host-originated packet on the host's NIC and kick the
@@ -427,11 +488,12 @@ impl SimCore {
         debug_assert!(self.topo.is_host(host));
         debug_assert!((pkt.prio as usize) < self.cfg.port.num_prios);
         let now = self.now;
-        let ps = &mut self.nodes[host.idx()].ports[0];
+        let i = self.port_index(host, PortId(0));
+        let ps = &mut self.ports[i];
         // Host NICs have effectively unbounded send memory (the transport's
         // windows/rate limits bound it in practice); no drop here.
         ps.queues[pkt.prio as usize].push(
-            &mut ps.arena,
+            &mut self.arena,
             &mut ps.telem,
             QItem { pkt, ingress: None },
             now,
@@ -442,39 +504,39 @@ impl SimCore {
     /// If the transmitter of (node, port) is idle, pick the next packet by
     /// DWRR (honouring PFC pause) and start serializing it.
     fn try_send(&mut self, node: NodeId, port: PortId) {
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
-        if ps.tx_busy || !ps.link_up {
+        let i = self.port_index(node, port);
+        let ps = &mut self.ports[i];
+        if ps.in_flight.is_some() || !ps.link_up {
             return;
         }
-        let n = ps.queues.len();
-        let mut heads = [None; 8];
-        for (i, q) in ps.queues.iter().enumerate() {
-            heads[i] = q.head_size(&ps.arena);
+        let n = self.cfg.port.num_prios;
+        let mut heads = [None; MAX_PRIOS];
+        for (head, q) in heads.iter_mut().zip(&ps.queues[..n]) {
+            *head = q.head_size(&self.arena);
         }
         let Some(prio) = ps.dwrr.pick(&heads[..n], ps.paused) else {
             return;
         };
         let now = self.now;
         let item = ps.queues[prio]
-            .pop(&mut ps.arena, &mut ps.telem, now)
+            .pop(&mut self.arena, &mut ps.telem, now)
             .expect("dwrr picked an empty queue");
         ps.in_flight = Some(InFlight {
             size: item.pkt.size,
             ingress: item.ingress,
             prio: item.pkt.prio,
         });
-        ps.tx_busy = true;
         let qlen = ps.queues[prio].bytes();
+        let ser = tx_time(item.pkt.size as u64, ps.rate_bps);
+        let (delay, peer_node, peer_port) = (ps.delay, ps.peer_node, ps.peer_port);
         let (t_flow, t_prio) = (item.pkt.flow, item.pkt.prio);
         self.trace(TraceKind::Dequeue, node, port, t_prio, t_flow, qlen);
-        let info = *self.topo.port(node, port);
-        let ser = tx_time(item.pkt.size as u64, self.port_rate(node, port));
         self.schedule(now + ser, Event::TxDone { node, port });
         self.schedule(
-            now + ser + info.delay,
+            now + ser + delay,
             Event::Arrive {
-                node: info.peer_node,
-                port: info.peer_port,
+                node: peer_node,
+                port: peer_port,
                 pkt: item.pkt,
             },
         );
@@ -483,79 +545,64 @@ impl SimCore {
     /// Transmitter finished: release buffer accounting, maybe send PFC
     /// RESUME, and start the next packet.
     fn on_tx_done(&mut self, node: NodeId, port: PortId) {
-        let inflight = self.nodes[node.idx()].ports[port.idx()]
-            .in_flight
-            .take()
-            .expect("TxDone without in-flight packet");
-        self.nodes[node.idx()].ports[port.idx()].tx_busy = false;
+        let inflight = self.port_mut(node, port).in_flight.take();
+        let inflight = inflight.expect("TxDone without in-flight packet");
 
         if let Some(ingress) = inflight.ingress {
             // Switch: give the bytes back to the shared pool and the ingress
             // counter, then re-evaluate the PFC state of that ingress.
-            let st = &mut self.nodes[node.idx()];
-            if let Some(buf) = st.buffer.as_mut() {
+            let i = self.port_index(node, ingress);
+            let buffer = &mut self.nodes[node.idx()].buffer;
+            if let Some(buf) = buffer.as_mut() {
                 buf.release(inflight.size);
             }
             let prio = inflight.prio as usize;
-            let ip = &mut st.ports[ingress.idx()];
+            let ip = &mut self.ports[i];
             debug_assert!(ip.ingress_bytes[prio] >= inflight.size as u64);
             ip.ingress_bytes[prio] -= inflight.size as u64;
             let bit = 1u8 << (inflight.prio & 7);
-            if ip.pfc_sent & bit != 0 {
-                let resume = st
-                    .buffer
-                    .as_ref()
-                    .map(|b| b.should_resume(st.ports[ingress.idx()].ingress_bytes[prio]))
-                    .unwrap_or(true);
-                if resume {
-                    self.nodes[node.idx()].ports[ingress.idx()].pfc_sent &= !bit;
-                    self.send_pfc(node, ingress, inflight.prio, false);
-                }
+            let resume = |b: &SharedBuffer| b.should_resume(ip.ingress_bytes[prio]);
+            if ip.pfc_sent & bit != 0 && buffer.as_ref().is_none_or(resume) {
+                ip.pfc_sent &= !bit;
+                self.send_pfc(node, ingress, inflight.prio, false);
             }
         }
         self.try_send(node, port);
     }
 
-    /// Effective serialization rate of (`node`, `port`): the fault-injected
-    /// override when present, the topology-configured rate otherwise.
-    #[inline]
-    fn port_rate(&self, node: NodeId, port: PortId) -> u64 {
-        self.nodes[node.idx()].ports[port.idx()]
-            .rate_override
-            .unwrap_or_else(|| self.topo.port(node, port).rate_bps)
-    }
-
     /// Deliver a PFC pause/resume to the peer of `ingress` on `node`.
     fn send_pfc(&mut self, node: NodeId, ingress: PortId, prio: Prio, pause: bool) {
-        let info = *self.topo.port(node, ingress);
-        let delay = tx_time(PFC_FRAME_BYTES, self.port_rate(node, ingress)) + info.delay;
-        let at = self.now + delay;
+        let i = self.port_index(node, ingress);
+        let ip = &mut self.ports[i];
+        let at = self.now + tx_time(PFC_FRAME_BYTES, ip.rate_bps) + ip.delay;
+        let (peer_node, peer_port) = (ip.peer_node, ip.peer_port);
+        let qlen = ip.ingress_bytes[prio as usize];
+        if pause {
+            ip.pfc_pause_events += 1;
+            self.total_pfc_pauses += 1;
+        }
         self.schedule(
             at,
             Event::PfcUpdate {
-                node: info.peer_node,
-                port: info.peer_port,
+                node: peer_node,
+                port: peer_port,
                 prio,
                 pause,
             },
         );
-        if pause {
-            self.nodes[node.idx()].ports[ingress.idx()].pfc_pause_events += 1;
-            self.total_pfc_pauses += 1;
-        }
         let kind = if pause {
             TraceKind::PfcPause
         } else {
             TraceKind::PfcResume
         };
-        let qlen = self.nodes[node.idx()].ports[ingress.idx()].ingress_bytes[prio as usize];
         self.trace(kind, node, ingress, prio, FlowId(0), qlen);
     }
 
     fn on_pfc_update(&mut self, node: NodeId, port: PortId, prio: Prio, pause: bool) {
         let bit = 1u8 << (prio & 7);
         let now = self.now;
-        let ps = &mut self.nodes[node.idx()].ports[port.idx()];
+        let i = self.port_index(node, port);
+        let ps = &mut self.ports[i];
         if !ps.link_up {
             // A pause landing on a downed port would stick forever: the
             // sender's pfc_sent state was cleared when the link failed, so
@@ -564,7 +611,7 @@ impl SimCore {
         }
         if pause {
             if ps.paused & bit == 0 {
-                ps.pause_since[prio as usize] = Some(now);
+                ps.pause_since[prio as usize] = now;
             }
             ps.paused |= bit;
         } else {
@@ -573,7 +620,6 @@ impl SimCore {
                     p.pause(dur / 1000);
                 }
             }
-            ps.paused &= !bit;
             self.try_send(node, port);
         }
     }
@@ -588,26 +634,24 @@ impl SimCore {
             return;
         };
         let prio = pkt.prio as usize;
+        let bit = 1u8 << (pkt.prio & 7);
         let now = self.now;
+        let (out, inp) = (
+            self.port_index(node, out_port),
+            self.port_index(node, in_port),
+        );
 
         // Admission: per-queue drop-tail bound and shared-buffer capacity.
-        let st = &self.nodes[node.idx()];
-        let q = &st.ports[out_port.idx()].queues[prio];
-        let buffer_full = st
-            .buffer
-            .as_ref()
-            .map(|b| !b.can_admit(pkt.size))
-            .unwrap_or(false);
-        if q.would_overflow(pkt.size) || buffer_full {
+        let ps = &mut self.ports[out];
+        let q = &ps.queues[prio];
+        let buffer = self.nodes[node.idx()].buffer.as_ref();
+        if q.would_overflow(pkt.size) || buffer.is_some_and(|b| !b.can_admit(pkt.size)) {
             self.total_drops += 1;
-            if self.cfg.lossless_mask & (1u8 << (pkt.prio & 7)) != 0 {
+            if self.cfg.lossless_mask & bit != 0 {
                 self.lossless_drops += 1;
             }
             let qlen = q.bytes();
-            {
-                let ps = &mut self.nodes[node.idx()].ports[out_port.idx()];
-                ps.queues[prio].record_drop(&mut ps.telem);
-            }
+            q.record_drop(&mut ps.telem);
             self.trace(TraceKind::Drop, node, out_port, pkt.prio, pkt.flow, qlen);
             if let Some(p) = self.prof.as_mut() {
                 p.drop_at(qlen);
@@ -617,7 +661,6 @@ impl SimCore {
 
         // RED/ECN marking against the instantaneous egress queue depth.
         if pkt.ecn.markable() {
-            let q = &self.nodes[node.idx()].ports[out_port.idx()].queues[prio];
             let ecn_at = q.ecn.map(|cfg| (cfg, q.marking_qlen()));
             if let Some((cfg, qlen)) = ecn_at {
                 let p = cfg.mark_probability(qlen);
@@ -633,30 +676,21 @@ impl SimCore {
         }
 
         // Charge the shared buffer and the ingress counter; evaluate Xoff.
-        let st = &mut self.nodes[node.idx()];
-        if let Some(buf) = st.buffer.as_mut() {
+        if let Some(buf) = self.nodes[node.idx()].buffer.as_mut() {
             buf.charge(pkt.size);
-            let ip = &mut st.ports[in_port.idx()];
+            let ip = &mut self.ports[inp];
             ip.ingress_bytes[prio] += pkt.size as u64;
-            let bit = 1u8 << (pkt.prio & 7);
             let lossless = self.cfg.lossless_mask & bit != 0;
-            if lossless && ip.pfc_sent & bit == 0 {
-                let over = st
-                    .buffer
-                    .as_ref()
-                    .map(|b| b.should_pause(st.ports[in_port.idx()].ingress_bytes[prio]))
-                    .unwrap_or(false);
-                if over {
-                    self.nodes[node.idx()].ports[in_port.idx()].pfc_sent |= bit;
-                    self.send_pfc(node, in_port, pkt.prio, true);
-                }
+            if lossless && ip.pfc_sent & bit == 0 && buf.should_pause(ip.ingress_bytes[prio]) {
+                ip.pfc_sent |= bit;
+                self.send_pfc(node, in_port, pkt.prio, true);
             }
         }
 
-        let ps = &mut self.nodes[node.idx()].ports[out_port.idx()];
+        let ps = &mut self.ports[out];
         let q = &mut ps.queues[prio];
         q.push(
-            &mut ps.arena,
+            &mut self.arena,
             &mut ps.telem,
             QItem {
                 pkt,
@@ -671,11 +705,7 @@ impl SimCore {
 
     /// Total bytes currently buffered in a switch.
     pub fn buffer_used(&self, node: NodeId) -> u64 {
-        self.nodes[node.idx()]
-            .buffer
-            .as_ref()
-            .map(|b| b.used)
-            .unwrap_or(0)
+        self.nodes[node.idx()].buffer.as_ref().map_or(0, |b| b.used)
     }
 }
 
@@ -928,7 +958,7 @@ impl Simulator {
                 if self.core.rx_fault_drop(node, port, &pkt) {
                     // Lost to a downed link or injected loss: counted and
                     // traced, never delivered.
-                } else if self.core.topo.is_host(node) {
+                } else if self.core.port(node, port).is_host {
                     self.dispatch_driver(node, |d, ctx| d.on_packet(&pkt, ctx));
                 } else {
                     self.core.switch_rx(node, port, pkt);
@@ -937,7 +967,7 @@ impl Simulator {
             Event::TxDone { node, port } => {
                 self.core.on_tx_done(node, port);
                 // Hosts get the completion signal so deferred sends resume.
-                if self.core.topo.is_host(node) {
+                if self.core.port(node, port).is_host {
                     self.dispatch_driver(node, |d, ctx| d.on_tx_ready(ctx));
                 }
             }
@@ -1138,6 +1168,20 @@ mod tests {
     pub(super) fn two_host_sim(rate: u64) -> (Simulator, Got) {
         let (sim, _, got) = blast_sim(1, 100, RDMA_ECT, rate, SimConfig::default());
         (sim, got)
+    }
+
+    /// The first cache line of a port's block holds what every packet event
+    /// on the port touches — through the ingress counters of the first
+    /// three classes (the default configuration) — and the block is a
+    /// whole number of lines, so ports never share one.
+    #[test]
+    fn port_block_keeps_its_hot_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<PortState>(), 64);
+        assert!(offset_of!(PortState, ingress_bytes) + 3 * 8 <= 64);
+        assert!(offset_of!(PortState, dwrr) < offset_of!(PortState, queues));
+        assert!(offset_of!(PortState, telem) < offset_of!(PortState, loss_frac));
+        assert_eq!(size_of::<PortState>(), 28 * 64);
     }
 
     #[test]

@@ -171,8 +171,9 @@ impl SimCore {
 impl Simulator {
     /// Build one shard's simulator for a sharded run (see [`crate::shard`]):
     /// the full topology with this shard's nodes live and foreign nodes as
-    /// zero-capacity stand-ins, canonical event keys, per-node RNG streams,
-    /// and cross-shard mailboxes for `plan.n_shards` peers.
+    /// stand-ins that never queue a packet (the packet slab is sized from
+    /// the switches this shard owns), canonical event keys, per-node RNG
+    /// streams, and cross-shard mailboxes for `plan.n_shards` peers.
     pub fn new_sharded(topo: Topology, cfg: SimConfig, plan: &ShardPlan, shard: u32) -> Self {
         assert!(shard < plan.n_shards, "shard index out of range");
         assert_eq!(

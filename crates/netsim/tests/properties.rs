@@ -3,7 +3,8 @@
 use netsim::buffer::SharedBuffer;
 use netsim::event::{Event, EventQueue, HeapEventQueue};
 use netsim::ids::{FlowId, NodeId, PortId};
-use netsim::queues::{Dwrr, EcnConfig};
+use netsim::packet::{Ecn, Packet};
+use netsim::queues::{Dwrr, EcnConfig, EgressQueue, PortTelemetry, QItem, QueueArena};
 use netsim::routing::RouteTable;
 use netsim::time::{tx_time, SimTime};
 use netsim::topology::{PortInfo, Topology, TopologyBuilder, TopologySpec};
@@ -280,6 +281,64 @@ proptest! {
     }
 }
 
+/// The same model, on the one thing the near tier's sort cannot take from
+/// its 8-byte keys: the order of events that share a timestamp. The keys
+/// leave such a run in the order the events reached the bucket, and that is
+/// not `seq` order when an overflow migrant sits in the slot ahead of later
+/// direct pushes with smaller keys, or when keyed pushes arrive descending.
+/// (With plain `push` the migrant's smaller `seq` already sorts first; that
+/// case runs too.)
+#[test]
+fn wheel_settles_equal_times_by_seq_not_arrival() {
+    let tick = |token| Event::HostTimer {
+        host: NodeId(0),
+        token,
+    };
+    // Both beyond the 4.2-µs horizon of an empty queue; `tie` is 2 µs after
+    // `near`, so popping `near` brings it into the wheel.
+    let (near, tie) = (SimTime::from_us(48), SimTime::from_us(50));
+    for keyed in [false, true] {
+        let mut q = EventQueue::new();
+        let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut pushes = 0u64;
+        let mut push = |q: &mut EventQueue, model: &mut BTreeSet<_>, t, key| {
+            if keyed {
+                q.push_keyed(t, key, tick(pushes));
+                model.insert((t, key));
+            } else {
+                q.push(t, tick(pushes));
+                model.insert((t, pushes));
+            }
+            pushes += 1;
+        };
+        // The migrant: parked in the overflow heap under the largest key.
+        push(&mut q, &mut model, tie, 9);
+        push(&mut q, &mut model, near, 1);
+        assert_eq!(q.pop().map(|s| (s.time, s.seq)), model.pop_first());
+        assert_eq!(
+            q.stats().overflow_migrations,
+            2,
+            "the migrant is in its slot"
+        );
+        // Direct pushes behind it, keys descending, and a neighbour in the
+        // same bucket on either side of the tie.
+        for key in [8, 6, 4, 2] {
+            push(&mut q, &mut model, tie, key);
+        }
+        push(&mut q, &mut model, tie + SimTime::from_ps(1), 0);
+        push(&mut q, &mut model, tie - SimTime::from_ps(1), 10);
+        assert_eq!(q.stats().pushes_wheel, 6);
+        while let Some(want) = model.pop_first() {
+            assert_eq!(
+                q.pop().map(|s| (s.time, s.seq)),
+                Some(want),
+                "keyed: {keyed}"
+            );
+        }
+        assert!(q.pop().is_none());
+    }
+}
+
 proptest! {
     /// The event queue pops events in nondecreasing time order, and events
     /// with identical times pop in insertion order.
@@ -514,6 +573,80 @@ proptest! {
             reset = d.deficit(0) == 0;
         }
         prop_assert!(reset, "drained class 0 kept stale deficit");
+    }
+
+    /// Many FIFOs on one slab — what a core's ports share — against one
+    /// `VecDeque` per queue: pushes, pops and whole-queue flushes (the reboot
+    /// path) interleave over 24 queues, every queue stays FIFO and keeps its
+    /// own length and byte count, a flush returns exactly its queue's items
+    /// and leaves every other queue intact, and the slab never holds more
+    /// slots than the most items that were ever queued at once.
+    #[test]
+    fn shared_slab_keeps_every_queue_fifo(
+        ops in prop::collection::vec((0u8..10, 0usize..24, 1u32..9000), 1..800),
+    ) {
+        const QUEUES: usize = 24;
+        let now = SimTime::ZERO;
+        let mut arena = QueueArena::new();
+        let mut telem: Vec<PortTelemetry> = (0..QUEUES).map(|_| PortTelemetry::new()).collect();
+        let mut queues: Vec<EgressQueue> = (0..QUEUES)
+            .map(|i| EgressQueue::new(i % 8, u64::MAX, None))
+            .collect();
+        let mut model: Vec<VecDeque<(u64, u32)>> = vec![VecDeque::new(); QUEUES];
+        let tagged = |item: &QItem| (item.pkt.flow.0, item.pkt.size, item.ingress);
+        let (mut pushed, mut live, mut peak) = (0u64, 0usize, 0usize);
+        let mut flushed = Vec::new();
+        for &(action, qi, payload) in &ops {
+            let (q, t, m) = (&mut queues[qi], &mut telem[qi], &mut model[qi]);
+            match action {
+                0..=5 => {
+                    let pkt = Packet::data(
+                        FlowId(pushed), NodeId(0), NodeId(1), 1, 0, payload, false, Ecn::Ect,
+                    );
+                    m.push_back((pushed, pkt.size));
+                    q.push(&mut arena, t, QItem { pkt, ingress: Some(PortId(qi as u16)) }, now);
+                    pushed += 1;
+                    live += 1;
+                    peak = peak.max(live);
+                }
+                6..=8 => {
+                    let got = q.pop(&mut arena, t, now);
+                    let want = m.pop_front();
+                    live -= want.is_some() as usize;
+                    prop_assert_eq!(
+                        got.as_ref().map(tagged),
+                        want.map(|(id, size)| (id, size, Some(PortId(qi as u16))))
+                    );
+                }
+                _ => {
+                    let drops = t.queue(qi % 8).drops;
+                    q.flush_into(&mut arena, t, now, &mut flushed);
+                    let got: Vec<_> = flushed.iter().map(tagged).collect();
+                    let want: Vec<_> = m
+                        .drain(..)
+                        .map(|(id, size)| (id, size, Some(PortId(qi as u16))))
+                        .collect();
+                    live -= want.len();
+                    prop_assert_eq!(t.queue(qi % 8).drops, drops + want.len() as u64);
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(queues[qi].len(), model[qi].len());
+            let bytes: u64 = model[qi].iter().map(|&(_, size)| size as u64).sum();
+            prop_assert_eq!(queues[qi].bytes(), bytes);
+            prop_assert!(arena.slot_count() <= peak, "{} slots for {peak} items", arena.slot_count());
+        }
+        // Whatever is left comes out of each queue in its own push order.
+        for (qi, (q, m)) in queues.iter_mut().zip(&mut model).enumerate() {
+            while let Some((id, size)) = m.pop_front() {
+                let got = q.pop(&mut arena, &mut telem[qi], now);
+                prop_assert_eq!(
+                    got.as_ref().map(tagged),
+                    Some((id, size, Some(PortId(qi as u16))))
+                );
+            }
+            prop_assert!(q.is_empty() && q.head_size(&arena).is_none());
+        }
     }
 
     /// Every (switch, host) pair in a random leaf-spine fabric has at least
