@@ -70,10 +70,15 @@ impl Default for DdqnConfig {
 /// Persistent scratch owned by the agent so a steady-state
 /// [`DdqnAgent::train_step`] performs zero heap allocations: the sampled
 /// index buffer, the flat packed state batches, the batched activations of
-/// all three network passes, the TD-target and grad-out buffers, the
-/// accumulated minibatch gradients and the backward delta scratch. (The
-/// remaining leg of the workspace — the Adam moment vectors — already
-/// persists inside [`Adam`].)
+/// the network passes, the TD-target and grad-out buffers, the accumulated
+/// minibatch gradients and the backward delta scratch. (The remaining leg
+/// of the workspace — the Adam moment vectors — already persists inside
+/// [`Adam`].)
+///
+/// `eval` serves only the eval net and `target` only the target net, so
+/// each keeps its net's transposed weights while they are current (see
+/// [`Mlp::forward_cached_batch`]): the eval net is transposed once per step
+/// for its two passes, the target net once per sync.
 #[derive(Clone, Debug, Default)]
 struct TrainWorkspace {
     indices: Vec<usize>,
@@ -81,9 +86,8 @@ struct TrainWorkspace {
     next_states: Vec<f32>,
     targets: Vec<f32>,
     grad_out: Vec<f32>,
-    eval_next: BatchActivations,
-    tgt_next: BatchActivations,
-    cache: BatchActivations,
+    eval: BatchActivations,
+    target: BatchActivations,
     scratch: BackwardScratch,
     grads: Option<Gradients>,
 }
@@ -299,9 +303,11 @@ impl DdqnAgent {
     /// batched target-net pass for `Q_next`, and a single batched backward
     /// accumulates the minibatch gradients in fixed sample order. Every
     /// buffer lives in the persistent `TrainWorkspace`, so a steady-state
-    /// step allocates nothing. Results — weights, RNG stream, returned loss
-    /// — are bit-identical to [`DdqnAgent::train_step_scalar`], pinned by
-    /// differential tests.
+    /// step allocates nothing. For finite states and weights, results —
+    /// weights, RNG stream, returned loss — are bit-identical to
+    /// [`DdqnAgent::train_step_scalar`], pinned by differential tests (see
+    /// [`Mlp::backward_batch`] for what a NaN does; the anomaly count is
+    /// the same on both paths either way).
     pub fn train_step(&mut self) -> Option<f32> {
         let n = self.cfg.batch_size;
         if !self.ready_to_train() {
@@ -326,11 +332,9 @@ impl DdqnAgent {
         // Batched Double-DQN target (eq. 3): a* from the eval net, Q_next
         // from the target net, then per-sample targets in index order.
         self.eval
-            .forward_batch(&self.ws.next_states, n, &mut self.ws.eval_next);
+            .forward_cached_batch(&self.ws.next_states, n, &mut self.ws.eval);
         self.target
-            .forward_batch(&self.ws.next_states, n, &mut self.ws.tgt_next);
-        self.eval
-            .forward_cached_batch(&self.ws.states, n, &mut self.ws.cache);
+            .forward_cached_batch(&self.ws.next_states, n, &mut self.ws.target);
 
         let mut anomalies = 0u64;
         self.ws.targets.resize(n, 0.0);
@@ -339,11 +343,11 @@ impl DdqnAgent {
             let y = if t.done {
                 t.reward
             } else {
-                let (a_star, saw_nan) = argmax_checked(self.ws.eval_next.output_row(k));
+                let (a_star, saw_nan) = argmax_checked(self.ws.eval.output_row(k));
                 if saw_nan {
                     anomalies += 1;
                 }
-                t.reward + gamma * self.ws.tgt_next.output_row(k)[a_star]
+                t.reward + gamma * self.ws.target.output_row(k)[a_star]
             };
             if !y.is_finite() {
                 anomalies += 1;
@@ -351,13 +355,18 @@ impl DdqnAgent {
             self.ws.targets[k] = y;
         }
 
+        // The update's pass over S reuses the eval net's transposed weights:
+        // a* has been read out of the workspace, and the weights are the same.
+        self.eval
+            .forward_cached_batch(&self.ws.states, n, &mut self.ws.eval);
+
         // Per-sample TD errors → loss and the sparse grad-out rows.
         self.ws.grad_out.resize(n * n_actions, 0.0);
         self.ws.grad_out.fill(0.0);
         let mut loss = 0.0f32;
         for k in 0..n {
             let t = self.replay.get(self.ws.indices[k]);
-            let q = self.ws.cache.output_row(k)[t.action];
+            let q = self.ws.eval.output_row(k)[t.action];
             let err = q - self.ws.targets[k];
             loss += err * err;
             if !err.is_finite() {
@@ -373,17 +382,14 @@ impl DdqnAgent {
             .grads
             .get_or_insert_with(|| Gradients::zeros(&self.eval));
         self.eval.backward_batch(
-            &self.ws.cache,
+            &self.ws.eval,
             &self.ws.grad_out,
             &mut self.ws.scratch,
             grads,
         );
         grads.scale(1.0 / n as f32);
         self.opt.step(&mut self.eval, grads);
-        self.train_steps += 1;
-        if self.train_steps.is_multiple_of(self.cfg.target_sync_every) {
-            self.target.copy_from(&self.eval);
-        }
+        self.after_update();
         if anomalies > 0 {
             self.anomalies.set(self.anomalies.get() + anomalies);
         }
@@ -438,14 +444,20 @@ impl DdqnAgent {
         }
         total.scale(1.0 / n as f32);
         self.opt.step(&mut self.eval, &total);
-        self.train_steps += 1;
-        if self.train_steps.is_multiple_of(self.cfg.target_sync_every) {
-            self.target.copy_from(&self.eval);
-        }
+        self.after_update();
         if anomalies > 0 {
             self.anomalies.set(self.anomalies.get() + anomalies);
         }
         Some(loss / n as f32)
+    }
+
+    /// What both train paths do after their Adam update of the eval net:
+    /// count the step and sync the target net on schedule.
+    fn after_update(&mut self) {
+        self.train_steps += 1;
+        if self.train_steps.is_multiple_of(self.cfg.target_sync_every) {
+            self.target.copy_from(&self.eval);
+        }
     }
 
     /// Training/inference anomalies observed so far: NaN Q-value vectors fed
@@ -801,6 +813,44 @@ mod tests {
             assert!(loss.is_some());
             assert!(a.anomalies() > 0, "scalar={use_scalar} missed NaN targets");
         }
+    }
+
+    /// Bit-identity with the scalar path holds for finite states and
+    /// weights only (the batched backward skips `0 × NaN`, the scalar one
+    /// adds it), but the anomaly signal must not depend on the path: a
+    /// transition with a NaN feature raises the counter by the same amount
+    /// in both, on the step that first samples it.
+    #[test]
+    fn nan_feature_raises_anomalies_equally_on_both_paths() {
+        let mut batched = DdqnAgent::new(3, 4, DdqnConfig::default(), 21);
+        let mut scalar = DdqnAgent::new(3, 4, DdqnConfig::default(), 21);
+        for i in 0..200u32 {
+            let mut state = vec![(i % 3) as f32, (i % 5) as f32 * 0.2, (i % 7) as f32];
+            if i == 150 {
+                state[1] = f32::NAN;
+            }
+            let t = Transition {
+                state: state.clone(),
+                action: (i % 4) as usize,
+                reward: (i % 11) as f32 * 0.1 - 0.3,
+                next_state: state,
+                done: false,
+            };
+            batched.observe(t.clone());
+            scalar.observe(t);
+        }
+        let mut steps = 0;
+        while batched.anomalies() == 0 {
+            steps += 1;
+            assert!(steps <= 1000, "the NaN transition was never sampled");
+            assert!(batched.train_step().is_some());
+            assert!(scalar.train_step_scalar().is_some());
+            assert_eq!(batched.anomalies(), scalar.anomalies(), "step {steps}");
+        }
+        assert!(
+            steps > 1,
+            "sampled on the first step: nothing ran clean first"
+        );
     }
 
     fn one_hot(i: usize, n: usize) -> Vec<f32> {

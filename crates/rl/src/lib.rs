@@ -7,10 +7,11 @@
 //! scratch and deterministically:
 //!
 //! * [`mlp`] — a fully-connected network with ReLU hidden layers, manual
-//!   backpropagation and an Adam optimizer, plus batched minibatch kernels
-//!   (`forward_batch` / `forward_cached_batch` / `backward_batch`) over
-//!   flat `[batch × dim]` workspaces that are bit-identical to the scalar
-//!   path while allocating nothing at steady state;
+//!   backpropagation and an Adam optimizer, plus register-tiled batched
+//!   minibatch kernels (`forward_batch` / `forward_cached_batch` /
+//!   `backward_batch`) over flat `[batch × dim]` workspaces that are
+//!   bit-identical to the scalar path for finite states and weights while
+//!   allocating nothing at steady state;
 //! * [`replay`] — bounded experience-replay memories (local per agent plus a
 //!   shared *global* memory that agents exchange experience through, the
 //!   asynchronous multi-agent scheme of §3.4), and [`prioritized`] — the

@@ -4,9 +4,21 @@
 //! are He-initialised from a caller-supplied seed, so training is fully
 //! deterministic.
 
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// Elements one register tile spans: outputs in the forward, inputs in the
+/// backward — two SSE registers, one accumulator lane per element.
+const LANES: usize = 8;
+
+/// Samples one forward tile spans, so every weight column loaded serves
+/// `ROWS` samples and the tile's `ROWS × LANES` accumulators form
+/// independent add chains.
+const ROWS: usize = 4;
 
 /// One dense layer: `out = W·x + b`, with `W` stored row-major (out × in).
 #[derive(Debug, Serialize, Deserialize)]
@@ -93,6 +105,115 @@ impl Dense {
             o += 1;
         }
     }
+
+    /// Row length of the transposed weights: `n_out` rounded up to whole
+    /// tiles, so every tile loads a full [`LANES`]-wide column slice.
+    fn wt_stride(&self) -> usize {
+        self.n_out.next_multiple_of(LANES)
+    }
+
+    /// Write the transposed layer into `wt`, `[1 + n_in][wt_stride]` flat:
+    /// row 0 is the bias, row `1 + c` is input `c`'s weight to every
+    /// output. The padding lanes are zero and never stored back.
+    fn transpose_into(&self, wt: &mut [f32]) {
+        let mut rows = wt.chunks_exact_mut(self.wt_stride());
+        let bias = rows.next().expect("bias row");
+        bias[..self.n_out].copy_from_slice(&self.b);
+        bias[self.n_out..].fill(0.0);
+        for (c, col) in rows.enumerate() {
+            let (live, pad) = col.split_at_mut(self.n_out);
+            for (o, slot) in live.iter_mut().enumerate() {
+                *slot = self.w[o * self.n_in + c];
+            }
+            pad.fill(0.0);
+        }
+    }
+
+    /// `out[k][o] = b[o] + Σ_c w[o][c]·x[k][c]` for the `R` samples packed
+    /// in `x`, read from the transposed layer `wt`. A tile of `R` samples
+    /// × [`LANES`] outputs lives in registers: every accumulator starts at
+    /// its bias and adds its terms in input order — the scalar dot's exact
+    /// sum — and every column slice loaded serves all `R` samples.
+    #[inline(always)]
+    fn apply_tile<const R: usize>(&self, wt: &[f32], x: &[f32], out: &mut [f32]) {
+        let (n_in, n_out, stride) = (self.n_in, self.n_out, self.wt_stride());
+        let xs: [&[f32]; R] = std::array::from_fn(|k| &x[k * n_in..(k + 1) * n_in]);
+        for o0 in (0..n_out).step_by(LANES) {
+            let lanes = |row: &[f32]| -> [f32; LANES] {
+                row[o0..o0 + LANES].try_into().expect("LANES-wide slice")
+            };
+            let mut rows = wt.chunks_exact(stride);
+            let mut acc = [lanes(rows.next().expect("bias row")); R];
+            for (c, col) in rows.enumerate() {
+                let col = lanes(col);
+                for (a, x) in acc.iter_mut().zip(&xs) {
+                    let xi = x[c];
+                    for (aj, wj) in a.iter_mut().zip(col) {
+                        *aj += wj * xi;
+                    }
+                }
+            }
+            let width = LANES.min(n_out - o0);
+            for (k, tile) in acc.into_iter().enumerate() {
+                out[k * n_out + o0..][..width].copy_from_slice(&tile[..width]);
+            }
+        }
+    }
+}
+
+/// The `(offset, value)` pairs of `items` whose value is nonzero, in
+/// order, compacted into `buf` (which must have room for every item)
+/// without a branch per item.
+fn nonzero_terms(
+    buf: &mut [(usize, f32)],
+    items: impl Iterator<Item = (usize, f32)>,
+) -> &[(usize, f32)] {
+    let mut n = 0;
+    for item in items {
+        buf[n] = item;
+        n += usize::from(item.1 != 0.0);
+    }
+    &buf[..n]
+}
+
+/// `out[j] = Σ_t k_t · rows[at_t + j]` over `terms = [(at_t, k_t)]` in
+/// order, starting from +0.0: the backward's two folds (weight gradients
+/// over samples, `delta_prev` over weight rows). A tile of `out` stays in
+/// registers while the terms stream past it, so each term costs one load
+/// of its row slice instead of a load and a store of `out`. Tiles are as
+/// wide as four [`LANES`] where `out` allows, so eight independent add
+/// chains hide the adder's latency; narrower ones take the rest.
+fn fold_rows(terms: &[(usize, f32)], rows: &[f32], out: &mut [f32]) {
+    let mut j0 = 0;
+    while out.len() - j0 >= 4 * LANES {
+        fold_tile::<{ 4 * LANES }>(terms, rows, j0, out);
+        j0 += 4 * LANES;
+    }
+    while out.len() - j0 >= LANES {
+        fold_tile::<LANES>(terms, rows, j0, out);
+        j0 += LANES;
+    }
+    if out.len() - j0 >= LANES / 2 {
+        fold_tile::<{ LANES / 2 }>(terms, rows, j0, out);
+        j0 += LANES / 2;
+    }
+    while j0 < out.len() {
+        fold_tile::<1>(terms, rows, j0, out);
+        j0 += 1;
+    }
+}
+
+/// [`fold_rows`] for the `W` columns of `out` from `j0`.
+#[inline(always)]
+fn fold_tile<const W: usize>(terms: &[(usize, f32)], rows: &[f32], j0: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for &(at, k) in terms {
+        let row: &[f32; W] = rows[at + j0..][..W].try_into().expect("W-wide slice");
+        for (a, &r) in acc.iter_mut().zip(row) {
+            *a += k * r;
+        }
+    }
+    out[j0..j0 + W].copy_from_slice(&acc);
 }
 
 impl Clone for Dense {
@@ -186,13 +307,15 @@ pub struct BatchActivations {
     /// `acts[0]` is the flat input batch; `acts[i]` holds the
     /// post-activation outputs of layer `i-1` for every sample.
     acts: Vec<Vec<f32>>,
-    /// Per-layer transposed weights (`[n_in][n_out]` flat), refreshed on
-    /// each batched forward. The transposed layout turns every per-sample
-    /// pass into contiguous axpy sweeps over the output row — SIMD-friendly
-    /// with one independent accumulator lane per output — while each output
-    /// element still sums its terms in input-index order, keeping the
-    /// result bit-identical to the scalar dot products.
+    /// Per-layer transposed weights, bias row first (`[1 + n_in][wt_stride]`
+    /// flat, see `Dense::transpose_into`). The transposed layout makes each
+    /// output tile of a forward one contiguous slice per input, while each
+    /// output element still sums its terms in input-index order, keeping
+    /// the result bit-identical to the scalar dot products.
     wt: Vec<Vec<f32>>,
+    /// The [`Version`] of the weights `wt` holds, if any: a forward of a
+    /// net at this version reuses them instead of transposing again.
+    wt_version: Option<Version>,
     batch: usize,
 }
 
@@ -228,17 +351,19 @@ impl BatchActivations {
         }
         self.wt.resize(net.layers.len(), Vec::new());
         for (buf, l) in self.wt.iter_mut().zip(&net.layers) {
-            buf.resize(l.w.len(), 0.0);
+            buf.resize((1 + l.n_in) * l.wt_stride(), 0.0);
         }
         self.batch = batch;
     }
 }
 
-/// Reusable delta ping-pong buffers for [`Mlp::backward_batch`].
+/// Reusable buffers for [`Mlp::backward_batch`]: the delta ping-pong pair
+/// and the nonzero `(row offset, delta)` terms of one fold.
 #[derive(Clone, Debug, Default)]
 pub struct BackwardScratch {
     delta: Vec<f32>,
     prev: Vec<f32>,
+    terms: Vec<(usize, f32)>,
 }
 
 impl BackwardScratch {
@@ -248,11 +373,67 @@ impl BackwardScratch {
     }
 }
 
+/// Names one state of a net's weights. Building, loading or changing a
+/// net's weights draws a fresh version from a process-wide counter and a
+/// clone or [`Mlp::copy_from`] takes its source's, so two nets share a
+/// version only while their weights are the same bits. A
+/// [`BatchActivations`] records the version it transposed, which is how a
+/// batched forward knows whether its transposed weights are still current.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Version(u64);
+
+impl Version {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Version(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// The number is process history, not state: nets with equal weights, and
+/// agents trained alike, must print alike (tests compare agents by their
+/// `Debug` text).
+impl fmt::Debug for Version {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Version")
+    }
+}
+
 /// The multi-layer perceptron.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Dense>,
     dims: Vec<usize>,
+    /// The current weights' [`Version`]. Not part of the model: it is
+    /// neither saved nor loaded.
+    version: Version,
+}
+
+/// Saved shape of an [`Mlp`]: its parameters, without the [`Version`].
+#[derive(Serialize, Deserialize)]
+struct MlpWire {
+    layers: Vec<Dense>,
+    dims: Vec<usize>,
+}
+
+impl Serialize for Mlp {
+    fn to_value(&self) -> serde::Value {
+        MlpWire {
+            layers: self.layers.clone(),
+            dims: self.dims.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Mlp {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let MlpWire { layers, dims } = MlpWire::from_value(v)?;
+        Ok(Mlp {
+            layers,
+            dims,
+            version: Version::fresh(),
+        })
+    }
 }
 
 impl Mlp {
@@ -269,6 +450,7 @@ impl Mlp {
         Mlp {
             layers,
             dims: dims.to_vec(),
+            version: Version::fresh(),
         }
     }
 
@@ -394,42 +576,46 @@ impl Mlp {
     /// Batched forward pass keeping every layer's activations in `ws` for
     /// [`Mlp::backward_batch`]. Same bit-identity contract as
     /// [`Mlp::forward_batch`].
+    ///
+    /// `ws` keeps the transposed weights of the last net it served, so a
+    /// net whose weights have not changed since — no Adam step, no
+    /// [`Mlp::set_weight`] or [`Mlp::copy_from`] — is not transposed again.
     pub fn forward_cached_batch(&self, xs: &[f32], batch: usize, ws: &mut BatchActivations) {
         assert!(batch > 0, "empty batch");
         assert_eq!(xs.len(), batch * self.input_dim(), "input batch mismatch");
         ws.ensure(self, batch);
         ws.acts[0].copy_from_slice(xs);
         let last = self.layers.len() - 1;
-        // Refreshing the transpose costs one sweep over the weights per
-        // layer; the per-sample axpy sweeps it enables amortise that across
-        // the batch. Small batches skip it and use the row-blocked dots.
+        // Transposing costs one sweep over the weights per layer; the tiled
+        // sweeps it enables amortise that across the batch. Small batches
+        // skip it and use the row-blocked dots.
         let transpose = batch >= 8;
+        if transpose && ws.wt_version != Some(self.version) {
+            for (l, wt) in self.layers.iter().zip(&mut ws.wt) {
+                l.transpose_into(wt);
+            }
+            ws.wt_version = Some(self.version);
+        }
         for (i, l) in self.layers.iter().enumerate() {
             let (head, tail) = ws.acts.split_at_mut(i + 1);
             let src = &head[i];
             let dst = &mut tail[0];
             let (n_in, n_out) = (l.n_in, l.n_out);
             if transpose {
-                let wt = &mut ws.wt[i];
-                for o in 0..n_out {
-                    let row = &l.w[o * n_in..(o + 1) * n_in];
-                    for (c, &w) in row.iter().enumerate() {
-                        wt[c * n_out + o] = w;
-                    }
+                // Blocks of ROWS samples, then the leftover rows one by one.
+                let wt = &ws.wt[i];
+                let xs = src.chunks_exact(ROWS * n_in);
+                let x_rest = xs.remainder();
+                let mut outs = dst.chunks_exact_mut(ROWS * n_out);
+                for (x, out) in xs.zip(&mut outs) {
+                    l.apply_tile::<ROWS>(wt, x, out);
                 }
-                for s in 0..batch {
-                    let x = &src[s * n_in..(s + 1) * n_in];
-                    let out = &mut dst[s * n_out..(s + 1) * n_out];
-                    // out[o] = b[o] + Σ_c w[o][c]·x[c], accumulated in `c`
-                    // order — the scalar dot's exact summation, one SIMD
-                    // lane per output element.
-                    out.copy_from_slice(&l.b);
-                    for (c, &xi) in x.iter().enumerate() {
-                        let col = &wt[c * n_out..(c + 1) * n_out];
-                        for (acc, &w) in out.iter_mut().zip(col) {
-                            *acc += w * xi;
-                        }
-                    }
+                let out_rest = outs.into_remainder();
+                for (x, out) in x_rest
+                    .chunks_exact(n_in)
+                    .zip(out_rest.chunks_exact_mut(n_out))
+                {
+                    l.apply_tile::<1>(wt, x, out);
                 }
             } else {
                 for s in 0..batch {
@@ -456,9 +642,19 @@ impl Mlp {
     /// Determinism contract: each parameter gradient is accumulated over
     /// samples in index order starting from 0.0 — the same left fold that
     /// running the scalar [`Mlp::backward`] per sample and summing with
-    /// [`Gradients::add`] produces — so the result is bit-identical to the
-    /// scalar reference while touching each gradient slot exactly once
-    /// (instead of once per sample plus a zeroing pass).
+    /// [`Gradients::add`] produces — so for finite states and weights the
+    /// result is bit-identical to the scalar reference while touching each
+    /// gradient slot exactly once (instead of once per sample plus a
+    /// zeroing pass).
+    ///
+    /// Both folds skip terms whose delta is `0.0`. With finite operands
+    /// that is exact: an accumulator that starts at +0.0 can never become
+    /// −0.0 under IEEE addition (that needs both operands negative zero),
+    /// so adding the ±0.0 term is a no-op. It is what makes the one-hot DQN
+    /// grad-out rows (one nonzero action per sample) and ReLU-dead hidden
+    /// deltas cheap instead of dominant. With a non-finite operand it is
+    /// not: the scalar path adds `0 × NaN` (or `0 × ∞`), which is NaN, and
+    /// this one skips it.
     pub fn backward_batch(
         &self,
         cache: &BatchActivations,
@@ -478,64 +674,41 @@ impl Mlp {
         scratch.delta.resize(batch * maxw, 0.0);
         scratch.prev.resize(batch * maxw, 0.0);
         scratch.delta[..grad_out.len()].copy_from_slice(grad_out);
+        scratch.terms.resize(batch.max(maxw), (0, 0.0));
+        let terms = &mut scratch.terms;
         for (i, l) in self.layers.iter().enumerate().rev() {
             let input = &cache.acts[i];
             let (n_in, n_out) = (l.n_in, l.n_out);
             let delta = &scratch.delta[..batch * n_out];
-            // dW[o] = Σ_s delta[s][o] ⊗ input[s]: one contiguous axpy per
-            // (o, s) pair, accumulating rows in sample order from zero.
-            //
-            // Samples with `d == 0.0` are skipped outright: an accumulator
-            // that starts at +0.0 can never become -0.0 under IEEE addition
-            // (that needs both operands negative zero), so adding the ±0.0
-            // term `d·x` is always a bit-exact no-op. The skip is what makes
-            // the one-hot DQN grad-out rows (one nonzero action per sample)
-            // and ReLU-dead hidden deltas cheap instead of dominant.
-            let dw = &mut out.dw[i];
-            for o in 0..n_out {
-                let row = &mut dw[o * n_in..(o + 1) * n_in];
-                row.fill(0.0);
-                for s in 0..batch {
-                    let d = delta[s * n_out + o];
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let x = &input[s * n_in..(s + 1) * n_in];
-                    for (slot, xi) in row.iter_mut().zip(x) {
-                        *slot += d * xi;
-                    }
-                }
+            // dW[o] = Σ_s delta[s][o] · input[s]: gather output o's nonzero
+            // (sample, delta) terms from the strided delta column once,
+            // then fold them over the input rows in sample order.
+            for (o, row) in out.dw[i].chunks_exact_mut(n_in).enumerate() {
+                let col = (0..batch).map(|s| (s * n_in, delta[s * n_out + o]));
+                fold_rows(nonzero_terms(terms, col), input, row);
             }
             // db[o] = Σ_s delta[s][o], same sample-order fold.
-            for (o, slot) in out.db[i].iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for s in 0..batch {
-                    acc += delta[s * n_out + o];
+            let db = &mut out.db[i];
+            db.fill(0.0);
+            for d in delta.chunks_exact(n_out) {
+                for (slot, &v) in db.iter_mut().zip(d) {
+                    *slot += v;
                 }
-                *slot = acc;
             }
             if i == 0 {
                 break;
             }
-            // delta_prev = Wᵀ·delta per sample (row order preserved), masked
-            // by the previous ReLU's post-activations — exactly the scalar
-            // backward, just over flat rows.
+            // delta_prev[s] = Σ_r delta[s][r] · W[r] over the nonzero rows
+            // in row order, then masked by the previous ReLU's
+            // post-activations — exactly the scalar backward.
             let prev = &mut scratch.prev[..batch * n_in];
-            prev.fill(0.0);
-            for s in 0..batch {
-                let d = &delta[s * n_out..(s + 1) * n_out];
-                let p = &mut prev[s * n_in..(s + 1) * n_in];
-                for (r, &dr) in d.iter().enumerate() {
-                    // Zero rows are bit-exact no-ops (see the dW fold above).
-                    if dr == 0.0 {
-                        continue;
-                    }
-                    let wrow = &l.w[r * n_in..(r + 1) * n_in];
-                    for (pj, wj) in p.iter_mut().zip(wrow) {
-                        *pj += wj * dr;
-                    }
-                }
-                let a = &input[s * n_in..(s + 1) * n_in];
+            for ((p, d), a) in prev
+                .chunks_exact_mut(n_in)
+                .zip(delta.chunks_exact(n_out))
+                .zip(input.chunks_exact(n_in))
+            {
+                let rows = d.iter().enumerate().map(|(r, &dr)| (r * n_in, dr));
+                fold_rows(nonzero_terms(terms, rows), &l.w, p);
                 for (pj, aj) in p.iter_mut().zip(a) {
                     if *aj <= 0.0 {
                         *pj = 0.0;
@@ -554,6 +727,7 @@ impl Mlp {
     /// Overwrite one flat-indexed weight of `layer` (tests/diagnostics).
     pub fn set_weight(&mut self, layer: usize, idx: usize, v: f32) {
         self.layers[layer].w[idx] = v;
+        self.version = Version::fresh();
     }
 
     /// Copy parameters from `other` (target-network sync). Allocation-free:
@@ -563,6 +737,7 @@ impl Mlp {
         for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
             dst.clone_from(src);
         }
+        self.version = other.version;
     }
 }
 
@@ -627,6 +802,7 @@ impl Adam {
                 bc2,
             );
         }
+        net.version = Version::fresh();
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -793,6 +969,9 @@ mod tests {
         let back: Mlp = serde_json::from_str(&json).unwrap();
         let x = [0.5, -0.5, 0.25, 0.75];
         assert_eq!(net.forward(&x), back.forward(&x));
+        // The saved form is the parameters alone: no version.
+        assert!(!json.contains("version"), "{json}");
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     /// The batched forward must agree bit-for-bit with the scalar forward,
@@ -849,6 +1028,45 @@ mod tests {
         net.backward_batch(&ws, &grad_out, &mut scratch, &mut again);
         assert_eq!(total.dw, again.dw);
         assert_eq!(total.db, again.db);
+    }
+
+    /// One workspace, every way a net's weights can change under it — an
+    /// Adam step, `set_weight`, `copy_from`, a different net, a loaded one
+    /// — and each batched forward must still match the scalar forward: a
+    /// transpose is reused only while it is current.
+    #[test]
+    fn batched_forward_follows_weight_changes() {
+        let dims = [6, 17, 9, 5];
+        let batch = 12;
+        let xs: Vec<f32> = (0..batch * 6)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.031)
+            .collect();
+        let mut ws = BatchActivations::new();
+        let check = |net: &Mlp, ws: &mut BatchActivations, what: &str| {
+            net.forward_batch(&xs, batch, ws);
+            for s in 0..batch {
+                let row = net.forward(&xs[s * 6..(s + 1) * 6]);
+                assert_eq!(row.as_slice(), ws.output_row(s), "{what}: row {s}");
+            }
+        };
+        let mut net = Mlp::new(&dims, 1);
+        let other = Mlp::new(&dims, 2);
+        check(&net, &mut ws, "first pass");
+        check(&net, &mut ws, "unchanged net");
+        let mut opt = Adam::new(&net, 1e-2);
+        let mut grads = Gradients::zeros(&net);
+        grads.dw[1][3] = 1.0;
+        opt.step(&mut net, &grads);
+        check(&net, &mut ws, "after an Adam step");
+        net.set_weight(2, 4, 0.5);
+        check(&net, &mut ws, "after set_weight");
+        check(&other, &mut ws, "another net");
+        check(&net, &mut ws, "back to the first net");
+        net.copy_from(&other);
+        check(&net, &mut ws, "after copy_from");
+        let loaded: Mlp =
+            serde_json::from_str(&serde_json::to_string(&Mlp::new(&dims, 3)).unwrap()).unwrap();
+        check(&loaded, &mut ws, "a loaded net");
     }
 
     #[test]

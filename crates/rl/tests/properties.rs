@@ -4,63 +4,135 @@ use proptest::prelude::*;
 use rl::mlp::Gradients;
 use rl::{BackwardScratch, BatchActivations, DdqnAgent, DdqnConfig, Mlp, ReplayBuffer, Transition};
 
+/// Deterministic pseudo-random kernel operands (xorshift64).
+struct Operands(u64);
+
+impl Operands {
+    fn bits(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A value in [-1, 1], exactly 0.0 one time in five.
+    fn value(&mut self) -> f32 {
+        let z = self.bits();
+        if z.is_multiple_of(5) {
+            0.0
+        } else {
+            ((z % 2001) as f32 - 1000.0) * 1e-3
+        }
+    }
+}
+
+/// Run the batched forward and backward over `xs`/`grad_out` and assert
+/// them bit-identical to the scalar forward per row and to the scalar
+/// per-sample-backward-then-sum fold.
+fn assert_batched_matches_scalar(net: &Mlp, xs: &[f32], grad_out: &[f32], batch: usize) {
+    let (n_in, n_out) = (net.input_dim(), net.output_dim());
+    let mut ws = BatchActivations::new();
+    let mut scratch = BackwardScratch::new();
+    let mut batched = Gradients::zeros(net);
+    net.forward_cached_batch(xs, batch, &mut ws);
+    net.backward_batch(&ws, grad_out, &mut scratch, &mut batched);
+
+    let mut total = Gradients::zeros(net);
+    for s in 0..batch {
+        let x = &xs[s * n_in..(s + 1) * n_in];
+        assert_eq!(net.forward(x).as_slice(), ws.output_row(s), "row {s}");
+        let cache = net.forward_cached(x);
+        total.add(&net.backward(&cache, &grad_out[s * n_out..(s + 1) * n_out]));
+    }
+    assert_eq!(total.dw, batched.dw);
+    assert_eq!(total.db, batched.db);
+}
+
+/// The batched kernels at the exact shape the ACC agents train:
+/// `[12, 40, 40, 20]` × 32, one-hot DQN gradient rows.
+#[test]
+fn batched_kernels_bit_identical_on_the_acc_shape() {
+    let net = Mlp::new(&[12, 40, 40, 20], 13);
+    let mut rng = Operands(0x9E37_79B9_7F4A_7C15);
+    let xs: Vec<f32> = (0..32 * 12).map(|_| rng.value()).collect();
+    let mut grad_out = vec![0.0f32; 32 * 20];
+    for s in 0..32 {
+        grad_out[s * 20 + (rng.bits() % 20) as usize] = rng.value();
+    }
+    assert_batched_matches_scalar(&net, &xs, &grad_out, 32);
+}
+
 proptest! {
-    /// Differential test of the batched kernels: for random layer shapes,
-    /// batch sizes 1..64, random weights (seed) and random inputs, the
-    /// batched forward must be bit-identical per row to the scalar forward,
-    /// and the batched backward bit-identical to the scalar
+    // The offline proptest stub defaults to 32 cases; this draw space is
+    // wide, so sample it as densely as real proptest's default would.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential test of the batched kernels: for random layer shapes
+    /// (several register tiles, tails of 1–7 lanes), batch sizes 1..=70
+    /// (both sides of the transposed path's `batch >= 8`, every 4-row
+    /// remainder), random weights (seed) and random inputs with exact
+    /// zeros, all-zero rows and a ReLU-dead hidden unit, the batched
+    /// forward must be bit-identical per row to the scalar forward, and the
+    /// batched backward bit-identical to the scalar
     /// per-sample-backward-then-sum fold. This pins the determinism contract
     /// the agent's batched `train_step` relies on (the same reference-path
     /// pattern as `HeapEventQueue` vs the timing wheel).
     #[test]
     fn batched_kernels_bit_identical_to_scalar(
         seed in any::<u64>(),
-        batch in 1usize..64,
-        n_in in 1usize..8,
-        hidden in prop::collection::vec(1usize..12, 1..3),
-        n_out in 2usize..8,
+        batch in 1usize..=70,
+        n_in in 1usize..=16,
+        hidden in prop::collection::vec(1usize..=48, 1..3),
+        n_out in 2usize..=24,
         xseed in any::<u32>(),
+        dead_unit in any::<bool>(),
+        one_hot in any::<bool>(),
     ) {
         let mut dims = vec![n_in];
         dims.extend_from_slice(&hidden);
         dims.push(n_out);
-        let net = Mlp::new(&dims, seed);
-        // Deterministic pseudo-random inputs/gradients from xseed.
-        let mut z = u64::from(xseed) | 1;
-        let mut next = move || {
-            z ^= z << 13;
-            z ^= z >> 7;
-            z ^= z << 17;
-            ((z % 2001) as f32 - 1000.0) * 1e-3
-        };
-        let xs: Vec<f32> = (0..batch * n_in).map(|_| next()).collect();
-        let grad_out: Vec<f32> = (0..batch * n_out).map(|_| next()).collect();
-
-        let mut ws = BatchActivations::new();
-        let mut scratch = BackwardScratch::new();
-        let mut batched = Gradients::zeros(&net);
-        net.forward_cached_batch(&xs, batch, &mut ws);
-        net.backward_batch(&ws, &grad_out, &mut scratch, &mut batched);
-
-        let mut total = Gradients::zeros(&net);
-        for s in 0..batch {
-            let x = &xs[s * n_in..(s + 1) * n_in];
-            prop_assert_eq!(net.forward(x).as_slice(), ws.output_row(s), "row {}", s);
-            let cache = net.forward_cached(x);
-            total.add(&net.backward(&cache, &grad_out[s * n_out..(s + 1) * n_out]));
+        let mut net = Mlp::new(&dims, seed);
+        if dead_unit {
+            // Hidden unit 0 gets no input and a zero bias: it outputs
+            // exactly 0.0 for every sample, so its deltas are all masked.
+            for c in 0..n_in {
+                net.set_weight(0, c, 0.0);
+            }
         }
-        prop_assert_eq!(&total.dw, &batched.dw);
-        prop_assert_eq!(&total.db, &batched.db);
+        let mut rng = Operands(u64::from(xseed) | 1);
+        let mut xs: Vec<f32> = (0..batch * n_in).map(|_| rng.value()).collect();
+        // Every third row all zero: with zero biases every hidden layer of
+        // that sample is ReLU-dead.
+        for row in xs.chunks_exact_mut(n_in).step_by(3) {
+            row.fill(0.0);
+        }
+        let mut grad_out: Vec<f32> = (0..batch * n_out).map(|_| rng.value()).collect();
+        if one_hot {
+            // The DQN's rows: one taken action per sample.
+            for row in grad_out.chunks_exact_mut(n_out) {
+                let keep = (rng.bits() % n_out as u64) as usize;
+                for (a, g) in row.iter_mut().enumerate() {
+                    if a != keep {
+                        *g = 0.0;
+                    }
+                }
+            }
+        }
+        assert_batched_matches_scalar(&net, &xs, &grad_out, batch);
     }
+}
 
+proptest! {
     /// Agent-level differential: interleaved select/observe/train with the
     /// batched `train_step` tracks the scalar reference bit-for-bit for
-    /// random seeds and replay flavours.
+    /// random seeds and replay flavours, including across a `load_model`
+    /// halfway through — after batched steps have transposed both nets.
     #[test]
     fn agent_batched_training_matches_scalar(
         seed in any::<u64>(),
         prioritized in any::<bool>(),
         steps in 80usize..160,
+        reload in any::<bool>(),
     ) {
         let mut cfg = DdqnConfig::default();
         cfg.min_replay = 32;
@@ -68,7 +140,12 @@ proptest! {
         cfg.target_sync_every = 20;
         let mut batched = DdqnAgent::new(2, 3, cfg.clone(), seed);
         let mut scalar = DdqnAgent::new(2, 3, cfg, seed);
+        let model = Mlp::new(batched.export_model().dims(), seed ^ 0x5EED);
         for i in 0..steps {
+            if reload && i == steps / 2 {
+                batched.load_model(&model);
+                scalar.load_model(&model);
+            }
             let s = vec![(i % 4) as f32 * 0.5, (i % 6) as f32 * 0.3];
             let a = batched.select_action(&s);
             prop_assert_eq!(a, scalar.select_action(&s));
