@@ -839,7 +839,7 @@ impl EngineTotals {
             events_processed: core.events_processed,
             peak_event_queue: core.event_queue_peak(),
             fault_log_dropped: core.fault_log_dropped,
-            trace_evicted: core.tracer.as_ref().map(|t| t.evicted).unwrap_or(0),
+            trace_evicted: core.tracer().map_or(0, |t| t.evicted),
             arena_slots_reserved: arena_slots_reserved as u64,
             arena_slots_peak: arena_slots_peak as u64,
         }

@@ -323,7 +323,7 @@ mod tests {
             let t0 = prof.dispatch_begin();
             prof.dispatch_end(0, t0, 3);
         }
-        prof.ecn_mark(4096);
+        prof.ecn_mark_qlen.record(4096);
         let t = Instant::now();
         prof.span("control_tick", "control", t, "sim_us=1.0".into());
         book.add_run(

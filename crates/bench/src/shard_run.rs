@@ -34,23 +34,6 @@ use telemetry::{merge_shards, JsonlSink, RunRecorder, SharedRecorder, TelemetryS
 use transport::{merge_shard_fct, FctCollector, FlowRecord, SharedFct, StackConfig};
 use workloads::gen::{self, Arrival};
 
-/// A sink handle that can be shared between a [`RunRecorder`] (which owns
-/// its sinks as boxed trait objects) and the shard's finish hook (which
-/// needs the collected samples back out).
-struct SharedVecSink(Rc<RefCell<VecSink>>);
-
-impl TelemetrySink for SharedVecSink {
-    fn on_queue(&mut self, s: &telemetry::QueueSample) {
-        self.0.borrow_mut().on_queue(s);
-    }
-    fn on_agent(&mut self, s: &telemetry::AgentSample) {
-        self.0.borrow_mut().on_agent(s);
-    }
-    fn on_event(&mut self, s: &telemetry::EventSample) {
-        self.0.borrow_mut().on_event(s);
-    }
-}
-
 /// Shard-local state threaded from the build hook to the finish hook (same
 /// worker thread; holds `Rc`s, never crosses threads).
 struct ShardLocal {
@@ -182,7 +165,7 @@ pub fn run_scenario_sharded_phased(
             let telem = interval.map(|iv| {
                 let vec = Rc::new(RefCell::new(VecSink::new()));
                 let rec = RunRecorder::new()
-                    .with_sink(Box::new(SharedVecSink(vec.clone())))
+                    .with_sink(Box::new(vec.clone()))
                     .into_shared();
                 telemetry::install_queue_sampler(&mut sim, iv, rec.clone());
                 acc_core::controller::attach_recorder(&mut sim, &rec);

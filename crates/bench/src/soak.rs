@@ -422,7 +422,7 @@ pub fn run_soak_with(
         faults: FaultSlo {
             events_executed: core.faults_executed,
             fault_log_dropped: core.fault_log_dropped,
-            trace_evicted: core.tracer.as_ref().map(|tr| tr.evicted).unwrap_or(0),
+            trace_evicted: core.tracer().map_or(0, |tr| tr.evicted),
             fault_drops: core.fault_drops,
         },
         alloc: h.peak_live_bytes().map(|peak| {

@@ -13,7 +13,7 @@ use netsim::prelude::*;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
-use telemetry::{MemorySink, RunRecorder};
+use telemetry::{RunRecorder, VecSink};
 
 const LINK_BPS: u64 = 25_000_000_000;
 
@@ -63,7 +63,7 @@ fn frozen_acc_observes_acts_and_records() {
     let space = ActionSpace::templates();
     install_acc(&mut sim, &cfg, &space);
     let rec = RunRecorder::new()
-        .with_sink(Box::new(MemorySink::new(1 << 16)))
+        .with_sink(Box::new(VecSink::new()))
         .into_shared();
     attach_recorder(&mut sim, &rec);
     sim.run_until(SimTime::from_ms(100));

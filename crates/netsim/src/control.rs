@@ -199,7 +199,7 @@ impl SwitchView<'_> {
     /// a single branch and no clock reads.
     #[inline]
     pub fn profiling_enabled(&self) -> bool {
-        matches!(&self.backend, ViewBackend::Packet(core) if core.prof.is_some())
+        matches!(&self.backend, ViewBackend::Packet(core) if core.profiler().is_some())
     }
 
     /// Record a wall-clock span (category `control`) started at `start` —
@@ -208,7 +208,7 @@ impl SwitchView<'_> {
     pub fn profile_span(&mut self, name: &'static str, start: std::time::Instant) {
         let sw = self.node.0;
         if let ViewBackend::Packet(core) = &mut self.backend {
-            if let Some(p) = core.prof.as_mut() {
+            if let Some(p) = core.profiler_mut() {
                 p.span(name, "control", start, format!("sw={sw}"));
             }
         }

@@ -10,8 +10,8 @@
 //! overflow heap until the wheel rotates toward them, and the few pushes
 //! that arrive for a bucket already sorted go to a small side heap that
 //! `pop` merges in. The previous `BinaryHeap`-based queue is kept as
-//! [`HeapEventQueue`], a reference implementation for differential tests
-//! and benchmarks.
+//! `HeapEventQueue`, a reference implementation for differential tests and
+//! benchmarks, outside the rendered docs.
 //!
 //! ## Determinism contract
 //!
@@ -187,7 +187,7 @@ fn key_index(key: u64) -> usize {
 /// earlier. So every event outside `order[pos..]` ∪ `late` fires strictly
 /// after everything inside it, the smaller of the two heads is the global
 /// minimum, and pops are exact `(time, seq)` order — the same order
-/// [`HeapEventQueue`] produces. The wheel rotates only when both are empty.
+/// `HeapEventQueue` produces. The wheel rotates only when both are empty.
 #[derive(Debug)]
 pub struct EventQueue {
     /// The current bucket's events, in push order; read in place by `pop`.
@@ -471,8 +471,9 @@ impl EventQueue {
 /// Kept as the **reference implementation**: differential tests
 /// (`tests/properties.rs`) check that [`EventQueue`] pops any push sequence
 /// in the identical order, and the `event_queue` criterion bench measures
-/// the wheel's push/pop throughput against this baseline. Not used by the
-/// engine.
+/// the wheel's push/pop throughput against this baseline, as does `perf`'s
+/// ratio test. Not used by the engine, so not in the rendered docs.
+#[doc(hidden)]
 #[derive(Default, Debug)]
 pub struct HeapEventQueue {
     heap: BinaryHeap<Scheduled>,

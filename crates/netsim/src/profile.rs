@@ -23,7 +23,9 @@
 //!   pending-event counts and the timing wheel's tier/rotation counters
 //!   ([`crate::event::QueueStats`]).
 //! * **Per-queue pathologies** — histograms of the egress queue depth at
-//!   every ECN CE-mark and every drop, and of PFC pause durations.
+//!   every ECN CE-mark and every drop, and of PFC pause durations, kept
+//!   from the engine's probe point like every other simulated-time
+//!   happening.
 //! * **Spans & instants** — control ticks, controller phases, telemetry
 //!   samples, fault executions and link-down windows, exportable as Chrome
 //!   `trace_event` JSON (load the bench's `--profile out.json` artifact in
@@ -33,6 +35,9 @@
 //! footprint, allocation-free recording, mergeable across runs.
 
 use crate::event::QueueStats;
+use crate::fault::FaultKind;
+use crate::sim::{Happening, Probe};
+use crate::time::SimTime;
 use acc_metrics::Histogram;
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -273,10 +278,39 @@ impl SimProfiler {
         });
     }
 
+    /// Keep what the profiler needs from one probe: the queue depth at each
+    /// CE mark and drop, the length of each PFC pause that ends, and for an
+    /// executed fault an instant — plus, for a link flap, the link-down
+    /// window it opens or closes.
+    #[inline]
+    pub(crate) fn observe(&mut self, at: SimTime, p: &Probe) {
+        match p.what {
+            Happening::CeMark => self.ecn_mark_qlen.record(p.qlen_bytes),
+            Happening::Drop => self.drop_qlen.record(p.qlen_bytes),
+            Happening::PauseEnd { dur_ps } => self.pause_ns.record(dur_ps / 1000),
+            Happening::Fault(kind, _) => {
+                let sim_us = at.as_us_f64();
+                self.instant(kind.name(), "fault", format!("sim_us={sim_us:.1}"));
+                // One window per administrative endpoint; the span covers
+                // down → restore.
+                let window = (p.node.0 as u64) << 32 | p.port.0 as u64;
+                match kind {
+                    FaultKind::LinkDown { .. } => {
+                        let arg = format!("sw{}:{} sim_us={sim_us:.1}", p.node.0, p.port.0);
+                        self.open_window(window, arg);
+                    }
+                    FaultKind::LinkUp { .. } => self.close_window(window),
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// Open a link-down window for endpoint `key` (closed by
     /// [`SimProfiler::close_window`]; still-open windows are flushed as
     /// spans by [`SimProfiler::finish`]).
-    pub fn open_window(&mut self, key: u64, arg: String) {
+    fn open_window(&mut self, key: u64, arg: String) {
         // A re-down of an already-down link replaces the annotation only.
         if let Some(w) = self.open_windows.iter_mut().find(|w| w.0 == key) {
             w.2 = arg;
@@ -287,7 +321,7 @@ impl SimProfiler {
     }
 
     /// Close the link-down window for `key`, emitting its span.
-    pub fn close_window(&mut self, key: u64) {
+    fn close_window(&mut self, key: u64) {
         let Some(pos) = self.open_windows.iter().position(|w| w.0 == key) else {
             return;
         };
@@ -304,24 +338,6 @@ impl SimProfiler {
             dur_us: now_us - start_us,
             arg,
         });
-    }
-
-    /// Record an ECN CE mark at egress queue depth `qlen` bytes.
-    #[inline]
-    pub fn ecn_mark(&mut self, qlen: u64) {
-        self.ecn_mark_qlen.record(qlen);
-    }
-
-    /// Record a drop at egress queue depth `qlen` bytes.
-    #[inline]
-    pub fn drop_at(&mut self, qlen: u64) {
-        self.drop_qlen.record(qlen);
-    }
-
-    /// Record a completed PFC pause of `ns` nanoseconds.
-    #[inline]
-    pub fn pause(&mut self, ns: u64) {
-        self.pause_ns.record(ns);
     }
 
     /// Flush still-open windows (e.g. a link that stayed down to the end of
@@ -506,9 +522,9 @@ mod tests {
             let t0 = p.dispatch_begin();
             p.dispatch_end(4, t0, 2);
         }
-        p.ecn_mark(4096);
-        p.drop_at(90_000);
-        p.pause(12_000);
+        p.ecn_mark_qlen.record(4096);
+        p.drop_qlen.record(90_000);
+        p.pause_ns.record(12_000);
         let t0 = Instant::now();
         p.span("control_tick", "control", t0, "sim_us=50".into());
         p.instant("link_down", "fault", "sw1:2".into());

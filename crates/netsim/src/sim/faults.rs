@@ -1,17 +1,16 @@
 //! Fault execution: everything a [`FaultKind`] does to the engine's state,
 //! and the one function ([`SimCore::report_fault`]) through which an
-//! executed fault becomes visible — in the fault log, the tracer and the
-//! profiler. Cold code: nothing here runs unless a fault plan (or a harness)
+//! executed fault becomes visible — in the fault log and through the probe.
+//! Cold code: nothing here runs unless a fault plan (or a harness)
 //! injects a fault, except [`SimCore::rx_fault_drop`], the per-arrival check
 //! the event loop inlines.
 
-use super::{PortState, SimCore, Simulator};
+use super::{Happening, PortState, SimCore, Simulator};
 use crate::event::Event;
 use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::queues::{QueueTelemetry, MAX_PRIOS};
-use crate::trace::TraceKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,15 +42,13 @@ impl SimCore {
     fn clear_pfc_state(&mut self, node: NodeId, port: PortId) -> u8 {
         let now = self.now;
         let i = self.port_index(node, port);
-        let ps = &mut self.ports[i];
         for prio in 0..MAX_PRIOS {
-            if let Some(dur) = ps.end_pause(prio, now) {
-                if let Some(p) = self.prof.as_mut() {
-                    p.pause(dur / 1000);
-                }
+            if let Some(dur_ps) = self.ports[i].end_pause(prio, now) {
+                let what = Happening::PauseEnd { dur_ps };
+                self.probe(what, node, port, prio as Prio, FlowId(0), 0);
             }
         }
-        std::mem::take(&mut ps.pfc_sent)
+        std::mem::take(&mut self.ports[i].pfc_sent)
     }
 
     /// Administratively fail or restore the link attached to
@@ -77,7 +74,7 @@ impl SimCore {
             FaultKind::LinkDown { node, port }
         };
         self.report_fault(
-            &kind,
+            kind,
             FaultDetail::Peer {
                 node: peer.peer_node,
                 port: peer.peer_port,
@@ -109,69 +106,33 @@ impl SimCore {
     }
 
     /// The one place an executed fault becomes observable: one fault-log
-    /// entry (and `faults_executed`), one profiler instant (plus the
-    /// link-down window a flap opens and closes), and one trace record per
-    /// endpoint the fault names.
+    /// entry (and `faults_executed`), and one probe — from which the
+    /// observers keep a record per endpoint the fault names, an instant and
+    /// the link-down window a flap opens and closes.
     ///
     /// Faults replicate into every shard (link state and routing must stay
     /// globally consistent) but only the owner of the node a fault names
     /// reports it, so merged per-shard logs and traces carry each fault
     /// exactly once, whatever the partition.
-    fn report_fault(&mut self, kind: &FaultKind, detail: FaultDetail) {
+    fn report_fault(&mut self, kind: FaultKind, detail: FaultDetail) {
         let (node, port) = kind.target();
         if !self.owns_node(node) {
             return;
         }
-        let name = kind.name();
         self.faults_executed += 1;
         if self.fault_log.len() >= FAULT_LOG_CAP {
             self.fault_log_dropped += 1;
         } else {
             self.fault_log.push(FaultLogEntry {
                 at: self.now,
-                kind: name,
+                kind: kind.name(),
                 node,
                 port: port.unwrap_or(PortId(u16::MAX)),
                 detail,
             });
         }
-        if let Some(p) = self.prof.as_mut() {
-            let sim_us = self.now.as_us_f64();
-            p.instant(name, "fault", format!("sim_us={sim_us:.1}"));
-            // One window per administrative endpoint; the span covers
-            // down → restore.
-            let window = |port: PortId| (node.0 as u64) << 32 | port.0 as u64;
-            match *kind {
-                FaultKind::LinkDown { port, .. } => p.open_window(
-                    window(port),
-                    format!("sw{}:{} sim_us={sim_us:.1}", node.0, port.0),
-                ),
-                FaultKind::LinkUp { port, .. } => p.close_window(window(port)),
-                _ => {}
-            }
-        }
-        let traced = match kind {
-            FaultKind::LinkDown { .. } => TraceKind::LinkDown,
-            FaultKind::LinkUp { .. } => TraceKind::LinkUp,
-            FaultKind::DegradeLink { .. } | FaultKind::RestoreLinkRate { .. } => {
-                TraceKind::LinkDegraded
-            }
-            FaultKind::PacketLoss { .. } => TraceKind::LossConfig,
-            FaultKind::SwitchReboot { .. } => TraceKind::SwitchReboot,
-            FaultKind::TelemetryFreeze { .. }
-            | FaultKind::TelemetryBlank { .. }
-            | FaultKind::TelemetryRestore { .. } => TraceKind::TelemetryFault,
-        };
-        let qlen = match detail {
-            FaultDetail::Flushed(n) => n,
-            _ => 0,
-        };
-        self.trace(traced, node, port.unwrap_or(PortId(0)), 0, FlowId(0), qlen);
-        // A link fault names both endpoints: one record each, so per-node
-        // trace filters see the change.
-        if let FaultDetail::Peer { node, port } = detail {
-            self.trace(traced, node, port, 0, FlowId(0), 0);
-        }
+        let what = Happening::Fault(kind, detail);
+        self.probe(what, node, port.unwrap_or(PortId(0)), 0, FlowId(0), 0);
     }
 
     /// Take every fault executed since the previous drain (telemetry
@@ -199,7 +160,7 @@ impl SimCore {
         if lost {
             self.total_drops += 1;
             self.fault_drops += 1;
-            self.trace(TraceKind::FaultDrop, node, port, pkt.prio, pkt.flow, 0);
+            self.probe(Happening::FaultDrop, node, port, pkt.prio, pkt.flow, 0);
         }
         lost
     }
@@ -218,21 +179,21 @@ impl SimCore {
             } => {
                 let rate = rate_bps.max(1);
                 self.set_rate_override(node, port, Some(rate));
-                self.report_fault(&kind, FaultDetail::RateBps(rate));
+                self.report_fault(kind, FaultDetail::RateBps(rate));
             }
             FaultKind::RestoreLinkRate { node, port } => {
                 self.set_rate_override(node, port, None);
-                self.report_fault(&kind, FaultDetail::None);
+                self.report_fault(kind, FaultDetail::None);
             }
             FaultKind::PacketLoss { node, port, frac } => {
                 let frac = frac.clamp(0.0, 1.0);
                 self.port_mut(node, port).loss_frac = frac;
                 self.recount_impaired();
-                self.report_fault(&kind, FaultDetail::LossFrac(frac));
+                self.report_fault(kind, FaultDetail::LossFrac(frac));
             }
             FaultKind::SwitchReboot { node } => {
                 let flushed = self.reboot_switch(node);
-                self.report_fault(&kind, FaultDetail::Flushed(flushed));
+                self.report_fault(kind, FaultDetail::Flushed(flushed));
             }
             FaultKind::TelemetryFreeze { node }
             | FaultKind::TelemetryBlank { node }
@@ -244,7 +205,7 @@ impl SimCore {
                 };
                 self.recycle_telem_fault(node);
                 self.nodes[node.idx()].telem_fault = fault;
-                self.report_fault(&kind, FaultDetail::None);
+                self.report_fault(kind, FaultDetail::None);
             }
         }
     }
@@ -409,7 +370,7 @@ mod tests {
     use crate::shard::ShardPlan;
     use crate::time::SimTime;
     use crate::topology::TopologySpec;
-    use crate::trace::{TraceFilter, Tracer};
+    use crate::trace::{TraceFilter, TraceKind, Tracer};
 
     #[test]
     fn link_state_changes_are_traced() {

@@ -8,8 +8,11 @@
 //!   They stay in one module so the hot path compiles as one unit.
 //! * `faults.rs` — **fault execution**: link state, rate and loss faults,
 //!   switch reboot, telemetry freeze/blank, fault-plan installation, and
-//!   the single function that reports an executed fault to the fault log,
-//!   the tracer and the profiler.
+//!   the single function that reports an executed fault: to the fault log
+//!   and through the probe.
+//! * `probe.rs` — **the probe point**: the one value (`Probe`) every
+//!   happening above is reported as, and the one holder of the observers
+//!   it reaches.
 //! * `sharding.rs` — **shard plumbing**: canonical event keys, outboxes
 //!   and remote injection, node ownership and the per-node RNG streams of
 //!   a sharded run (the protocol itself is [`crate::shard`]).
@@ -19,7 +22,10 @@
 //! was one file.
 
 mod faults;
+mod probe;
 mod sharding;
+
+pub(crate) use probe::{Happening, Probe};
 
 use crate::buffer::SharedBuffer;
 use crate::config::SimConfig;
@@ -29,7 +35,7 @@ use crate::event::{Event, EventQueue};
 use crate::fault::{FaultLogEntry, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
-use crate::profile::{event_kind, SimProfiler};
+use crate::profile::event_kind;
 use crate::queues::{
     Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry, MAX_PRIOS,
 };
@@ -37,7 +43,6 @@ use crate::routing::RouteTable;
 use crate::shard::RemoteEvent;
 use crate::time::{tx_time, SimTime};
 use crate::topology::{NodeKind, PortInfo, Topology};
-use crate::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -224,8 +229,6 @@ pub struct SimCore {
     pub total_pfc_pauses: u64,
     /// Total events processed (for performance reporting).
     pub events_processed: u64,
-    /// Optional structured event tracer (see [`crate::trace`]).
-    pub tracer: Option<Tracer>,
     /// Dedicated RNG for probabilistic faults; reseeded from
     /// [`FaultPlan::seed`] when a plan is installed so the packet-path RNG
     /// stream is untouched by fault injection.
@@ -239,10 +242,10 @@ pub struct SimCore {
     /// Cumulative count of faults executed, independent of the (drainable,
     /// capped) fault log — the number a long soak reports at the end.
     pub faults_executed: u64,
-    /// Self-profiler (see [`crate::profile`]). `None` (the default) costs
-    /// one pointer check per dispatch; enabled it observes wall-clock time
-    /// and counters only, never the simulated trajectory.
-    pub(crate) prof: Option<Box<SimProfiler>>,
+    /// The observers, whichever are installed (see `probe.rs`). `None`
+    /// (the default) costs one pointer check per probe and per dispatch;
+    /// observers see the run, never steer it.
+    obs: Option<Box<probe::Observers>>,
     /// Reused scratch for reboot queue flushes (grows to the deepest flush
     /// ever seen, then reboots stop allocating).
     flush_scratch: Vec<QItem>,
@@ -319,12 +322,11 @@ impl SimCore {
             fault_drops: 0,
             total_pfc_pauses: 0,
             events_processed: 0,
-            tracer: None,
             fault_rng,
             fault_log: Vec::new(),
             fault_log_dropped: 0,
             faults_executed: 0,
-            prof: None,
+            obs: None,
             flush_scratch: Vec::with_capacity(per_switch),
             resume_scratch: Vec::with_capacity(snap_cap),
             telem_snap_pool: Vec::with_capacity(snap_cap),
@@ -355,39 +357,6 @@ impl SimCore {
     #[inline]
     fn ports_of(&self, node: NodeId) -> std::ops::Range<usize> {
         self.port_base[node.idx()] as usize..self.port_base[node.idx() + 1] as usize
-    }
-
-    /// Record one trace event, if a tracer is installed. No owner gate is
-    /// needed here: the datapath only ever runs for nodes this core owns
-    /// (events for foreign nodes divert to their owner, and a foreign
-    /// node's queues stay empty), and replicated faults are gated once, in
-    /// `report_fault` — whose record for a link's far end is the one record
-    /// that may name a foreign node.
-    #[inline]
-    fn trace(
-        &mut self,
-        kind: TraceKind,
-        node: NodeId,
-        port: PortId,
-        prio: Prio,
-        flow: FlowId,
-        qlen: u64,
-    ) {
-        debug_assert!(
-            self.owns_node(node) || matches!(kind, TraceKind::LinkDown | TraceKind::LinkUp),
-            "{kind:?} traced for foreign node {node:?}"
-        );
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(TraceEvent {
-                at: self.now,
-                kind,
-                node,
-                port,
-                prio,
-                flow,
-                qlen_bytes: qlen,
-            });
-        }
     }
 
     /// Current simulated time.
@@ -530,7 +499,7 @@ impl SimCore {
         let ser = tx_time(item.pkt.size as u64, ps.rate_bps);
         let (delay, peer_node, peer_port) = (ps.delay, ps.peer_node, ps.peer_port);
         let (t_flow, t_prio) = (item.pkt.flow, item.pkt.prio);
-        self.trace(TraceKind::Dequeue, node, port, t_prio, t_flow, qlen);
+        self.probe(Happening::Dequeue, node, port, t_prio, t_flow, qlen);
         self.schedule(now + ser, Event::TxDone { node, port });
         self.schedule(
             now + ser + delay,
@@ -590,12 +559,8 @@ impl SimCore {
                 pause,
             },
         );
-        let kind = if pause {
-            TraceKind::PfcPause
-        } else {
-            TraceKind::PfcResume
-        };
-        self.trace(kind, node, ingress, prio, FlowId(0), qlen);
+        let what = Happening::Pfc { pause };
+        self.probe(what, node, ingress, prio, FlowId(0), qlen);
     }
 
     fn on_pfc_update(&mut self, node: NodeId, port: PortId, prio: Prio, pause: bool) {
@@ -615,10 +580,9 @@ impl SimCore {
             }
             ps.paused |= bit;
         } else {
-            if let Some(dur) = ps.end_pause(prio as usize, now) {
-                if let Some(p) = self.prof.as_mut() {
-                    p.pause(dur / 1000);
-                }
+            if let Some(dur_ps) = ps.end_pause(prio as usize, now) {
+                let what = Happening::PauseEnd { dur_ps };
+                self.probe(what, node, port, prio, FlowId(0), 0);
             }
             self.try_send(node, port);
         }
@@ -652,10 +616,7 @@ impl SimCore {
             }
             let qlen = q.bytes();
             q.record_drop(&mut ps.telem);
-            self.trace(TraceKind::Drop, node, out_port, pkt.prio, pkt.flow, qlen);
-            if let Some(p) = self.prof.as_mut() {
-                p.drop_at(qlen);
-            }
+            self.probe(Happening::Drop, node, out_port, pkt.prio, pkt.flow, qlen);
             return;
         }
 
@@ -667,10 +628,7 @@ impl SimCore {
                 let marked = p >= 1.0 || (p > 0.0 && self.node_rng(node).gen::<f64>() < p);
                 if marked {
                     pkt.ecn = crate::packet::Ecn::Ce;
-                    self.trace(TraceKind::CeMark, node, out_port, pkt.prio, pkt.flow, qlen);
-                    if let Some(prof) = self.prof.as_mut() {
-                        prof.ecn_mark(qlen);
-                    }
+                    self.probe(Happening::CeMark, node, out_port, pkt.prio, pkt.flow, qlen);
                 }
             }
         }
@@ -699,7 +657,7 @@ impl SimCore {
             now,
         );
         let qlen = q.bytes();
-        self.trace(TraceKind::Enqueue, node, out_port, pkt.prio, pkt.flow, qlen);
+        self.probe(Happening::Enqueue, node, out_port, pkt.prio, pkt.flow, qlen);
         self.try_send(node, out_port);
     }
 
@@ -774,40 +732,6 @@ impl Simulator {
     /// Read-only access to the core (telemetry, topology, counters).
     pub fn core(&self) -> &SimCore {
         &self.core
-    }
-
-    /// Switch on self-profiling (see [`crate::profile`]). Idempotent; the
-    /// profiler observes wall-clock time and counters only, so the simulated
-    /// trajectory — and any recorded JSONL — is identical with or without it.
-    pub fn enable_profiling(&mut self) {
-        if self.core.prof.is_none() {
-            self.core.prof = Some(Box::new(SimProfiler::new()));
-        }
-    }
-
-    /// The live profiler, if profiling is enabled.
-    pub fn profiler(&self) -> Option<&SimProfiler> {
-        self.core.prof.as_deref()
-    }
-
-    /// Detach and return the profiler (flushing still-open fault windows),
-    /// leaving profiling disabled. Harnesses call this once at run end.
-    pub fn take_profiler(&mut self) -> Option<Box<SimProfiler>> {
-        let mut p = self.core.prof.take();
-        if let Some(p) = p.as_mut() {
-            p.finish();
-        }
-        p
-    }
-
-    /// Install a structured event tracer (see [`crate::trace`]).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = Some(tracer);
-    }
-
-    /// Access the installed tracer, if any.
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.core.tracer.as_mut()
     }
 
     /// Mutable access to the core for harnesses that need to sync telemetry
@@ -899,10 +823,10 @@ impl Simulator {
     /// Run `f`; with profiling on, record its wall-clock span. Wall-clock
     /// only — the simulated trajectory is untouched either way.
     fn spanned(&mut self, name: &'static str, cat: &'static str, f: impl FnOnce(&mut Self)) {
-        let t0 = self.core.prof.as_ref().map(|_| Instant::now());
+        let t0 = self.core.profiler().map(|_| Instant::now());
         f(self);
-        if let (Some(t0), Some(p)) = (t0, self.core.prof.as_mut()) {
-            let sim_us = self.core.now.as_us_f64();
+        let sim_us = self.core.now.as_us_f64();
+        if let (Some(t0), Some(p)) = (t0, self.core.profiler_mut()) {
             p.span(name, cat, t0, format!("sim_us={sim_us:.1}"));
         }
     }
@@ -941,7 +865,7 @@ impl Simulator {
         // 1-in-SAMPLE_EVERY dispatches and tallies the kind on all of
         // them. Wall-clock only — the simulated trajectory is untouched
         // either way.
-        let queue_t0 = self.core.prof.as_ref().map(|p| p.queue_begin());
+        let queue_t0 = self.core.profiler().map(|p| p.queue_begin());
         if self.core.events.peek_time().is_none_or(|t| t > limit) {
             return false;
         }
@@ -950,7 +874,7 @@ impl Simulator {
         self.core.now = s.time;
         self.core.events_processed += 1;
         let prof_t0 = queue_t0.and_then(|q0| {
-            let p = self.core.prof.as_mut()?;
+            let p = self.core.profiler_mut()?;
             Some((event_kind(&s.event), p.dispatch_begin_after_queue(q0)))
         });
         match s.event {
@@ -1009,7 +933,7 @@ impl Simulator {
         }
         if let Some((kind, t0)) = prof_t0 {
             let pending = self.core.events.len();
-            if let Some(p) = self.core.prof.as_mut() {
+            if let Some(p) = self.core.profiler_mut() {
                 p.dispatch_end(kind, t0, pending);
             }
         }

@@ -7,13 +7,15 @@
 //! controllers; it deliberately stores compact records rather than packets.
 //!
 //! Tracing is opt-in: [`crate::sim::Simulator::set_tracer`] installs one;
-//! without it the hot path pays a single branch.
+//! without it the hot path pays a single branch. The engine reports to it
+//! through its one probe point, like every observer.
 
+use crate::fault::{FaultDetail, FaultKind};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
+use crate::sim::{Happening, Probe};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +50,24 @@ pub enum TraceKind {
     /// a fraction of zero (fault injection). No packet is involved: count
     /// [`TraceKind::FaultDrop`] records to count lost packets.
     LossConfig,
+}
+
+impl TraceKind {
+    /// The record kind an executed fault leaves.
+    fn of_fault(kind: &FaultKind) -> Self {
+        match kind {
+            FaultKind::LinkDown { .. } => TraceKind::LinkDown,
+            FaultKind::LinkUp { .. } => TraceKind::LinkUp,
+            FaultKind::DegradeLink { .. } | FaultKind::RestoreLinkRate { .. } => {
+                TraceKind::LinkDegraded
+            }
+            FaultKind::PacketLoss { .. } => TraceKind::LossConfig,
+            FaultKind::SwitchReboot { .. } => TraceKind::SwitchReboot,
+            FaultKind::TelemetryFreeze { .. }
+            | FaultKind::TelemetryBlank { .. }
+            | FaultKind::TelemetryRestore { .. } => TraceKind::TelemetryFault,
+        }
+    }
 }
 
 /// One trace record.
@@ -167,6 +187,38 @@ impl Tracer {
         self.ring.push_back(ev);
     }
 
+    /// Keep a record per probe (none for a pause ending), and a second one
+    /// for the far end a link fault names, so per-node filters see either
+    /// end change. A reboot's record carries its flush count as the depth.
+    #[inline]
+    pub(crate) fn observe(&mut self, at: SimTime, p: &Probe) {
+        let (kind, qlen_bytes) = match p.what {
+            Happening::Enqueue => (TraceKind::Enqueue, p.qlen_bytes),
+            Happening::Dequeue => (TraceKind::Dequeue, p.qlen_bytes),
+            Happening::CeMark => (TraceKind::CeMark, p.qlen_bytes),
+            Happening::Drop => (TraceKind::Drop, p.qlen_bytes),
+            Happening::FaultDrop => (TraceKind::FaultDrop, p.qlen_bytes),
+            Happening::Pfc { pause: true } => (TraceKind::PfcPause, p.qlen_bytes),
+            Happening::Pfc { pause: false } => (TraceKind::PfcResume, p.qlen_bytes),
+            Happening::PauseEnd { .. } => return,
+            Happening::Fault(kind, FaultDetail::Flushed(n)) => (TraceKind::of_fault(&kind), n),
+            Happening::Fault(kind, _) => (TraceKind::of_fault(&kind), 0),
+        };
+        let ev = TraceEvent {
+            at,
+            kind,
+            node: p.node,
+            port: p.port,
+            prio: p.prio,
+            flow: p.flow,
+            qlen_bytes,
+        };
+        self.record(ev);
+        if let Happening::Fault(_, FaultDetail::Peer { node, port }) = p.what {
+            self.record(TraceEvent { node, port, ..ev });
+        }
+    }
+
     /// The retained records, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()
@@ -187,28 +239,15 @@ impl Tracer {
         self.ring.drain(..).collect()
     }
 
-    /// Stream the retained records as JSON lines (one event per line) into
-    /// `w`, reusing a single line buffer — the whole trace never has to fit
-    /// in one allocation. Bytes are identical to [`Tracer::to_jsonl`].
-    pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
-        let mut line = String::new();
-        for ev in &self.ring {
-            line.clear();
-            serde_json::to_string_into(ev, &mut line).expect("trace event serializes");
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
-        }
-        Ok(())
-    }
-
     /// Serialize the retained records as JSON lines (one event per line),
-    /// a gdb-friendly analogue of a pcap file. Thin wrapper over
-    /// [`Tracer::write_jsonl`] collecting into a `String`.
+    /// a gdb-friendly analogue of a pcap file.
     pub fn to_jsonl(&self) -> String {
-        let mut out = Vec::new();
-        self.write_jsonl(&mut out)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(out).expect("JSON is UTF-8")
+        let mut out = String::new();
+        for ev in &self.ring {
+            serde_json::to_string_into(ev, &mut out).expect("trace event serializes");
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -277,20 +316,6 @@ mod tests {
         let back: TraceEvent = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         assert_eq!(back.kind, TraceKind::CeMark);
         assert_eq!(back.node, NodeId(1));
-    }
-
-    #[test]
-    fn write_jsonl_matches_to_jsonl_bytes() {
-        let mut t = Tracer::new(TraceFilter::default(), 16);
-        for i in 0..8u32 {
-            t.record(ev(TraceKind::Enqueue, i, 1, 0));
-            t.record(ev(TraceKind::CeMark, i, 2, 1));
-        }
-        let owned = t.to_jsonl();
-        let mut streamed = Vec::new();
-        t.write_jsonl(&mut streamed).unwrap();
-        assert_eq!(owned.as_bytes(), streamed.as_slice());
-        assert_eq!(owned.lines().count(), 16);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `train-step` row, which gates its counts and its identity with the
 //! reference; the rates are read here), and each kernel of a step on its
 //! own — minibatch forward, backward and the Adam update — so its share of
-//! a step can be read off.
+//! a step can be read off; plus the inference-sized forward of one select.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rl::mlp::Gradients;
@@ -97,6 +97,23 @@ fn bench_forward(c: &mut Criterion) {
             ws.output()[0]
         })
     });
+    // Inference-sized: a spine's four RDMA queues, one selection. The eval
+    // net trains every tick, so an in-run select transposes once per pass
+    // too; batches below 8 take the row-blocked dots (`forward_cached_batch`).
+    g.throughput(Throughput::Elements(4));
+    g.sample_size(2000);
+    g.bench_function("forward_batch_4", |b| {
+        let mut ws = BatchActivations::new();
+        net.forward_batch(&xs[..4 * 12], 4, &mut ws);
+        let w = net.weight(0, 0);
+        b.iter(|| {
+            net.set_weight(0, 0, w);
+            net.forward_batch(&xs[..4 * 12], 4, &mut ws);
+            ws.output()[0]
+        })
+    });
+    g.throughput(Throughput::Elements(BATCH as u64));
+    g.sample_size(30);
     g.bench_function("forward_scalar_32", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;

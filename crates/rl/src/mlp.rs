@@ -588,7 +588,10 @@ impl Mlp {
         let last = self.layers.len() - 1;
         // Transposing costs one sweep over the weights per layer; the tiled
         // sweeps it enables amortise that across the batch. Small batches
-        // skip it and use the row-blocked dots.
+        // skip it and use the row-blocked dots: on the ACC net with one
+        // transpose per pass those win at 1–3 samples, the two are about
+        // even at 4 and the tiles win from 5 (EXPERIMENTS.md, "Batched RL
+        // kernels").
         let transpose = batch >= 8;
         if transpose && ws.wt_version != Some(self.version) {
             for (l, wt) in self.layers.iter().zip(&mut ws.wt) {

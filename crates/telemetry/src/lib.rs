@@ -19,13 +19,13 @@
 //!   sampler) and safe-mode guardrail violations/trips/recoveries (emitted
 //!   by `acc_core::guard::GuardedController`).
 //!
-//! Sinks ([`TelemetrySink`]) are an in-memory bounded ring ([`MemorySink`])
-//! and a JSONL directory writer ([`JsonlSink`], `queues.jsonl` +
-//! `agents.jsonl` + `events.jsonl`). Everything is strictly opt-in: without a recorder the
-//! simulator schedules no sampling events and the controller pays a single
-//! `Option` check per decision. Recording is read-only — it never perturbs
-//! the packet trajectory — and serialization is deterministic, so two
-//! identical seeded runs produce byte-identical JSONL.
+//! A recorder writes into one sink ([`TelemetrySink`]): the in-memory
+//! [`VecSink`], or the JSONL directory writer ([`JsonlSink`]: `queues.jsonl`,
+//! `agents.jsonl`, `events.jsonl`). Everything is strictly opt-in: without
+//! a recorder the simulator schedules no sampling events and the controller
+//! pays a single `Option` check per decision. Recording is read-only — it
+//! never perturbs the packet trajectory — and serialization is
+//! deterministic, so two identical seeded runs produce byte-identical JSONL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,5 +49,5 @@ pub use merge::merge_shards;
 pub use recorder::{RunRecorder, SharedRecorder};
 pub use sampler::{drain_fault_log, install_queue_sampler};
 pub use samples::{AgentSample, EventSample, QueueSample};
-pub use sink::{JsonlSink, MemorySink, TelemetrySink, VecSink};
+pub use sink::{JsonlSink, TelemetrySink, VecSink};
 pub use slo::{SoakSloReport, SOAK_SLO_SCHEMA};

@@ -1,4 +1,4 @@
-//! The [`RunRecorder`]: one per run, fanning records out to its sinks.
+//! The [`RunRecorder`]: one per run, writing records into its sink.
 
 use crate::samples::{AgentSample, EventSample, QueueSample};
 use crate::sink::TelemetrySink;
@@ -10,11 +10,11 @@ use std::rc::Rc;
 /// every controller of a run hold one.
 pub type SharedRecorder = Rc<RefCell<RunRecorder>>;
 
-/// Collects every telemetry record of one run and fans it out to the
-/// attached sinks, counting totals for the run manifest.
+/// Collects every telemetry record of one run into its one sink, counting
+/// totals for the run manifest.
 #[derive(Default)]
 pub struct RunRecorder {
-    sinks: Vec<Box<dyn TelemetrySink>>,
+    sink: Option<Box<dyn TelemetrySink>>,
     /// Queue samples recorded so far.
     pub queue_samples: u64,
     /// Agent samples recorded so far.
@@ -24,26 +24,23 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// An empty recorder with no sinks (records are counted but discarded).
+    /// A recorder with no sink yet (records are counted but discarded).
     pub fn new() -> Self {
         RunRecorder::default()
     }
 
-    /// Attach a sink (builder style).
+    /// Attach the sink (builder style). A recorder has one: attaching a
+    /// second panics.
     pub fn with_sink(mut self, sink: Box<dyn TelemetrySink>) -> Self {
-        self.sinks.push(sink);
+        assert!(self.sink.is_none(), "a RunRecorder holds one sink");
+        self.sink = Some(sink);
         self
-    }
-
-    /// Number of attached sinks.
-    pub fn sink_count(&self) -> usize {
-        self.sinks.len()
     }
 
     /// Record one queue sample.
     pub fn record_queue(&mut self, s: &QueueSample) {
         self.queue_samples += 1;
-        for sink in &mut self.sinks {
+        if let Some(sink) = self.sink.as_mut() {
             sink.on_queue(s);
         }
     }
@@ -51,7 +48,7 @@ impl RunRecorder {
     /// Record one agent sample.
     pub fn record_agent(&mut self, s: &AgentSample) {
         self.agent_samples += 1;
-        for sink in &mut self.sinks {
+        if let Some(sink) = self.sink.as_mut() {
             sink.on_agent(s);
         }
     }
@@ -59,23 +56,14 @@ impl RunRecorder {
     /// Record one discrete event (fault injected, guardrail tripped, ...).
     pub fn record_event(&mut self, s: &EventSample) {
         self.event_samples += 1;
-        for sink in &mut self.sinks {
+        if let Some(sink) = self.sink.as_mut() {
             sink.on_event(s);
         }
     }
 
-    /// Flush every sink; the first error wins but all sinks are attempted.
+    /// Flush the sink.
     pub fn flush(&mut self) -> io::Result<()> {
-        let mut first_err = None;
-        for sink in &mut self.sinks {
-            if let Err(e) = sink.flush() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.sink.as_mut().map_or(Ok(()), |sink| sink.flush())
     }
 
     /// Wrap this recorder in the shared handle the simulator hooks expect.
@@ -87,7 +75,7 @@ impl RunRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
+    use crate::sink::VecSink;
 
     /// Sink that panics on any record — proves the disabled path never
     /// reaches a sink.
@@ -102,17 +90,25 @@ mod tests {
     }
 
     #[test]
-    fn fans_out_to_all_sinks_and_counts() {
-        let mut r = RunRecorder::new()
-            .with_sink(Box::new(MemorySink::new(8)))
-            .with_sink(Box::new(MemorySink::new(8)));
+    fn records_into_its_sink_and_counts() {
+        let sink = Rc::new(RefCell::new(VecSink::new()));
+        let mut r = RunRecorder::new().with_sink(Box::new(sink.clone()));
         r.record_queue(&QueueSample::default());
         r.record_agent(&AgentSample::default());
         r.record_agent(&AgentSample::default());
         assert_eq!(r.queue_samples, 1);
         assert_eq!(r.agent_samples, 2);
-        assert_eq!(r.sink_count(), 2);
         r.flush().unwrap();
+        let got = sink.borrow();
+        assert_eq!((got.queues.len(), got.agents.len()), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds one sink")]
+    fn a_second_sink_is_refused() {
+        let _ = RunRecorder::new()
+            .with_sink(Box::new(VecSink::new()))
+            .with_sink(Box::new(VecSink::new()));
     }
 
     #[test]

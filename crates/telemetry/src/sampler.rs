@@ -115,7 +115,7 @@ pub fn install_queue_sampler(sim: &mut Simulator, interval: SimTime, recorder: S
 mod tests {
     use super::*;
     use crate::recorder::RunRecorder;
-    use crate::sink::MemorySink;
+    use crate::sink::VecSink;
     use netsim::config::SimConfig;
     use netsim::topology::TopologySpec;
 
@@ -126,7 +126,7 @@ mod tests {
         cfg.control_interval = None;
         let mut sim = Simulator::new(topo, cfg);
         let rec = RunRecorder::new()
-            .with_sink(Box::new(MemorySink::new(1024)))
+            .with_sink(Box::new(VecSink::new()))
             .into_shared();
         install_queue_sampler(&mut sim, SimTime::from_us(100), rec.clone());
         sim.run_until(SimTime::from_ms(1));

@@ -1,10 +1,11 @@
 //! Pluggable destinations for telemetry records.
 
 use crate::samples::{AgentSample, EventSample, QueueSample};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 /// A destination for telemetry records. Sinks must be cheap on the hot
 /// path; anything expensive belongs in `flush`.
@@ -23,91 +24,12 @@ pub trait TelemetrySink {
     }
 }
 
-/// An in-memory bounded ring: keeps the most recent `cap` records of each
-/// kind, counting evictions — a true flight recorder for tests and
-/// interactive inspection.
-#[derive(Debug)]
-pub struct MemorySink {
-    cap: usize,
-    queues: VecDeque<QueueSample>,
-    agents: VecDeque<AgentSample>,
-    events: VecDeque<EventSample>,
-    /// Queue samples evicted because the ring was full.
-    pub queues_evicted: u64,
-    /// Agent samples evicted because the ring was full.
-    pub agents_evicted: u64,
-    /// Event samples evicted because the ring was full.
-    pub events_evicted: u64,
-}
-
-impl MemorySink {
-    /// A ring keeping at most `cap` records of each kind.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0);
-        MemorySink {
-            cap,
-            queues: VecDeque::new(),
-            agents: VecDeque::new(),
-            events: VecDeque::new(),
-            queues_evicted: 0,
-            agents_evicted: 0,
-            events_evicted: 0,
-        }
-    }
-
-    /// Retained queue samples, oldest first.
-    pub fn queues(&self) -> impl Iterator<Item = &QueueSample> {
-        self.queues.iter()
-    }
-
-    /// Retained agent samples, oldest first.
-    pub fn agents(&self) -> impl Iterator<Item = &AgentSample> {
-        self.agents.iter()
-    }
-
-    /// Retained event samples, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &EventSample> {
-        self.events.iter()
-    }
-
-    /// Number of retained queue samples.
-    pub fn queue_len(&self) -> usize {
-        self.queues.len()
-    }
-}
-
-impl TelemetrySink for MemorySink {
-    fn on_queue(&mut self, s: &QueueSample) {
-        if self.queues.len() == self.cap {
-            self.queues.pop_front();
-            self.queues_evicted += 1;
-        }
-        self.queues.push_back(s.clone());
-    }
-
-    fn on_agent(&mut self, s: &AgentSample) {
-        if self.agents.len() == self.cap {
-            self.agents.pop_front();
-            self.agents_evicted += 1;
-        }
-        self.agents.push_back(s.clone());
-    }
-
-    fn on_event(&mut self, s: &EventSample) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.events_evicted += 1;
-        }
-        self.events.push_back(s.clone());
-    }
-}
-
-/// An unbounded, lossless in-memory sink: retains every record in arrival
-/// order. This is the per-shard staging buffer of a sharded run — each
-/// shard records into its own `VecSink`, and after the run the buffers are
-/// merged deterministically into one output stream (see
-/// [`crate::merge::merge_shards`]). Unlike [`MemorySink`] nothing is ever
-/// evicted, so the merged output is independent of shard count.
+/// The in-memory sink: retains every record, in arrival order, for tests
+/// and interactive inspection. It is also the per-shard staging buffer of a
+/// sharded run — each shard records into its own `VecSink`, and after the
+/// run the buffers are merged deterministically into one output stream (see
+/// [`crate::merge::merge_shards`]); nothing is ever evicted, so the merged
+/// output is independent of shard count.
 #[derive(Debug, Default)]
 pub struct VecSink {
     /// Every queue sample, in the order this shard recorded it.
@@ -136,6 +58,26 @@ impl TelemetrySink for VecSink {
 
     fn on_event(&mut self, s: &EventSample) {
         self.events.push(s.clone());
+    }
+}
+
+/// A sink shared with whoever needs its records back after the run (a
+/// recorder owns its sink, boxed).
+impl<S: TelemetrySink + ?Sized> TelemetrySink for Rc<RefCell<S>> {
+    fn on_queue(&mut self, s: &QueueSample) {
+        self.borrow_mut().on_queue(s);
+    }
+
+    fn on_agent(&mut self, s: &AgentSample) {
+        self.borrow_mut().on_agent(s);
+    }
+
+    fn on_event(&mut self, s: &EventSample) {
+        self.borrow_mut().on_event(s);
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.borrow_mut().flush()
     }
 }
 
@@ -242,20 +184,6 @@ impl TelemetrySink for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_sink_evicts_oldest() {
-        let mut m = MemorySink::new(3);
-        for i in 0..5u64 {
-            let mut s = QueueSample::default();
-            s.t_ps = i;
-            m.on_queue(&s);
-        }
-        assert_eq!(m.queue_len(), 3);
-        assert_eq!(m.queues_evicted, 2);
-        let times: Vec<u64> = m.queues().map(|s| s.t_ps).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-    }
 
     #[test]
     fn jsonl_sink_writes_lines() {
