@@ -87,69 +87,56 @@ fn run_cell(h: &Harness, k: usize, dt: SimTime, w1: f64) -> Cell {
 
 /// Run the ablations.
 pub fn run(h: &Harness) -> Value {
-    common::banner(
-        "ablations",
-        "design-choice sweeps: history k, control interval, reward weights",
-    );
     let mut out = serde_json::Map::new();
 
-    println!("\n-- history length k (paper picks 3) --");
-    println!(
-        "{:<6} {:>14} {:>16} {:>10}",
-        "k", "goodput(Gbps)", "avg queue(KB)", "reward"
-    );
     let mut rows = Vec::new();
     for k in [1usize, 3, 5] {
         let c = run_cell(h, k, SimTime::from_us(50), 0.7);
-        println!(
-            "{k:<6} {:>14.2} {:>16.1} {:>10.3}",
-            c.goodput_gbps, c.avg_queue_kb, c.reward
-        );
         rows.push(json!({"k": k, "goodput_gbps": c.goodput_gbps,
             "avg_queue_kb": c.avg_queue_kb, "reward": c.reward}));
     }
     out.insert("history_k".into(), Value::Array(rows));
 
-    println!("\n-- control interval delta_t (paper: ~10x RTT = 50 us here) --");
-    println!(
-        "{:<8} {:>14} {:>16} {:>10}",
-        "dt", "goodput(Gbps)", "avg queue(KB)", "reward"
-    );
     let mut rows = Vec::new();
     for dt_us in [10u64, 50, 200, 1000] {
         let c = run_cell(h, 3, SimTime::from_us(dt_us), 0.7);
-        println!(
-            "{:<8} {:>14.2} {:>16.1} {:>10.3}",
-            format!("{dt_us}us"),
-            c.goodput_gbps,
-            c.avg_queue_kb,
-            c.reward
-        );
         rows.push(json!({"dt_us": dt_us, "goodput_gbps": c.goodput_gbps,
             "avg_queue_kb": c.avg_queue_kb, "reward": c.reward}));
     }
     out.insert("delta_t".into(), Value::Array(rows));
 
-    println!("\n-- reward weights w1 (throughput) / w2 (delay) --");
-    println!(
-        "{:<10} {:>14} {:>16}",
-        "w1/w2", "goodput(Gbps)", "avg queue(KB)"
-    );
     let mut rows = Vec::new();
     for w1 in [0.5f64, 0.7, 0.9] {
         let c = run_cell(h, 3, SimTime::from_us(50), w1);
-        println!(
-            "{:<10} {:>14.2} {:>16.1}",
-            format!("{w1:.1}/{:.1}", 1.0 - w1),
-            c.goodput_gbps,
-            c.avg_queue_kb
-        );
         rows.push(json!({"w1": w1, "goodput_gbps": c.goodput_gbps,
             "avg_queue_kb": c.avg_queue_kb}));
     }
     out.insert("reward_weights".into(), Value::Array(rows));
 
-    let v = Value::Object(out);
-    common::save_results_scaled("ablations", &v, h.scale);
-    v
+    Value::Object(out)
+}
+
+/// Print the converged goodput / queue tradeoff of each sweep.
+pub fn show(v: &Value) {
+    let sweeps: [(&str, &str, &[&str]); 3] = [
+        (
+            "history_k",
+            "history length k (paper picks 3)",
+            &["k", "goodput_gbps", "avg_queue_kb", "reward"],
+        ),
+        (
+            "delta_t",
+            "control interval delta_t (paper: ~10x RTT = 50 us here)",
+            &["dt_us", "goodput_gbps", "avg_queue_kb", "reward"],
+        ),
+        (
+            "reward_weights",
+            "reward weights w1 (throughput) / w2 = 1 - w1 (delay)",
+            &["w1", "goodput_gbps", "avg_queue_kb"],
+        ),
+    ];
+    for (key, title, columns) in sweeps {
+        println!("\n-- {title} --");
+        common::print_table(common::rows(v, key), columns);
+    }
 }

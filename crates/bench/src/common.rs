@@ -1,6 +1,7 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
 //! cache, the [`Harness`] run context with the one scenario builder, queue
-//! sampling, and result output.
+//! sampling, and the one table printer the experiments' `show` functions
+//! use.
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
@@ -1256,26 +1257,109 @@ pub fn queue_time_avg(sim: &mut Simulator, node: NodeId, port: PortId, prio: Pri
     t.qlen_integral_byte_ps as f64 / now.as_ps() as f64
 }
 
-/// Write an experiment's JSON record to `results/<name>.json` (full scale)
-/// or `results/quick/<name>.json` (quick scale), so smoke runs and
-/// `cargo bench` never clobber full-scale records.
-pub fn save_results_scaled(name: &str, value: &Value, scale: Scale) {
-    let dir = if scale.quick {
-        "results/quick"
-    } else {
-        "results"
-    };
-    let _ = std::fs::create_dir_all(dir);
-    let path = format!("{dir}/{name}.json");
-    match std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()) {
-        Ok(()) => eprintln!("[results] wrote {path}"),
-        Err(e) => eprintln!("[results] could not write {path}: {e}"),
-    }
-}
-
 /// Pretty-print a header for an experiment.
 pub fn banner(id: &str, title: &str) {
     println!("\n==== {id}: {title} ====");
+}
+
+/// Print `rows` as one aligned table: the only table printer the
+/// experiments' `show` functions have, so a table printed after a run and
+/// one rendered from its saved result by `acc-bench report` cannot differ.
+pub fn print_table(rows: &[Value], columns: &[&str]) {
+    print!("{}", format_table(rows, columns));
+}
+
+/// The text [`print_table`] prints. Each column is a path into a row —
+/// object keys and array indices joined by `.` (`mice.p99_us`, `avg_us.0`)
+/// — headed by that path. Every cell is formatted by [`cell`]; a path that
+/// leads nowhere prints `-`. A column holding a number is right-aligned,
+/// any other left-aligned; columns are two spaces apart.
+fn format_table(rows: &[Value], columns: &[&str]) -> String {
+    let found: Vec<Vec<Option<&Value>>> = rows
+        .iter()
+        .map(|r| columns.iter().map(|c| at(r, c)).collect())
+        .collect();
+    let mut lines: Vec<Vec<String>> = vec![columns.iter().map(|c| c.to_string()).collect()];
+    lines.extend(
+        found
+            .iter()
+            .map(|r| r.iter().map(|v| v.map_or("-".into(), cell)).collect()),
+    );
+    let cols = 0..columns.len();
+    let width: Vec<usize> = cols
+        .clone()
+        .map(|j| {
+            lines
+                .iter()
+                .map(|l| l[j].chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let right: Vec<bool> = cols
+        .map(|j| found.iter().any(|r| r[j].and_then(Value::as_f64).is_some()))
+        .collect();
+    let mut out = String::new();
+    for line in &lines {
+        let cells: Vec<String> = line
+            .iter()
+            .enumerate()
+            .map(|(j, c)| {
+                let w = width[j];
+                if right[j] {
+                    format!("{c:>w$}")
+                } else {
+                    format!("{c:<w$}")
+                }
+            })
+            .collect();
+        out.push_str(cells.join("  ").trim_end());
+        out.push('\n');
+    }
+    out
+}
+
+/// The one number-format rule of [`print_table`]: an integer exactly, any
+/// other finite number to 3 decimals below 100 in magnitude and to 1 from
+/// there up; text as it is; `null` and a non-finite number (which a saved
+/// result holds as `null`) as `-`; anything else as compact JSON.
+pub(crate) fn cell(v: &Value) -> String {
+    match v {
+        Value::Null => "-".into(),
+        Value::F64(x) if !x.is_finite() => "-".into(),
+        Value::F64(x) if x.abs() < 100.0 => format!("{x:.3}"),
+        Value::F64(x) => format!("{x:.1}"),
+        Value::String(s) => s.clone(),
+        other => other.to_string(),
+    }
+}
+
+/// Follow a [`format_table`] column path from `v`.
+fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(v, |v, key| match v {
+        Value::Array(a) => a.get(key.parse::<usize>().ok()?),
+        _ => v.get(key),
+    })
+}
+
+/// The array at key `key` of `v`; empty when there is none.
+pub(crate) fn rows<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    v[key].as_array().map_or(&[], Vec::as_slice)
+}
+
+/// `v` as a number; NaN (printed `-`) when it is none.
+pub(crate) fn num(v: &Value) -> f64 {
+    v.as_f64().unwrap_or(f64::NAN)
+}
+
+/// The number at column path `path` of the first of `rows` whose `key` is
+/// the text `value` — how a `show` finds one arm of a result; NaN when
+/// there is none.
+pub(crate) fn num_where(rows: &[Value], key: &str, value: &str, path: &str) -> f64 {
+    rows.iter()
+        .find(|r| r[key].as_str() == Some(value))
+        .and_then(|r| at(r, path))
+        .map_or(f64::NAN, num)
 }
 
 /// JSON for an [`FctStats`].
@@ -1295,4 +1379,43 @@ pub fn fct_json(s: &FctStats) -> Value {
 pub fn access_port(sim: &Simulator, host: NodeId) -> (NodeId, PortId) {
     let p = sim.core().topo.port(host, PortId(0));
     (p.peer_node, p.peer_port)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Paths reach into objects and arrays, a path that leads nowhere
+    /// prints `-`, every number follows one rule, and text columns align
+    /// left while number columns align right.
+    #[test]
+    fn print_table_follows_paths_and_one_number_rule() {
+        let rows = [
+            json!({"policy": "ACC", "mice": {"p99_us": 4540.817062}, "avg_us": [1.23456, 2.0], "n": 31}),
+            json!({"policy": "SECN1", "mice": {"p99_us": 0.5}, "avg_us": [f64::NAN], "n": 7}),
+        ];
+        let text = format_table(
+            &rows,
+            &["policy", "mice.p99_us", "avg_us.0", "avg_us.1", "n", "gone"],
+        );
+        let expected = "\
+policy  mice.p99_us  avg_us.0  avg_us.1   n  gone
+ACC          4540.8     1.235     2.000  31  -
+SECN1         0.500         -         -   7  -
+";
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn cell_rule() {
+        assert_eq!(cell(&json!(99.9996)), "100.000");
+        assert_eq!(cell(&json!(100.0)), "100.0");
+        assert_eq!(cell(&json!(-0.25)), "-0.250");
+        assert_eq!(cell(&json!(12345u64)), "12345");
+        assert_eq!(cell(&json!(-3i64)), "-3");
+        assert_eq!(cell(&Value::Null), "-");
+        assert_eq!(cell(&json!(f64::INFINITY)), "-");
+        assert_eq!(cell(&json!("SECN2")), "SECN2");
+        assert_eq!(cell(&json!([1, 2])), "[1,2]");
+    }
 }

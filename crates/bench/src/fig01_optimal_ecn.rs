@@ -74,30 +74,17 @@ fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> Outcome {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner("fig1", "optimal static ECN threshold per incast workload");
     let cases = [
         ("8:1 x 32 flows", 8usize, 32usize),
         ("15:1 x 8 flows", 15, 8),
     ];
     let mut out = Vec::new();
     for (name, senders, flows) in cases {
-        println!("\n-- {name}, sustained --");
-        println!(
-            "{:<10} {:>16} {:>16}",
-            "K", "goodput(Gbps)", "avg queue(KB)"
-        );
         let mut rows = Vec::new();
         let mut best: Option<(u64, f64)> = None;
         for n in 0..10 {
             let k = e_n(n);
             let o = run_case(h, senders, flows, k);
-            println!(
-                "{:<10} {:>16.2} {:>16.1}",
-                format!("{}KB", k / 1024),
-                o.goodput_gbps,
-                o.avg_queue_kb
-            );
             // "Optimal" = the paper's throughput/delay tradeoff: highest
             // goodput with a queue-delay penalty (1 MB of standing queue at
             // 25G is ~320 us of delay; weigh it like lost goodput).
@@ -112,12 +99,7 @@ pub fn run(h: &Harness) -> Value {
             }));
         }
         let acc = run_case(h, senders, flows, 0);
-        println!(
-            "{:<10} {:>16.2} {:>16.1}   (learned)",
-            "ACC", acc.goodput_gbps, acc.avg_queue_kb
-        );
         let (bk, _) = best.unwrap();
-        println!("optimal static K = {}KB", bk / 1024);
         out.push(json!({
             "case": name,
             "rows": rows,
@@ -125,7 +107,24 @@ pub fn run(h: &Harness) -> Value {
             "optimal_k_bytes": bk,
         }));
     }
-    let v = json!({ "cases": out });
-    common::save_results_scaled("fig1", &v, scale);
-    v
+    json!({ "cases": out })
+}
+
+/// Print one table per incast shape — every static K, then the learned
+/// ACC row — and the K the tradeoff score picked.
+pub fn show(v: &Value) {
+    for case in common::rows(v, "cases") {
+        println!("\n-- {}, sustained --", common::cell(&case["case"]));
+        let mut rows = common::rows(case, "rows").to_vec();
+        let mut acc = case["acc"].clone();
+        if let Value::Object(m) = &mut acc {
+            m.insert("k_bytes".into(), json!("ACC (learned)"));
+        }
+        rows.push(acc);
+        common::print_table(&rows, &["k_bytes", "goodput_gbps", "avg_queue_kb"]);
+        println!(
+            "optimal static k_bytes = {}",
+            common::cell(&case["optimal_k_bytes"])
+        );
+    }
 }

@@ -24,11 +24,6 @@ fn avg_fct(h: &Harness, policy: Policy, dist: &SizeDist, load: f64) -> f64 {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig2",
-        "FCT under static DCQCN parameter sets (normalised by SECN0)",
-    );
     let load = 0.6;
     let mut out = Vec::new();
     for (name, dist) in [
@@ -38,13 +33,7 @@ pub fn run(h: &Harness) -> Value {
         let s0 = avg_fct(h, Policy::Secn0, &dist, load);
         let s1 = avg_fct(h, Policy::Secn1, &dist, load);
         let s2 = avg_fct(h, Policy::Secn2, &dist, load);
-        println!("\n-- {name}, load {:.0}% --", load * 100.0);
-        println!("{:<8} {:>14} {:>12}", "setting", "avg FCT(us)", "norm.");
-        for (n, v) in [("SECN0", s0), ("SECN1", s1), ("SECN2", s2)] {
-            println!("{n:<8} {v:>14.1} {:>12.3}", v / s0);
-        }
         let best = if s1 < s2 { "SECN1" } else { "SECN2" };
-        println!("best non-baseline setting: {best}");
         out.push(json!({
             "scenario": name,
             "secn0_us": s0,
@@ -53,7 +42,30 @@ pub fn run(h: &Harness) -> Value {
             "best": best,
         }));
     }
-    let v = json!({ "load": load, "scenarios": out });
-    common::save_results_scaled("fig2", &v, scale);
-    v
+    json!({ "load": load, "scenarios": out })
+}
+
+/// Print each scenario's average FCT per setting, normalised by SECN0.
+pub fn show(v: &Value) {
+    for s in common::rows(v, "scenarios") {
+        println!(
+            "\n-- {}, load {} --",
+            common::cell(&s["scenario"]),
+            common::cell(&v["load"])
+        );
+        let s0 = common::num(&s["secn0_us"]);
+        let rows: Vec<Value> = [
+            ("SECN0", "secn0_us"),
+            ("SECN1", "secn1_us"),
+            ("SECN2", "secn2_us"),
+        ]
+        .iter()
+        .map(|&(setting, key)| {
+            let avg = common::num(&s[key]);
+            json!({ "setting": setting, "avg_us": avg, "norm": avg / s0 })
+        })
+        .collect();
+        common::print_table(&rows, &["setting", "avg_us", "norm"]);
+        println!("best non-baseline setting: {}", common::cell(&s["best"]));
+    }
 }

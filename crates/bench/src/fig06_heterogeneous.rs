@@ -10,12 +10,8 @@ use serde_json::{json, Value};
 use transport::CcKind;
 use workloads::gen;
 
-struct PhaseResult {
-    avg_queue_kb: f64,
-    goodput_gbps: f64,
-}
-
-fn run_policy(h: &Harness, policy: Policy) -> Vec<PhaseResult> {
+/// One result row per phase under `policy`.
+fn run_policy(h: &Harness, policy: Policy) -> Vec<Value> {
     let scale = h.scale;
     // Phases with very different incast shapes (senders, flows, bytes).
     let phases: [(usize, usize, u64); 3] = [(4, 2, 2_000_000), (14, 16, 60_000), (8, 6, 500_000)];
@@ -57,61 +53,44 @@ fn run_policy(h: &Harness, policy: Policy) -> Vec<PhaseResult> {
         let goodput = (tx - prev_tx) as f64 * 8.0 / phase_len.as_secs_f64() / 1e9;
         prev_integral = integral;
         prev_tx = tx;
-        out.push(PhaseResult {
-            avg_queue_kb: avg_q / 1024.0,
-            goodput_gbps: goodput,
-        });
+        out.push(json!({
+            "policy": policy.name(),
+            "phase": pi + 1,
+            "avg_queue_kb": avg_q / 1024.0,
+            "goodput_gbps": goodput,
+        }));
     }
     out
 }
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig6",
-        "queue length and utilisation across phase-changing traffic",
-    );
     let policies = [Policy::Secn1, Policy::Secn2, Policy::Acc];
     let mut rows = Vec::new();
-    println!(
-        "{:<10} {:>7} {:>16} {:>16}",
-        "policy", "phase", "avg queue(KB)", "goodput(Gbps)"
-    );
     let mut summary = Vec::new();
     for p in policies {
         let phases = run_policy(h, p);
-        let mean_q: f64 = phases.iter().map(|r| r.avg_queue_kb).sum::<f64>() / phases.len() as f64;
-        let mean_g: f64 = phases.iter().map(|r| r.goodput_gbps).sum::<f64>() / phases.len() as f64;
-        for (i, r) in phases.iter().enumerate() {
-            println!(
-                "{:<10} {:>7} {:>16.1} {:>16.2}",
-                p.name(),
-                i + 1,
-                r.avg_queue_kb,
-                r.goodput_gbps
-            );
-            rows.push(json!({
-                "policy": p.name(),
-                "phase": i + 1,
-                "avg_queue_kb": r.avg_queue_kb,
-                "goodput_gbps": r.goodput_gbps,
-            }));
-        }
-        println!(
-            "{:<10} {:>7} {:>16.1} {:>16.2}",
-            p.name(),
-            "mean",
-            mean_q,
-            mean_g
-        );
+        let mean =
+            |key| phases.iter().map(|r| common::num(&r[key])).sum::<f64>() / phases.len() as f64;
         summary.push(json!({
             "policy": p.name(),
-            "mean_queue_kb": mean_q,
-            "mean_goodput_gbps": mean_g,
+            "mean_queue_kb": mean("avg_queue_kb"),
+            "mean_goodput_gbps": mean("goodput_gbps"),
         }));
+        rows.extend(phases);
     }
-    let v = json!({ "phases": rows, "summary": summary });
-    common::save_results_scaled("fig6", &v, scale);
-    v
+    json!({ "phases": rows, "summary": summary })
+}
+
+/// Print every policy's queue and goodput per phase, then their means.
+pub fn show(v: &Value) {
+    common::print_table(
+        common::rows(v, "phases"),
+        &["policy", "phase", "avg_queue_kb", "goodput_gbps"],
+    );
+    println!();
+    common::print_table(
+        common::rows(v, "summary"),
+        &["policy", "mean_queue_kb", "mean_goodput_gbps"],
+    );
 }

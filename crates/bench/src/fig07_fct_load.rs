@@ -70,11 +70,6 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig7",
-        "FCT by size class at 20%/60% load + queue statistics",
-    );
     let loads = [0.2, 0.6];
     let policies = [Policy::Acc, Policy::Secn1, Policy::Secn2];
     let mut cells = Vec::new();
@@ -89,45 +84,9 @@ pub fn run(h: &Harness) -> Value {
     let mut results = h.run_matrix(cells).into_iter();
     let mut out = Vec::new();
     for load in loads {
-        println!("\n-- load {:.0}% --", load * 100.0);
         let acc = results.next().expect("one result per cell");
         let s1 = results.next().expect("one result per cell");
         let s2 = results.next().expect("one result per cell");
-        println!(
-            "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9}",
-            "policy",
-            "avg<=10K",
-            "avg<=1M",
-            "avg>1M",
-            "p99<=10K",
-            "p99<=1M",
-            "p99>1M",
-            "q mean KB",
-            "q std KB",
-            "ToR Gbps"
-        );
-        for (name, r) in [("ACC", &acc), ("SECN1", &s1), ("SECN2", &s2)] {
-            println!(
-                "{:<10} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1} {:>9.2}",
-                name,
-                r.avg[0],
-                r.avg[1],
-                r.avg[2],
-                r.p99[0],
-                r.p99[1],
-                r.p99[2],
-                r.queue_mean_kb,
-                r.queue_std_kb,
-                r.tor_gbps
-            );
-        }
-        // Normalised-by-ACC view (the paper's presentation).
-        println!("normalised tail latency (SECN / ACC), small flows:");
-        println!(
-            "  SECN1: {:.2}x   SECN2: {:.2}x",
-            s1.p99[0] / acc.p99[0].max(1e-9),
-            s2.p99[0] / acc.p99[0].max(1e-9)
-        );
         out.push(json!({
             "load": load,
             "rows": [
@@ -143,7 +102,42 @@ pub fn run(h: &Harness) -> Value {
             ],
         }));
     }
-    let v = json!({ "loads": out });
-    common::save_results_scaled("fig7", &v, scale);
-    v
+    json!({ "loads": out })
+}
+
+/// Print one table per load — FCT per size class (index 0: <= 10 KB,
+/// 1: <= 1 MB, 2: > 1 MB), receiver-queue statistics and ToR throughput —
+/// and each static setting's small-flow tail normalised by ACC's, the
+/// paper's presentation.
+pub fn show(v: &Value) {
+    for load in common::rows(v, "loads") {
+        println!("\n-- load {} --", common::cell(&load["load"]));
+        let rows = common::rows(load, "rows");
+        common::print_table(
+            rows,
+            &[
+                "policy",
+                "avg_us.0",
+                "avg_us.1",
+                "avg_us.2",
+                "p99_us.0",
+                "p99_us.1",
+                "p99_us.2",
+                "queue_mean_kb",
+                "queue_std_kb",
+                "tor_gbps",
+            ],
+        );
+        let acc = common::num_where(rows, "policy", "ACC", "p99_us.0").max(1e-9);
+        let ratio = |p| {
+            common::cell(&json!(
+                common::num_where(rows, "policy", p, "p99_us.0") / acc
+            ))
+        };
+        println!(
+            "p99_us.0 / ACC's: SECN1 {}x, SECN2 {}x",
+            ratio("SECN1"),
+            ratio("SECN2")
+        );
+    }
 }

@@ -14,14 +14,8 @@ use transport::{self, CcKind, Message};
 
 const PROBE_TAG: u64 = 0xDEAD_BEEF;
 
-struct Outcome {
-    rdma_share: f64,
-    tcp_share: f64,
-    probe_avg_us: f64,
-    probe_p99_us: f64,
-}
-
-fn run_one(h: &Harness, n_senders: usize, policy: Policy) -> Outcome {
+/// One result row: `n_senders` elephants per class under `policy`.
+fn run_one(h: &Harness, n_senders: usize, label: &str, policy: Policy) -> Value {
     let scale = h.scale;
     let mut cfg = SimConfig::default();
     cfg.port = PortConfig::default().with_tcp_rdma_split(30, 70);
@@ -69,49 +63,42 @@ fn run_one(h: &Harness, n_senders: usize, policy: Policy) -> Outcome {
     let tcp = sim.core().queue_telem(sw, rx, PRIO_TCP).tx_bytes;
     let total = (rdma + tcp) as f64;
     let probes = fct.borrow().stats(|r| r.tag == PROBE_TAG);
-    Outcome {
-        rdma_share: rdma as f64 / total,
-        tcp_share: tcp as f64 / total,
-        probe_avg_us: probes.avg_us,
-        probe_p99_us: probes.p99_us,
-    }
+    json!({
+        "incast": label,
+        "policy": policy.name(),
+        "rdma_share": rdma as f64 / total,
+        "tcp_share": tcp as f64 / total,
+        "probe_avg_us": probes.avg_us,
+        "probe_p99_us": probes.p99_us,
+    })
 }
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig8",
-        "RDMA/TCP bandwidth shares (target 70/30) and RDMA latency",
-    );
-    println!(
-        "{:<8} {:<8} {:>11} {:>11} {:>13} {:>13}",
-        "incast", "policy", "RDMA share", "TCP share", "probe avg us", "probe p99 us"
-    );
     let mut out = Vec::new();
     for (n, label) in [(2usize, "2:1"), (7usize, "7:1")] {
         for policy in [Policy::Secn1, Policy::Acc] {
-            let o = run_one(h, n, policy);
-            println!(
-                "{:<8} {:<8} {:>10.1}% {:>10.1}% {:>13.1} {:>13.1}",
-                label,
-                policy.name(),
-                o.rdma_share * 100.0,
-                o.tcp_share * 100.0,
-                o.probe_avg_us,
-                o.probe_p99_us
-            );
-            out.push(json!({
-                "incast": label,
-                "policy": policy.name(),
-                "rdma_share": o.rdma_share,
-                "tcp_share": o.tcp_share,
-                "probe_avg_us": o.probe_avg_us,
-                "probe_p99_us": o.probe_p99_us,
-            }));
+            out.push(run_one(h, n, label, policy));
         }
     }
-    let v = json!({ "rows": out, "target_rdma_share": 0.7 });
-    common::save_results_scaled("fig8", &v, scale);
-    v
+    json!({ "rows": out, "target_rdma_share": 0.7 })
+}
+
+/// Print the receiver link's class shares and the RDMA probe latency.
+pub fn show(v: &Value) {
+    println!(
+        "target_rdma_share = {}",
+        common::cell(&v["target_rdma_share"])
+    );
+    common::print_table(
+        common::rows(v, "rows"),
+        &[
+            "incast",
+            "policy",
+            "rdma_share",
+            "tcp_share",
+            "probe_avg_us",
+            "probe_p99_us",
+        ],
+    );
 }

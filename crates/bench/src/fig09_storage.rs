@@ -42,14 +42,12 @@ fn run_one(
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
     let scale = h.scale;
-    common::banner(
-        "fig9",
-        "storage IOPS per Table-1 profile (ACC vs vendor static)",
-    );
     let depths: Vec<usize> = scale.pick(vec![8, 32, 128], vec![8, 32]);
-    println!("Table 1 profiles: read:write ratio and block sizes");
+    // The profiles are inputs, not results: they go to stderr with the
+    // other progress lines.
+    eprintln!("[fig9] Table 1 profiles: read:write ratio and block sizes");
     for p in StorageProfile::all() {
-        println!(
+        eprintln!(
             "  {:<16} {:.0}:{:.0}  {}B - {}B",
             p.name,
             p.read_frac * 10.0,
@@ -82,10 +80,6 @@ pub fn run(h: &Harness) -> Value {
         }
     }
     let mut results = h.run_matrix(cells).into_iter();
-    println!(
-        "\n{:<16} {:>8} {:>6} {:>14} {:>14} {:>9}",
-        "profile", "iodepth", "seeds", "Vendor IOPS", "ACC IOPS", "gain"
-    );
     let mut rows = Vec::new();
     for profile in StorageProfile::all() {
         for &depth in &depths {
@@ -98,15 +92,6 @@ pub fn run(h: &Harness) -> Value {
             let vendor = mean(Policy::Vendor);
             let acc = mean(Policy::Acc);
             let gain = (acc / vendor - 1.0) * 100.0;
-            println!(
-                "{:<16} {:>8} {:>6} {:>14.0} {:>14.0} {:>8.1}%",
-                profile.name,
-                depth,
-                seeds.len(),
-                vendor,
-                acc,
-                gain
-            );
             rows.push(json!({
                 "profile": profile.name,
                 "io_depth": depth,
@@ -117,7 +102,20 @@ pub fn run(h: &Harness) -> Value {
             }));
         }
     }
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig9", &v, scale);
-    v
+    json!({ "rows": rows })
+}
+
+/// Print the seed-averaged IOPS of both policies per profile and IO depth.
+pub fn show(v: &Value) {
+    common::print_table(
+        common::rows(v, "rows"),
+        &[
+            "profile",
+            "io_depth",
+            "seeds",
+            "vendor_iops",
+            "acc_iops",
+            "gain_pct",
+        ],
+    );
 }

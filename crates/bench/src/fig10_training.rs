@@ -15,14 +15,8 @@ use workloads::{TrainingCluster, TrainingConfig};
 
 const PROBE_TAG: u64 = 0xBEEF;
 
-struct Outcome {
-    iters_per_sec: f64,
-    pfc_pauses: u64,
-    probe_avg_us: f64,
-    probe_p99_us: f64,
-}
-
-fn run_one(h: &Harness, cfg: TrainingConfig, policy: Policy) -> Outcome {
+/// One result row: the `model` job under `policy`.
+fn run_one(h: &Harness, model: &str, cfg: TrainingConfig, policy: Policy) -> Value {
     let scale = h.scale;
     // 8 hosts spread over the testbed Clos: 7 workers + 1 PS, cross-rack.
     let seed = SimConfig::default().seed;
@@ -53,21 +47,18 @@ fn run_one(h: &Harness, cfg: TrainingConfig, policy: Policy) -> Outcome {
     sim.run_until(horizon);
     let c = cluster.borrow();
     let probes = fct.borrow().stats(|r| r.tag == PROBE_TAG);
-    Outcome {
-        iters_per_sec: c.iterations_per_sec(SimTime::ZERO, horizon),
-        pfc_pauses: sim.core().total_pfc_pauses,
-        probe_avg_us: probes.avg_us,
-        probe_p99_us: probes.p99_us,
-    }
+    json!({
+        "model": model,
+        "policy": policy.name(),
+        "iters_per_sec": c.iterations_per_sec(SimTime::ZERO, horizon),
+        "pfc_pauses": sim.core().total_pfc_pauses,
+        "probe_avg_us": probes.avg_us,
+        "probe_p99_us": probes.p99_us,
+    })
 }
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig10",
-        "distributed training speed, PFC pauses, RTT probes",
-    );
     // Model sizes scaled 10x down (see workloads::training docs); the
     // AlexNet job is communication-bound, ResNet-50 closer to balanced.
     let jobs = [
@@ -88,42 +79,45 @@ pub fn run(h: &Harness) -> Value {
             },
         ),
     ];
-    println!(
-        "{:<10} {:<8} {:>10} {:>12} {:>12} {:>12}",
-        "model", "policy", "iter/s", "PFC pauses", "RTT avg us", "RTT p99 us"
-    );
     let mut rows = Vec::new();
     for (model, cfg) in jobs {
-        let mut speeds = std::collections::HashMap::new();
         for policy in [Policy::Secn1, Policy::Secn2, Policy::Acc] {
-            let o = run_one(h, cfg.clone(), policy);
-            println!(
-                "{:<10} {:<8} {:>10.1} {:>12} {:>12.1} {:>12.1}",
-                model,
-                policy.name(),
-                o.iters_per_sec,
-                o.pfc_pauses,
-                o.probe_avg_us,
-                o.probe_p99_us
-            );
-            speeds.insert(policy.name(), o.iters_per_sec);
-            rows.push(json!({
-                "model": model,
-                "policy": policy.name(),
-                "iters_per_sec": o.iters_per_sec,
-                "pfc_pauses": o.pfc_pauses,
-                "probe_avg_us": o.probe_avg_us,
-                "probe_p99_us": o.probe_p99_us,
-            }));
+            rows.push(run_one(h, model, cfg.clone(), policy));
         }
-        let acc = speeds["ACC"];
+    }
+    json!({ "rows": rows })
+}
+
+/// Print every model × policy run, then ACC's training-speed gain over
+/// each static setting per model, in percent.
+pub fn show(v: &Value) {
+    let rows = common::rows(v, "rows");
+    common::print_table(
+        rows,
+        &[
+            "model",
+            "policy",
+            "iters_per_sec",
+            "pfc_pauses",
+            "probe_avg_us",
+            "probe_p99_us",
+        ],
+    );
+    let mut models: Vec<&Value> = rows.iter().map(|r| &r["model"]).collect();
+    models.dedup();
+    for model in models {
+        let runs: Vec<Value> = rows
+            .iter()
+            .filter(|r| r["model"] == *model)
+            .cloned()
+            .collect();
+        let speed = |p| common::num_where(&runs, "policy", p, "iters_per_sec");
+        let gain = |p| common::cell(&json!((speed("ACC") / speed(p) - 1.0) * 100.0));
         println!(
-            "{model}: ACC vs SECN1 {:+.1}%, vs SECN2 {:+.1}%",
-            (acc / speeds["SECN1"] - 1.0) * 100.0,
-            (acc / speeds["SECN2"] - 1.0) * 100.0
+            "{}: ACC vs SECN1 {}%, vs SECN2 {}%",
+            common::cell(model),
+            gain("SECN1"),
+            gain("SECN2")
         );
     }
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig10", &v, scale);
-    v
 }

@@ -7,28 +7,32 @@ use serde_json::{json, Value};
 use workloads::SizeDist;
 
 /// Run the experiment.
-pub fn run(h: &Harness) -> Value {
-    common::banner("fig11", "traffic flow-size distributions");
-    let mut out = Vec::new();
-    for dist in [SizeDist::web_search(), SizeDist::data_mining()] {
-        println!("\n-- {} --", dist.name());
-        println!("{:>14} {:>8}", "size(B)", "CDF");
-        for &(s, c) in dist.points() {
-            println!("{s:>14} {c:>8.3}");
-        }
+pub fn run(_: &Harness) -> Value {
+    let out: Vec<Value> = [SizeDist::web_search(), SizeDist::data_mining()]
+        .iter()
+        .map(|dist| {
+            json!({
+                "name": dist.name(),
+                "points": dist.points(),
+                "mean_bytes": dist.mean_bytes(),
+                "mice_fraction": dist.cdf(100_000),
+            })
+        })
+        .collect();
+    json!({ "distributions": out })
+}
+
+/// Print each distribution's CDF points, then the mean size and the mice
+/// (<= 100 KB) fraction of both.
+pub fn show(v: &Value) {
+    let dists = common::rows(v, "distributions");
+    for d in dists {
         println!(
-            "mean {:.0} B; P(mice <=100KB) = {:.2}",
-            dist.mean_bytes(),
-            dist.cdf(100_000)
+            "\n-- {} (0: size in bytes, 1: CDF) --",
+            common::cell(&d["name"])
         );
-        out.push(json!({
-            "name": dist.name(),
-            "points": dist.points(),
-            "mean_bytes": dist.mean_bytes(),
-            "mice_fraction": dist.cdf(100_000),
-        }));
+        common::print_table(common::rows(d, "points"), &["0", "1"]);
     }
-    let v = json!({ "distributions": out });
-    common::save_results_scaled("fig11", &v, h.scale);
-    v
+    println!();
+    common::print_table(dists, &["name", "mean_bytes", "mice_fraction"]);
 }

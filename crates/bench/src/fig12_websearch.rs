@@ -32,12 +32,11 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner("fig12", "WebSearch at scale: FCT vs load");
-    let loads = scale.pick(vec![0.6, 0.8, 0.9], vec![0.6, 0.9]);
+    let loads = h.scale.pick(vec![0.6, 0.8, 0.9], vec![0.6, 0.9]);
     let policies = [Policy::Acc, Policy::Secn1, Policy::Secn2];
     // The load × policy matrix runs as independent cells on the worker pool;
-    // printing happens afterwards from the deterministically ordered results.
+    // the rows are built afterwards from the deterministically ordered
+    // results.
     let mut cells = Vec::new();
     for &load in &loads {
         for policy in policies {
@@ -48,24 +47,10 @@ pub fn run(h: &Harness) -> Value {
         }
     }
     let mut results = h.run_matrix(cells).into_iter();
-    println!(
-        "{:<6} {:<8} {:>12} {:>12} {:>12} {:>13} {:>11}",
-        "load", "policy", "overall avg", "mice avg", "mice p99", "elephant avg", "unfinished"
-    );
     let mut rows = Vec::new();
     for &load in &loads {
         for policy in policies {
             let b = results.next().expect("one result per cell");
-            println!(
-                "{:<6.0}% {:<8} {:>11.1} {:>12.1} {:>12.1} {:>13.1} {:>11}",
-                load * 100.0,
-                policy.name(),
-                b.overall.avg_us,
-                b.mice.avg_us,
-                b.mice.p99_us,
-                b.elephant.avg_us,
-                b.unfinished
-            );
             rows.push(json!({
                 "load": load,
                 "policy": policy.name(),
@@ -76,7 +61,22 @@ pub fn run(h: &Harness) -> Value {
             }));
         }
     }
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig12", &v, scale);
-    v
+    json!({ "rows": rows })
+}
+
+/// Print average FCT overall, for mice (plus their p99) and for elephants
+/// per load and policy.
+pub fn show(v: &Value) {
+    common::print_table(
+        common::rows(v, "rows"),
+        &[
+            "load",
+            "policy",
+            "overall.avg_us",
+            "mice.avg_us",
+            "mice.p99_us",
+            "elephant.avg_us",
+            "unfinished",
+        ],
+    );
 }

@@ -45,12 +45,7 @@ fn run_one(h: &Harness, policy: Policy, dist: &SizeDist, seed: u64) -> FctBucket
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig13",
-        "heterogeneous traffic across workloads (multi-run average)",
-    );
-    let runs = scale.pick(2u64, 1);
+    let runs = h.scale.pick(2u64, 1);
     let workloads = [
         ("WebSearch", SizeDist::web_search()),
         ("DataMining", SizeDist::data_mining()),
@@ -74,11 +69,6 @@ pub fn run(h: &Harness) -> Value {
     let mut results = h.run_matrix(cells).into_iter();
     let mut rows = Vec::new();
     for (wname, _) in &workloads {
-        println!("\n-- {wname} --");
-        println!(
-            "{:<8} {:>12} {:>12} {:>12} {:>13}",
-            "policy", "overall avg", "mice avg", "mice p99", "elephant avg"
-        );
         for policy in policies {
             let mut acc = [0.0f64; 4];
             for _ in 0..runs {
@@ -91,14 +81,6 @@ pub fn run(h: &Harness) -> Value {
             for a in &mut acc {
                 *a /= runs as f64;
             }
-            println!(
-                "{:<8} {:>12.1} {:>12.1} {:>12.1} {:>13.1}",
-                policy.name(),
-                acc[0],
-                acc[1],
-                acc[2],
-                acc[3]
-            );
             rows.push(json!({
                 "workload": wname,
                 "policy": policy.name(),
@@ -110,7 +92,21 @@ pub fn run(h: &Harness) -> Value {
             }));
         }
     }
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig13", &v, scale);
-    v
+    json!({ "rows": rows })
+}
+
+/// Print the run-averaged FCTs per workload and policy.
+pub fn show(v: &Value) {
+    common::print_table(
+        common::rows(v, "rows"),
+        &[
+            "workload",
+            "policy",
+            "overall_avg_us",
+            "mice_avg_us",
+            "mice_p99_us",
+            "elephant_avg_us",
+            "runs",
+        ],
+    );
 }

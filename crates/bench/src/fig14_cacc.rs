@@ -60,22 +60,15 @@ fn run_one(h: &Harness, which: &str) -> (f64, f64) {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig14",
-        "FCT of centralized (C-ACC) vs distributed (D-ACC) design",
-    );
-    println!(
-        "{:<8} {:>14} {:>14}",
-        "policy", "avg FCT(us)", "p99 FCT(us)"
-    );
     let mut rows = Vec::new();
     for which in ["SECN1", "SECN2", "C-ACC", "D-ACC", "H-ACC"] {
         let (avg, p99) = run_one(h, which);
-        println!("{which:<8} {avg:>14.1} {p99:>14.1}");
         rows.push(json!({ "policy": which, "avg_us": avg, "p99_us": p99 }));
     }
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig14", &v, scale);
-    v
+    json!({ "rows": rows })
+}
+
+/// Print the average and p99 FCT per design.
+pub fn show(v: &Value) {
+    common::print_table(common::rows(v, "rows"), &["policy", "avg_us", "p99_us"]);
 }

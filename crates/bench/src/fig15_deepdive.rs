@@ -13,8 +13,6 @@ use workloads::gen;
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner("fig15", "runtime queue occupancy vs chosen ECN threshold");
     let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[15];
@@ -51,26 +49,12 @@ pub fn run(h: &Harness) -> Value {
     let horizon = SimTime::from_ms(24);
     let step = SimTime::from_us(250);
     let mut series = Vec::new();
-    println!(
-        "{:>10} {:>12} {:>10} {:>10}",
-        "t(us)", "queue(KB)", "Kmin(KB)", "Kmax(KB)"
-    );
     while sc.sim.now() < horizon {
         let t = (sc.sim.now() + step).min(horizon);
         sc.sim.run_until(t);
         let q = sc.sim.core().queue(sw, port, PRIO_RDMA);
         let qlen = q.bytes();
         let ecn = q.ecn.unwrap();
-        // Print a decimated view, record everything.
-        if series.len() % 8 == 0 {
-            println!(
-                "{:>10.0} {:>12.1} {:>10} {:>10}",
-                sc.sim.now().as_us_f64(),
-                qlen as f64 / 1024.0,
-                ecn.kmin_bytes / 1024,
-                ecn.kmax_bytes / 1024
-            );
-        }
         series.push(json!({
             "t_us": sc.sim.now().as_us_f64(),
             "queue_bytes": qlen,
@@ -94,25 +78,39 @@ pub fn run(h: &Harness) -> Value {
     };
     let calm = kmin_at(2_000.0, 6_000.0);
     let burst = kmin_at(6_500.0, 12_000.0);
-    println!(
-        "\nmean Kmin before burst: {:.0} KB, during burst: {:.0} KB",
-        calm / 1024.0,
-        burst / 1024.0
-    );
 
+    // The controller's counters are not part of the result: they go to
+    // stderr with the other progress lines.
     sc.sim.with_controller(sw, |c, _| {
         let acc = c.as_any_mut().downcast_mut::<AccController>().unwrap();
-        println!(
-            "controller ran {} inferences over {} ticks ({} idle skips)",
+        eprintln!(
+            "[fig15] controller ran {} inferences over {} ticks ({} idle skips)",
             acc.stats.inferences, acc.stats.ticks, acc.stats.skipped_idle
         );
     });
 
-    let v = json!({
+    json!({
         "series": series,
         "mean_kmin_calm_bytes": calm,
         "mean_kmin_burst_bytes": burst,
-    });
-    common::save_results_scaled("fig15", &v, scale);
-    v
+    })
+}
+
+/// Print every 8th sample of the hot queue and the thresholds ACC applied,
+/// then the mean Kmin before and during the burst.
+pub fn show(v: &Value) {
+    let decimated: Vec<Value> = common::rows(v, "series")
+        .iter()
+        .step_by(8)
+        .cloned()
+        .collect();
+    common::print_table(
+        &decimated,
+        &["t_us", "queue_bytes", "kmin_bytes", "kmax_bytes"],
+    );
+    println!(
+        "\nmean_kmin_calm_bytes = {}, mean_kmin_burst_bytes = {}",
+        common::cell(&v["mean_kmin_calm_bytes"]),
+        common::cell(&v["mean_kmin_burst_bytes"])
+    );
 }

@@ -56,39 +56,41 @@ fn run_one(h: &Harness, policy: Policy) -> (Vec<f64>, f64) {
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig16",
-        "online training across unseen workload switches (P1=WebSearch, P2=DataMining)",
-    );
-    println!("segments: P1 P1 | P2 P2 | P1 | P2  (switches at segment boundaries)\n");
     let mut rows = Vec::new();
-    let mut overall = std::collections::HashMap::new();
-    println!(
-        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11}",
-        "policy", "seg1", "seg2", "seg3", "seg4", "seg5", "seg6", "overall avg"
-    );
     for policy in [Policy::AccFresh, Policy::Secn1, Policy::Secn2] {
         let (segs, all) = run_one(h, policy);
-        print!("{:<10}", policy.name());
-        for s in &segs {
-            print!(" {s:>9.1}");
-        }
-        println!(" {all:>11.1}");
-        overall.insert(policy.name(), all);
         rows.push(json!({
             "policy": policy.name(),
             "per_segment_avg_us": segs,
             "overall_avg_us": all,
         }));
     }
-    let acc = overall["ACC-fresh"];
-    println!(
-        "\nACC-fresh vs SECN1: {:+.1}%   vs SECN2: {:+.1}% (negative = ACC better)",
-        (acc / overall["SECN1"] - 1.0) * 100.0,
-        (acc / overall["SECN2"] - 1.0) * 100.0
+    json!({ "rows": rows })
+}
+
+/// Print each policy's average FCT per segment and overall, then ACC's
+/// overall gap to each static setting in percent.
+pub fn show(v: &Value) {
+    println!("segments: P1 P1 | P2 P2 | P1 | P2  (P1 = WebSearch, P2 = DataMining)");
+    let rows = common::rows(v, "rows");
+    common::print_table(
+        rows,
+        &[
+            "policy",
+            "per_segment_avg_us.0",
+            "per_segment_avg_us.1",
+            "per_segment_avg_us.2",
+            "per_segment_avg_us.3",
+            "per_segment_avg_us.4",
+            "per_segment_avg_us.5",
+            "overall_avg_us",
+        ],
     );
-    let v = json!({ "rows": rows });
-    common::save_results_scaled("fig16", &v, scale);
-    v
+    let overall = |p| common::num_where(rows, "policy", p, "overall_avg_us");
+    let gap = |p| common::cell(&json!((overall("ACC-fresh") / overall(p) - 1.0) * 100.0));
+    println!(
+        "\nACC-fresh vs SECN1: {}%, vs SECN2: {}% (negative = ACC better)",
+        gap("SECN1"),
+        gap("SECN2")
+    );
 }

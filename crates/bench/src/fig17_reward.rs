@@ -111,11 +111,6 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let scale = h.scale;
-    common::banner(
-        "fig17",
-        "reward ablation: converged action choice, step vs linear D(L)",
-    );
     let mut out = Vec::new();
     for (name, penalty) in [
         ("step (paper)", QueuePenalty::Step),
@@ -128,23 +123,9 @@ pub fn run(h: &Harness) -> Value {
     ] {
         let (hist, avg_q_kb, goodput, rewards) = run_one(h, penalty);
         let total: u64 = hist.iter().sum::<u64>().max(1);
-        println!("\n-- D(L) = {name} --");
-        println!("{:>10} {:>10} {:>14}", "K", "chosen", "mean reward");
-        for (n, h) in hist.iter().enumerate() {
-            println!(
-                "{:>9}K {:>9.0}% {:>14.3}",
-                acc_core::reward::e_n(n) / 1024,
-                *h as f64 / total as f64 * 100.0,
-                rewards[n]
-            );
-        }
         // Mass on the low half of the ladder (the "expected" actions for an
         // incast-congested queue).
         let low_mass: u64 = hist[..4].iter().sum();
-        println!(
-            "low-threshold mass (K <= 160KB): {:.0}%   avg queue {avg_q_kb:.1} KB   goodput {goodput:.2} Gbps",
-            low_mass as f64 / total as f64 * 100.0
-        );
         out.push(json!({
             "penalty": name,
             "action_histogram": hist,
@@ -154,7 +135,41 @@ pub fn run(h: &Harness) -> Value {
             "goodput_gbps": goodput,
         }));
     }
-    let v = json!({ "designs": out });
-    common::save_results_scaled("fig17", &v, scale);
-    v
+    json!({ "designs": out })
+}
+
+/// Print, per reward design, how often the converged policy chose each
+/// ladder action and the mean reward the replay memory holds for it, then
+/// one summary row per design (`low_threshold_mass`: K <= 160 KB). An
+/// action's `k_bytes` is its rung of the ladder, `e_n(action)`.
+pub fn show(v: &Value) {
+    let designs = common::rows(v, "designs");
+    for d in designs {
+        println!("\n-- D(L) = {} --", common::cell(&d["penalty"]));
+        let hist = common::rows(d, "action_histogram");
+        let total = hist.iter().map(common::num).sum::<f64>().max(1.0);
+        let rows: Vec<Value> = hist
+            .iter()
+            .enumerate()
+            .map(|(n, chosen)| {
+                json!({
+                    "action": n,
+                    "k_bytes": acc_core::reward::e_n(n),
+                    "chosen_frac": common::num(chosen) / total,
+                    "mean_reward": d["mean_reward_per_action"][n],
+                })
+            })
+            .collect();
+        common::print_table(&rows, &["action", "k_bytes", "chosen_frac", "mean_reward"]);
+    }
+    println!();
+    common::print_table(
+        designs,
+        &[
+            "penalty",
+            "low_threshold_mass",
+            "avg_queue_kb",
+            "goodput_gbps",
+        ],
+    );
 }

@@ -1,8 +1,11 @@
 //! # acc-bench — the paper-reproduction harness
 //!
 //! One module per table/figure of the ACC paper's evaluation. Each module
-//! exposes `run(&Harness) -> serde_json::Value`: it prints the same rows/series
-//! the paper reports and returns the data (also written to `results/`).
+//! exposes `run(&Harness) -> serde_json::Value`, which returns the rows and
+//! series the paper reports, and `show(&Value)`, which prints them as
+//! tables. The CLI saves what `run` returns to `results/` and then calls
+//! `show`; `acc-bench report results/<id>.json` calls the same `show` on a
+//! saved file, so a printed table and a rendered one cannot disagree.
 //!
 //! ```sh
 //! cargo run -p acc-bench --release -- list
@@ -53,96 +56,52 @@ pub const SHARDED: [&str; 3] = ["fig12", "fig13", "fault"];
 /// artifact with no runs, which [`profile::validate`] rejects.
 pub const NO_SIMULATOR: [&str; 2] = ["fig11", "resources"];
 
-/// One experiment: (id, description, runner).
-pub type Experiment = (
-    &'static str,
-    &'static str,
-    fn(&Harness) -> serde_json::Value,
-);
+/// One experiment of the registry.
+pub struct Experiment {
+    /// The CLI id, which is also the stem of its results file.
+    pub id: &'static str,
+    /// What it reproduces; printed in the banner above its tables.
+    pub description: &'static str,
+    /// Run it and return its result: what `results/[quick/]<id>.json` holds.
+    /// A run prints no table and saves nothing; `main` does both.
+    pub run: fn(&Harness) -> serde_json::Value,
+    /// Print its tables from a result, fresh or loaded from a results file
+    /// by `acc-bench report`, through [`common::print_table`].
+    pub show: fn(&serde_json::Value),
+}
+
+/// `registry! { "id", module, "description"; ... }`: one [`Experiment`] per
+/// line, running and showing through `module::run` and `module::show`.
+macro_rules! registry {
+    ($($id:literal, $module:ident, $description:literal;)*) => {
+        [$(Experiment { id: $id, description: $description,
+                        run: $module::run, show: $module::show },)*]
+    };
+}
 
 /// All experiments in paper order.
-pub fn experiments() -> Vec<Experiment> {
-    vec![
-        (
-            "fig1",
-            "Optimal static ECN differs per incast workload",
-            fig01_optimal_ecn::run,
-        ),
-        (
-            "fig2",
-            "Static SECN0/1/2 swap ranking across workloads",
-            fig02_static_secn::run,
-        ),
-        (
-            "fig6",
-            "Heterogeneous traffic timeline: ACC adapts, static does not",
-            fig06_heterogeneous::run,
-        ),
-        (
-            "fig7",
-            "End-to-end FCT at 20%/60% load + queue statistics",
-            fig07_fct_load::run,
-        ),
-        (
-            "fig8",
-            "RDMA/TCP weighted fair sharing (DWRR 70/30)",
-            fig08_fairness::run,
-        ),
-        (
-            "fig9",
-            "Distributed storage IOPS across Table-1 profiles",
-            fig09_storage::run,
-        ),
-        (
-            "fig10",
-            "Distributed training speed, PFC pauses and latency",
-            fig10_training::run,
-        ),
-        ("fig11", "Workload flow-size CDFs", fig11_cdf::run),
-        (
-            "fig12",
-            "Large-scale WebSearch FCT vs load (overall/mice/elephants)",
-            fig12_websearch::run,
-        ),
-        (
-            "fig13",
-            "Temporally & spatially heterogeneous traffic",
-            fig13_hetero_workloads::run,
-        ),
-        (
-            "fig14",
-            "Centralized (C-ACC) vs distributed (D-ACC) design",
-            fig14_cacc::run,
-        ),
-        (
-            "fig15",
-            "Deep dive: runtime queue occupancy vs chosen threshold",
-            fig15_deepdive::run,
-        ),
-        (
-            "fig16",
-            "Stability across unseen traffic patterns while training",
-            fig16_unseen::run,
-        ),
-        (
-            "fig17",
-            "Reward-design ablation: step vs linear queue penalty",
-            fig17_reward::run,
-        ),
-        (
-            "resources",
-            "Resource-consumption estimate (§6)",
-            resources::run,
-        ),
-        (
-            "ablations",
-            "Design-choice sweeps: history k, delta_t, reward weights",
-            ablations::run,
-        ),
-        (
-            "fault",
-            "Fault injection: raw ACC vs guarded ACC vs SECN1 under link flaps + telemetry faults",
-            fault::run,
-        ),
-    ]
+pub const EXPERIMENTS: [Experiment; 17] = registry! {
+    "fig1", fig01_optimal_ecn, "Optimal static ECN differs per incast workload";
+    "fig2", fig02_static_secn, "Static SECN0/1/2 swap ranking across workloads";
+    "fig6", fig06_heterogeneous, "Heterogeneous traffic timeline: ACC adapts, static does not";
+    "fig7", fig07_fct_load, "End-to-end FCT at 20%/60% load + queue statistics";
+    "fig8", fig08_fairness, "RDMA/TCP weighted fair sharing (DWRR 70/30)";
+    "fig9", fig09_storage, "Distributed storage IOPS across Table-1 profiles";
+    "fig10", fig10_training, "Distributed training speed, PFC pauses and latency";
+    "fig11", fig11_cdf, "Workload flow-size CDFs";
+    "fig12", fig12_websearch, "Large-scale WebSearch FCT vs load (overall/mice/elephants)";
+    "fig13", fig13_hetero_workloads, "Temporally & spatially heterogeneous traffic";
+    "fig14", fig14_cacc, "Centralized (C-ACC) vs distributed (D-ACC) design";
+    "fig15", fig15_deepdive, "Deep dive: runtime queue occupancy vs chosen threshold";
+    "fig16", fig16_unseen, "Stability across unseen traffic patterns while training";
+    "fig17", fig17_reward, "Reward-design ablation: step vs linear queue penalty";
+    "resources", resources, "Resource-consumption estimate (§6)";
+    "ablations", ablations, "Design-choice sweeps: history k, delta_t, reward weights";
+    "fault", fault,
+        "Fault injection: raw ACC vs guarded ACC vs SECN1 under link flaps + telemetry faults";
+};
+
+/// The registry entry whose id is `id`.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }

@@ -26,7 +26,7 @@
 //! positional arguments a subcommand has no use for are rejected with exit
 //! code 2 rather than silently ignored.
 
-use acc_bench::{experiments, Experiment, Harness, Scale};
+use acc_bench::{Experiment, Harness, Scale, EXPERIMENTS};
 use netsim::prelude::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +102,21 @@ fn train(scale: Scale, out: &str) {
     println!("wrote deployable bundle to {out}");
 }
 
-fn usage(all: &[Experiment]) {
+/// Save a result to `results/<id>.json`, or `results/quick/<id>.json` at
+/// quick scale so smoke runs never clobber full-scale records. A failed
+/// write exits 1 naming the path, like a failed `--metrics-dir` write.
+fn save_results(id: &str, result: &serde_json::Value, scale: Scale) {
+    let dir = scale.pick("results", "results/quick");
+    let path = format!("{dir}/{id}.json");
+    let text = serde_json::to_string_pretty(result).expect("a result serializes");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+        eprintln!("cannot write results {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("[results] wrote {path}");
+}
+
+fn usage() {
     println!(
         "usage: acc-bench <id>... [--quick] [--jobs <n>] [--shards <n>] [--metrics-dir <dir>] \
          [--metrics-interval-us <n>] [--profile <file>]"
@@ -111,6 +125,7 @@ fn usage(all: &[Experiment]) {
     println!("       acc-bench train [out.json] [--quick]   # save a deployable model bundle");
     println!("       acc-bench report <dir>                 # summarise recorded telemetry");
     println!("       acc-bench report <profile.json>        # summarise a --profile artifact");
+    println!("       acc-bench report results/<id>.json     # print a saved result's tables");
     println!("       acc-bench perf [out.json] [--quick]    # count gates -> BENCH_gates.json,");
     println!("                                              # exit 1 naming any gate that failed");
     println!(
@@ -138,8 +153,8 @@ fn usage(all: &[Experiment]) {
     println!("                                  JSON artifact (view: acc-bench report <file>,");
     println!("                                  or load in about://tracing / Perfetto)\n");
     println!("{:<10} description", "id");
-    for (id, desc, _) in all {
-        println!("{id:<10} {desc}");
+    for e in &EXPERIMENTS {
+        println!("{:<10} {}", e.id, e.description);
     }
 }
 
@@ -271,9 +286,8 @@ fn main() {
         ));
     }
 
-    let all = experiments();
     if which.is_empty() || which[0] == "list" {
-        usage(&all);
+        usage();
         return;
     }
     if which[0] == "train" {
@@ -286,14 +300,14 @@ fn main() {
     }
     if which[0] == "report" {
         let Some(target) = which.get(1) else {
-            eprintln!("usage: acc-bench report <metrics-dir | profile.json>");
+            eprintln!("usage: acc-bench report <metrics-dir | profile.json | results/<id>.json>");
             std::process::exit(2);
         };
         let path = std::path::Path::new(target);
-        // A profile artifact is a file; a telemetry recording is a
-        // directory of runs.
+        // A profile, soak report or experiment result is a file; a
+        // telemetry recording is a directory of runs.
         let result = if path.is_file() {
-            acc_bench::report::print_profile_report(path)
+            acc_bench::report::print_file_report(path)
         } else {
             acc_bench::report::print_report(path)
         };
@@ -431,16 +445,19 @@ fn main() {
         }
     } else {
         let start = std::time::Instant::now();
-        let run_one = |(id, _, f): &Experiment| {
+        let run_one = |e: &Experiment| {
+            acc_bench::common::banner(e.id, e.description);
             let t = std::time::Instant::now();
-            f(&harness.experiment(id));
-            eprintln!("[{id}] finished in {:.1}s", t.elapsed().as_secs_f64());
+            let result = (e.run)(&harness.experiment(e.id));
+            save_results(e.id, &result, scale);
+            (e.show)(&result);
+            eprintln!("[{}] finished in {:.1}s", e.id, t.elapsed().as_secs_f64());
         };
         if which.iter().any(|w| w == "all") {
-            all.iter().for_each(run_one);
+            EXPERIMENTS.iter().for_each(run_one);
         } else {
             for w in &which {
-                match all.iter().find(|(id, _, _)| id == w) {
+                match acc_bench::experiment(w) {
                     Some(exp) => run_one(exp),
                     None => {
                         eprintln!("unknown experiment '{w}' — try `acc-bench list`");

@@ -1,4 +1,6 @@
-//! `acc-bench report <dir>` — render recorded flight-recorder telemetry.
+//! `acc-bench report <dir | file>` — render recorded flight-recorder
+//! telemetry, a profile artifact, a soak SLO report or a saved experiment
+//! result.
 //!
 //! Walks `<dir>` for run subdirectories (anything containing a
 //! `manifest.json`), parses the queue/agent JSONL time-series, and prints a
@@ -530,16 +532,28 @@ fn print_control_plane(control: Option<&Value>) {
     }
 }
 
-/// Render a `--profile` artifact: per-run hot event kinds, allocation
-/// rates, queue-shape histograms, timing-wheel counters and the SLO block.
-pub fn print_profile_report(path: &Path) -> io::Result<()> {
+/// Render a file: a soak SLO report, an experiment's saved result or a
+/// `--profile` artifact. The first two announce themselves — the soak
+/// report by its schema tag, a result by having none and a file stem that
+/// is an experiment id (`results/fig12.json`), whose tables the
+/// experiment's own `show` prints. Anything else must be a profile: per-run
+/// hot event kinds, allocation rates, queue-shape histograms, timing-wheel
+/// counters and the SLO block.
+pub fn print_file_report(path: &Path) -> io::Result<()> {
     let text = std::fs::read_to_string(path)?;
     let doc: Value = serde_json::from_str(&text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    // One `report <file>` entry point, two artifact kinds: a soak SLO
-    // report announces itself by schema; everything else must be a profile.
-    if doc.get("schema").and_then(Value::as_str) == Some(telemetry::SOAK_SLO_SCHEMA) {
-        return print_soak_report(path, &text);
+    match doc.get("schema").and_then(Value::as_str) {
+        Some(telemetry::SOAK_SLO_SCHEMA) => return print_soak_report(path, &text),
+        None => {
+            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+            if let Some(e) = crate::experiment(stem) {
+                crate::common::banner(e.id, e.description);
+                (e.show)(&doc);
+                return Ok(());
+            }
+        }
+        Some(_) => {}
     }
     let errs = crate::profile::validate(&doc);
     if !errs.is_empty() {
@@ -665,7 +679,7 @@ mod tests {
     fn profile_report_rejects_non_artifacts() {
         let path = scratch("bogus.json");
         std::fs::write(&path, "{\"schema\": \"nope\"}").unwrap();
-        let err = print_profile_report(&path).unwrap_err();
+        let err = print_file_report(&path).unwrap_err();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -701,7 +715,7 @@ mod tests {
             &[],
         );
         book.write().unwrap();
-        let printed = print_profile_report(&path);
+        let printed = print_file_report(&path);
         std::fs::remove_file(&path).unwrap();
         printed.unwrap();
     }

@@ -8,8 +8,7 @@ use rl::Mlp;
 use serde_json::{json, Value};
 
 /// Run the estimate.
-pub fn run(h: &Harness) -> Value {
-    common::banner("resources", "per-switch cost of running ACC (§6)");
+pub fn run(_: &Harness) -> Value {
     // The paper's network: ~4 layers around {20,40,40,20}. Ours: 12 inputs,
     // two hidden layers of 40, |templates| = 20 outputs.
     let space = ActionSpace::templates();
@@ -27,38 +26,42 @@ pub fn run(h: &Harness) -> Value {
     // Telemetry: 4 features x 4 bytes per queue per interval.
     let telemetry_bps = (ports * queues_per_port * 16) as f64 / interval_s * 8.0;
 
-    println!("model parameters:        {params}");
-    println!(
-        "model memory:            {:.1} KB (paper: ~30 KB)",
-        model_bytes as f64 / 1024.0
-    );
-    println!("FLOPs per inference:     {flops}");
-    println!(
-        "inference load (48p/500us): {:.2} GFLOP/s (paper: ~1 GFLOP/s)",
-        flops_per_s / 1e9
-    );
-    println!(
-        "telemetry bandwidth:     {:.2} Mbit/s over PCIe (paper: ~2 MB/s)",
-        telemetry_bps / 1e6
-    );
-
     // Centralized-design overhead, for contrast (§3.2): 1K switches x 48
     // ports x 2 queues, 4 features + UDP overhead every 100 us.
     let central_bytes = 1000u64 * 48 * 2 * (16 + 46);
     let central_bps = central_bytes as f64 / 100e-6 * 8.0;
-    println!(
-        "centralized collection:  {:.0} Gbit/s fabric overhead (paper: 476 Gbps)",
-        central_bps / 1e9
-    );
 
-    let v = json!({
+    json!({
         "model_params": params,
         "model_bytes": model_bytes,
         "flops_per_inference": flops,
         "inference_gflops": flops_per_s / 1e9,
         "telemetry_mbps": telemetry_bps / 1e6,
         "centralized_collection_gbps": central_bps / 1e9,
+    })
+}
+
+/// Print each estimate next to the figure the paper gives for it (≈30 KB
+/// of model, ≈1 GFLOP/s of inference at 48 ports / 500 µs, ≈2 MB/s of
+/// telemetry, 476 Gbit/s of centralized collection; `-` where it gives
+/// none).
+pub fn show(v: &Value) {
+    let paper = json!({
+        "model_bytes": 30 * 1024,
+        "inference_gflops": 1.0,
+        "telemetry_mbps": 16.0,
+        "centralized_collection_gbps": 476.0,
     });
-    common::save_results_scaled("resources", &v, h.scale);
-    v
+    let rows: Vec<Value> = [
+        "model_params",
+        "model_bytes",
+        "flops_per_inference",
+        "inference_gflops",
+        "telemetry_mbps",
+        "centralized_collection_gbps",
+    ]
+    .iter()
+    .map(|&k| json!({ "estimate": k, "ours": v[k], "paper": paper[k] }))
+    .collect();
+    common::print_table(&rows, &["estimate", "ours", "paper"]);
 }

@@ -2,7 +2,8 @@
 //! spellings of a value flag parse alike, bad values, retired flags, surplus
 //! positional arguments, `--shards` on an experiment without a sharded
 //! path and a `--fault-plan` naming nodes or ports the fabric lacks exit 2,
-//! and a sharded experiment runs.
+//! a sharded experiment runs, a result that cannot be saved fails the run,
+//! and `report` renders saved results with the tables a run prints.
 
 mod support;
 
@@ -12,7 +13,13 @@ use std::process::{Command, Output};
 /// Run `acc-bench <args>` in a scratch directory under `target/` (quick
 /// results land relative to the working directory).
 fn acc_bench(args: &[&str]) -> Output {
-    let cwd = PathBuf::from("target").join("cli-smoke");
+    acc_bench_in("cli-smoke", args)
+}
+
+/// [`acc_bench`] in the scratch directory `target/<dir>`, for a test that
+/// must not share its results directory with the others.
+fn acc_bench_in(dir: &str, args: &[&str]) -> Output {
+    let cwd = PathBuf::from("target").join(dir);
     std::fs::create_dir_all(&cwd).expect("scratch dir under target/");
     Command::new(env!("CARGO_BIN_EXE_acc-bench"))
         .args(args)
@@ -23,6 +30,32 @@ fn acc_bench(args: &[&str]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The lines after the `==== <id>: ... ====` banner.
+fn below_banner(text: &str) -> Vec<&str> {
+    text.lines()
+        .skip_while(|l| !l.starts_with("===="))
+        .skip(1)
+        .collect()
+}
+
+/// A `print_table` header: two or more column paths, each starting with a
+/// lowercase word (`policy`, `mice.p99_us`, `avg_us.0`). Data rows start
+/// with a name in capitals or hold a number in a later column.
+fn is_table_header(line: &str) -> bool {
+    let cols: Vec<&str> = line.split_whitespace().collect();
+    cols.len() >= 2
+        && cols.iter().all(|c| {
+            c.starts_with(|ch: char| ch.is_ascii_lowercase())
+                && c.chars().all(|ch| {
+                    ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '_' || ch == '.'
+                })
+        })
 }
 
 #[test]
@@ -109,21 +142,91 @@ fn fault_runs_every_arm_sharded() {
     assert!(!err.contains("unsharded"), "an arm fell back: {err}");
     // Guard columns come back from the shards: both guarded arms detected
     // violations, and only the monitor-only arm left any applied.
-    let table = String::from_utf8_lossy(&out.stdout).into_owned();
+    let table = stdout(&out);
+    let header: Vec<&str> = table
+        .lines()
+        .find(|l| l.starts_with("policy "))
+        .unwrap_or_else(|| panic!("no table header in:\n{table}"))
+        .split_whitespace()
+        .collect();
     let row = |policy: &str| -> Vec<u64> {
-        let line = table
+        let line: Vec<&str> = table
             .lines()
             .find(|l| l.starts_with(policy))
-            .unwrap_or_else(|| panic!("no {policy} row in:\n{table}"));
-        line.split_whitespace()
-            .skip(1)
-            .take(2)
-            .map(|n| n.parse().expect("count column"))
+            .unwrap_or_else(|| panic!("no {policy} row in:\n{table}"))
+            .split_whitespace()
+            .collect();
+        ["violations_detected", "violations_applied"]
+            .iter()
+            .map(|col| {
+                let j = header.iter().position(|h| h == col).expect("column");
+                line[j].parse().expect("count column")
+            })
             .collect()
     };
     let (monitored, guarded) = (row("ACC-monitored"), row("ACC-guarded"));
     assert!(monitored[0] > 0 && monitored[1] > 0, "{monitored:?}");
     assert!(guarded[0] > 0 && guarded[1] == 0, "{guarded:?}");
+}
+
+/// A result that cannot be written fails the run and names the file: here
+/// `results` is a regular file, so `results/quick/` cannot be created.
+#[test]
+fn results_write_failure_fails_the_run() {
+    let cwd = PathBuf::from("target").join("cli-results-blocked");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("scratch dir under target/");
+    std::fs::write(cwd.join("results"), "not a directory").expect("blocker written");
+    let out = acc_bench_in("cli-results-blocked", &["fig11", "--quick"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("results/quick/fig11.json"), "{err}");
+}
+
+/// `report` renders every committed full-scale result through its
+/// experiment's `show`: exit 0 and at least one table.
+#[test]
+fn report_renders_every_committed_result() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("committed results/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no results under {}", dir.display());
+    for file in files {
+        let out = acc_bench(&["report", file.to_str().expect("UTF-8 path")]);
+        let text = stdout(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}: {}",
+            file.display(),
+            stderr(&out)
+        );
+        assert!(
+            text.lines().any(is_table_header),
+            "{}: no table in\n{text}",
+            file.display()
+        );
+    }
+}
+
+/// A run prints the same tables below its banner as `report` renders from
+/// the file the run saved.
+#[test]
+fn report_prints_what_the_run_printed() {
+    for id in ["fig11", "resources"] {
+        let run = acc_bench_in("cli-report", &[id, "--quick"]);
+        assert_eq!(run.status.code(), Some(0), "{id}: {}", stderr(&run));
+        let path = format!("results/quick/{id}.json");
+        let report = acc_bench_in("cli-report", &["report", &path]);
+        assert_eq!(report.status.code(), Some(0), "{id}: {}", stderr(&report));
+        let (ran, rendered) = (stdout(&run), stdout(&report));
+        assert!(ran.lines().any(is_table_header), "{id}: no table in\n{ran}");
+        assert_eq!(below_banner(&ran), below_banner(&rendered), "{id}");
+    }
 }
 
 #[test]

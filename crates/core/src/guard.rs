@@ -232,12 +232,6 @@ impl QueueGuard {
                 .pmax
                 .clamp(g.pmax_floor, 1.0);
         }
-        if let Some(w) = c.ewma_weight {
-            if !w.is_finite() || w <= 0.0 || w > 1.0 {
-                violations.push(GuardViolation::NonFinite);
-                c.ewma_weight = None;
-            }
-        }
         if c.pmax < g.pmax_floor || c.pmax > 1.0 {
             violations.push(GuardViolation::OutOfBounds);
             c.pmax = c.pmax.clamp(g.pmax_floor, 1.0);
@@ -671,15 +665,12 @@ mod tests {
             kmin_bytes: 0,
             kmax_bytes: 100 * 1024 * 1024,
             pmax: 7.5,
-            ewma_weight: Some(f64::NAN),
         };
         let d = g.vet(Some(c), &obs(0, 0, 0.0));
         assert!(d.applied.kmin_bytes >= 1024);
         assert!(d.applied.kmax_bytes <= 16 * 1024 * 1024);
         assert!(d.applied.pmax <= 1.0);
-        assert_eq!(d.applied.ewma_weight, None);
         assert!(d.violations.contains(&GuardViolation::OutOfBounds));
-        assert!(d.violations.contains(&GuardViolation::NonFinite));
     }
 
     #[test]
@@ -777,7 +768,6 @@ mod tests {
                             kmin_bytes: 0,
                             kmax_bytes: u64::MAX,
                             pmax: f64::INFINITY,
-                            ewma_weight: None,
                         }),
                     );
                 }

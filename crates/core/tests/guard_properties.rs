@@ -20,17 +20,11 @@ fn any_proposal() -> impl Strategy<Value = EcnConfig> {
             Just(f64::INFINITY),
             Just(f64::NEG_INFINITY),
         ],
-        prop::option::of(prop_oneof![
-            -1.0f64..2.0,
-            Just(f64::NAN),
-            Just(f64::INFINITY),
-        ]),
     )
-        .prop_map(|(kmin_bytes, kmax_bytes, pmax, ewma_weight)| EcnConfig {
+        .prop_map(|(kmin_bytes, kmax_bytes, pmax)| EcnConfig {
             kmin_bytes,
             kmax_bytes,
             pmax,
-            ewma_weight,
         })
 }
 
@@ -78,9 +72,6 @@ fn assert_invariants(cfg: &GuardConfig, applied: &EcnConfig) {
         applied.pmax >= cfg.pmax_floor && applied.pmax <= 1.0,
         "Pmax in [floor, 1]: {applied:?}"
     );
-    if let Some(w) = applied.ewma_weight {
-        assert!(w.is_finite() && w > 0.0 && w <= 1.0, "EWMA weight sane");
-    }
 }
 
 proptest! {

@@ -7,9 +7,8 @@ use serde::{Deserialize, Serialize};
 
 /// An ECN/RED marking configuration for one egress queue — the knob ACC tunes.
 ///
-/// By default marking is evaluated against the *instantaneous* queue length
-/// at enqueue time, the convention used by DCQCN deployments and the ACC
-/// paper ([`EcnConfig::with_ewma`] opts into classic averaged RED instead):
+/// Marking is evaluated against the *instantaneous* queue length at enqueue
+/// time, the convention used by DCQCN deployments and the ACC paper:
 ///
 /// * `q < kmin`          → never mark;
 /// * `kmin <= q < kmax`  → mark with probability `pmax * (q-kmin)/(kmax-kmin)`;
@@ -22,13 +21,6 @@ pub struct EcnConfig {
     pub kmax_bytes: u64,
     /// Marking probability reached at `kmax` (0..=1).
     pub pmax: f64,
-    /// `None` (the default everywhere in this repo, and what DCN
-    /// deployments use): mark against the instantaneous queue length.
-    /// `Some(w)`: classic averaged RED — mark against an EWMA of the queue
-    /// length updated on every enqueue with weight `w` (the
-    /// instantaneous-vs-average distinction the ECN* study examines).
-    #[serde(default)]
-    pub ewma_weight: Option<f64>,
 }
 
 impl EcnConfig {
@@ -40,16 +32,7 @@ impl EcnConfig {
             kmin_bytes,
             kmax_bytes,
             pmax,
-            ewma_weight: None,
         }
-    }
-
-    /// Switch this config to classic averaged RED with EWMA weight `w`
-    /// (0 < w <= 1; smaller = smoother).
-    pub fn with_ewma(mut self, w: f64) -> Self {
-        assert!(w > 0.0 && w <= 1.0, "EWMA weight must be in (0,1]");
-        self.ewma_weight = Some(w);
-        self
     }
 
     /// `SECN0`: the DCTCP-paper-style single threshold (Kmin = Kmax = 18 KB).
@@ -263,8 +246,6 @@ pub struct EgressQueue {
     prio: u8,
     /// Current depth in bytes.
     bytes: u64,
-    /// EWMA of the depth (only meaningful when the config averages).
-    avg_bytes: f64,
     /// Drop-tail bound in bytes.
     pub max_bytes: u64,
     /// Active marking configuration (`None` = no marking).
@@ -283,7 +264,6 @@ impl EgressQueue {
             count: 0,
             prio: prio as u8,
             bytes: 0,
-            avg_bytes: 0.0,
             max_bytes,
             ecn,
             last_update: SimTime::ZERO,
@@ -331,13 +311,10 @@ impl EgressQueue {
         self.bytes + size as u64 > self.max_bytes
     }
 
-    /// The queue length RED marks against: the EWMA when the active config
-    /// averages, the instantaneous depth otherwise.
+    /// The queue length RED marks against: the instantaneous depth.
+    #[inline]
     pub fn marking_qlen(&self) -> u64 {
-        match self.ecn.and_then(|e| e.ewma_weight) {
-            Some(_) => self.avg_bytes as u64,
-            None => self.bytes,
-        }
+        self.bytes
     }
 
     /// Enqueue an item. The caller has already performed admission control
@@ -350,9 +327,6 @@ impl EgressQueue {
         now: SimTime,
     ) {
         self.advance_clock(telem, now);
-        if let Some(w) = self.ecn.and_then(|e| e.ewma_weight) {
-            self.avg_bytes = (1.0 - w) * self.avg_bytes + w * self.bytes as f64;
-        }
         self.bytes += item.pkt.size as u64;
         let t = &mut telem.classes[self.prio as usize];
         t.enq_pkts += 1;
@@ -434,7 +408,6 @@ impl EgressQueue {
         self.tail = NIL;
         self.count = 0;
         self.bytes = 0;
-        self.avg_bytes = 0.0;
         telem.classes[self.prio as usize].drops += out.len() as u64;
     }
 }
@@ -694,7 +667,7 @@ mod tests {
         assert_eq!(size_of::<PortTelemetry>(), MAX_PRIOS * 80);
         assert_eq!(size_of::<DwrrClass>(), 16);
         assert_eq!(size_of::<Dwrr>(), 8 + MAX_PRIOS * 16);
-        assert_eq!(size_of::<EgressQueue>(), 88);
+        assert_eq!(size_of::<EgressQueue>(), 72);
     }
 
     /// Classes never alias: counters bumped through one queue land only in
@@ -727,71 +700,15 @@ mod tests {
         }
     }
 
+    /// Configs saved before the averaged-RED knob was removed (deploy
+    /// bundles, run manifests) carry `"ewma_weight": null`; they still load.
     #[test]
-    fn ewma_config_validates() {
-        let c = EcnConfig::new(100, 300, 0.5).with_ewma(0.1);
-        assert_eq!(c.ewma_weight, Some(0.1));
-    }
-
-    #[test]
-    #[should_panic(expected = "EWMA weight")]
-    fn ewma_zero_rejected() {
-        EcnConfig::new(100, 300, 0.5).with_ewma(0.0);
-    }
-
-    #[test]
-    fn ewma_queue_smooths_bursts() {
-        // With a small weight, a sudden burst barely moves the marking
-        // length; without averaging it jumps immediately.
-        let cfg = EcnConfig::new(1_000, 2_000, 1.0).with_ewma(0.05);
-        let mut a = QueueArena::new();
-        let mut pt = PortTelemetry::new();
-        let mut q = EgressQueue::new(0, 1 << 20, Some(cfg));
-        let mut inst = EgressQueue::new(1, 1 << 20, Some(EcnConfig::new(1_000, 2_000, 1.0)));
-        for i in 0..20 {
-            let t = SimTime::from_us(i);
-            q.push(
-                &mut a,
-                &mut pt,
-                QItem {
-                    pkt: pkt(952),
-                    ingress: None,
-                },
-                t,
-            );
-            inst.push(
-                &mut a,
-                &mut pt,
-                QItem {
-                    pkt: pkt(952),
-                    ingress: None,
-                },
-                t,
-            );
-        }
-        assert_eq!(inst.marking_qlen(), 20_000, "instantaneous sees the burst");
-        assert!(
-            q.marking_qlen() < 10_000,
-            "EWMA lags the burst: {}",
-            q.marking_qlen()
-        );
-        // Sustained occupancy eventually converges.
-        for i in 20..400 {
-            q.push(
-                &mut a,
-                &mut pt,
-                QItem {
-                    pkt: pkt(952),
-                    ingress: None,
-                },
-                SimTime::from_us(i),
-            );
-            q.pop(&mut a, &mut pt, SimTime::from_us(i)).unwrap();
-        }
-        assert!(
-            q.marking_qlen() > 15_000,
-            "EWMA converges under sustained load"
-        );
+    fn config_with_retired_ewma_field_loads() {
+        let c: EcnConfig = serde_json::from_str(
+            r#"{"kmin_bytes":5120,"kmax_bytes":204800,"pmax":0.01,"ewma_weight":null}"#,
+        )
+        .unwrap();
+        assert_eq!(c, EcnConfig::dcqcn_paper());
     }
 
     #[test]

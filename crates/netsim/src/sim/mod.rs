@@ -1105,7 +1105,7 @@ mod tests {
         assert!(offset_of!(PortState, ingress_bytes) + 3 * 8 <= 64);
         assert!(offset_of!(PortState, dwrr) < offset_of!(PortState, queues));
         assert!(offset_of!(PortState, telem) < offset_of!(PortState, loss_frac));
-        assert_eq!(size_of::<PortState>(), 28 * 64);
+        assert_eq!(size_of::<PortState>(), 26 * 64);
     }
 
     #[test]
