@@ -1,7 +1,7 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
-//! cache, the [`Harness`] run context with the one scenario builder, queue
-//! sampling, and the one table printer the experiments' `show` functions
-//! use.
+//! cache, the [`Harness`] run context with the one builder and the one run
+//! path (one simulator or `--shards N`), queue sampling, and the one table
+//! printer the experiments' `show` functions use.
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
@@ -14,13 +14,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rl::Mlp;
 use serde_json::{json, Value};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use telemetry::{JsonlSink, RunManifest, RunRecorder, SharedRecorder};
-use transport::{FctCollector, FctStats, SharedFct, StackConfig};
+use telemetry::{
+    merge_shards, JsonlSink, RunManifest, RunRecorder, SharedRecorder, TelemetrySink, VecSink,
+};
+use transport::{merge_shard_fct, FctCollector, FctStats, FlowRecord, SharedFct, StackConfig};
 use workloads::gen::{self, Arrival, PoissonGen};
 use workloads::SizeDist;
 
@@ -160,8 +163,9 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
 }
 
 /// The offline-pretrained ACC model (§4.3), trained once per process (and
-/// cached on disk under `target/`) on a spread of incast and realistic
-/// traffic over the testbed-scale Clos.
+/// cached on disk under `target/` of the working directory, which is created
+/// if missing) on a spread of incast and realistic traffic over the
+/// testbed-scale Clos.
 pub fn pretrained_model(scale: Scale) -> Mlp {
     static FULL: OnceLock<Mlp> = OnceLock::new();
     static QUICK: OnceLock<Mlp> = OnceLock::new();
@@ -181,8 +185,15 @@ pub fn pretrained_model(scale: Scale) -> Mlp {
         }
         eprintln!("[pretrain] training offline model ({scale:?}) ...");
         let m = train_offline(scale);
-        if let Ok(text) = serde_json::to_string(&m) {
-            let _ = std::fs::write(&path, text);
+        let saved = serde_json::to_string(&m)
+            .map_err(|e| std::io::Error::other(e.to_string()))
+            .and_then(|text| {
+                std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, text))
+            });
+        if let Err(e) = saved {
+            eprintln!(
+                "[pretrain] cannot cache the model at {path}: {e} (every process trains it again)"
+            );
         }
         m
     })
@@ -293,8 +304,8 @@ pub fn buckets(fct: &SharedFct, from: SimTime) -> FctBuckets {
     buckets_of(&fct.borrow(), from)
 }
 
-/// [`buckets`] over a plain collector (the sharded runner returns its merged
-/// collector by value).
+/// [`buckets`] over a plain collector (a [`RunOutcome`] holds its collector
+/// by value).
 pub fn buckets_of(f: &FctCollector, from: SimTime) -> FctBuckets {
     let started = |r: &&transport::FlowRecord| r.start >= from;
     FctBuckets {
@@ -357,9 +368,9 @@ pub struct Harness {
     pub scale: Scale,
     /// Matrix workers; 0 = one per available core.
     jobs: usize,
-    /// The `--shards` request: `Some(n)` routes [`Harness::run_to`] through
-    /// the sharded runner (even at `n == 1`, so shard-count diffs compare
-    /// the same code path), `None` means the flag was absent.
+    /// The `--shards` request: `Some(n)` runs [`Harness::run_to`] on the
+    /// sharded engine (even at `n == 1`, so shard-count diffs compare the
+    /// same engine), `None` means the flag was absent.
     shards: Option<u32>,
     /// Labels recorded and profiled runs.
     experiment: String,
@@ -398,7 +409,7 @@ impl Harness {
         self
     }
 
-    /// Route [`Harness::run_to`] through `n` shards (`--shards N`).
+    /// Run [`Harness::run_to`] on `n` shards (`--shards N`).
     pub fn with_shards(mut self, n: u32) -> Self {
         self.shards = Some(n);
         self
@@ -462,7 +473,7 @@ impl Harness {
         }
     }
 
-    pub(crate) fn note_metrics_failure(&self, what: &Path, e: &dyn std::fmt::Display) {
+    fn note_metrics_failure(&self, what: &Path, e: &dyn std::fmt::Display) {
         eprintln!("[metrics] ERROR: {}: {e}", what.display());
         self.shared.metrics_failed.store(true, Ordering::Relaxed);
     }
@@ -660,11 +671,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The flight recorder attached to this scenario, if metrics are armed.
-    pub fn recorder(&self) -> Option<&SharedRecorder> {
-        self.telem.as_ref().map(|t| &t.rec)
-    }
-
     /// The directory this scenario records into, if metrics are armed.
     pub fn metrics_dir(&self) -> Option<&Path> {
         self.telem.as_ref().map(|t| t.claim.dir.as_path())
@@ -797,10 +803,7 @@ impl Drop for Scenario {
     fn drop(&mut self) {
         self.finish_profile();
         let Some(t) = self.telem.take() else { return };
-        // Faults executed after the last sampling tick are still owed to
-        // the event timeline.
-        telemetry::drain_fault_log(self.sim.core_mut(), &mut t.rec.borrow_mut());
-        if let Err(e) = t.rec.borrow_mut().flush() {
+        if let Err(e) = close_recording(&mut self.sim, &t.rec) {
             self.harness.note_metrics_failure(&t.claim.dir, &e);
         }
         let core = self.sim.core();
@@ -857,21 +860,21 @@ impl EngineTotals {
 }
 
 /// An exclusively-claimed run directory plus the labels recorded runs carry.
-/// Unsharded scenarios and the sharded runner in [`crate::shard_run`] both
-/// claim through [`Harness::claim_run`], so both name directories alike.
-pub(crate) struct ClaimedRun {
+/// Both engines claim through [`Harness::claim_run`], so both name
+/// directories alike.
+struct ClaimedRun {
     /// The run label (a policy name, for most runs) and engine seed the run
     /// was claimed for.
-    pub policy: String,
-    pub seed: u64,
+    policy: String,
+    seed: u64,
     /// Experiment id of the claiming harness.
-    pub experiment: String,
+    experiment: String,
     /// Run name (also the directory's basename).
-    pub run: String,
+    run: String,
     /// The claimed directory (freshly created, exclusive).
-    pub dir: PathBuf,
+    dir: PathBuf,
     /// Armed queue-sampling interval.
-    pub interval: SimTime,
+    interval: SimTime,
 }
 
 /// The engine configuration every policy experiment runs: `seed`, one
@@ -882,7 +885,10 @@ pub fn sim_config(seed: u64) -> SimConfig {
         .with_control_interval(SimTime::from_us(50))
 }
 
-/// What one run to a horizon leaves behind, at any shard count.
+/// What one run to a horizon leaves behind, at any shard count. Counts
+/// taken per shard cover the switches that shard owns and add up over
+/// shards.
+#[derive(Default)]
 pub struct RunOutcome {
     /// Every flow's record (merged over shards).
     pub fct: FctCollector,
@@ -896,14 +902,84 @@ pub struct RunOutcome {
     pub guard: Option<GuardStats>,
     /// The recorded run directory, when metrics were armed and claimed.
     pub metrics_dir: Option<PathBuf>,
+    /// Per-shard execution counters in shard order; empty on one simulator.
+    pub shard_stats: Vec<ShardStats>,
+    /// Engine counters, merged over shards.
+    pub(crate) engine: EngineTotals,
+}
+
+impl RunOutcome {
+    /// Cross-shard events sent (== received, asserted by the engine tests).
+    pub fn remote_events(&self) -> u64 {
+        self.shard_stats.iter().map(|s| s.remote_sent).sum()
+    }
+}
+
+/// The one end-of-run readback of both engines: a finished simulator — a
+/// whole run, or one shard of one — as an outcome without flow records, run
+/// directory or shard counters.
+fn read_back(sim: &mut Simulator) -> RunOutcome {
+    RunOutcome {
+        fault_drops: sim.core().fault_drops,
+        invalid_final_configs: crate::fault::invalid_final_configs(sim),
+        guard: sum_guard_stats(sim),
+        engine: EngineTotals::of(sim.core()),
+        ..RunOutcome::default()
+    }
+}
+
+/// The one builder of both engines. The order is part of the recorded
+/// bytes: host stacks, `install` on the switches, the FCT reserve,
+/// `arrivals`, the recorder (when `record` gives a sampling interval and a
+/// sink), then `fault_plan`. On one simulator events at equal times pop in
+/// insertion order, and a fault can land on the first sampling tick, which
+/// the recorder schedules here (`fault_smoke` pins the order against a
+/// hand-built scenario).
+fn build(
+    sim: &mut Simulator,
+    arrivals: &[Arrival],
+    install: impl FnOnce(&mut Simulator),
+    record: Option<(SimTime, Box<dyn TelemetrySink>)>,
+    fault_plan: Option<&FaultPlan>,
+) -> (Vec<NodeId>, SharedFct, Option<SharedRecorder>) {
+    let fct = FctCollector::new_shared();
+    let hosts = transport::install_stacks(sim, StackConfig::default(), &fct);
+    install(sim);
+    // The arrival list is final: pre-size the FCT collector so flow
+    // registration mid-run never reallocates (apply_arrivals does the same
+    // for the per-host stacks).
+    fct.borrow_mut().reserve(arrivals.len());
+    gen::apply_arrivals(sim, arrivals);
+    // Both engines record alike and differ only in the sink: a streamed
+    // `JsonlSink` on one simulator, a `VecSink` per shard.
+    let rec = record.map(|(interval, sink)| {
+        let rec = RunRecorder::new().with_sink(sink).into_shared();
+        telemetry::install_queue_sampler(sim, interval, rec.clone());
+        controller::attach_recorder(sim, &rec);
+        rec
+    });
+    if let Some(plan) = fault_plan {
+        // A shard installs the whole plan, so routing and link state stay
+        // globally consistent; only a fault's owner logs it.
+        sim.install_fault_plan(plan)
+            .expect("fault plan rejected by simulator");
+    }
+    (hosts, fct, rec)
+}
+
+/// End `rec`'s recording of `sim`: faults executed after the last sampling
+/// tick are still owed to the event timeline, then the sink flushes.
+fn close_recording(sim: &mut Simulator, rec: &SharedRecorder) -> std::io::Result<()> {
+    telemetry::drain_fault_log(sim.core_mut(), &mut rec.borrow_mut());
+    rec.borrow_mut().flush()
 }
 
 impl Harness {
-    /// Write the `manifest.json` of a finished recorded run — unsharded
-    /// scenarios and the sharded runner (`shards: Some(n)`) both end here.
-    /// Returns whether it reached the disk; a failure has already been
-    /// reported through [`Harness::note_metrics_failure`].
-    pub(crate) fn save_manifest(
+    /// Write the `manifest.json` of a finished recorded run on either
+    /// engine (`shards: Some(n)` on the sharded one). Returns whether it
+    /// reached the disk; a failure has already been reported through
+    /// [`Harness::note_metrics_failure`].
+    fn save_manifest(
         &self,
         claim: &ClaimedRun,
         shards: Option<u32>,
@@ -976,12 +1052,12 @@ impl Harness {
         })
     }
 
-    /// The one scenario builder: a simulator over `spec` under `cfg` with
-    /// host stacks, whatever `install` puts on the switches, and `arrivals`
-    /// queued; recording and profiling armed as the harness is. `label`
-    /// names the run (directory, manifest `policy` field, profile track).
-    /// Closed-loop application hooks and further traffic go onto
-    /// [`Scenario::sim`] after the build.
+    /// A scenario on one simulator over `spec` under `cfg`: host stacks,
+    /// whatever `install` puts on the switches, and `arrivals` queued;
+    /// recording and profiling armed as the harness is. `label` names the
+    /// run (directory, manifest `policy` field, profile track). Closed-loop
+    /// application hooks and further traffic go onto [`Scenario::sim`] after
+    /// the build.
     pub fn scenario_installed(
         &self,
         spec: &TopologySpec,
@@ -990,18 +1066,32 @@ impl Harness {
         arrivals: &[Arrival],
         install: impl FnOnce(&mut Simulator),
     ) -> Scenario {
+        self.scenario_with_faults(spec, cfg, label, arrivals, install, None)
+    }
+
+    /// [`Harness::scenario_installed`] with `fault_plan` installed last.
+    fn scenario_with_faults(
+        &self,
+        spec: &TopologySpec,
+        cfg: SimConfig,
+        label: &str,
+        arrivals: &[Arrival],
+        install: impl FnOnce(&mut Simulator),
+        fault_plan: Option<&FaultPlan>,
+    ) -> Scenario {
         let seed = cfg.seed;
         let mut sim = Simulator::new(spec.build(), cfg);
-        let fct = FctCollector::new_shared();
-        let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-        install(&mut sim);
-        // The arrival list is final: pre-size the FCT collector so flow
-        // registration mid-run never reallocates (apply_arrivals does the
-        // same for the per-host stacks).
-        fct.borrow_mut().reserve(arrivals.len());
-        gen::apply_arrivals(&mut sim, arrivals);
-
-        let telem = self.arm_recording(&mut sim, label, seed);
+        let (record, claim) = self
+            .claim_run(label, seed)
+            .and_then(|c| Some((self.open_jsonl(&c)?, c)))
+            .map(|(sink, c)| ((c.interval, Box::new(sink) as Box<dyn TelemetrySink>), c))
+            .unzip();
+        let (hosts, fct, rec) = build(&mut sim, arrivals, install, record, fault_plan);
+        let telem = rec.zip(claim).map(|(rec, claim)| RunTelemetry {
+            rec,
+            claim,
+            started: std::time::Instant::now(),
+        });
         let prof = self.arm_profiling(&mut sim, label, seed, telem.as_ref());
         Scenario {
             sim,
@@ -1013,9 +1103,20 @@ impl Harness {
         }
     }
 
-    /// Run `spec` + `policy` + `arrivals` (+ optional fault plan) until
-    /// `horizon` — on the sharded engine when `--shards` was given, on one
-    /// simulator otherwise; the one place that decision is taken.
+    /// Run `spec` + `policy` + `arrivals` (+ optional fault plan) through
+    /// the phases ending at `phase_ends` (the last is the horizon), calling
+    /// `between(i)` once phase `i` has ended — on `--shards N` shards when
+    /// the flag was given, on one simulator otherwise. The only code in
+    /// `acc-bench` that runs a scenario to a horizon. On shards, `between`
+    /// runs on the calling thread while every worker is parked, which is
+    /// where the perf gates read the process-wide allocation counter.
+    ///
+    /// What stays forked between the engines: an unsharded ACC arm shares
+    /// one global replay, while a sharded switch keeps its replay private;
+    /// one simulator streams its recording, shards buffer theirs and merge
+    /// it; and only shards merge FCT records — an unsharded collector is
+    /// returned as it is, because re-merging it would reorder records and
+    /// change `avg_us` bits. A shard is built without the profiler.
     pub fn run_to(
         &self,
         spec: &TopologySpec,
@@ -1023,42 +1124,100 @@ impl Harness {
         seed: u64,
         arrivals: &[Arrival],
         fault_plan: Option<&FaultPlan>,
-        horizon: SimTime,
+        phase_ends: &[SimTime],
+        mut between: impl FnMut(usize),
     ) -> RunOutcome {
-        if let Some(n) = self.shards {
-            let r = crate::shard_run::run_scenario_sharded(
-                self, spec, policy, seed, arrivals, fault_plan, n, horizon,
+        let scale = self.scale;
+        let install = move |sim: &mut Simulator| install_policy(sim, policy, scale);
+        let Some(n_shards) = self.shards else {
+            let mut sc = self.scenario_with_faults(
+                spec,
+                sim_config(seed),
+                policy.name(),
+                arrivals,
+                install,
+                fault_plan,
             );
-            return RunOutcome {
-                fct: r.fct,
-                fault_drops: r.fault_drops,
-                invalid_final_configs: r.invalid_final_configs,
-                guard: r.guard,
-                metrics_dir: r.metrics_dir,
-            };
-        }
-        let mut sc = self.scenario(spec, policy, seed, arrivals);
-        if let Some(plan) = fault_plan {
-            sc.sim
-                .install_fault_plan(plan)
-                .expect("fault plan rejected by simulator");
-        }
-        sc.sim.run_until(horizon);
-        let guard = sum_guard_stats(&mut sc.sim);
-        let invalid_final_configs = crate::fault::invalid_final_configs(&sc.sim);
-        let fault_drops = sc.sim.core().fault_drops;
-        let metrics_dir = sc.metrics_dir().map(Path::to_path_buf);
-        let fct = sc.fct.clone();
-        drop(sc); // writes the manifest; the stacks' handles go with it
-        RunOutcome {
-            fct: Rc::try_unwrap(fct)
+            for (i, &end) in phase_ends.iter().enumerate() {
+                sc.sim.run_until(end);
+                between(i);
+            }
+            let mut out = read_back(&mut sc.sim);
+            out.metrics_dir = sc.metrics_dir().map(Path::to_path_buf);
+            let fct = sc.fct.clone();
+            drop(sc); // writes the manifest; the stacks' handles go with it
+            out.fct = Rc::try_unwrap(fct)
                 .expect("the simulator held the other handles")
-                .into_inner(),
-            fault_drops,
-            invalid_final_configs,
-            guard,
-            metrics_dir,
+                .into_inner();
+            return out;
+        };
+
+        let topo = spec.build();
+        let plan = ShardPlan::build(&topo, n_shards);
+        let cfg = sim_config(seed);
+        let claim = self.claim_run(policy.name(), seed);
+        let interval = claim.as_ref().map(|c| c.interval);
+        let started = std::time::Instant::now();
+        let shards = run_sharded_phased(
+            &plan,
+            phase_ends,
+            |shard| {
+                let mut sim = Simulator::new_sharded(topo.clone(), cfg.clone(), &plan, shard);
+                let buf = interval.map(|_| Rc::new(RefCell::new(VecSink::new())));
+                let record = interval
+                    .zip(buf.clone())
+                    .map(|(iv, b)| (iv, Box::new(b) as Box<dyn TelemetrySink>));
+                let (_, fct, rec) = build(&mut sim, arrivals, install, record, fault_plan);
+                (sim, (fct, rec, buf))
+            },
+            between,
+            |_, mut sim, (fct, rec, buf)| {
+                if let Some(rec) = &rec {
+                    close_recording(&mut sim, rec).expect("an in-memory sink cannot fail");
+                }
+                let records: Vec<FlowRecord> = fct.borrow().records().copied().collect();
+                (read_back(&mut sim), records, buf.map(|b| b.take()))
+            },
+        );
+        let wall_s = started.elapsed().as_secs_f64();
+
+        let mut out = RunOutcome::default();
+        let (mut records, mut sinks) = (Vec::new(), Vec::new());
+        for (stats, (o, shard_records, sink)) in shards {
+            out.shard_stats.push(stats);
+            records.push(shard_records);
+            sinks.extend(sink);
+            out.engine.merge(&o.engine);
+            out.fault_drops += o.fault_drops;
+            out.invalid_final_configs += o.invalid_final_configs;
+            if let Some(g) = o.guard {
+                *out.guard.get_or_insert_with(GuardStats::default) += g;
+            }
         }
+        // A flow that crossed shards left a sender half and a receiver half.
+        out.fct = merge_shard_fct(records);
+        out.metrics_dir = claim.and_then(|c| {
+            let mut jsonl = self.open_jsonl(&c)?;
+            let samples = merge_shards(sinks, &mut jsonl);
+            if let Err(e) = jsonl.flush() {
+                self.note_metrics_failure(&c.dir, &e);
+                return None;
+            }
+            let horizon = *phase_ends.last().expect("need at least one phase");
+            self.save_manifest(
+                &c,
+                Some(n_shards),
+                &topo,
+                &cfg,
+                horizon,
+                wall_s,
+                out.engine,
+                samples,
+                &out.fct,
+            )
+            .then_some(c.dir)
+        });
+        out
     }
 
     /// Switch the engine's self-profiler on when a profile book is armed,
@@ -1100,7 +1259,7 @@ impl Harness {
     /// an existing recording is never truncated — a deterministic-name
     /// collision (re-running into a used `--metrics-dir`) is reported as a
     /// metrics failure so the process exits non-zero.
-    pub(crate) fn claim_run(&self, label: &str, seed: u64) -> Option<ClaimedRun> {
+    fn claim_run(&self, label: &str, seed: u64) -> Option<ClaimedRun> {
         let ctx = self.shared.metrics.as_ref()?;
         let exp = &self.experiment;
         if let Err(e) = std::fs::create_dir_all(&ctx.dir) {
@@ -1165,25 +1324,13 @@ impl Harness {
         })
     }
 
-    /// Claim a fresh run directory ([`Harness::claim_run`]) and attach a
-    /// recording sink to `sim`, when metrics are armed.
-    fn arm_recording(&self, sim: &mut Simulator, label: &str, seed: u64) -> Option<RunTelemetry> {
-        let claim = self.claim_run(label, seed)?;
-        let sink = match JsonlSink::create_new(&claim.dir) {
-            Ok(s) => s,
-            Err(e) => {
-                self.note_metrics_failure(&claim.dir, &e);
-                return None;
-            }
-        };
-        let rec = RunRecorder::new().with_sink(Box::new(sink)).into_shared();
-        telemetry::install_queue_sampler(sim, claim.interval, rec.clone());
-        controller::attach_recorder(sim, &rec);
-        Some(RunTelemetry {
-            rec,
-            claim,
-            started: std::time::Instant::now(),
-        })
+    /// Create the JSONL files of a claimed run directory — streamed into on
+    /// one simulator, merged into after a sharded run. `None` when that
+    /// failed (reported through [`Harness::note_metrics_failure`]).
+    fn open_jsonl(&self, claim: &ClaimedRun) -> Option<JsonlSink> {
+        JsonlSink::create_new(&claim.dir)
+            .map_err(|e| self.note_metrics_failure(&claim.dir, &e))
+            .ok()
     }
 }
 

@@ -139,14 +139,8 @@ pub fn run_policy(h: &Harness, policy: Policy, seed: u64) -> FaultOutcome {
     let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 300);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
     let plan = fault_plan(&topo, horizon, seed);
-    let out = h.run_to(
-        &spec,
-        policy,
-        seed,
-        &arrivals,
-        Some(&plan),
-        horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)),
-    );
+    let end = horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5));
+    let out = h.run_to(&spec, policy, seed, &arrivals, Some(&plan), &[end], |_| {});
     let summary = out.fct.summary();
     FaultOutcome {
         policy: policy.name(),

@@ -26,7 +26,7 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
     let horizon = dur + scale.pick(SimTime::from_ms(20), SimTime::from_ms(12));
     // Generous drain margin so elephants can finish. (With `--shards N` the
     // ACC arm keeps each switch's replay private; unsharded it is shared.)
-    let out = h.run_to(&spec, policy, 9, &arrivals, None, horizon);
+    let out = h.run_to(&spec, policy, 9, &arrivals, None, &[horizon], |_| {});
     common::buckets_of(&out.fct, SimTime::ZERO)
 }
 

@@ -39,7 +39,7 @@ fn run_one(h: &Harness, policy: Policy, dist: &SizeDist, seed: u64) -> FctBucket
     let arrivals = heterogeneous_arrivals(&hosts, dist, segments, seg_len, seed);
     let total = seg_len.mul(segments as u64);
     let horizon = total + scale.pick(SimTime::from_ms(15), SimTime::from_ms(10));
-    let out = h.run_to(&spec, policy, seed, &arrivals, None, horizon);
+    let out = h.run_to(&spec, policy, seed, &arrivals, None, &[horizon], |_| {});
     common::buckets_of(&out.fct, SimTime::ZERO)
 }
 

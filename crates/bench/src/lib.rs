@@ -40,20 +40,23 @@ pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod resources;
-pub mod shard_run;
 pub mod soak;
 
 pub use common::{Harness, Scale};
 
-/// The experiment ids that honour `--shards N`: they run through
-/// [`Harness::run_to`], which takes them to [`shard_run`] at every shard
-/// count. The CLI rejects the flag for any other id instead of running it
+/// The experiment ids that honour `--shards N`: each of their runs goes
+/// through [`Harness::run_to`], which runs it on the sharded engine at every
+/// shard count once the flag is given. The others build a
+/// [`common::Scenario`] and reach into its simulator (queue probes,
+/// application hooks, controller state), which only a whole simulator
+/// offers. The CLI rejects the flag for any other id instead of running it
 /// unsharded without a word.
 pub const SHARDED: [&str; 3] = ["fig12", "fig13", "fault"];
 
 /// The experiment ids that build no simulator, so have nothing to record
-/// or profile. The CLI rejects `--profile` for them instead of writing an
-/// artifact with no runs, which [`profile::validate`] rejects.
+/// or profile. The CLI rejects `--metrics-dir` and `--profile` for them
+/// instead of recording nothing or writing an artifact with no runs, which
+/// [`profile::validate`] rejects.
 pub const NO_SIMULATOR: [&str; 2] = ["fig11", "resources"];
 
 /// One experiment of the registry.

@@ -6,9 +6,12 @@
 //!   (default: one per available core; `--jobs 1` runs serially with
 //!   byte-identical recorded output);
 //! * `--metrics-dir <dir>` — arm the flight recorder: every scenario the
-//!   selected experiments build records queue/agent JSONL time-series and a
-//!   `manifest.json` into a numbered subdirectory of `<dir>`;
+//!   selected experiments (or `soak`) build records queue/agent JSONL
+//!   time-series and a `manifest.json` into a numbered subdirectory of
+//!   `<dir>`; where nothing records (`perf`, `list`, `train`, `report`, an
+//!   experiment that builds no simulator) it is rejected;
 //! * `--metrics-interval-us <n>` — queue-sampling cadence (default 100 µs);
+//!   rejected without `--metrics-dir`;
 //! * `--profile <file>` — switch on the engine's self-profiler for every
 //!   scenario and write one Chrome-trace-compatible profile artifact
 //!   (`acc-profile/v1`) at exit; inspect it with `acc-bench report <file>`
@@ -147,8 +150,10 @@ fn usage() {
     println!("                                  built-in datacenter-day rotation");
     println!("       --fault-plan <file>        soak only: JSON fault script replacing the");
     println!("                                  built-in one");
-    println!("       --metrics-dir <dir>        record queue/agent JSONL + manifests");
-    println!("       --metrics-interval-us <n>  queue sampling cadence (default 100)");
+    println!("       --metrics-dir <dir>        experiments/soak: record queue/agent JSONL +");
+    println!("                                  manifests");
+    println!("       --metrics-interval-us <n>  with --metrics-dir: queue sampling cadence");
+    println!("                                  (default 100)");
     println!("       --profile <file>           self-profile every run into one Chrome-trace");
     println!("                                  JSON artifact (view: acc-bench report <file>,");
     println!("                                  or load in about://tracing / Perfetto)\n");
@@ -191,7 +196,7 @@ fn main() {
     // Strict flag parsing: every `-`-prefixed argument must be recognised.
     let mut quick = false;
     let mut metrics_dir: Option<String> = None;
-    let mut interval_us: u64 = 100;
+    let mut interval_us: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut profile: Option<String> = None;
     let mut shards: Option<u32> = None;
@@ -211,7 +216,7 @@ fn main() {
                 None => bad_flag("flag '--metrics-dir' needs a directory argument"),
             },
             "--metrics-interval-us" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => interval_us = n,
+                Some(Ok(n)) if n > 0 => interval_us = Some(n),
                 _ => bad_flag("flag '--metrics-interval-us' needs a positive integer"),
             },
             "--profile" => match it.next() {
@@ -242,12 +247,29 @@ fn main() {
             }
             _ => {}
         }
+    }
+    if metrics_dir.is_some() {
+        // `perf` has never recorded: a recorder inside its steady windows
+        // would fail the zero-allocation gates.
+        match which.first().map(String::as_str) {
+            None | Some("list") | Some("train") | Some("report") | Some("perf") => {
+                bad_flag("flag '--metrics-dir' only applies to experiments and 'soak'")
+            }
+            _ => {}
+        }
+    } else if interval_us.is_some() {
+        bad_flag("flag '--metrics-interval-us' only applies with '--metrics-dir'");
+    }
+    for (flag, given) in [
+        ("--metrics-dir", metrics_dir.is_some()),
+        ("--profile", profile.is_some()),
+    ] {
         if let Some(w) = which
             .iter()
-            .find(|w| acc_bench::NO_SIMULATOR.contains(&w.as_str()))
+            .find(|w| given && acc_bench::NO_SIMULATOR.contains(&w.as_str()))
         {
             bad_flag(&format!(
-                "flag '--profile' is not supported by '{w}' (it builds no simulator to profile)"
+                "flag '{flag}' is not supported by '{w}' (it builds no simulator)"
             ));
         }
     }
@@ -346,15 +368,14 @@ fn main() {
         harness = harness.with_shards(n);
         eprintln!("[shards] running sharded experiments on {n} shard(s)");
     }
-    // `perf` has never recorded: a recorder inside its steady windows would
-    // fail the zero-allocation gates.
-    if let Some(dir) = metrics_dir.as_ref().filter(|_| which[0] != "perf") {
+    if let Some(dir) = &metrics_dir {
         // Fail fast on an unwritable destination instead of discovering it
         // after the experiments already ran.
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create metrics dir {dir}: {e}");
             std::process::exit(1);
         }
+        let interval_us = interval_us.unwrap_or(100);
         harness = harness.with_metrics(dir, SimTime::from_us(interval_us));
         eprintln!("[metrics] recording runs under {dir} (queue sample every {interval_us} us)");
     }

@@ -275,9 +275,9 @@ fn fault_plan_load(h: &Harness) -> Value {
 }
 
 /// WebSearch load on the 1024-host three-tier Clos (`paper_xl_clos`), run
-/// through the conservative-lookahead engine. The run is split into two
-/// phases at the warmup boundary; steady-state events come from each shard's
-/// `phase_events` deltas.
+/// through the conservative-lookahead engine by the harness's one run path.
+/// The run is split into two phases at the warmup boundary; steady-state
+/// events come from each shard's `phase_events` deltas.
 fn xl_clos_sharded(h: &Harness, n_shards: u32) -> Value {
     let scale = h.scale;
     let spec = TopologySpec::paper_xl_clos();
@@ -287,37 +287,32 @@ fn xl_clos_sharded(h: &Harness, n_shards: u32) -> Value {
     let g = PoissonGen::new(SizeDist::web_search(), load, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
 
+    let sharded = h.experiment("perf").with_shards(n_shards);
     let mut w = Window::open(h);
-    let report = crate::shard_run::run_scenario_sharded_phased(
-        h,
+    let out = sharded.run_to(
         &spec,
         Policy::Secn1,
         7,
         &arrivals,
         None,
-        n_shards,
         &[Window::warmup_end(horizon), horizon],
         |_| w.edge(),
     );
-    let phase = |i: usize| -> u64 { report.shard_stats.iter().map(|s| s.phase_events[i]).sum() };
+    let phase = |i: usize| -> u64 { out.shard_stats.iter().map(|s| s.phase_events[i]).sum() };
     let row = w.row(
         &format!("xl-clos-1024/{n_shards}shard"),
         phase(0),
         phase(1) - phase(0),
-        report.peak_event_queue,
+        out.engine.peak_event_queue,
     );
-    let shard_events: Vec<u64> = report
-        .shard_stats
-        .iter()
-        .map(|s| s.events_processed)
-        .collect();
+    let shard_events: Vec<u64> = out.shard_stats.iter().map(|s| s.events_processed).collect();
     with(
         row,
         json!({
-            "arena_slots_reserved": report.arena_slots_reserved,
-            "arena_slots_peak": report.arena_slots_peak,
+            "arena_slots_reserved": out.engine.arena_slots_reserved,
+            "arena_slots_peak": out.engine.arena_slots_peak,
             "shards": n_shards,
-            "remote_events": report.remote_events(),
+            "remote_events": out.remote_events(),
             "shard_events": shard_events,
         }),
     )

@@ -1,8 +1,9 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
 //! spellings of a value flag parse alike, bad values, retired flags, surplus
 //! positional arguments, `--shards` on an experiment without a sharded
-//! path and a `--fault-plan` naming nodes or ports the fabric lacks exit 2,
-//! a sharded experiment runs, a result that cannot be saved fails the run,
+//! path, recording flags where nothing records and a `--fault-plan` naming
+//! nodes or ports the fabric lacks exit 2, a sharded experiment runs and
+//! records every arm sharded, a result that cannot be saved fails the run,
 //! and `report` renders saved results with the tables a run prints.
 
 mod support;
@@ -136,10 +137,27 @@ fn shards_is_rejected_without_a_sharded_path() {
 
 #[test]
 fn fault_runs_every_arm_sharded() {
-    let out = acc_bench(&["fault", "--quick", "--shards=2"]);
+    let metrics = PathBuf::from("target/cli-smoke/fault-sharded-metrics");
+    let _ = std::fs::remove_dir_all(&metrics);
+    let out = acc_bench(&[
+        "fault",
+        "--quick",
+        "--shards=2",
+        "--metrics-dir",
+        "fault-sharded-metrics",
+    ]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(0), "{err}");
-    assert!(!err.contains("unsharded"), "an arm fell back: {err}");
+    // Every arm ran on the shards: one manifest each, stamped with the count.
+    let scales: Vec<String> = support::run_dirs(&metrics)
+        .iter()
+        .map(|run| {
+            telemetry::RunManifest::load(&run.join("manifest.json"))
+                .expect("manifest loads")
+                .scale
+        })
+        .collect();
+    assert_eq!(scales, ["quick+shards2"; 3], "{err}");
     // Guard columns come back from the shards: both guarded arms detected
     // violations, and only the monitor-only arm left any applied.
     let table = stdout(&out);
@@ -227,6 +245,36 @@ fn report_prints_what_the_run_printed() {
         assert!(ran.lines().any(is_table_header), "{id}: no table in\n{ran}");
         assert_eq!(below_banner(&ran), below_banner(&rendered), "{id}");
     }
+}
+
+/// A recording flag where nothing records is refused, not dropped: exit 2
+/// naming the flag, before anything runs or any directory is created.
+#[test]
+fn recording_flags_are_rejected_where_nothing_records() {
+    for (args, says) in [
+        (
+            ["perf", "--quick", "--metrics-dir", "unrecorded"].as_slice(),
+            "flag '--metrics-dir' only applies to experiments and 'soak'",
+        ),
+        (
+            &["list", "--metrics-dir", "unrecorded"],
+            "flag '--metrics-dir' only applies to experiments and 'soak'",
+        ),
+        (
+            &["fig11", "--quick", "--metrics-dir", "unrecorded"],
+            "flag '--metrics-dir' is not supported by 'fig11'",
+        ),
+        (
+            &["fig11", "--quick", "--metrics-interval-us", "50"],
+            "flag '--metrics-interval-us' only applies with '--metrics-dir'",
+        ),
+    ] {
+        let out = acc_bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+    assert!(!PathBuf::from("target/cli-smoke/unrecorded").exists());
 }
 
 #[test]

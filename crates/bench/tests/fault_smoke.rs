@@ -1,8 +1,9 @@
 //! Fault-injection smoke tests over the bench harness: the guarded policy
 //! keeps the fabric sane under the seeded fault schedule (zero violations
-//! live, all final configs valid, strictly fewer than raw ACC), and a
-//! recorded fault run is byte-identical across identical seeds — faults,
-//! guard trips and all.
+//! live, all final configs valid, strictly fewer than raw ACC), a recorded
+//! fault run is byte-identical across identical seeds — faults, guard trips
+//! and all — and `Harness::run_to` records what a hand-built scenario with
+//! the same fault plan records.
 //!
 //! CI runs this as the `fault-smoke` job alongside the CLI-level
 //! `acc-bench fault --quick --metrics-dir` determinism check.
@@ -10,10 +11,13 @@
 mod support;
 
 use acc_bench::common::{Harness, Policy, Scale};
-use acc_bench::fault::{run_arms, run_policy, FaultOutcome, FAULT_SEED};
-use netsim::prelude::SimTime;
+use acc_bench::fault::{fault_plan, run_arms, run_policy, FaultOutcome, FAULT_SEED};
+use netsim::prelude::{SimTime, TopologySpec};
 use std::path::{Path, PathBuf};
 use support::{assert_recorded, assert_same_tree, fresh_dir, only_run_dir, run_dirs};
+use transport::CcKind;
+use workloads::gen::PoissonGen;
+use workloads::SizeDist;
 
 /// A quick-scale harness recording under `root` as experiment `id`.
 fn recording(root: &Path, id: &str) -> Harness {
@@ -91,6 +95,52 @@ fn recorded_fault_runs_are_byte_identical() {
     assert_eq!(m.policy, "ACC-guarded");
     assert_eq!(m.seed, FAULT_SEED);
     assert!(m.event_samples > 0, "manifest counted no event samples");
+}
+
+/// `run_to` builds in the order perf's `fault-plan` row spells out by hand:
+/// `scenario` (stacks, policy, FCT reserve, arrivals, recorder), then the
+/// fault plan. One simulator pops events at equal times in insertion order,
+/// and sampling every 1.5 ms puts the first sampling tick on the plan's first
+/// fault (15 % of 10 ms). A guard's events are recorded as they happen, a
+/// fault when a sampling tick drains it, so whether that tick runs before or
+/// after the fault decides where the fault lands among the guard's events:
+/// a build with the fault plan ahead of the recorder fails here.
+#[test]
+fn run_to_builds_in_the_order_of_a_hand_built_scenario() {
+    let root = fresh_dir("fault-smoke-build-order");
+    let spec = TopologySpec::paper_testbed();
+    let topo = spec.build();
+    let horizon = SimTime::from_ms(10);
+    let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 300);
+    let arrivals = g.generate(topo.hosts(), 25_000_000_000, SimTime::ZERO, horizon);
+    let plan = fault_plan(&topo, horizon, FAULT_SEED);
+    let end = horizon + SimTime::from_ms(4);
+    let armed = |sub: &str| {
+        Harness::new(Scale::QUICK)
+            .with_metrics(root.join(sub), SimTime::from_us(1500))
+            .experiment("order")
+    };
+    armed("run_to").run_to(
+        &spec,
+        Policy::AccGuarded,
+        FAULT_SEED,
+        &arrivals,
+        Some(&plan),
+        &[end],
+        |_| {},
+    );
+    let mut sc = armed("by-hand").scenario(&spec, Policy::AccGuarded, FAULT_SEED, &arrivals);
+    sc.sim
+        .install_fault_plan(&plan)
+        .expect("fault plan validates");
+    sc.sim.run_until(end);
+    drop(sc);
+    assert_recorded(&only_run_dir(&root.join("run_to")), &["events.jsonl"]);
+    assert_same_tree(
+        &root.join("run_to"),
+        &root.join("by-hand"),
+        "run_to and a hand-built scenario",
+    );
 }
 
 /// The determinism contract of the worker pool: the same recorded matrix

@@ -1,18 +1,18 @@
 //! Sharded-execution smoke tests: the determinism contract of the
 //! conservative-lookahead engine, observed end to end through the bench
-//! harness. A fig12-style WebSearch scenario and the fault-plan scenario
-//! must produce byte-identical merged telemetry JSONL — and identical FCT
-//! statistics — when run on 1 shard and on 4 shards (the `diff -r`
-//! pattern of the run-matrix `--jobs` test, with `manifest.json` excluded
-//! because it carries wall-clock fields).
+//! harness's one run path (`Harness::run_to` on a harness with shards, the
+//! code `--shards N` runs). A fig12-style WebSearch scenario and the
+//! fault-plan scenario must produce byte-identical merged telemetry JSONL —
+//! and identical FCT statistics — when run on 1 shard and on 4 shards (the
+//! `diff -r` pattern of the run-matrix `--jobs` test, with `manifest.json`
+//! excluded because it carries wall-clock fields).
 //!
 //! CI runs this as part of the test suite alongside the CLI-level
 //! `acc-bench fig12 --quick --shards 1/4 --metrics-dir` diff.
 
 mod support;
 
-use acc_bench::common::{Harness, Policy, Scale};
-use acc_bench::shard_run::{run_scenario_sharded, ShardedReport};
+use acc_bench::common::{Harness, Policy, RunOutcome, Scale};
 use netsim::prelude::*;
 use std::path::{Path, PathBuf};
 use support::{assert_same_tree, fresh_dir};
@@ -20,8 +20,8 @@ use transport::CcKind;
 use workloads::gen::{Arrival, PoissonGen};
 use workloads::SizeDist;
 
-/// Run one recorded sharded scenario, returning the report and the
-/// numbered run directory the merge wrote.
+/// Run one recorded scenario on `n_shards` shards, returning the outcome
+/// and the numbered run directory the merge wrote.
 #[allow(clippy::too_many_arguments)]
 fn recorded_sharded(
     root: &Path,
@@ -32,23 +32,22 @@ fn recorded_sharded(
     fault_plan: Option<&FaultPlan>,
     n_shards: u32,
     horizon: SimTime,
-) -> (ShardedReport, PathBuf) {
+) -> (RunOutcome, PathBuf) {
     let h = Harness::new(Scale::QUICK)
         .with_metrics(root, SimTime::from_us(100))
-        .experiment("shard-smoke");
-    let report = run_scenario_sharded(
-        &h, spec, policy, seed, arrivals, fault_plan, n_shards, horizon,
-    );
-    let dir = report
+        .experiment("shard-smoke")
+        .with_shards(n_shards);
+    let out = h.run_to(spec, policy, seed, arrivals, fault_plan, &[horizon], |_| {});
+    let dir = out
         .metrics_dir
         .clone()
         .expect("armed sharded run records a run dir");
-    (report, dir)
+    (out, dir)
 }
 
 /// FCT statistics that must match exactly across shard counts (merged
 /// records are identical, so every derived f64 must be too).
-fn assert_fct_identical(a: &ShardedReport, b: &ShardedReport) {
+fn assert_fct_identical(a: &RunOutcome, b: &RunOutcome) {
     let (sa, sb) = (a.fct.summary(), b.fct.summary());
     assert_eq!(sa.total, sb.total);
     assert_eq!(sa.completed, sb.completed);
@@ -114,7 +113,7 @@ fn fig12_scenario_identical_across_shard_counts() {
 /// against the first. Fault logs and guard events are owner-emitted and
 /// merge into an identical event stream at any shard count; guard counters
 /// sum over shards to the same totals.
-fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (ShardedReport, PathBuf) {
+fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (RunOutcome, PathBuf) {
     let root = fresh_dir(&format!("shard-smoke-fault-{}", policy.name()));
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
@@ -215,8 +214,17 @@ fn fig13_scenario_identical_across_shard_counts() {
         arrivals.extend(g.generate(&hosts, 25_000_000_000, seg.mul(i as u64), seg));
     }
     let horizon = seg.mul(2) + SimTime::from_ms(4);
-    let h = Harness::new(Scale::QUICK);
-    let run = |n| run_scenario_sharded(&h, &spec, Policy::Secn1, 100, &arrivals, None, n, horizon);
+    let run = |n| {
+        Harness::new(Scale::QUICK).with_shards(n).run_to(
+            &spec,
+            Policy::Secn1,
+            100,
+            &arrivals,
+            None,
+            &[horizon],
+            |_| {},
+        )
+    };
     let (r1, r2) = (run(1), run(2));
     assert_fct_identical(&r1, &r2);
     assert_eq!(r2.shard_stats.len(), 2);
