@@ -500,7 +500,7 @@ impl Harness {
         let Some(book) = self.profile_book().take() else {
             return true;
         };
-        match book.write() {
+        match write_document(book.path(), &book.to_json()) {
             Ok(()) => {
                 eprintln!(
                     "[profile] wrote {} ({} run(s))",
@@ -830,7 +830,6 @@ pub(crate) struct EngineTotals {
     pub events_processed: u64,
     pub peak_event_queue: u64,
     pub fault_log_dropped: u64,
-    pub trace_evicted: u64,
     /// Packet-slab slots reserved at build, and the most queued at once.
     pub arena_slots_reserved: u64,
     pub arena_slots_peak: u64,
@@ -843,7 +842,6 @@ impl EngineTotals {
             events_processed: core.events_processed,
             peak_event_queue: core.event_queue_peak(),
             fault_log_dropped: core.fault_log_dropped,
-            trace_evicted: core.tracer().map_or(0, |t| t.evicted),
             arena_slots_reserved: arena_slots_reserved as u64,
             arena_slots_peak: arena_slots_peak as u64,
         }
@@ -853,7 +851,6 @@ impl EngineTotals {
         self.events_processed += o.events_processed;
         self.peak_event_queue = self.peak_event_queue.max(o.peak_event_queue);
         self.fault_log_dropped += o.fault_log_dropped;
-        self.trace_evicted += o.trace_evicted;
         self.arena_slots_reserved += o.arena_slots_reserved;
         self.arena_slots_peak += o.arena_slots_peak;
     }
@@ -1017,7 +1014,6 @@ impl Harness {
             agent_samples,
             event_samples,
             fault_log_dropped: engine.fault_log_dropped,
-            trace_evicted: engine.trace_evicted,
             flows_total: summary.total,
             flows_completed: summary.completed,
             fct: serde_json::to_value(&summary).unwrap_or(Value::Null),
@@ -1409,10 +1405,32 @@ pub fn banner(id: &str, title: &str) {
     println!("\n==== {id}: {title} ====");
 }
 
+/// Write `doc` to `path` as pretty-printed JSON, creating the parent
+/// directory: the one writer of every document `acc-bench` leaves behind —
+/// results, the gate and soak documents and the profile artifact.
+pub fn write_document(path: &Path, doc: &Value) -> std::io::Result<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    let text = serde_json::to_string_pretty(doc)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
+    std::fs::write(path, text)
+}
+
+/// [`print_table`] under a title line, after a blank line; nothing at all
+/// when no row holds anything (an empty list, or one `null` block).
+pub(crate) fn print_section<S: AsRef<str>>(title: &str, rows: &[Value], columns: &[S]) {
+    if rows.iter().all(Value::is_null) {
+        return;
+    }
+    println!("\n{title}");
+    print_table(rows, columns);
+}
+
 /// Print `rows` as one aligned table: the only table printer the
 /// experiments' `show` functions have, so a table printed after a run and
 /// one rendered from its saved result by `acc-bench report` cannot differ.
-pub fn print_table(rows: &[Value], columns: &[&str]) {
+pub fn print_table<S: AsRef<str>>(rows: &[Value], columns: &[S]) {
     print!("{}", format_table(rows, columns));
 }
 
@@ -1421,12 +1439,13 @@ pub fn print_table(rows: &[Value], columns: &[&str]) {
 /// — headed by that path. Every cell is formatted by [`cell`]; a path that
 /// leads nowhere prints `-`. A column holding a number is right-aligned,
 /// any other left-aligned; columns are two spaces apart.
-fn format_table(rows: &[Value], columns: &[&str]) -> String {
+fn format_table<S: AsRef<str>>(rows: &[Value], columns: &[S]) -> String {
     let found: Vec<Vec<Option<&Value>>> = rows
         .iter()
-        .map(|r| columns.iter().map(|c| at(r, c)).collect())
+        .map(|r| columns.iter().map(|c| at(r, c.as_ref())).collect())
         .collect();
-    let mut lines: Vec<Vec<String>> = vec![columns.iter().map(|c| c.to_string()).collect()];
+    let mut lines: Vec<Vec<String>> =
+        vec![columns.iter().map(|c| c.as_ref().to_string()).collect()];
     lines.extend(
         found
             .iter()
@@ -1481,12 +1500,36 @@ pub(crate) fn cell(v: &Value) -> String {
     }
 }
 
+/// Every column path of `row` in its order: each key, and for an object
+/// under a key each of its keys, joined by `.`. An array gets no column.
+pub(crate) fn paths(row: &Value) -> Vec<String> {
+    let mut out = Vec::new();
+    for (key, v) in row.as_object().into_iter().flat_map(|m| m.iter()) {
+        match v {
+            Value::Object(inner) => out.extend(inner.keys().map(|k| format!("{key}.{k}"))),
+            Value::Array(_) => {}
+            _ => out.push(key.clone()),
+        }
+    }
+    out
+}
+
 /// Follow a [`format_table`] column path from `v`.
-fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+pub(crate) fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
     path.split('.').try_fold(v, |v, key| match v {
         Value::Array(a) => a.get(key.parse::<usize>().ok()?),
         _ => v.get(key),
     })
+}
+
+/// `row` with the entries of `extra` appended.
+pub(crate) fn with(mut row: Value, extra: Value) -> Value {
+    if let (Value::Object(row), Value::Object(extra)) = (&mut row, extra) {
+        for (k, v) in extra.iter() {
+            row.insert(k.clone(), v.clone());
+        }
+    }
+    row
 }
 
 /// The array at key `key` of `v`; empty when there is none.

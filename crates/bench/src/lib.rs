@@ -5,7 +5,9 @@
 //! series the paper reports, and `show(&Value)`, which prints them as
 //! tables. The CLI saves what `run` returns to `results/` and then calls
 //! `show`; `acc-bench report results/<id>.json` calls the same `show` on a
-//! saved file, so a printed table and a rendered one cannot disagree.
+//! saved file, so a printed table and a rendered one cannot disagree. The
+//! documents `perf`, `soak` and `--profile` write carry a schema tag and go
+//! the same way through [`DOCUMENTS`], with a `check` that `report` re-runs.
 //!
 //! ```sh
 //! cargo run -p acc-bench --release -- list
@@ -107,4 +109,50 @@ pub const EXPERIMENTS: [Experiment; 17] = registry! {
 /// The registry entry whose id is `id`.
 pub fn experiment(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// A document that names its kind in a `schema` tag: written by `perf`,
+/// `soak` or `--profile`, and shown and checked by the same two functions
+/// after the run and under `acc-bench report <file>`.
+pub struct Document {
+    /// The `schema` tag.
+    pub schema: &'static str,
+    /// The command that writes it; the banner above its tables.
+    pub id: &'static str,
+    /// What it holds; printed in the banner.
+    pub description: &'static str,
+    /// Everything wrong with it, by name; empty means it passes.
+    pub check: fn(&serde_json::Value) -> Vec<String>,
+    /// Print its tables through [`common::print_table`].
+    pub show: fn(&serde_json::Value),
+}
+
+/// Every tagged document `acc-bench` writes.
+pub const DOCUMENTS: [Document; 3] = [
+    Document {
+        schema: soak::SCHEMA,
+        id: "soak",
+        description: "datacenter day: rotating workloads + faults + checkpoint hot-swap/rollback",
+        check: soak::check,
+        show: soak::show,
+    },
+    Document {
+        schema: perf::SCHEMA,
+        id: "perf",
+        description: "count gates",
+        check: perf::check,
+        show: perf::show,
+    },
+    Document {
+        schema: profile::SCHEMA,
+        id: "profile",
+        description: "self-profile of every run",
+        check: profile::validate,
+        show: profile::show,
+    },
+];
+
+/// The document whose tag is `schema`.
+pub fn document(schema: &str) -> Option<&'static Document> {
+    DOCUMENTS.iter().find(|d| d.schema == schema)
 }

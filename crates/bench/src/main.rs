@@ -105,18 +105,14 @@ fn train(scale: Scale, out: &str) {
     println!("wrote deployable bundle to {out}");
 }
 
-/// Save a result to `results/<id>.json`, or `results/quick/<id>.json` at
-/// quick scale so smoke runs never clobber full-scale records. A failed
-/// write exits 1 naming the path, like a failed `--metrics-dir` write.
-fn save_results(id: &str, result: &serde_json::Value, scale: Scale) {
-    let dir = scale.pick("results", "results/quick");
-    let path = format!("{dir}/{id}.json");
-    let text = serde_json::to_string_pretty(result).expect("a result serializes");
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
-        eprintln!("cannot write results {path}: {e}");
+/// Write `doc` to `path`, creating its directory. A failed write exits 1
+/// naming the path, like a failed `--metrics-dir` write.
+fn write_document(path: &str, doc: &serde_json::Value) {
+    if let Err(e) = acc_bench::common::write_document(std::path::Path::new(path), doc) {
+        eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("[results] wrote {path}");
+    eprintln!("[acc-bench] wrote {path}");
 }
 
 fn usage() {
@@ -127,7 +123,9 @@ fn usage() {
     println!("       acc-bench all [--quick] [--jobs <n>]");
     println!("       acc-bench train [out.json] [--quick]   # save a deployable model bundle");
     println!("       acc-bench report <dir>                 # summarise recorded telemetry");
-    println!("       acc-bench report <profile.json>        # summarise a --profile artifact");
+    println!("       acc-bench report <file>                # BENCH_gates.json, SOAK_SLO.json or");
+    println!("                                              # a --profile artifact: print it,");
+    println!("                                              # exit 1 naming each failed check");
     println!("       acc-bench report results/<id>.json     # print a saved result's tables");
     println!("       acc-bench perf [out.json] [--quick]    # count gates -> BENCH_gates.json,");
     println!("                                              # exit 1 naming any gate that failed");
@@ -349,6 +347,44 @@ fn main() {
             }
         }
     }
+    // User-supplied soak plans are fully vetted here — unreadable files,
+    // malformed JSON, structural violations and unknown workload names all
+    // exit 2 before any simulation work starts.
+    let plan = soak_plan_path.as_deref().map(|p| {
+        let text = match std::fs::read_to_string(p) {
+            Ok(t) => t,
+            Err(e) => bad_flag(&format!("cannot read soak plan {p}: {e}")),
+        };
+        let parsed: acc_core::SoakPlan = match serde_json::from_str(&text) {
+            Ok(v) => v,
+            Err(e) => bad_flag(&format!("invalid soak plan {p}: {e}")),
+        };
+        if let Err(e) = parsed.validate() {
+            bad_flag(&format!("invalid soak plan {p}: {e}"));
+        }
+        if let Err(e) = acc_bench::soak::resolve_generators(&parsed, scale, parsed.seed) {
+            bad_flag(&format!("invalid soak plan {p}: {e}"));
+        }
+        parsed
+    });
+    let faults = fault_plan_path.as_deref().map(|p| {
+        let text = match std::fs::read_to_string(p) {
+            Ok(t) => t,
+            Err(e) => bad_flag(&format!("cannot read fault plan {p}: {e}")),
+        };
+        // `FaultPlan`'s deserializer validates structurally; its endpoints
+        // are checked against the soak's fabric here, with the check the
+        // simulator repeats when it installs the plan.
+        let parsed: netsim::prelude::FaultPlan = match serde_json::from_str(&text) {
+            Ok(v) => v,
+            Err(e) => bad_flag(&format!("invalid fault plan {p}: {e}")),
+        };
+        let topo = acc_bench::soak::topology_spec(scale).build();
+        if let Err(e) = parsed.check_topology(&topo) {
+            bad_flag(&format!("invalid fault plan {p}: {e}"));
+        }
+        parsed
+    });
 
     // The one run context: everything the flags configure, built once. The
     // probes let profiled runs, `perf` and `soak` report real allocation
@@ -384,85 +420,44 @@ fn main() {
         eprintln!("[profile] self-profiling every run into {p}");
     }
 
-    if which[0] == "perf" {
-        let out = which.get(1).map_or("BENCH_gates.json", String::as_str);
-        let doc = match acc_bench::perf::run(&harness.experiment("perf"), std::path::Path::new(out))
-        {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("perf run failed: {e}");
-                std::process::exit(1);
+    let document = match which[0].as_str() {
+        "perf" => acc_bench::document(acc_bench::perf::SCHEMA),
+        "soak" => acc_bench::document(acc_bench::soak::SCHEMA),
+        _ => None,
+    };
+    let mut checks_failed = false;
+    if let Some(d) = document {
+        acc_bench::common::banner(d.id, d.description);
+        let h = harness.experiment(d.id);
+        let (doc, default_out) = if d.id == "perf" {
+            (acc_bench::perf::run(&h), "BENCH_gates.json")
+        } else {
+            // Checkpoints land next to the recorded telemetry when armed.
+            let ckpt_dir = metrics_dir
+                .as_ref()
+                .map(|dir| std::path::Path::new(dir).join("soak_checkpoints"));
+            let seed = acc_bench::soak::SOAK_SEED;
+            match acc_bench::soak::run_soak_with(&h, seed, ckpt_dir.as_deref(), plan, faults) {
+                Ok(doc) => (doc, "SOAK_SLO.json"),
+                Err(e) => {
+                    eprintln!("soak run failed: {e}");
+                    std::process::exit(1);
+                }
             }
         };
-        let failed = acc_bench::perf::check(&doc);
-        for gate in &failed {
-            eprintln!("gate failed — {gate}");
+        write_document(which.get(1).map_or(default_out, String::as_str), &doc);
+        (d.show)(&doc);
+        let failed = (d.check)(&doc);
+        for f in &failed {
+            eprintln!("[{}] check failed — {f}", d.id);
         }
-        if !failed.is_empty() {
-            // A profiled run is not a gate run: the profiler's span buffers
-            // grow inside the steady window, so the zero-allocation gates on
-            // the rows it covers cannot hold.
-            if profile.is_none() {
-                std::process::exit(1);
-            }
+        // A profiled perf run is not a gate run: the profiler's span buffers
+        // grow inside the steady window, so the zero-allocation gates on the
+        // rows it covers cannot hold.
+        if !failed.is_empty() && d.id == "perf" && profile.is_some() {
             eprintln!("[profile] gates do not set the exit status of a profiled run");
-        }
-        return;
-    }
-    if which[0] == "soak" {
-        // Checkpoints land next to the recorded telemetry when armed.
-        let ckpt_dir = metrics_dir
-            .as_ref()
-            .map(|dir| std::path::Path::new(dir).join("soak_checkpoints"));
-        // User-supplied plans are fully vetted here — unreadable files,
-        // malformed JSON, structural violations and unknown workload names
-        // all exit 2 before any simulation work starts.
-        let plan = soak_plan_path.as_deref().map(|p| {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => bad_flag(&format!("cannot read soak plan {p}: {e}")),
-            };
-            let parsed: acc_core::SoakPlan = match serde_json::from_str(&text) {
-                Ok(v) => v,
-                Err(e) => bad_flag(&format!("invalid soak plan {p}: {e}")),
-            };
-            if let Err(e) = parsed.validate() {
-                bad_flag(&format!("invalid soak plan {p}: {e}"));
-            }
-            if let Err(e) = acc_bench::soak::resolve_generators(&parsed, scale, parsed.seed) {
-                bad_flag(&format!("invalid soak plan {p}: {e}"));
-            }
-            parsed
-        });
-        let faults = fault_plan_path.as_deref().map(|p| {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => bad_flag(&format!("cannot read fault plan {p}: {e}")),
-            };
-            // `FaultPlan`'s deserializer validates structurally; its
-            // endpoints are checked against the soak's fabric here, with the
-            // check the simulator repeats when it installs the plan.
-            let parsed: netsim::prelude::FaultPlan = match serde_json::from_str(&text) {
-                Ok(v) => v,
-                Err(e) => bad_flag(&format!("invalid fault plan {p}: {e}")),
-            };
-            let topo = acc_bench::soak::topology_spec(scale).build();
-            if let Err(e) = parsed.check_topology(&topo) {
-                bad_flag(&format!("invalid fault plan {p}: {e}"));
-            }
-            parsed
-        });
-        let out = which.get(1).map(|s| s.as_str()).unwrap_or("SOAK_SLO.json");
-        if let Err(e) = acc_bench::soak::run(
-            &harness.experiment("soak"),
-            acc_bench::soak::SOAK_SEED,
-            std::path::Path::new(out),
-            ckpt_dir.as_deref(),
-            plan,
-            faults,
-        ) {
-            eprintln!("soak run failed: {e}");
-            std::process::exit(1);
+        } else {
+            checks_failed = !failed.is_empty();
         }
     } else {
         let start = std::time::Instant::now();
@@ -470,7 +465,10 @@ fn main() {
             acc_bench::common::banner(e.id, e.description);
             let t = std::time::Instant::now();
             let result = (e.run)(&harness.experiment(e.id));
-            save_results(e.id, &result, scale);
+            // Quick results go to `results/quick/` so smoke runs never
+            // clobber full-scale records.
+            let dir = scale.pick("results", "results/quick");
+            write_document(&format!("{dir}/{}.json", e.id), &result);
             (e.show)(&result);
             eprintln!("[{}] finished in {:.1}s", e.id, t.elapsed().as_secs_f64());
         };
@@ -494,7 +492,7 @@ fn main() {
         eprintln!("ERROR: some recorded telemetry could not be written (see [metrics] lines)");
         std::process::exit(1);
     }
-    if !profile_ok {
+    if !profile_ok || checks_failed {
         std::process::exit(1);
     }
 }

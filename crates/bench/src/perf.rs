@@ -18,15 +18,13 @@
 //! The engine rows run the static SECN1 policy: a gate must not depend on a
 //! cached RL model.
 
-use crate::common::{self, Harness, Policy, Scale, Scenario};
+use crate::common::{self, with, Harness, Policy, Scale, Scenario};
 use netsim::flowsim::{FlowSim, FlowSimConfig};
 use netsim::ids::NodeId;
 use netsim::prelude::*;
 use rl::{DdqnAgent, DdqnConfig, Seat, TrainerStats, Transition};
 use serde_json::{json, Value};
 use std::fmt;
-use std::io;
-use std::path::Path;
 use transport::{CcKind, FctCollector, FctStats};
 use workloads::gen::{incast_wave, Arrival, PoissonGen};
 use workloads::{to_flow_specs, SizeDist, XlFlowsSpec};
@@ -146,10 +144,6 @@ impl<'h> Window<'h> {
         };
         let per_event = |n: u64| n as f64 / events.max(1) as f64;
         let steady = delta(1);
-        println!(
-            "{name:<22} {events:>10} events  peak q {peak_event_queue:>7}  allocs/ev {}",
-            fmt_opt(steady.map(|(a, _)| per_event(a)))
-        );
         json!({
             "name": name,
             "events_processed": events,
@@ -160,20 +154,6 @@ impl<'h> Window<'h> {
             "alloc_bytes_per_event": steady.map(|(_, b)| per_event(b)),
         })
     }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map(|a| format!("{a:.3}")).unwrap_or_else(|| "n/a".into())
-}
-
-/// `row` with the entries of `extra` appended.
-fn with(mut row: Value, extra: Value) -> Value {
-    if let (Value::Object(row), Value::Object(extra)) = (&mut row, extra) {
-        for (k, v) in extra.iter() {
-            row.insert(k.clone(), v.clone());
-        }
-    }
-    row
 }
 
 // ---------------------------------------------------------------------------
@@ -358,11 +338,6 @@ fn flow_row(
     let stats = sim.stats();
     let per_flow = |n: u64| n as f64 / flows_total.max(1) as f64;
     let row = w.row(name, warmup, events, stats.peak_event_queue as u64);
-    println!(
-        "{:<22} {flows_total:>10} flows   {:.2} events/flow",
-        "",
-        per_flow(stats.events_processed)
-    );
     with(
         row,
         json!({
@@ -494,18 +469,6 @@ pub fn accuracy_rows(h: &Harness) -> Vec<Value> {
         max_p50 = max_p50.max(e50);
         max_p99 = max_p99.max(e99);
         min_avoidance = min_avoidance.min(avoidance);
-        println!(
-            "accuracy/{:<13} p50 {:>8.1} vs {:>8.1} us ({:>5.1}% err)  p99 {:>8.1} vs {:>8.1} us \
-             ({:>5.1}% err)  cost avoided {:>6.1}x",
-            sc.name,
-            h.p50_us,
-            p.p50_us,
-            e50 * 100.0,
-            h.p99_us,
-            p.p99_us,
-            e99 * 100.0,
-            avoidance,
-        );
         rows.push(json!({
             "name": format!("accuracy/{}", sc.name),
             "flows": p.count,
@@ -601,13 +564,6 @@ fn train_step(h: &Harness) -> Value {
         && serde_json::to_string(&batched.export_model()).unwrap()
             == serde_json::to_string(&scalar.export_model()).unwrap();
     let cost = batched.step_cost();
-    println!(
-        "{:<22} {steps:>10} steps   allocs/step {}  <= {:.2} MFLOP/step, {} samples/step",
-        "train-step",
-        fmt_opt(allocs_per_step),
-        cost.flop_bound as f64 / 1e6,
-        cost.replay_samples,
-    );
     json!({
         "name": "train-step",
         "steps": steps,
@@ -683,16 +639,6 @@ fn update_round(h: &Harness) -> Value {
         .iter_mut()
         .zip(&inline)
         .all(|(seat, agent)| format!("{:?}", seat.get()) == format!("{agent:?}"));
-    println!(
-        "{:<22} {rounds:>10} rounds  allocs/round {}  {} submitted: {} on a helper, {} on the \
-         engine ({} helper thread(s))",
-        "update-round",
-        fmt_opt(allocs_per_round),
-        stats.submitted,
-        stats.ran_on_helper,
-        stats.ran_on_engine,
-        rl::Trainer::global().helpers(),
-    );
     json!({
         "name": "update-round",
         "seats": SEATS,
@@ -702,6 +648,7 @@ fn update_round(h: &Harness) -> Value {
         "updates_run": stats.ran_on_helper + stats.ran_on_engine,
         "ran_on_helper": stats.ran_on_helper,
         "ran_on_engine": stats.ran_on_engine,
+        "helper_threads": rl::Trainer::global().helpers(),
         "allocs_per_round": allocs_per_round,
         "bit_identical": bit_identical,
     })
@@ -725,10 +672,6 @@ fn inference() -> Value {
             bit_identical &= a == d.0;
         }
     }
-    println!(
-        "{:<22} {ticks:>10} ticks   {QUEUES_PER_TICK} queues/tick",
-        "inference"
-    );
     json!({
         "name": "inference",
         "queues_per_tick": QUEUES_PER_TICK,
@@ -920,9 +863,9 @@ fn number(v: &Value) -> Option<f64> {
 }
 
 impl Gate {
-    /// The measured value when the gate holds (`None`: an allocation column
+    /// The column's value when the gate holds (`None`: an allocation column
     /// with no probe to fill it), else why it does not.
-    fn eval(&self, doc: &Value, probe: bool) -> Result<Option<f64>, String> {
+    fn eval<'d>(&self, doc: &'d Value, probe: bool) -> Result<Option<&'d Value>, String> {
         let row = doc["rows"]
             .as_array()
             .and_then(|rows| rows.iter().find(|r| r["name"].as_str() == Some(self.row)))
@@ -933,7 +876,8 @@ impl Gate {
                 number(&row[c]).ok_or_else(|| format!("column {c} missing"))? + plus
             }
         };
-        let Some(got) = number(&row[self.column]) else {
+        let value = &row[self.column];
+        let Some(got) = number(value) else {
             return if self.column.starts_with("alloc") && !probe {
                 Ok(None)
             } else {
@@ -947,7 +891,7 @@ impl Gate {
             Op::Gt => got > bound,
         };
         if holds {
-            Ok(Some(got))
+            Ok(Some(value))
         } else {
             Err(format!("got {got}"))
         }
@@ -979,46 +923,63 @@ pub fn check(doc: &Value) -> Vec<String> {
     failed
 }
 
-/// Run every row, write the document to `out` and print the gate table.
-/// Returns the document; [`check`] says whether it passes.
-pub fn run(h: &Harness, out: &Path) -> io::Result<Value> {
-    common::banner("perf", "count gates");
-    let mut rows = packet_rows(h);
-    // `--profile` covers the three packet rows. The artifact is written here
-    // because the accuracy rows build packet scenarios too, and those would
-    // join a book still armed.
-    if !h.write_profile() {
-        return Err(io::Error::other("profile artifact not written"));
-    }
-    rows.extend([xl_clos_sharded(h, 1), xl_clos_sharded(h, 2), xl_flows(h)]);
-    rows.extend(accuracy_rows(h));
-    rows.extend([train_step(h), update_round(h), inference()]);
-    let probe = h.alloc_counts().is_some();
-    let doc = json!({
+/// Run every row and return the document; [`check`] says whether it
+/// passes, [`show`] prints it. Each row finished is a `[perf]` line on
+/// stderr.
+pub fn run(h: &Harness) -> Value {
+    let mut rows = Vec::new();
+    let mut done = |row: Value| {
+        eprintln!("[perf] {}", row["name"].as_str().unwrap_or("?"));
+        rows.push(row);
+    };
+    packet_rows(h).into_iter().for_each(&mut done);
+    [xl_clos_sharded(h, 1), xl_clos_sharded(h, 2), xl_flows(h)]
+        .into_iter()
+        .for_each(&mut done);
+    // `--profile` covers the three packet rows: the accuracy rows build
+    // packet scenarios too, on a harness with nothing armed.
+    accuracy_rows(&Harness::new(h.scale))
+        .into_iter()
+        .for_each(&mut done);
+    [train_step(h), update_round(h), inference()]
+        .into_iter()
+        .for_each(&mut done);
+    json!({
         "schema": SCHEMA,
         "scale": if h.scale.quick { "quick" } else { "full" },
-        "alloc_probe": probe,
+        "alloc_probe": h.alloc_counts().is_some(),
         "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "rows": rows,
-    });
-    let text = serde_json::to_string_pretty(&doc)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(out, text)?;
-    println!("wrote {}\n", out.display());
+    })
+}
 
-    for g in GATES {
-        let verdict = match g.eval(&doc, probe) {
-            Ok(Some(got)) => format!("ok    {got}"),
-            Ok(None) => "skip  no allocation probe".into(),
-            Err(why) => format!("FAIL  {why}"),
-        };
-        println!("{:<58} {verdict}", g.to_string());
+/// Print a gate document: its rows, every column of them, one table per
+/// run of rows with the same columns; then every gate of [`GATES`] with its
+/// verdict and the value it read (or why it failed).
+pub fn show(doc: &Value) {
+    let rows = common::rows(doc, "rows");
+    for same in rows.chunk_by(|a, b| common::paths(a) == common::paths(b)) {
+        println!();
+        common::print_table(same, &common::paths(&same[0]));
     }
-    Ok(doc)
+    let probe = doc["alloc_probe"].as_bool().unwrap_or(false);
+    let gates: Vec<Value> = GATES
+        .iter()
+        .map(|g| {
+            let (verdict, got) = match g.eval(doc, probe) {
+                Ok(Some(got)) => ("ok", got.clone()),
+                Ok(None) => ("skip: no allocation probe", Value::Null),
+                Err(why) => ("FAIL", json!(why)),
+            };
+            json!({"gate": g.to_string(), "verdict": verdict, "got": got})
+        })
+        .collect();
+    println!();
+    common::print_table(&gates, &["gate", "verdict", "got"]);
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netsim::event::{Event, EventQueue, HeapEventQueue, Scheduled};
     use std::time::Instant;
@@ -1103,10 +1064,7 @@ mod tests {
         assert!(
             r.ratio >= 1.3,
             "wheel must be >=1.3x the reference heap on the incast hold workload, measured \
-             {:.2}x ({:.0} vs {:.0} ops/s)",
-            r.ratio,
-            r.a,
-            r.b
+             {r:?} (ops/s)"
         );
     }
 
@@ -1135,7 +1093,7 @@ mod tests {
     }
 
     /// A document that passes every gate, its allocation columns `allocs`.
-    fn clean(probe: bool, allocs: Value) -> Value {
+    pub(crate) fn clean(probe: bool, allocs: Value) -> Value {
         let sharded = |name: &str, shards: u64| {
             with(
                 packet_fixture(name, allocs.clone()),
@@ -1182,7 +1140,7 @@ mod tests {
     }
 
     /// Column `column` of row `name` of `doc`.
-    fn cell<'a>(doc: &'a mut Value, name: &str, column: &str) -> &'a mut Value {
+    pub(crate) fn cell<'a>(doc: &'a mut Value, name: &str, column: &str) -> &'a mut Value {
         let Value::Object(doc) = doc else {
             panic!("document is an object")
         };

@@ -6,7 +6,8 @@
 //! loaders only look at the `traceEvents` key and ignore the rest) *and* a
 //! machine-readable profile: the `profile.runs` array carries each run's
 //! per-event-kind timing summary, allocation counters and SLO block, which
-//! `acc-bench report <file>` renders.
+//! [`show`] prints and [`validate`] checks when `acc-bench report <file>`
+//! renders it.
 //!
 //! Each run gets its own `tid` track on a common timeline; profilers from
 //! different runs have different wall-clock origins, so their events are
@@ -17,6 +18,7 @@
 //! the run's, one per helper, as `acc_update` spans: the engine track's
 //! `acc_submit` / `acc_join` spans bracket them.
 
+use crate::common;
 use acc_core::controller::HelperSpan;
 use netsim::event::QueueStats;
 use netsim::profile::SimProfiler;
@@ -49,7 +51,7 @@ impl ProfileBook {
         }
     }
 
-    /// Where [`ProfileBook::write`] will put the artifact.
+    /// Where [`crate::Harness::write_profile`] will put the artifact.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -162,18 +164,6 @@ impl ProfileBook {
             "traceEvents": self.trace.clone(),
             "profile": {"runs": self.runs.clone()},
         })
-    }
-
-    /// Write the artifact to [`ProfileBook::path`].
-    pub fn write(&self) -> std::io::Result<()> {
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let text = serde_json::to_string_pretty(&self.to_json())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-        std::fs::write(&self.path, text)
     }
 }
 
@@ -312,11 +302,108 @@ pub fn validate(doc: &Value) -> Vec<String> {
     errs
 }
 
+/// The queue-shape histograms of a run's `summary`.
+const HISTOGRAMS: [&str; 4] = ["queue_depth", "ecn_mark_qlen", "drop_qlen", "pause_ns"];
+
+/// Print every run of an artifact, in stored units: what ran, every event
+/// kind by estimated self time, the event queue, the histograms,
+/// allocations, the SLO and guard blocks, the control plane and its phases,
+/// and the span bookkeeping.
+pub fn show(doc: &Value) {
+    use common::print_section as section;
+    let one = std::slice::from_ref;
+    for run in common::rows(&doc["profile"], "runs") {
+        let summary = &run["summary"];
+        let mut kinds = common::rows(summary, "event_kinds").to_vec();
+        let self_ns = |k: &Value| common::num(&k["est_total_self_ns"]);
+        kinds.sort_by(|a, b| self_ns(b).total_cmp(&self_ns(a)));
+        let histograms: Vec<Value> = HISTOGRAMS
+            .iter()
+            .map(|h| common::with(json!({ "histogram": h }), summary[*h].clone()))
+            .collect();
+        let label = run["label"].as_str().unwrap_or("?");
+        section(label, one(&run["info"]), &common::paths(&run["info"]));
+        section(
+            "event kinds",
+            &kinds,
+            &[
+                "kind",
+                "count",
+                "timed",
+                "sampling",
+                "est_total_self_ns",
+                "self_ns.p50",
+                "self_ns.p99",
+            ],
+        );
+        section(
+            "event queue (peek + pop)",
+            one(&summary["event_queue"]),
+            &[
+                "est_total_ns",
+                "est_share",
+                "ns.p50",
+                "ns.p99",
+                "pushes_near",
+                "pushes_wheel",
+                "pushes_overflow",
+                "overflow_migrations",
+                "advances",
+            ],
+        );
+        section(
+            "histograms",
+            &histograms,
+            &["histogram", "count", "mean", "p50", "p99", "p999", "max"],
+        );
+        section("alloc", one(&run["alloc"]), &common::paths(&run["alloc"]));
+        section(
+            "slo",
+            one(&run["slo"]),
+            &[
+                "fct_count",
+                "fct_p50_us",
+                "fct_p99_us",
+                "fct_p999_us",
+                "fct_max_us",
+                "dropped_non_finite",
+                "flows_total",
+                "flows_completed",
+                "flows_unfinished",
+            ],
+        );
+        section(
+            "guard",
+            one(&run["slo"]),
+            &[
+                "guarded",
+                "guard_ticks",
+                "guard_trips",
+                "guard_clamps",
+                "guard_violations_detected",
+                "invalid_configs_applied",
+            ],
+        );
+        let control = &run["control"];
+        section("control plane", one(control), &common::paths(control));
+        section(
+            "control phases",
+            common::rows(control, "phases"),
+            &["name", "count", "total_us"],
+        );
+        section(
+            "trace",
+            one(summary),
+            &["spans", "instants", "spans_dropped"],
+        );
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn book_with_one_run() -> ProfileBook {
+    pub(crate) fn book_with_one_run() -> ProfileBook {
         let mut book = ProfileBook::new("/tmp/unused.json");
         let mut prof = SimProfiler::new();
         for _ in 0..64 {

@@ -1,14 +1,15 @@
 //! `acc-bench report <dir | file>` — render recorded flight-recorder
-//! telemetry, a profile artifact, a soak SLO report or a saved experiment
-//! result.
+//! telemetry, a tagged document (gates, soak, profile) or a saved experiment
+//! result, every table through [`crate::common::print_table`].
 //!
 //! Walks `<dir>` for run subdirectories (anything containing a
-//! `manifest.json`), parses the queue/agent JSONL time-series, and prints a
-//! human-readable recap per run: the manifest header, the hottest queues by
-//! ECN marks / drops / PFC pause time, an agent-convergence table, and the
-//! FCT summary captured in the manifest.
+//! `manifest.json`), parses the queue/agent/event JSONL time-series, and
+//! prints one manifest row and one FCT row per run, then per run the
+//! hottest queues by ECN marks / drops / PFC pause time, agent convergence,
+//! event counts by kind and the start of the event timeline.
 
-use serde_json::Value;
+use crate::common::{self, print_section as section};
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
@@ -137,179 +138,98 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-fn fmt_bytes(b: u64) -> String {
-    if b >= 10_000_000 {
-        format!("{:.1} MB", b as f64 / 1e6)
-    } else if b >= 10_000 {
-        format!("{:.1} KB", b as f64 / 1e3)
-    } else {
-        format!("{b} B")
-    }
+/// `"n<node>/p<port>/q<prio>"`, the name a queue goes by in the tables.
+fn queue_name(&(node, port, prio): &(u32, u16, u8)) -> String {
+    format!("n{node}/p{port}/q{prio}")
 }
 
-/// Print the top `n` queues ranked by `key` (descending), skipping zeros.
-fn top_queues(
-    queues: &BTreeMap<(u32, u16, u8), QueueTotals>,
-    n: usize,
-    label: &str,
-    key: impl Fn(&QueueTotals) -> u64,
-    show: impl Fn(&QueueTotals) -> String,
-) {
-    let mut rows: Vec<_> = queues.iter().filter(|(_, t)| key(t) > 0).collect();
-    rows.sort_by_key(|(k, t)| (std::cmp::Reverse(key(t)), **k));
-    if rows.is_empty() {
-        println!("  {label}: none");
-        return;
-    }
-    println!("  top queues by {label}:");
-    for (&(node, port, prio), t) in rows.into_iter().take(n) {
-        println!(
-            "    n{node}/p{port}/q{prio}: {}  (max qlen {}, tx {})",
-            show(t),
-            fmt_bytes(t.max_qlen),
-            fmt_bytes(t.tx_bytes),
+/// The `n` rows with the largest nonzero `key`, largest first; rows that
+/// tie keep their order.
+fn top(rows: &[Value], key: &str, n: usize) -> Vec<Value> {
+    let count = |r: &Value| r[key].as_u64().unwrap_or(0);
+    let mut top: Vec<Value> = rows.iter().filter(|r| count(r) > 0).cloned().collect();
+    top.sort_by_key(|r| std::cmp::Reverse(count(r)));
+    top.truncate(n);
+    top
+}
+
+/// How many timeline events [`print_run`] lists.
+const TIMELINE: usize = 40;
+
+/// One run's tables: its hottest queues, agent convergence, events by kind
+/// and the start of its event timeline.
+fn print_run(run: &Run) {
+    let queues: Vec<Value> = run
+        .queues
+        .iter()
+        .map(|(q, t)| {
+            json!({
+                "queue": queue_name(q),
+                "max_qlen": t.max_qlen,
+                "tx_bytes": t.tx_bytes,
+                "marked_pkts": t.marked_pkts,
+                "drops": t.drops,
+                "pause_ps": t.pause_ps,
+            })
+        })
+        .collect();
+    let name = run.dir.display();
+    for key in ["marked_pkts", "drops", "pause_ps"] {
+        section(
+            &format!("{name}: top queues by {key}"),
+            &top(&queues, key, 5),
+            &["queue", key, "max_qlen", "tx_bytes"],
         );
     }
-}
 
-fn print_run(run: &Run) {
-    let m = &run.manifest;
-    println!("── {} ──", run.dir.display());
-    println!(
-        "  {} | policy {} | seed {} | scale {} | {} hosts / {} switches",
-        if m.experiment.is_empty() {
-            "(unlabelled)"
-        } else {
-            &m.experiment
-        },
-        m.policy,
-        m.seed,
-        m.scale,
-        m.hosts,
-        m.switches,
-    );
-    println!(
-        "  simulated {:.1} us in {:.2} s wall ({} events, {:.0} ev/s, peak queue {})",
-        m.sim_time_us, m.wall_time_s, m.events_processed, m.events_per_sec, m.peak_event_queue
-    );
-    println!(
-        "  recorded {} queue samples over {} queues, {} agent decisions over {} agents",
-        m.queue_samples,
-        run.queues.len(),
-        m.agent_samples,
-        run.agents.len()
-    );
-
-    top_queues(
-        &run.queues,
-        5,
-        "ECN marks",
-        |t| t.marked_pkts,
-        |t| format!("{} marked pkts", t.marked_pkts),
-    );
-    top_queues(
-        &run.queues,
-        5,
-        "drops",
-        |t| t.drops,
-        |t| format!("{} drops", t.drops),
-    );
-    top_queues(
-        &run.queues,
-        5,
-        "PFC pause time",
-        |t| t.pause_ps,
-        |t| format!("{:.1} us paused", t.pause_ps as f64 / 1e6),
-    );
-
-    if !run.agents.is_empty() {
-        println!("  agent convergence (ε first→last, mean reward early→late):");
-        for (&(node, port, prio), d) in &run.agents {
+    let agents: Vec<Value> = run
+        .agents
+        .iter()
+        .map(|(q, d)| {
             let half = d.rewards.len() / 2;
             let (early, late) = d.rewards.split_at(half.max(1).min(d.rewards.len()));
-            println!(
-                "    n{node}/p{port}/q{prio}: {} decisions, ε {:.3}→{:.3}, reward {:+.3}→{:+.3}, {} train steps, replay {}",
-                d.samples,
-                d.eps_first,
-                d.eps_last,
-                mean(early),
-                if late.is_empty() { mean(early) } else { mean(late) },
-                d.train_steps,
-                d.replay_len,
-            );
-        }
-    }
+            json!({
+                "queue": queue_name(q),
+                "decisions": d.samples,
+                "eps_first": d.eps_first,
+                "eps_last": d.eps_last,
+                "reward_early": mean(early),
+                "reward_late": if late.is_empty() { mean(early) } else { mean(late) },
+                "train_steps": d.train_steps,
+                "replay_len": d.replay_len,
+            })
+        })
+        .collect();
+    let columns = agents.first().map_or_else(Vec::new, common::paths);
+    section(&format!("{name}: agent convergence"), &agents, &columns);
 
-    if !run.events.is_empty() {
-        // Totals per kind, then the timeline itself (guard_violation lines
-        // are summarised per detail rather than listed one-by-one — an
-        // exploring agent can rack up thousands).
-        let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in &run.events {
-            *by_kind.entry(e.kind.as_str()).or_default() += 1;
-        }
-        let recap: Vec<String> = by_kind.iter().map(|(k, n)| format!("{k} x{n}")).collect();
-        println!(
-            "  events ({} total): {}",
-            run.events.len(),
-            recap.join(", ")
-        );
-        let mut shown = 0usize;
-        let mut suppressed = 0usize;
-        println!("  timeline:");
-        for e in &run.events {
-            if e.kind == "guard_violation" {
-                suppressed += 1;
-                continue;
-            }
-            if shown >= 40 {
-                suppressed += 1;
-                continue;
-            }
-            shown += 1;
-            let loc = if e.port == u16::MAX {
-                format!("n{}", e.node)
-            } else {
-                format!("n{}/p{}", e.node, e.port)
-            };
-            let detail = if e.detail.is_empty() {
-                String::new()
-            } else {
-                format!("  ({})", e.detail)
-            };
-            println!(
-                "    {:>10.1} us  {:<18} {loc}{detail}",
-                e.t_ps as f64 / 1e6,
-                e.kind
-            );
-        }
-        if suppressed > 0 {
-            println!("    ... {suppressed} more (violations summarised above)");
-        }
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in &run.events {
+        *by_kind.entry(e.kind.as_str()).or_default() += 1;
     }
-
-    println!(
-        "  flows: {} total, {} completed",
-        m.flows_total, m.flows_completed
+    let kinds: Vec<Value> = by_kind
+        .iter()
+        .map(|(kind, count)| json!({"kind": kind, "count": count}))
+        .collect();
+    section(&format!("{name}: events"), &kinds, &["kind", "count"]);
+    // Violations are counted above rather than listed: an exploring agent
+    // can rack up thousands.
+    let timeline: Vec<Value> = run
+        .events
+        .iter()
+        .filter(|e| e.kind != "guard_violation")
+        .take(TIMELINE)
+        .map(|e| serde_json::to_value(e).unwrap_or(Value::Null))
+        .collect();
+    section(
+        &format!("{name}: timeline (first {TIMELINE}, violations left out)"),
+        &timeline,
+        &["t_ps", "kind", "node", "port", "prio", "detail"],
     );
-    if let Some(overall) = m.fct.get("overall") {
-        let g = |k: &str| overall.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        if g("count") > 0.0 {
-            println!(
-                "  FCT: avg {:.1} us, p50 {:.1} us, p99 {:.1} us, max {:.1} us, \
-                 {:.0} non-finite sample(s) dropped",
-                g("avg_us"),
-                g("p50_us"),
-                g("p99_us"),
-                g("max_us"),
-                g("dropped_non_finite"),
-            );
-        }
-    }
-    println!();
 }
 
-/// Summarise every recorded run under `root` to stdout.
+/// Summarise every recorded run under `root` to stdout: one manifest row
+/// and one FCT row per run, then each run's own tables.
 pub fn print_report(root: &Path) -> io::Result<()> {
     let dirs = find_runs(root)?;
     if dirs.is_empty() {
@@ -321,340 +241,96 @@ pub fn print_report(root: &Path) -> io::Result<()> {
             ),
         ));
     }
+    let runs = dirs
+        .iter()
+        .map(|dir| load_run(dir))
+        .collect::<io::Result<Vec<Run>>>()?;
+    let manifests: Vec<Value> = runs
+        .iter()
+        .map(|r| serde_json::to_value(&r.manifest).unwrap_or(Value::Null))
+        .collect();
     println!(
-        "flight-recorder report: {} run(s) under {}\n",
-        dirs.len(),
+        "flight-recorder report: {} run(s) under {}",
+        runs.len(),
         root.display()
     );
-    for dir in &dirs {
-        print_run(&load_run(dir)?);
-    }
+    section(
+        "runs",
+        &manifests,
+        &[
+            "run",
+            "policy",
+            "seed",
+            "scale",
+            "hosts",
+            "switches",
+            "sim_time_us",
+            "wall_time_s",
+            "events_processed",
+            "events_per_sec",
+            "peak_event_queue",
+            "queue_samples",
+            "agent_samples",
+            "event_samples",
+        ],
+    );
+    section(
+        "flows",
+        &manifests,
+        &[
+            "run",
+            "flows_total",
+            "flows_completed",
+            "fct.overall.count",
+            "fct.overall.avg_us",
+            "fct.overall.p50_us",
+            "fct.overall.p99_us",
+            "fct.overall.max_us",
+            "fct.overall.dropped_non_finite",
+        ],
+    );
+    runs.iter().for_each(print_run);
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// The `--profile` artifact view.
-// ---------------------------------------------------------------------------
-
-/// `v[k]` as f64 (0.0 when absent or non-numeric).
-fn num(v: &Value, k: &str) -> f64 {
-    v.get(k).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-/// One `  <label>: count N ...` percentile line for a serialized histogram;
-/// prints `none` for an empty one.
-fn print_hist(label: &str, h: Option<&Value>) {
-    let Some(h) = h else { return };
-    if num(h, "count") == 0.0 {
-        println!("  {label}: none");
-        return;
-    }
-    println!(
-        "  {label}: {:.0} samples, mean {:.0}, p50 {:.0}, p99 {:.0}, p99.9 {:.0}, max {:.0}",
-        num(h, "count"),
-        num(h, "mean"),
-        num(h, "p50"),
-        num(h, "p99"),
-        num(h, "p999"),
-        num(h, "max"),
-    );
-}
-
-/// How many hot event kinds the profile view lists.
-const TOP_K: usize = 5;
-
-fn print_profile_run(run: &Value) {
-    let label = run.get("label").and_then(Value::as_str).unwrap_or("?");
-    println!("── {label} ──");
-    if let Some(info) = run.get("info") {
-        println!(
-            "  policy {} | seed {:.0} | simulated {:.1} us in {:.2} s wall \
-             ({:.0} events, {:.0} ev/s, peak queue {:.0})",
-            info.get("policy").and_then(Value::as_str).unwrap_or("?"),
-            num(info, "seed"),
-            num(info, "sim_time_us"),
-            num(info, "wall_time_s"),
-            num(info, "events_processed"),
-            num(info, "events_per_sec"),
-            num(info, "peak_event_queue"),
-        );
-    }
-    let Some(summary) = run.get("summary") else {
-        return;
-    };
-
-    let mut kinds: Vec<&Value> = summary
-        .get("event_kinds")
-        .and_then(Value::as_array)
-        .map(|a| a.iter().collect())
-        .unwrap_or_default();
-    kinds.sort_by(|a, b| {
-        num(b, "est_total_self_ns")
-            .partial_cmp(&num(a, "est_total_self_ns"))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    if !kinds.is_empty() {
-        let sampling = num(kinds[0], "sampling").max(1.0);
-        println!("  hot event kinds (self time estimated from 1/{sampling:.0} sampling):");
-        for k in kinds.iter().take(TOP_K) {
-            let h = k.get("self_ns");
-            println!(
-                "    {:<16} {:>10.0} events  est self {:>8.2} ms  per-event p50 {:.0} ns, p99 {:.0} ns",
-                k.get("kind").and_then(Value::as_str).unwrap_or("?"),
-                num(k, "count"),
-                num(k, "est_total_self_ns") / 1e6,
-                h.map(|h| num(h, "p50")).unwrap_or(0.0),
-                h.map(|h| num(h, "p99")).unwrap_or(0.0),
-            );
-        }
-        if kinds.len() > TOP_K {
-            println!("    ... {} more kind(s)", kinds.len() - TOP_K);
-        }
-    }
-
-    match run
-        .get("alloc")
-        .and_then(|a| a.get("allocations_per_event"))
-        .and_then(Value::as_f64)
-    {
-        Some(a) => {
-            let b = run
-                .get("alloc")
-                .map(|v| num(v, "alloc_bytes_per_event"))
-                .unwrap_or(0.0);
-            println!("  allocations/event: {a:.3} ({b:.1} bytes/event)");
-        }
-        None => println!("  allocations/event: n/a (allocator probe not registered)"),
-    }
-
-    if let Some(q) = summary.get("event_queue") {
-        println!(
-            "  timing wheel: {:.0} near pushes, {:.0} in-wheel, {:.0} overflow \
-             ({:.0} migrated back), {:.0} bucket advances",
-            num(q, "pushes_near"),
-            num(q, "pushes_wheel"),
-            num(q, "pushes_overflow"),
-            num(q, "overflow_migrations"),
-            num(q, "advances"),
-        );
-        let h = q.get("ns");
-        println!(
-            "  event queue (peek + pop): est self {:>8.2} ms, {:.1} % of engine time  \
-             per-event p50 {:.0} ns, p99 {:.0} ns",
-            num(q, "est_total_ns") / 1e6,
-            100.0 * num(q, "est_share"),
-            h.map(|h| num(h, "p50")).unwrap_or(0.0),
-            h.map(|h| num(h, "p99")).unwrap_or(0.0),
-        );
-    }
-
-    print_hist("pending events at dispatch", summary.get("queue_depth"));
-    print_hist("ECN-mark qlen (bytes)", summary.get("ecn_mark_qlen"));
-    print_hist("drop qlen (bytes)", summary.get("drop_qlen"));
-    print_hist("PFC pause (ns)", summary.get("pause_ns"));
-
-    if let Some(slo) = run.get("slo") {
-        println!(
-            "  SLO: FCT p50 {:.1} us, p99 {:.1} us, p99.9 {:.1} us over {:.0} flows \
-             ({:.0} non-finite dropped, {:.0} unfinished)",
-            num(slo, "fct_p50_us"),
-            num(slo, "fct_p99_us"),
-            num(slo, "fct_p999_us"),
-            num(slo, "fct_count"),
-            num(slo, "dropped_non_finite"),
-            num(slo, "flows_unfinished"),
-        );
-        if slo.get("guarded").and_then(Value::as_bool) == Some(true) {
-            println!(
-                "       guard: {:.0} trips, {:.0} invalid configs applied, {:.0} clamps, \
-                 {:.0} violations detected",
-                num(slo, "guard_trips"),
-                num(slo, "invalid_configs_applied"),
-                num(slo, "guard_clamps"),
-                num(slo, "guard_violations_detected"),
-            );
-        } else {
-            println!("       guard: not installed (static or unguarded policy)");
-        }
-    }
-
-    print_control_plane(run.get("control"));
-
-    println!(
-        "  trace: {:.0} span(s), {:.0} instant(s), {:.0} dropped at cap",
-        num(summary, "spans"),
-        num(summary, "instants"),
-        num(summary, "spans_dropped"),
-    );
-    println!();
-}
-
-/// The control-plane table of a profiled run: what the ACC controllers
-/// did, where their DDQN updates ran, and the wall time of each tick phase.
-/// The trainer's columns depend on host timing; they exist only here.
-fn print_control_plane(control: Option<&Value>) {
-    let Some(c) = control.filter(|c| c.as_object().is_some()) else {
-        return;
-    };
-    let submitted = num(c, "updates_submitted");
-    println!(
-        "  control plane: {:.0} ACC switch(es), {:.0} ticks, {:.0} inferences \
-         ({:.0} skipped idle), {:.0} train steps",
-        num(c, "acc_switches"),
-        num(c, "ticks"),
-        num(c, "inferences"),
-        num(c, "skipped_idle"),
-        num(c, "train_steps"),
-    );
-    println!(
-        "       updates: {submitted:.0} submitted, {:.0} ran on a helper thread, {:.0} on the \
-         engine ({:.1}%); {:.0} blocked join(s), {:.2} ms asleep",
-        num(c, "ran_on_helper"),
-        num(c, "ran_on_engine"),
-        100.0 * num(c, "ran_on_engine") / submitted.max(1.0),
-        num(c, "blocked_joins"),
-        num(c, "blocked_ms"),
-    );
-    for p in c
-        .get("phases")
-        .and_then(Value::as_array)
-        .into_iter()
-        .flatten()
-    {
-        let count = num(p, "count");
-        println!(
-            "       {:<18} {:>8.0} span(s) {:>10.2} ms total {:>8.1} us mean",
-            p.get("name").and_then(Value::as_str).unwrap_or("?"),
-            count,
-            num(p, "total_us") / 1e3,
-            num(p, "total_us") / count.max(1.0),
-        );
-    }
-}
-
-/// Render a file: a soak SLO report, an experiment's saved result or a
-/// `--profile` artifact. The first two announce themselves — the soak
-/// report by its schema tag, a result by having none and a file stem that
-/// is an experiment id (`results/fig12.json`), whose tables the
-/// experiment's own `show` prints. Anything else must be a profile: per-run
-/// hot event kinds, allocation rates, queue-shape histograms, timing-wheel
-/// counters and the SLO block.
+/// Render a file. A tagged one is a document of [`crate::DOCUMENTS`]: its
+/// banner and tables, then its check, whose failures are the error. An
+/// untagged one whose stem is an experiment id (`results/fig12.json`) is a
+/// saved result, which that experiment's `show` prints. Anything else is
+/// `InvalidData`.
 pub fn print_file_report(path: &Path) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let text = std::fs::read_to_string(path)?;
-    let doc: Value = serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(telemetry::SOAK_SLO_SCHEMA) => return print_soak_report(path, &text),
-        None => {
-            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            if let Some(e) = crate::experiment(stem) {
-                crate::common::banner(e.id, e.description);
-                (e.show)(&doc);
-                return Ok(());
-            }
-        }
-        Some(_) => {}
+    let doc: Value = serde_json::from_str(&text).map_err(|e| invalid(format!("{e:?}")))?;
+    let Some(tag) = doc.get("schema") else {
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        let e = crate::experiment(stem).ok_or_else(|| {
+            invalid(format!(
+                "{} has no schema tag and {stem:?} is no experiment id",
+                path.display()
+            ))
+        })?;
+        crate::common::banner(e.id, e.description);
+        (e.show)(&doc);
+        return Ok(());
+    };
+    let d = tag
+        .as_str()
+        .and_then(crate::document)
+        .ok_or_else(|| invalid(format!("{}: unknown schema tag {tag}", path.display())))?;
+    crate::common::banner(d.id, d.description);
+    (d.show)(&doc);
+    let failed = (d.check)(&doc);
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(invalid(format!(
+            "{} fails {}: {}",
+            path.display(),
+            d.schema,
+            failed.join("; ")
+        )))
     }
-    let errs = crate::profile::validate(&doc);
-    if !errs.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{} is not a valid acc-profile/v1 artifact: {}",
-                path.display(),
-                errs.join("; ")
-            ),
-        ));
-    }
-    let runs = doc
-        .get("profile")
-        .and_then(|p| p.get("runs"))
-        .and_then(Value::as_array)
-        .expect("validated above");
-    println!(
-        "self-profile report: {} run(s) from {}\n",
-        runs.len(),
-        path.display()
-    );
-    for run in runs {
-        print_profile_run(run);
-    }
-    Ok(())
-}
-
-/// Render a `SOAK_SLO.json` artifact, re-checking its invariants.
-fn print_soak_report(path: &Path, text: &str) -> io::Result<()> {
-    let report: telemetry::SoakSloReport = serde_json::from_str(text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    println!(
-        "soak SLO report from {} ({} scale, seed {})\n",
-        path.display(),
-        report.scale,
-        report.seed
-    );
-    println!(
-        "{:<22} {:<10} {:>10} {:>10}  app metric",
-        "phase", "kind", "start_us", "end_us"
-    );
-    for p in &report.phases {
-        let metric = match (&p.app_metric, p.app_value) {
-            (Some(m), Some(v)) => format!("{m}={v:.0}"),
-            _ => "-".into(),
-        };
-        println!(
-            "{:<22} {:<10} {:>10.0} {:>10.0}  {metric}",
-            p.name, p.kind, p.start_us, p.end_us
-        );
-    }
-    println!(
-        "\nsim {:.1} ms in {:.1} s wall | FCT n={} p50={:.1} p99={:.1} p999={:.1} us",
-        report.sim_time_us / 1e3,
-        report.wall_time_s,
-        report.fct.count,
-        report.fct.p50_us,
-        report.fct.p99_us,
-        report.fct.p999_us,
-    );
-    println!(
-        "guard: {} trips, {} recoveries, {} clamps, {} violations applied | \
-         rl: {} train steps",
-        report.guard.trips,
-        report.guard.recoveries,
-        report.guard.clamps,
-        report.guard.violations_applied,
-        report.rl.train_steps,
-    );
-    println!(
-        "fleet: {} checkpoints, {} swaps, {} promoted, {} rollbacks, \
-         {} backoff-skips, {} quarantine-skips",
-        report.fleet.checkpoints,
-        report.fleet.swaps,
-        report.fleet.promoted,
-        report.fleet.rollbacks,
-        report.fleet.backoff_skips,
-        report.fleet.quarantined_skips,
-    );
-    println!(
-        "faults: {} executed, {} drops | log dropped {}, trace evicted {} | \
-         invalid final configs: {}",
-        report.faults.events_executed,
-        report.faults.fault_drops,
-        report.faults.fault_log_dropped,
-        report.faults.trace_evicted,
-        report.invalid_final_configs,
-    );
-    if let Some(a) = &report.alloc {
-        println!(
-            "alloc: peak live {:.1} MiB over {} allocations",
-            a.peak_live_bytes as f64 / (1 << 20) as f64,
-            a.allocations
-        );
-    }
-    report
-        .validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    println!("\nSLO invariants: OK");
-    Ok(())
 }
 
 #[cfg(test)]
@@ -675,71 +351,67 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
-    #[test]
-    fn profile_report_rejects_non_artifacts() {
-        let path = scratch("bogus.json");
-        std::fs::write(&path, "{\"schema\": \"nope\"}").unwrap();
-        let err = print_file_report(&path).unwrap_err();
+    /// Write `doc` to a scratch file and render it.
+    fn render(name: &str, doc: &Value) -> io::Result<()> {
+        let path = scratch(name);
+        crate::common::write_document(&path, doc).unwrap();
+        let printed = print_file_report(&path);
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        printed
     }
 
     #[test]
-    fn profile_report_renders_book_artifact() {
-        use netsim::event::QueueStats;
-        use netsim::profile::SimProfiler;
-        let path = scratch("ok.json");
-        let mut book = crate::profile::ProfileBook::new(&path);
-        let mut prof = SimProfiler::new();
-        for _ in 0..32 {
-            let t0 = prof.dispatch_begin();
-            prof.dispatch_end(0, t0, 1);
-        }
-        book.add_run(
-            "smoke_SECN1_seed1",
-            &prof,
-            QueueStats::default(),
-            serde_json::json!({"policy": "SECN1", "seed": 1}),
-            serde_json::json!({
-                "fct_count": 0u64, "fct_p50_us": 0.0, "fct_p99_us": 0.0,
-                "fct_p999_us": 0.0, "guard_trips": 0u64,
-                "invalid_configs_applied": 0u64,
-            }),
-            serde_json::json!({"allocations_per_event": Value::Null}),
-            serde_json::json!({
-                "acc_switches": 6u64, "ticks": 600u64, "inferences": 900u64,
-                "skipped_idle": 10u64, "train_steps": 500u64,
-                "updates_submitted": 500u64, "ran_on_helper": 400u64,
-                "ran_on_engine": 100u64, "blocked_joins": 2u64, "blocked_ms": 0.1,
-            }),
-            &[],
+    fn profile_report_rejects_non_artifacts() {
+        let err = render("bogus.json", &json!({"schema": "nope"})).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"nope\""), "{err}");
+    }
+
+    #[test]
+    fn tagged_documents_render_and_pass_their_check() {
+        render("gates.json", &crate::perf::tests::clean(true, json!(0.0))).unwrap();
+        render("soak.json", &crate::soak::tests::document()).unwrap();
+        let profile = crate::profile::tests::book_with_one_run().to_json();
+        render("profile.json", &profile).unwrap();
+    }
+
+    #[test]
+    fn a_failed_check_is_the_error() {
+        let mut gates = crate::perf::tests::clean(true, json!(0.0));
+        *crate::perf::tests::cell(&mut gates, "train-step", "bit_identical") = json!(false);
+        let err = render("bad-gates.json", &gates).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("train-step: bit_identical == 1: got 0"),
+            "{err}"
         );
-        book.write().unwrap();
-        let printed = print_file_report(&path);
-        std::fs::remove_file(&path).unwrap();
-        printed.unwrap();
+        let mut soak = crate::soak::tests::document();
+        *crate::soak::tests::at_mut(&mut soak, "invalid_final_configs") = json!(2u64);
+        let err = render("bad-soak.json", &soak).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("2 invalid ECN configs left in the fabric"),
+            "{err}"
+        );
     }
 
     #[test]
     fn top_queue_ranking_is_stable() {
-        let mut q = BTreeMap::new();
-        q.insert(
-            (1u32, 0u16, 3u8),
-            QueueTotals {
-                marked_pkts: 10,
-                ..Default::default()
-            },
+        let rows = [
+            json!({"queue": "n1/p0/q3", "marked_pkts": 10u64}),
+            json!({"queue": "n2/p1/q3", "marked_pkts": 10u64}),
+            json!({"queue": "n3/p0/q3", "marked_pkts": 0u64}),
+            json!({"queue": "n4/p2/q3", "marked_pkts": 20u64}),
+        ];
+        let ranked: Vec<Value> = top(&rows, "marked_pkts", 5)
+            .iter()
+            .map(|r| r["queue"].clone())
+            .collect();
+        // Largest first, equal counts in queue order, zeros left out.
+        assert_eq!(
+            ranked,
+            [json!("n4/p2/q3"), json!("n1/p0/q3"), json!("n2/p1/q3")]
         );
-        q.insert(
-            (2u32, 1u16, 3u8),
-            QueueTotals {
-                marked_pkts: 10,
-                ..Default::default()
-            },
-        );
-        let mut rows: Vec<_> = q.iter().collect();
-        rows.sort_by_key(|(k, t)| (std::cmp::Reverse(t.marked_pkts), **k));
-        // Equal counts fall back to key order: lowest node first.
-        assert_eq!(*rows[0].0, (1, 0, 3));
     }
 }

@@ -12,13 +12,15 @@
 //! plants a telemetry-freeze inside one probation window so every soak run
 //! exercises at least one promotion *and* one forced rollback.
 //!
-//! The run condenses into a schema-versioned `SOAK_SLO.json`
-//! ([`SoakSloReport`]): FCT tails, per-phase IOPS / training iterations/s,
-//! train-step throughput, guard and fleet ledgers, fault/buffer-loss
-//! accounting, a peak-RSS proxy from the allocator probe, and the headline
-//! `invalid_final_configs` gate (must be zero). With `--metrics-dir` armed
-//! the recorded JSONL is byte-identical across same-seed reruns; wall-clock
-//! lives only in the report and the manifest.
+//! The run condenses into one [`SCHEMA`] document (`SOAK_SLO.json` by
+//! default): FCT tails, per-phase IOPS / training iterations/s, train-step
+//! throughput, guard and fleet ledgers, fault/buffer-loss accounting, the
+//! allocator probe's counts over the day, and the headline
+//! `invalid_final_configs` gate (must be zero). [`show`] prints it and
+//! [`check`] holds its invariants, after a run and under `acc-bench report`
+//! alike. With `--metrics-dir` armed the recorded JSONL is byte-identical
+//! across same-seed reruns; wall-clock lives only in the document and the
+//! manifest.
 //!
 //! Both the day schedule and the fault script can be replaced wholesale
 //! from JSON (`acc-bench soak --soak-plan day.json --fault-plan
@@ -33,11 +35,10 @@ use acc_core::{
     RewardConfig, SoakPlan, SwapOutcome,
 };
 use netsim::prelude::*;
+use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
-use telemetry::slo::{AllocSlo, FaultSlo, FctSlo, FleetSlo, GuardSlo, PhaseSlo, RlSlo};
-use telemetry::{SoakSloReport, SOAK_SLO_SCHEMA};
 use transport::CcKind;
 use workloads::gen::{apply_arrivals, incast_wave, PoissonGen};
 use workloads::{
@@ -47,6 +48,9 @@ use workloads::{
 /// The master seed: traffic, engine, fault plan and agents all derive from
 /// it, so two runs with the same seed replay the identical day.
 pub const SOAK_SEED: u64 = 42;
+
+/// Schema tag of the soak document. Bump on incompatible changes.
+pub const SCHEMA: &str = "acc-soak-slo/v2";
 
 /// Map a soak-plan storage name to a concrete cluster configuration.
 ///
@@ -151,13 +155,9 @@ pub fn resolve_generators(plan: &SoakPlan, scale: Scale, seed: u64) -> Result<()
     Ok(())
 }
 
-/// Run the full soak and build the SLO report. `checkpoint_dir`, when set,
+/// Run the full soak and return its document. `checkpoint_dir`, when set,
 /// receives the crash-safe `ckpt_NNNN.json` bundles.
-pub fn run_soak(
-    h: &Harness,
-    seed: u64,
-    checkpoint_dir: Option<&Path>,
-) -> Result<SoakSloReport, String> {
+pub fn run_soak(h: &Harness, seed: u64, checkpoint_dir: Option<&Path>) -> Result<Value, String> {
     run_soak_with(h, seed, checkpoint_dir, None, None)
 }
 
@@ -183,11 +183,18 @@ pub fn run_soak_with(
     checkpoint_dir: Option<&Path>,
     plan_override: Option<SoakPlan>,
     fault_override: Option<FaultPlan>,
-) -> Result<SoakSloReport, String> {
+) -> Result<Value, String> {
     let scale = h.scale;
     let phase_dur = scale.pick(SimTime::from_ms(10), SimTime::from_ms(2));
     let plan = match plan_override {
-        Some(p) => p,
+        Some(p) => {
+            eprintln!(
+                "[soak] custom soak plan: {} phases, seed {}",
+                p.phases.len(),
+                p.seed
+            );
+            p
+        }
         None => SoakPlan::datacenter_day(seed, phase_dur),
     };
     plan.validate()?;
@@ -239,7 +246,14 @@ pub fn run_soak_with(
     fleet.deploy(&mut sc.sim);
 
     let fault_plan = match fault_override {
-        Some(p) => p,
+        Some(p) => {
+            eprintln!(
+                "[soak] custom fault plan: {} events, seed {}",
+                p.len(),
+                p.seed
+            );
+            p
+        }
         None => soak_fault_plan(&topo, day, seed),
     };
     let faults_scheduled = fault_plan.len();
@@ -253,6 +267,7 @@ pub fn run_soak_with(
     let mut training_runs: Vec<(usize, Rc<RefCell<TrainingCluster>>)> = Vec::new();
 
     let wall_start = std::time::Instant::now();
+    let alloc_start = h.alloc_counts();
     let mut t = SimTime::ZERO;
     for (i, phase) in plan.phases.iter().enumerate() {
         let start = t;
@@ -308,10 +323,10 @@ pub fn run_soak_with(
         match fleet.end_probation(&mut sc.sim) {
             ProbationOutcome::Idle => {}
             ProbationOutcome::Promoted { digest } => {
-                println!("[soak] boundary {i}: candidate {digest:#018x} promoted");
+                eprintln!("[soak] boundary {i}: candidate {digest:#018x} promoted");
             }
             ProbationOutcome::RolledBack { digest, trips } => {
-                println!(
+                eprintln!(
                     "[soak] boundary {i}: candidate {digest:#018x} ROLLED BACK \
                      ({trips} guard trips in probation)"
                 );
@@ -323,16 +338,16 @@ pub fn run_soak_with(
                 .map_err(|e| format!("checkpoint at boundary {i}: {e}"))?;
             match fleet.try_swap(&mut sc.sim, candidate) {
                 SwapOutcome::Swapped { digest } => {
-                    println!("[soak] boundary {i}: hot-swapped candidate {digest:#018x}");
+                    eprintln!("[soak] boundary {i}: hot-swapped candidate {digest:#018x}");
                 }
                 SwapOutcome::SkippedBackoff => {
-                    println!("[soak] boundary {i}: swap skipped (post-rollback backoff)");
+                    eprintln!("[soak] boundary {i}: swap skipped (post-rollback backoff)");
                 }
                 SwapOutcome::SkippedQuarantined { digest } => {
-                    println!("[soak] boundary {i}: swap skipped ({digest:#018x} quarantined)");
+                    eprintln!("[soak] boundary {i}: swap skipped ({digest:#018x} quarantined)");
                 }
                 SwapOutcome::Invalid { error } => {
-                    println!("[soak] boundary {i}: candidate rejected ({error})");
+                    eprintln!("[soak] boundary {i}: candidate rejected ({error})");
                 }
             }
         }
@@ -341,8 +356,18 @@ pub fn run_soak_with(
     let drain = scale.pick(SimTime::from_ms(10), SimTime::from_ms(3));
     sc.sim.run_until(day + drain);
     let wall = wall_start.elapsed().as_secs_f64();
+    // The allocator's counts over the window `wall` covers; the peak is the
+    // process's high-water mark, which the probe cannot reset.
+    let alloc = match (alloc_start, h.alloc_counts(), h.peak_live_bytes()) {
+        (Some((a0, b0)), Some((a1, b1)), Some(peak)) => json!({
+            "peak_live_bytes": peak,
+            "allocations": a1 - a0,
+            "alloc_bytes": b1 - b0,
+        }),
+        _ => Value::Null,
+    };
 
-    // Condense the day into the report.
+    // Condense the day into the document.
     let mut phases = Vec::with_capacity(n_phases);
     let mut t = SimTime::ZERO;
     for (i, phase) in plan.phases.iter().enumerate() {
@@ -366,14 +391,14 @@ pub fn run_soak_with(
                 )
             }
         };
-        phases.push(PhaseSlo {
-            name: phase.name.clone(),
-            kind: kind.into(),
-            start_us: us(start),
-            end_us: us(end),
-            app_metric: metric.map(|(m, _)| m.to_string()),
-            app_value: metric.map(|(_, v)| v),
-        });
+        phases.push(json!({
+            "name": phase.name,
+            "kind": kind,
+            "start_us": us(start),
+            "end_us": us(end),
+            "app_metric": metric.map(|(m, _)| m),
+            "app_value": metric.map(|(_, v)| v),
+        }));
     }
 
     let overall = sc.fct.borrow().stats(|_| true);
@@ -382,61 +407,53 @@ pub fn run_soak_with(
     let invalid = invalid_final_configs(&sc.sim) as u64;
     let fs = fleet.stats;
     let core = sc.sim.core();
-    let report = SoakSloReport {
-        schema: SOAK_SLO_SCHEMA.into(),
-        scale: if scale.quick { "quick" } else { "full" }.into(),
-        seed,
-        sim_time_us: us(day + drain),
-        wall_time_s: wall,
-        phases,
-        fct: FctSlo {
-            count: overall.count as u64,
-            p50_us: overall.p50_us,
-            p99_us: overall.p99_us,
-            p999_us: overall.p999_us,
-            mean_us: overall.avg_us,
+    let doc = json!({
+        "schema": SCHEMA,
+        "scale": if scale.quick { "quick" } else { "full" },
+        "seed": seed,
+        "sim_time_us": us(day + drain),
+        "wall_time_s": wall,
+        "phases": phases,
+        "fct": {
+            "count": overall.count as u64,
+            "p50_us": overall.p50_us,
+            "p99_us": overall.p99_us,
+            "p999_us": overall.p999_us,
+            "mean_us": overall.avg_us,
         },
-        rl: RlSlo {
-            train_steps,
-            steps_per_wall_sec: train_steps as f64 / wall.max(1e-9),
+        "rl": {
+            "train_steps": train_steps,
+            "steps_per_wall_sec": train_steps as f64 / wall.max(1e-9),
         },
-        guard: GuardSlo {
-            ticks: guard.ticks,
-            violations_detected: guard.violations_detected,
-            violations_applied: guard.violations_applied,
-            clamps: guard.clamps,
-            trips: guard.trips,
-            recoveries: guard.recoveries,
-            fallback_ticks: guard.fallback_ticks,
-            agent_anomalies: guard.agent_anomalies,
+        "guard": {
+            "ticks": guard.ticks,
+            "violations_detected": guard.violations_detected,
+            "violations_applied": guard.violations_applied,
+            "clamps": guard.clamps,
+            "trips": guard.trips,
+            "recoveries": guard.recoveries,
+            "fallback_ticks": guard.fallback_ticks,
+            "agent_anomalies": guard.agent_anomalies,
         },
-        fleet: FleetSlo {
-            checkpoints: fs.checkpoints,
-            swaps: fs.swaps,
-            promoted: fs.promoted,
-            rollbacks: fs.rollbacks,
-            quarantined_skips: fs.quarantined_skips,
-            backoff_skips: fs.backoff_skips,
-            invalid_bundles: fs.invalid_bundles,
+        "fleet": {
+            "checkpoints": fs.checkpoints,
+            "swaps": fs.swaps,
+            "promoted": fs.promoted,
+            "rollbacks": fs.rollbacks,
+            "quarantined_skips": fs.quarantined_skips,
+            "backoff_skips": fs.backoff_skips,
+            "invalid_bundles": fs.invalid_bundles,
         },
-        faults: FaultSlo {
-            events_executed: core.faults_executed,
-            fault_log_dropped: core.fault_log_dropped,
-            trace_evicted: core.tracer().map_or(0, |tr| tr.evicted),
-            fault_drops: core.fault_drops,
+        "faults": {
+            "events_executed": core.faults_executed,
+            "fault_log_dropped": core.fault_log_dropped,
+            "fault_drops": core.fault_drops,
         },
-        alloc: h.peak_live_bytes().map(|peak| {
-            let (allocations, alloc_bytes) = h.alloc_counts().unwrap_or((0, 0));
-            AllocSlo {
-                peak_live_bytes: peak,
-                allocations,
-                alloc_bytes,
-            }
-        }),
-        invalid_final_configs: invalid,
-    };
-    println!(
-        "[soak] day={:.1}ms faults={faults_scheduled} flows={}/{} trips={} swaps={} \
+        "alloc": alloc,
+        "invalid_final_configs": invalid,
+    });
+    eprintln!(
+        "[soak] day={}ms faults={faults_scheduled} flows={}/{} trips={} swaps={} \
          promoted={} rollbacks={} invalid-configs={invalid}",
         us(day) / 1e3,
         sc.fct.borrow().summary().completed,
@@ -446,72 +463,285 @@ pub fn run_soak_with(
         fs.promoted,
         fs.rollbacks,
     );
-    Ok(report)
+    Ok(doc)
 }
 
-/// CLI entry: run the soak, print the headline table, write and validate
-/// `SOAK_SLO.json`.
-pub fn run(
-    h: &Harness,
-    seed: u64,
-    out: &Path,
-    checkpoint_dir: Option<&Path>,
-    plan: Option<SoakPlan>,
-    faults: Option<FaultPlan>,
-) -> Result<(), String> {
-    common::banner(
-        "soak",
-        "datacenter day: rotating workloads + faults + checkpoint hot-swap/rollback",
-    );
-    if let Some(p) = &plan {
-        println!(
-            "custom soak plan: {} phases, seed {}",
-            p.phases.len(),
-            p.seed
-        );
-    }
-    if let Some(f) = &faults {
-        println!("custom fault plan: {} events, seed {}", f.len(), f.seed);
-    }
-    let report = run_soak_with(h, seed, checkpoint_dir, plan, faults)?;
-    println!(
-        "\n{:<22} {:<10} {:>12} {:>12} app metric",
-        "phase", "kind", "start_us", "end_us"
-    );
-    for p in &report.phases {
-        let metric = match (&p.app_metric, p.app_value) {
-            (Some(m), Some(v)) => format!("{m}={v:.0}"),
-            _ => "-".into(),
-        };
-        println!(
-            "{:<22} {:<10} {:>12.0} {:>12.0} {metric}",
-            p.name, p.kind, p.start_us, p.end_us
-        );
-    }
-    println!(
-        "\nFCT: n={} p50={:.1}us p99={:.1}us p999={:.1}us | RL: {} steps ({:.0}/s) | \
-         guard trips={} recoveries={}",
-        report.fct.count,
-        report.fct.p50_us,
-        report.fct.p99_us,
-        report.fct.p999_us,
-        report.rl.train_steps,
-        report.rl.steps_per_wall_sec,
-        report.guard.trips,
-        report.guard.recoveries,
-    );
-    println!(
-        "fleet: {} checkpoints, {} swaps, {} promoted, {} rollbacks, {} backoff-skips",
-        report.fleet.checkpoints,
-        report.fleet.swaps,
-        report.fleet.promoted,
-        report.fleet.rollbacks,
-        report.fleet.backoff_skips,
-    );
+/// What a key [`show`] reads must hold.
+#[derive(Clone, Copy, Debug)]
+enum Is {
+    Text,
+    Count,
+    Number,
+}
 
-    report.validate()?;
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(out, text).map_err(|e| format!("write {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
+impl Is {
+    fn holds(self, v: &Value) -> bool {
+        match self {
+            Is::Text => v.as_str().is_some(),
+            Is::Count => v.as_u64().is_some(),
+            Is::Number => v.as_f64().is_some(),
+        }
+    }
+}
+
+/// The columns of a phase row, which [`show`] prints one row per phase.
+/// `app_metric` and `app_value` are both absent or both present.
+const PHASE: [(&str, Is); 4] = [
+    ("name", Is::Text),
+    ("kind", Is::Text),
+    ("start_us", Is::Number),
+    ("end_us", Is::Number),
+];
+
+/// The one-row tables [`show`] prints below the phases, as paths into the
+/// document. The `alloc` block is `null` when no allocator probe was
+/// registered.
+const TABLES: [&[(&str, Is)]; 7] = [
+    &[
+        ("scale", Is::Text),
+        ("seed", Is::Count),
+        ("sim_time_us", Is::Number),
+        ("wall_time_s", Is::Number),
+        ("invalid_final_configs", Is::Count),
+    ],
+    &[
+        ("fct.count", Is::Count),
+        ("fct.p50_us", Is::Number),
+        ("fct.p99_us", Is::Number),
+        ("fct.p999_us", Is::Number),
+        ("fct.mean_us", Is::Number),
+    ],
+    &[
+        ("rl.train_steps", Is::Count),
+        ("rl.steps_per_wall_sec", Is::Number),
+    ],
+    &[
+        ("guard.ticks", Is::Count),
+        ("guard.violations_detected", Is::Count),
+        ("guard.violations_applied", Is::Count),
+        ("guard.clamps", Is::Count),
+        ("guard.trips", Is::Count),
+        ("guard.recoveries", Is::Count),
+        ("guard.fallback_ticks", Is::Count),
+        ("guard.agent_anomalies", Is::Count),
+    ],
+    &[
+        ("fleet.checkpoints", Is::Count),
+        ("fleet.swaps", Is::Count),
+        ("fleet.promoted", Is::Count),
+        ("fleet.rollbacks", Is::Count),
+        ("fleet.quarantined_skips", Is::Count),
+        ("fleet.backoff_skips", Is::Count),
+        ("fleet.invalid_bundles", Is::Count),
+    ],
+    &[
+        ("faults.events_executed", Is::Count),
+        ("faults.fault_log_dropped", Is::Count),
+        ("faults.fault_drops", Is::Count),
+    ],
+    &[
+        ("alloc.peak_live_bytes", Is::Count),
+        ("alloc.allocations", Is::Count),
+        ("alloc.alloc_bytes", Is::Count),
+    ],
+];
+
+/// Print a soak document: one row per phase, then the day's totals.
+pub fn show(doc: &Value) {
+    common::print_table(
+        common::rows(doc, "phases"),
+        &[
+            "name",
+            "kind",
+            "start_us",
+            "end_us",
+            "app_metric",
+            "app_value",
+        ],
+    );
+    for table in TABLES {
+        let columns: Vec<&str> = table.iter().map(|(path, _)| *path).collect();
+        println!();
+        common::print_table(std::slice::from_ref(doc), &columns);
+    }
+}
+
+/// Everything wrong with a soak document, by name; empty means it passes.
+/// The invariants: the schema tag, at least one phase, each phase ending
+/// after it starts and not before its predecessor ends with its app metric
+/// paired, completed flows with monotone FCT percentiles, and no invalid ECN
+/// config left in the fabric. A document read from disk may lack anything,
+/// so every key [`show`] prints is named when it is missing or of the wrong
+/// type.
+pub fn check(doc: &Value) -> Vec<String> {
+    let mut failed = Vec::new();
+    if doc["schema"].as_str() != Some(SCHEMA) {
+        failed.push(format!("schema is not {SCHEMA}"));
+    }
+    for &(path, is) in TABLES.iter().copied().flatten() {
+        if path.starts_with("alloc.") && doc["alloc"].is_null() {
+            continue;
+        }
+        if !common::at(doc, path).is_some_and(|v| is.holds(v)) {
+            failed.push(format!("{path}: missing or not a {is:?}"));
+        }
+    }
+    let phases = common::rows(doc, "phases");
+    if phases.is_empty() {
+        failed.push("no phases".into());
+    }
+    let mut prev_end = f64::NEG_INFINITY;
+    for (i, p) in phases.iter().enumerate() {
+        for (key, is) in PHASE {
+            if !is.holds(&p[key]) {
+                failed.push(format!("phases.{i}.{key}: missing or not a {is:?}"));
+            }
+        }
+        let (start, end) = (common::num(&p["start_us"]), common::num(&p["end_us"]));
+        let name = &p["name"];
+        if end.partial_cmp(&start) != Some(std::cmp::Ordering::Greater) {
+            failed.push(format!("phase {name}: end <= start"));
+        }
+        if start < prev_end {
+            failed.push(format!("phase {name} overlaps its predecessor"));
+        }
+        prev_end = end;
+        let paired = match (&p["app_metric"], &p["app_value"]) {
+            (Value::Null, Value::Null) => true,
+            (m, v) => m.as_str().is_some() && v.as_f64().is_some(),
+        };
+        if !paired {
+            failed.push(format!("phase {name}: unpaired app metric"));
+        }
+    }
+    let fct = |k: &str| common::num(&doc["fct"][k]);
+    if doc["fct"]["count"].as_u64() == Some(0) {
+        failed.push("no completed flows".into());
+    }
+    let (p50, p99, p999) = (fct("p50_us"), fct("p99_us"), fct("p999_us"));
+    if !(p50 <= p99 && p99 <= p999) {
+        failed.push(format!(
+            "FCT percentiles not monotone: p50={p50} p99={p99} p999={p999}"
+        ));
+    }
+    if let Some(n) = doc["invalid_final_configs"].as_u64().filter(|&n| n != 0) {
+        failed.push(format!("{n} invalid ECN configs left in the fabric"));
+    }
+    failed
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// A soak document that passes [`check`].
+    pub(crate) fn document() -> Value {
+        json!({
+            "schema": SCHEMA,
+            "scale": "quick",
+            "seed": 7u64,
+            "sim_time_us": 20_000.0,
+            "wall_time_s": 3.5,
+            "phases": [{
+                "name": "dawn-websearch", "kind": "websearch",
+                "start_us": 0.0, "end_us": 2_000.0,
+                "app_metric": null, "app_value": null,
+            }],
+            "fct": {"count": 1000u64, "p50_us": 40.0, "p99_us": 300.0, "p999_us": 900.0, "mean_us": 80.0},
+            "rl": {"train_steps": 5000u64, "steps_per_wall_sec": 1428.0},
+            "guard": {
+                "ticks": 0u64, "violations_detected": 0u64, "violations_applied": 0u64,
+                "clamps": 0u64, "trips": 0u64, "recoveries": 0u64, "fallback_ticks": 0u64,
+                "agent_anomalies": 0u64,
+            },
+            "fleet": {
+                "checkpoints": 4u64, "swaps": 2u64, "promoted": 1u64, "rollbacks": 1u64,
+                "quarantined_skips": 0u64, "backoff_skips": 0u64, "invalid_bundles": 0u64,
+            },
+            "faults": {"events_executed": 0u64, "fault_log_dropped": 0u64, "fault_drops": 0u64},
+            "alloc": {"peak_live_bytes": 1u64 << 20, "allocations": 10u64, "alloc_bytes": 100u64},
+            "invalid_final_configs": 0u64,
+        })
+    }
+
+    /// The value at column path `path` of `doc`.
+    pub(crate) fn at_mut<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
+        path.split('.').fold(doc, |v, key| match v {
+            Value::Object(m) => m
+                .get_mut(key)
+                .unwrap_or_else(|| panic!("fixture lacks {path}")),
+            Value::Array(a) => &mut a[key.parse::<usize>().expect("an index")],
+            _ => panic!("fixture lacks {path}"),
+        })
+    }
+
+    #[test]
+    fn valid_document_round_trips() {
+        let doc = document();
+        assert_eq!(check(&doc), Vec::<String>::new());
+        let text = serde_json::to_string(&doc).unwrap();
+        let back: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(check(&back), Vec::<String>::new());
+        assert_eq!(back, doc);
+        // Without an allocator probe the block is null, and that passes.
+        let mut unprobed = doc;
+        *at_mut(&mut unprobed, "alloc") = Value::Null;
+        assert_eq!(check(&unprobed), Vec::<String>::new());
+    }
+
+    #[test]
+    fn each_broken_invariant_and_missing_key_is_named() {
+        let says = |doc: &Value, what: &str| {
+            let failed = check(doc);
+            assert!(
+                failed.iter().any(|f| f.contains(what)),
+                "{what:?} not in {failed:?}"
+            );
+        };
+        let broken = |path: &str, v: Value| {
+            let mut doc = document();
+            *at_mut(&mut doc, path) = v;
+            doc
+        };
+        says(&broken("schema", json!("acc-soak-slo/v1")), "schema is not");
+        says(&broken("phases", json!([])), "no phases");
+        says(&broken("phases.0.end_us", json!(0.0)), "end <= start");
+        says(&broken("phases.0.app_metric", json!("iops")), "unpaired");
+        says(&broken("fct.count", json!(0u64)), "no completed flows");
+        says(&broken("fct.p99_us", json!(10.0)), "not monotone");
+        says(
+            &broken("invalid_final_configs", json!(2u64)),
+            "2 invalid ECN configs left in the fabric",
+        );
+        let mut overlapping = document();
+        let second = json!({
+            "name": "overlap", "kind": "incast", "start_us": 1_000.0, "end_us": 3_000.0,
+            "app_metric": null, "app_value": null,
+        });
+        if let Value::Array(phases) = at_mut(&mut overlapping, "phases") {
+            phases.push(second);
+        }
+        says(&overlapping, "overlaps its predecessor");
+
+        // Every key `show` prints is named when it has the wrong type...
+        for &(path, _) in TABLES.iter().copied().flatten() {
+            says(&broken(path, json!([])), &format!("{path}: missing"));
+        }
+        for (key, _) in PHASE {
+            let path = format!("phases.0.{key}");
+            says(&broken(&path, json!([])), &format!("{path}: missing"));
+        }
+        // ...and when it is not there at all.
+        let Value::Object(blocks) = document() else {
+            unreachable!("the fixture is an object")
+        };
+        let without_guard: Value = Value::Object(
+            blocks
+                .iter()
+                .filter(|(k, _)| k.as_str() != "guard")
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+        );
+        says(&without_guard, "guard.trips: missing");
+    }
 }

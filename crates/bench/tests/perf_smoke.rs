@@ -1,4 +1,4 @@
-//! Perf-harness smoke tests: `acc-bench perf` writes one gate document that
+//! Perf-harness smoke tests: `acc-bench perf` returns one gate document that
 //! passes [`perf::check`] — the same check the CLI exits on — and holds
 //! counts and identities only; and a recorded websearch-under-faults run is
 //! byte-identical across repeats (the timing-wheel queue's determinism
@@ -40,15 +40,12 @@ fn keys(v: &Value, out: &mut Vec<String>) {
 #[test]
 fn perf_document_passes_every_gate_and_holds_counts_only() {
     let h = Harness::new(Scale::QUICK).with_alloc_probe(support::alloc_probe);
-    let dir = fresh_dir("perf-smoke-gates");
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_gates.json");
-    let doc = perf::run(&h, &out).expect("perf run writes the gate document");
+    let doc = perf::run(&h);
 
-    // The in-memory document and the file round-trip must both pass, with
+    // The in-memory document and its text round-trip must both pass, with
     // the probe on: no allocation gate was skipped.
     assert_eq!(perf::check(&doc), Vec::<String>::new());
-    let text = std::fs::read_to_string(&out).unwrap();
+    let text = serde_json::to_string_pretty(&doc).unwrap();
     let reloaded: Value = serde_json::from_str(&text).unwrap();
     assert_eq!(perf::check(&reloaded), Vec::<String>::new());
     assert_eq!(reloaded["alloc_probe"].as_bool(), Some(true));

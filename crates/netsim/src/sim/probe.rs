@@ -97,11 +97,6 @@ impl SimCore {
         }
     }
 
-    /// The installed tracer, if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.obs.as_ref()?.tracer.as_ref()
-    }
-
     /// The live profiler, if profiling is enabled.
     pub(crate) fn profiler(&self) -> Option<&SimProfiler> {
         self.obs.as_ref()?.prof.as_ref()

@@ -42,7 +42,6 @@ pub mod recorder;
 pub mod sampler;
 pub mod samples;
 pub mod sink;
-pub mod slo;
 
 pub use manifest::RunManifest;
 pub use merge::merge_shards;
@@ -50,4 +49,3 @@ pub use recorder::{RunRecorder, SharedRecorder};
 pub use sampler::{drain_fault_log, install_queue_sampler};
 pub use samples::{AgentSample, EventSample, QueueSample};
 pub use sink::{JsonlSink, TelemetrySink, VecSink};
-pub use slo::{SoakSloReport, SOAK_SLO_SCHEMA};

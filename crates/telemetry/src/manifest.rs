@@ -53,10 +53,6 @@ pub struct RunManifest {
     /// buffers; nonzero means the event timeline is incomplete).
     #[serde(default)]
     pub fault_log_dropped: u64,
-    /// Trace records evicted from the tracer's bounded ring during the run
-    /// (absent before soak runs bounded the buffers).
-    #[serde(default)]
-    pub trace_evicted: u64,
     /// Flows registered with the FCT collector.
     pub flows_total: usize,
     /// Flows that completed before the horizon.
@@ -110,7 +106,6 @@ mod tests {
             agent_samples: 240,
             event_samples: 12,
             fault_log_dropped: 0,
-            trace_evicted: 0,
             flows_total: 100,
             flows_completed: 100,
             fct: json!({"overall": {"avg_us": 120.0}}),
