@@ -5,6 +5,7 @@
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
+use acc_core::deploy::fnv1a;
 use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use acc_core::trainer;
@@ -51,9 +52,6 @@ impl Scale {
 }
 
 /// The control policies the experiments compare.
-// One variant is hidden from the docs because only a differential test
-// uses it, not to keep the enum open: it is matched exhaustively.
-#[allow(clippy::manual_non_exhaustive)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// DCTCP-style single threshold.
@@ -68,12 +66,6 @@ pub enum Policy {
     Acc,
     /// ACC without pre-training ("aggressive version", Fig. 16).
     AccFresh,
-    /// [`Policy::AccFresh`] routed through the retained scalar RL kernels
-    /// (same seed): recorded runs must be byte-identical to `AccFresh`,
-    /// which pins the batched kernels at whole-simulation scope. The
-    /// differential test is its only caller, so no experiment offers it.
-    #[doc(hidden)]
-    AccFreshScalar,
     /// ACC with the pretrained model frozen (inference only).
     AccFrozen,
     /// Fresh ACC wrapped in enforcing safe-mode guardrails.
@@ -94,7 +86,6 @@ impl Policy {
             Policy::Vendor => "Vendor",
             Policy::Acc => "ACC",
             Policy::AccFresh => "ACC-fresh",
-            Policy::AccFreshScalar => "ACC-fresh-scalar",
             Policy::AccFrozen => "ACC-frozen",
             Policy::AccGuarded => "ACC-guarded",
             Policy::AccMonitored => "ACC-monitored",
@@ -134,11 +125,6 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
             let cfg = acc_config(13);
             controller::install_acc(sim, &cfg, &space);
         }
-        Policy::AccFreshScalar => {
-            let mut cfg = acc_config(13);
-            cfg.scalar_inference = true;
-            controller::install_acc(sim, &cfg, &space);
-        }
         Policy::AccFrozen => {
             let model = pretrained_model(scale);
             let cfg = trainer::frozen_config(&acc_config(17));
@@ -165,25 +151,24 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
 /// The offline-pretrained ACC model (§4.3), trained once per process (and
 /// cached on disk under `target/` of the working directory, which is created
 /// if missing) on a spread of incast and realistic traffic over the
-/// testbed-scale Clos.
+/// testbed-scale Clos. The cache file's name carries a digest of the
+/// offline training config (`pretrained_path`).
 pub fn pretrained_model(scale: Scale) -> Mlp {
     static FULL: OnceLock<Mlp> = OnceLock::new();
     static QUICK: OnceLock<Mlp> = OnceLock::new();
     let cell = if scale.quick { &QUICK } else { &FULL };
     cell.get_or_init(|| {
-        let path = format!(
-            "target/acc_pretrained_{}.json",
-            if scale.quick { "quick" } else { "full" }
-        );
+        let (cfg, segments) = offline_plan(scale);
+        let (path, digest) = pretrained_path(scale, &cfg, segments);
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(m) = serde_json::from_str::<Mlp>(&text) {
                 if m.input_dim() == 12 && m.output_dim() == ActionSpace::templates().len() {
-                    eprintln!("[pretrain] loaded cached model from {path}");
+                    eprintln!("[pretrain] loaded cached model {digest:016x} from {path}");
                     return m;
                 }
             }
         }
-        eprintln!("[pretrain] training offline model ({scale:?}) ...");
+        eprintln!("[pretrain] training offline model {digest:016x} ({scale:?}) ...");
         let m = train_offline(scale);
         let saved = serde_json::to_string(&m)
             .map_err(|e| std::io::Error::other(e.to_string()))
@@ -200,20 +185,56 @@ pub fn pretrained_model(scale: Scale) -> Mlp {
     .clone()
 }
 
+/// Offline training's seeds: simulator, traffic and agent.
+const OFFLINE_SEEDS: [u64; 3] = [99, 5, 7];
+
+/// Offline training's agent configuration and its number of traffic
+/// segments.
+fn offline_plan(scale: Scale) -> (AccConfig, usize) {
+    let mut cfg = acc_config(OFFLINE_SEEDS[2]);
+    cfg.ddqn.eps_decay_steps = scale.pick(60_000.0, 12_000.0);
+    cfg.trains_per_tick = 4;
+    (cfg, scale.pick(64, 16))
+}
+
+/// Where the offline model trained under `cfg` and `segments` is cached,
+/// and the digest its name carries: FNV-1a over the DDQN and reward
+/// configs, the updates per tick, the history length, the segment count,
+/// the seeds and the action-space length. Editing any of them trains a new
+/// model instead of loading a stale one. The traffic mix of
+/// [`train_offline`] is code, not in the digest: after editing it, delete
+/// `target/acc_pretrained_*.json`.
+fn pretrained_path(scale: Scale, cfg: &AccConfig, segments: usize) -> (String, u64) {
+    let inputs = json!({
+        "ddqn": cfg.ddqn,
+        "reward": cfg.reward,
+        "trains_per_tick": cfg.trains_per_tick,
+        "history_k": cfg.history_k,
+        "segments": segments,
+        "seeds": OFFLINE_SEEDS,
+        "actions": ActionSpace::templates().len(),
+    });
+    let digest = fnv1a(inputs.to_string().as_bytes());
+    let scale = if scale.quick { "quick" } else { "full" };
+    (
+        format!("target/acc_pretrained_{scale}_{digest:016x}.json"),
+        digest,
+    )
+}
+
 /// Offline training: segments of random incast plus Poisson WebSearch /
 /// DataMining at varying load, with one agent shared by all switches.
 fn train_offline(scale: Scale) -> Mlp {
+    let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
     let topo = TopologySpec::paper_testbed().build();
     let simcfg = SimConfig::default()
-        .with_seed(99)
+        .with_seed(sim_seed)
         .with_control_interval(SimTime::from_us(50));
     let mut sim = Simulator::new(topo, simcfg);
     let fct = FctCollector::new_shared();
     let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
 
-    let mut cfg = acc_config(7);
-    cfg.ddqn.eps_decay_steps = scale.pick(60_000.0, 12_000.0);
-    cfg.trains_per_tick = 4;
+    let (cfg, segments) = offline_plan(scale);
     let space = ActionSpace::templates();
     let _agent = trainer::install_shared_training(&mut sim, &cfg, &space);
 
@@ -222,9 +243,8 @@ fn train_offline(scale: Scale) -> Mlp {
     // loads 10..90%. Sustained-incast segments (long flows) are included so
     // the model sees the steady marking/queue tradeoff, and quiet segments
     // so it learns the idle regime.
-    let mut rng = SmallRng::seed_from_u64(5);
+    let mut rng = SmallRng::seed_from_u64(traffic_seed);
     let seg = SimTime::from_ms(5);
-    let segments = scale.pick(64, 16);
     let ws = SizeDist::web_search();
     let dm = SizeDist::data_mining();
     for i in 0..segments {
@@ -1594,6 +1614,25 @@ ACC          4540.8     1.235     2.000  31  -
 SECN1         0.500         -         -   7  -
 ";
         assert_eq!(text, expected);
+    }
+
+    /// The cached model's name follows what offline training is configured
+    /// by, so an edited config never loads a model trained under the old one.
+    #[test]
+    fn pretrained_cache_name_follows_the_offline_config() {
+        let (cfg, segments) = offline_plan(Scale::QUICK);
+        let (path, digest) = pretrained_path(Scale::QUICK, &cfg, segments);
+        assert_eq!(
+            path,
+            format!("target/acc_pretrained_quick_{digest:016x}.json")
+        );
+        assert_eq!(pretrained_path(Scale::QUICK, &cfg, segments).0, path);
+        let mut edited = cfg.clone();
+        edited.ddqn.eps_decay_steps += 1.0;
+        assert_ne!(pretrained_path(Scale::QUICK, &edited, segments).0, path);
+        assert_ne!(pretrained_path(Scale::QUICK, &cfg, segments + 1).0, path);
+        let (full, full_segments) = offline_plan(Scale::FULL);
+        assert_ne!(pretrained_path(Scale::FULL, &full, full_segments).1, digest);
     }
 
     #[test]

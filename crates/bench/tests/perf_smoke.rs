@@ -3,9 +3,7 @@
 //! counts and identities only; and a recorded websearch-under-faults run is
 //! byte-identical across repeats (the timing-wheel queue's determinism
 //! contract at harness level; the pop-order identity is pinned by the
-//! differential proptest in `netsim/tests/properties.rs`) and between the
-//! batched kernels ([`Policy::AccFresh`]) and the retained scalar reference
-//! ([`Policy::AccFreshScalar`]).
+//! differential proptest in `netsim/tests/properties.rs`).
 //!
 //! The counting `#[global_allocator]` lives in `support` because the library
 //! crate forbids `unsafe`; integration tests are separate crates, so it
@@ -84,9 +82,9 @@ fn perf_document_passes_every_gate_and_holds_counts_only() {
     assert!(timed.is_empty(), "wall-clock columns: {timed:?}");
 }
 
-/// Record one websearch-under-faults run with a fresh online agent under
-/// `policy` (no model cache dependency) and return its run directory.
-fn recorded_run(root: &Path, policy: Policy) -> PathBuf {
+/// Record one websearch-under-faults run with a fresh online agent (no
+/// model cache dependency) and return its run directory.
+fn recorded_run(root: &Path) -> PathBuf {
     let h = Harness::new(Scale::QUICK)
         .with_metrics(root, SimTime::from_us(100))
         .experiment("perf-smoke");
@@ -96,7 +94,7 @@ fn recorded_run(root: &Path, policy: Policy) -> PathBuf {
     let horizon = SimTime::from_ms(4);
     let g = PoissonGen::new(SizeDist::web_search(), 0.6, CcKind::Dcqcn, 77);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, horizon);
-    let mut sc = h.scenario(&spec, policy, 5, &arrivals);
+    let mut sc = h.scenario(&spec, Policy::AccFresh, 5, &arrivals);
     let plan = acc_bench::fault::fault_plan(&topo, horizon, 5);
     sc.sim
         .install_fault_plan(&plan)
@@ -112,8 +110,8 @@ fn recorded_run(root: &Path, policy: Policy) -> PathBuf {
 #[test]
 fn recorded_runs_stay_byte_identical_through_the_wheel() {
     let root = fresh_dir("perf-smoke-determinism");
-    let d1 = recorded_run(&root.join("a"), Policy::AccFresh);
-    let d2 = recorded_run(&root.join("b"), Policy::AccFresh);
+    let d1 = recorded_run(&root.join("a"));
+    let d2 = recorded_run(&root.join("b"));
     assert_same_tree(&d1, &d2, "identical seeded runs");
 
     // The manifest carries the engine counters.
@@ -124,15 +122,4 @@ fn recorded_runs_stay_byte_identical_through_the_wheel() {
         m.peak_event_queue > 0,
         "manifest peak_event_queue not populated"
     );
-}
-
-#[test]
-fn batched_and_scalar_policies_record_byte_identical_runs() {
-    let root = fresh_dir("perf-smoke-identity");
-    let batched = recorded_run(&root.join("batched"), Policy::AccFresh);
-    let scalar = recorded_run(&root.join("scalar"), Policy::AccFreshScalar);
-    // Same seeds, same traffic, same faults: every recorded decision, ε,
-    // TD-loss and queue sample — and hence every byte — differs only if the
-    // batched kernels are not bit-identical to the scalar reference.
-    assert_same_tree(&batched, &scalar, "batched and scalar kernels");
 }

@@ -37,7 +37,7 @@ use crate::reward::RewardConfig;
 use crate::state::QueueObserver;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
-use rl::trainer::{StepFn, Worker};
+use rl::trainer::Worker;
 use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Seat, TrainerStats, Transition};
 use std::any::Any;
 use std::cell::RefCell;
@@ -71,13 +71,6 @@ pub struct AccConfig {
     pub exchange_batch: usize,
     /// RNG seed for this controller's agent.
     pub seed: u64,
-    /// Route inference and training through the retained scalar reference
-    /// kernels instead of the batched ones. The two paths are bit-identical
-    /// by contract; this flag exists so differential runs (and the perf
-    /// suite) can pin that contract at the whole-simulation level. They are
-    /// its only users.
-    #[doc(hidden)]
-    pub scalar_inference: bool,
 }
 
 impl Default for AccConfig {
@@ -94,7 +87,6 @@ impl Default for AccConfig {
             exchange_every_ticks: 200,
             exchange_batch: 64,
             seed: 1,
-            scalar_inference: false,
         }
     }
 }
@@ -108,9 +100,9 @@ struct PendingDecision {
     prio: Prio,
     state: Vec<f32>,
     reward: f64,
-    /// Replay length *right after this queue's observe*: the scalar
-    /// reference records queue `i` before queue `i+1` observes, so the
-    /// value must be captured here, not at record time.
+    /// Replay length *right after this queue's observe*: the record of
+    /// queue `i` shows the replay before queue `i+1` observed, so the value
+    /// is captured here, not at record time.
     replay_len: usize,
 }
 
@@ -169,29 +161,13 @@ pub(crate) struct BatchSelect {
 
 impl BatchSelect {
     /// Choose an action for each of `states` (ε-greedy when `explore`, else
-    /// greedy) and return `(action, ε)` per state, in order. With `scalar`
-    /// the choice runs through the per-state reference kernels instead;
-    /// both paths consume the RNG identically and are bit-identical by
-    /// contract.
+    /// greedy) and return `(action, ε)` per state, in order.
     pub(crate) fn select<'a>(
         &mut self,
         agent: &mut DdqnAgent,
         states: impl Iterator<Item = &'a [f32]>,
         explore: bool,
-        scalar: bool,
     ) -> &[(usize, f64)] {
-        if scalar {
-            self.decisions.clear();
-            for s in states {
-                let a = if explore {
-                    agent.select_action(s)
-                } else {
-                    agent.best_action(s)
-                };
-                self.decisions.push((a, agent.epsilon()));
-            }
-            return &self.decisions;
-        }
         self.states.clear();
         let mut n = 0;
         for s in states {
@@ -441,7 +417,6 @@ impl AccController {
             agent,
             self.pending.iter().map(|d| d.state.as_slice()),
             self.cfg.explore,
-            self.cfg.scalar_inference,
         );
         let train_steps = agent.train_steps();
         drop(seat);
@@ -490,12 +465,7 @@ impl AccController {
         }
         self.stats.train_steps += steps as u64;
         self.trainer.submitted += 1;
-        let step: StepFn = if self.cfg.scalar_inference {
-            DdqnAgent::train_step_scalar
-        } else {
-            DdqnAgent::train_step
-        };
-        seat.submit(step, steps, overlap, timed);
+        seat.submit(DdqnAgent::train_step, steps, overlap, timed);
     }
 
     /// Take the agent back and book what its update reports.
@@ -539,10 +509,8 @@ impl AccController {
             self.cfg.seed ^ self.stats.ticks,
         );
         let n = self.cfg.exchange_batch;
-        // Split borrows: clone out of the agent's replay into global, then
-        // back.
         agent.replay.exchange_into(&mut g, &mut rng, n);
-        agent.replay.pull_from(&g, &mut rng, n);
+        g.exchange_into(&mut agent.replay, &mut rng, n);
     }
 }
 
@@ -767,41 +735,6 @@ mod tests {
             // First tick per queue only initialises telemetry bookkeeping.
             assert_eq!(acc.stats.inferences, (acc.stats.ticks - 1) * 2);
         });
-    }
-
-    #[test]
-    fn batched_and_scalar_controllers_are_bit_identical() {
-        // Two identical simulations, one routed through the batched kernels
-        // and one through the retained scalar reference: every applied
-        // action and the final trained weights must match exactly.
-        let run = |scalar: bool| {
-            let topo =
-                TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
-            let simcfg = SimConfig::default().with_control_interval(SimTime::from_us(50));
-            let mut sim = Simulator::new(topo, simcfg);
-            let sw = sim.core().topo.switches()[0];
-            let mut cfg = small_cfg();
-            cfg.idle_optimization = false;
-            cfg.scalar_inference = scalar;
-            sim.set_controller(
-                sw,
-                Box::new(AccController::new(cfg, ActionSpace::templates())),
-            );
-            sim.run_until(SimTime::from_ms(5));
-            sim.with_controller(sw, |c, _| {
-                let acc = c.as_any_mut().downcast_mut::<AccController>().unwrap();
-                let actions: Vec<Option<usize>> = (0..3u16)
-                    .map(|p| acc.current_action(PortId(p), PRIO_RDMA))
-                    .collect();
-                (
-                    actions,
-                    serde_json::to_string(&acc.export_model()).unwrap(),
-                    acc.stats.inferences,
-                    acc.stats.train_steps,
-                )
-            })
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -112,7 +112,9 @@ pub struct DeployBundle {
     pub digest: u64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The 64-bit FNV-1a hash of `bytes`: the digest of bundles here and of
+/// the harness's cached pretrained models.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

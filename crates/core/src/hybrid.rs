@@ -178,7 +178,6 @@ impl HybridAcc {
             &mut self.local,
             self.pending.iter().map(|(_, _, _, state)| state.as_slice()),
             self.cfg.explore,
-            false,
         );
         for ((key, port, prio, state), &(action, _eps)) in self.pending.iter_mut().zip(decisions) {
             let q = self.queues.get_mut(key).expect("pending queue exists");

@@ -3,6 +3,7 @@
 //! here is a count or a byte comparison — no wall clock.
 
 use acc_core::controller::install_acc;
+use acc_core::deploy::fnv1a;
 use acc_core::{AccConfig, AccController, ActionSpace, FEATURES_PER_OBS};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
@@ -48,8 +49,9 @@ fn chain() -> Topology {
     b.build()
 }
 
-fn acc_cfg() -> AccConfig {
+fn acc_cfg(prioritized: bool) -> AccConfig {
     let mut cfg = AccConfig::default();
+    cfg.ddqn.use_prioritized_replay = prioritized;
     cfg.ddqn.min_replay = 8;
     cfg.ddqn.batch_size = 8;
     cfg.idle_optimization = false;
@@ -67,7 +69,7 @@ struct Outcome {
     global_replay: String,
 }
 
-fn run(arm: Arm) -> (Outcome, TrainerStats) {
+fn run(arm: Arm, prioritized: bool) -> (Outcome, TrainerStats) {
     let topo = chain();
     let simcfg = SimConfig::default()
         .with_seed(7)
@@ -84,7 +86,7 @@ fn run(arm: Arm) -> (Outcome, TrainerStats) {
         }
     }
 
-    let cfg = acc_cfg();
+    let cfg = acc_cfg(prioritized);
     let space = ActionSpace::templates();
     let switches = sim.core().topo.switches().to_vec();
     let mut held = Vec::new();
@@ -155,12 +157,11 @@ fn run(arm: Arm) -> (Outcome, TrainerStats) {
     (outcome, trainer_stats)
 }
 
-fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in parts.iter().flat_map(|p| p.bytes()) {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Digest of the three exported models and the global replay.
+fn digest(out: &Outcome) -> u64 {
+    let mut text = out.models.concat();
+    text.push_str(&out.global_replay);
+    fnv1a(text.as_bytes())
 }
 
 /// Digest of the three exported models and the global replay of this very
@@ -174,7 +175,7 @@ const INLINE_DIGEST: u64 = 3_054_463_837_329_845_528;
 /// contents.
 #[test]
 fn overlapped_updates_change_nothing_a_run_produces() {
-    let (inline, inline_stats) = run(Arm::Held);
+    let (inline, inline_stats) = run(Arm::Held, false);
     assert!(inline.counts.iter().all(|&(ticks, _, _)| ticks == 240));
     assert!(inline.counts.iter().all(|&(_, _, trained)| trained > 200));
     assert_eq!(
@@ -184,9 +185,11 @@ fn overlapped_updates_change_nothing_a_run_produces() {
     assert_eq!(inline_stats.ran_on_engine, inline_stats.submitted);
     assert!(inline.global_replay.len() > 1000, "the exchange ran");
 
-    let mut parts: Vec<&str> = inline.models.iter().map(String::as_str).collect();
-    parts.push(&inline.global_replay);
-    assert_eq!(fnv1a(&parts), INLINE_DIGEST, "differs from the inline loop");
+    assert_eq!(
+        digest(&inline),
+        INLINE_DIGEST,
+        "differs from the inline loop"
+    );
 
     for arm in [
         Arm::Helpers(0),
@@ -194,7 +197,7 @@ fn overlapped_updates_change_nothing_a_run_produces() {
         Arm::Helpers(2),
         Arm::Installed,
     ] {
-        let (out, stats) = run(arm);
+        let (out, stats) = run(arm, false);
         assert_eq!(out, inline, "{arm:?}");
         let trained: u64 = out.counts.iter().map(|c| c.2).sum();
         assert_eq!(stats.submitted, trained, "{arm:?}");
@@ -212,6 +215,28 @@ fn overlapped_updates_change_nothing_a_run_produces() {
     }
 }
 
+/// Digest of the same scenario with reward-prioritised local replay (the
+/// ACC arm's online configuration), taken before the prioritised memory
+/// became a constructor of `ReplayBuffer`.
+const PRIORITIZED_DIGEST: u64 = 2_829_764_356_116_347_927;
+
+/// The prioritised local memory's side of the exchange: its pushes into the
+/// sum-tree and its priority-proportional draws into the uniform global
+/// memory, across the exchange tick, in the inline order and through the
+/// installer.
+#[test]
+fn prioritized_local_replay_exchanges_as_pinned() {
+    let (inline, _) = run(Arm::Held, true);
+    assert!(inline.global_replay.len() > 1000, "the exchange ran");
+    assert_eq!(digest(&inline), PRIORITIZED_DIGEST);
+    assert_ne!(
+        digest(&inline),
+        INLINE_DIGEST,
+        "prioritised replay was not on"
+    );
+    assert_eq!(run(Arm::Installed, true).0, inline);
+}
+
 /// Test (d) at this level: a simulator dropped right after its last tick,
 /// updates still out, takes them along without waiting for anything.
 #[test]
@@ -220,7 +245,7 @@ fn dropping_a_simulator_with_updates_in_flight() {
         let topo = chain();
         let simcfg = SimConfig::default().with_control_interval(SimTime::from_us(50));
         let mut sim = Simulator::new(topo, simcfg);
-        let cfg = acc_cfg();
+        let cfg = acc_cfg(false);
         let space = ActionSpace::templates();
         match arm {
             Arm::Installed => {

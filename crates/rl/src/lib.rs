@@ -12,12 +12,13 @@
 //!   `backward_batch`) over flat `[batch × dim]` workspaces that are
 //!   bit-identical to the scalar path for finite states and weights while
 //!   allocating nothing at steady state;
-//! * [`replay`] — bounded experience-replay memories (local per agent plus a
-//!   shared *global* memory that agents exchange experience through, the
-//!   asynchronous multi-agent scheme of §3.4), and [`prioritized`] — the
-//!   §4.3 reward-prioritised variant used during online fine-tuning;
+//! * [`replay`] — the bounded experience-replay memory, [`ReplayBuffer`]:
+//!   local per agent plus a shared *global* memory that agents exchange
+//!   experience through (the asynchronous multi-agent scheme of §3.4),
+//!   sampled uniformly or, with [`ReplayBuffer::prioritized`], by reward
+//!   priority as during §4.3 online fine-tuning;
 //! * [`ddqn`] — the Double-DQN agent: ε-greedy action selection with fast
-//!   exponential ε decay, uniform minibatch sampling, the decoupled
+//!   exponential ε decay, minibatch sampling from its replay, the decoupled
 //!   action-selection / action-evaluation target of eq. (3), and periodic
 //!   target-network synchronisation;
 //! * [`trainer`] — the asynchronous half of "asynchronous multi-agent DQN":
@@ -32,15 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod ddqn;
-pub mod memory;
 pub mod mlp;
-pub mod prioritized;
 pub mod replay;
 pub mod trainer;
 
 pub use ddqn::{DdqnAgent, DdqnConfig, StepCost};
-pub use memory::Memory;
 pub use mlp::{Adam, BackwardScratch, BatchActivations, Mlp};
-pub use prioritized::PrioritizedReplay;
 pub use replay::{ReplayBuffer, Transition};
 pub use trainer::{Seat, Trainer, TrainerStats};

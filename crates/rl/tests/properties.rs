@@ -123,16 +123,24 @@ proptest! {
 }
 
 proptest! {
-    /// Agent-level differential: interleaved select/observe/train with the
-    /// batched `train_step` tracks the scalar reference bit-for-bit for
-    /// random seeds and replay flavours, including across a `load_model`
-    /// halfway through — after batched steps have transposed both nets.
+    /// Agent-level differential: interleaved decide/observe/train with the
+    /// batched kernels tracks the scalar reference bit-for-bit for random
+    /// seeds and replay flavours, including across a `load_model` halfway
+    /// through. Each step the batched agent decides 1–8 rows at once —
+    /// ε-greedy through `select_actions_batch`, or greedy through
+    /// `best_actions_batch` every third step — and the scalar agent decides
+    /// the same rows one by one; actions and recorded ε must match. The row
+    /// count cycles with period 8 and the greedy steps with period 3, so
+    /// every row count, the 8-row batches that read the transposed weights
+    /// included, is decided both ways after the weights have changed.
     #[test]
     fn agent_batched_training_matches_scalar(
         seed in any::<u64>(),
         prioritized in any::<bool>(),
         steps in 80usize..160,
         reload in any::<bool>(),
+        row_phase in 0usize..8,
+        greedy_phase in 0usize..3,
     ) {
         let mut cfg = DdqnConfig::default();
         cfg.min_replay = 32;
@@ -141,23 +149,44 @@ proptest! {
         let mut batched = DdqnAgent::new(2, 3, cfg.clone(), seed);
         let mut scalar = DdqnAgent::new(2, 3, cfg, seed);
         let model = Mlp::new(batched.export_model().dims(), seed ^ 0x5EED);
+        let mut decisions = Vec::new();
+        let mut greedy = Vec::new();
         for i in 0..steps {
             if reload && i == steps / 2 {
                 batched.load_model(&model);
                 scalar.load_model(&model);
             }
-            let s = vec![(i % 4) as f32 * 0.5, (i % 6) as f32 * 0.3];
-            let a = batched.select_action(&s);
-            prop_assert_eq!(a, scalar.select_action(&s));
-            let t = Transition {
-                state: s.clone(),
-                action: a,
-                reward: ((i * 7) % 13) as f32 * 0.1 - 0.5,
-                next_state: s,
-                done: i % 23 == 0,
-            };
-            batched.observe(t.clone());
-            scalar.observe(t);
+            let rows = 1 + (i + row_phase) % 8;
+            let states: Vec<f32> = (0..rows)
+                .flat_map(|r| [((i + r) % 4) as f32 * 0.5, ((i + 2 * r) % 6) as f32 * 0.3])
+                .collect();
+            let row = |r: usize| &states[r * 2..(r + 1) * 2];
+            if i % 3 == greedy_phase {
+                batched.best_actions_batch(&states, rows, &mut greedy);
+                decisions.clear();
+                decisions.extend(greedy.iter().map(|&a| (a, batched.epsilon())));
+                for (r, &(a, eps)) in decisions.iter().enumerate() {
+                    prop_assert_eq!(a, scalar.best_action(row(r)), "step {} row {}", i, r);
+                    prop_assert_eq!(eps, scalar.epsilon());
+                }
+            } else {
+                batched.select_actions_batch(&states, rows, &mut decisions);
+                for (r, &(a, eps)) in decisions.iter().enumerate() {
+                    prop_assert_eq!(a, scalar.select_action(row(r)), "step {} row {}", i, r);
+                    prop_assert_eq!(eps, scalar.epsilon());
+                }
+            }
+            for (r, &(a, _)) in decisions.iter().enumerate() {
+                let t = Transition {
+                    state: row(r).to_vec(),
+                    action: a,
+                    reward: ((i * 7 + r) % 13) as f32 * 0.1 - 0.5,
+                    next_state: row((r + 1) % rows).to_vec(),
+                    done: (i + r) % 23 == 0,
+                };
+                batched.observe(t.clone());
+                scalar.observe(t);
+            }
             prop_assert_eq!(batched.train_step(), scalar.train_step_scalar());
         }
         let probe = [0.7, -0.1];
