@@ -105,10 +105,10 @@ pub fn acc_config(seed: u64) -> AccConfig {
 
 /// Install `policy` on all switches of `sim` — the one policy table, for
 /// either engine and any shard count. The ACC arms' replay scope follows
-/// the host (shared in one process, private per switch on a shard; see
-/// [`controller::install_acc`]), so a sharded experiment is compared
-/// across shard counts — `--shards 1` included — never against the
-/// unsharded run.
+/// the host (shared on one shard, private per switch on two or more; see
+/// [`controller::install_acc`]), so an ACC arm on two or more shards is
+/// compared with other such shard counts, never with the unsharded run,
+/// which is the `--shards 1` run. Static arms equal at every shard count.
 pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Scale) {
     let space = ActionSpace::templates();
     match policy {
@@ -152,14 +152,16 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
 /// cached on disk under `target/` of the working directory, which is created
 /// if missing) on a spread of incast and realistic traffic over the
 /// testbed-scale Clos. The cache file's name carries a digest of the
-/// offline training config (`pretrained_path`).
+/// offline training config and of the engine (`pretrained_path`).
 pub fn pretrained_model(scale: Scale) -> Mlp {
     static FULL: OnceLock<Mlp> = OnceLock::new();
     static QUICK: OnceLock<Mlp> = OnceLock::new();
     let cell = if scale.quick { &QUICK } else { &FULL };
     cell.get_or_init(|| {
         let (cfg, segments) = offline_plan(scale);
-        let (path, digest) = pretrained_path(scale, &cfg, segments);
+        let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
+        let engine = engine_fingerprint(sim_seed, traffic_seed);
+        let (path, digest) = pretrained_path(scale, &cfg, segments, engine);
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(m) = serde_json::from_str::<Mlp>(&text) {
                 if m.input_dim() == 12 && m.output_dim() == ActionSpace::templates().len() {
@@ -188,6 +190,9 @@ pub fn pretrained_model(scale: Scale) -> Mlp {
 /// Offline training's seeds: simulator, traffic and agent.
 const OFFLINE_SEEDS: [u64; 3] = [99, 5, 7];
 
+/// The length of one offline traffic segment.
+const OFFLINE_SEGMENT: SimTime = SimTime::from_ms(5);
+
 /// Offline training's agent configuration and its number of traffic
 /// segments.
 fn offline_plan(scale: Scale) -> (AccConfig, usize) {
@@ -197,15 +202,18 @@ fn offline_plan(scale: Scale) -> (AccConfig, usize) {
     (cfg, scale.pick(64, 16))
 }
 
-/// Where the offline model trained under `cfg` and `segments` is cached,
-/// and the digest its name carries: FNV-1a over the DDQN and reward
-/// configs, the updates per tick, the history length, the segment count,
-/// the seeds and the action-space length. Editing any of them trains a new
-/// model instead of loading a stale one. The traffic mix of
-/// [`train_offline`] is code, not in the digest: after editing it, delete
+/// Where the offline model trained under `cfg` and `segments` on the engine
+/// `engine` ([`engine_fingerprint`]) is cached, and the digest its name
+/// carries: FNV-1a over the DDQN and reward configs, the updates per tick,
+/// the history length, the segment count, the seeds, the action-space
+/// length and the engine fingerprint. Editing any of them, or changing what
+/// the packet engine does with segment 0's traffic, trains a new model
+/// instead of loading a stale one. The rest of [`train_offline`]'s traffic
+/// mix is code, not in the digest: after editing it, delete
 /// `target/acc_pretrained_*.json`.
-fn pretrained_path(scale: Scale, cfg: &AccConfig, segments: usize) -> (String, u64) {
+fn pretrained_path(scale: Scale, cfg: &AccConfig, segments: usize, engine: u64) -> (String, u64) {
     let inputs = json!({
+        "engine": engine,
         "ddqn": cfg.ddqn,
         "reward": cfg.reward,
         "trains_per_tick": cfg.trains_per_tick,
@@ -222,10 +230,9 @@ fn pretrained_path(scale: Scale, cfg: &AccConfig, segments: usize) -> (String, u
     )
 }
 
-/// Offline training: segments of random incast plus Poisson WebSearch /
-/// DataMining at varying load, with one agent shared by all switches.
-fn train_offline(scale: Scale) -> Mlp {
-    let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
+/// Offline training's simulator: the testbed-scale Clos seeded with
+/// `sim_seed`, with transport stacks on every host.
+fn offline_sim(sim_seed: u64) -> (Simulator, SharedFct, Vec<NodeId>) {
     let topo = TopologySpec::paper_testbed().build();
     let simcfg = SimConfig::default()
         .with_seed(sim_seed)
@@ -233,6 +240,37 @@ fn train_offline(scale: Scale) -> Mlp {
     let mut sim = Simulator::new(topo, simcfg);
     let fct = FctCollector::new_shared();
     let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
+    (sim, fct, hosts)
+}
+
+/// What the packet engine does with offline training's traffic, as one
+/// number: FNV-1a over the events processed and the `(flow, end_ps)` of
+/// every completed flow after segment 0's incast under SECN1, drawn from
+/// its own RNG seeded like [`train_offline`]'s. The whole segment: over its
+/// first 2 ms two engines that order simultaneous events differently can
+/// still process the same number of events.
+fn engine_fingerprint(sim_seed: u64, traffic_seed: u64) -> u64 {
+    let (mut sim, fct, hosts) = offline_sim(sim_seed);
+    install_static(&mut sim, StaticEcnPolicy::Secn1);
+    let mut rng = SmallRng::seed_from_u64(traffic_seed);
+    let dcqcn = transport::CcKind::Dcqcn;
+    let arr = gen::random_incast(&hosts, 16, 32, dcqcn, SimTime::ZERO, &mut rng);
+    gen::apply_arrivals(&mut sim, &arr);
+    sim.run_until(OFFLINE_SEGMENT);
+    let mut bytes = sim.core().events_processed.to_le_bytes().to_vec();
+    for r in fct.borrow().completed() {
+        let end = r.end.expect("a completed flow has an end");
+        bytes.extend(r.flow.0.to_le_bytes());
+        bytes.extend(end.as_ps().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// Offline training: segments of random incast plus Poisson WebSearch /
+/// DataMining at varying load, with one agent shared by all switches.
+fn train_offline(scale: Scale) -> Mlp {
+    let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
+    let (mut sim, _fct, hosts) = offline_sim(sim_seed);
 
     let (cfg, segments) = offline_plan(scale);
     let space = ActionSpace::templates();
@@ -244,7 +282,7 @@ fn train_offline(scale: Scale) -> Mlp {
     // the model sees the steady marking/queue tradeoff, and quiet segments
     // so it learns the idle regime.
     let mut rng = SmallRng::seed_from_u64(traffic_seed);
-    let seg = SimTime::from_ms(5);
+    let seg = OFFLINE_SEGMENT;
     let ws = SizeDist::web_search();
     let dm = SizeDist::data_mining();
     for i in 0..segments {
@@ -388,9 +426,9 @@ pub struct Harness {
     pub scale: Scale,
     /// Matrix workers; 0 = one per available core.
     jobs: usize,
-    /// The `--shards` request: `Some(n)` runs [`Harness::run_to`] on the
-    /// sharded engine (even at `n == 1`, so shard-count diffs compare the
-    /// same engine), `None` means the flag was absent.
+    /// The `--shards` request: `Some(n)` runs [`Harness::run_to`] through
+    /// the shard runner on `n` shards (at `n == 1` it equals the unsharded
+    /// run), `None` means the flag was absent.
     shards: Option<u32>,
     /// Labels recorded and profiled runs.
     experiment: String,
@@ -945,13 +983,14 @@ fn read_back(sim: &mut Simulator) -> RunOutcome {
     }
 }
 
-/// The one builder of both engines. The order is part of the recorded
-/// bytes: host stacks, `install` on the switches, the FCT reserve,
-/// `arrivals`, the recorder (when `record` gives a sampling interval and a
-/// sink), then `fault_plan`. On one simulator events at equal times pop in
-/// insertion order, and a fault can land on the first sampling tick, which
-/// the recorder schedules here (`fault_smoke` pins the order against a
-/// hand-built scenario).
+/// The one builder of both engines: host stacks, `install` on the
+/// switches, the FCT reserve, `arrivals`, the recorder (when `record` gives
+/// a sampling interval and a sink), then `fault_plan`. The recorder comes
+/// after `install` because it attaches to the controllers `install` put
+/// there. Events at equal times pop by their canonical key, not by when
+/// they were scheduled, so a fault that lands on a sampling tick pops
+/// first either way (`fault_smoke` pins this builder against a hand-built
+/// scenario).
 fn build(
     sim: &mut Simulator,
     arrivals: &[Arrival],
@@ -1127,12 +1166,14 @@ impl Harness {
     /// runs on the calling thread while every worker is parked, which is
     /// where the perf gates read the process-wide allocation counter.
     ///
-    /// What stays forked between the engines: an unsharded ACC arm shares
-    /// one global replay, while a sharded switch keeps its replay private;
-    /// one simulator streams its recording, shards buffer theirs and merge
-    /// it; and only shards merge FCT records — an unsharded collector is
-    /// returned as it is, because re-merging it would reorder records and
-    /// change `avg_us` bits. A shard is built without the profiler.
+    /// Both branches run the same engine, and one shard equals one
+    /// simulator. What stays forked: an ACC arm shares one global replay
+    /// on one shard, while on two or more each switch keeps its replay
+    /// private; one simulator streams its recording, shards buffer theirs
+    /// and merge it (a fault run's same-instant `events.jsonl` lines are
+    /// then ordered by node rather than by drain); and only shards merge
+    /// FCT records — one simulator's collector is returned as it is. A
+    /// shard is built without the profiler.
     pub fn run_to(
         &self,
         spec: &TopologySpec,
@@ -1621,18 +1662,42 @@ SECN1         0.500         -         -   7  -
     #[test]
     fn pretrained_cache_name_follows_the_offline_config() {
         let (cfg, segments) = offline_plan(Scale::QUICK);
-        let (path, digest) = pretrained_path(Scale::QUICK, &cfg, segments);
+        let engine = 7;
+        let (path, digest) = pretrained_path(Scale::QUICK, &cfg, segments, engine);
         assert_eq!(
             path,
             format!("target/acc_pretrained_quick_{digest:016x}.json")
         );
-        assert_eq!(pretrained_path(Scale::QUICK, &cfg, segments).0, path);
+        let path_of = |cfg: &AccConfig, segments, engine| {
+            pretrained_path(Scale::QUICK, cfg, segments, engine).0
+        };
+        assert_eq!(path_of(&cfg, segments, engine), path);
         let mut edited = cfg.clone();
         edited.ddqn.eps_decay_steps += 1.0;
-        assert_ne!(pretrained_path(Scale::QUICK, &edited, segments).0, path);
-        assert_ne!(pretrained_path(Scale::QUICK, &cfg, segments + 1).0, path);
+        assert_ne!(path_of(&edited, segments, engine), path);
+        assert_ne!(path_of(&cfg, segments + 1, engine), path);
+        assert_ne!(path_of(&cfg, segments, engine + 1), path);
         let (full, full_segments) = offline_plan(Scale::FULL);
-        assert_ne!(pretrained_path(Scale::FULL, &full, full_segments).1, digest);
+        assert_ne!(
+            pretrained_path(Scale::FULL, &full, full_segments, engine).1,
+            digest
+        );
+    }
+
+    /// The engine fingerprint is a function of the run alone — it repeats
+    /// within a process — and what the engine does with a different sim
+    /// seed names a different cache file.
+    #[test]
+    fn pretrained_cache_name_follows_the_engine() {
+        let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
+        let engine = engine_fingerprint(sim_seed, traffic_seed);
+        assert_eq!(engine_fingerprint(sim_seed, traffic_seed), engine);
+        let (cfg, segments) = offline_plan(Scale::QUICK);
+        let reseeded = engine_fingerprint(sim_seed + 1, traffic_seed);
+        assert_ne!(
+            pretrained_path(Scale::QUICK, &cfg, segments, reseeded).0,
+            pretrained_path(Scale::QUICK, &cfg, segments, engine).0
+        );
     }
 
     #[test]

@@ -24,8 +24,8 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
     let g = PoissonGen::new(SizeDist::web_search(), load, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let horizon = dur + scale.pick(SimTime::from_ms(20), SimTime::from_ms(12));
-    // Generous drain margin so elephants can finish. (With `--shards N` the
-    // ACC arm keeps each switch's replay private; unsharded it is shared.)
+    // Generous drain margin so elephants can finish. (On two or more shards
+    // the ACC arm keeps each switch's replay private; on one it is shared.)
     let out = h.run_to(&spec, policy, 9, &arrivals, None, &[horizon], |_| {});
     common::buckets_of(&out.fct, SimTime::ZERO)
 }

@@ -47,8 +47,9 @@ pub mod soak;
 pub use common::{Harness, Scale};
 
 /// The experiment ids that honour `--shards N`: each of their runs goes
-/// through [`Harness::run_to`], which runs it on the sharded engine at every
-/// shard count once the flag is given. The others build a
+/// through [`Harness::run_to`], which runs it through the shard runner at
+/// every shard count once the flag is given (`--shards 1` equals the run
+/// without the flag). The others build a
 /// [`common::Scenario`] and reach into its simulator (queue probes,
 /// application hooks, controller state), which only a whole simulator
 /// offers. The CLI rejects the flag for any other id instead of running it

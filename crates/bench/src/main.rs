@@ -18,9 +18,9 @@
 //!   or load it in `about://tracing` / Perfetto; an experiment that builds
 //!   no simulator ([`acc_bench::NO_SIMULATOR`]) is rejected;
 //! * `--shards <n>` — run the experiments that have a sharded path
-//!   ([`acc_bench::SHARDED`]) through the conservative-lookahead engine on
-//!   `n` shards (including `--shards 1`, so shard-count comparisons diff the
-//!   same code path); any other experiment id is rejected;
+//!   ([`acc_bench::SHARDED`]) through the conservative-lookahead runner on
+//!   `n` shards (`--shards 1` records what the run without the flag
+//!   records); any other experiment id is rejected;
 //! * `--soak-plan <file>` / `--fault-plan <file>` — `soak` only: replace
 //!   the built-in datacenter-day schedule / fault script with JSON plans.
 //!

@@ -1013,10 +1013,12 @@ pub(crate) mod tests {
 
     /// Run `ops` pop-one/push-one hold operations against queue `Q`,
     /// returning ops/sec. `Q` is abstracted by the two functions so wheel
-    /// and heap run the byte-identical op stream.
+    /// and heap run the byte-identical op stream. Pushes are keyed, as the
+    /// engine's are: push `i` under a bijective scramble of `i`, so keys are
+    /// unique and reach each bucket out of order.
     fn hold_throughput<Q>(
         mut q: Q,
-        push: fn(&mut Q, SimTime, Event),
+        push: fn(&mut Q, SimTime, u64, Event),
         pop: fn(&mut Q) -> Option<Scheduled>,
         ops: u64,
     ) -> f64 {
@@ -1024,19 +1026,20 @@ pub(crate) mod tests {
             host: NodeId(0),
             token,
         };
+        let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
         let mut t = SimTime::ZERO;
-        for i in 0..HOLD_DEPTH {
+        for i in 0..HOLD_DEPTH as u64 {
             t = SimTime::from_ps(t.as_ps() + incast_offset(&mut rng) / 16);
-            push(&mut q, t, timer(i as u64));
+            push(&mut q, t, key(i), timer(i));
         }
         let start = Instant::now();
         let mut acc = 0u64;
-        for i in 0..ops {
+        for i in HOLD_DEPTH as u64..HOLD_DEPTH as u64 + ops {
             let s = pop(&mut q).expect("queue stays at depth");
             acc ^= s.seq;
             let nt = SimTime::from_ps(s.time.as_ps() + incast_offset(&mut rng));
-            push(&mut q, nt, timer(i));
+            push(&mut q, nt, key(i), timer(i));
         }
         let wall = start.elapsed().as_secs_f64();
         // Defeat dead-code elimination without perturbing timing.
@@ -1051,11 +1054,14 @@ pub(crate) mod tests {
     fn wheel_beats_reference_heap() {
         let ops = 200_000;
         let r = paired_ratio(
-            || hold_throughput(EventQueue::new(), EventQueue::push, EventQueue::pop, ops),
+            || {
+                let q = EventQueue::new();
+                hold_throughput(q, EventQueue::push_keyed, EventQueue::pop, ops)
+            },
             || {
                 hold_throughput(
                     HeapEventQueue::new(),
-                    HeapEventQueue::push,
+                    HeapEventQueue::push_keyed,
                     HeapEventQueue::pop,
                     ops,
                 )

@@ -97,14 +97,14 @@ fn recorded_fault_runs_are_byte_identical() {
     assert!(m.event_samples > 0, "manifest counted no event samples");
 }
 
-/// `run_to` builds in the order perf's `fault-plan` row spells out by hand:
-/// `scenario` (stacks, policy, FCT reserve, arrivals, recorder), then the
-/// fault plan. One simulator pops events at equal times in insertion order,
-/// and sampling every 1.5 ms puts the first sampling tick on the plan's first
-/// fault (15 % of 10 ms). A guard's events are recorded as they happen, a
-/// fault when a sampling tick drains it, so whether that tick runs before or
-/// after the fault decides where the fault lands among the guard's events:
-/// a build with the fault plan ahead of the recorder fails here.
+/// `run_to` records what the build perf's `fault-plan` row spells out by
+/// hand records: `scenario` (stacks, policy, FCT reserve, arrivals,
+/// recorder), then the fault plan. Sampling every 1.5 ms puts the first
+/// sampling tick on the plan's first fault (15 % of 10 ms). A guard's events
+/// are recorded as they happen, a fault when a sampling tick drains it, so
+/// which of the two pops first decides where the fault lands among the
+/// guard's events; events at equal times pop by their canonical key, fault
+/// first, whichever was scheduled first.
 #[test]
 fn run_to_builds_in_the_order_of_a_hand_built_scenario() {
     let root = fresh_dir("fault-smoke-build-order");

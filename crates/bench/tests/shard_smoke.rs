@@ -1,14 +1,20 @@
-//! Sharded-execution smoke tests: the determinism contract of the
-//! conservative-lookahead engine, observed end to end through the bench
-//! harness's one run path (`Harness::run_to` on a harness with shards, the
-//! code `--shards N` runs). A fig12-style WebSearch scenario and the
-//! fault-plan scenario must produce byte-identical merged telemetry JSONL —
-//! and identical FCT statistics — when run on 1 shard and on 4 shards (the
-//! `diff -r` pattern of the run-matrix `--jobs` test, with `manifest.json`
-//! excluded because it carries wall-clock fields).
+//! One packet engine, observed end to end through the bench harness's one
+//! run path (`Harness::run_to`, the code `--shards N` runs):
+//!
+//! * an unsharded run is a one-shard run — the fault scenario under the
+//!   ACC arms gives the same counters, flow records and JSONL either way;
+//! * a static arm does not depend on the shard count — the fig12 scenario
+//!   under SECN1 gives the same FCT statistics and queue JSONL unsharded
+//!   and on 2 shards;
+//! * an ACC arm, whose replay is private per switch on two or more shards,
+//!   gives byte-identical merged telemetry JSONL and identical FCT
+//!   statistics on 2 and 4 shards (the `diff -r` pattern of the run-matrix
+//!   `--jobs` test, with `manifest.json` excluded because it carries
+//!   wall-clock fields).
 //!
 //! CI runs this as part of the test suite alongside the CLI-level
-//! `acc-bench fig12 --quick --shards 1/4 --metrics-dir` diff.
+//! `acc-bench fig12 --quick` diffs (unsharded against `--shards 1`, 2
+//! against 4 shards).
 
 mod support;
 
@@ -20,29 +26,36 @@ use transport::CcKind;
 use workloads::gen::{Arrival, PoissonGen};
 use workloads::SizeDist;
 
-/// Run one recorded scenario on `n_shards` shards, returning the outcome
-/// and the numbered run directory the merge wrote.
+/// Run one recorded scenario on `shards` shards (unsharded for `None`),
+/// returning the outcome and the numbered run directory it wrote.
 #[allow(clippy::too_many_arguments)]
-fn recorded_sharded(
+fn recorded(
     root: &Path,
     spec: &TopologySpec,
     policy: Policy,
     seed: u64,
     arrivals: &[Arrival],
     fault_plan: Option<&FaultPlan>,
-    n_shards: u32,
+    shards: Option<u32>,
     horizon: SimTime,
 ) -> (RunOutcome, PathBuf) {
-    let h = Harness::new(Scale::QUICK)
+    let mut h = Harness::new(Scale::QUICK)
         .with_metrics(root, SimTime::from_us(100))
-        .experiment("shard-smoke")
-        .with_shards(n_shards);
+        .experiment("shard-smoke");
+    if let Some(n) = shards {
+        h = h.with_shards(n);
+    }
     let out = h.run_to(spec, policy, seed, arrivals, fault_plan, &[horizon], |_| {});
     let dir = out
         .metrics_dir
         .clone()
-        .expect("armed sharded run records a run dir");
+        .expect("an armed run records a run dir");
     (out, dir)
+}
+
+/// The bytes of `dir/file`.
+fn read(dir: &Path, file: &str) -> Vec<u8> {
+    std::fs::read(dir.join(file)).unwrap_or_else(|e| panic!("{}: {e}", dir.join(file).display()))
 }
 
 /// FCT statistics that must match exactly across shard counts (merged
@@ -58,63 +71,92 @@ fn assert_fct_identical(a: &RunOutcome, b: &RunOutcome) {
     assert_eq!(ta.p999_us, tb.p999_us);
 }
 
-/// The fig12 determinism scenario: WebSearch on the 96-host quick fabric
-/// under online-tuning ACC (per-switch replay, as on every shard), a shorter
+/// The fig12 scenario: WebSearch on the 96-host quick fabric, a shorter
 /// slice of the real `fig12 --quick` cell so the debug-build test stays
-/// fast. Telemetry, agent samples and FCT must not depend on the shard
-/// count.
-#[test]
-fn fig12_scenario_identical_across_shard_counts() {
-    let root = fresh_dir("shard-smoke-fig12");
+/// fast.
+fn fig12_scenario() -> (TopologySpec, Vec<Arrival>, SimTime) {
     let spec = TopologySpec::paper_cacc_sim();
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let dur = SimTime::from_ms(2);
     let g = PoissonGen::new(SizeDist::web_search(), 0.6, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
-    let horizon = dur + SimTime::from_ms(4);
+    (spec, arrivals, dur + SimTime::from_ms(4))
+}
 
-    let (r1, d1) = recorded_sharded(
-        &root.join("s1"),
-        &spec,
-        Policy::Acc,
-        9,
-        &arrivals,
-        None,
-        1,
-        horizon,
-    );
-    let (r4, d4) = recorded_sharded(
-        &root.join("s4"),
-        &spec,
-        Policy::Acc,
-        9,
-        &arrivals,
-        None,
-        4,
-        horizon,
-    );
+/// The fig12 scenario under online-tuning ACC (per-switch replay, as on
+/// two or more shards): telemetry, agent samples and FCT must not depend
+/// on the shard count.
+#[test]
+fn fig12_scenario_identical_across_shard_counts() {
+    let root = fresh_dir("shard-smoke-fig12");
+    let (spec, arrivals, horizon) = fig12_scenario();
+    let run = |n: u32| {
+        let dir = root.join(format!("s{n}"));
+        recorded(
+            &dir,
+            &spec,
+            Policy::Acc,
+            9,
+            &arrivals,
+            None,
+            Some(n),
+            horizon,
+        )
+    };
+    let ((r2, d2), (r4, d4)) = (run(2), run(4));
 
-    assert_fct_identical(&r1, &r4);
-    assert_same_tree(&d1, &d4, "1 and 4 shards");
+    assert_fct_identical(&r2, &r4);
+    assert_same_tree(&d2, &d4, "2 and 4 shards");
     assert_eq!(r4.shard_stats.len(), 4);
     assert!(
         r4.remote_events() > 0,
         "4-shard run exchanged no cross-shard events — the partition is trivial"
     );
-    let agents = std::fs::read(d1.join("agents.jsonl")).unwrap();
-    assert!(!agents.is_empty(), "ACC arm recorded no agent samples");
-    let queues = std::fs::read(d1.join("queues.jsonl")).unwrap();
-    assert!(!queues.is_empty(), "no queue samples recorded");
+    assert!(
+        !read(&d2, "agents.jsonl").is_empty(),
+        "ACC arm recorded no agent samples"
+    );
+    assert!(
+        !read(&d2, "queues.jsonl").is_empty(),
+        "no queue samples recorded"
+    );
 }
 
-/// The fault-plan determinism scenario: the testbed fabric under the
-/// seeded fault schedule (link flaps, telemetry faults, a reboot) with
-/// `policy` on every switch, recorded at each of `shard_counts` and compared
-/// against the first. Fault logs and guard events are owner-emitted and
-/// merge into an identical event stream at any shard count; guard counters
-/// sum over shards to the same totals.
-fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (RunOutcome, PathBuf) {
-    let root = fresh_dir(&format!("shard-smoke-fault-{}", policy.name()));
+/// A static arm shares nothing between switches, so it is the same run at
+/// every shard count: the fig12 scenario under SECN1, unsharded and on 2
+/// shards.
+#[test]
+fn static_arm_does_not_depend_on_the_shard_count() {
+    let root = fresh_dir("shard-smoke-secn1");
+    let (spec, arrivals, horizon) = fig12_scenario();
+    let run = |shards: Option<u32>| {
+        let dir = root.join(format!("{shards:?}"));
+        recorded(
+            &dir,
+            &spec,
+            Policy::Secn1,
+            9,
+            &arrivals,
+            None,
+            shards,
+            horizon,
+        )
+    };
+    let ((ru, du), (r2, d2)) = (run(None), run(Some(2)));
+    assert!(ru.shard_stats.is_empty());
+    assert!(r2.remote_events() > 0, "the partition is trivial");
+    assert_fct_identical(&ru, &r2);
+    assert!(ru.fct.summary().completed > 0, "no flows completed");
+    assert!(
+        read(&du, "queues.jsonl") == read(&d2, "queues.jsonl"),
+        "queues.jsonl differs unsharded and on 2 shards"
+    );
+}
+
+/// The fault-plan scenario: the testbed fabric under the seeded fault
+/// schedule (link flaps, telemetry faults, a reboot) with `policy` on every
+/// switch, recorded into `root` on `shards` shards.
+fn fault_run(root: &Path, policy: Policy, shards: Option<u32>) -> (RunOutcome, PathBuf) {
     let spec = TopologySpec::paper_testbed();
     let topo = spec.build();
     let hosts: Vec<NodeId> = topo.hosts().to_vec();
@@ -123,21 +165,27 @@ fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (RunOutcome
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let plan = acc_bench::fault::fault_plan(&topo, dur, acc_bench::fault::FAULT_SEED);
     let horizon = dur + SimTime::from_ms(3);
-    let run = |n: u32| {
-        recorded_sharded(
-            &root.join(format!("s{n}")),
-            &spec,
-            policy,
-            acc_bench::fault::FAULT_SEED,
-            &arrivals,
-            Some(&plan),
-            n,
-            horizon,
-        )
-    };
-    let (r1, d1) = run(shard_counts[0]);
+    recorded(
+        &root.join(format!("{shards:?}")),
+        &spec,
+        policy,
+        acc_bench::fault::FAULT_SEED,
+        &arrivals,
+        Some(&plan),
+        shards,
+        horizon,
+    )
+}
+
+/// The fault scenario recorded at each of `shard_counts` and compared
+/// against the first. Fault logs and guard events are owner-emitted and
+/// merge into an identical event stream at any shard count; guard counters
+/// sum over shards to the same totals.
+fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (RunOutcome, PathBuf) {
+    let root = fresh_dir(&format!("shard-smoke-fault-{}", policy.name()));
+    let (r1, d1) = fault_run(&root, policy, Some(shard_counts[0]));
     for &n in &shard_counts[1..] {
-        let (rn, dn) = run(n);
+        let (rn, dn) = fault_run(&root, policy, Some(n));
         assert_eq!(rn.shard_stats.len(), n as usize);
         assert_fct_identical(&r1, &rn);
         assert_eq!(r1.fault_drops, rn.fault_drops);
@@ -148,10 +196,48 @@ fn fault_scenario_identical(policy: Policy, shard_counts: &[u32]) -> (RunOutcome
     (r1, d1)
 }
 
+/// Every flow record, in flow-id order.
+fn sorted_records(out: &RunOutcome) -> Vec<String> {
+    let mut recs: Vec<_> = out.fct.records().copied().collect();
+    recs.sort_by_key(|r| r.flow.0);
+    recs.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// An unsharded run is the one-shard run, ACC arms included: one shard
+/// holds every switch, so the replay is shared either way. The streamed
+/// timeline (unsharded) and the merged one (one shard) order same-instant
+/// lines differently, so `events.jsonl` is compared as sorted lines.
+#[test]
+fn unsharded_run_is_the_one_shard_run() {
+    for policy in [Policy::AccFresh, Policy::AccGuarded] {
+        let root = fresh_dir(&format!("shard-smoke-one-{}", policy.name()));
+        let (ru, du) = fault_run(&root, policy, None);
+        let (r1, d1) = fault_run(&root, policy, Some(1));
+        let name = policy.name();
+        assert!(ru.shard_stats.is_empty() && r1.shard_stats.len() == 1);
+        assert_eq!(ru.fault_drops, r1.fault_drops, "{name}");
+        assert_eq!(ru.guard, r1.guard, "{name}");
+        assert_eq!(ru.invalid_final_configs, r1.invalid_final_configs, "{name}");
+        assert_eq!(sorted_records(&ru), sorted_records(&r1), "{name}");
+        for file in ["queues.jsonl", "agents.jsonl"] {
+            assert!(read(&du, file) == read(&d1, file), "{name}: {file} differs");
+        }
+        let lines = |dir: &Path| {
+            let text = String::from_utf8(read(dir, "events.jsonl")).unwrap();
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            lines.sort();
+            lines
+        };
+        let events = lines(&du);
+        assert!(events.len() > 10, "{name}: the fault timeline is empty");
+        assert_eq!(events, lines(&d1), "{name}: events.jsonl differs");
+    }
+}
+
 /// A fresh online-tuning agent per switch under the fault plan.
 #[test]
 fn fault_scenario_identical_across_shard_counts() {
-    let (r1, d1) = fault_scenario_identical(Policy::AccFresh, &[1, 4]);
+    let (r1, d1) = fault_scenario_identical(Policy::AccFresh, &[2, 4]);
     assert!(
         r1.guard.is_none(),
         "unguarded arm reports no guard counters"
@@ -168,13 +254,14 @@ fn fault_scenario_identical_across_shard_counts() {
     );
 }
 
-/// The guarded arms under the fault plan: on a shard every switch keeps its
-/// replay private, so guard verdicts — and the `guard_*` events they put
-/// on the timeline — cannot depend on which switches share a process.
+/// The guarded arms under the fault plan: on two or more shards every
+/// switch keeps its replay private, so guard verdicts — and the `guard_*`
+/// events they put on the timeline — cannot depend on which switches share
+/// a process.
 #[test]
 fn guarded_fault_scenario_identical_across_shard_counts() {
     for policy in [Policy::AccGuarded, Policy::AccMonitored] {
-        let (r1, d1) = fault_scenario_identical(policy, &[1, 2, 4]);
+        let (r1, d1) = fault_scenario_identical(policy, &[2, 4]);
         let guard = r1.guard.expect("guarded arm sums its guard counters");
         // 220 control ticks on each of the six switches.
         assert_eq!(guard.ticks, 6 * 220, "{}", policy.name());

@@ -586,14 +586,15 @@ pub(crate) fn install_per_switch<H: ControllerHost>(
 /// D-ACC on every switch: each gets its own agent, starting from `model`
 /// when given, wrapped in a [`GuardedController`] when `guard` is given.
 ///
-/// Replay scope follows the host: in one process every switch exchanges
-/// experience with one shared global replay memory, the paper's §3.4
-/// multi-agent design (which makes a switch's trajectory depend on its
-/// peers); on a sharded host ([`ControllerHost::is_sharded`]) each switch
-/// keeps its replay private, so its behaviour is a function of the switch
-/// alone and merged telemetry is byte-identical at any shard count.
+/// Replay scope follows the host: on one shard (an unsharded simulator or
+/// `--shards 1`, the same run) every switch exchanges experience with one
+/// shared global replay memory, the paper's §3.4 multi-agent design (which
+/// makes a switch's trajectory depend on its peers); on one of two or more
+/// shards ([`ControllerHost::is_sharded`]) each switch keeps its replay
+/// private, so its behaviour is a function of the switch alone and merged
+/// telemetry is byte-identical at any such shard count.
 ///
-/// Returns the global replay handle (unused on a sharded host).
+/// Returns the global replay handle (unused on two or more shards).
 pub(crate) fn install_dacc<H: ControllerHost>(
     host: &mut H,
     cfg: &AccConfig,

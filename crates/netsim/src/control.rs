@@ -63,12 +63,13 @@ pub trait ControllerHost {
     /// The fabric; installers walk `topo().switches()` in order.
     fn topo(&self) -> &Topology;
 
-    /// True when this host is one shard of a partitioned simulation. The
-    /// fabric's switches are then spread over several hosts on several
-    /// threads, so an installer must not couple them through a shared
-    /// object (a global replay memory, say): each switch's behaviour has to
-    /// be a function of that switch alone for every partition to produce
-    /// the same run.
+    /// True when this host is one shard of a partition into two or more
+    /// shards. The fabric's switches are then spread over several hosts on
+    /// several threads, so an installer must not couple them through a
+    /// shared object (a global replay memory, say): each switch's behaviour
+    /// has to be a function of that switch alone for every partition to
+    /// produce the same run. A one-shard simulator holds every switch, so
+    /// it is not sharded, whichever constructor built it.
     fn is_sharded(&self) -> bool;
 
     /// Install the control-plane logic for `switch`. A host that does not

@@ -93,14 +93,13 @@ impl HostCtx<'_> {
         self.core.cfg.mtu_payload
     }
 
-    /// The deterministic RNG this driver draws from: the host's own stream
-    /// in sharded runs (so draws are independent of thread placement), the
-    /// simulation-wide shared RNG otherwise.
+    /// The deterministic RNG this driver draws from: the host's own stream,
+    /// so its draws are independent of thread placement.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.core.node_rng(self.host)
     }
 
-    /// True when this shard owns `node` (always true unsharded). Transport
+    /// True when this shard owns `node` (always true on one shard). Transport
     /// stacks use this to tell a cross-shard flow (whose sender-side record
     /// lives in another shard's collector) from a genuinely unknown one.
     pub fn owns_node(&self, node: NodeId) -> bool {

@@ -16,10 +16,11 @@
 //! ## Determinism contract
 //!
 //! Both queues pop events in identical `(time, seq)` order: earliest
-//! activation time first, ties broken FIFO by insertion sequence (or by the
-//! caller's key, [`EventQueue::push_keyed`]). The wheel is therefore a
-//! drop-in replacement — a recorded run's JSONL is byte-identical to one
-//! produced with the heap queue.
+//! activation time first, ties broken by the caller's key
+//! ([`EventQueue::push_keyed`], the engine's only push) or FIFO by insertion
+//! sequence ([`EventQueue::push`]). The wheel is therefore a drop-in
+//! replacement — a recorded run's JSONL is byte-identical to one produced
+//! with the heap queue.
 
 use crate::fault::FaultKind;
 use crate::ids::{NodeId, PortId, Prio};
@@ -276,7 +277,10 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `event` at absolute time `time`.
+    /// Schedule `event` at absolute time `time`, after every event already
+    /// pushed for that time (the key is the push count). For a queue used
+    /// on its own; the engine keys every event ([`EventQueue::push_keyed`]),
+    /// and a queue should not mix the two.
     pub fn push(&mut self, time: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -285,12 +289,13 @@ impl EventQueue {
 
     /// Schedule `event` at `time` under a caller-supplied ordering key in
     /// place of the insertion sequence number. Pops stay exact `(time, key)`
-    /// order. The sharded engine uses this with canonical keys that are pure
-    /// functions of the event's content, so the pop order at equal
-    /// timestamps is identical no matter which shard inserted the event or
-    /// in what order — the property that makes recorded output byte-stable
-    /// across `--shards 1/2/4/8`. Keys must be unique per timestamp;
-    /// duplicate `(time, key)` pairs pop in unspecified order.
+    /// order. The engine schedules every event this way, with canonical
+    /// keys that are pure functions of the event's content, so the pop order
+    /// at equal timestamps is identical no matter which shard inserted the
+    /// event or in what order — the property that makes recorded output
+    /// byte-stable across shard counts, one included. Keys must be unique
+    /// per timestamp; duplicate `(time, key)` pairs pop in unspecified
+    /// order.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: Event) {
         self.push_with_seq(time, key, event);
     }
@@ -469,8 +474,8 @@ impl EventQueue {
 /// FIFO order.
 ///
 /// Kept as the **reference implementation**: differential tests
-/// (`tests/properties.rs`) check that [`EventQueue`] pops any push sequence
-/// in the identical order, and the `event_queue` criterion bench measures
+/// (`tests/properties.rs`) check that [`EventQueue`] pops any push sequence,
+/// plain or keyed, in the identical order, and the `event_queue` criterion bench measures
 /// the wheel's push/pop throughput against this baseline, as does `perf`'s
 /// ratio test. Not used by the engine, so not in the rendered docs.
 #[doc(hidden)]
@@ -491,6 +496,16 @@ impl HeapEventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, event });
+    }
+
+    /// Schedule `event` at `time` under `key`, as
+    /// [`EventQueue::push_keyed`] does.
+    pub fn push_keyed(&mut self, time: SimTime, key: u64, event: Event) {
+        self.heap.push(Scheduled {
+            time,
+            seq: key,
+            event,
+        });
     }
 
     /// Remove and return the earliest event.

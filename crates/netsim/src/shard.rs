@@ -76,13 +76,15 @@
 //! ## Determinism contract
 //!
 //! Runs are reproducible **across shard counts**: the merged recorded output
-//! of `--shards 1/2/4/8` is byte-identical. Three mechanisms deliver this:
+//! of `--shards 1/2/4/8` is byte-identical. There is one engine: a
+//! [`Simulator::new`] is the one shard of a one-shard plan, so an unsharded
+//! run is the `--shards 1` run. Three mechanisms deliver this:
 //!
-//! * **Partition-invariant event keys.** In sharded mode every event is
-//!   inserted with a canonical 64-bit key derived from its content (node,
-//!   port, class, …) instead of an arrival-order sequence number, so
-//!   simultaneous events pop in the same relative order no matter which
-//!   shard's queue they sit in (see `node_event_key`'s encoding notes).
+//! * **Partition-invariant event keys.** Every event is inserted with a
+//!   canonical 64-bit key derived from its content (node, port, class, …)
+//!   instead of an arrival-order sequence number, so simultaneous events
+//!   pop in the same relative order no matter which shard's queue they sit
+//!   in (see `node_event_key`'s encoding notes).
 //! * **Per-node RNG streams.** ECN marking draws, host driver randomness and
 //!   probabilistic fault draws come from per-node `SmallRng`s seeded from
 //!   `(seed, node)`, so a node's stream does not depend on which other nodes
@@ -127,15 +129,19 @@ pub(crate) const RANK_TIMER: u64 = 3;
 /// Mask for the per-event auxiliary discriminant (bits 38..0).
 pub(crate) const AUX_MASK: u64 = (1 << 39) - 1;
 
-/// Canonical key of a node-addressed event: class 1, then node id (20 bits),
-/// then rank, then an aux discriminant. Keys are unique among simultaneous
-/// events — link serialization separates same-port arrivals, a port has one
-/// in-flight packet, PFC pause/resume alternates per (port, prio) under the
-/// Xoff/Xon hysteresis, and host timers carry a per-host sequence number —
-/// so `(time, key)` is a total order independent of the partition.
+/// Nodes a node-addressed event key can name: its node field is 20 bits.
+/// Every core asserts that its topology fits when it is built.
+pub(crate) const MAX_KEYED_NODES: usize = 1 << 20;
+
+/// Canonical key of a node-addressed event: class 1, then node id (20 bits,
+/// see [`MAX_KEYED_NODES`]), then rank, then an aux discriminant. Keys are
+/// unique among simultaneous events — link serialization separates
+/// same-port arrivals, a port has one in-flight packet, PFC pause/resume
+/// alternates per (port, prio) under the Xoff/Xon hysteresis, and host
+/// timers carry a per-host sequence number — so `(time, key)` is a total
+/// order independent of the partition.
 #[inline]
 pub(crate) fn node_event_key(node: NodeId, rank: u64, aux: u64) -> u64 {
-    debug_assert!(node.0 < (1 << 20), "node id exceeds key width");
     (CLASS_NODE << 62) | ((node.0 as u64) << 42) | (rank << 39) | (aux & AUX_MASK)
 }
 

@@ -12,22 +12,17 @@ use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::queues::{QueueTelemetry, MAX_PRIOS};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-/// Salt XORed into the fault-plan seed so the fault RNG stream never aliases
-/// the engine RNG even when both are seeded with the same number.
+/// Salt XORed into the fault-plan seed so a node's fault RNG stream never
+/// aliases its engine stream even when both are seeded with the same number.
 const FAULT_SEED_SALT: u64 = 0xFA17_0B5E_55ED_0001;
 
 /// Defensive cap on buffered fault-log entries between drains.
 const FAULT_LOG_CAP: usize = 1 << 16;
 
-/// The engine-wide fault RNG for `seed` (the config seed until a plan is
+/// `node`'s own fault RNG stream for `seed` (the config seed until a plan is
 /// installed, [`FaultPlan::seed`] afterwards).
-pub(super) fn fault_stream(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed ^ FAULT_SEED_SALT)
-}
-
-/// `node`'s own fault RNG stream for `seed` (sharded cores).
 pub(super) fn node_fault_stream(seed: u64, node: usize) -> SmallRng {
     super::sharding::node_stream(seed ^ FAULT_SEED_SALT, node)
 }
@@ -333,7 +328,7 @@ impl Simulator {
     /// this simulator's topology ([`FaultPlan::check_topology`]) — and
     /// schedule every fault it contains into the event loop (faults dated in
     /// the past fire immediately). Nothing is scheduled and no RNG is
-    /// touched when the plan is rejected. The dedicated fault RNG is
+    /// touched when the plan is rejected. The per-node fault RNGs are
     /// reseeded from [`FaultPlan::seed`], so identical plans on identical
     /// simulations reproduce identical runs; a plan with no probabilistic
     /// faults leaves the packet trajectory of the fault-free portions
@@ -341,11 +336,8 @@ impl Simulator {
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultPlanError> {
         plan.validate()?;
         plan.check_topology(&self.core.topo)?;
-        self.core.fault_rng = fault_stream(plan.seed);
-        if let Some(sc) = self.core.shard.as_mut() {
-            for (i, r) in sc.node_fault_rngs.iter_mut().enumerate() {
-                *r = node_fault_stream(plan.seed, i);
-            }
+        for (i, r) in self.core.shard.node_fault_rngs.iter_mut().enumerate() {
+            *r = node_fault_stream(plan.seed, i);
         }
         // Every scheduled fault appends at most one log entry; reserving up
         // front keeps the steady-state loop free of fault-log growth.

@@ -14,8 +14,9 @@
 //!   happening above is reported as, and the one holder of the observers
 //!   it reaches.
 //! * `sharding.rs` — **shard plumbing**: canonical event keys, outboxes
-//!   and remote injection, node ownership and the per-node RNG streams of
-//!   a sharded run (the protocol itself is [`crate::shard`]).
+//!   and remote injection, node ownership and the per-node RNG streams
+//!   (every core is one shard of a partition, [`Simulator::new`]'s of the
+//!   one-shard partition; the protocol itself is [`crate::shard`]).
 //!
 //! The children are ordinary child modules: they reach the private fields
 //! of the state structs, and nothing is more visible than it was when this
@@ -40,11 +41,11 @@ use crate::queues::{
     Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry, MAX_PRIOS,
 };
 use crate::routing::RouteTable;
-use crate::shard::RemoteEvent;
+use crate::shard::{RemoteEvent, ShardPlan, MAX_KEYED_NODES};
 use crate::time::{tx_time, SimTime};
 use crate::topology::{NodeKind, PortInfo, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::time::Instant;
 
 /// On-wire size of a PFC pause frame (only used for its serialization delay).
@@ -162,15 +163,17 @@ pub(crate) struct NodeState {
     telem_fault: Option<TelemFault>,
 }
 
-/// Sharded-mode state attached to a [`SimCore`] (see [`crate::shard`]):
-/// ownership map, staged cross-shard events, and the per-node RNG streams
-/// that make a node's random draws independent of its thread placement.
-pub(crate) struct ShardCtx {
+/// A [`SimCore`]'s place in its partition (see [`crate::shard`]; one shard
+/// of one for [`Simulator::new`]): ownership map, the event-key state,
+/// staged cross-shard events, and the per-node RNG streams that make a
+/// node's random draws independent of its thread placement.
+struct ShardCtx {
     my_shard: u32,
     n_shards: u32,
     owner_of: Vec<u32>,
     /// Outbound cross-shard events staged per destination shard; drained by
     /// the run loop after each processing slice ([`SimCore::drain_outbox_into`]).
+    /// This shard's own entry stays empty and unallocated.
     outboxes: Vec<Vec<RemoteEvent>>,
     /// Per-host sequence numbers disambiguating simultaneous host timers in
     /// the canonical event key (two timers may share (host, token, time)).
@@ -213,7 +216,6 @@ pub struct SimCore {
     /// does not look at the ingress port.
     impaired_ports: usize,
     pub(crate) routes: RouteTable,
-    pub(crate) rng: SmallRng,
     /// Total packets dropped anywhere in the fabric.
     pub total_drops: u64,
     /// Drops on PFC-protected classes — should stay 0; nonzero means the
@@ -229,10 +231,6 @@ pub struct SimCore {
     pub total_pfc_pauses: u64,
     /// Total events processed (for performance reporting).
     pub events_processed: u64,
-    /// Dedicated RNG for probabilistic faults; reseeded from
-    /// [`FaultPlan::seed`] when a plan is installed so the packet-path RNG
-    /// stream is untouched by fault injection.
-    pub(crate) fault_rng: SmallRng,
     /// Executed faults awaiting collection by [`SimCore::drain_fault_log`].
     fault_log: Vec<FaultLogEntry>,
     /// Entries discarded because the log hit its cap (`FAULT_LOG_CAP`) between
@@ -254,20 +252,23 @@ pub struct SimCore {
     /// Recycled telemetry-freeze snapshot storage: when a freeze ends, its
     /// buffer parks here so the next freeze reuses the capacity.
     telem_snap_pool: Vec<(u64, QueueTelemetry)>,
-    /// Sharded-mode context; `None` on the classic single-threaded path,
-    /// which keeps its original shared-RNG, sequence-numbered behaviour
-    /// (existing seeded baselines stay byte-stable).
-    pub(crate) shard: Option<Box<ShardCtx>>,
+    /// This core's shard: every event is keyed and every random draw comes
+    /// from a per-node stream through it, whatever the shard count.
+    shard: Box<ShardCtx>,
 }
 
 impl SimCore {
-    /// `shard` is `None` for the classic single-threaded engine, this
-    /// shard's context for one shard of a sharded run.
-    fn new(topo: Topology, cfg: SimConfig, shard: Option<Box<ShardCtx>>) -> Self {
+    /// A core for the shard `shard` describes.
+    fn new(topo: Topology, cfg: SimConfig, shard: Box<ShardCtx>) -> Self {
         cfg.validate();
         assert!(
             cfg.port.num_prios <= MAX_PRIOS,
             "at most 8 traffic classes (PFC bitmask)"
+        );
+        assert!(
+            topo.nodes.len() <= MAX_KEYED_NODES,
+            "{} nodes do not fit the event key's node field",
+            topo.nodes.len()
         );
         let mut ports = Vec::with_capacity(topo.nodes.iter().map(|n| n.ports.len()).sum());
         let mut port_base = Vec::with_capacity(topo.nodes.len() + 1);
@@ -286,16 +287,10 @@ impl SimCore {
         // The one packet slab is sized from the switches this core owns —
         // their shared buffers are where a fabric's backlog stands. Foreign
         // nodes never enqueue here (their events route to their owner).
-        let owned_switches = topo
-            .switches()
-            .iter()
-            .filter(|&&sw| shard.as_ref().is_none_or(|sc| sc.owns(sw)))
-            .count();
+        let owned_switches = topo.switches().iter().filter(|&&sw| shard.owns(sw)).count();
         let per_switch = cfg.port.arena_slots;
         let arena_reserved = per_switch * owned_switches.max(1);
         let routes = RouteTable::build(&topo);
-        let rng = SmallRng::seed_from_u64(cfg.seed);
-        let fault_rng = faults::fault_stream(cfg.seed);
         // Fault-path scratch buffers are sized from the topology up front so
         // the *first* reboot or telemetry freeze after warmup doesn't grow
         // them (growth on first use would show up as a steady-state alloc).
@@ -315,14 +310,12 @@ impl SimCore {
             arena_reserved,
             impaired_ports: 0,
             routes,
-            rng,
             total_drops: 0,
             lossless_drops: 0,
             unroutable_drops: 0,
             fault_drops: 0,
             total_pfc_pauses: 0,
             events_processed: 0,
-            fault_rng,
             fault_log: Vec::new(),
             fault_log_dropped: 0,
             faults_executed: 0,
@@ -367,12 +360,9 @@ impl SimCore {
 
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Event) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        // A sharded core keys the event canonically and may divert it to
-        // another shard (see `sharding.rs`).
-        match self.shard.as_mut() {
-            Some(sc) => sc.schedule(&mut self.events, at, ev),
-            None => self.events.push(at, ev),
-        }
+        // Keyed canonically, and diverted when another shard owns the
+        // target (see `sharding.rs`).
+        self.shard.schedule(&mut self.events, at, ev);
     }
 
     pub(crate) fn schedule_host_timer(&mut self, at: SimTime, host: NodeId, token: u64) {
@@ -687,13 +677,17 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build a simulator for `topo` with the given configuration.
+    /// Build a simulator for `topo` with the given configuration: the one
+    /// shard of a one-shard [`ShardPlan`], so it runs exactly what
+    /// [`Simulator::new_sharded`] runs on any partition of the same
+    /// topology, one shard at a time.
     ///
     /// Hosts start without drivers (packets delivered to a driverless host
     /// are counted and discarded); switches start without controllers (the
     /// initial ECN configuration stays in force — i.e. a static-ECN network).
     pub fn new(topo: Topology, cfg: SimConfig) -> Self {
-        Self::from_core(SimCore::new(topo, cfg, None))
+        let plan = ShardPlan::build(&topo, 1);
+        Self::new_sharded(topo, cfg, &plan, 0)
     }
 
     fn from_core(mut core: SimCore) -> Self {
@@ -985,7 +979,7 @@ impl ControllerHost for Simulator {
     }
 
     fn is_sharded(&self) -> bool {
-        self.core.shard.is_some()
+        self.core.shard.n_shards > 1
     }
 
     fn set_controller(&mut self, switch: NodeId, ctl: Box<dyn QueueController>) {

@@ -1,9 +1,9 @@
-//! Shard plumbing: what makes a [`SimCore`] one shard of a sharded run (see
-//! [`crate::shard`] for the protocol). The canonical event keys and the
-//! diversion of foreign events into outboxes (the sharded half of
-//! [`SimCore::schedule`]), the inbound side, node ownership, and the
-//! per-node RNG streams that make a node's draws independent of its thread
-//! placement. An unsharded core takes the `None` branch of each of these.
+//! Shard plumbing: what makes every [`SimCore`] one shard of a partition
+//! (see [`crate::shard`] for the protocol; [`Simulator::new`] builds the
+//! one-shard partition). The canonical event keys and the diversion of
+//! foreign events into outboxes (all of [`SimCore::schedule`]), the inbound
+//! side, node ownership, and the per-node RNG streams that make a node's
+//! draws independent of its thread placement.
 
 use super::{ShardCtx, SimCore, Simulator};
 use crate::config::SimConfig;
@@ -30,8 +30,17 @@ impl ShardCtx {
             my_shard: me,
             n_shards: plan.n_shards,
             owner_of: plan.owner_of.clone(),
+            // An event for an owned node is pushed locally, so this shard's
+            // own slot is never written and reserves nothing.
             outboxes: (0..plan.n_shards)
-                .map(|_| Vec::with_capacity(remote_buf_capacity(n_nodes)))
+                .map(|s| {
+                    let cap = if s == me {
+                        0
+                    } else {
+                        remote_buf_capacity(n_nodes)
+                    };
+                    Vec::with_capacity(cap)
+                })
                 .collect(),
             timer_seq: vec![0; n_nodes],
             node_rngs: (0..n_nodes).map(|i| node_stream(seed, i)).collect(),
@@ -49,12 +58,12 @@ impl ShardCtx {
         self.owner_of[node.idx()] == self.my_shard
     }
 
-    /// The sharded half of [`SimCore::schedule`]: every event gets a canonical
-    /// content-derived key so simultaneous events pop in a
-    /// partition-invariant order, and events addressed to foreign nodes
-    /// divert to the owner's mailbox. Only `Arrive` and `PfcUpdate` can
-    /// target foreign nodes — `TxDone` is scheduled by the owner of the
-    /// transmitting port and `HostTimer` by the owner of the host.
+    /// [`SimCore::schedule`]: every event gets a canonical content-derived
+    /// key so simultaneous events pop in a partition-invariant order, and
+    /// events addressed to foreign nodes divert to the owner's mailbox. Only
+    /// `Arrive` and `PfcUpdate` can target foreign nodes — `TxDone` is
+    /// scheduled by the owner of the transmitting port and `HostTimer` by
+    /// the owner of the host.
     #[inline]
     pub(super) fn schedule(&mut self, events: &mut EventQueue, at: SimTime, ev: Event) {
         let (key, target) = match &ev {
@@ -114,57 +123,43 @@ impl SimCore {
             ev.at >= self.now,
             "remote event arrived in this shard's past"
         );
-        if let Some(sc) = self.shard.as_mut() {
-            sc.received += 1;
-        }
+        self.shard.received += 1;
         self.events.push_keyed(ev.at, ev.key, ev.event);
     }
 
     /// Move every staged outbound event for `shard` into `out` (appends;
     /// both vectors keep their capacity, so a steady-state exchange does not
-    /// allocate). No-op on an unsharded core.
+    /// allocate).
     pub fn drain_outbox_into(&mut self, shard: u32, out: &mut Vec<RemoteEvent>) {
-        if let Some(sc) = self.shard.as_mut() {
-            out.append(&mut sc.outboxes[shard as usize]);
-        }
+        out.append(&mut self.shard.outboxes[shard as usize]);
     }
 
-    /// Cross-shard (sent, received) event counts of this shard; (0, 0) on an
-    /// unsharded core.
+    /// Cross-shard (sent, received) event counts of this shard; (0, 0) on a
+    /// one-shard core.
     pub fn shard_comm_counters(&self) -> (u64, u64) {
-        self.shard
-            .as_ref()
-            .map(|sc| (sc.sent, sc.received))
-            .unwrap_or((0, 0))
+        (self.shard.sent, self.shard.received)
     }
 
-    /// Whether this core owns `node` (always true on an unsharded core).
+    /// Whether this core owns `node` (every node, on a one-shard core).
     /// Telemetry samplers and harness readbacks use this to emit each node's
     /// data from exactly one shard.
     #[inline]
     pub fn owns_node(&self, node: NodeId) -> bool {
-        self.shard.as_ref().map(|sc| sc.owns(node)).unwrap_or(true)
+        self.shard.owns(node)
     }
 
     /// The RNG a node's driver and its ECN marking draw from: the node's own
-    /// stream in sharded mode (placement-independent), the shared engine RNG
-    /// otherwise.
+    /// stream, so its draws do not depend on which nodes share its core.
     #[inline]
     pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut SmallRng {
-        match self.shard.as_mut() {
-            Some(sc) => &mut sc.node_rngs[node.idx()],
-            None => &mut self.rng,
-        }
+        &mut self.shard.node_rngs[node.idx()]
     }
 
-    /// The RNG a node's probabilistic packet loss draws from; split like
+    /// The RNG a node's probabilistic packet loss draws from; per node like
     /// [`Self::node_rng`].
     #[inline]
     pub(super) fn node_fault_rng(&mut self, node: NodeId) -> &mut SmallRng {
-        match self.shard.as_mut() {
-            Some(sc) => &mut sc.node_fault_rngs[node.idx()],
-            None => &mut self.fault_rng,
-        }
+        &mut self.shard.node_fault_rngs[node.idx()]
     }
 }
 
@@ -182,18 +177,14 @@ impl Simulator {
             "shard plan was built for a different topology"
         );
         let ctx = Box::new(ShardCtx::new(plan, shard, cfg.seed));
-        Self::from_core(SimCore::new(topo, cfg, Some(ctx)))
+        Self::from_core(SimCore::new(topo, cfg, ctx))
     }
 
-    /// Panic unless this simulator was built with [`Simulator::new_sharded`]
-    /// for exactly (`n_shards`, `shard`) — the sharded runner's guard against
-    /// a builder closure wiring up the wrong shard.
+    /// Panic unless this simulator was built for exactly (`n_shards`,
+    /// `shard`) — the sharded runner's guard against a builder closure
+    /// wiring up the wrong shard.
     pub(crate) fn assert_shard(&self, n_shards: u32, shard: u32) {
-        let sc = self
-            .core
-            .shard
-            .as_ref()
-            .expect("sharded run requires Simulator::new_sharded");
+        let sc = &self.core.shard;
         assert_eq!(sc.n_shards, n_shards, "simulator built for another plan");
         assert_eq!(sc.my_shard, shard, "simulator built for another shard");
     }

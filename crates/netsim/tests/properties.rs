@@ -371,23 +371,38 @@ proptest! {
     /// Differential test of the timing-wheel queue against the reference
     /// `BinaryHeap` queue: any interleaving of pushes and pops produces an
     /// identical pop sequence — same `(time, seq)` at every step, including
-    /// FIFO order among same-timestamp ties. Times span all three wheel
-    /// tiers (current bucket, in-wheel, overflow) and `tie` forces repeats
-    /// of a recent timestamp so ties actually occur.
+    /// the order among same-timestamp ties. Times span all three wheel
+    /// tiers (current bucket, in-wheel, overflow), and `near` puts a push at
+    /// a recent timestamp or 7 or 14 ns after it, so ties occur and one
+    /// bucket holds several runs of them. `keyed` cases push as
+    /// the engine does, through `push_keyed`, under keys unique per time and
+    /// drawn out of order, so equal-time runs reach a bucket out of key
+    /// order — directly and as migrants from the overflow heap — and the
+    /// wheel has to settle them; the others `push`, whose key is the push
+    /// count.
     #[test]
     fn wheel_queue_matches_reference_heap(
+        keyed in any::<bool>(),
         ops in prop::collection::vec(
-            (0u64..200_000_000_000, any::<bool>(), prop::option::of(0u8..4)),
+            (
+                0u64..200_000_000_000,
+                any::<bool>(),
+                prop::option::of((0u8..4, 0u64..3)),
+                any::<u64>(),
+            ),
             1..400,
         ),
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut recent: Vec<u64> = Vec::new();
-        for (i, &(t_ps, do_pop, tie)) in ops.iter().enumerate() {
-            // Either a fresh time or an exact repeat of a recent one.
-            let t_ps = match tie {
-                Some(k) if !recent.is_empty() => recent[k as usize % recent.len()],
+        let mut used: BTreeSet<(u64, u64)> = BTreeSet::new();
+        for (i, &(t_ps, do_pop, near, key)) in ops.iter().enumerate() {
+            // Either a fresh time or one at or just after a recent one.
+            let t_ps = match near {
+                Some((k, step)) if !recent.is_empty() => {
+                    recent[k as usize % recent.len()] + step * 7_000
+                }
                 _ => t_ps,
             };
             recent.push(t_ps);
@@ -396,8 +411,17 @@ proptest! {
             }
             let t = SimTime::from_ps(t_ps);
             let ev = Event::HostTimer { host: NodeId(0), token: i as u64 };
-            wheel.push(t, ev);
-            heap.push(t, ev);
+            if keyed {
+                // Keys must be unique per timestamp.
+                if !used.insert((t_ps, key)) {
+                    continue;
+                }
+                wheel.push_keyed(t, key, ev);
+                heap.push_keyed(t, key, ev);
+            } else {
+                wheel.push(t, ev);
+                heap.push(t, ev);
+            }
             prop_assert_eq!(wheel.len(), heap.len());
             if do_pop {
                 let a = wheel.pop().expect("just pushed");
