@@ -922,6 +922,8 @@ struct ClaimedRun {
     /// was claimed for.
     policy: String,
     seed: u64,
+    /// [`arrivals_digest`] of the traffic the run is built with.
+    arrivals_digest: u64,
     /// Experiment id of the claiming harness.
     experiment: String,
     /// Run name (also the directory's basename).
@@ -930,6 +932,22 @@ struct ClaimedRun {
     dir: PathBuf,
     /// Armed queue-sampling interval.
     interval: SimTime,
+}
+
+/// FNV-1a over every arrival's `(at_ps, src, dst, bytes, cc, tag)`, in
+/// list order: the traffic a run was offered, as one number in its
+/// manifest.
+fn arrivals_digest(arrivals: &[Arrival]) -> u64 {
+    let mut bytes = Vec::with_capacity(arrivals.len() * 33);
+    for a in arrivals {
+        bytes.extend(a.at.as_ps().to_le_bytes());
+        bytes.extend(a.src.0.to_le_bytes());
+        bytes.extend(a.msg.dst.0.to_le_bytes());
+        bytes.extend(a.msg.bytes.to_le_bytes());
+        bytes.push(a.msg.cc as u8);
+        bytes.extend(a.msg.tag.to_le_bytes());
+    }
+    fnv1a(&bytes)
 }
 
 /// The engine configuration every policy experiment runs: `seed`, one
@@ -1054,6 +1072,7 @@ impl Harness {
             run: claim.run.clone(),
             policy: claim.policy.clone(),
             seed: claim.seed,
+            arrivals_digest: claim.arrivals_digest,
             scale: match shards {
                 Some(n) => format!("{scale}+shards{n}"),
                 None => scale.to_string(),
@@ -1137,7 +1156,7 @@ impl Harness {
         let seed = cfg.seed;
         let mut sim = Simulator::new(spec.build(), cfg);
         let (record, claim) = self
-            .claim_run(label, seed)
+            .claim_run(label, seed, arrivals)
             .and_then(|c| Some((self.open_jsonl(&c)?, c)))
             .map(|(sink, c)| ((c.interval, Box::new(sink) as Box<dyn TelemetrySink>), c))
             .unzip();
@@ -1212,7 +1231,7 @@ impl Harness {
         let topo = spec.build();
         let plan = ShardPlan::build(&topo, n_shards);
         let cfg = sim_config(seed);
-        let claim = self.claim_run(policy.name(), seed);
+        let claim = self.claim_run(policy.name(), seed, arrivals);
         let interval = claim.as_ref().map(|c| c.interval);
         let started = std::time::Instant::now();
         let shards = run_sharded_phased(
@@ -1316,7 +1335,7 @@ impl Harness {
     /// an existing recording is never truncated — a deterministic-name
     /// collision (re-running into a used `--metrics-dir`) is reported as a
     /// metrics failure so the process exits non-zero.
-    fn claim_run(&self, label: &str, seed: u64) -> Option<ClaimedRun> {
+    fn claim_run(&self, label: &str, seed: u64, arrivals: &[Arrival]) -> Option<ClaimedRun> {
         let ctx = self.shared.metrics.as_ref()?;
         let exp = &self.experiment;
         if let Err(e) = std::fs::create_dir_all(&ctx.dir) {
@@ -1374,6 +1393,7 @@ impl Harness {
         Some(ClaimedRun {
             policy: label.to_string(),
             seed,
+            arrivals_digest: arrivals_digest(arrivals),
             experiment: exp.clone(),
             run,
             dir,
@@ -1449,16 +1469,6 @@ pub fn node_tx_bytes(sim: &Simulator, node: NodeId, prio: Prio) -> u64 {
                 .tx_bytes
         })
         .sum()
-}
-
-/// Time-average queue depth (bytes) of one queue over the whole run.
-pub fn queue_time_avg(sim: &mut Simulator, node: NodeId, port: PortId, prio: Prio) -> f64 {
-    let now = sim.now();
-    let t = sim.core_mut().synced_queue_telem(node, port, prio);
-    if now.as_ps() == 0 {
-        return 0.0;
-    }
-    t.qlen_integral_byte_ps as f64 / now.as_ps() as f64
 }
 
 /// Pretty-print a header for an experiment.

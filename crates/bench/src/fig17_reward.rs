@@ -60,10 +60,7 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
     let horizon = SimTime::from_ms(total_ms);
     let converge_from = SimTime::from_ms(total_ms * 3 / 4);
     sim.run_until(converge_from);
-    let tx0 = sim
-        .core_mut()
-        .synced_queue_telem(sw, PortId(15), PRIO_RDMA)
-        .tx_bytes;
+    let t0 = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
     let mut histogram = vec![0u64; 10];
     let port = PortId(15);
     while sim.now() < horizon {
@@ -98,14 +95,12 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
             })
             .collect::<Vec<f64>>()
     });
-    let tx1 = sim
-        .core_mut()
-        .synced_queue_telem(sw, PortId(15), PRIO_RDMA)
-        .tx_bytes;
+    let t1 = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
     let window = horizon - converge_from;
-    let goodput_gbps = (tx1 - tx0) as f64 * 8.0 / window.as_secs_f64() / 1e9;
+    let goodput_gbps = (t1.tx_bytes - t0.tx_bytes) as f64 * 8.0 / window.as_secs_f64() / 1e9;
     // Time-average queue over the converged window only.
-    let avg_q = common::queue_time_avg(sim, sw, port, PRIO_RDMA);
+    let avg_q =
+        (t1.qlen_integral_byte_ps - t0.qlen_integral_byte_ps) as f64 / window.as_ps() as f64;
     (histogram, avg_q / 1024.0, goodput_gbps, mean_rewards)
 }
 

@@ -18,7 +18,7 @@
 
 mod support;
 
-use acc_bench::common::{Harness, Policy, RunOutcome, Scale};
+use acc_bench::common::{Harness, MatrixCell, Policy, RunOutcome, Scale};
 use netsim::prelude::*;
 use std::path::{Path, PathBuf};
 use support::{assert_same_tree, fresh_dir};
@@ -81,6 +81,66 @@ fn fig12_scenario() -> (TopologySpec, Vec<Arrival>, SimTime) {
     let g = PoissonGen::new(SizeDist::web_search(), 0.6, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     (spec, arrivals, dur + SimTime::from_ms(4))
+}
+
+/// Every run manifest carries the digest of its arrival list: the same on
+/// one simulator and on two shards, whether a matrix runs its cells on one
+/// worker or two, and a different one for traffic from another seed.
+#[test]
+fn manifests_carry_the_arrival_digest() {
+    let root = fresh_dir("shard-smoke-digest");
+    let spec = TopologySpec::paper_cacc_sim();
+    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
+    let traffic = |seed: u64| {
+        let g = PoissonGen::new(SizeDist::web_search(), 0.6, CcKind::Dcqcn, seed);
+        g.generate(&hosts, 25_000_000_000, SimTime::ZERO, SimTime::from_ms(1))
+    };
+    let horizon = SimTime::from_ms(1);
+    let digest = |dir: &Path| {
+        telemetry::RunManifest::load(&dir.join("manifest.json"))
+            .unwrap()
+            .arrivals_digest
+    };
+    let arrivals = traffic(41);
+    let shard_digests: Vec<u64> = [None, Some(2)]
+        .into_iter()
+        .map(|shards| {
+            let dir = root.join(format!("{shards:?}"));
+            let (_, run) = recorded(
+                &dir,
+                &spec,
+                Policy::Secn1,
+                9,
+                &arrivals,
+                None,
+                shards,
+                horizon,
+            );
+            digest(&run)
+        })
+        .collect();
+    assert_eq!(shard_digests[0], shard_digests[1], "unsharded vs 2 shards");
+
+    let matrix = |jobs: usize| -> Vec<u64> {
+        let h = Harness::new(Scale::QUICK)
+            .with_jobs(jobs)
+            .with_metrics(root.join(format!("jobs{jobs}")), SimTime::from_us(100))
+            .experiment("digest");
+        let cells = [41, 42]
+            .map(|seed| {
+                let (spec, arrivals) = (&spec, traffic(seed));
+                MatrixCell::new(format!("traffic{seed}"), move |h: &Harness| {
+                    let out = h.run_to(spec, Policy::Secn1, 9, &arrivals, None, &[horizon], |_| {});
+                    digest(&out.metrics_dir.expect("an armed run records a run dir"))
+                })
+            })
+            .into();
+        h.run_matrix(cells)
+    };
+    let (serial, parallel) = (matrix(1), matrix(2));
+    assert_eq!(serial, parallel, "--jobs 1 vs --jobs 2");
+    assert_eq!(serial[0], shard_digests[0], "a matrix cell vs a lone run");
+    assert_ne!(serial[0], serial[1], "another traffic seed, another digest");
 }
 
 /// The fig12 scenario under online-tuning ACC (per-switch replay, as on

@@ -21,6 +21,12 @@
 //!    forwards. Which thread ran it changes no recorded byte (the argument
 //!    is in the [`rl::trainer`] module docs).
 //!
+//! H-ACC ([`AccController::hybrid`], the §6 hybrid) is this same controller
+//! with a link to a [`crate::hybrid::CentralTrainer`]: step 3 queues the
+//! transition for the trainer instead of the local replay, step 5 is
+//! replaced by reporting the tick's transitions to the trainer, and every
+//! `sync_ticks` ticks the local agent loads the trainer's published model.
+//!
 //! The busy/idle optimisation of §4.2 suspends inference for queues that
 //! stay below `Kmin` with an unchanged reward for three consecutive slots,
 //! resuming the moment the queue crosses `Kmin` again.
@@ -33,6 +39,7 @@
 
 use crate::action::ActionSpace;
 use crate::guard::{GuardConfig, GuardedController};
+use crate::hybrid::{CentralLink, CentralTrainer, SharedTrainer};
 use crate::reward::RewardConfig;
 use crate::state::QueueObserver;
 use netsim::ids::PRIO_RDMA;
@@ -113,7 +120,8 @@ struct QueueCtx {
     action_idx: usize,
     /// §4.2 busy/idle machinery.
     idle: bool,
-    last_reward: f64,
+    /// Reward of the most recent interval; `None` before the first.
+    last_reward: Option<f64>,
     unchanged_slots: u32,
 }
 
@@ -153,7 +161,7 @@ const HELPER_SPAN_CAP: usize = 65_536;
 /// Persistent across ticks so the steady-state control loop does not grow
 /// the heap.
 #[derive(Default)]
-pub(crate) struct BatchSelect {
+struct BatchSelect {
     states: Vec<f32>,
     decisions: Vec<(usize, f64)>,
     greedy: Vec<usize>,
@@ -162,7 +170,7 @@ pub(crate) struct BatchSelect {
 impl BatchSelect {
     /// Choose an action for each of `states` (ε-greedy when `explore`, else
     /// greedy) and return `(action, ε)` per state, in order.
-    pub(crate) fn select<'a>(
+    fn select<'a>(
         &mut self,
         agent: &mut DdqnAgent,
         states: impl Iterator<Item = &'a [f32]>,
@@ -199,8 +207,6 @@ pub struct AccController {
     queues: HashMap<(u16, Prio), QueueCtx>,
     /// Introspection counters.
     pub stats: AccStats,
-    /// Most recent rewards (for experiment traces): keyed like `queues`.
-    pub last_rewards: HashMap<(u16, Prio), f64>,
     /// Optional flight recorder: when attached, every decision emits an
     /// [`telemetry::AgentSample`]. Disabled is one `Option` check.
     recorder: Option<telemetry::SharedRecorder>,
@@ -217,6 +223,8 @@ pub struct AccController {
     /// Queues awaiting this tick's batched selection pass.
     pending: Vec<PendingDecision>,
     select: BatchSelect,
+    /// H-ACC's central trainer; `None` for D-ACC.
+    central: Option<CentralLink>,
 }
 
 impl AccController {
@@ -246,7 +254,6 @@ impl AccController {
             global_replay: None,
             queues: HashMap::new(),
             stats: AccStats::default(),
-            last_rewards: HashMap::new(),
             recorder: None,
             last_td_loss: None,
             anomalies: 0,
@@ -254,6 +261,7 @@ impl AccController {
             helper_spans: Vec::new(),
             pending: Vec::new(),
             select: BatchSelect::default(),
+            central: None,
         }
     }
 
@@ -263,6 +271,30 @@ impl AccController {
         let ctl = Self::new(cfg, space);
         ctl.agent.borrow_mut().get().load_model(model);
         ctl
+    }
+
+    /// An H-ACC controller (§6): infers with a local agent that starts from
+    /// `trainer`'s published model and never trains (`online_training` is
+    /// switched off), ships every transition to `trainer` after the tick's
+    /// select + apply, and loads the newest published model every
+    /// `sync_ticks` ticks.
+    pub fn hybrid(
+        mut cfg: AccConfig,
+        space: ActionSpace,
+        trainer: SharedTrainer,
+        sync_ticks: u64,
+    ) -> Self {
+        cfg.online_training = false;
+        let model = trainer.borrow().model();
+        let mut ctl = Self::from_model(cfg, space, &model);
+        ctl.central = Some(CentralLink::new(trainer, sync_ticks));
+        ctl
+    }
+
+    /// Models this controller loaded from its central trainer (0 unless it
+    /// was built by [`AccController::hybrid`]).
+    pub fn syncs(&self) -> u64 {
+        self.central.as_ref().map_or(0, |c| c.syncs)
     }
 
     /// Attach the cross-switch global replay memory.
@@ -297,6 +329,11 @@ impl AccController {
         self.queues.get(&(port.0, prio)).map(|q| q.action_idx)
     }
 
+    /// The reward of a queue's most recent interval, if it has had one.
+    pub fn last_reward(&self, port: PortId, prio: Prio) -> Option<f64> {
+        self.queues.get(&(port.0, prio)).and_then(|q| q.last_reward)
+    }
+
     /// Training-anomaly signals (NaN Q-values/targets) raised by this
     /// controller's agent, as of the last *finished* update plus the
     /// current tick's action selection. [`crate::guard`] polls this right
@@ -329,7 +366,7 @@ impl AccController {
                 prev: None,
                 action_idx,
                 idle: false,
-                last_reward: f64::NAN,
+                last_reward: None,
                 unchanged_slots: 0,
             }
         });
@@ -339,7 +376,7 @@ impl AccController {
             return;
         };
         let reward = self.cfg.reward.reward(iv.utilization, iv.avg_qlen_bytes);
-        self.last_rewards.insert(key, reward);
+        let last_reward = q.last_reward.replace(reward).unwrap_or(f64::NAN);
         let state = q.observer.state();
 
         // §4.2 busy/idle: skip inference for quiet queues. A queue becomes
@@ -349,21 +386,18 @@ impl AccController {
         // forever under a high-threshold action.
         if self.cfg.idle_optimization {
             let kmin = snap.ecn.map(|e| e.kmin_bytes).unwrap_or(0);
-            let changed = (reward - q.last_reward).abs() > 1e-6;
+            let changed = (reward - last_reward).abs() > 1e-6;
             if q.idle {
                 if snap.qlen_bytes > kmin || changed {
                     q.idle = false;
                     q.unchanged_slots = 0;
-                    q.last_reward = reward;
                 } else {
                     q.prev = None; // don't learn across the idle gap
-                    q.last_reward = reward;
                     self.stats.skipped_idle += 1;
                     return;
                 }
             } else {
-                let unchanged = !changed && q.last_reward.is_finite();
-                q.last_reward = reward;
+                let unchanged = !changed && last_reward.is_finite();
                 if snap.qlen_bytes < kmin && unchanged {
                     q.unchanged_slots += 1;
                     if q.unchanged_slots >= 3 {
@@ -375,18 +409,21 @@ impl AccController {
             }
         }
 
-        // Learn from the previous action.
+        // Learn from the previous action: locally, or (H-ACC) centrally.
         let mut seat = self.agent.borrow_mut();
         let agent = seat.get();
         if let Some((ps, pa)) = q.prev.take() {
-            if self.cfg.online_training {
-                agent.observe(Transition {
-                    state: ps,
-                    action: pa,
-                    reward: reward as f32,
-                    next_state: state.clone(),
-                    done: false,
-                });
+            let transition = || Transition {
+                state: ps,
+                action: pa,
+                reward: reward as f32,
+                next_state: state.clone(),
+                done: false,
+            };
+            if let Some(central) = &mut self.central {
+                central.queue(transition());
+            } else if self.cfg.online_training {
+                agent.observe(transition());
             }
         }
         let replay_len = agent.replay.len();
@@ -418,7 +455,12 @@ impl AccController {
             self.pending.iter().map(|d| d.state.as_slice()),
             self.cfg.explore,
         );
-        let train_steps = agent.train_steps();
+        // H-ACC's model comes from the central trainer: its steps, not the
+        // local agent's (which never trains).
+        let train_steps = match &self.central {
+            Some(central) => central.train_steps(),
+            None => agent.train_steps(),
+        };
         drop(seat);
         self.stats.inferences += n as u64;
 
@@ -540,6 +582,13 @@ impl QueueController for AccController {
         if let Some(t0) = t0 {
             view.profile_span("acc_select_apply", t0);
         }
+        if let Some(central) = &mut self.central {
+            let t0 = profiling.then(Instant::now);
+            central.after_select(self.stats.ticks, self.agent.borrow_mut().get());
+            if let Some(t0) = t0 {
+                view.profile_span("acc_central", t0);
+            }
+        }
         // Nothing reads a private agent before this switch's next tick,
         // except the experience exchange. An agent shared with other
         // switches is read by the next one of this same tick.
@@ -571,7 +620,7 @@ impl QueueController for AccController {
 /// order) gets `make(cfg_i)`, where `cfg_i` is `cfg` seeded `cfg.seed + i`
 /// — the *global* index, so a shard that owns only some switches still
 /// seeds each exactly as a whole-fabric run would.
-pub(crate) fn install_per_switch<H: ControllerHost>(
+fn install_per_switch<H: ControllerHost>(
     host: &mut H,
     cfg: &AccConfig,
     mut make: impl FnMut(AccConfig) -> Box<dyn QueueController>,
@@ -621,6 +670,28 @@ pub(crate) fn install_dacc<H: ControllerHost>(
         }
     });
     global
+}
+
+/// H-ACC on every switch ([`AccController::hybrid`]), all reporting to one
+/// [`crate::hybrid::CentralTrainer`] that publishes a model every 50
+/// training steps; each switch loads it every `sync_ticks` ticks. Returns
+/// the shared trainer.
+pub fn install_hybrid<H: ControllerHost>(
+    sim: &mut H,
+    cfg: &AccConfig,
+    space: &ActionSpace,
+    sync_ticks: u64,
+) -> SharedTrainer {
+    let trainer = Rc::new(RefCell::new(CentralTrainer::new(cfg, space, 50)));
+    install_per_switch(sim, cfg, |c| {
+        Box::new(AccController::hybrid(
+            c,
+            space.clone(),
+            trainer.clone(),
+            sync_ticks,
+        ))
+    });
+    trainer
 }
 
 /// Install fresh ACC controllers on every switch (see

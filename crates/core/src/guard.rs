@@ -565,7 +565,7 @@ impl QueueController for GuardedController {
                     .inner
                     .as_any_mut()
                     .downcast_mut::<AccController>()
-                    .and_then(|a| a.last_rewards.get(&(port.0, prio)).copied())
+                    .and_then(|a| a.last_reward(port, prio))
                     .unwrap_or(0.0);
                 let obs = GuardObs {
                     qlen_bytes: snap.qlen_bytes,

@@ -11,16 +11,21 @@
 //! round trip to a controller that §3.2 measures. Compared to plain D-ACC,
 //! every switch benefits from fabric-wide experience through one model;
 //! compared to C-ACC, actions stay per-queue and per-switch.
+//!
+//! The switch side is an ordinary [`AccController`] built by
+//! [`AccController::hybrid`] (installed fabric-wide by [`install_hybrid`]):
+//! it observes, rewards, skips idle queues, selects, applies and records
+//! exactly as D-ACC does. This module holds what differs — the
+//! [`CentralTrainer`] and the controller's link to it.
+//!
+//! [`AccController`]: crate::controller::AccController
+//! [`AccController::hybrid`]: crate::controller::AccController::hybrid
 
 use crate::action::ActionSpace;
-use crate::controller::{install_per_switch, AccConfig, BatchSelect};
-use crate::reward::RewardConfig;
-use crate::state::QueueObserver;
-use netsim::prelude::*;
+pub use crate::controller::install_hybrid;
+use crate::controller::AccConfig;
 use rl::{DdqnAgent, Transition};
-use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The centralized trainer: owns the canonical model and the optimizer.
@@ -82,162 +87,58 @@ impl CentralTrainer {
 /// Shared handle to the trainer.
 pub type SharedTrainer = Rc<RefCell<CentralTrainer>>;
 
-struct QueueCtx {
-    observer: QueueObserver,
-    prev: Option<(Vec<f32>, usize)>,
-    action_idx: usize,
-}
-
-/// The per-switch hybrid controller: local inference, centralized training.
-pub struct HybridAcc {
-    cfg: AccConfig,
-    space: ActionSpace,
-    /// Local inference model (synced from the trainer periodically).
-    local: DdqnAgent,
+/// An H-ACC controller's link to the central trainer, with the transitions
+/// of the current tick waiting for its select + apply to end.
+pub(crate) struct CentralLink {
     trainer: SharedTrainer,
-    reward: RewardConfig,
-    queues: HashMap<(u16, Prio), QueueCtx>,
+    /// Load the published model every this many ticks.
+    sync_ticks: u64,
     outbox: Vec<Transition>,
-    ticks: u64,
-    /// Pull a fresh model from the trainer every this many ticks.
-    pub sync_ticks: u64,
-    /// Model syncs performed.
-    pub syncs: u64,
-    /// The telemetry pass collects `(queue, state)` pairs, one batched
-    /// forward selects all actions (see [`crate::controller`]), and the
-    /// results are applied in queue order.
-    pending: Vec<((u16, Prio), PortId, Prio, Vec<f32>)>,
-    select: BatchSelect,
+    /// Models loaded so far.
+    pub(crate) syncs: u64,
 }
 
-impl HybridAcc {
-    /// Build the per-switch stub.
-    pub fn new(
-        cfg: AccConfig,
-        space: ActionSpace,
-        trainer: SharedTrainer,
-        sync_ticks: u64,
-    ) -> Self {
-        let state_dim = cfg.history_k * crate::state::FEATURES_PER_OBS;
-        let mut local = DdqnAgent::new(state_dim, space.len(), cfg.ddqn.clone(), cfg.seed);
-        local.load_model(&trainer.borrow().model());
-        let reward = cfg.reward;
-        HybridAcc {
-            cfg,
-            space,
-            local,
+impl CentralLink {
+    pub(crate) fn new(trainer: SharedTrainer, sync_ticks: u64) -> Self {
+        CentralLink {
             trainer,
-            reward,
-            queues: HashMap::new(),
-            outbox: Vec::new(),
-            ticks: 0,
             sync_ticks: sync_ticks.max(1),
+            outbox: Vec::new(),
             syncs: 0,
-            pending: Vec::new(),
-            select: BatchSelect::default(),
         }
     }
 
-    fn tick_queue(&mut self, view: &mut SwitchView<'_>, port: PortId, prio: Prio) {
-        let snap = view.snapshot(port, prio);
-        let now = view.now();
-        let key = (port.0, prio);
-        let k = self.cfg.history_k;
-        let space_len = self.space.len();
-        let q = self.queues.entry(key).or_insert_with(|| QueueCtx {
-            observer: QueueObserver::new(k, snap.telem, now),
-            prev: None,
-            action_idx: space_len / 2,
-        });
-        let encoded = self.space.encode(q.action_idx);
-        let Some(iv) = q.observer.observe(&snap, now, encoded) else {
-            return;
-        };
-        let reward = self.reward.reward(iv.utilization, iv.avg_qlen_bytes);
-        let state = q.observer.state();
-        if let Some((ps, pa)) = q.prev.take() {
-            self.outbox.push(Transition {
-                state: ps,
-                action: pa,
-                reward: reward as f32,
-                next_state: state.clone(),
-                done: false,
-            });
-        }
-        // Defer the selection to the end-of-tick batched pass.
-        self.pending.push((key, port, prio, state));
+    /// Queue a finished transition for the trainer.
+    pub(crate) fn queue(&mut self, t: Transition) {
+        self.outbox.push(t);
     }
 
-    /// One batched forward pass decides every pending queue, then the
-    /// actions are applied in the original queue order.
-    fn decide_pending(&mut self, view: &mut SwitchView<'_>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let decisions = self.select.select(
-            &mut self.local,
-            self.pending.iter().map(|(_, _, _, state)| state.as_slice()),
-            self.cfg.explore,
-        );
-        for ((key, port, prio, state), &(action, _eps)) in self.pending.iter_mut().zip(decisions) {
-            let q = self.queues.get_mut(key).expect("pending queue exists");
-            q.prev = Some((std::mem::take(state), action));
-            q.action_idx = action;
-            view.set_ecn(*port, *prio, Some(self.space.get(action)));
-        }
-        self.pending.clear();
+    /// Training steps the trainer has taken: the learner the local model
+    /// comes from.
+    pub(crate) fn train_steps(&self) -> u64 {
+        self.trainer.borrow().train_steps
     }
-}
 
-impl QueueController for HybridAcc {
-    fn on_tick(&mut self, view: &mut SwitchView<'_>) {
-        self.ticks += 1;
-        let prios = self.cfg.target_prios.clone();
-        for p in 0..view.num_ports() {
-            for &prio in &prios {
-                self.tick_queue(view, PortId(p as u16), prio);
-            }
-        }
-        self.decide_pending(view);
-        // Ship experience up and (periodically) pull the fresh model down.
+    /// The end of tick `tick`'s select + apply: ship the tick's experience
+    /// up, then, every `sync_ticks` ticks, pull the published model down
+    /// into `local`.
+    pub(crate) fn after_select(&mut self, tick: u64, local: &mut DdqnAgent) {
         if !self.outbox.is_empty() {
             let batch = std::mem::take(&mut self.outbox);
             self.trainer.borrow_mut().report(batch);
         }
-        if self.ticks.is_multiple_of(self.sync_ticks) {
-            let model = self.trainer.borrow().model();
-            self.local.load_model(&model);
+        if tick.is_multiple_of(self.sync_ticks) {
+            local.load_model(&self.trainer.borrow().model());
             self.syncs += 1;
         }
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Install H-ACC on every switch; returns the shared trainer.
-pub fn install_hybrid<H: ControllerHost>(
-    sim: &mut H,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    sync_ticks: u64,
-) -> SharedTrainer {
-    let trainer = Rc::new(RefCell::new(CentralTrainer::new(cfg, space, 50)));
-    install_per_switch(sim, cfg, |c| {
-        Box::new(HybridAcc::new(
-            c,
-            space.clone(),
-            trainer.clone(),
-            sync_ticks,
-        ))
-    });
-    trainer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::AccController;
+    use netsim::prelude::*;
 
     fn small_cfg() -> AccConfig {
         let mut cfg = AccConfig::default();
@@ -258,8 +159,12 @@ mod tests {
         assert!(trainer.borrow().train_steps > 0);
         for sw in sim.core().topo.switches().to_vec() {
             sim.with_controller(sw, |c, _| {
-                let h = c.as_any_mut().downcast_mut::<HybridAcc>().unwrap();
-                assert!(h.syncs >= 5, "models must sync periodically: {}", h.syncs);
+                let h = c.as_any_mut().downcast_mut::<AccController>().unwrap();
+                assert!(
+                    h.syncs() >= 5,
+                    "models must sync periodically: {}",
+                    h.syncs()
+                );
             });
         }
     }
@@ -277,8 +182,8 @@ mod tests {
         let mut outputs: Vec<Vec<f32>> = Vec::new();
         for sw in sim.core().topo.switches().to_vec() {
             sim.with_controller(sw, |c, _| {
-                let h = c.as_any_mut().downcast_mut::<HybridAcc>().unwrap();
-                outputs.push(h.local.q_values(&probe));
+                let h = c.as_any_mut().downcast_mut::<AccController>().unwrap();
+                outputs.push(h.agent().borrow_mut().get().q_values(&probe));
             });
         }
         for w in outputs.windows(2) {
@@ -301,5 +206,103 @@ mod tests {
             .ecn
             .unwrap();
         assert!(space.actions().contains(&e));
+    }
+
+    /// `paper_testbed` under incast waves: every host sends to the first
+    /// one every 500 µs, so the leaf queues build and the agents train.
+    fn testbed_with_incast() -> Simulator {
+        let topo = TopologySpec::paper_testbed().build();
+        let simcfg = SimConfig::default()
+            .with_seed(5)
+            .with_control_interval(SimTime::from_us(50));
+        let mut sim = Simulator::new(topo, simcfg);
+        let fct = transport::FctCollector::new_shared();
+        let stack = transport::StackConfig::default();
+        let hosts = transport::install_stacks(&mut sim, stack, &fct);
+        for wave in 0..6u64 {
+            let at = SimTime::from_us(500 * wave);
+            for &src in &hosts[1..] {
+                let msg = transport::Message::new(hosts[0], 200_000, transport::CcKind::Dcqcn);
+                transport::schedule_message(&mut sim, src, at, msg);
+            }
+        }
+        sim
+    }
+
+    /// The agent samples of a recorded H-ACC run, one JSON line each.
+    fn recorded_hybrid_run() -> Vec<String> {
+        let mut sim = testbed_with_incast();
+        let _trainer = install_hybrid(&mut sim, &small_cfg(), &ActionSpace::templates(), 10);
+        let sink = Rc::new(RefCell::new(telemetry::VecSink::new()));
+        let rec = telemetry::RunRecorder::new()
+            .with_sink(Box::new(sink.clone()))
+            .into_shared();
+        crate::controller::attach_recorder(&mut sim, &rec);
+        sim.run_until(SimTime::from_ms(3));
+        let agents = std::mem::take(&mut sink.borrow_mut().agents);
+        assert!(!agents.is_empty(), "H-ACC decisions are recorded");
+        for w in agents.windows(2) {
+            assert!(
+                w[0].train_steps <= w[1].train_steps,
+                "train_steps never fall"
+            );
+        }
+        let last = agents.last().unwrap();
+        assert!(last.train_steps > 0, "records carry the trainer's steps");
+        agents
+            .iter()
+            .map(|a| serde_json::to_string(a).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn hybrid_decisions_are_recorded() {
+        assert_eq!(recorded_hybrid_run(), recorded_hybrid_run());
+    }
+
+    #[test]
+    fn guarded_hybrid_applies_only_valid_configs() {
+        use crate::guard::{GuardConfig, GuardedController};
+        use netsim::ids::PRIO_RDMA;
+        let mut sim = testbed_with_incast();
+        let cfg = small_cfg();
+        let space = ActionSpace::templates();
+        let guard = GuardConfig::default();
+        let trainer = Rc::new(RefCell::new(CentralTrainer::new(&cfg, &space, 50)));
+        let switches = sim.core().topo.switches().to_vec();
+        for (i, &sw) in switches.iter().enumerate() {
+            let mut c = cfg.clone();
+            c.seed = cfg.seed + i as u64;
+            let acc = AccController::hybrid(c, space.clone(), trainer.clone(), 10);
+            let guarded = GuardedController::new(Box::new(acc), guard.clone(), vec![PRIO_RDMA]);
+            sim.set_controller(sw, Box::new(guarded));
+        }
+        for tick in 1..=60u64 {
+            sim.run_until(SimTime::from_us(50 * tick));
+            for &sw in &switches {
+                for p in 0..sim.core().topo.node(sw).ports.len() {
+                    let Some(e) = sim.core().queue(sw, PortId(p as u16), PRIO_RDMA).ecn else {
+                        continue;
+                    };
+                    assert!(
+                        guard.kmin_floor_bytes <= e.kmin_bytes
+                            && e.kmin_bytes <= e.kmax_bytes
+                            && e.kmax_bytes <= guard.kmax_ceiling_bytes
+                            && guard.pmax_floor <= e.pmax
+                            && e.pmax <= 1.0,
+                        "tick {tick}: {e:?} on {sw:?} port {p}"
+                    );
+                }
+            }
+        }
+        assert!(trainer.borrow().train_steps > 0);
+        for &sw in &switches {
+            sim.with_controller(sw, |c, _| {
+                let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();
+                assert_eq!(g.stats.ticks, 60);
+                let h = g.inner_mut().as_any_mut().downcast_mut::<AccController>();
+                assert!(h.unwrap().syncs() >= 5);
+            });
+        }
     }
 }

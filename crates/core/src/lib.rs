@@ -24,9 +24,11 @@
 //!   replay-memory exchange of §3.4.
 //! * [`centralized`] — the C-ACC strawman of §5.4: one agent for the whole
 //!   fabric with per-layer actions and a collection-latency handicap.
-//! * [`hybrid`] — the §6 "optimal solution may be hybrid" sketch: local
-//!   per-switch inference with centralized training and periodic model
-//!   pushes (H-ACC).
+//! * [`hybrid`] — the §6 "optimal solution may be hybrid" sketch (H-ACC):
+//!   the central trainer that [`controller::AccController::hybrid`]
+//!   controllers ship their transitions to and load published models
+//!   from; inference, rewards, the idle rule and decision records are
+//!   D-ACC's own.
 //! * [`static_ecn`] — the SECN0/1/2 and vendor-default baselines.
 //! * [`trainer`] — offline-training helpers: share one model across all
 //!   switches during pre-training, export it, and redeploy it frozen or with
@@ -56,7 +58,7 @@ pub use deploy::{
 pub use guard::{
     GuardConfig, GuardDecision, GuardObs, GuardStats, GuardViolation, GuardedController, QueueGuard,
 };
-pub use hybrid::{CentralTrainer, HybridAcc};
+pub use hybrid::CentralTrainer;
 pub use reward::{e_n, ladder_index, QueuePenalty, RewardConfig};
 pub use soak::{PhaseKind, SoakPhase, SoakPlan};
 pub use state::{QueueObs, QueueObserver, StateWindow, FEATURES_PER_OBS};

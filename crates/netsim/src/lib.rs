@@ -21,10 +21,13 @@
 //!   ECN configuration. ACC's per-switch DDQN agent, the static SECN
 //!   baselines and the centralized C-ACC variant all implement this trait.
 //!
-//! The simulator is single-threaded and fully deterministic: all randomness
-//! flows from one seeded `rand::rngs::SmallRng`, and
-//! simultaneous events are ordered by insertion sequence. Identical seeds
-//! produce identical runs.
+//! Each simulator (one shard of a [`shard::ShardPlan`]; an unsharded one is
+//! the single shard of a one-shard plan) is single-threaded and fully
+//! deterministic: every random draw comes from a per-node
+//! `rand::rngs::SmallRng` stream seeded from `(seed, node)`, and
+//! simultaneous events are ordered by canonical keys derived from their
+//! content, not by insertion order. Identical seeds produce identical runs
+//! (the [`shard`] module docs give the contract across shard counts).
 //!
 //! ## Quick example
 //!

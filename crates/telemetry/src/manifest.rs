@@ -22,6 +22,11 @@ pub struct RunManifest {
     pub policy: String,
     /// RNG seed of the simulation.
     pub seed: u64,
+    /// FNV-1a digest of the arrival list the run was built with: two runs
+    /// with equal digests were offered the same traffic (0 in manifests
+    /// written before the digest was recorded).
+    #[serde(default)]
+    pub arrivals_digest: u64,
     /// `full` or `quick`.
     pub scale: String,
     /// Number of hosts in the topology.
@@ -94,6 +99,7 @@ mod tests {
             run: "run_0001_ACC".into(),
             policy: "ACC".into(),
             seed: 15,
+            arrivals_digest: 0x1234_5678,
             scale: "quick".into(),
             hosts: 16,
             switches: 1,
@@ -115,6 +121,7 @@ mod tests {
         let back = RunManifest::load(&dir.join("manifest.json")).unwrap();
         assert_eq!(back.experiment, "fig15");
         assert_eq!(back.seed, 15);
+        assert_eq!(back.arrivals_digest, 0x1234_5678);
         assert_eq!(back.flows_completed, 100);
         assert_eq!(back.fct["overall"]["avg_us"].as_f64(), Some(120.0));
         let _ = std::fs::remove_dir_all(&dir);
