@@ -139,11 +139,7 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
         }
         Policy::AccMonitored => {
             let cfg = acc_config(13);
-            let guard = GuardConfig {
-                enforce: false,
-                ..GuardConfig::default()
-            };
-            install_guarded_acc(sim, &cfg, &space, &guard);
+            install_guarded_acc(sim, &cfg, &space, &GuardConfig { enforce: false });
         }
     }
 }
@@ -1180,8 +1176,10 @@ impl Harness {
     /// Run `spec` + `policy` + `arrivals` (+ optional fault plan) through
     /// the phases ending at `phase_ends` (the last is the horizon), calling
     /// `between(i)` once phase `i` has ended — on `--shards N` shards when
-    /// the flag was given, on one simulator otherwise. The only code in
-    /// `acc-bench` that runs a scenario to a horizon. On shards, `between`
+    /// the flag was given, on one simulator otherwise. The experiments
+    /// that take `--shards` ([`crate::SHARDED`]) and perf's `xl-clos-1024`
+    /// rows call it; every other experiment drives the [`Scenario`] that
+    /// [`Harness::scenario`] builds itself. On shards, `between`
     /// runs on the calling thread while every worker is parked, which is
     /// where the perf gates read the process-wide allocation counter.
     ///

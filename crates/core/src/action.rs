@@ -7,10 +7,10 @@
 //! above 1 MB), and `Pmax ∈ {1%, 5%, 10%, …, 100%}` (uniform 5% steps —
 //! below that granularity the network barely reacts).
 //!
-//! The full cross-product (840 combinations with `Kmin ≤ Kmax`) is available
-//! for studies, but the deployed system maps the NN output onto a small
-//! *template* table in the switch ("configurator maps the action into the
-//! ECN template", §3.1) — the paper's NN has ~20 outputs (§6). The default
+//! The full cross-product (840 combinations with `Kmin ≤ Kmax`) is not built
+//! here: the deployed system maps the NN output onto a small *template*
+//! table in the switch ("configurator maps the action into the ECN
+//! template", §3.1) — the paper's NN has ~20 outputs (§6). The default
 //! [`ActionSpace::templates`] provides such a 20-entry table: ten latency
 //! templates (tight `Kmax`, strong marking) and ten throughput templates
 //! (wide `Kmax`, gentle marking), one pair per `Kmin` rung.
@@ -27,9 +27,6 @@ pub struct ActionSpace {
 
 const MB: u64 = 1024 * 1024;
 
-/// The coarse high-threshold choices (§3.3).
-pub const KMAX_CHOICES_BYTES: [u64; 4] = [MB, 2 * MB, 5 * MB, 10 * MB];
-
 impl ActionSpace {
     /// The default 20-entry template table (see module docs).
     pub fn templates() -> Self {
@@ -42,26 +39,6 @@ impl ActionSpace {
             // Throughput-oriented: wide marking band, gentle probability.
             let kmax_thr = (16 * kmin).clamp(MB, 10 * MB);
             actions.push(EcnConfig::new(kmin, kmax_thr.max(kmin), 0.05));
-        }
-        ActionSpace { actions }
-    }
-
-    /// The full discretised cross product `Kmin × Kmax × Pmax` with
-    /// `Kmin ≤ Kmax` (used by the action-space studies and C-ACC analysis).
-    pub fn full() -> Self {
-        let mut actions = Vec::new();
-        for n in 0..LADDER_LEVELS {
-            let kmin = e_n(n);
-            for &kmax in &KMAX_CHOICES_BYTES {
-                if kmin > kmax {
-                    continue;
-                }
-                // Pmax in {1%, 5%, 10%, ..., 100%}.
-                for j in 0..=20 {
-                    let pmax = if j == 0 { 0.01 } else { j as f64 * 0.05 };
-                    actions.push(EcnConfig::new(kmin, kmax, pmax));
-                }
-            }
         }
         ActionSpace { actions }
     }
@@ -149,22 +126,6 @@ mod tests {
         assert_eq!(s.get(0).kmin_bytes, e_n(0));
         assert_eq!(s.get(1).kmin_bytes, e_n(0));
         assert_eq!(s.get(18).kmin_bytes, e_n(9));
-    }
-
-    #[test]
-    fn full_space_counts_and_validity() {
-        let s = ActionSpace::full();
-        for a in s.actions() {
-            assert!(a.kmin_bytes <= a.kmax_bytes);
-        }
-        // Kmin rungs 0..=5 (E(n) <= 1MB? E(5)=640K, E(6)=1280K>1MB):
-        // count pairs: for each kmin rung, #kmax choices >= kmin.
-        let mut pairs = 0;
-        for n in 0..LADDER_LEVELS {
-            pairs += KMAX_CHOICES_BYTES.iter().filter(|&&k| e_n(n) <= k).count();
-        }
-        assert_eq!(s.len(), pairs * 21);
-        assert!(s.len() > 500, "full space should be large: {}", s.len());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`QueueGuard`] — a pure, per-queue state machine that *vets* every
 //!   proposed config against ordering, bounds and rate-of-change limits,
 //!   watches the observation stream for frozen/blank telemetry and reward
-//!   anomalies, and falls back to a configurable static ECN profile
-//!   (SECN0/1/2) when the agent looks unhealthy, with hysteresis before
-//!   control is handed back. Pure in/out, so its invariants are
+//!   anomalies, and falls back to the static SECN1 profile ([`FALLBACK`])
+//!   when the agent looks unhealthy, with hysteresis before control is
+//!   handed back. Pure in/out, so its invariants are
 //!   property-tested directly.
 //! * [`GuardedController`] — a [`QueueController`] wrapper that runs an
 //!   inner controller (normally [`AccController`]) and then applies a
@@ -26,7 +26,9 @@
 //! by proptests in `crates/core/tests/guard_properties.rs` — is that every
 //! applied config satisfies `0 < Kmin <= Kmax <= ceiling` and
 //! `pmax_floor <= Pmax <= 1`, and consecutive agent-applied configs move by
-//! at most the configured step limits.
+//! at most the step limits. The floors, ceilings, step limits and
+//! hysteresis are this module's constants; the one setting is
+//! [`GuardConfig::enforce`].
 
 use crate::controller::AccController;
 use crate::static_ecn::StaticEcnPolicy;
@@ -38,36 +40,39 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Tunables of the safe-mode guard.
+/// Smallest acceptable `Kmin`, bytes (0 would disable marking entirely).
+pub const KMIN_FLOOR_BYTES: u64 = 1024;
+/// Largest acceptable `Kmax`, bytes (beyond this marking never engages
+/// before the buffer does).
+pub const KMAX_CEILING_BYTES: u64 = 16 * 1024 * 1024;
+/// Smallest acceptable `Pmax` (0 would disable probabilistic marking).
+pub const PMAX_FLOOR: f64 = 0.001;
+/// Largest multiplicative move of `Kmin`/`Kmax` between consecutive
+/// agent-applied configs (the template ladder doubles per rung, so 8.0
+/// allows three rungs per interval; ε-greedy leaps across the whole ladder
+/// get clamped).
+pub const MAX_STEP_FACTOR: f64 = 8.0;
+/// Largest absolute move of `Pmax` between consecutive agent configs.
+pub const MAX_PMAX_STEP: f64 = 0.2;
+/// Consecutive identical non-empty observations before telemetry is
+/// declared stale (a busy queue cannot produce two bit-identical readings:
+/// its time-integral advances whenever bytes are queued).
+pub const STALE_TICKS: u32 = 3;
+/// Rewards with `|r|` above this (or non-finite) are anomalies.
+pub const REWARD_BOUND: f64 = 1e3;
+/// Static profile applied while the agent is distrusted. SECN1 (5 KB /
+/// 200 KB / 1 %) lies inside the floors and ceilings above.
+pub const FALLBACK: StaticEcnPolicy = StaticEcnPolicy::Secn1;
+/// Minimum ticks spent in fallback once tripped (hysteresis floor).
+pub const HOLD_TICKS: u32 = 8;
+/// Consecutive healthy ticks required (in addition to [`HOLD_TICKS`])
+/// before control returns to the agent.
+pub const RECOVERY_TICKS: u32 = 4;
+
+/// How a [`GuardedController`] treats what it finds. The thresholds are the
+/// module's constants.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GuardConfig {
-    /// Smallest acceptable `Kmin`, bytes (0 would disable marking entirely).
-    pub kmin_floor_bytes: u64,
-    /// Largest acceptable `Kmax`, bytes (beyond this marking never engages
-    /// before the buffer does).
-    pub kmax_ceiling_bytes: u64,
-    /// Smallest acceptable `Pmax` (0 would disable probabilistic marking).
-    pub pmax_floor: f64,
-    /// Largest multiplicative move of `Kmin`/`Kmax` between consecutive
-    /// agent-applied configs (the template ladder doubles per rung, so 8.0
-    /// allows three rungs per interval; ε-greedy leaps across the whole
-    /// ladder get clamped).
-    pub max_step_factor: f64,
-    /// Largest absolute move of `Pmax` between consecutive agent configs.
-    pub max_pmax_step: f64,
-    /// Consecutive identical non-empty observations before telemetry is
-    /// declared stale (a busy queue cannot produce two bit-identical
-    /// readings: its time-integral advances whenever bytes are queued).
-    pub stale_ticks: u32,
-    /// Rewards with `|r|` above this (or non-finite) are anomalies.
-    pub reward_bound: f64,
-    /// Static profile applied while the agent is distrusted.
-    pub fallback: StaticEcnPolicy,
-    /// Minimum ticks spent in fallback once tripped (hysteresis floor).
-    pub hold_ticks: u32,
-    /// Consecutive healthy ticks required (in addition to `hold_ticks`)
-    /// before control returns to the agent.
-    pub recovery_ticks: u32,
     /// `true`: clamp/override what the agent applied. `false`: *monitor
     /// only* — count violations but leave the fabric untouched.
     pub enforce: bool,
@@ -75,19 +80,7 @@ pub struct GuardConfig {
 
 impl Default for GuardConfig {
     fn default() -> Self {
-        GuardConfig {
-            kmin_floor_bytes: 1024,
-            kmax_ceiling_bytes: 16 * 1024 * 1024,
-            pmax_floor: 0.001,
-            max_step_factor: 8.0,
-            max_pmax_step: 0.2,
-            stale_ticks: 3,
-            reward_bound: 1e3,
-            fallback: StaticEcnPolicy::Secn1,
-            hold_ticks: 8,
-            recovery_ticks: 4,
-            enforce: true,
-        }
+        GuardConfig { enforce: true }
     }
 }
 
@@ -96,14 +89,14 @@ impl Default for GuardConfig {
 pub enum GuardViolation {
     /// `Kmin > Kmax` in the proposed config.
     BadOrdering,
-    /// A threshold or probability outside the configured floors/ceilings.
+    /// A threshold or probability outside the floors/ceilings.
     OutOfBounds,
     /// A NaN/infinite probability or EWMA weight.
     NonFinite,
     /// The config moved further than the per-interval change limits allow.
     RateOfChange,
     /// The observation stream froze: identical non-empty readings for
-    /// `stale_ticks` consecutive intervals.
+    /// [`STALE_TICKS`] consecutive intervals.
     StaleTelemetry,
     /// A monotone counter moved backwards (blanked/reset register reads).
     TelemetryRegression,
@@ -176,17 +169,21 @@ pub struct GuardDecision {
     pub in_fallback: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 enum Mode {
+    #[default]
     Active,
-    Fallback { held: u32, healthy: u32 },
+    Fallback {
+        held: u32,
+        healthy: u32,
+    },
 }
 
 /// Per-queue safe-mode state machine. Pure: feed it the proposed config and
 /// the observation each tick, get back what to apply. See the module docs
 /// for the maintained invariants.
+#[derive(Default)]
 pub struct QueueGuard {
-    cfg: GuardConfig,
     mode: Mode,
     /// Previous (qlen, counters) reading, for freeze detection.
     last_obs: Option<(u64, QueueTelemetry)>,
@@ -204,15 +201,8 @@ pub struct QueueGuard {
 
 impl QueueGuard {
     /// A fresh guard in agent-controlled mode.
-    pub fn new(cfg: GuardConfig) -> Self {
-        QueueGuard {
-            cfg,
-            mode: Mode::Active,
-            last_obs: None,
-            stale_count: 0,
-            high_water: QueueTelemetry::default(),
-            last_applied: None,
-        }
+    pub fn new() -> Self {
+        QueueGuard::default()
     }
 
     /// True while the static fallback profile is in force.
@@ -221,28 +211,25 @@ impl QueueGuard {
     }
 
     /// Clamp a config to the guard's absolute bounds (no rate limits).
-    fn clamp_bounds(&self, mut c: EcnConfig, violations: &mut Vec<GuardViolation>) -> EcnConfig {
-        let g = &self.cfg;
+    fn clamp_bounds(mut c: EcnConfig, violations: &mut Vec<GuardViolation>) -> EcnConfig {
         if !c.pmax.is_finite() {
             violations.push(GuardViolation::NonFinite);
-            c.pmax = self
-                .cfg
-                .fallback
+            c.pmax = FALLBACK
                 .config_for(25_000_000_000)
                 .pmax
-                .clamp(g.pmax_floor, 1.0);
+                .clamp(PMAX_FLOOR, 1.0);
         }
-        if c.pmax < g.pmax_floor || c.pmax > 1.0 {
+        if c.pmax < PMAX_FLOOR || c.pmax > 1.0 {
             violations.push(GuardViolation::OutOfBounds);
-            c.pmax = c.pmax.clamp(g.pmax_floor, 1.0);
+            c.pmax = c.pmax.clamp(PMAX_FLOOR, 1.0);
         }
-        if c.kmin_bytes < g.kmin_floor_bytes || c.kmin_bytes > g.kmax_ceiling_bytes {
+        if c.kmin_bytes < KMIN_FLOOR_BYTES || c.kmin_bytes > KMAX_CEILING_BYTES {
             violations.push(GuardViolation::OutOfBounds);
-            c.kmin_bytes = c.kmin_bytes.clamp(g.kmin_floor_bytes, g.kmax_ceiling_bytes);
+            c.kmin_bytes = c.kmin_bytes.clamp(KMIN_FLOOR_BYTES, KMAX_CEILING_BYTES);
         }
-        if c.kmax_bytes > g.kmax_ceiling_bytes {
+        if c.kmax_bytes > KMAX_CEILING_BYTES {
             violations.push(GuardViolation::OutOfBounds);
-            c.kmax_bytes = g.kmax_ceiling_bytes;
+            c.kmax_bytes = KMAX_CEILING_BYTES;
         }
         if c.kmin_bytes > c.kmax_bytes {
             violations.push(GuardViolation::BadOrdering);
@@ -253,16 +240,13 @@ impl QueueGuard {
 
     /// Apply the per-interval rate-of-change limits relative to `last`.
     fn clamp_rate(
-        &self,
         mut c: EcnConfig,
         last: &EcnConfig,
         violations: &mut Vec<GuardViolation>,
     ) -> EcnConfig {
-        let g = &self.cfg;
-        let f = g.max_step_factor.max(1.0);
         let clamp_k = |v: u64, prev: u64, hit: &mut bool| -> u64 {
-            let lo = ((prev as f64) / f).floor() as u64;
-            let hi = ((prev as f64) * f).ceil() as u64;
+            let lo = ((prev as f64) / MAX_STEP_FACTOR).floor() as u64;
+            let hi = ((prev as f64) * MAX_STEP_FACTOR).ceil() as u64;
             if v < lo {
                 *hit = true;
                 lo
@@ -276,12 +260,12 @@ impl QueueGuard {
         let mut hit = false;
         c.kmin_bytes = clamp_k(c.kmin_bytes, last.kmin_bytes, &mut hit);
         c.kmax_bytes = clamp_k(c.kmax_bytes, last.kmax_bytes, &mut hit);
-        if (c.pmax - last.pmax).abs() > g.max_pmax_step {
+        if (c.pmax - last.pmax).abs() > MAX_PMAX_STEP {
             hit = true;
             c.pmax = if c.pmax > last.pmax {
-                last.pmax + g.max_pmax_step
+                last.pmax + MAX_PMAX_STEP
             } else {
-                last.pmax - g.max_pmax_step
+                last.pmax - MAX_PMAX_STEP
             };
         }
         if hit {
@@ -314,10 +298,10 @@ impl QueueGuard {
                 self.stale_count = 0;
             }
         }
-        if self.stale_count >= self.cfg.stale_ticks {
+        if self.stale_count >= STALE_TICKS {
             v.push(GuardViolation::StaleTelemetry);
         }
-        if !obs.reward.is_finite() || obs.reward.abs() > self.cfg.reward_bound {
+        if !obs.reward.is_finite() || obs.reward.abs() > REWARD_BOUND {
             v.push(GuardViolation::RewardAnomaly);
         }
         self.high_water = QueueTelemetry {
@@ -342,17 +326,13 @@ impl QueueGuard {
         let mut violations = self.check_health(obs);
         let healthy = violations.is_empty();
 
-        // Fallback profile, itself forced through the absolute bounds so
-        // the invariant holds regardless of configuration.
-        let mut fb_viol = Vec::new();
-        let fallback = self.clamp_bounds(self.cfg.fallback.config_for(obs.link_bps), &mut fb_viol);
+        let fallback = FALLBACK.config_for(obs.link_bps);
 
         // Sanitize the agent's proposal.
         let raw = proposal.unwrap_or(fallback);
-        let mut c = self.clamp_bounds(raw, &mut violations);
+        let mut c = Self::clamp_bounds(raw, &mut violations);
         if let (Mode::Active, Some(last)) = (&self.mode, &self.last_applied) {
-            let last = *last;
-            c = self.clamp_rate(c, &last, &mut violations);
+            c = Self::clamp_rate(c, last, &mut violations);
             // Rate clamping cannot break ordering by construction (both
             // thresholds move within multiplicative bands), but keep the
             // invariant airtight:
@@ -386,7 +366,7 @@ impl QueueGuard {
             } => {
                 held = held.saturating_add(1);
                 ok = if healthy { ok.saturating_add(1) } else { 0 };
-                if held >= self.cfg.hold_ticks && ok >= self.cfg.recovery_ticks {
+                if held >= HOLD_TICKS && ok >= RECOVERY_TICKS {
                     recovered = true;
                     self.mode = Mode::Active;
                     applied = c;
@@ -404,11 +384,11 @@ impl QueueGuard {
             "guard invariant: Kmin <= Kmax"
         );
         debug_assert!(
-            applied.kmax_bytes <= self.cfg.kmax_ceiling_bytes,
+            applied.kmax_bytes <= KMAX_CEILING_BYTES,
             "guard invariant: Kmax <= ceiling"
         );
         debug_assert!(
-            applied.pmax >= self.cfg.pmax_floor && applied.pmax <= 1.0,
+            applied.pmax >= PMAX_FLOOR && applied.pmax <= 1.0,
             "guard invariant: pmax in [floor, 1]"
         );
 
@@ -467,7 +447,7 @@ impl std::ops::AddAssign for GuardStats {
 /// enforce-vs-monitor semantics.
 pub struct GuardedController {
     inner: Box<dyn QueueController>,
-    cfg: GuardConfig,
+    enforce: bool,
     target_prios: Vec<Prio>,
     guards: HashMap<(u16, Prio), QueueGuard>,
     /// Aggregated counters across all guarded queues.
@@ -482,7 +462,7 @@ impl GuardedController {
     pub fn new(inner: Box<dyn QueueController>, cfg: GuardConfig, target_prios: Vec<Prio>) -> Self {
         GuardedController {
             inner,
-            cfg,
+            enforce: cfg.enforce,
             target_prios,
             guards: HashMap::new(),
             stats: GuardStats::default(),
@@ -573,15 +553,12 @@ impl QueueController for GuardedController {
                     reward,
                     link_bps: snap.link_bps,
                 };
-                let guard = self
-                    .guards
-                    .entry((port.0, prio))
-                    .or_insert_with(|| QueueGuard::new(self.cfg.clone()));
+                let guard = self.guards.entry((port.0, prio)).or_default();
                 let d = guard.vet(snap.ecn, &obs);
                 self.stats.violations_detected += d.violations.len() as u64;
                 let config_violations =
                     d.violations.iter().filter(|v| v.is_config()).count() as u64;
-                if self.cfg.enforce {
+                if self.enforce {
                     if snap.ecn != Some(d.applied) {
                         view.set_ecn(port, prio, Some(d.applied));
                         self.stats.clamps += 1;
@@ -598,7 +575,7 @@ impl QueueController for GuardedController {
                 }
                 if d.tripped {
                     self.stats.trips += 1;
-                    self.emit(view, port, prio, "guard_trip", self.cfg.fallback.name());
+                    self.emit(view, port, prio, "guard_trip", FALLBACK.name());
                 }
                 if d.recovered {
                     self.stats.recoveries += 1;
@@ -650,7 +627,7 @@ mod tests {
 
     #[test]
     fn valid_config_passes_untouched() {
-        let mut g = QueueGuard::new(GuardConfig::default());
+        let mut g = QueueGuard::new();
         let c = EcnConfig::new(20 * 1024, 1024 * 1024, 0.05);
         let d = g.vet(Some(c), &obs(5000, 1_000_000, 0.5));
         assert_eq!(d.applied, c);
@@ -660,7 +637,7 @@ mod tests {
 
     #[test]
     fn bad_ordering_and_bounds_are_clamped() {
-        let mut g = QueueGuard::new(GuardConfig::default());
+        let mut g = QueueGuard::new();
         let c = EcnConfig {
             kmin_bytes: 0,
             kmax_bytes: 100 * 1024 * 1024,
@@ -675,7 +652,7 @@ mod tests {
 
     #[test]
     fn rate_of_change_is_limited_between_active_ticks() {
-        let mut g = QueueGuard::new(GuardConfig::default());
+        let mut g = QueueGuard::new();
         let small = EcnConfig::new(20 * 1024, 200 * 1024, 0.01);
         let d1 = g.vet(Some(small), &obs(1000, 10_000, 0.1));
         assert_eq!(d1.applied, small);
@@ -690,9 +667,8 @@ mod tests {
 
     #[test]
     fn frozen_telemetry_trips_then_recovers_with_hysteresis() {
-        let cfg = GuardConfig::default();
-        let (stale, hold, rec) = (cfg.stale_ticks, cfg.hold_ticks, cfg.recovery_ticks);
-        let mut g = QueueGuard::new(cfg);
+        let (stale, hold, rec) = (STALE_TICKS, HOLD_TICKS, RECOVERY_TICKS);
+        let mut g = QueueGuard::new();
         let c = EcnConfig::new(20 * 1024, 200 * 1024, 0.01);
         let frozen = obs(4096, 1_000_000, 0.4);
         let mut tripped_at = None;
@@ -728,7 +704,7 @@ mod tests {
 
     #[test]
     fn reward_anomaly_trips_immediately_and_fallback_is_valid() {
-        let mut g = QueueGuard::new(GuardConfig::default());
+        let mut g = QueueGuard::new();
         let c = EcnConfig::new(20 * 1024, 200 * 1024, 0.01);
         let d = g.vet(Some(c), &obs(1000, 10_000, f64::NAN));
         assert!(d.tripped);
@@ -739,7 +715,7 @@ mod tests {
 
     #[test]
     fn counter_regression_is_unhealthy_even_when_sustained() {
-        let mut g = QueueGuard::new(GuardConfig::default());
+        let mut g = QueueGuard::new();
         let c = EcnConfig::new(20 * 1024, 200 * 1024, 0.01);
         g.vet(Some(c), &obs(1000, 1_000_000, 0.2));
         // Blanked registers: counters at zero, below the high-water mark.
@@ -790,13 +766,12 @@ mod tests {
             )),
         );
         sim.run_until(SimTime::from_ms(2));
-        let g = GuardConfig::default();
         for p in 0..2u16 {
             let e = sim.core().queue(sw, PortId(p), PRIO_RDMA).ecn.unwrap();
-            assert!(e.kmin_bytes >= g.kmin_floor_bytes);
+            assert!(e.kmin_bytes >= KMIN_FLOOR_BYTES);
             assert!(e.kmin_bytes <= e.kmax_bytes);
-            assert!(e.kmax_bytes <= g.kmax_ceiling_bytes);
-            assert!(e.pmax >= g.pmax_floor && e.pmax <= 1.0);
+            assert!(e.kmax_bytes <= KMAX_CEILING_BYTES);
+            assert!(e.pmax >= PMAX_FLOOR && e.pmax <= 1.0);
         }
         sim.with_controller(sw, |c, _| {
             let gc = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();

@@ -262,19 +262,21 @@ mod tests {
 
     #[test]
     fn guarded_hybrid_applies_only_valid_configs() {
-        use crate::guard::{GuardConfig, GuardedController};
+        use crate::guard::{
+            GuardConfig, GuardedController, KMAX_CEILING_BYTES, KMIN_FLOOR_BYTES, PMAX_FLOOR,
+        };
         use netsim::ids::PRIO_RDMA;
         let mut sim = testbed_with_incast();
         let cfg = small_cfg();
         let space = ActionSpace::templates();
-        let guard = GuardConfig::default();
         let trainer = Rc::new(RefCell::new(CentralTrainer::new(&cfg, &space, 50)));
         let switches = sim.core().topo.switches().to_vec();
         for (i, &sw) in switches.iter().enumerate() {
             let mut c = cfg.clone();
             c.seed = cfg.seed + i as u64;
             let acc = AccController::hybrid(c, space.clone(), trainer.clone(), 10);
-            let guarded = GuardedController::new(Box::new(acc), guard.clone(), vec![PRIO_RDMA]);
+            let guarded =
+                GuardedController::new(Box::new(acc), GuardConfig::default(), vec![PRIO_RDMA]);
             sim.set_controller(sw, Box::new(guarded));
         }
         for tick in 1..=60u64 {
@@ -285,10 +287,10 @@ mod tests {
                         continue;
                     };
                     assert!(
-                        guard.kmin_floor_bytes <= e.kmin_bytes
+                        KMIN_FLOOR_BYTES <= e.kmin_bytes
                             && e.kmin_bytes <= e.kmax_bytes
-                            && e.kmax_bytes <= guard.kmax_ceiling_bytes
-                            && guard.pmax_floor <= e.pmax
+                            && e.kmax_bytes <= KMAX_CEILING_BYTES
+                            && PMAX_FLOOR <= e.pmax
                             && e.pmax <= 1.0,
                         "tick {tick}: {e:?} on {sw:?} port {p}"
                     );

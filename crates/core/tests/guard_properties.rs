@@ -3,7 +3,10 @@
 //! valid, changes are rate-limited, and a frozen stream trips the fallback
 //! within its deadline.
 
-use acc_core::guard::{GuardConfig, GuardObs, GuardViolation, QueueGuard};
+use acc_core::guard::{
+    GuardObs, GuardViolation, QueueGuard, FALLBACK, HOLD_TICKS, KMAX_CEILING_BYTES,
+    KMIN_FLOOR_BYTES, MAX_PMAX_STEP, MAX_STEP_FACTOR, PMAX_FLOOR, RECOVERY_TICKS, STALE_TICKS,
+};
 use netsim::queues::{EcnConfig, QueueTelemetry};
 use proptest::prelude::*;
 
@@ -54,10 +57,10 @@ fn any_obs() -> impl Strategy<Value = GuardObs> {
         })
 }
 
-fn assert_invariants(cfg: &GuardConfig, applied: &EcnConfig) {
+fn assert_invariants(applied: &EcnConfig) {
     assert!(applied.kmin_bytes > 0, "Kmin must be positive: {applied:?}");
     assert!(
-        applied.kmin_bytes >= cfg.kmin_floor_bytes,
+        applied.kmin_bytes >= KMIN_FLOOR_BYTES,
         "Kmin above floor: {applied:?}"
     );
     assert!(
@@ -65,11 +68,11 @@ fn assert_invariants(cfg: &GuardConfig, applied: &EcnConfig) {
         "ordering: {applied:?}"
     );
     assert!(
-        applied.kmax_bytes <= cfg.kmax_ceiling_bytes,
+        applied.kmax_bytes <= KMAX_CEILING_BYTES,
         "Kmax under ceiling: {applied:?}"
     );
     assert!(
-        applied.pmax >= cfg.pmax_floor && applied.pmax <= 1.0,
+        applied.pmax >= PMAX_FLOOR && applied.pmax <= 1.0,
         "Pmax in [floor, 1]: {applied:?}"
     );
 }
@@ -84,8 +87,7 @@ proptest! {
         steps in prop::collection::vec((any_proposal(), any_obs()), 1..40),
         skip_proposal in any::<u64>(),
     ) {
-        let cfg = GuardConfig::default();
-        let mut g = QueueGuard::new(cfg.clone());
+        let mut g = QueueGuard::new();
         for (i, (proposal, obs)) in steps.iter().enumerate() {
             // Sometimes the agent leaves nothing configured at all.
             let p = if (skip_proposal >> (i % 64)) & 1 == 1 {
@@ -94,18 +96,17 @@ proptest! {
                 Some(*proposal)
             };
             let d = g.vet(p, obs);
-            assert_invariants(&cfg, &d.applied);
+            assert_invariants(&d.applied);
         }
     }
 
     /// Between consecutive agent-controlled ticks, thresholds move at most
-    /// `max_step_factor`x and Pmax at most `max_pmax_step`.
+    /// `MAX_STEP_FACTOR`x and Pmax at most `MAX_PMAX_STEP`.
     #[test]
     fn rate_of_change_is_bounded(
         proposals in prop::collection::vec(any_proposal(), 2..30),
     ) {
-        let cfg = GuardConfig::default();
-        let mut g = QueueGuard::new(cfg.clone());
+        let mut g = QueueGuard::new();
         let mut prev: Option<EcnConfig> = None;
         for (i, p) in proposals.iter().enumerate() {
             // Healthy, advancing observations: the guard stays Active.
@@ -124,19 +125,19 @@ proptest! {
             };
             let d = g.vet(Some(*p), &obs);
             prop_assert!(!d.tripped, "healthy stream never trips");
-            assert_invariants(&cfg, &d.applied);
+            assert_invariants(&d.applied);
             if let Some(last) = prev {
-                let f = cfg.max_step_factor;
+                let f = MAX_STEP_FACTOR;
                 let lo = (last.kmin_bytes as f64 / f).floor();
                 let hi = (last.kmin_bytes as f64 * f).ceil();
                 let kmin = d.applied.kmin_bytes as f64;
                 // The absolute floor/ceiling may override the band edges.
-                let lo = lo.min(cfg.kmin_floor_bytes as f64);
-                let hi = hi.max(cfg.kmin_floor_bytes as f64);
+                let lo = lo.min(KMIN_FLOOR_BYTES as f64);
+                let hi = hi.max(KMIN_FLOOR_BYTES as f64);
                 prop_assert!(kmin >= lo && kmin <= hi,
                     "Kmin step bounded: {} -> {}", last.kmin_bytes, d.applied.kmin_bytes);
                 prop_assert!(
-                    (d.applied.pmax - last.pmax).abs() <= cfg.max_pmax_step + 1e-12,
+                    (d.applied.pmax - last.pmax).abs() <= MAX_PMAX_STEP + 1e-12,
                     "Pmax step bounded: {} -> {}", last.pmax, d.applied.pmax);
             }
             prev = Some(d.applied);
@@ -144,7 +145,7 @@ proptest! {
     }
 
     /// A frozen (bit-identical, non-empty) observation stream engages the
-    /// fallback within `stale_ticks + 1` intervals, and the fallback config
+    /// fallback within `STALE_TICKS + 1` intervals, and the fallback config
     /// is the static profile for the link.
     #[test]
     fn frozen_stream_trips_within_deadline(
@@ -152,8 +153,7 @@ proptest! {
         tx in 1u64..u64::MAX / 8,
         proposal in any_proposal(),
     ) {
-        let cfg = GuardConfig::default();
-        let mut g = QueueGuard::new(cfg.clone());
+        let mut g = QueueGuard::new();
         let frozen = GuardObs {
             qlen_bytes: qlen,
             telem: QueueTelemetry {
@@ -167,18 +167,18 @@ proptest! {
             link_bps: LINK_BPS,
         };
         let mut tripped_at = None;
-        for i in 0..cfg.stale_ticks + 2 {
+        for i in 0..STALE_TICKS + 2 {
             let d = g.vet(Some(proposal), &frozen);
-            assert_invariants(&cfg, &d.applied);
+            assert_invariants(&d.applied);
             if d.tripped {
                 tripped_at = Some(i);
                 prop_assert!(d.violations.contains(&GuardViolation::StaleTelemetry));
-                prop_assert_eq!(d.applied, cfg.fallback.config_for(LINK_BPS));
+                prop_assert_eq!(d.applied, FALLBACK.config_for(LINK_BPS));
                 break;
             }
         }
         let at = tripped_at.expect("frozen stream must trip");
-        prop_assert!(at <= cfg.stale_ticks + 1,
+        prop_assert!(at <= STALE_TICKS + 1,
             "fallback within stale_ticks+1 intervals, got {}", at);
     }
 
@@ -194,8 +194,7 @@ proptest! {
         ],
         proposal in any_proposal(),
     ) {
-        let cfg = GuardConfig::default();
-        let mut g = QueueGuard::new(cfg.clone());
+        let mut g = QueueGuard::new();
         // One healthy tick first.
         let healthy = |i: u64| GuardObs {
             qlen_bytes: 100 + i,
@@ -218,16 +217,16 @@ proptest! {
         prop_assert!(d.violations.contains(&GuardViolation::RewardAnomaly));
         // Recovery needs hold_ticks in fallback AND recovery_ticks healthy.
         let mut recovered_at = None;
-        for i in 0..cfg.hold_ticks + cfg.recovery_ticks + 4 {
+        for i in 0..HOLD_TICKS + RECOVERY_TICKS + 4 {
             let d = g.vet(Some(proposal), &healthy(2 + i as u64));
-            assert_invariants(&cfg, &d.applied);
+            assert_invariants(&d.applied);
             if d.recovered {
                 recovered_at = Some(i + 1);
                 break;
             }
         }
         let at = recovered_at.expect("healthy stream must recover");
-        prop_assert!(at >= cfg.hold_ticks.max(cfg.recovery_ticks),
+        prop_assert!(at >= HOLD_TICKS.max(RECOVERY_TICKS),
             "hysteresis respected, recovered after {} ticks", at);
     }
 }

@@ -50,7 +50,6 @@ proptest! {
     fn action_spaces_valid(idx_seed in any::<u64>()) {
         for space in [
             ActionSpace::templates(),
-            ActionSpace::full(),
             ActionSpace::single_threshold_ladder(),
         ] {
             let idx = (idx_seed % space.len() as u64) as usize;

@@ -3,7 +3,10 @@
 //! telemetry resumes, and a probation rollback restores the pre-swap policy
 //! bit-exactly on every switch.
 
-use acc_core::guard::{install_guarded_acc, GuardConfig, GuardObs, GuardedController, QueueGuard};
+use acc_core::guard::{
+    install_guarded_acc, GuardConfig, GuardObs, GuardedController, QueueGuard, FALLBACK,
+    HOLD_TICKS, RECOVERY_TICKS, STALE_TICKS,
+};
 use acc_core::{
     trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, ProbationOutcome, RewardConfig,
     SwapOutcome,
@@ -36,16 +39,15 @@ proptest! {
 
     /// The soak's central liveness property: however long the telemetry
     /// freeze, the guard trips to the static fallback during it and returns
-    /// control to ACC within `hold_ticks + recovery_ticks` intervals of
+    /// control to ACC within `HOLD_TICKS + RECOVERY_TICKS` intervals of
     /// telemetry resuming — fallback is a detour, never a terminal state.
     #[test]
     fn freeze_trip_returns_to_acc_within_hysteresis(
         freeze_len in 4u32..48,
         qlen in 1u64..1_000_000,
     ) {
-        let cfg = GuardConfig::default();
-        let mut g = QueueGuard::new(cfg.clone());
-        let proposal = cfg.fallback.config_for(LINK_BPS);
+        let mut g = QueueGuard::new();
+        let proposal = FALLBACK.config_for(LINK_BPS);
         let mut tick = 0u64;
         for _ in 0..4 {
             let d = g.vet(Some(proposal), &healthy_obs(tick, qlen));
@@ -60,11 +62,11 @@ proptest! {
             let d = g.vet(Some(proposal), &frozen);
             if d.tripped {
                 trips += 1;
-                prop_assert!(i < cfg.stale_ticks + 1,
+                prop_assert!(i < STALE_TICKS + 1,
                     "trip within stale_ticks+1 of freeze start, got {i}");
             }
             if d.in_fallback {
-                prop_assert_eq!(d.applied, cfg.fallback.config_for(LINK_BPS),
+                prop_assert_eq!(d.applied, FALLBACK.config_for(LINK_BPS),
                     "fallback runs the static profile");
             }
         }
@@ -74,7 +76,7 @@ proptest! {
         // Telemetry resumes advancing; control must come back to the agent.
         tick += 1;
         let mut recovered_after = None;
-        for i in 0..cfg.hold_ticks + cfg.recovery_ticks + 2 {
+        for i in 0..HOLD_TICKS + RECOVERY_TICKS + 2 {
             let d = g.vet(Some(proposal), &healthy_obs(tick, qlen));
             tick += 1;
             if d.recovered {
@@ -83,7 +85,7 @@ proptest! {
             }
         }
         let at = recovered_after.expect("control must return to ACC after resume");
-        prop_assert!(at <= cfg.hold_ticks + cfg.recovery_ticks + 1,
+        prop_assert!(at <= HOLD_TICKS + RECOVERY_TICKS + 1,
             "recovery within hysteresis after resume, took {at} ticks");
         prop_assert!(!g.in_fallback());
         // Back under agent control: the vetted proposal is what gets applied.

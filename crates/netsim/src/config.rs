@@ -75,12 +75,6 @@ impl PortConfig {
         self
     }
 
-    /// Replace the initial ECN config of the RDMA class.
-    pub fn with_rdma_ecn(mut self, ecn: Option<EcnConfig>) -> Self {
-        self.ecn[1] = ecn;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.num_prios > 0, "at least one traffic class required");
         assert_eq!(self.weights.len(), self.num_prios);
@@ -185,11 +179,8 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let p = PortConfig::default()
-            .with_tcp_rdma_split(30, 70)
-            .with_rdma_ecn(None);
+        let p = PortConfig::default().with_tcp_rdma_split(30, 70);
         assert_eq!(p.weights[0], 30);
         assert_eq!(p.weights[1], 70);
-        assert!(p.ecn[1].is_none());
     }
 }

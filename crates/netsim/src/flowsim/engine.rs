@@ -77,8 +77,6 @@ pub struct FlowSimConfig {
     /// Control-plane tick interval (telemetry windows / controller
     /// cadence); `None` disables ticks entirely.
     pub control_interval: Option<SimTime>,
-    /// ECN config installed on every switch-egress link at build time.
-    pub switch_ecn: EcnConfig,
 }
 
 impl Default for FlowSimConfig {
@@ -86,7 +84,6 @@ impl Default for FlowSimConfig {
         FlowSimConfig {
             mtu_payload: 1000,
             control_interval: Some(SimTime::from_us(50)),
-            switch_ecn: EcnConfig::dcqcn_paper(),
         }
     }
 }
@@ -231,7 +228,9 @@ impl FlowSim {
             let from = NodeId(ni as u32);
             let marks = !topo.is_host(from);
             for (pi, port) in node.ports.iter().enumerate() {
-                let ecn = marks.then_some(cfg.switch_ecn);
+                // Switch egress starts on the paper's DCQCN profile, as the
+                // packet engine's RDMA class does.
+                let ecn = marks.then_some(EcnConfig::dcqcn_paper());
                 links.push(LinkModel::new(
                     port.rate_bps,
                     port.delay,

@@ -85,12 +85,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_add(other.0).map(SimTime)
-    }
-
     /// Multiply a time span by an integer factor.
     #[inline]
     pub fn mul(self, k: u64) -> SimTime {

@@ -51,7 +51,6 @@ pub use dcqcn::DcqcnConfig;
 pub use msg::{wire_bytes, CcKind, Message};
 pub use stack::{HostStack, StackConfig};
 pub use stats::{merge_shard_fct, FctCollector, FctStats, FctSummary, FlowRecord, SharedFct};
-pub use window::WindowConfig;
 
 use netsim::prelude::*;
 

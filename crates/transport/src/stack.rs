@@ -6,7 +6,7 @@ use crate::app::{AppHook, CompletedMsg};
 use crate::dcqcn::{DcqcnConfig, DcqcnState};
 use crate::msg::{CcKind, Message};
 use crate::stats::{FlowRecord, SharedFct};
-use crate::window::{AckAction, WindowConfig, WindowFlavor, WindowState};
+use crate::window::{AckAction, WindowFlavor, WindowState, RTO};
 use netsim::ids::{PRIO_CTRL, PRIO_RDMA};
 use netsim::packet::HEADER_BYTES;
 use netsim::prelude::*;
@@ -29,26 +29,18 @@ fn tok(seq: u64, kind: u64) -> u64 {
     (seq << 3) | kind
 }
 
-/// Configuration shared by every flow on a stack.
+/// NIC egress backlog (per class) above which senders defer, bytes: eight
+/// wire MTUs.
+fn backlog_limit(mtu_payload: u32) -> u64 {
+    8 * (mtu_payload + HEADER_BYTES) as u64
+}
+
+/// Configuration shared by every flow on a stack. The Reno/DCTCP constants
+/// live in [`crate::window`].
 #[derive(Clone, Debug, Default)]
 pub struct StackConfig {
     /// DCQCN parameters.
     pub dcqcn: DcqcnConfig,
-    /// Reno/DCTCP parameters.
-    pub window: WindowConfig,
-    /// NIC egress backlog (per class) above which senders defer, bytes.
-    /// 0 means "use 8 wire-MTUs".
-    pub backlog_limit_bytes: u64,
-}
-
-impl StackConfig {
-    fn backlog_limit(&self, mtu_payload: u32) -> u64 {
-        if self.backlog_limit_bytes > 0 {
-            self.backlog_limit_bytes
-        } else {
-            8 * (mtu_payload + HEADER_BYTES) as u64
-        }
-    }
 }
 
 /// Congestion-control state of one sending flow.
@@ -236,16 +228,12 @@ impl HostStack {
             CcKind::Dcqcn => CcState::Dcqcn(DcqcnState::new(line, now)),
             CcKind::Dctcp => CcState::Window(WindowState::new(
                 WindowFlavor::Dctcp,
-                &self.cfg.window,
                 ctx.mtu_payload(),
                 now,
             )),
-            CcKind::Reno => CcState::Window(WindowState::new(
-                WindowFlavor::Reno,
-                &self.cfg.window,
-                ctx.mtu_payload(),
-                now,
-            )),
+            CcKind::Reno => {
+                CcState::Window(WindowState::new(WindowFlavor::Reno, ctx.mtu_payload(), now))
+            }
         };
         self.flows.insert(
             seq,
@@ -288,7 +276,7 @@ impl HostStack {
     fn dcqcn_pace(&mut self, seq: u64, ctx: &mut HostCtx<'_>) {
         let mtu = ctx.mtu_payload();
         let line = ctx.line_rate_bps() as f64;
-        let backlog_limit = self.cfg.backlog_limit(mtu);
+        let backlog_limit = backlog_limit(mtu);
         let Some(f) = self.flows.get_mut(&seq) else {
             return;
         };
@@ -338,8 +326,7 @@ impl HostStack {
 
     fn window_send(&mut self, seq: u64, ctx: &mut HostCtx<'_>) {
         let mtu = ctx.mtu_payload();
-        let backlog_limit = self.cfg.backlog_limit(mtu);
-        let rto = self.cfg.window.rto;
+        let backlog_limit = backlog_limit(mtu);
         loop {
             let Some(f) = self.flows.get_mut(&seq) else {
                 return;
@@ -369,7 +356,7 @@ impl HostStack {
             f.snd_nxt += payload as u64;
             if !st.rto_pending {
                 st.rto_pending = true;
-                ctx.set_timer_after(rto, tok(seq, TK_RTO));
+                ctx.set_timer_after(RTO, tok(seq, TK_RTO));
             }
             ctx.send(pkt);
         }
@@ -418,7 +405,6 @@ impl HostStack {
 
     fn on_rto(&mut self, seq: u64, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
-        let rto = self.cfg.window.rto;
         let mut resend = false;
         {
             let Some(f) = self.flows.get_mut(&seq) else {
@@ -429,16 +415,16 @@ impl HostStack {
             };
             st.rto_pending = false;
             let quiet = now.saturating_sub(st.last_progress);
-            if quiet >= rto && f.snd_nxt > f.snd_una {
+            if quiet >= RTO && f.snd_nxt > f.snd_una {
                 st.on_rto();
                 st.last_progress = now;
                 f.snd_nxt = f.snd_una;
                 resend = true;
                 st.rto_pending = true;
-                ctx.set_timer_after(rto, tok(seq, TK_RTO));
+                ctx.set_timer_after(RTO, tok(seq, TK_RTO));
             } else if f.snd_nxt > f.snd_una {
                 st.rto_pending = true;
-                ctx.set_timer_at(st.last_progress + rto, tok(seq, TK_RTO));
+                ctx.set_timer_at(st.last_progress + RTO, tok(seq, TK_RTO));
             }
         }
         if resend {
@@ -608,7 +594,6 @@ impl HostStack {
     ) {
         let seq = pkt.flow.0 & 0xffff_ffff;
         let now = ctx.now();
-        let wcfg = self.cfg.window.clone();
         let mut retransmit = false;
         let mut remove = false;
         {
@@ -622,7 +607,7 @@ impl HostStack {
                     }
                 }
                 CcState::Window(st) => {
-                    let action = st.on_ack(&wcfg, cum_ack, ce_echo, f.snd_una, f.snd_nxt, now);
+                    let action = st.on_ack(cum_ack, ce_echo, f.snd_una, f.snd_nxt, now);
                     if cum_ack > f.snd_una {
                         f.snd_una = cum_ack;
                     }

@@ -20,32 +20,16 @@ pub enum WindowFlavor {
     Dctcp,
 }
 
-/// Parameters for the window transports.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WindowConfig {
-    /// Initial congestion window, in segments.
-    pub init_cwnd_segments: u32,
-    /// DCTCP EWMA gain.
-    pub dctcp_g: f64,
-    /// Fixed retransmission timeout (datacenter-tuned).
-    pub rto: netsim::SimTime,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
-    /// Maximum congestion window in bytes (flow control stand-in).
-    pub max_cwnd_bytes: f64,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            init_cwnd_segments: 10,
-            dctcp_g: 1.0 / 16.0,
-            rto: netsim::SimTime::from_us(500),
-            dupack_threshold: 3,
-            max_cwnd_bytes: 4.0 * 1024.0 * 1024.0,
-        }
-    }
-}
+/// Initial congestion window, in segments.
+pub const INIT_CWND_SEGMENTS: u32 = 10;
+/// DCTCP EWMA gain.
+pub const DCTCP_G: f64 = 1.0 / 16.0;
+/// Fixed retransmission timeout (datacenter-tuned).
+pub const RTO: netsim::SimTime = netsim::SimTime::from_us(500);
+/// Duplicate-ACK threshold for fast retransmit.
+pub const DUPACK_THRESHOLD: u32 = 3;
+/// Maximum congestion window in bytes (flow control stand-in).
+pub const MAX_CWND_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
 
 /// What the state machine asks the stack to do after processing an ACK.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,11 +69,11 @@ pub struct WindowState {
 
 impl WindowState {
     /// Fresh state for a flow with segment size `mss`.
-    pub fn new(flavor: WindowFlavor, cfg: &WindowConfig, mss: u32, now: netsim::SimTime) -> Self {
+    pub fn new(flavor: WindowFlavor, mss: u32, now: netsim::SimTime) -> Self {
         WindowState {
             flavor,
-            cwnd: cfg.init_cwnd_segments as f64 * mss as f64,
-            ssthresh: cfg.max_cwnd_bytes,
+            cwnd: INIT_CWND_SEGMENTS as f64 * mss as f64,
+            ssthresh: MAX_CWND_BYTES,
             mss: mss as f64,
             dupacks: 0,
             alpha: 0.0,
@@ -107,7 +91,6 @@ impl WindowState {
     /// updates `snd_una` to `max(snd_una, cum_ack)` afterwards.
     pub fn on_ack(
         &mut self,
-        cfg: &WindowConfig,
         cum_ack: u64,
         ce_echo: bool,
         snd_una: u64,
@@ -131,7 +114,7 @@ impl WindowState {
                     } else {
                         0.0
                     };
-                    self.alpha = (1.0 - cfg.dctcp_g) * self.alpha + cfg.dctcp_g * f;
+                    self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
                     if self.marked_in_window > 0 {
                         self.cwnd *= 1.0 - self.alpha / 2.0;
                         self.cwnd = self.cwnd.max(self.mss);
@@ -149,13 +132,13 @@ impl WindowState {
             } else {
                 self.cwnd += self.mss * newly as f64 / self.cwnd;
             }
-            self.cwnd = self.cwnd.min(cfg.max_cwnd_bytes);
+            self.cwnd = self.cwnd.min(MAX_CWND_BYTES);
             AckAction::Continue
         } else {
             // Duplicate ACK (only meaningful if data is outstanding).
             if snd_nxt > snd_una {
                 self.dupacks += 1;
-                if self.dupacks >= cfg.dupack_threshold {
+                if self.dupacks >= DUPACK_THRESHOLD {
                     self.dupacks = 0;
                     self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.mss);
                     self.cwnd = self.ssthresh;
@@ -186,44 +169,42 @@ mod tests {
     use super::*;
     use netsim::SimTime;
 
-    fn mkstate(flavor: WindowFlavor) -> (WindowConfig, WindowState) {
-        let cfg = WindowConfig::default();
-        let st = WindowState::new(flavor, &cfg, 1000, SimTime::ZERO);
-        (cfg, st)
+    fn mkstate(flavor: WindowFlavor) -> WindowState {
+        WindowState::new(flavor, 1000, SimTime::ZERO)
     }
 
     #[test]
     fn initial_window() {
-        let (_, s) = mkstate(WindowFlavor::Reno);
+        let s = mkstate(WindowFlavor::Reno);
         assert_eq!(s.cwnd, 10_000.0);
     }
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         // Ack a full window: cwnd should double.
         let w = s.cwnd as u64;
-        s.on_ack(&cfg, w, false, 0, w, SimTime::from_us(10));
+        s.on_ack(w, false, 0, w, SimTime::from_us(10));
         assert_eq!(s.cwnd, 20_000.0);
     }
 
     #[test]
     fn congestion_avoidance_is_linear() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         s.ssthresh = 10_000.0; // at threshold -> CA
         let w = s.cwnd as u64;
-        s.on_ack(&cfg, w, false, 0, w, SimTime::from_us(10));
+        s.on_ack(w, false, 0, w, SimTime::from_us(10));
         // cwnd += mss * acked/cwnd = 1000 * 10000/10000 = 1000 (one MSS/RTT).
         assert_eq!(s.cwnd, 11_000.0);
     }
 
     #[test]
     fn three_dupacks_trigger_fast_retransmit() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         s.cwnd = 40_000.0;
         let mut act = AckAction::Continue;
         for _ in 0..3 {
-            act = s.on_ack(&cfg, 5_000, false, 5_000, 30_000, SimTime::from_us(10));
+            act = s.on_ack(5_000, false, 5_000, 30_000, SimTime::from_us(10));
         }
         assert_eq!(act, AckAction::Retransmit);
         assert_eq!(s.cwnd, 20_000.0);
@@ -231,9 +212,9 @@ mod tests {
 
     #[test]
     fn dupacks_without_outstanding_data_ignored() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         for _ in 0..10 {
-            let act = s.on_ack(&cfg, 5_000, false, 5_000, 5_000, SimTime::ZERO);
+            let act = s.on_ack(5_000, false, 5_000, 5_000, SimTime::ZERO);
             assert_eq!(act, AckAction::Continue);
         }
         assert_eq!(s.dupacks, 0);
@@ -241,7 +222,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_window() {
-        let (_, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         s.cwnd = 50_000.0;
         s.on_rto();
         assert_eq!(s.cwnd, 1000.0);
@@ -250,14 +231,14 @@ mod tests {
 
     #[test]
     fn dctcp_alpha_tracks_mark_fraction() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Dctcp);
+        let mut s = mkstate(WindowFlavor::Dctcp);
         s.ssthresh = 1.0; // force CA so growth is small
                           // Simulate many windows fully marked: alpha -> 1.
         let mut una = 0u64;
         for _ in 0..200 {
             let nxt = una + 10_000;
             s.window_end = s.window_end.max(una);
-            s.on_ack(&cfg, nxt, true, una, nxt, SimTime::from_us(1));
+            s.on_ack(nxt, true, una, nxt, SimTime::from_us(1));
             una = nxt;
         }
         assert!(s.alpha > 0.9, "alpha={}", s.alpha);
@@ -265,12 +246,12 @@ mod tests {
 
     #[test]
     fn dctcp_unmarked_windows_decay_alpha() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Dctcp);
+        let mut s = mkstate(WindowFlavor::Dctcp);
         s.alpha = 1.0;
         let mut una = 0u64;
         for _ in 0..100 {
             let nxt = una + 10_000;
-            s.on_ack(&cfg, nxt, false, una, nxt, SimTime::from_us(1));
+            s.on_ack(nxt, false, una, nxt, SimTime::from_us(1));
             una = nxt;
         }
         assert!(s.alpha < 0.01, "alpha={}", s.alpha);
@@ -278,19 +259,19 @@ mod tests {
 
     #[test]
     fn dctcp_gentle_cut_with_small_alpha() {
-        let (cfg, mut s) = mkstate(WindowFlavor::Dctcp);
+        let mut s = mkstate(WindowFlavor::Dctcp);
         s.cwnd = 100_000.0;
         s.ssthresh = 1.0;
         s.alpha = 0.0;
         // One lightly-marked window: cut should be much gentler than half.
         s.window_end = 10_000;
-        s.on_ack(&cfg, 10_000, true, 0, 10_000, SimTime::from_us(1));
+        s.on_ack(10_000, true, 0, 10_000, SimTime::from_us(1));
         assert!(s.cwnd > 90_000.0, "cwnd={}", s.cwnd);
     }
 
     #[test]
     fn usable_window() {
-        let (_, mut s) = mkstate(WindowFlavor::Reno);
+        let mut s = mkstate(WindowFlavor::Reno);
         s.cwnd = 10_000.0;
         assert_eq!(s.usable(0, 4_000), 6_000);
         assert_eq!(s.usable(0, 10_000), 0);

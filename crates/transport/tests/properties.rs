@@ -5,7 +5,7 @@
 use netsim::prelude::*;
 use proptest::prelude::*;
 use transport::dcqcn::{DcqcnConfig, DcqcnState};
-use transport::window::{WindowConfig, WindowFlavor, WindowState};
+use transport::window::{WindowFlavor, WindowState, MAX_CWND_BYTES};
 use transport::{CcKind, FctCollector, Message, StackConfig};
 
 #[derive(Debug, Clone)]
@@ -57,9 +57,8 @@ proptest! {
         acks in prop::collection::vec((any::<u64>(), any::<bool>()), 0..300),
         flavor_dctcp in any::<bool>(),
     ) {
-        let cfg = WindowConfig::default();
         let flavor = if flavor_dctcp { WindowFlavor::Dctcp } else { WindowFlavor::Reno };
-        let mut s = WindowState::new(flavor, &cfg, 1000, SimTime::ZERO);
+        let mut s = WindowState::new(flavor, 1000, SimTime::ZERO);
         let mut una = 0u64;
         let mut nxt = 0u64;
         let mut now = SimTime::ZERO;
@@ -68,10 +67,10 @@ proptest! {
             // Keep the ack within a plausible window of the send state.
             let ack = una + (raw_ack % 100_000);
             nxt = nxt.max(ack).max(una + (raw_ack % 50_000));
-            s.on_ack(&cfg, ack, ce, una, nxt, now);
+            s.on_ack(ack, ce, una, nxt, now);
             una = una.max(ack);
             prop_assert!(s.cwnd >= s.mss - 1.0);
-            prop_assert!(s.cwnd <= cfg.max_cwnd_bytes + 1.0);
+            prop_assert!(s.cwnd <= MAX_CWND_BYTES + 1.0);
             prop_assert!(s.cwnd.is_finite());
             prop_assert!((0.0..=1.0).contains(&s.alpha));
         }

@@ -143,6 +143,10 @@ impl StorageProfile {
     }
 }
 
+/// Device access latency a storage node adds before it answers a read,
+/// forwards a replica or acknowledges a write (NVMe-class).
+pub const DEVICE_LATENCY: SimTime = SimTime::from_us(20);
+
 /// Cluster-level knobs.
 #[derive(Clone, Debug)]
 pub struct StorageConfig {
@@ -152,9 +156,6 @@ pub struct StorageConfig {
     pub io_depth: usize,
     /// Extra replicas per write.
     pub replication: usize,
-    /// Device access latency added before a read response leaves a storage
-    /// node (NVMe-class).
-    pub device_latency: SimTime,
     /// Transport for all storage traffic (the paper uses RDMA between
     /// storage nodes and for the benchmark cluster).
     pub cc: CcKind,
@@ -168,7 +169,6 @@ impl Default for StorageConfig {
             profile: StorageProfile::oltp(),
             io_depth: 16,
             replication: 2,
-            device_latency: SimTime::from_us(20),
             cc: CcKind::Dcqcn,
             seed: 1,
         }
@@ -351,7 +351,7 @@ impl AppHook for StorageCluster {
                     .map(|w| w.acks_pending as u64)
                     .unwrap_or(64 * 1024);
                 vec![(
-                    self.cfg.device_latency,
+                    DEVICE_LATENCY,
                     Message::new(m.src, block, self.cfg.cc).with_tag(tag(T_READ_RESP, io)),
                 )]
             }
@@ -397,7 +397,7 @@ impl AppHook for StorageCluster {
                     // No replication: acknowledge straight away.
                     let w = self.writes.remove(&io).unwrap();
                     return vec![(
-                        self.cfg.device_latency,
+                        DEVICE_LATENCY,
                         Message::new(w.compute, 256, self.cfg.cc).with_tag(tag(T_WRITE_ACK, io)),
                     )];
                 }
@@ -405,7 +405,7 @@ impl AppHook for StorageCluster {
                     .into_iter()
                     .map(|r| {
                         (
-                            self.cfg.device_latency,
+                            DEVICE_LATENCY,
                             Message::new(r, m.bytes, self.cfg.cc).with_tag(tag(T_REPL_DATA, io)),
                         )
                     })
@@ -414,7 +414,7 @@ impl AppHook for StorageCluster {
             T_REPL_DATA => {
                 // At a replica: persist, then ack the primary.
                 vec![(
-                    self.cfg.device_latency,
+                    DEVICE_LATENCY,
                     Message::new(m.src, 64, self.cfg.cc).with_tag(tag(T_REPL_ACK, io)),
                 )]
             }
