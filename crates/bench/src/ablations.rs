@@ -10,15 +10,13 @@
 //! Each cell trains a fresh ACC online on the same sustained-incast scenario
 //! and reports the converged goodput / queue tradeoff.
 
-use crate::common::{self, Harness};
+use crate::common::{self, Harness, QueueMark, INCAST_PORT};
 use acc_core::controller::{AccConfig, AccController};
 use acc_core::reward::RewardConfig;
 use acc_core::ActionSpace;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
-use transport::CcKind;
-use workloads::gen;
 
 struct Cell {
     goodput_gbps: f64,
@@ -28,11 +26,6 @@ struct Cell {
 
 fn run_cell(h: &Harness, k: usize, dt: SimTime, w1: f64) -> Cell {
     let scale = h.scale;
-    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
-    let simcfg = SimConfig::default().with_seed(23).with_control_interval(dt);
-    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
-    let receiver = hosts[15];
-
     let mut cfg = AccConfig::default();
     cfg.history_k = k;
     cfg.reward = RewardConfig {
@@ -45,16 +38,9 @@ fn run_cell(h: &Harness, k: usize, dt: SimTime, w1: f64) -> Cell {
     cfg.seed = 29;
 
     // Sustained 6x4 incast of long flows.
-    let arr = gen::incast_wave(
-        &hosts[..6],
-        receiver,
-        4,
-        1_000_000_000,
-        CcKind::Dcqcn,
-        SimTime::ZERO,
-    );
+    let simcfg = SimConfig::default().with_seed(23).with_control_interval(dt);
     let label = format!("k{k}_dt{}us_w{w1:.1}", dt.as_ps() / 1_000_000);
-    let mut sc = h.scenario_installed(&spec, simcfg, &label, &arr, |sim| {
+    let mut sc = h.sustained_incast(simcfg, &label, 6, 4, |sim| {
         let sw = sim.core().topo.switches()[0];
         let acc = AccController::new(cfg.clone(), ActionSpace::templates());
         sim.set_controller(sw, Box::new(acc));
@@ -63,24 +49,16 @@ fn run_cell(h: &Harness, k: usize, dt: SimTime, w1: f64) -> Cell {
     let sw = sim.core().topo.switches()[0];
 
     let total = scale.pick(SimTime::from_ms(120), SimTime::from_ms(40));
-    let measure_from = SimTime::from_ps(total.as_ps() * 3 / 4);
-    sim.run_until(measure_from);
-    let (tx0, int0) = {
-        let t = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
-        (t.tx_bytes, t.qlen_integral_byte_ps)
-    };
+    sim.run_until(SimTime::from_ps(total.as_ps() * 3 / 4));
+    let start = QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA);
     sim.run_until(total);
-    let (tx1, int1) = {
-        let t = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
-        (t.tx_bytes, t.qlen_integral_byte_ps)
-    };
-    let window = total - measure_from;
-    let goodput = (tx1 - tx0) as f64 * 8.0 / window.as_secs_f64() / 1e9;
-    let avg_q = (int1 - int0) as f64 / window.as_ps() as f64;
-    let reward = cfg.reward.reward(goodput * 1e9 / 25e9, avg_q as u64);
+    let w = start.window_to(&QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA));
+    let reward = cfg
+        .reward
+        .reward(w.goodput_gbps * 1e9 / 25e9, w.avg_queue_bytes as u64);
     Cell {
-        goodput_gbps: goodput,
-        avg_queue_kb: avg_q / 1024.0,
+        goodput_gbps: w.goodput_gbps,
+        avg_queue_kb: w.avg_queue_bytes / 1024.0,
         reward,
     }
 }

@@ -1,7 +1,7 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
 //! cache, the [`Harness`] run context with the one builder and the one run
-//! path (one simulator or `--shards N`), queue sampling, and the one table
-//! printer the experiments' `show` functions use.
+//! path (one simulator or `--shards N`), the one queue readout and stepping
+//! loop, and the one table printer the experiments' `show` functions use.
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
@@ -1122,6 +1122,30 @@ impl Harness {
         })
     }
 
+    /// A sustained incast on [`incast_fabric`] under `cfg`: `flows` DCQCN
+    /// flows of 1 GB, enough to outlast any horizon, from each of
+    /// `hosts[..senders]` to the receiver at t = 0, with whatever `install`
+    /// puts on the switch. `label` names the run.
+    pub fn sustained_incast(
+        &self,
+        cfg: SimConfig,
+        label: &str,
+        senders: usize,
+        flows: usize,
+        install: impl FnOnce(&mut Simulator),
+    ) -> Scenario {
+        let (spec, hosts) = incast_fabric();
+        let arrivals = gen::incast_wave(
+            &hosts[..senders],
+            hosts[15],
+            flows,
+            1_000_000_000,
+            transport::CcKind::Dcqcn,
+            SimTime::ZERO,
+        );
+        self.scenario_installed(&spec, cfg, label, &arrivals, install)
+    }
+
     /// A scenario on one simulator over `spec` under `cfg`: host stacks,
     /// whatever `install` puts on the switches, and `arrivals` queued;
     /// recording and profiling armed as the harness is. `label` names the
@@ -1409,53 +1433,74 @@ impl Harness {
     }
 }
 
-/// Periodically sampled statistics of one egress queue.
-#[derive(Clone, Debug, Default, serde::Serialize)]
-pub struct QueueSamples {
-    /// (time us, queue bytes) samples.
-    pub samples: Vec<(f64, u64)>,
+/// The registers of one egress queue at one instant, read through
+/// `synced_queue_telem`. Two marks bound a [`QueueWindow`].
+#[derive(Clone, Copy, Debug)]
+pub struct QueueMark {
+    /// When the registers were read.
+    pub at: SimTime,
+    /// Bytes handed to the serializer so far.
+    pub tx_bytes: u64,
+    /// Time integral of the queue's depth so far, byte-picoseconds.
+    pub qlen_integral_byte_ps: u128,
 }
 
-impl QueueSamples {
-    /// Mean queue depth in bytes.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+/// The paper's two readouts of an egress queue over an interval (§3.3):
+/// what it sent and how deep it stood on average.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct QueueWindow {
+    /// Bytes sent over the window, as Gbit/s.
+    pub goodput_gbps: f64,
+    /// Time-average depth over the window, bytes.
+    pub avg_queue_bytes: f64,
+}
+
+impl QueueMark {
+    /// Read queue `(node, port, prio)` of `sim` now.
+    pub fn read(sim: &mut Simulator, node: NodeId, port: PortId, prio: Prio) -> Self {
+        let t = sim.core_mut().synced_queue_telem(node, port, prio);
+        QueueMark {
+            at: sim.now(),
+            tx_bytes: t.tx_bytes,
+            qlen_integral_byte_ps: t.qlen_integral_byte_ps,
         }
-        self.samples.iter().map(|(_, q)| *q as f64).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Standard deviation of queue depth in bytes.
-    pub fn std_dev(&self) -> f64 {
-        let xs: Vec<f64> = self.samples.iter().map(|(_, q)| *q as f64).collect();
-        netsim::util::std_dev(&xs)
-    }
-
-    /// Maximum sampled depth.
-    pub fn max(&self) -> u64 {
-        self.samples.iter().map(|(_, q)| *q).max().unwrap_or(0)
+    /// The window from this mark to the later mark `end`.
+    pub fn window_to(&self, end: &QueueMark) -> QueueWindow {
+        let dt = end.at - self.at;
+        QueueWindow {
+            goodput_gbps: (end.tx_bytes - self.tx_bytes) as f64 * 8.0 / dt.as_secs_f64() / 1e9,
+            avg_queue_bytes: (end.qlen_integral_byte_ps - self.qlen_integral_byte_ps) as f64
+                / dt.as_ps() as f64,
+        }
     }
 }
 
-/// Run `sim` until `horizon`, sampling the queue `(node, port, prio)` every
-/// `step`.
-pub fn run_sampling_queue(
+/// Run `sim` to `until` in steps of `step`, calling `f` after each; the
+/// last step stops short at `until`.
+pub fn run_stepped(
     sim: &mut Simulator,
-    node: NodeId,
-    port: PortId,
-    prio: Prio,
+    until: SimTime,
     step: SimTime,
-    horizon: SimTime,
-) -> QueueSamples {
-    let mut out = QueueSamples::default();
-    while sim.now() < horizon {
-        let t = (sim.now() + step).min(horizon);
-        sim.run_until(t);
-        let q = sim.core().queue(node, port, prio);
-        out.samples.push((sim.now().as_us_f64(), q.bytes()));
+    mut f: impl FnMut(&mut Simulator),
+) {
+    while sim.now() < until {
+        sim.run_until((sim.now() + step).min(until));
+        f(sim);
     }
-    out
 }
+
+/// The one switch the incast experiments run on: 16 hosts on 25 Gbit/s,
+/// 500 ns links. The receiver is `hosts[15]`, behind [`INCAST_PORT`].
+pub fn incast_fabric() -> (TopologySpec, Vec<NodeId>) {
+    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
+    let hosts = spec.build().hosts().to_vec();
+    (spec, hosts)
+}
+
+/// The switch port that faces [`incast_fabric`]'s receiver.
+pub const INCAST_PORT: PortId = PortId(15);
 
 /// Aggregate tx bytes of a node over all its ports for one priority.
 pub fn node_tx_bytes(sim: &Simulator, node: NodeId, prio: Prio) -> u64 {
@@ -1706,6 +1751,50 @@ SECN1         0.500         -         -   7  -
             pretrained_path(Scale::QUICK, &cfg, segments, reseeded).0,
             pretrained_path(Scale::QUICK, &cfg, segments, engine).0
         );
+    }
+
+    /// A window's readouts are the register deltas over the marks' time
+    /// apart: 3.125 GB sent in one second is 25 Gbit/s, and 40 000 bytes
+    /// standing for the whole second average to 40 000.
+    #[test]
+    fn queue_window_between_two_marks() {
+        let start = QueueMark {
+            at: SimTime::from_ms(2),
+            tx_bytes: 7_000,
+            qlen_integral_byte_ps: 9_000_000,
+        };
+        let end = QueueMark {
+            at: SimTime::from_ms(1_002),
+            tx_bytes: 7_000 + 3_125_000_000,
+            qlen_integral_byte_ps: 9_000_000 + 40_000 * 1_000_000_000_000,
+        };
+        let w = start.window_to(&end);
+        assert_eq!(
+            w,
+            QueueWindow {
+                goodput_gbps: 25.0,
+                avg_queue_bytes: 40_000.0,
+            }
+        );
+    }
+
+    /// The loop steps a whole `step` at a time, stops the last step at
+    /// `until`, calls `f` after every step and leaves the clock at `until`.
+    #[test]
+    fn run_stepped_stops_the_last_step_at_until() {
+        let spec = TopologySpec::single_switch(2, 25_000_000_000, SimTime::from_ns(500));
+        let mut sim = Simulator::new(spec.build(), SimConfig::default());
+        let mut calls = Vec::new();
+        run_stepped(
+            &mut sim,
+            SimTime::from_ms(1),
+            SimTime::from_us(300),
+            |sim| {
+                calls.push(sim.now());
+            },
+        );
+        assert_eq!(calls, [300, 600, 900, 1000].map(SimTime::from_us));
+        assert_eq!(sim.now(), SimTime::from_ms(1));
     }
 
     #[test]

@@ -8,68 +8,38 @@
 //! low differs between the two shapes — the paper finds ~500 KB for (a) and
 //! ~50 KB for (b).
 
-use crate::common::{self, Harness, Policy};
+use crate::common::{self, Harness, Policy, QueueMark, QueueWindow, INCAST_PORT};
 use acc_core::reward::e_n;
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use netsim::queues::EcnConfig;
 use serde_json::{json, Value};
-use transport::CcKind;
-use workloads::gen;
-
-struct Outcome {
-    goodput_gbps: f64,
-    avg_queue_kb: f64,
-}
 
 /// Sustained incast under one fixed single-threshold setting (or ACC when
 /// `k == 0`): long-running flows, measure over a post-warmup window.
-fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> Outcome {
+fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> QueueWindow {
     let scale = h.scale;
-    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
-    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
-    let receiver = hosts[15];
-    // Long-running flows: big enough to outlast the horizon.
-    let arr = gen::incast_wave(
-        &hosts[..senders],
-        receiver,
-        flows,
-        1_000_000_000,
-        CcKind::Dcqcn,
-        SimTime::ZERO,
-    );
-    let seed = SimConfig::default().seed;
-    let mut sc = if k == 0 {
-        h.scenario(&spec, Policy::Acc, seed, &arr)
-    } else {
-        let label = format!("K{}KB", k / 1024);
-        h.scenario_installed(&spec, common::sim_config(seed), &label, &arr, |sim| {
-            install_static(sim, StaticEcnPolicy::Fixed(EcnConfig::new(k, k, 1.0)))
-        })
+    let cfg = common::sim_config(SimConfig::default().seed);
+    let label = match k {
+        0 => Policy::Acc.name().to_string(),
+        _ => format!("K{}KB", k / 1024),
     };
+    let mut sc = h.sustained_incast(cfg, &label, senders, flows, |sim| match k {
+        0 => common::install_policy(sim, Policy::Acc, scale),
+        _ => install_static(sim, StaticEcnPolicy::Fixed(EcnConfig::new(k, k, 1.0))),
+    });
     let sim = &mut sc.sim;
 
     let warmup = scale.pick(SimTime::from_ms(8), SimTime::from_ms(3));
     let horizon = scale.pick(SimTime::from_ms(24), SimTime::from_ms(9));
     sim.run_until(warmup);
     let sw = sim.core().topo.switches()[0];
-    let port = PortId(15);
-    let (tx0, int0) = {
-        let t = sim.core_mut().synced_queue_telem(sw, port, PRIO_RDMA);
-        (t.tx_bytes, t.qlen_integral_byte_ps)
-    };
+    let start = QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA);
     sim.run_until(horizon);
-    let (tx1, int1) = {
-        let t = sim.core_mut().synced_queue_telem(sw, port, PRIO_RDMA);
-        (t.tx_bytes, t.qlen_integral_byte_ps)
-    };
+    let window = start.window_to(&QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA));
     assert_eq!(sim.core().lossless_drops, 0, "PFC violated");
-    let window = horizon - warmup;
-    Outcome {
-        goodput_gbps: (tx1 - tx0) as f64 * 8.0 / window.as_secs_f64() / 1e9,
-        avg_queue_kb: (int1 - int0) as f64 / window.as_ps() as f64 / 1024.0,
-    }
+    window
 }
 
 /// Run the experiment.
@@ -88,14 +58,15 @@ pub fn run(h: &Harness) -> Value {
             // "Optimal" = the paper's throughput/delay tradeoff: highest
             // goodput with a queue-delay penalty (1 MB of standing queue at
             // 25G is ~320 us of delay; weigh it like lost goodput).
-            let score = o.goodput_gbps - o.avg_queue_kb / 1024.0;
+            let avg_queue_kb = o.avg_queue_bytes / 1024.0;
+            let score = o.goodput_gbps - avg_queue_kb / 1024.0;
             if best.is_none_or(|(_, s)| score > s) {
                 best = Some((k, score));
             }
             rows.push(json!({
                 "k_bytes": k,
                 "goodput_gbps": o.goodput_gbps,
-                "avg_queue_kb": o.avg_queue_kb,
+                "avg_queue_kb": avg_queue_kb,
             }));
         }
         let acc = run_case(h, senders, flows, 0);
@@ -103,7 +74,10 @@ pub fn run(h: &Harness) -> Value {
         out.push(json!({
             "case": name,
             "rows": rows,
-            "acc": { "goodput_gbps": acc.goodput_gbps, "avg_queue_kb": acc.avg_queue_kb },
+            "acc": {
+                "goodput_gbps": acc.goodput_gbps,
+                "avg_queue_kb": acc.avg_queue_bytes / 1024.0,
+            },
             "optimal_k_bytes": bk,
         }));
     }

@@ -3,7 +3,7 @@
 //! of them (the paper reports an order-of-magnitude queue reduction and
 //! +26% throughput over the mismatched static settings).
 
-use crate::common::{self, Harness, Policy};
+use crate::common::{self, Harness, Policy, QueueMark, INCAST_PORT};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -18,8 +18,7 @@ fn run_policy(h: &Harness, policy: Policy) -> Vec<Value> {
     let phase_len = scale.pick(SimTime::from_ms(30), SimTime::from_ms(10));
     let wave_gap = SimTime::from_ms(2);
 
-    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
-    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
+    let (spec, hosts) = common::incast_fabric();
     let receiver = hosts[15];
     let mut arrivals = Vec::new();
     for (pi, &(senders, flows, bytes)) in phases.iter().enumerate() {
@@ -38,26 +37,19 @@ fn run_policy(h: &Harness, policy: Policy) -> Vec<Value> {
     }
     let mut sc = h.scenario(&spec, policy, 5, &arrivals);
     let sw = sc.sim.core().topo.switches()[0];
-    let port = PortId(15);
 
     let mut out = Vec::new();
-    let mut prev_integral = 0u128;
-    let mut prev_tx = 0u64;
+    let mut mark = QueueMark::read(&mut sc.sim, sw, INCAST_PORT, PRIO_RDMA);
     for pi in 0..phases.len() {
-        let end = phase_len.mul(pi as u64 + 1);
-        sc.sim.run_until(end);
-        let t = sc.sim.core_mut().synced_queue_telem(sw, port, PRIO_RDMA);
-        let integral = t.qlen_integral_byte_ps;
-        let tx = t.tx_bytes;
-        let avg_q = (integral - prev_integral) as f64 / phase_len.as_ps() as f64;
-        let goodput = (tx - prev_tx) as f64 * 8.0 / phase_len.as_secs_f64() / 1e9;
-        prev_integral = integral;
-        prev_tx = tx;
+        sc.sim.run_until(phase_len.mul(pi as u64 + 1));
+        let end = QueueMark::read(&mut sc.sim, sw, INCAST_PORT, PRIO_RDMA);
+        let w = mark.window_to(&end);
+        mark = end;
         out.push(json!({
             "policy": policy.name(),
             "phase": pi + 1,
-            "avg_queue_kb": avg_q / 1024.0,
-            "goodput_gbps": goodput,
+            "avg_queue_kb": w.avg_queue_bytes / 1024.0,
+            "goodput_gbps": w.goodput_gbps,
         }));
     }
     out

@@ -5,12 +5,13 @@
 //! size class (normalised by ACC, as the paper does), and the sampled
 //! average/std-dev of the receiver-port queue plus ToR throughput.
 
-use crate::common::{self, Harness, MatrixCell, Policy};
+use crate::common::{self, Harness, MatrixCell, Policy, Scale};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
+use netsim::util::{mean, std_dev};
 use serde_json::{json, Value};
 use transport::CcKind;
-use workloads::gen::PoissonGen;
+use workloads::gen::{Arrival, PoissonGen};
 use workloads::SizeDist;
 
 struct Row {
@@ -21,8 +22,10 @@ struct Row {
     tor_gbps: f64,
 }
 
-fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
-    let scale = h.scale;
+/// The end-to-end scenario at offered `load`: the single 8-host switch,
+/// the message mix from two senders to `hosts[7]`, and the horizon (the
+/// offered traffic plus a 20 ms drain).
+pub fn scenario(scale: Scale, load: f64) -> (TopologySpec, Vec<Arrival>, SimTime) {
     let spec = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500));
     let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
     let receiver = hosts[7];
@@ -43,16 +46,17 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
         }
         a.msg.dst = receiver;
     }
+    (spec, arrivals, dur + SimTime::from_ms(20))
+}
+
+fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
+    let (spec, arrivals, horizon) = scenario(h.scale, load);
     let mut sc = h.scenario(&spec, policy, 7, &arrivals);
-    let (sw, port) = common::access_port(&sc.sim, receiver);
-    let samples = common::run_sampling_queue(
-        &mut sc.sim,
-        sw,
-        port,
-        PRIO_RDMA,
-        SimTime::from_us(100),
-        dur + SimTime::from_ms(20),
-    );
+    let (sw, port) = common::access_port(&sc.sim, sc.hosts[7]);
+    let mut depths = Vec::new();
+    common::run_stepped(&mut sc.sim, horizon, SimTime::from_us(100), |sim| {
+        depths.push(sim.core().queue(sw, port, PRIO_RDMA).bytes() as f64);
+    });
     let f = sc.fct.borrow();
     let cls = |lo: u64, hi: u64| f.stats(|r| r.bytes >= lo && r.bytes <= hi);
     let small = cls(0, 10_000);
@@ -62,8 +66,8 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> Row {
     Row {
         avg: [small.avg_us, mid.avg_us, large.avg_us],
         p99: [small.p99_us, mid.p99_us, large.p99_us],
-        queue_mean_kb: samples.mean() / 1024.0,
-        queue_std_kb: samples.std_dev() / 1024.0,
+        queue_mean_kb: mean(&depths) / 1024.0,
+        queue_std_kb: std_dev(&depths) / 1024.0,
         tor_gbps: tor_bytes as f64 * 8.0 / sc.sim.now().as_secs_f64() / 1e9,
     }
 }

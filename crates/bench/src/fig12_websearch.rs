@@ -4,16 +4,17 @@
 //! than SECN1 and 16.6% better than SECN2 overall at 90% load, with the
 //! biggest wins on mice tails.
 
-use crate::common::{self, FctBuckets, Harness, MatrixCell, Policy};
+use crate::common::{self, FctBuckets, Harness, MatrixCell, Policy, Scale};
 use netsim::prelude::*;
 use serde_json::{json, Value};
 use transport::CcKind;
-use workloads::gen::PoissonGen;
+use workloads::gen::{Arrival, PoissonGen};
 use workloads::SizeDist;
 
-fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
-    let scale = h.scale;
-    // Quick mode uses the 96-host fabric, full the 288-host one.
+/// The WebSearch scenario at offered `load`: the fabric (96 hosts quick,
+/// 288 full), its arrivals and the horizon, a generous drain margin after
+/// the offered traffic so elephants can finish.
+pub fn scenario(scale: Scale, load: f64) -> (TopologySpec, Vec<Arrival>, SimTime) {
     let spec = if scale.quick {
         TopologySpec::paper_cacc_sim()
     } else {
@@ -24,8 +25,13 @@ fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
     let g = PoissonGen::new(SizeDist::web_search(), load, CcKind::Dcqcn, 41);
     let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
     let horizon = dur + scale.pick(SimTime::from_ms(20), SimTime::from_ms(12));
-    // Generous drain margin so elephants can finish. (On two or more shards
-    // the ACC arm keeps each switch's replay private; on one it is shared.)
+    (spec, arrivals, horizon)
+}
+
+fn run_one(h: &Harness, policy: Policy, load: f64) -> FctBuckets {
+    let (spec, arrivals, horizon) = scenario(h.scale, load);
+    // On two or more shards the ACC arm keeps each switch's replay
+    // private; on one it is shared.
     let out = h.run_to(&spec, policy, 9, &arrivals, None, &[horizon], |_| {});
     common::buckets_of(&out.fct, SimTime::ZERO)
 }

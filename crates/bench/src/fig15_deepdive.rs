@@ -3,7 +3,7 @@
 //! drops the threshold to mark harder; as the queue drains it raises the
 //! threshold again to protect throughput.
 
-use crate::common::{self, Harness, Policy};
+use crate::common::{self, Harness, Policy, INCAST_PORT};
 use acc_core::controller::AccController;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
@@ -13,8 +13,7 @@ use workloads::gen;
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
-    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
+    let (spec, hosts) = common::incast_fabric();
     let receiver = hosts[15];
 
     // Sustained background + a heavy burst in the middle.
@@ -44,24 +43,18 @@ pub fn run(h: &Harness) -> Value {
     ));
     let mut sc = h.scenario(&spec, Policy::Acc, 15, &arrivals);
     let sw = sc.sim.core().topo.switches()[0];
-    let port = PortId(15);
-
-    let horizon = SimTime::from_ms(24);
-    let step = SimTime::from_us(250);
     let mut series = Vec::new();
-    while sc.sim.now() < horizon {
-        let t = (sc.sim.now() + step).min(horizon);
-        sc.sim.run_until(t);
-        let q = sc.sim.core().queue(sw, port, PRIO_RDMA);
-        let qlen = q.bytes();
+    let (horizon, step) = (SimTime::from_ms(24), SimTime::from_us(250));
+    common::run_stepped(&mut sc.sim, horizon, step, |sim| {
+        let q = sim.core().queue(sw, INCAST_PORT, PRIO_RDMA);
         let ecn = q.ecn.unwrap();
         series.push(json!({
-            "t_us": sc.sim.now().as_us_f64(),
-            "queue_bytes": qlen,
+            "t_us": sim.now().as_us_f64(),
+            "queue_bytes": q.bytes(),
             "kmin_bytes": ecn.kmin_bytes,
             "kmax_bytes": ecn.kmax_bytes,
         }));
-    }
+    });
 
     // The paper's qualitative claim: during the burst window the controller
     // applies a lower Kmin than its pre-burst choice.

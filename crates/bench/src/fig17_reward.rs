@@ -7,15 +7,13 @@
 //! thresholds (the expected action); the linear reward makes the actions
 //! nearly indistinguishable and the policy stays scattered / high.
 
-use crate::common::{self, Harness};
+use crate::common::{self, Harness, QueueMark, INCAST_PORT};
 use acc_core::controller::{AccConfig, AccController};
 use acc_core::reward::{QueuePenalty, RewardConfig};
 use acc_core::ActionSpace;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
-use transport::CcKind;
-use workloads::gen;
 
 fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>) {
     let scale = h.scale;
@@ -23,9 +21,6 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
         QueuePenalty::Step => "step",
         QueuePenalty::Linear { .. } => "linear",
     };
-    let spec = TopologySpec::single_switch(16, 25_000_000_000, SimTime::from_ns(500));
-    let hosts: Vec<NodeId> = spec.build().hosts().to_vec();
-    let receiver = hosts[15];
 
     let mut cfg = AccConfig::default();
     cfg.ddqn.min_replay = 64;
@@ -41,15 +36,7 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
     // Sustained incast congestion: long-running flows so each control
     // interval's reward directly reflects the applied threshold (the queue
     // settles around K, utilisation around what DCQCN sustains at that K).
-    let arr = gen::incast_wave(
-        &hosts[..6],
-        receiver,
-        4,
-        1_000_000_000,
-        CcKind::Dcqcn,
-        SimTime::ZERO,
-    );
-    let mut sc = h.scenario_installed(&spec, common::sim_config(17), label, &arr, |sim| {
+    let mut sc = h.sustained_incast(common::sim_config(17), label, 6, 4, |sim| {
         let sw = sim.core().topo.switches()[0];
         sim.set_controller(sw, Box::new(AccController::new(cfg, space)));
     });
@@ -58,20 +45,17 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
     // Converged-behaviour window: the last 25% of the run.
     let total_ms = scale.pick(200u64, 60);
     let horizon = SimTime::from_ms(total_ms);
-    let converge_from = SimTime::from_ms(total_ms * 3 / 4);
-    sim.run_until(converge_from);
-    let t0 = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
+    sim.run_until(SimTime::from_ms(total_ms * 3 / 4));
+    let start = QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA);
     let mut histogram = vec![0u64; 10];
-    let port = PortId(15);
-    while sim.now() < horizon {
-        sim.run_for(SimTime::from_us(250));
+    common::run_stepped(sim, horizon, SimTime::from_us(250), |sim| {
         sim.with_controller(sw, |c, _| {
             let acc = c.as_any_mut().downcast_mut::<AccController>().unwrap();
-            if let Some(a) = acc.current_action(port, PRIO_RDMA) {
+            if let Some(a) = acc.current_action(INCAST_PORT, PRIO_RDMA) {
                 histogram[a] += 1;
             }
         });
-    }
+    });
     // Mean observed reward per action over the replay memory (the reward
     // landscape each design exposes to the learner).
     let mean_rewards = sim.with_controller(sw, |c, _| {
@@ -95,13 +79,14 @@ fn run_one(h: &Harness, penalty: QueuePenalty) -> (Vec<u64>, f64, f64, Vec<f64>)
             })
             .collect::<Vec<f64>>()
     });
-    let t1 = sim.core_mut().synced_queue_telem(sw, PortId(15), PRIO_RDMA);
-    let window = horizon - converge_from;
-    let goodput_gbps = (t1.tx_bytes - t0.tx_bytes) as f64 * 8.0 / window.as_secs_f64() / 1e9;
-    // Time-average queue over the converged window only.
-    let avg_q =
-        (t1.qlen_integral_byte_ps - t0.qlen_integral_byte_ps) as f64 / window.as_ps() as f64;
-    (histogram, avg_q / 1024.0, goodput_gbps, mean_rewards)
+    // Queue and goodput over the converged window only.
+    let w = start.window_to(&QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA));
+    (
+        histogram,
+        w.avg_queue_bytes / 1024.0,
+        w.goodput_gbps,
+        mean_rewards,
+    )
 }
 
 /// Run the experiment.

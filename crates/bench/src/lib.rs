@@ -38,6 +38,7 @@ pub mod fig14_cacc;
 pub mod fig15_deepdive;
 pub mod fig16_unseen;
 pub mod fig17_reward;
+pub mod oracle;
 pub mod perf;
 pub mod profile;
 pub mod report;
@@ -86,7 +87,7 @@ macro_rules! registry {
 }
 
 /// All experiments in paper order.
-pub const EXPERIMENTS: [Experiment; 17] = registry! {
+pub const EXPERIMENTS: [Experiment; 18] = registry! {
     "fig1", fig01_optimal_ecn, "Optimal static ECN differs per incast workload";
     "fig2", fig02_static_secn, "Static SECN0/1/2 swap ranking across workloads";
     "fig6", fig06_heterogeneous, "Heterogeneous traffic timeline: ACC adapts, static does not";
@@ -103,6 +104,7 @@ pub const EXPERIMENTS: [Experiment; 17] = registry! {
     "fig17", fig17_reward, "Reward-design ablation: step vs linear queue penalty";
     "resources", resources, "Resource-consumption estimate (§6)";
     "ablations", ablations, "Design-choice sweeps: history k, delta_t, reward weights";
+    "oracle", oracle, "Reward oracle: the agent's reward for every template held static";
     "fault", fault,
         "Fault injection: raw ACC vs guarded ACC vs SECN1 under link flaps + telemetry faults";
 };

@@ -142,8 +142,10 @@ fn usage() {
         "       --shards <n>               {} only: run on <n> simulation shards",
         acc_bench::SHARDED.join("/")
     );
-    println!("                                  under the conservative-lookahead engine (recorded");
-    println!("                                  output is identical for any shard count)");
+    println!("                                  under the conservative-lookahead engine (a static");
+    println!("                                  arm records the same output at any count; an ACC");
+    println!("                                  arm the same at every count >= 2, but not at 1,");
+    println!("                                  where its switches share one replay memory)");
     println!("       --soak-plan <file>         soak only: JSON day schedule replacing the");
     println!("                                  built-in datacenter-day rotation");
     println!("       --fault-plan <file>        soak only: JSON fault script replacing the");
