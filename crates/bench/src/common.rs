@@ -5,7 +5,7 @@
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
-use acc_core::deploy::fnv1a;
+use acc_core::deploy::{fnv1a, DeployBundle, DeployError};
 use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use acc_core::trainer;
@@ -117,18 +117,16 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
         Policy::Secn2 => install_static(sim, StaticEcnPolicy::Secn2),
         Policy::Vendor => install_static(sim, StaticEcnPolicy::Vendor),
         Policy::Acc => {
-            let model = pretrained_model(scale);
             let cfg = trainer::online_config(&acc_config(11), 0.08, 500.0);
-            controller::install_acc_with_model(sim, &cfg, &space, &model);
+            controller::install_acc_with_model(sim, &cfg, &space, &pretrained(scale).model);
         }
         Policy::AccFresh => {
             let cfg = acc_config(13);
             controller::install_acc(sim, &cfg, &space);
         }
         Policy::AccFrozen => {
-            let model = pretrained_model(scale);
             let cfg = trainer::frozen_config(&acc_config(17));
-            controller::install_acc_with_model(sim, &cfg, &space, &model);
+            controller::install_acc_with_model(sim, &cfg, &space, &pretrained(scale).model);
         }
         // Both guard arms wrap the same fresh agent as AccFresh (same seed,
         // no pretrained model — keeps the comparison in-process
@@ -144,43 +142,65 @@ pub fn install_policy<H: ControllerHost>(sim: &mut H, policy: Policy, scale: Sca
     }
 }
 
-/// The offline-pretrained ACC model (§4.3), trained once per process (and
-/// cached on disk under `target/` of the working directory, which is created
-/// if missing) on a spread of incast and realistic traffic over the
-/// testbed-scale Clos. The cache file's name carries a digest of the
-/// offline training config and of the engine (`pretrained_path`).
-pub fn pretrained_model(scale: Scale) -> Mlp {
-    static FULL: OnceLock<Mlp> = OnceLock::new();
-    static QUICK: OnceLock<Mlp> = OnceLock::new();
+/// The offline-pretrained ACC model (§4.3) as the bundle every switch
+/// installs: trained once per process on the paper's offline traffic mix
+/// over the testbed-scale Clos and cached on disk under `target/` of the
+/// working directory (created if missing), in a file named by a digest of
+/// everything it is trained from: config, seeds, traffic and engine. The
+/// cache is the [`DeployBundle`] file itself: [`DeployBundle::load`] checks
+/// its version, shapes and integrity digest, and [`DeployBundle::save`]
+/// renames a synced temporary file into place, so no process reads a torn
+/// one.
+pub fn pretrained(scale: Scale) -> &'static DeployBundle {
+    static FULL: OnceLock<DeployBundle> = OnceLock::new();
+    static QUICK: OnceLock<DeployBundle> = OnceLock::new();
     let cell = if scale.quick { &QUICK } else { &FULL };
     cell.get_or_init(|| {
-        let (cfg, segments) = offline_plan(scale);
-        let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
-        let engine = engine_fingerprint(sim_seed, traffic_seed);
-        let (path, digest) = pretrained_path(scale, &cfg, segments, engine);
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(m) = serde_json::from_str::<Mlp>(&text) {
-                if m.input_dim() == 12 && m.output_dim() == ActionSpace::templates().len() {
-                    eprintln!("[pretrain] loaded cached model {digest:016x} from {path}");
-                    return m;
-                }
-            }
-        }
-        eprintln!("[pretrain] training offline model {digest:016x} ({scale:?}) ...");
-        let m = train_offline(scale);
-        let saved = serde_json::to_string(&m)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-            .and_then(|text| {
-                std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, text))
-            });
-        if let Err(e) = saved {
-            eprintln!(
-                "[pretrain] cannot cache the model at {path}: {e} (every process trains it again)"
-            );
-        }
-        m
+        let cfg = offline_config(scale);
+        let traffic = offline_traffic(TopologySpec::paper_testbed().build().hosts(), scale);
+        let engine = engine_fingerprint(OFFLINE_SEEDS[0], &traffic[0]);
+        let (path, digest) = pretrained_path(scale, &cfg, &traffic, engine);
+        load_or_train(Path::new(&path), digest, || {
+            let mix = "incast + WebSearch/DataMining on the 24-host Clos";
+            let provenance = format!("acc-bench offline pretraining {digest:016x}: {mix}");
+            let model = train_offline(scale, &cfg, &traffic);
+            let space = ActionSpace::templates();
+            DeployBundle::new(provenance, model, space, cfg.reward, cfg.history_k)
+        })
     })
-    .clone()
+}
+
+/// The bundle cached at `path` when it loads; otherwise the one `train`
+/// returns, cached at `path`. A cached file that [`DeployBundle::load`]
+/// rejects is named on stderr and replaced.
+fn load_or_train(path: &Path, digest: u64, train: impl FnOnce() -> DeployBundle) -> DeployBundle {
+    let shown = path.display();
+    if path.exists() {
+        match DeployBundle::load(path) {
+            Ok(bundle) => {
+                eprintln!("[pretrain] loaded cached model {digest:016x} from {shown}");
+                return bundle;
+            }
+            Err(e) => eprintln!("[pretrain] rejected cached model at {shown}: {e}"),
+        }
+    }
+    eprintln!("[pretrain] training offline model {digest:016x} into {shown} ...");
+    let bundle = train();
+    let saved = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .map_err(DeployError::from)
+        .and_then(|()| bundle.save(path));
+    if let Err(e) = saved {
+        eprintln!("[pretrain] cannot cache the model at {shown}: {e} (each process retrains)");
+    }
+    bundle
+}
+
+/// The digest of the pretrained bundle `policy` installs, for its run
+/// manifest; `None` for a policy that installs none.
+fn deployed_model(policy: Policy, scale: Scale) -> Option<u64> {
+    matches!(policy, Policy::Acc | Policy::AccFrozen).then(|| pretrained(scale).digest)
 }
 
 /// Offline training's seeds: simulator, traffic and agent.
@@ -189,72 +209,98 @@ const OFFLINE_SEEDS: [u64; 3] = [99, 5, 7];
 /// The length of one offline traffic segment.
 const OFFLINE_SEGMENT: SimTime = SimTime::from_ms(5);
 
-/// Offline training's agent configuration and its number of traffic
-/// segments.
-fn offline_plan(scale: Scale) -> (AccConfig, usize) {
+/// Offline training's agent configuration.
+fn offline_config(scale: Scale) -> AccConfig {
     let mut cfg = acc_config(OFFLINE_SEEDS[2]);
     cfg.ddqn.eps_decay_steps = scale.pick(60_000.0, 12_000.0);
     cfg.trains_per_tick = 4;
-    (cfg, scale.pick(64, 16))
+    cfg
 }
 
-/// Where the offline model trained under `cfg` and `segments` on the engine
+/// The paper's offline traffic mix (§4.3) over `hosts`: one arrival list
+/// per [`OFFLINE_SEGMENT`] (64 segments, 16 quick), drawn in segment order
+/// from one RNG. In turn: PerfTest-style incast with random fan-in, flow
+/// counts and message sizes; a sustained incast of long flows lasting the
+/// segment, so the model sees the steady marking/queue tradeoff; Poisson
+/// WebSearch and DataMining at loads 10..90 %; and a quiet segment, which
+/// teaches that an empty network is fine under any action (and exercises
+/// the idle optimisation).
+fn offline_traffic(hosts: &[NodeId], scale: Scale) -> Vec<Vec<Arrival>> {
+    let mut rng = SmallRng::seed_from_u64(OFFLINE_SEEDS[1]);
+    let seg = OFFLINE_SEGMENT;
+    let dcqcn = transport::CcKind::Dcqcn;
+    let (ws, dm) = (SizeDist::web_search(), SizeDist::data_mining());
+    let poisson = |dist: &SizeDist, load, i: usize, start| {
+        let g = PoissonGen::new(dist.clone(), load, dcqcn, i as u64);
+        g.generate(hosts, 25_000_000_000, start, seg)
+    };
+    (0..scale.pick(64, 16))
+        .map(|i| {
+            let start = seg.mul(i as u64);
+            match i % 5 {
+                0 => gen::random_incast(hosts, 16, 32, dcqcn, start, &mut rng),
+                1 => {
+                    let n = 2 + (rng.gen::<f64>() * 10.0) as usize;
+                    let flows = 1 + (rng.gen::<f64>() * 8.0) as usize;
+                    let recv = hosts[rng.gen_range(0..hosts.len())];
+                    let others = hosts.iter().copied().filter(|&h| h != recv);
+                    let senders: Vec<NodeId> = others.take(n).collect();
+                    let bytes = (seg.as_secs_f64() * 25e9 / 8.0 / (n * flows) as f64) as u64;
+                    gen::incast_wave(&senders, recv, flows, bytes.max(100_000), dcqcn, start)
+                }
+                2 => poisson(&ws, 0.1 + rng.gen::<f64>() * 0.8, i, start),
+                3 => poisson(&dm, 0.1 + rng.gen::<f64>() * 0.8, i, start),
+                _ => poisson(&dm, 0.05, i, start),
+            }
+        })
+        .collect()
+}
+
+/// Where the offline model trained under `cfg` on `traffic` and the engine
 /// `engine` ([`engine_fingerprint`]) is cached, and the digest its name
 /// carries: FNV-1a over the DDQN and reward configs, the updates per tick,
-/// the history length, the segment count, the seeds, the action-space
-/// length and the engine fingerprint. Editing any of them, or changing what
-/// the packet engine does with segment 0's traffic, trains a new model
-/// instead of loading a stale one. The rest of [`train_offline`]'s traffic
-/// mix is code, not in the digest: after editing it, delete
-/// `target/acc_pretrained_*.json`.
-fn pretrained_path(scale: Scale, cfg: &AccConfig, segments: usize, engine: u64) -> (String, u64) {
+/// the history length, the [`arrivals_digest`] of every segment of
+/// `traffic` (so the segment count too), the seeds, the action-space length
+/// and the engine fingerprint. Editing any of them — the traffic mix
+/// included — or changing what the packet engine does with segment 0
+/// trains a new model instead of loading a stale one.
+fn pretrained_path(
+    scale: Scale,
+    cfg: &AccConfig,
+    traffic: &[Vec<Arrival>],
+    engine: u64,
+) -> (String, u64) {
+    let arrivals: Vec<u64> = traffic.iter().map(|s| arrivals_digest(s)).collect();
     let inputs = json!({
         "engine": engine,
         "ddqn": cfg.ddqn,
         "reward": cfg.reward,
         "trains_per_tick": cfg.trains_per_tick,
         "history_k": cfg.history_k,
-        "segments": segments,
+        "arrivals": arrivals,
         "seeds": OFFLINE_SEEDS,
         "actions": ActionSpace::templates().len(),
     });
     let digest = fnv1a(inputs.to_string().as_bytes());
-    let scale = if scale.quick { "quick" } else { "full" };
+    let scale = scale.pick("full", "quick");
     (
         format!("target/acc_pretrained_{scale}_{digest:016x}.json"),
         digest,
     )
 }
 
-/// Offline training's simulator: the testbed-scale Clos seeded with
-/// `sim_seed`, with transport stacks on every host.
-fn offline_sim(sim_seed: u64) -> (Simulator, SharedFct, Vec<NodeId>) {
-    let topo = TopologySpec::paper_testbed().build();
-    let simcfg = SimConfig::default()
-        .with_seed(sim_seed)
-        .with_control_interval(SimTime::from_us(50));
-    let mut sim = Simulator::new(topo, simcfg);
-    let fct = FctCollector::new_shared();
-    let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-    (sim, fct, hosts)
-}
-
 /// What the packet engine does with offline training's traffic, as one
 /// number: FNV-1a over the events processed and the `(flow, end_ps)` of
-/// every completed flow after segment 0's incast under SECN1, drawn from
-/// its own RNG seeded like [`train_offline`]'s. The whole segment: over its
-/// first 2 ms two engines that order simultaneous events differently can
-/// still process the same number of events.
-fn engine_fingerprint(sim_seed: u64, traffic_seed: u64) -> u64 {
-    let (mut sim, fct, hosts) = offline_sim(sim_seed);
-    install_static(&mut sim, StaticEcnPolicy::Secn1);
-    let mut rng = SmallRng::seed_from_u64(traffic_seed);
-    let dcqcn = transport::CcKind::Dcqcn;
-    let arr = gen::random_incast(&hosts, 16, 32, dcqcn, SimTime::ZERO, &mut rng);
-    gen::apply_arrivals(&mut sim, &arr);
-    sim.run_until(OFFLINE_SEGMENT);
-    let mut bytes = sim.core().events_processed.to_le_bytes().to_vec();
-    for r in fct.borrow().completed() {
+/// every completed flow after `segment` (segment 0 of [`offline_traffic`])
+/// under SECN1 on the offline Clos seeded with `sim_seed`. The whole
+/// segment: over its first 2 ms two engines that order simultaneous events
+/// differently can still process the same number of events.
+fn engine_fingerprint(sim_seed: u64, segment: &[Arrival]) -> u64 {
+    let spec = TopologySpec::paper_testbed();
+    let mut sc = Harness::new(Scale::QUICK).scenario(&spec, Policy::Secn1, sim_seed, segment);
+    sc.sim.run_until(OFFLINE_SEGMENT);
+    let mut bytes = sc.sim.core().events_processed.to_le_bytes().to_vec();
+    for r in sc.fct.borrow().completed() {
         let end = r.end.expect("a completed flow has an end");
         bytes.extend(r.flow.0.to_le_bytes());
         bytes.extend(end.as_ps().to_le_bytes());
@@ -262,80 +308,22 @@ fn engine_fingerprint(sim_seed: u64, traffic_seed: u64) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Offline training: segments of random incast plus Poisson WebSearch /
-/// DataMining at varying load, with one agent shared by all switches.
-fn train_offline(scale: Scale) -> Mlp {
-    let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
-    let (mut sim, _fct, hosts) = offline_sim(sim_seed);
-
-    let (cfg, segments) = offline_plan(scale);
+/// Offline training: one agent shared by all switches of the offline Clos
+/// learns while each segment of `traffic` is queued at its start and run
+/// to its end.
+fn train_offline(scale: Scale, cfg: &AccConfig, traffic: &[Vec<Arrival>]) -> Mlp {
+    let spec = TopologySpec::paper_testbed();
     let space = ActionSpace::templates();
-    let _agent = trainer::install_shared_training(&mut sim, &cfg, &space);
-
-    // The paper's offline traffic mix (§4.3): PerfTest-style incast with
-    // random fan-in / flow counts / message sizes, plus realistic traces at
-    // loads 10..90%. Sustained-incast segments (long flows) are included so
-    // the model sees the steady marking/queue tradeoff, and quiet segments
-    // so it learns the idle regime.
-    let mut rng = SmallRng::seed_from_u64(traffic_seed);
-    let seg = OFFLINE_SEGMENT;
-    let ws = SizeDist::web_search();
-    let dm = SizeDist::data_mining();
-    for i in 0..segments {
-        let start = seg.mul(i as u64);
-        match i % 5 {
-            0 => {
-                let arr =
-                    gen::random_incast(&hosts, 16, 32, transport::CcKind::Dcqcn, start, &mut rng);
-                gen::apply_arrivals(&mut sim, &arr);
-            }
-            1 => {
-                // Sustained incast: fan-in of long flows lasting the segment.
-                let n = 2 + (rng.gen::<f64>() * 10.0) as usize;
-                let flows = 1 + (rng.gen::<f64>() * 8.0) as usize;
-                let recv = hosts[rng.gen_range(0..hosts.len())];
-                let senders: Vec<NodeId> = hosts
-                    .iter()
-                    .copied()
-                    .filter(|&h| h != recv)
-                    .take(n)
-                    .collect();
-                let bytes = (seg.as_secs_f64() * 25e9 / 8.0 / (n * flows) as f64) as u64;
-                let arr = gen::incast_wave(
-                    &senders,
-                    recv,
-                    flows,
-                    bytes.max(100_000),
-                    transport::CcKind::Dcqcn,
-                    start,
-                );
-                gen::apply_arrivals(&mut sim, &arr);
-            }
-            2 => {
-                let load = 0.1 + rng.gen::<f64>() * 0.8;
-                let g = PoissonGen::new(ws.clone(), load, transport::CcKind::Dcqcn, i as u64);
-                let arr = g.generate(&hosts, 25_000_000_000, start, seg);
-                gen::apply_arrivals(&mut sim, &arr);
-            }
-            3 => {
-                let load = 0.1 + rng.gen::<f64>() * 0.8;
-                let g = PoissonGen::new(dm.clone(), load, transport::CcKind::Dcqcn, i as u64);
-                let arr = g.generate(&hosts, 25_000_000_000, start, seg);
-                gen::apply_arrivals(&mut sim, &arr);
-            }
-            _ => {
-                // Quiet segment: teaches that an empty network is fine under
-                // any action (and exercises the idle optimisation).
-                let load = 0.05;
-                let g = PoissonGen::new(dm.clone(), load, transport::CcKind::Dcqcn, i as u64);
-                let arr = g.generate(&hosts, 25_000_000_000, start, seg);
-                gen::apply_arrivals(&mut sim, &arr);
-            }
-        }
-        sim.run_until(start + seg);
+    let simcfg = sim_config(OFFLINE_SEEDS[0]);
+    let mut sc = Harness::new(scale).scenario_installed(&spec, simcfg, "pretrain", &[], |sim| {
+        trainer::install_shared_training(sim, cfg, &space);
+    });
+    for (i, segment) in traffic.iter().enumerate() {
+        gen::apply_arrivals(&mut sc.sim, segment);
+        sc.sim.run_until(OFFLINE_SEGMENT.mul(i as u64 + 1));
     }
-    let sw = sim.core().topo.switches()[0];
-    trainer::extract_model(&mut sim, sw)
+    let sw = sc.sim.core().topo.switches()[0];
+    trainer::extract_model(&mut sc.sim, sw)
 }
 
 /// FCT summaries sliced the way the paper slices them.
@@ -920,6 +908,8 @@ struct ClaimedRun {
     seed: u64,
     /// [`arrivals_digest`] of the traffic the run is built with.
     arrivals_digest: u64,
+    /// The digest of the [`DeployBundle`] the run installs, if any.
+    model_digest: Option<u64>,
     /// Experiment id of the claiming harness.
     experiment: String,
     /// Run name (also the directory's basename).
@@ -1069,6 +1059,7 @@ impl Harness {
             policy: claim.policy.clone(),
             seed: claim.seed,
             arrivals_digest: claim.arrivals_digest,
+            model_digest: claim.model_digest,
             scale: match shards {
                 Some(n) => format!("{scale}+shards{n}"),
                 None => scale.to_string(),
@@ -1117,14 +1108,13 @@ impl Harness {
         seed: u64,
         arrivals: &[Arrival],
     ) -> Scenario {
-        self.scenario_installed(spec, sim_config(seed), policy.name(), arrivals, |sim| {
-            install_policy(sim, policy, self.scale)
-        })
+        let model = deployed_model(policy, self.scale);
+        let install = |sim: &mut Simulator| install_policy(sim, policy, self.scale);
+        let cfg = sim_config(seed);
+        self.scenario_with_faults(spec, cfg, policy.name(), model, arrivals, install, None)
     }
 
-    /// A sustained incast on [`incast_fabric`] under `cfg`: `flows` DCQCN
-    /// flows of 1 GB, enough to outlast any horizon, from each of
-    /// `hosts[..senders]` to the receiver at t = 0, with whatever `install`
+    /// [`sustained_incast_traffic`] under `cfg`, with whatever `install`
     /// puts on the switch. `label` names the run.
     pub fn sustained_incast(
         &self,
@@ -1134,15 +1124,7 @@ impl Harness {
         flows: usize,
         install: impl FnOnce(&mut Simulator),
     ) -> Scenario {
-        let (spec, hosts) = incast_fabric();
-        let arrivals = gen::incast_wave(
-            &hosts[..senders],
-            hosts[15],
-            flows,
-            1_000_000_000,
-            transport::CcKind::Dcqcn,
-            SimTime::ZERO,
-        );
+        let (spec, arrivals) = sustained_incast_traffic(senders, flows);
         self.scenario_installed(&spec, cfg, label, &arrivals, install)
     }
 
@@ -1160,15 +1142,18 @@ impl Harness {
         arrivals: &[Arrival],
         install: impl FnOnce(&mut Simulator),
     ) -> Scenario {
-        self.scenario_with_faults(spec, cfg, label, arrivals, install, None)
+        self.scenario_with_faults(spec, cfg, label, None, arrivals, install, None)
     }
 
-    /// [`Harness::scenario_installed`] with `fault_plan` installed last.
-    fn scenario_with_faults(
+    /// [`Harness::scenario_installed`] with `fault_plan` installed last; a
+    /// recorded run's manifest names `model_digest`, the digest of the
+    /// [`DeployBundle`] `install` deploys.
+    pub(crate) fn scenario_with_faults(
         &self,
         spec: &TopologySpec,
         cfg: SimConfig,
         label: &str,
+        model_digest: Option<u64>,
         arrivals: &[Arrival],
         install: impl FnOnce(&mut Simulator),
         fault_plan: Option<&FaultPlan>,
@@ -1176,7 +1161,7 @@ impl Harness {
         let seed = cfg.seed;
         let mut sim = Simulator::new(spec.build(), cfg);
         let (record, claim) = self
-            .claim_run(label, seed, arrivals)
+            .claim_run(label, seed, arrivals, model_digest)
             .and_then(|c| Some((self.open_jsonl(&c)?, c)))
             .map(|(sink, c)| ((c.interval, Box::new(sink) as Box<dyn TelemetrySink>), c))
             .unzip();
@@ -1227,11 +1212,13 @@ impl Harness {
     ) -> RunOutcome {
         let scale = self.scale;
         let install = move |sim: &mut Simulator| install_policy(sim, policy, scale);
+        let model = deployed_model(policy, scale);
         let Some(n_shards) = self.shards else {
             let mut sc = self.scenario_with_faults(
                 spec,
                 sim_config(seed),
                 policy.name(),
+                model,
                 arrivals,
                 install,
                 fault_plan,
@@ -1253,7 +1240,7 @@ impl Harness {
         let topo = spec.build();
         let plan = ShardPlan::build(&topo, n_shards);
         let cfg = sim_config(seed);
-        let claim = self.claim_run(policy.name(), seed, arrivals);
+        let claim = self.claim_run(policy.name(), seed, arrivals, model);
         let interval = claim.as_ref().map(|c| c.interval);
         let started = std::time::Instant::now();
         let shards = run_sharded_phased(
@@ -1357,7 +1344,13 @@ impl Harness {
     /// an existing recording is never truncated — a deterministic-name
     /// collision (re-running into a used `--metrics-dir`) is reported as a
     /// metrics failure so the process exits non-zero.
-    fn claim_run(&self, label: &str, seed: u64, arrivals: &[Arrival]) -> Option<ClaimedRun> {
+    fn claim_run(
+        &self,
+        label: &str,
+        seed: u64,
+        arrivals: &[Arrival],
+        model_digest: Option<u64>,
+    ) -> Option<ClaimedRun> {
         let ctx = self.shared.metrics.as_ref()?;
         let exp = &self.experiment;
         if let Err(e) = std::fs::create_dir_all(&ctx.dir) {
@@ -1416,6 +1409,7 @@ impl Harness {
             policy: label.to_string(),
             seed,
             arrivals_digest: arrivals_digest(arrivals),
+            model_digest,
             experiment: exp.clone(),
             run,
             dir,
@@ -1501,6 +1495,23 @@ pub fn incast_fabric() -> (TopologySpec, Vec<NodeId>) {
 
 /// The switch port that faces [`incast_fabric`]'s receiver.
 pub const INCAST_PORT: PortId = PortId(15);
+
+/// A sustained incast on [`incast_fabric`]: `flows` DCQCN flows of 1 GB,
+/// enough to outlast any horizon, from each of `hosts[..senders]` to the
+/// receiver at t = 0.
+pub fn sustained_incast_traffic(senders: usize, flows: usize) -> (TopologySpec, Vec<Arrival>) {
+    let (spec, hosts) = incast_fabric();
+    let dcqcn = transport::CcKind::Dcqcn;
+    let arrivals = gen::incast_wave(
+        &hosts[..senders],
+        hosts[15],
+        flows,
+        1_000_000_000,
+        dcqcn,
+        SimTime::ZERO,
+    );
+    (spec, arrivals)
+}
 
 /// Aggregate tx bytes of a node over all its ports for one priority.
 pub fn node_tx_bytes(sim: &Simulator, node: NodeId, prio: Prio) -> u64 {
@@ -1711,28 +1722,34 @@ SECN1         0.500         -         -   7  -
     }
 
     /// The cached model's name follows what offline training is configured
-    /// by, so an edited config never loads a model trained under the old one.
+    /// by and trained on, so an edited config or traffic mix never loads a
+    /// model trained under the old one.
     #[test]
     fn pretrained_cache_name_follows_the_offline_config() {
-        let (cfg, segments) = offline_plan(Scale::QUICK);
+        let cfg = offline_config(Scale::QUICK);
+        let hosts = TopologySpec::paper_testbed().build().hosts().to_vec();
+        let traffic = offline_traffic(&hosts, Scale::QUICK);
         let engine = 7;
-        let (path, digest) = pretrained_path(Scale::QUICK, &cfg, segments, engine);
+        let (path, digest) = pretrained_path(Scale::QUICK, &cfg, &traffic, engine);
         assert_eq!(
             path,
             format!("target/acc_pretrained_quick_{digest:016x}.json")
         );
-        let path_of = |cfg: &AccConfig, segments, engine| {
-            pretrained_path(Scale::QUICK, cfg, segments, engine).0
+        let path_of = |cfg: &AccConfig, traffic: &[Vec<Arrival>], engine| {
+            pretrained_path(Scale::QUICK, cfg, traffic, engine).0
         };
-        assert_eq!(path_of(&cfg, segments, engine), path);
+        assert_eq!(path_of(&cfg, &traffic, engine), path);
         let mut edited = cfg.clone();
         edited.ddqn.eps_decay_steps += 1.0;
-        assert_ne!(path_of(&edited, segments, engine), path);
-        assert_ne!(path_of(&cfg, segments + 1, engine), path);
-        assert_ne!(path_of(&cfg, segments, engine + 1), path);
-        let (full, full_segments) = offline_plan(Scale::FULL);
+        assert_ne!(path_of(&edited, &traffic, engine), path);
+        assert_ne!(path_of(&cfg, &traffic[1..], engine), path);
+        let mut one_arrival = traffic.clone();
+        one_arrival[3][0].msg.bytes += 1;
+        assert_ne!(path_of(&cfg, &one_arrival, engine), path);
+        assert_ne!(path_of(&cfg, &traffic, engine + 1), path);
+        let full = offline_traffic(&hosts, Scale::FULL);
         assert_ne!(
-            pretrained_path(Scale::FULL, &full, full_segments, engine).1,
+            pretrained_path(Scale::FULL, &offline_config(Scale::FULL), &full, engine).1,
             digest
         );
     }
@@ -1742,15 +1759,61 @@ SECN1         0.500         -         -   7  -
     /// seed names a different cache file.
     #[test]
     fn pretrained_cache_name_follows_the_engine() {
-        let [sim_seed, traffic_seed, _] = OFFLINE_SEEDS;
-        let engine = engine_fingerprint(sim_seed, traffic_seed);
-        assert_eq!(engine_fingerprint(sim_seed, traffic_seed), engine);
-        let (cfg, segments) = offline_plan(Scale::QUICK);
-        let reseeded = engine_fingerprint(sim_seed + 1, traffic_seed);
+        let hosts = TopologySpec::paper_testbed().build().hosts().to_vec();
+        let traffic = offline_traffic(&hosts, Scale::QUICK);
+        let sim_seed = OFFLINE_SEEDS[0];
+        let engine = engine_fingerprint(sim_seed, &traffic[0]);
+        assert_eq!(engine_fingerprint(sim_seed, &traffic[0]), engine);
+        let cfg = offline_config(Scale::QUICK);
+        let reseeded = engine_fingerprint(sim_seed + 1, &traffic[0]);
         assert_ne!(
-            pretrained_path(Scale::QUICK, &cfg, segments, reseeded).0,
-            pretrained_path(Scale::QUICK, &cfg, segments, engine).0
+            pretrained_path(Scale::QUICK, &cfg, &traffic, reseeded).0,
+            pretrained_path(Scale::QUICK, &cfg, &traffic, engine).0
         );
+    }
+
+    /// A cached bundle loads only when it validates. One weight edited in
+    /// place keeps every shape, which a dimension check would load, but it
+    /// breaks the integrity digest: the model is trained afresh and the
+    /// cache replaced.
+    #[test]
+    fn an_edited_cached_bundle_is_rejected_and_replaced() {
+        let dir = std::env::temp_dir().join(format!("acc-pretrained-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("acc_pretrained_quick_0.json");
+        let bundle = |seed| {
+            let model = Mlp::new(&[12, 8, 20], seed);
+            let reward = acc_core::RewardConfig::default();
+            DeployBundle::new(
+                format!("seed {seed}"),
+                model,
+                ActionSpace::templates(),
+                reward,
+                3,
+            )
+        };
+        let trained = load_or_train(&path, 0, || bundle(1));
+        assert_eq!(trained.provenance, "seed 1");
+        let loaded = load_or_train(&path, 0, || unreachable!("a valid cache loads"));
+        assert_eq!(loaded.digest, trained.digest);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let first = text.find("\"w\":[").unwrap() + 5;
+        let end = first + text[first..].find(',').unwrap();
+        let edited = format!("{}0.5{}", &text[..first], &text[end..]);
+        let parsed: DeployBundle = serde_json::from_str(&edited).unwrap();
+        assert_eq!(
+            (parsed.model.input_dim(), parsed.model.output_dim()),
+            (12, 20)
+        );
+        assert!(matches!(
+            parsed.validate(),
+            Err(DeployError::DigestMismatch { .. })
+        ));
+        std::fs::write(&path, edited).unwrap();
+        assert_eq!(load_or_train(&path, 0, || bundle(2)).provenance, "seed 2");
+        assert_eq!(DeployBundle::load(&path).unwrap().provenance, "seed 2");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A window's readouts are the register deltas over the marks' time

@@ -85,20 +85,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Train the offline model and save it as a deployable bundle.
+/// Save the offline-pretrained model bundle to `out`: the bundle the ACC
+/// arms install, byte for byte the file it is cached in.
 fn train(scale: Scale, out: &str) {
-    let model = acc_bench::common::pretrained_model(scale);
-    let bundle = acc_core::DeployBundle::new(
-        format!(
-            "acc-bench train ({}) — offline mix of incast + WebSearch/DataMining on the 24-host Clos",
-            if scale.quick { "quick" } else { "full" }
-        ),
-        model,
-        acc_core::ActionSpace::templates(),
-        acc_core::RewardConfig::default(),
-        3,
-    );
-    if let Err(e) = bundle.save(out) {
+    if let Err(e) = acc_bench::common::pretrained(scale).save(out) {
         eprintln!("could not write bundle to {out}: {e}");
         std::process::exit(1);
     }

@@ -2,8 +2,11 @@
 //! ECN configuration, next to the FCTs that configuration gives.
 //!
 //! Every entry of the 20-template action space is held static on the
-//! fig12 WebSearch fabric at 60 % and 90 % load and on the fig7
-//! end-to-end switch at 60 %, beside SECN1, SECN2 and ACC. Each run is
+//! fig12 WebSearch fabric at 60 % and 90 % load, on the fig7 end-to-end
+//! switch at 60 % and on the fig17 dumbbell (6 senders × 4 long DCQCN
+//! flows into one port: the one-bottleneck setup of Gomez et al., where
+//! the best template is the known answer a learner should reach), beside
+//! SECN1, SECN2, ACC and ACC-fresh. Each run is
 //! stepped at the 50 µs control interval, and at every step the RDMA queue
 //! on every port of every switch goes through the agent's own
 //! [`QueueObserver`] and is scored by the agent's own
@@ -125,6 +128,8 @@ fn run_cell(
 
     let mean = sums.map(|sum| sum / busy as f64);
     let b = common::buckets_of(&sc.fct.borrow(), SimTime::ZERO);
+    // The dumbbell's flows outlast its horizon: no FCT to report there.
+    let fct = |s| (b.overall.count > 0).then(|| common::fct_json(s));
     json!({
         "scenario": scenario,
         "arm": label,
@@ -135,19 +140,22 @@ fn run_cell(
         "reward_w05": mean[1],
         "reward_w03": mean[2],
         "busy_intervals": busy,
-        "overall": common::fct_json(&b.overall),
-        "mice": common::fct_json(&b.mice),
-        "elephant": common::fct_json(&b.elephant),
+        "overall": fct(&b.overall),
+        "mice": fct(&b.mice),
+        "elephant": fct(&b.elephant),
         "unfinished": b.unfinished,
     })
 }
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
+    let (spec, arrivals) = common::sustained_incast_traffic(6, 4);
+    let dumbbell = (spec, arrivals, SimTime::from_ms(h.scale.pick(200, 60)));
     let scenarios = [
         ("fig12 60%", fig12_websearch::scenario(h.scale, 0.6), 9),
         ("fig12 90%", fig12_websearch::scenario(h.scale, 0.9), 9),
         ("fig7 60%", fig07_fct_load::scenario(h.scale, 0.6), 7),
+        ("incast 6x4", dumbbell, 17),
     ];
     let templates = ActionSpace::templates();
     let arms: Vec<Arm> = templates
@@ -155,7 +163,7 @@ pub fn run(h: &Harness) -> Value {
         .iter()
         .enumerate()
         .map(|(i, &ecn)| Arm::Template(i, ecn))
-        .chain([Policy::Secn1, Policy::Secn2, Policy::Acc].map(Arm::Policy))
+        .chain([Policy::Secn1, Policy::Secn2, Policy::Acc, Policy::AccFresh].map(Arm::Policy))
         .collect();
     let mut cells = Vec::new();
     for (name, scenario, seed) in &scenarios {
@@ -172,7 +180,9 @@ pub fn run(h: &Harness) -> Value {
 /// Print one table per scenario — each arm's mean reward per busy queue
 /// interval under the three weightings, the busy-interval count and its
 /// FCTs — then name the arm the paper's reward ranks first and the arm
-/// with the shortest mice tail.
+/// with the shortest mice tail (a row with no finished flow has none), and
+/// give ACC's and ACC-fresh's `reward_w07` as a fraction of the best
+/// template's.
 pub fn show(v: &Value) {
     let rows = common::rows(v, "rows");
     let mut names: Vec<&str> = rows.iter().filter_map(|r| r["scenario"].as_str()).collect();
@@ -203,22 +213,45 @@ pub fn show(v: &Value) {
                 "unfinished",
             ],
         );
-        let pick = |path: &str, better: fn(f64, f64) -> bool| {
-            let mut best: Option<(&Value, f64)> = None;
-            for r in &table {
-                let x = common::at(r, path).map_or(f64::NAN, common::num);
-                if !x.is_nan() && best.is_none_or(|(_, b)| better(x, b)) {
-                    best = Some((r, x));
-                }
-            }
+        let named = |best: Option<(&Value, f64)>| {
             best.map_or("-".to_string(), |(r, x)| {
                 format!("{} ({})", common::cell(&r["arm"]), common::cell(&json!(x)))
             })
         };
+        let highest = |x, b| x > b;
         println!(
             "highest reward_w07: {}; lowest mice.p99_us: {}",
-            pick("reward_w07", |x, b| x > b),
-            pick("mice.p99_us", |x, b| x < b)
+            named(best_of(&table, "reward_w07", highest)),
+            named(best_of(&table, "mice.p99_us", |x, b| x < b))
+        );
+        // Template rows carry their config; policy rows do not.
+        let templates = table.iter().filter(|r| !r["kmin_bytes"].is_null());
+        let best = best_of(templates, "reward_w07", highest).map_or(f64::NAN, |(_, x)| x);
+        let ratio = |p: Policy| {
+            let x = common::num_where(&table, "arm", p.name(), "reward_w07") / best;
+            format!("{} {}", p.name(), common::cell(&json!(x)))
+        };
+        println!(
+            "reward_w07 / best template's: {}; {}",
+            ratio(Policy::Acc),
+            ratio(Policy::AccFresh)
         );
     }
+}
+
+/// The row of `rows` whose number at `path` is `better` than every other
+/// row's, with that number; rows without one are skipped.
+fn best_of<'a>(
+    rows: impl IntoIterator<Item = &'a Value>,
+    path: &str,
+    better: fn(f64, f64) -> bool,
+) -> Option<(&'a Value, f64)> {
+    let mut best: Option<(&Value, f64)> = None;
+    for r in rows {
+        let x = common::at(r, path).map_or(f64::NAN, common::num);
+        if !x.is_nan() && best.is_none_or(|(_, b)| better(x, b)) {
+            best = Some((r, x));
+        }
+    }
+    best
 }

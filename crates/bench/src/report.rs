@@ -261,6 +261,7 @@ pub fn print_report(root: &Path) -> io::Result<()> {
             "run",
             "policy",
             "seed",
+            "model_digest",
             "scale",
             "hosts",
             "switches",

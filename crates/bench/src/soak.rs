@@ -4,13 +4,15 @@
 //! phases (diurnal WebSearch load, closed-loop storage and PS-training
 //! clusters, incast bursts) while a continuous [`FaultPlan`] abuses it and
 //! every switch runs a guarded ACC agent fine-tuning online. Riding on top
-//! is the production model-lifecycle loop ([`FleetManager`]): at phase
-//! boundaries the harness checkpoints the online policy into a crash-safe
-//! [`DeployBundle`], hot-swaps the candidate onto the whole fleet under a
-//! probation window, and rolls back to last-known-good (quarantining the
-//! candidate) if guards trip during probation. The schedule deliberately
-//! plants a telemetry-freeze inside one probation window so every soak run
-//! exercises at least one promotion *and* one forced rollback.
+//! is the production model-lifecycle loop ([`FleetManager`]): the fleet
+//! starts from the offline-pretrained bundle, and at phase boundaries the
+//! harness checkpoints the online policy into a crash-safe
+//! [`DeployBundle`](acc_core::DeployBundle), hot-swaps the candidate onto
+//! the whole fleet under a probation window, and rolls back to
+//! last-known-good (quarantining the candidate) if guards trip during
+//! probation. The schedule deliberately plants a telemetry-freeze inside
+//! one probation window so every soak run exercises at least one promotion
+//! *and* one forced rollback.
 //!
 //! The run condenses into one [`SCHEMA`] document (`SOAK_SLO.json` by
 //! default): FCT tails, per-phase IOPS / training iterations/s, train-step
@@ -31,8 +33,8 @@ use crate::common::{self, Harness, Policy, Scale};
 use crate::fault::invalid_final_configs;
 use acc_core::guard::{install_guarded_acc, GuardConfig};
 use acc_core::{
-    trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, PhaseKind, ProbationOutcome,
-    RewardConfig, SoakPlan, SwapOutcome,
+    trainer, ActionSpace, FleetConfig, FleetManager, PhaseKind, ProbationOutcome, SoakPlan,
+    SwapOutcome,
 };
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -214,25 +216,17 @@ pub fn run_soak_with(
 
     // Guarded fleet, online fine-tuning from the offline pretrained model.
     let label = Policy::AccGuarded.name();
-    let mut sc = h.scenario_installed(&spec, common::sim_config(seed), label, &[], |sim| {
+    let initial = common::pretrained(scale).clone();
+    let cfg = common::sim_config(seed);
+    let install = |sim: &mut Simulator| {
         let cfg = trainer::online_config(&common::acc_config(seed), 0.05, 2_000.0);
-        let _ = install_guarded_acc(
-            sim,
-            &cfg,
-            &ActionSpace::templates(),
-            &GuardConfig::default(),
-        );
-    });
+        let _ = install_guarded_acc(sim, &cfg, &space, &GuardConfig::default());
+    };
+    let model = Some(initial.digest);
+    let mut sc = h.scenario_with_faults(&spec, cfg, label, model, &[], install, None);
     let hosts = sc.hosts.clone();
     let host_bps = 25_000_000_000u64;
 
-    let initial = DeployBundle::new(
-        "soak initial (offline pretrained)",
-        common::pretrained_model(scale),
-        space.clone(),
-        RewardConfig::default(),
-        3,
-    );
     let mut fleet = FleetManager::new(
         FleetConfig {
             checkpoint_dir: checkpoint_dir.map(|d| d.to_path_buf()),

@@ -351,3 +351,24 @@ fn metrics_dir_and_profile_cover_fig17() {
     let runs = doc["profile"]["runs"].as_array().expect("runs");
     assert_eq!(runs.len(), manifests, "one profiled run per recorded run");
 }
+
+/// `train` saves the pretrained bundle the ACC arms install: byte for byte
+/// the file it is cached in, named by the digest the `[pretrain]` line
+/// prints.
+#[test]
+fn train_writes_the_cached_bundle() {
+    let cwd = PathBuf::from("target").join("cli-train");
+    let out = acc_bench_in("cli-train", &["train", "--quick", "bundle.json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let err = stderr(&out);
+    let digest = err
+        .lines()
+        .filter(|l| l.starts_with("[pretrain] loaded") || l.starts_with("[pretrain] training"))
+        .find_map(|l| l.split("model ").nth(1)?.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no [pretrain] line names the model: {err}"));
+    let cached = cwd.join(format!("target/acc_pretrained_quick_{digest}.json"));
+    let cached = std::fs::read(&cached).unwrap_or_else(|e| panic!("{}: {e}", cached.display()));
+    let written = std::fs::read(cwd.join("bundle.json")).expect("bundle written");
+    assert_eq!(written, cached);
+    acc_core::DeployBundle::load(cwd.join("bundle.json")).expect("the bundle validates");
+}

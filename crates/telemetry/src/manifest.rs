@@ -27,6 +27,11 @@ pub struct RunManifest {
     /// written before the digest was recorded).
     #[serde(default)]
     pub arrivals_digest: u64,
+    /// The integrity digest of the deployed model bundle the run installs
+    /// (the pretrained ACC model), `null` for a run that installs none
+    /// (and in manifests written before runs named their model).
+    #[serde(default)]
+    pub model_digest: Option<u64>,
     /// `full` or `quick`.
     pub scale: String,
     /// Number of hosts in the topology.
@@ -100,6 +105,7 @@ mod tests {
             policy: "ACC".into(),
             seed: 15,
             arrivals_digest: 0x1234_5678,
+            model_digest: Some(0x9abc_def0),
             scale: "quick".into(),
             hosts: 16,
             switches: 1,
@@ -122,8 +128,22 @@ mod tests {
         assert_eq!(back.experiment, "fig15");
         assert_eq!(back.seed, 15);
         assert_eq!(back.arrivals_digest, 0x1234_5678);
+        assert_eq!(back.model_digest, Some(0x9abc_def0));
         assert_eq!(back.flows_completed, 100);
         assert_eq!(back.fct["overall"]["avg_us"].as_f64(), Some(120.0));
+        // A manifest written before runs named their model loads as `None`.
+        let fields = serde_json::to_value(&m).unwrap();
+        let old: serde_json::Map = fields
+            .as_object()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| *k != "model_digest")
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        let old = serde_json::Value::Object(old).to_string();
+        std::fs::write(dir.join("manifest.json"), old).unwrap();
+        let back = RunManifest::load(&dir.join("manifest.json")).unwrap();
+        assert_eq!(back.model_digest, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
