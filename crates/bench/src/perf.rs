@@ -12,8 +12,8 @@
 //! round, events per flow, peak queue depth, remote events, a FLOP bound,
 //! `bit_identical` — so a row reads the same on any host, and [`GATES`] holds
 //! every bound on them. No column is a wall-clock time or a rate: those come
-//! from `benchmark/` (alternating pairs, host-speed normalised) and from the
-//! criterion benches of `netsim` and `rl`.
+//! from `benchmark/` (alternating pairs, host-speed normalised), and this
+//! module reads no clock.
 //!
 //! The engine rows run the static SECN1 policy: a gate must not depend on a
 //! cached RL model.
@@ -31,56 +31,6 @@ use workloads::{to_flow_specs, SizeDist, XlFlowsSpec};
 
 /// Schema tag of the gate document.
 pub const SCHEMA: &str = "acc-bench-gates/v1";
-
-// ---------------------------------------------------------------------------
-// Paired wall-clock ratios (tests only: no ratio enters the document).
-// ---------------------------------------------------------------------------
-
-/// Pairs every wall-clock ratio is measured over.
-pub const RATIO_ROUNDS: usize = 5;
-
-/// A ratio of two throughputs from `RATIO_ROUNDS` back-to-back pairs.
-#[derive(Clone, Copy, Debug)]
-pub struct PairedRatio {
-    /// Median throughput of the first side.
-    pub a: f64,
-    /// Median throughput of the second side.
-    pub b: f64,
-    /// Median over the pairs of `a_i / b_i`.
-    pub ratio: f64,
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// Measure `a` against `b` (each returns one throughput sample) as
-/// [`RATIO_ROUNDS`] pairs, the side that goes first alternating, and take
-/// the median of the per-pair ratios. A shared host runs the same code
-/// several times slower for seconds at a stretch; the two halves of a pair
-/// run within one such stretch, so its ratio holds where a best-of-N of each
-/// side taken separately compares a fast stretch with a slow one.
-pub fn paired_ratio(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> PairedRatio {
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    for round in 0..RATIO_ROUNDS {
-        let (x, y) = if round % 2 == 0 {
-            let x = a();
-            (x, b())
-        } else {
-            let y = b();
-            (a(), y)
-        };
-        xs.push(x);
-        ys.push(y);
-    }
-    let ratios = xs.iter().zip(&ys).map(|(x, y)| x / y.max(1e-9)).collect();
-    PairedRatio {
-        a: median(xs),
-        b: median(ys),
-        ratio: median(ratios),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The warmup/steady window.
@@ -981,98 +931,6 @@ pub fn show(doc: &Value) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use netsim::event::{Event, EventQueue, HeapEventQueue, Scheduled};
-    use std::time::Instant;
-
-    /// Working depth of the queue during the hold benchmark (an incast run
-    /// on the quick fabric keeps a few thousand events in flight).
-    const HOLD_DEPTH: usize = 4096;
-
-    /// Deterministic xorshift so both queues replay the identical op stream.
-    struct XorShift(u64);
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-    }
-
-    /// Incast-like inter-event offset: mostly sub-microsecond serialization
-    /// and propagation gaps (in-wheel), a sliver of control-tick-distance
-    /// timers (overflow tier), and exact ties from simultaneous arrivals.
-    fn incast_offset(rng: &mut XorShift) -> u64 {
-        match rng.next() % 16 {
-            0..=9 => rng.next() % 700_000,
-            10..=13 => rng.next() % 4_000_000,
-            14 => 50_000_000,
-            _ => 0,
-        }
-    }
-
-    /// Run `ops` pop-one/push-one hold operations against queue `Q`,
-    /// returning ops/sec. `Q` is abstracted by the two functions so wheel
-    /// and heap run the byte-identical op stream. Pushes are keyed, as the
-    /// engine's are: push `i` under a bijective scramble of `i`, so keys are
-    /// unique and reach each bucket out of order.
-    fn hold_throughput<Q>(
-        mut q: Q,
-        push: fn(&mut Q, SimTime, u64, Event),
-        pop: fn(&mut Q) -> Option<Scheduled>,
-        ops: u64,
-    ) -> f64 {
-        let timer = |token| Event::HostTimer {
-            host: NodeId(0),
-            token,
-        };
-        let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-        let mut t = SimTime::ZERO;
-        for i in 0..HOLD_DEPTH as u64 {
-            t = SimTime::from_ps(t.as_ps() + incast_offset(&mut rng) / 16);
-            push(&mut q, t, key(i), timer(i));
-        }
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for i in HOLD_DEPTH as u64..HOLD_DEPTH as u64 + ops {
-            let s = pop(&mut q).expect("queue stays at depth");
-            acc ^= s.seq;
-            let nt = SimTime::from_ps(s.time.as_ps() + incast_offset(&mut rng));
-            push(&mut q, nt, key(i), timer(i));
-        }
-        let wall = start.elapsed().as_secs_f64();
-        // Defeat dead-code elimination without perturbing timing.
-        assert!(acc < u64::MAX);
-        ops as f64 / wall.max(1e-9)
-    }
-
-    /// The one wall-clock gate kept, because it is a ratio of two runs of
-    /// the same op stream on the same host: the timing wheel against the
-    /// reference `BinaryHeap`, as the median of alternating pairs.
-    #[test]
-    fn wheel_beats_reference_heap() {
-        let ops = 200_000;
-        let r = paired_ratio(
-            || {
-                let q = EventQueue::new();
-                hold_throughput(q, EventQueue::push_keyed, EventQueue::pop, ops)
-            },
-            || {
-                hold_throughput(
-                    HeapEventQueue::new(),
-                    HeapEventQueue::push_keyed,
-                    HeapEventQueue::pop,
-                    ops,
-                )
-            },
-        );
-        assert!(
-            r.ratio >= 1.3,
-            "wheel must be >=1.3x the reference heap on the incast hold workload, measured \
-             {r:?} (ops/s)"
-        );
-    }
 
     #[test]
     fn rel_err_is_symmetric_around_truth() {

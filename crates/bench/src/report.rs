@@ -6,7 +6,8 @@
 //! `manifest.json`), parses the queue/agent/event JSONL time-series, and
 //! prints one manifest row and one FCT row per run, then per run the
 //! hottest queues by ECN marks / drops / PFC pause time, agent convergence,
-//! event counts by kind and the start of the event timeline.
+//! the agents' decisions by action template, event counts by kind and the
+//! start of the event timeline.
 
 use crate::common::{self, print_section as section};
 use serde_json::{json, Value};
@@ -37,12 +38,28 @@ struct AgentDigest {
     replay_len: usize,
 }
 
+/// What the agents did with one action template over a run.
+#[derive(Clone, Copy, Debug, Default)]
+struct TemplateTally {
+    decisions: u64,
+    /// Decisions taken on an all-zero (idle) state.
+    idle_state: u64,
+    greedy: u64,
+    /// Sum of `q_best - q_second` over the greedy decisions.
+    q_gap_sum: f64,
+    /// Sum and count of the reward the same queue's next decision
+    /// reported, when it came exactly one control interval later.
+    next_reward_sum: f64,
+    next_rewards: u64,
+}
+
 /// One parsed run directory.
 struct Run {
     dir: PathBuf,
     manifest: RunManifest,
     queues: BTreeMap<(u32, u16, u8), QueueTotals>,
     agents: BTreeMap<(u32, u16, u8), AgentDigest>,
+    templates: BTreeMap<usize, TemplateTally>,
     events: Vec<EventSample>,
 }
 
@@ -106,8 +123,14 @@ fn load_run(dir: &Path) -> io::Result<Run> {
         t.pause_ps += s.d_pause_ps;
     })?;
     let mut agents: BTreeMap<(u32, u16, u8), AgentDigest> = BTreeMap::new();
+    let mut templates: BTreeMap<usize, TemplateTally> = BTreeMap::new();
+    // A record's reward is the previous interval's, so the reward that
+    // follows a decision is on the queue's next record.
+    let interval = manifest.config["control_interval"].as_u64();
+    let mut last: BTreeMap<(u32, u16, u8), (u64, usize)> = BTreeMap::new();
     for_each_line(&dir.join("agents.jsonl"), |s: AgentSample| {
-        let d = agents.entry((s.node, s.port, s.prio)).or_default();
+        let key = (s.node, s.port, s.prio);
+        let d = agents.entry(key).or_default();
         if d.samples == 0 {
             d.eps_first = s.epsilon;
         }
@@ -116,6 +139,23 @@ fn load_run(dir: &Path) -> io::Result<Run> {
         d.rewards.push(s.reward);
         d.train_steps = s.train_steps;
         d.replay_len = s.replay_len;
+
+        if let Some((t_ps, action)) = last.insert(key, (s.t_ps, s.action_idx)) {
+            if interval.is_some_and(|iv| s.t_ps.checked_sub(t_ps) == Some(iv)) {
+                let t = templates.entry(action).or_default();
+                t.next_reward_sum += s.reward;
+                t.next_rewards += 1;
+            }
+        }
+        let t = templates.entry(s.action_idx).or_default();
+        t.decisions += 1;
+        t.idle_state += s.state.iter().all(|&x| x == 0.0) as u64;
+        if s.greedy {
+            t.greedy += 1;
+            if let (Some(best), Some(second)) = (s.q_best, s.q_second) {
+                t.q_gap_sum += best - second;
+            }
+        }
     })?;
     let mut events = Vec::new();
     for_each_line(&dir.join("events.jsonl"), |s: EventSample| {
@@ -126,6 +166,7 @@ fn load_run(dir: &Path) -> io::Result<Run> {
         manifest,
         queues,
         agents,
+        templates,
         events,
     })
 }
@@ -156,8 +197,8 @@ fn top(rows: &[Value], key: &str, n: usize) -> Vec<Value> {
 /// How many timeline events [`print_run`] lists.
 const TIMELINE: usize = 40;
 
-/// One run's tables: its hottest queues, agent convergence, events by kind
-/// and the start of its event timeline.
+/// One run's tables: its hottest queues, agent convergence, decisions by
+/// template, events by kind and the start of its event timeline.
 fn print_run(run: &Run) {
     let queues: Vec<Value> = run
         .queues
@@ -202,6 +243,34 @@ fn print_run(run: &Run) {
         .collect();
     let columns = agents.first().map_or_else(Vec::new, common::paths);
     section(&format!("{name}: agent convergence"), &agents, &columns);
+
+    let ratio = |sum: f64, n: u64| (n > 0).then(|| sum / n as f64);
+    let templates: Vec<Value> = run
+        .templates
+        .iter()
+        .map(|(action, t)| {
+            json!({
+                "action_idx": action,
+                "decisions": t.decisions,
+                "idle_state": t.idle_state,
+                "greedy_share": t.greedy as f64 / t.decisions as f64,
+                "q_gap": ratio(t.q_gap_sum, t.greedy),
+                "next_reward": ratio(t.next_reward_sum, t.next_rewards),
+            })
+        })
+        .collect();
+    section(
+        &format!("{name}: decisions by template"),
+        &templates,
+        &[
+            "action_idx",
+            "decisions",
+            "idle_state",
+            "greedy_share",
+            "q_gap",
+            "next_reward",
+        ],
+    );
 
     let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
     for e in &run.events {

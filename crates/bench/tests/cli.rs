@@ -4,7 +4,8 @@
 //! path, recording flags where nothing records and a `--fault-plan` naming
 //! nodes or ports the fabric lacks exit 2, a sharded experiment runs and
 //! records every arm sharded, a result that cannot be saved fails the run,
-//! and `report` renders saved results with the tables a run prints.
+//! and `report` renders saved results with the tables a run prints and a
+//! recorded run's decisions by template.
 
 mod support;
 
@@ -350,6 +351,52 @@ fn metrics_dir_and_profile_cover_fig17() {
     assert_eq!(acc_bench::profile::validate(&doc), Vec::<String>::new());
     let runs = doc["profile"]["runs"].as_array().expect("runs");
     assert_eq!(runs.len(), manifests, "one profiled run per recorded run");
+}
+
+/// `report <run-dir>` tabulates a recorded ACC run's decisions by action
+/// template: one row per template chosen, each with a greedy share.
+#[test]
+fn report_prints_decisions_by_template() {
+    let cwd = PathBuf::from("target").join("cli-smoke");
+    let _ = std::fs::remove_dir_all(cwd.join("fig15-metrics"));
+    let out = acc_bench(&["fig15", "--quick", "--metrics-dir", "fig15-metrics"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let out = acc_bench(&["report", "fig15-metrics"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let mut lines = text
+        .lines()
+        .skip_while(|l| !l.ends_with(": decisions by template"))
+        .skip(1);
+    let header: Vec<&str> = lines
+        .next()
+        .expect("the section")
+        .split_whitespace()
+        .collect();
+    assert_eq!(
+        header,
+        [
+            "action_idx",
+            "decisions",
+            "idle_state",
+            "greedy_share",
+            "q_gap",
+            "next_reward"
+        ]
+    );
+    let rows: Vec<Vec<&str>> = lines
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert!(
+        (1..=20).contains(&rows.len()),
+        "{} rows:\n{text}",
+        rows.len()
+    );
+    for row in &rows {
+        let share: f64 = row[3].parse().expect("a greedy share");
+        assert!((0.0..=1.0).contains(&share), "{row:?}");
+    }
 }
 
 /// `train` saves the pretrained bundle the ACC arms install: byte for byte

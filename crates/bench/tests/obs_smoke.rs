@@ -9,8 +9,8 @@
 //!    off — the profiler only reads the wall clock, never sim state;
 //! 3. profiling reads the wall clock at most `3 / SAMPLE_EVERY` times per
 //!    event on the websearch-load perf scenario — the count its 5%
-//!    events/sec budget stands for; the wall-clock ratio itself is printed
-//!    (release builds, median of alternating pairs), not asserted.
+//!    events/sec budget stands for; the wall-clock ratio itself is not
+//!    asserted.
 //!
 //! CI runs this as the `obs-smoke` job with `--release`.
 
@@ -21,7 +21,6 @@ use acc_bench::perf;
 use netsim::prelude::*;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use support::{assert_recorded, assert_same_tree, fresh_dir, only_run_dir};
 use transport::CcKind;
 use workloads::gen::PoissonGen;
@@ -178,33 +177,23 @@ fn recorded_jsonl_is_byte_identical_with_profiling_on() {
     assert_same_tree(&off, &on, "profiling off and on");
 }
 
-/// One run of the quick websearch-load perf scenario: events/sec and, when
-/// profiled, the wall-clock reads the profiler made per dispatched event.
-fn websearch_run(profiled: bool) -> (f64, f64) {
-    // The book is never written — only throughput matters.
-    let mut h = Harness::new(Scale::QUICK);
-    if profiled {
-        h = h.with_profile("target/obs-smoke-overhead-profile.json");
-    }
+/// One profiled run of the quick websearch-load perf scenario: the
+/// wall-clock reads the profiler made per dispatched event.
+fn clock_reads_per_event() -> f64 {
+    // The book is never written — only the profiler's counts matter.
+    let h = Harness::new(Scale::QUICK).with_profile("target/obs-smoke-overhead-profile.json");
     let (mut sc, horizon) = perf::websearch_scenario(&h);
-    let t0 = Instant::now();
     sc.sim.run_until(horizon);
-    let wall = t0.elapsed().as_secs_f64();
     let events = sc.sim.core().events_processed;
     // A timed dispatch reads the clock three times (before the queue,
     // before the handler, after it), the look-up that ends this one
     // `run_until` with nothing due at most once; a span reads it twice, an
     // instant once.
-    let clock_reads = sc.sim.profiler().map_or(0, |p| {
-        let timed: u64 = p.kind_stats().iter().map(|k| k.timed).sum();
-        assert_eq!(p.queue_ns.count(), timed, "queue timed with every handler");
-        3 * timed + 1 + 2 * p.spans().len() as u64 + p.instants().len() as u64
-    });
-    drop(sc);
-    (
-        events as f64 / wall.max(1e-9),
-        clock_reads as f64 / events as f64,
-    )
+    let p = sc.sim.profiler().expect("profiled harness");
+    let timed: u64 = p.kind_stats().iter().map(|k| k.timed).sum();
+    assert_eq!(p.queue_ns.count(), timed, "queue timed with every handler");
+    let clock_reads = 3 * timed + 1 + 2 * p.spans().len() as u64 + p.instants().len() as u64;
+    clock_reads as f64 / events as f64
 }
 
 #[test]
@@ -213,22 +202,13 @@ fn profiling_overhead_within_budget_on_websearch() {
     // 1 dispatch in SAMPLE_EVERY and on spans being rare next to events, so
     // that is the gate: clock reads per event, a count that is the same on
     // every host. The wall-clock cost of a read is not — as the median of
-    // alternating pairs it measures 5-9% of events/sec on the 2-core
-    // development container, however often it is repeated — so the ratio
-    // against the budget is printed, in optimised builds, and not asserted.
-    let (_, reads_per_event) = websearch_run(true);
+    // alternating pairs it measured 5-9% of events/sec on a 2-core
+    // container, however often it was repeated — so no wall-clock ratio is
+    // asserted.
+    let reads_per_event = clock_reads_per_event();
     let sampled = 3.0 / netsim::profile::SAMPLE_EVERY as f64;
     assert!(
         reads_per_event <= 1.02 * sampled,
         "profiler reads the clock {reads_per_event:.4} times per event, budget {sampled:.4}"
     );
-    if !cfg!(debug_assertions) {
-        let r = perf::paired_ratio(|| websearch_run(true).0, || websearch_run(false).0);
-        println!(
-            "profiling keeps {:.1}% of events/sec (budget 95%): {:.0} vs {:.0} ev/s",
-            r.ratio * 100.0,
-            r.a,
-            r.b
-        );
-    }
 }

@@ -461,14 +461,21 @@ impl AccController {
             Some(central) => central.train_steps(),
             None => agent.train_steps(),
         };
-        drop(seat);
         self.stats.inferences += n as u64;
 
         let now = view.now();
         let node = view.node().0;
-        for (d, &(action, epsilon)) in self.pending.iter_mut().zip(decisions) {
+        for (row, (d, &(action, epsilon))) in self.pending.iter_mut().zip(decisions).enumerate() {
             let ecn = self.space.get(action);
             if let Some(rec) = &self.recorder {
+                // The net's view of a greedy decision, from the forward pass
+                // the selection ran; an explored one has none.
+                let q_row = agent.batch_q_row(row);
+                let q_second = q_row.map(|q| {
+                    let others = q[..action].iter().chain(&q[action + 1..]);
+                    others.fold(f32::NEG_INFINITY, |m, &v| m.max(v)) as f64
+                });
+                let q_chosen = q_row.map(|q| q[action] as f64);
                 rec.borrow_mut().record_agent(&telemetry::AgentSample {
                     t_ps: now.as_ps(),
                     node,
@@ -484,6 +491,11 @@ impl AccController {
                     td_loss: self.last_td_loss.map(|l| l as f64),
                     replay_len: d.replay_len,
                     train_steps,
+                    greedy: q_row.is_some(),
+                    q_chosen,
+                    // The greedy action is the argmax.
+                    q_best: q_chosen,
+                    q_second,
                 });
             }
             let q = self.queues.get_mut(&d.key).expect("pending queue exists");
@@ -807,6 +819,62 @@ mod tests {
             // First tick per queue only initialises telemetry bookkeeping.
             assert_eq!(acc.stats.inferences, (acc.stats.ticks - 1) * 2);
         });
+    }
+
+    /// The agent samples one controller under `cfg` records on a
+    /// single-switch incast: seven senders, four 200 KB waves to one host.
+    fn recorded_incast(cfg: AccConfig) -> Vec<telemetry::AgentSample> {
+        let topo = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500)).build();
+        let simcfg = SimConfig::default()
+            .with_seed(3)
+            .with_control_interval(SimTime::from_us(50));
+        let mut sim = Simulator::new(topo, simcfg);
+        let fct = transport::FctCollector::new_shared();
+        let hosts = transport::install_stacks(&mut sim, transport::StackConfig::default(), &fct);
+        for wave in 0..4u64 {
+            for &src in &hosts[1..] {
+                let msg = transport::Message::new(hosts[0], 200_000, transport::CcKind::Dcqcn);
+                transport::schedule_message(&mut sim, src, SimTime::from_us(500 * wave), msg);
+            }
+        }
+        let sw = sim.core().topo.switches()[0];
+        let space = ActionSpace::templates();
+        sim.set_controller(sw, Box::new(AccController::new(cfg, space)));
+        let sink = Rc::new(RefCell::new(telemetry::VecSink::new()));
+        let rec = telemetry::RunRecorder::new()
+            .with_sink(Box::new(sink.clone()))
+            .into_shared();
+        attach_recorder(&mut sim, &rec);
+        sim.run_until(SimTime::from_ms(2));
+        let agents = std::mem::take(&mut sink.borrow_mut().agents);
+        agents
+    }
+
+    /// A greedy record carries the Q-values its action was chosen from, an
+    /// explored one none, and a frozen agent only decides greedily.
+    #[test]
+    fn decision_records_carry_the_nets_view() {
+        let rows = recorded_incast(small_cfg());
+        let greedy = rows.iter().filter(|r| r.greedy).count();
+        assert!(
+            0 < greedy && greedy < rows.len(),
+            "{greedy} of {} rows greedy",
+            rows.len()
+        );
+        for r in &rows {
+            let q = (r.q_chosen, r.q_best, r.q_second);
+            if r.greedy {
+                let (Some(chosen), Some(best), Some(second)) = q else {
+                    panic!("greedy row without Q-values: {r:?}");
+                };
+                assert!(chosen == best && best >= second, "{r:?}");
+            } else {
+                assert_eq!(q, (None, None, None), "explored row");
+            }
+        }
+        let frozen = recorded_incast(crate::trainer::frozen_config(&small_cfg()));
+        assert!(!frozen.is_empty());
+        assert!(frozen.iter().all(|r| r.greedy && r.q_best.is_some()));
     }
 
     #[test]

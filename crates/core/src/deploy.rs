@@ -8,7 +8,6 @@
 //! versioned, as one JSON artifact with an integrity digest.
 
 use crate::action::ActionSpace;
-use crate::controller::{AccConfig, AccController};
 use crate::reward::RewardConfig;
 use netsim::prelude::{NodeId, Simulator};
 use rl::Mlp;
@@ -190,20 +189,6 @@ impl DeployBundle {
             });
         }
         Ok(())
-    }
-
-    /// Build a controller from the bundle with the given runtime behaviour
-    /// (e.g. [`crate::trainer::online_config`] or
-    /// [`crate::trainer::frozen_config`] applied to a base [`AccConfig`]).
-    pub fn instantiate(&self, mut cfg: AccConfig) -> Result<AccController, DeployError> {
-        self.validate()?;
-        cfg.history_k = self.history_k;
-        cfg.reward = self.reward;
-        Ok(AccController::from_model(
-            cfg,
-            self.actions.clone(),
-            &self.model,
-        ))
     }
 
     /// Persist as JSON, crash-safely: the bundle is written to a sibling
@@ -502,6 +487,7 @@ impl FleetManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{AccConfig, AccController};
 
     fn bundle() -> DeployBundle {
         let space = ActionSpace::templates();
@@ -567,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_and_instantiate() {
+    fn file_round_trip_keeps_the_model() {
         let b = bundle();
         let path = std::env::temp_dir().join("acc_bundle_test.json");
         b.save(&path).unwrap();
@@ -576,8 +562,9 @@ mod tests {
         assert_eq!(loaded.provenance, "unit test");
 
         let cfg = crate::trainer::frozen_config(&AccConfig::default());
-        let ctl = loaded.instantiate(cfg).unwrap();
-        // The instantiated controller answers with the bundled model.
+        let ctl = AccController::from_model(cfg, loaded.actions, &loaded.model);
+        // A controller built from the loaded bundle answers with the saved
+        // model.
         let s = vec![0.25f32; 12];
         assert_eq!(
             ctl.agent().borrow_mut().get().q_values(&s),
@@ -607,12 +594,5 @@ mod tests {
         assert_eq!(loaded.provenance, "second");
         assert!(loaded.validate().is_ok());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn instantiate_rejects_bad_bundle() {
-        let mut b = bundle();
-        b.digest ^= 7;
-        assert!(b.instantiate(AccConfig::default()).is_err());
     }
 }

@@ -18,8 +18,7 @@
 //!   addition ([`Histogram::merge_from`]); merging is associative and
 //!   commutative, so per-shard histograms can be combined in any order.
 //! * **Dependency-free.** This crate pulls in nothing, so the simulator core
-//!   can depend on it without cycles (the `telemetry` crate re-exports it as
-//!   `telemetry::metrics`).
+//!   can depend on it without cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -941,12 +941,6 @@ impl Simulator {
         self.advance_now_to(t);
     }
 
-    /// Run for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimTime) {
-        let t = self.core.now + d;
-        self.run_until(t);
-    }
-
     /// Process every pending event with activation time strictly below
     /// `bound`, returning how many were processed. Unlike
     /// [`Simulator::run_until`] this never advances `now` past the last

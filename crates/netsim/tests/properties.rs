@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator's core invariants.
 
 use netsim::buffer::SharedBuffer;
-use netsim::event::{Event, EventQueue, HeapEventQueue};
+use netsim::event::{Event, EventQueue};
 use netsim::ids::{FlowId, NodeId, PortId};
 use netsim::packet::{Ecn, Packet};
 use netsim::queues::{Dwrr, EcnConfig, EgressQueue, PortTelemetry, QItem, QueueArena};
@@ -366,78 +366,6 @@ proptest! {
             }
             last_time = s.time;
         }
-    }
-
-    /// Differential test of the timing-wheel queue against the reference
-    /// `BinaryHeap` queue: any interleaving of pushes and pops produces an
-    /// identical pop sequence — same `(time, seq)` at every step, including
-    /// the order among same-timestamp ties. Times span all three wheel
-    /// tiers (current bucket, in-wheel, overflow), and `near` puts a push at
-    /// a recent timestamp or 7 or 14 ns after it, so ties occur and one
-    /// bucket holds several runs of them. `keyed` cases push as
-    /// the engine does, through `push_keyed`, under keys unique per time and
-    /// drawn out of order, so equal-time runs reach a bucket out of key
-    /// order — directly and as migrants from the overflow heap — and the
-    /// wheel has to settle them; the others `push`, whose key is the push
-    /// count.
-    #[test]
-    fn wheel_queue_matches_reference_heap(
-        keyed in any::<bool>(),
-        ops in prop::collection::vec(
-            (
-                0u64..200_000_000_000,
-                any::<bool>(),
-                prop::option::of((0u8..4, 0u64..3)),
-                any::<u64>(),
-            ),
-            1..400,
-        ),
-    ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut recent: Vec<u64> = Vec::new();
-        let mut used: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for (i, &(t_ps, do_pop, near, key)) in ops.iter().enumerate() {
-            // Either a fresh time or one at or just after a recent one.
-            let t_ps = match near {
-                Some((k, step)) if !recent.is_empty() => {
-                    recent[k as usize % recent.len()] + step * 7_000
-                }
-                _ => t_ps,
-            };
-            recent.push(t_ps);
-            if recent.len() > 8 {
-                recent.remove(0);
-            }
-            let t = SimTime::from_ps(t_ps);
-            let ev = Event::HostTimer { host: NodeId(0), token: i as u64 };
-            if keyed {
-                // Keys must be unique per timestamp.
-                if !used.insert((t_ps, key)) {
-                    continue;
-                }
-                wheel.push_keyed(t, key, ev);
-                heap.push_keyed(t, key, ev);
-            } else {
-                wheel.push(t, ev);
-                heap.push(t, ev);
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            if do_pop {
-                let a = wheel.pop().expect("just pushed");
-                let b = heap.pop().expect("just pushed");
-                prop_assert_eq!((a.time, a.seq), (b.time, b.seq));
-            }
-        }
-        // Drain: both queues must agree to the very last event.
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (Some(a), Some(b)) => prop_assert_eq!((a.time, a.seq), (b.time, b.seq)),
-                (None, None) => break,
-                _ => prop_assert!(false, "queues drained at different lengths"),
-            }
-        }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
     }
 
     /// RED marking probability is monotone in queue length and in [0, 1].

@@ -76,7 +76,7 @@ proptest! {
     /// batched backward bit-identical to the scalar
     /// per-sample-backward-then-sum fold. This pins the determinism contract
     /// the agent's batched `train_step` relies on (the same reference-path
-    /// pattern as `HeapEventQueue` vs the timing wheel).
+    /// pattern as the reference heap vs the timing wheel).
     #[test]
     fn batched_kernels_bit_identical_to_scalar(
         seed in any::<u64>(),

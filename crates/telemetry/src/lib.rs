@@ -30,12 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Re-export of the dependency-free metrics substrate (lock-free counters,
-/// gauges and log-linear HDR-style histograms). Lives in its own crate
-/// (`acc-metrics`) so `netsim` can use it without a dependency cycle;
-/// exposed here because telemetry is the observability facade.
-pub use acc_metrics as metrics;
-
 pub mod manifest;
 pub mod merge;
 pub mod recorder;

@@ -75,6 +75,20 @@ pub struct AgentSample {
     pub replay_len: usize,
     /// Cumulative training minibatches run by this agent.
     pub train_steps: u64,
+    /// Whether the action was the net's argmax (`false`: an ε-exploration
+    /// draw). Frozen agents only decide greedily.
+    #[serde(default)]
+    pub greedy: bool,
+    /// The net's Q-value of the chosen action (`None` on explored rows).
+    #[serde(default)]
+    pub q_chosen: Option<f64>,
+    /// The largest Q-value over all actions (`None` on explored rows).
+    #[serde(default)]
+    pub q_best: Option<f64>,
+    /// The largest Q-value over the other actions, so `q_best - q_second`
+    /// is how strongly the net prefers its choice (`None` on explored rows).
+    #[serde(default)]
+    pub q_second: Option<f64>,
 }
 
 /// One discrete event of a run: an injected fault taking effect, a
@@ -171,12 +185,29 @@ mod tests {
             td_loss: None,
             replay_len: 128,
             train_steps: 64,
+            greedy: false,
+            q_chosen: None,
+            q_best: None,
+            q_second: None,
         };
         let back: AgentSample = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
         s.td_loss = Some(0.011718750);
+        s.greedy = true;
+        (s.q_chosen, s.q_best, s.q_second) = (Some(0.5), Some(0.5), Some(0.25));
         let back: AgentSample = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// A record written before the decision fields existed still loads:
+    /// they default to an explored row.
+    #[test]
+    fn agent_sample_without_decision_fields_loads() {
+        let old = r#"{"t_ps":1,"node":2,"port":3,"prio":1,"state":[0.0],"action_idx":4,"kmin_bytes":5,"kmax_bytes":6,"pmax":0.5,"epsilon":0.1,"reward":0.3,"td_loss":null,"replay_len":7,"train_steps":8}"#;
+        let s: AgentSample = serde_json::from_str(old).unwrap();
+        assert_eq!((s.action_idx, s.train_steps), (4, 8));
+        assert!(!s.greedy);
+        assert_eq!((s.q_chosen, s.q_best, s.q_second), (None, None, None));
     }
 
     #[test]
