@@ -1,15 +1,19 @@
 //! Shared harness machinery: control policies, the offline-pretrained model
 //! cache, the [`Harness`] run context with the one builder and the one run
 //! path (one simulator or `--shards N`), the one queue readout and stepping
-//! loop, and the one table printer the experiments' `show` functions use.
+//! loop, the one incast scorer ([`score`]), and the one table printer the
+//! experiments' `show` functions use.
 
 use crate::profile::ProfileBook;
 use acc_core::controller::{self, AccConfig, AccStats, HelperSpan};
 use acc_core::deploy::{fnv1a, DeployBundle, DeployError};
 use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
+use acc_core::reward::RewardConfig;
+use acc_core::state::QueueObserver;
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use acc_core::trainer;
 use acc_core::ActionSpace;
+use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -1114,20 +1118,6 @@ impl Harness {
         self.scenario_with_faults(spec, cfg, policy.name(), model, arrivals, install, None)
     }
 
-    /// [`sustained_incast_traffic`] under `cfg`, with whatever `install`
-    /// puts on the switch. `label` names the run.
-    pub fn sustained_incast(
-        &self,
-        cfg: SimConfig,
-        label: &str,
-        senders: usize,
-        flows: usize,
-        install: impl FnOnce(&mut Simulator),
-    ) -> Scenario {
-        let (spec, arrivals) = sustained_incast_traffic(senders, flows);
-        self.scenario_installed(&spec, cfg, label, &arrivals, install)
-    }
-
     /// A scenario on one simulator over `spec` under `cfg`: host stacks,
     /// whatever `install` puts on the switches, and `arrivals` queued;
     /// recording and profiling armed as the harness is. `label` names the
@@ -1485,6 +1475,199 @@ pub fn run_stepped(
     }
 }
 
+/// The scorer's step: every interval is scored at the paper's 50 µs control
+/// interval, whatever the agent under test ticks at.
+const SCORE_STEP: SimTime = SimTime::from_us(50);
+
+/// What a scored run holds on its switches.
+#[derive(Clone)]
+pub enum Arm {
+    /// `ecn` held static on every queue; the run is named by the label.
+    Static(String, EcnConfig),
+    /// One of the named policies.
+    Policy(Policy),
+    /// Whatever the installer puts on the switches — an experiment's own
+    /// [`AccController`](acc_core::controller::AccController) — named by the
+    /// label.
+    Acc(String, Arc<dyn Fn(&mut Simulator) + Send + Sync>),
+}
+
+impl Arm {
+    /// The run's label: the policy's name for [`Arm::Policy`].
+    pub fn label(&self) -> &str {
+        match self {
+            Arm::Static(label, _) | Arm::Acc(label, _) => label,
+            Arm::Policy(p) => p.name(),
+        }
+    }
+}
+
+/// One queue's tallies over the scored window: goodput and depth summed
+/// over its intervals, how many, and whether any was busy.
+#[derive(Clone, Default)]
+struct QueueSums {
+    gbps: f64,
+    qlen_bytes: f64,
+    intervals: u64,
+    busy: bool,
+}
+
+/// One action's tallies: scored busy intervals it was held, then the
+/// agent's own reward summed and counted over the whole run.
+#[derive(Clone, Default)]
+struct ActionSums {
+    held: u64,
+    own_reward: f64,
+    own_count: u64,
+}
+
+/// The one incast yardstick: run `arm` on `spec` + `arrivals` under `cfg`
+/// to `window.end` and score it the way the agent is paid (§3.3, eq. 2).
+///
+/// Every 50 µs (`SCORE_STEP`) the RDMA queue on every port of every switch is
+/// read through the agent's own read ([`Simulator::with_controller`] +
+/// `SwitchView::snapshot`) and goes through the agent's own
+/// [`QueueObserver`]; the intervals that start at or after `window.start`
+/// are scored. The row:
+/// - `reward_w07`, `reward_w05`, `reward_w03`: the mean reward per busy
+///   interval (any bytes sent or any standing queue; an idle one pays ω₂
+///   whatever the action) at ω₁ = 0.7 (the paper's), 0.5 and 0.3, with
+///   ω₂ = 1 − ω₁; `busy_intervals` counts them;
+/// - `goodput_gbps`, `avg_queue_kb`: the time averages over the whole
+///   window of the queues busy in it — what a [`QueueMark`] window reads,
+///   so a setting that leaves its queue idle part of the time is not
+///   flattered;
+/// - on ACC arms, `ticks` (control ticks of the first switch's agent) and
+///   `by_action`: per action, `held_frac`, the share of scored busy
+///   intervals a queue held it (its `current_action` at the interval's
+///   start), and `own_reward`, the mean of the agent's own `last_reward`
+///   at the end of every busy interval of the run it was held over;
+/// - the FCTs `overall`, `mice`, `elephant` (`null` when no flow
+///   finished), `unfinished`, and `lossless_drops`.
+pub fn score(
+    h: &Harness,
+    (spec, arrivals, cfg): (&TopologySpec, &[Arrival], SimConfig),
+    arm: &Arm,
+    window: std::ops::Range<SimTime>,
+) -> Value {
+    let scale = h.scale;
+    let model = match *arm {
+        Arm::Policy(p) => deployed_model(p, scale),
+        _ => None,
+    };
+    let install = |sim: &mut Simulator| match arm {
+        Arm::Static(_, ecn) => install_static(sim, StaticEcnPolicy::Fixed(*ecn)),
+        Arm::Policy(p) => install_policy(sim, *p, scale),
+        Arm::Acc(_, install) => install(sim),
+    };
+    let mut sc = h.scenario_with_faults(spec, cfg, arm.label(), model, arrivals, install, None);
+    let topo = &sc.sim.core().topo;
+    let switches: Vec<(NodeId, usize)> = topo
+        .switches()
+        .iter()
+        .map(|&sw| (sw, topo.node(sw).ports.len()))
+        .collect();
+    let n = switches.iter().map(|&(_, ports)| ports).sum();
+    let mut observers = vec![QueueObserver::new(1, Default::default(), SimTime::ZERO); n];
+    let mut held: Vec<Option<usize>> = vec![None; n];
+    let mut queues = vec![QueueSums::default(); n];
+    // An ACC arm reports every action of its space, held or not.
+    let first = switches[0].0;
+    let n_actions = sc.sim.with_controller(first, |c, _| {
+        trainer::acc_of(c).map_or(0, |a| a.agent().borrow_mut().get().n_actions())
+    });
+    let mut actions = vec![ActionSums::default(); n_actions];
+    // The paper's weights exactly, then ω₁ = 0.5 and 0.3.
+    let w = |w1: f64| RewardConfig {
+        w_throughput: w1,
+        w_delay: 1.0 - w1,
+        ..RewardConfig::default()
+    };
+    let weightings = [RewardConfig::default(), w(0.5), w(0.3)];
+    let (mut rewards, mut busy, mut last) = ([0.0f64; 3], 0u64, SimTime::ZERO);
+    run_stepped(&mut sc.sim, window.end, SCORE_STEP, |sim| {
+        let now = sim.now();
+        let scored = last >= window.start;
+        last = now;
+        let mut q = 0;
+        for &(sw, ports) in &switches {
+            sim.with_controller(sw, |c, view| {
+                let acc = trainer::acc_of(c);
+                for port in (0..ports).map(|p| PortId(p as u16)) {
+                    let snap = view.snapshot(port, PRIO_RDMA);
+                    let action = acc
+                        .as_deref()
+                        .and_then(|a| a.current_action(port, PRIO_RDMA));
+                    let was = std::mem::replace(&mut held[q], action);
+                    let (iv, queue) = (observers[q].observe(&snap, now, 0.0), &mut queues[q]);
+                    q += 1;
+                    let Some(iv) = iv else {
+                        continue;
+                    };
+                    let is_busy = iv.utilization > 0.0 || iv.avg_qlen_bytes > 0;
+                    if let Some(a) = was.filter(|_| is_busy) {
+                        actions[a].held += u64::from(scored);
+                        if let Some(r) = acc.as_deref().and_then(|c| c.last_reward(port, PRIO_RDMA))
+                        {
+                            actions[a].own_reward += r;
+                            actions[a].own_count += 1;
+                        }
+                    }
+                    if !scored {
+                        continue;
+                    }
+                    queue.gbps += iv.obs.tx_bytes as f64 * 8.0 / iv.obs.dt.as_secs_f64() / 1e9;
+                    queue.qlen_bytes += iv.avg_qlen_bytes as f64;
+                    queue.intervals += 1;
+                    queue.busy |= is_busy;
+                    if is_busy {
+                        busy += 1;
+                        for (sum, r) in rewards.iter_mut().zip(&weightings) {
+                            *sum += r.reward(iv.utilization, iv.avg_qlen_bytes);
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    let active: Vec<&QueueSums> = queues.iter().filter(|q| q.busy).collect();
+    let intervals = active.iter().map(|q| q.intervals).sum::<u64>() as f64;
+    let mean = |x: f64| x / busy as f64;
+    let b = buckets_of(&sc.fct.borrow(), SimTime::ZERO);
+    let fct = |s| (b.overall.count > 0).then(|| fct_json(s));
+    let row = json!({
+        "reward_w07": mean(rewards[0]),
+        "reward_w05": mean(rewards[1]),
+        "reward_w03": mean(rewards[2]),
+        "busy_intervals": busy,
+        "goodput_gbps": active.iter().map(|q| q.gbps).sum::<f64>() / intervals,
+        "avg_queue_kb": active.iter().map(|q| q.qlen_bytes).sum::<f64>() / intervals / 1024.0,
+        "overall": fct(&b.overall),
+        "mice": fct(&b.mice),
+        "elephant": fct(&b.elephant),
+        "unfinished": b.unfinished,
+        "lossless_drops": sc.sim.core().lossless_drops,
+    });
+    let ticks = sc
+        .sim
+        .with_controller(first, |c, _| trainer::acc_of(c).map(|a| a.stats.ticks));
+    let Some(ticks) = ticks else {
+        return row;
+    };
+    let held_total = actions.iter().map(|a| a.held).sum::<u64>().max(1) as f64;
+    let by_action: Vec<Value> = actions
+        .iter()
+        .map(|a| {
+            json!({
+                "held_frac": a.held as f64 / held_total,
+                "own_reward": a.own_reward / a.own_count as f64,
+            })
+        })
+        .collect();
+    with(row, json!({ "ticks": ticks, "by_action": by_action }))
+}
+
 /// The one switch the incast experiments run on: 16 hosts on 25 Gbit/s,
 /// 500 ns links. The receiver is `hosts[15]`, behind [`INCAST_PORT`].
 pub fn incast_fabric() -> (TopologySpec, Vec<NodeId>) {
@@ -1839,6 +2022,47 @@ SECN1         0.500         -         -   7  -
                 avg_queue_bytes: 40_000.0,
             }
         );
+    }
+
+    /// The scorer reads what a [`QueueMark`] window over the same span
+    /// reads: on the 6×4 dumbbell with template 0 held static, and on
+    /// fig1's 8×32 incast at K = 20 KB, whose queue idles part of the time.
+    /// Goodput agrees to rounding; depth to the whole byte each interval's
+    /// average is floored to.
+    #[test]
+    fn score_reads_what_a_queue_mark_window_reads() {
+        let h = Harness::new(Scale::QUICK);
+        let k = acc_core::reward::e_n(0);
+        let ms = SimTime::from_ms;
+        let cases = [
+            (6, 4, ActionSpace::templates().get(0), 17, ms(5)..ms(10)),
+            (
+                8,
+                32,
+                EcnConfig::new(k, k, 1.0),
+                SimConfig::default().seed,
+                ms(3)..ms(9),
+            ),
+        ];
+        for (senders, flows, ecn, seed, window) in cases {
+            let (spec, arrivals) = sustained_incast_traffic(senders, flows);
+            let cfg = sim_config(seed);
+            let arm = Arm::Static("scored".into(), ecn);
+            let s = score(&h, (&spec, &arrivals, cfg.clone()), &arm, window.clone());
+            let install = |sim: &mut Simulator| install_static(sim, StaticEcnPolicy::Fixed(ecn));
+            let mut sc = h.scenario_installed(&spec, cfg, "marked", &arrivals, install);
+            let sw = sc.sim.core().topo.switches()[0];
+            sc.sim.run_until(window.start);
+            let start = QueueMark::read(&mut sc.sim, sw, INCAST_PORT, PRIO_RDMA);
+            sc.sim.run_until(window.end);
+            let w = start.window_to(&QueueMark::read(&mut sc.sim, sw, INCAST_PORT, PRIO_RDMA));
+            let case = format!("{senders}x{flows}: {s} vs {w:?}");
+            let goodput = num(&s["goodput_gbps"]);
+            assert!((goodput / w.goodput_gbps - 1.0).abs() < 1e-9, "{case}");
+            let depth = num(&s["avg_queue_kb"]) * 1024.0;
+            assert!((depth - w.avg_queue_bytes).abs() <= 1.0, "{case}");
+            assert!(w.avg_queue_bytes > 0.0, "{case}");
+        }
     }
 
     /// The loop steps a whole `step` at a time, stops the last step at

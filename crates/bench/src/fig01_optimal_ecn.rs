@@ -2,44 +2,33 @@
 //!
 //! Two sustained incast shapes (PerfTest-style long-running flows) on a
 //! single 25G switch: (a) 8 senders × 32 flows each and (b) 15 senders ×
-//! 8 flows each. For every single-threshold setting `K = E(n)` we record
-//! receiver goodput and the time-average queue depth during a steady
-//! measurement window; the K that maximises goodput while keeping the queue
-//! low differs between the two shapes — the paper finds ~500 KB for (a) and
-//! ~50 KB for (b).
+//! 8 flows each. For every single-threshold setting `K = E(n)`, and for
+//! ACC, [`common::score`] reads receiver goodput, the time-average queue
+//! depth and the paper's reward over a steady measurement window; the K
+//! that maximises goodput while keeping the queue low differs between the
+//! two shapes — the paper finds ~500 KB for (a) and ~50 KB for (b).
 
-use crate::common::{self, Harness, Policy, QueueMark, QueueWindow, INCAST_PORT};
+use crate::common::{self, Arm, Harness, MatrixCell, Policy};
 use acc_core::reward::e_n;
-use acc_core::static_ecn::{install_static, StaticEcnPolicy};
-use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use netsim::queues::EcnConfig;
 use serde_json::{json, Value};
 
 /// Sustained incast under one fixed single-threshold setting (or ACC when
-/// `k == 0`): long-running flows, measure over a post-warmup window.
-fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> QueueWindow {
+/// `k == 0`): long-running flows, scored over a post-warmup window.
+fn run_case(h: &Harness, senders: usize, flows: usize, k: u64) -> Value {
     let scale = h.scale;
     let cfg = common::sim_config(SimConfig::default().seed);
-    let label = match k {
-        0 => Policy::Acc.name().to_string(),
-        _ => format!("K{}KB", k / 1024),
+    let arm = match k {
+        0 => Arm::Policy(Policy::Acc),
+        _ => Arm::Static(format!("K{}KB", k / 1024), EcnConfig::new(k, k, 1.0)),
     };
-    let mut sc = h.sustained_incast(cfg, &label, senders, flows, |sim| match k {
-        0 => common::install_policy(sim, Policy::Acc, scale),
-        _ => install_static(sim, StaticEcnPolicy::Fixed(EcnConfig::new(k, k, 1.0))),
-    });
-    let sim = &mut sc.sim;
-
     let warmup = scale.pick(SimTime::from_ms(8), SimTime::from_ms(3));
     let horizon = scale.pick(SimTime::from_ms(24), SimTime::from_ms(9));
-    sim.run_until(warmup);
-    let sw = sim.core().topo.switches()[0];
-    let start = QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA);
-    sim.run_until(horizon);
-    let window = start.window_to(&QueueMark::read(sim, sw, INCAST_PORT, PRIO_RDMA));
-    assert_eq!(sim.core().lossless_drops, 0, "PFC violated");
-    window
+    let (spec, arrivals) = common::sustained_incast_traffic(senders, flows);
+    let score = common::score(h, (&spec, &arrivals, cfg), &arm, warmup..horizon);
+    assert_eq!(score["lossless_drops"].as_u64(), Some(0), "PFC violated");
+    score
 }
 
 /// Run the experiment.
@@ -48,39 +37,49 @@ pub fn run(h: &Harness) -> Value {
         ("8:1 x 32 flows", 8usize, 32usize),
         ("15:1 x 8 flows", 15, 8),
     ];
-    let mut out = Vec::new();
+    // Every static K, then ACC (k = 0), per case.
+    let ks: Vec<u64> = (0..10).map(e_n).chain([0]).collect();
+    let mut cells = Vec::new();
     for (name, senders, flows) in cases {
-        let mut rows = Vec::new();
-        let mut best: Option<(u64, f64)> = None;
-        for n in 0..10 {
-            let k = e_n(n);
-            let o = run_case(h, senders, flows, k);
+        for &k in &ks {
+            let job = move |h: &Harness| run_case(h, senders, flows, k);
+            cells.push(MatrixCell::new(format!("fig1 {name} K={k}"), job));
+        }
+    }
+    let scores = h.run_matrix(cells);
+    let out: Vec<Value> = cases
+        .iter()
+        .zip(scores.chunks(ks.len()))
+        .map(|(&(name, ..), scores)| {
+            let (acc, statics) = scores.split_last().expect("ACC closes every case");
             // "Optimal" = the paper's throughput/delay tradeoff: highest
             // goodput with a queue-delay penalty (1 MB of standing queue at
             // 25G is ~320 us of delay; weigh it like lost goodput).
-            let avg_queue_kb = o.avg_queue_bytes / 1024.0;
-            let score = o.goodput_gbps - avg_queue_kb / 1024.0;
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((k, score));
-            }
-            rows.push(json!({
-                "k_bytes": k,
-                "goodput_gbps": o.goodput_gbps,
-                "avg_queue_kb": avg_queue_kb,
-            }));
-        }
-        let acc = run_case(h, senders, flows, 0);
-        let (bk, _) = best.unwrap();
-        out.push(json!({
-            "case": name,
-            "rows": rows,
-            "acc": {
-                "goodput_gbps": acc.goodput_gbps,
-                "avg_queue_kb": acc.avg_queue_bytes / 1024.0,
-            },
-            "optimal_k_bytes": bk,
-        }));
-    }
+            let tradeoff = |s: &Value| {
+                common::num(&s["goodput_gbps"]) - common::num(&s["avg_queue_kb"]) / 1024.0
+            };
+            let best = (0..statics.len())
+                .reduce(|b, i| {
+                    if tradeoff(&statics[i]) > tradeoff(&statics[b]) {
+                        i
+                    } else {
+                        b
+                    }
+                })
+                .expect("ten thresholds");
+            let rows: Vec<Value> = ks
+                .iter()
+                .zip(statics)
+                .map(|(&k, s)| common::with(json!({ "k_bytes": k }), s.clone()))
+                .collect();
+            json!({
+                "case": name,
+                "rows": rows,
+                "acc": acc,
+                "optimal_k_bytes": ks[best],
+            })
+        })
+        .collect();
     json!({ "cases": out })
 }
 
@@ -95,7 +94,10 @@ pub fn show(v: &Value) {
             m.insert("k_bytes".into(), json!("ACC (learned)"));
         }
         rows.push(acc);
-        common::print_table(&rows, &["k_bytes", "goodput_gbps", "avg_queue_kb"]);
+        common::print_table(
+            &rows,
+            &["k_bytes", "goodput_gbps", "avg_queue_kb", "reward_w07"],
+        );
         println!(
             "optimal static k_bytes = {}",
             common::cell(&case["optimal_k_bytes"])

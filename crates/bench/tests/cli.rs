@@ -4,8 +4,10 @@
 //! path, recording flags where nothing records and a `--fault-plan` naming
 //! nodes or ports the fabric lacks exit 2, a sharded experiment runs and
 //! records every arm sharded, a result that cannot be saved fails the run,
-//! and `report` renders saved results with the tables a run prints and a
-//! recorded run's decisions by template.
+//! `report` renders saved results with the tables a run prints and a
+//! recorded run's decisions by template and exits 0 or 1 on a truncated
+//! one, and the scored incast experiments save the same bytes at any
+//! `--jobs`.
 
 mod support;
 
@@ -229,6 +231,66 @@ fn report_renders_every_committed_result() {
             "{}: no table in\n{text}",
             file.display()
         );
+    }
+}
+
+/// `report` on a truncated copy of each committed result (kept under its
+/// experiment's name, so it dispatches to that `show`) exits 0 or 1 with
+/// its reason on stderr — never by a panic.
+#[test]
+fn report_on_a_truncated_result_exits_0_or_1() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let cut_dir = PathBuf::from("target").join("cli-smoke").join("truncated");
+    for entry in std::fs::read_dir(&dir).expect("committed results/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|x| x != "json") {
+            continue;
+        }
+        let bytes = std::fs::read(&path).expect("readable result");
+        for cut in [1, bytes.len() / 3, bytes.len() * 2 / 3, bytes.len() - 2] {
+            let copy = cut_dir.join(cut.to_string());
+            std::fs::create_dir_all(&copy).expect("scratch dir");
+            let copy = copy.join(path.file_name().expect("file name"));
+            std::fs::write(&copy, &bytes[..cut]).expect("truncated copy");
+            let arg = copy.strip_prefix("target/cli-smoke").expect("under cwd");
+            let out = acc_bench(&["report", arg.to_str().expect("UTF-8 path")]);
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0 | 1)),
+                "{} cut at {cut}: exit {code:?}\n{}",
+                path.display(),
+                stderr(&out)
+            );
+        }
+    }
+}
+
+/// The three experiments scored through `common::score` run their cells as
+/// one matrix: the results are byte-identical at one and two workers. Six
+/// experiment runs and a pretraining are minutes in a debug build: this
+/// runs under `--release` (CI's tier-1 job also `cmp`s the two runs).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "six experiment runs: run with --release")]
+fn scored_incast_results_are_identical_at_any_worker_count() {
+    let ids = ["fig1", "fig17", "ablations"];
+    let results = PathBuf::from("target/cli-scored/results/quick");
+    let mut runs = Vec::new();
+    for jobs in ["1", "2"] {
+        let out = acc_bench_in(
+            "cli-scored",
+            &[&ids[..], &["--quick", "--jobs", jobs]].concat(),
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--jobs {jobs}: {}",
+            stderr(&out)
+        );
+        let read = |id| std::fs::read(results.join(format!("{id}.json"))).expect("result saved");
+        runs.push(ids.map(read));
+    }
+    for (id, (one, two)) in ids.iter().zip(runs[0].iter().zip(&runs[1])) {
+        assert!(one == two, "{id}.json differs by --jobs");
     }
 }
 

@@ -544,6 +544,48 @@ mod tests {
         assert!(matches!(garbage, DeployError::Parse(_)));
     }
 
+    /// Write `text` to a scratch file and load it as a bundle.
+    fn load_text(name: &str, text: &str) -> Result<DeployBundle, DeployError> {
+        let path = std::env::temp_dir().join(format!("{name}-{}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let loaded = DeployBundle::load(&path);
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
+    /// A saved bundle with its model's `model` text replaced by `edit` of
+    /// it and the integrity digest recomputed over the edited model, so
+    /// only the model's own shape check can refuse it.
+    fn with_model_edit(edit: impl Fn(&str) -> String) -> String {
+        let b = bundle();
+        let text = serde_json::to_string(&b).unwrap();
+        let model = serde_json::to_string(&b.model).unwrap();
+        let edited = edit(&model);
+        assert_ne!(edited, model);
+        text.replacen(&model, &edited, 1).replacen(
+            &format!("\"digest\":{}", b.digest),
+            &format!("\"digest\":{}", fnv1a(edited.as_bytes())),
+            1,
+        )
+    }
+
+    #[test]
+    fn a_model_without_dims_is_a_parse_error() {
+        let text = with_model_edit(|m| m.replacen("\"dims\":[12,40,40,20]", "\"dims\":[]", 1));
+        let err = load_text("acc_bundle_no_dims", &text).unwrap_err();
+        assert!(matches!(err, DeployError::Parse(_)), "{err}");
+    }
+
+    #[test]
+    fn a_layer_that_disagrees_with_dims_is_a_parse_error() {
+        let text = with_model_edit(|m| m.replacen("\"n_in\":12", "\"n_in\":1", 1));
+        let err = load_text("acc_bundle_bad_layer", &text).unwrap_err();
+        assert!(
+            matches!(&err, DeployError::Parse(e) if e.contains("layer 0 is 1x40")),
+            "{err}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "model outputs")]
     fn mismatched_action_table_rejected_at_build() {

@@ -426,8 +426,36 @@ impl Serialize for Mlp {
 }
 
 impl Deserialize for Mlp {
+    /// Parse a saved net, refusing any whose shapes disagree: at least two
+    /// nonzero widths, one layer per consecutive pair of them, and every
+    /// layer's weights and biases sized by its widths. A net that passes
+    /// can run `forward` without indexing out of bounds.
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let MlpWire { layers, dims } = MlpWire::from_value(v)?;
+        let bad = |msg: String| Err(serde::Error::new(format!("Mlp: {msg}")));
+        if dims.len() < 2 || dims.contains(&0) {
+            return bad(format!("dims {dims:?} need two or more nonzero widths"));
+        }
+        if layers.len() + 1 != dims.len() {
+            return bad(format!("{} layers for dims {dims:?}", layers.len()));
+        }
+        for (i, (l, pair)) in layers.iter().zip(dims.windows(2)).enumerate() {
+            if (l.n_in, l.n_out) != (pair[0], pair[1]) {
+                return bad(format!(
+                    "layer {i} is {}x{} where dims say {}x{}",
+                    l.n_in, l.n_out, pair[0], pair[1]
+                ));
+            }
+            if l.n_in.checked_mul(l.n_out) != Some(l.w.len()) || l.b.len() != l.n_out {
+                return bad(format!(
+                    "layer {i} holds {} weights and {} biases for {}x{}",
+                    l.w.len(),
+                    l.b.len(),
+                    l.n_in,
+                    l.n_out
+                ));
+            }
+        }
         Ok(Mlp {
             layers,
             dims,
@@ -975,6 +1003,30 @@ mod tests {
         // The saved form is the parameters alone: no version.
         assert!(!json.contains("version"), "{json}");
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    /// A saved net whose shapes disagree is a parse error, never a net that
+    /// panics (or, in release, computes garbage) in `forward`.
+    #[test]
+    fn inconsistent_shapes_are_parse_errors() {
+        let json = serde_json::to_string(&Mlp::new(&[3, 4, 2], 5)).unwrap();
+        let edit = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from} not in {json}");
+            let text = json.replacen(from, to, 1);
+            serde_json::from_str::<Mlp>(&text)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(edit("\"dims\":[3,4,2]", "\"dims\":[]").contains("two or more"));
+        assert!(edit("\"dims\":[3,4,2]", "\"dims\":[3,0,2]").contains("nonzero"));
+        assert!(edit("\"dims\":[3,4,2]", "\"dims\":[3,4,4,2]").contains("2 layers"));
+        assert!(edit("\"n_in\":3", "\"n_in\":1").contains("layer 0 is 1x4"));
+        let short = edit("\"b\":[", "\"b\":[0.5,");
+        assert!(
+            short.contains("layer 0 holds 12 weights and 5 biases"),
+            "{short}"
+        );
     }
 
     /// The batched forward must agree bit-for-bit with the scalar forward,
