@@ -23,7 +23,7 @@ use crate::reward::RewardConfig;
 use crate::state::{QueueObs, QueueObserver, StateWindow};
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
-use rl::{DdqnAgent, DdqnConfig, Transition};
+use rl::{DdqnAgent, DdqnConfig};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -165,13 +165,8 @@ impl CentralBrain {
 
         if let Some((ps, pa)) = self.prev.take() {
             if self.online_training {
-                self.agent.observe(Transition {
-                    state: ps,
-                    action: pa,
-                    reward: reward as f32,
-                    next_state: state.clone(),
-                    done: false,
-                });
+                self.agent
+                    .observe_row(&ps, pa, reward as f32, &state, false);
                 self.agent.train_step();
             }
         }

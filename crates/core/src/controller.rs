@@ -45,7 +45,7 @@ use crate::state::QueueObserver;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use rl::trainer::Worker;
-use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Seat, TrainerStats, Transition};
+use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Seat, TrainerStats};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -100,12 +100,12 @@ impl Default for AccConfig {
 
 /// A queue that reached its decision point this control tick. Collected
 /// during the per-queue telemetry pass and consumed by the end-of-tick
-/// batched selection pass.
+/// batched selection pass; its state is the same row of
+/// [`BatchSelect::states`].
 struct PendingDecision {
     key: (u16, Prio),
     port: PortId,
     prio: Prio,
-    state: Vec<f32>,
     reward: f64,
     /// Replay length *right after this queue's observe*: the record of
     /// queue `i` shows the replay before queue `i+1` observed, so the value
@@ -116,7 +116,12 @@ struct PendingDecision {
 /// Per-queue bookkeeping.
 struct QueueCtx {
     observer: QueueObserver,
-    prev: Option<(Vec<f32>, usize)>,
+    /// The state of the queue's last decision, the `S` of its next
+    /// transition: one buffer, rewritten decision after decision.
+    prev_state: Vec<f32>,
+    /// The action of that decision; `None` when there is no transition to
+    /// complete (before the first decision, across an idle gap).
+    prev_action: Option<usize>,
     action_idx: usize,
     /// §4.2 busy/idle machinery.
     idle: bool,
@@ -162,26 +167,18 @@ const HELPER_SPAN_CAP: usize = 65_536;
 /// the heap.
 #[derive(Default)]
 struct BatchSelect {
+    /// The tick's pending states, one row each, written there by the
+    /// queues' observers.
     states: Vec<f32>,
     decisions: Vec<(usize, f64)>,
     greedy: Vec<usize>,
 }
 
 impl BatchSelect {
-    /// Choose an action for each of `states` (ε-greedy when `explore`, else
-    /// greedy) and return `(action, ε)` per state, in order.
-    fn select<'a>(
-        &mut self,
-        agent: &mut DdqnAgent,
-        states: impl Iterator<Item = &'a [f32]>,
-        explore: bool,
-    ) -> &[(usize, f64)] {
-        self.states.clear();
-        let mut n = 0;
-        for s in states {
-            self.states.extend_from_slice(s);
-            n += 1;
-        }
+    /// Choose an action for each row of `states` (ε-greedy when `explore`,
+    /// else greedy) into `decisions`, one `(action, ε)` per row, in order.
+    fn select(&mut self, agent: &mut DdqnAgent, explore: bool) {
+        let n = self.states.len() / agent.state_dim();
         if explore {
             agent.select_actions_batch(&self.states, n, &mut self.decisions);
         } else {
@@ -190,7 +187,6 @@ impl BatchSelect {
             self.decisions.clear();
             self.decisions.extend(self.greedy.iter().map(|&a| (a, eps)));
         }
-        &self.decisions
     }
 }
 
@@ -363,7 +359,8 @@ impl AccController {
                 .unwrap_or(space_len / 2);
             QueueCtx {
                 observer: QueueObserver::new(k, snap.telem, now),
-                prev: None,
+                prev_state: Vec::new(),
+                prev_action: None,
                 action_idx,
                 idle: false,
                 last_reward: None,
@@ -377,7 +374,6 @@ impl AccController {
         };
         let reward = self.cfg.reward.reward(iv.utilization, iv.avg_qlen_bytes);
         let last_reward = q.last_reward.replace(reward).unwrap_or(f64::NAN);
-        let state = q.observer.state();
 
         // §4.2 busy/idle: skip inference for quiet queues. A queue becomes
         // idle after three slots below Kmin with an unchanged reward; it
@@ -392,7 +388,7 @@ impl AccController {
                     q.idle = false;
                     q.unchanged_slots = 0;
                 } else {
-                    q.prev = None; // don't learn across the idle gap
+                    q.prev_action = None; // don't learn across the idle gap
                     self.stats.skipped_idle += 1;
                     return;
                 }
@@ -409,21 +405,22 @@ impl AccController {
             }
         }
 
+        // The state goes straight into the tick's selection batch, as the
+        // row of the decision queued below.
+        let states = &mut self.select.states;
+        let row = states.len();
+        q.observer.write_state(states);
+        let state = &states[row..];
+
         // Learn from the previous action: locally, or (H-ACC) centrally.
         let mut seat = self.agent.borrow_mut();
         let agent = seat.get();
-        if let Some((ps, pa)) = q.prev.take() {
-            let transition = || Transition {
-                state: ps,
-                action: pa,
-                reward: reward as f32,
-                next_state: state.clone(),
-                done: false,
-            };
+        if let Some(pa) = q.prev_action.take() {
+            let (ps, r) = (q.prev_state.as_slice(), reward as f32);
             if let Some(central) = &mut self.central {
-                central.queue(transition());
+                central.queue(ps, pa, r, state);
             } else if self.cfg.online_training {
-                agent.observe(transition());
+                agent.observe_row(ps, pa, r, state, false);
             }
         }
         let replay_len = agent.replay.len();
@@ -434,7 +431,6 @@ impl AccController {
             key,
             port,
             prio,
-            state,
             reward,
             replay_len,
         });
@@ -450,11 +446,8 @@ impl AccController {
         }
         let mut seat = self.agent.borrow_mut();
         let agent = seat.get();
-        let decisions = self.select.select(
-            agent,
-            self.pending.iter().map(|d| d.state.as_slice()),
-            self.cfg.explore,
-        );
+        self.select.select(agent, self.cfg.explore);
+        let states = self.select.states.chunks_exact(agent.state_dim());
         // H-ACC's model comes from the central trainer: its steps, not the
         // local agent's (which never trains).
         let train_steps = match &self.central {
@@ -465,7 +458,8 @@ impl AccController {
 
         let now = view.now();
         let node = view.node().0;
-        for (row, (d, &(action, epsilon))) in self.pending.iter_mut().zip(decisions).enumerate() {
+        let decided = self.pending.iter().zip(states).zip(&self.select.decisions);
+        for (row, ((d, state), &(action, epsilon))) in decided.enumerate() {
             let ecn = self.space.get(action);
             if let Some(rec) = &self.recorder {
                 // The net's view of a greedy decision, from the forward pass
@@ -481,7 +475,7 @@ impl AccController {
                     node,
                     port: d.port.0,
                     prio: d.prio,
-                    state: d.state.clone(),
+                    state: state.to_vec(),
                     action_idx: action,
                     kmin_bytes: ecn.kmin_bytes,
                     kmax_bytes: ecn.kmax_bytes,
@@ -499,11 +493,14 @@ impl AccController {
                 });
             }
             let q = self.queues.get_mut(&d.key).expect("pending queue exists");
-            q.prev = Some((std::mem::take(&mut d.state), action));
+            q.prev_state.clear();
+            q.prev_state.extend_from_slice(state);
+            q.prev_action = Some(action);
             q.action_idx = action;
             view.set_ecn(d.port, d.prio, Some(ecn));
         }
         self.pending.clear();
+        self.select.states.clear();
     }
 
     /// Phase D: hand the agent to the trainer for this tick's updates.

@@ -109,8 +109,14 @@ impl CentralLink {
     }
 
     /// Queue a finished transition for the trainer.
-    pub(crate) fn queue(&mut self, t: Transition) {
-        self.outbox.push(t);
+    pub(crate) fn queue(&mut self, state: &[f32], action: usize, reward: f32, next_state: &[f32]) {
+        self.outbox.push(Transition {
+            state: state.to_vec(),
+            action,
+            reward,
+            next_state: next_state.to_vec(),
+            done: false,
+        });
     }
 
     /// Training steps the trainer has taken: the learner the local model

@@ -87,14 +87,19 @@ impl StateWindow {
     /// The flattened `k × 4` state vector, oldest first, zero-padded on the
     /// left until `k` observations have been seen.
     pub fn state(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.k * FEATURES_PER_OBS);
+        let mut v = Vec::with_capacity(self.dim());
+        self.write_state(&mut v);
+        v
+    }
+
+    /// Append [`StateWindow::state`] to `out`, a buffer the caller reuses.
+    pub fn write_state(&self, out: &mut Vec<f32>) {
         for _ in 0..(self.k - self.hist.len()) {
-            v.extend_from_slice(&[0.0; FEATURES_PER_OBS]);
+            out.extend_from_slice(&[0.0; FEATURES_PER_OBS]);
         }
         for f in &self.hist {
-            v.extend_from_slice(f);
+            out.extend_from_slice(f);
         }
-        v
     }
 
     /// Dimensionality of [`StateWindow::state`].
@@ -199,6 +204,12 @@ impl QueueObserver {
     pub fn state(&self) -> Vec<f32> {
         self.window.state()
     }
+
+    /// Append [`QueueObserver::state`] to `out`, a buffer the caller
+    /// reuses, so a control tick builds no state vector of its own.
+    pub fn write_state(&self, out: &mut Vec<f32>) {
+        self.window.write_state(out);
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +311,9 @@ mod tests {
         assert_eq!(iv.avg_qlen_bytes, 2000);
         assert!((iv.utilization - 1.0).abs() < 1e-9);
         assert!((o.state()[8] - 0.1).abs() < 1e-6, "obs reached the window");
+        let mut out = vec![9.0];
+        o.write_state(&mut out);
+        assert_eq!(out[1..], o.state(), "appended after what was there");
         // Counters below the previous reading (reboot, blanked telemetry)
         // read as no progress.
         let iv = o.observe(&snap(0, 0, 0), dt.mul(3), 0.5).unwrap();

@@ -285,9 +285,23 @@ impl DdqnAgent {
 
     /// Store one experience tuple.
     pub fn observe(&mut self, t: Transition) {
-        debug_assert_eq!(t.state.len(), self.state_dim());
-        debug_assert!(t.action < self.n_actions());
-        self.replay.push(t);
+        self.observe_row(&t.state, t.action, t.reward, &t.next_state, t.done);
+    }
+
+    /// Store one experience tuple given as slices: the replay copies them
+    /// into its row, so the caller keeps its buffers.
+    pub fn observe_row(
+        &mut self,
+        state: &[f32],
+        action: usize,
+        reward: f32,
+        next_state: &[f32],
+        done: bool,
+    ) {
+        debug_assert_eq!(state.len(), self.state_dim());
+        debug_assert!(action < self.n_actions());
+        self.replay
+            .push_row(state, action, reward, next_state, done);
     }
 
     /// True once the replay memory holds enough transitions for a train
@@ -319,7 +333,7 @@ impl DdqnAgent {
     /// stored). Returns the minibatch loss if training happened.
     ///
     /// This is the batched kernel path: transitions are sampled by index and
-    /// packed (borrowed, never cloned) into flat batch buffers, the
+    /// packed straight from their replay rows into flat batch buffers, the
     /// Double-DQN target runs as one batched eval-net pass for `a*` plus one
     /// batched target-net pass for `Q_next`, and a single batched backward
     /// accumulates the minibatch gradients in fixed sample order. Every
@@ -346,8 +360,8 @@ impl DdqnAgent {
         self.ws.next_states.resize(n * state_dim, 0.0);
         for (k, &idx) in self.ws.indices.iter().enumerate() {
             let t = self.replay.get(idx);
-            self.ws.states[k * state_dim..(k + 1) * state_dim].copy_from_slice(&t.state);
-            self.ws.next_states[k * state_dim..(k + 1) * state_dim].copy_from_slice(&t.next_state);
+            self.ws.states[k * state_dim..(k + 1) * state_dim].copy_from_slice(t.state);
+            self.ws.next_states[k * state_dim..(k + 1) * state_dim].copy_from_slice(t.next_state);
         }
 
         // Batched Double-DQN target (eq. 3): a* from the eval net, Q_next
@@ -444,16 +458,16 @@ impl DdqnAgent {
             let y = if t.done {
                 t.reward
             } else {
-                let (a_star, saw_nan) = argmax_checked(&self.eval.forward(&t.next_state));
+                let (a_star, saw_nan) = argmax_checked(&self.eval.forward(t.next_state));
                 if saw_nan {
                     anomalies += 1;
                 }
-                t.reward + self.cfg.gamma * self.target.forward(&t.next_state)[a_star]
+                t.reward + self.cfg.gamma * self.target.forward(t.next_state)[a_star]
             };
             if !y.is_finite() {
                 anomalies += 1;
             }
-            let cache = self.eval.forward_cached(&t.state);
+            let cache = self.eval.forward_cached(t.state);
             let q = cache.output()[t.action];
             let err = q - y;
             loss += err * err;

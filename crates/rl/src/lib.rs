@@ -12,11 +12,12 @@
 //!   `backward_batch`) over flat `[batch × dim]` workspaces that are
 //!   bit-identical to the scalar path for finite states and weights while
 //!   allocating nothing at steady state;
-//! * [`replay`] — the bounded experience-replay memory, [`ReplayBuffer`]:
-//!   local per agent plus a shared *global* memory that agents exchange
-//!   experience through (the asynchronous multi-agent scheme of §3.4),
-//!   sampled uniformly or, with [`ReplayBuffer::prioritized`], by reward
-//!   priority as during §4.3 online fine-tuning;
+//! * [`replay`] — the bounded experience-replay memory, [`ReplayBuffer`],
+//!   one ring of flat `f32` rows: local per agent plus a shared *global*
+//!   memory that agents exchange experience through (the asynchronous
+//!   multi-agent scheme of §3.4), sampled uniformly or, with
+//!   [`ReplayBuffer::prioritized`], by reward priority as during §4.3
+//!   online fine-tuning;
 //! * [`ddqn`] — the Double-DQN agent: ε-greedy action selection with fast
 //!   exponential ε decay, minibatch sampling from its replay, the decoupled
 //!   action-selection / action-evaluation target of eq. (3), and periodic
@@ -39,5 +40,5 @@ pub mod trainer;
 
 pub use ddqn::{DdqnAgent, DdqnConfig, StepCost};
 pub use mlp::{Adam, BackwardScratch, BatchActivations, Mlp};
-pub use replay::{ReplayBuffer, Transition};
+pub use replay::{ReplayBuffer, Transition, TransitionRef};
 pub use trainer::{Seat, Trainer, TrainerStats};

@@ -6,7 +6,10 @@
 //! which lets agents at different switches explore different parts of the
 //! network yet learn from each other.
 //!
-//! One ring serves both sampling schemes. [`ReplayBuffer::new`] samples
+//! One ring serves both sampling schemes, and it stores each transition as
+//! one row of a flat `f32` array (`state ‖ next_state`) beside a compact
+//! action/reward/done array, so a stored transition owns no heap block of
+//! its own and nothing is cloned in or out. [`ReplayBuffer::new`] samples
 //! uniformly (offline training, the global memory);
 //! [`ReplayBuffer::prioritized`] samples in proportion to a priority kept in
 //! a sum-tree (O(log n) insert and sample). The priority follows §4.3's
@@ -17,6 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One experience tuple `(S, a, r, S')`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -34,11 +38,63 @@ pub struct Transition {
     pub done: bool,
 }
 
+/// A stored transition, borrowed from its row of the ring.
+#[derive(Clone, Copy, PartialEq)]
+pub struct TransitionRef<'a> {
+    /// State observed.
+    pub state: &'a [f32],
+    /// Action taken (index into the action space).
+    pub action: usize,
+    /// Reward received.
+    pub reward: f32,
+    /// State after the action.
+    pub next_state: &'a [f32],
+    /// Whether the episode terminated.
+    pub done: bool,
+}
+
+/// Prints exactly as the [`Transition`] it views, so a dump of a replay
+/// reads the same whether it holds owned or borrowed transitions.
+impl fmt::Debug for TransitionRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transition")
+            .field("state", &self.state)
+            .field("action", &self.action)
+            .field("reward", &self.reward)
+            .field("next_state", &self.next_state)
+            .field("done", &self.done)
+            .finish()
+    }
+}
+
+/// Rows the ring reserves at a time, up to its capacity: a fixed step, not
+/// a doubling, so a ring that stops short of its capacity carries at most
+/// one step of slack.
+const GROW_ROWS: usize = 256;
+
+/// What a stored transition holds besides its two states (12 bytes).
+#[derive(Clone, Copy, Debug)]
+struct Meta {
+    reward: f32,
+    action: u32,
+    done: bool,
+}
+
 /// A bounded ring of transitions, sampled uniformly or by reward priority.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Slot `i` is row `i` of one flat `f32` array, `state ‖ next_state`, plus
+/// its action, reward and done flag in a parallel array. The first push
+/// fixes both widths; storage grows 256 rows at a time, starting at the
+/// first push.
+#[derive(Clone, Debug)]
 pub struct ReplayBuffer {
     cap: usize,
-    buf: Vec<Transition>,
+    /// Width of a row's `state` half.
+    state_dim: usize,
+    /// Width of a whole row, `state ‖ next_state`.
+    row_len: usize,
+    rows: Vec<f32>,
+    meta: Vec<Meta>,
     next: usize,
     /// Present when sampling is reward-prioritised.
     prio: Option<Priorities>,
@@ -50,7 +106,10 @@ impl ReplayBuffer {
         assert!(cap > 0);
         ReplayBuffer {
             cap,
-            buf: Vec::with_capacity(cap.min(4096)),
+            state_dim: 0,
+            row_len: 0,
+            rows: Vec::new(),
+            meta: Vec::new(),
             next: 0,
             prio: None,
         }
@@ -59,40 +118,78 @@ impl ReplayBuffer {
     /// A buffer holding at most `cap` transitions, sampled in proportion to
     /// their reward priority (§4.3 online fine-tuning).
     pub fn prioritized(cap: usize) -> Self {
-        assert!(cap > 0);
         ReplayBuffer {
-            cap,
-            buf: Vec::new(),
-            next: 0,
             prio: Some(Priorities {
                 tree: SumTree::new(cap),
                 r_min: f64::INFINITY,
                 r_max: f64::NEG_INFINITY,
             }),
+            ..Self::new(cap)
         }
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.meta.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.meta.is_empty()
     }
 
     /// Insert, overwriting the oldest entry once full.
     pub fn push(&mut self, t: Transition) {
+        self.push_row(&t.state, t.action, t.reward, &t.next_state, t.done);
+    }
+
+    /// Insert one transition as a row, overwriting the oldest entry once
+    /// full. The first push fixes the widths of `state` and `next_state`;
+    /// every later one must match them.
+    pub fn push_row(
+        &mut self,
+        state: &[f32],
+        action: usize,
+        reward: f32,
+        next_state: &[f32],
+        done: bool,
+    ) {
+        if self.meta.is_empty() {
+            self.state_dim = state.len();
+            self.row_len = state.len() + next_state.len();
+        }
+        assert!(
+            state.len() == self.state_dim && next_state.len() == self.row_len - self.state_dim,
+            "replay rows are {} + {} wide",
+            self.state_dim,
+            self.row_len - self.state_dim
+        );
+        let meta = Meta {
+            reward,
+            action: u32::try_from(action).expect("action index fits in u32"),
+            done,
+        };
         // Below capacity `next` is the length, so it is the slot either way.
         let slot = self.next;
         if let Some(p) = &mut self.prio {
-            p.insert(slot, t.reward);
+            p.insert(slot, reward);
         }
-        if self.buf.len() < self.cap {
-            self.buf.push(t);
+        if self.meta.len() < self.cap {
+            if self.meta.len() == self.meta.capacity() {
+                self.meta
+                    .reserve_exact(GROW_ROWS.min(self.cap - self.meta.len()));
+                let rows = self.meta.capacity() * self.row_len;
+                self.rows.reserve_exact(rows - self.rows.len());
+            }
+            self.rows.extend_from_slice(state);
+            self.rows.extend_from_slice(next_state);
+            self.meta.push(meta);
         } else {
-            self.buf[slot] = t;
+            let row = &mut self.rows[slot * self.row_len..(slot + 1) * self.row_len];
+            let (s, s2) = row.split_at_mut(self.state_dim);
+            s.copy_from_slice(state);
+            s2.copy_from_slice(next_state);
+            self.meta[slot] = meta;
         }
         self.next = (slot + 1) % self.cap;
     }
@@ -101,10 +198,10 @@ impl ReplayBuffer {
     /// uniform, one `f64` when prioritised.
     fn draw(&self, rng: &mut SmallRng) -> usize {
         match &self.prio {
-            None => rng.gen_range(0..self.buf.len()),
+            None => rng.gen_range(0..self.len()),
             Some(p) => {
                 let target = rng.gen::<f64>() * p.tree.total();
-                p.tree.find(target).min(self.buf.len() - 1)
+                p.tree.find(target).min(self.len() - 1)
             }
         }
     }
@@ -113,7 +210,7 @@ impl ReplayBuffer {
     /// is cleared first; reusing one buffer across calls keeps steady-state
     /// training allocation-free.
     pub fn sample_indices_into(&self, rng: &mut SmallRng, n: usize, out: &mut Vec<usize>) {
-        assert!(!self.buf.is_empty(), "sampling an empty replay buffer");
+        assert!(!self.is_empty(), "sampling an empty replay buffer");
         out.clear();
         for _ in 0..n {
             out.push(self.draw(rng));
@@ -122,24 +219,34 @@ impl ReplayBuffer {
 
     /// The transition stored at `idx` (pairs with
     /// [`ReplayBuffer::sample_indices_into`]; storage order is unspecified).
-    pub fn get(&self, idx: usize) -> &Transition {
-        &self.buf[idx]
+    pub fn get(&self, idx: usize) -> TransitionRef<'_> {
+        let m = self.meta[idx];
+        let row = &self.rows[idx * self.row_len..(idx + 1) * self.row_len];
+        let (state, next_state) = row.split_at(self.state_dim);
+        TransitionRef {
+            state,
+            action: m.action as usize,
+            reward: m.reward,
+            next_state,
+            done: m.done,
+        }
     }
 
     /// Copy `n` transitions, each drawn from this buffer's distribution,
     /// into `other` — either half of the local↔global exchange.
     pub fn exchange_into(&self, other: &mut ReplayBuffer, rng: &mut SmallRng, n: usize) {
-        if self.buf.is_empty() {
+        if self.is_empty() {
             return;
         }
         for _ in 0..n {
-            other.push(self.buf[self.draw(rng)].clone());
+            let t = self.get(self.draw(rng));
+            other.push_row(t.state, t.action, t.reward, t.next_state, t.done);
         }
     }
 
     /// Iterate over the stored transitions (unspecified order).
-    pub fn iter(&self) -> impl Iterator<Item = &Transition> {
-        self.buf.iter()
+    pub fn iter(&self) -> impl Iterator<Item = TransitionRef<'_>> {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -147,7 +254,7 @@ impl ReplayBuffer {
 const PRIORITY_EPSILON: f64 = 1e-3;
 
 /// The reward-prioritised buffer's sum-tree and running reward range.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Priorities {
     tree: SumTree,
     r_min: f64,
@@ -169,7 +276,7 @@ impl Priorities {
 }
 
 /// A fixed-capacity sum-tree over `cap` leaves.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct SumTree {
     /// Number of leaves (power of two >= requested capacity).
     leaves: usize,
@@ -235,7 +342,7 @@ mod tests {
     }
 
     /// `n` draws from `b`, as the transitions they pick.
-    fn sample<'a>(b: &'a ReplayBuffer, rng: &mut SmallRng, n: usize) -> Vec<&'a Transition> {
+    fn sample<'a>(b: &'a ReplayBuffer, rng: &mut SmallRng, n: usize) -> Vec<TransitionRef<'a>> {
         let mut idx = Vec::new();
         b.sample_indices_into(rng, n, &mut idx);
         idx.into_iter().map(|i| b.get(i)).collect()
@@ -252,6 +359,64 @@ mod tests {
             // Entries 0,1 were overwritten by 3,4.
             let rewards: Vec<f32> = b.iter().map(|t| t.reward).collect();
             assert_eq!(rewards, [3.0, 4.0, 2.0]);
+        }
+    }
+
+    /// Nothing is reserved before the first push; storage then grows one
+    /// fixed step at a time and stops at the capacity.
+    #[test]
+    fn ring_grows_in_fixed_steps_up_to_capacity() {
+        let cap = 2 * GROW_ROWS + 10;
+        let mut b = ReplayBuffer::new(cap);
+        assert_eq!((b.rows.capacity(), b.meta.capacity()), (0, 0));
+        let mut seen = Vec::new();
+        for i in 0..3 * cap {
+            b.push(tr(i as f32));
+            let reserved = b.meta.capacity();
+            if seen.last() != Some(&reserved) {
+                seen.push(reserved);
+            }
+            assert_eq!(b.rows.capacity(), reserved * 2);
+        }
+        assert_eq!(seen, [GROW_ROWS, 2 * GROW_ROWS, cap]);
+    }
+
+    /// A stored transition reads back as the one pushed, and prints as it.
+    #[test]
+    fn rows_read_back_as_pushed() {
+        let mut b = ReplayBuffer::prioritized(4);
+        let t = Transition {
+            state: vec![1.0, 2.0, 3.0],
+            action: 7,
+            reward: -0.5,
+            next_state: vec![4.0, 5.0],
+            done: true,
+        };
+        b.push(tr_wide(0.0));
+        b.push(t.clone());
+        let got = b.get(1);
+        assert_eq!(
+            (got.state, got.action, got.reward, got.next_state, got.done),
+            (&t.state[..], t.action, t.reward, &t.next_state[..], t.done)
+        );
+        assert_eq!(format!("{got:?}"), format!("{t:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "replay rows are 3 + 2 wide")]
+    fn a_row_of_another_width_panics() {
+        let mut b = ReplayBuffer::new(4);
+        b.push(tr_wide(0.0));
+        b.push(tr(1.0));
+    }
+
+    fn tr_wide(r: f32) -> Transition {
+        Transition {
+            state: vec![r; 3],
+            action: 0,
+            reward: r,
+            next_state: vec![r; 2],
+            done: false,
         }
     }
 
@@ -350,9 +515,8 @@ mod tests {
             let mut r2 = SmallRng::seed_from_u64(9);
             let mut global = ReplayBuffer::new(64);
             local.exchange_into(&mut global, &mut r1, 8);
-            let sampled: Vec<Transition> =
-                sample(&local, &mut r2, 8).into_iter().cloned().collect();
-            assert_eq!(global.iter().cloned().collect::<Vec<_>>(), sampled);
+            let sampled = sample(&local, &mut r2, 8);
+            assert_eq!(global.iter().collect::<Vec<_>>(), sampled);
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "RNG streams diverged");
             // And back.
             global.exchange_into(&mut local, &mut r1, 5);

@@ -60,9 +60,17 @@
 //! [`Trainer::global`] serves every seat of the process from one queue and
 //! `available_parallelism() - 1` helper threads, at most [`MAX_HELPERS`];
 //! they are spawned by the first announced job and joined when the last
-//! seat is gone. One simulation keeps less than one helper busy (six
-//! switches' updates, 62–76 µs each since PR 26, are ≈ 0.4 ms of every
-//! ≈ 0.8 ms between ticks on traced `acc-online-incast`). A job is
+//! seat is gone. One simulation keeps about one helper busy while its
+//! flows run, and its engine thread runs the rest. On `acc-online-incast`
+//! (seed 7, two cores, host speed factor 1.4–1.9) a train step costs
+//! 128–146 µs in situ; of a trial's 10,654 updates the helper ran
+//! 7.4–8.0 k, busy 0.95–1.10 s of a 1.5–2.4 s trial, and the engine ran
+//! the other 2.6–3.2 k, 55–77 % of them after the last flow finished at
+//! 59.4 ms of the 90 ms horizon, where no packet event is left to overlap
+//! (the drained tail above); joins slept 10–167 times, 5–11 ms in all.
+//! `acc-bench --profile`'s control-plane table prints the counts
+//! (`ran_on_helper`, `ran_on_engine`, `blocked_joins`) of any experiment
+//! that builds a simulator. A job is
 //! offered to them only while the *engine threads* — the threads whose
 //! seats submit here — are fewer than the cores: a run that already has a
 //! thread on every core (`--jobs`, `--shards`) has nothing to gain from a
