@@ -879,6 +879,8 @@ pub(crate) struct EngineTotals {
     /// Packet-slab slots reserved at build, and the most queued at once.
     pub arena_slots_reserved: u64,
     pub arena_slots_peak: u64,
+    /// Port blocks built ([`netsim::sim::SimCore::ports_held`]).
+    pub ports_held: u64,
 }
 
 impl EngineTotals {
@@ -890,6 +892,7 @@ impl EngineTotals {
             fault_log_dropped: core.fault_log_dropped,
             arena_slots_reserved: arena_slots_reserved as u64,
             arena_slots_peak: arena_slots_peak as u64,
+            ports_held: core.ports_held() as u64,
         }
     }
 
@@ -899,6 +902,7 @@ impl EngineTotals {
         self.fault_log_dropped += o.fault_log_dropped;
         self.arena_slots_reserved += o.arena_slots_reserved;
         self.arena_slots_peak += o.arena_slots_peak;
+        self.ports_held += o.ports_held;
     }
 }
 

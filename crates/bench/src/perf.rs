@@ -241,6 +241,7 @@ fn xl_clos_sharded(h: &Harness, n_shards: u32) -> Value {
         json!({
             "arena_slots_reserved": out.engine.arena_slots_reserved,
             "arena_slots_peak": out.engine.arena_slots_peak,
+            "ports_held": out.engine.ports_held,
             "shards": n_shards,
             "remote_events": out.remote_events(),
             "shard_events": shard_events,
@@ -746,6 +747,10 @@ pub const GATES: &[Gate] = {
             Eq,
             Col("shards", 0.0),
         ),
+        // Every port of the fabric has one block, whatever the shard count:
+        // a shard that built blocks for the nodes it does not own would
+        // read 6,144 on two shards.
+        gate("xl-clos-1024/1shard", "ports_held", Eq, Num(3072.0)),
         gate("xl-clos-1024/2shard", "events_processed", Gt, Num(0.0)),
         gate("xl-clos-1024/2shard", "warmup_events", Gt, Num(0.0)),
         gate("xl-clos-1024/2shard", "peak_event_queue", Gt, Num(0.0)),
@@ -770,6 +775,7 @@ pub const GATES: &[Gate] = {
             Eq,
             Col("shards", 0.0),
         ),
+        gate("xl-clos-1024/2shard", "ports_held", Eq, Num(3072.0)),
         gate("xl-clos-1024/2shard", "remote_events", Gt, Num(0.0)),
         // Flow backend: 100x the packet rows' flow count, all of it finished,
         // one arrival and one completion per flow plus the control ticks, and at
@@ -963,7 +969,7 @@ pub(crate) mod tests {
                 packet_fixture(name, allocs.clone()),
                 json!({
                     "shards": shards, "remote_events": 900 * (shards - 1),
-                    "shard_events": vec![5u64; shards as usize],
+                    "shard_events": vec![5u64; shards as usize], "ports_held": 3072u64,
                 }),
             )
         };

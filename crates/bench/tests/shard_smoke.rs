@@ -10,7 +10,10 @@
 //!   gives byte-identical merged telemetry JSONL and identical FCT
 //!   statistics on 2 and 4 shards (the `diff -r` pattern of the run-matrix
 //!   `--jobs` test, with `manifest.json` excluded because it carries
-//!   wall-clock fields).
+//!   wall-clock fields);
+//! * faults on nodes a shard does not own — which it executes only as far
+//!   as link state and routes — leave a static arm's records, fault
+//!   timeline and queue telemetry as on one shard, at 2 and 4 shards.
 //!
 //! CI runs this as part of the test suite alongside the CLI-level
 //! `acc-bench fig12 --quick` diffs (unsharded against `--shards 1`, 2
@@ -20,6 +23,8 @@ mod support;
 
 use acc_bench::common::{Harness, MatrixCell, Policy, RunOutcome, Scale};
 use netsim::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use support::{assert_same_tree, fresh_dir};
 use transport::CcKind;
@@ -335,6 +340,112 @@ fn guarded_fault_scenario_identical_across_shard_counts() {
         if policy == Policy::AccGuarded {
             assert_eq!(guard.violations_applied, 0, "enforcing guard");
             assert_eq!(r1.invalid_final_configs, 0);
+        }
+    }
+}
+
+/// The port of `a` whose link leads to `b`.
+fn port_towards(topo: &Topology, a: NodeId, b: NodeId) -> PortId {
+    let ports = &topo.node(a).ports;
+    let p = ports.iter().position(|l| l.peer_node == b);
+    PortId(p.expect("the two switches are linked") as u16)
+}
+
+/// A seeded plan on the testbed (leaves 0–3 are shards 0–3 at four shards,
+/// leaves 0–1 and 2–3 at two; spine 0 sits in shard 0, spine 1 in shard 1)
+/// whose faults land on nodes most shards do not own: a flap of a link
+/// that crosses shards, a flap of leaf 2 ↔ spine 1 — a link of which
+/// shard 0 owns neither end, yet its routes from leaves 0 and 1 to leaf
+/// 2's hosts change — rate and loss faults named from either end of
+/// foreign links and on a foreign host port, and a reboot plus a
+/// telemetry freeze or blank of a switch in every shard.
+fn foreign_fault_plan(topo: &Topology, dur: SimTime, seed: u64) -> FaultPlan {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut at = |from: f64| {
+        let x = from + rng.gen::<f64>() * 0.2;
+        SimTime::from_ps((dur.as_ps() as f64 * x) as u64)
+    };
+    let sw = topo.switches();
+    let (leaves, spine0, spine1) = (&sw[..4], sw[4], sw[5]);
+    let link = |a: NodeId, b: NodeId| (a, port_towards(topo, a, b));
+    let (l3s0, l2s1, l1s1) = (
+        link(leaves[3], spine0),
+        link(leaves[2], spine1),
+        link(leaves[1], spine1),
+    );
+    let (s0l2, s1l0) = (link(spine0, leaves[2]), link(spine1, leaves[0]));
+    let mut plan = FaultPlan::new(seed)
+        .link_flap(l3s0.0, l3s0.1, at(0.05), at(0.3))
+        .link_flap(l2s1.0, l2s1.1, at(0.1), at(0.4))
+        .degrade_window(l1s1.0, l1s1.1, 10_000_000_000, at(0.0), at(0.5))
+        .degrade_window(s0l2.0, s0l2.1, 25_000_000_000, at(0.2), at(0.6))
+        .loss_window(s1l0.0, s1l0.1, 0.05, at(0.1), at(0.5))
+        .loss_window(leaves[3], PortId(0), 0.1, at(0.3), at(0.6));
+    for (i, &leaf) in leaves.iter().enumerate() {
+        plan.push(at(0.4), FaultKind::SwitchReboot { node: leaf });
+        let (from, until) = (at(0.1), at(0.6));
+        plan = if i % 2 == 0 {
+            plan.telemetry_freeze(leaf, from, until)
+        } else {
+            plan.telemetry_blank(leaf, from, until)
+        };
+    }
+    plan.at(at(0.5), FaultKind::SwitchReboot { node: spine1 })
+}
+
+/// Faults on nodes a shard does not own change in that shard only what
+/// they must — link state, and with it the routes — so under a static arm
+/// the seeded foreign-fault plans above give, at 2 and 4 shards, the
+/// one-shard run's flow records, fault timeline (every fault exactly once)
+/// and owned-queue telemetry.
+#[test]
+fn faults_on_foreign_nodes_match_the_one_shard_run() {
+    let spec = TopologySpec::paper_testbed();
+    let topo = spec.build();
+    let hosts: Vec<NodeId> = topo.hosts().to_vec();
+    let dur = SimTime::from_ms(4);
+    let g = PoissonGen::new(SizeDist::web_search(), 0.5, CcKind::Dcqcn, 77);
+    let arrivals = g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur);
+    let horizon = dur + SimTime::from_ms(2);
+    for seed in [3, 4] {
+        let plan = foreign_fault_plan(&topo, dur, seed);
+        let root = fresh_dir(&format!("shard-smoke-foreign-{seed}"));
+        let run = |n: u32| {
+            let dir = root.join(format!("s{n}"));
+            recorded(
+                &dir,
+                &spec,
+                Policy::Secn1,
+                seed,
+                &arrivals,
+                Some(&plan),
+                Some(n),
+                horizon,
+            )
+        };
+        let (r1, d1) = run(1);
+        let events = String::from_utf8(read(&d1, "events.jsonl")).unwrap();
+        let faults = plan.events.iter().map(|e| e.kind.name());
+        let faults: Vec<&str> = faults.collect();
+        let logged = events
+            .lines()
+            .filter(|l| faults.iter().any(|k| l.contains(&format!("\"{k}\""))))
+            .count();
+        assert_eq!(logged, plan.events.len(), "seed {seed}: every fault once");
+        assert!(r1.fault_drops > 0, "seed {seed}: the plan dropped nothing");
+        for n in [2, 4] {
+            let (rn, dn) = run(n);
+            assert!(
+                rn.remote_events() > 0,
+                "seed {seed}: {n} shards exchanged nothing"
+            );
+            assert_eq!(
+                sorted_records(&r1),
+                sorted_records(&rn),
+                "seed {seed}, {n} shards"
+            );
+            assert_eq!(r1.fault_drops, rn.fault_drops, "seed {seed}, {n} shards");
+            assert_same_tree(&d1, &dn, &format!("seed {seed}: 1 and {n} shards"));
         }
     }
 }

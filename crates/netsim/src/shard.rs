@@ -518,10 +518,15 @@ where
     // Published clocks: clock[s] is shard s's promise that all its future
     // cross-shard sends have timestamps >= clock[s] + lookahead.
     let clocks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    // Mailboxes: inboxes[dst][src] holds events from src awaiting dst.
+    // Mailboxes: inboxes[dst][src] holds events from src awaiting dst. A
+    // shard never posts to itself, so inboxes[s][s] reserves nothing.
     let remote_cap = remote_buf_capacity(plan.owner_of.len());
     let inboxes: Vec<Vec<Mailbox>> = (0..n)
-        .map(|_| (0..n).map(|_| Mailbox::with_capacity(remote_cap)).collect())
+        .map(|dst| {
+            (0..n)
+                .map(|src| Mailbox::with_capacity(if src == dst { 0 } else { remote_cap }))
+                .collect()
+        })
         .collect();
     // Workers + the coordinating thread meet here between phases.
     let gate = Gate::new(n + 1);

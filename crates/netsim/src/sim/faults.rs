@@ -54,14 +54,27 @@ impl SimCore {
     /// `fault_drops`); packets with no remaining route are dropped (see
     /// `unroutable_drops`). PFC pause state on both endpoints is cleared so
     /// a flap can never leave a port permanently paused.
+    ///
+    /// A shard executes every link fault, so its routes stay those of the
+    /// whole fabric; it touches the transmitter and PFC state of the ends it
+    /// owns only.
     pub fn set_link_state(&mut self, node: NodeId, port: PortId, up: bool) {
         let peer = *self.topo.port(node, port);
-        self.port_mut(node, port).link_up = up;
-        self.port_mut(peer.peer_node, peer.peer_port).link_up = up;
+        let ends = [(node, port), (peer.peer_node, peer.peer_port)];
+        for (n, p) in ends {
+            if self.owns_node(n) {
+                self.port_mut(n, p).link_up = up;
+            } else {
+                self.foreign_links.set(n, p, up);
+            }
+        }
         self.recount_impaired();
         if !up {
-            self.clear_pfc_state(node, port);
-            self.clear_pfc_state(peer.peer_node, peer.peer_port);
+            for (n, p) in ends {
+                if self.owns_node(n) {
+                    self.clear_pfc_state(n, p);
+                }
+            }
         }
         let kind = if up {
             FaultKind::LinkUp { node, port }
@@ -77,20 +90,36 @@ impl SimCore {
         );
         // Rebuild routing honouring every port's current state, reusing the
         // existing table's storage (no fresh table allocation per flap).
-        let (ports, base) = (&self.ports, &self.port_base);
+        let (ports, base, foreign, shard) = (
+            &self.ports,
+            &self.port_base,
+            &self.foreign_links,
+            &self.shard,
+        );
         self.routes.rebuild_filtered(&self.topo, |n, p| {
-            ports[base[n.idx()] as usize + p.idx()].link_up
+            if shard.owns(n) {
+                ports[base[n.idx()] as usize + p.idx()].link_up
+            } else {
+                foreign.is_up(n, p)
+            }
         });
         if up {
             // Restart the transmitters on both ends.
-            self.try_send(node, port);
-            self.try_send(peer.peer_node, peer.peer_port);
+            for (n, p) in ends {
+                if self.owns_node(n) {
+                    self.try_send(n, p);
+                }
+            }
         }
     }
 
     /// Whether the link attached to (`node`, `port`) is up.
     pub fn link_is_up(&self, node: NodeId, port: PortId) -> bool {
-        self.port(node, port).link_up
+        if self.owns_node(node) {
+            self.port(node, port).link_up
+        } else {
+            self.foreign_links.is_up(node, port)
+        }
     }
 
     /// Recount the ports that lose arrivals. Every write to `link_up` or
@@ -163,7 +192,12 @@ impl SimCore {
     /// Execute one fault right now. Normally driven by scheduled
     /// [`Event::Fault`]s from an installed [`FaultPlan`]; harnesses may also
     /// call it directly.
+    ///
+    /// Every shard executes every fault, but of a node this core does not
+    /// own only the link state is kept (routes are global); its rates, loss,
+    /// reboots and telemetry faults change nothing here.
     pub fn apply_fault(&mut self, kind: FaultKind) {
+        let (target, _) = kind.target();
         match kind {
             FaultKind::LinkDown { node, port } => self.set_link_state(node, port, false),
             FaultKind::LinkUp { node, port } => self.set_link_state(node, port, true),
@@ -180,6 +214,9 @@ impl SimCore {
                 self.set_rate_override(node, port, None);
                 self.report_fault(kind, FaultDetail::None);
             }
+            // The rest touch the node they name and nothing else: a foreign
+            // one's owner executes and reports them.
+            _ if !self.owns_node(target) => {}
             FaultKind::PacketLoss { node, port, frac } => {
                 let frac = frac.clamp(0.0, 1.0);
                 self.port_mut(node, port).loss_frac = frac;
@@ -227,6 +264,9 @@ impl SimCore {
     fn set_rate_override(&mut self, node: NodeId, port: PortId, rate: Option<u64>) {
         let peer = *self.topo.port(node, port);
         for (node, port) in [(node, port), (peer.peer_node, peer.peer_port)] {
+            if !self.owns_node(node) {
+                continue;
+            }
             let configured = self.topo.port(node, port).rate_bps;
             self.port_mut(node, port).rate_bps = rate.unwrap_or(configured);
         }

@@ -157,10 +157,60 @@ impl PortState {
 
 /// Per-node state that is not per-port.
 pub(crate) struct NodeState {
-    /// Shared packet buffer — switches only.
+    /// Shared packet buffer — switches this core owns only.
     buffer: Option<SharedBuffer>,
     /// Active telemetry-read distortion (fault injection).
     telem_fault: Option<TelemFault>,
+}
+
+/// The link state of every port a core does not hold. A sharded core
+/// builds no [`PortState`] for a foreign node, but faults replicate into
+/// every shard and the route rebuild reads every link, so a foreign port's
+/// up/down bit lives here — and only here; an owned port's lives in its
+/// block. Empty on a core that owns every node.
+struct ForeignLinks {
+    /// Where each node's entries start in `up`, plus one closing entry; an
+    /// owned node's range is empty.
+    base: Vec<u32>,
+    up: Vec<bool>,
+}
+
+impl ForeignLinks {
+    fn new(topo: &Topology, shard: &ShardCtx) -> Self {
+        let (mut base, mut held) = (Vec::new(), 0u32);
+        if shard.owner_of.iter().any(|&o| o != shard.my_shard) {
+            base.reserve_exact(topo.nodes.len() + 1);
+            for (i, n) in topo.nodes.iter().enumerate() {
+                base.push(held);
+                if !shard.owns(NodeId(i as u32)) {
+                    held += n.ports.len() as u32;
+                }
+            }
+            base.push(held);
+        }
+        ForeignLinks {
+            base,
+            up: vec![true; held as usize],
+        }
+    }
+
+    fn slot(&self, node: NodeId, port: PortId) -> usize {
+        let i = self.base[node.idx()] as usize + port.idx();
+        assert!(
+            i < self.base[node.idx() + 1] as usize,
+            "{node:?} has no {port:?}"
+        );
+        i
+    }
+
+    fn is_up(&self, node: NodeId, port: PortId) -> bool {
+        self.up[self.slot(node, port)]
+    }
+
+    fn set(&mut self, node: NodeId, port: PortId, up: bool) {
+        let i = self.slot(node, port);
+        self.up[i] = up;
+    }
 }
 
 /// A [`SimCore`]'s place in its partition (see [`crate::shard`]; one shard
@@ -200,12 +250,14 @@ pub struct SimCore {
     pub(crate) events: EventQueue,
     /// The immutable network.
     pub topo: Topology,
-    /// Every port of every node, node after node: (`node`, `port`) lives at
-    /// `ports[port_base[node] + port]`.
+    /// Every port of every node this core owns, node after node:
+    /// (`node`, `port`) lives at `ports[port_base[node] + port]`.
     ports: Vec<PortState>,
     /// Where each node's ports start in `ports`; one extra entry closes the
-    /// last node's range.
+    /// last node's range. A foreign node's range is empty.
     port_base: Vec<u32>,
+    /// Link state of the ports of foreign nodes.
+    foreign_links: ForeignLinks,
     pub(crate) nodes: Vec<NodeState>,
     /// The slab behind every egress FIFO of this core (see [`QueueArena`]):
     /// enqueue/dequeue never allocates at steady state.
@@ -270,24 +322,31 @@ impl SimCore {
             "{} nodes do not fit the event key's node field",
             topo.nodes.len()
         );
-        let mut ports = Vec::with_capacity(topo.nodes.iter().map(|n| n.ports.len()).sum());
+        // Only owned nodes get ports and a buffer: a foreign node's events
+        // route to its owner, so nothing ever queues on its ports here.
+        let owned = |i: usize| shard.owns(NodeId(i as u32));
+        let held = topo.nodes.iter().enumerate().filter(|&(i, _)| owned(i));
+        let mut ports = Vec::with_capacity(held.map(|(_, n)| n.ports.len()).sum());
         let mut port_base = Vec::with_capacity(topo.nodes.len() + 1);
         let mut nodes = Vec::with_capacity(topo.nodes.len());
-        for n in &topo.nodes {
+        for (i, n) in topo.nodes.iter().enumerate() {
             let is_host = n.kind == NodeKind::Host;
             port_base.push(ports.len() as u32);
-            ports.extend(n.ports.iter().map(|l| PortState::new(&cfg, l, is_host)));
+            if owned(i) {
+                ports.extend(n.ports.iter().map(|l| PortState::new(&cfg, l, is_host)));
+            }
             nodes.push(NodeState {
-                buffer: (!is_host)
+                buffer: (!is_host && owned(i))
                     .then(|| SharedBuffer::new(cfg.buffer_bytes, cfg.pfc_alpha, cfg.pfc_xon_frac)),
                 telem_fault: None,
             });
         }
         port_base.push(ports.len() as u32);
+        let foreign_links = ForeignLinks::new(&topo, &shard);
         // The one packet slab is sized from the switches this core owns —
-        // their shared buffers are where a fabric's backlog stands. Foreign
-        // nodes never enqueue here (their events route to their owner).
+        // their shared buffers are where a fabric's backlog stands.
         let owned_switches = topo.switches().iter().filter(|&&sw| shard.owns(sw)).count();
+        let owned_nodes = (0..topo.nodes.len()).filter(|&i| owned(i)).count();
         let per_switch = cfg.port.arena_slots;
         let arena_reserved = per_switch * owned_switches.max(1);
         let routes = RouteTable::build(&topo);
@@ -300,11 +359,13 @@ impl SimCore {
             cfg,
             now: SimTime::ZERO,
             // Like the scratch buffers above, the event queue is pre-sized
-            // from the topology: per-bucket burst size scales with ports.
-            events: EventQueue::sized_for(topo.nodes.len()),
+            // from the topology: per-bucket burst size scales with the ports
+            // of the nodes this core simulates.
+            events: EventQueue::sized_for(owned_nodes),
             topo,
             ports,
             port_base,
+            foreign_links,
             nodes,
             arena: QueueArena::with_capacity(arena_reserved),
             arena_reserved,
@@ -327,12 +388,35 @@ impl SimCore {
         }
     }
 
-    /// Index of (`node`, `port`) in the flat port table.
+    /// Index of (`node`, `port`) in the flat port table, which holds the
+    /// ports of owned nodes only.
     #[inline]
     fn port_index(&self, node: NodeId, port: PortId) -> usize {
         let ports = self.ports_of(node);
-        assert!(port.idx() < ports.len(), "{node:?} has no {port:?}");
+        if port.idx() >= ports.len() {
+            self.no_port(node, port);
+        }
         ports.start + port.idx()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn no_port(&self, node: NodeId, port: PortId) -> ! {
+        let sc = &self.shard;
+        if !sc.owns(node) {
+            let owner = sc.owner_of[node.idx()];
+            panic!(
+                "shard {} holds no ports of {node:?}: shard {owner} owns it",
+                sc.my_shard
+            );
+        }
+        panic!("{node:?} has no {port:?}")
+    }
+
+    /// Port blocks this core holds: every port of every node it owns, and
+    /// none of a foreign node's.
+    pub fn ports_held(&self) -> usize {
+        self.ports.len()
     }
 
     #[inline]
@@ -742,9 +826,10 @@ impl Simulator {
     /// Install the NIC driver for `host`.
     ///
     /// In a sharded simulator, installing onto a host owned by another shard
-    /// is a silent no-op: full-topology installers (`install_stacks`, the
-    /// bench harness) run unchanged in every shard, and each host's driver
-    /// ends up alive only in the shard that owns it.
+    /// is a silent no-op: a full-topology installer may run unchanged in
+    /// every shard, and each host's driver ends up alive only in the shard
+    /// that owns it. Installers that build a costly driver ask
+    /// [`SimCore::owns_node`] first (`transport::install_stacks` does).
     pub fn set_driver(&mut self, host: NodeId, driver: Box<dyn NicDriver>) {
         assert!(self.core.topo.is_host(host), "drivers attach to hosts");
         if !self.core.owns_node(host) {

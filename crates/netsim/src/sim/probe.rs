@@ -71,8 +71,8 @@ impl Observers {
 impl SimCore {
     /// The probe point. No owner gate is needed: the datapath only runs for
     /// nodes this core owns (events for foreign nodes divert to their owner,
-    /// and a foreign node's queues stay empty), and `report_fault` gates
-    /// replicated faults once, before probing.
+    /// and this core holds no port of a foreign node), and `report_fault`
+    /// gates replicated faults once, before probing.
     #[inline]
     pub(super) fn probe(
         &mut self,

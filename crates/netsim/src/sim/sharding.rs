@@ -165,10 +165,13 @@ impl SimCore {
 
 impl Simulator {
     /// Build one shard's simulator for a sharded run (see [`crate::shard`]):
-    /// the full topology with this shard's nodes live and foreign nodes as
-    /// stand-ins that never queue a packet (the packet slab is sized from
-    /// the switches this shard owns), canonical event keys, per-node RNG
-    /// streams, and cross-shard mailboxes for `plan.n_shards` peers.
+    /// the full topology, but port blocks, shared buffers and drivers for
+    /// the nodes this shard owns only — of a foreign node it keeps just the
+    /// up/down state of its links, which the route rebuild reads. The packet
+    /// slab is sized from the owned switches and the event queue from the
+    /// owned nodes; events carry canonical keys, draws come from per-node
+    /// RNG streams, and outboxes stage events for the `plan.n_shards - 1`
+    /// peers.
     pub fn new_sharded(topo: Topology, cfg: SimConfig, plan: &ShardPlan, shard: u32) -> Self {
         assert!(shard < plan.n_shards, "shard index out of range");
         assert_eq!(
@@ -187,5 +190,62 @@ impl Simulator {
         let sc = &self.core.shard;
         assert_eq!(sc.n_shards, n_shards, "simulator built for another plan");
         assert_eq!(sc.my_shard, shard, "simulator built for another shard");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::PortId;
+    use crate::topology::TopologySpec;
+
+    /// A shard holds the port block of every port of the nodes it owns and
+    /// no other, so the shards of any partition together hold the fabric's
+    /// ports exactly once.
+    #[test]
+    fn shards_hold_exactly_the_ports_they_own() {
+        let topo = TopologySpec::paper_xl_clos().build();
+        let total: usize = topo.nodes.iter().map(|n| n.ports.len()).sum();
+        assert_eq!(total, 3072);
+        for n_shards in [1, 2, 4] {
+            let plan = ShardPlan::build(&topo, n_shards);
+            let mut held = 0;
+            for s in 0..n_shards {
+                let sim = Simulator::new_sharded(topo.clone(), SimConfig::default(), &plan, s);
+                let core = sim.core();
+                let mut owned_ports = 0;
+                for (i, n) in topo.nodes.iter().enumerate() {
+                    let node = NodeId(i as u32);
+                    if !core.owns_node(node) {
+                        assert!(core.ports_of(node).is_empty(), "{node:?} in shard {s}");
+                        continue;
+                    }
+                    for p in 0..n.ports.len() {
+                        let i = core.port_index(node, PortId(p as u16));
+                        assert_eq!(core.ports[i].peer_node, n.ports[p].peer_node);
+                    }
+                    owned_ports += n.ports.len();
+                }
+                assert_eq!(core.ports_held(), owned_ports, "shard {s} of {n_shards}");
+                held += core.ports_held();
+            }
+            assert_eq!(held, total, "{n_shards} shards");
+        }
+    }
+
+    /// Reaching a foreign node's port is a bug in the caller, and the
+    /// panic says whose node it is.
+    #[test]
+    #[should_panic(expected = "shard 0 holds no ports of NodeId(")]
+    fn a_foreign_port_is_refused_by_name() {
+        let topo = TopologySpec::paper_testbed().build();
+        let plan = ShardPlan::build(&topo, 2);
+        let foreign = *topo
+            .switches()
+            .iter()
+            .find(|&&sw| plan.owner(sw) == 1)
+            .unwrap();
+        let sim = Simulator::new_sharded(topo, SimConfig::default(), &plan, 0);
+        sim.core().queue_telem(foreign, PortId(0), 0);
     }
 }

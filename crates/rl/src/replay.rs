@@ -7,9 +7,10 @@
 //! network yet learn from each other.
 //!
 //! One ring serves both sampling schemes, and it stores each transition as
-//! one row of a flat `f32` array (`state ‖ next_state`) beside a compact
-//! action/reward/done array, so a stored transition owns no heap block of
-//! its own and nothing is cloned in or out. [`ReplayBuffer::new`] samples
+//! one row of flat `f32`s (`state ‖ next_state ‖ reward, action, done`) in
+//! blocks of 256 rows that never move, so a stored transition owns no heap
+//! block of its own, nothing is cloned in or out, and growing the ring
+//! copies nothing. [`ReplayBuffer::new`] samples
 //! uniformly (offline training, the global memory);
 //! [`ReplayBuffer::prioritized`] samples in proportion to a priority kept in
 //! a sum-tree (O(log n) insert and sample). The priority follows §4.3's
@@ -67,34 +68,32 @@ impl fmt::Debug for TransitionRef<'_> {
     }
 }
 
-/// Rows the ring reserves at a time, up to its capacity: a fixed step, not
-/// a doubling, so a ring that stops short of its capacity carries at most
-/// one step of slack.
-const GROW_ROWS: usize = 256;
+/// Slots per block of the ring. Storage grows one block at a time, up to
+/// the capacity, and a block never moves once allocated: growing the ring
+/// never re-copies a row, and a ring that stops short of its capacity
+/// carries at most one block of slack.
+const BLOCK_ROWS: usize = 256;
 
-/// What a stored transition holds besides its two states (12 bytes).
-#[derive(Clone, Copy, Debug)]
-struct Meta {
-    reward: f32,
-    action: u32,
-    done: bool,
-}
+/// Floats a row holds besides its two states: reward, action, done.
+const META: usize = 3;
 
 /// A bounded ring of transitions, sampled uniformly or by reward priority.
 ///
-/// Slot `i` is row `i` of one flat `f32` array, `state ‖ next_state`, plus
-/// its action, reward and done flag in a parallel array. The first push
-/// fixes both widths; storage grows 256 rows at a time, starting at the
-/// first push.
+/// Slot `i` is row `i % 256` of block `i / 256`, one flat `f32` array per
+/// block: `state ‖ next_state ‖ reward, action, done` per row, rows back to
+/// back. A row never straddles two blocks, so a stored transition reads
+/// back as two contiguous slices. The first push fixes both widths; each
+/// block is allocated whole when the ring first reaches it (the last one
+/// cut to the capacity).
 #[derive(Clone, Debug)]
 pub struct ReplayBuffer {
     cap: usize,
     /// Width of a row's `state` half.
     state_dim: usize,
-    /// Width of a whole row, `state ‖ next_state`.
+    /// Width of both states, `state ‖ next_state`.
     row_len: usize,
-    rows: Vec<f32>,
-    meta: Vec<Meta>,
+    blocks: Vec<Box<[f32]>>,
+    len: usize,
     next: usize,
     /// Present when sampling is reward-prioritised.
     prio: Option<Priorities>,
@@ -108,8 +107,8 @@ impl ReplayBuffer {
             cap,
             state_dim: 0,
             row_len: 0,
-            rows: Vec::new(),
-            meta: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
             next: 0,
             prio: None,
         }
@@ -130,12 +129,12 @@ impl ReplayBuffer {
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.len
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.len == 0
     }
 
     /// Insert, overwriting the oldest entry once full.
@@ -154,7 +153,7 @@ impl ReplayBuffer {
         next_state: &[f32],
         done: bool,
     ) {
-        if self.meta.is_empty() {
+        if self.len == 0 {
             self.state_dim = state.len();
             self.row_len = state.len() + next_state.len();
         }
@@ -164,33 +163,27 @@ impl ReplayBuffer {
             self.state_dim,
             self.row_len - self.state_dim
         );
-        let meta = Meta {
-            reward,
-            action: u32::try_from(action).expect("action index fits in u32"),
-            done,
-        };
+        // Stored as an `f32`, exact below 2^24.
+        assert!(action < 1 << 24, "action index {action} fits in an f32");
         // Below capacity `next` is the length, so it is the slot either way.
         let slot = self.next;
         if let Some(p) = &mut self.prio {
             p.insert(slot, reward);
         }
-        if self.meta.len() < self.cap {
-            if self.meta.len() == self.meta.capacity() {
-                self.meta
-                    .reserve_exact(GROW_ROWS.min(self.cap - self.meta.len()));
-                let rows = self.meta.capacity() * self.row_len;
-                self.rows.reserve_exact(rows - self.rows.len());
-            }
-            self.rows.extend_from_slice(state);
-            self.rows.extend_from_slice(next_state);
-            self.meta.push(meta);
-        } else {
-            let row = &mut self.rows[slot * self.row_len..(slot + 1) * self.row_len];
-            let (s, s2) = row.split_at_mut(self.state_dim);
-            s.copy_from_slice(state);
-            s2.copy_from_slice(next_state);
-            self.meta[slot] = meta;
+        let (b, r) = (slot / BLOCK_ROWS, slot % BLOCK_ROWS);
+        let stride = self.row_len + META;
+        if b == self.blocks.len() {
+            let rows = BLOCK_ROWS.min(self.cap - slot);
+            self.blocks
+                .push(vec![0.0; rows * stride].into_boxed_slice());
         }
+        let row = &mut self.blocks[b][r * stride..(r + 1) * stride];
+        let (s, rest) = row.split_at_mut(self.state_dim);
+        let (s2, meta) = rest.split_at_mut(next_state.len());
+        s.copy_from_slice(state);
+        s2.copy_from_slice(next_state);
+        meta.copy_from_slice(&[reward, action as f32, done as u8 as f32]);
+        self.len = self.cap.min(self.len + 1);
         self.next = (slot + 1) % self.cap;
     }
 
@@ -220,15 +213,18 @@ impl ReplayBuffer {
     /// The transition stored at `idx` (pairs with
     /// [`ReplayBuffer::sample_indices_into`]; storage order is unspecified).
     pub fn get(&self, idx: usize) -> TransitionRef<'_> {
-        let m = self.meta[idx];
-        let row = &self.rows[idx * self.row_len..(idx + 1) * self.row_len];
-        let (state, next_state) = row.split_at(self.state_dim);
+        assert!(idx < self.len, "slot {idx} of {} stored", self.len);
+        let (block, r) = (&self.blocks[idx / BLOCK_ROWS], idx % BLOCK_ROWS);
+        let stride = self.row_len + META;
+        let row = &block[r * stride..(r + 1) * stride];
+        let (states, meta) = row.split_at(self.row_len);
+        let (state, next_state) = states.split_at(self.state_dim);
         TransitionRef {
             state,
-            action: m.action as usize,
-            reward: m.reward,
+            action: meta[1] as usize,
+            reward: meta[0],
             next_state,
-            done: m.done,
+            done: meta[2] != 0.0,
         }
     }
 
@@ -363,22 +359,21 @@ mod tests {
     }
 
     /// Nothing is reserved before the first push; storage then grows one
-    /// fixed step at a time and stops at the capacity.
+    /// block at a time, the last one cut to the capacity, and a block keeps
+    /// its allocation as the ring wraps.
     #[test]
-    fn ring_grows_in_fixed_steps_up_to_capacity() {
-        let cap = 2 * GROW_ROWS + 10;
+    fn ring_grows_in_blocks_up_to_capacity() {
+        let cap = 2 * BLOCK_ROWS + 10;
         let mut b = ReplayBuffer::new(cap);
-        assert_eq!((b.rows.capacity(), b.meta.capacity()), (0, 0));
-        let mut seen = Vec::new();
+        assert_eq!(b.blocks.capacity(), 0);
+        let mut first = None;
         for i in 0..3 * cap {
             b.push(tr(i as f32));
-            let reserved = b.meta.capacity();
-            if seen.last() != Some(&reserved) {
-                seen.push(reserved);
-            }
-            assert_eq!(b.rows.capacity(), reserved * 2);
+            let rows = b.blocks[0].as_ptr();
+            assert_eq!(*first.get_or_insert(rows), rows, "block 0 moved");
         }
-        assert_eq!(seen, [GROW_ROWS, 2 * GROW_ROWS, cap]);
+        let rows: Vec<usize> = b.blocks.iter().map(|k| k.len() / (2 + META)).collect();
+        assert_eq!(rows, [BLOCK_ROWS, BLOCK_ROWS, 10]);
     }
 
     /// A stored transition reads back as the one pushed, and prints as it.

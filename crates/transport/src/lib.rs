@@ -55,11 +55,14 @@ pub use stats::{merge_shard_fct, FctCollector, FctStats, FctSummary, FlowRecord,
 use netsim::prelude::*;
 
 /// Install a [`HostStack`] with `cfg` on every host of `sim`, all reporting
-/// into `fct`. Returns the host ids in topology order.
+/// into `fct`. Returns the host ids in topology order — every host, though
+/// a shard of a sharded run builds stacks for the hosts it owns only.
 pub fn install_stacks(sim: &mut Simulator, cfg: StackConfig, fct: &SharedFct) -> Vec<NodeId> {
     let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
     for &h in &hosts {
-        sim.set_driver(h, Box::new(HostStack::new(h, cfg.clone(), fct.clone())));
+        if sim.core().owns_node(h) {
+            sim.set_driver(h, Box::new(HostStack::new(h, cfg.clone(), fct.clone())));
+        }
     }
     hosts
 }
