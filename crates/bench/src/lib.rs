@@ -6,8 +6,9 @@
 //! tables. The CLI saves what `run` returns to `results/` and then calls
 //! `show`; `acc-bench report results/<id>.json` calls the same `show` on a
 //! saved file, so a printed table and a rendered one cannot disagree. The
-//! documents `perf`, `soak` and `--profile` write carry a schema tag and go
-//! the same way through [`DOCUMENTS`], with a `check` that `report` re-runs.
+//! documents `perf`, `soak` and `--profile` write, and the committed
+//! `results/quick-digests.json`, carry a schema tag and go the same way
+//! through [`DOCUMENTS`], with a `check` that `report` re-runs.
 //!
 //! ```sh
 //! cargo run -p acc-bench --release -- list
@@ -23,6 +24,7 @@
 
 pub mod ablations;
 pub mod common;
+pub mod digests;
 pub mod fault;
 pub mod fig01_optimal_ecn;
 pub mod fig02_static_secn;
@@ -115,12 +117,12 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
 }
 
 /// A document that names its kind in a `schema` tag: written by `perf`,
-/// `soak` or `--profile`, and shown and checked by the same two functions
-/// after the run and under `acc-bench report <file>`.
+/// `soak`, `--profile` or the quick-digest test, and shown and checked by
+/// the same two functions after the run and under `acc-bench report <file>`.
 pub struct Document {
     /// The `schema` tag.
     pub schema: &'static str,
-    /// The command that writes it; the banner above its tables.
+    /// The command (or test) that writes it; the banner above its tables.
     pub id: &'static str,
     /// What it holds; printed in the banner.
     pub description: &'static str,
@@ -130,8 +132,8 @@ pub struct Document {
     pub show: fn(&serde_json::Value),
 }
 
-/// Every tagged document `acc-bench` writes.
-pub const DOCUMENTS: [Document; 3] = [
+/// Every tagged document `acc-bench` writes or reads.
+pub const DOCUMENTS: [Document; 4] = [
     Document {
         schema: soak::SCHEMA,
         id: "soak",
@@ -152,6 +154,13 @@ pub const DOCUMENTS: [Document; 3] = [
         description: "self-profile of every run",
         check: profile::validate,
         show: profile::show,
+    },
+    Document {
+        schema: digests::SCHEMA,
+        id: "quick-digests",
+        description: "the quick-scale record: one digest per experiment result",
+        check: digests::check,
+        show: digests::show,
     },
 ];
 

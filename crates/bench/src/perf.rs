@@ -3,17 +3,18 @@
 //! One command, one document (`acc-bench-gates/v1`), one table of bounds.
 //! The rows are the packet engine (incast-heavy, websearch-load,
 //! fault-plan), the sharded engine on the 1024-host `paper_xl_clos` at 1 and
-//! 2 shards, the flow-level backend on `paper_xl_flows`, its accuracy
-//! against the packet engine on two seeded scenarios, and the DDQN kernels
-//! (train step, submit/join update round, batched inference) against their
-//! references.
+//! 2 shards, the flow-level backend on `paper_xl_flows`, and its accuracy
+//! against the packet engine on two seeded scenarios. The DDQN kernels have
+//! no row: tests hold them (bit-identity with the scalar reference and
+//! submit/join identity in `rl`, zero allocations per train step, select
+//! and control tick in `rl` and `acc-core`).
 //!
-//! Every column is a count or an identity — allocations per event, step and
-//! round, events per flow, peak queue depth, remote events, a FLOP bound,
-//! `bit_identical` — so a row reads the same on any host, and [`GATES`] holds
-//! every bound on them. No column is a wall-clock time or a rate: those come
-//! from `benchmark/` (alternating pairs, host-speed normalised), and this
-//! module reads no clock.
+//! Every column is a count or a ratio of counts — allocations per event,
+//! events per flow, peak queue depth, remote events, slab slots, FCT error
+//! against the packet engine — so a row reads the same on any host, and
+//! [`GATES`] holds every bound on them. No column is a wall-clock time or a
+//! rate: those come from `benchmark/` (alternating pairs, host-speed
+//! normalised), and this module reads no clock.
 //!
 //! The engine rows run the static SECN1 policy: a gate must not depend on a
 //! cached RL model.
@@ -22,7 +23,6 @@ use crate::common::{self, with, Harness, Policy, Scale, Scenario};
 use netsim::flowsim::{FlowSim, FlowSimConfig};
 use netsim::ids::NodeId;
 use netsim::prelude::*;
-use rl::{DdqnAgent, DdqnConfig, Seat, TrainerStats, Transition};
 use serde_json::{json, Value};
 use std::fmt;
 use transport::{CcKind, FctCollector, FctStats};
@@ -440,198 +440,6 @@ pub fn accuracy_rows(h: &Harness) -> Vec<Value> {
 }
 
 // ---------------------------------------------------------------------------
-// RL rows: the DDQN kernels against their references.
-// ---------------------------------------------------------------------------
-
-/// ACC-shaped agent: 12 state features (k=3 history × 4 features), the
-/// 20-template action space, default DDQN hyper-parameters.
-const STATE_DIM: usize = 12;
-const N_ACTIONS: usize = 20;
-
-/// Queues decided per control tick in the inference row (a 64-port switch
-/// tuning one traffic class).
-const QUEUES_PER_TICK: usize = 64;
-
-/// Deterministic warm agent with a populated replay memory.
-fn warm_agent(seed: u64) -> DdqnAgent {
-    let mut agent = DdqnAgent::new(STATE_DIM, N_ACTIONS, DdqnConfig::default(), seed);
-    for i in 0..512u32 {
-        let s: Vec<f32> = (0..STATE_DIM as u32)
-            .map(|d| ((i * 13 + d * 7) % 23) as f32 * 0.05)
-            .collect();
-        agent.observe(Transition {
-            state: s.clone(),
-            action: (i as usize) % N_ACTIONS,
-            reward: (i % 11) as f32 * 0.1 - 0.4,
-            next_state: s,
-            done: i % 29 == 0,
-        });
-    }
-    agent
-}
-
-/// One tick's worth of queue states.
-fn tick_states() -> Vec<f32> {
-    (0..QUEUES_PER_TICK * STATE_DIM)
-        .map(|i| ((i * 31) % 101) as f32 * 0.01)
-        .collect()
-}
-
-/// Allocations per call of `f` over `n` calls; `None` without a probe.
-fn allocs_per_call(h: &Harness, n: usize, mut f: impl FnMut()) -> Option<f64> {
-    let before = h.alloc_counts();
-    for _ in 0..n {
-        f();
-    }
-    match (before, h.alloc_counts()) {
-        (Some((a0, _)), Some((a1, _))) => Some((a1 - a0) as f64 / n as f64),
-        _ => None,
-    }
-}
-
-/// Steady-state `train_step` (minibatch forward, batched Double-DQN targets,
-/// batched backward, Adam): its allocations, its machine-independent cost
-/// ([`rl::StepCost`]) and its identity with the scalar reference — both
-/// agents consume identical RNG/replay streams, so every loss and the
-/// resulting models must be bit-equal.
-fn train_step(h: &Harness) -> Value {
-    let steps = h.scale.pick(2000, 400);
-    let mut batched = warm_agent(7);
-    let mut scalar = warm_agent(7);
-    // Outside the window: shapes the persistent workspace and lazily builds
-    // the gradient buffers.
-    for _ in 0..4 {
-        batched.train_step();
-        scalar.train_step_scalar();
-    }
-    let (mut bl, mut sl) = (0f64, 0f64);
-    let allocs_per_step = allocs_per_call(h, steps, || {
-        bl += batched.train_step().expect("replay stays warm") as f64;
-    });
-    for _ in 0..steps {
-        sl += scalar.train_step_scalar().expect("replay stays warm") as f64;
-    }
-    let bit_identical = bl == sl
-        && serde_json::to_string(&batched.export_model()).unwrap()
-            == serde_json::to_string(&scalar.export_model()).unwrap();
-    let cost = batched.step_cost();
-    json!({
-        "name": "train-step",
-        "steps": steps,
-        "allocs_per_step": allocs_per_step,
-        "flop_bound_per_step": cost.flop_bound,
-        "replay_samples_per_step": cost.replay_samples,
-        "params": cost.params,
-        "bit_identical": bit_identical,
-    })
-}
-
-/// Agents per update round: the switches of the testbed Clos.
-const SEATS: usize = 6;
-
-/// 64-queue select batches the submitting thread runs between two update
-/// rounds. They stand in for the packet events between two control ticks, so
-/// that a helper thread (when the host has one) gets to run the updates and
-/// the allocation column covers the path the controllers take.
-const FOREGROUND_SELECTS: usize = 24;
-
-/// The update path the controllers use: per round every agent is joined,
-/// selects and is submitted again through its [`rl::Seat`], then the
-/// submitting thread does its other work — against the same rounds with
-/// `train_step` inline. Nothing in a round allocates, every update runs
-/// exactly once, and the agents end bit-identical.
-fn update_round(h: &Harness) -> Value {
-    let rounds = h.scale.pick(2000, 200);
-    let states = tick_states();
-    let mut picked: Vec<(usize, f64)> = Vec::new();
-
-    let mut inline: Vec<DdqnAgent> = (0..SEATS).map(|i| warm_agent(31 + i as u64)).collect();
-    for _ in 0..rounds {
-        for agent in &mut inline {
-            agent.select_actions_batch(&states[..8 * STATE_DIM], 8, &mut picked);
-            agent.train_step();
-        }
-    }
-
-    let mut seats: Vec<Seat> = (0..SEATS)
-        .map(|i| Seat::new(warm_agent(31 + i as u64)))
-        .collect();
-    let mut stats = TrainerStats::default();
-    let mut foreground = warm_agent(3);
-    let mut decisions: Vec<(usize, f64)> = Vec::new();
-    let mut round = || {
-        for seat in seats.iter_mut() {
-            if let Some(done) = seat.join() {
-                stats.record(&done);
-            }
-            seat.get()
-                .select_actions_batch(&states[..8 * STATE_DIM], 8, &mut picked);
-            stats.submitted += 1;
-            seat.submit(DdqnAgent::train_step, 1, true, false);
-        }
-        for _ in 0..FOREGROUND_SELECTS {
-            foreground.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
-        }
-    };
-    // Four rounds outside the window: helper spawned, queue and slots sized.
-    let warmup = 4;
-    for _ in 0..warmup {
-        round();
-    }
-    let allocs_per_round = allocs_per_call(h, rounds - warmup, &mut round);
-    for seat in &mut seats {
-        if let Some(done) = seat.join() {
-            stats.record(&done);
-        }
-    }
-
-    // `Debug` shows every field of an agent: weights, moments, replay, RNG.
-    let bit_identical = seats
-        .iter_mut()
-        .zip(&inline)
-        .all(|(seat, agent)| format!("{:?}", seat.get()) == format!("{agent:?}"));
-    json!({
-        "name": "update-round",
-        "seats": SEATS,
-        "rounds": rounds,
-        "updates_due": SEATS * rounds,
-        "submitted": stats.submitted,
-        "updates_run": stats.ran_on_helper + stats.ran_on_engine,
-        "ran_on_helper": stats.ran_on_helper,
-        "ran_on_engine": stats.ran_on_engine,
-        "helper_threads": rl::Trainer::global().helpers(),
-        "allocs_per_round": allocs_per_round,
-        "bit_identical": bit_identical,
-    })
-}
-
-/// One control tick's worth of per-queue decisions: the batched
-/// `select_actions_batch` against a scalar `select_action` per queue.
-/// Identically-seeded agents walk the same RNG/ε schedule tick by tick, so
-/// every decision must agree.
-fn inference() -> Value {
-    let ticks = 50;
-    let states = tick_states();
-    let mut batched = warm_agent(23);
-    let mut scalar = warm_agent(23);
-    let mut decisions: Vec<(usize, f64)> = Vec::new();
-    let mut bit_identical = true;
-    for _ in 0..ticks {
-        batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
-        for (q, d) in decisions.iter().enumerate() {
-            let a = scalar.select_action(&states[q * STATE_DIM..(q + 1) * STATE_DIM]);
-            bit_identical &= a == d.0;
-        }
-    }
-    json!({
-        "name": "inference",
-        "queues_per_tick": QUEUES_PER_TICK,
-        "ticks": ticks,
-        "bit_identical": bit_identical,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // The gate table.
 // ---------------------------------------------------------------------------
 
@@ -793,19 +601,6 @@ pub const GATES: &[Gate] = {
         gate("accuracy", "max_p50_rel_err", Le, Num(0.05)),
         gate("accuracy", "max_p99_rel_err", Le, Num(0.05)),
         gate("accuracy", "cost_avoidance", Ge, Num(20.0)),
-        // DDQN kernels: the 32-sample step of the {12, 40, 40, 20} net, heap-free
-        // and equal to the scalar reference; every update run exactly once.
-        gate("train-step", "allocs_per_step", Eq, Num(0.0)),
-        gate("train-step", "replay_samples_per_step", Eq, Num(32.0)),
-        gate("train-step", "params", Eq, Num(2980.0)),
-        gate("train-step", "flop_bound_per_step", Gt, Num(0.0)),
-        gate("train-step", "flop_bound_per_step", Le, Num(1_000_000.0)),
-        gate("train-step", "bit_identical", Eq, Num(1.0)),
-        gate("update-round", "allocs_per_round", Eq, Num(0.0)),
-        gate("update-round", "updates_run", Eq, Col("submitted", 0.0)),
-        gate("update-round", "submitted", Eq, Col("updates_due", 0.0)),
-        gate("update-round", "bit_identical", Eq, Num(1.0)),
-        gate("inference", "bit_identical", Eq, Num(1.0)),
     ]
 };
 
@@ -895,9 +690,6 @@ pub fn run(h: &Harness) -> Value {
     // `--profile` covers the three packet rows: the accuracy rows build
     // packet scenarios too, on a harness with nothing armed.
     accuracy_rows(&Harness::new(h.scale))
-        .into_iter()
-        .for_each(&mut done);
-    [train_step(h), update_round(h), inference()]
         .into_iter()
         .for_each(&mut done);
     json!({
@@ -994,17 +786,6 @@ pub(crate) mod tests {
                     "name": "accuracy", "max_p50_rel_err": 0.009,
                     "max_p99_rel_err": 0.001, "cost_avoidance": 33.4,
                 },
-                {
-                    "name": "train-step", "allocs_per_step": allocs.clone(),
-                    "flop_bound_per_step": 963_320u64, "replay_samples_per_step": 32u64,
-                    "params": 2980u64, "bit_identical": true,
-                },
-                {
-                    "name": "update-round", "seats": 6u64, "rounds": 200u64,
-                    "updates_due": 1200u64, "submitted": 1200u64, "updates_run": 1200u64,
-                    "allocs_per_round": allocs, "bit_identical": true,
-                },
-                {"name": "inference", "bit_identical": true},
             ],
         })
     }
@@ -1079,12 +860,12 @@ pub(crate) mod tests {
         );
         says(
             &clean(true, Value::Null),
-            "train-step: allocs_per_step == 0: column missing",
+            "xl-flows: allocations_per_event == 0: column missing",
         );
-        // A step that touches the heap.
+        // An event that touches the heap.
         says(
             &clean(true, json!(0.25)),
-            "train-step: allocs_per_step == 0: got 0.25",
+            "fault-plan: allocations_per_event == 0: got 0.25",
         );
         // Another schema, and a document with no rows at all.
         let mut doc = clean(true, json!(0.0));
@@ -1095,7 +876,7 @@ pub(crate) mod tests {
         let empty = json!({"schema": SCHEMA});
         says(&empty, "alloc_probe is not a bool");
         assert_eq!(check(&empty).len(), 1 + GATES.len(), "every row is missing");
-        says(&empty, "inference: bit_identical == 1: row missing");
+        says(&empty, "accuracy: cost_avoidance >= 20: row missing");
         // A sharded row without the columns the lookahead engine adds.
         let mut doc = clean(true, json!(0.0));
         *cell(&mut doc, "xl-clos-1024/2shard", "remote_events") = Value::Null;

@@ -448,12 +448,12 @@ mod tests {
     #[test]
     fn a_failed_check_is_the_error() {
         let mut gates = crate::perf::tests::clean(true, json!(0.0));
-        *crate::perf::tests::cell(&mut gates, "train-step", "bit_identical") = json!(false);
+        *crate::perf::tests::cell(&mut gates, "xl-flows", "flows_completed") = json!(48_999u64);
         let err = render("bad-gates.json", &gates).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string()
-                .contains("train-step: bit_identical == 1: got 0"),
+                .contains("xl-flows: flows_completed == flows_total: got 48999"),
             "{err}"
         );
         let mut soak = crate::soak::tests::document();

@@ -66,9 +66,6 @@ fn perf_document_passes_every_gate_and_holds_counts_only() {
             "accuracy/websearch-0.3",
             "accuracy/incast-8to1",
             "accuracy",
-            "train-step",
-            "update-round",
-            "inference",
         ]
     );
 

@@ -315,6 +315,16 @@ impl AccController {
         self.agent.clone()
     }
 
+    /// The Q-values the agent's batched greedy selection reads for `state`
+    /// (tests compare models through it).
+    #[cfg(test)]
+    pub(crate) fn greedy_q_values(&self, state: &[f32]) -> Vec<f32> {
+        let mut seat = self.agent.borrow_mut();
+        let agent = seat.get();
+        agent.best_actions_batch(state, 1, &mut Vec::new());
+        agent.batch_q_row(0).expect("a greedy row").to_vec()
+    }
+
     /// Drain the helper-thread update spans kept while profiling.
     pub fn take_helper_spans(&mut self) -> Vec<HelperSpan> {
         std::mem::take(&mut self.helper_spans)
@@ -882,10 +892,7 @@ mod tests {
         let m = a.export_model();
         let b = AccController::from_model(cfg, space, &m);
         let s = vec![0.25f32; 12];
-        assert_eq!(
-            a.agent().borrow_mut().get().q_values(&s),
-            b.agent().borrow_mut().get().q_values(&s)
-        );
+        assert_eq!(a.greedy_q_values(&s), b.greedy_q_values(&s));
     }
 
     #[test]

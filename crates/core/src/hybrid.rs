@@ -189,7 +189,7 @@ mod tests {
         for sw in sim.core().topo.switches().to_vec() {
             sim.with_controller(sw, |c, _| {
                 let h = c.as_any_mut().downcast_mut::<AccController>().unwrap();
-                outputs.push(h.agent().borrow_mut().get().q_values(&probe));
+                outputs.push(h.greedy_q_values(&probe));
             });
         }
         for w in outputs.windows(2) {

@@ -155,10 +155,9 @@ mod tests {
         let frozen = frozen_config(&small_acc());
         let ctl = AccController::from_model(frozen, space, &model);
         let s = vec![0.5f32; 12];
-        assert_eq!(
-            ctl.agent().borrow_mut().get().q_values(&s),
-            model.forward(&s)
-        );
+        let mut ws = rl::BatchActivations::new();
+        model.forward_batch(&s, 1, &mut ws);
+        assert_eq!(ctl.greedy_q_values(&s), ws.output());
     }
 
     #[test]

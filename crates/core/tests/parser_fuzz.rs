@@ -83,8 +83,9 @@ proptest! {
         let text = mutate(&bundle_json(), at, flip.then_some(byte));
         if let Ok(b) = load_bundle(&text) {
             // What loads is whole: it answers a state of its own width.
-            let q = b.model.forward(&vec![0.5; b.model.input_dim()]);
-            prop_assert_eq!(q.len(), b.actions.len());
+            let mut ws = rl::BatchActivations::new();
+            b.model.forward_batch(&vec![0.5; b.model.input_dim()], 1, &mut ws);
+            prop_assert_eq!(ws.output().len(), b.actions.len());
         }
     }
 

@@ -91,18 +91,6 @@ struct TrainWorkspace {
     grads: Option<Gradients>,
 }
 
-/// Machine-independent cost of one [`DdqnAgent::train_step`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepCost {
-    /// Upper bound on floating-point operations (the backward pass skips
-    /// zero deltas, so the real count is data-dependent and lower).
-    pub flop_bound: u64,
-    /// Transitions sampled from the replay memory.
-    pub replay_samples: u64,
-    /// Parameters Adam updates.
-    pub params: u64,
-}
-
 /// A Double-DQN agent over a discrete action space.
 #[derive(Clone, Debug)]
 pub struct DdqnAgent {
@@ -175,37 +163,16 @@ impl DdqnAgent {
                 * (-(self.select_steps as f64) / self.cfg.eps_decay_steps).exp()
     }
 
-    /// ε-greedy action selection; advances the decay schedule.
-    pub fn select_action(&mut self, state: &[f32]) -> usize {
-        let eps = self.epsilon();
-        self.select_steps += 1;
-        if self.rng.gen::<f64>() < eps {
-            self.rng.gen_range(0..self.n_actions())
-        } else {
-            self.best_action(state)
-        }
-    }
-
-    /// Pure greedy inference (no exploration, no schedule side effects).
-    pub fn best_action(&self, state: &[f32]) -> usize {
-        let (best, saw_nan) = argmax_checked(&self.eval.forward(state));
-        if saw_nan {
-            self.anomalies.set(self.anomalies.get() + 1);
-        }
-        best
-    }
-
     /// Batched ε-greedy selection over `batch` states packed row-major into
     /// `states` (`[batch × state_dim]` flat). Pushes one `(action,
     /// epsilon_after)` pair per row onto `out` (cleared first), where
-    /// `epsilon_after` is the schedule value right after that row's decision
-    /// — exactly what the scalar `select_action` + `epsilon()` call pair
-    /// reports per decision.
+    /// `epsilon_after` is the schedule value right after that row's decision.
     ///
-    /// Determinism contract: consumes the RNG stream identically to calling
-    /// [`DdqnAgent::select_action`] once per row in order, and greedy rows
-    /// read a batched forward pass that is bit-identical to the scalar
-    /// forward — so the chosen actions match the scalar path exactly.
+    /// Determinism contract: consumes the RNG stream identically to one
+    /// scalar ε-greedy decision per row in order, and greedy rows read a
+    /// batched forward pass that is bit-identical to the scalar forward —
+    /// so the chosen actions match the scalar reference in this module's
+    /// tests exactly.
     pub fn select_actions_batch(
         &mut self,
         states: &[f32],
@@ -245,8 +212,8 @@ impl DdqnAgent {
 
     /// Batched greedy inference (no exploration, no schedule side effects):
     /// one forward pass over the packed batch, one action per row pushed
-    /// onto `out` (cleared first). Bit-identical to calling
-    /// [`DdqnAgent::best_action`] per row.
+    /// onto `out` (cleared first). Bit-identical to a scalar greedy
+    /// decision per row.
     pub fn best_actions_batch(&mut self, states: &[f32], batch: usize, out: &mut Vec<usize>) {
         out.clear();
         self.batch_greedy.clear();
@@ -278,11 +245,6 @@ impl DdqnAgent {
         self.batch_greedy[row].then(|| self.infer.output_row(row))
     }
 
-    /// Q-values of the evaluation network.
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        self.eval.forward(state)
-    }
-
     /// Store one experience tuple.
     pub fn observe(&mut self, t: Transition) {
         self.observe_row(&t.state, t.action, t.reward, &t.next_state, t.done);
@@ -312,23 +274,6 @@ impl DdqnAgent {
         self.replay.len() >= self.cfg.min_replay.max(self.cfg.batch_size)
     }
 
-    /// What one train step costs, as counts that are the same on every
-    /// machine: the yardstick a steps-per-second figure is read against.
-    pub fn step_cost(&self) -> StepCost {
-        let n = self.cfg.batch_size as u64;
-        let forward = self.eval.flops_per_inference() as u64;
-        let params = self.eval.param_count() as u64;
-        StepCost {
-            // Three batched forwards (eval and target on S', eval on S), a
-            // backward of at most two forwards' worth (weight and input
-            // gradients; zero deltas are skipped, so usually less), and
-            // Adam's ~14 operations per parameter.
-            flop_bound: 5 * n * forward + 14 * params,
-            replay_samples: n,
-            params,
-        }
-    }
-
     /// One minibatch training step (no-op until `min_replay` transitions are
     /// stored). Returns the minibatch loss if training happened.
     ///
@@ -339,10 +284,10 @@ impl DdqnAgent {
     /// accumulates the minibatch gradients in fixed sample order. Every
     /// buffer lives in the persistent `TrainWorkspace`, so a steady-state
     /// step allocates nothing. For finite states and weights, results —
-    /// weights, RNG stream, returned loss — are bit-identical to
-    /// [`DdqnAgent::train_step_scalar`], pinned by differential tests (see
-    /// [`Mlp::backward_batch`] for what a NaN does; the anomaly count is
-    /// the same on both paths either way).
+    /// weights, RNG stream, returned loss — are bit-identical to the scalar
+    /// per-sample reference step in this module's tests, pinned by
+    /// differential tests there (see [`Mlp::backward_batch`] for what a NaN
+    /// does; the anomaly count is the same on both paths either way).
     pub fn train_step(&mut self) -> Option<f32> {
         let n = self.cfg.batch_size;
         if !self.ready_to_train() {
@@ -431,66 +376,9 @@ impl DdqnAgent {
         Some(loss / n as f32)
     }
 
-    /// The retained scalar reference implementation of
-    /// [`DdqnAgent::train_step`]: per-sample forward/backward passes with
-    /// freshly allocated activations and gradients over the same sampled
-    /// indices. It consumes the RNG stream identically and produces
-    /// bit-identical weights and loss — the ground truth the batched kernels
-    /// are differentially tested against (the same role the reference heap
-    /// plays for `netsim`'s timing wheel). Those tests and perf's
-    /// `train-step` row are its only callers, so it stays out of the
-    /// documented API.
-    #[doc(hidden)]
-    pub fn train_step_scalar(&mut self) -> Option<f32> {
-        if !self.ready_to_train() {
-            return None;
-        }
-        let mut batch = Vec::new();
-        self.replay
-            .sample_indices_into(&mut self.rng, self.cfg.batch_size, &mut batch);
-        let n = batch.len();
-        let mut total = Gradients::zeros(&self.eval);
-        let mut loss = 0.0f32;
-        let mut anomalies = 0u64;
-        for idx in batch {
-            let t = self.replay.get(idx);
-            // Double-DQN target.
-            let y = if t.done {
-                t.reward
-            } else {
-                let (a_star, saw_nan) = argmax_checked(&self.eval.forward(t.next_state));
-                if saw_nan {
-                    anomalies += 1;
-                }
-                t.reward + self.cfg.gamma * self.target.forward(t.next_state)[a_star]
-            };
-            if !y.is_finite() {
-                anomalies += 1;
-            }
-            let cache = self.eval.forward_cached(t.state);
-            let q = cache.output()[t.action];
-            let err = q - y;
-            loss += err * err;
-            if !err.is_finite() {
-                anomalies += 1;
-            }
-            // dLoss/dQ[a] = 2·err for the taken action, 0 elsewhere.
-            let mut grad_out = vec![0.0f32; self.eval.output_dim()];
-            grad_out[t.action] = 2.0 * err;
-            let g = self.eval.backward(&cache, &grad_out);
-            total.add(&g);
-        }
-        total.scale(1.0 / n as f32);
-        self.opt.step(&mut self.eval, &total);
-        self.after_update();
-        if anomalies > 0 {
-            self.anomalies.set(self.anomalies.get() + anomalies);
-        }
-        Some(loss / n as f32)
-    }
-
-    /// What both train paths do after their Adam update of the eval net:
-    /// count the step and sync the target net on schedule.
+    /// What a train step (and its scalar reference) does after the Adam
+    /// update of the eval net: count the step and sync the target net on
+    /// schedule.
     fn after_update(&mut self) {
         self.train_steps += 1;
         if self.train_steps.is_multiple_of(self.cfg.target_sync_every) {
@@ -550,9 +438,103 @@ fn argmax_checked(xs: &[f32]) -> (usize, bool) {
     (best, saw_nan)
 }
 
+/// The scalar per-sample reference the batched selection and train step
+/// are tested against: one forward pass per state, one forward and
+/// backward per sampled transition, on the agent's own RNG, replay and
+/// optimiser. Test builds only: simulations always run the batched path.
+#[cfg(test)]
+mod scalar {
+    use super::{argmax_checked, DdqnAgent};
+    use crate::mlp::Gradients;
+    use rand::Rng;
+
+    impl DdqnAgent {
+        /// ε-greedy action selection; advances the decay schedule.
+        pub(crate) fn select_action(&mut self, state: &[f32]) -> usize {
+            let eps = self.epsilon();
+            self.select_steps += 1;
+            if self.rng.gen::<f64>() < eps {
+                self.rng.gen_range(0..self.n_actions())
+            } else {
+                self.best_action(state)
+            }
+        }
+
+        /// Pure greedy inference (no exploration, no schedule side effects).
+        pub(crate) fn best_action(&self, state: &[f32]) -> usize {
+            let (best, saw_nan) = argmax_checked(&self.eval.forward(state));
+            if saw_nan {
+                self.anomalies.set(self.anomalies.get() + 1);
+            }
+            best
+        }
+
+        /// Q-values of the evaluation network.
+        pub(crate) fn q_values(&self, state: &[f32]) -> Vec<f32> {
+            self.eval.forward(state)
+        }
+
+        /// The scalar reference implementation of [`DdqnAgent::train_step`]:
+        /// per-sample forward/backward passes with freshly allocated
+        /// activations and gradients over the same sampled indices. It
+        /// consumes the RNG stream identically and produces bit-identical
+        /// weights and loss — the ground truth the batched kernels are
+        /// differentially tested against (the same role the reference heap
+        /// plays for `netsim`'s timing wheel).
+        pub(crate) fn train_step_scalar(&mut self) -> Option<f32> {
+            if !self.ready_to_train() {
+                return None;
+            }
+            let mut batch = Vec::new();
+            self.replay
+                .sample_indices_into(&mut self.rng, self.cfg.batch_size, &mut batch);
+            let n = batch.len();
+            let mut total = Gradients::zeros(&self.eval);
+            let mut loss = 0.0f32;
+            let mut anomalies = 0u64;
+            for idx in batch {
+                let t = self.replay.get(idx);
+                // Double-DQN target.
+                let y = if t.done {
+                    t.reward
+                } else {
+                    let (a_star, saw_nan) = argmax_checked(&self.eval.forward(t.next_state));
+                    if saw_nan {
+                        anomalies += 1;
+                    }
+                    t.reward + self.cfg.gamma * self.target.forward(t.next_state)[a_star]
+                };
+                if !y.is_finite() {
+                    anomalies += 1;
+                }
+                let cache = self.eval.forward_cached(t.state);
+                let q = cache.output()[t.action];
+                let err = q - y;
+                loss += err * err;
+                if !err.is_finite() {
+                    anomalies += 1;
+                }
+                // dLoss/dQ[a] = 2·err for the taken action, 0 elsewhere.
+                let mut grad_out = vec![0.0f32; self.eval.output_dim()];
+                grad_out[t.action] = 2.0 * err;
+                let g = self.eval.backward(&cache, &grad_out);
+                total.add(&g);
+            }
+            total.scale(1.0 / n as f32);
+            self.opt.step(&mut self.eval, &total);
+            self.after_update();
+            if anomalies > 0 {
+                self.anomalies.set(self.anomalies.get() + anomalies);
+            }
+            Some(loss / n as f32)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn epsilon_decays_exponentially() {
@@ -571,20 +553,27 @@ mod tests {
         assert!((e2 - a.cfg.eps_end).abs() < 1e-3);
     }
 
+    /// The default agent on the shape every switch runs — 12 features, 20
+    /// templates — trains nothing until its replay is warm, then samples 32
+    /// transitions a step into a net of 2,980 parameters.
     #[test]
     fn no_training_until_min_replay() {
-        let mut a = DdqnAgent::new(2, 2, DdqnConfig::default(), 1);
+        let mut a = DdqnAgent::new(12, 20, DdqnConfig::default(), 1);
+        assert_eq!(a.eval.param_count(), 2980);
+        assert_eq!(a.eval.flops_per_inference(), 5760);
         assert!(a.train_step().is_none());
         for i in 0..100 {
             a.observe(Transition {
-                state: vec![0.0, 0.0],
-                action: i % 2,
+                state: vec![0.0; 12],
+                action: i % 20,
                 reward: 0.0,
-                next_state: vec![0.0, 0.0],
+                next_state: vec![0.0; 12],
                 done: false,
             });
         }
         assert!(a.train_step().is_some());
+        assert_eq!(a.ws.indices.len(), 32);
+        assert_eq!(a.ws.states.len(), 32 * 12);
     }
 
     /// A contextual bandit: state is one-hot of 3 contexts, the correct
@@ -921,6 +910,110 @@ mod tests {
             steps > 1,
             "sampled on the first step: nothing ran clean first"
         );
+    }
+
+    proptest! {
+        /// Agent-level differential: interleaved decide/observe/train with the
+        /// batched kernels tracks the scalar reference bit-for-bit for random
+        /// seeds and replay flavours, on a small net and on the shape every
+        /// switch trains — `[12, 40, 40, 20]` under `DdqnConfig::default()`, 32
+        /// samples a step — including across a `load_model` halfway through.
+        /// Each step the batched agent decides 1 to `max_rows` rows at once —
+        /// ε-greedy through `select_actions_batch`, or greedy through
+        /// `best_actions_batch` every third step — and the scalar agent decides
+        /// the same rows one by one; actions and recorded ε must match.
+        /// `max_rows` runs from 8 to 64, so batches of 8 rows and more read the
+        /// transposed weights through the register tiles, with every 4-row
+        /// remainder. The row count cycles with period `max_rows` and the
+        /// greedy steps with period 3, so at `max_rows` 8 every row count is
+        /// decided both ways after the weights have changed.
+        #[test]
+        fn agent_batched_training_matches_scalar(
+            seed in any::<u64>(),
+            prioritized in any::<bool>(),
+            acc_shape in any::<bool>(),
+            steps in 80usize..160,
+            reload in any::<bool>(),
+            max_rows in 8usize..=64,
+            row_phase in 0usize..64,
+            greedy_phase in 0usize..3,
+        ) {
+            let mut cfg = DdqnConfig::default();
+            cfg.use_prioritized_replay = prioritized;
+            let (dim, n_actions) = if acc_shape {
+                (12, 20)
+            } else {
+                cfg.min_replay = 32;
+                cfg.target_sync_every = 20;
+                (2, 3)
+            };
+            let mut batched = DdqnAgent::new(dim, n_actions, cfg.clone(), seed);
+            let mut scalar = DdqnAgent::new(dim, n_actions, cfg, seed);
+            let model = Mlp::new(batched.export_model().dims(), seed ^ 0x5EED);
+            let mut decisions = Vec::new();
+            let mut greedy = Vec::new();
+            for i in 0..steps {
+                if reload && i == steps / 2 {
+                    batched.load_model(&model);
+                    scalar.load_model(&model);
+                }
+                let rows = 1 + (i + row_phase) % max_rows;
+                let states: Vec<f32> = (0..rows)
+                    .flat_map(|r| {
+                        (0..dim).map(move |d| {
+                            ((i + (d + 1) * r) % (4 + 2 * d)) as f32 * (0.5 - 0.2 * d as f32)
+                        })
+                    })
+                    .collect();
+                let row = |r: usize| &states[r * dim..(r + 1) * dim];
+                if i % 3 == greedy_phase {
+                    batched.best_actions_batch(&states, rows, &mut greedy);
+                    decisions.clear();
+                    decisions.extend(greedy.iter().map(|&a| (a, batched.epsilon())));
+                    for (r, &(a, eps)) in decisions.iter().enumerate() {
+                        prop_assert_eq!(a, scalar.best_action(row(r)), "step {} row {}", i, r);
+                        prop_assert_eq!(eps, scalar.epsilon());
+                    }
+                } else {
+                    batched.select_actions_batch(&states, rows, &mut decisions);
+                    for (r, &(a, eps)) in decisions.iter().enumerate() {
+                        prop_assert_eq!(a, scalar.select_action(row(r)), "step {} row {}", i, r);
+                        prop_assert_eq!(eps, scalar.epsilon());
+                    }
+                }
+                for (r, &(a, _)) in decisions.iter().enumerate() {
+                    let t = Transition {
+                        state: row(r).to_vec(),
+                        action: a,
+                        reward: ((i * 7 + r) % 13) as f32 * 0.1 - 0.5,
+                        next_state: row((r + 1) % rows).to_vec(),
+                        done: (i + r) % 23 == 0,
+                    };
+                    batched.observe(t.clone());
+                    scalar.observe(t);
+                }
+                prop_assert_eq!(batched.train_step(), scalar.train_step_scalar());
+            }
+            let probe: Vec<f32> = (0..dim).map(|d| if d % 2 == 0 { 0.7 } else { -0.1 }).collect();
+            prop_assert_eq!(batched.q_values(&probe), scalar.q_values(&probe));
+        }
+
+        /// ε is monotone nonincreasing in steps and bounded by [eps_end, eps_start].
+        #[test]
+        fn epsilon_schedule_monotone(steps in prop::collection::vec(1u32..50, 1..20)) {
+            let mut agent = DdqnAgent::new(2, 2, DdqnConfig::default(), 1);
+            let mut prev = agent.epsilon();
+            prop_assert!(prev <= 1.0 + 1e-9);
+            for k in steps {
+                for _ in 0..k {
+                    agent.select_action(&[0.0, 0.0]);
+                }
+                let e = agent.epsilon();
+                prop_assert!(e <= prev + 1e-12);
+                prop_assert!(e >= 0.02 - 1e-12);
+                prev = e;
+            }
+        }
     }
 
     fn one_hot(i: usize, n: usize) -> Vec<f32> {

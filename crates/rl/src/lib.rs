@@ -9,9 +9,10 @@
 //! * [`mlp`] — a fully-connected network with ReLU hidden layers, manual
 //!   backpropagation and an Adam optimizer, plus register-tiled batched
 //!   minibatch kernels (`forward_batch` / `forward_cached_batch` /
-//!   `backward_batch`) over flat `[batch × dim]` workspaces that are
-//!   bit-identical to the scalar path for finite states and weights while
-//!   allocating nothing at steady state;
+//!   `backward_batch`) over flat `[batch × dim]` workspaces that allocate
+//!   nothing at steady state. They are the only path: the scalar per-sample
+//!   reference they are bit-identical to (for finite states and weights)
+//!   lives in the crate's unit tests;
 //! * [`replay`] — the bounded experience-replay memory, [`ReplayBuffer`],
 //!   one ring of flat `f32` rows: local per agent plus a shared *global*
 //!   memory that agents exchange experience through (the asynchronous
@@ -38,7 +39,7 @@ pub mod mlp;
 pub mod replay;
 pub mod trainer;
 
-pub use ddqn::{DdqnAgent, DdqnConfig, StepCost};
+pub use ddqn::{DdqnAgent, DdqnConfig};
 pub use mlp::{Adam, BackwardScratch, BatchActivations, Mlp};
 pub use replay::{ReplayBuffer, Transition, TransitionRef};
 pub use trainer::{Seat, Trainer, TrainerStats};

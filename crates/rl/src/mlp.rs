@@ -48,28 +48,13 @@ impl Dense {
         }
     }
 
-    #[inline]
-    fn apply(&self, x: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.n_in);
-        debug_assert_eq!(out.len(), self.n_out);
-        for (o, (row, b)) in out
-            .iter_mut()
-            .zip(self.w.chunks_exact(self.n_in).zip(&self.b))
-        {
-            let mut acc = *b;
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
-            }
-            *o = acc;
-        }
-    }
-
-    /// [`Dense::apply`] with output rows processed four at a time. Each
-    /// output element is still `b[o] + Σ_i w[o][i]·x[i]` accumulated in `i`
-    /// order — bit-identical to `apply` — but the four independent
-    /// accumulators break the serial f32 add chain that latency-binds the
-    /// plain dot product, so the batched kernels lean on instruction-level
-    /// parallelism without changing a single bit of output.
+    /// `out = W·x + b` with output rows processed four at a time. Each
+    /// output element is `b[o] + Σ_i w[o][i]·x[i]` accumulated in `i` order
+    /// — bit-identical to the plain dot product of the scalar reference —
+    /// but the four independent accumulators break the serial f32 add chain
+    /// that latency-binds that dot product, so the batched kernels lean on
+    /// instruction-level parallelism without changing a single bit of
+    /// output.
     #[inline]
     fn apply_blocked(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.n_in);
@@ -238,21 +223,6 @@ impl Clone for Dense {
     }
 }
 
-/// Per-layer activations captured during a forward pass, for backprop.
-#[derive(Clone, Debug)]
-pub struct Activations {
-    /// `acts[0]` is the input; `acts[i]` is the post-activation output of
-    /// layer `i-1`.
-    pub acts: Vec<Vec<f32>>,
-}
-
-impl Activations {
-    /// The network output.
-    pub fn output(&self) -> &[f32] {
-        self.acts.last().expect("empty activations")
-    }
-}
-
 /// Parameter gradients, same shapes as the network.
 #[derive(Clone, Debug)]
 pub struct Gradients {
@@ -268,20 +238,6 @@ impl Gradients {
         Gradients {
             dw: net.layers.iter().map(|l| vec![0.0; l.w.len()]).collect(),
             db: net.layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
-        }
-    }
-
-    /// Accumulate `other` into `self`.
-    pub fn add(&mut self, other: &Gradients) {
-        for (a, b) in self.dw.iter_mut().zip(&other.dw) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        for (a, b) in self.db.iter_mut().zip(&other.db) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
         }
     }
 
@@ -429,7 +385,7 @@ impl Deserialize for Mlp {
     /// Parse a saved net, refusing any whose shapes disagree: at least two
     /// nonzero widths, one layer per consecutive pair of them, and every
     /// layer's weights and biases sized by its widths. A net that passes
-    /// can run `forward` without indexing out of bounds.
+    /// can run [`Mlp::forward_batch`] without indexing out of bounds.
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let MlpWire { layers, dims } = MlpWire::from_value(v)?;
         let bad = |msg: String| Err(serde::Error::new(format!("Mlp: {msg}")));
@@ -508,95 +464,14 @@ impl Mlp {
         self.layers.iter().map(|l| 2 * l.w.len()).sum()
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.input_dim(), "input width mismatch");
-        let mut cur = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, l) in self.layers.iter().enumerate() {
-            let mut out = vec![0.0; l.n_out];
-            l.apply(&cur, &mut out);
-            if i != last {
-                for v in &mut out {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            cur = out;
-        }
-        cur
-    }
-
-    /// Forward pass keeping intermediate activations for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &[f32]) -> Activations {
-        assert_eq!(x.len(), self.input_dim(), "input width mismatch");
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        let last = self.layers.len() - 1;
-        for (i, l) in self.layers.iter().enumerate() {
-            let mut out = vec![0.0; l.n_out];
-            l.apply(acts.last().unwrap(), &mut out);
-            if i != last {
-                for v in &mut out {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            acts.push(out);
-        }
-        Activations { acts }
-    }
-
-    /// Backpropagate `grad_out` (= dLoss/dOutput) through the cached forward
-    /// pass, returning parameter gradients.
-    ///
-    /// ReLU masks use the *post-activation* values, which is valid because
-    /// post-activation > 0 ⇔ pre-activation > 0.
-    pub fn backward(&self, cache: &Activations, grad_out: &[f32]) -> Gradients {
-        assert_eq!(grad_out.len(), self.output_dim());
-        let mut grads = Gradients::zeros(self);
-        let mut delta = grad_out.to_vec();
-        for (i, l) in self.layers.iter().enumerate().rev() {
-            let input = &cache.acts[i];
-            // dW = delta ⊗ input ; db = delta.
-            let dw = &mut grads.dw[i];
-            for (r, d) in delta.iter().enumerate() {
-                let row = &mut dw[r * l.n_in..(r + 1) * l.n_in];
-                for (slot, x) in row.iter_mut().zip(input) {
-                    *slot += d * x;
-                }
-            }
-            grads.db[i].copy_from_slice(&delta);
-            if i == 0 {
-                break;
-            }
-            // delta_prev = Wᵀ·delta, masked by the previous ReLU.
-            let mut prev = vec![0.0f32; l.n_in];
-            for (r, d) in delta.iter().enumerate() {
-                let row = &l.w[r * l.n_in..(r + 1) * l.n_in];
-                for (p, wi) in prev.iter_mut().zip(row) {
-                    *p += wi * d;
-                }
-            }
-            for (p, a) in prev.iter_mut().zip(&cache.acts[i]) {
-                if *a <= 0.0 {
-                    *p = 0.0;
-                }
-            }
-            delta = prev;
-        }
-        grads
-    }
-
     /// Batched forward pass over `batch` input rows packed row-major into
     /// `xs` (`[batch × input_dim]` flat), leaving the outputs in `ws`.
     ///
     /// Determinism contract: every output element is computed by the exact
-    /// per-sample summation the scalar [`Mlp::forward`] uses, so row `s` of
-    /// the result is bit-identical to `forward(&xs[s·d..(s+1)·d])` — only
-    /// the allocations and the instruction scheduling differ.
+    /// per-sample summation of a plain scalar forward pass, so row `s` of
+    /// the result is bit-identical to a one-sample forward of
+    /// `xs[s·d..(s+1)·d]` — only the allocations and the instruction
+    /// scheduling differ. This module's tests hold that scalar reference.
     pub fn forward_batch(&self, xs: &[f32], batch: usize, ws: &mut BatchActivations) {
         self.forward_cached_batch(xs, batch, ws);
     }
@@ -672,11 +547,11 @@ impl Mlp {
     ///
     /// Determinism contract: each parameter gradient is accumulated over
     /// samples in index order starting from 0.0 — the same left fold that
-    /// running the scalar [`Mlp::backward`] per sample and summing with
-    /// [`Gradients::add`] produces — so for finite states and weights the
-    /// result is bit-identical to the scalar reference while touching each
-    /// gradient slot exactly once (instead of once per sample plus a
-    /// zeroing pass).
+    /// running a scalar per-sample backward and summing the gradients
+    /// produces — so for finite states and weights the result is
+    /// bit-identical to the scalar reference in this module's tests while
+    /// touching each gradient slot exactly once (instead of once per sample
+    /// plus a zeroing pass).
     ///
     /// Both folds skip terms whose delta is `0.0`. With finite operands
     /// that is exact: an accumulator that starts at +0.0 can never become
@@ -860,9 +735,153 @@ impl Adam {
     }
 }
 
+/// The scalar per-sample reference the batched kernels are tested
+/// against: every layer a plain dot product per output, every sample its
+/// own freshly allocated activations and gradients. It lives here, beside
+/// the private layers it reads, and only in test builds: simulations always
+/// run the batched path.
+#[cfg(test)]
+mod scalar {
+    use super::{Dense, Gradients, Mlp};
+
+    impl Dense {
+        /// `out = W·x + b`, one left-fold dot product per output.
+        fn apply(&self, x: &[f32], out: &mut [f32]) {
+            debug_assert_eq!(x.len(), self.n_in);
+            debug_assert_eq!(out.len(), self.n_out);
+            for (o, (row, b)) in out
+                .iter_mut()
+                .zip(self.w.chunks_exact(self.n_in).zip(&self.b))
+            {
+                let mut acc = *b;
+                for (wi, xi) in row.iter().zip(x) {
+                    acc += wi * xi;
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// Per-layer activations captured during a forward pass, for backprop.
+    pub(crate) struct Activations {
+        /// `acts[0]` is the input; `acts[i]` is the post-activation output
+        /// of layer `i-1`.
+        pub(crate) acts: Vec<Vec<f32>>,
+    }
+
+    impl Activations {
+        /// The network output.
+        pub(crate) fn output(&self) -> &[f32] {
+            self.acts.last().expect("empty activations")
+        }
+    }
+
+    impl Gradients {
+        /// Accumulate `other` into `self`.
+        pub(crate) fn add(&mut self, other: &Gradients) {
+            for (a, b) in self.dw.iter_mut().zip(&other.dw) {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+            }
+            for (a, b) in self.db.iter_mut().zip(&other.db) {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+            }
+        }
+    }
+
+    impl Mlp {
+        /// Forward pass.
+        pub(crate) fn forward(&self, x: &[f32]) -> Vec<f32> {
+            assert_eq!(x.len(), self.input_dim(), "input width mismatch");
+            let mut cur = x.to_vec();
+            let last = self.layers.len() - 1;
+            for (i, l) in self.layers.iter().enumerate() {
+                let mut out = vec![0.0; l.n_out];
+                l.apply(&cur, &mut out);
+                if i != last {
+                    for v in &mut out {
+                        if *v < 0.0 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                cur = out;
+            }
+            cur
+        }
+
+        /// Forward pass keeping intermediate activations for [`Mlp::backward`].
+        pub(crate) fn forward_cached(&self, x: &[f32]) -> Activations {
+            assert_eq!(x.len(), self.input_dim(), "input width mismatch");
+            let mut acts = Vec::with_capacity(self.layers.len() + 1);
+            acts.push(x.to_vec());
+            let last = self.layers.len() - 1;
+            for (i, l) in self.layers.iter().enumerate() {
+                let mut out = vec![0.0; l.n_out];
+                l.apply(acts.last().unwrap(), &mut out);
+                if i != last {
+                    for v in &mut out {
+                        if *v < 0.0 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                acts.push(out);
+            }
+            Activations { acts }
+        }
+
+        /// Backpropagate `grad_out` (= dLoss/dOutput) through the cached forward
+        /// pass, returning parameter gradients.
+        ///
+        /// ReLU masks use the *post-activation* values, which is valid because
+        /// post-activation > 0 ⇔ pre-activation > 0.
+        pub(crate) fn backward(&self, cache: &Activations, grad_out: &[f32]) -> Gradients {
+            assert_eq!(grad_out.len(), self.output_dim());
+            let mut grads = Gradients::zeros(self);
+            let mut delta = grad_out.to_vec();
+            for (i, l) in self.layers.iter().enumerate().rev() {
+                let input = &cache.acts[i];
+                // dW = delta ⊗ input ; db = delta.
+                let dw = &mut grads.dw[i];
+                for (r, d) in delta.iter().enumerate() {
+                    let row = &mut dw[r * l.n_in..(r + 1) * l.n_in];
+                    for (slot, x) in row.iter_mut().zip(input) {
+                        *slot += d * x;
+                    }
+                }
+                grads.db[i].copy_from_slice(&delta);
+                if i == 0 {
+                    break;
+                }
+                // delta_prev = Wᵀ·delta, masked by the previous ReLU.
+                let mut prev = vec![0.0f32; l.n_in];
+                for (r, d) in delta.iter().enumerate() {
+                    let row = &l.w[r * l.n_in..(r + 1) * l.n_in];
+                    for (p, wi) in prev.iter_mut().zip(row) {
+                        *p += wi * d;
+                    }
+                }
+                for (p, a) in prev.iter_mut().zip(&cache.acts[i]) {
+                    if *a <= 0.0 {
+                        *p = 0.0;
+                    }
+                }
+                delta = prev;
+            }
+            grads
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::scalar::Activations;
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn shapes_and_counts() {
@@ -1148,5 +1167,191 @@ mod tests {
         let bytes = net.param_count() * 4;
         assert!(bytes < 30 * 1024, "model bytes = {bytes}");
         assert!(net.flops_per_inference() > 6000);
+    }
+
+    /// Deterministic pseudo-random kernel operands (xorshift64).
+    struct Operands(u64);
+
+    impl Operands {
+        fn bits(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A value in [-1, 1], exactly 0.0 one time in five.
+        fn value(&mut self) -> f32 {
+            let z = self.bits();
+            if z.is_multiple_of(5) {
+                0.0
+            } else {
+                ((z % 2001) as f32 - 1000.0) * 1e-3
+            }
+        }
+    }
+
+    /// Run the batched forward and backward over `xs`/`grad_out` and assert
+    /// them bit-identical to the scalar forward per row and to the scalar
+    /// per-sample-backward-then-sum fold.
+    fn assert_batched_matches_scalar(net: &Mlp, xs: &[f32], grad_out: &[f32], batch: usize) {
+        let (n_in, n_out) = (net.input_dim(), net.output_dim());
+        let mut ws = BatchActivations::new();
+        let mut scratch = BackwardScratch::new();
+        let mut batched = Gradients::zeros(net);
+        net.forward_cached_batch(xs, batch, &mut ws);
+        net.backward_batch(&ws, grad_out, &mut scratch, &mut batched);
+
+        let mut total = Gradients::zeros(net);
+        for s in 0..batch {
+            let x = &xs[s * n_in..(s + 1) * n_in];
+            assert_eq!(net.forward(x).as_slice(), ws.output_row(s), "row {s}");
+            let cache = net.forward_cached(x);
+            total.add(&net.backward(&cache, &grad_out[s * n_out..(s + 1) * n_out]));
+        }
+        assert_eq!(total.dw, batched.dw);
+        assert_eq!(total.db, batched.db);
+    }
+
+    /// The batched kernels at the exact shape the ACC agents train:
+    /// `[12, 40, 40, 20]` × 32, one-hot DQN gradient rows.
+    #[test]
+    fn batched_kernels_bit_identical_on_the_acc_shape() {
+        let net = Mlp::new(&[12, 40, 40, 20], 13);
+        let mut rng = Operands(0x9E37_79B9_7F4A_7C15);
+        let xs: Vec<f32> = (0..32 * 12).map(|_| rng.value()).collect();
+        let mut grad_out = vec![0.0f32; 32 * 20];
+        for s in 0..32 {
+            grad_out[s * 20 + (rng.bits() % 20) as usize] = rng.value();
+        }
+        assert_batched_matches_scalar(&net, &xs, &grad_out, 32);
+    }
+
+    proptest! {
+        // The offline proptest stub defaults to 32 cases; this draw space is
+        // wide, so sample it as densely as real proptest's default would.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Differential test of the batched kernels: for random layer shapes
+        /// (several register tiles, tails of 1–7 lanes), batch sizes 1..=70
+        /// (both sides of the transposed path's `batch >= 8`, every 4-row
+        /// remainder), random weights (seed) and random inputs with exact
+        /// zeros, all-zero rows and a ReLU-dead hidden unit, the batched
+        /// forward must be bit-identical per row to the scalar forward, and the
+        /// batched backward bit-identical to the scalar
+        /// per-sample-backward-then-sum fold. This pins the determinism contract
+        /// the agent's batched `train_step` relies on (the same reference-path
+        /// pattern as the reference heap vs the timing wheel).
+        #[test]
+        fn batched_kernels_bit_identical_to_scalar(
+            seed in any::<u64>(),
+            batch in 1usize..=70,
+            n_in in 1usize..=16,
+            hidden in prop::collection::vec(1usize..=48, 1..3),
+            n_out in 2usize..=24,
+            xseed in any::<u32>(),
+            dead_unit in any::<bool>(),
+            one_hot in any::<bool>(),
+        ) {
+            let mut dims = vec![n_in];
+            dims.extend_from_slice(&hidden);
+            dims.push(n_out);
+            let mut net = Mlp::new(&dims, seed);
+            if dead_unit {
+                // Hidden unit 0 gets no input and a zero bias: it outputs
+                // exactly 0.0 for every sample, so its deltas are all masked.
+                for c in 0..n_in {
+                    net.set_weight(0, c, 0.0);
+                }
+            }
+            let mut rng = Operands(u64::from(xseed) | 1);
+            let mut xs: Vec<f32> = (0..batch * n_in).map(|_| rng.value()).collect();
+            // Every third row all zero: with zero biases every hidden layer of
+            // that sample is ReLU-dead.
+            for row in xs.chunks_exact_mut(n_in).step_by(3) {
+                row.fill(0.0);
+            }
+            let mut grad_out: Vec<f32> = (0..batch * n_out).map(|_| rng.value()).collect();
+            if one_hot {
+                // The DQN's rows: one taken action per sample.
+                for row in grad_out.chunks_exact_mut(n_out) {
+                    let keep = (rng.bits() % n_out as u64) as usize;
+                    for (a, g) in row.iter_mut().enumerate() {
+                        if a != keep {
+                            *g = 0.0;
+                        }
+                    }
+                }
+            }
+            assert_batched_matches_scalar(&net, &xs, &grad_out, batch);
+        }
+    }
+
+    proptest! {
+        /// Forward passes are finite for any finite input.
+        #[test]
+        fn mlp_forward_is_finite(
+            seed in any::<u64>(),
+            xs in prop::collection::vec(-1e3f32..1e3, 6),
+        ) {
+            let net = Mlp::new(&[6, 16, 8, 4], seed);
+            let y = net.forward(&xs);
+            prop_assert_eq!(y.len(), 4);
+            prop_assert!(y.iter().all(|v| v.is_finite()));
+        }
+
+        /// Serde round-trips preserve behaviour exactly.
+        #[test]
+        fn mlp_serde_roundtrip(seed in any::<u64>(), xs in prop::collection::vec(-10f32..10.0, 5)) {
+            let net = Mlp::new(&[5, 9, 3], seed);
+            let back: Mlp = serde_json::from_str(&serde_json::to_string(&net).unwrap()).unwrap();
+            prop_assert_eq!(net.forward(&xs), back.forward(&xs));
+        }
+
+        /// Backprop agrees with central differences on random small networks and
+        /// random inputs (a randomized gradient check).
+        #[test]
+        fn mlp_gradient_check_random(
+            seed in 0u64..1_000,
+            xs in prop::collection::vec(-1f32..1.0, 4),
+            gidx in 0usize..3,
+        ) {
+            let mut net = Mlp::new(&[4, 7, 3], seed);
+            let mut grad_out = vec![0.0f32; 3];
+            grad_out[gidx] = 1.0;
+            let cache = net.forward_cached(&xs);
+            let analytic = net.backward(&cache, &grad_out);
+            // Check a handful of layer-0 weights.
+            let h = 1e-3f32;
+            let mask = |c: &Activations| -> Vec<bool> {
+                // Activation sign pattern of the hidden layers.
+                c.acts[1..c.acts.len() - 1]
+                    .iter()
+                    .flat_map(|layer| layer.iter().map(|v| *v > 0.0))
+                    .collect()
+            };
+            for k in [0usize, 5, 13, 27] {
+                let orig = net.weight(0, k);
+                net.set_weight(0, k, orig + h);
+                let cp = net.forward_cached(&xs);
+                net.set_weight(0, k, orig - h);
+                let cm = net.forward_cached(&xs);
+                net.set_weight(0, k, orig);
+                if mask(&cp) != mask(&cm) {
+                    // The perturbation crossed a ReLU kink: central differences
+                    // are not a valid derivative estimate here.
+                    continue;
+                }
+                let lp = cp.output()[gidx] as f64;
+                let lm = cm.output()[gidx] as f64;
+                let numeric = ((lp - lm) / (2.0 * h as f64)) as f32;
+                let got = analytic.dw[0][k];
+                let denom = numeric.abs().max(got.abs()).max(1e-3);
+                prop_assert!(
+                    (numeric - got).abs() < 5e-3 || (numeric - got).abs() / denom < 5e-2,
+                    "w[0][{k}]: numeric {numeric} vs analytic {got}"
+                );
+            }
+        }
     }
 }
