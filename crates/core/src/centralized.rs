@@ -63,6 +63,8 @@ pub struct CentralBrain {
     /// The decision pending application next tick.
     pending: Option<(usize, usize)>,
     prev: Option<(Vec<f32>, usize)>,
+    /// Discount stored with each transition.
+    gamma: f32,
     online_training: bool,
     /// Ticks processed.
     pub ticks: u64,
@@ -90,10 +92,10 @@ impl CentralBrain {
     ) -> Self {
         // State: per layer (2) the 4 normalised features, with history.
         let state_dim = history_k * 2 * crate::state::FEATURES_PER_OBS;
-        let agent = DdqnAgent::new(state_dim, Self::joint_len(&space), ddqn, seed);
         let mid = space.len() / 2;
         CentralBrain {
-            agent,
+            gamma: ddqn.gamma,
+            agent: DdqnAgent::new(state_dim, Self::joint_len(&space), ddqn, seed),
             space: space.clone(),
             reward,
             window: StateWindow::new(history_k * 2), // 2 pseudo-obs per tick
@@ -166,7 +168,7 @@ impl CentralBrain {
         if let Some((ps, pa)) = self.prev.take() {
             if self.online_training {
                 self.agent
-                    .observe_row(&ps, pa, reward as f32, &state, false);
+                    .observe_row(&ps, pa, reward as f32, &state, self.gamma);
                 self.agent.train_step();
             }
         }

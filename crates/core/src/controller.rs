@@ -22,9 +22,9 @@
 //!    is in the [`rl::trainer`] module docs).
 //!
 //! H-ACC ([`AccController::hybrid`], the §6 hybrid) is this same controller
-//! with a link to a [`crate::hybrid::CentralTrainer`]: step 3 queues the
-//! transition for the trainer instead of the local replay, step 5 is
-//! replaced by reporting the tick's transitions to the trainer, and every
+//! with a link to a [`crate::hybrid::CentralTrainer`]: step 3 stores the
+//! transition in the trainer's replay instead of the local one, step 5 is
+//! replaced by the trainer training on the tick's rows, and every
 //! `sync_ticks` ticks the local agent loads the trainer's published model.
 //!
 //! The busy/idle optimisation of §4.2 suspends inference for queues that
@@ -74,7 +74,7 @@ pub struct AccConfig {
     /// Exchange experience with the global replay memory every this many
     /// ticks (paper: "several seconds"; scaled down for simulation).
     pub exchange_every_ticks: u64,
-    /// Transitions copied per exchange, each direction.
+    /// Replay rows copied per exchange, each direction.
     pub exchange_batch: usize,
     /// RNG seed for this controller's agent.
     pub seed: u64,
@@ -271,9 +271,9 @@ impl AccController {
 
     /// An H-ACC controller (§6): infers with a local agent that starts from
     /// `trainer`'s published model and never trains (`online_training` is
-    /// switched off), ships every transition to `trainer` after the tick's
-    /// select + apply, and loads the newest published model every
-    /// `sync_ticks` ticks.
+    /// switched off), stores every transition in `trainer`'s replay, has it
+    /// train after the tick's select + apply, and loads the newest
+    /// published model every `sync_ticks` ticks.
     pub fn hybrid(
         mut cfg: AccConfig,
         space: ActionSpace,
@@ -426,11 +426,11 @@ impl AccController {
         let mut seat = self.agent.borrow_mut();
         let agent = seat.get();
         if let Some(pa) = q.prev_action.take() {
-            let (ps, r) = (q.prev_state.as_slice(), reward as f32);
+            let (ps, r, gamma) = (&q.prev_state[..], reward as f32, self.cfg.ddqn.gamma);
             if let Some(central) = &mut self.central {
-                central.queue(ps, pa, r, state);
+                central.queue(ps, pa, r, state, gamma);
             } else if self.cfg.online_training {
-                agent.observe_row(ps, pa, r, state, false);
+                agent.observe_row(ps, pa, r, state, gamma);
             }
         }
         let replay_len = agent.replay.len();

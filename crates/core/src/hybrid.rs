@@ -5,7 +5,7 @@
 //! > training/RL model update is done by a centralized controller."
 //!
 //! Each switch runs a *local* model for inference (so actions remain as
-//! fast as D-ACC), but experience is shipped to a central trainer that owns
+//! fast as D-ACC), but its experience goes to a central trainer that owns
 //! the optimizer, and refreshed models are pushed back to the switches
 //! every `sync_ticks` control intervals — modelling the milliseconds-scale
 //! round trip to a controller that §3.2 measures. Compared to plain D-ACC,
@@ -16,7 +16,8 @@
 //! [`AccController::hybrid`] (installed fabric-wide by [`install_hybrid`]):
 //! it observes, rewards, skips idle queues, selects, applies and records
 //! exactly as D-ACC does. This module holds what differs — the
-//! [`CentralTrainer`] and the controller's link to it.
+//! [`CentralTrainer`] and the controller's link to it. Rows go straight
+//! into the central replay; the tick's training follows its select + apply.
 //!
 //! [`AccController`]: crate::controller::AccController
 //! [`AccController::hybrid`]: crate::controller::AccController::hybrid
@@ -24,7 +25,7 @@
 use crate::action::ActionSpace;
 pub use crate::controller::install_hybrid;
 use crate::controller::AccConfig;
-use rl::{DdqnAgent, Transition};
+use rl::DdqnAgent;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -36,10 +37,8 @@ use std::rc::Rc;
 /// version.
 pub struct CentralTrainer {
     agent: DdqnAgent,
-    /// Minibatches run per reported batch of transitions.
-    trains_per_report: usize,
-    /// Training steps taken (for introspection).
-    pub train_steps: u64,
+    /// Minibatches run per switch tick that stored experience.
+    trains_per_tick: usize,
     published: rl::Mlp,
     publish_every: u64,
     last_publish: u64,
@@ -54,28 +53,28 @@ impl CentralTrainer {
         let published = agent.export_model();
         CentralTrainer {
             agent,
-            trains_per_report: cfg.trains_per_tick.max(1),
-            train_steps: 0,
+            trains_per_tick: cfg.trains_per_tick.max(1),
             published,
             publish_every: publish_every.max(1),
             last_publish: 0,
         }
     }
 
-    /// Ingest experience from a switch and train.
-    pub fn report(&mut self, batch: Vec<Transition>) {
-        for t in batch {
-            self.agent.observe(t);
+    /// Train on the central replay, then publish if enough steps have
+    /// passed since the last snapshot.
+    pub fn train(&mut self) {
+        for _ in 0..self.trains_per_tick {
+            self.agent.train_step();
         }
-        for _ in 0..self.trains_per_report {
-            if self.agent.train_step().is_some() {
-                self.train_steps += 1;
-            }
-        }
-        if self.train_steps - self.last_publish >= self.publish_every {
+        if self.agent.train_steps() - self.last_publish >= self.publish_every {
             self.published = self.agent.export_model();
-            self.last_publish = self.train_steps;
+            self.last_publish = self.agent.train_steps();
         }
+    }
+
+    /// Training steps taken so far.
+    pub fn train_steps(&self) -> u64 {
+        self.agent.train_steps()
     }
 
     /// The most recently *published* model snapshot.
@@ -87,13 +86,13 @@ impl CentralTrainer {
 /// Shared handle to the trainer.
 pub type SharedTrainer = Rc<RefCell<CentralTrainer>>;
 
-/// An H-ACC controller's link to the central trainer, with the transitions
-/// of the current tick waiting for its select + apply to end.
+/// An H-ACC controller's link to the central trainer.
 pub(crate) struct CentralLink {
     trainer: SharedTrainer,
     /// Load the published model every this many ticks.
     sync_ticks: u64,
-    outbox: Vec<Transition>,
+    /// Whether the current tick stored a row: only such a tick trains.
+    stored: bool,
     /// Models loaded so far.
     pub(crate) syncs: u64,
 }
@@ -103,35 +102,32 @@ impl CentralLink {
         CentralLink {
             trainer,
             sync_ticks: sync_ticks.max(1),
-            outbox: Vec::new(),
+            stored: false,
             syncs: 0,
         }
     }
 
-    /// Queue a finished transition for the trainer.
-    pub(crate) fn queue(&mut self, state: &[f32], action: usize, reward: f32, next_state: &[f32]) {
-        self.outbox.push(Transition {
-            state: state.to_vec(),
-            action,
-            reward,
-            next_state: next_state.to_vec(),
-            done: false,
-        });
+    /// Store a finished transition in the trainer's replay.
+    pub(crate) fn queue(&mut self, s: &[f32], a: usize, r: f32, s2: &[f32], discount: f32) {
+        self.trainer
+            .borrow_mut()
+            .agent
+            .observe_row(s, a, r, s2, discount);
+        self.stored = true;
     }
 
     /// Training steps the trainer has taken: the learner the local model
     /// comes from.
     pub(crate) fn train_steps(&self) -> u64 {
-        self.trainer.borrow().train_steps
+        self.trainer.borrow().train_steps()
     }
 
-    /// The end of tick `tick`'s select + apply: ship the tick's experience
-    /// up, then, every `sync_ticks` ticks, pull the published model down
-    /// into `local`.
+    /// The end of tick `tick`'s select + apply: train on the rows the tick
+    /// stored, then, every `sync_ticks` ticks, pull the published model
+    /// down into `local`.
     pub(crate) fn after_select(&mut self, tick: u64, local: &mut DdqnAgent) {
-        if !self.outbox.is_empty() {
-            let batch = std::mem::take(&mut self.outbox);
-            self.trainer.borrow_mut().report(batch);
+        if std::mem::take(&mut self.stored) {
+            self.trainer.borrow_mut().train();
         }
         if tick.is_multiple_of(self.sync_ticks) {
             local.load_model(&self.trainer.borrow().model());
@@ -162,7 +158,7 @@ mod tests {
         sim.run_until(SimTime::from_ms(3));
         // Even an idle network produces transitions (util 0 rewards), so the
         // trainer must have ingested experience and trained.
-        assert!(trainer.borrow().train_steps > 0);
+        assert!(trainer.borrow().train_steps() > 0);
         for sw in sim.core().topo.switches().to_vec() {
             sim.with_controller(sw, |c, _| {
                 let h = c.as_any_mut().downcast_mut::<AccController>().unwrap();
@@ -303,7 +299,7 @@ mod tests {
                 }
             }
         }
-        assert!(trainer.borrow().train_steps > 0);
+        assert!(trainer.borrow().train_steps() > 0);
         for &sw in &switches {
             sim.with_controller(sw, |c, _| {
                 let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();

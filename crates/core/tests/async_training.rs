@@ -9,7 +9,7 @@ use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use netsim::topology::TopologyBuilder;
 use rl::trainer::Trainer;
-use rl::{DdqnAgent, ReplayBuffer, Seat, TrainerStats};
+use rl::{DdqnAgent, ReplayBuffer, Seat, TrainerStats, Transition};
 use std::cell::RefCell;
 use std::rc::Rc;
 use transport::{CcKind, FctCollector, Message, StackConfig};
@@ -147,7 +147,22 @@ fn run(arm: Arm, prioritized: bool) -> (Outcome, TrainerStats) {
             trainer_stats += acc.trainer;
         });
     }
-    let global_replay = format!("{:?}", global.borrow().iter().collect::<Vec<_>>());
+    // Every row the controllers store is discounted by γ. The rows are
+    // printed as the owned `Transition` they stand for (`done` is a zero
+    // discount), the form the digests below were taken in.
+    let global = global.borrow();
+    assert!(global.iter().all(|t| t.discount == cfg.ddqn.gamma));
+    let rows: Vec<Transition> = global
+        .iter()
+        .map(|t| Transition {
+            state: t.state.to_vec(),
+            action: t.action,
+            reward: t.reward,
+            next_state: t.next_state.to_vec(),
+            done: t.discount == 0.0,
+        })
+        .collect();
+    let global_replay = format!("{rows:?}");
     let outcome = Outcome {
         models,
         actions,

@@ -7,6 +7,9 @@
 //! y = r + γ · Q_target(S', argmax_a Q_eval(S', a))        (paper eq. 3)
 //! ```
 //!
+//! The γ applied is the discount each replay row carries (0 for a
+//! terminal row), so one row may also stand for several intervals.
+//!
 //! Exploration is ε-greedy; ACC decays ε exponentially and quickly during
 //! online operation to avoid destabilising the production network (§4.3).
 
@@ -245,9 +248,11 @@ impl DdqnAgent {
         self.batch_greedy[row].then(|| self.infer.output_row(row))
     }
 
-    /// Store one experience tuple.
+    /// Store one owned tuple with discount γ, or 0 if `done`. Only the
+    /// benchmark kit calls it; simulations use [`DdqnAgent::observe_row`].
     pub fn observe(&mut self, t: Transition) {
-        self.observe_row(&t.state, t.action, t.reward, &t.next_state, t.done);
+        let discount = if t.done { 0.0 } else { self.cfg.gamma };
+        self.observe_row(&t.state, t.action, t.reward, &t.next_state, discount);
     }
 
     /// Store one experience tuple given as slices: the replay copies them
@@ -258,12 +263,12 @@ impl DdqnAgent {
         action: usize,
         reward: f32,
         next_state: &[f32],
-        done: bool,
+        discount: f32,
     ) {
         debug_assert_eq!(state.len(), self.state_dim());
         debug_assert!(action < self.n_actions());
         self.replay
-            .push_row(state, action, reward, next_state, done);
+            .push_row(state, action, reward, next_state, discount);
     }
 
     /// True once the replay memory holds enough transitions for a train
@@ -295,7 +300,6 @@ impl DdqnAgent {
         }
         let state_dim = self.eval.input_dim();
         let n_actions = self.eval.output_dim();
-        let gamma = self.cfg.gamma;
 
         // Sample by index and pack the borrowed transitions into the flat
         // batch buffers.
@@ -320,14 +324,15 @@ impl DdqnAgent {
         self.ws.targets.resize(n, 0.0);
         for k in 0..n {
             let t = self.replay.get(self.ws.indices[k]);
-            let y = if t.done {
+            // A zero discount reads no Q_next: `0 · ∞` would be NaN.
+            let y = if t.discount == 0.0 {
                 t.reward
             } else {
                 let (a_star, saw_nan) = argmax_checked(self.ws.eval.output_row(k));
                 if saw_nan {
                     anomalies += 1;
                 }
-                t.reward + gamma * self.ws.target.output_row(k)[a_star]
+                t.reward + t.discount * self.ws.target.output_row(k)[a_star]
             };
             if !y.is_finite() {
                 anomalies += 1;
@@ -495,14 +500,14 @@ mod scalar {
             for idx in batch {
                 let t = self.replay.get(idx);
                 // Double-DQN target.
-                let y = if t.done {
+                let y = if t.discount == 0.0 {
                     t.reward
                 } else {
                     let (a_star, saw_nan) = argmax_checked(&self.eval.forward(t.next_state));
                     if saw_nan {
                         anomalies += 1;
                     }
-                    t.reward + self.cfg.gamma * self.target.forward(t.next_state)[a_star]
+                    t.reward + t.discount * self.target.forward(t.next_state)[a_star]
                 };
                 if !y.is_finite() {
                     anomalies += 1;
@@ -737,15 +742,10 @@ mod tests {
                 let ab = batched.select_action(&s);
                 let asc = scalar.select_action(&s);
                 assert_eq!(ab, asc, "action diverged at step {i}");
-                let t = Transition {
-                    state: s.clone(),
-                    action: ab,
-                    reward: (i % 11) as f32 * 0.1 - 0.3,
-                    next_state: s,
-                    done: i % 17 == 0,
-                };
-                batched.observe(t.clone());
-                scalar.observe(t);
+                let reward = (i % 11) as f32 * 0.1 - 0.3;
+                let discount = if i % 17 == 0 { 0.0 } else { 0.5 };
+                batched.observe_row(&s, ab, reward, &s, discount);
+                scalar.observe_row(&s, ab, reward, &s, discount);
                 let lb = batched.train_step();
                 let ls = scalar.train_step_scalar();
                 assert_eq!(lb, ls, "loss diverged at step {i} (prio={prioritized})");
@@ -912,7 +912,86 @@ mod tests {
         );
     }
 
+    /// A row with discount 0 never reads the target net. With that net's
+    /// Q-values at +∞, −∞ or NaN, such rows train exactly as they do
+    /// beside a clean target net — the target is the reward, on both
+    /// paths — and count no anomaly; the same rows at γ count one.
+    #[test]
+    fn a_zero_discount_never_reads_the_target_net() {
+        // No hidden layer: every Q-value is a sum over the poisoned
+        // weights of nonzero inputs, so it is the poison itself.
+        let cfg = DdqnConfig {
+            hidden: Vec::new(),
+            ..DdqnConfig::default()
+        };
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            for use_scalar in [false, true] {
+                for discount in [0.0, 0.5] {
+                    let mut poisoned = DdqnAgent::new(2, 3, cfg.clone(), 4);
+                    let mut clean = DdqnAgent::new(2, 3, cfg.clone(), 4);
+                    for w in 0..6 {
+                        poisoned.target.set_weight(0, w, poison);
+                    }
+                    for agent in [&mut poisoned, &mut clean] {
+                        for i in 0..64 {
+                            let r = i as f32 * 0.1;
+                            agent.observe_row(&[1.0, 0.5], i % 3, r, &[0.25, 1.0], discount);
+                        }
+                    }
+                    let step = |a: &mut DdqnAgent| {
+                        if use_scalar {
+                            a.train_step_scalar()
+                        } else {
+                            a.train_step()
+                        }
+                    };
+                    let (got, want) = (step(&mut poisoned), step(&mut clean));
+                    let case = format!("poison {poison}, scalar {use_scalar}");
+                    if discount != 0.0 {
+                        assert!(poisoned.anomalies() > 0, "{case}: γ rows read it");
+                        continue;
+                    }
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(poisoned.anomalies(), 0, "{case}");
+                    let probe = [0.3, -0.7];
+                    assert_eq!(poisoned.q_values(&probe), clean.q_values(&probe));
+                    if !use_scalar {
+                        for (k, &idx) in poisoned.ws.indices.iter().enumerate() {
+                            let y = poisoned.ws.targets[k];
+                            assert_eq!(y, poisoned.replay.get(idx).reward, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An owned transition is stored with the configured γ as its
+    /// discount, or with 0 when it is terminal.
+    #[test]
+    fn observe_stores_gamma_or_a_terminal_zero() {
+        let mut a = DdqnAgent::new(1, 2, DdqnConfig::default(), 1);
+        for done in [false, true] {
+            a.observe(Transition {
+                state: vec![0.0],
+                action: 1,
+                reward: 1.0,
+                next_state: vec![1.0],
+                done,
+            });
+        }
+        let discounts: Vec<f32> = a.replay.iter().map(|t| t.discount).collect();
+        assert_eq!(discounts, [a.cfg.gamma, 0.0]);
+    }
+
+    /// Cases of the agent proptest below. A case takes seconds in debug
+    /// and tens of milliseconds in release, where CI runs all 32; a debug
+    /// run checks the first 4.
+    const AGENT_CASES: u32 = if cfg!(debug_assertions) { 4 } else { 32 };
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(AGENT_CASES))]
+
         /// Agent-level differential: interleaved decide/observe/train with the
         /// batched kernels tracks the scalar reference bit-for-bit for random
         /// seeds and replay flavours, on a small net and on the shape every
@@ -982,22 +1061,24 @@ mod tests {
                     }
                 }
                 for (r, &(a, _)) in decisions.iter().enumerate() {
-                    let t = Transition {
-                        state: row(r).to_vec(),
-                        action: a,
-                        reward: ((i * 7 + r) % 13) as f32 * 0.1 - 0.5,
-                        next_state: row((r + 1) % rows).to_vec(),
-                        done: (i + r) % 23 == 0,
+                    let reward = ((i * 7 + r) % 13) as f32 * 0.1 - 0.5;
+                    // Terminal rows, and rows standing for 1 to 3 intervals.
+                    let discount = match (i + r) % 23 {
+                        0 => 0.0,
+                        k => 0.5f32.powi(1 + (k % 3) as i32),
                     };
-                    batched.observe(t.clone());
-                    scalar.observe(t);
+                    let next = row((r + 1) % rows);
+                    batched.observe_row(row(r), a, reward, next, discount);
+                    scalar.observe_row(row(r), a, reward, next, discount);
                 }
                 prop_assert_eq!(batched.train_step(), scalar.train_step_scalar());
             }
             let probe: Vec<f32> = (0..dim).map(|d| if d % 2 == 0 { 0.7 } else { -0.1 }).collect();
             prop_assert_eq!(batched.q_values(&probe), scalar.q_values(&probe));
         }
+    }
 
+    proptest! {
         /// ε is monotone nonincreasing in steps and bounded by [eps_end, eps_start].
         #[test]
         fn epsilon_schedule_monotone(steps in prop::collection::vec(1u32..50, 1..20)) {

@@ -14,15 +14,16 @@
 //!   reference they are bit-identical to (for finite states and weights)
 //!   lives in the crate's unit tests;
 //! * [`replay`] — the bounded experience-replay memory, [`ReplayBuffer`],
-//!   one ring of flat `f32` rows: local per agent plus a shared *global*
-//!   memory that agents exchange experience through (the asynchronous
-//!   multi-agent scheme of §3.4), sampled uniformly or, with
+//!   one ring of flat `f32` rows (`state ‖ next_state ‖ reward, action,
+//!   discount`): local per agent plus a shared *global* memory that agents
+//!   exchange experience through (the asynchronous multi-agent scheme of
+//!   §3.4), sampled uniformly or, with
 //!   [`ReplayBuffer::prioritized`], by reward priority as during §4.3
 //!   online fine-tuning;
 //! * [`ddqn`] — the Double-DQN agent: ε-greedy action selection with fast
 //!   exponential ε decay, minibatch sampling from its replay, the decoupled
-//!   action-selection / action-evaluation target of eq. (3), and periodic
-//!   target-network synchronisation;
+//!   action-selection / action-evaluation target of eq. (3) at each row's
+//!   own discount, and periodic target-network synchronisation;
 //! * [`trainer`] — the asynchronous half of "asynchronous multi-agent DQN":
 //!   an agent's update is submitted as a job and joined where its result
 //!   is next read, so it runs on an idle core while the caller carries on,

@@ -7,9 +7,9 @@
 //! network yet learn from each other.
 //!
 //! One ring serves both sampling schemes, and it stores each transition as
-//! one row of flat `f32`s (`state ‖ next_state ‖ reward, action, done`) in
-//! blocks of 256 rows that never move, so a stored transition owns no heap
-//! block of its own, nothing is cloned in or out, and growing the ring
+//! one row of flat `f32`s (`state ‖ next_state ‖ reward, action, discount`)
+//! in blocks of 256 rows that never move, so a stored transition owns no
+//! heap block of its own, nothing is cloned in or out, and growing the ring
 //! copies nothing. [`ReplayBuffer::new`] samples
 //! uniformly (offline training, the global memory);
 //! [`ReplayBuffer::prioritized`] samples in proportion to a priority kept in
@@ -20,11 +20,9 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// One experience tuple `(S, a, r, S')`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One owned experience tuple `(S, a, r, S')`, for [`crate::DdqnAgent::observe`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transition {
     /// State observed.
     pub state: Vec<f32>,
@@ -34,13 +32,13 @@ pub struct Transition {
     pub reward: f32,
     /// State after the action.
     pub next_state: Vec<f32>,
-    /// Whether the episode terminated (always `false` for the continuing
-    /// ECN-tuning task; kept for generality).
+    /// Whether the episode terminated: stored with discount 0, and with
+    /// the agent's γ otherwise.
     pub done: bool,
 }
 
 /// A stored transition, borrowed from its row of the ring.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TransitionRef<'a> {
     /// State observed.
     pub state: &'a [f32],
@@ -50,22 +48,8 @@ pub struct TransitionRef<'a> {
     pub reward: f32,
     /// State after the action.
     pub next_state: &'a [f32],
-    /// Whether the episode terminated.
-    pub done: bool,
-}
-
-/// Prints exactly as the [`Transition`] it views, so a dump of a replay
-/// reads the same whether it holds owned or borrowed transitions.
-impl fmt::Debug for TransitionRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Transition")
-            .field("state", &self.state)
-            .field("action", &self.action)
-            .field("reward", &self.reward)
-            .field("next_state", &self.next_state)
-            .field("done", &self.done)
-            .finish()
-    }
+    /// Factor of the TD target's bootstrap term; 0 leaves the reward alone.
+    pub discount: f32,
 }
 
 /// Slots per block of the ring. Storage grows one block at a time, up to
@@ -74,17 +58,17 @@ impl fmt::Debug for TransitionRef<'_> {
 /// carries at most one block of slack.
 const BLOCK_ROWS: usize = 256;
 
-/// Floats a row holds besides its two states: reward, action, done.
+/// Floats a row holds besides its two states: reward, action, discount.
 const META: usize = 3;
 
 /// A bounded ring of transitions, sampled uniformly or by reward priority.
 ///
 /// Slot `i` is row `i % 256` of block `i / 256`, one flat `f32` array per
-/// block: `state ‖ next_state ‖ reward, action, done` per row, rows back to
-/// back. A row never straddles two blocks, so a stored transition reads
-/// back as two contiguous slices. The first push fixes both widths; each
-/// block is allocated whole when the ring first reaches it (the last one
-/// cut to the capacity).
+/// block: `state ‖ next_state ‖ reward, action, discount` per row, rows
+/// back to back. A row never straddles two blocks, so a stored transition
+/// reads back as two contiguous slices. The first push fixes both widths;
+/// each block is allocated whole when the ring first reaches it (the last
+/// one cut to the capacity).
 #[derive(Clone, Debug)]
 pub struct ReplayBuffer {
     cap: usize,
@@ -119,7 +103,7 @@ impl ReplayBuffer {
     pub fn prioritized(cap: usize) -> Self {
         ReplayBuffer {
             prio: Some(Priorities {
-                tree: SumTree::new(cap),
+                tree: SumTree::default(),
                 r_min: f64::INFINITY,
                 r_max: f64::NEG_INFINITY,
             }),
@@ -137,11 +121,6 @@ impl ReplayBuffer {
         self.len == 0
     }
 
-    /// Insert, overwriting the oldest entry once full.
-    pub fn push(&mut self, t: Transition) {
-        self.push_row(&t.state, t.action, t.reward, &t.next_state, t.done);
-    }
-
     /// Insert one transition as a row, overwriting the oldest entry once
     /// full. The first push fixes the widths of `state` and `next_state`;
     /// every later one must match them.
@@ -151,7 +130,7 @@ impl ReplayBuffer {
         action: usize,
         reward: f32,
         next_state: &[f32],
-        done: bool,
+        discount: f32,
     ) {
         if self.len == 0 {
             self.state_dim = state.len();
@@ -182,7 +161,7 @@ impl ReplayBuffer {
         let (s2, meta) = rest.split_at_mut(next_state.len());
         s.copy_from_slice(state);
         s2.copy_from_slice(next_state);
-        meta.copy_from_slice(&[reward, action as f32, done as u8 as f32]);
+        meta.copy_from_slice(&[reward, action as f32, discount]);
         self.len = self.cap.min(self.len + 1);
         self.next = (slot + 1) % self.cap;
     }
@@ -224,7 +203,7 @@ impl ReplayBuffer {
             action: meta[1] as usize,
             reward: meta[0],
             next_state,
-            done: meta[2] != 0.0,
+            discount: meta[2],
         }
     }
 
@@ -236,7 +215,7 @@ impl ReplayBuffer {
         }
         for _ in 0..n {
             let t = self.get(self.draw(rng));
-            other.push_row(t.state, t.action, t.reward, t.next_state, t.done);
+            other.push_row(t.state, t.action, t.reward, t.next_state, t.discount);
         }
     }
 
@@ -271,10 +250,13 @@ impl Priorities {
     }
 }
 
-/// A fixed-capacity sum-tree over `cap` leaves.
-#[derive(Clone, Debug)]
+/// A sum-tree whose leaves double when a write first reaches past them.
+/// The old tree becomes the new root's left subtree beside a zero right
+/// half, so `total` keeps its bits and `find` (target < total) goes left,
+/// then retraces its old path: every draw is a full-size tree's.
+#[derive(Clone, Debug, Default)]
 struct SumTree {
-    /// Number of leaves (power of two >= requested capacity).
+    /// Number of leaves: 0 before the first write, then a power of two.
     leaves: usize,
     /// Heap-layout tree: `tree[1]` is the root; leaf `i` lives at
     /// `leaves + i`.
@@ -282,21 +264,30 @@ struct SumTree {
 }
 
 impl SumTree {
-    fn new(cap: usize) -> Self {
-        let leaves = cap.next_power_of_two().max(2);
-        SumTree {
-            leaves,
-            tree: vec![0.0; 2 * leaves],
-        }
-    }
-
     fn total(&self) -> f64 {
         self.tree[1]
     }
 
+    /// Double the leaves: level `d` of the old tree (nodes `2^d..2^(d+1)`)
+    /// becomes the left half of level `d + 1`.
+    fn grow(&mut self) {
+        let old = self.leaves;
+        self.leaves = (2 * old).max(2);
+        let mut tree = vec![0.0; 2 * self.leaves];
+        let mut width = 1;
+        while width <= old {
+            tree[2 * width..3 * width].copy_from_slice(&self.tree[width..2 * width]);
+            width *= 2;
+        }
+        tree[1] = tree[2];
+        self.tree = tree;
+    }
+
     fn set(&mut self, leaf: usize, value: f64) {
-        debug_assert!(leaf < self.leaves);
         debug_assert!(value >= 0.0 && value.is_finite());
+        while leaf >= self.leaves {
+            self.grow();
+        }
         let mut i = self.leaves + leaf;
         self.tree[i] = value;
         while i > 1 {
@@ -327,14 +318,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn tr(r: f32) -> Transition {
-        Transition {
-            state: vec![r],
-            action: 0,
-            reward: r,
-            next_state: vec![r + 1.0],
-            done: false,
-        }
+    /// Push a one-float row with reward `r`, action 0 and discount 0.5.
+    fn push(b: &mut ReplayBuffer, r: f32) {
+        b.push_row(&[r], 0, r, &[r + 1.0], 0.5);
+    }
+
+    /// Push a row 3 + 2 floats wide.
+    fn push_wide(b: &mut ReplayBuffer) {
+        b.push_row(&[0.0; 3], 0, 0.0, &[0.0; 2], 0.5);
     }
 
     /// `n` draws from `b`, as the transitions they pick.
@@ -349,7 +340,7 @@ mod tests {
         for mut b in [ReplayBuffer::new(3), ReplayBuffer::prioritized(3)] {
             assert!(b.is_empty());
             for i in 0..5 {
-                b.push(tr(i as f32));
+                push(&mut b, i as f32);
             }
             assert_eq!(b.len(), 3);
             // Entries 0,1 were overwritten by 3,4.
@@ -368,7 +359,7 @@ mod tests {
         assert_eq!(b.blocks.capacity(), 0);
         let mut first = None;
         for i in 0..3 * cap {
-            b.push(tr(i as f32));
+            push(&mut b, i as f32);
             let rows = b.blocks[0].as_ptr();
             assert_eq!(*first.get_or_insert(rows), rows, "block 0 moved");
         }
@@ -376,50 +367,35 @@ mod tests {
         assert_eq!(rows, [BLOCK_ROWS, BLOCK_ROWS, 10]);
     }
 
-    /// A stored transition reads back as the one pushed, and prints as it.
+    /// A stored transition reads back as the one pushed.
     #[test]
     fn rows_read_back_as_pushed() {
         let mut b = ReplayBuffer::prioritized(4);
-        let t = Transition {
-            state: vec![1.0, 2.0, 3.0],
+        push_wide(&mut b);
+        b.push_row(&[1.0, 2.0, 3.0], 7, -0.5, &[4.0, 5.0], 0.125);
+        let want = TransitionRef {
+            state: &[1.0, 2.0, 3.0],
             action: 7,
             reward: -0.5,
-            next_state: vec![4.0, 5.0],
-            done: true,
+            next_state: &[4.0, 5.0],
+            discount: 0.125,
         };
-        b.push(tr_wide(0.0));
-        b.push(t.clone());
-        let got = b.get(1);
-        assert_eq!(
-            (got.state, got.action, got.reward, got.next_state, got.done),
-            (&t.state[..], t.action, t.reward, &t.next_state[..], t.done)
-        );
-        assert_eq!(format!("{got:?}"), format!("{t:?}"));
+        assert_eq!(b.get(1), want);
     }
 
     #[test]
     #[should_panic(expected = "replay rows are 3 + 2 wide")]
     fn a_row_of_another_width_panics() {
         let mut b = ReplayBuffer::new(4);
-        b.push(tr_wide(0.0));
-        b.push(tr(1.0));
-    }
-
-    fn tr_wide(r: f32) -> Transition {
-        Transition {
-            state: vec![r; 3],
-            action: 0,
-            reward: r,
-            next_state: vec![r; 2],
-            done: false,
-        }
+        push_wide(&mut b);
+        push(&mut b, 1.0);
     }
 
     #[test]
     fn sampling_is_uniformish() {
         let mut b = ReplayBuffer::new(10);
         for i in 0..10 {
-            b.push(tr(i as f32));
+            push(&mut b, i as f32);
         }
         let mut rng = SmallRng::seed_from_u64(1);
         let mut counts = [0usize; 10];
@@ -433,7 +409,7 @@ mod tests {
 
     #[test]
     fn sum_tree_prefix_search() {
-        let mut t = SumTree::new(4);
+        let mut t = SumTree::default();
         t.set(0, 1.0);
         t.set(1, 2.0);
         t.set(2, 3.0);
@@ -450,9 +426,9 @@ mod tests {
         let mut p = ReplayBuffer::prioritized(64);
         // 63 zero-reward transitions, one with reward 1.
         for _ in 0..63 {
-            p.push(tr(0.0));
+            push(&mut p, 0.0);
         }
-        p.push(tr(1.0));
+        push(&mut p, 1.0);
         let mut rng = SmallRng::seed_from_u64(3);
         let hot = sample(&p, &mut rng, 10_000)
             .iter()
@@ -467,9 +443,7 @@ mod tests {
     fn prioritized_is_uniform_when_rewards_equal() {
         let mut p = ReplayBuffer::prioritized(8);
         for i in 0..8 {
-            let mut t = tr(0.5);
-            t.action = i;
-            p.push(t);
+            p.push_row(&[0.5], i, 0.5, &[1.5], 0.5);
         }
         let mut rng = SmallRng::seed_from_u64(5);
         let mut counts = [0usize; 8];
@@ -486,9 +460,9 @@ mod tests {
     #[test]
     fn nan_reward_gets_the_floor_priority() {
         let mut p = ReplayBuffer::prioritized(4);
-        p.push(tr(0.0));
-        p.push(tr(1.0));
-        p.push(tr(f32::NAN));
+        push(&mut p, 0.0);
+        push(&mut p, 1.0);
+        push(&mut p, f32::NAN);
         let prio = p.prio.as_ref().expect("a prioritized buffer");
         assert_eq!((prio.r_min, prio.r_max), (0.0, 1.0));
         assert_eq!(
@@ -504,7 +478,7 @@ mod tests {
     fn exchange_draws_like_sampling() {
         for mut local in [ReplayBuffer::new(32), ReplayBuffer::prioritized(32)] {
             for i in 0..16 {
-                local.push(tr(i as f32 * 0.25));
+                push(&mut local, i as f32 * 0.25);
             }
             let mut r1 = SmallRng::seed_from_u64(9);
             let mut r2 = SmallRng::seed_from_u64(9);

@@ -292,7 +292,7 @@ struct Shared {
     /// Helpers sleep here for a job.
     work: Condvar,
     /// Joins sleep here for a running job.
-    done: Condvar,
+    ended: Condvar,
 }
 
 impl Shared {
@@ -310,7 +310,7 @@ fn helper_loop(shared: &Shared, k: usize) {
             let outcome = run(job, Worker::Helper(k));
             st = shared.lock();
             st.finish(i, outcome);
-            shared.done.notify_all();
+            shared.ended.notify_all();
         } else {
             st.idle_helpers += 1;
             st = shared.work.wait(st).expect(NEVER_POISONED);
@@ -366,7 +366,7 @@ impl Trainer {
                     shutdown: false,
                 }),
                 work: Condvar::new(),
-                done: Condvar::new(),
+                ended: Condvar::new(),
             }),
             budget,
         })
@@ -538,10 +538,10 @@ impl Seat {
                         let outcome = run(job, Worker::Engine);
                         st = shared.lock();
                         st.finish(j, outcome);
-                        shared.done.notify_all();
+                        shared.ended.notify_all();
                     } else {
                         blocked_since.get_or_insert_with(Instant::now);
-                        st = shared.done.wait(st).expect(NEVER_POISONED);
+                        st = shared.ended.wait(st).expect(NEVER_POISONED);
                     }
                 }
                 // The agent is neither home nor in a job: a panic took it.

@@ -87,7 +87,7 @@ fn steady_state(prioritized: bool) {
     // target syncs) and a batched selection.
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..20 {
-        agent.observe_row(&s, i % 20, 0.25, &s2, false);
+        agent.observe_row(&s, i % 20, 0.25, &s2, 0.5);
         agent.replay.exchange_into(&mut global, &mut rng, 64);
         global.exchange_into(&mut agent.replay, &mut rng, 64);
         let loss = agent.train_step();

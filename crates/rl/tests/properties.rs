@@ -5,14 +5,25 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rl::{ReplayBuffer, Transition};
+use rl::ReplayBuffer;
+
+/// One owned row of the reference model.
+#[derive(Clone)]
+struct Row {
+    state: Vec<f32>,
+    action: usize,
+    reward: f32,
+    next_state: Vec<f32>,
+    discount: f32,
+}
 
 /// The replay as it was stored before the flat ring, kept here as the
-/// reference: a `Vec<Transition>` ring that clones in and out, with the
-/// reward-priority sum-tree in the same heap layout and the same draws.
+/// reference: a `Vec` ring of owned rows that clones in and out, with the
+/// reward-priority sum-tree in the same heap layout and the same draws,
+/// sized for the whole capacity up front.
 struct VecReplay {
     cap: usize,
-    buf: Vec<Transition>,
+    buf: Vec<Row>,
     next: usize,
     /// `(tree, r_min, r_max)` when prioritised; leaf `i` of the tree is at
     /// `tree.len() / 2 + i`.
@@ -30,7 +41,7 @@ impl VecReplay {
         }
     }
 
-    fn push(&mut self, t: Transition) {
+    fn push(&mut self, t: Row) {
         let slot = self.next;
         if let Some((tree, r_min, r_max)) = &mut self.prio {
             let r = t.reward as f64;
@@ -91,8 +102,8 @@ fn assert_same_rows(ring: &ReplayBuffer, model: &VecReplay) {
         assert_eq!(bits(got.state), bits(&want.state), "slot {}", i);
         assert_eq!(bits(got.next_state), bits(&want.next_state), "slot {}", i);
         assert_eq!(
-            (got.action, got.reward.to_bits(), got.done),
-            (want.action, want.reward.to_bits(), want.done),
+            (got.action, got.reward.to_bits(), got.discount.to_bits()),
+            (want.action, want.reward.to_bits(), want.discount.to_bits()),
             "slot {}",
             i
         );
@@ -105,13 +116,7 @@ proptest! {
     fn replay_ring_bounded(cap in 1usize..64, n in 0usize..300) {
         let mut b = ReplayBuffer::new(cap);
         for i in 0..n {
-            b.push(Transition {
-                state: vec![i as f32],
-                action: 0,
-                reward: i as f32,
-                next_state: vec![],
-                done: false,
-            });
+            b.push_row(&[i as f32], 0, i as f32, &[], 0.5);
         }
         prop_assert!(b.len() <= cap);
         prop_assert_eq!(b.len(), n.min(cap));
@@ -123,18 +128,21 @@ proptest! {
         }
     }
 
-    /// Differential test of the flat ring against the `Vec<Transition>`
-    /// model above: random pushes (wrapping the ring many times over),
-    /// samples and exchanges in both directions with a uniform global
-    /// memory, local sampling uniform or prioritised. Every sample draws the
-    /// same indices from the same RNG stream, and after every operation
-    /// both memories hold bit-identical rows slot by slot.
+    /// Differential test of the flat ring against the `Vec` model above:
+    /// random pushes (wrapping the ring many times over), samples and
+    /// exchanges in both directions with a uniform global memory, local
+    /// sampling uniform or prioritised (the ring's sum-tree growing as it
+    /// fills, the model's sized up front). Rows carry random discounts in
+    /// `[0, 1)`, and every 13th a discount of exactly 0. Every sample
+    /// draws the same indices from the same RNG stream, and after every
+    /// operation both memories hold bit-identical rows slot by slot.
     #[test]
     fn replay_ring_matches_vec_model(
         cap in 1usize..48,
         prioritized in any::<bool>(),
         seed in any::<u64>(),
         ops in prop::collection::vec((0u8..5, 1usize..40, any::<u32>()), 1..60),
+        discounts in prop::collection::vec(0.0f32..1.0, 1..8),
     ) {
         let mut ring = if prioritized {
             ReplayBuffer::prioritized(cap)
@@ -153,14 +161,17 @@ proptest! {
                 0 | 1 => {
                     for k in 0..n as u32 {
                         let v = x.wrapping_add(k.wrapping_mul(0x9E37_79B9));
-                        let t = Transition {
+                        let t = Row {
                             state: (0..3).map(|d| (v >> (8 * d)) as u8 as f32 * 0.01).collect(),
                             action: (v % 20) as usize,
                             reward: ((v >> 5) % 7) as f32 * 0.25 - 0.75,
                             next_state: (0..3).map(|d| (v >> (4 * d)) as u8 as f32 * -0.02).collect(),
-                            done: v % 13 == 0,
+                            discount: match v % 13 {
+                                0 => 0.0,
+                                _ => discounts[v as usize % discounts.len()],
+                            },
                         };
-                        ring.push(t.clone());
+                        ring.push_row(&t.state, t.action, t.reward, &t.next_state, t.discount);
                         model.push(t);
                     }
                 }

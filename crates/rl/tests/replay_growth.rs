@@ -1,7 +1,9 @@
 //! How the replay ring grows: filling it allocates the rows it holds plus
 //! at most one block of slack and the table of block handles, and never
 //! re-copies a row — the only allocation ever resized is that table, a
-//! pointer and a length per block.
+//! pointer and a length per block. A prioritised ring adds its sum-tree,
+//! which doubles with the rows held rather than being sized for the
+//! capacity.
 //!
 //! An integration test because the `rl` lib forbids unsafe code and a
 //! counting `GlobalAlloc` needs it; the file holds exactly one `#[test]` so
@@ -47,7 +49,7 @@ fn filling_a_ring_allocates_its_rows_and_one_block_at_most() {
     // ACC-shaped rows (12 + 12 floats) in a ring of the default capacity.
     let cap: usize = 10_000;
     let (state, next) = ([0.25f32; 12], [0.5f32; 12]);
-    // A row: its two states, reward, action and done flag.
+    // A row: its two states, reward, action and discount.
     let row_bytes = (state.len() + next.len() + 3) as u64 * 4;
     // The block table, grown by doubling: a handle per block at most twice
     // over, plus the smaller tables it outgrew.
@@ -55,28 +57,39 @@ fn filling_a_ring_allocates_its_rows_and_one_block_at_most() {
     let table_bytes = 4 * handle * cap.div_ceil(BLOCK) as u64;
     for prioritized in [false, true] {
         for n in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3_000, cap, 2 * cap + 7] {
+            let b0 = BYTES.load(Ordering::Relaxed);
+            MAX_REALLOC.store(0, Ordering::Relaxed);
             let mut ring = if prioritized {
                 ReplayBuffer::prioritized(cap)
             } else {
                 ReplayBuffer::new(cap)
             };
-            let b0 = BYTES.load(Ordering::Relaxed);
-            MAX_REALLOC.store(0, Ordering::Relaxed);
             for i in 0..n {
-                ring.push_row(&state, i % 20, i as f32, &next, false);
+                ring.push_row(&state, i % 20, i as f32, &next, 0.5);
             }
             let bytes = BYTES.load(Ordering::Relaxed) - b0;
             let held = n.min(cap) as u64;
+            // The sum-tree holds two `f64`s per leaf, its leaves the next
+            // power of two above the rows held; every smaller tree it
+            // outgrew adds up to less than that once more.
+            let leaves = held.next_power_of_two().max(2);
+            let (tree_min, tree_max) = match prioritized {
+                true => (16 * leaves, 32 * leaves),
+                false => (0, 0),
+            };
             let resized = MAX_REALLOC.load(Ordering::Relaxed);
             assert!(
                 resized <= 2 * handle * cap.div_ceil(BLOCK) as u64,
                 "{n} rows: a {resized}-byte reallocation is not the block table"
             );
             assert!(
-                bytes <= (held + BLOCK as u64) * row_bytes + table_bytes,
+                bytes <= (held + BLOCK as u64) * row_bytes + table_bytes + tree_max,
                 "{n} rows (prioritized: {prioritized}) took {bytes} bytes"
             );
-            assert!(bytes >= held * row_bytes, "{n} rows: fewer bytes than rows");
+            assert!(
+                bytes >= held * row_bytes + tree_min,
+                "{n} rows: fewer bytes than rows"
+            );
             assert_eq!(ring.len(), n.min(cap));
         }
     }
