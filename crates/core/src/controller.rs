@@ -433,7 +433,12 @@ impl AccController {
                 agent.observe_row(ps, pa, r, state, gamma);
             }
         }
-        let replay_len = agent.replay.len();
+        // H-ACC's rows go to the central trainer's replay: its length, not
+        // the local agent's (which never stores a row).
+        let replay_len = match &self.central {
+            Some(central) => central.replay_len(),
+            None => agent.replay.len(),
+        };
         drop(seat);
 
         // Defer the ε-greedy selection to the end-of-tick batched pass.

@@ -122,6 +122,12 @@ impl CentralLink {
         self.trainer.borrow().train_steps()
     }
 
+    /// Rows in the trainer's replay: where the local model's experience
+    /// goes.
+    pub(crate) fn replay_len(&self) -> usize {
+        self.trainer.borrow().agent.replay.len()
+    }
+
     /// The end of tick `tick`'s select + apply: train on the rows the tick
     /// stored, then, every `sync_ticks` ticks, pull the published model
     /// down into `local`.
@@ -231,8 +237,8 @@ mod tests {
         sim
     }
 
-    /// The agent samples of a recorded H-ACC run, one JSON line each.
-    fn recorded_hybrid_run() -> Vec<String> {
+    /// The agent samples of a recorded H-ACC run.
+    fn recorded_hybrid_samples() -> Vec<telemetry::AgentSample> {
         let mut sim = testbed_with_incast();
         let _trainer = install_hybrid(&mut sim, &small_cfg(), &ActionSpace::templates(), 10);
         let sink = Rc::new(RefCell::new(telemetry::VecSink::new()));
@@ -252,9 +258,41 @@ mod tests {
         let last = agents.last().unwrap();
         assert!(last.train_steps > 0, "records carry the trainer's steps");
         agents
+    }
+
+    /// The agent samples of a recorded H-ACC run, one JSON line each.
+    fn recorded_hybrid_run() -> Vec<String> {
+        recorded_hybrid_samples()
             .iter()
             .map(|a| serde_json::to_string(a).unwrap())
             .collect()
+    }
+
+    /// An H-ACC decision records the replay its experience goes to — the
+    /// central trainer's, which fills while the trainer trains — not the
+    /// local agent's, which never stores a row.
+    #[test]
+    fn hybrid_records_the_trainers_replay_len() {
+        let agents = recorded_hybrid_samples();
+        let min_replay = small_cfg().ddqn.min_replay;
+        for w in agents.windows(2) {
+            assert!(
+                w[0].replay_len <= w[1].replay_len,
+                "the replay never shrinks"
+            );
+        }
+        for a in &agents {
+            if a.train_steps > 0 {
+                assert!(
+                    a.replay_len >= min_replay,
+                    "{} steps on {} rows",
+                    a.train_steps,
+                    a.replay_len
+                );
+            }
+        }
+        let (first, last) = (&agents[0], agents.last().unwrap());
+        assert!(last.replay_len > first.replay_len && last.train_steps > first.train_steps);
     }
 
     #[test]

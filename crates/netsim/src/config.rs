@@ -1,7 +1,7 @@
 //! Simulation-wide and per-port configuration.
 
 use crate::ids::DEFAULT_NUM_PRIOS;
-use crate::queues::EcnConfig;
+use crate::queues::{EcnConfig, MAX_PRIOS};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +77,11 @@ impl PortConfig {
 
     fn validate(&self) {
         assert!(self.num_prios > 0, "at least one traffic class required");
+        assert!(
+            self.num_prios <= MAX_PRIOS,
+            "at most 8 traffic classes (PFC bitmask), got {}",
+            self.num_prios
+        );
         assert_eq!(self.weights.len(), self.num_prios);
         assert_eq!(self.ecn.len(), self.num_prios);
         assert_eq!(self.max_queue_bytes.len(), self.num_prios);
@@ -174,6 +179,15 @@ mod tests {
     fn zero_mtu_rejected() {
         let mut c = SimConfig::default();
         c.mtu_payload = 0;
+        c.validate();
+    }
+
+    /// A ninth class would have no bit of its own in the `u8` PFC masks.
+    #[test]
+    #[should_panic(expected = "at most 8 traffic classes (PFC bitmask), got 9")]
+    fn nine_classes_rejected() {
+        let mut c = SimConfig::default();
+        c.port = PortConfig::plain(9);
         c.validate();
     }
 

@@ -107,42 +107,64 @@ pub struct QueueTelemetry {
     pub max_qlen_bytes: u64,
 }
 
-/// Maximum traffic classes per port (PFC pause state is a `u8` bitmask
-/// throughout the engine).
+/// Maximum traffic classes per port: PFC pause state is a `u8` bitmask
+/// throughout the engine, one bit per class
+/// ([`crate::config::SimConfig::validate`] checks it). Nothing is sized by
+/// it: a port holds the classes it has.
 pub const MAX_PRIOS: usize = 8;
 
-/// Cache-line-aligned telemetry block for all traffic classes of one port:
-/// one [`QueueTelemetry`] per class, side by side.
-///
-/// * **No false sharing between shard threads.** Each port belongs to
-///   exactly one shard; `#[repr(align(64))]` keeps every port's counters on
-///   cache lines no other port (hence no other thread) writes.
-/// * **One class, two lines.** Everything an enqueue and a dequeue bump for
-///   a class sits in that class's 80 bytes, so a packet hop dirties at most
-///   two lines of the block — with one array per counter it was one line
-///   per counter touched.
+/// Where an [`EgressQueue`] bumps its counters: the [`QueueTelemetry`] of
+/// its own class. A simulation core keeps that record in the queue's class
+/// row and hands it over directly; a [`PortTelemetry`] picks it by the
+/// queue's class.
+pub trait ClassCounters {
+    /// The counters of class `prio`.
+    fn class_mut(&mut self, prio: usize) -> &mut QueueTelemetry;
+}
+
+impl ClassCounters for QueueTelemetry {
+    #[inline]
+    fn class_mut(&mut self, _prio: usize) -> &mut QueueTelemetry {
+        self
+    }
+}
+
+/// The counters of every class of one port, for code that drives
+/// [`EgressQueue`]s outside a simulation core (a core keeps each class's
+/// [`QueueTelemetry`] in that class's row). A class gets its record the
+/// first time one of its queues counts something; until then it reads
+/// all-zero.
 ///
 /// [`PortTelemetry::queue`] returns the per-queue [`QueueTelemetry`] view,
 /// which is the interchange type everywhere outside the packet path.
-#[repr(align(64))]
 #[derive(Clone, Debug, Default)]
 pub struct PortTelemetry {
-    classes: [QueueTelemetry; MAX_PRIOS],
+    classes: Vec<QueueTelemetry>,
 }
 
 impl PortTelemetry {
-    /// Fresh all-zero block.
+    /// No class counted yet.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The per-queue view of class `prio`.
     pub fn queue(&self, prio: usize) -> QueueTelemetry {
-        self.classes[prio]
+        self.classes.get(prio).copied().unwrap_or_default()
     }
 }
 
-/// One entry waiting in an egress queue.
+impl ClassCounters for PortTelemetry {
+    fn class_mut(&mut self, prio: usize) -> &mut QueueTelemetry {
+        if prio >= self.classes.len() {
+            self.classes.resize(prio + 1, QueueTelemetry::default());
+        }
+        &mut self.classes[prio]
+    }
+}
+
+/// One entry waiting in an egress queue: what [`EgressQueue::pop`] and
+/// [`EgressQueue::flush_into`] hand back.
 #[derive(Clone, Copy, Debug)]
 pub struct QItem {
     /// The packet.
@@ -155,11 +177,15 @@ pub struct QItem {
 /// Sentinel slot index: "no slot".
 const NIL: u32 = u32::MAX;
 
-/// One arena slot: a queued item plus the intrusive link to the next item
-/// of the same FIFO (or the next free slot while on the freelist).
+/// One arena slot: a queued packet, the ingress port it was charged to, and
+/// the intrusive link to the next item of the same FIFO (or the next free
+/// slot while on the freelist). The three fields fill 48 bytes with no
+/// padding — a whole [`QItem`] plus the link would pad to 56 — and the
+/// `QItem` is rebuilt from them when the packet leaves.
 #[derive(Clone, Copy, Debug)]
-struct ArenaSlot {
-    item: QItem,
+pub(crate) struct ArenaSlot {
+    pkt: Packet,
+    ingress: Option<PortId>,
     next: u32,
 }
 
@@ -207,17 +233,21 @@ impl QueueArena {
     }
 
     fn alloc(&mut self, item: QItem) -> u32 {
+        let slot = ArenaSlot {
+            pkt: item.pkt,
+            ingress: item.ingress,
+            next: NIL,
+        };
         if self.free_head != NIL {
             let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next;
-            slot.item = item;
-            slot.next = NIL;
+            let free = &mut self.slots[idx as usize];
+            self.free_head = free.next;
+            *free = slot;
             idx
         } else {
             let idx = self.slots.len() as u32;
             assert!(idx != NIL, "queue arena exhausted u32 slot space");
-            self.slots.push(ArenaSlot { item, next: NIL });
+            self.slots.push(slot);
             idx
         }
     }
@@ -231,9 +261,16 @@ impl QueueArena {
 /// A single egress FIFO for one traffic class of one port.
 ///
 /// Packet storage lives in the core's shared [`QueueArena`] and cumulative
-/// counters live in the port's [`PortTelemetry`] block; the queue only
-/// holds the intrusive list's head/tail indices and its class index, so
-/// every mutating method takes the arena and telemetry block explicitly.
+/// counters in a [`QueueTelemetry`] next to the queue (see
+/// [`ClassCounters`]); the queue only holds the intrusive list's head/tail
+/// indices and its class index, so every mutating method takes the arena
+/// and the counters explicitly.
+///
+/// `repr(C)`: the list scalars, depth, bound and clock fill the first 40
+/// bytes and the marking configuration comes last, so a class row that
+/// puts its ingress counter and scheduler state in front keeps all three on
+/// one cache line.
+#[repr(C)]
 #[derive(Debug)]
 pub struct EgressQueue {
     /// Arena index of the head item (`NIL` = empty).
@@ -242,31 +279,30 @@ pub struct EgressQueue {
     tail: u32,
     /// Number of queued packets.
     count: u32,
-    /// This queue's class index into the port's [`PortTelemetry`].
+    /// This queue's class: what a [`PortTelemetry`] picks its record by.
     prio: u8,
     /// Current depth in bytes.
     bytes: u64,
     /// Drop-tail bound in bytes.
     pub max_bytes: u64,
+    last_update: SimTime,
     /// Active marking configuration (`None` = no marking).
     pub ecn: Option<EcnConfig>,
-    last_update: SimTime,
 }
 
 impl EgressQueue {
     /// New empty queue for class `prio` with the given drop-tail bound and
     /// marking config.
     pub fn new(prio: usize, max_bytes: u64, ecn: Option<EcnConfig>) -> Self {
-        assert!(prio < MAX_PRIOS, "at most {MAX_PRIOS} traffic classes");
         EgressQueue {
             head: NIL,
             tail: NIL,
             count: 0,
-            prio: prio as u8,
+            prio: u8::try_from(prio).expect("class index fits a u8"),
             bytes: 0,
             max_bytes,
-            ecn,
             last_update: SimTime::ZERO,
+            ecn,
         }
     }
 
@@ -294,13 +330,13 @@ impl EgressQueue {
         if self.head == NIL {
             None
         } else {
-            Some(arena.slots[self.head as usize].item.pkt.size)
+            Some(arena.slots[self.head as usize].pkt.size)
         }
     }
 
-    fn advance_clock(&mut self, telem: &mut PortTelemetry, now: SimTime) {
+    fn advance_clock(&mut self, telem: &mut impl ClassCounters, now: SimTime) {
         let dt = now.saturating_sub(self.last_update);
-        telem.classes[self.prio as usize].qlen_integral_byte_ps +=
+        telem.class_mut(self.prio as usize).qlen_integral_byte_ps +=
             self.bytes as u128 * dt.as_ps() as u128;
         self.last_update = now;
     }
@@ -322,13 +358,13 @@ impl EgressQueue {
     pub fn push(
         &mut self,
         arena: &mut QueueArena,
-        telem: &mut PortTelemetry,
+        telem: &mut impl ClassCounters,
         item: QItem,
         now: SimTime,
     ) {
         self.advance_clock(telem, now);
         self.bytes += item.pkt.size as u64;
-        let t = &mut telem.classes[self.prio as usize];
+        let t = telem.class_mut(self.prio as usize);
         t.enq_pkts += 1;
         t.max_qlen_bytes = t.max_qlen_bytes.max(self.bytes);
         let idx = arena.alloc(item);
@@ -342,15 +378,15 @@ impl EgressQueue {
     }
 
     /// Record a drop at this queue.
-    pub fn record_drop(&self, telem: &mut PortTelemetry) {
-        telem.classes[self.prio as usize].drops += 1;
+    pub fn record_drop(&self, telem: &mut impl ClassCounters) {
+        telem.class_mut(self.prio as usize).drops += 1;
     }
 
     /// Dequeue the head packet into the serializer, updating tx counters.
     pub fn pop(
         &mut self,
         arena: &mut QueueArena,
-        telem: &mut PortTelemetry,
+        telem: &mut impl ClassCounters,
         now: SimTime,
     ) -> Option<QItem> {
         self.advance_clock(telem, now);
@@ -365,10 +401,13 @@ impl EgressQueue {
         }
         arena.free(idx);
         self.count -= 1;
-        let item = slot.item;
+        let item = QItem {
+            pkt: slot.pkt,
+            ingress: slot.ingress,
+        };
         let sz = item.pkt.size as u64;
         self.bytes -= sz;
-        let t = &mut telem.classes[self.prio as usize];
+        let t = telem.class_mut(self.prio as usize);
         t.tx_bytes += sz;
         t.tx_pkts += 1;
         if item.pkt.ecn == crate::packet::Ecn::Ce {
@@ -379,7 +418,7 @@ impl EgressQueue {
     }
 
     /// Bring the time-integral up to `now` (call before reading telemetry).
-    pub fn sync_clock(&mut self, telem: &mut PortTelemetry, now: SimTime) {
+    pub fn sync_clock(&mut self, telem: &mut impl ClassCounters, now: SimTime) {
         self.advance_clock(telem, now);
     }
 
@@ -391,7 +430,7 @@ impl EgressQueue {
     pub fn flush_into(
         &mut self,
         arena: &mut QueueArena,
-        telem: &mut PortTelemetry,
+        telem: &mut impl ClassCounters,
         now: SimTime,
         out: &mut Vec<QItem>,
     ) {
@@ -400,7 +439,10 @@ impl EgressQueue {
         let mut idx = self.head;
         while idx != NIL {
             let slot = arena.slots[idx as usize];
-            out.push(slot.item);
+            out.push(QItem {
+                pkt: slot.pkt,
+                ingress: slot.ingress,
+            });
             arena.free(idx);
             idx = slot.next;
         }
@@ -408,7 +450,7 @@ impl EgressQueue {
         self.tail = NIL;
         self.count = 0;
         self.bytes = 0;
-        telem.classes[self.prio as usize].drops += out.len() as u64;
+        telem.class_mut(self.prio as usize).drops += out.len() as u64;
     }
 }
 
@@ -419,29 +461,132 @@ impl EgressQueue {
 /// bandwidth in proportion to their weights using the classic DRR algorithm
 /// with a per-visit quantum of `weight * QUANTUM_UNIT` bytes.
 ///
-/// The per-class state is inline (no heap), one 16-byte record per class, so
-/// a port's scheduler lives inside the port's own block and the classes in
-/// use share a cache line.
+/// This is the scheduler of a port driven outside a simulation core, with
+/// every class's state in its own vector. A core runs the same decision
+/// (`dwrr_pick`) over the state each class row holds, with the round
+/// pointer in the port's header.
 #[derive(Debug, Clone)]
 pub struct Dwrr {
-    /// Classes in use (`<= MAX_PRIOS`).
-    n: u8,
     /// The class the round-robin pointer rests on.
     ptr: u8,
-    classes: [DwrrClass; MAX_PRIOS],
+    classes: Vec<DwrrClass>,
 }
 
-/// Scheduling state of one class.
+/// Scheduling state of one class: 16 bytes, no pointer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct DwrrClass {
+pub(crate) struct DwrrClass {
     deficit: u64,
     weight: u32,
     /// Whether this visit's quantum has been added already.
     granted: bool,
 }
 
+impl DwrrClass {
+    /// A class of DWRR weight `weight` (0 = strict priority), no deficit.
+    pub(crate) fn new(weight: u32) -> Self {
+        DwrrClass {
+            weight,
+            ..Self::default()
+        }
+    }
+
+    /// Back to the just-constructed state, weight kept.
+    pub(crate) fn reset(&mut self) {
+        *self = DwrrClass::new(self.weight);
+    }
+}
+
+impl AsMut<DwrrClass> for DwrrClass {
+    fn as_mut(&mut self) -> &mut DwrrClass {
+        self
+    }
+}
+
 /// Bytes of quantum granted per unit of weight per DRR round.
 pub const QUANTUM_UNIT: u64 = 1600;
+
+/// Pick the class to transmit from next, over the scheduling state of a
+/// port's classes wherever it lives, and update that state assuming the
+/// head packet of the chosen class is then transmitted.
+///
+/// `nonempty` and `paused` are bitmasks over the classes (bit `i` = class
+/// `i` holds a packet / is PFC-paused) and `ptr` is the port's round
+/// pointer. `head_size(i, c)` is the on-wire size of class `i`'s head
+/// packet; it is asked only of a class that is non-empty and not paused,
+/// when the round reaches it.
+#[inline]
+pub(crate) fn dwrr_pick<C: AsMut<DwrrClass>>(
+    classes: &mut [C],
+    ptr: &mut u8,
+    nonempty: u8,
+    paused: u8,
+    head_size: impl Fn(usize, &C) -> u32,
+) -> Option<usize> {
+    let n = classes.len();
+    debug_assert!((1..=MAX_PRIOS).contains(&n));
+    // At most 8 classes (see `MAX_PRIOS`), so `1u8 << i` neither overflows
+    // nor aliases another class's bit.
+    let avail = nonempty & !paused;
+    let has = |mask: u8, i: usize| mask & (1u8 << i) != 0;
+
+    // Strict-priority classes first, highest index wins.
+    for i in (0..n).rev() {
+        if has(avail, i) && classes[i].as_mut().weight == 0 {
+            return Some(i);
+        }
+    }
+
+    // Fast path: no weighted class is servable (every queue is drained or
+    // paused). The scan below would spin the full `n * 64` bound — on every
+    // TxDone of a port with nothing left to send — before returning None.
+    // Because the bound is a multiple of `n`, its net state effect is
+    // exactly: drained classes lose their deficit, every grant clears, and
+    // `ptr` ends where it started. Apply that directly in O(n).
+    if !(0..n).any(|i| has(avail, i) && classes[i].as_mut().weight != 0) {
+        for (i, c) in classes.iter_mut().enumerate() {
+            let c = c.as_mut();
+            if !has(nonempty, i) {
+                c.deficit = 0;
+            }
+            c.granted = false;
+        }
+        return None;
+    }
+
+    // DRR over weighted classes. Scan at most enough rounds for the deficit
+    // of some available class to reach its head-packet size.
+    let mut at = *ptr as usize;
+    let mut picked = None;
+    // Generous bound; quantum>=1600 vs pkt<=~9KB.
+    for _ in 0..n * 64 {
+        let servable = has(avail, at) && classes[at].as_mut().weight != 0;
+        let sz = if servable {
+            head_size(at, &classes[at]) as u64
+        } else {
+            0
+        };
+        let c = classes[at].as_mut();
+        if servable {
+            if !c.granted {
+                c.deficit += c.weight as u64 * QUANTUM_UNIT;
+                c.granted = true;
+            }
+            if c.deficit >= sz {
+                c.deficit -= sz;
+                picked = Some(at);
+                break;
+            }
+            // Not enough deficit: move on, keep the accumulated deficit.
+        } else if !has(nonempty, at) {
+            // Queue drained: per DRR, its deficit resets.
+            c.deficit = 0;
+        }
+        c.granted = false;
+        at = (at + 1) % n;
+    }
+    *ptr = at as u8;
+    picked
+}
 
 impl Dwrr {
     /// Build a scheduler for the given per-class weights.
@@ -456,14 +601,9 @@ impl Dwrr {
             n <= MAX_PRIOS,
             "at most 8 traffic classes (PFC pause bitmask is u8), got {n}"
         );
-        let mut classes = [DwrrClass::default(); MAX_PRIOS];
-        for (c, weight) in classes.iter_mut().zip(weights) {
-            c.weight = weight;
-        }
         Dwrr {
-            n: n as u8,
             ptr: 0,
-            classes,
+            classes: weights.into_iter().map(DwrrClass::new).collect(),
         }
     }
 
@@ -475,10 +615,7 @@ impl Dwrr {
     /// Reset all scheduling state (deficits, grants, round pointer) to the
     /// just-constructed state — what a switch reboot does to its scheduler.
     pub fn reset(&mut self) {
-        for c in &mut self.classes {
-            c.deficit = 0;
-            c.granted = false;
-        }
+        self.classes.iter_mut().for_each(DwrrClass::reset);
         self.ptr = 0;
     }
 
@@ -489,64 +626,17 @@ impl Dwrr {
     /// and updates internal deficit state assuming the head packet of that
     /// class is then transmitted.
     pub fn pick(&mut self, heads: &[Option<u32>], paused: u8) -> Option<usize> {
-        let n = self.n as usize;
-        debug_assert_eq!(heads.len(), n);
-        let classes = &mut self.classes[..n];
-        // `new` rejects >8 classes, so `1u8 << i` cannot overflow or alias.
-        let avail = |i: usize| heads[i].is_some() && (paused & (1u8 << i)) == 0;
-
-        // Strict-priority classes first, highest index wins.
-        for i in (0..n).rev() {
-            if classes[i].weight == 0 && avail(i) {
-                return Some(i);
-            }
-        }
-
-        // Fast path: no weighted class is servable (every queue is drained
-        // or paused). The scan below would spin the full `n * 64` bound —
-        // on every TxDone of a port with nothing left to send — before
-        // returning None. Because the bound is a multiple of `n`, its net
-        // state effect is exactly: drained classes lose their deficit,
-        // every grant clears, and `ptr` ends where it started. Apply that
-        // directly in O(n).
-        if !(0..n).any(|i| classes[i].weight != 0 && avail(i)) {
-            for (c, head) in classes.iter_mut().zip(heads) {
-                if head.is_none() {
-                    c.deficit = 0;
-                }
-                c.granted = false;
-            }
-            return None;
-        }
-
-        // DRR over weighted classes. Scan at most enough rounds for the
-        // deficit of some available class to reach its head-packet size.
-        let mut ptr = self.ptr as usize;
-        let mut picked = None;
-        // Generous bound; quantum>=1600 vs pkt<=~9KB.
-        for _ in 0..n * 64 {
-            let c = &mut classes[ptr];
-            if c.weight != 0 && avail(ptr) {
-                let sz = heads[ptr].unwrap() as u64;
-                if !c.granted {
-                    c.deficit += c.weight as u64 * QUANTUM_UNIT;
-                    c.granted = true;
-                }
-                if c.deficit >= sz {
-                    c.deficit -= sz;
-                    picked = Some(ptr);
-                    break;
-                }
-                // Not enough deficit: move on, keep the accumulated deficit.
-            } else if heads[ptr].is_none() {
-                // Queue drained: per DRR, its deficit resets.
-                c.deficit = 0;
-            }
-            c.granted = false;
-            ptr = (ptr + 1) % n;
-        }
-        self.ptr = ptr as u8;
-        picked
+        debug_assert_eq!(heads.len(), self.classes.len());
+        let nonempty = (0..heads.len())
+            .filter(|&i| heads[i].is_some())
+            .fold(0u8, |m, i| m | 1 << i);
+        dwrr_pick(
+            &mut self.classes,
+            &mut self.ptr,
+            nonempty,
+            paused,
+            |i, _| heads[i].expect("a non-empty class has a head"),
+        )
     }
 }
 
@@ -653,21 +743,18 @@ mod tests {
         assert_eq!(pt.queue(0).tx_marked_bytes, 1000);
     }
 
-    /// The layout claims of "one contiguous block per port", pinned so a
-    /// later field does not silently undo them: the telemetry block starts
-    /// on a cache line and one class's counters span 80 bytes — at most two
-    /// lines, whichever class — the scheduler holds no pointer and its
-    /// first three classes (the default configuration) share a line with
-    /// the round pointer, and a queue is under a line and a half.
+    /// The layout claims of "a header and class rows per port", pinned so
+    /// a later field does not silently undo them: one class's counters
+    /// span 80 bytes, its scheduler state is 16 and holds no pointer, and a
+    /// queue is under a line and a half with its marking configuration
+    /// after the 40 bytes of list scalars, depth, bound and clock.
     #[test]
-    fn per_port_blocks_keep_their_layout() {
-        use std::mem::{align_of, size_of};
-        assert_eq!(align_of::<PortTelemetry>(), 64);
+    fn per_class_records_keep_their_layout() {
+        use std::mem::{offset_of, size_of};
         assert_eq!(size_of::<QueueTelemetry>(), 80);
-        assert_eq!(size_of::<PortTelemetry>(), MAX_PRIOS * 80);
         assert_eq!(size_of::<DwrrClass>(), 16);
-        assert_eq!(size_of::<Dwrr>(), 8 + MAX_PRIOS * 16);
         assert_eq!(size_of::<EgressQueue>(), 72);
+        assert_eq!(offset_of!(EgressQueue, ecn), 40);
     }
 
     /// Classes never alias: counters bumped through one queue land only in

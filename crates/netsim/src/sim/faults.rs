@@ -10,7 +10,7 @@ use crate::event::Event;
 use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
-use crate::queues::{QueueTelemetry, MAX_PRIOS};
+use crate::queues::QueueTelemetry;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -37,8 +37,9 @@ impl SimCore {
     fn clear_pfc_state(&mut self, node: NodeId, port: PortId) -> u8 {
         let now = self.now;
         let i = self.port_index(node, port);
-        for prio in 0..MAX_PRIOS {
-            if let Some(dur_ps) = self.ports[i].end_pause(prio, now) {
+        for prio in 0..self.classes.prios {
+            let row = &mut self.classes.of_mut(i)[prio];
+            if let Some(dur_ps) = self.ports[i].end_pause(row, prio, now) {
                 let what = Happening::PauseEnd { dur_ps };
                 self.probe(what, node, port, prio as Prio, FlowId(0), 0);
             }
@@ -249,12 +250,10 @@ impl SimCore {
         // freeze/restore cycle settles into zero allocations.
         let mut snap = std::mem::take(&mut self.telem_snap_pool);
         snap.clear();
-        let (range, num_prios) = (self.ports_of(node), self.cfg.port.num_prios);
-        for p in &mut self.ports[range] {
-            for (prio, q) in p.queues[..num_prios].iter_mut().enumerate() {
-                q.sync_clock(&mut p.telem, now);
-                snap.push((q.bytes(), p.telem.queue(prio)));
-            }
+        let range = self.ports_of(node);
+        for row in self.classes.of_ports_mut(range) {
+            row.queue.sync_clock(&mut row.telem, now);
+            snap.push((row.queue.bytes(), row.telem));
         }
         TelemFault::Frozen(snap)
     }
@@ -295,18 +294,19 @@ impl SimCore {
             let port = PortId(pi as u16);
             let sent = self.clear_pfc_state(node, port);
             let i = self.port_index(node, port);
-            for prio in 0..self.cfg.port.num_prios {
-                let ps = &mut self.ports[i];
-                ps.queues[prio].flush_into(&mut self.arena, &mut ps.telem, now, &mut items);
-                ps.queues[prio].ecn = self.cfg.port.ecn[prio];
+            for prio in 0..self.classes.prios {
+                let row = &mut self.classes.of_mut(i)[prio];
+                row.queue
+                    .flush_into(&mut self.arena, &mut row.telem, now, &mut items);
+                row.queue.ecn = self.cfg.port.ecn[prio];
+                row.sched.reset();
                 flushed += items.len() as u64;
                 for item in &items {
                     if let Some(buf) = self.nodes[node.idx()].buffer.as_mut() {
                         buf.release(item.pkt.size);
                     }
                     if let Some(ingress) = item.ingress {
-                        let ib =
-                            &mut self.port_mut(node, ingress).ingress_bytes[item.pkt.prio as usize];
+                        let ib = &mut self.class_mut(node, ingress, item.pkt.prio).ingress_bytes;
                         *ib = ib.saturating_sub(item.pkt.size as u64);
                     }
                 }
@@ -314,7 +314,7 @@ impl SimCore {
                     resumes.push((port, prio as Prio));
                 }
             }
-            self.ports[i].dwrr.reset();
+            self.ports[i].dwrr_ptr = 0;
         }
         self.total_drops += flushed;
         self.fault_drops += flushed;

@@ -29,7 +29,7 @@ mod sharding;
 pub(crate) use probe::{Happening, Probe};
 
 use crate::buffer::SharedBuffer;
-use crate::config::SimConfig;
+use crate::config::{PortConfig, SimConfig};
 use crate::control::{ControllerHost, QueueController, SwitchView, ViewBackend};
 use crate::driver::{HostCtx, NicDriver};
 use crate::event::{Event, EventQueue};
@@ -37,9 +37,7 @@ use crate::fault::{FaultLogEntry, TelemFault};
 use crate::ids::{FlowId, NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::profile::event_kind;
-use crate::queues::{
-    Dwrr, EgressQueue, PortTelemetry, QItem, QueueArena, QueueTelemetry, MAX_PRIOS,
-};
+use crate::queues::{dwrr_pick, DwrrClass, EgressQueue, QItem, QueueArena, QueueTelemetry};
 use crate::routing::RouteTable;
 use crate::shard::{RemoteEvent, ShardPlan, MAX_KEYED_NODES};
 use crate::time::{tx_time, SimTime};
@@ -60,15 +58,14 @@ struct InFlight {
     prio: Prio,
 }
 
-/// One port — its mutable state and the constants of the link it drives —
-/// as one contiguous, pointer-free block of the core's flat port table.
+/// One port's header — the constants of the link it drives, its transmitter
+/// and PFC state, flags, loss fraction and DWRR round pointer — as one
+/// pointer-free cache line of the core's flat port table. The port's
+/// classes are rows of the core's class table (see [`ClassRow`]).
 ///
-/// `repr(C)`: declaration order is memory order. The block is cache-line
-/// aligned (through [`PortTelemetry`]) and its first line holds what every
-/// packet event on the port touches — link constants, transmitter and PFC
-/// state, the ingress counters of the first three classes. Scheduler,
-/// queues and counters follow; pause and fault accounting comes last.
-#[repr(C)]
+/// `repr(C)`: declaration order is memory order; `align(64)` keeps every
+/// header on a line of its own, so ports never share one.
+#[repr(C, align(64))]
 pub(crate) struct PortState {
     /// Propagation delay of the attached link.
     delay: SimTime,
@@ -90,30 +87,16 @@ pub(crate) struct PortState {
     pfc_sent: u8,
     /// The packet the transmitter is serializing; `None` = idle.
     in_flight: Option<InFlight>,
-    /// Ingress byte counters per class: bytes buffered in this switch that
-    /// arrived through this port.
-    ingress_bytes: [u64; MAX_PRIOS],
-    /// Egress scheduler.
-    dwrr: Dwrr,
-    /// Egress FIFOs, one per class; only the first `num_prios` are in use.
-    queues: [EgressQueue; MAX_PRIOS],
-    /// Telemetry counters for every class of this port.
-    telem: PortTelemetry,
+    /// The class the DWRR round-robin pointer rests on.
+    dwrr_ptr: u8,
     /// Fraction of arrivals on this port black-holed (fault injection).
     loss_frac: f64,
     /// PAUSE events sent from the ingress side of this port.
     pfc_pause_events: u64,
-    /// Cumulative time each class of this port's transmitter has spent
-    /// paused by received PFC frames, in picoseconds.
-    pause_ps: [u64; MAX_PRIOS],
-    /// When the running pause of each class began; meaningful only while
-    /// the class's bit is set in `paused`.
-    pause_since: [SimTime; MAX_PRIOS],
 }
 
 impl PortState {
-    fn new(cfg: &SimConfig, link: &PortInfo, is_host: bool) -> Self {
-        let pc = &cfg.port;
+    fn new(link: &PortInfo, is_host: bool) -> Self {
         PortState {
             delay: link.delay,
             rate_bps: link.rate_bps,
@@ -124,34 +107,99 @@ impl PortState {
             paused: 0,
             pfc_sent: 0,
             in_flight: None,
-            ingress_bytes: [0; MAX_PRIOS],
-            dwrr: Dwrr::new(pc.weights.clone()),
-            // Classes beyond `num_prios` admit nothing.
-            queues: std::array::from_fn(|p| {
-                let bound = pc.max_queue_bytes.get(p).copied().unwrap_or(0);
-                EgressQueue::new(p, bound, pc.ecn.get(p).copied().flatten())
-            }),
-            telem: PortTelemetry::new(),
+            dwrr_ptr: 0,
             loss_frac: 0.0,
             pfc_pause_events: 0,
-            pause_ps: [0; MAX_PRIOS],
-            pause_since: [SimTime::ZERO; MAX_PRIOS],
         }
     }
 
-    /// Close the running PFC pause of class `prio`, if any: clear its bit in
-    /// `paused` and fold it into `pause_ps`; returns its length in
-    /// picoseconds.
+    /// Close the running PFC pause of class `prio` (whose row is `row`), if
+    /// any: clear its bit in `paused` and fold it into the row's
+    /// `pause_ps`; returns its length in picoseconds.
     #[inline]
-    fn end_pause(&mut self, prio: usize, now: SimTime) -> Option<u64> {
+    fn end_pause(&mut self, row: &mut ClassRow, prio: usize, now: SimTime) -> Option<u64> {
         let bit = 1u8 << prio;
         if self.paused & bit == 0 {
             return None;
         }
         self.paused &= !bit;
-        let dur = (now - self.pause_since[prio]).as_ps();
-        self.pause_ps[prio] += dur;
+        let dur = (now - row.pause_since).as_ps();
+        row.pause_ps += dur;
         Some(dur)
+    }
+}
+
+/// One traffic class of one port: its FIFO, its DWRR state, its counters,
+/// the bytes buffered in this switch that arrived through the port in this
+/// class, and its pause accounting — three cache lines of the core's flat
+/// class table, `num_prios` rows per held port.
+///
+/// `repr(C)`: the first line holds the ingress counter, the scheduler
+/// state and the queue's list scalars, depth, bound and clock — all a DWRR
+/// scan reads of a class it passes, and all an arrival through the port
+/// touches; the marking configuration and the telemetry record follow, and
+/// pause accounting comes last.
+#[repr(C, align(64))]
+pub(crate) struct ClassRow {
+    /// Ingress byte counter: bytes buffered in this switch that arrived
+    /// through this port in this class.
+    ingress_bytes: u64,
+    sched: DwrrClass,
+    queue: EgressQueue,
+    telem: QueueTelemetry,
+    /// Cumulative time this class of the port's transmitter has spent
+    /// paused by received PFC frames, in picoseconds.
+    pause_ps: u64,
+    /// When the running pause began; meaningful only while the class's bit
+    /// is set in the header's `paused`.
+    pause_since: SimTime,
+}
+
+impl ClassRow {
+    fn new(pc: &PortConfig, prio: usize) -> Self {
+        ClassRow {
+            ingress_bytes: 0,
+            sched: DwrrClass::new(pc.weights[prio]),
+            queue: EgressQueue::new(prio, pc.max_queue_bytes[prio], pc.ecn[prio]),
+            telem: QueueTelemetry::default(),
+            pause_ps: 0,
+            pause_since: SimTime::ZERO,
+        }
+    }
+}
+
+impl AsMut<DwrrClass> for ClassRow {
+    #[inline]
+    fn as_mut(&mut self) -> &mut DwrrClass {
+        &mut self.sched
+    }
+}
+
+/// The class rows of a core's held ports: `prios` rows per port, in the
+/// order of the port table — class `prio` of the port at flat index `i` is
+/// row `i * prios + prio`.
+struct ClassTable {
+    rows: Vec<ClassRow>,
+    /// Classes per port (`cfg.port.num_prios` at construction).
+    prios: usize,
+}
+
+impl ClassTable {
+    /// The rows of the port at flat index `i`; indexing the slice checks a
+    /// class against `num_prios`.
+    #[inline]
+    fn of(&self, i: usize) -> &[ClassRow] {
+        &self.rows[i * self.prios..][..self.prios]
+    }
+
+    #[inline]
+    fn of_mut(&mut self, i: usize) -> &mut [ClassRow] {
+        &mut self.rows[i * self.prios..][..self.prios]
+    }
+
+    /// The rows of the ports at flat indices `ports`.
+    fn of_ports_mut(&mut self, ports: std::ops::Range<usize>) -> &mut [ClassRow] {
+        &mut self.rows[ports.start * self.prios..ports.end * self.prios]
     }
 }
 
@@ -250,9 +298,11 @@ pub struct SimCore {
     pub(crate) events: EventQueue,
     /// The immutable network.
     pub topo: Topology,
-    /// Every port of every node this core owns, node after node:
-    /// (`node`, `port`) lives at `ports[port_base[node] + port]`.
+    /// The header of every port of every node this core owns, node after
+    /// node: (`node`, `port`) lives at `ports[port_base[node] + port]`.
     ports: Vec<PortState>,
+    /// The class rows of those ports.
+    classes: ClassTable,
     /// Where each node's ports start in `ports`; one extra entry closes the
     /// last node's range. A foreign node's range is empty.
     port_base: Vec<u32>,
@@ -314,10 +364,6 @@ impl SimCore {
     fn new(topo: Topology, cfg: SimConfig, shard: Box<ShardCtx>) -> Self {
         cfg.validate();
         assert!(
-            cfg.port.num_prios <= MAX_PRIOS,
-            "at most 8 traffic classes (PFC bitmask)"
-        );
-        assert!(
             topo.nodes.len() <= MAX_KEYED_NODES,
             "{} nodes do not fit the event key's node field",
             topo.nodes.len()
@@ -326,14 +372,20 @@ impl SimCore {
         // route to its owner, so nothing ever queues on its ports here.
         let owned = |i: usize| shard.owns(NodeId(i as u32));
         let held = topo.nodes.iter().enumerate().filter(|&(i, _)| owned(i));
-        let mut ports = Vec::with_capacity(held.map(|(_, n)| n.ports.len()).sum());
+        let held_ports: usize = held.map(|(_, n)| n.ports.len()).sum();
+        let prios = cfg.port.num_prios;
+        let mut ports = Vec::with_capacity(held_ports);
+        let mut rows = Vec::with_capacity(held_ports * prios);
         let mut port_base = Vec::with_capacity(topo.nodes.len() + 1);
         let mut nodes = Vec::with_capacity(topo.nodes.len());
         for (i, n) in topo.nodes.iter().enumerate() {
             let is_host = n.kind == NodeKind::Host;
             port_base.push(ports.len() as u32);
             if owned(i) {
-                ports.extend(n.ports.iter().map(|l| PortState::new(&cfg, l, is_host)));
+                for link in &n.ports {
+                    ports.push(PortState::new(link, is_host));
+                    rows.extend((0..prios).map(|p| ClassRow::new(&cfg.port, p)));
+                }
             }
             nodes.push(NodeState {
                 buffer: (!is_host && owned(i))
@@ -354,7 +406,7 @@ impl SimCore {
         // the *first* reboot or telemetry freeze after warmup doesn't grow
         // them (growth on first use would show up as a steady-state alloc).
         let max_ports = topo.nodes.iter().map(|n| n.ports.len()).max().unwrap_or(0);
-        let snap_cap = max_ports * cfg.port.num_prios;
+        let snap_cap = max_ports * prios;
         SimCore {
             cfg,
             now: SimTime::ZERO,
@@ -364,6 +416,7 @@ impl SimCore {
             events: EventQueue::sized_for(owned_nodes),
             topo,
             ports,
+            classes: ClassTable { rows, prios },
             port_base,
             foreign_links,
             nodes,
@@ -413,8 +466,8 @@ impl SimCore {
         panic!("{node:?} has no {port:?}")
     }
 
-    /// Port blocks this core holds: every port of every node it owns, and
-    /// none of a foreign node's.
+    /// Ports this core holds — a header and `num_prios` class rows each:
+    /// every port of every node it owns, and none of a foreign node's.
     pub fn ports_held(&self) -> usize {
         self.ports.len()
     }
@@ -434,6 +487,18 @@ impl SimCore {
     #[inline]
     fn ports_of(&self, node: NodeId) -> std::ops::Range<usize> {
         self.port_base[node.idx()] as usize..self.port_base[node.idx() + 1] as usize
+    }
+
+    /// Class `prio` of (`node`, `port`).
+    #[inline]
+    fn class(&self, node: NodeId, port: PortId, prio: Prio) -> &ClassRow {
+        &self.classes.of(self.port_index(node, port))[prio as usize]
+    }
+
+    #[inline]
+    fn class_mut(&mut self, node: NodeId, port: PortId, prio: Prio) -> &mut ClassRow {
+        let i = self.port_index(node, port);
+        &mut self.classes.of_mut(i)[prio as usize]
     }
 
     /// Current simulated time.
@@ -479,29 +544,28 @@ impl SimCore {
     /// Mutable access to an egress queue (telemetry sync / reconfiguration
     /// from harness code).
     pub fn queue_mut(&mut self, node: NodeId, port: PortId, prio: Prio) -> &mut EgressQueue {
-        let n = self.cfg.port.num_prios;
-        &mut self.port_mut(node, port).queues[..n][prio as usize]
+        &mut self.class_mut(node, port, prio).queue
     }
 
     /// Read-only access to an egress queue (harness/telemetry use).
     pub fn queue(&self, node: NodeId, port: PortId, prio: Prio) -> &EgressQueue {
-        &self.port(node, port).queues[..self.cfg.port.num_prios][prio as usize]
+        &self.class(node, port, prio).queue
     }
 
     /// Assembled per-queue telemetry view of (`node`, `port`, `prio`).
     /// The queue-length time integral is only current up to the queue's
     /// last push/pop; use [`Self::synced_queue_telem`] when reading it.
     pub fn queue_telem(&self, node: NodeId, port: PortId, prio: Prio) -> QueueTelemetry {
-        self.port(node, port).telem.queue(prio as usize)
+        self.class(node, port, prio).telem
     }
 
     /// Bring one queue's time-integral up to the current simulated time and
     /// return the assembled telemetry view.
     pub fn synced_queue_telem(&mut self, node: NodeId, port: PortId, prio: Prio) -> QueueTelemetry {
         let now = self.now;
-        let ps = self.port_mut(node, port);
-        ps.queues[prio as usize].sync_clock(&mut ps.telem, now);
-        ps.telem.queue(prio as usize)
+        let row = self.class_mut(node, port, prio);
+        row.queue.sync_clock(&mut row.telem, now);
+        row.telem
     }
 
     /// PFC PAUSE events sent upstream from the ingress side of one port.
@@ -513,31 +577,32 @@ impl SimCore {
     /// spent paused by received PFC frames, including any pause still in
     /// progress at the current simulated time.
     pub fn pfc_pause_time(&self, node: NodeId, port: PortId, prio: Prio) -> SimTime {
-        let ps = self.port(node, port);
-        let mut total = ps.pause_ps[prio as usize];
-        if ps.paused & (1u8 << prio) != 0 {
-            total += (self.now - ps.pause_since[prio as usize]).as_ps();
+        let row = self.class(node, port, prio);
+        let mut total = row.pause_ps;
+        if self.port(node, port).paused & (1u8 << prio) != 0 {
+            total += (self.now - row.pause_since).as_ps();
         }
         SimTime::from_ps(total)
     }
 
     pub(crate) fn host_backlog(&self, host: NodeId, prio: Prio) -> u64 {
-        self.port(host, PortId(0)).queues[prio as usize].bytes()
+        self.class(host, PortId(0), prio).queue.bytes()
     }
 
     /// Enqueue a host-originated packet on the host's NIC and kick the
     /// transmitter.
     pub(crate) fn host_enqueue(&mut self, host: NodeId, pkt: Packet) {
         debug_assert!(self.topo.is_host(host));
-        debug_assert!((pkt.prio as usize) < self.cfg.port.num_prios);
         let now = self.now;
         let i = self.port_index(host, PortId(0));
-        let ps = &mut self.ports[i];
+        // Packets enter the fabric here only, and indexing the port's rows
+        // panics on a class it does not have: none reaches a switch.
+        let row = &mut self.classes.of_mut(i)[pkt.prio as usize];
         // Host NICs have effectively unbounded send memory (the transport's
         // windows/rate limits bound it in practice); no drop here.
-        ps.queues[pkt.prio as usize].push(
+        row.queue.push(
             &mut self.arena,
-            &mut ps.telem,
+            &mut row.telem,
             QItem { pkt, ingress: None },
             now,
         );
@@ -552,24 +617,27 @@ impl SimCore {
         if ps.in_flight.is_some() || !ps.link_up {
             return;
         }
-        let n = self.cfg.port.num_prios;
-        let mut heads = [None; MAX_PRIOS];
-        for (head, q) in heads.iter_mut().zip(&ps.queues[..n]) {
-            *head = q.head_size(&self.arena);
-        }
-        let Some(prio) = ps.dwrr.pick(&heads[..n], ps.paused) else {
+        let rows = self.classes.of_mut(i);
+        let nonempty = (0..rows.len())
+            .filter(|&c| !rows[c].queue.is_empty())
+            .fold(0u8, |m, c| m | 1 << c);
+        let arena = &mut self.arena;
+        let head = |_: usize, row: &ClassRow| row.queue.head_size(arena).expect("non-empty");
+        let Some(prio) = dwrr_pick(rows, &mut ps.dwrr_ptr, nonempty, ps.paused, head) else {
             return;
         };
         let now = self.now;
-        let item = ps.queues[prio]
-            .pop(&mut self.arena, &mut ps.telem, now)
+        let row = &mut rows[prio];
+        let item = row
+            .queue
+            .pop(arena, &mut row.telem, now)
             .expect("dwrr picked an empty queue");
         ps.in_flight = Some(InFlight {
             size: item.pkt.size,
             ingress: item.ingress,
             prio: item.pkt.prio,
         });
-        let qlen = ps.queues[prio].bytes();
+        let qlen = row.queue.bytes();
         let ser = tx_time(item.pkt.size as u64, ps.rate_bps);
         let (delay, peer_node, peer_port) = (ps.delay, ps.peer_node, ps.peer_port);
         let (t_flow, t_prio) = (item.pkt.flow, item.pkt.prio);
@@ -600,11 +668,13 @@ impl SimCore {
                 buf.release(inflight.size);
             }
             let prio = inflight.prio as usize;
+            let ib = &mut self.classes.of_mut(i)[prio].ingress_bytes;
+            debug_assert!(*ib >= inflight.size as u64);
+            *ib -= inflight.size as u64;
+            let left = *ib;
             let ip = &mut self.ports[i];
-            debug_assert!(ip.ingress_bytes[prio] >= inflight.size as u64);
-            ip.ingress_bytes[prio] -= inflight.size as u64;
             let bit = 1u8 << (inflight.prio & 7);
-            let resume = |b: &SharedBuffer| b.should_resume(ip.ingress_bytes[prio]);
+            let resume = |b: &SharedBuffer| b.should_resume(left);
             if ip.pfc_sent & bit != 0 && buffer.as_ref().is_none_or(resume) {
                 ip.pfc_sent &= !bit;
                 self.send_pfc(node, ingress, inflight.prio, false);
@@ -616,10 +686,10 @@ impl SimCore {
     /// Deliver a PFC pause/resume to the peer of `ingress` on `node`.
     fn send_pfc(&mut self, node: NodeId, ingress: PortId, prio: Prio, pause: bool) {
         let i = self.port_index(node, ingress);
+        let qlen = self.classes.of(i)[prio as usize].ingress_bytes;
         let ip = &mut self.ports[i];
         let at = self.now + tx_time(PFC_FRAME_BYTES, ip.rate_bps) + ip.delay;
         let (peer_node, peer_port) = (ip.peer_node, ip.peer_port);
-        let qlen = ip.ingress_bytes[prio as usize];
         if pause {
             ip.pfc_pause_events += 1;
             self.total_pfc_pauses += 1;
@@ -648,13 +718,14 @@ impl SimCore {
             // no resume would ever arrive. Drop it with the link.
             return;
         }
+        let row = &mut self.classes.of_mut(i)[prio as usize];
         if pause {
             if ps.paused & bit == 0 {
-                ps.pause_since[prio as usize] = now;
+                row.pause_since = now;
             }
             ps.paused |= bit;
         } else {
-            if let Some(dur_ps) = ps.end_pause(prio as usize, now) {
+            if let Some(dur_ps) = ps.end_pause(row, prio as usize, now) {
                 let what = Happening::PauseEnd { dur_ps };
                 self.probe(what, node, port, prio, FlowId(0), 0);
             }
@@ -680,8 +751,8 @@ impl SimCore {
         );
 
         // Admission: per-queue drop-tail bound and shared-buffer capacity.
-        let ps = &mut self.ports[out];
-        let q = &ps.queues[prio];
+        let row = &mut self.classes.of_mut(out)[prio];
+        let q = &row.queue;
         let buffer = self.nodes[node.idx()].buffer.as_ref();
         if q.would_overflow(pkt.size) || buffer.is_some_and(|b| !b.can_admit(pkt.size)) {
             self.total_drops += 1;
@@ -689,7 +760,7 @@ impl SimCore {
                 self.lossless_drops += 1;
             }
             let qlen = q.bytes();
-            q.record_drop(&mut ps.telem);
+            q.record_drop(&mut row.telem);
             self.probe(Happening::Drop, node, out_port, pkt.prio, pkt.flow, qlen);
             return;
         }
@@ -710,27 +781,28 @@ impl SimCore {
         // Charge the shared buffer and the ingress counter; evaluate Xoff.
         if let Some(buf) = self.nodes[node.idx()].buffer.as_mut() {
             buf.charge(pkt.size);
+            let ib = &mut self.classes.of_mut(inp)[prio].ingress_bytes;
+            *ib += pkt.size as u64;
+            let ingress = *ib;
             let ip = &mut self.ports[inp];
-            ip.ingress_bytes[prio] += pkt.size as u64;
             let lossless = self.cfg.lossless_mask & bit != 0;
-            if lossless && ip.pfc_sent & bit == 0 && buf.should_pause(ip.ingress_bytes[prio]) {
+            if lossless && ip.pfc_sent & bit == 0 && buf.should_pause(ingress) {
                 ip.pfc_sent |= bit;
                 self.send_pfc(node, in_port, pkt.prio, true);
             }
         }
 
-        let ps = &mut self.ports[out];
-        let q = &mut ps.queues[prio];
-        q.push(
+        let row = &mut self.classes.of_mut(out)[prio];
+        row.queue.push(
             &mut self.arena,
-            &mut ps.telem,
+            &mut row.telem,
             QItem {
                 pkt,
                 ingress: Some(in_port),
             },
             now,
         );
-        let qlen = q.bytes();
+        let qlen = row.queue.bytes();
         self.probe(Happening::Enqueue, node, out_port, pkt.prio, pkt.flow, qlen);
         self.try_send(node, out_port);
     }
@@ -1134,17 +1206,29 @@ mod tests {
     pub(super) fn blast_sim(
         senders: usize,
         n: u32,
-        (prio, ecn): (Prio, Ecn),
+        class: (Prio, Ecn),
         rate: u64,
         cfg: SimConfig,
     ) -> (Simulator, Vec<NodeId>, Got) {
+        blast_classes(&vec![class; senders], n, rate, cfg)
+    }
+
+    /// [`blast_sim`] with one sender per entry of `classes`, sender `i`
+    /// blasting in class `classes[i]`.
+    fn blast_classes(
+        classes: &[(Prio, Ecn)],
+        n: u32,
+        rate: u64,
+        cfg: SimConfig,
+    ) -> (Simulator, Vec<NodeId>, Got) {
+        let senders = classes.len();
         let topo = TopologySpec::single_switch(senders + 1, rate, SimTime::from_ns(500)).build();
         let mut sim = Simulator::new(topo, cfg);
         let got = Got::default();
         let hosts: Vec<NodeId> = sim.core().topo.hosts().to_vec();
         let dst = hosts[senders];
         sim.set_driver(dst, Box::new(Sink { got: got.clone() }));
-        for (i, &h) in hosts[..senders].iter().enumerate() {
+        for (i, (&h, &(prio, ecn))) in hosts.iter().zip(classes).enumerate() {
             let flow = i as u64 + 1;
             let blaster = Blaster {
                 dst,
@@ -1167,18 +1251,26 @@ mod tests {
         (sim, got)
     }
 
-    /// The first cache line of a port's block holds what every packet event
-    /// on the port touches — through the ingress counters of the first
-    /// three classes (the default configuration) — and the block is a
-    /// whole number of lines, so ports never share one.
+    /// A port's header is one cache line of its own, and each of its
+    /// classes is three more: the ingress counter, the scheduler state and
+    /// the queue's list scalars, depth, bound and clock share the first —
+    /// and a queued packet takes one 48-byte slab slot, no padding.
     #[test]
     fn port_block_keeps_its_hot_line() {
+        use crate::queues::ArenaSlot;
         use std::mem::{align_of, offset_of, size_of};
         assert_eq!(align_of::<PortState>(), 64);
-        assert!(offset_of!(PortState, ingress_bytes) + 3 * 8 <= 64);
-        assert!(offset_of!(PortState, dwrr) < offset_of!(PortState, queues));
-        assert!(offset_of!(PortState, telem) < offset_of!(PortState, loss_frac));
-        assert_eq!(size_of::<PortState>(), 26 * 64);
+        assert_eq!(size_of::<PortState>(), 64);
+        assert_eq!(align_of::<ClassRow>(), 64);
+        assert_eq!(size_of::<ClassRow>(), 3 * 64);
+        assert_eq!(offset_of!(ClassRow, ingress_bytes), 0);
+        assert!(offset_of!(ClassRow, sched) + size_of::<DwrrClass>() <= 64);
+        assert_eq!(
+            offset_of!(ClassRow, queue) + offset_of!(EgressQueue, ecn),
+            64
+        );
+        assert!(offset_of!(ClassRow, telem) < offset_of!(ClassRow, pause_ps));
+        assert_eq!(size_of::<ArenaSlot>(), 48);
     }
 
     #[test]
@@ -1414,5 +1506,104 @@ mod tests {
         for &h in &hosts[..8] {
             assert!(sim.core().pfc_pause_time(h, PortId(0), PRIO_RDMA) <= SimTime::from_ms(50));
         }
+    }
+
+    /// A port of eight classes (the most a PFC bitmask covers), one sender
+    /// per class into one receiver; class 7 is strict, the rest weighted
+    /// 1:1:1:1:2:2:4. The strict class drains first, the weighted ones then
+    /// share the receiver's link by weight, and every class's bytes are
+    /// counted in its own row, at the sender's NIC and at the switch.
+    #[test]
+    fn eight_classes_share_by_weight_behind_a_strict_class() {
+        let mut cfg = SimConfig::default();
+        cfg.port = crate::config::PortConfig::plain(8);
+        cfg.port.weights = vec![1, 1, 1, 1, 2, 2, 4, 0];
+        let n = 400;
+        let classes: Vec<(Prio, Ecn)> = (0..8).map(|c| (c, Ecn::NotEct)).collect();
+        let (mut sim, hosts, got) = blast_classes(&classes, n, 25_000_000_000, cfg);
+        let sw = sim.core().topo.switches()[0];
+        let out = PortId(8); // the switch's port towards the receiver
+        let sent = |sim: &Simulator, c: Prio| sim.core().queue_telem(sw, out, c).tx_bytes;
+        // Class 7 arrives at line rate and leaves at line rate: strict
+        // priority lets it through as it comes, and it is done well before
+        // any weighted class.
+        sim.run_until(SimTime::from_us(150));
+        let pkt = 1000 + crate::packet::HEADER_BYTES as u64;
+        assert_eq!(sent(&sim, 7), n as u64 * pkt, "strict class drained");
+        let before: Vec<u64> = (0..7).map(|c| sent(&sim, c)).collect();
+        for (c, &b) in before.iter().enumerate() {
+            assert!(
+                b < n as u64 * pkt / 4,
+                "class {c} sent {b} behind the strict class"
+            );
+        }
+        // Every weighted class is still backlogged over the next 200 µs.
+        sim.run_until(SimTime::from_us(350));
+        let moved: Vec<u64> = (0..7).map(|c| sent(&sim, c) - before[c as usize]).collect();
+        let total: u64 = moved.iter().sum();
+        for (c, &m) in moved.iter().enumerate() {
+            let want = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 4.0][c] / 12.0;
+            let share = m as f64 / total as f64;
+            assert!(
+                (share - want).abs() < 0.02,
+                "class {c}: {share:.3} of the link, want {want:.3}"
+            );
+        }
+        sim.run_until(SimTime::from_ms(5));
+        assert_eq!(got.borrow().len(), 8 * n as usize, "everything delivered");
+        assert_eq!(sim.core().total_drops, 0);
+        for (s, &h) in hosts[..8].iter().enumerate() {
+            for c in 0..8 {
+                let want = if c as usize == s { n as u64 * pkt } else { 0 };
+                let nic = sim.core().queue_telem(h, PortId(0), c).tx_bytes;
+                assert_eq!(nic, want, "sender {s}, class {c}");
+                assert_eq!(sent(&sim, c), n as u64 * pkt, "switch, class {c}");
+            }
+        }
+    }
+
+    /// PFC on the eighth class: bit 7 of the pause masks. Eight senders
+    /// overrun a small buffer in class 7, the only lossless one; the switch
+    /// pauses them in class 7, resumes them, and nothing is lost. The pause
+    /// time lands in class 7's row and in no other.
+    #[test]
+    fn pfc_pauses_and_resumes_the_eighth_class() {
+        let mut cfg = SimConfig::default();
+        cfg.port = crate::config::PortConfig::plain(8);
+        cfg.lossless_mask = 1 << 7;
+        cfg.buffer_bytes = 512 * 1024;
+        let (mut sim, hosts, got) = blast_sim(8, 1000, (7, Ecn::NotEct), 25_000_000_000, cfg);
+        sim.run_until(SimTime::from_ms(50));
+        assert!(sim.core().total_pfc_pauses > 0, "class 7 was paused");
+        assert_eq!(sim.core().total_drops, 0, "PFC kept class 7 lossless");
+        assert_eq!(got.borrow().len(), 8000, "every pause was resumed");
+        for &h in &hosts[..8] {
+            assert_eq!(
+                sim.core().port(h, PortId(0)).paused,
+                0,
+                "{h:?} still paused"
+            );
+            for c in 0..7 {
+                assert_eq!(sim.core().pfc_pause_time(h, PortId(0), c), SimTime::ZERO);
+            }
+        }
+        let paused: u64 = hosts[..8]
+            .iter()
+            .map(|&h| sim.core().pfc_pause_time(h, PortId(0), 7).as_ps())
+            .sum();
+        assert!(paused > 0, "the pause time is class 7's");
+    }
+
+    /// A port of one class: a four-to-one blast delivers every packet.
+    #[test]
+    fn one_class_delivers_a_blast() {
+        let mut cfg = SimConfig::default();
+        cfg.port = crate::config::PortConfig::plain(1);
+        let (mut sim, _, got) = blast_sim(4, 200, (0, Ecn::Ect), 25_000_000_000, cfg);
+        sim.run_until(SimTime::from_ms(5));
+        assert_eq!(got.borrow().len(), 800);
+        assert_eq!(sim.core().total_drops, 0);
+        let sw = sim.core().topo.switches()[0];
+        assert_eq!(sim.core().queue_telem(sw, PortId(4), 0).tx_pkts, 800);
     }
 }

@@ -165,7 +165,7 @@ impl SimCore {
 
 impl Simulator {
     /// Build one shard's simulator for a sharded run (see [`crate::shard`]):
-    /// the full topology, but port blocks, shared buffers and drivers for
+    /// the full topology, but ports, shared buffers and drivers for
     /// the nodes this shard owns only — of a foreign node it keeps just the
     /// up/down state of its links, which the route rebuild reads. The packet
     /// slab is sized from the owned switches and the event queue from the
@@ -199,9 +199,9 @@ mod tests {
     use crate::ids::PortId;
     use crate::topology::TopologySpec;
 
-    /// A shard holds the port block of every port of the nodes it owns and
-    /// no other, so the shards of any partition together hold the fabric's
-    /// ports exactly once.
+    /// A shard holds the header and class rows of every port of the nodes
+    /// it owns and no other, so the shards of any partition together hold
+    /// the fabric's ports exactly once.
     #[test]
     fn shards_hold_exactly_the_ports_they_own() {
         let topo = TopologySpec::paper_xl_clos().build();
@@ -227,6 +227,7 @@ mod tests {
                     owned_ports += n.ports.len();
                 }
                 assert_eq!(core.ports_held(), owned_ports, "shard {s} of {n_shards}");
+                assert_eq!(core.classes.rows.len(), owned_ports * 3, "shard {s} rows");
                 held += core.ports_held();
             }
             assert_eq!(held, total, "{n_shards} shards");
