@@ -747,6 +747,7 @@ impl Scenario {
             "events_processed": events,
             "events_per_sec": if wall > 0.0 { events as f64 / wall } else { 0.0 },
             "peak_event_queue": core.event_queue_peak(),
+            "event_queue_capacity": core.event_queue_capacity(),
         });
         let alloc = match (run.alloc0, alloc_now) {
             (Some((a0, b0)), Some((a1, b1))) if events > 0 => {

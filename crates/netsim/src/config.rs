@@ -141,6 +141,12 @@ impl SimConfig {
             "pfc_xon_frac must be in [0,1]"
         );
         self.port.validate();
+        assert!(
+            u32::from(self.lossless_mask) >> self.port.num_prios == 0,
+            "lossless_mask {:#b} names a class beyond the port's {}",
+            self.lossless_mask,
+            self.port.num_prios
+        );
     }
 
     /// Convenience: set the seed.
@@ -188,6 +194,15 @@ mod tests {
     fn nine_classes_rejected() {
         let mut c = SimConfig::default();
         c.port = PortConfig::plain(9);
+        c.validate();
+    }
+
+    /// A lossless bit for a class the ports lack would protect nothing.
+    #[test]
+    #[should_panic(expected = "lossless_mask 0b110 names a class beyond the port's 1")]
+    fn lossless_bit_past_the_classes_rejected() {
+        let mut c = SimConfig::default();
+        c.port = PortConfig::plain(1);
         c.validate();
     }
 

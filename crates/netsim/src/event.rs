@@ -1,17 +1,20 @@
 //! The discrete-event core: event kinds and the future-event queue.
 //!
 //! The future-event list is a **timing wheel** ([`EventQueue`]) whose rule
-//! is *order keys, not events*. A push appends the 64-byte event to the
-//! unsorted bucket its time falls in, and that is the only time the event
-//! is written. When the wheel reaches the bucket, one 8-byte `(offset in
-//! the bucket, index)` key per event is sorted, once, and pops walk the keys
-//! and read each event where the push left it. Far-future timers (control ticks,
-//! telemetry sampling, retransmit timeouts, scheduled faults) wait in an
-//! overflow heap until the wheel rotates toward them, and the few pushes
-//! that arrive for a bucket already sorted go to a small side heap that
-//! `pop` merges in. The previous `BinaryHeap`-based queue is kept in this
-//! module's tests as `HeapEventQueue`, the reference the wheel is
-//! differentially tested and timed against.
+//! is *order keys, not events*. A push writes the 64-byte event into a slot
+//! of one pool of pending events, and that is the only time the event is
+//! written; every tier holds pool indices. A near-future event's index is
+//! linked into the unsorted bucket its time falls in. When the wheel
+//! reaches the bucket, one 8-byte `(offset in the bucket, index)` key per
+//! event is sorted, once, and pops walk the keys and copy each event out
+//! of the pool. Far-future timers (control ticks, telemetry sampling,
+//! retransmit timeouts, scheduled faults) wait in an overflow heap of
+//! `(time, seq, index)` keys until the wheel rotates toward them, and the
+//! few pushes that arrive for a bucket already sorted go to a small side
+//! heap of the same keys that `pop` merges in. The previous
+//! `BinaryHeap`-based queue is kept in this module's tests as
+//! `HeapEventQueue`, the reference the wheel is differentially tested and
+//! timed against.
 //!
 //! ## Determinism contract
 //!
@@ -26,7 +29,7 @@ use crate::fault::FaultKind;
 use crate::ids::{NodeId, PortId, Prio};
 use crate::packet::Packet;
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Everything that can happen in the simulated world.
@@ -139,78 +142,95 @@ const BUCKET_PS_SHIFT: u32 = 16;
 /// in 200 on the WebSearch run, which is what the overflow heap is for.
 const WHEEL_SLOTS: u64 = 64;
 
-/// Per-slot pre-sizing is stated for a 2^18-ps bucket — the width the
-/// perf scenarios' high-water marks were taken at — and shifted down by
-/// this for the actual width: a bucket a quarter as wide holds a quarter of
-/// the events, and slots × capacity × 64 B does not grow when the wheel is
-/// re-tuned.
-const SLOT_CAPACITY_SHIFT: u32 = 18 - BUCKET_PS_SHIFT;
+/// Sentinel pool index: "no event".
+const NIL: u32 = u32::MAX;
 
 #[inline]
 const fn bucket_of(time: SimTime) -> u64 {
     time.as_ps() >> BUCKET_PS_SHIFT
 }
 
-/// The sort key of event `idx` of the current bucket: its offset into the
-/// bucket (all of `cur` is one bucket, so `BUCKET_PS_SHIFT` bits of its time
-/// order it) above its index into `EventQueue::cur`.
-fn sort_key(idx: usize, time: SimTime) -> u64 {
+/// The sort key of pooled event `idx` of the current bucket: its offset
+/// into the bucket (the whole run is one bucket, so `BUCKET_PS_SHIFT` bits
+/// of its time order it) above its pool index.
+fn sort_key(idx: u32, time: SimTime) -> u64 {
     (time.as_ps() & ((1 << BUCKET_PS_SHIFT) - 1)) << 32 | idx as u64
 }
 
-/// The index into `EventQueue::cur` a sort key carries.
+/// The pool index a sort key carries.
 fn key_index(key: u64) -> usize {
     key as u32 as usize
 }
 
-/// The future-event list: a single-level timing wheel over an overflow heap.
+/// A pooled event's place in the late or the overflow heap: its time, its
+/// `seq` and its pool index, reversed so the max-heap's top is the earliest.
+type HeapKey = Reverse<(SimTime, u64, u32)>;
+
+/// The future-event list: a single-level timing wheel over an overflow
+/// heap, every tier of it indexing one pool of pending events.
 ///
-/// Three tiers, ordered by activation time:
+/// A push writes the 64-byte event into a free slot of `pool` — the
+/// freelist is LIFO, so the live slots stay the recently touched ones — and
+/// files the slot's index in one of three tiers, ordered by activation time:
 ///
-/// * **near** — the bucket currently being drained. Its events stay where
-///   they were pushed (`cur`, the slot's own vector, swapped in whole when
-///   the wheel reaches it); one 8-byte key per event is sorted once
-///   per rotation (`order`) and `pop` walks that order with a cursor,
-///   copying each 64-byte event out exactly once. Pushes that arrive for
-///   the current bucket after its sort, or for the past, go to the small
-///   `late` heap, which `pop` merges with the sorted run by `(time, seq)`;
-/// * **wheel** — 64 unsorted buckets covering the next ~4.2 µs; a push is
-///   O(1) (shift, mask, `Vec::push` into a recycled buffer);
-/// * **overflow** — a binary heap for everything beyond the horizon.
+/// * **near** — the bucket currently being drained. One 8-byte key per
+///   event is sorted once per rotation (`order`) and `pop` walks that order
+///   with a cursor, copying each event out of the pool exactly once. Pushes
+///   that arrive for the current bucket after its sort, or for the past, go
+///   to the small `late` heap of `(time, seq, index)` keys, which `pop`
+///   merges with the sorted run by `(time, seq)`;
+/// * **wheel** — 64 unsorted buckets covering the next ~4.2 µs, each an
+///   intrusive list through `next` (the order inside a bucket does not
+///   matter: the rotation sorts it); a push is O(1);
+/// * **overflow** — a binary heap of `(time, seq, index)` keys for
+///   everything beyond the horizon; migrating to the wheel moves an index.
 ///
 /// Invariants: every wheel bucket holds exactly one absolute bucket index's
 /// events and that index is within `(cur_bucket, cur_bucket + 64)`; the
 /// overflow heap only holds events at or beyond `cur_bucket + 64` (restored
 /// on every rotation, and an overflow event whose bucket *is* the new
-/// current one joins `cur` before the sort); `order[pos..]` is sorted and
-/// indexes exactly the unpopped events of `cur`, all of bucket
-/// `cur_bucket`; `late` holds only events of bucket `cur_bucket` or
-/// earlier. So every event outside `order[pos..]` ∪ `late` fires strictly
-/// after everything inside it, the smaller of the two heads is the global
+/// current one joins the sort); `order[pos..]` is sorted and indexes
+/// exactly the unpopped events of bucket `cur_bucket` that were there at
+/// the sort; `late` holds only events of bucket `cur_bucket` or earlier. So
+/// every event outside `order[pos..]` ∪ `late` fires strictly after
+/// everything inside it, the smaller of the two heads is the global
 /// minimum, and pops are exact `(time, seq)` order — the same order a
-/// `BinaryHeap` of [`Scheduled`] produces. The wheel rotates only when both are empty.
+/// `BinaryHeap` of [`Scheduled`] produces. The wheel rotates only when both
+/// are empty.
+///
+/// Capacity follows the number pending, not the shape of the schedule: a
+/// pool slot is appended only when every slot holds a pending event, so
+/// the pool's length is the high-water mark, and `order` and both heaps
+/// never hold more entries than are pending. All five vectors are reserved
+/// to one capacity ([`EventQueue::capacity`]) and grow together, only when
+/// the number pending passes it.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// The current bucket's events, in push order; read in place by `pop`.
-    cur: Vec<Scheduled>,
-    /// One key per event of `cur` (see `sort_key`), in `(time, seq)` order
-    /// of the events after a rotation.
+    /// Every pending event, in the slot its push took.
+    pool: Vec<Scheduled>,
+    /// Per pool slot, the next slot of the same wheel bucket, or of the
+    /// freelist while the slot is free; `NIL` ends both lists.
+    next: Vec<u32>,
+    /// First free pool slot.
+    free_head: u32,
+    /// One key per event of the current bucket (see `sort_key`), in
+    /// `(time, seq)` order of the events after a rotation.
     order: Vec<u64>,
     /// Cursor into `order`: keys before it have been popped.
     pos: usize,
     /// Events at or before the current bucket pushed after its sort.
-    late: BinaryHeap<Scheduled>,
-    /// Unsorted near-horizon buckets; bucket `b` lives in slot `b % 64`.
-    wheel: Vec<Vec<Scheduled>>,
+    late: BinaryHeap<HeapKey>,
+    /// First pool slot of each near-horizon bucket; bucket `b` lives in
+    /// wheel slot `b % 64`.
+    heads: [u32; WHEEL_SLOTS as usize],
     /// Bit `i` set ⇔ wheel slot `i` is non-empty.
     occupied: u64,
     /// Events at or beyond `cur_bucket + WHEEL_SLOTS` buckets.
-    overflow: BinaryHeap<Scheduled>,
+    overflow: BinaryHeap<HeapKey>,
     /// Absolute index of the bucket currently being drained.
     cur_bucket: u64,
     next_seq: u64,
     len: usize,
-    peak_len: usize,
     stats: QueueStats,
 }
 
@@ -234,7 +254,7 @@ pub struct QueueStats {
 }
 
 impl Default for EventQueue {
-    /// The floor capacities: [`EventQueue::sized_for`] the smallest fabric.
+    /// The floor capacity: [`EventQueue::sized_for`] the smallest fabric.
     fn default() -> Self {
         Self::sized_for(0)
     }
@@ -246,33 +266,30 @@ impl EventQueue {
         Self::default()
     }
 
-    /// An empty queue pre-sized for a fabric of `n_nodes` nodes: wheel
-    /// slots and heaps scale with the node count so the first congestion
-    /// burst on a large topology (same-bucket packet events scale with
-    /// ports, i.e. with nodes) doesn't double a slot vector mid-run —
-    /// growth after warmup would break the zero-alloc steady-state gate.
-    /// Small fabrics get a floor the netsim perf scenarios peak well under.
-    ///
-    /// The current bucket and its key vector are sized like a slot (they
-    /// trade places with the slots). The late heap is sized like the
-    /// overflow heap: it holds a handful of events while a run is in
-    /// progress, but a batch scheduled between runs, after a `peek_time`
-    /// rotated the wheel ahead of it, lands there whole.
+    /// An empty queue with room for `4 × max(512, n_nodes.next_power_of_two())`
+    /// pending events, for a fabric (or a shard's part of one) of `n_nodes`
+    /// nodes: 2,048 up to 512 nodes, 4,096 up to 1,024 and 8,192 up to
+    /// 2,048. The events in flight scale with the ports, i.e. with the
+    /// nodes. The packet runs measured peak at 803–2,140 pending events on
+    /// up to 578 nodes and at 5,819 on 1,156; the 306-node WebSearch fabric
+    /// at 2,140 (one seed) and at 5,602 (load 0.5) doubles the pool once
+    /// and twice, early in the run. Growth is an allocation, so a rule
+    /// that let a steady state grow the pool would be too small.
     pub fn sized_for(n_nodes: usize) -> Self {
-        let slot = 512usize.max(n_nodes.next_power_of_two()) >> SLOT_CAPACITY_SHIFT;
-        let heap = 1024usize.max((2 * n_nodes).next_power_of_two());
+        let cap = 4 * 512usize.max(n_nodes.next_power_of_two());
         EventQueue {
-            cur: Vec::with_capacity(slot),
-            order: Vec::with_capacity(slot),
+            pool: Vec::with_capacity(cap),
+            next: Vec::with_capacity(cap),
+            free_head: NIL,
+            order: Vec::with_capacity(cap),
             pos: 0,
-            late: BinaryHeap::with_capacity(heap),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(slot)).collect(),
+            late: BinaryHeap::with_capacity(cap),
+            heads: [NIL; WHEEL_SLOTS as usize],
             occupied: 0,
-            overflow: BinaryHeap::with_capacity(heap),
+            overflow: BinaryHeap::with_capacity(cap),
             cur_bucket: 0,
             next_seq: 0,
             len: 0,
-            peak_len: 0,
             stats: QueueStats::default(),
         }
     }
@@ -303,26 +320,64 @@ impl EventQueue {
     #[inline]
     fn push_with_seq(&mut self, time: SimTime, seq: u64, event: Event) {
         self.len += 1;
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
-        let s = Scheduled { time, seq, event };
+        let idx = self.alloc(Scheduled { time, seq, event });
         let b = bucket_of(time);
         if b <= self.cur_bucket {
             // Current bucket, already sorted (or, for a standalone queue
             // driven with non-monotone times, the past): the late heap
             // orders it and `pop` merges.
             self.stats.pushes_near += 1;
-            self.late.push(s);
+            self.late.push(Reverse((time, seq, idx)));
         } else if b - self.cur_bucket < WHEEL_SLOTS {
             self.stats.pushes_wheel += 1;
-            let slot = (b % WHEEL_SLOTS) as usize;
-            self.wheel[slot].push(s);
-            self.occupied |= 1u64 << slot;
+            self.link(idx, b);
         } else {
             self.stats.pushes_overflow += 1;
-            self.overflow.push(s);
+            self.overflow.push(Reverse((time, seq, idx)));
         }
+    }
+
+    /// Put `s` in a free pool slot and return its index.
+    #[inline]
+    fn alloc(&mut self, s: Scheduled) -> u32 {
+        if self.free_head != NIL {
+            let idx = self.free_head;
+            self.free_head = self.next[idx as usize];
+            self.pool[idx as usize] = s;
+            return idx;
+        }
+        if self.pool.len() == self.pool.capacity() {
+            self.grow();
+        }
+        let idx = self.pool.len() as u32;
+        assert!(idx != NIL, "event pool exhausted u32 index space");
+        self.pool.push(s);
+        self.next.push(NIL);
+        idx
+    }
+
+    /// Double the capacity of the pool and of everything that indexes it:
+    /// the pending count is about to pass it, and none of the others can
+    /// hold more entries than are pending.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let cap = 2 * self.pool.capacity().max(1);
+        self.pool.reserve_exact(cap - self.pool.len());
+        self.next.reserve_exact(cap - self.next.len());
+        self.order.reserve_exact(cap - self.order.len());
+        self.late.reserve_exact(cap - self.late.len());
+        self.overflow.reserve_exact(cap - self.overflow.len());
+    }
+
+    /// Put pooled event `idx` at the head of absolute bucket `b`'s wheel
+    /// slot.
+    #[inline]
+    fn link(&mut self, idx: u32, b: u64) {
+        let slot = (b % WHEEL_SLOTS) as usize;
+        self.next[idx as usize] = self.heads[slot];
+        self.heads[slot] = idx;
+        self.occupied |= 1u64 << slot;
     }
 
     /// True when the near tier has nothing left to pop.
@@ -344,7 +399,7 @@ impl EventQueue {
         } else {
             None
         };
-        let overflow_next = self.overflow.peek().map(|s| bucket_of(s.time));
+        let overflow_next = self.overflow.peek().map(|Reverse((t, ..))| bucket_of(*t));
         let target = match (wheel_next, overflow_next) {
             (Some(w), Some(o)) => w.min(o),
             (Some(w), None) => w,
@@ -354,38 +409,35 @@ impl EventQueue {
         self.cur_bucket = target;
         self.stats.advances += 1;
         let slot = (target % WHEEL_SLOTS) as usize;
-        // The spent bucket's vector becomes the slot's empty one and the
-        // slot's vector becomes the current bucket: no event is copied and
-        // both keep their capacity, so steady state allocates nothing.
-        self.cur.clear();
-        std::mem::swap(&mut self.cur, &mut self.wheel[slot]);
         self.occupied &= !(1u64 << slot);
+        // The slot's list becomes the current bucket's keys.
+        self.order.clear();
+        let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
+        while idx != NIL {
+            let i = idx as usize;
+            self.order.push(sort_key(idx, self.pool[i].time));
+            idx = self.next[i];
+        }
         // Restore the overflow invariant: events now within the horizon
         // migrate to their buckets. Nothing in the overflow heap is earlier
         // than `target`, so the rest join the current bucket.
-        while let Some(s) = self.overflow.peek() {
-            let b = bucket_of(s.time);
+        while let Some(&Reverse((time, _, idx))) = self.overflow.peek() {
+            let b = bucket_of(time);
             if b - self.cur_bucket >= WHEEL_SLOTS {
                 break;
             }
-            let s = self.overflow.pop().expect("peeked");
+            self.overflow.pop();
             self.stats.overflow_migrations += 1;
             if b == self.cur_bucket {
-                self.cur.push(s);
+                self.order.push(sort_key(idx, time));
             } else {
-                let slot = (b % WHEEL_SLOTS) as usize;
-                self.wheel[slot].push(s);
-                self.occupied |= 1u64 << slot;
+                self.link(idx, b);
             }
         }
-        let cur = &self.cur;
-        self.order.clear();
-        self.order
-            .extend(cur.iter().enumerate().map(|(idx, s)| sort_key(idx, s.time)));
         self.order.sort_unstable();
-        // Events of equal time now stand in index order: `seq` order for
-        // `push`, but keyed pushes (and keyed migrants from the overflow
-        // heap) arrive in any order. Settle each run of equal times by `seq`.
+        // Events of equal time now stand in pool-index order, which is not
+        // `seq` order: settle each run of equal times by `seq`.
+        let pool = &self.pool;
         let order = &mut self.order[..];
         let mut i = 0;
         while i + 1 < order.len() {
@@ -395,7 +447,7 @@ impl EventQueue {
                 end += 1;
             }
             if end - i > 1 {
-                order[i..end].sort_unstable_by_key(|&k| cur[key_index(k)].seq);
+                order[i..end].sort_unstable_by_key(|&k| pool[key_index(k)].seq);
             }
             i = end;
         }
@@ -411,18 +463,25 @@ impl EventQueue {
             self.advance();
         }
         // The earlier head of the sorted run and the late heap.
-        let sorted = self.order.get(self.pos).map(|&k| &self.cur[key_index(k)]);
-        let s = match (sorted, self.late.peek()) {
-            (Some(s), Some(l)) if (l.time, l.seq) < (s.time, s.seq) => self.late.pop(),
-            (Some(s), _) => {
-                self.pos += 1;
-                Some(*s)
+        let sorted = self.order.get(self.pos).map(|&k| key_index(k));
+        let idx = match (sorted, self.late.peek()) {
+            (Some(i), Some(Reverse((t, seq, _))))
+                if (*t, *seq) < (self.pool[i].time, self.pool[i].seq) =>
+            {
+                self.late.pop().map(|Reverse((.., idx))| idx as usize)
             }
-            (None, _) => self.late.pop(),
+            (Some(i), _) => {
+                self.pos += 1;
+                Some(i)
+            }
+            (None, _) => self.late.pop().map(|Reverse((.., idx))| idx as usize),
         };
-        debug_assert!(s.is_some(), "len tracked a phantom event");
-        self.len -= s.is_some() as usize;
-        s
+        debug_assert!(idx.is_some(), "len tracked a phantom event");
+        let idx = idx?;
+        self.len -= 1;
+        self.next[idx] = self.free_head;
+        self.free_head = idx as u32;
+        Some(self.pool[idx])
     }
 
     /// Activation time of the earliest pending event.
@@ -439,8 +498,8 @@ impl EventQueue {
         let sorted = self
             .order
             .get(self.pos)
-            .map(|&k| self.cur[key_index(k)].time);
-        let late = self.late.peek().map(|l| l.time);
+            .map(|&k| self.pool[key_index(k)].time);
+        let late = self.late.peek().map(|Reverse((t, ..))| *t);
         match (sorted, late) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -458,9 +517,17 @@ impl EventQueue {
     }
 
     /// Highest number of simultaneously pending events observed so far —
-    /// the queue's high-water mark, reported by the perf harness.
+    /// the queue's high-water mark, reported by the perf harness. It is the
+    /// pool's length: a slot is appended only when every slot is pending.
     pub fn peak_len(&self) -> usize {
-        self.peak_len
+        self.pool.len()
+    }
+
+    /// Pending events the queue holds before it next allocates: the
+    /// capacity of its pool, to which the key vector and both heaps are
+    /// reserved as well.
+    pub fn capacity(&self) -> usize {
+        self.pool.capacity()
     }
 
     /// Lifetime tier/rotation counters (see [`QueueStats`]).

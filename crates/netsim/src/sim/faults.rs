@@ -380,10 +380,17 @@ impl Simulator {
             *r = node_fault_stream(plan.seed, i);
         }
         // Every scheduled fault appends at most one log entry; reserving up
-        // front keeps the steady-state loop free of fault-log growth.
-        self.core
-            .fault_log
-            .reserve(plan.events.len().min(FAULT_LOG_CAP));
+        // front keeps the steady-state loop free of fault-log growth. The
+        // reboot and freeze scratch is sized from the topology here, not in
+        // every core, so the *first* reboot or telemetry freeze after warmup
+        // does not grow it and a fault-free core reserves none of it.
+        let core = &mut self.core;
+        core.fault_log.reserve(plan.events.len().min(FAULT_LOG_CAP));
+        let max_ports = core.topo.nodes.iter().map(|n| n.ports.len()).max();
+        let snap_cap = max_ports.unwrap_or(0) * core.classes.prios;
+        core.flush_scratch.reserve(core.cfg.port.arena_slots);
+        core.resume_scratch.reserve(snap_cap);
+        core.telem_snap_pool.reserve(snap_cap);
         let now = self.core.now;
         for ev in &plan.events {
             let at = ev.at.max(now);

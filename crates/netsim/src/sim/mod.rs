@@ -346,8 +346,9 @@ pub struct SimCore {
     /// (the default) costs one pointer check per probe and per dispatch;
     /// observers see the run, never steer it.
     obs: Option<Box<probe::Observers>>,
-    /// Reused scratch for reboot queue flushes (grows to the deepest flush
-    /// ever seen, then reboots stop allocating).
+    /// Reused scratch for reboot queue flushes (reserved by
+    /// `install_fault_plan`; grows to the deepest flush ever seen, then
+    /// reboots stop allocating).
     flush_scratch: Vec<QItem>,
     /// Reused scratch for the PFC resumes a reboot sends upstream.
     resume_scratch: Vec<(PortId, Prio)>,
@@ -399,20 +400,13 @@ impl SimCore {
         // their shared buffers are where a fabric's backlog stands.
         let owned_switches = topo.switches().iter().filter(|&&sw| shard.owns(sw)).count();
         let owned_nodes = (0..topo.nodes.len()).filter(|&i| owned(i)).count();
-        let per_switch = cfg.port.arena_slots;
-        let arena_reserved = per_switch * owned_switches.max(1);
+        let arena_reserved = cfg.port.arena_slots * owned_switches.max(1);
         let routes = RouteTable::build(&topo);
-        // Fault-path scratch buffers are sized from the topology up front so
-        // the *first* reboot or telemetry freeze after warmup doesn't grow
-        // them (growth on first use would show up as a steady-state alloc).
-        let max_ports = topo.nodes.iter().map(|n| n.ports.len()).max().unwrap_or(0);
-        let snap_cap = max_ports * prios;
         SimCore {
             cfg,
             now: SimTime::ZERO,
-            // Like the scratch buffers above, the event queue is pre-sized
-            // from the topology: per-bucket burst size scales with the ports
-            // of the nodes this core simulates.
+            // The events in flight scale with the ports of the nodes this
+            // core simulates.
             events: EventQueue::sized_for(owned_nodes),
             topo,
             ports,
@@ -434,9 +428,9 @@ impl SimCore {
             fault_log_dropped: 0,
             faults_executed: 0,
             obs: None,
-            flush_scratch: Vec::with_capacity(per_switch),
-            resume_scratch: Vec::with_capacity(snap_cap),
-            telem_snap_pool: Vec::with_capacity(snap_cap),
+            flush_scratch: Vec::new(),
+            resume_scratch: Vec::new(),
+            telem_snap_pool: Vec::new(),
             shard,
         }
     }
@@ -524,6 +518,13 @@ impl SimCore {
     /// the `peak_event_queue` column of `acc-bench perf`'s gate document.
     pub fn event_queue_peak(&self) -> u64 {
         self.events.peak_len() as u64
+    }
+
+    /// Pending events the event queue holds before it next allocates
+    /// ([`crate::event::EventQueue::capacity`]): while the peak is at or
+    /// below it, the queue has never grown.
+    pub fn event_queue_capacity(&self) -> usize {
+        self.events.capacity()
     }
 
     /// Timing-wheel push-tier and migration counters for this run's event
@@ -1594,11 +1595,13 @@ mod tests {
         assert!(paused > 0, "the pause time is class 7's");
     }
 
-    /// A port of one class: a four-to-one blast delivers every packet.
+    /// A port of one class, lossy: a four-to-one blast delivers every
+    /// packet.
     #[test]
     fn one_class_delivers_a_blast() {
         let mut cfg = SimConfig::default();
         cfg.port = crate::config::PortConfig::plain(1);
+        cfg.lossless_mask = 0;
         let (mut sim, _, got) = blast_sim(4, 200, (0, Ecn::Ect), 25_000_000_000, cfg);
         sim.run_until(SimTime::from_ms(5));
         assert_eq!(got.borrow().len(), 800);

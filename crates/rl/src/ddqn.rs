@@ -984,10 +984,10 @@ mod tests {
         assert_eq!(discounts, [a.cfg.gamma, 0.0]);
     }
 
-    /// Cases of the agent proptest below. A case takes seconds in debug
-    /// and tens of milliseconds in release, where CI runs all 32; a debug
-    /// run checks the first 4.
-    const AGENT_CASES: u32 = if cfg!(debug_assertions) { 4 } else { 32 };
+    /// Cases of the agent proptest below, in both profiles: `rl` compiles
+    /// at `opt-level = 3` in the dev profile too, so a case takes tens of
+    /// milliseconds either way.
+    const AGENT_CASES: u32 = 32;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(AGENT_CASES))]
