@@ -46,7 +46,7 @@ pub const BUCKET_COUNT: usize = SUB_BUCKETS + OCTAVES * SUB_BUCKETS;
 /// single-threaded per shard, and cross-shard aggregation goes through
 /// [`Histogram::merge_from`]. `sum` is tracked in `u128` so it cannot
 /// overflow even for `u64::MAX`-sized samples.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     buckets: Box<[u64; BUCKET_COUNT]>,
     count: u64,

@@ -44,9 +44,10 @@
 //!
 //! Every executed fault is reported once, by the engine's `report_fault`:
 //! appended to the in-core fault log
-//! ([`crate::sim::SimCore::drain_fault_log`]), recorded in the trace ring —
-//! one record per endpoint the fault names — when a tracer is installed, and
-//! marked in the profiler when profiling is on.
+//! ([`crate::sim::SimCore::drain_fault_log`]) — one entry at the endpoint
+//! the fault names, whose [`FaultDetail`] carries the rest (a link fault's
+//! far end, a rate, a loss fraction, a flush count) — and marked in the
+//! profiler when profiling is on.
 
 use crate::ids::{NodeId, PortId};
 use crate::queues::QueueTelemetry;

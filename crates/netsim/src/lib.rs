@@ -62,7 +62,6 @@ pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod util;
 
 /// Convenient re-exports of the most commonly used types.
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use crate::sim::Simulator;
     pub use crate::time::{tx_time, SimTime};
     pub use crate::topology::{NodeKind, Topology, TopologySpec};
-    pub use crate::trace::{TraceEvent, TraceFilter, TraceKind, Tracer};
 }
 
 pub use prelude::*;

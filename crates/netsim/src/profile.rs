@@ -36,7 +36,8 @@
 
 use crate::event::QueueStats;
 use crate::fault::FaultKind;
-use crate::sim::{Happening, Probe};
+use crate::ids::{NodeId, PortId};
+use crate::sim::Happening;
 use crate::time::SimTime;
 use acc_metrics::Histogram;
 use serde_json::{json, Value};
@@ -281,29 +282,29 @@ impl SimProfiler {
     /// Keep what the profiler needs from one probe: the queue depth at each
     /// CE mark and drop, the length of each PFC pause that ends, and for an
     /// executed fault an instant — plus, for a link flap, the link-down
-    /// window it opens or closes.
-    #[inline]
-    pub(crate) fn observe(&mut self, at: SimTime, p: &Probe) {
-        match p.what {
-            Happening::CeMark => self.ecn_mark_qlen.record(p.qlen_bytes),
-            Happening::Drop => self.drop_qlen.record(p.qlen_bytes),
+    /// window it opens or closes. Out of line, so a probe site with no
+    /// profiler installed is one branch and no profiler code.
+    #[inline(never)]
+    pub(crate) fn observe(&mut self, at: SimTime, what: Happening) {
+        match what {
+            Happening::CeMark { qlen } => self.ecn_mark_qlen.record(qlen),
+            Happening::Drop { qlen } => self.drop_qlen.record(qlen),
             Happening::PauseEnd { dur_ps } => self.pause_ns.record(dur_ps / 1000),
-            Happening::Fault(kind, _) => {
+            Happening::Fault(kind) => {
                 let sim_us = at.as_us_f64();
                 self.instant(kind.name(), "fault", format!("sim_us={sim_us:.1}"));
                 // One window per administrative endpoint; the span covers
                 // down → restore.
-                let window = (p.node.0 as u64) << 32 | p.port.0 as u64;
+                let window = |node: NodeId, port: PortId| (node.0 as u64) << 32 | port.0 as u64;
                 match kind {
-                    FaultKind::LinkDown { .. } => {
-                        let arg = format!("sw{}:{} sim_us={sim_us:.1}", p.node.0, p.port.0);
-                        self.open_window(window, arg);
+                    FaultKind::LinkDown { node, port } => {
+                        let arg = format!("sw{}:{} sim_us={sim_us:.1}", node.0, port.0);
+                        self.open_window(window(node, port), arg);
                     }
-                    FaultKind::LinkUp { .. } => self.close_window(window),
+                    FaultKind::LinkUp { node, port } => self.close_window(window(node, port)),
                     _ => {}
                 }
             }
-            _ => {}
         }
     }
 

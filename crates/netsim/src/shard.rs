@@ -91,7 +91,7 @@
 //!   share its thread.
 //! * **Owner gating.** Faults replicate into every shard (so routing tables
 //!   and link state stay globally consistent) but an executed fault is
-//!   reported — fault log, trace records, profiler marker — only by the
+//!   reported — fault-log entry, profiler marker — only by the
 //!   shard that owns the node it names, and telemetry is emitted only by
 //!   the owner of the node sampled; the per-shard streams are disjoint and
 //!   merge deterministically.
@@ -661,9 +661,10 @@ mod tests {
     use crate::driver::{HostCtx, NicDriver};
     use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     use crate::ids::{FlowId, PortId, PRIO_RDMA};
-    use crate::packet::{Ecn, Packet};
+    use crate::packet::{Ecn, Packet, PacketKind};
+    use crate::queues::EcnConfig;
     use crate::topology::TopologySpec;
-    use crate::trace::{TraceFilter, Tracer};
+    use acc_metrics::Histogram;
     use proptest::prelude::*;
     use rand::Rng;
 
@@ -718,17 +719,30 @@ mod tests {
         assert!(p1.owner_of.iter().all(|&o| o == 0));
     }
 
+    /// One packet as its receiver saw it: arrival (ps), flow, byte offset
+    /// and whether it arrived CE-marked.
+    type Delivery = (u64, u64, u64, bool);
+
     /// Sends `count` packets to `dst`, spaced by a per-host random jitter
-    /// (exercises the per-node RNG streams), then goes quiet.
+    /// (exercises the per-node RNG streams), then goes quiet; keeps a
+    /// [`Delivery`] for every packet it receives.
     struct JitterSender {
         dst: NodeId,
         count: u32,
         sent: u32,
         flow: FlowId,
+        delivered: Vec<Delivery>,
     }
 
     impl NicDriver for JitterSender {
-        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut HostCtx<'_>) {}
+        fn on_packet(&mut self, pkt: &Packet, ctx: &mut HostCtx<'_>) {
+            let PacketKind::Data { offset, .. } = pkt.kind else {
+                panic!("a jitter sender sends data only");
+            };
+            let at = ctx.now().as_ps();
+            self.delivered
+                .push((at, pkt.flow.0, offset, pkt.ecn == Ecn::Ce));
+        }
         fn on_timer(&mut self, _token: u64, ctx: &mut HostCtx<'_>) {
             if self.sent >= self.count {
                 return;
@@ -753,8 +767,9 @@ mod tests {
         }
     }
 
-    /// Give every host `shard` owns a [`JitterSender`] of `count` packets to
-    /// a fixed cross-rack peer, started at t=0.
+    /// Give every host `shard` owns a [`JitterSender`] of `count` packets,
+    /// started at t=0: four-to-one incasts, each from the hosts of one rack
+    /// to one host of the rack half the fabric away.
     fn install_senders(sim: &mut Simulator, plan: &ShardPlan, shard: u32, count: u32) {
         let hosts = sim.core().topo.hosts().to_vec();
         let nh = hosts.len();
@@ -763,35 +778,40 @@ mod tests {
                 continue;
             }
             let sender = JitterSender {
-                dst: hosts[(i + nh / 2) % nh],
+                dst: hosts[(i / 4 * 4 + nh / 2) % nh],
                 count,
                 sent: 0,
                 flow: FlowId((h.0 as u64) << 32),
+                delivered: Vec::new(),
             };
             sim.set_driver(h, Box::new(sender));
             sim.with_driver(h, |_, ctx| ctx.set_timer_at(SimTime::ZERO, 0));
         }
     }
 
-    /// Canonical sort key for merged trace comparison.
-    fn trace_key(e: &crate::trace::TraceEvent) -> (u64, u32, u16, u8, u64, u8) {
-        (
-            e.at.as_ps(),
-            e.node.0,
-            e.port.0,
-            e.prio,
-            e.flow.0,
-            e.kind as u8,
-        )
-    }
-
     /// Horizon of [`run_scenario`].
     const SCENARIO_END: SimTime = SimTime::from_ms(2);
 
-    /// Run the cross-rack traffic scenario on `n_shards` shards and return
-    /// (merged sorted traces, per-queue telemetry of every switch queue,
-    /// global drop/pfc counters, per-shard execution counters).
-    fn run_scenario(n_shards: u32) -> (Vec<String>, Vec<String>, (u64, u64, u64), Vec<ShardStats>) {
+    /// What one run of [`run_scenario`] left, merged over its shards and
+    /// put in a canonical order.
+    struct Outcome {
+        /// Every packet delivered, sorted.
+        delivered: Vec<Delivery>,
+        /// The fault log, one line per entry, sorted.
+        faults: Vec<String>,
+        /// The profiler's CE-mark depth, drop depth and pause length
+        /// histograms.
+        hists: [Histogram; 3],
+        /// Per-queue telemetry of every switch queue, sorted.
+        telem: Vec<String>,
+        /// Global drop, PFC pause and executed-fault counters.
+        counters: (u64, u64, u64),
+        /// Per-shard execution counters.
+        stats: Vec<ShardStats>,
+    }
+
+    /// Run the cross-rack traffic scenario on `n_shards` shards.
+    fn run_scenario(n_shards: u32) -> Outcome {
         let topo = leaf_spine().build();
         let plan = ShardPlan::build(&topo, n_shards);
         let end = SCENARIO_END;
@@ -803,8 +823,13 @@ mod tests {
             |shard| {
                 let mut cfg = SimConfig::default();
                 cfg.seed = 7;
+                // A shallow buffer and a 1-byte Kmin, so the incasts PFC-pause,
+                // drop and mark — a queued packet is marked by a coin flip
+                // from the node's stream.
+                cfg.buffer_bytes = 8 * 1024;
+                cfg.port.ecn[PRIO_RDMA as usize] = Some(EcnConfig::new(1, 2000, 1.0));
                 let mut sim = Simulator::new_sharded(topo_ref.clone(), cfg, plan_ref, shard);
-                sim.set_tracer(Tracer::new(TraceFilter::default(), 1 << 20));
+                sim.enable_profiling();
                 // A fault plan exercises replicated faults + owner-gated logs.
                 let leaf0 = topo_ref.switches()[0];
                 let fp = FaultPlan {
@@ -831,7 +856,28 @@ mod tests {
                 (sim, ())
             },
             |shard, mut sim, ()| {
-                let traces = sim.tracer_mut().map(|t| t.take()).unwrap_or_default();
+                let mut delivered = Vec::new();
+                let hosts = sim.core().topo.hosts().to_vec();
+                for h in hosts {
+                    if plan_ref.owner(h) == shard {
+                        sim.with_driver(h, |d, _| {
+                            let d = d.as_any_mut().downcast_mut::<JitterSender>().unwrap();
+                            delivered.append(&mut d.delivered);
+                        });
+                    }
+                }
+                let faults: Vec<String> = (sim.core_mut().drain_fault_log().iter())
+                    .map(|e| {
+                        let (at, node, port) = (e.at.as_ps(), e.node.0, e.port.0);
+                        format!("{at} {} {node} {port} {}", e.kind, e.detail)
+                    })
+                    .collect();
+                let prof = sim.take_profiler().unwrap();
+                let hists = [
+                    prof.ecn_mark_qlen.clone(),
+                    prof.drop_qlen.clone(),
+                    prof.pause_ns.clone(),
+                ];
                 let mut telem = Vec::new();
                 let switches = sim.core().topo.switches().to_vec();
                 for sw in switches {
@@ -852,54 +898,58 @@ mod tests {
                     }
                 }
                 let c = sim.core();
-                (
-                    traces,
-                    telem,
-                    c.total_drops,
-                    c.total_pfc_pauses,
-                    c.faults_executed,
-                )
+                let counters = (c.total_drops, c.total_pfc_pauses, c.faults_executed);
+                (delivered, faults, hists, telem, counters)
             },
         );
-        let mut traces = Vec::new();
-        let mut telem = Vec::new();
-        let (mut drops, mut pauses, mut faults) = (0, 0, 0);
-        let mut stats = Vec::new();
-        for (st, (tr, te, d, p, f)) in results {
-            stats.push(st);
-            traces.extend(tr);
-            telem.extend(te);
-            drops += d;
-            pauses += p;
-            faults += f;
+        let mut out = Outcome {
+            delivered: Vec::new(),
+            faults: Vec::new(),
+            hists: Default::default(),
+            telem: Vec::new(),
+            counters: (0, 0, 0),
+            stats: Vec::new(),
+        };
+        for (st, (delivered, faults, hists, telem, (d, p, f))) in results {
+            out.stats.push(st);
+            out.delivered.extend(delivered);
+            out.faults.extend(faults);
+            for (merged, h) in out.hists.iter_mut().zip(&hists) {
+                merged.merge_from(h);
+            }
+            out.telem.extend(telem);
+            out.counters.0 += d;
+            out.counters.1 += p;
+            out.counters.2 += f;
         }
-        traces.sort_by_key(trace_key);
-        let traces = traces
-            .iter()
-            .map(|e| {
-                format!(
-                    "{} {:?} {} {} {} {} {}",
-                    e.at.as_ps(),
-                    e.kind,
-                    e.node.0,
-                    e.port.0,
-                    e.prio,
-                    e.flow.0,
-                    e.qlen_bytes
-                )
-            })
-            .collect::<Vec<_>>();
-        telem.sort();
-        (traces, telem, (drops, pauses, faults), stats)
+        out.delivered.sort_unstable();
+        out.faults.sort();
+        out.telem.sort();
+        out
     }
 
     #[test]
     fn shard_counts_agree_bit_for_bit() {
-        let (t1, q1, c1, s1) = run_scenario(1);
-        assert!(!t1.is_empty(), "scenario produced no traces");
+        let one = run_scenario(1);
+        let leaf0 = leaf_spine().build().switches()[0].0;
+        let kinds: Vec<&str> = one
+            .faults
+            .iter()
+            .map(|l| l.split(' ').nth(1).unwrap())
+            .collect();
+        assert_eq!(
+            kinds,
+            ["link_down", "link_up"],
+            "the plan fired, each fault logged once"
+        );
+        assert!(one.faults[0].starts_with(&format!("400000000 link_down {leaf0} 4 peer=")));
         assert!(
-            t1.iter().any(|l| l.contains("LinkDown")),
-            "fault plan did not fire"
+            one.delivered.iter().any(|d| d.3),
+            "a packet arrived CE-marked"
+        );
+        assert!(
+            one.hists.iter().all(|h| !h.is_empty()),
+            "marks, drops and pauses"
         );
         let events = |stats: &[ShardStats]| stats.iter().map(|s| s.events_processed).sum::<u64>();
         // What every shard runs for itself: its own control tick (the key is
@@ -908,15 +958,30 @@ mod tests {
         let per_shard = SCENARIO_END.as_ps() / dt.as_ps() + 2;
         // 3 deals the four racks unevenly; at 8 three shards own no node.
         for n in [2u32, 3, 4, 8] {
-            let (tn, qn, cn, sn) = run_scenario(n);
-            assert_eq!(c1, cn, "global counters differ at {n} shards");
-            assert_eq!(q1, qn, "queue telemetry differs at {n} shards");
-            assert_eq!(t1.len(), tn.len(), "trace count differs at {n} shards");
-            for (a, b) in t1.iter().zip(tn.iter()) {
-                assert_eq!(a, b, "trace record differs at {n} shards");
+            let got = run_scenario(n);
+            assert_eq!(
+                one.counters, got.counters,
+                "global counters differ at {n} shards"
+            );
+            assert_eq!(
+                one.telem, got.telem,
+                "queue telemetry differs at {n} shards"
+            );
+            assert_eq!(one.faults, got.faults, "fault log differs at {n} shards");
+            let names = ["CE-mark depth", "drop depth", "pause length"];
+            for ((a, b), name) in one.hists.iter().zip(&got.hists).zip(names) {
+                assert!(a == b, "{name} histogram differs at {n} shards");
             }
             assert_eq!(
-                events(&sn) - events(&s1),
+                one.delivered.len(),
+                got.delivered.len(),
+                "delivery count differs at {n} shards"
+            );
+            for (a, b) in one.delivered.iter().zip(&got.delivered) {
+                assert_eq!(a, b, "delivery differs at {n} shards");
+            }
+            assert_eq!(
+                events(&got.stats) - events(&one.stats),
                 (n as u64 - 1) * per_shard,
                 "{n} shards: events beyond the replicated ticks and faults"
             );
@@ -930,8 +995,7 @@ mod tests {
     fn slices_never_exceed_one_lookahead() {
         for n in [2u32, 4] {
             let lookahead = ShardPlan::build(&leaf_spine().build(), n).lookahead;
-            let (.., stats) = run_scenario(n);
-            for s in &stats {
+            for s in &run_scenario(n).stats {
                 assert!(s.slices > 0, "shard {} of {n} ran nothing", s.shard);
                 assert!(
                     s.max_slice <= lookahead,

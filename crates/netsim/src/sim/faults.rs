@@ -8,8 +8,7 @@
 use super::{Happening, PortState, SimCore, Simulator};
 use crate::event::Event;
 use crate::fault::{FaultDetail, FaultKind, FaultLogEntry, FaultPlan, FaultPlanError, TelemFault};
-use crate::ids::{FlowId, NodeId, PortId, Prio};
-use crate::packet::Packet;
+use crate::ids::{NodeId, PortId, Prio};
 use crate::queues::QueueTelemetry;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -40,8 +39,7 @@ impl SimCore {
         for prio in 0..self.classes.prios {
             let row = &mut self.classes.of_mut(i)[prio];
             if let Some(dur_ps) = self.ports[i].end_pause(row, prio, now) {
-                let what = Happening::PauseEnd { dur_ps };
-                self.probe(what, node, port, prio as Prio, FlowId(0), 0);
+                self.probe(Happening::PauseEnd { dur_ps });
             }
         }
         std::mem::take(&mut self.ports[i].pfc_sent)
@@ -131,13 +129,13 @@ impl SimCore {
     }
 
     /// The one place an executed fault becomes observable: one fault-log
-    /// entry (and `faults_executed`), and one probe — from which the
-    /// observers keep a record per endpoint the fault names, an instant and
-    /// the link-down window a flap opens and closes.
+    /// entry (and `faults_executed`) carrying `detail`, and one probe —
+    /// from which the profiler keeps an instant and the link-down window a
+    /// flap opens and closes.
     ///
     /// Faults replicate into every shard (link state and routing must stay
     /// globally consistent) but only the owner of the node a fault names
-    /// reports it, so merged per-shard logs and traces carry each fault
+    /// reports it, so merged per-shard logs and profiles carry each fault
     /// exactly once, whatever the partition.
     fn report_fault(&mut self, kind: FaultKind, detail: FaultDetail) {
         let (node, port) = kind.target();
@@ -156,8 +154,7 @@ impl SimCore {
                 detail,
             });
         }
-        let what = Happening::Fault(kind, detail);
-        self.probe(what, node, port.unwrap_or(PortId(0)), 0, FlowId(0), 0);
+        self.probe(Happening::Fault(kind));
     }
 
     /// Take every fault executed since the previous drain (telemetry
@@ -171,7 +168,7 @@ impl SimCore {
     /// loss black-hole a seeded-random fraction. The fault RNG is only
     /// consulted for partial loss, so loss-free runs never touch it.
     #[inline]
-    pub(crate) fn rx_fault_drop(&mut self, node: NodeId, port: PortId, pkt: &Packet) -> bool {
+    pub(crate) fn rx_fault_drop(&mut self, node: NodeId, port: PortId) -> bool {
         if self.impaired_ports == 0 {
             return false;
         }
@@ -185,7 +182,6 @@ impl SimCore {
         if lost {
             self.total_drops += 1;
             self.fault_drops += 1;
-            self.probe(Happening::FaultDrop, node, port, pkt.prio, pkt.flow, 0);
         }
         lost
     }
@@ -409,28 +405,33 @@ mod tests {
     use crate::shard::ShardPlan;
     use crate::time::SimTime;
     use crate::topology::TopologySpec;
-    use crate::trace::{TraceFilter, TraceKind, Tracer};
 
+    /// A flap logs one entry per state change, at the endpoint it names,
+    /// whose detail names the far end.
     #[test]
-    fn link_state_changes_are_traced() {
+    fn link_state_changes_are_logged() {
         let topo = TopologySpec::single_switch(3, 25_000_000_000, SimTime::from_ns(500)).build();
         let mut sim = Simulator::new(topo, SimConfig::default());
-        sim.set_tracer(Tracer::new(crate::trace::TraceFilter::default(), 64));
         let sw = sim.core().topo.switches()[0];
+        let far = *sim.core().topo.port(sw, PortId(0));
         sim.core_mut().set_link_state(sw, PortId(0), false);
         sim.core_mut().set_link_state(sw, PortId(0), true);
-        let events = sim.tracer_mut().unwrap().take();
-        let downs = events
+        let log = sim.core_mut().drain_fault_log();
+        let logged: Vec<_> = log
             .iter()
-            .filter(|e| e.kind == TraceKind::LinkDown)
-            .count();
-        let ups = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::LinkUp)
-            .count();
-        assert_eq!(downs, 2, "one LinkDown per endpoint");
-        assert_eq!(ups, 2, "one LinkUp per endpoint");
-        assert!(events.iter().any(|e| e.node == sw && e.port == PortId(0)));
+            .map(|e| (e.kind, e.node, e.port, e.detail))
+            .collect();
+        let peer = FaultDetail::Peer {
+            node: far.peer_node,
+            port: far.peer_port,
+        };
+        assert_eq!(
+            logged,
+            vec![
+                ("link_down", sw, PortId(0), peer),
+                ("link_up", sw, PortId(0), peer)
+            ]
+        );
     }
 
     #[test]
@@ -459,7 +460,6 @@ mod tests {
             let loss = FaultKind::PacketLoss { node, port, frac };
             sim.install_fault_plan(&FaultPlan::new(7).at(SimTime::ZERO, loss))
                 .unwrap();
-            sim.set_tracer(Tracer::new(TraceFilter::default(), 4096));
             sim.run_until(SimTime::from_ms(10));
             let delivered = got.borrow().len();
             if frac == 1.0 {
@@ -472,12 +472,11 @@ mod tests {
             }
             assert_eq!(sim.core().fault_drops as usize, 100 - delivered);
             assert_eq!(sim.core().total_drops, sim.core().fault_drops);
-            // Every lost packet is one `FaultDrop` record, and configuring
-            // the loss is not one of them.
-            let traced = sim.tracer_mut().unwrap().take();
-            let count = |k| traced.iter().filter(|e| e.kind == k).count();
-            assert_eq!(count(TraceKind::FaultDrop) as u64, sim.core().fault_drops);
-            assert_eq!(count(TraceKind::LossConfig), 1);
+            // Configuring the loss is logged once, with its fraction; the
+            // packets it loses are counted, not logged.
+            let log = sim.core_mut().drain_fault_log();
+            let logged: Vec<_> = log.iter().map(|e| (e.kind, e.detail)).collect();
+            assert_eq!(logged, vec![("packet_loss", FaultDetail::LossFrac(frac))]);
         }
     }
 
@@ -596,26 +595,27 @@ mod tests {
         assert!(sim.core_mut().drain_fault_log().is_empty(), "drained");
     }
 
-    type Record = (TraceKind, NodeId, PortId);
+    type Record = (&'static str, NodeId, PortId, FaultDetail);
 
     /// What executing one fault left behind in `sim`: its fault-log entries
-    /// and trace records (both drained), and the cumulative profiler
-    /// instants and `faults_executed`.
-    fn reported(sim: &mut Simulator) -> (Vec<&'static str>, Vec<Record>, u64, u64) {
+    /// (drained), and the cumulative profiler instants and
+    /// `faults_executed`.
+    fn reported(sim: &mut Simulator) -> (Vec<Record>, u64, u64) {
         let log = sim.core_mut().drain_fault_log();
-        let traced = sim.tracer_mut().unwrap().take();
         (
-            log.iter().map(|e| e.kind).collect(),
-            traced.iter().map(|e| (e.kind, e.node, e.port)).collect(),
+            log.iter()
+                .map(|e| (e.kind, e.node, e.port, e.detail))
+                .collect(),
             sim.profiler().unwrap().instants().len() as u64,
             sim.core().faults_executed,
         )
     }
 
     /// Every `FaultKind` reports exactly once through `report_fault`: one
-    /// fault-log entry, one trace record of the matching kind per endpoint
-    /// it names, one profiler instant — and on two shards, where every
-    /// fault executes in both, the per-shard reports sum to the same.
+    /// fault-log entry at the endpoint it names, carrying its detail (a
+    /// link fault's names the far end), and one profiler instant — and on
+    /// two shards, where every fault executes in both, the per-shard
+    /// reports sum to the same.
     #[test]
     fn every_fault_kind_reports_exactly_once() {
         let topo = TopologySpec::paper_testbed().build(); // 4 leaves, 2 spines
@@ -623,8 +623,8 @@ mod tests {
         let node = topo.switches()[1];
         // A fabric link whose far end lives in the other shard, so a gate
         // applied per endpoint instead of once would split the report — and
-        // whose three port numbers (near, far, the 0 of a node-wide fault)
-        // differ, so a record carrying the wrong one is seen.
+        // whose two port numbers (near, far) differ from each other and from
+        // 0, so an entry or detail carrying the wrong one is seen.
         let port = (0..topo.node(node).ports.len() as u16)
             .map(PortId)
             .find(|&p| {
@@ -641,25 +641,26 @@ mod tests {
             .at(t0, FaultKind::SwitchReboot { node })
             .telemetry_freeze(node, t0, t1)
             .telemetry_blank(node, t0, t1);
-        // One record at the (node, port) the fault names — port 0 for a
-        // node-wide fault; a link fault, one more at the peer, so per-node
-        // trace filters see both ends change.
+        // One entry at the (node, port) the fault names — `u16::MAX` for a
+        // node-wide fault — with the detail it executed with.
         let link = *topo.port(node, port);
-        let (near, far) = ((node, port), (link.peer_node, link.peer_port));
-        let whole_node = (node, PortId(0));
+        let peer = FaultDetail::Peer {
+            node: link.peer_node,
+            port: link.peer_port,
+        };
         let expected = |kind: &FaultKind| -> Vec<Record> {
-            let (traced, ends) = match kind.name() {
-                "link_down" => (TraceKind::LinkDown, vec![near, far]),
-                "link_up" => (TraceKind::LinkUp, vec![near, far]),
-                "link_degrade" | "link_rate_restore" => (TraceKind::LinkDegraded, vec![near]),
-                "packet_loss" => (TraceKind::LossConfig, vec![near]),
-                "switch_reboot" => (TraceKind::SwitchReboot, vec![whole_node]),
-                _ => (TraceKind::TelemetryFault, vec![whole_node]),
+            let (port, detail) = match *kind {
+                FaultKind::LinkDown { .. } | FaultKind::LinkUp { .. } => (port, peer),
+                FaultKind::DegradeLink { .. } => (port, FaultDetail::RateBps(1_000_000_000)),
+                FaultKind::RestoreLinkRate { .. } => (port, FaultDetail::None),
+                FaultKind::PacketLoss { frac, .. } => (port, FaultDetail::LossFrac(frac)),
+                // Nothing was queued: the reboot flushes no packet.
+                FaultKind::SwitchReboot { .. } => (PortId(u16::MAX), FaultDetail::Flushed(0)),
+                _ => (PortId(u16::MAX), FaultDetail::None),
             };
-            ends.into_iter().map(|(n, p)| (traced, n, p)).collect()
+            vec![(kind.name(), node, port, detail)]
         };
         let observed = |mut sim: Simulator| {
-            sim.set_tracer(Tracer::new(TraceFilter::default(), 64));
             sim.enable_profiling();
             sim
         };
@@ -673,17 +674,16 @@ mod tests {
             let (kind, executed) = (&ev.kind, i as u64 + 1);
             names.insert(kind.name());
             whole.core_mut().apply_fault(*kind);
-            let want = (vec![kind.name()], expected(kind), executed, executed);
+            let want = (expected(kind), executed, executed);
             assert_eq!(reported(&mut whole), want, "{kind:?}");
 
-            let mut sum = (Vec::new(), Vec::new(), 0, 0);
+            let mut sum = (Vec::new(), 0, 0);
             for shard in shards.iter_mut() {
                 shard.core_mut().apply_fault(*kind);
-                let (log, traced, instants, count) = reported(shard);
+                let (log, instants, count) = reported(shard);
                 sum.0.extend(log);
-                sum.1.extend(traced);
-                sum.2 += instants;
-                sum.3 += count;
+                sum.1 += instants;
+                sum.2 += count;
             }
             assert_eq!(sum, want, "{kind:?} over two shards");
         }

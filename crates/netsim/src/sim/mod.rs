@@ -10,9 +10,9 @@
 //!   switch reboot, telemetry freeze/blank, fault-plan installation, and
 //!   the single function that reports an executed fault: to the fault log
 //!   and through the probe.
-//! * `probe.rs` — **the probe point**: the one value (`Probe`) every
-//!   happening above is reported as, and the one holder of the observers
-//!   it reaches.
+//! * `probe.rs` — **the probe point**: the one value (`Happening`) every
+//!   happening above that the self-profiler keeps is reported as, and the
+//!   profiler it reaches.
 //! * `sharding.rs` — **shard plumbing**: canonical event keys, outboxes
 //!   and remote injection, node ownership and the per-node RNG streams
 //!   (every core is one shard of a partition, [`Simulator::new`]'s of the
@@ -26,7 +26,7 @@ mod faults;
 mod probe;
 mod sharding;
 
-pub(crate) use probe::{Happening, Probe};
+pub(crate) use probe::Happening;
 
 use crate::buffer::SharedBuffer;
 use crate::config::{PortConfig, SimConfig};
@@ -34,9 +34,9 @@ use crate::control::{ControllerHost, QueueController, SwitchView, ViewBackend};
 use crate::driver::{HostCtx, NicDriver};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultLogEntry, TelemFault};
-use crate::ids::{FlowId, NodeId, PortId, Prio};
+use crate::ids::{NodeId, PortId, Prio};
 use crate::packet::Packet;
-use crate::profile::event_kind;
+use crate::profile::{event_kind, SimProfiler};
 use crate::queues::{dwrr_pick, DwrrClass, EgressQueue, QItem, QueueArena, QueueTelemetry};
 use crate::routing::RouteTable;
 use crate::shard::{RemoteEvent, ShardPlan, MAX_KEYED_NODES};
@@ -342,10 +342,10 @@ pub struct SimCore {
     /// Cumulative count of faults executed, independent of the (drainable,
     /// capped) fault log — the number a long soak reports at the end.
     pub faults_executed: u64,
-    /// The observers, whichever are installed (see `probe.rs`). `None`
-    /// (the default) costs one pointer check per probe and per dispatch;
-    /// observers see the run, never steer it.
-    obs: Option<Box<probe::Observers>>,
+    /// The self-profiler, when installed (see `probe.rs`). `None` (the
+    /// default) costs one pointer check per probe and per dispatch; it sees
+    /// the run, never steers it.
+    prof: Option<Box<SimProfiler>>,
     /// Reused scratch for reboot queue flushes (reserved by
     /// `install_fault_plan`; grows to the deepest flush ever seen, then
     /// reboots stop allocating).
@@ -427,7 +427,7 @@ impl SimCore {
             fault_log: Vec::new(),
             fault_log_dropped: 0,
             faults_executed: 0,
-            obs: None,
+            prof: None,
             flush_scratch: Vec::new(),
             resume_scratch: Vec::new(),
             telem_snap_pool: Vec::new(),
@@ -638,11 +638,8 @@ impl SimCore {
             ingress: item.ingress,
             prio: item.pkt.prio,
         });
-        let qlen = row.queue.bytes();
         let ser = tx_time(item.pkt.size as u64, ps.rate_bps);
         let (delay, peer_node, peer_port) = (ps.delay, ps.peer_node, ps.peer_port);
-        let (t_flow, t_prio) = (item.pkt.flow, item.pkt.prio);
-        self.probe(Happening::Dequeue, node, port, t_prio, t_flow, qlen);
         self.schedule(now + ser, Event::TxDone { node, port });
         self.schedule(
             now + ser + delay,
@@ -687,7 +684,6 @@ impl SimCore {
     /// Deliver a PFC pause/resume to the peer of `ingress` on `node`.
     fn send_pfc(&mut self, node: NodeId, ingress: PortId, prio: Prio, pause: bool) {
         let i = self.port_index(node, ingress);
-        let qlen = self.classes.of(i)[prio as usize].ingress_bytes;
         let ip = &mut self.ports[i];
         let at = self.now + tx_time(PFC_FRAME_BYTES, ip.rate_bps) + ip.delay;
         let (peer_node, peer_port) = (ip.peer_node, ip.peer_port);
@@ -704,8 +700,6 @@ impl SimCore {
                 pause,
             },
         );
-        let what = Happening::Pfc { pause };
-        self.probe(what, node, ingress, prio, FlowId(0), qlen);
     }
 
     fn on_pfc_update(&mut self, node: NodeId, port: PortId, prio: Prio, pause: bool) {
@@ -727,8 +721,7 @@ impl SimCore {
             ps.paused |= bit;
         } else {
             if let Some(dur_ps) = ps.end_pause(row, prio as usize, now) {
-                let what = Happening::PauseEnd { dur_ps };
-                self.probe(what, node, port, prio, FlowId(0), 0);
+                self.probe(Happening::PauseEnd { dur_ps });
             }
             self.try_send(node, port);
         }
@@ -762,7 +755,7 @@ impl SimCore {
             }
             let qlen = q.bytes();
             q.record_drop(&mut row.telem);
-            self.probe(Happening::Drop, node, out_port, pkt.prio, pkt.flow, qlen);
+            self.probe(Happening::Drop { qlen });
             return;
         }
 
@@ -774,7 +767,7 @@ impl SimCore {
                 let marked = p >= 1.0 || (p > 0.0 && self.node_rng(node).gen::<f64>() < p);
                 if marked {
                     pkt.ecn = crate::packet::Ecn::Ce;
-                    self.probe(Happening::CeMark, node, out_port, pkt.prio, pkt.flow, qlen);
+                    self.probe(Happening::CeMark { qlen });
                 }
             }
         }
@@ -803,8 +796,6 @@ impl SimCore {
             },
             now,
         );
-        let qlen = row.queue.bytes();
-        self.probe(Happening::Enqueue, node, out_port, pkt.prio, pkt.flow, qlen);
         self.try_send(node, out_port);
     }
 
@@ -1031,9 +1022,9 @@ impl Simulator {
         });
         match s.event {
             Event::Arrive { node, port, pkt } => {
-                if self.core.rx_fault_drop(node, port, &pkt) {
-                    // Lost to a downed link or injected loss: counted and
-                    // traced, never delivered.
+                if self.core.rx_fault_drop(node, port) {
+                    // Lost to a downed link or injected loss: counted,
+                    // never delivered.
                 } else if self.core.port(node, port).is_host {
                     self.dispatch_driver(node, |d, ctx| d.on_packet(&pkt, ctx));
                 } else {
