@@ -869,13 +869,17 @@ impl Drop for Scenario {
     }
 }
 
-/// The engine counters run manifests and gate rows report. Over shards
-/// they sum, except the event-queue peak, which is the deepest any one
-/// shard saw.
+/// The engine counters run manifests report and `engine_counts` bounds.
+/// Over shards they sum, except the event-queue peak, which is the deepest
+/// any one shard saw.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct EngineTotals {
+pub struct EngineTotals {
+    /// Events processed.
     pub events_processed: u64,
+    /// The most events pending at once.
     pub peak_event_queue: u64,
+    /// Fault-log entries discarded because the log hit its cap between
+    /// drains.
     pub fault_log_dropped: u64,
     /// Packet-slab slots reserved at build, and the most queued at once.
     pub arena_slots_reserved: u64,
@@ -885,7 +889,7 @@ pub(crate) struct EngineTotals {
 }
 
 impl EngineTotals {
-    pub fn of(core: &netsim::sim::SimCore) -> Self {
+    pub(crate) fn of(core: &netsim::sim::SimCore) -> Self {
         let (arena_slots_reserved, arena_slots_peak) = core.arena_slots();
         EngineTotals {
             events_processed: core.events_processed,
@@ -897,7 +901,7 @@ impl EngineTotals {
         }
     }
 
-    pub fn merge(&mut self, o: &EngineTotals) {
+    pub(crate) fn merge(&mut self, o: &EngineTotals) {
         self.events_processed += o.events_processed;
         self.peak_event_queue = self.peak_event_queue.max(o.peak_event_queue);
         self.fault_log_dropped += o.fault_log_dropped;
@@ -973,7 +977,7 @@ pub struct RunOutcome {
     /// Per-shard execution counters in shard order; empty on one simulator.
     pub shard_stats: Vec<ShardStats>,
     /// Engine counters, merged over shards.
-    pub(crate) engine: EngineTotals,
+    pub engine: EngineTotals,
 }
 
 impl RunOutcome {
@@ -1181,11 +1185,12 @@ impl Harness {
     /// the phases ending at `phase_ends` (the last is the horizon), calling
     /// `between(i)` once phase `i` has ended — on `--shards N` shards when
     /// the flag was given, on one simulator otherwise. The experiments
-    /// that take `--shards` ([`crate::SHARDED`]) and perf's `xl-clos-1024`
-    /// rows call it; every other experiment drives the [`Scenario`] that
-    /// [`Harness::scenario`] builds itself. On shards, `between`
-    /// runs on the calling thread while every worker is parked, which is
-    /// where the perf gates read the process-wide allocation counter.
+    /// that take `--shards` ([`crate::SHARDED`]) and the `engine_counts`
+    /// test's `xl-clos-1024` rows call it; every other experiment drives the
+    /// [`Scenario`] that [`Harness::scenario`] builds itself. On shards,
+    /// `between` runs on the calling thread while every worker is parked,
+    /// which is where `engine_counts` reads its process-wide allocation
+    /// counter.
     ///
     /// Both branches run the same engine, and one shard equals one
     /// simulator. What stays forked: an ACC arm shares one global replay

@@ -144,7 +144,7 @@ pub const DOCUMENTS: [Document; 4] = [
     Document {
         schema: perf::SCHEMA,
         id: "perf",
-        description: "count gates",
+        description: "the flow backend's accuracy envelope",
         check: perf::check,
         show: perf::show,
     },

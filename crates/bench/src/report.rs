@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn tagged_documents_render_and_pass_their_check() {
-        render("gates.json", &crate::perf::tests::clean(true, json!(0.0))).unwrap();
+        render("gates.json", &crate::perf::tests::clean()).unwrap();
         render("soak.json", &crate::soak::tests::document()).unwrap();
         let profile = crate::profile::tests::book_with_one_run().to_json();
         render("profile.json", &profile).unwrap();
@@ -447,13 +447,13 @@ mod tests {
 
     #[test]
     fn a_failed_check_is_the_error() {
-        let mut gates = crate::perf::tests::clean(true, json!(0.0));
-        *crate::perf::tests::cell(&mut gates, "xl-flows", "flows_completed") = json!(48_999u64);
+        let mut gates = crate::perf::tests::clean();
+        *crate::perf::tests::cell(&mut gates, "accuracy", "max_p99_rel_err") = json!(0.1229);
         let err = render("bad-gates.json", &gates).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string()
-                .contains("xl-flows: flows_completed == flows_total: got 48999"),
+                .contains("accuracy: max_p99_rel_err <= 0.05: got 0.1229"),
             "{err}"
         );
         let mut soak = crate::soak::tests::document();

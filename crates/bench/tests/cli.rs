@@ -343,15 +343,16 @@ fn recording_flags_are_rejected_where_nothing_records() {
 #[test]
 fn profile_is_rejected_where_there_is_nothing_to_profile() {
     // fig11 and resources build no simulator: a profile of them has no
-    // runs, which the artifact's own validator rejects.
-    for id in ["fig11", "resources"] {
+    // runs, which the artifact's own validator rejects. `perf` is a fixed
+    // accuracy check, not an experiment: it neither records nor profiles.
+    for (id, says) in [
+        ("fig11", "'--profile' is not supported by 'fig11'"),
+        ("resources", "'--profile' is not supported by 'resources'"),
+        ("perf", "'--profile' only applies to experiments and 'soak'"),
+    ] {
         let out = acc_bench(&[id, "--quick", "--profile", "empty-profile.json"]);
         assert_eq!(out.status.code(), Some(2), "{id}: {}", stderr(&out));
-        assert!(
-            stderr(&out).contains(&format!("'--profile' is not supported by '{id}'")),
-            "{id}: {}",
-            stderr(&out)
-        );
+        assert!(stderr(&out).contains(says), "{id}: {}", stderr(&out));
         assert!(out.stdout.is_empty(), "{id}: nothing ran");
     }
     assert!(!PathBuf::from("target/cli-smoke/empty-profile.json").exists());

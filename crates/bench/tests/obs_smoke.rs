@@ -3,21 +3,22 @@
 //! Pins the three contracts of `--profile`:
 //! 1. a profiled run produces a schema-valid `acc-profile/v1` artifact with
 //!    *real* allocation numbers (the harnesses here register the counting
-//!    allocator probe, like the `acc-bench` binary does), and a profiled
-//!    `perf` run covers exactly its three packet rows;
+//!    allocator probe, like the `acc-bench` binary does);
 //! 2. recorded telemetry JSONL is byte-identical whether profiling is on or
-//!    off — the profiler only reads the wall clock, never sim state;
+//!    off — the profiler only reads the wall clock, never sim state — and
+//!    across repeats of the same seeded run, whose manifest carries the
+//!    engine counters;
 //! 3. profiling reads the wall clock at most `3 / SAMPLE_EVERY` times per
-//!    event on the websearch-load perf scenario — the count its 5%
-//!    events/sec budget stands for; the wall-clock ratio itself is not
-//!    asserted.
+//!    event on the websearch-load scenario — the count its 5% events/sec
+//!    budget stands for; the wall-clock ratio itself is not asserted.
 //!
 //! CI runs this as the `obs-smoke` job with `--release`.
 
 mod support;
+#[path = "support/websearch_load.rs"]
+mod websearch_load;
 
 use acc_bench::common::{Harness, Policy, Scale};
-use acc_bench::perf;
 use netsim::prelude::*;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -78,7 +79,7 @@ fn checked_profile(out: &Path) -> Value {
 fn profiled_run_writes_valid_artifact_with_real_numbers() {
     let out = Path::new("target").join("obs-smoke-profile.json");
     let h = profiling(&out);
-    let (mut sc, horizon) = perf::websearch_scenario(&h);
+    let (mut sc, horizon) = websearch_load::websearch_load(&h);
     sc.sim.run_until(horizon);
     drop(sc);
     assert!(h.write_profile(), "artifact write failed");
@@ -124,27 +125,9 @@ fn profiled_run_writes_valid_artifact_with_real_numbers() {
     );
 }
 
-/// The part of `acc-bench perf` that `--profile` covers — its packet rows —
-/// folds one run per row into the book.
-#[test]
-fn profiled_perf_rows_are_the_three_packet_rows() {
-    let out = Path::new("target").join("obs-smoke-perf-profile.json");
-    let h = profiling(&out);
-    let rows = perf::packet_rows(&h);
-    assert!(h.write_profile(), "artifact write failed");
-    let doc = checked_profile(&out);
-    let labels: Vec<&str> = doc["profile"]["runs"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|r| r["label"].as_str().unwrap())
-        .collect();
-    assert_eq!(rows.len(), 3);
-    assert_eq!(labels.len(), 3, "{labels:?}");
-}
-
-/// Record one websearch-under-faults run and return its run directory.
-/// With `profiled` the engine's self-profiler is on for the whole run.
+/// Record one websearch-under-faults run with a fresh online agent (no
+/// model cache dependency) and return its run directory. With `profiled`
+/// the engine's self-profiler is on for the whole run.
 fn recorded_run(root: &Path, profiled: bool) -> PathBuf {
     let mut h = Harness::new(Scale::QUICK).with_metrics(root, SimTime::from_us(100));
     if profiled {
@@ -175,14 +158,23 @@ fn recorded_jsonl_is_byte_identical_with_profiling_on() {
     let on = recorded_run(&root.join("on"), true);
     assert_recorded(&off, &["queues.jsonl", "agents.jsonl", "events.jsonl"]);
     assert_same_tree(&off, &on, "profiling off and on");
+
+    // The manifest carries the engine counters.
+    let m = telemetry::RunManifest::load(&off.join("manifest.json")).unwrap();
+    assert!(m.events_processed > 0, "manifest counted no events");
+    assert!(m.events_per_sec > 0.0, "manifest throughput missing");
+    assert!(
+        m.peak_event_queue > 0,
+        "manifest peak_event_queue not populated"
+    );
 }
 
-/// One profiled run of the quick websearch-load perf scenario: the
-/// wall-clock reads the profiler made per dispatched event.
+/// One profiled run of the quick websearch-load scenario: the wall-clock
+/// reads the profiler made per dispatched event.
 fn clock_reads_per_event() -> f64 {
     // The book is never written — only the profiler's counts matter.
     let h = Harness::new(Scale::QUICK).with_profile("target/obs-smoke-overhead-profile.json");
-    let (mut sc, horizon) = perf::websearch_scenario(&h);
+    let (mut sc, horizon) = websearch_load::websearch_load(&h);
     sc.sim.run_until(horizon);
     let events = sc.sim.core().events_processed;
     // A timed dispatch reads the clock three times (before the queue,

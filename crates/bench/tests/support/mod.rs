@@ -72,13 +72,13 @@ pub fn assert_same_tree(a: &Path, b: &Path, what: &str) {
 
 struct CountingAlloc;
 
-// Per thread: "allocations per train step" means allocations the train steps
-// make, and a profiled run's allocation block means the run's own. Other
+// Per thread: a profiled run's allocation block means the run's own. Other
 // threads — the neighbouring test, the main thread printing a result —
 // allocate whenever they are scheduled, which on a loaded host is inside the
 // probe window. Shard workers and trainer helpers are other threads too:
-// what they allocate is counted by the binary's process-wide probe, in CI's
-// `acc-bench perf --quick` step.
+// the engine's steady-state allocations, theirs included, are counted
+// process-wide by the `engine_counts` test, a harness-free test with its own
+// allocator.
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };

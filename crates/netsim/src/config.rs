@@ -26,7 +26,8 @@ pub struct PortConfig {
     /// grows on demand, but any growth is a heap allocation on the packet
     /// hot path — size this above the deepest backlog per switch the
     /// workload reaches, host NIC queues included, to keep the steady
-    /// state allocation-free (`acc-bench perf` prints both numbers).
+    /// state allocation-free (`acc-bench`'s `engine_counts` test prints
+    /// both numbers).
     #[serde(default = "default_arena_slots")]
     pub arena_slots: usize,
 }

@@ -490,8 +490,8 @@ impl Gate {
 /// Phases are barrier-separated: after all shards reach `phase_ends[i]`,
 /// every worker parks on a barrier and `between(i)` runs on the calling
 /// thread before the next phase starts. The `xl-clos-1024` rows of
-/// `acc-bench perf` read the global allocation counter there, at the
-/// warmup/steady boundary, while no shard is mid-flight.
+/// `acc-bench`'s `engine_counts` test read the global allocation counter
+/// there, at the warmup/steady boundary, while no shard is mid-flight.
 ///
 /// Results are returned in shard order. A panic on any worker (or in
 /// `between`) stops the others and is re-raised here.

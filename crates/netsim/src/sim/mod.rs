@@ -515,7 +515,7 @@ impl SimCore {
 
     /// Highest number of simultaneously pending events observed so far —
     /// the event queue's high-water mark, exported into run manifests and
-    /// the `peak_event_queue` column of `acc-bench perf`'s gate document.
+    /// bounded by `acc-bench`'s `engine_counts` test.
     pub fn event_queue_peak(&self) -> u64 {
         self.events.peak_len() as u64
     }

@@ -23,7 +23,7 @@ pub struct Arrival {
 /// told exactly how many messages it will originate and terminate
 /// ([`transport::reserve_stack`]); with that, running the scheduled workload
 /// performs no flow-table growth — part of the zero-allocation steady-state
-/// contract the perf gates assert.
+/// contract `acc-bench`'s `engine_counts` test asserts.
 ///
 /// In a sharded simulator only owned hosts carry stacks, so reservation and
 /// scheduling skip foreign hosts. Filtering whole hosts preserves each
