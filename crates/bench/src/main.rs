@@ -4,7 +4,8 @@
 //! * `--quick` / `-q` — shrink durations/topologies for a fast smoke run;
 //! * `--jobs <n>` / `-j <n>` — worker threads for run-matrix experiments
 //!   (default: one per available core; `--jobs 1` runs serially with
-//!   byte-identical recorded output);
+//!   byte-identical recorded output); rejected for `perf`, `train`,
+//!   `report` and `soak`, which run no matrix;
 //! * `--metrics-dir <dir>` — arm the flight recorder: every scenario the
 //!   selected experiments (or `soak`) build records queue/agent JSONL
 //!   time-series and a `manifest.json` into a numbered subdirectory of
@@ -233,6 +234,7 @@ fn main() {
         }
     }
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
+    let command = which.first().map(String::as_str);
     if metrics_dir.is_none() && interval_us.is_some() {
         bad_flag("flag '--metrics-interval-us' only applies with '--metrics-dir'");
     }
@@ -242,12 +244,7 @@ fn main() {
         ("--metrics-dir", metrics_dir.is_some()),
         ("--profile", profile.is_some()),
     ] {
-        if given
-            && matches!(
-                which.first().map(String::as_str),
-                None | Some("list" | "train" | "report" | "perf")
-            )
-        {
+        if given && matches!(command, None | Some("list" | "train" | "report" | "perf")) {
             bad_flag(&format!(
                 "flag '{flag}' only applies to experiments and 'soak'"
             ));
@@ -261,12 +258,16 @@ fn main() {
             ));
         }
     }
+    // Only experiments have a run matrix to spread over workers.
+    if jobs.is_some() && matches!(command, Some("train" | "report" | "soak" | "perf")) {
+        bad_flag("flag '--jobs' only applies to experiment runs");
+    }
     if shards.is_some() {
-        match which.first().map(String::as_str) {
-            None | Some("list") | Some("train") | Some("report") | Some("soak") | Some("perf") => {
-                bad_flag("flag '--shards' only applies to experiment runs")
-            }
-            _ => {}
+        if matches!(
+            command,
+            None | Some("list" | "train" | "report" | "soak" | "perf")
+        ) {
+            bad_flag("flag '--shards' only applies to experiment runs");
         }
         if profile.is_some() {
             bad_flag("flag '--profile' is not supported with '--shards'");
@@ -281,15 +282,13 @@ fn main() {
             ));
         }
     }
-    if (soak_plan_path.is_some() || fault_plan_path.is_some())
-        && which.first().map(String::as_str) != Some("soak")
-    {
+    if (soak_plan_path.is_some() || fault_plan_path.is_some()) && command != Some("soak") {
         bad_flag("flags '--soak-plan'/'--fault-plan' only apply to the 'soak' subcommand");
     }
     // These subcommands take one optional positional argument; a second one
     // used to be dropped without a word.
     if let (Some(cmd @ ("train" | "perf" | "soak" | "report")), Some(surplus)) =
-        (which.first().map(String::as_str), which.get(2))
+        (command, which.get(2))
     {
         bad_flag(&format!(
             "'{cmd}' takes at most one argument; unexpected '{surplus}'"

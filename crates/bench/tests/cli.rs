@@ -1,7 +1,8 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
 //! spellings of a value flag parse alike, bad values, retired flags, surplus
 //! positional arguments, `--shards` on an experiment without a sharded
-//! path, recording flags where nothing records and a `--fault-plan` naming
+//! path, `--jobs` on a subcommand that runs no matrix, recording flags
+//! where nothing records and a `--fault-plan` naming
 //! nodes or ports the fabric lacks exit 2, a sharded experiment runs and
 //! records every arm sharded, a result that cannot be saved fails the run,
 //! `report` renders saved results with the tables a run prints and a
@@ -136,6 +137,27 @@ fn shards_is_rejected_without_a_sharded_path() {
         "names the ones that do"
     );
     assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+/// `--jobs` sizes an experiment's run matrix; a subcommand that has none
+/// refuses it rather than ignoring it.
+#[test]
+fn jobs_is_rejected_where_nothing_runs_a_matrix() {
+    for args in [
+        ["perf", "--quick", "--jobs", "2"].as_slice(),
+        &["train", "--quick", "--jobs", "2"],
+        &["report", "results", "--jobs", "2"],
+        &["soak", "--quick", "-j", "2"],
+    ] {
+        let out = acc_bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("flag '--jobs' only applies to experiment runs"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
 }
 
 #[test]

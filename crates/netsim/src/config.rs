@@ -21,13 +21,16 @@ pub struct PortConfig {
     pub max_queue_bytes: Vec<u64>,
     /// Packets of slab capacity reserved per switch. A simulation core keeps
     /// one slab behind every egress queue of every port it simulates and
-    /// creates it with room for `arena_slots` packets for each switch it
-    /// owns (all of them, unsharded; at least one switch's worth). The slab
-    /// grows on demand, but any growth is a heap allocation on the packet
-    /// hot path — size this above the deepest backlog per switch the
-    /// workload reaches, host NIC queues included, to keep the steady
-    /// state allocation-free (`acc-bench`'s `engine_counts` test prints
-    /// both numbers).
+    /// creates it with room for `arena_slots` packets per switch it owns
+    /// (at least one), capped at the MTU packets one shared buffer holds:
+    /// `buffer_bytes / (mtu_payload + HEADER_BYTES)`, 32,017 for 32 MiB.
+    /// Dynamic-threshold PFC keeps a switch's backlog below its buffer (`n`
+    /// paused ingress counters hold at most `n·α / (1 + n·α)` of it), and a
+    /// fabric's switches are not all full at once: the 1024-host Clos under
+    /// WebSearch peaks at 8,598 queued packets on one core, 9,339 over two.
+    /// Past the reservation the slab grows, a heap allocation on the packet
+    /// hot path: a 64-to-1 incast through one switch queues 29,293 against
+    /// its 2,048 (`acc-bench`'s `engine_counts` test prints both numbers).
     #[serde(default = "default_arena_slots")]
     pub arena_slots: usize,
 }

@@ -164,7 +164,7 @@ impl ClassCounters for PortTelemetry {
 }
 
 /// One entry waiting in an egress queue: what [`EgressQueue::pop`] and
-/// [`EgressQueue::flush_into`] hand back.
+/// [`EgressQueue::drop_head`] hand back.
 #[derive(Clone, Copy, Debug)]
 pub struct QItem {
     /// The packet.
@@ -389,6 +389,41 @@ impl EgressQueue {
         telem: &mut impl ClassCounters,
         now: SimTime,
     ) -> Option<QItem> {
+        let item = self.take_head(arena, telem, now)?;
+        let sz = item.pkt.size as u64;
+        let t = telem.class_mut(self.prio as usize);
+        t.tx_bytes += sz;
+        t.tx_pkts += 1;
+        if item.pkt.ecn == crate::packet::Ecn::Ce {
+            t.tx_marked_pkts += 1;
+            t.tx_marked_bytes += sz;
+        }
+        Some(item)
+    }
+
+    /// Discard the head packet (switch reboot / power loss), counting it as
+    /// a drop, and hand it back so the caller can release its shared-buffer
+    /// accounting. A reboot calls it until the queue is empty.
+    pub fn drop_head(
+        &mut self,
+        arena: &mut QueueArena,
+        telem: &mut impl ClassCounters,
+        now: SimTime,
+    ) -> Option<QItem> {
+        let item = self.take_head(arena, telem, now)?;
+        self.record_drop(telem);
+        Some(item)
+    }
+
+    /// Unlink the head packet and free its slot; the byte count and the
+    /// time integral follow, the tx and drop counters are the caller's.
+    #[inline]
+    fn take_head(
+        &mut self,
+        arena: &mut QueueArena,
+        telem: &mut impl ClassCounters,
+        now: SimTime,
+    ) -> Option<QItem> {
         self.advance_clock(telem, now);
         if self.head == NIL {
             return None;
@@ -401,56 +436,16 @@ impl EgressQueue {
         }
         arena.free(idx);
         self.count -= 1;
-        let item = QItem {
+        self.bytes -= slot.pkt.size as u64;
+        Some(QItem {
             pkt: slot.pkt,
             ingress: slot.ingress,
-        };
-        let sz = item.pkt.size as u64;
-        self.bytes -= sz;
-        let t = telem.class_mut(self.prio as usize);
-        t.tx_bytes += sz;
-        t.tx_pkts += 1;
-        if item.pkt.ecn == crate::packet::Ecn::Ce {
-            t.tx_marked_pkts += 1;
-            t.tx_marked_bytes += sz;
-        }
-        Some(item)
+        })
     }
 
     /// Bring the time-integral up to `now` (call before reading telemetry).
     pub fn sync_clock(&mut self, telem: &mut impl ClassCounters, now: SimTime) {
         self.advance_clock(telem, now);
-    }
-
-    /// Discard every queued packet (switch reboot / power loss), counting
-    /// each as a drop, and append the discarded items to `out` (cleared
-    /// first) so the caller can release their shared-buffer accounting. The
-    /// reboot path passes one reused scratch buffer, so flushes stop
-    /// allocating once the buffer has grown to the deepest queue seen.
-    pub fn flush_into(
-        &mut self,
-        arena: &mut QueueArena,
-        telem: &mut impl ClassCounters,
-        now: SimTime,
-        out: &mut Vec<QItem>,
-    ) {
-        self.advance_clock(telem, now);
-        out.clear();
-        let mut idx = self.head;
-        while idx != NIL {
-            let slot = arena.slots[idx as usize];
-            out.push(QItem {
-                pkt: slot.pkt,
-                ingress: slot.ingress,
-            });
-            arena.free(idx);
-            idx = slot.next;
-        }
-        self.head = NIL;
-        self.tail = NIL;
-        self.count = 0;
-        self.bytes = 0;
-        telem.class_mut(self.prio as usize).drops += out.len() as u64;
     }
 }
 
@@ -897,33 +892,38 @@ mod tests {
     }
 
     #[test]
-    fn flush_into_reuses_scratch_and_counts_drops() {
+    fn drop_head_frees_slots_and_counts_drops() {
         let mut a = QueueArena::new();
         let mut pt = PortTelemetry::new();
         let mut q = EgressQueue::new(0, 1 << 20, None);
         let t = SimTime::ZERO;
-        let mut scratch = Vec::new();
         for round in 1..=3usize {
-            for _ in 0..round * 2 {
+            for i in 0..round * 2 {
                 q.push(
                     &mut a,
                     &mut pt,
                     QItem {
-                        pkt: pkt(952),
+                        pkt: pkt(952 + i as u32),
                         ingress: None,
                     },
                     t,
                 );
             }
-            q.flush_into(&mut a, &mut pt, t, &mut scratch);
-            assert_eq!(scratch.len(), round * 2);
+            let mut sizes = Vec::new();
+            while let Some(item) = q.drop_head(&mut a, &mut pt, t) {
+                sizes.push(item.pkt.size);
+            }
+            // Head first, in push order.
+            let want: Vec<u32> = (0..round * 2).map(|i| pkt(952 + i as u32).size).collect();
+            assert_eq!(sizes, want);
             assert!(q.is_empty());
             assert_eq!(q.bytes(), 0);
         }
         assert_eq!(pt.queue(0).drops, 2 + 4 + 6);
-        // Slab never exceeded the deepest flush; scratch kept its capacity.
+        assert_eq!(pt.queue(0).tx_pkts, 0, "a drop is not a transmission");
+        // Every dropped packet's slot went back on the freelist: the slab
+        // never exceeded the deepest queue.
         assert_eq!(a.slot_count(), 6);
-        assert!(scratch.capacity() >= 6);
     }
 
     #[test]

@@ -281,9 +281,8 @@ impl SimCore {
         let now = self.now;
         let num_ports = self.ports_of(node).len();
         let mut flushed: u64 = 0;
-        // Reuse the core-owned scratch buffers across reboots (Vec::new()
-        // placeholders left behind by `take` never allocate).
-        let mut items = std::mem::take(&mut self.flush_scratch);
+        // Reuse the core-owned scratch (the Vec::new() placeholder left
+        // behind by `take` never allocates).
         let mut resumes = std::mem::take(&mut self.resume_scratch);
         resumes.clear();
         for pi in 0..num_ports {
@@ -291,13 +290,13 @@ impl SimCore {
             let sent = self.clear_pfc_state(node, port);
             let i = self.port_index(node, port);
             for prio in 0..self.classes.prios {
-                let row = &mut self.classes.of_mut(i)[prio];
-                row.queue
-                    .flush_into(&mut self.arena, &mut row.telem, now, &mut items);
-                row.queue.ecn = self.cfg.port.ecn[prio];
-                row.sched.reset();
-                flushed += items.len() as u64;
-                for item in &items {
+                loop {
+                    let row = &mut self.classes.of_mut(i)[prio];
+                    let Some(item) = row.queue.drop_head(&mut self.arena, &mut row.telem, now)
+                    else {
+                        break;
+                    };
+                    flushed += 1;
                     if let Some(buf) = self.nodes[node.idx()].buffer.as_mut() {
                         buf.release(item.pkt.size);
                     }
@@ -306,6 +305,9 @@ impl SimCore {
                         *ib = ib.saturating_sub(item.pkt.size as u64);
                     }
                 }
+                let row = &mut self.classes.of_mut(i)[prio];
+                row.queue.ecn = self.cfg.port.ecn[prio];
+                row.sched.reset();
                 if sent & (1u8 << prio) != 0 {
                     resumes.push((port, prio as Prio));
                 }
@@ -319,8 +321,6 @@ impl SimCore {
                 self.send_pfc(node, port, prio, false);
             }
         }
-        items.clear();
-        self.flush_scratch = items;
         self.resume_scratch = resumes;
         self.recycle_telem_fault(node);
         flushed
@@ -384,7 +384,6 @@ impl Simulator {
         core.fault_log.reserve(plan.events.len().min(FAULT_LOG_CAP));
         let max_ports = core.topo.nodes.iter().map(|n| n.ports.len()).max();
         let snap_cap = max_ports.unwrap_or(0) * core.classes.prios;
-        core.flush_scratch.reserve(core.cfg.port.arena_slots);
         core.resume_scratch.reserve(snap_cap);
         core.telem_snap_pool.reserve(snap_cap);
         let now = self.core.now;

@@ -35,7 +35,7 @@ use crate::driver::{HostCtx, NicDriver};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultLogEntry, TelemFault};
 use crate::ids::{NodeId, PortId, Prio};
-use crate::packet::Packet;
+use crate::packet::{Packet, HEADER_BYTES};
 use crate::profile::{event_kind, SimProfiler};
 use crate::queues::{dwrr_pick, DwrrClass, EgressQueue, QItem, QueueArena, QueueTelemetry};
 use crate::routing::RouteTable;
@@ -346,10 +346,6 @@ pub struct SimCore {
     /// default) costs one pointer check per probe and per dispatch; it sees
     /// the run, never steers it.
     prof: Option<Box<SimProfiler>>,
-    /// Reused scratch for reboot queue flushes (reserved by
-    /// `install_fault_plan`; grows to the deepest flush ever seen, then
-    /// reboots stop allocating).
-    flush_scratch: Vec<QItem>,
     /// Reused scratch for the PFC resumes a reboot sends upstream.
     resume_scratch: Vec<(PortId, Prio)>,
     /// Recycled telemetry-freeze snapshot storage: when a freeze ends, its
@@ -397,10 +393,13 @@ impl SimCore {
         port_base.push(ports.len() as u32);
         let foreign_links = ForeignLinks::new(&topo, &shard);
         // The one packet slab is sized from the switches this core owns —
-        // their shared buffers are where a fabric's backlog stands.
+        // their shared buffers are where a fabric's backlog stands — up to
+        // the MTU packets one shared buffer holds (see `arena_slots`).
         let owned_switches = topo.switches().iter().filter(|&&sw| shard.owns(sw)).count();
         let owned_nodes = (0..topo.nodes.len()).filter(|&i| owned(i)).count();
-        let arena_reserved = cfg.port.arena_slots * owned_switches.max(1);
+        let one_buffer = cfg.buffer_bytes / u64::from(cfg.mtu_payload + HEADER_BYTES);
+        let arena_reserved =
+            (cfg.port.arena_slots * owned_switches.max(1)).min(one_buffer as usize);
         let routes = RouteTable::build(&topo);
         SimCore {
             cfg,
@@ -428,7 +427,6 @@ impl SimCore {
             fault_log_dropped: 0,
             faults_executed: 0,
             prof: None,
-            flush_scratch: Vec::new(),
             resume_scratch: Vec::new(),
             telem_snap_pool: Vec::new(),
             shard,
@@ -535,9 +533,11 @@ impl SimCore {
     }
 
     /// Packets the core's slab was sized for at construction
-    /// ([`crate::config::PortConfig::arena_slots`] per owned switch), and
-    /// the most it has held queued at once: while the second is at or below
-    /// the first, the packet path has never grown the slab.
+    /// ([`crate::config::PortConfig::arena_slots`] per owned switch, at
+    /// most the MTU packets one shared buffer holds, because PFC keeps a
+    /// switch's backlog below its buffer), and the most it has held queued
+    /// at once: while the second is at or below the first, the packet path
+    /// has never grown the slab.
     pub fn arena_slots(&self) -> (usize, usize) {
         (self.arena_reserved, self.arena.slot_count())
     }
@@ -1263,6 +1263,34 @@ mod tests {
         );
         assert!(offset_of!(ClassRow, telem) < offset_of!(ClassRow, pause_ps));
         assert_eq!(size_of::<ArenaSlot>(), 48);
+    }
+
+    /// A core's slab reserves 2,048 packets per switch it owns, but never
+    /// more than one shared buffer of MTU packets (32 MiB / 1,048 B).
+    #[test]
+    fn slab_reserves_at_most_one_shared_buffer() {
+        let reserved = |spec: TopologySpec, buffer_bytes: u64| {
+            let cfg = SimConfig {
+                buffer_bytes,
+                ..SimConfig::default()
+            };
+            Simulator::new(spec.build(), cfg).core().arena_slots().0
+        };
+        let mib32 = 32 << 20;
+        let host_delay = SimTime::from_ns(500);
+        let one_switch = TopologySpec::single_switch(4, 25_000_000_000, host_delay);
+        assert_eq!(reserved(one_switch, mib32), 2_048);
+        assert_eq!(reserved(TopologySpec::paper_testbed(), mib32), 12_288);
+        // 18 switches would reserve 36,864.
+        assert_eq!(reserved(TopologySpec::paper_large_sim(), mib32), 32_017);
+        // Each half of the 132-switch Clos would reserve 135,168.
+        let topo = TopologySpec::paper_xl_clos().build();
+        let plan = ShardPlan::build(&topo, 2);
+        for s in 0..2 {
+            let sim = Simulator::new_sharded(topo.clone(), SimConfig::default(), &plan, s);
+            assert_eq!(sim.core().arena_slots().0, 32_017, "shard {s}");
+        }
+        assert_eq!(reserved(TopologySpec::paper_testbed(), 512 << 10), 500);
     }
 
     #[test]

@@ -547,7 +547,6 @@ proptest! {
         let mut model: Vec<VecDeque<(u64, u32)>> = vec![VecDeque::new(); QUEUES];
         let tagged = |item: &QItem| (item.pkt.flow.0, item.pkt.size, item.ingress);
         let (mut pushed, mut live, mut peak) = (0u64, 0usize, 0usize);
-        let mut flushed = Vec::new();
         for &(action, qi, payload) in &ops {
             let (q, t, m) = (&mut queues[qi], &mut telem[qi], &mut model[qi]);
             match action {
@@ -572,8 +571,10 @@ proptest! {
                 }
                 _ => {
                     let drops = t.queue(qi % 8).drops;
-                    q.flush_into(&mut arena, t, now, &mut flushed);
-                    let got: Vec<_> = flushed.iter().map(tagged).collect();
+                    let mut got = Vec::new();
+                    while let Some(item) = q.drop_head(&mut arena, t, now) {
+                        got.push(tagged(&item));
+                    }
                     let want: Vec<_> = m
                         .drain(..)
                         .map(|(id, size)| (id, size, Some(PortId(qi as u16))))
