@@ -388,8 +388,6 @@ struct Shared {
     /// `unsafe`); without a probe (e.g. library tests) allocation columns
     /// are `null`.
     alloc_probe: Option<fn() -> (u64, u64)>,
-    /// High-water mark of live heap bytes — the soak run's peak-RSS proxy.
-    peak_probe: Option<fn() -> u64>,
 }
 
 /// The matrix cell a harness was handed to. Scenarios built through it
@@ -404,7 +402,7 @@ struct CellCtx {
 
 /// The run context of one `acc-bench` invocation (or one test): scale,
 /// worker and shard counts, the flight recorder with its run counter and
-/// failure flag, the profile book and the allocator probes. `main` builds
+/// failure flag, the profile book and the allocator probe. `main` builds
 /// one from the parsed flags; every experiment, and through
 /// [`Harness::run_matrix`] every matrix cell, receives it as an argument.
 /// It is the only thing that builds a simulator, so `--metrics-dir` and
@@ -426,7 +424,7 @@ pub struct Harness {
 
 impl Harness {
     /// A harness with nothing armed: all cores, unsharded, no recording, no
-    /// profile, no probes.
+    /// profile, no probe.
     pub fn new(scale: Scale) -> Self {
         Harness {
             scale,
@@ -439,7 +437,6 @@ impl Harness {
                 metrics_failed: AtomicBool::new(false),
                 profile: Mutex::new(None),
                 alloc_probe: None,
-                peak_probe: None,
             }),
         }
     }
@@ -488,12 +485,6 @@ impl Harness {
     /// Register the global allocator's `(allocations, bytes)` counters.
     pub fn with_alloc_probe(mut self, probe: fn() -> (u64, u64)) -> Self {
         self.shared_mut().alloc_probe = Some(probe);
-        self
-    }
-
-    /// Register the live-heap high-water-mark counter.
-    pub fn with_peak_probe(mut self, probe: fn() -> u64) -> Self {
-        self.shared_mut().peak_probe = Some(probe);
         self
     }
 
@@ -565,11 +556,6 @@ impl Harness {
     /// The allocator probe's `(allocations, bytes)`, if one is registered.
     pub(crate) fn alloc_counts(&self) -> Option<(u64, u64)> {
         self.shared.alloc_probe.map(|f| f())
-    }
-
-    /// The peak-live-bytes probe, if one is registered.
-    pub(crate) fn peak_live_bytes(&self) -> Option<u64> {
-        self.shared.peak_probe.map(|f| f())
     }
 }
 
@@ -1725,7 +1711,7 @@ pub fn banner(id: &str, title: &str) {
 
 /// Write `doc` to `path` as pretty-printed JSON, creating the parent
 /// directory: the one writer of every document `acc-bench` leaves behind —
-/// results, the gate and soak documents and the profile artifact.
+/// results, the gate document and the profile artifact.
 pub fn write_document(path: &Path, doc: &Value) -> std::io::Result<()> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;

@@ -97,10 +97,9 @@ impl FaultOutcome {
 }
 
 /// Count tuned queues whose final ECN config violates the basic safety
-/// invariants (`0 < Kmin <= Kmax`, `0 < Pmax <= 1`, finite). Shared with
-/// the soak harness, whose SLO report gates on this being zero. In a
-/// sharded simulator only owned switches are counted (each shard carries
-/// the full topology; summing gated counts visits every switch once).
+/// invariants (`0 < Kmin <= Kmax`, `0 < Pmax <= 1`, finite). In a sharded
+/// simulator only owned switches are counted (each shard carries the full
+/// topology; summing gated counts visits every switch once).
 pub(crate) fn invalid_final_configs(sim: &Simulator) -> usize {
     let mut bad = 0;
     for &sw in sim.core().topo.switches() {

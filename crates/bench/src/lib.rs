@@ -6,7 +6,7 @@
 //! tables. The CLI saves what `run` returns to `results/` and then calls
 //! `show`; `acc-bench report results/<id>.json` calls the same `show` on a
 //! saved file, so a printed table and a rendered one cannot disagree. The
-//! documents `perf`, `soak` and `--profile` write, and the committed
+//! documents `perf` and `--profile` write, and the committed
 //! `results/quick-digests.json`, carry a schema tag and go the same way
 //! through [`DOCUMENTS`], with a `check` that `report` re-runs.
 //!
@@ -45,7 +45,6 @@ pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod resources;
-pub mod soak;
 
 pub use common::{Harness, Scale};
 
@@ -117,7 +116,7 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
 }
 
 /// A document that names its kind in a `schema` tag: written by `perf`,
-/// `soak`, `--profile` or the quick-digest test, and shown and checked by
+/// `--profile` or the quick-digest test, and shown and checked by
 /// the same two functions after the run and under `acc-bench report <file>`.
 pub struct Document {
     /// The `schema` tag.
@@ -133,14 +132,7 @@ pub struct Document {
 }
 
 /// Every tagged document `acc-bench` writes or reads.
-pub const DOCUMENTS: [Document; 4] = [
-    Document {
-        schema: soak::SCHEMA,
-        id: "soak",
-        description: "datacenter day: rotating workloads + faults + checkpoint hot-swap/rollback",
-        check: soak::check,
-        show: soak::show,
-    },
+pub const DOCUMENTS: [Document; 3] = [
     Document {
         schema: perf::SCHEMA,
         id: "perf",

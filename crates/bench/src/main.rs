@@ -4,10 +4,10 @@
 //! * `--quick` / `-q` — shrink durations/topologies for a fast smoke run;
 //! * `--jobs <n>` / `-j <n>` — worker threads for run-matrix experiments
 //!   (default: one per available core; `--jobs 1` runs serially with
-//!   byte-identical recorded output); rejected for `perf`, `train`,
-//!   `report` and `soak`, which run no matrix;
+//!   byte-identical recorded output); rejected for `perf`, `train` and
+//!   `report`, which run no matrix;
 //! * `--metrics-dir <dir>` — arm the flight recorder: every scenario the
-//!   selected experiments (or `soak`) build records queue/agent JSONL
+//!   selected experiments build records queue/agent JSONL
 //!   time-series and a `manifest.json` into a numbered subdirectory of
 //!   `<dir>`; where nothing records (`perf`, `list`, `train`, `report`, an
 //!   experiment that builds no simulator) it is rejected;
@@ -17,19 +17,17 @@
 //!   scenario and write one Chrome-trace-compatible profile artifact
 //!   (`acc-profile/v1`) at exit; inspect it with `acc-bench report <file>`
 //!   or load it in `about://tracing` / Perfetto; like `--metrics-dir` it
-//!   applies to experiments and `soak`, and is rejected for `perf` and an
+//!   applies to experiments only, and is rejected for `perf` and an
 //!   experiment that builds no simulator ([`acc_bench::NO_SIMULATOR`]);
 //! * `--shards <n>` — run the experiments that have a sharded path
 //!   ([`acc_bench::SHARDED`]) through the conservative-lookahead runner on
 //!   `n` shards (`--shards 1` records what the run without the flag
-//!   records); any other experiment id is rejected;
-//! * `--soak-plan <file>` / `--fault-plan <file>` — `soak` only: replace
-//!   the built-in datacenter-day schedule / fault script with JSON plans.
+//!   records); any other experiment id is rejected.
 //!
 //! Value flags are accepted as `--flag value` or `--flag=value`. Unknown
-//! flags, unreadable or invalid plan files, duplicate experiment ids and
-//! positional arguments a subcommand has no use for are rejected with exit
-//! code 2 rather than silently ignored.
+//! flags, duplicate experiment ids and positional arguments a subcommand
+//! has no use for are rejected with exit code 2 rather than silently
+//! ignored.
 
 use acc_bench::{Experiment, Harness, Scale, EXPERIMENTS};
 use netsim::prelude::SimTime;
@@ -47,17 +45,11 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Live heap bytes and their high-water mark — `acc-bench soak`'s peak-RSS
-/// proxy (read through [`Harness::with_peak_probe`]).
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 fn track_alloc(bytes: u64) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: delegates directly to the `System` allocator; the counters do not
@@ -73,13 +65,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             track_alloc(new_size as u64);
         }
         p
@@ -117,17 +107,13 @@ fn usage() {
     println!("       acc-bench all [--quick] [--jobs <n>]");
     println!("       acc-bench train [out.json] [--quick]   # save a deployable model bundle");
     println!("       acc-bench report <dir>                 # summarise recorded telemetry");
-    println!("       acc-bench report <file>                # BENCH_gates.json, SOAK_SLO.json or");
-    println!("                                              # a --profile artifact: print it,");
-    println!("                                              # exit 1 naming each failed check");
+    println!("       acc-bench report <file>                # BENCH_gates.json or a --profile");
+    println!("                                              # artifact: print it, exit 1");
+    println!("                                              # naming each failed check");
     println!("       acc-bench report results/<id>.json     # print a saved result's tables");
     println!("       acc-bench perf [out.json] [--quick]    # flow accuracy envelope -> BENCH_gates.json,");
-    println!("                                              # exit 1 naming any gate that failed");
     println!(
-        "       acc-bench soak [out.json] [--quick] [--soak-plan <file>] [--fault-plan <file>]"
-    );
-    println!(
-        "                                              # fleet soak 'datacenter day' -> SOAK_SLO.json\n"
+        "                                              # exit 1 naming any gate that failed\n"
     );
     println!("flags: --quick|-q                 smoke scale");
     println!("       --jobs|-j <n>              run-matrix worker threads (default: all cores;");
@@ -140,11 +126,7 @@ fn usage() {
     println!("                                  arm records the same output at any count; an ACC");
     println!("                                  arm the same at every count >= 2, but not at 1,");
     println!("                                  where its switches share one replay memory)");
-    println!("       --soak-plan <file>         soak only: JSON day schedule replacing the");
-    println!("                                  built-in datacenter-day rotation");
-    println!("       --fault-plan <file>        soak only: JSON fault script replacing the");
-    println!("                                  built-in one");
-    println!("       --metrics-dir <dir>        experiments/soak: record queue/agent JSONL +");
+    println!("       --metrics-dir <dir>        experiments: record queue/agent JSONL +");
     println!("                                  manifests");
     println!("       --metrics-interval-us <n>  with --metrics-dir: queue sampling cadence");
     println!("                                  (default 100)");
@@ -164,14 +146,12 @@ fn bad_flag(msg: &str) -> ! {
 }
 
 /// The flags that take a value.
-const VALUE_FLAGS: [&str; 7] = [
+const VALUE_FLAGS: [&str; 5] = [
     "--jobs",
     "--metrics-dir",
     "--metrics-interval-us",
     "--profile",
     "--shards",
-    "--soak-plan",
-    "--fault-plan",
 ];
 
 fn main() {
@@ -194,8 +174,6 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut profile: Option<String> = None;
     let mut shards: Option<u32> = None;
-    let mut soak_plan_path: Option<String> = None;
-    let mut fault_plan_path: Option<String> = None;
     let mut which: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -221,14 +199,6 @@ fn main() {
                 Some(Ok(n)) if n > 0 => shards = Some(n),
                 _ => bad_flag("flag '--shards' needs a positive integer"),
             },
-            "--soak-plan" => match it.next() {
-                Some(p) => soak_plan_path = Some(p.clone()),
-                None => bad_flag("flag '--soak-plan' needs a file argument"),
-            },
-            "--fault-plan" => match it.next() {
-                Some(p) => fault_plan_path = Some(p.clone()),
-                None => bad_flag("flag '--fault-plan' needs a file argument"),
-            },
             flag if flag.starts_with('-') => bad_flag(&format!("unknown flag '{flag}'")),
             _ => which.push(a.clone()),
         }
@@ -245,9 +215,7 @@ fn main() {
         ("--profile", profile.is_some()),
     ] {
         if given && matches!(command, None | Some("list" | "train" | "report" | "perf")) {
-            bad_flag(&format!(
-                "flag '{flag}' only applies to experiments and 'soak'"
-            ));
+            bad_flag(&format!("flag '{flag}' only applies to experiments"));
         }
         if let Some(w) = which
             .iter()
@@ -259,14 +227,11 @@ fn main() {
         }
     }
     // Only experiments have a run matrix to spread over workers.
-    if jobs.is_some() && matches!(command, Some("train" | "report" | "soak" | "perf")) {
+    if jobs.is_some() && matches!(command, Some("train" | "report" | "perf")) {
         bad_flag("flag '--jobs' only applies to experiment runs");
     }
     if shards.is_some() {
-        if matches!(
-            command,
-            None | Some("list" | "train" | "report" | "soak" | "perf")
-        ) {
+        if matches!(command, None | Some("list" | "train" | "report" | "perf")) {
             bad_flag("flag '--shards' only applies to experiment runs");
         }
         if profile.is_some() {
@@ -282,14 +247,9 @@ fn main() {
             ));
         }
     }
-    if (soak_plan_path.is_some() || fault_plan_path.is_some()) && command != Some("soak") {
-        bad_flag("flags '--soak-plan'/'--fault-plan' only apply to the 'soak' subcommand");
-    }
     // These subcommands take one optional positional argument; a second one
     // used to be dropped without a word.
-    if let (Some(cmd @ ("train" | "perf" | "soak" | "report")), Some(surplus)) =
-        (command, which.get(2))
-    {
+    if let (Some(cmd @ ("train" | "perf" | "report")), Some(surplus)) = (command, which.get(2)) {
         bad_flag(&format!(
             "'{cmd}' takes at most one argument; unexpected '{surplus}'"
         ));
@@ -313,7 +273,7 @@ fn main() {
             std::process::exit(2);
         };
         let path = std::path::Path::new(target);
-        // A profile, soak report or experiment result is a file; a
+        // A profile, gate document or experiment result is a file; a
         // telemetry recording is a directory of runs.
         let result = if path.is_file() {
             acc_bench::report::print_file_report(path)
@@ -328,7 +288,7 @@ fn main() {
     }
     // Reject duplicate experiment ids: the second execution used to shadow
     // the first's recordings (and silently double the wall time).
-    if !matches!(which[0].as_str(), "perf" | "soak") {
+    if which[0] != "perf" {
         let mut seen = std::collections::HashSet::new();
         for w in &which {
             if !seen.insert(w.as_str()) {
@@ -336,56 +296,14 @@ fn main() {
             }
         }
     }
-    // User-supplied soak plans are fully vetted here — unreadable files,
-    // malformed JSON, structural violations and unknown workload names all
-    // exit 2 before any simulation work starts.
-    let plan = soak_plan_path.as_deref().map(|p| {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => bad_flag(&format!("cannot read soak plan {p}: {e}")),
-        };
-        let parsed: acc_core::SoakPlan = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => bad_flag(&format!("invalid soak plan {p}: {e}")),
-        };
-        if let Err(e) = parsed.validate() {
-            bad_flag(&format!("invalid soak plan {p}: {e}"));
-        }
-        if let Err(e) = acc_bench::soak::resolve_generators(&parsed, scale, parsed.seed) {
-            bad_flag(&format!("invalid soak plan {p}: {e}"));
-        }
-        parsed
-    });
-    let faults = fault_plan_path.as_deref().map(|p| {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => bad_flag(&format!("cannot read fault plan {p}: {e}")),
-        };
-        // `FaultPlan`'s deserializer validates structurally; its endpoints
-        // are checked against the soak's fabric here, with the check the
-        // simulator repeats when it installs the plan.
-        let parsed: netsim::prelude::FaultPlan = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => bad_flag(&format!("invalid fault plan {p}: {e}")),
-        };
-        let topo = acc_bench::soak::topology_spec(scale).build();
-        if let Err(e) = parsed.check_topology(&topo) {
-            bad_flag(&format!("invalid fault plan {p}: {e}"));
-        }
-        parsed
-    });
-
     // The one run context: everything the flags configure, built once. The
-    // probes let profiled runs and `soak` report real allocation and heap
-    // numbers.
-    let mut harness = Harness::new(scale)
-        .with_alloc_probe(|| {
-            (
-                ALLOCS.load(Ordering::Relaxed),
-                ALLOC_BYTES.load(Ordering::Relaxed),
-            )
-        })
-        .with_peak_probe(|| PEAK_BYTES.load(Ordering::Relaxed));
+    // probe lets profiled runs report real allocation counts.
+    let mut harness = Harness::new(scale).with_alloc_probe(|| {
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        )
+    });
     if let Some(n) = jobs {
         harness = harness.with_jobs(n);
     }
@@ -409,32 +327,15 @@ fn main() {
         eprintln!("[profile] self-profiling every run into {p}");
     }
 
-    let document = match which[0].as_str() {
-        "perf" => acc_bench::document(acc_bench::perf::SCHEMA),
-        "soak" => acc_bench::document(acc_bench::soak::SCHEMA),
-        _ => None,
-    };
     let mut checks_failed = false;
-    if let Some(d) = document {
+    if which[0] == "perf" {
+        let d = acc_bench::document(acc_bench::perf::SCHEMA).expect("perf writes a document");
         acc_bench::common::banner(d.id, d.description);
-        let h = harness.experiment(d.id);
-        let (doc, default_out) = if d.id == "perf" {
-            (acc_bench::perf::run(&h), "BENCH_gates.json")
-        } else {
-            // Checkpoints land next to the recorded telemetry when armed.
-            let ckpt_dir = metrics_dir
-                .as_ref()
-                .map(|dir| std::path::Path::new(dir).join("soak_checkpoints"));
-            let seed = acc_bench::soak::SOAK_SEED;
-            match acc_bench::soak::run_soak_with(&h, seed, ckpt_dir.as_deref(), plan, faults) {
-                Ok(doc) => (doc, "SOAK_SLO.json"),
-                Err(e) => {
-                    eprintln!("soak run failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        write_document(which.get(1).map_or(default_out, String::as_str), &doc);
+        let doc = acc_bench::perf::run(&harness.experiment(d.id));
+        write_document(
+            which.get(1).map_or("BENCH_gates.json", String::as_str),
+            &doc,
+        );
         (d.show)(&doc);
         let failed = (d.check)(&doc);
         for f in &failed {

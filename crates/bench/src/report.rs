@@ -1,6 +1,6 @@
 //! `acc-bench report <dir | file>` — render recorded flight-recorder
-//! telemetry, a tagged document (gates, soak, profile) or a saved experiment
-//! result, every table through [`crate::common::print_table`].
+//! telemetry, a tagged document (gates, profile, quick digests) or a saved
+//! experiment result, every table through [`crate::common::print_table`].
 //!
 //! Walks `<dir>` for run subdirectories (anything containing a
 //! `manifest.json`), parses the queue/agent/event JSONL time-series, and
@@ -440,7 +440,6 @@ mod tests {
     #[test]
     fn tagged_documents_render_and_pass_their_check() {
         render("gates.json", &crate::perf::tests::clean()).unwrap();
-        render("soak.json", &crate::soak::tests::document()).unwrap();
         let profile = crate::profile::tests::book_with_one_run().to_json();
         render("profile.json", &profile).unwrap();
     }
@@ -454,14 +453,6 @@ mod tests {
         assert!(
             err.to_string()
                 .contains("accuracy: max_p99_rel_err <= 0.05: got 0.1229"),
-            "{err}"
-        );
-        let mut soak = crate::soak::tests::document();
-        *crate::soak::tests::at_mut(&mut soak, "invalid_final_configs") = json!(2u64);
-        let err = render("bad-soak.json", &soak).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("2 invalid ECN configs left in the fabric"),
             "{err}"
         );
     }

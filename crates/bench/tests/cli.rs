@@ -1,10 +1,9 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
 //! spellings of a value flag parse alike, bad values, retired flags, surplus
 //! positional arguments, `--shards` on an experiment without a sharded
-//! path, `--jobs` on a subcommand that runs no matrix, recording flags
-//! where nothing records and a `--fault-plan` naming
-//! nodes or ports the fabric lacks exit 2, a sharded experiment runs and
-//! records every arm sharded, a result that cannot be saved fails the run,
+//! path, `--jobs` on a subcommand that runs no matrix and recording flags
+//! where nothing records exit 2, a sharded experiment runs and records
+//! every arm sharded, a result that cannot be saved fails the run,
 //! `report` renders saved results with the tables a run prints and a
 //! recorded run's decisions by template and exits 0 or 1 on a truncated
 //! one, and the scored incast experiments save the same bytes at any
@@ -86,7 +85,7 @@ fn value_flags_take_either_spelling() {
 
 #[test]
 fn surplus_positional_arguments_are_rejected() {
-    for cmd in ["perf", "soak", "train", "report"] {
+    for cmd in ["perf", "train", "report"] {
         let out = acc_bench(&[cmd, "--quick", "a.json", "b.json"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
         assert!(
@@ -147,7 +146,6 @@ fn jobs_is_rejected_where_nothing_runs_a_matrix() {
         ["perf", "--quick", "--jobs", "2"].as_slice(),
         &["train", "--quick", "--jobs", "2"],
         &["report", "results", "--jobs", "2"],
-        &["soak", "--quick", "-j", "2"],
     ] {
         let out = acc_bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
@@ -339,11 +337,11 @@ fn recording_flags_are_rejected_where_nothing_records() {
     for (args, says) in [
         (
             ["perf", "--quick", "--metrics-dir", "unrecorded"].as_slice(),
-            "flag '--metrics-dir' only applies to experiments and 'soak'",
+            "flag '--metrics-dir' only applies to experiments",
         ),
         (
             &["list", "--metrics-dir", "unrecorded"],
-            "flag '--metrics-dir' only applies to experiments and 'soak'",
+            "flag '--metrics-dir' only applies to experiments",
         ),
         (
             &["fig11", "--quick", "--metrics-dir", "unrecorded"],
@@ -370,7 +368,7 @@ fn profile_is_rejected_where_there_is_nothing_to_profile() {
     for (id, says) in [
         ("fig11", "'--profile' is not supported by 'fig11'"),
         ("resources", "'--profile' is not supported by 'resources'"),
-        ("perf", "'--profile' only applies to experiments and 'soak'"),
+        ("perf", "'--profile' only applies to experiments"),
     ] {
         let out = acc_bench(&[id, "--quick", "--profile", "empty-profile.json"]);
         assert_eq!(out.status.code(), Some(2), "{id}: {}", stderr(&out));
@@ -378,39 +376,6 @@ fn profile_is_rejected_where_there_is_nothing_to_profile() {
         assert!(out.stdout.is_empty(), "{id}: nothing ran");
     }
     assert!(!PathBuf::from("target/cli-smoke/empty-profile.json").exists());
-}
-
-/// A `--fault-plan` whose endpoints do not exist on the soak's fabric is
-/// refused like a malformed `--soak-plan`: exit 2 naming the event, before
-/// any simulation work (it used to panic mid-run on an index).
-#[test]
-fn soak_refuses_a_fault_plan_that_does_not_fit_the_topology() {
-    let cwd = PathBuf::from("target").join("cli-smoke");
-    std::fs::create_dir_all(&cwd).expect("scratch dir under target/");
-    for (file, kind, says) in [
-        (
-            "bad-node.json",
-            r#"{"LinkDown":{"node":5000,"port":0}}"#,
-            "event 0 (link_down): node 5000 does not exist",
-        ),
-        (
-            "bad-port.json",
-            r#"{"LinkDown":{"node":0,"port":99}}"#,
-            "event 0 (link_down): node 0 has no port 99",
-        ),
-    ] {
-        let plan = format!(r#"{{"seed":1,"events":[{{"at":1000000,"kind":{kind}}}]}}"#);
-        std::fs::write(cwd.join(file), plan).expect("plan written");
-        let out = acc_bench(&["soak", "unwritten.json", "--quick", "--fault-plan", file]);
-        let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
-        assert!(
-            err.contains("invalid fault plan") && err.contains(says),
-            "{file}: {err}"
-        );
-        assert!(out.stdout.is_empty(), "{file}: nothing ran");
-    }
-    assert!(!cwd.join("unwritten.json").exists());
 }
 
 /// An experiment with a bespoke controller and no `Policy` still builds its

@@ -9,7 +9,6 @@
 
 use crate::action::ActionSpace;
 use crate::reward::RewardConfig;
-use netsim::prelude::{NodeId, Simulator};
 use rl::Mlp;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -193,9 +192,9 @@ impl DeployBundle {
 
     /// Persist as JSON, crash-safely: the bundle is written to a sibling
     /// `.tmp` file, fsynced, then atomically renamed over the destination.
-    /// A checkpoint interrupted at any point leaves either the previous
-    /// bundle or no bundle — never a truncated file that would fail digest
-    /// validation at rollback time.
+    /// A save interrupted at any point leaves either the previous bundle or
+    /// no bundle — never a truncated file that would fail digest
+    /// validation at the next load.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DeployError> {
         use std::io::Write;
         let path = path.as_ref();
@@ -228,259 +227,6 @@ impl DeployBundle {
             serde_json::from_str(&text).map_err(|e| DeployError::Parse(e.to_string()))?;
         bundle.validate()?;
         Ok(bundle)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet lifecycle: checkpoint → validate → hot-swap → probation → promote or
-// roll back. This is the production loop §4.3 sketches but never spells out.
-// ---------------------------------------------------------------------------
-
-/// Configuration of the fleet checkpoint/hot-swap/rollback loop.
-#[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// Where checkpoints are persisted (crash-safely); `None` keeps them
-    /// in memory only.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Guard trips tolerated fleet-wide during a bundle's probation window
-    /// before it is rolled back. The paper's guard layer treats any trip as
-    /// loss of trust, so the default is zero.
-    pub probation_trip_budget: u64,
-    /// Swap opportunities skipped after a rollback before the fleet will
-    /// consider a *new* candidate again (the quarantined digest itself is
-    /// never retried).
-    pub quarantine_backoff: u32,
-    /// Provenance stamped into checkpointed bundles.
-    pub provenance: String,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            checkpoint_dir: None,
-            probation_trip_budget: 0,
-            quarantine_backoff: 1,
-            provenance: "fleet checkpoint".into(),
-        }
-    }
-}
-
-/// Counters the fleet loop accumulates over a soak run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct FleetStats {
-    /// Bundles checkpointed from the online fleet.
-    pub checkpoints: u64,
-    /// Hot-swaps applied to the running fleet (candidates entering
-    /// probation; each is later promoted or rolled back).
-    pub swaps: u64,
-    /// Probation windows that ended with the candidate promoted to
-    /// last-known-good.
-    pub promoted: u64,
-    /// Probation windows that ended in rollback to last-known-good.
-    pub rollbacks: u64,
-    /// Swap opportunities skipped because the candidate digest was
-    /// quarantined by an earlier rollback.
-    pub quarantined_skips: u64,
-    /// Swap opportunities skipped by post-rollback backoff.
-    pub backoff_skips: u64,
-    /// Candidate bundles rejected by [`DeployBundle::validate`] before
-    /// ever touching the fleet.
-    pub invalid_bundles: u64,
-}
-
-/// What [`FleetManager::try_swap`] did with a candidate bundle.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SwapOutcome {
-    /// The candidate is live on every switch and under probation.
-    Swapped {
-        /// Digest of the candidate now in probation.
-        digest: u64,
-    },
-    /// Skipped: still backing off from a recent rollback.
-    SkippedBackoff,
-    /// Skipped: this exact bundle was rolled back before.
-    SkippedQuarantined {
-        /// The quarantined digest.
-        digest: u64,
-    },
-    /// The candidate failed validation and was never applied.
-    Invalid {
-        /// Why validation rejected it.
-        error: DeployError,
-    },
-}
-
-/// How a probation window ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProbationOutcome {
-    /// No candidate was under probation.
-    Idle,
-    /// The candidate survived: it is the new last-known-good.
-    Promoted {
-        /// Digest of the promoted bundle.
-        digest: u64,
-    },
-    /// Guards tripped past budget: the fleet runs last-known-good again
-    /// and the candidate is quarantined.
-    RolledBack {
-        /// Digest of the quarantined candidate.
-        digest: u64,
-        /// Guard trips observed during the probation window.
-        trips: u64,
-    },
-}
-
-/// The fleet's deployment state machine. One instance manages every ACC
-/// switch of a simulation: it checkpoints the online-tuned policy into
-/// [`DeployBundle`]s, hot-swaps validated candidates into the running
-/// controllers at phase boundaries, watches the guard layer during the
-/// following probation window, and rolls the fleet back to the
-/// last-known-good bundle (quarantining the candidate) if guards trip.
-pub struct FleetManager {
-    cfg: FleetConfig,
-    last_good: DeployBundle,
-    /// Digests of rolled-back bundles; never retried.
-    quarantine: std::collections::HashSet<u64>,
-    backoff_remaining: u32,
-    probation: Option<Probation>,
-    /// Counters for the SLO report.
-    pub stats: FleetStats,
-}
-
-struct Probation {
-    bundle: DeployBundle,
-    trips_baseline: u64,
-}
-
-impl FleetManager {
-    /// Start managing a fleet from a validated initial bundle (typically
-    /// the offline pre-trained model).
-    pub fn new(cfg: FleetConfig, initial: DeployBundle) -> Result<Self, DeployError> {
-        initial.validate()?;
-        Ok(FleetManager {
-            cfg,
-            last_good: initial,
-            quarantine: std::collections::HashSet::new(),
-            backoff_remaining: 0,
-            probation: None,
-            stats: FleetStats::default(),
-        })
-    }
-
-    /// The bundle the fleet falls back to on rollback.
-    pub fn last_good(&self) -> &DeployBundle {
-        &self.last_good
-    }
-
-    /// Push the last-known-good model into every ACC switch (initial
-    /// deployment, or re-seeding a fresh simulation).
-    pub fn deploy(&self, sim: &mut Simulator) {
-        Self::apply_to_fleet(sim, &self.last_good.model);
-    }
-
-    /// Total guard trips across every guarded switch (0 when the fleet
-    /// runs unguarded controllers).
-    pub fn total_trips(sim: &mut Simulator) -> u64 {
-        let mut trips = 0;
-        for sw in sim.core().topo.switches().to_vec() {
-            trips += sim.with_controller(sw, |c, _| {
-                c.as_any_mut()
-                    .downcast_mut::<crate::guard::GuardedController>()
-                    .map(|g| g.stats.trips)
-                    .unwrap_or(0)
-            });
-        }
-        trips
-    }
-
-    fn apply_to_fleet(sim: &mut Simulator, model: &Mlp) {
-        for sw in sim.core().topo.switches().to_vec() {
-            crate::trainer::load_model_into(sim, sw, model);
-        }
-    }
-
-    /// Checkpoint the online-tuned policy of `switch` into a bundle
-    /// stamped with this fleet's provenance, persisting it crash-safely
-    /// under [`FleetConfig::checkpoint_dir`] when one is configured.
-    pub fn checkpoint(
-        &mut self,
-        sim: &mut Simulator,
-        switch: NodeId,
-    ) -> Result<DeployBundle, DeployError> {
-        let model = crate::trainer::extract_model(sim, switch);
-        let bundle = DeployBundle::new(
-            self.cfg.provenance.clone(),
-            model,
-            self.last_good.actions.clone(),
-            self.last_good.reward,
-            self.last_good.history_k,
-        );
-        self.stats.checkpoints += 1;
-        if let Some(dir) = &self.cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)?;
-            bundle.save(dir.join(format!("ckpt_{:04}.json", self.stats.checkpoints)))?;
-        }
-        Ok(bundle)
-    }
-
-    /// Offer a candidate bundle to the fleet. Applies it to every switch
-    /// and opens a probation window unless backoff, quarantine or
-    /// validation says no. Call [`FleetManager::end_probation`] at the
-    /// next boundary to promote or roll back.
-    pub fn try_swap(&mut self, sim: &mut Simulator, candidate: DeployBundle) -> SwapOutcome {
-        assert!(
-            self.probation.is_none(),
-            "end_probation must run before the next swap"
-        );
-        if self.backoff_remaining > 0 {
-            self.backoff_remaining -= 1;
-            self.stats.backoff_skips += 1;
-            return SwapOutcome::SkippedBackoff;
-        }
-        if self.quarantine.contains(&candidate.digest) {
-            self.stats.quarantined_skips += 1;
-            return SwapOutcome::SkippedQuarantined {
-                digest: candidate.digest,
-            };
-        }
-        if let Err(error) = candidate.validate() {
-            self.stats.invalid_bundles += 1;
-            return SwapOutcome::Invalid { error };
-        }
-        Self::apply_to_fleet(sim, &candidate.model);
-        self.stats.swaps += 1;
-        let digest = candidate.digest;
-        self.probation = Some(Probation {
-            bundle: candidate,
-            trips_baseline: Self::total_trips(sim),
-        });
-        SwapOutcome::Swapped { digest }
-    }
-
-    /// Close the current probation window: if guards tripped past
-    /// [`FleetConfig::probation_trip_budget`] since the swap, restore the
-    /// last-known-good model on every switch and quarantine the candidate;
-    /// otherwise promote it.
-    pub fn end_probation(&mut self, sim: &mut Simulator) -> ProbationOutcome {
-        let Some(p) = self.probation.take() else {
-            return ProbationOutcome::Idle;
-        };
-        let trips = Self::total_trips(sim).saturating_sub(p.trips_baseline);
-        if trips > self.cfg.probation_trip_budget {
-            Self::apply_to_fleet(sim, &self.last_good.model);
-            self.quarantine.insert(p.bundle.digest);
-            self.backoff_remaining = self.cfg.quarantine_backoff;
-            self.stats.rollbacks += 1;
-            ProbationOutcome::RolledBack {
-                digest: p.bundle.digest,
-                trips,
-            }
-        } else {
-            self.stats.promoted += 1;
-            let digest = p.bundle.digest;
-            self.last_good = p.bundle;
-            ProbationOutcome::Promoted { digest }
-        }
     }
 }
 

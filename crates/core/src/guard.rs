@@ -785,6 +785,73 @@ mod tests {
         let _ = ActionSpace::templates(); // keep the import honest
     }
 
+    /// While a guard is in fallback, the port runs the fallback profile:
+    /// the guard writes it over whatever the inner controller applied. A
+    /// telemetry freeze over a busy incast queue trips the guard, while the
+    /// inner controller applies its own valid config every tick.
+    #[test]
+    fn fallback_is_live_on_the_port_while_tripped() {
+        use netsim::ids::PRIO_RDMA;
+        use transport::{CcKind, FctCollector, Message, StackConfig};
+
+        struct Steady(EcnConfig);
+        impl QueueController for Steady {
+            fn on_tick(&mut self, view: &mut SwitchView<'_>) {
+                for p in 0..view.num_ports() {
+                    view.set_ecn(PortId(p as u16), PRIO_RDMA, Some(self.0));
+                }
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let topo = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500)).build();
+        let simcfg = SimConfig::default()
+            .with_seed(3)
+            .with_control_interval(SimTime::from_us(50));
+        let mut sim = Simulator::new(topo, simcfg);
+        let fct = FctCollector::new_shared();
+        let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
+        for &src in &hosts[1..] {
+            let msg = Message::new(hosts[0], 1_000_000, CcKind::Dcqcn);
+            transport::schedule_message(&mut sim, src, SimTime::ZERO, msg);
+        }
+        let sw = sim.core().topo.switches()[0];
+        let agent = EcnConfig::new(100 * 1024, 400 * 1024, 0.05);
+        let guarded = GuardedController::new(
+            Box::new(Steady(agent)),
+            GuardConfig::default(),
+            vec![PRIO_RDMA],
+        );
+        sim.set_controller(sw, Box::new(guarded));
+        let freeze =
+            FaultPlan::new(1).telemetry_freeze(sw, SimTime::from_us(200), SimTime::from_us(1_000));
+        sim.install_fault_plan(&freeze).unwrap();
+
+        let mut fallback_ticks = 0;
+        for tick in 1..=40u64 {
+            sim.run_until(SimTime::from_us(50 * tick));
+            sim.with_controller(sw, |c, view| {
+                let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();
+                for (&(port, prio), guard) in &g.guards {
+                    let snap = view.snapshot(PortId(port), prio);
+                    if guard.in_fallback() {
+                        fallback_ticks += 1;
+                        assert_eq!(
+                            snap.ecn,
+                            Some(FALLBACK.config_for(snap.link_bps)),
+                            "tick {tick}: port {port} is in fallback"
+                        );
+                    } else {
+                        assert_eq!(snap.ecn, Some(agent), "tick {tick}: port {port}");
+                    }
+                }
+            });
+        }
+        assert!(fallback_ticks > 0, "the freeze tripped no guard");
+    }
+
     /// One guarded ACC switch, ticked one interval at a time; after each
     /// tick `probe` sees the guard's anomaly count and the inner controller.
     fn tick_guarded_acc(

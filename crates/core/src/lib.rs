@@ -44,7 +44,6 @@ pub mod deploy;
 pub mod guard;
 pub mod hybrid;
 pub mod reward;
-pub mod soak;
 pub mod state;
 pub mod static_ecn;
 pub mod trainer;
@@ -52,15 +51,12 @@ pub mod trainer;
 pub use action::ActionSpace;
 pub use centralized::{CentralBrain, CentralizedAcc};
 pub use controller::{AccConfig, AccController};
-pub use deploy::{
-    DeployBundle, DeployError, FleetConfig, FleetManager, FleetStats, ProbationOutcome, SwapOutcome,
-};
+pub use deploy::{DeployBundle, DeployError};
 pub use guard::{
     GuardConfig, GuardDecision, GuardObs, GuardStats, GuardViolation, GuardedController, QueueGuard,
 };
 pub use hybrid::CentralTrainer;
 pub use reward::{e_n, ladder_index, QueuePenalty, RewardConfig};
-pub use soak::{PhaseKind, SoakPhase, SoakPlan};
 pub use state::{QueueObs, QueueObserver, StateWindow, FEATURES_PER_OBS};
 pub use static_ecn::{FluidStaticEcn, StaticEcnPolicy};
 

@@ -80,17 +80,6 @@ pub fn extract_model(sim: &mut Simulator, switch: NodeId) -> Mlp {
     sim.with_controller(switch, |c, _| acc_mut(c).export_model())
 }
 
-/// Hot-swap `model` into the running controller on `switch` (bare or
-/// guarded ACC): the agent's online network adopts the weights in place,
-/// keeping its optimizer state, replay memory and exploration schedule.
-/// This is the fleet-deployment primitive — checkpoint promotion and
-/// rollback both route through it.
-pub fn load_model_into(sim: &mut Simulator, switch: NodeId, model: &Mlp) {
-    sim.with_controller(switch, |c, _| {
-        acc_mut(c).agent().borrow_mut().get().load_model(model);
-    });
-}
-
 /// The recommended online configuration after offline pre-training: keep
 /// learning, but start exploration at `eps` (small) with a fast exponential
 /// decay so production traffic is not destabilised (§4.3).

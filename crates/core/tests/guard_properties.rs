@@ -1,7 +1,8 @@
 //! Property-based tests of the safe-mode guardrails: whatever the agent
 //! proposes and whatever the telemetry stream does, every applied config is
-//! valid, changes are rate-limited, and a frozen stream trips the fallback
-//! within its deadline.
+//! valid, changes are rate-limited, a frozen stream trips the fallback
+//! within its deadline, and control returns to the agent within the
+//! hysteresis once telemetry resumes.
 
 use acc_core::guard::{
     GuardObs, GuardViolation, QueueGuard, FALLBACK, HOLD_TICKS, KMAX_CEILING_BYTES,
@@ -55,6 +56,23 @@ fn any_obs() -> impl Strategy<Value = GuardObs> {
             reward,
             link_bps: LINK_BPS,
         })
+}
+
+/// A healthy observation on tick `i`: every counter has advanced.
+fn healthy_obs(i: u64, qlen: u64) -> GuardObs {
+    let tx = (i + 1) * 70_000;
+    GuardObs {
+        qlen_bytes: qlen + i,
+        telem: QueueTelemetry {
+            tx_bytes: tx,
+            tx_pkts: tx / 1000,
+            enq_pkts: tx / 1000,
+            qlen_integral_byte_ps: tx as u128 * 3,
+            ..Default::default()
+        },
+        reward: 0.3,
+        link_bps: LINK_BPS,
+    }
 }
 
 fn assert_invariants(applied: &EcnConfig) {
@@ -228,5 +246,61 @@ proptest! {
         let at = recovered_at.expect("healthy stream must recover");
         prop_assert!(at >= HOLD_TICKS.max(RECOVERY_TICKS),
             "hysteresis respected, recovered after {} ticks", at);
+    }
+
+    /// The guard's liveness property: however long the telemetry
+    /// freeze, the guard trips to the static fallback during it and returns
+    /// control to ACC within `HOLD_TICKS + RECOVERY_TICKS` intervals of
+    /// telemetry resuming — fallback is a detour, never a terminal state.
+    #[test]
+    fn freeze_trip_returns_to_acc_within_hysteresis(
+        freeze_len in 4u32..48,
+        qlen in 1u64..1_000_000,
+    ) {
+        let mut g = QueueGuard::new();
+        let proposal = FALLBACK.config_for(LINK_BPS);
+        let mut tick = 0u64;
+        for _ in 0..4 {
+            let d = g.vet(Some(proposal), &healthy_obs(tick, qlen));
+            prop_assert!(!d.tripped, "healthy warm-up never trips");
+            tick += 1;
+        }
+
+        // Registers freeze: the guard keeps reading this exact snapshot.
+        let frozen = healthy_obs(tick, qlen);
+        let mut trips = 0u32;
+        for i in 0..freeze_len {
+            let d = g.vet(Some(proposal), &frozen);
+            if d.tripped {
+                trips += 1;
+                prop_assert!(i < STALE_TICKS + 1,
+                    "trip within stale_ticks+1 of freeze start, got {i}");
+            }
+            if d.in_fallback {
+                prop_assert_eq!(d.applied, FALLBACK.config_for(LINK_BPS),
+                    "fallback runs the static profile");
+            }
+        }
+        prop_assert_eq!(trips, 1, "exactly one trip per freeze");
+        prop_assert!(g.in_fallback(), "still in fallback while frozen");
+
+        // Telemetry resumes advancing; control must come back to the agent.
+        tick += 1;
+        let mut recovered_after = None;
+        for i in 0..HOLD_TICKS + RECOVERY_TICKS + 2 {
+            let d = g.vet(Some(proposal), &healthy_obs(tick, qlen));
+            tick += 1;
+            if d.recovered {
+                recovered_after = Some(i + 1);
+                break;
+            }
+        }
+        let at = recovered_after.expect("control must return to ACC after resume");
+        prop_assert!(at <= HOLD_TICKS + RECOVERY_TICKS + 1,
+            "recovery within hysteresis after resume, took {at} ticks");
+        prop_assert!(!g.in_fallback());
+        // Back under agent control: the vetted proposal is what gets applied.
+        let d = g.vet(Some(proposal), &healthy_obs(tick, qlen));
+        prop_assert_eq!(d.applied, proposal);
     }
 }

@@ -1,8 +1,10 @@
-//! Hostile input to the three plan and model parsers: every truncation and
-//! byte flip of a valid `DeployBundle`, `FaultPlan` and `SoakPlan` either
-//! parses or returns the parser's typed error — it never panics.
+//! Hostile input to the model and fault-plan parsers: every truncation and
+//! byte flip of a valid `DeployBundle` and `FaultPlan` either parses or
+//! returns the parser's typed error — it never panics — and a bundle that
+//! loads is whole and hashes to its own digest.
 
-use acc_core::{ActionSpace, DeployBundle, DeployError, RewardConfig, SoakPlan};
+use acc_core::deploy::fnv1a;
+use acc_core::{ActionSpace, DeployBundle, DeployError, RewardConfig};
 use netsim::prelude::*;
 use proptest::prelude::*;
 use rl::Mlp;
@@ -38,10 +40,6 @@ fn fault_plan_json() -> String {
     serde_json::to_string(&plan).unwrap()
 }
 
-fn soak_plan_json() -> String {
-    serde_json::to_string(&SoakPlan::datacenter_day(5, SimTime::from_ms(2))).unwrap()
-}
-
 /// `text` cut at the fraction `at` of its length, or with the byte there
 /// replaced by `byte` (which may leave invalid UTF-8: read lossily, as a
 /// file reader that accepted it would).
@@ -65,12 +63,6 @@ fn load_bundle(text: &str) -> Result<DeployBundle, DeployError> {
     loaded
 }
 
-/// Parse `text` as a soak plan and validate it, as the CLI does.
-fn parse_soak(text: &str) -> Result<(), String> {
-    let plan: SoakPlan = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    plan.validate()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -82,10 +74,13 @@ proptest! {
     ) {
         let text = mutate(&bundle_json(), at, flip.then_some(byte));
         if let Ok(b) = load_bundle(&text) {
-            // What loads is whole: it answers a state of its own width.
+            // What loads is whole: it answers a state of its own width...
             let mut ws = rl::BatchActivations::new();
             b.model.forward_batch(&vec![0.5; b.model.input_dim()], 1, &mut ws);
             prop_assert_eq!(ws.output().len(), b.actions.len());
+            // ...and intact: its model re-hashes to the digest it carries.
+            let model = serde_json::to_string(&b.model).unwrap();
+            prop_assert_eq!(fnv1a(model.as_bytes()), b.digest);
         }
     }
 
@@ -97,15 +92,5 @@ proptest! {
     ) {
         let text = mutate(&fault_plan_json(), at, flip.then_some(byte));
         let _ = serde_json::from_str::<FaultPlan>(&text);
-    }
-
-    #[test]
-    fn a_mutated_soak_plan_parses_or_is_a_typed_error(
-        at in 0.0f64..1.0,
-        flip in any::<bool>(),
-        byte in any::<u8>(),
-    ) {
-        let text = mutate(&soak_plan_json(), at, flip.then_some(byte));
-        let _ = parse_soak(&text);
     }
 }

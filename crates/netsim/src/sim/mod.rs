@@ -336,11 +336,11 @@ pub struct SimCore {
     /// Executed faults awaiting collection by [`SimCore::drain_fault_log`].
     fault_log: Vec<FaultLogEntry>,
     /// Entries discarded because the log hit its cap (`FAULT_LOG_CAP`) between
-    /// drains. Surfaced in run manifests so a soak run that outpaces its
-    /// sampler is visible rather than silently lossy.
+    /// drains. Surfaced in run manifests so a run that outpaces its sampler
+    /// is visible rather than silently lossy.
     pub fault_log_dropped: u64,
     /// Cumulative count of faults executed, independent of the (drainable,
-    /// capped) fault log — the number a long soak reports at the end.
+    /// capped) fault log.
     pub faults_executed: u64,
     /// The self-profiler, when installed (see `probe.rs`). `None` (the
     /// default) costs one pointer check per probe and per dispatch; it sees

@@ -59,8 +59,9 @@ pub struct RunManifest {
     #[serde(default)]
     pub event_samples: u64,
     /// Fault-log entries the engine discarded because its bounded in-core
-    /// buffer filled between drains (absent before soak runs bounded the
-    /// buffers; nonzero means the event timeline is incomplete).
+    /// buffer filled between drains (absent in manifests written before
+    /// the buffer was bounded; nonzero means the event timeline is
+    /// incomplete).
     #[serde(default)]
     pub fault_log_dropped: u64,
     /// Flows registered with the FCT collector.

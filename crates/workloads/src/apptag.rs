@@ -2,10 +2,11 @@
 //!
 //! A transport [`transport::Message`] carries one opaque `u64` tag. The
 //! storage and training clusters both encode a message *type* in its top
-//! bits, and a soak run rotates those apps through the **same** host
-//! stacks — so without a discriminator, a stale in-flight storage response
-//! arriving after a phase switch would be decoded as a training message
-//! (or vice versa). Bits 60..64 therefore carry an application id; every
+//! bits, and both run over the same transport host stacks, which hand
+//! every completed message to whichever hook is attached — so without a
+//! discriminator, a storage message delivered to a stack running the
+//! training model would be decoded as a training message (or vice
+//! versa). Bits 60..64 therefore carry an application id; every
 //! [`transport::AppHook`] implementation filters on its own id first and
 //! ignores everything else.
 //!

@@ -196,9 +196,6 @@ pub struct StorageCluster {
     ios: HashMap<u64, IoState>,
     /// Completion log: (time, io latency, was_read).
     pub completions: Vec<(SimTime, SimTime, bool)>,
-    /// Closed-loop cutoff: completions at or after this time do not
-    /// reissue. Lets a soak phase drain instead of running forever.
-    deadline: Option<SimTime>,
 }
 
 impl StorageCluster {
@@ -221,18 +218,7 @@ impl StorageCluster {
             writes: HashMap::new(),
             ios: HashMap::new(),
             completions: Vec::new(),
-            deadline: None,
         }
-    }
-
-    /// Stop issuing new IOs at `at` (in-flight chains still complete).
-    /// `None` restores the indefinite closed loop.
-    pub fn set_deadline(&mut self, at: Option<SimTime>) {
-        self.deadline = at;
-    }
-
-    fn past_deadline(&self, now: SimTime) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
     }
 
     /// Compute nodes of the cluster.
@@ -297,9 +283,9 @@ impl StorageCluster {
 
     /// Record an IO completion (the caller then issues the next IO from the
     /// same compute node — the closed loop). Returns `false` for IOs this
-    /// cluster never issued: after a soak phase rotation, responses to a
-    /// *previous* cluster instance may still be in flight, and they must be
-    /// ignored rather than counted (or panicked on).
+    /// cluster never issued (a response meant for another cluster instance
+    /// on the same hosts), which are ignored rather than counted (or
+    /// panicked on).
     fn finish_io(&mut self, io: u64, now: SimTime) -> bool {
         match self.ios.remove(&io) {
             Some(st) => {
@@ -357,9 +343,9 @@ impl AppHook for StorageCluster {
             }
             T_READ_RESP => {
                 // At the compute node: IO done; issue the next one (unless
-                // the IO is a stale predecessor's or the phase is draining).
+                // the IO is not this cluster's).
                 let now = m.end;
-                if !self.finish_io(io, now) || self.past_deadline(now) {
+                if !self.finish_io(io, now) {
                     return vec![];
                 }
                 let Some(ci) = self.compute.iter().position(|&c| c == m.dst) else {
@@ -420,7 +406,7 @@ impl AppHook for StorageCluster {
             }
             T_REPL_ACK => {
                 // At the primary: when all replicas answered, complete to the
-                // compute node. Unknown writes are stale cross-phase acks.
+                // compute node. Unknown writes are not this cluster's.
                 let done = {
                     let Some(w) = self.writes.get_mut(&io) else {
                         return vec![];
@@ -440,9 +426,9 @@ impl AppHook for StorageCluster {
             }
             T_WRITE_ACK => {
                 // At the compute node: IO done; issue the next one (same
-                // stale/drain handling as reads).
+                // handling of foreign IOs as reads).
                 let now = m.end;
-                if !self.finish_io(io, now) || self.past_deadline(now) {
+                if !self.finish_io(io, now) {
                     return vec![];
                 }
                 let Some(ci) = self.compute.iter().position(|&c| c == m.dst) else {

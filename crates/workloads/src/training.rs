@@ -70,9 +70,6 @@ pub struct TrainingCluster {
     grads_this_iter: HashSet<u64>,
     /// Completed iterations with their completion times.
     pub iterations: Vec<SimTime>,
-    /// Cutoff after which workers stop pushing new gradients (the current
-    /// iteration still drains). Lets a soak phase end cleanly.
-    deadline: Option<SimTime>,
 }
 
 impl TrainingCluster {
@@ -87,13 +84,7 @@ impl TrainingCluster {
             ps: ps[0],
             grads_this_iter: HashSet::new(),
             iterations: Vec::new(),
-            deadline: None,
         }
-    }
-
-    /// Stop starting new iterations at `at` (`None` trains indefinitely).
-    pub fn set_deadline(&mut self, at: Option<SimTime>) {
-        self.deadline = at;
     }
 
     /// Worker nodes.
@@ -141,8 +132,8 @@ impl AppHook for TrainingCluster {
         let idx = apptag::payload(m.tag);
         match ty {
             T_GRAD => {
-                // At the PS. A stale cross-phase gradient aimed at a
-                // different PS node is not ours.
+                // At the PS. A gradient aimed at a different PS node, or
+                // from a worker index past ours, is not ours.
                 if m.dst != self.ps || idx as usize >= self.workers.len() {
                     return vec![];
                 }
@@ -150,11 +141,6 @@ impl AppHook for TrainingCluster {
                 if self.grads_this_iter.len() == self.workers.len() {
                     self.grads_this_iter.clear();
                     self.iterations.push(m.end);
-                    if self.deadline.is_some_and(|d| m.end >= d) {
-                        // Phase over: record the iteration, skip the
-                        // broadcast that would start the next one.
-                        return vec![];
-                    }
                     // Broadcast the fresh model.
                     self.workers
                         .iter()
@@ -173,7 +159,7 @@ impl AppHook for TrainingCluster {
             }
             T_MODEL => {
                 // At a worker: compute, then push the next gradient.
-                if self.deadline.is_some_and(|d| m.end >= d) || idx as usize >= self.workers.len() {
+                if idx as usize >= self.workers.len() {
                     return vec![];
                 }
                 vec![(
