@@ -59,7 +59,7 @@ fn run_one(h: &Harness, model: &str, cfg: TrainingConfig, policy: Policy) -> Val
 
 /// Run the experiment.
 pub fn run(h: &Harness) -> Value {
-    // Model sizes scaled 10x down (see workloads::training docs); the
+    // Model sizes scaled 100x down (see workloads::training docs); the
     // AlexNet job is communication-bound, ResNet-50 closer to balanced.
     let jobs = [
         (

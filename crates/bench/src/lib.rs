@@ -6,8 +6,8 @@
 //! tables. The CLI saves what `run` returns to `results/` and then calls
 //! `show`; `acc-bench report results/<id>.json` calls the same `show` on a
 //! saved file, so a printed table and a rendered one cannot disagree. The
-//! documents `perf` and `--profile` write, and the committed
-//! `results/quick-digests.json`, carry a schema tag and go the same way
+//! artifact `--profile` writes and the committed
+//! `results/quick-digests.json` carry a schema tag and go the same way
 //! through [`DOCUMENTS`], with a `check` that `report` re-runs.
 //!
 //! ```sh
@@ -41,7 +41,6 @@ pub mod fig15_deepdive;
 pub mod fig16_unseen;
 pub mod fig17_reward;
 pub mod oracle;
-pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod resources;
@@ -115,9 +114,9 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
-/// A document that names its kind in a `schema` tag: written by `perf`,
-/// `--profile` or the quick-digest test, and shown and checked by
-/// the same two functions after the run and under `acc-bench report <file>`.
+/// A document that names its kind in a `schema` tag: written by `--profile`
+/// or the quick-digest test, and shown and checked by the same two
+/// functions after the run and under `acc-bench report <file>`.
 pub struct Document {
     /// The `schema` tag.
     pub schema: &'static str,
@@ -132,14 +131,7 @@ pub struct Document {
 }
 
 /// Every tagged document `acc-bench` writes or reads.
-pub const DOCUMENTS: [Document; 3] = [
-    Document {
-        schema: perf::SCHEMA,
-        id: "perf",
-        description: "the flow backend's accuracy envelope",
-        check: perf::check,
-        show: perf::show,
-    },
+pub const DOCUMENTS: [Document; 2] = [
     Document {
         schema: profile::SCHEMA,
         id: "profile",

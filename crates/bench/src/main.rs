@@ -4,12 +4,12 @@
 //! * `--quick` / `-q` — shrink durations/topologies for a fast smoke run;
 //! * `--jobs <n>` / `-j <n>` — worker threads for run-matrix experiments
 //!   (default: one per available core; `--jobs 1` runs serially with
-//!   byte-identical recorded output); rejected for `perf`, `train` and
-//!   `report`, which run no matrix;
+//!   byte-identical recorded output); rejected for `train` and `report`,
+//!   which run no matrix;
 //! * `--metrics-dir <dir>` — arm the flight recorder: every scenario the
 //!   selected experiments build records queue/agent JSONL
 //!   time-series and a `manifest.json` into a numbered subdirectory of
-//!   `<dir>`; where nothing records (`perf`, `list`, `train`, `report`, an
+//!   `<dir>`; where nothing records (`list`, `train`, `report`, an
 //!   experiment that builds no simulator) it is rejected;
 //! * `--metrics-interval-us <n>` — queue-sampling cadence (default 100 µs);
 //!   rejected without `--metrics-dir`;
@@ -17,17 +17,17 @@
 //!   scenario and write one Chrome-trace-compatible profile artifact
 //!   (`acc-profile/v1`) at exit; inspect it with `acc-bench report <file>`
 //!   or load it in `about://tracing` / Perfetto; like `--metrics-dir` it
-//!   applies to experiments only, and is rejected for `perf` and an
-//!   experiment that builds no simulator ([`acc_bench::NO_SIMULATOR`]);
+//!   applies to experiments only, and is rejected for an experiment that
+//!   builds no simulator ([`acc_bench::NO_SIMULATOR`]);
 //! * `--shards <n>` — run the experiments that have a sharded path
 //!   ([`acc_bench::SHARDED`]) through the conservative-lookahead runner on
 //!   `n` shards (`--shards 1` records what the run without the flag
 //!   records); any other experiment id is rejected.
 //!
 //! Value flags are accepted as `--flag value` or `--flag=value`. Unknown
-//! flags, duplicate experiment ids and positional arguments a subcommand
-//! has no use for are rejected with exit code 2 rather than silently
-//! ignored.
+//! flags, unknown or duplicate experiment ids, `all` next to another id and
+//! positional arguments a subcommand has no use for are rejected with exit
+//! code 2 before anything runs, rather than silently ignored.
 
 use acc_bench::{Experiment, Harness, Scale, EXPERIMENTS};
 use netsim::prelude::SimTime;
@@ -107,14 +107,10 @@ fn usage() {
     println!("       acc-bench all [--quick] [--jobs <n>]");
     println!("       acc-bench train [out.json] [--quick]   # save a deployable model bundle");
     println!("       acc-bench report <dir>                 # summarise recorded telemetry");
-    println!("       acc-bench report <file>                # BENCH_gates.json or a --profile");
-    println!("                                              # artifact: print it, exit 1");
-    println!("                                              # naming each failed check");
-    println!("       acc-bench report results/<id>.json     # print a saved result's tables");
-    println!("       acc-bench perf [out.json] [--quick]    # flow accuracy envelope -> BENCH_gates.json,");
-    println!(
-        "                                              # exit 1 naming any gate that failed\n"
-    );
+    println!("       acc-bench report <file>                # a --profile artifact or");
+    println!("                                              # results/quick-digests.json: print");
+    println!("                                              # it, exit 1 naming each failed check");
+    println!("       acc-bench report results/<id>.json     # print a saved result's tables\n");
     println!("flags: --quick|-q                 smoke scale");
     println!("       --jobs|-j <n>              run-matrix worker threads (default: all cores;");
     println!("                                  1 = serial, output is identical either way)");
@@ -139,7 +135,8 @@ fn usage() {
     }
 }
 
-/// Exit with code 2 over a bad flag, pointing at `list` for help.
+/// Exit with code 2 over a bad flag or argument, pointing at `list` for
+/// help.
 fn bad_flag(msg: &str) -> ! {
     eprintln!("{msg} — try `acc-bench list`");
     std::process::exit(2);
@@ -205,16 +202,32 @@ fn main() {
     }
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
     let command = which.first().map(String::as_str);
+    let runs_experiments = !matches!(command, None | Some("list" | "train" | "report"));
+    // Every id is checked before anything runs, so a bad one leaves no
+    // result of the ids before it behind; a repeated id would shadow the
+    // first run's recordings, and `all` next to another id would drop it.
+    if runs_experiments {
+        let mut seen = std::collections::HashSet::new();
+        for w in &which {
+            if w != "all" && acc_bench::experiment(w).is_none() {
+                bad_flag(&format!("unknown experiment '{w}'"));
+            }
+            if !seen.insert(w.as_str()) {
+                bad_flag(&format!("experiment '{w}' given more than once"));
+            }
+        }
+        if which.len() > 1 && seen.contains("all") {
+            bad_flag("'all' runs every experiment and takes no other id");
+        }
+    }
     if metrics_dir.is_none() && interval_us.is_some() {
         bad_flag("flag '--metrics-interval-us' only applies with '--metrics-dir'");
     }
-    // `perf` neither records nor profiles: its rows are a fixed accuracy
-    // check, not an experiment.
     for (flag, given) in [
         ("--metrics-dir", metrics_dir.is_some()),
         ("--profile", profile.is_some()),
     ] {
-        if given && matches!(command, None | Some("list" | "train" | "report" | "perf")) {
+        if given && !runs_experiments {
             bad_flag(&format!("flag '{flag}' only applies to experiments"));
         }
         if let Some(w) = which
@@ -227,11 +240,11 @@ fn main() {
         }
     }
     // Only experiments have a run matrix to spread over workers.
-    if jobs.is_some() && matches!(command, Some("train" | "report" | "perf")) {
+    if jobs.is_some() && matches!(command, Some("train" | "report")) {
         bad_flag("flag '--jobs' only applies to experiment runs");
     }
     if shards.is_some() {
-        if matches!(command, None | Some("list" | "train" | "report" | "perf")) {
+        if !runs_experiments {
             bad_flag("flag '--shards' only applies to experiment runs");
         }
         if profile.is_some() {
@@ -249,7 +262,7 @@ fn main() {
     }
     // These subcommands take one optional positional argument; a second one
     // used to be dropped without a word.
-    if let (Some(cmd @ ("train" | "perf" | "report")), Some(surplus)) = (command, which.get(2)) {
+    if let (Some(cmd @ ("train" | "report")), Some(surplus)) = (command, which.get(2)) {
         bad_flag(&format!(
             "'{cmd}' takes at most one argument; unexpected '{surplus}'"
         ));
@@ -273,7 +286,7 @@ fn main() {
             std::process::exit(2);
         };
         let path = std::path::Path::new(target);
-        // A profile, gate document or experiment result is a file; a
+        // A profile, digest document or experiment result is a file; a
         // telemetry recording is a directory of runs.
         let result = if path.is_file() {
             acc_bench::report::print_file_report(path)
@@ -285,16 +298,6 @@ fn main() {
             std::process::exit(1);
         }
         return;
-    }
-    // Reject duplicate experiment ids: the second execution used to shadow
-    // the first's recordings (and silently double the wall time).
-    if which[0] != "perf" {
-        let mut seen = std::collections::HashSet::new();
-        for w in &which {
-            if !seen.insert(w.as_str()) {
-                bad_flag(&format!("experiment '{w}' given more than once"));
-            }
-        }
     }
     // The one run context: everything the flags configure, built once. The
     // probe lets profiled runs report real allocation counts.
@@ -327,55 +330,32 @@ fn main() {
         eprintln!("[profile] self-profiling every run into {p}");
     }
 
-    let mut checks_failed = false;
-    if which[0] == "perf" {
-        let d = acc_bench::document(acc_bench::perf::SCHEMA).expect("perf writes a document");
-        acc_bench::common::banner(d.id, d.description);
-        let doc = acc_bench::perf::run(&harness.experiment(d.id));
-        write_document(
-            which.get(1).map_or("BENCH_gates.json", String::as_str),
-            &doc,
-        );
-        (d.show)(&doc);
-        let failed = (d.check)(&doc);
-        for f in &failed {
-            eprintln!("[{}] check failed — {f}", d.id);
-        }
-        checks_failed = !failed.is_empty();
+    let start = std::time::Instant::now();
+    let run_one = |e: &Experiment| {
+        acc_bench::common::banner(e.id, e.description);
+        let t = std::time::Instant::now();
+        let result = (e.run)(&harness.experiment(e.id));
+        // Quick results go to `results/quick/` so smoke runs never clobber
+        // full-scale records.
+        let dir = scale.pick("results", "results/quick");
+        write_document(&format!("{dir}/{}.json", e.id), &result);
+        (e.show)(&result);
+        eprintln!("[{}] finished in {:.1}s", e.id, t.elapsed().as_secs_f64());
+    };
+    if which[0] == "all" {
+        EXPERIMENTS.iter().for_each(run_one);
     } else {
-        let start = std::time::Instant::now();
-        let run_one = |e: &Experiment| {
-            acc_bench::common::banner(e.id, e.description);
-            let t = std::time::Instant::now();
-            let result = (e.run)(&harness.experiment(e.id));
-            // Quick results go to `results/quick/` so smoke runs never
-            // clobber full-scale records.
-            let dir = scale.pick("results", "results/quick");
-            write_document(&format!("{dir}/{}.json", e.id), &result);
-            (e.show)(&result);
-            eprintln!("[{}] finished in {:.1}s", e.id, t.elapsed().as_secs_f64());
-        };
-        if which.iter().any(|w| w == "all") {
-            EXPERIMENTS.iter().for_each(run_one);
-        } else {
-            for w in &which {
-                match acc_bench::experiment(w) {
-                    Some(exp) => run_one(exp),
-                    None => {
-                        eprintln!("unknown experiment '{w}' — try `acc-bench list`");
-                        std::process::exit(2);
-                    }
-                }
-            }
+        for w in &which {
+            run_one(acc_bench::experiment(w).expect("ids are checked before the run"));
         }
-        eprintln!("total: {:.1}s", start.elapsed().as_secs_f64());
     }
+    eprintln!("total: {:.1}s", start.elapsed().as_secs_f64());
     let profile_ok = harness.write_profile();
     if harness.metrics_failed() {
         eprintln!("ERROR: some recorded telemetry could not be written (see [metrics] lines)");
         std::process::exit(1);
     }
-    if !profile_ok || checks_failed {
+    if !profile_ok {
         std::process::exit(1);
     }
 }

@@ -437,24 +437,45 @@ mod tests {
         assert!(err.to_string().contains("\"nope\""), "{err}");
     }
 
+    /// A quick-digests document with one row per run, each digest `digest`.
+    fn digests_with(digest: &str) -> Value {
+        let rows: Vec<(String, String)> = crate::digests::runs()
+            .into_iter()
+            .map(|r| (r.label, digest.to_string()))
+            .collect();
+        crate::digests::document(&rows)
+    }
+
     #[test]
     fn tagged_documents_render_and_pass_their_check() {
-        render("gates.json", &crate::perf::tests::clean()).unwrap();
         let profile = crate::profile::tests::book_with_one_run().to_json();
         render("profile.json", &profile).unwrap();
+        render("digests.json", &digests_with("0123456789abcdef")).unwrap();
     }
 
     #[test]
     fn a_failed_check_is_the_error() {
-        let mut gates = crate::perf::tests::clean();
-        *crate::perf::tests::cell(&mut gates, "accuracy", "max_p99_rel_err") = json!(0.1229);
-        let err = render("bad-gates.json", &gates).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("accuracy: max_p99_rel_err <= 0.05: got 0.1229"),
-            "{err}"
-        );
+        let mut profile = crate::profile::tests::book_with_one_run().to_json();
+        if let Value::Object(doc) = &mut profile {
+            doc.insert("traceEvents".into(), json!([]));
+        }
+        let digests = digests_with("0123456789abcdeg");
+        for (name, doc, says) in [
+            (
+                "bad-profile.json",
+                profile,
+                "acc-profile/v1: traceEvents is empty",
+            ),
+            (
+                "bad-digests.json",
+                digests,
+                "\"fig1\": digest \"0123456789abcdeg\" is not 16 hex digits",
+            ),
+        ] {
+            let err = render(name, &doc).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains(says), "{name}: {err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `acc-bench` binary's flag handling, driven as a subprocess: both
-//! spellings of a value flag parse alike, bad values, retired flags, surplus
+//! spellings of a value flag parse alike, bad values, unknown flags,
+//! unknown or duplicate experiment ids, `all` next to another id, surplus
 //! positional arguments, `--shards` on an experiment without a sharded
 //! path, `--jobs` on a subcommand that runs no matrix and recording flags
 //! where nothing records exit 2, a sharded experiment runs and records
@@ -85,7 +86,7 @@ fn value_flags_take_either_spelling() {
 
 #[test]
 fn surplus_positional_arguments_are_rejected() {
-    for cmd in ["perf", "train", "report"] {
+    for cmd in ["train", "report"] {
         let out = acc_bench(&[cmd, "--quick", "a.json", "b.json"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
         assert!(
@@ -99,27 +100,34 @@ fn surplus_positional_arguments_are_rejected() {
     }
 }
 
+/// Every experiment id is checked before anything runs: an unknown id, one
+/// given twice, or `all` next to another id exits 2 with nothing printed on
+/// stdout and no result written, even when the ids before it are good.
 #[test]
-fn retired_perf_flags_are_unknown_flags() {
-    // `perf` lost its family and backend selectors; they must not linger as
-    // accepted-and-ignored. (Spelled in halves so that a grep for either
-    // flag over the tree finds nothing.)
-    for (retired, value) in [("scenario", "rl"), ("fidelity", "flow")] {
-        let flag = format!("--{retired}");
-        for args in [
-            vec!["perf", "--quick", &flag, value],
-            vec!["perf", "--quick", &format!("{flag}={value}")],
-        ] {
-            let out = acc_bench(&args);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
-            assert!(
-                stderr(&out).contains(&format!("unknown flag '{}'", args[2])),
-                "{args:?}: {}",
-                stderr(&out)
-            );
-            assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
-        }
+fn bad_experiment_ids_are_rejected_before_anything_runs() {
+    let cwd = PathBuf::from("target").join("cli-ids");
+    let _ = std::fs::remove_dir_all(&cwd);
+    for (args, says) in [
+        (
+            ["fig11", "nosuch", "--quick"].as_slice(),
+            "unknown experiment 'nosuch'",
+        ),
+        (
+            &["fig11", "fig11", "--quick"],
+            "experiment 'fig11' given more than once",
+        ),
+        (
+            &["all", "fig11", "--quick"],
+            "'all' runs every experiment and takes no other id",
+        ),
+        (&["perf", "--quick"], "unknown experiment 'perf'"),
+    ] {
+        let out = acc_bench_in("cli-ids", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
     }
+    assert!(!cwd.join("results").exists(), "no result was written");
 }
 
 #[test]
@@ -143,8 +151,7 @@ fn shards_is_rejected_without_a_sharded_path() {
 #[test]
 fn jobs_is_rejected_where_nothing_runs_a_matrix() {
     for args in [
-        ["perf", "--quick", "--jobs", "2"].as_slice(),
-        &["train", "--quick", "--jobs", "2"],
+        ["train", "--quick", "--jobs", "2"].as_slice(),
         &["report", "results", "--jobs", "2"],
     ] {
         let out = acc_bench(args);
@@ -336,11 +343,7 @@ fn report_prints_what_the_run_printed() {
 fn recording_flags_are_rejected_where_nothing_records() {
     for (args, says) in [
         (
-            ["perf", "--quick", "--metrics-dir", "unrecorded"].as_slice(),
-            "flag '--metrics-dir' only applies to experiments",
-        ),
-        (
-            &["list", "--metrics-dir", "unrecorded"],
+            ["list", "--metrics-dir", "unrecorded"].as_slice(),
             "flag '--metrics-dir' only applies to experiments",
         ),
         (
@@ -363,12 +366,10 @@ fn recording_flags_are_rejected_where_nothing_records() {
 #[test]
 fn profile_is_rejected_where_there_is_nothing_to_profile() {
     // fig11 and resources build no simulator: a profile of them has no
-    // runs, which the artifact's own validator rejects. `perf` is a fixed
-    // accuracy check, not an experiment: it neither records nor profiles.
+    // runs, which the artifact's own validator rejects.
     for (id, says) in [
         ("fig11", "'--profile' is not supported by 'fig11'"),
         ("resources", "'--profile' is not supported by 'resources'"),
-        ("perf", "'--profile' only applies to experiments"),
     ] {
         let out = acc_bench(&[id, "--quick", "--profile", "empty-profile.json"]);
         assert_eq!(out.status.code(), Some(2), "{id}: {}", stderr(&out));

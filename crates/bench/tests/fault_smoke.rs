@@ -97,8 +97,8 @@ fn recorded_fault_runs_are_byte_identical() {
     assert!(m.event_samples > 0, "manifest counted no event samples");
 }
 
-/// `run_to` records what the build perf's `fault-plan` row spells out by
-/// hand records: `scenario` (stacks, policy, FCT reserve, arrivals,
+/// `run_to` records what the build `engine_counts`' `fault-plan` row spells
+/// out by hand records: `scenario` (stacks, policy, FCT reserve, arrivals,
 /// recorder), then the fault plan. Sampling every 1.5 ms puts the first
 /// sampling tick on the plan's first fault (15 % of 10 ms). A guard's events
 /// are recorded as they happen, a fault when a sampling tick drains it, so

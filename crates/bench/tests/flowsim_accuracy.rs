@@ -1,17 +1,171 @@
-//! Differential accuracy gate for the flow-level backend: the hybrid
-//! fidelity must reproduce the packet engine's FCT p50/p99 within 5%
-//! relative error on the two seeded validation scenarios (WebSearch at 0.3
-//! load and an 8-to-1 incast), while avoiding ≥ 20× the packet engine's
-//! events per simulated second. This is the quick-scale document of
-//! `acc-bench perf`, checked by the same `perf::check` the CLI exits on, so
-//! a fidelity regression fails `cargo test` in seconds.
+//! The flow-level backend's accuracy envelope: on two seeded scenarios
+//! (WebSearch at 0.3 load through one switch, and an 8-to-1 incast) the
+//! hybrid-fidelity backend (`netsim::flowsim`) must finish the flows the
+//! packet engine finishes, reproduce its FCT p50 and p99 within 5% relative
+//! error, and process at least 20× fewer events per simulated second. Both
+//! backends run SECN1 from seed 7 to the same horizon.
+//!
+//! One test per scale. Every bound is checked on every scenario, and a
+//! failure lists each one that does not hold as
+//! `accuracy/<scenario> (<scale>): <column> <bound>: got <value>`; each
+//! scenario's numbers go to stderr as an `[accuracy]` line. The full-scale
+//! case fails today on WebSearch's p99 (ROADMAP item 6) and is ignored:
+//! `cargo test --release -p acc-bench --test flowsim_accuracy -- --ignored`.
 
-use acc_bench::{perf, Harness, Scale};
+use acc_bench::common::{install_policy, Harness, Policy, Scale};
+use netsim::flowsim::{FlowSim, FlowSimConfig};
+use netsim::prelude::*;
+use transport::{CcKind, FctCollector};
+use workloads::gen::{incast_wave, Arrival, PoissonGen};
+use workloads::{to_flow_specs, SizeDist};
+
+/// Seed of both backends' runs.
+const SEED: u64 = 7;
+
+/// One packet-vs-hybrid scenario: an arrival list plus the horizon both
+/// backends run to (long enough that every flow completes, so the
+/// percentiles compare identical flow populations).
+struct Scenario {
+    name: &'static str,
+    spec: TopologySpec,
+    arrivals: Vec<Arrival>,
+    horizon: SimTime,
+}
+
+/// The two seeded validation scenarios.
+fn scenarios(scale: Scale) -> [Scenario; 2] {
+    // WebSearch at 0.3 load through one switch: mostly-uncontended
+    // heavy-tailed traffic, the fast-path regime.
+    let websearch = {
+        let spec = TopologySpec::single_switch(8, 25_000_000_000, SimTime::from_ns(500));
+        let hosts = spec.build().hosts().to_vec();
+        let dur = scale.pick(SimTime::from_ms(10), SimTime::from_ms(3));
+        let g = PoissonGen::new(SizeDist::web_search(), 0.3, CcKind::Dcqcn, 11);
+        Scenario {
+            name: "websearch-0.3",
+            arrivals: g.generate(&hosts, 25_000_000_000, SimTime::ZERO, dur),
+            spec,
+            horizon: dur + SimTime::from_ms(60),
+        }
+    };
+    // 8-to-1 incast, three 64 KB partition-aggregate waves: every flow
+    // contended at the receiver port, the saturated max-min regime.
+    // Waves stay in the 64–100 KB range where packet DCQCN runs the
+    // bottleneck at ~full utilisation; multi-MB incasts sit in the
+    // post-burst convergence transient the flow model deliberately
+    // collapses (a documented divergence, see the flowsim module docs)
+    // and are out of the envelope this test holds.
+    let incast = {
+        let spec = TopologySpec::single_switch(9, 25_000_000_000, SimTime::from_ns(500));
+        let hosts = spec.build().hosts().to_vec();
+        let mut arrivals = Vec::new();
+        for w in 0..3u64 {
+            arrivals.extend(incast_wave(
+                &hosts[..8],
+                hosts[8],
+                2,
+                64_000,
+                CcKind::Dcqcn,
+                SimTime::from_ms(1).mul(w),
+            ));
+        }
+        Scenario {
+            name: "incast-8to1",
+            spec,
+            arrivals,
+            horizon: SimTime::from_ms(10),
+        }
+    };
+    [websearch, incast]
+}
+
+/// Relative error of `measured` against reference `truth`.
+fn rel_err(measured: f64, truth: f64) -> f64 {
+    ((measured - truth) / truth.max(1e-9)).abs()
+}
+
+/// Run `sc` on both backends under SECN1, installed through the same
+/// policy table, and return every bound it fails, by name.
+fn failures(h: &Harness, sc: &Scenario) -> Vec<String> {
+    let mut packet = h.scenario(&sc.spec, Policy::Secn1, SEED, &sc.arrivals);
+    packet.sim.run_until(sc.horizon);
+    let p = packet.fct.borrow().stats(|_| true);
+    let p_events = packet.sim.core().events_processed;
+
+    let mut hybrid = FlowSim::new(sc.spec.build(), FlowSimConfig::default());
+    install_policy(&mut hybrid, Policy::Secn1, h.scale);
+    hybrid.schedule_flows(&to_flow_specs(&sc.arrivals));
+    hybrid.run_until(sc.horizon);
+    let fct = FctCollector::new_shared();
+    fct.borrow_mut().register_flowsim(hybrid.completions());
+    let f = fct.borrow().stats(|_| true);
+    let f_events = hybrid.stats().events_processed;
+
+    let p_rate = p_events as f64 / packet.sim.now().as_secs_f64().max(1e-12);
+    let f_rate = f_events as f64 / hybrid.now().as_secs_f64().max(1e-12);
+    let cost_avoidance = p_rate / f_rate.max(1e-9);
+    let (e50, e99) = (rel_err(f.p50_us, p.p50_us), rel_err(f.p99_us, p.p99_us));
+    eprintln!(
+        "[accuracy] {}: flows {} / {}, p50 {:.3} / {:.3} us, p99 {:.1} / {:.1} us, \
+         events {p_events} / {f_events}, p50_rel_err {e50:.4}, p99_rel_err {e99:.4}, \
+         cost_avoidance {cost_avoidance:.1} (packet / hybrid)",
+        sc.name, p.count, f.count, p.p50_us, f.p50_us, p.p99_us, f.p99_us,
+    );
+
+    let checks = [
+        ("flows", "> 0", p.count.to_string(), p.count > 0),
+        (
+            "hybrid_finished",
+            "== packet_finished",
+            format!("{} against {}", f.count, p.count),
+            f.count == p.count,
+        ),
+        ("p50_rel_err", "<= 0.05", format!("{e50:.4}"), e50 <= 0.05),
+        ("p99_rel_err", "<= 0.05", format!("{e99:.4}"), e99 <= 0.05),
+        (
+            "cost_avoidance",
+            ">= 20",
+            format!("{cost_avoidance:.1}"),
+            cost_avoidance >= 20.0,
+        ),
+    ];
+    let scale = h.scale.pick("full", "quick");
+    checks
+        .into_iter()
+        .filter(|(.., holds)| !holds)
+        .map(|(column, bound, got, _)| {
+            format!(
+                "accuracy/{} ({scale}): {column} {bound}: got {got}",
+                sc.name
+            )
+        })
+        .collect()
+}
+
+/// Every bound on both scenarios at `scale`; one failure lists them all.
+fn assert_envelope(scale: Scale) {
+    let h = Harness::new(scale);
+    let failed: Vec<String> = scenarios(scale)
+        .iter()
+        .flat_map(|sc| failures(&h, sc))
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
 
 #[test]
-fn hybrid_tracks_packet_fct_within_5_percent() {
-    let doc = perf::run(&Harness::new(Scale::QUICK));
-    let rows = doc["rows"].as_array().expect("rows");
-    assert_eq!(rows.len(), 3, "websearch-0.3, incast-8to1 and their worst");
-    assert_eq!(perf::check(&doc), Vec::<String>::new());
+fn hybrid_tracks_packet_fct_at_quick_scale() {
+    assert_envelope(Scale::QUICK);
+}
+
+#[test]
+#[ignore = "fails: websearch-0.3 p99 rel err 0.123 > 0.05 — ROADMAP 6"]
+fn hybrid_tracks_packet_fct_at_full_scale() {
+    assert_envelope(Scale::FULL);
+}
+
+#[test]
+fn rel_err_is_symmetric_around_truth() {
+    assert!((rel_err(105.0, 100.0) - 0.05).abs() < 1e-12);
+    assert!((rel_err(95.0, 100.0) - 0.05).abs() < 1e-12);
+    assert_eq!(rel_err(100.0, 100.0), 0.0);
 }

@@ -53,7 +53,7 @@ impl XlFlowsSpec {
     }
 
     /// CI-sized variant (~50k flows over 25 ms) — still ≥ 100× the packet
-    /// perf suite's websearch row.
+    /// engine's `websearch-load` count row.
     pub fn quick(seed: u64) -> XlFlowsSpec {
         XlFlowsSpec {
             websearch_load: 0.6,
@@ -97,7 +97,7 @@ mod tests {
         let topo = TopologySpec::paper_xl_clos().build();
         let spec = XlFlowsSpec::quick(7);
         let arrivals = spec.generate(topo.hosts(), topo.host_rate_bps(topo.hosts()[0]));
-        // ≥ 100× the packet perf suite's websearch row (~360 flows).
+        // ≥ 100× the packet engine's `websearch-load` count row (~360 flows).
         assert!(
             arrivals.len() >= 36_000,
             "xl-flows quick must be ≥100× the packet websearch row, got {}",
